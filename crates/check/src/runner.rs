@@ -58,7 +58,8 @@ impl Config {
     }
 }
 
-/// FNV-1a — stable name/token hashing for per-property streams.
+/// FNV-1a — stable name/token hashing for per-property streams. (Own
+/// copy: `hpm-store`, home of the workspace one, depends on this crate.)
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {

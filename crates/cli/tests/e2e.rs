@@ -10,8 +10,10 @@ fn hpm(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hpm_e2e_{}", std::process::id()));
+/// A directory of the calling test's own: tests run on parallel threads
+/// and each removes its directory when done.
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hpm_e2e_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -58,7 +60,7 @@ fn unknown_flag_fails_cleanly() {
 
 #[test]
 fn full_workflow() {
-    let dir = tmpdir();
+    let dir = tmpdir("full_workflow");
     let csv = dir.join("bike.csv");
     let model = dir.join("bike.hpm");
     let csv_s = csv.to_str().unwrap();
@@ -126,9 +128,7 @@ fn full_workflow() {
 
 #[test]
 fn predict_metrics_json_covers_hot_path() {
-    // Own subdirectory: sibling tests remove the shared tmpdir.
-    let dir = tmpdir().join("metrics_json");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("metrics_json");
     let csv = dir.join("bike.csv");
     let model = dir.join("bike.hpm");
     let csv_s = csv.to_str().unwrap();
@@ -230,9 +230,7 @@ fn predict_metrics_json_covers_hot_path() {
 
 #[test]
 fn predict_batch_mode_parallel_matches_sequential() {
-    // Own subdirectory: sibling tests remove the shared tmpdir.
-    let dir = tmpdir().join("batch_predict");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("batch_predict");
     let csv = dir.join("bike.csv");
     let model = dir.join("bike.hpm");
     let csv_s = csv.to_str().unwrap();
@@ -315,7 +313,7 @@ fn predict_batch_mode_parallel_matches_sequential() {
 
 #[test]
 fn predict_rejects_past_query_time() {
-    let dir = tmpdir();
+    let dir = tmpdir("predict_rejects_past_query_time");
     let csv = dir.join("tiny.csv");
     std::fs::write(&csv, "t,x,y\n0,1,1\n1,2,2\n2,3,3\n").unwrap();
     let model = dir.join("tiny.hpm");
@@ -355,7 +353,7 @@ fn predict_rejects_past_query_time() {
 
 #[test]
 fn train_reports_gap_errors_without_fill() {
-    let dir = tmpdir();
+    let dir = tmpdir("train_reports_gap_errors_without_fill");
     let csv = dir.join("gappy.csv");
     std::fs::write(&csv, "t,x,y\n0,1,1\n2,2,2\n").unwrap();
     let out = hpm(&[
@@ -374,7 +372,7 @@ fn train_reports_gap_errors_without_fill() {
 
 #[test]
 fn staypoints_and_simplify() {
-    let dir = tmpdir();
+    let dir = tmpdir("staypoints_and_simplify");
     let csv = dir.join("sp.csv");
     // 6 samples at home, a 4-step commute, 6 samples at work.
     let mut rows = String::from("t,x,y\n");

@@ -14,20 +14,23 @@ pub const PREDICT_SPAN: &str = "objectstore.predict";
 /// Latency span around one per-object predictor retrain (incremental
 /// or full).
 pub const RETRAIN_SPAN: &str = "objectstore.retrain";
-/// Latency span around the decomposition phase of a retrain (§III
-/// delta cursor).
+/// Latency span around the decomposition phase of an incremental
+/// retrain (§III delta cursor). The seed path — first train, forced,
+/// drift fallback — decomposes inside the discover span instead.
 pub const RETRAIN_DECOMPOSE_SPAN: &str = "objectstore.retrain.decompose";
-/// Latency span around the region-discovery phase of a retrain
-/// (incremental DBSCAN insertions, or batch DBSCAN on the full path).
+/// Latency span around the region-discovery phase of a retrain:
+/// incremental DBSCAN insertions, or on the seed path the whole
+/// trainer seed (decomposition, batch DBSCAN, support-count rebuild).
 pub const RETRAIN_DISCOVER_SPAN: &str = "objectstore.retrain.discover";
 /// Latency span around the pattern-mining phase of a retrain
-/// (support-count deltas + rule derivation, or a full Apriori pass).
+/// (support-count deltas + rule derivation; derivation alone after a
+/// seed).
 pub const RETRAIN_MINE_SPAN: &str = "objectstore.retrain.mine";
 /// Latency span around the TPT phase of a retrain (delta application
-/// + one repack, or a bulk load on the full path).
+/// + one repack, or a bulk load on the seed path).
 pub const RETRAIN_TPT_SPAN: &str = "objectstore.retrain.tpt";
-/// Latency span around one batch predictive call (`predict_batch` /
-/// `predict_range_batch`), pool fan-out included.
+/// Latency span around one batch predictive call (`predict_batch`),
+/// pool fan-out included.
 pub const PREDICT_BATCH_SPAN: &str = "objectstore.predict_batch";
 /// Latency span around one multi-object `report_many` ingest.
 pub const REPORT_MANY_SPAN: &str = "objectstore.report_many";
@@ -45,11 +48,11 @@ pub const PREDICT_NEAREST_PROB: &str = "objectstore.predict_nearest_prob";
 pub const RETRAINS: &str = "objectstore.retrains";
 /// Retrains absorbed incrementally (delta pipeline, no full rebuild).
 pub const RETRAINS_INCREMENTAL: &str = "objectstore.retrains.incremental";
-/// Retrains that ran the full pipeline (first train, forced, or
-/// drift fallback).
+/// Retrains that re-seeded the trainer from the complete history
+/// (first train, forced, or drift fallback).
 pub const RETRAINS_FULL: &str = "objectstore.retrains.full";
 /// Incremental retrains that aborted on structure drift and fell back
-/// to the full pipeline (a subset of `objectstore.retrains.full`).
+/// to a re-seed (a subset of `objectstore.retrains.full`).
 pub const RETRAIN_DRIFT_FALLBACKS: &str = "objectstore.retrains.drift_fallback";
 /// Sub-trajectories accumulated beyond the trained watermark at
 /// retrain entry (gauge, last retrain wins) — how stale the predictor

@@ -6,19 +6,18 @@ use crate::durability::{
 use crate::index::{Envelope, IndexConfig, PredictiveIndex};
 use crate::pool::WorkerPool;
 use hpm_core::{
-    HpmConfig, HybridPredictor, PredictScratch, Prediction, PredictiveQuery, TrainerState,
-    Uncertainty,
+    HpmConfig, HybridPredictor, NewVisit, PredictScratch, Prediction, PredictiveQuery,
+    TrainerState, Uncertainty,
 };
 use hpm_geo::mem::heap_bytes;
 use hpm_geo::{MemUse, Point};
-use hpm_patterns::{discover_from_groups, mine, DiscoveryParams, MiningParams};
+use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::wal::{scan_wal_file, WalRecord, WalWriter};
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
 };
 use hpm_trajectory::{
-    ChunkParams, ChunkedHistory, HistoryPrefix, OffsetGroups, Timestamp, DEFAULT_MIN_TAIL,
-    DEFAULT_SEAL_LEN,
+    ChunkParams, ChunkedHistory, HistoryPrefix, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -245,6 +244,68 @@ impl StoreMemory {
             self.history_raw_bytes as f64 / self.history_bytes as f64
         }
     }
+}
+
+/// One fleet-query result: the object, its best predicted position, and
+/// the score it qualified or ranked with (see [`score`]).
+type Hit = (ObjectId, Point, f64);
+
+/// Which objects a fleet query selects.
+#[derive(Clone, Copy)]
+enum Select<'a> {
+    /// Every object that qualifies for the box, ordered by id.
+    Box(&'a hpm_geo::BoundingBox),
+    /// The `k` objects ranked nearest `focus`, best first.
+    Ring { focus: &'a Point, k: usize },
+}
+
+/// What a fleet query reads off each candidate's prediction.
+#[derive(Clone, Copy)]
+enum Refine {
+    /// The best predicted point alone.
+    Point,
+    /// The whole predicted distribution, against a mass threshold.
+    Mass { tau: f64 },
+}
+
+/// Where a fleet query takes its candidates from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The predictive index (exact pruning; see [`crate::index`]).
+    Index,
+    /// Every tracked object, consulting no index state: the oracle the
+    /// index is tested against.
+    Scan,
+}
+
+/// The four membership/rank rules of the fleet operators: whether a
+/// prediction qualifies for `select` under `refine`, and with which
+/// best point and score.
+///
+/// | select, refine | qualifies when | score |
+/// |---|---|---|
+/// | box, point | best point inside the box | unused (0) |
+/// | box, mass | some answer region touches the box and the mass inside reaches `tau` | mass inside |
+/// | ring, point | always | distance best point → focus |
+/// | ring, mass | the claimed mass reaches `tau` (finite radius) | confidence radius around focus |
+fn score(prediction: &Prediction, select: Select<'_>, refine: Refine) -> Option<(Point, f64)> {
+    let best = prediction.try_best()?;
+    let s = match (select, refine) {
+        (Select::Box(region), Refine::Point) => region.contains(&best).then_some(0.0)?,
+        (Select::Box(region), Refine::Mass { tau }) => {
+            if !prediction.possibly_in(region) {
+                return None;
+            }
+            let mass = prediction.probability_in(region);
+            (mass >= tau).then_some(mass)?
+        }
+        (Select::Ring { focus, .. }, Refine::Point) => best.distance(focus),
+        (Select::Ring { focus, .. }, Refine::Mass { tau }) => {
+            let radius = prediction.confidence_distance(focus, tau);
+            radius.is_finite().then_some(radius)?
+        }
+    };
+    Some((best, s))
 }
 
 struct ObjectState {
@@ -476,52 +537,15 @@ impl MovingObjectStore {
         timestamp: Timestamp,
         position: Point,
     ) -> Result<(), IngestError> {
-        let _span = hpm_obs::span!(crate::metrics::REPORT_SPAN);
-        if !position.is_finite() {
-            return Err(IngestError::NonFinitePosition);
-        }
-        loop {
-            let state = self.state_of(id, timestamp);
-            let mut state = state
-                .write()
-                .map_err(|_| IngestError::ObjectUnavailable(id))?;
-            if state.removed {
-                // Raced a concurrent `remove` on a stale cell;
-                // re-resolve so the report lands after it.
-                continue;
-            }
-            let expected = state.history.end();
-            if timestamp != expected {
-                return Err(IngestError::NonContiguous {
-                    expected,
-                    got: timestamp,
-                });
-            }
-            // Log before apply: a report the WAL rejected leaves no
-            // trace in memory either.
-            self.wal_append(
-                id,
-                &WalRecord::Report {
-                    object: id.0,
-                    timestamp,
-                    x: position.x,
-                    y: position.y,
-                },
-            )?;
-            state.history.push(position);
-            hpm_obs::counter!(crate::metrics::REPORTS).add(1);
-            self.maybe_retrain(&mut state);
-            self.index.mark_dirty(self.shard_index(id.0), id.0);
-            break;
-        }
-        self.maybe_auto_snapshot();
-        Ok(())
+        self.report_batch(id, timestamp, &[position])
     }
 
     /// Ingests a contiguous batch starting at `start` — a convenience
     /// over repeated [`report`](Self::report) calls that retrains at
     /// most once. The object's lock is held across the whole batch, so
-    /// a concurrent reader sees either none or all of it.
+    /// a concurrent reader sees either none or all of it. A batch
+    /// holding any non-finite position is rejected whole; an empty
+    /// batch is a no-op.
     /// On a durable store an I/O failure mid-batch applies (and logs)
     /// only a prefix; memory and WAL still agree exactly.
     pub fn report_batch(
@@ -534,51 +558,19 @@ impl MovingObjectStore {
         if positions.iter().any(|p| !p.is_finite()) {
             return Err(IngestError::NonFinitePosition);
         }
-        loop {
-            let state = self.state_of(id, start);
-            let mut state = state
-                .write()
-                .map_err(|_| IngestError::ObjectUnavailable(id))?;
-            if state.removed {
-                continue;
-            }
-            let expected = state.history.end();
-            if start != expected {
-                return Err(IngestError::NonContiguous {
-                    expected,
-                    got: start,
-                });
-            }
-            let mut accepted = 0u64;
-            let mut failure = None;
-            for (i, p) in positions.iter().enumerate() {
-                if let Err(e) = self.wal_append(
-                    id,
-                    &WalRecord::Report {
-                        object: id.0,
-                        timestamp: start + i as Timestamp,
-                        x: p.x,
-                        y: p.y,
-                    },
-                ) {
-                    failure = Some(e);
-                    break;
-                }
-                state.history.push(*p);
-                accepted += 1;
-            }
-            hpm_obs::counter!(crate::metrics::REPORTS).add(accepted);
-            self.maybe_retrain(&mut state);
-            if accepted > 0 {
-                self.index.mark_dirty(self.shard_index(id.0), id.0);
-            }
-            drop(state);
-            self.maybe_auto_snapshot();
-            return match failure {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
+        let run = positions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (start + i as Timestamp, *p));
+        let mut result = Ok(());
+        // Stop at the first failure: what follows it cannot be
+        // contiguous.
+        self.apply_run(id, run, |r| {
+            result = r;
+            r.is_ok()
+        });
+        self.maybe_auto_snapshot();
+        result
     }
 
     /// Ingests a mixed multi-object batch, fanned across the worker
@@ -619,7 +611,12 @@ impl MovingObjectStore {
                 }
                 let mut out = Vec::with_capacity(groups[g].len());
                 for raw in order {
-                    self.apply_object_reports(ObjectId(raw), &per_object[&raw], reports, &mut out);
+                    let mut slots = per_object[&raw].iter();
+                    let run = slots.clone().map(|&i| (reports[i].1, reports[i].2));
+                    self.apply_run(ObjectId(raw), run, |r| {
+                        out.extend(slots.next().map(|&i| (i, r)));
+                        true
+                    });
                 }
                 out
             });
@@ -637,65 +634,65 @@ impl MovingObjectStore {
             .collect()
     }
 
-    /// Applies one object's slice of a [`report_many`](Self::report_many)
-    /// call under a single write-lock hold.
-    fn apply_object_reports(
+    /// The one ingest path: applies `run` — one object's reports, in
+    /// order — under a single hold of the object's write lock, handing
+    /// each report's outcome to `each` in run order until it returns
+    /// `false`. Retrains at most once, and marks the object's envelope
+    /// stale iff something was accepted.
+    fn apply_run(
         &self,
         id: ObjectId,
-        idxs: &[usize],
-        reports: &[(ObjectId, Timestamp, Point)],
-        out: &mut Vec<(usize, Result<(), IngestError>)>,
+        mut run: impl Iterator<Item = (Timestamp, Point)> + Clone,
+        mut each: impl FnMut(Result<(), IngestError>) -> bool,
     ) {
-        // Non-finite reports never create the object (mirrors
-        // `report`, which validates before touching the map).
-        let mut start = 0;
-        while start < idxs.len() && !reports[idxs[start]].2.is_finite() {
-            out.push((idxs[start], Err(IngestError::NonFinitePosition)));
-            start += 1;
-        }
-        let Some(&first) = idxs.get(start) else {
+        // Non-finite reports never create the object: the first finite
+        // one resolves (and, for a new object, starts) its state.
+        let Some((start, _)) = run.clone().find(|(_, p)| p.is_finite()) else {
+            let _ = run.all(|_| each(Err(IngestError::NonFinitePosition)));
             return;
         };
         loop {
-            let state = self.state_of(id, reports[first].1);
+            let state = self.state_of(id, start);
             let Ok(mut state) = state.write() else {
-                for &i in &idxs[start..] {
-                    out.push((i, Err(IngestError::ObjectUnavailable(id))));
-                }
+                let _ = run.all(|_| each(Err(IngestError::ObjectUnavailable(id))));
                 return;
             };
             if state.removed {
+                // Raced a concurrent `remove` on a stale cell;
+                // re-resolve so the run lands after it.
                 continue;
             }
             let mut accepted = 0u64;
-            for &i in &idxs[start..] {
-                let (_, t, p) = reports[i];
-                let result = if !p.is_finite() {
+            for (timestamp, position) in run.by_ref() {
+                let expected = state.history.end();
+                let result = if !position.is_finite() {
                     Err(IngestError::NonFinitePosition)
+                } else if timestamp != expected {
+                    Err(IngestError::NonContiguous {
+                        expected,
+                        got: timestamp,
+                    })
                 } else {
-                    let expected = state.history.end();
-                    if t != expected {
-                        Err(IngestError::NonContiguous { expected, got: t })
-                    } else {
-                        match self.wal_append(
-                            id,
-                            &WalRecord::Report {
-                                object: id.0,
-                                timestamp: t,
-                                x: p.x,
-                                y: p.y,
-                            },
-                        ) {
-                            Ok(()) => {
-                                state.history.push(p);
-                                accepted += 1;
-                                Ok(())
-                            }
-                            Err(e) => Err(e),
-                        }
+                    // Log before apply: a report the WAL rejected
+                    // leaves no trace in memory either.
+                    let logged = self.wal_append(
+                        id,
+                        &WalRecord::Report {
+                            object: id.0,
+                            timestamp,
+                            x: position.x,
+                            y: position.y,
+                        },
+                    );
+                    if logged.is_ok() {
+                        state.history.push(position);
+                        accepted += 1;
                     }
+                    logged
                 };
-                out.push((i, result));
+                if !each(result) {
+                    break;
+                }
             }
             hpm_obs::counter!(crate::metrics::REPORTS).add(accepted);
             self.maybe_retrain(&mut state);
@@ -812,19 +809,6 @@ impl MovingObjectStore {
         per_chunk.into_iter().flatten().collect()
     }
 
-    /// Answers a batch of predictive range queries (each one a full
-    /// [`predict_range`](Self::predict_range)), fanned across the
-    /// worker pool. Results are in input order.
-    pub fn predict_range_batch(
-        &self,
-        queries: &[(hpm_geo::BoundingBox, Timestamp)],
-    ) -> Vec<Vec<(ObjectId, Point)>> {
-        let _span = hpm_obs::span!(crate::metrics::PREDICT_BATCH_SPAN);
-        self.pool.run(queries.len(), |i| {
-            self.predict_range_inner(&queries[i].0, queries[i].1)
-        })
-    }
-
     /// Predictive **range query**: which tracked objects are predicted
     /// to be inside `region` at `query_time`? Objects whose query is
     /// invalid (no history, or `query_time` not in their future) are
@@ -840,7 +824,11 @@ impl MovingObjectStore {
         region: &hpm_geo::BoundingBox,
         query_time: Timestamp,
     ) -> Vec<(ObjectId, Point)> {
-        self.predict_range_inner(region, query_time)
+        let select = Select::Box(region);
+        self.fleet_query(select, Refine::Point, query_time, Source::Index)
+            .into_iter()
+            .map(|(id, p, _)| (id, p))
+            .collect()
     }
 
     /// [`predict_range`](Self::predict_range) by brute force: predicts
@@ -852,45 +840,11 @@ impl MovingObjectStore {
         region: &hpm_geo::BoundingBox,
         query_time: Timestamp,
     ) -> Vec<(ObjectId, Point)> {
-        let mut out: Vec<(ObjectId, Point)> = self
-            .predict_all(query_time)
+        let select = Select::Box(region);
+        self.fleet_query(select, Refine::Point, query_time, Source::Scan)
             .into_iter()
-            .filter(|(_, p)| region.contains(p))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
-    }
-
-    fn predict_range_inner(
-        &self,
-        region: &hpm_geo::BoundingBox,
-        query_time: Timestamp,
-    ) -> Vec<(ObjectId, Point)> {
-        self.flush_index();
-        let mut candidates: Vec<u64> = Vec::new();
-        let mut pruned = 0u64;
-        {
-            let _span = hpm_obs::span!(crate::metrics::INDEX_PRUNE_SPAN);
-            for shard in 0..self.shards.len() {
-                let (p, _total) =
-                    self.index
-                        .range_candidates(shard, region, query_time, &mut candidates);
-                pruned += p;
-            }
-        }
-        hpm_obs::histogram!(crate::metrics::INDEX_PARTITIONS_PRUNED).record(pruned);
-        hpm_obs::histogram!(crate::metrics::INDEX_CANDIDATES).record(candidates.len() as u64);
-        let mut out: Vec<(ObjectId, Point)> = candidates
-            .into_iter()
-            .filter_map(|raw| {
-                let id = ObjectId(raw);
-                let best = self.predict(id, query_time).ok()?.try_best()?;
-                Some((id, best))
-            })
-            .filter(|(_, p)| region.contains(p))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
+            .map(|(id, p, _)| (id, p))
+            .collect()
     }
 
     /// Probabilistic **range query**: which tracked objects put at
@@ -918,30 +872,8 @@ impl MovingObjectStore {
         tau: f64,
     ) -> Vec<(ObjectId, Point, f64)> {
         hpm_obs::counter!(crate::metrics::PREDICT_WITHIN).add(1);
-        self.flush_index();
-        let mut candidates: Vec<u64> = Vec::new();
-        let mut pruned = 0u64;
-        {
-            let _span = hpm_obs::span!(crate::metrics::INDEX_PRUNE_SPAN);
-            for shard in 0..self.shards.len() {
-                let (p, _total) =
-                    self.index
-                        .range_candidates(shard, region, query_time, &mut candidates);
-                pruned += p;
-            }
-        }
-        hpm_obs::histogram!(crate::metrics::INDEX_PARTITIONS_PRUNED).record(pruned);
-        hpm_obs::histogram!(crate::metrics::INDEX_CANDIDATES).record(candidates.len() as u64);
-        let mut out: Vec<(ObjectId, Point, f64)> = candidates
-            .into_iter()
-            .filter_map(|raw| {
-                let id = ObjectId(raw);
-                let pred = self.predict(id, query_time).ok()?;
-                Self::qualify_within(id, &pred, region, tau)
-            })
-            .collect();
-        out.sort_unstable_by_key(|(id, _, _)| *id);
-        out
+        let select = Select::Box(region);
+        self.fleet_query(select, Refine::Mass { tau }, query_time, Source::Index)
     }
 
     /// [`predict_within`](Self::predict_within) by brute force:
@@ -953,31 +885,8 @@ impl MovingObjectStore {
         query_time: Timestamp,
         tau: f64,
     ) -> Vec<(ObjectId, Point, f64)> {
-        let mut out: Vec<(ObjectId, Point, f64)> = self
-            .predict_everything(query_time)
-            .into_iter()
-            .filter_map(|(id, pred)| Self::qualify_within(id, &pred, region, tau))
-            .collect();
-        out.sort_unstable_by_key(|(id, _, _)| *id);
-        out
-    }
-
-    /// The shared membership rule of the probabilistic range variants.
-    fn qualify_within(
-        id: ObjectId,
-        pred: &Prediction,
-        region: &hpm_geo::BoundingBox,
-        tau: f64,
-    ) -> Option<(ObjectId, Point, f64)> {
-        if !pred.possibly_in(region) {
-            return None;
-        }
-        let mass = pred.probability_in(region);
-        if mass >= tau {
-            Some((id, pred.try_best()?, mass))
-        } else {
-            None
-        }
+        let select = Select::Box(region);
+        self.fleet_query(select, Refine::Mass { tau }, query_time, Source::Scan)
     }
 
     /// Predictive **k-nearest-neighbour query**: the `k` tracked
@@ -997,103 +906,22 @@ impl MovingObjectStore {
         query_time: Timestamp,
         k: usize,
     ) -> Vec<(ObjectId, Point, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        self.flush_index();
-        // Candidate structure under the prune span: beyond-horizon ids
-        // (unconditional) plus every bucket, ring-ordered by the
-        // distance from `focus` to its union box.
-        let mut beyond: Vec<u64> = Vec::new();
-        let mut ring: Vec<(f64, usize, (i64, i64, u8))> = Vec::new();
-        {
-            let _span = hpm_obs::span!(crate::metrics::INDEX_PRUNE_SPAN);
-            for shard in 0..self.shards.len() {
-                self.index.expired_ids(shard, query_time, &mut beyond);
-                self.index.bucket_ring(shard, focus, &mut ring);
-            }
-            ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        let mut best: Vec<(ObjectId, Point, f64)> = Vec::new();
-        let mut examined = 0u64;
-        for raw in beyond {
-            examined += 1;
-            self.knn_consider(ObjectId(raw), query_time, focus, k, &mut best);
-        }
-        let mut processed = 0usize;
-        let mut members: Vec<(u64, f64)> = Vec::new();
-        for &(bucket_dist, shard, key) in &ring {
-            // Strict `>`: a ring tied with the k-th distance can still
-            // hold an id that wins the tie-break, so it is processed.
-            if best.len() == k && bucket_dist > best[k - 1].2 {
-                break;
-            }
-            processed += 1;
-            members.clear();
-            self.index
-                .bucket_members(shard, key, query_time, focus, &mut members);
-            for &(raw, env_dist) in &members {
-                // env_dist lower-bounds the member's true distance: a
-                // strictly worse bound can never enter the top k.
-                if best.len() == k && env_dist > best[k - 1].2 {
-                    continue;
-                }
-                examined += 1;
-                self.knn_consider(ObjectId(raw), query_time, focus, k, &mut best);
-            }
-        }
-        hpm_obs::histogram!(crate::metrics::INDEX_PARTITIONS_PRUNED)
-            .record((ring.len() - processed) as u64);
-        hpm_obs::histogram!(crate::metrics::INDEX_CANDIDATES).record(examined);
-        best
-    }
-
-    /// Predicts one kNN candidate and merges it into the running top
-    /// `k`, kept sorted by the scan's exact comparator (distance, then
-    /// id) so index answers inherit the scan's ordering bit for bit.
-    fn knn_consider(
-        &self,
-        id: ObjectId,
-        query_time: Timestamp,
-        focus: &Point,
-        k: usize,
-        best: &mut Vec<(ObjectId, Point, f64)>,
-    ) {
-        let Ok(pred) = self.predict(id, query_time) else {
-            return;
-        };
-        let Some(p) = pred.try_best() else {
-            return;
-        };
-        let d = p.distance(focus);
-        let pos = best.partition_point(|e| e.2.total_cmp(&d).then_with(|| e.0.cmp(&id)).is_lt());
-        if pos < k {
-            best.insert(pos, (id, p, d));
-            best.truncate(k);
-        }
+        let select = Select::Ring { focus, k };
+        self.fleet_query(select, Refine::Point, query_time, Source::Index)
     }
 
     /// [`predict_nearest`](Self::predict_nearest) by brute force:
-    /// predicts every tracked object, sorts, truncates — bypassing the
-    /// index. The oracle the index is tested against, and the honest
-    /// baseline in benchmarks.
+    /// predicts every tracked object and keeps the best `k` —
+    /// bypassing the index. The oracle the index is tested against,
+    /// and the honest baseline in benchmarks.
     pub fn predict_nearest_scan(
         &self,
         focus: &Point,
         query_time: Timestamp,
         k: usize,
     ) -> Vec<(ObjectId, Point, f64)> {
-        let mut out: Vec<(ObjectId, Point, f64)> = self
-            .predict_all(query_time)
-            .into_iter()
-            .map(|(id, p)| (id, p, p.distance(focus)))
-            .collect();
-        // total_cmp: a NaN distance (never produced by finite-checked
-        // ingest, but cheap to be total about) sorts last instead of
-        // panicking inside a public query.
-        out.sort_unstable_by(|a, b| a.2.total_cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        let select = Select::Ring { focus, k };
+        self.fleet_query(select, Refine::Point, query_time, Source::Scan)
     }
 
     /// Probabilistic **k-nearest-neighbour query**: the `k` tracked
@@ -1123,87 +951,14 @@ impl MovingObjectStore {
         tau: f64,
     ) -> Vec<(ObjectId, Point, f64)> {
         hpm_obs::counter!(crate::metrics::PREDICT_NEAREST_PROB).add(1);
-        if k == 0 {
-            return Vec::new();
-        }
-        self.flush_index();
-        let mut beyond: Vec<u64> = Vec::new();
-        let mut ring: Vec<(f64, usize, (i64, i64, u8))> = Vec::new();
-        {
-            let _span = hpm_obs::span!(crate::metrics::INDEX_PRUNE_SPAN);
-            for shard in 0..self.shards.len() {
-                self.index.expired_ids(shard, query_time, &mut beyond);
-                self.index.bucket_ring(shard, focus, &mut ring);
-            }
-            ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        let mut best: Vec<(ObjectId, Point, f64)> = Vec::new();
-        let mut examined = 0u64;
-        for raw in beyond {
-            examined += 1;
-            self.knn_prob_consider(ObjectId(raw), query_time, focus, tau, k, &mut best);
-        }
-        let mut processed = 0usize;
-        let mut members: Vec<(u64, f64)> = Vec::new();
-        for &(bucket_dist, shard, key) in &ring {
-            if best.len() == k && bucket_dist > best[k - 1].2 {
-                break;
-            }
-            processed += 1;
-            members.clear();
-            self.index
-                .bucket_members(shard, key, query_time, focus, &mut members);
-            for &(raw, env_dist) in &members {
-                // env_dist lower-bounds the far distance of every
-                // answer region in the envelope, hence the confidence
-                // radius: a strictly worse bound can never enter the
-                // top k.
-                if best.len() == k && env_dist > best[k - 1].2 {
-                    continue;
-                }
-                examined += 1;
-                self.knn_prob_consider(ObjectId(raw), query_time, focus, tau, k, &mut best);
-            }
-        }
-        hpm_obs::histogram!(crate::metrics::INDEX_PARTITIONS_PRUNED)
-            .record((ring.len() - processed) as u64);
-        hpm_obs::histogram!(crate::metrics::INDEX_CANDIDATES).record(examined);
-        best
-    }
-
-    /// Predicts one probabilistic-kNN candidate and merges it into the
-    /// running top `k`, sorted by the scan's exact comparator
-    /// (confidence radius, then id).
-    fn knn_prob_consider(
-        &self,
-        id: ObjectId,
-        query_time: Timestamp,
-        focus: &Point,
-        tau: f64,
-        k: usize,
-        best: &mut Vec<(ObjectId, Point, f64)>,
-    ) {
-        let Ok(pred) = self.predict(id, query_time) else {
-            return;
-        };
-        let Some(p) = pred.try_best() else {
-            return;
-        };
-        let d = pred.confidence_distance(focus, tau);
-        if !d.is_finite() {
-            return;
-        }
-        let pos = best.partition_point(|e| e.2.total_cmp(&d).then_with(|| e.0.cmp(&id)).is_lt());
-        if pos < k {
-            best.insert(pos, (id, p, d));
-            best.truncate(k);
-        }
+        let select = Select::Ring { focus, k };
+        self.fleet_query(select, Refine::Mass { tau }, query_time, Source::Index)
     }
 
     /// [`predict_nearest_prob`](Self::predict_nearest_prob) by brute
-    /// force: predicts every tracked object, ranks by confidence
-    /// radius, truncates — bypassing the index. The oracle the index
-    /// is tested against.
+    /// force: predicts every tracked object and keeps the `k` smallest
+    /// confidence radii — bypassing the index. The oracle the index is
+    /// tested against.
     pub fn predict_nearest_prob_scan(
         &self,
         focus: &Point,
@@ -1211,18 +966,139 @@ impl MovingObjectStore {
         k: usize,
         tau: f64,
     ) -> Vec<(ObjectId, Point, f64)> {
-        let mut out: Vec<(ObjectId, Point, f64)> = self
-            .predict_everything(query_time)
-            .into_iter()
-            .filter_map(|(id, pred)| {
-                let p = pred.try_best()?;
-                let d = pred.confidence_distance(focus, tau);
-                d.is_finite().then_some((id, p, d))
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.2.total_cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        let select = Select::Ring { focus, k };
+        self.fleet_query(select, Refine::Mass { tau }, query_time, Source::Scan)
+    }
+
+    /// The one fleet-query pipeline behind every `predict_*` operator
+    /// above: pick candidates → run the per-object
+    /// [`predict`](Self::predict) on each → [`score`] → collect.
+    ///
+    /// Candidates come in two kinds. *Unconditional* ones are always
+    /// predicted: every tracked id under [`Source::Scan`] (which reads
+    /// no index state at all — that is what makes it the oracle);
+    /// under [`Source::Index`] the beyond-horizon ids, plus for a
+    /// [`Select::Box`] the members of envelope buckets the box can
+    /// touch. A [`Select::Ring`] under the index additionally sweeps
+    /// the buckets in ascending distance-to-focus order — an expanding
+    /// ring — skipping members, then stopping, once their lower bound
+    /// cannot beat the current `k`-th best score.
+    fn fleet_query(
+        &self,
+        select: Select<'_>,
+        refine: Refine,
+        at: Timestamp,
+        source: Source,
+    ) -> Vec<Hit> {
+        let mut hits: Vec<Hit> = Vec::new();
+        if matches!(select, Select::Ring { k: 0, .. }) {
+            return hits;
+        }
+        let mut unconditional: Vec<u64> = Vec::new();
+        let mut ring: Vec<(f64, usize, (i64, i64, u8))> = Vec::new();
+        let mut pruned = 0u64;
+        match source {
+            Source::Scan => {
+                for shard in self.shards.iter() {
+                    unconditional.extend(shard.read_map().keys());
+                }
+            }
+            Source::Index => {
+                self.flush_index();
+                let _span = hpm_obs::span!(crate::metrics::INDEX_PRUNE_SPAN);
+                for shard in 0..self.shards.len() {
+                    match select {
+                        Select::Box(region) => {
+                            pruned += self
+                                .index
+                                .range_candidates(shard, region, at, &mut unconditional)
+                                .0;
+                        }
+                        Select::Ring { focus, .. } => {
+                            self.index.expired_ids(shard, at, &mut unconditional);
+                            self.index.bucket_ring(shard, focus, &mut ring);
+                        }
+                    }
+                }
+                ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            }
+        }
+        let mut examined = unconditional.len() as u64;
+        for raw in unconditional {
+            self.consider(ObjectId(raw), select, refine, at, &mut hits);
+        }
+        if let Select::Ring { focus, k } = select {
+            // `hits` is the running top k, best first: once full, its
+            // last score is the bound a candidate must not exceed.
+            // Strict `>` throughout: a bucket or member tied with the
+            // bound can still hold an id that wins the tie-break.
+            let mut members: Vec<(u64, f64)> = Vec::new();
+            let mut visited = 0u64;
+            for &(bucket_dist, shard, key) in &ring {
+                if hits.len() == k && bucket_dist > hits[k - 1].2 {
+                    break;
+                }
+                visited += 1;
+                members.clear();
+                self.index
+                    .bucket_members(shard, key, at, focus, &mut members);
+                for &(raw, envelope_dist) in &members {
+                    // The envelope's near distance lower-bounds the
+                    // member's distance and the far distance of every
+                    // answer region inside it, hence both scores.
+                    if hits.len() == k && envelope_dist > hits[k - 1].2 {
+                        continue;
+                    }
+                    examined += 1;
+                    self.consider(ObjectId(raw), select, refine, at, &mut hits);
+                }
+            }
+            pruned = ring.len() as u64 - visited;
+        } else {
+            hits.sort_unstable_by_key(|hit| hit.0);
+        }
+        if let Source::Index = source {
+            hpm_obs::histogram!(crate::metrics::INDEX_PARTITIONS_PRUNED).record(pruned);
+            hpm_obs::histogram!(crate::metrics::INDEX_CANDIDATES).record(examined);
+        }
+        hits
+    }
+
+    /// Predicts one candidate and, when it [`score`]s, hands it to the
+    /// selection's collector: a plain push for a box (id-sorted once
+    /// at the end), or an insert into the running top `k` kept sorted
+    /// by `(score, id)` for a ring. An id the top k already holds is
+    /// not inserted again — a query thread that flushes a fresh
+    /// envelope mid-sweep can surface one object both as beyond-horizon
+    /// and as a bucket member.
+    fn consider(
+        &self,
+        id: ObjectId,
+        select: Select<'_>,
+        refine: Refine,
+        at: Timestamp,
+        hits: &mut Vec<Hit>,
+    ) {
+        let Ok(prediction) = self.predict(id, at) else {
+            return;
+        };
+        let Some((best, s)) = score(&prediction, select, refine) else {
+            return;
+        };
+        match select {
+            Select::Box(_) => hits.push((id, best, s)),
+            Select::Ring { k, .. } => {
+                // total_cmp: a NaN score (never produced by
+                // finite-checked ingest, but cheap to be total about)
+                // sorts last instead of panicking in a public query.
+                let pos =
+                    hits.partition_point(|e| e.2.total_cmp(&s).then_with(|| e.0.cmp(&id)).is_lt());
+                if pos < k && hits.iter().all(|e| e.0 != id) {
+                    hits.insert(pos, (id, best, s));
+                    hits.truncate(k);
+                }
+            }
+        }
     }
 
     /// Brings the predictive index up to date with every mutation
@@ -1278,37 +1154,6 @@ impl MovingObjectStore {
         })
     }
 
-    /// Best predicted position of every object for which `query_time`
-    /// is askable. Walks shard by shard; no global lock exists to
-    /// take, so concurrent reports to other shards proceed untouched.
-    fn predict_all(&self, query_time: Timestamp) -> Vec<(ObjectId, Point)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let ids: Vec<u64> = shard.read_map().keys().copied().collect();
-            out.extend(ids.into_iter().filter_map(|raw| {
-                let id = ObjectId(raw);
-                let best = self.predict(id, query_time).ok()?.try_best()?;
-                Some((id, best))
-            }));
-        }
-        out
-    }
-
-    /// Full prediction of every object for which `query_time` is
-    /// askable — the probabilistic scans need whole distributions, not
-    /// just best points.
-    fn predict_everything(&self, query_time: Timestamp) -> Vec<(ObjectId, Prediction)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let ids: Vec<u64> = shard.read_map().keys().copied().collect();
-            out.extend(ids.into_iter().filter_map(|raw| {
-                let id = ObjectId(raw);
-                self.predict(id, query_time).ok().map(|p| (id, p))
-            }));
-        }
-        out
-    }
-
     /// Current stats of an object.
     pub fn stats(&self, id: ObjectId) -> Result<ObjectStats, QueryError> {
         let state = self.lookup(id).ok_or(QueryError::UnknownObject(id))?;
@@ -1326,6 +1171,27 @@ impl MovingObjectStore {
         })
     }
 
+    /// Hands every live object's state to `f`, shard by shard, each
+    /// under a brief hold of its read lock. A poisoned object is
+    /// skipped: it is unavailable to queries and ingest alike, and
+    /// persisting its half-mutated state would launder the corruption
+    /// into the next process. So is a cell a racing `remove` orphaned.
+    fn for_each_live(&self, mut f: impl FnMut(u64, &ObjectState)) {
+        for shard in self.shards.iter() {
+            let cells: Vec<(u64, Arc<RwLock<ObjectState>>)> = shard
+                .read_map()
+                .iter()
+                .map(|(raw, cell)| (*raw, Arc::clone(cell)))
+                .collect();
+            for (raw, cell) in cells {
+                let Ok(state) = cell.read() else { continue };
+                if !state.removed {
+                    f(raw, &state);
+                }
+            }
+        }
+    }
+
     /// Walks every object and totals approximate resident bytes —
     /// compressed histories (with their raw-equivalent baseline, so
     /// the fleet compression ratio is observable), predictors, trainer
@@ -1337,22 +1203,14 @@ impl MovingObjectStore {
     /// hot paths.
     pub fn memory_use(&self) -> StoreMemory {
         let mut m = StoreMemory::default();
-        for shard in self.shards.iter() {
-            let cells: Vec<Arc<RwLock<ObjectState>>> =
-                shard.read_map().values().map(Arc::clone).collect();
-            for cell in cells {
-                let Ok(state) = cell.read() else { continue };
-                if state.removed {
-                    continue;
-                }
-                m.objects += 1;
-                m.history_bytes += state.history.history_bytes();
-                m.history_raw_bytes += state.history.raw_baseline_bytes();
-                m.predictor_bytes += state.predictor.as_ref().map_or(0, MemUse::mem_bytes);
-                m.trainer_bytes += state.trainer.as_ref().map_or(0, MemUse::mem_bytes);
-                m.total_bytes += state.mem_bytes();
-            }
-        }
+        self.for_each_live(|_, state| {
+            m.objects += 1;
+            m.history_bytes += state.history.history_bytes();
+            m.history_raw_bytes += state.history.raw_baseline_bytes();
+            m.predictor_bytes += state.predictor.as_ref().map_or(0, MemUse::mem_bytes);
+            m.trainer_bytes += state.trainer.as_ref().map_or(0, MemUse::mem_bytes);
+            m.total_bytes += state.mem_bytes();
+        });
         m.index_bytes = self.index.mem_bytes();
         m.total_bytes += m.index_bytes;
         hpm_obs::gauge!(crate::metrics::MEM_BYTES).set(m.total_bytes as i64);
@@ -1503,38 +1361,24 @@ impl MovingObjectStore {
         d.epoch.store(epoch, Ordering::Release);
         d.since_snapshot.store(0, Ordering::Relaxed);
         let mut objects = Vec::new();
-        for shard in self.shards.iter() {
-            let cells: Vec<(u64, Arc<RwLock<ObjectState>>)> = shard
-                .read_map()
-                .iter()
-                .map(|(raw, cell)| (*raw, Arc::clone(cell)))
-                .collect();
-            for (raw, cell) in cells {
-                // A poisoned object is unavailable to queries and
-                // ingest alike; persisting its half-mutated state
-                // would launder the corruption into the next process.
-                let Ok(state) = cell.read() else { continue };
-                if state.removed {
-                    continue;
-                }
-                objects.push(ObjectSnapshot {
-                    id: raw,
-                    start: state.history.start(),
-                    // Sealed chunks are written verbatim — a snapshot
-                    // copies compressed words, it never recompresses.
-                    history: HistorySnapshot::Chunked {
-                        chunks: state.history.chunks().to_vec(),
-                        tail: state.history.tail().iter().map(|p| (p.x, p.y)).collect(),
-                    },
-                    trained_subs: state.trained_subs as u64,
-                    trained_len: state.trained_len as u64,
-                    model: state
-                        .predictor
-                        .as_ref()
-                        .map(|p| encode_model(p.regions(), p.patterns())),
-                });
-            }
-        }
+        self.for_each_live(|raw, state| {
+            objects.push(ObjectSnapshot {
+                id: raw,
+                start: state.history.start(),
+                // Sealed chunks are written verbatim — a snapshot
+                // copies compressed words, it never recompresses.
+                history: HistorySnapshot::Chunked {
+                    chunks: state.history.chunks().to_vec(),
+                    tail: state.history.tail().iter().map(|p| (p.x, p.y)).collect(),
+                },
+                trained_subs: state.trained_subs as u64,
+                trained_len: state.trained_len as u64,
+                model: state
+                    .predictor
+                    .as_ref()
+                    .map(|p| encode_model(p.regions(), p.patterns())),
+            });
+        });
         // Id order, not shard-map iteration order: equal stores write
         // byte-identical snapshots.
         objects.sort_unstable_by_key(|o| o.id);
@@ -1689,13 +1533,18 @@ impl MovingObjectStore {
         }
     }
 
-    /// Retrains `state`: incrementally — folding only the samples
-    /// reported since the last pass into the trainer and applying the
-    /// result to the live index as deltas — when a trained predictor
-    /// and trainer exist, in full otherwise. Structure drift aborts
-    /// the incremental pass and falls back to the full pipeline
-    /// (equivalent output, by the `hpm-core` training contract).
-    /// `force_full` skips the incremental path outright.
+    /// Retrains `state` — the one training path. The trainer either
+    /// folds in the samples reported since the last pass
+    /// ([`cluster_delta`](Self::cluster_delta)) or, when it cannot —
+    /// first training, `force_full`, structure drift — is re-seeded
+    /// from the complete history: batch DBSCAN per offset plus a
+    /// support-count rebuild. Either way the patterns are then derived
+    /// from the trainer's counts and the predictor assembled from the
+    /// trainer's regions: as deltas against the live index after a
+    /// fold, from parts after a seed. Both are equivalent to the
+    /// paper's batch pipeline [`HybridPredictor::build`] by the
+    /// `hpm-core` training contract; that function is the reference
+    /// the test suites compare against.
     fn retrain(&self, state: &mut ObjectState, force_full: bool) {
         if state.history.is_empty() {
             return;
@@ -1705,85 +1554,54 @@ impl MovingObjectStore {
         let full = state.history.len() / self.config.discovery.period as usize;
         hpm_obs::gauge!(crate::metrics::RETRAIN_STALENESS)
             .set(full.saturating_sub(state.trained_subs) as i64);
-        if force_full || !self.retrain_incremental(state) {
-            self.retrain_full(state);
+        let foldable = !force_full && state.predictor.is_some() && state.trainer.is_some();
+        let trainer = state
+            .trainer
+            .get_or_insert_with(|| TrainerState::new(self.config.discovery, self.config.mining));
+        let visits = if foldable {
+            Self::cluster_delta(trainer, &state.history)
+        } else {
+            None
+        };
+        if visits.is_none() {
+            hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
+            let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
+            trainer.seed_history(&state.history);
         }
+        let patterns = {
+            let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
+            trainer.stage_mine(visits.as_deref().unwrap_or(&[]))
+        };
+        let _s = hpm_obs::span!(crate::metrics::RETRAIN_TPT_SPAN);
+        state.predictor = Some(match (&state.predictor, visits) {
+            (Some(live), Some(_)) => {
+                hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
+                live.apply_update(trainer.regions(), patterns).0
+            }
+            _ => HybridPredictor::from_parts(trainer.regions(), patterns, self.config.hpm),
+        });
         state.trained_subs = full;
         state.trained_len = state.history.len();
     }
 
-    /// One incremental pass over the delta since the last training.
-    /// Returns `false` when there is nothing to update incrementally
-    /// (no predictor/trainer yet) or the pass aborted on structure
-    /// drift — the caller then runs the full pipeline, which re-seeds
-    /// the trainer.
-    fn retrain_incremental(&self, state: &mut ObjectState) -> bool {
-        let ObjectState {
-            history,
-            predictor,
-            trainer,
-            ..
-        } = state;
-        let (Some(live), Some(trainer)) = (predictor.as_ref(), trainer.as_mut()) else {
-            return false;
-        };
+    /// The incremental half of a retrain: decomposes the samples
+    /// reported since the last pass and inserts them into the
+    /// trainer's per-offset clusterings. `None` on structure drift —
+    /// the trainer is then poisoned and must be re-seeded.
+    fn cluster_delta(
+        trainer: &mut TrainerState,
+        history: &ChunkedHistory,
+    ) -> Option<Vec<NewVisit>> {
         let delta = {
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_DECOMPOSE_SPAN);
             trainer.stage_decompose_history(history)
         };
-        let visits = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-            match trainer.stage_cluster(&delta) {
-                Ok(visits) => visits,
-                Err(_) => {
-                    hpm_obs::counter!(crate::metrics::RETRAIN_DRIFT_FALLBACKS).add(1);
-                    return false;
-                }
-            }
-        };
-        let patterns = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
-            trainer.stage_mine(&visits)
-        };
-        let updated = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_TPT_SPAN);
-            live.apply_update(trainer.regions(), patterns).0
-        };
-        *predictor = Some(updated);
-        hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
-        true
-    }
-
-    /// The full pipeline (first training, forced retrain, or drift
-    /// fallback): batch decomposition → discovery → mining → TPT bulk
-    /// load, then re-seeds the trainer so the next pass can be
-    /// incremental again.
-    fn retrain_full(&self, state: &mut ObjectState) {
-        hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
-        let groups = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_DECOMPOSE_SPAN);
-            OffsetGroups::build_history(&state.history, self.config.discovery.period)
-        };
-        let out = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-            discover_from_groups(&groups, &self.config.discovery)
-        };
-        let patterns = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
-            mine(&out.regions, &out.visits, &self.config.mining)
-        };
-        state.predictor = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_TPT_SPAN);
-            Some(HybridPredictor::from_parts(
-                out.regions,
-                patterns,
-                self.config.hpm,
-            ))
-        };
-        state
-            .trainer
-            .get_or_insert_with(|| TrainerState::new(self.config.discovery, self.config.mining))
-            .seed_history(&state.history);
+        let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
+        let visits = trainer.stage_cluster(&delta).ok();
+        if visits.is_none() {
+            hpm_obs::counter!(crate::metrics::RETRAIN_DRIFT_FALLBACKS).add(1);
+        }
+        visits
     }
 
     /// Chunk geometry every object history uses: `min_tail` is sized
@@ -2153,25 +1971,6 @@ mod tests {
         assert_eq!(store.predict_batch(&queries), sequential);
     }
 
-    #[test]
-    fn predict_range_batch_matches_individual_queries() {
-        let store = range_store();
-        let everywhere = hpm_geo::BoundingBox {
-            min: Point::new(-1e6, -1e6),
-            max: Point::new(1e6, 1e6),
-        };
-        let work = hpm_geo::BoundingBox {
-            min: Point::new(90.0, -10.0),
-            max: Point::new(110.0, 10.0),
-        };
-        let queries = vec![(everywhere, 46u64), (work, 46), (everywhere, 47)];
-        let batch = store.predict_range_batch(&queries);
-        assert_eq!(batch.len(), 3);
-        for (i, (region, t)) in queries.iter().enumerate() {
-            assert_eq!(batch[i], store.predict_range(region, *t), "query {i}");
-        }
-    }
-
     /// Three commuters at staggered points of the same day template.
     fn range_store() -> MovingObjectStore {
         let store = MovingObjectStore::new(config());
@@ -2223,6 +2022,24 @@ mod tests {
         let top1 = store.predict_nearest(&focus, 46, 1);
         assert_eq!(top1.len(), 1);
         assert_eq!(top1[0].0, all[0].0);
+    }
+
+    /// What a flush racing the ring sweep does to one query: an object
+    /// surfaces as beyond-horizon and again as a bucket member.
+    #[test]
+    fn ring_collector_holds_an_id_once() {
+        let store = range_store();
+        let focus = Point::new(100.0, 0.0);
+        let select = Select::Ring {
+            focus: &focus,
+            k: 5,
+        };
+        let mut hits = Vec::new();
+        for raw in [0, 1, 0] {
+            store.consider(ObjectId(raw), select, Refine::Point, 46, &mut hits);
+        }
+        let ids: Vec<ObjectId> = hits.iter().map(|h| h.0).collect();
+        assert_eq!(ids, [ObjectId(0), ObjectId(1)]);
     }
 
     #[test]

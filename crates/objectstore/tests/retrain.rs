@@ -2,11 +2,11 @@
 //! equivalence with full rebuilds, freshness bounds, concurrent-read
 //! safety, and clean trainer resets.
 
-use hpm_core::HpmConfig;
+use hpm_core::{HpmConfig, HybridPredictor, PredictiveQuery};
 use hpm_geo::Point;
 use hpm_objectstore::{MovingObjectStore, ObjectId, ObjectStats, QueryError, StoreConfig};
 use hpm_patterns::{DiscoveryParams, MiningParams};
-use hpm_trajectory::Timestamp;
+use hpm_trajectory::{Timestamp, Trajectory};
 
 const PERIOD: u32 = 4;
 
@@ -75,17 +75,27 @@ fn stream() -> Vec<Vec<Point>> {
 /// The incremental path must be observationally identical to forced
 /// full rebuilds: a store retraining on every new sub-trajectory
 /// (delta pipeline) answers exactly like a store that rebuilt from
-/// the complete history in one shot.
+/// the complete history in one shot. Both derive their predictor from
+/// the trainer, so each is also held to the independent reference: the
+/// paper's batch pipeline, `HybridPredictor::build`, run bare over the
+/// same history — after the first train (the day `incremental` first
+/// reports trained periods), after every `force_retrain`, and after
+/// every fold and drift fallback in between.
 #[test]
 fn incremental_cadence_matches_forced_full_rebuild() {
     let id = ObjectId(1);
     let days = stream();
-    let incremental = MovingObjectStore::new(config(1));
+    let cfg = config(1);
+    let incremental = MovingObjectStore::new(cfg.clone());
     let full = MovingObjectStore::new(config(usize::MAX >> 1));
+    let mut history = Trajectory::new(0, Vec::new());
     for (d, pts) in days.iter().enumerate() {
         let start = (d * PERIOD as usize) as Timestamp;
         incremental.report_batch(id, start, pts).unwrap();
         full.report_batch(id, start, pts).unwrap();
+        for p in pts {
+            history.push(*p);
+        }
 
         // Retrain `full` from scratch and compare at every point of
         // the stream, drift fallbacks included.
@@ -96,12 +106,25 @@ fn incremental_cadence_matches_forced_full_rebuild() {
         full.force_retrain(id).unwrap();
         let sf = full.stats(id).unwrap();
         assert_eq!(logical(si), logical(sf), "stats diverged after day {d}");
+        let reference = HybridPredictor::build(&history, &cfg.discovery, &cfg.mining, cfg.hpm);
+        assert_eq!(sf.regions, reference.regions().len(), "day {d}");
+        assert_eq!(sf.patterns, reference.patterns().len(), "day {d}");
         let now = start + PERIOD as Timestamp - 1;
+        let (recent, _) = history.recent_window(cfg.recent_len);
         for dt in 1..=PERIOD as Timestamp {
             assert_eq!(
                 incremental.predict(id, now + dt).unwrap(),
                 full.predict(id, now + dt).unwrap(),
                 "prediction diverged after day {d} at +{dt}"
+            );
+            assert_eq!(
+                full.predict(id, now + dt).unwrap(),
+                reference.predict(&PredictiveQuery {
+                    recent,
+                    current_time: now,
+                    query_time: now + dt,
+                }),
+                "stores diverged from the batch build after day {d} at +{dt}"
             );
         }
     }

@@ -209,6 +209,15 @@ fn writers_and_readers_hammer_shards() {
                         assert!(near
                             .iter()
                             .all(|(_, p, d)| { p.is_finite() && *d == p.distance(&focus) }));
+                        // The ordering check lets a repeated id
+                        // through when its two entries differ in
+                        // distance (a flush racing the ring sweep).
+                        for hits in [near, store.predict_nearest_prob(&focus, t, k, 0.5)] {
+                            let mut ids: Vec<ObjectId> = hits.iter().map(|h| h.0).collect();
+                            ids.sort_unstable();
+                            ids.dedup();
+                            assert_eq!(ids.len(), hits.len(), "kNN returned an id twice");
+                        }
                     }
                 }
             });

@@ -6,6 +6,9 @@
 use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+// `fnv1a` lets tests re-seal tampered payloads and exercise validation
+// *past* the whole-file checksum.
+use hpm_store::wire::fnv1a;
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, encode_snapshot_v1,
     HistorySnapshot, ObjectSnapshot,
@@ -139,17 +142,6 @@ props! {
     fn snapshot_decode_total_on_garbage(bytes in vec(int(0u8..=255), 0..600)) {
         let _ = decode_snapshot(&bytes);
     }
-}
-
-/// FNV-1a, re-implemented here so tests can re-seal tampered payloads
-/// and exercise validation *past* the whole-file checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// The objects frozen into `tests/fixtures/snapshot_v1.bin`. The model

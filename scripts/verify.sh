@@ -22,6 +22,15 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace (all crates)"
 cargo test -q --offline --workspace
 
+echo "==> sysbench: frozen API surface + end-to-end oracles (--smoke)"
+# sysbench is a package of its own compiled against the public store,
+# server and client API, so building it proves that surface intact;
+# --smoke runs every workload at 1/50 size and judges only correctness:
+# wire == in-process, index == scan, recovered == pre-drop.
+SYSBENCH="--release --offline --manifest-path sysbench/Cargo.toml"
+CARGO_TARGET_DIR=target/sysbench cargo test -q $SYSBENCH
+CARGO_TARGET_DIR=target/sysbench cargo run --quiet $SYSBENCH -- --smoke
+
 echo "==> concurrency stress + equivalence props, optimized (release)"
 # Timing-sensitive paths (shard locking, pool fan-out) get exercised at
 # full speed. HPM_STRESS_RUNS=N loops them; the acceptance bar of 100
