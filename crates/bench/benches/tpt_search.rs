@@ -1,6 +1,8 @@
 //! TPT search vs brute-force scan (Fig. 11b), plus the node-fanout
 //! ablation called out in DESIGN.md, plus the Fig. 11 region-scale
-//! sweep comparing the arena-packed tree against the pointer tree.
+//! sweep. Every search group runs against the packed image — the index
+//! that serves queries; the build group times the two builders, each
+//! through to its compacted image.
 //!
 //! The criterion-shim groups run in both modes as before. The sweep at
 //! the end uses its own harness (best-of-reps wall clock, JSON report,
@@ -38,7 +40,7 @@ fn bench_search(c: &mut Criterion) {
             .enumerate()
             .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
             .collect();
-        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone());
+        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
         let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, 20, set.len());
         let mut out = Vec::new();
@@ -73,7 +75,7 @@ fn bench_fanout(c: &mut Criterion) {
         .collect();
     let qs = queries(&table, 20, set.len());
     for &fanout in &[8usize, 32, 128] {
-        let tpt = Tpt::bulk_load(TptConfig::new(fanout), entries.clone());
+        let tpt = Tpt::bulk_load(TptConfig::new(fanout), entries.clone()).compact();
         let mut out = Vec::new();
         group.bench_with_input(BenchmarkId::from_parameter(fanout), &fanout, |b, _| {
             b.iter(|| {
@@ -101,13 +103,13 @@ fn bench_insert(c: &mut Criterion) {
             for (k, conf, id) in &entries {
                 tpt.insert(k.clone(), *conf, *id);
             }
-            std::hint::black_box(tpt.len())
+            std::hint::black_box(tpt.compact().len())
         })
     });
     c.bench_function("tpt_bulk_load_5k", |b| {
         b.iter(|| {
             let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone());
-            std::hint::black_box(tpt.len())
+            std::hint::black_box(tpt.compact().len())
         })
     });
 }
@@ -127,8 +129,8 @@ fn best_ns_per_query(reps: usize, n_queries: usize, mut pass: impl FnMut()) -> f
     best / n_queries as f64
 }
 
-/// Fig. 11 region-scale sweep: pointer tree vs arena-packed tree over
-/// the same entries and queries, asserting bit-identical results
+/// Fig. 11 region-scale sweep: the packed TPT image vs the brute-force
+/// scan over the same entries and queries, asserting equal result sets
 /// before timing.
 fn fig11_sweep(
     patterns_n: usize,
@@ -146,47 +148,46 @@ fn fig11_sweep(
             .enumerate()
             .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
             .collect();
-        let tree = Tpt::bulk_load(TptConfig::default(), entries);
-        let packed = tree.compact();
+        let packed = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, n_queries, set.len());
 
-        // Untimed equivalence + instrumentation pass: the packed scan
-        // must be bit-identical (matches, order, stats) to the tree.
+        // Untimed equivalence + instrumentation pass: the tree search
+        // must return exactly the scan's result set.
         let mut agg = SearchStats::default();
         let mut matches_total = 0usize;
         for q in &qs {
-            let (tm, ts) = tree.search_with_stats(q);
-            let (pm, ps) = packed.search_with_stats(q);
-            assert_eq!(pm, tm, "packed matches differ from tree");
-            assert_eq!(ps, ts, "packed stats differ from tree");
-            agg.nodes_visited += ts.nodes_visited;
-            agg.entries_checked += ts.entries_checked;
-            agg.false_hits += ts.false_hits;
-            matches_total += tm.len();
+            let (mut pm, ps) = packed.search_with_stats(q);
+            pm.sort_by_key(|m| m.pattern);
+            assert_eq!(pm, brute.search(q), "packed result set differs from scan");
+            agg.nodes_visited += ps.nodes_visited;
+            agg.entries_checked += ps.entries_checked;
+            agg.false_hits += ps.false_hits;
+            matches_total += pm.len();
         }
         let false_hit_rate = agg.false_hits as f64 / agg.entries_checked.max(1) as f64;
 
-        let mut out = Vec::new();
-        let tree_ns = best_ns_per_query(reps, qs.len(), || {
-            for q in &qs {
-                out.clear();
-                tree.search_into(std::hint::black_box(q), &mut out);
-            }
-        });
         let mut cursor = SearchCursor::new();
         let packed_ns = best_ns_per_query(reps, qs.len(), || {
             for q in &qs {
                 cursor.search_packed(&packed, std::hint::black_box(q));
             }
         });
-        let speedup = tree_ns / packed_ns;
+        let mut out = Vec::new();
+        let brute_ns = best_ns_per_query(reps, qs.len(), || {
+            for q in &qs {
+                out.clear();
+                brute.search_into(std::hint::black_box(q), &mut out);
+            }
+        });
+        let speedup = brute_ns / packed_ns;
         println!(
-            "  {regions:>4} regions: tree {tree_ns:>9.1} ns/q, packed {packed_ns:>9.1} ns/q \
-             ({speedup:.2}x), false-hit rate {false_hit_rate:.4}"
+            "  {regions:>4} regions: packed {packed_ns:>9.1} ns/q, brute {brute_ns:>11.1} ns/q \
+             ({speedup:.1}x), false-hit rate {false_hit_rate:.4}"
         );
         rows.push(format!(
-            "    {{\"regions\": {regions}, \"tree_ns_per_query\": {tree_ns:.1}, \
-             \"packed_ns_per_query\": {packed_ns:.1}, \"speedup\": {speedup:.3}, \
+            "    {{\"regions\": {regions}, \"packed_ns_per_query\": {packed_ns:.1}, \
+             \"brute_ns_per_query\": {brute_ns:.1}, \"speedup\": {speedup:.3}, \
              \"matches\": {matches_total}, \"nodes_visited\": {}, \
              \"entries_checked\": {}, \"false_hits\": {}, \
              \"false_hit_rate\": {false_hit_rate:.5}}}",
@@ -199,12 +200,13 @@ fn fig11_sweep(
         let json = format!(
             "{{\n  \"bench\": \"tpt_search_fig11\",\n  \"patterns\": {patterns_n},\n  \
              \"queries\": {n_queries},\n  \"reps\": {reps},\n  \
-             \"methodology\": \"single thread; both indices bulk-loaded from identical \
-             entries; per scale the full query set runs once untimed asserting packed \
-             results and SearchStats bit-identical to the pointer tree, then each index \
-             is timed as best-of-{reps} wall-clock passes over the set after one warmup \
-             pass; ns/query = best pass / query count; false-hit rate = false_hits / \
-             entries_checked aggregated over the set (identical for both indices)\",\n  \
+             \"methodology\": \"single thread; the packed TPT image (bulk load + compact) \
+             and the brute-force scan hold identical entries; per scale the full query set \
+             runs once untimed asserting the packed result set equal to the scan's and \
+             aggregating SearchStats, then each index is timed as best-of-{reps} wall-clock \
+             passes over the set after one warmup pass; ns/query = best pass / query count; \
+             speedup = brute / packed; false-hit rate = false_hits / entries_checked \
+             aggregated over the set\",\n  \
              \"results\": [\n{}\n  ]\n}}\n",
             rows.join(",\n")
         );

@@ -344,6 +344,7 @@ fn time_per_query(queries: &[EvalQuery], mut f: impl FnMut(&EvalQuery)) -> f64 {
 
 /// Fig. 11: (a) TPT storage vs number of patterns for 80/400/800
 /// frequent regions; (b) search cost, TPT vs brute force (800 regions).
+/// Both are taken from the packed image — the index that runs.
 fn fig11() -> std::io::Result<()> {
     let sizes = [1_000usize, 5_000, 10_000, 50_000, 100_000];
 
@@ -358,7 +359,8 @@ fn fig11() -> std::io::Result<()> {
                     .iter()
                     .enumerate()
                     .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32)),
-            );
+            )
+            .compact();
             let mb = tpt.storage_bytes() as f64 / (1024.0 * 1024.0);
             a.row(&[regions.to_string(), n.to_string(), format!("{mb:.2}")])?;
         }
@@ -376,7 +378,7 @@ fn fig11() -> std::io::Result<()> {
             .enumerate()
             .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
             .collect();
-        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone());
+        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
         let brute = BruteForce::from_entries(entries);
         // 50 FQP-style query keys: 1–3 recent regions + one offset.
         let queries: Vec<_> = (0..50u32)

@@ -3,7 +3,6 @@
 //! Fig. 11 index experiments, TSV reporting, and the in-tree
 //! [`timing`] harness the bench targets run on.
 
-pub mod plot;
 pub mod report;
 pub mod setup;
 pub mod synth;

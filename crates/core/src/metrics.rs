@@ -19,8 +19,8 @@ pub const BQP_SPAN: &str = "core.bqp";
 /// distinct-consequence top-k), shared by FQP and BQP.
 pub const RANK_SPAN: &str = "core.rank";
 /// Latency span around applying a retrain result to the live index
-/// ([`crate::HybridPredictor::apply_update`]: confidence patches, TPT
-/// deltas + repack, or re-assembly).
+/// ([`crate::HybridPredictor::apply_update`]: confidence patches in
+/// place, or re-assembly from the pattern list).
 pub const APPLY_UPDATE_SPAN: &str = "core.apply_update";
 
 /// Predictive queries answered.

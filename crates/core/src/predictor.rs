@@ -1,5 +1,11 @@
 //! The Hybrid Prediction Model itself (§VI): pattern store + TPT +
 //! motion-function fallback behind one `predict` call.
+//!
+//! A predictor holds exactly one index — the packed TPT image — and
+//! that image is a pure function of `(regions, patterns, tpt_fanout)`:
+//! however a predictor came to hold a pattern list (batch build,
+//! incremental retrain, reopened store), equal inputs give equal
+//! images.
 
 use crate::scratch::PredictScratch;
 use crate::{
@@ -12,7 +18,7 @@ use hpm_patterns::{
     discover, mine_with_threads, DiscoveryParams, MiningParams, RegionId, RegionSet,
     TrajectoryPattern,
 };
-use hpm_tpt::{KeyTable, PackedTpt, PatternKey, Tpt, TptConfig};
+use hpm_tpt::{KeyTable, PackedTpt, PatternKey};
 use hpm_trajectory::{TimeOffset, Timestamp, Trajectory};
 use std::cell::RefCell;
 
@@ -25,10 +31,8 @@ pub struct HybridPredictor {
     pub(crate) key_table: KeyTable,
     /// Pattern key of `patterns[i]`, aligned by index.
     pub(crate) pattern_keys: Vec<PatternKey>,
-    /// The builder tree: keeps balance under inserts/deletes.
-    pub(crate) tpt: Tpt,
-    /// The arena-packed search image queries actually run against;
-    /// re-compacted from `tpt` after every mutation.
+    /// The index: the arena-packed TPT image of `pattern_keys`, built
+    /// by `build_image` and never mutated beyond confidence patches.
     pub(crate) packed: PackedTpt,
     /// Precomputed Eq. 1 weight rows for every premise size among
     /// `pattern_keys` (keyed to `config.weight_fn`).
@@ -37,9 +41,26 @@ pub struct HybridPredictor {
     pub(crate) period: u32,
 }
 
+/// Builds the predictor's index: bulk-loads `<pk, c, p>` for every
+/// pattern into a transient builder tree (§V.B) and freezes it into
+/// the packed image, dropping the tree on the spot.
+fn build_image(
+    pattern_keys: &[PatternKey],
+    patterns: &[TrajectoryPattern],
+    tpt_fanout: usize,
+) -> PackedTpt {
+    use hpm_tpt::{Tpt, TptConfig};
+    let entries = pattern_keys
+        .iter()
+        .zip(patterns)
+        .enumerate()
+        .map(|(i, (k, p))| (k.clone(), p.confidence, i as u32));
+    Tpt::bulk_load(TptConfig::new(tpt_fanout), entries).compact()
+}
+
 /// Largest number of premise ones among the pattern keys — the weight
 /// table must cover every `m` the scorers can encounter.
-pub(crate) fn max_premise_ones(pattern_keys: &[PatternKey]) -> usize {
+fn max_premise_ones(pattern_keys: &[PatternKey]) -> usize {
     pattern_keys
         .iter()
         .map(|k| k.premise.count_ones())
@@ -49,8 +70,8 @@ pub(crate) fn max_premise_ones(pattern_keys: &[PatternKey]) -> usize {
 
 impl hpm_geo::MemUse for HybridPredictor {
     /// Everything the trained index keeps resident: regions, patterns,
-    /// both pattern keys and the builder tree, the packed search image
-    /// and the weight table. (The per-thread [`PredictScratch`] is
+    /// the key table and pattern keys, the packed search image and the
+    /// weight table. (The per-thread [`PredictScratch`] is
     /// thread-local, not per-predictor, and is not charged here.)
     fn mem_bytes(&self) -> usize {
         use hpm_geo::mem::heap_bytes;
@@ -59,7 +80,6 @@ impl hpm_geo::MemUse for HybridPredictor {
             + heap_bytes(&self.patterns)
             + heap_bytes(&self.key_table)
             + heap_bytes(&self.pattern_keys)
-            + heap_bytes(&self.tpt)
             + heap_bytes(&self.packed)
             + heap_bytes(&self.weight_table)
     }
@@ -117,23 +137,14 @@ impl HybridPredictor {
             .iter()
             .map(|p| key_table.encode_pattern(p, &regions))
             .collect();
-        let tpt = Tpt::bulk_load(
-            TptConfig::new(config.tpt_fanout),
-            pattern_keys
-                .iter()
-                .zip(&patterns)
-                .enumerate()
-                .map(|(i, (k, p))| (k.clone(), p.confidence, i as u32)),
-        );
         let period = regions.period();
-        let packed = tpt.compact();
+        let packed = build_image(&pattern_keys, &patterns, config.tpt_fanout);
         let weight_table = WeightTable::build(config.weight_fn, max_premise_ones(&pattern_keys));
         HybridPredictor {
             regions,
             patterns,
             key_table,
             pattern_keys,
-            tpt,
             packed,
             weight_table,
             config,
@@ -144,9 +155,9 @@ impl HybridPredictor {
     /// Returns the same pattern store under a different query-time
     /// configuration — `k`, thresholds, weight function, and matching
     /// margin are all query-time knobs, so sweeps over them need no
-    /// re-discovery or re-mining. (`tpt_fanout` is baked in at build
-    /// time; changing it here only affects future
-    /// [`insert_patterns`](Self::insert_patterns) splits.)
+    /// re-discovery or re-mining. The two derived structures follow
+    /// the knob they are keyed to: a new `weight_fn` rebuilds the
+    /// weight table, a new `tpt_fanout` rebuilds the index image.
     ///
     /// # Panics
     /// Panics when `config` is inconsistent.
@@ -156,35 +167,11 @@ impl HybridPredictor {
             self.weight_table =
                 WeightTable::build(config.weight_fn, max_premise_ones(&self.pattern_keys));
         }
+        if config.tpt_fanout != self.config.tpt_fanout {
+            self.packed = build_image(&self.pattern_keys, &self.patterns, config.tpt_fanout);
+        }
         self.config = config;
         self
-    }
-
-    /// Adds freshly mined patterns incrementally (§V.B's dynamic-data
-    /// path): encodes and inserts each into the TPT.
-    ///
-    /// New patterns must only reference existing regions and consequence
-    /// time offsets already present in the key table (a full rebuild is
-    /// needed when the region or offset vocabulary grows).
-    pub fn insert_patterns(&mut self, new_patterns: Vec<TrajectoryPattern>) {
-        if new_patterns.is_empty() {
-            return;
-        }
-        for p in new_patterns {
-            p.validate(&self.regions)
-                .unwrap_or_else(|e| panic!("inserted pattern invalid: {e}"));
-            let key = self.key_table.encode_pattern(&p, &self.regions);
-            let id = self.patterns.len() as u32;
-            self.tpt.insert(key.clone(), p.confidence, id);
-            self.pattern_keys.push(key);
-            self.patterns.push(p);
-        }
-        // The packed image is immutable: one repack covers the batch.
-        self.packed = self.tpt.compact();
-        let max_m = max_premise_ones(&self.pattern_keys);
-        if max_m > self.weight_table.max_ones() {
-            self.weight_table = WeightTable::build(self.config.weight_fn, max_m);
-        }
     }
 
     /// The discovered frequent regions.
@@ -199,13 +186,8 @@ impl HybridPredictor {
         &self.patterns
     }
 
-    /// The builder pattern index (mutations and validation).
-    #[inline]
-    pub fn tpt(&self) -> &Tpt {
-        &self.tpt
-    }
-
-    /// The arena-packed search image queries run against.
+    /// The pattern index: the arena-packed TPT image queries run
+    /// against.
     #[inline]
     pub fn packed_tpt(&self) -> &PackedTpt {
         &self.packed
@@ -542,9 +524,8 @@ mod tests {
         let p = commuter_predictor();
         assert!(!p.patterns().is_empty());
         assert!(!p.regions().is_empty());
-        assert_eq!(p.tpt().len(), p.patterns().len());
+        assert_eq!(p.packed_tpt().len(), p.patterns().len());
         assert_eq!(p.period(), COMMUTER_PERIOD);
-        p.tpt().validate().unwrap();
     }
 
     #[test]
@@ -635,14 +616,42 @@ mod tests {
     }
 
     #[test]
-    fn insert_patterns_extends_index() {
-        let mut p = commuter_predictor();
-        let before = p.patterns().len();
-        let extra = p.patterns()[0].clone();
-        p.insert_patterns(vec![extra]);
-        assert_eq!(p.patterns().len(), before + 1);
-        assert_eq!(p.tpt().len(), before + 1);
-        p.tpt().validate().unwrap();
+    fn with_config_rebuilds_the_image_for_a_new_fanout() {
+        // Regression: with_config used to store a new tpt_fanout next
+        // to an index built with the old one.
+        let base = commuter_predictor();
+        let recent = [Point::new(0.0, 0.0), Point::new(50.0, 0.0)];
+        let day = 50 * COMMUTER_PERIOD as Timestamp;
+        let q = PredictiveQuery {
+            recent: &recent,
+            current_time: day + 1,
+            query_time: day + 3,
+        };
+        let answer = base.predict(&q);
+        assert!(answer.from_patterns());
+        let mut p = base.clone();
+        for fanout in [4, 32] {
+            let cfg = HpmConfig {
+                tpt_fanout: fanout,
+                ..*base.config()
+            };
+            p = p.with_config(cfg);
+            let fresh =
+                HybridPredictor::from_parts(base.regions().clone(), base.patterns().to_vec(), cfg);
+            assert_eq!(p.config().tpt_fanout, fanout);
+            assert_eq!(p.packed_tpt(), fresh.packed_tpt(), "fanout {fanout}");
+            assert_eq!(p.predict(&q), answer, "fanout {fanout}");
+        }
+        assert_ne!(
+            base.clone()
+                .with_config(HpmConfig {
+                    tpt_fanout: 4,
+                    ..*base.config()
+                })
+                .packed_tpt(),
+            base.packed_tpt(),
+            "the fixture must be large enough for fanout to shape the tree"
+        );
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!    their sub-trajectory's transaction, support counts absorb the
 //!    tails, and the full pattern list is re-derived from counts.
 //! 4. [`HybridPredictor::apply_update`] — the derived regions +
-//!    patterns are applied to the live index as deltas (confidence
-//!    patches, or TPT insert/delete plus one repack).
+//!    patterns replace the live ones: confidences are patched into the
+//!    index image when the pattern keys did not move, otherwise the
+//!    image is rebuilt from the pattern list.
 //!
 //! **Equivalence guarantee**: after a successful incremental pass the
 //! resulting predictor answers every query exactly like
@@ -34,7 +35,6 @@
 //! case that could perturb batch output falls back to the batch path
 //! (property-tested in `tests/train_props.rs`).
 
-use crate::predictor::max_premise_ones;
 use crate::HybridPredictor;
 use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome};
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
@@ -43,9 +43,7 @@ use hpm_patterns::{
     DiscoveryParams, FrequentRegion, MiningParams, RegionId, RegionSet, SupportCounts,
     TrajectoryPattern, Transaction,
 };
-use hpm_tpt::PatternKey;
 use hpm_trajectory::{DecomposeCursor, DeltaSample, History, OffsetGroups, TimeOffset, Trajectory};
-use std::collections::HashMap;
 
 /// One region visit produced by the clustering stage: sub-trajectory
 /// `sub` passed through region `region` at time offset `offset`.
@@ -278,145 +276,68 @@ impl MemUse for TrainerState {
 /// How [`HybridPredictor::apply_update`] absorbed a retrain result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateTier {
-    /// Pattern key set unchanged: confidences patched in place, no
-    /// repack.
+    /// Pattern keys unchanged: confidences patched into the index
+    /// image in place.
     Confidences,
-    /// Patterns added/removed: TPT deltas plus one repack.
-    Deltas {
-        /// Patterns inserted.
-        added: usize,
-        /// Patterns deleted.
-        removed: usize,
-    },
-    /// Vocabulary changed (region count or consequence offsets): full
-    /// index re-assembly from parts (no re-mining).
+    /// Pattern set or key vocabulary changed: the index image was
+    /// rebuilt from the pattern list (no re-discovery, no re-mining).
     Rebuild,
 }
 
 impl HybridPredictor {
     /// Applies a retrain result — fresh regions and the full derived
-    /// pattern list — to this predictor as *deltas* against the live
-    /// TPT, producing a new predictor equivalent to
-    /// [`from_parts`](Self::from_parts) over the same inputs:
+    /// pattern list — producing a predictor **equal** to
+    /// [`from_parts`](Self::from_parts) over the same inputs, index
+    /// image included:
     ///
-    /// * same `(premise, consequence)` key set → pattern ids are
-    ///   unchanged, confidences are patched in the tree and the packed
-    ///   image, no repack ([`UpdateTier::Confidences`]);
-    /// * keys added/removed → removed patterns are deleted, surviving
-    ///   payload ids are remapped to the new canonical numbering, new
-    ///   patterns inserted, then **one** repack covers the whole batch
-    ///   ([`UpdateTier::Deltas`]) — the amortised-repack policy;
-    /// * region count or consequence-offset vocabulary changed → the
-    ///   key encoding itself is stale and the index is re-assembled
+    /// * same `(premise, consequence)` list over an unchanged key
+    ///   vocabulary (region count, period, every consequence's time
+    ///   offset) → pattern ids and keys are unchanged, so only leaf
+    ///   confidences can differ and they are patched in place
+    ///   ([`UpdateTier::Confidences`]);
+    /// * anything else — patterns added or removed, regions or
+    ///   consequence offsets changed — → the predictor is re-assembled
     ///   with [`from_parts`](Self::from_parts)
-    ///   ([`UpdateTier::Rebuild`]; still no re-discovery/re-mining).
+    ///   ([`UpdateTier::Rebuild`]).
     ///
     /// # Panics
     /// Panics when a pattern fails validation against `regions` (only
-    /// reachable on the rebuild tier; delta tiers reuse validated
-    /// keys).
+    /// reachable on the rebuild outcome; a confidence patch reuses
+    /// validated keys).
     pub fn apply_update(
         &self,
         regions: RegionSet,
         patterns: Vec<TrajectoryPattern>,
     ) -> (HybridPredictor, UpdateTier) {
         let _span = hpm_obs::span!(crate::metrics::APPLY_UPDATE_SPAN);
-        let vocabulary_unchanged = regions.len() == self.regions.len()
+        let same_keys = regions.len() == self.regions.len()
             && regions.period() == self.period
-            && patterns.iter().all(|p| {
-                self.key_table
-                    .time_id(p.consequence_offset(&regions))
-                    .is_some()
+            && patterns.len() == self.patterns.len()
+            && patterns.iter().zip(&self.patterns).all(|(n, o)| {
+                n.premise == o.premise
+                    && n.consequence == o.consequence
+                    && n.consequence_offset(&regions) == o.consequence_offset(&self.regions)
             });
-        if !vocabulary_unchanged {
+        if !same_keys {
             let rebuilt = Self::from_parts(regions, patterns, self.config);
             return (rebuilt, UpdateTier::Rebuild);
         }
-
-        let same_keys = patterns.len() == self.patterns.len()
-            && patterns
-                .iter()
-                .zip(&self.patterns)
-                .all(|(n, o)| n.premise == o.premise && n.consequence == o.consequence);
-        let mut out = self.clone();
-        out.regions = regions;
-        if same_keys {
-            for (i, (n, o)) in patterns.iter().zip(&self.patterns).enumerate() {
-                if n.confidence != o.confidence {
-                    let patched =
-                        out.tpt
-                            .update_confidence(&out.pattern_keys[i], i as u32, n.confidence);
-                    debug_assert!(patched, "pattern {i} missing from its own tree");
-                }
-            }
-            out.packed.patch_confidences(|id| {
-                let n = patterns[id as usize].confidence;
-                (n != self.patterns[id as usize].confidence).then_some(n)
-            });
-            out.patterns = patterns;
-            return (out, UpdateTier::Confidences);
-        }
-
-        // Structural delta: match old patterns to new by key.
-        let old_ids: HashMap<(&[RegionId], RegionId), u32> = self
-            .patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ((p.premise.as_slice(), p.consequence), i as u32))
-            .collect();
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        let mut added: Vec<u32> = Vec::new();
-        for (n, p) in patterns.iter().enumerate() {
-            match old_ids.get(&(p.premise.as_slice(), p.consequence)) {
-                Some(&o) => {
-                    remap.insert(o, n as u32);
-                }
-                None => added.push(n as u32),
-            }
-        }
-        let removed: Vec<u32> = (0..self.patterns.len() as u32)
-            .filter(|o| !remap.contains_key(o))
-            .collect();
-
-        for &o in &removed {
-            let deleted = out.tpt.delete(&self.pattern_keys[o as usize], o);
-            debug_assert!(deleted, "pattern {o} missing from its own tree");
-        }
-        out.tpt.remap_payloads(|o| remap[&o]);
-        let new_keys: Vec<PatternKey> = patterns
-            .iter()
-            .map(|p| out.key_table.encode_pattern(p, &out.regions))
-            .collect();
-        for &n in &added {
-            out.tpt.insert(
-                new_keys[n as usize].clone(),
-                patterns[n as usize].confidence,
-                n,
-            );
-        }
-        for (&o, &n) in &remap {
-            let (old_c, new_c) = (
-                self.patterns[o as usize].confidence,
-                patterns[n as usize].confidence,
-            );
-            if old_c != new_c {
-                let patched = out.tpt.update_confidence(&new_keys[n as usize], n, new_c);
-                debug_assert!(patched, "pattern {n} missing from its own tree");
-            }
-        }
-        // One repack covers the whole batch of deltas.
-        out.packed = out.tpt.compact();
-        let max_m = max_premise_ones(&new_keys);
-        if max_m > out.weight_table.max_ones() {
-            out.weight_table = crate::WeightTable::build(out.config.weight_fn, max_m);
-        }
-        out.pattern_keys = new_keys;
-        out.patterns = patterns;
-        let tier = UpdateTier::Deltas {
-            added: added.len(),
-            removed: removed.len(),
+        let mut packed = self.packed.clone();
+        packed.patch_confidences(|id| {
+            let n = patterns[id as usize].confidence;
+            (n != self.patterns[id as usize].confidence).then_some(n)
+        });
+        let out = HybridPredictor {
+            regions,
+            patterns,
+            packed,
+            key_table: self.key_table.clone(),
+            pattern_keys: self.pattern_keys.clone(),
+            weight_table: self.weight_table.clone(),
+            config: self.config,
+            period: self.period,
         };
-        (out, tier)
+        (out, UpdateTier::Confidences)
     }
 }
 
@@ -452,6 +373,7 @@ mod tests {
         let batch = HybridPredictor::build(traj, &discovery(), &mining(), *incremental.config());
         assert_eq!(incremental.regions().all(), batch.regions().all());
         assert_eq!(incremental.patterns(), batch.patterns());
+        assert_eq!(incremental.packed_tpt(), batch.packed_tpt());
         let day =
             (traj.len() as Timestamp / COMMUTER_PERIOD as Timestamp) * COMMUTER_PERIOD as Timestamp;
         for (recent, len) in [
@@ -599,6 +521,56 @@ mod tests {
         let (q, tier) = p.apply_update(p.regions().clone(), p.patterns().to_vec());
         assert_eq!(tier, UpdateTier::Confidences);
         assert_eq!(q.patterns(), p.patterns());
+    }
+
+    /// Every derived field of `got` equals a fresh assembly of its own
+    /// regions and patterns: index image, pattern keys, and a weight
+    /// table covering the widest premise.
+    fn assert_equals_from_parts(got: &HybridPredictor) {
+        let fresh = HybridPredictor::from_parts(
+            got.regions().clone(),
+            got.patterns().to_vec(),
+            *got.config(),
+        );
+        assert_eq!(got.packed_tpt(), fresh.packed_tpt());
+        assert_eq!(got.pattern_keys, fresh.pattern_keys);
+        assert_eq!(got.weight_table.max_ones(), fresh.weight_table.max_ones());
+    }
+
+    #[test]
+    fn apply_update_added_patterns_rebuild() {
+        let traj = commuter_history(30);
+        let full = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
+        // Start from the single-region premises only; the update adds
+        // the two-region ones, so ids shift and the weight table grows.
+        let short: Vec<_> = full
+            .patterns()
+            .iter()
+            .filter(|p| p.premise.len() == 1)
+            .cloned()
+            .collect();
+        assert!(!short.is_empty() && short.len() < full.patterns().len());
+        let base = HybridPredictor::from_parts(full.regions().clone(), short, commuter_config());
+        assert_eq!(base.weight_table.max_ones(), 1);
+        let (q, tier) = base.apply_update(full.regions().clone(), full.patterns().to_vec());
+        assert_eq!(tier, UpdateTier::Rebuild);
+        assert_eq!(q.patterns(), full.patterns());
+        assert_equals_from_parts(&q);
+        assert_eq!(q.packed_tpt(), full.packed_tpt());
+    }
+
+    #[test]
+    fn apply_update_removed_pattern_rebuilds() {
+        let traj = commuter_history(30);
+        let full = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
+        // Drop one pattern from the middle: every later id shifts down.
+        let mut fewer = full.patterns().to_vec();
+        fewer.remove(fewer.len() / 2);
+        let (q, tier) = full.apply_update(full.regions().clone(), fewer.clone());
+        assert_eq!(tier, UpdateTier::Rebuild);
+        assert_eq!(q.patterns(), fewer.as_slice());
+        assert_eq!(q.packed_tpt().len(), fewer.len());
+        assert_equals_from_parts(&q);
     }
 
     #[test]

@@ -110,6 +110,10 @@ props! {
             let batch = HybridPredictor::build(&traj, &disc, &mp, config());
             require_eq!(predictor.regions().all(), batch.regions().all());
             require_eq!(predictor.patterns(), batch.patterns());
+            // One index per predictor, a pure function of its pattern
+            // list: an incrementally maintained image equals the
+            // bulk-loaded one, not merely its answers.
+            require_eq!(predictor.packed_tpt(), batch.packed_tpt());
 
             let p = traj.points();
             let now = (p.len() - 1) as Timestamp;

@@ -26,8 +26,9 @@ pub const RETRAIN_DISCOVER_SPAN: &str = "objectstore.retrain.discover";
 /// (support-count deltas + rule derivation; derivation alone after a
 /// seed).
 pub const RETRAIN_MINE_SPAN: &str = "objectstore.retrain.mine";
-/// Latency span around the TPT phase of a retrain (delta application
-/// + one repack, or a bulk load on the seed path).
+/// Latency span around the TPT phase of a retrain (a confidence
+/// patch, or a bulk load + one repack — always the latter on the seed
+/// path).
 pub const RETRAIN_TPT_SPAN: &str = "objectstore.retrain.tpt";
 /// Latency span around one batch predictive call (`predict_batch`),
 /// pool fan-out included.

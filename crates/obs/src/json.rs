@@ -85,14 +85,11 @@ impl std::error::Error for ParseError {}
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// trailing content rejected).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("end of input"));
     }
     Ok(value)
@@ -120,7 +117,7 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -133,7 +130,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -152,7 +149,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -246,9 +243,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("four hex digits after \\u"))?;
                             // Surrogates would need pairing; the
@@ -262,11 +258,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("no raw control characters")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: `pos` only ever advances
+                    // past whole scalars, so it sits on a boundary.
+                    let ch = self.src[self.pos..].chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -285,8 +279,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Number)
             .map_err(|_| ParseError {
                 offset: start,
@@ -331,6 +325,18 @@ mod tests {
         let original = "line\none\t\"quoted\" back\\slash \u{1} café";
         let wrapped = format!("\"{}\"", escape(original));
         assert_eq!(parse(&wrapped).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn multi_byte_scalars_pass_through() {
+        // 2-, 3- and 4-byte scalars, raw and straight after an escape.
+        let doc = parse(r#"{"k\u00e9y": "é→𝄞", "e": "\u00e9𝄞\n→"}"#).unwrap();
+        assert_eq!(doc.get("kéy").and_then(Json::as_str), Some("é→𝄞"));
+        assert_eq!(doc.get("e").and_then(Json::as_str), Some("é𝄞\n→"));
+        // A \u escape whose four "digits" run into a multi-byte scalar
+        // is rejected, not sliced mid-scalar.
+        assert!(parse(r#""\u00é""#).is_err());
+        assert!(parse(r#""\u0𝄞""#).is_err());
     }
 
     #[test]

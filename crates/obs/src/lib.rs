@@ -36,6 +36,8 @@
 //! `docs/OBSERVABILITY.md` for the full catalogue and
 //! `CONTRIBUTING.md` for when to add a counter vs a histogram).
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 mod metrics;
 mod snapshot;

@@ -4,14 +4,17 @@
 //! Mined trajectory patterns are encoded into [`PatternKey`]s — a
 //! consequence-key bitmap over the distinct consequence time offsets
 //! plus a premise-key bitmap over the frequent regions (Tables I–III)
-//! — and indexed by the [`Tpt`], a balanced signature-tree variant
-//! whose internal entries hold the OR of their subtree's keys.
-//! Predictive queries encode to keys too ([`KeyTable::fqp_query`],
-//! [`KeyTable::bqp_query`]) and retrieve, via a depth-first
-//! `Intersect`-pruned traversal, every pattern sharing consequence
-//! *and* premise bits with the query. [`BruteForce`] answers the same
-//! searches by a linear scan (Fig. 11b's baseline).
-
+//! — and indexed by the TPT, a balanced signature-tree variant whose
+//! internal entries hold the OR of their subtree's keys. The [`Tpt`]
+//! *builds* that tree (Algorithm 1 insertion or bulk load) and
+//! [`Tpt::compact`] freezes it into the [`PackedTpt`] image, the one
+//! form that is searched. Predictive queries encode to keys too
+//! ([`KeyTable::fqp_query`], [`KeyTable::bqp_query`]) and retrieve,
+//! via a depth-first `Intersect`-pruned traversal of the image, every
+//! pattern sharing consequence *and* premise bits with the query.
+//! [`BruteForce`] answers the same searches by a linear scan
+//! (Fig. 11b's baseline).
+//!
 //! # Example
 //!
 //! ```
@@ -27,12 +30,15 @@
 //! tpt.insert(key(&[1], &[0, 2]), 0.4, 3); // P3: R0^0 ∧ R1^1 -> R2^1
 //! tpt.insert(key(&[0], &[0]), 0.9, 0);    // P0: R0^0 -> R1^0
 //!
-//! // §VI.B's query: recent movements {R0^0, R1^0}, tq at time id 1.
-//! let hits = tpt.search(&key(&[1], &[0, 1]));
+//! // §VI.B's query: recent movements {R0^0, R1^0}, tq at time id 1,
+//! // answered by the compacted image (the builder is not searched).
+//! let hits = tpt.compact().search(&key(&[1], &[0, 1]));
 //! let mut ids: Vec<u32> = hits.iter().map(|m| m.pattern).collect();
 //! ids.sort();
 //! assert_eq!(ids, vec![2, 3]);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod bitmap;
 mod brute;
@@ -46,5 +52,5 @@ pub use bitmap::{Bitmap, INLINE_WORDS};
 pub use brute::BruteForce;
 pub use index::{Match, PatternIndex};
 pub use keys::{KeyTable, PatternKey};
-pub use packed::PackedTpt;
-pub use tree::{SearchCursor, SearchStats, Tpt, TptConfig};
+pub use packed::{PackedTpt, SearchCursor, SearchStats};
+pub use tree::{Tpt, TptConfig};

@@ -5,7 +5,7 @@
 //! production. All names follow the workspace `crate.module.op`
 //! convention and are catalogued in `docs/OBSERVABILITY.md`.
 
-use crate::tree::SearchStats;
+use crate::SearchStats;
 
 /// Latency span (and histogram, unit `ns`) around every TPT search.
 pub const SEARCH_SPAN: &str = "tpt.search";
@@ -21,14 +21,14 @@ pub const SEARCH_FALSE_HITS: &str = "tpt.search.false_hits";
 /// Matches returned per search (histogram, unit `count`).
 pub const SEARCH_MATCHES: &str = "tpt.search.matches";
 /// Latency span (and histogram, unit `ns`) around [`Tpt::compact`]
-/// building a packed image.
+/// freezing a transient builder tree into the packed image.
 ///
 /// [`Tpt::compact`]: crate::Tpt::compact
 pub const REPACK_SPAN: &str = "tpt.repack";
 /// Packed images built (one per `compact()` call).
 pub const REPACK_CALLS: &str = "tpt.repack.calls";
 /// Arena bytes of the most recently built packed image (gauge; with
-/// one predictor per object this tracks the last repack, not a sum).
+/// one image per object this tracks the last build, not a sum).
 pub const PACKED_ARENA_BYTES: &str = "tpt.packed.arena_bytes";
 
 /// Registers every metric above so snapshots cover them even before

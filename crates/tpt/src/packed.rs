@@ -1,29 +1,60 @@
-//! The arena-packed TPT: a read-optimized, cache-friendly image of a
-//! [`Tpt`] for the search hot path.
+//! The arena-packed TPT: the searchable form of the index, and the
+//! §V.C search itself.
 //!
-//! [`Tpt`] is the *builder* — its insert/split/delete logic keeps the
-//! signature tree balanced, but its layout pays a pointer tax on every
-//! search: `Vec<Node> → Vec<Entry> → PatternKey → Bitmap → Vec<u64>`
-//! is four dependent loads before the first signature word arrives.
-//! [`Tpt::compact`] freezes the tree into a [`PackedTpt`] whose entry
-//! signatures live contiguously in one `Vec<u64>` arena — each node's
-//! entries form a run of `[consequence words | premise words]` blocks,
-//! so the intersect test scans the arena linearly — with entry
-//! metadata (child/pattern id, confidence) in parallel SoA arrays.
-//! Nodes are laid out in DFS pre-order, so a search walks mostly
-//! forward in memory.
+//! [`Tpt`] is the transient *builder* — its insert/split and bulk-load
+//! logic shapes the signature tree, but its layout would pay a pointer
+//! tax on every search: `Vec<Node> → Vec<Entry> → PatternKey → Bitmap
+//! → Vec<u64>` is four dependent loads before the first signature word
+//! arrives. [`Tpt::compact`] freezes the tree into a [`PackedTpt`]
+//! whose entry signatures live contiguously in one `Vec<u64>` arena —
+//! each node's entries form a run of `[consequence words | premise
+//! words]` blocks, so the intersect test scans the arena linearly —
+//! with entry metadata (child/pattern id, confidence) in parallel SoA
+//! arrays. Nodes are laid out in DFS pre-order, so a search walks
+//! mostly forward in memory.
 //!
-//! Packed search is **bit-identical** to [`Tpt`] search: same matches,
-//! same order, same [`SearchStats`] — the property suite in
-//! `tests/props.rs` holds the two (and the brute-force scan) equal
-//! over generated key sets.
+//! Search walks the image depth-first, descending only into entries
+//! whose key intersects the query key on both the consequence and the
+//! premise part. The image is a pure function of the builder's shape,
+//! so equal trees compact to equal images; the property suite in
+//! `tests/props.rs` holds both builders' images and the brute-force
+//! scan equal on every result set over generated key sets.
 
-use crate::tree::SearchStats;
-use crate::{Match, PatternIndex, PatternKey, SearchCursor, Tpt};
+use crate::{Match, PatternIndex, PatternKey, Tpt};
+
+/// Statistics of one search (Fig. 11b instrumentation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchStats {
+    /// Nodes whose entries were examined.
+    pub nodes_visited: usize,
+    /// Entry keys tested against the query.
+    pub entries_checked: usize,
+    /// Signature false hits: leaf entries reached (their parent's
+    /// union key intersected the query) whose own key did not — the
+    /// superimposed-coding false drops §V's signature layout trades
+    /// against node size.
+    pub false_hits: usize,
+}
+
+/// A reusable search cursor: owns the match buffer and the
+/// instrumentation, so a query loop (the FQP/BQP hot path re-searches
+/// per candidate time id) reuses one allocation instead of building a
+/// fresh `Vec` per call.
+///
+/// Stats are **per-search**: every
+/// [`search_packed`](SearchCursor::search_packed) resets them before
+/// traversing, so [`stats`](SearchCursor::stats) always describes the
+/// most recent search alone — reusing a cursor never accumulates
+/// `false_hits` (or any other field) across calls.
+#[derive(Debug, Clone, Default)]
+pub struct SearchCursor {
+    out: Vec<Match>,
+    stats: SearchStats,
+}
 
 /// One packed node: a slice of the signature arena plus a slice of the
 /// metadata arrays.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PackedNode {
     /// First word of this node's signature run in `PackedTpt::sig`.
     sig_start: u32,
@@ -35,12 +66,16 @@ struct PackedNode {
     leaf: bool,
 }
 
-/// The packed, immutable search image of a [`Tpt`].
+/// The packed search image of a [`Tpt`] — the only searchable form of
+/// the index.
 ///
-/// Built by [`Tpt::compact`]; node 0 is the root. Mutations go through
-/// the builder tree, which is then re-compacted (the object store does
-/// this after every retrain).
-#[derive(Debug, Clone, Default)]
+/// Built by [`Tpt::compact`]; node 0 is the root. The shape is frozen:
+/// a pattern set that gains or loses a key is bulk-loaded and
+/// compacted afresh, and only leaf confidences can be patched in place
+/// ([`patch_confidences`](Self::patch_confidences)). Two images are
+/// equal exactly when they hold the same nodes, signatures, payloads
+/// and confidences in the same layout.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedTpt {
     /// Bit length of the consequence part of every key.
     cons_bits: usize,
@@ -173,10 +208,10 @@ impl PackedTpt {
 
     /// Patches leaf confidences in place through `patch` (pattern id →
     /// new confidence; `None` leaves an entry untouched), avoiding a
-    /// full repack when a retrain changed only confidences. The caller
-    /// must apply the same updates to the builder tree so tree and
-    /// image stay bit-identical. Returns the number of patched
-    /// entries.
+    /// full rebuild when a retrain changed only confidences: the
+    /// builder places entries by key alone, so the patched image equals
+    /// the one a fresh bulk load with the new confidences compacts to.
+    /// Returns the number of patched entries.
     pub fn patch_confidences(&mut self, mut patch: impl FnMut(u32) -> Option<f64>) -> usize {
         let mut patched = 0;
         for node in &self.nodes {
@@ -209,9 +244,8 @@ impl PackedTpt {
         if self.nodes.is_empty() {
             return;
         }
-        // Same contract as `Bitmap::intersects` on the builder tree:
-        // searching a non-empty index with a foreign-geometry key is a
-        // logic error.
+        // Same contract as `Bitmap::intersects`: searching a non-empty
+        // index with a foreign-geometry key is a logic error.
         assert_eq!(
             query.consequence.len(),
             self.cons_bits,
@@ -231,9 +265,9 @@ impl PackedTpt {
         );
     }
 
-    /// The same traversal as `Tpt::dfs`, reading signature words
-    /// straight from the arena. `cq`/`pq` are the query's consequence
-    /// and premise words.
+    /// §V.C's Intersect-pruned depth-first traversal, reading
+    /// signature words straight from the arena. `cq`/`pq` are the
+    /// query's consequence and premise words.
     fn dfs(
         &self,
         node: u32,
@@ -284,6 +318,21 @@ fn words_intersect(a: &[u64], b: &[u64]) -> bool {
 }
 
 impl SearchCursor {
+    /// An empty cursor.
+    pub fn new() -> Self {
+        SearchCursor::default()
+    }
+
+    /// The most recent search's matches.
+    pub fn matches(&self) -> &[Match] {
+        &self.out
+    }
+
+    /// The most recent search's stats (zeroed if no search ran yet).
+    pub fn stats(&self) -> SearchStats {
+        self.stats
+    }
+
     /// Searches a packed image, replacing the cursor's previous matches
     /// and stats — the allocation-free hot path: after the cursor's
     /// buffer reaches its high-water mark, no heap traffic at all.
@@ -315,59 +364,68 @@ impl PatternIndex for PackedTpt {
 mod tests {
     use super::*;
     use crate::keys::{fig3_patterns, fig3_regions};
-    use crate::{Bitmap, KeyTable, TptConfig};
+    use crate::{Bitmap, BruteForce, KeyTable, TptConfig};
     use hpm_patterns::RegionId;
 
-    fn fig3() -> (KeyTable, Tpt) {
+    /// `<pk, c, p>` entries of `patterns` over Fig. 3's regions.
+    fn entries(
+        table: &KeyTable,
+        patterns: &[hpm_patterns::TrajectoryPattern],
+    ) -> Vec<(PatternKey, f64, u32)> {
         let regions = fig3_regions();
+        patterns
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (table.encode_pattern(p, &regions), p.confidence, i as u32))
+            .collect()
+    }
+
+    fn fig3() -> (KeyTable, Tpt) {
         let patterns = fig3_patterns();
-        let table = KeyTable::build(&regions, &patterns);
+        let table = KeyTable::build(&fig3_regions(), &patterns);
         let mut tree = Tpt::new(TptConfig::new(4));
-        for (i, p) in patterns.iter().enumerate() {
-            tree.insert(table.encode_pattern(p, &regions), p.confidence, i as u32);
+        for (k, c, p) in entries(&table, &patterns) {
+            tree.insert(k, c, p);
         }
         (table, tree)
     }
 
     #[test]
-    fn packed_matches_tree_exactly_on_fig3() {
+    fn packed_matches_brute_force_on_fig3() {
         let (table, tree) = fig3();
         let packed = tree.compact();
         assert_eq!(packed.len(), tree.len());
         assert_eq!(packed.height(), tree.height());
+        assert_eq!(packed.node_count(), tree.node_count());
+        let brute = BruteForce::from_entries(entries(&table, &fig3_patterns()));
         for q in [
             table.fqp_query([RegionId(0), RegionId(1)], 2),
             table.fqp_query([RegionId(0)], 1),
             table.bqp_query(1, 2),
             table.fqp_query([RegionId(4)], 0),
         ] {
-            let (tm, ts) = tree.search_with_stats(&q);
-            let (pm, ps) = packed.search_with_stats(&q);
-            assert_eq!(pm, tm, "matches and order must be identical");
-            assert_eq!(ps, ts, "stats must be identical");
+            let mut pm = packed.search(&q);
+            pm.sort_by_key(|m| m.pattern);
+            assert_eq!(pm, brute.search(&q), "same ids and confidences");
         }
     }
 
     #[test]
-    fn patch_confidences_tracks_tree_updates() {
-        let (table, mut tree) = fig3();
-        let mut packed = tree.compact();
-        let regions = fig3_regions();
-        let patterns = fig3_patterns();
-        let key = table.encode_pattern(&patterns[2], &regions);
-        assert!(tree.update_confidence(&key, 2, 0.77));
+    fn patch_confidences_equals_a_fresh_build() {
+        let mut patterns = fig3_patterns();
+        let table = KeyTable::build(&fig3_regions(), &patterns);
+        let image = |patterns: &[hpm_patterns::TrajectoryPattern]| {
+            Tpt::bulk_load(TptConfig::new(4), entries(&table, patterns)).compact()
+        };
+        let mut packed = image(&patterns);
         let patched = packed.patch_confidences(|p| (p == 2).then_some(0.77));
         assert_eq!(patched, 1);
-        // Tree and image stay bit-identical after the paired patch.
-        for q in [
-            table.fqp_query([RegionId(0), RegionId(1)], 2),
-            table.bqp_query(1, 2),
-        ] {
-            let (tm, ts) = tree.search_with_stats(&q);
-            let (pm, ps) = packed.search_with_stats(&q);
-            assert_eq!(pm, tm);
-            assert_eq!(ps, ts);
-        }
+        patterns[2].confidence = 0.77;
+        // The patched image is the image of the patched pattern list.
+        assert_eq!(packed, image(&patterns));
+        let q = table.fqp_query([RegionId(0), RegionId(1)], 2);
+        let hit = packed.search(&q).into_iter().find(|m| m.pattern == 2);
+        assert_eq!(hit.map(|m| m.confidence), Some(0.77));
     }
 
     #[test]
@@ -376,8 +434,8 @@ mod tests {
         assert!(packed.is_empty());
         assert_eq!(packed.node_count(), 0);
         assert_eq!(packed.arena_bytes(), 0);
-        // Any query geometry is accepted on an empty image, as on the
-        // empty builder tree.
+        assert_eq!(packed, PackedTpt::new());
+        // Any query geometry is accepted on an empty image.
         let q = PatternKey {
             consequence: Bitmap::ones(2),
             premise: Bitmap::ones(5),
@@ -385,25 +443,43 @@ mod tests {
         let (m, s) = packed.search_with_stats(&q);
         assert!(m.is_empty());
         assert_eq!(s, SearchStats::default());
+        let mut cursor = SearchCursor::new();
+        assert!(cursor.search_packed(&packed, &q).is_empty());
+        assert_eq!(cursor.stats(), SearchStats::default());
     }
 
     #[test]
-    fn cursor_search_packed_reuses_buffer() {
+    fn cursor_stats_are_per_search_not_accumulated() {
+        // Regression: a reused cursor must report each search's own
+        // matches and stats; false_hits (and the other counters) must
+        // never carry over from the previous search.
         let (table, tree) = fig3();
         let packed = tree.compact();
         let mut cursor = SearchCursor::new();
-        let q = table.fqp_query([RegionId(0), RegionId(1)], 2);
-        let first: Vec<Match> = cursor.search_packed(&packed, &q).to_vec();
-        let stats = cursor.stats();
-        let second: Vec<Match> = cursor.search_packed(&packed, &q).to_vec();
-        assert_eq!(first, second);
-        assert_eq!(cursor.stats(), stats, "stats are per-search");
-        assert_eq!(first, tree.search_with_stats(&q).0);
+        let queries = [
+            table.fqp_query([RegionId(0), RegionId(1)], 2),
+            table.bqp_query(1, 2),
+            table.fqp_query([RegionId(4)], 0),
+        ];
+        for q in &queries {
+            let (fresh_matches, fresh_stats) = packed.search_with_stats(q);
+            assert_eq!(cursor.search_packed(&packed, q), &fresh_matches[..]);
+            assert_eq!(cursor.stats(), fresh_stats, "stats accumulated");
+        }
+        // Same query twice through one cursor: identical stats, not 2x.
+        cursor.search_packed(&packed, &queries[0]);
+        let first = cursor.stats();
+        cursor.search_packed(&packed, &queries[0]);
+        assert_eq!(cursor.stats(), first);
+        assert_eq!(
+            cursor.matches(),
+            &packed.search_with_stats(&queries[0]).0[..]
+        );
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn foreign_geometry_panics_like_the_tree() {
+    fn foreign_geometry_panics() {
         let (_, tree) = fig3();
         let packed = tree.compact();
         let q = PatternKey {

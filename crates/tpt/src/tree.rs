@@ -7,13 +7,16 @@
 //! subtree already *containing* the new key, then one *intersecting* it
 //! on both parts (which is what makes §VI's Intersect-driven search
 //! prune well), then minimal key enlargement. Overflowing nodes split
-//! R-tree-style around the two most dissimilar seeds. Search walks the
-//! tree depth-first, descending only into entries whose key intersects
-//! the query key on both the consequence and the premise part.
+//! R-tree-style around the two most dissimilar seeds.
+//!
+//! The tree is a transient *builder*: it is never searched. Once
+//! loaded, [`Tpt::compact`] freezes it into the [`PackedTpt`] image
+//! that answers §V.C's Intersect-pruned depth-first search, and the
+//! tree is dropped.
+//!
+//! [`PackedTpt`]: crate::PackedTpt
 
-use crate::{Match, PatternIndex, PatternKey};
-use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
-use hpm_geo::MemUse;
+use crate::PatternKey;
 
 /// Tree shape knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,91 +72,14 @@ impl Node {
     }
 }
 
-/// Statistics of one search (Fig. 11b instrumentation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SearchStats {
-    /// Nodes whose entries were examined.
-    pub nodes_visited: usize,
-    /// Entry keys tested against the query.
-    pub entries_checked: usize,
-    /// Signature false hits: leaf entries reached (their parent's
-    /// union key intersected the query) whose own key did not — the
-    /// superimposed-coding false drops §V's signature layout trades
-    /// against node size.
-    pub false_hits: usize,
-}
-
-/// A reusable search cursor: owns the match buffer and the
-/// instrumentation, so a query loop (the FQP/BQP hot path re-searches
-/// per candidate time id) reuses one allocation instead of building a
-/// fresh `Vec` per call.
-///
-/// Stats are **per-search**: every [`search`](SearchCursor::search)
-/// resets them before traversing, so [`stats`](SearchCursor::stats)
-/// always describes the most recent search alone — reusing a cursor
-/// never accumulates `false_hits` (or any other field) across calls.
-#[derive(Debug, Clone, Default)]
-pub struct SearchCursor {
-    pub(crate) out: Vec<Match>,
-    pub(crate) stats: SearchStats,
-}
-
-impl SearchCursor {
-    /// An empty cursor.
-    pub fn new() -> Self {
-        SearchCursor::default()
-    }
-
-    /// Searches `tree`, replacing the cursor's previous matches and
-    /// stats, and returns the matches found.
-    pub fn search<'c>(&'c mut self, tree: &Tpt, query: &PatternKey) -> &'c [Match] {
-        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
-        self.out.clear();
-        self.stats = SearchStats::default();
-        if !tree.nodes.is_empty() {
-            tree.dfs(tree.root, query, &mut self.out, &mut self.stats);
-        }
-        crate::metrics::record_search(&self.stats, self.out.len());
-        &self.out
-    }
-
-    /// The most recent search's matches.
-    pub fn matches(&self) -> &[Match] {
-        &self.out
-    }
-
-    /// The most recent search's stats (zeroed if no search ran yet).
-    pub fn stats(&self) -> SearchStats {
-        self.stats
-    }
-}
-
 /// The Trajectory Pattern Tree.
 #[derive(Debug, Clone)]
 pub struct Tpt {
     config: TptConfig,
     pub(crate) nodes: Vec<Node>,
-    /// Arena slots freed by deletions, reused by later allocations.
-    free: Vec<u32>,
     pub(crate) root: u32,
     len: usize,
     height: usize,
-}
-
-impl MemUse for Tpt {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| {
-                    n.entries.capacity() * std::mem::size_of::<Entry>()
-                        + n.entries.iter().map(|e| heap_bytes(&e.key)).sum::<usize>()
-                })
-                .sum::<usize>()
-            + vec_cap_bytes(&self.free)
-    }
 }
 
 impl Tpt {
@@ -162,7 +88,6 @@ impl Tpt {
         Tpt {
             config,
             nodes: Vec::new(),
-            free: Vec::new(),
             root: 0,
             len: 0,
             height: 0,
@@ -249,32 +174,14 @@ impl Tpt {
         self.height
     }
 
-    /// Number of live nodes.
+    /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
-    /// Approximate resident bytes: per-entry key bitmaps plus entry and
-    /// node bookkeeping (Fig. 11a's storage metric).
-    pub fn storage_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        for node in &self.nodes {
-            // Freed slots hold an empty entry vector; live nodes never
-            // do.
-            if node.entries.is_empty() {
-                continue;
-            }
-            bytes += std::mem::size_of::<Node>();
-            for e in &node.entries {
-                bytes += std::mem::size_of::<Entry>() + e.key.storage_bytes();
-            }
-        }
-        bytes
-    }
-
-    /// Inserts one pattern (the §V.B dynamic path: newly mined patterns
-    /// are added incrementally).
+    /// Inserts one pattern by Algorithm 1: ChooseLeaf descent, then an
+    /// R-tree-style split of every node the insertion overflows.
     pub fn insert(&mut self, key: PatternKey, confidence: f64, pattern: u32) {
         let entry = Entry {
             key,
@@ -307,250 +214,10 @@ impl Tpt {
         self.len += 1;
     }
 
-    /// Removes the entry for `pattern` whose key equals `key`
-    /// (patterns retired by a re-mining pass, §V.B's dynamic path in
-    /// reverse). Returns `false` when no such entry is indexed.
-    ///
-    /// Underflowing nodes (below half fill) are condensed R-tree
-    /// style: their surviving leaf entries are re-inserted, and a root
-    /// left with a single child is collapsed.
-    pub fn delete(&mut self, key: &PatternKey, pattern: u32) -> bool {
-        if self.nodes.is_empty() {
-            return false;
-        }
-        let mut orphans: Vec<Entry> = Vec::new();
-        if !self.delete_rec(self.root, key, pattern, &mut orphans) {
-            debug_assert!(orphans.is_empty());
-            return false;
-        }
-        self.len -= 1;
-        // Collapse a chain of single-child internal roots.
-        while !self.nodes[self.root as usize].leaf
-            && self.nodes[self.root as usize].entries.len() == 1
-        {
-            let old = self.root;
-            self.root = self.nodes[old as usize].entries[0].child;
-            self.free_node(old);
-            self.height -= 1;
-        }
-        // A now-empty tree resets to the pristine state.
-        if self.nodes[self.root as usize].entries.is_empty() {
-            debug_assert!(self.len == orphans.len());
-            self.nodes.clear();
-            self.free.clear();
-            self.root = 0;
-            self.height = 0;
-        }
-        // Re-insert entries stranded by condensed nodes (they are
-        // already counted in `len`).
-        for e in orphans {
-            self.reinsert(e);
-        }
-        true
-    }
-
-    /// Inserts an already-counted entry (condense-tree re-insertion).
-    /// Sets the confidence of the leaf entry holding `pattern` under
-    /// exactly `key`, leaving the tree shape untouched — the cheap
-    /// path for retrains where a pattern's support changed but its
-    /// premise/consequence did not. Returns `false` when no such entry
-    /// exists.
-    pub fn update_confidence(&mut self, key: &PatternKey, pattern: u32, confidence: f64) -> bool {
-        if self.nodes.is_empty() {
-            return false;
-        }
-        self.update_confidence_rec(self.root, key, pattern, confidence)
-    }
-
-    fn update_confidence_rec(
-        &mut self,
-        node: u32,
-        key: &PatternKey,
-        pattern: u32,
-        confidence: f64,
-    ) -> bool {
-        let idx = node as usize;
-        if self.nodes[idx].leaf {
-            if let Some(e) = self.nodes[idx]
-                .entries
-                .iter_mut()
-                .find(|e| e.child == pattern && e.key == *key)
-            {
-                e.confidence = confidence;
-                return true;
-            }
-            return false;
-        }
-        // Union keys contain every key in their subtree.
-        let slots: Vec<u32> = self.nodes[idx]
-            .entries
-            .iter()
-            .filter(|e| e.key.contains(key))
-            .map(|e| e.child)
-            .collect();
-        slots
-            .into_iter()
-            .any(|child| self.update_confidence_rec(child, key, pattern, confidence))
-    }
-
-    /// Rewrites every leaf payload through `map` — the pattern-id
-    /// renumbering step of an incremental pattern-set update, where
-    /// insertions/removals shift the canonical ids of surviving
-    /// patterns. Keys, confidences and the tree shape are untouched.
-    pub fn remap_payloads(&mut self, map: impl Fn(u32) -> u32) {
-        for node in &mut self.nodes {
-            if !node.leaf {
-                continue; // freed slots are leaves with no entries
-            }
-            for e in &mut node.entries {
-                e.child = map(e.child);
-            }
-        }
-    }
-
-    fn reinsert(&mut self, entry: Entry) {
-        if self.nodes.is_empty() {
-            self.root = self.push_node(Node {
-                leaf: true,
-                entries: vec![entry],
-            });
-            self.height = 1;
-            return;
-        }
-        if let Some(sibling) = self.insert_rec(self.root, entry) {
-            let old_root = self.root;
-            let old_entry = Entry {
-                key: self.nodes[old_root as usize].union_key(),
-                child: old_root,
-                confidence: 0.0,
-            };
-            self.root = self.push_node(Node {
-                leaf: false,
-                entries: vec![old_entry, sibling],
-            });
-            self.height += 1;
-        }
-    }
-
-    /// Recursive delete; returns whether the target was found (and
-    /// removed) in this subtree. Underflowing children are dissolved
-    /// into `orphans`.
-    fn delete_rec(
-        &mut self,
-        node: u32,
-        key: &PatternKey,
-        pattern: u32,
-        orphans: &mut Vec<Entry>,
-    ) -> bool {
-        let idx = node as usize;
-        let min_fill = (self.config.max_entries / 2).max(1);
-        if self.nodes[idx].leaf {
-            let Some(pos) = self.nodes[idx]
-                .entries
-                .iter()
-                .position(|e| e.child == pattern && e.key == *key)
-            else {
-                return false;
-            };
-            self.nodes[idx].entries.swap_remove(pos);
-            return true;
-        }
-        // Union keys contain every key in their subtree, so only
-        // containing entries can hold the target.
-        let slots: Vec<usize> = self.nodes[idx]
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.key.contains(key))
-            .map(|(i, _)| i)
-            .collect();
-        for slot in slots {
-            let child = self.nodes[idx].entries[slot].child;
-            if !self.delete_rec(child, key, pattern, orphans) {
-                continue;
-            }
-            let child_len = self.nodes[child as usize].entries.len();
-            let is_only_entry = self.nodes[idx].entries.len() == 1;
-            if child_len < min_fill && !is_only_entry {
-                // Condense: dissolve the child, re-home its leaf
-                // entries later.
-                self.nodes[idx].entries.swap_remove(slot);
-                self.collect_leaf_entries(child, orphans);
-            } else if child_len == 0 {
-                // Sole child emptied out entirely.
-                self.nodes[idx].entries.swap_remove(slot);
-                self.free_node(child);
-            } else {
-                // Tighten the union key after the removal.
-                self.nodes[idx].entries[slot].key = self.nodes[child as usize].union_key();
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Gathers every leaf entry under `node` and frees the whole
-    /// subtree.
-    fn collect_leaf_entries(&mut self, node: u32, out: &mut Vec<Entry>) {
-        let entries = std::mem::take(&mut self.nodes[node as usize].entries);
-        let leaf = self.nodes[node as usize].leaf;
-        self.free.push(node); // entries already taken
-        if leaf {
-            out.extend(entries);
-        } else {
-            for e in entries {
-                self.collect_leaf_entries(e.child, out);
-            }
-        }
-    }
-
-    /// Searches with instrumentation.
-    pub fn search_with_stats(&self, query: &PatternKey) -> (Vec<Match>, SearchStats) {
-        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        if !self.nodes.is_empty() {
-            self.dfs(self.root, query, &mut out, &mut stats);
-        }
-        crate::metrics::record_search(&stats, out.len());
-        (out, stats)
-    }
-
-    fn dfs(&self, node: u32, query: &PatternKey, out: &mut Vec<Match>, stats: &mut SearchStats) {
-        let node = &self.nodes[node as usize];
-        stats.nodes_visited += 1;
-        stats.entries_checked += node.entries.len();
-        for e in &node.entries {
-            if e.key.intersects(query) {
-                if node.leaf {
-                    out.push(Match {
-                        pattern: e.child,
-                        confidence: e.confidence,
-                    });
-                } else {
-                    self.dfs(e.child, query, out, stats);
-                }
-            } else if node.leaf {
-                stats.false_hits += 1;
-            }
-        }
-    }
-
     fn push_node(&mut self, node: Node) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            return id;
-        }
         let id = self.nodes.len() as u32;
         self.nodes.push(node);
         id
-    }
-
-    /// Returns a node's slot to the free list (its entries are
-    /// dropped so freed slots do not count toward storage).
-    fn free_node(&mut self, node: u32) {
-        self.nodes[node as usize].entries = Vec::new();
-        self.free.push(node);
     }
 
     /// Recursive insert; returns the sibling entry when `node` split.
@@ -757,27 +424,11 @@ fn choose_subtree(entries: &[Entry], pk: &PatternKey) -> usize {
     best_any.expect("non-empty node").2
 }
 
-impl PatternIndex for Tpt {
-    fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
-        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
-        let before = out.len();
-        let mut stats = SearchStats::default();
-        if !self.nodes.is_empty() {
-            self.dfs(self.root, query, out, &mut stats);
-        }
-        crate::metrics::record_search(&stats, out.len() - before);
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::{fig3_patterns, fig3_regions};
-    use crate::{Bitmap, BruteForce, KeyTable};
+    use crate::{Bitmap, BruteForce, KeyTable, PatternIndex};
     use hpm_patterns::RegionId;
 
     fn fig3_tree(config: TptConfig) -> (KeyTable, Tpt) {
@@ -791,15 +442,20 @@ mod tests {
         (table, tree)
     }
 
+    /// Sorted pattern ids `index` returns for `q`.
+    fn ids(index: &impl PatternIndex, q: &PatternKey) -> Vec<u32> {
+        let mut found: Vec<u32> = index.search(q).iter().map(|m| m.pattern).collect();
+        found.sort_unstable();
+        found
+    }
+
     #[test]
     fn fig4_query_finds_shadow_entries() {
         // §VI.B's worked example: query 1000011 matches P2 and P3.
         let (table, tree) = fig3_tree(TptConfig::new(4));
         tree.validate().unwrap();
         let q = table.fqp_query([RegionId(0), RegionId(1)], 2);
-        let mut found: Vec<u32> = tree.search(&q).iter().map(|m| m.pattern).collect();
-        found.sort_unstable();
-        assert_eq!(found, vec![2, 3]);
+        assert_eq!(ids(&tree.compact(), &q), vec![2, 3]);
     }
 
     #[test]
@@ -807,22 +463,16 @@ mod tests {
         let (table, tree) = fig3_tree(TptConfig::new(4));
         // tq = 1 matches P0 and P1 only (consequence offset 1).
         let q = table.fqp_query([RegionId(0)], 1);
-        let mut found: Vec<u32> = tree.search(&q).iter().map(|m| m.pattern).collect();
-        found.sort_unstable();
-        assert_eq!(found, vec![0, 1]);
+        assert_eq!(ids(&tree.compact(), &q), vec![0, 1]);
     }
 
     #[test]
-    fn empty_tree_returns_nothing() {
+    fn empty_tree_is_valid() {
         let tree = Tpt::new(TptConfig::default());
         tree.validate().unwrap();
-        let q = PatternKey {
-            consequence: Bitmap::ones(2),
-            premise: Bitmap::ones(5),
-        };
-        assert!(tree.search(&q).is_empty());
         assert_eq!(tree.len(), 0);
         assert_eq!(tree.height(), 0);
+        assert_eq!(tree.node_count(), 0);
     }
 
     /// Deterministic pseudo-random keys for structural tests.
@@ -858,20 +508,15 @@ mod tests {
     fn insert_many_stays_valid_and_matches_brute_force() {
         let keys = synth_keys(500, 8, 60);
         let mut tree = Tpt::new(TptConfig::new(8));
-        let mut brute = BruteForce::new();
         for (k, c, p) in &keys {
             tree.insert(k.clone(), *c, *p);
-            brute.insert(k.clone(), *c, *p);
         }
         tree.validate().unwrap();
         assert_eq!(tree.len(), 500);
         assert!(tree.height() >= 2);
+        let (packed, brute) = (tree.compact(), BruteForce::from_entries(keys));
         for (q, _, _) in synth_keys(50, 8, 60) {
-            let mut a: Vec<u32> = tree.search(&q).iter().map(|m| m.pattern).collect();
-            let mut b: Vec<u32> = brute.search(&q).iter().map(|m| m.pattern).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(ids(&packed, &q), ids(&brute, &q));
         }
     }
 
@@ -881,27 +526,20 @@ mod tests {
         let tree = Tpt::bulk_load(TptConfig::default(), keys.clone());
         tree.validate().unwrap();
         assert_eq!(tree.len(), 1000);
-        let mut brute = BruteForce::new();
-        for (k, c, p) in keys {
-            brute.insert(k, c, p);
-        }
+        let (packed, brute) = (tree.compact(), BruteForce::from_entries(keys));
         for (q, _, _) in synth_keys(50, 8, 60) {
-            let mut a: Vec<u32> = tree.search(&q).iter().map(|m| m.pattern).collect();
-            let mut b: Vec<u32> = brute.search(&q).iter().map(|m| m.pattern).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(ids(&packed, &q), ids(&brute, &q));
         }
     }
 
     #[test]
-    fn search_prunes_subtrees() {
+    fn selective_query_prunes_subtrees() {
         // A selective query should check far fewer entries than a full
         // scan would.
         let keys = synth_keys(2000, 16, 200);
-        let tree = Tpt::bulk_load(TptConfig::default(), keys.clone());
+        let packed = Tpt::bulk_load(TptConfig::default(), keys).compact();
         let (q, _, _) = &synth_keys(1, 16, 200)[0];
-        let (_, stats) = tree.search_with_stats(q);
+        let (_, stats) = packed.search_with_stats(q);
         assert!(stats.nodes_visited >= 1);
         assert!(
             stats.entries_checked < 2000,
@@ -911,53 +549,15 @@ mod tests {
     }
 
     #[test]
-    fn cursor_stats_are_per_search_not_accumulated() {
-        // Regression: a reused cursor must report each search's own
-        // stats; false_hits (and the other counters) must never carry
-        // over from the previous search.
-        let keys = synth_keys(2000, 16, 200);
-        let tree = Tpt::bulk_load(TptConfig::default(), keys);
-        let queries = synth_keys(8, 16, 200);
-        let mut cursor = SearchCursor::new();
-        for (q, _, _) in &queries {
-            let (fresh_matches, fresh_stats) = tree.search_with_stats(q);
-            let cursor_matches = cursor.search(&tree, q).to_vec();
-            assert_eq!(cursor_matches, fresh_matches);
-            assert_eq!(
-                cursor.stats(),
-                fresh_stats,
-                "stats accumulated across searches"
-            );
-        }
-        // Same query twice through one cursor: identical stats, not 2x.
-        let (q, _, _) = &queries[0];
-        cursor.search(&tree, q);
-        let first = cursor.stats();
-        cursor.search(&tree, q);
-        assert_eq!(cursor.stats(), first);
-        assert_eq!(cursor.matches(), &tree.search_with_stats(q).0[..]);
-    }
-
-    #[test]
-    fn cursor_on_empty_tree() {
-        let tree = Tpt::new(TptConfig::default());
-        let mut cursor = SearchCursor::new();
-        let q = PatternKey {
-            consequence: Bitmap::ones(2),
-            premise: Bitmap::ones(5),
-        };
-        assert!(cursor.search(&tree, &q).is_empty());
-        assert_eq!(cursor.stats(), SearchStats::default());
-    }
-
-    #[test]
     fn storage_grows_with_patterns() {
-        let small = Tpt::bulk_load(TptConfig::default(), synth_keys(100, 8, 80));
-        let large = Tpt::bulk_load(TptConfig::default(), synth_keys(1000, 8, 80));
-        assert!(large.storage_bytes() > small.storage_bytes());
+        let storage = |n, rk_len| {
+            Tpt::bulk_load(TptConfig::default(), synth_keys(n, 8, rk_len))
+                .compact()
+                .storage_bytes()
+        };
+        assert!(storage(1000, 80) > storage(100, 80));
         // Wider premise keys also cost more.
-        let wide = Tpt::bulk_load(TptConfig::default(), synth_keys(1000, 8, 800));
-        assert!(wide.storage_bytes() > large.storage_bytes());
+        assert!(storage(1000, 800) > storage(1000, 80));
     }
 
     #[test]
@@ -965,7 +565,7 @@ mod tests {
         // Table III: pattern key 0100001 represents two patterns.
         let (table, tree) = fig3_tree(TptConfig::new(4));
         let q = table.fqp_query([RegionId(0)], 1);
-        let found = tree.search(&q);
+        let found = tree.compact().search(&q);
         assert_eq!(found.len(), 2);
         let confs: Vec<f64> = found.iter().map(|m| m.confidence).collect();
         assert!(confs.contains(&0.9) && confs.contains(&0.8));
@@ -985,134 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes_only_the_target() {
-        let keys = synth_keys(300, 8, 60);
-        let mut tree = Tpt::new(TptConfig::new(6));
-        for (k, c, p) in &keys {
-            tree.insert(k.clone(), *c, *p);
-        }
-        // Delete every third entry.
-        for (k, _, p) in keys.iter().filter(|(_, _, p)| p % 3 == 0) {
-            assert!(tree.delete(k, *p), "entry {p} should exist");
-        }
-        tree.validate().unwrap();
-        assert_eq!(tree.len(), 200);
-        // Deleted entries are gone; the rest are all still findable.
-        for (k, _, p) in &keys {
-            let found = tree.search(k).iter().any(|m| m.pattern == *p);
-            assert_eq!(found, p % 3 != 0, "entry {p}");
-        }
-    }
-
-    #[test]
-    fn delete_missing_returns_false() {
-        let keys = synth_keys(20, 8, 60);
-        let mut tree = Tpt::new(TptConfig::new(6));
-        for (k, c, p) in &keys {
-            tree.insert(k.clone(), *c, *p);
-        }
-        assert!(!tree.delete(&keys[0].0, 999));
-        let foreign = PatternKey {
-            consequence: Bitmap::from_indices(8, &[7]),
-            premise: Bitmap::from_indices(60, &[59]),
-        };
-        assert!(!tree.delete(&foreign, 0));
-        assert_eq!(tree.len(), 20);
-        assert!(!Tpt::new(TptConfig::default()).delete(&foreign, 0));
-    }
-
-    #[test]
-    fn delete_everything_resets_tree() {
-        let keys = synth_keys(120, 8, 60);
-        let mut tree = Tpt::new(TptConfig::new(4));
-        for (k, c, p) in &keys {
-            tree.insert(k.clone(), *c, *p);
-        }
-        for (k, _, p) in &keys {
-            assert!(tree.delete(k, *p));
-            tree.validate().unwrap();
-        }
-        assert!(tree.is_empty());
-        assert_eq!(tree.height(), 0);
-        assert_eq!(tree.node_count(), 0);
-        // The tree is reusable afterwards.
-        tree.insert(keys[0].0.clone(), 0.5, 7);
-        assert_eq!(tree.search(&keys[0].0).len(), 1);
-        tree.validate().unwrap();
-    }
-
-    #[test]
-    fn delete_reuses_freed_slots() {
-        let keys = synth_keys(200, 8, 60);
-        let mut tree = Tpt::new(TptConfig::new(4));
-        for (k, c, p) in &keys {
-            tree.insert(k.clone(), *c, *p);
-        }
-        let before = tree.storage_bytes();
-        for (k, _, p) in keys.iter().take(100) {
-            tree.delete(k, *p);
-        }
-        assert!(tree.storage_bytes() < before, "storage should shrink");
-        // Re-inserting reuses freed arena slots rather than growing.
-        let arena_after_delete = tree.nodes.len();
-        for (k, c, p) in keys.iter().take(100) {
-            tree.insert(k.clone(), *c, *p);
-        }
-        assert!(tree.nodes.len() <= arena_after_delete + 4);
-        tree.validate().unwrap();
-        assert_eq!(tree.len(), 200);
-    }
-
-    #[test]
-    fn delete_one_of_duplicate_keys() {
-        // Two patterns sharing one key (Table III): deleting one keeps
-        // the other.
-        let (table, mut tree) = fig3_tree(TptConfig::new(4));
-        let regions = fig3_regions();
-        let patterns = fig3_patterns();
-        let shared = table.encode_pattern(&patterns[0], &regions);
-        assert!(tree.delete(&shared, 0));
-        let q = table.fqp_query([RegionId(0)], 1);
-        let found = tree.search(&q);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].pattern, 1);
-        tree.validate().unwrap();
-    }
-
-    #[test]
     fn height_grows_logarithmically() {
         let tree = Tpt::bulk_load(TptConfig::new(4), synth_keys(200, 8, 40));
         // fill = 3; 200 leaves entries -> ~67 leaves -> 23 -> 8 -> 3 -> 1.
         assert!(tree.height() >= 4, "height {}", tree.height());
         assert!(tree.height() <= 7, "height {}", tree.height());
-        tree.validate().unwrap();
-    }
-
-    #[test]
-    fn update_confidence_patches_in_place() {
-        let keys = synth_keys(50, 8, 40);
-        let mut tree = Tpt::bulk_load(TptConfig::new(4), keys.clone());
-        let (key, _, pattern) = &keys[17];
-        assert!(tree.update_confidence(key, *pattern, 0.123));
-        let (matches, _) = tree.search_with_stats(key);
-        let m = matches.iter().find(|m| m.pattern == *pattern).unwrap();
-        assert_eq!(m.confidence, 0.123);
-        // Shape untouched; a missing pattern is reported.
-        tree.validate().unwrap();
-        assert!(!tree.update_confidence(key, 9999, 0.5));
-        assert_eq!(tree.len(), 50);
-    }
-
-    #[test]
-    fn remap_payloads_renumbers_matches() {
-        let keys = synth_keys(30, 8, 40);
-        let mut tree = Tpt::bulk_load(TptConfig::new(4), keys.clone());
-        tree.remap_payloads(|p| p + 100);
-        for (key, _, pattern) in &keys {
-            let (matches, _) = tree.search_with_stats(key);
-            assert!(matches.iter().any(|m| m.pattern == pattern + 100));
-            assert!(matches.iter().all(|m| m.pattern >= 100));
-        }
         tree.validate().unwrap();
     }
 }

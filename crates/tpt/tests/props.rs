@@ -1,7 +1,7 @@
 //! Property-based invariants for the signature bitmaps and the TPT.
 
 use hpm_check::prelude::*;
-use hpm_tpt::{Bitmap, BruteForce, PatternIndex, PatternKey, Tpt, TptConfig};
+use hpm_tpt::{Bitmap, BruteForce, Match, PatternIndex, PatternKey, SearchCursor, Tpt, TptConfig};
 
 const CK_LEN: usize = 12;
 const RK_LEN: usize = 90;
@@ -44,6 +44,26 @@ fn arb_entries(max: usize) -> Gen<Vec<(PatternKey, f64, u32)>> {
     arb_entries_of(CK_LEN, RK_LEN, max)
 }
 
+/// The two builders over the same entries: Algorithm 1 insertion and
+/// bulk load.
+fn build_both(fanout: usize, entries: &[(PatternKey, f64, u32)]) -> [Tpt; 2] {
+    let mut inc = Tpt::new(TptConfig::new(fanout));
+    for (k, c, p) in entries {
+        inc.insert(k.clone(), *c, *p);
+    }
+    [
+        inc,
+        Tpt::bulk_load(TptConfig::new(fanout), entries.to_vec()),
+    ]
+}
+
+/// Pattern ids of a match list, sorted: the order-free result *set*.
+fn sorted(matches: Vec<Match>) -> Vec<u32> {
+    let mut ids: Vec<u32> = matches.iter().map(|m| m.pattern).collect();
+    ids.sort_unstable();
+    ids
+}
+
 props! {
     /// §V.A operation algebra on bitmaps.
     fn bitmap_algebra(a in arb_bitmap(RK_LEN, 6), b in arb_bitmap(RK_LEN, 6)) {
@@ -84,49 +104,52 @@ props! {
         require_eq!(a.size(), a.consequence.count_ones() + a.premise.count_ones());
     }
 
-    /// Incrementally built TPT returns exactly the brute-force result
-    /// set, stays structurally valid, and never misses a self-query.
-    fn tpt_insert_equals_brute(entries in arb_entries(300), queries in vec(arb_key(), 1..10)) {
-        let mut tpt = Tpt::new(TptConfig::new(6));
-        let mut brute = BruteForce::new();
-        for (k, c, p) in &entries {
-            tpt.insert(k.clone(), *c, *p);
-            brute.insert(k.clone(), *c, *p);
-        }
-        tpt.validate().unwrap();
-        require_eq!(tpt.len(), entries.len());
-        for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
-            let mut a: Vec<u32> = tpt.search(q).iter().map(|m| m.pattern).collect();
-            let mut b: Vec<u32> = brute.search(q).iter().map(|m| m.pattern).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            require_eq!(a, b);
+    /// Both builders — Algorithm 1 insertion and bulk load — produce
+    /// valid trees whose compacted images return exactly the
+    /// brute-force match *set* for every query, self-queries included
+    /// (covers the empty index), and the allocating and cursor search
+    /// entry points agree on matches and stats.
+    fn builders_equal_brute(entries in arb_entries(300), queries in vec(arb_key(), 1..10)) {
+        let brute = BruteForce::from_entries(entries.clone());
+        let mut cursor = SearchCursor::new();
+        for tree in build_both(6, &entries) {
+            tree.validate().unwrap();
+            require_eq!(tree.len(), entries.len());
+            let packed = tree.compact();
+            require_eq!(packed.len(), tree.len());
+            require_eq!(packed.height(), tree.height());
+            require_eq!(packed.node_count(), tree.node_count());
+            for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
+                let (found, stats) = packed.search_with_stats(q);
+                require_eq!(cursor.search_packed(&packed, q), &found[..]);
+                require_eq!(cursor.stats(), stats, "cursor stats differ from search_with_stats");
+                require_eq!(sorted(found), sorted(brute.search(q)));
+            }
         }
     }
 
-    /// Bulk loading is search-equivalent to incremental insertion.
-    fn bulk_load_equals_insert(entries in arb_entries(300), queries in vec(arb_key(), 1..10)) {
-        let bulk = Tpt::bulk_load(TptConfig::new(6), entries.clone());
-        bulk.validate().unwrap();
-        let mut inc = Tpt::new(TptConfig::new(6));
-        for (k, c, p) in entries {
-            inc.insert(k, c, p);
-        }
-        for q in &queries {
-            let mut a: Vec<u32> = bulk.search(q).iter().map(|m| m.pattern).collect();
-            let mut b: Vec<u32> = inc.search(q).iter().map(|m| m.pattern).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            require_eq!(a, b);
+    /// The same holds for keys wider than the bitmap's inline storage
+    /// (heap-backed words, multi-word arena blocks).
+    fn builders_equal_brute_wide_keys(
+        entries in arb_entries_of(CK_LEN_WIDE, RK_LEN_WIDE, 150),
+        queries in vec(arb_key_of(CK_LEN_WIDE, RK_LEN_WIDE), 1..8),
+    ) {
+        let brute = BruteForce::from_entries(entries.clone());
+        for tree in build_both(4, &entries) {
+            tree.validate().unwrap();
+            let packed = tree.compact();
+            for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
+                require_eq!(sorted(packed.search(q)), sorted(brute.search(q)));
+            }
         }
     }
 
     /// Every indexed entry is found by a query equal to its own key
     /// (keys always have ≥ 1 bit per part here), with its confidence.
     fn self_query_finds_entry(entries in arb_entries(120)) {
-        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone());
+        let packed = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
         for (k, c, p) in &entries {
-            let found = tpt.search(k);
+            let found = packed.search(k);
             let me = found.iter().find(|m| m.pattern == *p);
             require!(me.is_some(), "entry {p} not found by its own key");
             require_eq!(me.unwrap().confidence, *c);
@@ -135,138 +158,25 @@ props! {
 
     /// Search visits no more entries than a full scan would.
     fn search_never_worse_than_scan(entries in arb_entries(200), q in arb_key()) {
-        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone());
-        let (_, stats) = tpt.search_with_stats(&q);
+        let packed = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let (_, stats) = packed.search_with_stats(&q);
         // Internal entries add overhead bounded by the tree fanout
         // structure; leaf entries checked can never exceed the total.
-        require!(stats.entries_checked <= entries.len() + tpt.node_count() * 32);
-    }
-}
-
-props! {
-    /// Interleaved inserts and deletes keep the tree valid and
-    /// search-equivalent to a brute-force mirror.
-    fn insert_delete_fuzz(
-        entries in arb_entries(150),
-        delete_picks in vec(index(), 0..60),
-        queries in vec(arb_key(), 1..6),
-    ) {
-        let mut tree = Tpt::new(TptConfig::new(4));
-        let mut mirror: Vec<(PatternKey, f64, u32)> = Vec::new();
-        for (k, c, p) in &entries {
-            tree.insert(k.clone(), *c, *p);
-            mirror.push((k.clone(), *c, *p));
-        }
-        for pick in &delete_picks {
-            if mirror.is_empty() {
-                break;
-            }
-            let i = pick.index(mirror.len());
-            let (k, _, p) = mirror.swap_remove(i);
-            require!(tree.delete(&k, p), "indexed entry must delete");
-        }
-        tree.validate().unwrap();
-        require_eq!(tree.len(), mirror.len());
-        let brute = BruteForce::from_entries(mirror);
-        for q in &queries {
-            let mut a: Vec<u32> = tree.search(q).iter().map(|m| m.pattern).collect();
-            let mut b: Vec<u32> = brute.search(q).iter().map(|m| m.pattern).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            require_eq!(a, b);
-        }
+        require!(stats.entries_checked <= entries.len() + packed.node_count() * 32);
     }
 
-    /// The arena-packed tree is **bit-identical** to the pointer tree:
-    /// same matches in the same order, same search statistics — and
-    /// both agree with brute force on the result *set*. Covers the
-    /// empty tree (0-entry case) and self-queries.
-    fn packed_equals_tree_and_brute(
-        entries in arb_entries(300),
-        queries in vec(arb_key(), 1..10),
-    ) {
-        let tree = Tpt::bulk_load(TptConfig::new(6), entries.clone());
-        let packed = tree.compact();
-        require_eq!(packed.len(), tree.len());
-        require_eq!(packed.height(), tree.height());
-        require_eq!(packed.node_count(), tree.node_count());
-        for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
-            let (tm, ts) = tree.search_with_stats(q);
-            let (pm, ps) = packed.search_with_stats(q);
-            require_eq!(&pm, &tm, "packed matches/order differ from tree");
-            require_eq!(ps, ts, "packed search stats differ from tree");
-            let mut p: Vec<u32> = pm.iter().map(|m| m.pattern).collect();
-            let mut b: Vec<u32> = BruteForce::from_entries(entries.clone())
-                .search(q).iter().map(|m| m.pattern).collect();
-            p.sort_unstable();
-            b.sort_unstable();
-            require_eq!(p, b, "packed result set differs from brute force");
-        }
-    }
-
-    /// Packed equivalence holds for keys wider than the bitmap's
-    /// inline storage (heap-backed words, multi-word arena blocks).
-    fn packed_equals_tree_wide_keys(
-        entries in arb_entries_of(CK_LEN_WIDE, RK_LEN_WIDE, 150),
-        queries in vec(arb_key_of(CK_LEN_WIDE, RK_LEN_WIDE), 1..8),
-    ) {
-        let tree = Tpt::bulk_load(TptConfig::new(4), entries.clone());
-        let packed = tree.compact();
-        for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
-            require_eq!(packed.search_with_stats(q), tree.search_with_stats(q));
-        }
-    }
-
-    /// Re-packing after a retrain-style mutation burst (deletes and
-    /// fresh inserts on the builder tree) stays bit-identical to the
-    /// mutated tree.
-    fn packed_repack_after_retrain(
-        entries in arb_entries(150),
-        delete_picks in vec(index(), 0..40),
-        extra in arb_entries(60),
-        queries in vec(arb_key(), 1..8),
-    ) {
-        let mut tree = Tpt::new(TptConfig::new(4));
-        for (k, c, p) in &entries {
-            tree.insert(k.clone(), *c, *p);
-        }
-        let stale = tree.compact(); // pre-mutation snapshot
-        let mut mirror = entries.clone();
-        for pick in &delete_picks {
-            if mirror.is_empty() {
-                break;
-            }
-            let i = pick.index(mirror.len());
-            let (k, _, p) = mirror.swap_remove(i);
-            require!(tree.delete(&k, p));
-        }
-        for (k, c, p) in &extra {
-            tree.insert(k.clone(), *c, *p + entries.len() as u32);
-        }
-        let packed = tree.compact();
-        require_eq!(packed.len(), tree.len());
-        for q in &queries {
-            require_eq!(packed.search_with_stats(q), tree.search_with_stats(q));
-        }
-        // The stale snapshot still answers for the *old* entry set
-        // (packing is a copy, not a view).
-        require_eq!(stale.len(), entries.len());
-    }
-
-    /// Deleting an entry and re-inserting it restores search results
-    /// exactly.
-    fn delete_insert_roundtrip(entries in arb_entries(80), pick in index()) {
+    /// Confidences do not shape the tree: patching one in the image
+    /// equals a fresh bulk load over the patched entries, so a retrain
+    /// that moved only confidences never needs a rebuild.
+    fn confidence_patch_equals_fresh_build(entries in arb_entries(200), pick in index()) {
         assume!(!entries.is_empty());
-        let mut tree = Tpt::new(TptConfig::new(5));
-        for (k, c, p) in &entries {
-            tree.insert(k.clone(), *c, *p);
-        }
-        let (k, c, p) = &entries[pick.index(entries.len())];
-        require!(tree.delete(k, *p));
-        require!(!tree.search(k).iter().any(|m| m.pattern == *p));
-        tree.insert(k.clone(), *c, *p);
-        tree.validate().unwrap();
-        require!(tree.search(k).iter().any(|m| m.pattern == *p));
-        require_eq!(tree.len(), entries.len());
+        let image = |e: Vec<(PatternKey, f64, u32)>| Tpt::bulk_load(TptConfig::new(6), e).compact();
+        let mut packed = image(entries.clone());
+        let mut patched = entries;
+        let i = pick.index(patched.len());
+        patched[i].1 = 0.005;
+        let id = patched[i].2;
+        require_eq!(packed.patch_confidences(|p| (p == id).then_some(0.005)), 1);
+        require_eq!(&packed, &image(patched));
     }
 }

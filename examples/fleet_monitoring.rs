@@ -117,6 +117,6 @@ fn main() {
     println!(
         "restored predictor: {} patterns indexed, TPT height {}",
         predictor.patterns().len(),
-        predictor.tpt().height()
+        predictor.packed_tpt().height()
     );
 }

@@ -67,7 +67,7 @@ fn main() {
         "discovered {} frequent regions, mined {} trajectory patterns (TPT height {})",
         predictor.regions().len(),
         predictor.patterns().len(),
-        predictor.tpt().height(),
+        predictor.packed_tpt().height(),
     );
     for p in predictor.patterns().iter().take(5) {
         println!("  e.g. {}", p.display(predictor.regions()));

@@ -1,8 +1,8 @@
 //! Wildlife tracking on the Cow dataset (the paper's CSIRO
 //! virtual-fencing scenario): distant-time queries — "where will the
 //! animal be this afternoon?" — answered by Backward Query Processing,
-//! plus the incremental path: new GPS days arrive, fresh patterns are
-//! mined and inserted into the live TPT.
+//! plus the refresh path: new GPS days arrive, fresh patterns are
+//! mined and the predictor is re-assembled over the extended list.
 //!
 //! ```text
 //! cargo run --release --example wildlife_tracking
@@ -36,7 +36,7 @@ fn main() {
     // 70 days of a GPS-tagged cow; train on the first 40.
     let traj = paper_dataset(PaperDataset::Cow, 99).generate_subs(70);
     let train = training_slice(&traj, PERIOD, 40);
-    let mut predictor = HybridPredictor::build(
+    let predictor = HybridPredictor::build(
         &train,
         &discovery(),
         &mining_params(),
@@ -88,8 +88,8 @@ fn main() {
 
     // Two weeks later: 14 more days of collar data accumulated. Map
     // the grown history onto the *existing* region vocabulary, re-mine,
-    // and insert the genuinely new rules into the live index (§V.B's
-    // dynamic path) — no rebuild.
+    // and re-assemble the predictor over the extended pattern list —
+    // the index is bulk-loaded again (§V.B), nothing is re-discovered.
     let grown = training_slice(&traj, PERIOD, 54);
     let visits = visits_against(&grown, predictor.regions(), 30.0);
     let refreshed = mine(predictor.regions(), &visits, &mining_params());
@@ -98,28 +98,20 @@ fn main() {
         .iter()
         .map(|p| (p.premise.clone(), p.consequence))
         .collect();
-    let consequence_offsets: std::collections::HashSet<_> = predictor
-        .key_table()
-        .consequence_offsets()
-        .iter()
-        .copied()
-        .collect();
     let fresh: Vec<_> = refreshed
         .into_iter()
-        .filter(|p| {
-            // The key table's consequence vocabulary is fixed at build
-            // time; rules predicting a brand-new offset need a rebuild.
-            consequence_offsets.contains(&p.consequence_offset(predictor.regions()))
-                && !known.contains(&(p.premise.clone(), p.consequence))
-        })
+        .filter(|p| !known.contains(&(p.premise.clone(), p.consequence)))
         .take(500)
         .collect();
     let added = fresh.len();
-    predictor.insert_patterns(fresh);
+    let mut extended = predictor.patterns().to_vec();
+    extended.extend(fresh);
+    let predictor =
+        HybridPredictor::from_parts(predictor.regions().clone(), extended, *predictor.config());
     println!(
-        "\nincremental update: inserted {added} new patterns, index now holds {} (valid: {:?})",
-        predictor.tpt().len(),
-        predictor.tpt().validate().is_ok()
+        "\nincremental update: added {added} new patterns, index now holds {} (height {})",
+        predictor.packed_tpt().len(),
+        predictor.packed_tpt().height()
     );
 
     // The same query again, now backed by the refreshed pattern store.

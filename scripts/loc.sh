@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Source size under crates/*/src, per crate and in total — the two
+# figures ROADMAP.md and the CHANGES.md deletion ledger quote:
+#
+#   file lines  every line of every .rs file (ROADMAP's "non-test
+#               source under crates/" figure);
+#   code-only   non-blank, non-comment lines above the file's first
+#               column-0 `#[cfg(test)]` (the ledger's rule: no credit
+#               for reformatting, comment deletion or test code).
+#
+# Usage: scripts/loc.sh [FILE.rs ...]   (no arguments: whole workspace)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Prints "<file lines> <code-only lines>" for the given files.
+count() {
+    awk '
+        FNR == 1 { in_tests = 0 }
+        { lines++ }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { code++ }
+        END { print lines + 0, code + 0 }
+    ' "$@"
+}
+
+if [ "$#" -gt 0 ]; then
+    for f in "$@"; do
+        printf '%-44s %8s %10s\n' "$f" $(count "$f")
+    done
+    exit 0
+fi
+
+printf '%-16s %10s %10s\n' crate file-lines code-only
+for dir in crates/*/src; do
+    crate="$(basename "$(dirname "$dir")")"
+    printf '%-16s %10s %10s\n' "$crate" $(count $(find "$dir" -name '*.rs'))
+done | awk '
+    { print; lines += $2; code += $3 }
+    END { printf "%-16s %10d %10d\n", "total", lines, code }'

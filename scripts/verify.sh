@@ -168,4 +168,7 @@ if grep -En '^(proptest|rand|criterion|serde|bytes|crossbeam|parking_lot)' \
     exit 1
 fi
 
+echo "==> source size (informational, no gate; see the CHANGES.md deletion ledger)"
+scripts/loc.sh
+
 echo "OK: offline build + tests green, no registry dependencies"
