@@ -31,6 +31,8 @@
 //! assert_eq!(model.predict(&Point::new(5.0, 5.0), 1), Point::new(45.0, 5.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod grid;
 mod markov;
 mod second_order;

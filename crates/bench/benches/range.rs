@@ -1,30 +1,23 @@
-//! Batch query-engine throughput: queries/sec through
-//! `predict_batch_with` at 1/2/4/8 worker threads over a synthetic
-//! 10k-object store, emitting `BENCH_throughput.json` — plus the
-//! fleet-wide **range/kNN workload** comparing the predictive index
-//! against the brute-force scan at 10k/100k/1M objects, emitting
+//! Fleet-wide **range/kNN workload**: the predictive index against
+//! the brute-force scan at 10k/100k/1M objects, emitting
 //! `BENCH_range.json`.
 //!
-//! Custom harness (no criterion shim): the measurement is a whole-batch
-//! wall-clock rate, not a per-iteration latency, and the run writes a
-//! JSON report. `cargo test` invokes this target in smoke mode (tiny
-//! workload, no report); `cargo bench --bench throughput` measures the
-//! batch workload and `cargo bench --bench throughput -- range` the
-//! range/kNN one (routed so each run only overwrites its own report).
-//! `HPM_THROUGHPUT_OUT` / `HPM_RANGE_OUT` override the report paths
-//! (defaults: `BENCH_throughput.json` / `BENCH_range.json` at the
-//! workspace root).
+//! Custom harness (no criterion shim): the measurement is a mean
+//! wall-clock per query over a site set, and the run writes a JSON
+//! report. `cargo test` invokes this target in smoke mode (tiny
+//! workload, no report); `cargo bench --bench range` measures.
+//! `HPM_RANGE_OUT` overrides the report path (default:
+//! `BENCH_range.json` at the workspace root).
 
 use hpm_core::HpmConfig;
 use hpm_geo::{BoundingBox, Point};
-use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig, WorkerPool};
+use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::Timestamp;
 use std::time::Instant;
 
 const PERIOD: u32 = 4;
 const DAYS: usize = 6;
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn config() -> StoreConfig {
     StoreConfig {
@@ -55,99 +48,6 @@ fn config() -> StoreConfig {
         index: hpm_objectstore::IndexConfig::default(),
     }
 }
-
-/// `objects` commuters with per-object route jitter, every one trained.
-fn build_store(objects: u64) -> MovingObjectStore {
-    let store = MovingObjectStore::new(config());
-    for id in 0..objects {
-        let jitter = (id % 97) as f64 * 0.01;
-        for d in 0..DAYS {
-            let j = (d % 3) as f64 * 0.2 + jitter;
-            let pts = [
-                Point::new(j, 0.0),
-                Point::new(50.0 + j, 0.0),
-                Point::new(100.0 + j, 0.0),
-                Point::new(100.0 + j, 50.0),
-            ];
-            store
-                .report_batch(ObjectId(id), (d * PERIOD as usize) as Timestamp, &pts)
-                .unwrap();
-        }
-    }
-    store
-}
-
-/// Best-of-`reps` wall-clock for one full batch; returns (qps, secs).
-fn measure(
-    store: &MovingObjectStore,
-    queries: &[(ObjectId, Timestamp)],
-    threads: usize,
-    reps: usize,
-) -> (f64, f64) {
-    let pool = WorkerPool::new(threads);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        let out = store.predict_batch_with(queries, &pool);
-        let elapsed = started.elapsed().as_secs_f64();
-        assert_eq!(out.len(), queries.len());
-        assert!(out.iter().all(Result::is_ok));
-        best = best.min(elapsed);
-    }
-    (queries.len() as f64 / best, best)
-}
-
-fn run(objects: u64, n_queries: usize, reps: usize, report: Option<&str>) {
-    let build_started = Instant::now();
-    let store = build_store(objects);
-    println!(
-        "built {objects}-object store ({} shards) in {:.1}s",
-        store.shard_count(),
-        build_started.elapsed().as_secs_f64()
-    );
-    let queries: Vec<(ObjectId, Timestamp)> = (0..n_queries)
-        .map(|i| {
-            (
-                ObjectId(i as u64 % objects),
-                (DAYS * PERIOD as usize) as Timestamp + (i % 8) as Timestamp,
-            )
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    let mut qps_by_threads = Vec::new();
-    for &t in &THREADS {
-        let (qps, secs) = measure(&store, &queries, t, reps);
-        println!("  {t} thread(s): {qps:>12.0} queries/s  (batch {secs:.4}s)");
-        rows.push(format!(
-            "    {{\"threads\": {t}, \"queries_per_sec\": {qps:.1}, \"batch_secs\": {secs:.6}}}"
-        ));
-        qps_by_threads.push((t, qps));
-    }
-    let qps_at = |n: usize| {
-        qps_by_threads
-            .iter()
-            .find(|(t, _)| *t == n)
-            .map_or(0.0, |(_, q)| *q)
-    };
-    let speedup = qps_at(4) / qps_at(1);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  4-thread vs 1-thread speedup: {speedup:.2}x ({cores} core(s) available)");
-
-    if let Some(path) = report {
-        // Hand-built JSON: the workspace is hermetic (no serde).
-        let json = format!(
-            "{{\n  \"bench\": \"throughput\",\n  \"objects\": {objects},\n  \"queries\": {n_queries},\n  \"reps\": {reps},\n  \"available_parallelism\": {cores},\n  \"speedup_4_over_1\": {speedup:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        );
-        std::fs::write(path, json).expect("write throughput report");
-        println!("wrote {path}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Range/kNN workload: predictive index vs brute-force scan.
-// ---------------------------------------------------------------------------
 
 /// Builds the index-workload fleet: objects on a `spacing`-spaced grid
 /// (constant density, so the plane grows with the fleet — the regime a
@@ -360,24 +260,14 @@ fn run_range_suite(report: Option<&str>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let measure_mode = args.iter().any(|a| a == "--bench");
-    let range_mode = args.iter().any(|a| a == "range");
-    if !measure_mode {
-        // Smoke (cargo test): prove both paths work, skip the reports.
-        run(200, 400, 1, None);
+    if !std::env::args().any(|a| a == "--bench") {
+        // Smoke (cargo test): prove the path works, skip the report.
         let row = run_range(400, 8, 1, 1);
         assert!(row.flush_secs >= 0.0);
-        println!("throughput benchmark smoke test passed");
+        println!("range benchmark smoke test passed");
         return;
     }
-    if range_mode {
-        let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_range.json");
-        let out = std::env::var("HPM_RANGE_OUT").unwrap_or_else(|_| default_out.into());
-        run_range_suite(Some(&out));
-        return;
-    }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let out = std::env::var("HPM_THROUGHPUT_OUT").unwrap_or_else(|_| default_out.into());
-    run(10_000, 10_000, 3, Some(&out));
+    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_range.json");
+    let out = std::env::var("HPM_RANGE_OUT").unwrap_or_else(|_| default_out.into());
+    run_range_suite(Some(&out));
 }

@@ -168,22 +168,20 @@ fn measure(mode: &Mode, reports: usize, reps: usize) -> u64 {
     best
 }
 
-/// Snapshot write amplification, v1 vs v2: the v1 format flattens
-/// every history to raw `(f64, f64)` points; v2 writes sealed chunks
-/// verbatim (no recompress on the snapshot path). Same logical fleet,
-/// both encodes timed (encode + buffer build, no fsync — matching the
-/// `never` rows' durability model), best of `reps`.
-struct SnapCompare {
+/// Snapshot write cost: the format writes sealed chunks verbatim (no
+/// recompress on the snapshot path). Encode timed (encode + buffer
+/// build, no fsync — matching the `never` rows' durability model),
+/// best of `reps`. The retired raw-points v1 format's last figures on
+/// this fleet are in `docs/BENCHMARKS.md`.
+struct SnapCost {
     objects: usize,
     samples_per_object: usize,
-    v1_bytes: usize,
-    v2_bytes: usize,
-    v1_encode_ms: f64,
-    v2_encode_ms: f64,
+    bytes: usize,
+    encode_ms: f64,
 }
 
-fn snapshot_compare(objects: usize, samples_per_object: usize, reps: usize) -> SnapCompare {
-    use hpm_store::{encode_snapshot, encode_snapshot_v1, HistorySnapshot, ObjectSnapshot};
+fn snapshot_cost(objects: usize, samples_per_object: usize, reps: usize) -> SnapCost {
+    use hpm_store::{encode_snapshot, HistorySnapshot, ObjectSnapshot};
     use hpm_trajectory::{ChunkParams, ChunkedHistory};
 
     let snaps: Vec<ObjectSnapshot> = (0..objects as u64)
@@ -209,26 +207,19 @@ fn snapshot_compare(objects: usize, samples_per_object: usize, reps: usize) -> S
         })
         .collect();
 
-    let time_best = |f: &dyn Fn() -> Vec<u8>| -> (usize, f64) {
-        let mut best = f64::MAX;
-        let mut len = 0;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let bytes = std::hint::black_box(f());
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            len = bytes.len();
-        }
-        (len, best)
-    };
-    let (v2_bytes, v2_encode_ms) = time_best(&|| encode_snapshot(&snaps));
-    let (v1_bytes, v1_encode_ms) = time_best(&|| encode_snapshot_v1(&snaps));
-    SnapCompare {
+    let mut encode_ms = f64::MAX;
+    let mut bytes = 0;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let blob = std::hint::black_box(encode_snapshot(&snaps));
+        encode_ms = encode_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        bytes = blob.len();
+    }
+    SnapCost {
         objects,
         samples_per_object,
-        v1_bytes,
-        v2_bytes,
-        v1_encode_ms,
-        v2_encode_ms,
+        bytes,
+        encode_ms,
     }
 }
 
@@ -260,23 +251,16 @@ fn run(reports: usize, reps: usize, report_path: Option<&str>) -> Vec<Row> {
         );
         rows.push(row);
     }
-    // Snapshot write-amplification: also printed in smoke mode so
-    // `cargo test` exercises both encoders.
+    // Snapshot write cost: also printed in smoke mode so `cargo test`
+    // exercises the encoder.
     let snap = if report_path.is_some() {
-        snapshot_compare(64, 4096, 3)
+        snapshot_cost(64, 4096, 3)
     } else {
-        snapshot_compare(4, 600, 1)
+        snapshot_cost(4, 600, 1)
     };
-    let snap_ratio = snap.v1_bytes as f64 / snap.v2_bytes.max(1) as f64;
     println!(
-        "  snapshot {} objs x {} samples: v1 {} B / v2 {} B ({snap_ratio:.2}x), \
-         encode {:.1} ms -> {:.1} ms",
-        snap.objects,
-        snap.samples_per_object,
-        snap.v1_bytes,
-        snap.v2_bytes,
-        snap.v1_encode_ms,
-        snap.v2_encode_ms
+        "  snapshot {} objs x {} samples: {} B, encode {:.1} ms",
+        snap.objects, snap.samples_per_object, snap.bytes, snap.encode_ms
     );
     if let Some(path) = report_path {
         let overhead_at_256 = rows
@@ -295,13 +279,11 @@ fn run(reports: usize, reps: usize, report_path: Option<&str>) -> Vec<Row> {
             .collect::<Vec<_>>()
             .join(",\n");
         let json = format!(
-            "{{\n  \"bench\": \"wal\",\n  \"period\": {PERIOD},\n  \"reports_per_rep\": {reports},\n  \"reps\": {reps},\n  \"methodology\": \"single object, {reports} contiguous report() calls per rep, best-of-{reps} fresh runs per fsync=never mode (fsync=always modes run a quarter of the reports, half the reps: device latency dwarfs scheduler noise there); min_train_subs out of reach so no retrain pollutes timing; durable modes open a fresh data dir and drain the group-commit buffer via flush_wal() inside the clock; each durable rep is reopened afterwards and must replay to the same sample count. fsync=never rows isolate WAL cost under the process-crash durability model (page cache survives, matching the recovery tests); fsync=always rows add one fdatasync per batch and so measure the device as much as the WAL — group commit amortizes that round-trip. Container caveat: temp-fs fdatasync latency is container-fs latency, not a datacenter disk's, and the few-tens-of-ns in-memory baseline makes any syscall register as a multiple; the portable signals are the orderings (off <= gc256 <= gc32 <= gc1, never <= always), not the absolute ratios\",\n  \"wal_on_overhead_at_gc256\": {overhead_at_256:.2},\n  \"snapshot\": {{\n    \"objects\": {}, \"samples_per_object\": {},\n    \"v1_bytes\": {}, \"v2_bytes\": {}, \"v1_over_v2_bytes\": {snap_ratio:.2},\n    \"v1_encode_ms\": {:.2}, \"v2_encode_ms\": {:.2},\n    \"note\": \"same fleet encoded by both snapshot formats: v1 flattens histories to raw f64 pairs, v2 writes sealed compressed chunks verbatim (no recompress), so v2 cuts both the file size and the encode time\"\n  }},\n  \"results\": [\n{results}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"wal\",\n  \"period\": {PERIOD},\n  \"reports_per_rep\": {reports},\n  \"reps\": {reps},\n  \"methodology\": \"single object, {reports} contiguous report() calls per rep, best-of-{reps} fresh runs per fsync=never mode (fsync=always modes run a quarter of the reports, half the reps: device latency dwarfs scheduler noise there); min_train_subs out of reach so no retrain pollutes timing; durable modes open a fresh data dir and drain the group-commit buffer via flush_wal() inside the clock; each durable rep is reopened afterwards and must replay to the same sample count. fsync=never rows isolate WAL cost under the process-crash durability model (page cache survives, matching the recovery tests); fsync=always rows add one fdatasync per batch and so measure the device as much as the WAL — group commit amortizes that round-trip. Container caveat: temp-fs fdatasync latency is container-fs latency, not a datacenter disk's, and the few-tens-of-ns in-memory baseline makes any syscall register as a multiple; the portable signals are the orderings (off <= gc256 <= gc32 <= gc1, never <= always), not the absolute ratios\",\n  \"wal_on_overhead_at_gc256\": {overhead_at_256:.2},\n  \"snapshot\": {{\n    \"objects\": {}, \"samples_per_object\": {},\n    \"bytes\": {}, \"encode_ms\": {:.2},\n    \"note\": \"sealed compressed chunks are written verbatim (no recompress); raw size is 16 B per sample\"\n  }},\n  \"results\": [\n{results}\n  ]\n}}\n",
             snap.objects,
             snap.samples_per_object,
-            snap.v1_bytes,
-            snap.v2_bytes,
-            snap.v1_encode_ms,
-            snap.v2_encode_ms
+            snap.bytes,
+            snap.encode_ms
         );
         std::fs::write(path, json).expect("write wal report");
         println!("wrote {path}");

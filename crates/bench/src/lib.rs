@@ -3,6 +3,8 @@
 //! Fig. 11 index experiments, TSV reporting, and the in-tree
 //! [`timing`] harness the bench targets run on.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 pub mod setup;
 pub mod synth;

@@ -12,6 +12,8 @@
 //! Trajectories are `t,x,y` CSV files (consecutive timestamps); models
 //! are `hpm-store` binary blobs.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod csv;
 
@@ -93,7 +95,7 @@ SUBCOMMANDS
             [--min-train 3] [--retrain-every 1] [--k 1] [--margin 30]
             [--recent 2] [--shards 4] [--threads 0]
             [--group-commit 1] [--fsync always|never] [--snapshot-every 0]
-            [--max-frame BYTES] [--queue-depth 64]
+            [--max-frame BYTES]
   stats     query a running server for one object's stats (samples,
             training watermarks, model size, approximate resident
             bytes) and the fleet-wide store memory gauges
@@ -444,45 +446,35 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Streams a trajectory CSV into a durable
-/// [`MovingObjectStore`](hpm_objectstore::MovingObjectStore) on
-/// `--data-dir`, recovering whatever an earlier (possibly crashed)
-/// run persisted there. With `--resume` (the default) reports that
-/// are already durable are skipped, so re-running the same command
-/// after a crash completes the ingest instead of failing on the
-/// overlap. `--predict-at` answers queries from the ingested store;
-/// the `PREDICT`/`STATS` lines print floats with `{:?}` so two runs
-/// can be diffed byte-for-byte.
-fn cmd_ingest(args: &Args) -> Result<(), String> {
-    use hpm_objectstore::{
-        DurabilityConfig, FsyncPolicy, IngestError, MovingObjectStore, ObjectId, StoreConfig,
-    };
+/// The store flags `ingest` and `serve` share ([`store_config`]).
+const STORE_FLAGS: &[&str] = &[
+    "data-dir",
+    "period",
+    "eps",
+    "min-pts",
+    "min-conf",
+    "min-support",
+    "max-premise",
+    "max-gap",
+    "max-span",
+    "min-train",
+    "retrain-every",
+    "k",
+    "margin",
+];
 
-    args.expect_only(&[
-        "input",
-        "data-dir",
-        "period",
-        "eps",
-        "min-pts",
-        "min-conf",
-        "min-support",
-        "max-premise",
-        "max-gap",
-        "max-span",
-        "min-train",
-        "retrain-every",
-        "k",
-        "margin",
-        "group-commit",
-        "fsync",
-        "snapshot-every",
-        "resume",
-        "predict-at",
-        "fill-gaps",
-        "despike",
-    ])?;
-    let traj = load_input(args)?;
-    let config = StoreConfig {
+/// The durability flags `ingest` and `serve` share ([`durability`]).
+const DURABILITY_FLAGS: &[&str] = &["group-commit", "fsync", "snapshot-every"];
+
+/// The store configuration [`STORE_FLAGS`] describe; the caller
+/// supplies the sizing its subcommand exposes (or fixes).
+fn store_config(
+    args: &Args,
+    recent_len: usize,
+    shards: usize,
+    threads: usize,
+) -> Result<hpm_objectstore::StoreConfig, String> {
+    Ok(hpm_objectstore::StoreConfig {
         discovery: DiscoveryParams {
             period: args.get("period")?,
             eps: args.get_or("eps", 2.0)?,
@@ -496,13 +488,18 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
         },
         min_train_subs: args.get_or("min-train", 3)?,
         retrain_every_subs: args.get_or("retrain-every", 1)?,
-        recent_len: 2,
-        shards: 1,
-        threads: 1,
+        recent_len,
+        shards,
+        threads,
         index: hpm_objectstore::IndexConfig::default(),
-    };
-    let durability = DurabilityConfig {
-        dir: args.required("data-dir")?.into(),
+    })
+}
+
+/// The durability policy [`DURABILITY_FLAGS`] describe, over `dir`.
+fn durability(args: &Args, dir: &str) -> Result<hpm_objectstore::DurabilityConfig, String> {
+    use hpm_objectstore::FsyncPolicy;
+    Ok(hpm_objectstore::DurabilityConfig {
+        dir: dir.into(),
         group_commit: args.get_or("group-commit", 1)?,
         fsync: match args.get_or("fsync", "always".to_string())?.as_str() {
             "always" => FsyncPolicy::Always,
@@ -510,10 +507,29 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
             other => return Err(format!("--fsync must be always|never, got `{other}`")),
         },
         snapshot_every: args.get_or("snapshot-every", 0)?,
-    };
+    })
+}
+
+/// Streams a trajectory CSV into a durable
+/// [`MovingObjectStore`](hpm_objectstore::MovingObjectStore) on
+/// `--data-dir`, recovering whatever an earlier (possibly crashed)
+/// run persisted there. With `--resume` (the default) reports that
+/// are already durable are skipped, so re-running the same command
+/// after a crash completes the ingest instead of failing on the
+/// overlap. `--predict-at` answers queries from the ingested store;
+/// the `PREDICT`/`STATS` lines print floats with `{:?}` so two runs
+/// can be diffed byte-for-byte.
+fn cmd_ingest(args: &Args) -> Result<(), String> {
+    use hpm_objectstore::{IngestError, MovingObjectStore, ObjectId};
+
+    let own = ["resume", "predict-at", "fill-gaps", "despike"];
+    args.expect_only(&[&["input"], STORE_FLAGS, DURABILITY_FLAGS, &own].concat())?;
+    let traj = load_input(args)?;
+    let config = store_config(args, 2, 1, 1)?;
+    let durable = durability(args, args.required("data-dir")?)?;
     let resume: bool = args.get_or("resume", true)?;
 
-    let store = MovingObjectStore::open(config, durability).map_err(|e| e.to_string())?;
+    let store = MovingObjectStore::open(config, durable).map_err(|e| e.to_string())?;
     let id = ObjectId(1);
     let (mut ingested, mut skipped) = (0u64, 0u64);
     for (i, p) in traj.points().iter().enumerate() {
@@ -617,55 +633,27 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use hpm_objectstore::{DurabilityConfig, FsyncPolicy, MovingObjectStore, StoreConfig};
+    use hpm_objectstore::MovingObjectStore;
     use hpm_server::{Server, ServerConfig};
     use std::io::Write as _;
     use std::sync::Arc;
 
-    args.expect_only(&[
-        "addr",
-        "data-dir",
-        "period",
-        "eps",
-        "min-pts",
-        "min-conf",
-        "min-support",
-        "max-premise",
-        "max-gap",
-        "max-span",
-        "min-train",
-        "retrain-every",
-        "k",
-        "margin",
-        "recent",
-        "shards",
-        "threads",
-        "group-commit",
-        "fsync",
-        "snapshot-every",
-        "max-frame",
-        "queue-depth",
-    ])?;
+    let sizing = ["recent", "shards", "threads"];
+    let known = [
+        &["addr"],
+        STORE_FLAGS,
+        &sizing,
+        DURABILITY_FLAGS,
+        &["max-frame"],
+    ];
+    args.expect_only(&known.concat())?;
     let addr = args.required("addr")?;
-    let config = StoreConfig {
-        discovery: DiscoveryParams {
-            period: args.get("period")?,
-            eps: args.get_or("eps", 2.0)?,
-            min_pts: args.get_or("min-pts", 3)?,
-        },
-        mining: mining_from(args)?,
-        hpm: HpmConfig {
-            k: args.get_or("k", 1)?,
-            match_margin: args.get_or("margin", 30.0)?,
-            ..HpmConfig::default()
-        },
-        min_train_subs: args.get_or("min-train", 3)?,
-        retrain_every_subs: args.get_or("retrain-every", 1)?,
-        recent_len: args.get_or("recent", 2)?,
-        shards: args.get_or("shards", 4)?,
-        threads: args.get_or("threads", 0)?,
-        index: hpm_objectstore::IndexConfig::default(),
-    };
+    let config = store_config(
+        args,
+        args.get_or("recent", 2)?,
+        args.get_or("shards", 4)?,
+        args.get_or("threads", 0)?,
+    )?;
     // The served registry should catalogue every layer's metrics even
     // before traffic touches them.
     hpm_core::metrics::register();
@@ -676,23 +664,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     hpm_obs::enable();
     let store = match args.optional("data-dir") {
         Some(dir) => {
-            let durability = DurabilityConfig {
-                dir: dir.into(),
-                group_commit: args.get_or("group-commit", 1)?,
-                fsync: match args.get_or("fsync", "always".to_string())?.as_str() {
-                    "always" => FsyncPolicy::Always,
-                    "never" => FsyncPolicy::Never,
-                    other => return Err(format!("--fsync must be always|never, got `{other}`")),
-                },
-                snapshot_every: args.get_or("snapshot-every", 0)?,
-            };
-            MovingObjectStore::open(config, durability).map_err(|e| e.to_string())?
+            MovingObjectStore::open(config, durability(args, dir)?).map_err(|e| e.to_string())?
         }
         None => MovingObjectStore::new(config),
     };
     let server_config = ServerConfig {
         max_frame: args.get_or("max-frame", ServerConfig::default().max_frame)?,
-        queue_depth: args.get_or("queue-depth", ServerConfig::default().queue_depth)?,
         ..ServerConfig::default()
     };
     let server = Server::bind(Arc::new(store), addr, server_config).map_err(|e| e.to_string())?;

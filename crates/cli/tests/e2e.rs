@@ -56,6 +56,20 @@ fn unknown_flag_fails_cleanly() {
     ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("--bogus"));
+
+    // `serve` has no response queue to size: the retired flag is an
+    // unknown flag like any other, rejected before anything binds.
+    let out = hpm(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--period",
+        "60",
+        "--queue-depth",
+        "64",
+    ]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("unknown flag --queue-depth"));
 }
 
 #[test]

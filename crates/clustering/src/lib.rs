@@ -28,6 +28,8 @@
 //! assert_eq!(labels[8], Label::Noise);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dbscan;
 mod grid;
 mod incremental;

@@ -14,6 +14,8 @@
 //! (documented in `DESIGN.md`): the generator and everything
 //! downstream exercise identical code paths.
 
+#![forbid(unsafe_code)]
+
 mod datasets;
 mod generator;
 mod rand_ext;

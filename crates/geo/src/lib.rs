@@ -8,6 +8,8 @@
 //! All types are plain `f64` value types: cheap to copy and
 //! `PartialEq` for tests.
 
+#![forbid(unsafe_code)]
+
 mod bbox;
 pub mod grid;
 mod hull;

@@ -16,6 +16,8 @@
 //! * [`Svd`] — one-sided Jacobi SVD, from which [`Matrix::pseudo_inverse`]
 //!   and [`lstsq`] (minimum-norm least squares) are derived.
 
+#![forbid(unsafe_code)]
+
 mod eigen;
 mod matrix;
 mod qr;

@@ -24,6 +24,8 @@
 //! assert!(lin.predict(4).distance(&Point::new(39.0, 5.0)) < 1e-6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod linear;
 mod rmf;
 

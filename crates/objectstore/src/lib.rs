@@ -61,6 +61,7 @@
 //! assert!(pred.best().distance(&Point::new(100.0, 0.0)) < 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod durability;

@@ -542,8 +542,9 @@ impl MovingObjectStore {
 
     /// Ingests a contiguous batch starting at `start` — a convenience
     /// over repeated [`report`](Self::report) calls that retrains at
-    /// most once. The object's lock is held across the whole batch, so
-    /// a concurrent reader sees either none or all of it. A batch
+    /// every cadence crossing, exactly as the same reports sent one at
+    /// a time would. The object's lock is held across the whole batch,
+    /// so a concurrent reader sees either none or all of it. A batch
     /// holding any non-finite position is rejected whole; an empty
     /// batch is a no-op.
     /// On a durable store an I/O failure mid-batch applies (and logs)
@@ -581,7 +582,8 @@ impl MovingObjectStore {
     /// Atomicity: all of an object's reports in one call are applied
     /// under a single hold of its write lock — a concurrent reader
     /// sees the object's pre-call or post-call history, never a
-    /// partial prefix. Each object retrains at most once per call.
+    /// partial prefix. Each object retrains at every cadence crossing,
+    /// exactly as the same reports sent one at a time would.
     pub fn report_many(
         &self,
         reports: &[(ObjectId, Timestamp, Point)],
@@ -637,8 +639,10 @@ impl MovingObjectStore {
     /// The one ingest path: applies `run` — one object's reports, in
     /// order — under a single hold of the object's write lock, handing
     /// each report's outcome to `each` in run order until it returns
-    /// `false`. Retrains at most once, and marks the object's envelope
-    /// stale iff something was accepted.
+    /// `false`. Retrains at every cadence crossing inside the run,
+    /// exactly as the same reports sent one at a time would — batch
+    /// size is never observable in training — and marks the object's
+    /// envelope stale iff something was accepted.
     fn apply_run(
         &self,
         id: ObjectId,
@@ -662,6 +666,7 @@ impl MovingObjectStore {
                 // re-resolve so the run lands after it.
                 continue;
             }
+            let period = self.config.discovery.period as usize;
             let mut accepted = 0u64;
             for (timestamp, position) in run.by_ref() {
                 let expected = state.history.end();
@@ -687,6 +692,10 @@ impl MovingObjectStore {
                     if logged.is_ok() {
                         state.history.push(position);
                         accepted += 1;
+                        // Due-ness only changes when a period fills.
+                        if state.history.len() % period == 0 {
+                            self.maybe_retrain(&mut state);
+                        }
                     }
                     logged
                 };
@@ -695,7 +704,6 @@ impl MovingObjectStore {
                 }
             }
             hpm_obs::counter!(crate::metrics::REPORTS).add(accepted);
-            self.maybe_retrain(&mut state);
             if accepted > 0 {
                 self.index.mark_dirty(self.shard_index(id.0), id.0);
             }

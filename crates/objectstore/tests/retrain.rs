@@ -1,11 +1,15 @@
 //! Store-level guarantees of the incremental training pipeline:
-//! equivalence with full rebuilds, freshness bounds, concurrent-read
-//! safety, and clean trainer resets.
+//! equivalence with full rebuilds, freshness bounds, batching
+//! invariance, concurrent-read safety, and clean trainer resets.
 
 use hpm_core::{HpmConfig, HybridPredictor, PredictiveQuery};
 use hpm_geo::Point;
-use hpm_objectstore::{MovingObjectStore, ObjectId, ObjectStats, QueryError, StoreConfig};
+use hpm_objectstore::{
+    DurabilityConfig, FsyncPolicy, MovingObjectStore, ObjectId, ObjectStats, QueryError,
+    StoreConfig,
+};
 use hpm_patterns::{DiscoveryParams, MiningParams};
+use hpm_rand::{Rng, SmallRng};
 use hpm_trajectory::{Timestamp, Trajectory};
 
 const PERIOD: u32 = 4;
@@ -151,6 +155,76 @@ fn staleness_is_bounded_by_the_retrain_cadence() {
     }
 }
 
+/// Batch size is not observable in training: an object retrains at
+/// every cadence crossing *inside* a run, so one report stream leaves
+/// the same trained state however it is cut into calls — one `report`
+/// at a time (what WAL replay does), one `report_batch`, `report_many`
+/// calls cut at random points that straddle period boundaries — and a
+/// durable store fed the single batch reopens to that state too.
+#[test]
+fn batch_size_is_not_observable_in_training() {
+    let id = ObjectId(6);
+    // 30 full periods and a 2-sample tail; at a cadence of 2 the stream
+    // crosses 14 retrain boundaries, drift fallbacks included, and ends
+    // mid-period (where a trailing retrain would see extra samples).
+    let mut samples: Vec<Point> = stream().concat();
+    samples.extend_from_slice(&day(30, false)[..2]);
+    let cfg = config(2);
+
+    let one_by_one = MovingObjectStore::new(cfg.clone());
+    for (t, p) in samples.iter().enumerate() {
+        one_by_one.report(id, t as Timestamp, *p).unwrap();
+    }
+
+    let one_batch = MovingObjectStore::new(cfg.clone());
+    one_batch.report_batch(id, 0, &samples).unwrap();
+
+    let random_cuts = MovingObjectStore::new(cfg.clone());
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut t = 0;
+    while t < samples.len() {
+        // Up to 11 samples a call: most calls straddle a boundary,
+        // some straddle two.
+        let end = (t + rng.gen_range(1..12usize)).min(samples.len());
+        let call: Vec<_> = (t..end).map(|i| (id, i as Timestamp, samples[i])).collect();
+        for r in random_cuts.report_many(&call) {
+            r.unwrap();
+        }
+        t = end;
+    }
+
+    let dir = std::env::temp_dir().join(format!("hpm-retrain-batching-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityConfig {
+        fsync: FsyncPolicy::Never,
+        ..DurabilityConfig::new(&dir)
+    };
+    let live = MovingObjectStore::open(cfg.clone(), durability.clone()).unwrap();
+    live.report_batch(id, 0, &samples).unwrap();
+    drop(live);
+    let reopened = MovingObjectStore::open(cfg, durability).unwrap();
+
+    let expected = logical(one_by_one.stats(id).unwrap());
+    assert_eq!(expected.trained_periods, 29, "last cadence crossing");
+    let now = samples.len() as Timestamp - 1;
+    for (name, store) in [
+        ("one report_batch", &one_batch),
+        ("random report_many cuts", &random_cuts),
+        ("reopened after one report_batch", &reopened),
+    ] {
+        assert_eq!(logical(store.stats(id).unwrap()), expected, "{name}");
+        for dt in 1..=PERIOD as Timestamp {
+            assert_eq!(
+                store.predict(id, now + dt).unwrap(),
+                one_by_one.predict(id, now + dt).unwrap(),
+                "{name} diverged at +{dt}"
+            );
+        }
+    }
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Readers racing a retraining writer must never observe a torn
 /// predictor: every prediction is answerable and finite, and the
 /// retrain settles to the trained watermark.
@@ -214,15 +288,22 @@ fn force_retrain_on_sub_period_history_keeps_object_alive() {
     }
     assert_eq!(store.stats(id).unwrap().trained_periods, 0);
     // Keep reporting across the period boundary: the automatic retrain
-    // path must survive and stay equivalent to full rebuilds.
-    let full = MovingObjectStore::new(config(usize::MAX >> 1));
-    full.report_batch(id, 0, &day(0, false)[..2]).unwrap();
+    // path must survive and stay equivalent to full rebuilds. Batches
+    // start 2 samples into a period, so the last automatic retrain
+    // fires at the last boundary, 2 samples before the stream ends:
+    // the reference forces its rebuild there, then takes the tail.
+    let mut samples = day(0, false)[..2].to_vec();
     for (d, pts) in stream().iter().enumerate() {
         let start = (d * PERIOD as usize + 2) as Timestamp;
         store.report_batch(id, start, pts).unwrap();
-        full.report_batch(id, start, pts).unwrap();
+        samples.extend_from_slice(pts);
     }
+    let boundary = samples.len() - 2;
+    let full = MovingObjectStore::new(config(usize::MAX >> 1));
+    full.report_batch(id, 0, &samples[..boundary]).unwrap();
     full.force_retrain(id).unwrap();
+    full.report_batch(id, boundary as Timestamp, &samples[boundary..])
+        .unwrap();
     let s = store.stats(id).unwrap();
     assert_eq!(logical(s), logical(full.stats(id).unwrap()));
     assert!(s.patterns > 0);

@@ -51,6 +51,8 @@
 //!     .any(|p| p.display(&out.regions).to_string() == "R0^0 ∧ R1^0 --1.00--> R2^0"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod fxhash;
 mod pattern;
 mod region;

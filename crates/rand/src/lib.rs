@@ -11,6 +11,8 @@
 //! entropy-based constructor — reproducibility per PR is a project
 //! invariant (see DESIGN.md).
 
+#![forbid(unsafe_code)]
+
 mod normal;
 mod range;
 mod xoshiro;

@@ -11,11 +11,12 @@
 //! variants included.
 //!
 //! No async runtime and no registry dependencies: the server is a
-//! scoped accept loop with one reader thread per connection
-//! ([`server`] module docs cover threading, backpressure, and
-//! shutdown), the protocol is length-prefixed checksummed frames over
-//! the workspace codec ([`proto`] module docs give the grammar), and
-//! the client ([`Client`]) pipelines frames with correlation ids.
+//! scoped accept loop with one thread per connection and the socket
+//! as its backpressure ([`server`] module docs cover threading,
+//! backpressure, and shutdown), the protocol is length-prefixed
+//! checksummed frames over the workspace codec ([`proto`] module docs
+//! give the grammar), and the client ([`Client`]) pipelines frames
+//! with correlation ids.
 //!
 //! ```no_run
 //! use hpm_server::{Client, Server, ServerConfig};
@@ -28,16 +29,21 @@
 //! let server = Server::bind(store, "127.0.0.1:0", ServerConfig::default())?;
 //! let addr = server.local_addr();
 //! let handle = server.handle();
-//! std::thread::spawn(move || server.serve());
+//! std::thread::scope(|scope| {
+//!     let serving = scope.spawn(move || server.serve());
 //!
-//! let mut client = Client::connect(addr)?;
-//! client.report_many(&[(ObjectId(1), 0, Point::new(0.0, 0.0))])?;
-//! handle.shutdown();
+//!     let mut client = Client::connect(addr)?;
+//!     client.report_many(&[(ObjectId(1), 0, Point::new(0.0, 0.0))])?;
+//!     handle.shutdown();
+//!     serving.join().expect("server thread")?;
+//!     Ok::<(), Box<dyn std::error::Error>>(())
+//! })?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! [`MovingObjectStore`]: hpm_objectstore::MovingObjectStore
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -4,7 +4,7 @@
 //! catalogue lives in `docs/OBSERVABILITY.md`.
 
 /// Latency span around one request frame: decode, execute against the
-/// store, encode the response (queueing and socket writes excluded).
+/// store, encode the response (the socket write excluded).
 pub const REQUEST_SPAN: &str = "server.request";
 
 /// Connections accepted over the server's lifetime.
@@ -28,11 +28,6 @@ pub const DIRTY_DISCONNECTS: &str = "server.disconnects.dirty";
 /// [`ResponseBody::Oversized`]: crate::proto::ResponseBody::Oversized
 pub const OVERSIZED_RESPONSES: &str = "server.responses.oversized";
 
-/// Response frames waiting in a connection's bounded writer queue,
-/// observed at enqueue — persistently at `queue_depth` means the
-/// client reads slower than it asks and the reader is now blocked on
-/// backpressure.
-pub const QUEUE_DEPTH: &str = "server.queue_depth";
 /// Request payload sizes in bytes.
 pub const REQUEST_BYTES: &str = "server.request_bytes";
 /// Response payload sizes in bytes.
@@ -47,7 +42,6 @@ pub fn register() {
     hpm_obs::registry().counter(DIRTY_DISCONNECTS);
     hpm_obs::registry().counter(OVERSIZED_RESPONSES);
     hpm_obs::registry().gauge(OPEN_CONNECTIONS);
-    hpm_obs::registry().histogram(QUEUE_DEPTH, hpm_obs::Unit::Count);
     hpm_obs::registry().histogram(REQUEST_BYTES, hpm_obs::Unit::Count);
     hpm_obs::registry().histogram(RESPONSE_BYTES, hpm_obs::Unit::Count);
     hpm_obs::registry().histogram(REQUEST_SPAN, hpm_obs::Unit::Nanos);

@@ -340,8 +340,9 @@ pub fn read_frame(
     Ok(true)
 }
 
-/// [`write_frame_into`] straight onto a writer (client side, where
-/// staging through a connection-owned buffer is the caller's job).
+/// [`write_frame_into`] through the caller's connection-owned
+/// `staging` buffer and straight onto a writer, as one `write_all` —
+/// how both the client and the server put frames on a socket.
 pub fn write_frame(w: &mut impl Write, staging: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     staging.clear();
     write_frame_into(staging, payload);
@@ -357,6 +358,18 @@ fn put_point(out: &mut Vec<u8>, p: &Point) {
 
 fn get_point(buf: &mut &[u8]) -> Result<Point, DecodeError> {
     Ok(Point::new(get_f64(buf)?, get_f64(buf)?))
+}
+
+fn put_region(out: &mut Vec<u8>, r: &BoundingBox) {
+    put_point(out, &r.min);
+    put_point(out, &r.max);
+}
+
+fn get_region(buf: &mut &[u8]) -> Result<BoundingBox, DecodeError> {
+    Ok(BoundingBox {
+        min: get_point(buf)?,
+        max: get_point(buf)?,
+    })
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -393,6 +406,21 @@ fn get_len(buf: &mut &[u8], min_bytes: usize) -> Result<usize, DecodeError> {
     get_count(buf, buf.len() / min_bytes.max(1))
 }
 
+/// A counted sequence: the count is bounded by [`get_len`] before the
+/// vector is allocated, then `item` decodes each element in order.
+fn get_seq<T>(
+    buf: &mut &[u8],
+    min_bytes: usize,
+    mut item: impl FnMut(&mut &[u8]) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = get_len(buf, min_bytes)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(item(buf)?);
+    }
+    Ok(items)
+}
+
 // The stable wire numbering of `std::io::ErrorKind` values a
 // `snapshot` can realistically surface; everything else crosses as
 // `Other` (the set must be closed for decode to be total).
@@ -409,10 +437,10 @@ const IO_KINDS: [(u8, io::ErrorKind); 10] = [
     (10, io::ErrorKind::TimedOut),
 ];
 
-fn put_io_kind(out: &mut Vec<u8>, kind: io::ErrorKind) {
+fn put_io_kind(out: &mut Vec<u8>, kind: &io::ErrorKind) {
     let code = IO_KINDS
         .iter()
-        .find(|(_, k)| *k == kind)
+        .find(|(_, k)| k == kind)
         .map_or(0, |(c, _)| *c);
     out.push(code);
 }
@@ -448,7 +476,7 @@ fn put_ingest_result(out: &mut Vec<u8>, r: &Result<(), IngestError>) {
         }
         Err(IngestError::Durability(kind)) => {
             out.push(INGEST_DURABILITY);
-            put_io_kind(out, *kind);
+            put_io_kind(out, kind);
         }
     }
 }
@@ -538,8 +566,7 @@ fn put_prediction(out: &mut Vec<u8>, p: &Prediction) {
         put_f64(out, a.score);
         // 0 = no supporting pattern, else index + 1.
         put_varint(out, a.pattern.map_or(0, |i| u64::from(i) + 1));
-        put_point(out, &a.uncertainty.region.min);
-        put_point(out, &a.uncertainty.region.max);
+        put_region(out, &a.uncertainty.region);
         put_f64(out, a.uncertainty.mass);
     }
 }
@@ -553,9 +580,7 @@ fn get_prediction(buf: &mut &[u8]) -> Result<Prediction, DecodeError> {
     };
     // Each answer is ≥ 65 bytes: location (2×f64), score (f64), one
     // varint byte, uncertainty region (4×f64) and mass (f64).
-    let n = get_len(buf, 65)?;
-    let mut answers = Vec::with_capacity(n);
-    for _ in 0..n {
+    let answers = get_seq(buf, 65, |buf| {
         let location = get_point(buf)?;
         let score = get_f64(buf)?;
         let pattern = match get_varint(buf)? {
@@ -568,18 +593,15 @@ fn get_prediction(buf: &mut &[u8]) -> Result<Prediction, DecodeError> {
                 Some(i as u32)
             }
         };
-        let region = BoundingBox {
-            min: get_point(buf)?,
-            max: get_point(buf)?,
-        };
+        let region = get_region(buf)?;
         let mass = get_f64(buf)?;
-        answers.push(RankedAnswer {
+        Ok(RankedAnswer {
             location,
             score,
             pattern,
             uncertainty: Uncertainty { region, mass },
-        });
-    }
+        })
+    })?;
     Ok(Prediction { answers, source })
 }
 
@@ -600,6 +622,61 @@ fn get_stats(buf: &mut &[u8]) -> Result<ObjectStats, DecodeError> {
         patterns: get_varint(buf)? as usize,
         regions: get_varint(buf)? as usize,
         approx_bytes: get_varint(buf)? as usize,
+    })
+}
+
+/// A `Result` on the wire: `0` then the `Ok` value, or `1` then the
+/// error — the one shape `Predictions` items, `Stats`, `Retrained`
+/// and `Snapshotted` share.
+fn put_result<T, E>(
+    out: &mut Vec<u8>,
+    r: &Result<T, E>,
+    put_ok: impl FnOnce(&mut Vec<u8>, &T),
+    put_err: impl FnOnce(&mut Vec<u8>, &E),
+) {
+    match r {
+        Ok(v) => {
+            out.push(0);
+            put_ok(out, v);
+        }
+        Err(e) => {
+            out.push(1);
+            put_err(out, e);
+        }
+    }
+}
+
+/// The inverse of [`put_result`]; `what` names the result in the
+/// bad-tag error.
+fn get_result<T, E>(
+    buf: &mut &[u8],
+    what: &str,
+    get_ok: impl FnOnce(&mut &[u8]) -> Result<T, DecodeError>,
+    get_err: impl FnOnce(&mut &[u8]) -> Result<E, DecodeError>,
+) -> Result<Result<T, E>, DecodeError> {
+    match get_u8(buf)? {
+        0 => get_ok(buf).map(Ok),
+        1 => get_err(buf).map(Err),
+        other => Err(DecodeError::Invalid(format!("{what} result tag {other}"))),
+    }
+}
+
+/// The `(id, best point, scalar)` rows `Nearest`, `Within` and
+/// `NearestProb` all answer with.
+fn put_hits(out: &mut Vec<u8>, tag: u8, hits: &[(ObjectId, Point, f64)]) {
+    out.push(tag);
+    put_varint(out, hits.len() as u64);
+    for (id, p, scalar) in hits {
+        put_varint(out, id.0);
+        put_point(out, p);
+        put_f64(out, *scalar);
+    }
+}
+
+fn get_hits(buf: &mut &[u8]) -> Result<Vec<(ObjectId, Point, f64)>, DecodeError> {
+    // A row is ≥ 25 bytes: a 1-byte varint and three f64.
+    get_seq(buf, 25, |buf| {
+        Ok((ObjectId(get_varint(buf)?), get_point(buf)?, get_f64(buf)?))
     })
 }
 
@@ -630,8 +707,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         }
         RequestBody::PredictRange { region, query_time } => {
             out.push(REQ_PREDICT_RANGE);
-            put_point(out, &region.min);
-            put_point(out, &region.max);
+            put_region(out, region);
             put_varint(out, *query_time);
         }
         RequestBody::PredictNearest {
@@ -650,8 +726,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             tau,
         } => {
             out.push(REQ_PREDICT_WITHIN);
-            put_point(out, &region.min);
-            put_point(out, &region.max);
+            put_region(out, region);
             put_varint(out, *query_time);
             put_f64(out, *tau);
         }
@@ -690,29 +765,19 @@ pub fn decode_request(mut payload: &[u8]) -> Result<Request, ProtoError> {
     let body = match verb {
         REQ_REPORT_MANY => {
             // A report is ≥ 18 bytes (two 1-byte varints + two f64).
-            let n = get_len(buf, 18)?;
-            let mut reports = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ObjectId(get_varint(buf)?);
-                let t: Timestamp = get_varint(buf)?;
-                reports.push((id, t, get_point(buf)?));
-            }
-            RequestBody::ReportMany(reports)
+            RequestBody::ReportMany(get_seq(buf, 18, |buf| {
+                Ok((
+                    ObjectId(get_varint(buf)?),
+                    get_varint(buf)?,
+                    get_point(buf)?,
+                ))
+            })?)
         }
-        REQ_PREDICT_BATCH => {
-            let n = get_len(buf, 2)?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ObjectId(get_varint(buf)?);
-                queries.push((id, get_varint(buf)?));
-            }
-            RequestBody::PredictBatch(queries)
-        }
+        REQ_PREDICT_BATCH => RequestBody::PredictBatch(get_seq(buf, 2, |buf| {
+            Ok((ObjectId(get_varint(buf)?), get_varint(buf)?))
+        })?),
         REQ_PREDICT_RANGE => RequestBody::PredictRange {
-            region: BoundingBox {
-                min: get_point(buf)?,
-                max: get_point(buf)?,
-            },
+            region: get_region(buf)?,
             query_time: get_varint(buf)?,
         },
         REQ_PREDICT_NEAREST => RequestBody::PredictNearest {
@@ -721,10 +786,7 @@ pub fn decode_request(mut payload: &[u8]) -> Result<Request, ProtoError> {
             k: get_varint(buf)?,
         },
         REQ_PREDICT_WITHIN => RequestBody::PredictWithin {
-            region: BoundingBox {
-                min: get_point(buf)?,
-                max: get_point(buf)?,
-            },
+            region: get_region(buf)?,
             query_time: get_varint(buf)?,
             tau: get_f64(buf)?,
         },
@@ -770,16 +832,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.push(RESP_PREDICTIONS);
             put_varint(out, results.len() as u64);
             for r in results {
-                match r {
-                    Ok(p) => {
-                        out.push(0);
-                        put_prediction(out, p);
-                    }
-                    Err(e) => {
-                        out.push(1);
-                        put_query_error(out, e);
-                    }
-                }
+                put_result(out, r, put_prediction, put_query_error);
             }
         }
         ResponseBody::Range(hits) => {
@@ -790,68 +843,25 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
                 put_point(out, p);
             }
         }
-        ResponseBody::Nearest(hits) => {
-            out.push(RESP_NEAREST);
-            put_varint(out, hits.len() as u64);
-            for (id, p, d) in hits {
-                put_varint(out, id.0);
-                put_point(out, p);
-                put_f64(out, *d);
-            }
-        }
-        ResponseBody::Within(hits) => {
-            out.push(RESP_WITHIN);
-            put_varint(out, hits.len() as u64);
-            for (id, p, mass) in hits {
-                put_varint(out, id.0);
-                put_point(out, p);
-                put_f64(out, *mass);
-            }
-        }
-        ResponseBody::NearestProb(hits) => {
-            out.push(RESP_NEAREST_PROB);
-            put_varint(out, hits.len() as u64);
-            for (id, p, d) in hits {
-                put_varint(out, id.0);
-                put_point(out, p);
-                put_f64(out, *d);
-            }
-        }
+        ResponseBody::Nearest(hits) => put_hits(out, RESP_NEAREST, hits),
+        ResponseBody::Within(hits) => put_hits(out, RESP_WITHIN, hits),
+        ResponseBody::NearestProb(hits) => put_hits(out, RESP_NEAREST_PROB, hits),
         ResponseBody::Stats(result) => {
             out.push(RESP_STATS);
-            match result {
-                Ok(s) => {
-                    out.push(0);
-                    put_stats(out, s);
-                }
-                Err(e) => {
-                    out.push(1);
-                    put_query_error(out, e);
-                }
-            }
+            put_result(out, result, put_stats, put_query_error);
         }
         ResponseBody::Retrained(result) => {
             out.push(RESP_RETRAINED);
-            match result {
-                Ok(()) => out.push(0),
-                Err(e) => {
-                    out.push(1);
-                    put_query_error(out, e);
-                }
-            }
+            put_result(out, result, |_, ()| {}, put_query_error);
         }
         ResponseBody::Snapshotted(result) => {
             out.push(RESP_SNAPSHOTTED);
-            match result {
-                Ok(cut) => {
-                    out.push(0);
-                    out.push(u8::from(*cut));
-                }
-                Err(kind) => {
-                    out.push(1);
-                    put_io_kind(out, *kind);
-                }
-            }
+            put_result(
+                out,
+                result,
+                |out, cut| out.push(u8::from(*cut)),
+                put_io_kind,
+            );
         }
         ResponseBody::Metrics(json) => {
             out.push(RESP_METRICS);
@@ -877,96 +887,26 @@ pub fn decode_response(mut payload: &[u8]) -> Result<Response, ProtoError> {
     let correlation = get_varint(buf)?;
     let tag = get_u8(buf)?;
     let body = match tag {
-        RESP_INGESTED => {
-            let n = get_len(buf, 1)?;
-            let mut results = Vec::with_capacity(n);
-            for _ in 0..n {
-                results.push(get_ingest_result(buf)?);
-            }
-            ResponseBody::Ingested(results)
+        RESP_INGESTED => ResponseBody::Ingested(get_seq(buf, 1, get_ingest_result)?),
+        RESP_PREDICTIONS => ResponseBody::Predictions(get_seq(buf, 2, |buf| {
+            get_result(buf, "prediction", get_prediction, get_query_error)
+        })?),
+        RESP_RANGE => ResponseBody::Range(get_seq(buf, 17, |buf| {
+            Ok((ObjectId(get_varint(buf)?), get_point(buf)?))
+        })?),
+        RESP_NEAREST => ResponseBody::Nearest(get_hits(buf)?),
+        RESP_WITHIN => ResponseBody::Within(get_hits(buf)?),
+        RESP_NEAREST_PROB => ResponseBody::NearestProb(get_hits(buf)?),
+        RESP_STATS => ResponseBody::Stats(get_result(buf, "stats", get_stats, get_query_error)?),
+        RESP_RETRAINED => {
+            ResponseBody::Retrained(get_result(buf, "retrain", |_| Ok(()), get_query_error)?)
         }
-        RESP_PREDICTIONS => {
-            let n = get_len(buf, 2)?;
-            let mut results = Vec::with_capacity(n);
-            for _ in 0..n {
-                results.push(match get_u8(buf)? {
-                    0 => Ok(get_prediction(buf)?),
-                    1 => Err(get_query_error(buf)?),
-                    other => {
-                        return Err(ProtoError::Decode(DecodeError::Invalid(format!(
-                            "prediction result tag {other}"
-                        ))))
-                    }
-                });
-            }
-            ResponseBody::Predictions(results)
-        }
-        RESP_RANGE => {
-            let n = get_len(buf, 17)?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ObjectId(get_varint(buf)?);
-                hits.push((id, get_point(buf)?));
-            }
-            ResponseBody::Range(hits)
-        }
-        RESP_NEAREST => {
-            let n = get_len(buf, 25)?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ObjectId(get_varint(buf)?);
-                let p = get_point(buf)?;
-                hits.push((id, p, get_f64(buf)?));
-            }
-            ResponseBody::Nearest(hits)
-        }
-        RESP_WITHIN => {
-            let n = get_len(buf, 25)?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ObjectId(get_varint(buf)?);
-                let p = get_point(buf)?;
-                hits.push((id, p, get_f64(buf)?));
-            }
-            ResponseBody::Within(hits)
-        }
-        RESP_NEAREST_PROB => {
-            let n = get_len(buf, 25)?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = ObjectId(get_varint(buf)?);
-                let p = get_point(buf)?;
-                hits.push((id, p, get_f64(buf)?));
-            }
-            ResponseBody::NearestProb(hits)
-        }
-        RESP_STATS => ResponseBody::Stats(match get_u8(buf)? {
-            0 => Ok(get_stats(buf)?),
-            1 => Err(get_query_error(buf)?),
-            other => {
-                return Err(ProtoError::Decode(DecodeError::Invalid(format!(
-                    "stats result tag {other}"
-                ))))
-            }
-        }),
-        RESP_RETRAINED => ResponseBody::Retrained(match get_u8(buf)? {
-            0 => Ok(()),
-            1 => Err(get_query_error(buf)?),
-            other => {
-                return Err(ProtoError::Decode(DecodeError::Invalid(format!(
-                    "retrain result tag {other}"
-                ))))
-            }
-        }),
-        RESP_SNAPSHOTTED => ResponseBody::Snapshotted(match get_u8(buf)? {
-            0 => Ok(get_u8(buf)? != 0),
-            1 => Err(get_io_kind(buf)?),
-            other => {
-                return Err(ProtoError::Decode(DecodeError::Invalid(format!(
-                    "snapshot result tag {other}"
-                ))))
-            }
-        }),
+        RESP_SNAPSHOTTED => ResponseBody::Snapshotted(get_result(
+            buf,
+            "snapshot",
+            |buf| Ok(get_u8(buf)? != 0),
+            get_io_kind,
+        )?),
         RESP_METRICS => ResponseBody::Metrics(get_string(buf)?),
         RESP_PONG => ResponseBody::Pong,
         RESP_SHUTTING_DOWN => ResponseBody::ShuttingDown,
@@ -1307,7 +1247,7 @@ mod tests {
     #[test]
     fn unknown_io_kind_crosses_as_other() {
         let mut out = Vec::new();
-        put_io_kind(&mut out, io::ErrorKind::BrokenPipe); // not in the table
+        put_io_kind(&mut out, &io::ErrorKind::BrokenPipe); // not in the table
         assert_eq!(get_io_kind(&mut &out[..]).unwrap(), io::ErrorKind::Other);
     }
 }

@@ -1,36 +1,35 @@
-//! The server: a scoped accept loop, one reader thread per
-//! connection, and a bounded writer queue per connection for
-//! backpressure.
+//! The server: a scoped accept loop and one thread per connection,
+//! with the socket itself as the backpressure.
 //!
 //! # Threading
 //!
 //! [`Server::serve`] blocks inside one `thread::scope`: the calling
-//! thread runs the accept loop and every connection gets a scoped
-//! reader thread, so all of them borrow the store without `'static`
-//! gymnastics and are joined before `serve` returns. Each reader
-//! spawns one (unscoped, owned-data) writer thread connected by a
-//! bounded channel.
+//! thread runs the accept loop and every connection gets one scoped
+//! thread, so all of them borrow the store without `'static`
+//! gymnastics and are joined before `serve` returns. That thread does
+//! everything for its connection: read a frame, decode, execute
+//! against the store, encode, write the answer.
 //!
 //! # Backpressure
 //!
-//! The reader decodes a frame, executes it against the store, and
-//! enqueues the encoded response on the connection's
-//! `sync_channel(queue_depth)`. A client that sends faster than it
-//! reads fills the queue; the enqueue then blocks the reader, which
-//! stops reading the socket, and TCP pushes back to the client. No
-//! connection can buffer more than `queue_depth` responses.
-//! Response buffers recycle through a return channel, so a warm
-//! connection serves frames without per-frame allocation.
+//! Responses are written with a blocking `write_all` on the thread
+//! that reads requests. A client that sends faster than it reads
+//! fills its own receive buffer and the server's send buffer; the
+//! write then blocks, the server stops reading the socket, and TCP
+//! pushes back to the client. The server buffers exactly one response
+//! per connection — the one being written — in connection-owned
+//! buffers that are reused, so a warm connection serves frames
+//! without per-frame allocation.
 //!
 //! # Shutdown
 //!
 //! [`ServerHandle::shutdown`] (or a [`RequestBody::Shutdown`] frame)
 //! sets the stop flag, wakes the accept loop with a loopback connect,
-//! and half-closes every registered connection's read side. Readers
-//! drain: in-flight responses are still written, then writer queues
-//! close and threads join. A read-side close cannot wake a writer
-//! blocked against a stalled peer (or the reader blocked handing it
-//! work), so a detached watchdog severs the write side too
+//! and half-closes every registered connection's read side.
+//! Connections drain: the response in flight is still written, the
+//! next read sees end-of-stream, and the thread joins. A read-side
+//! close cannot wake a thread blocked writing to a stalled peer, so a
+//! detached watchdog severs the write side too
 //! ([`ServerConfig::drain_grace`] later) — the drain is bounded, not
 //! best-effort. `serve` flushes buffered WAL batches and returns once
 //! the scope is empty, on the clean path and the accept-error path
@@ -38,17 +37,16 @@
 
 use crate::metrics;
 use crate::proto::{
-    read_frame, write_frame_into, ProtoError, Request, RequestBody, Response, ResponseBody,
-    DEFAULT_MAX_FRAME,
+    decode_request, encode_response, read_frame, write_frame, ProtoError, Request, RequestBody,
+    Response, ResponseBody, DEFAULT_MAX_FRAME,
 };
 use hpm_core::PredictScratch;
 use hpm_objectstore::MovingObjectStore;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -62,9 +60,6 @@ pub struct ServerConfig {
     /// [`ResponseBody::Oversized`] reply rather than emitted for the
     /// peer to reject.
     pub max_frame: usize,
-    /// Responses one connection may queue for writing before the
-    /// reader blocks (the backpressure bound).
-    pub queue_depth: usize,
     /// How long shutdown lets connections drain in-flight responses
     /// before severing their write side so threads blocked on a
     /// stalled peer are forced out.
@@ -75,7 +70,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
-            queue_depth: 64,
             drain_grace: Duration::from_secs(5),
         }
     }
@@ -94,7 +88,7 @@ struct Shared {
 
 impl Shared {
     /// Flags the server to stop, wakes the accept loop, and unblocks
-    /// every connection reader.
+    /// every connection's read.
     fn initiate_shutdown(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -109,12 +103,11 @@ impl Shared {
             }
             conns.values().filter_map(|s| s.try_clone().ok()).collect()
         };
-        // A read-side close does not wake a writer blocked in
-        // `write_all` against a peer that stopped reading, nor the
-        // reader blocked handing that writer a response. Give every
+        // A read-side close does not wake a connection blocked in
+        // `write_all` against a peer that stopped reading. Give every
         // connection a bounded window to drain, then sever the write
-        // side too; the blocked calls then error out and the threads
-        // join. Detached on purpose: the watchdog owns its clones and
+        // side too; the blocked write then errors out and the thread
+        // joins. Detached on purpose: the watchdog owns its clones and
         // a no-op run (everyone drained in time) costs nothing.
         let grace = self.drain_grace;
         thread::spawn(move || {
@@ -220,7 +213,7 @@ impl Server {
                 let store = &store;
                 let config = &config;
                 let shared = &shared;
-                scope.spawn(move || handle_conn(store, stream, config, shared));
+                scope.spawn(move || track_conn(store, stream, config, shared));
             }
             Ok(())
         });
@@ -229,39 +222,34 @@ impl Server {
     }
 }
 
-/// What a connection's reader decides after each frame.
+/// What a connection does after answering a frame.
 enum After {
     /// Keep reading frames.
     Continue,
-    /// Stop reading; the writer drains what is queued, then the
-    /// connection closes.
+    /// The answer just written was the last one; close.
     Close,
 }
 
-fn handle_conn(
+/// Runs one connection on its scoped thread: registers it for
+/// shutdown, serves it with [`handle_conn`], and unregisters it.
+fn track_conn(
     store: &MovingObjectStore,
-    stream: TcpStream,
+    mut stream: TcpStream,
     config: &ServerConfig,
     shared: &Shared,
 ) {
     let _ = stream.set_nodelay(true);
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-    // Register a clone so shutdown can half-close a blocked read, and
-    // clone the write side for the writer thread.
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    // Register a clone so shutdown can half-close a blocked read (and
+    // the watchdog sever a blocked write).
+    let Ok(registered) = stream.try_clone() else {
+        return;
     };
-    {
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(conn_id, read_half);
-    }
+    shared
+        .conns
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(conn_id, registered);
     // Shutdown may have swept the registry between this connection's
     // accept and its registration above; a connection that registered
     // after the sweep severs itself or it would never be woken.
@@ -271,21 +259,7 @@ fn handle_conn(
     hpm_obs::counter!(metrics::CONNECTIONS).add(1);
     hpm_obs::gauge!(metrics::OPEN_CONNECTIONS).add(1);
 
-    // The bounded response queue (backpressure) and the buffer-return
-    // channel (allocation reuse). Depth is tracked explicitly so the
-    // histogram sees what the channel holds.
-    let depth = Arc::new(AtomicUsize::new(0));
-    let (resp_tx, resp_rx) = mpsc::sync_channel::<Vec<u8>>(config.queue_depth);
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<u8>>(config.queue_depth + 1);
-    let writer = {
-        let depth = Arc::clone(&depth);
-        thread::spawn(move || write_loop(write_half, resp_rx, recycle_tx, depth))
-    };
-
-    let clean = read_loop(store, stream, config, shared, resp_tx, recycle_rx, depth);
-    // resp_tx dropped by read_loop: the writer drains and exits.
-    let _ = writer.join();
-    if !clean {
+    if !handle_conn(store, &mut stream, config, shared) {
         hpm_obs::counter!(metrics::DIRTY_DISCONNECTS).add(1);
     }
     shared
@@ -296,156 +270,93 @@ fn handle_conn(
     hpm_obs::gauge!(metrics::OPEN_CONNECTIONS).add(-1);
 }
 
-/// The writer half: drains encoded frames to the socket, recycling
-/// their buffers. Exits when the response channel closes or the
-/// socket dies (the reader then notices its next enqueue failing).
-fn write_loop(
-    mut stream: TcpStream,
-    resp_rx: Receiver<Vec<u8>>,
-    recycle_tx: SyncSender<Vec<u8>>,
-    depth: Arc<AtomicUsize>,
-) {
-    while let Ok(frame) = resp_rx.recv() {
-        depth.fetch_sub(1, Ordering::Relaxed);
-        if stream.write_all(&frame).is_err() {
-            // Socket gone: stop writing. Dropping resp_rx makes the
-            // reader's next send fail, which ends the connection.
-            return;
-        }
-        let _ = recycle_tx.try_send(frame);
-    }
-    let _ = stream.flush();
-}
-
-/// The reader half: frames in, responses enqueued. Returns whether
-/// the connection ended cleanly (EOF at a frame boundary, or a
-/// server-initiated close after answering).
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
+/// The connection's one loop: frame in, answer straight back onto the
+/// socket. The blocking write is the backpressure point — while a
+/// peer is not reading, this thread is not reading either. Returns
+/// whether the connection ended cleanly (EOF at a frame boundary, or
+/// a server-initiated close after answering).
+fn handle_conn(
     store: &MovingObjectStore,
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     config: &ServerConfig,
     shared: &Shared,
-    resp_tx: SyncSender<Vec<u8>>,
-    recycle_rx: Receiver<Vec<u8>>,
-    depth: Arc<AtomicUsize>,
 ) -> bool {
+    // Connection-owned buffers: request payload, encoded response,
+    // framed response and predict scratch all keep their capacity, so
+    // a warm connection serves frames without per-frame allocation and
+    // the allocation-free predict path survives the wire.
     let mut payload = Vec::new();
-    let mut encode_buf = Vec::new();
-    // Connection-owned predict scratch: the whole connection's predict
-    // traffic reuses one warm allocation, so the allocation-free
-    // predict path survives the wire.
+    let mut encoded = Vec::new();
+    let mut framed = Vec::new();
     let mut scratch = PredictScratch::new();
     loop {
-        match read_frame(&mut stream, &mut payload, config.max_frame) {
+        let after = match read_frame(stream, &mut payload, config.max_frame) {
             Ok(false) => return true,
             Ok(true) => {
                 hpm_obs::histogram!(metrics::REQUEST_BYTES).record(payload.len() as u64);
-                let (response, after) = match crate::proto::decode_request(&payload) {
+                let _span = hpm_obs::span!(metrics::REQUEST_SPAN);
+                let (response, after) = match decode_request(&payload) {
                     Ok(req) => {
                         hpm_obs::counter!(metrics::REQUESTS).add(1);
                         execute(store, shared, req, &mut scratch)
                     }
-                    Err(e) => {
-                        // Framing held but the payload didn't parse:
-                        // answer with the reason and keep serving —
-                        // frame boundaries are still trustworthy.
-                        hpm_obs::counter!(metrics::MALFORMED).add(1);
-                        (
-                            Response {
-                                correlation: 0,
-                                body: ResponseBody::Malformed(e.to_string()),
-                            },
-                            After::Continue,
-                        )
-                    }
+                    // Framing held but the payload didn't parse:
+                    // answer with the reason and keep serving — frame
+                    // boundaries are still trustworthy.
+                    Err(e) => (malformed(&e), After::Continue),
                 };
-                if !enqueue(
-                    &response,
-                    &mut encode_buf,
-                    config.max_frame,
-                    &resp_tx,
-                    &recycle_rx,
-                    &depth,
-                ) {
-                    return false;
-                }
-                if let After::Close = after {
-                    return true;
-                }
+                encode_capped(&response, &mut encoded, config.max_frame);
+                after
             }
+            // EOF or transport death mid-frame: nothing to say, nobody
+            // to say it to.
+            Err(ProtoError::Io(_)) => return false,
+            // Framing-level corruption (bad checksum, oversized
+            // length): explain best-effort, then close — byte
+            // boundaries can no longer be trusted on this stream.
             Err(framing) => {
-                // EOF or transport death mid-frame: nothing to say,
-                // nobody to say it to. Framing-level corruption (bad
-                // checksum, oversized length): explain best-effort,
-                // then close — byte boundaries can no longer be
-                // trusted on this stream.
-                let explain = match &framing {
-                    ProtoError::Io(_) => false,
-                    _ => {
-                        hpm_obs::counter!(metrics::MALFORMED).add(1);
-                        true
-                    }
-                };
-                if explain {
-                    let response = Response {
-                        correlation: 0,
-                        body: ResponseBody::Malformed(framing.to_string()),
-                    };
-                    let _ = enqueue(
-                        &response,
-                        &mut encode_buf,
-                        config.max_frame,
-                        &resp_tx,
-                        &recycle_rx,
-                        &depth,
-                    );
-                }
+                encode_capped(&malformed(&framing), &mut encoded, config.max_frame);
+                let _ = write_frame(stream, &mut framed, &encoded);
                 return false;
             }
+        };
+        if write_frame(stream, &mut framed, &encoded).is_err() {
+            return false;
+        }
+        if let After::Close = after {
+            return true;
         }
     }
 }
 
-/// Encodes `response` through the connection-owned `encode_buf`,
-/// frames it into a buffer recycled from the writer, and enqueues the
-/// frame on the bounded writer queue — blocking when the queue is
-/// full (the backpressure point). A response encoding past
-/// `max_frame` is replaced by a typed [`ResponseBody::Oversized`]
-/// reply instead of shipping a frame the peer must reject. Returns
-/// `false` if the writer is gone.
-fn enqueue(
-    response: &Response,
-    encode_buf: &mut Vec<u8>,
-    max_frame: usize,
-    resp_tx: &SyncSender<Vec<u8>>,
-    recycle_rx: &Receiver<Vec<u8>>,
-    depth: &AtomicUsize,
-) -> bool {
-    crate::proto::encode_response(response, encode_buf);
-    if encode_buf.len() > max_frame {
+/// The typed reply to a frame the server could not parse, counted in
+/// `server.malformed`.
+fn malformed(why: &ProtoError) -> Response {
+    hpm_obs::counter!(metrics::MALFORMED).add(1);
+    Response {
+        correlation: 0,
+        body: ResponseBody::Malformed(why.to_string()),
+    }
+}
+
+/// Encodes `response` into the connection-owned `encoded` buffer. A
+/// response encoding past `max_frame` is replaced by a typed
+/// [`ResponseBody::Oversized`] reply instead of shipping a frame the
+/// peer must reject.
+fn encode_capped(response: &Response, encoded: &mut Vec<u8>, max_frame: usize) {
+    encode_response(response, encoded);
+    if encoded.len() > max_frame {
         hpm_obs::counter!(metrics::OVERSIZED_RESPONSES).add(1);
         let fallback = Response {
             correlation: response.correlation,
             body: ResponseBody::Oversized {
-                encoded: encode_buf.len() as u64,
+                encoded: encoded.len() as u64,
                 limit: max_frame as u64,
             },
         };
-        crate::proto::encode_response(&fallback, encode_buf);
+        encode_response(&fallback, encoded);
     }
-    hpm_obs::histogram!(metrics::RESPONSE_BYTES).record(encode_buf.len() as u64);
-    let mut framed = recycle_rx.try_recv().unwrap_or_default();
-    framed.clear();
-    write_frame_into(&mut framed, encode_buf);
-    hpm_obs::histogram!(metrics::QUEUE_DEPTH).record(depth.fetch_add(1, Ordering::Relaxed) as u64);
-    match resp_tx.send(framed) {
-        Ok(()) => true,
-        Err(_) => {
-            depth.fetch_sub(1, Ordering::Relaxed);
-            false
-        }
-    }
+    hpm_obs::histogram!(metrics::RESPONSE_BYTES).record(encoded.len() as u64);
 }
 
 /// Executes one decoded request against the store and says whether
@@ -456,7 +367,6 @@ fn execute(
     req: Request,
     scratch: &mut PredictScratch,
 ) -> (Response, After) {
-    let _span = hpm_obs::span!(metrics::REQUEST_SPAN);
     let mut after = After::Continue;
     let body = match req.body {
         RequestBody::ReportMany(reports) => ResponseBody::Ingested(store.report_many(&reports)),

@@ -87,27 +87,22 @@ fn slow_writer_partial_frames_still_answered() {
 }
 
 /// A client that queues hundreds of large-response requests without
-/// reading. The per-connection queue (depth 2 here) must bound what
-/// the server buffers — the reader blocks instead — while other
-/// connections keep answering; once the slacker finally reads, every
-/// response arrives, in order, none dropped.
+/// reading. The socket bounds what the server buffers — once the
+/// kernel buffers fill, the connection's thread blocks in its write
+/// and stops reading — while other connections keep answering; once
+/// the slacker finally reads, every response arrives, in order, none
+/// dropped.
 #[test]
-fn queue_overflow_applies_backpressure_without_loss() {
+fn full_socket_applies_backpressure_without_loss() {
     let store = Arc::new(MovingObjectStore::new(config()));
-    let server = spawn_server(
-        Arc::clone(&store),
-        ServerConfig {
-            queue_depth: 2,
-            ..ServerConfig::default()
-        },
-    );
+    let server = spawn_server(Arc::clone(&store), ServerConfig::default());
 
     const FRAMES: u64 = 512;
     let mut slacker = Client::connect(server.addr).expect("connect slacker");
     let mut correlations = Vec::with_capacity(FRAMES as usize);
     for _ in 0..FRAMES {
         // Metrics responses are kilobytes: enough traffic to fill the
-        // bounded queue and the socket buffers behind it.
+        // socket buffers on both ends.
         correlations.push(
             slacker
                 .send(RequestBody::Metrics)
@@ -214,22 +209,21 @@ fn oversized_response_replaced_with_typed_error() {
 
 /// A client that fills its pipeline and never reads must not wedge
 /// shutdown: once the drain grace expires, the watchdog severs the
-/// write side, the writer blocked in `write_all` and the reader
-/// blocked handing it work both error out, and `serve` returns.
+/// write side, the connection's thread blocked in `write_all` errors
+/// out, and `serve` returns.
 #[test]
 fn shutdown_completes_despite_stalled_client() {
     let store = Arc::new(MovingObjectStore::new(config()));
     let server = spawn_server(
         Arc::clone(&store),
         ServerConfig {
-            queue_depth: 2,
             drain_grace: Duration::from_millis(200),
             ..ServerConfig::default()
         },
     );
-    // Kilobyte-scale metrics responses against a depth-2 queue: the
-    // socket buffers and the queue fill, then the connection's writer
-    // and reader are both blocked on a peer that never reads.
+    // Kilobyte-scale metrics responses nobody reads: the socket
+    // buffers fill, then the connection's thread is blocked writing
+    // to a peer that never reads.
     let mut slacker = Client::connect(server.addr).expect("connect slacker");
     for _ in 0..2048 {
         slacker

@@ -428,3 +428,173 @@ props! {
         probe.ping().expect("server must keep serving after malformed input");
     }
 }
+
+/// One request per `RequestBody` variant, in verb order.
+fn golden_requests() -> Vec<Request> {
+    let region = BoundingBox {
+        min: Point::new(-10.5, -0.0),
+        max: Point::new(1e9, 2.25),
+    };
+    let bodies = vec![
+        RequestBody::ReportMany(vec![
+            (ObjectId(7), 3, Point::new(1.5, -2.5)),
+            (
+                ObjectId(u64::MAX),
+                1 << 40,
+                Point::new(f64::MIN_POSITIVE, 0.0),
+            ),
+        ]),
+        RequestBody::PredictBatch(vec![(ObjectId(1), 10), (ObjectId(300), 20_000)]),
+        RequestBody::PredictRange {
+            region,
+            query_time: 99,
+        },
+        RequestBody::PredictNearest {
+            focus: Point::new(0.25, -0.25),
+            query_time: 42,
+            k: 5,
+        },
+        RequestBody::Stats(ObjectId(3)),
+        RequestBody::ForceRetrain(ObjectId(130)),
+        RequestBody::Snapshot,
+        RequestBody::Metrics,
+        RequestBody::Ping,
+        RequestBody::Shutdown,
+        RequestBody::PredictWithin {
+            region,
+            query_time: 77,
+            tau: 0.5,
+        },
+        RequestBody::PredictNearestProb {
+            focus: Point::new(1.0, -1.0),
+            query_time: 1 << 33,
+            k: 3,
+            tau: 0.9,
+        },
+    ];
+    (1000u64..)
+        .zip(bodies)
+        .map(|(correlation, body)| Request { correlation, body })
+        .collect()
+}
+
+/// One response per `ResponseBody` variant in tag order, then the
+/// `Err` arm of each tagged result.
+fn golden_responses() -> Vec<Response> {
+    let prediction = Prediction {
+        answers: vec![
+            RankedAnswer {
+                location: Point::new(5.0, 6.0),
+                score: 0.75,
+                pattern: Some(9),
+                uncertainty: Uncertainty {
+                    region: BoundingBox {
+                        min: Point::new(4.0, 5.0),
+                        max: Point::new(6.0, 7.0),
+                    },
+                    mass: 0.625,
+                },
+            },
+            RankedAnswer {
+                location: Point::new(-1.0, 0.5),
+                score: 0.0,
+                pattern: None,
+                uncertainty: Uncertainty::point_claim(Point::new(-1.0, 0.5)),
+            },
+        ],
+        source: PredictionSource::BackwardPatterns,
+    };
+    let insufficient = QueryError::InsufficientHistory {
+        full_periods: 2,
+        min_train_subs: 5,
+    };
+    let bodies = vec![
+        ResponseBody::Ingested(vec![
+            Ok(()),
+            Err(IngestError::NonContiguous {
+                expected: 4,
+                got: 900,
+            }),
+            Err(IngestError::NonFinitePosition),
+            Err(IngestError::ObjectUnavailable(ObjectId(5))),
+            Err(IngestError::Durability(std::io::ErrorKind::StorageFull)),
+        ]),
+        ResponseBody::Predictions(vec![Ok(prediction)]),
+        ResponseBody::Range(vec![
+            (ObjectId(1), Point::new(0.5, 0.25)),
+            (ObjectId(200), Point::new(-0.0, 1e-9)),
+        ]),
+        ResponseBody::Nearest(vec![
+            (ObjectId(2), Point::new(-1.0, 2.0), 3.5),
+            (ObjectId(129), Point::new(8.0, 9.0), 10.25),
+        ]),
+        ResponseBody::Stats(Ok(ObjectStats {
+            samples: 3000,
+            full_periods: 10,
+            trained_periods: 10,
+            patterns: 117_059,
+            regions: 303,
+            approx_bytes: 2_048_000,
+        })),
+        ResponseBody::Retrained(Ok(())),
+        ResponseBody::Snapshotted(Ok(true)),
+        ResponseBody::Metrics("{\"counters\":[]}".into()),
+        ResponseBody::Pong,
+        ResponseBody::ShuttingDown,
+        ResponseBody::Malformed("unknown request verb 240".into()),
+        ResponseBody::Oversized {
+            encoded: 5 << 20,
+            limit: 4 << 20,
+        },
+        ResponseBody::Within(vec![(ObjectId(3), Point::new(2.0, 2.0), 0.75)]),
+        ResponseBody::NearestProb(vec![(ObjectId(4), Point::new(-2.0, 1.0), 12.5)]),
+        ResponseBody::Predictions(vec![
+            Err(QueryError::UnknownObject(ObjectId(1))),
+            Err(QueryError::NoHistory(ObjectId(2))),
+            Err(QueryError::NotInFuture {
+                current: 8,
+                requested: 3,
+            }),
+            Err(QueryError::ObjectUnavailable(ObjectId(4))),
+            Err(insufficient),
+        ]),
+        ResponseBody::Stats(Err(QueryError::UnknownObject(ObjectId(77)))),
+        ResponseBody::Retrained(Err(insufficient)),
+        ResponseBody::Snapshotted(Err(std::io::ErrorKind::StorageFull)),
+    ];
+    (2000u64..)
+        .zip(bodies)
+        .map(|(correlation, body)| Response { correlation, body })
+        .collect()
+}
+
+/// The wire bytes are frozen: payloads captured before `proto.rs`
+/// learned to encode each shape once (`fixtures/wire_v1.hex`, one
+/// `req`/`resp` line per [`golden_requests`] / [`golden_responses`]
+/// entry) are reproduced byte for byte and read back equal.
+#[test]
+fn golden_wire_bytes_are_reproduced() {
+    let mut lines = include_str!("fixtures/wire_v1.hex").lines();
+    let mut expect = |kind: &str| -> Vec<u8> {
+        let line = lines.next().expect("fixture has a line per message");
+        let hex = line.strip_prefix(kind).expect("fixture line kind").trim();
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex byte"))
+            .collect()
+    };
+    let mut payload = Vec::new();
+    for req in golden_requests() {
+        let golden = expect("req");
+        encode_request(&req, &mut payload);
+        assert_eq!(payload, golden, "{req:?}");
+        assert_eq!(decode_request(&golden).expect("golden decodes"), req);
+    }
+    for resp in golden_responses() {
+        let golden = expect("resp");
+        encode_response(&resp, &mut payload);
+        assert_eq!(payload, golden, "{resp:?}");
+        assert_eq!(decode_response(&golden).expect("golden decodes"), resp);
+    }
+    assert_eq!(lines.next(), None, "fixture has unclaimed lines");
+}

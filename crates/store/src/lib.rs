@@ -43,6 +43,8 @@
 //! assert_eq!(restored.patterns, patterns);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bytes;
 mod codec;
 mod error;
@@ -55,9 +57,7 @@ pub mod wire;
 
 pub use error::DecodeError;
 pub use model::{decode_model, encode_model, load_model, save_model, StoredModel};
-pub use snapshot::{
-    decode_snapshot, encode_snapshot, encode_snapshot_v1, HistorySnapshot, ObjectSnapshot,
-};
+pub use snapshot::{decode_snapshot, encode_snapshot, HistorySnapshot, ObjectSnapshot};
 pub use wal::{
     encode_wal_record, scan_wal, scan_wal_file, FsyncPolicy, WalOptions, WalRecord, WalScan,
     WalWriter,

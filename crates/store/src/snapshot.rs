@@ -116,22 +116,6 @@ impl HistorySnapshot {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Flattens to raw `(x, y)` pairs (decompressing chunks) — the
-    /// lossless bridge to v1 encoding and to slice-based consumers.
-    pub fn to_points(&self) -> Vec<(f64, f64)> {
-        match self {
-            HistorySnapshot::Raw(points) => points.clone(),
-            HistorySnapshot::Chunked { chunks, tail } => {
-                let mut out = Vec::with_capacity(self.len());
-                for c in chunks {
-                    out.extend(c.decoder().map(|p| (p.x, p.y)));
-                }
-                out.extend_from_slice(tail);
-                out
-            }
-        }
-    }
 }
 
 /// One object's durable state. `history` holds the samples in
@@ -226,24 +210,6 @@ pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
                 put_points(&mut buf, tail);
             }
         }
-        put_object_tail(&mut buf, o);
-    }
-    seal_with_checksum(buf)
-}
-
-/// Encodes in the legacy v1 raw-samples format (chunked histories are
-/// flattened losslessly). Kept so the committed v1 fixture tests can
-/// regenerate reference bytes and compatibility stays executable.
-pub fn encode_snapshot_v1(objects: &[ObjectSnapshot]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + objects.len() * 64);
-    buf.extend_from_slice(SNAPSHOT_MAGIC);
-    put_varint(&mut buf, u64::from(SNAPSHOT_VERSION_V1));
-    put_varint(&mut buf, objects.len() as u64);
-    for o in objects {
-        debug_assert!(o.trained_len as usize <= o.history.len());
-        put_varint(&mut buf, o.id);
-        put_varint(&mut buf, o.start);
-        put_points(&mut buf, &o.history.to_points());
         put_object_tail(&mut buf, o);
     }
     seal_with_checksum(buf)
@@ -434,33 +400,6 @@ mod tests {
         let blob = encode_snapshot(&objects);
         assert_eq!(decode_snapshot(&blob).unwrap(), objects);
         assert_eq!(decode_snapshot(&encode_snapshot(&[])).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn v1_still_decodes_and_flattens_losslessly() {
-        let objects = sample();
-        let blob = encode_snapshot_v1(&objects);
-        let decoded = decode_snapshot(&blob).unwrap();
-        assert_eq!(decoded.len(), objects.len());
-        for (d, o) in decoded.iter().zip(&objects) {
-            assert_eq!(d.id, o.id);
-            assert_eq!(d.trained_subs, o.trained_subs);
-            assert_eq!(d.trained_len, o.trained_len);
-            assert_eq!(d.model, o.model);
-            // v1 carries raw points; they must equal the flattened
-            // original bit-for-bit (incl. the -0.0 above).
-            match &d.history {
-                HistorySnapshot::Raw(points) => {
-                    let orig = o.history.to_points();
-                    assert_eq!(points.len(), orig.len());
-                    for (a, b) in points.iter().zip(&orig) {
-                        assert_eq!(a.0.to_bits(), b.0.to_bits());
-                        assert_eq!(a.1.to_bits(), b.1.to_bits());
-                    }
-                }
-                other => panic!("v1 decoded non-raw history {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -10,8 +10,7 @@ use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
 // *past* the whole-file checksum.
 use hpm_store::wire::fnv1a;
 use hpm_store::{
-    decode_model, decode_snapshot, encode_model, encode_snapshot, encode_snapshot_v1,
-    HistorySnapshot, ObjectSnapshot,
+    decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
 };
 use hpm_trajectory::SealedChunk;
 
@@ -173,9 +172,10 @@ fn v1_fixture_objects() -> Vec<ObjectSnapshot> {
     ]
 }
 
-/// The committed pre-upgrade (v1) snapshot keeps opening, and every
-/// decoded sample is bit-identical to what was written — including the
-/// `-0.0` and subnormal probes that arithmetic comparison would hide.
+/// The committed pre-upgrade (v1) snapshot keeps opening (nothing
+/// encodes v1, so these bytes are the proof), and every decoded sample
+/// is bit-identical to what was written — including the `-0.0` and
+/// subnormal probes that arithmetic comparison would hide.
 #[test]
 fn committed_v1_fixture_opens_bit_identically() {
     let blob: &[u8] = include_bytes!("fixtures/snapshot_v1.bin");
@@ -183,28 +183,15 @@ fn committed_v1_fixture_opens_bit_identically() {
     let expected = v1_fixture_objects();
     assert_eq!(decoded, expected);
     for (d, e) in decoded.iter().zip(&expected) {
-        let (dp, ep) = (d.history.to_points(), e.history.to_points());
+        let (HistorySnapshot::Raw(dp), HistorySnapshot::Raw(ep)) = (&d.history, &e.history) else {
+            panic!("v1 histories decode raw, got {:?}", d.history);
+        };
         assert_eq!(dp.len(), ep.len());
-        for (a, b) in dp.iter().zip(&ep) {
+        for (a, b) in dp.iter().zip(ep) {
             assert_eq!(a.0.to_bits(), b.0.to_bits());
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
     }
-    // The v1 encoder still reproduces the committed bytes exactly, so
-    // compatibility is executable in both directions.
-    assert_eq!(encode_snapshot_v1(&expected).as_slice(), blob);
-}
-
-/// Regenerates the v1 fixture. Run manually after an *intentional*
-/// layout change: `cargo test -p hpm-store --test corruption -- --ignored`.
-#[test]
-#[ignore = "writes tests/fixtures/snapshot_v1.bin; run manually"]
-fn regenerate_v1_fixture() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_v1.bin"
-    );
-    std::fs::write(path, encode_snapshot_v1(&v1_fixture_objects())).unwrap();
 }
 
 /// A flipped bit inside a v2 chunk's packed words that is re-sealed

@@ -28,6 +28,8 @@
 //! assert_eq!(groups.group(0).len(), 2); // t = 0 and t = 2
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chunks;
 mod decompose;
 mod history;

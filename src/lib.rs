@@ -3,6 +3,8 @@
 //! See the README for a quickstart; each sub-crate is re-exported under
 //! a short module name.
 
+#![forbid(unsafe_code)]
+
 pub use hpm_baselines as baselines;
 pub use hpm_clustering as clustering;
 pub use hpm_core as core;
