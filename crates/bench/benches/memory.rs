@@ -20,6 +20,11 @@
 //! `store.mem.bytes` gauge exports — history plus predictor, trainer
 //! and index overheads, not just history payload.
 //!
+//! A trained row answers the other half: what a *trained* object
+//! keeps resident — predictor, trainer, history, split the way the
+//! `store.mem.*_bytes` gauges split it — and what one mined rule costs
+//! in predictor bytes, over a small fleet of forked commuters.
+//!
 //! Run with `cargo bench --bench memory`; writes `BENCH_memory.json`
 //! at the workspace root (override with `HPM_MEMORY_OUT`). Under
 //! `cargo test` it runs a small smoke pass and writes nothing.
@@ -166,7 +171,95 @@ fn store_row(objects: u64, samples_per_object: usize) -> StoreRow {
     }
 }
 
-fn run(fleets: &[(usize, usize)], tp_samples: usize, store_objects: u64, out: Option<&str>) {
+/// Trained-state bytes over a fleet of forked commuters: the
+/// per-object shares `memory_use()` reports and the predictor's cost
+/// per mined rule.
+struct TrainedRow {
+    objects: usize,
+    rules_per_object: usize,
+    predictor_bytes_per_object: usize,
+    trainer_bytes_per_object: usize,
+    history_bytes_per_object: usize,
+    predictor_bytes_per_rule: f64,
+}
+
+/// Period and trained periods of a [`trained_row`] commuter
+/// (sysbench's `predict_point` shape).
+const TRAINED_PERIOD: u32 = 32;
+const TRAINED_PERIODS: usize = 12;
+
+fn trained_row(objects: u64) -> TrainedRow {
+    use hpm_datagen::{Archetype, GeneratorConfig, PeriodicGenerator};
+    let store = MovingObjectStore::new(StoreConfig {
+        discovery: DiscoveryParams {
+            period: TRAINED_PERIOD,
+            eps: 2.0,
+            min_pts: 3,
+        },
+        mining: MiningParams {
+            min_support: 3,
+            min_confidence: 0.3,
+            max_premise_len: 2,
+            max_premise_gap: 2,
+            max_span: 8,
+        },
+        hpm: HpmConfig::default(),
+        min_train_subs: TRAINED_PERIODS,
+        retrain_every_subs: usize::MAX >> 1,
+        recent_len: 20,
+        shards: 16,
+        threads: 1,
+        index: hpm_objectstore::IndexConfig::default(),
+    });
+    let mut rules = 0;
+    for id in 0..objects {
+        // Two routes share a first leg and fork, per-object geometry.
+        let reach = 24.0 + (id % 7) as f64;
+        let home = Point::new(4.0, 4.0 + (id % 5) as f64);
+        let hub = Point::new(home.x + reach * 0.5, home.y);
+        let work = Point::new(hub.x + reach * 0.4, hub.y + reach * 0.5);
+        let mall = Point::new(hub.x + reach * 0.3, (hub.y - reach * 0.2).max(1.0));
+        let beach = Point::new(mall.x + reach * 0.15, mall.y + reach * 0.3);
+        let path = PeriodicGenerator::new(
+            GeneratorConfig {
+                period: TRAINED_PERIOD,
+                num_subs: TRAINED_PERIODS,
+                similarity_prob: 0.9,
+                point_noise: 0.25,
+                route_noise: 0.4,
+                extent: 40.0,
+                seed: 0x7EA1 ^ id,
+            },
+            vec![
+                Archetype::new(vec![home, hub, work], 0.65),
+                Archetype::new(vec![home, hub, mall, beach], 0.35),
+            ],
+        )
+        .generate();
+        store
+            .report_batch(ObjectId(id), 0, path.points())
+            .expect("contiguous synthetic stream");
+        rules += store.stats(ObjectId(id)).expect("just reported").patterns;
+    }
+    let mem = store.memory_use();
+    let n = objects as usize;
+    TrainedRow {
+        objects: n,
+        rules_per_object: rules / n,
+        predictor_bytes_per_object: mem.predictor_bytes / n,
+        trainer_bytes_per_object: mem.trainer_bytes / n,
+        history_bytes_per_object: mem.history_bytes / n,
+        predictor_bytes_per_rule: mem.predictor_bytes as f64 / rules.max(1) as f64,
+    }
+}
+
+fn run(
+    fleets: &[(usize, usize)],
+    tp_samples: usize,
+    store_objects: u64,
+    trained_objects: u64,
+    out: Option<&str>,
+) {
     let rows: Vec<FleetRow> = fleets
         .iter()
         .map(|&(objects, samples)| {
@@ -196,6 +289,18 @@ fn run(fleets: &[(usize, usize)], tp_samples: usize, store_objects: u64, out: Op
         st.objects, st.samples_per_object, st.bytes_per_object, st.history_ratio, st.measure_ms
     );
 
+    let tr = trained_row(trained_objects);
+    println!(
+        "  trained {} objs x {} rules: predictor {} B/obj ({:.1} B/rule), trainer {} B/obj, \
+         history {} B/obj",
+        tr.objects,
+        tr.rules_per_object,
+        tr.predictor_bytes_per_object,
+        tr.predictor_bytes_per_rule,
+        tr.trainer_bytes_per_object,
+        tr.history_bytes_per_object
+    );
+
     if let Some(path) = out {
         let fleet_json = rows
             .iter()
@@ -215,7 +320,7 @@ fn run(fleets: &[(usize, usize)], tp_samples: usize, store_objects: u64, out: Op
             .join(",\n");
         // Hand-built JSON: the workspace is hermetic (no serde).
         let json = format!(
-            "{{\n  \"bench\": \"memory\",\n  \"methodology\": \"fleet rows materialize N real ChunkedHistory values (default geometry: 256-sample sealed chunks, 16-sample raw hot tail) filled with a paper-like smooth walk and account them via MemUse (capacity-walk, no sample traversal); raw baseline is len*16 bytes, the most charitable uncompressed layout, so ratios never flatter the codec. history_compression_ratio compares payload bytes (packed words + tail) to that baseline; bytes_per_object additionally carries struct headers and chunk-vec capacity. Throughput pushes one long history through the seal pipeline and then streams it back through a DecodeCursor. The store row reports memory_use() on a live MovingObjectStore (16 shards, untrained fleet) — the same figure the store.mem.bytes gauge exports — and times the accounting walk itself to show measuring a large store is cheap. Container caveat: one small core, so throughputs are floors; the portable signals are the compression ratio and the flat bytes/object across fleet sizes\",\n  \"fleets\": [\n{fleet_json}\n  ],\n  \"append_samples\": {},\n  \"append_per_s\": {:.0},\n  \"decode_per_s\": {:.0},\n  \"store\": {{\n    \"objects\": {}, \"samples_per_object\": {}, \"bytes_per_object\": {},\n    \"history_compression_ratio\": {:.2}, \"memory_use_ms\": {:.1}\n  }},\n  \"notes\": \"run `cargo bench -p hpm-bench --bench memory` to regenerate\"\n}}\n",
+            "{{\n  \"bench\": \"memory\",\n  \"methodology\": \"fleet rows materialize N real ChunkedHistory values (default geometry: 256-sample sealed chunks, 16-sample raw hot tail) filled with a paper-like smooth walk and account them via MemUse (capacity-walk, no sample traversal); raw baseline is len*16 bytes, the most charitable uncompressed layout, so ratios never flatter the codec. history_compression_ratio compares payload bytes (packed words + tail) to that baseline; bytes_per_object additionally carries struct headers and chunk-vec capacity. Throughput pushes one long history through the seal pipeline and then streams it back through a DecodeCursor. The store row reports memory_use() on a live MovingObjectStore (16 shards, untrained fleet) — the same figure the store.mem.bytes gauge exports — and times the accounting walk itself to show measuring a large store is cheap. Container caveat: one small core, so throughputs are floors; the portable signals are the compression ratio and the flat bytes/object across fleet sizes\",\n  \"fleets\": [\n{fleet_json}\n  ],\n  \"append_samples\": {},\n  \"append_per_s\": {:.0},\n  \"decode_per_s\": {:.0},\n  \"store\": {{\n    \"objects\": {}, \"samples_per_object\": {}, \"bytes_per_object\": {},\n    \"history_compression_ratio\": {:.2}, \"memory_use_ms\": {:.1}\n  }},\n  \"trained\": {{\n    \"methodology\": \"a live MovingObjectStore of forked commuters in sysbench's predict_point shape (period 32, 12 trained periods, two routes that share a first leg, per-object geometry and seed; Eps 2 / MinPts 3, min_support 3, premises of up to 2 regions), each loaded in one batch so it trains once at its last sample; the per-object figures are memory_use()'s predictor / trainer / history shares (the store.mem.*_bytes gauges) over the fleet, and predictor_bytes_per_rule is the predictor share over the rules it indexes — regions, pattern table, key table, packed TPT image and weight table together. Capacity-based MemUse figures, held to the allocator's live bytes within 20% by objectstore/tests/mem_growth.rs\",\n    \"objects\": {}, \"rules_per_object\": {},\n    \"predictor_bytes_per_object\": {}, \"trainer_bytes_per_object\": {}, \"history_bytes_per_object\": {},\n    \"predictor_bytes_per_rule\": {:.1}\n  }},\n  \"notes\": \"run `cargo bench -p hpm-bench --bench memory` to regenerate\"\n}}\n",
             tp.samples,
             tp.append_per_s,
             tp.decode_per_s,
@@ -223,7 +328,13 @@ fn run(fleets: &[(usize, usize)], tp_samples: usize, store_objects: u64, out: Op
             st.samples_per_object,
             st.bytes_per_object,
             st.history_ratio,
-            st.measure_ms
+            st.measure_ms,
+            tr.objects,
+            tr.rules_per_object,
+            tr.predictor_bytes_per_object,
+            tr.trainer_bytes_per_object,
+            tr.history_bytes_per_object,
+            tr.predictor_bytes_per_rule
         );
         std::fs::write(path, json).expect("write memory report");
         println!("wrote {path}");
@@ -253,8 +364,30 @@ fn run(fleets: &[(usize, usize)], tp_samples: usize, store_objects: u64, out: Op
 /// add ~9.6 KiB/object here).
 const MEMSMOKE_BUDGET_BYTES_PER_OBJECT: usize = 12 * 1024;
 
+/// Committed predictor-bytes-per-rule budget for the same smoke: a
+/// trained forked commuter's whole predictor share over the rules it
+/// indexes. Measured ~63 B/rule (image ~30, pattern table ~27,
+/// regions ~6); the 2x headroom does not fit a second resident copy of
+/// the rules' keys (a pattern-key side array is 80 B/rule).
+const MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE: f64 = 128.0;
+
 fn main() {
     if std::env::args().any(|a| a == "--memsmoke") {
+        let tr = trained_row(64);
+        assert!(
+            tr.predictor_bytes_per_rule < MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE,
+            "{:.1} predictor B/rule exceeds the committed budget of {} B",
+            tr.predictor_bytes_per_rule,
+            MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE
+        );
+        println!(
+            "MEMSMOKE ok trained_objects={} rules_per_object={} predictor_bytes_per_rule={:.1} \
+             budget={}",
+            tr.objects,
+            tr.rules_per_object,
+            tr.predictor_bytes_per_rule,
+            MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE
+        );
         let st = store_row(10_000, 600);
         assert!(
             st.bytes_per_object < MEMSMOKE_BUDGET_BYTES_PER_OBJECT,
@@ -282,7 +415,7 @@ fn main() {
     if !measure_mode {
         // Smoke (cargo test): tiny fleet, same code paths — including
         // the ≥3x gate on the deep-history row.
-        run(&[(100, 2048), (200, 256)], 100_000, 50, None);
+        run(&[(100, 2048), (200, 256)], 100_000, 50, 4, None);
         println!("memory benchmark smoke test passed");
         return;
     }
@@ -292,6 +425,7 @@ fn main() {
         &[(10_000, 8192), (100_000, 2048), (1_000_000, 512)],
         4_000_000,
         10_000,
+        256,
         Some(&out),
     );
 }

@@ -5,13 +5,14 @@ use hpm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hpm_core::HpmConfig;
 use hpm_datagen::{paper_dataset, PaperDataset, PERIOD};
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
-use hpm_patterns::{DiscoveryParams, MiningParams};
+use hpm_patterns::{DiscoveryParams, MiningParams, PatternTable};
 use hpm_store::{decode_model, encode_model};
 
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_codec");
     for &n in &[1_000usize, 20_000] {
         let (regions, patterns) = synthetic_patterns(n, 400, 5);
+        let patterns = PatternTable::from(patterns);
         let blob = encode_model(&regions, &patterns);
         group.throughput(Throughput::Bytes(blob.len() as u64));
         group.bench_with_input(BenchmarkId::new("encode", n), &n, |b, _| {

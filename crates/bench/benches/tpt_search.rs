@@ -34,7 +34,7 @@ fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("tpt_vs_brute");
     for &n in &[1_000usize, 10_000, 100_000] {
         let (set, patterns) = synthetic_patterns(n, 800, 13);
-        let table = KeyTable::build(&set, &patterns);
+        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
         let entries: Vec<_> = patterns
             .iter()
             .enumerate()
@@ -67,7 +67,7 @@ fn bench_search(c: &mut Criterion) {
 fn bench_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("tpt_fanout");
     let (set, patterns) = synthetic_patterns(20_000, 400, 29);
-    let table = KeyTable::build(&set, &patterns);
+    let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
     let entries: Vec<_> = patterns
         .iter()
         .enumerate()
@@ -91,7 +91,7 @@ fn bench_fanout(c: &mut Criterion) {
 
 fn bench_insert(c: &mut Criterion) {
     let (set, patterns) = synthetic_patterns(5_000, 400, 31);
-    let table = KeyTable::build(&set, &patterns);
+    let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
     let entries: Vec<_> = patterns
         .iter()
         .enumerate()
@@ -142,7 +142,7 @@ fn fig11_sweep(
     let mut rows = Vec::new();
     for &regions in scales {
         let (set, patterns) = synthetic_patterns(patterns_n, regions, 13);
-        let table = KeyTable::build(&set, &patterns);
+        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
         let entries: Vec<_> = patterns
             .iter()
             .enumerate()

@@ -114,7 +114,7 @@ fn tables() -> std::io::Result<()> {
         pat(&[0, 1], 3, 0.5),
         pat(&[0, 2], 4, 0.4),
     ];
-    let table = KeyTable::build(&regions, &patterns);
+    let table = KeyTable::build(&regions, patterns.iter().map(|p| p.consequence));
 
     let mut t1 = Report::new(
         "table1-region-keys",
@@ -352,7 +352,7 @@ fn fig11() -> std::io::Result<()> {
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
             let (set, patterns) = synthetic_patterns(n, regions, 11);
-            let table = KeyTable::build(&set, &patterns);
+            let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
             let tpt = Tpt::bulk_load(
                 TptConfig::default(),
                 patterns
@@ -372,7 +372,7 @@ fn fig11() -> std::io::Result<()> {
     )?;
     for &n in &sizes {
         let (set, patterns) = synthetic_patterns(n, 800, 13);
-        let table = KeyTable::build(&set, &patterns);
+        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
         let entries: Vec<_> = patterns
             .iter()
             .enumerate()

@@ -98,7 +98,8 @@ SUBCOMMANDS
             [--max-frame BYTES]
   stats     query a running server for one object's stats (samples,
             training watermarks, model size, approximate resident
-            bytes) and the fleet-wide store memory gauges
+            bytes) and the fleet-wide store memory gauges (total, per
+            object, history / predictor / trainer / index shares)
             --addr HOST:PORT  --id N  [--mem true] [--shutdown false]
   eval      compare HPM / RMF / linear accuracy on held-out data
             --input traj.csv  --period N  --train-subs N  --length N
@@ -209,12 +210,12 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let out = discover(&traj, &discovery);
     let patterns = mine(&out.regions, &out.visits, &mining);
     let output = args.required("output")?;
-    save_model(output, &out.regions, &patterns).map_err(|e| e.to_string())?;
+    let count = patterns.len();
+    save_model(output, &out.regions, &patterns.into()).map_err(|e| e.to_string())?;
     println!(
-        "trained in {:.1}s: {} frequent regions, {} patterns -> {output}",
+        "trained in {:.1}s: {} frequent regions, {count} patterns -> {output}",
         started.elapsed().as_secs_f64(),
         out.regions.len(),
-        patterns.len()
     );
     Ok(())
 }
@@ -619,7 +620,15 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             gauge("store.mem.bytes"),
             gauge("store.mem.bytes_per_object"),
         ) {
-            println!("MEM store_bytes={total} bytes_per_object={per_obj}");
+            let share = |part: &str| gauge(&format!("store.mem.{part}_bytes")).unwrap_or(0);
+            println!(
+                "MEM store_bytes={total} bytes_per_object={per_obj} history_bytes={} \
+                 predictor_bytes={} trainer_bytes={} index_bytes={}",
+                share("history"),
+                share("predictor"),
+                share("trainer"),
+                share("index")
+            );
         }
     }
     // Admin convenience for scripted smoke tests: probe, then stop the

@@ -17,7 +17,7 @@
 
 use crate::predictor::{rank_answers_into, HybridPredictor};
 use crate::scratch::SearchScratch;
-use crate::{consequence_similarity, premise_similarity_with, Prediction, PredictiveQuery};
+use crate::{consequence_similarity, premise_similarity_ids, Prediction, PredictiveQuery};
 use hpm_patterns::RegionId;
 use hpm_tpt::Bitmap;
 use hpm_trajectory::TimeOffset;
@@ -127,13 +127,13 @@ fn score_into(
     let d = predictor.config.distant_threshold as f64;
     let tq_offset = tq.rem_euclid(period);
     out.extend(matches.iter().map(|m| {
-        let pattern = &predictor.patterns[m.pattern as usize];
-        let rk = &predictor.pattern_keys[m.pattern as usize].premise;
-        let weights = predictor.weight_table.weights(rk.count_ones());
-        let sr = premise_similarity_with(rk, rkq, weights);
+        let premise = predictor.patterns.premise(m.pattern as usize);
+        let weights = predictor.weight_table.weights(premise.len());
+        let sr = premise_similarity_ids(premise, rkq, weights);
         // Temporal distance of the consequence offset to the query
         // offset, on the period circle.
-        let t_off = pattern.consequence_offset(&predictor.regions) as i64;
+        let consequence = predictor.patterns.consequence(m.pattern as usize);
+        let t_off = predictor.regions.get(consequence).offset as i64;
         let delta = (t_off - tq_offset).rem_euclid(period);
         let dist = delta.min(period - delta);
         let sc = consequence_similarity(0, dist, t_eps);

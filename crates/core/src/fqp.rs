@@ -3,7 +3,7 @@
 
 use crate::predictor::{rank_answers_into, HybridPredictor};
 use crate::scratch::SearchScratch;
-use crate::{premise_similarity_with, Prediction, PredictiveQuery};
+use crate::{premise_similarity_ids, Prediction, PredictiveQuery};
 use hpm_patterns::RegionId;
 use hpm_trajectory::TimeOffset;
 
@@ -47,9 +47,9 @@ pub(crate) fn run(
     // Eq. 2: S_p = S_r × c.
     scored.clear();
     scored.extend(matches.iter().map(|m| {
-        let rk = &predictor.pattern_keys[m.pattern as usize].premise;
-        let weights = predictor.weight_table.weights(rk.count_ones());
-        let sr = premise_similarity_with(rk, &qkey.premise, weights);
+        let premise = predictor.patterns.premise(m.pattern as usize);
+        let weights = predictor.weight_table.weights(premise.len());
+        let sr = premise_similarity_ids(premise, &qkey.premise, weights);
         (m.pattern, sr * m.confidence)
     }));
     rank_answers_into(

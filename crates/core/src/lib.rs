@@ -80,8 +80,8 @@ pub use config::HpmConfig;
 pub use predictor::HybridPredictor;
 pub use scratch::PredictScratch;
 pub use similarity::{
-    consequence_similarity, premise_similarity, premise_similarity_with, WeightFunction,
-    WeightTable,
+    consequence_similarity, premise_similarity, premise_similarity_ids, premise_similarity_with,
+    WeightFunction, WeightTable,
 };
 pub use train::{NewVisit, TrainerState, UpdateTier};
 pub use types::{

@@ -15,8 +15,7 @@ use crate::{
 use hpm_geo::{BoundingBox, Point};
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
 use hpm_patterns::{
-    discover, mine_with_threads, DiscoveryParams, MiningParams, RegionId, RegionSet,
-    TrajectoryPattern,
+    discover, mine_with_threads, DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet,
 };
 use hpm_tpt::{KeyTable, PackedTpt, PatternKey};
 use hpm_trajectory::{TimeOffset, Timestamp, Trajectory};
@@ -24,53 +23,51 @@ use std::cell::RefCell;
 
 /// A built Hybrid Prediction Model: discovered frequent regions, mined
 /// trajectory patterns, their TPT index, and the query processors.
+///
+/// Each rule is held once per job: as a row of `patterns` (what a
+/// match is scored and answered from) and as a leaf signature of
+/// `packed` (what a query is matched against). Pattern keys (§V.A)
+/// exist only inside the image.
 #[derive(Debug, Clone)]
 pub struct HybridPredictor {
     pub(crate) regions: RegionSet,
-    pub(crate) patterns: Vec<TrajectoryPattern>,
+    pub(crate) patterns: PatternTable,
     pub(crate) key_table: KeyTable,
-    /// Pattern key of `patterns[i]`, aligned by index.
-    pub(crate) pattern_keys: Vec<PatternKey>,
-    /// The index: the arena-packed TPT image of `pattern_keys`, built
-    /// by `build_image` and never mutated beyond confidence patches.
+    /// The index: the arena-packed TPT image of the patterns' keys,
+    /// built by `build_image` and never mutated beyond confidence
+    /// patches.
     pub(crate) packed: PackedTpt,
-    /// Precomputed Eq. 1 weight rows for every premise size among
-    /// `pattern_keys` (keyed to `config.weight_fn`).
+    /// Precomputed Eq. 1 weight rows for every premise length among
+    /// `patterns` (keyed to `config.weight_fn`).
     pub(crate) weight_table: WeightTable,
     pub(crate) config: HpmConfig,
     pub(crate) period: u32,
 }
 
-/// Builds the predictor's index: bulk-loads `<pk, c, p>` for every
-/// pattern into a transient builder tree (§V.B) and freezes it into
-/// the packed image, dropping the tree on the spot.
+/// Builds the predictor's index: encodes `<pk, c, p>` for every
+/// pattern, bulk-loads them into a transient builder tree (§V.B) and
+/// freezes it into the packed image, dropping keys and tree on the
+/// spot.
 fn build_image(
-    pattern_keys: &[PatternKey],
-    patterns: &[TrajectoryPattern],
+    regions: &RegionSet,
+    patterns: &PatternTable,
+    key_table: &KeyTable,
     tpt_fanout: usize,
 ) -> PackedTpt {
     use hpm_tpt::{Tpt, TptConfig};
-    let entries = pattern_keys
-        .iter()
-        .zip(patterns)
-        .enumerate()
-        .map(|(i, (k, p))| (k.clone(), p.confidence, i as u32));
+    let entries = (0..patterns.len()).map(|i| {
+        let key = PatternKey {
+            consequence: key_table.consequence_key([regions.get(patterns.consequence(i)).offset]),
+            premise: key_table.premise_key(patterns.premise(i).iter().copied()),
+        };
+        (key, patterns.confidence(i), i as u32)
+    });
     Tpt::bulk_load(TptConfig::new(tpt_fanout), entries).compact()
 }
 
-/// Largest number of premise ones among the pattern keys — the weight
-/// table must cover every `m` the scorers can encounter.
-fn max_premise_ones(pattern_keys: &[PatternKey]) -> usize {
-    pattern_keys
-        .iter()
-        .map(|k| k.premise.count_ones())
-        .max()
-        .unwrap_or(0)
-}
-
 impl hpm_geo::MemUse for HybridPredictor {
-    /// Everything the trained index keeps resident: regions, patterns,
-    /// the key table and pattern keys, the packed search image and the
+    /// Everything the trained index keeps resident: regions, the
+    /// pattern table, the key table, the packed search image and the
     /// weight table. (The per-thread [`PredictScratch`] is
     /// thread-local, not per-predictor, and is not charged here.)
     fn mem_bytes(&self) -> usize {
@@ -79,7 +76,6 @@ impl hpm_geo::MemUse for HybridPredictor {
             + heap_bytes(&self.regions)
             + heap_bytes(&self.patterns)
             + heap_bytes(&self.key_table)
-            + heap_bytes(&self.pattern_keys)
             + heap_bytes(&self.packed)
             + heap_bytes(&self.weight_table)
     }
@@ -116,35 +112,31 @@ impl HybridPredictor {
     }
 
     /// Assembles a predictor from already-discovered regions and
-    /// patterns (custom pipelines, persisted pattern sets).
+    /// patterns (custom pipelines, persisted pattern sets) — a
+    /// [`PatternTable`] or anything that converts into one, such as
+    /// the `Vec` [`mine`](hpm_patterns::mine) returns.
     ///
     /// # Panics
     /// Panics when `config` is inconsistent or any pattern fails
-    /// [`TrajectoryPattern::validate`] against `regions`.
+    /// [`PatternTable::validate`] against `regions`.
     pub fn from_parts(
         regions: RegionSet,
-        patterns: Vec<TrajectoryPattern>,
+        patterns: impl Into<PatternTable>,
         config: HpmConfig,
     ) -> Self {
         config.validate();
-        for (i, p) in patterns.iter().enumerate() {
-            if let Err(e) = p.validate(&regions) {
-                panic!("pattern {i} invalid: {e}");
-            }
+        let patterns = patterns.into();
+        if let Err(e) = patterns.validate(&regions) {
+            panic!("{e}");
         }
-        let key_table = KeyTable::build(&regions, &patterns);
-        let pattern_keys: Vec<PatternKey> = patterns
-            .iter()
-            .map(|p| key_table.encode_pattern(p, &regions))
-            .collect();
+        let key_table = KeyTable::build(&regions, patterns.consequences().iter().copied());
         let period = regions.period();
-        let packed = build_image(&pattern_keys, &patterns, config.tpt_fanout);
-        let weight_table = WeightTable::build(config.weight_fn, max_premise_ones(&pattern_keys));
+        let packed = build_image(&regions, &patterns, &key_table, config.tpt_fanout);
+        let weight_table = WeightTable::build(config.weight_fn, patterns.max_premise_len());
         HybridPredictor {
             regions,
             patterns,
             key_table,
-            pattern_keys,
             packed,
             weight_table,
             config,
@@ -165,10 +157,15 @@ impl HybridPredictor {
         config.validate();
         if config.weight_fn != self.config.weight_fn {
             self.weight_table =
-                WeightTable::build(config.weight_fn, max_premise_ones(&self.pattern_keys));
+                WeightTable::build(config.weight_fn, self.patterns.max_premise_len());
         }
         if config.tpt_fanout != self.config.tpt_fanout {
-            self.packed = build_image(&self.pattern_keys, &self.patterns, config.tpt_fanout);
+            self.packed = build_image(
+                &self.regions,
+                &self.patterns,
+                &self.key_table,
+                config.tpt_fanout,
+            );
         }
         self.config = config;
         self
@@ -180,9 +177,9 @@ impl HybridPredictor {
         &self.regions
     }
 
-    /// The indexed trajectory patterns.
+    /// The indexed trajectory patterns; row `i` is pattern id `i`.
     #[inline]
-    pub fn patterns(&self) -> &[TrajectoryPattern] {
+    pub fn patterns(&self) -> &PatternTable {
         &self.patterns
     }
 
@@ -478,7 +475,7 @@ pub(crate) fn rank_answers_into(
     seen.clear();
     out.clear();
     for &(pattern, score) in scored.iter() {
-        let consequence = predictor.patterns[pattern as usize].consequence;
+        let consequence = predictor.patterns.consequence(pattern as usize);
         if seen.contains(&consequence) {
             continue;
         }
@@ -637,7 +634,7 @@ mod tests {
             };
             p = p.with_config(cfg);
             let fresh =
-                HybridPredictor::from_parts(base.regions().clone(), base.patterns().to_vec(), cfg);
+                HybridPredictor::from_parts(base.regions().clone(), base.patterns().clone(), cfg);
             assert_eq!(p.config().tpt_fanout, fanout);
             assert_eq!(p.packed_tpt(), fresh.packed_tpt(), "fanout {fanout}");
             assert_eq!(p.predict(&q), answer, "fanout {fanout}");

@@ -2,6 +2,7 @@
 
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::MemUse;
+use hpm_patterns::RegionId;
 use hpm_tpt::Bitmap;
 
 /// The weight functions of §VI.A assigning importance `ωᵢ` to the `1`
@@ -81,10 +82,10 @@ impl WeightFunction {
 /// `m` up to a maximum — the allocation-free path to Eq. 1 on the
 /// predict hot loop: `weights(m)` is a slice read, not a fresh `Vec`.
 ///
-/// A predictor builds one table sized to the largest premise among its
-/// pattern keys (rebuilt when the weight function changes), and the
-/// FQP/BQP scorers pass `table.weights(rk.count_ones())` to
-/// [`premise_similarity_with`].
+/// A predictor builds one table sized to the longest premise among its
+/// patterns (rebuilt when the weight function changes), and the
+/// FQP/BQP scorers pass `table.weights(premise.len())` to
+/// [`premise_similarity_ids`].
 #[derive(Debug, Clone, Default)]
 pub struct WeightTable {
     /// `rows[m]` = the normalised weights for a key with `m` ones.
@@ -146,6 +147,24 @@ pub fn premise_similarity_with(rk: &Bitmap, rkq: &Bitmap, weights: &[f64]) -> f6
     rk.iter_ones()
         .zip(weights)
         .filter(|(bit, _)| rkq.get(*bit))
+        .map(|(_, w)| w)
+        .sum()
+}
+
+/// Eq. 1 read straight off a pattern's premise regions: by Property 1
+/// the `i`-th one of a premise key is the `i`-th premise id (ids ascend
+/// with time offset and a premise holds one region per offset), so this
+/// sums the same weights in the same order as
+/// [`premise_similarity_with`] over that pattern's key — without the
+/// key. The caller supplies `wf.weights(premise.len())`.
+///
+/// # Panics
+/// Panics when a premise id lies outside `rkq`.
+pub fn premise_similarity_ids(premise: &[RegionId], rkq: &Bitmap, weights: &[f64]) -> f64 {
+    premise
+        .iter()
+        .zip(weights)
+        .filter(|(id, _)| rkq.get(id.index()))
         .map(|(_, w)| w)
         .sum()
 }

@@ -23,9 +23,9 @@
 //!    their sub-trajectory's transaction, support counts absorb the
 //!    tails, and the full pattern list is re-derived from counts.
 //! 4. [`HybridPredictor::apply_update`] — the derived regions +
-//!    patterns replace the live ones: confidences are patched into the
-//!    index image when the pattern keys did not move, otherwise the
-//!    image is rebuilt from the pattern list.
+//!    pattern table replace the live ones: confidences are patched
+//!    into the index image when the rule list and key vocabulary did
+//!    not move, otherwise the image is rebuilt from the table.
 //!
 //! **Equivalence guarantee**: after a successful incremental pass the
 //! resulting predictor answers every query exactly like
@@ -40,8 +40,8 @@ use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome};
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
 use hpm_geo::MemUse;
 use hpm_patterns::{
-    DiscoveryParams, FrequentRegion, MiningParams, RegionId, RegionSet, SupportCounts,
-    TrajectoryPattern, Transaction,
+    DiscoveryParams, FrequentRegion, MiningParams, PatternTable, RegionId, RegionSet,
+    SupportCounts, Transaction,
 };
 use hpm_trajectory::{DecomposeCursor, DeltaSample, History, OffsetGroups, TimeOffset, Trajectory};
 
@@ -217,7 +217,7 @@ impl TrainerState {
     /// support counts, and derives the full canonical pattern list
     /// (identical to a batch [`mine`](hpm_patterns::mine) over the
     /// whole history).
-    pub fn stage_mine(&mut self, visits: &[NewVisit]) -> Vec<TrajectoryPattern> {
+    pub fn stage_mine(&mut self, visits: &[NewVisit]) -> PatternTable {
         for v in visits {
             if self.txs.len() <= v.sub {
                 self.txs.resize(v.sub + 1, Transaction::new());
@@ -307,32 +307,31 @@ impl HybridPredictor {
     pub fn apply_update(
         &self,
         regions: RegionSet,
-        patterns: Vec<TrajectoryPattern>,
+        patterns: impl Into<PatternTable>,
     ) -> (HybridPredictor, UpdateTier) {
         let _span = hpm_obs::span!(crate::metrics::APPLY_UPDATE_SPAN);
+        let patterns = patterns.into();
         let same_keys = regions.len() == self.regions.len()
             && regions.period() == self.period
-            && patterns.len() == self.patterns.len()
-            && patterns.iter().zip(&self.patterns).all(|(n, o)| {
-                n.premise == o.premise
-                    && n.consequence == o.consequence
-                    && n.consequence_offset(&regions) == o.consequence_offset(&self.regions)
-            });
+            && patterns.same_rules(&self.patterns)
+            && patterns
+                .consequences()
+                .iter()
+                .all(|&c| regions.get(c).offset == self.regions.get(c).offset);
         if !same_keys {
             let rebuilt = Self::from_parts(regions, patterns, self.config);
             return (rebuilt, UpdateTier::Rebuild);
         }
         let mut packed = self.packed.clone();
         packed.patch_confidences(|id| {
-            let n = patterns[id as usize].confidence;
-            (n != self.patterns[id as usize].confidence).then_some(n)
+            let n = patterns.confidence(id as usize);
+            (n != self.patterns.confidence(id as usize)).then_some(n)
         });
         let out = HybridPredictor {
             regions,
             patterns,
             packed,
             key_table: self.key_table.clone(),
-            pattern_keys: self.pattern_keys.clone(),
             weight_table: self.weight_table.clone(),
             config: self.config,
             period: self.period,
@@ -524,16 +523,19 @@ mod tests {
     }
 
     /// Every derived field of `got` equals a fresh assembly of its own
-    /// regions and patterns: index image, pattern keys, and a weight
+    /// regions and patterns: index image, key table, and a weight
     /// table covering the widest premise.
     fn assert_equals_from_parts(got: &HybridPredictor) {
         let fresh = HybridPredictor::from_parts(
             got.regions().clone(),
-            got.patterns().to_vec(),
+            got.patterns().clone(),
             *got.config(),
         );
         assert_eq!(got.packed_tpt(), fresh.packed_tpt());
-        assert_eq!(got.pattern_keys, fresh.pattern_keys);
+        assert_eq!(
+            got.key_table.consequence_offsets(),
+            fresh.key_table.consequence_offsets()
+        );
         assert_eq!(got.weight_table.max_ones(), fresh.weight_table.max_ones());
     }
 
@@ -547,7 +549,6 @@ mod tests {
             .patterns()
             .iter()
             .filter(|p| p.premise.len() == 1)
-            .cloned()
             .collect();
         assert!(!short.is_empty() && short.len() < full.patterns().len());
         let base = HybridPredictor::from_parts(full.regions().clone(), short, commuter_config());
@@ -598,7 +599,6 @@ mod tests {
                 pat.consequence.index() < shrunk.len()
                     && pat.premise.iter().all(|r| r.index() < shrunk.len())
             })
-            .cloned()
             .collect();
         let (q, tier) = p.apply_update(shrunk.clone(), keep.clone());
         assert_eq!(tier, UpdateTier::Rebuild);

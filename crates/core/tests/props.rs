@@ -3,12 +3,12 @@
 
 use hpm_check::prelude::*;
 use hpm_core::{
-    consequence_similarity, premise_similarity, HpmConfig, HybridPredictor, PredictiveQuery,
-    WeightFunction,
+    consequence_similarity, premise_similarity, premise_similarity_ids, premise_similarity_with,
+    HpmConfig, HybridPredictor, PredictiveQuery, WeightFunction,
 };
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
-use hpm_tpt::Bitmap;
+use hpm_tpt::{Bitmap, KeyTable};
 
 const LEN: usize = 40;
 
@@ -74,6 +74,67 @@ fn arb_world() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
     })
 }
 
+/// A region set with one to three regions per offset and rules whose
+/// premises take one region from each of one to four ascending
+/// offsets — ids and offsets disagree, so Property 1 carries weight.
+fn arb_branching_world() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
+    tuple((
+        vec(int(1u32..4), 3..10),
+        vec(tuple((vec(int(0u64..1000), 2..6), int(0u64..1000))), 1..25),
+    ))
+    .map(|(per_offset, raw_rules)| {
+        let period = per_offset.len() as u32;
+        let mut regions = Vec::new();
+        let mut first_id = Vec::new();
+        for (t, &n) in per_offset.iter().enumerate() {
+            first_id.push(regions.len() as u32);
+            for j in 0..n {
+                let c = Point::new(t as f64 * 100.0, f64::from(j) * 40.0);
+                regions.push(FrequentRegion {
+                    id: RegionId(regions.len() as u32),
+                    offset: t as u32,
+                    local_index: j,
+                    centroid: c,
+                    bbox: BoundingBox::from_point(c),
+                    support: 5,
+                });
+            }
+        }
+        let patterns = raw_rules
+            .into_iter()
+            .map(|(picks, salt)| {
+                // Distinct ascending offsets, one region at each; the
+                // last is the consequence.
+                let mut offsets: Vec<u32> = picks
+                    .iter()
+                    .map(|p| (p % u64::from(period)) as u32)
+                    .collect();
+                offsets.sort_unstable();
+                offsets.dedup();
+                if offsets.len() < 2 {
+                    offsets = vec![0, period - 1];
+                }
+                let mut ids: Vec<RegionId> = offsets
+                    .iter()
+                    .map(|&t| {
+                        let j = (salt.wrapping_mul(31) + u64::from(t))
+                            % u64::from(per_offset[t as usize]);
+                        RegionId(first_id[t as usize] + j as u32)
+                    })
+                    .collect();
+                let consequence = ids.pop().expect("two or more offsets");
+                TrajectoryPattern {
+                    premise: ids,
+                    consequence,
+                    confidence: 0.05 + (salt % 95) as f64 / 100.0,
+                    support: 1 + (salt % 30) as u32,
+                }
+            })
+            .collect();
+        (RegionSet::new(regions, period), patterns)
+    })
+}
+
 props! {
     /// Eq. 1 bounds and identities, for every weight function.
     fn premise_similarity_bounds(rk in arb_bits(), rkq in arb_bits(), wf in arb_wf()) {
@@ -100,6 +161,28 @@ props! {
         let mut grown = rkq.clone();
         grown.set(extra);
         require!(premise_similarity(&rk, &grown, wf) >= base - 1e-12);
+    }
+
+    /// Eq. 1 read off a pattern's premise ids is Eq. 1 over its pattern
+    /// key, to the bit: Property 1 makes the i-th premise id the i-th
+    /// one of the key. The key-based form is the oracle; the scorers
+    /// hold no keys.
+    fn id_similarity_equals_key_similarity(
+        world in arb_branching_world(),
+        recent in vec(int(0usize..1000), 0..8),
+        wf in arb_wf(),
+    ) {
+        let (regions, patterns) = world;
+        let table = KeyTable::build(&regions, patterns.iter().map(|p| p.consequence));
+        let rkq = table.premise_key(recent.iter().map(|r| RegionId((r % regions.len()) as u32)));
+        for p in &patterns {
+            require_eq!(p.validate(&regions), Ok(()));
+            let weights = wf.weights(p.premise.len());
+            let key = table.encode_pattern(p, &regions);
+            let by_key = premise_similarity_with(&key.premise, &rkq, &weights);
+            let by_ids = premise_similarity_ids(&p.premise, &rkq, &weights);
+            require_eq!(by_ids.to_bits(), by_key.to_bits(), "pattern {p:?} against {rkq:?}");
+        }
     }
 
     /// Eq. 3 bounds and symmetry around the query time.
@@ -158,7 +241,7 @@ props! {
         require!(pred.answers.windows(2).all(|w| w[0].score >= w[1].score));
         for a in &pred.answers {
             if let Some(pid) = a.pattern {
-                let pattern = &predictor.patterns()[pid as usize];
+                let pattern = predictor.patterns().get(pid as usize);
                 // The answer is that pattern's consequence centre.
                 require_eq!(
                     a.location,

@@ -234,7 +234,7 @@ props! {
         };
         let predictor =
             HybridPredictor::from_parts(set.clone(), patterns.clone(), config);
-        let table = KeyTable::build(&set, &patterns);
+        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
 
         // The query stands at a random region's centre.
         let all_ids: Vec<RegionId> = set.all().iter().map(|r| r.id).collect();

@@ -32,7 +32,7 @@ pub fn vec_cap_bytes<T>(v: &Vec<T>) -> usize {
 /// keys and values: bucket array at capacity plus one control byte per
 /// slot (hashbrown's layout, within rounding).
 #[inline]
-pub fn hashmap_bytes<K, V>(map: &std::collections::HashMap<K, V>) -> usize {
+pub fn hashmap_bytes<K, V, S>(map: &std::collections::HashMap<K, V, S>) -> usize {
     map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 

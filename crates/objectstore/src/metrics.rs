@@ -71,6 +71,17 @@ pub const MEM_BYTES: &str = "store.mem.bytes";
 /// `store.mem.bytes / objects` at the last `memory_use` call (gauge;
 /// 0 while no objects are tracked).
 pub const MEM_BYTES_PER_OBJECT: &str = "store.mem.bytes_per_object";
+/// The history share of `store.mem.bytes`: packed chunk words plus hot
+/// tails at capacity (gauge, refreshed with it).
+pub const MEM_HISTORY_BYTES: &str = "store.mem.history_bytes";
+/// The trained-predictor share of `store.mem.bytes`: regions, pattern
+/// table, key table, packed TPT image, weight table (gauge).
+pub const MEM_PREDICTOR_BYTES: &str = "store.mem.predictor_bytes";
+/// The incremental-trainer share of `store.mem.bytes`: per-offset
+/// clustering state, visit transactions, support counts (gauge).
+pub const MEM_TRAINER_BYTES: &str = "store.mem.trainer_bytes";
+/// The predictive-index share of `store.mem.bytes`, all shards (gauge).
+pub const MEM_INDEX_BYTES: &str = "store.mem.index_bytes";
 
 /// Latency span around one predictive-index envelope refit (motion
 /// fit + horizon rollout for one dirty object, at query-time flush).
@@ -150,6 +161,10 @@ pub fn register() {
     hpm_obs::registry().gauge(OBJECTS);
     hpm_obs::registry().gauge(MEM_BYTES);
     hpm_obs::registry().gauge(MEM_BYTES_PER_OBJECT);
+    hpm_obs::registry().gauge(MEM_HISTORY_BYTES);
+    hpm_obs::registry().gauge(MEM_PREDICTOR_BYTES);
+    hpm_obs::registry().gauge(MEM_TRAINER_BYTES);
+    hpm_obs::registry().gauge(MEM_INDEX_BYTES);
     hpm_obs::registry().gauge(SNAPSHOT_OBJECTS);
     hpm_obs::registry().gauge(RECOVERY_REPLAYED);
     hpm_obs::registry().gauge(INDEX_SIZE);

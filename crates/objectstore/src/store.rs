@@ -222,7 +222,8 @@ pub struct StoreMemory {
     /// (16 bytes per sample) — divide by `history_bytes` for the fleet
     /// compression ratio.
     pub history_raw_bytes: usize,
-    /// Bytes held by trained predictors (regions, patterns, TPTs).
+    /// Bytes held by trained predictors: regions, the pattern table,
+    /// the key table, the packed TPT image and the weight table.
     pub predictor_bytes: usize,
     /// Bytes held by incremental-trainer state.
     pub trainer_bytes: usize,
@@ -1203,8 +1204,8 @@ impl MovingObjectStore {
     /// Walks every object and totals approximate resident bytes —
     /// compressed histories (with their raw-equivalent baseline, so
     /// the fleet compression ratio is observable), predictors, trainer
-    /// state, and the predictive index. Refreshes the
-    /// `store.mem.bytes` / `store.mem.bytes_per_object` gauges.
+    /// state, and the predictive index. Refreshes the `store.mem.*`
+    /// gauges: the total, the per-object figure and the four shares.
     ///
     /// O(objects) with each object's read lock taken briefly; intended
     /// for operational cadence (stats verbs, snapshots), not per-query
@@ -1223,6 +1224,10 @@ impl MovingObjectStore {
         m.total_bytes += m.index_bytes;
         hpm_obs::gauge!(crate::metrics::MEM_BYTES).set(m.total_bytes as i64);
         hpm_obs::gauge!(crate::metrics::MEM_BYTES_PER_OBJECT).set(m.bytes_per_object() as i64);
+        hpm_obs::gauge!(crate::metrics::MEM_HISTORY_BYTES).set(m.history_bytes as i64);
+        hpm_obs::gauge!(crate::metrics::MEM_PREDICTOR_BYTES).set(m.predictor_bytes as i64);
+        hpm_obs::gauge!(crate::metrics::MEM_TRAINER_BYTES).set(m.trainer_bytes as i64);
+        hpm_obs::gauge!(crate::metrics::MEM_INDEX_BYTES).set(m.index_bytes as i64);
         m
     }
 

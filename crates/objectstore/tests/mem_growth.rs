@@ -1,9 +1,10 @@
 //! Steady-state memory regression test for the `report` path.
 //!
-//! Installs [`hpm_check::alloc::CountingAllocator`] globally (dedicated
-//! single-test file — the counters are process-global) and bounds the
-//! **retained** live-byte growth per reported sample once a store is
-//! warm. Steady-state growth decomposes into:
+//! Installs [`hpm_check::alloc::CountingAllocator`] globally (a
+//! dedicated file whose tests take one lock in turn — the counters are
+//! process-global) and bounds the **retained** live-byte growth per
+//! reported sample once a store is warm. Steady-state growth
+//! decomposes into:
 //!
 //! * compressed history (~2–5 B/sample on a paper-like walk, vs 16 raw);
 //! * trainer state: per-offset clustering points (16 B/sample) plus
@@ -17,6 +18,12 @@
 //! overshoots it immediately. The test also cross-checks the store's
 //! self-reported accounting against the allocator: `memory_use()` must
 //! agree that history compression is actually holding at steady state.
+//!
+//! A second case holds the *trained* share of that accounting —
+//! `predictor_bytes + trainer_bytes`, what `mem_bytes_per_object` is
+//! made of on a trained fleet — to the bytes the allocator actually
+//! handed out while a small commuter fleet trained, so a drop in the
+//! `MemUse` figure is a drop in real heap.
 
 use hpm_check::alloc::CountingAllocator;
 use hpm_core::HpmConfig;
@@ -27,6 +34,10 @@ use hpm_trajectory::Timestamp;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// Held by each test for its whole body: the harness runs tests on
+/// parallel threads and the allocator counters are process-global.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const PERIOD: u32 = 4;
 
@@ -74,6 +85,7 @@ fn day(d: usize) -> Vec<Point> {
 fn warm_report_retains_bounded_bytes_per_sample() {
     const WARM_DAYS: usize = 200;
     const MEASURE_DAYS: usize = 600;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
     let store = MovingObjectStore::new(config());
     let id = ObjectId(1);
@@ -125,5 +137,106 @@ fn warm_report_retains_bounded_bytes_per_sample() {
         "self-reported {} B exceeds process live bytes {}",
         mem.total_bytes,
         ALLOC.live_bytes()
+    );
+}
+
+/// `periods` days of a forked commuter (sysbench's `predict_point`
+/// shape in small): two routes share a first leg and then split, with
+/// per-object geometry and seed, so each object mines a few hundred
+/// rules of its own.
+fn forked_commuter(id: u64, period: u32, periods: usize) -> Vec<Point> {
+    use hpm_datagen::{Archetype, GeneratorConfig, PeriodicGenerator};
+    let reach = 24.0 + (id % 5) as f64;
+    let home = Point::new(4.0, 4.0 + (id % 3) as f64);
+    let hub = Point::new(home.x + reach * 0.5, home.y);
+    let work = Point::new(hub.x + reach * 0.4, hub.y + reach * 0.5);
+    let mall = Point::new(hub.x + reach * 0.3, (hub.y - reach * 0.2).max(1.0));
+    PeriodicGenerator::new(
+        GeneratorConfig {
+            period,
+            num_subs: periods,
+            similarity_prob: 0.9,
+            point_noise: 0.25,
+            route_noise: 0.4,
+            extent: 40.0,
+            seed: 0x5EED ^ id,
+        },
+        vec![
+            Archetype::new(vec![home, hub, work], 0.65),
+            Archetype::new(vec![home, hub, mall], 0.35),
+        ],
+    )
+    .generate()
+    .points()
+    .to_vec()
+}
+
+#[test]
+fn trained_state_accounting_matches_the_allocator() {
+    const OBJECTS: u64 = 12;
+    const TRAIN_PERIOD: u32 = 24;
+    const TRAIN_DAYS: usize = 12;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    let store = MovingObjectStore::new(StoreConfig {
+        discovery: DiscoveryParams {
+            period: TRAIN_PERIOD,
+            eps: 2.0,
+            min_pts: 3,
+        },
+        mining: MiningParams {
+            min_support: 3,
+            min_confidence: 0.3,
+            max_premise_len: 2,
+            max_premise_gap: 2,
+            max_span: 8,
+        },
+        min_train_subs: TRAIN_DAYS,
+        retrain_every_subs: 1_000_000,
+        ..config()
+    });
+    // Load every object up to its last pre-training sample, so the
+    // histories, map cells and index entries are resident before the
+    // window opens and the window holds the training and little else.
+    let paths: Vec<Vec<Point>> = (0..OBJECTS)
+        .map(|id| forked_commuter(id, TRAIN_PERIOD, TRAIN_DAYS))
+        .collect();
+    let last = TRAIN_DAYS * TRAIN_PERIOD as usize - 1;
+    for (id, path) in paths.iter().enumerate() {
+        store
+            .report_batch(ObjectId(id as u64), 0, &path[..last])
+            .unwrap();
+    }
+    let before = store.memory_use();
+    assert_eq!(before.predictor_bytes + before.trainer_bytes, 0);
+
+    let live_before = ALLOC.live_bytes();
+    for (id, path) in paths.iter().enumerate() {
+        store
+            .report(ObjectId(id as u64), last as Timestamp, path[last])
+            .unwrap();
+    }
+    let allocated = ALLOC.live_bytes().saturating_sub(live_before);
+    let after = store.memory_use();
+
+    let rules: usize = (0..OBJECTS)
+        .map(|id| store.stats(ObjectId(id)).unwrap().patterns)
+        .sum();
+    assert!(
+        rules >= 100 * OBJECTS as usize,
+        "fixture too thin to say anything: {rules} rules over {OBJECTS} objects"
+    );
+    // What the window allocated besides trained state: the one sample
+    // each history took in, and whatever the index noted about it.
+    let other = (after.history_bytes - before.history_bytes)
+        + after.index_bytes.saturating_sub(before.index_bytes);
+    let allocated = allocated as f64 - other as f64;
+    let accounted = (after.predictor_bytes + after.trainer_bytes) as f64;
+    assert!(
+        (accounted / allocated - 1.0).abs() < 0.20,
+        "MemUse says {accounted} B of trained state ({} predictor + {} trainer), \
+         the allocator handed out {allocated} B",
+        after.predictor_bytes,
+        after.trainer_bytes
     );
 }

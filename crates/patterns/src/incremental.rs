@@ -26,25 +26,45 @@
 //! * this module counts the *unpruned* itemset universe (bounded by
 //!   the region vocabulary, not by history), so infrequent itemsets
 //!   simply fall out at derive time.
+//!
+//! The counts live in a prefix trie: an itemset's premise is counted
+//! before the itemset is (the premise's last visit was itself a tail
+//! once), so a node is its premise's node plus one region id, counting
+//! an already-tracked instance touches no allocator, and a rule's
+//! premise support is its parent's count.
 
-use crate::{FxBuildHasher, MiningParams, RegionId, TrajectoryPattern};
+use crate::{FxBuildHasher, MiningParams, PatternTable, RegionId};
+use hpm_geo::mem::{hashmap_bytes, vec_cap_bytes};
 use hpm_trajectory::TimeOffset;
 use std::collections::HashMap;
-
-/// Itemset key: region ids in ascending (time) order.
-type Itemset = Box<[u32]>;
-type Counts = HashMap<Itemset, u32, FxBuildHasher>;
 
 /// One transaction: the `(region id, offset)` visit sequence of one
 /// sub-trajectory, strictly ascending in offset.
 pub type Transaction = Vec<(u32, TimeOffset)>;
 
+/// Parent of the single-region itemsets.
+const ROOT: u32 = u32::MAX;
+
+/// One counted itemset: its prefix (`parent`, the rule's premise) plus
+/// its time-wise last region `id`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    count: u32,
+    parent: u32,
+    id: u32,
+}
+
 /// Persistent exact support counts over the structurally valid itemset
-/// universe (sizes `1..=max_premise_len + 1`).
+/// universe (sizes `1..=max_premise_len + 1`), kept as a prefix trie:
+/// every counted itemset's premise is itself counted (see
+/// [`MiningParams`]), so an itemset is its premise's node plus one
+/// region id and no itemset is ever spelled out as a key.
 #[derive(Debug, Clone)]
 pub struct SupportCounts {
     params: MiningParams,
-    counts: Counts,
+    /// `(parent node, region id) → node`; singles hang off [`ROOT`].
+    children: HashMap<(u32, u32), u32, FxBuildHasher>,
+    nodes: Vec<Node>,
 }
 
 impl SupportCounts {
@@ -56,7 +76,8 @@ impl SupportCounts {
         params.validate();
         SupportCounts {
             params,
-            counts: Counts::default(),
+            children: HashMap::default(),
+            nodes: Vec::new(),
         }
     }
 
@@ -70,48 +91,70 @@ impl SupportCounts {
     /// region vocabulary, not by history length).
     #[inline]
     pub fn tracked_itemsets(&self) -> usize {
-        self.counts.len()
+        self.nodes.len()
+    }
+
+    /// Counts one more instance of the itemset `parent + [id]`,
+    /// starting to track it on its first. Returns its node.
+    fn bump(&mut self, parent: u32, id: u32) -> u32 {
+        let next = self.nodes.len() as u32;
+        let node = *self.children.entry((parent, id)).or_insert(next);
+        if node == next {
+            self.nodes.push(Node {
+                count: 0,
+                parent,
+                id,
+            });
+        }
+        self.nodes[node as usize].count += 1;
+        node
+    }
+
+    /// The node of `parent + [id]`, a premise chain: counted when its
+    /// own last visit was the tail.
+    fn child(&self, parent: u32, id: u32) -> u32 {
+        *self
+            .children
+            .get(&(parent, id))
+            .expect("premise of a counted itemset is itself counted")
     }
 
     /// Counts every structurally valid itemset whose **final** element
     /// is the last visit of `tx` — call exactly once right after
     /// appending a visit to its transaction. Offsets in `tx` must be
     /// strictly ascending (one region per offset per sub-trajectory).
+    /// Allocates only when an itemset is seen for the first time.
     pub fn record_tail(&mut self, tx: &[(u32, TimeOffset)]) {
         let j = tx.len() - 1;
         let (last_id, last_off) = tx[j];
         debug_assert!(j == 0 || tx[j - 1].1 < last_off, "offsets must ascend");
-        *self.counts.entry(Box::new([last_id])).or_insert(0) += 1;
+        self.bump(ROOT, last_id);
         // Premise chains drawn from the window [anchor, j): consecutive
         // premise gaps ≤ max_premise_gap; the final element (the new
         // visit) is bound only by max_span from the anchor — the same
         // constraints `mine`'s level-wise `extend` applies.
-        let mut stack: Vec<u32> = Vec::with_capacity(self.params.max_premise_len + 1);
         for anchor in 0..j {
             let (aid, aoff) = tx[anchor];
             if last_off - aoff > self.params.max_span {
                 continue;
             }
-            stack.push(aid);
-            self.extend_chain(tx, anchor, j, last_id, &mut stack);
-            stack.pop();
+            let chain = self.child(ROOT, aid);
+            self.extend_chain(tx, anchor, j, chain, 1);
         }
     }
 
-    /// Emits `[chain…, last_id]` and grows the premise chain from
-    /// position `last` towards `j`.
+    /// Counts `chain + [tx[j]]` and grows the premise chain — `len`
+    /// regions ending at position `last` — towards `j`.
     fn extend_chain(
         &mut self,
         tx: &[(u32, TimeOffset)],
         last: usize,
         j: usize,
-        last_id: u32,
-        stack: &mut Vec<u32>,
+        chain: u32,
+        len: usize,
     ) {
-        stack.push(last_id);
-        *self.counts.entry(stack[..].into()).or_insert(0) += 1;
-        stack.pop();
-        if stack.len() == self.params.max_premise_len {
+        self.bump(chain, tx[j].0);
+        if len == self.params.max_premise_len {
             return;
         }
         let last_off = tx[last].1;
@@ -121,9 +164,8 @@ impl SupportCounts {
             if off - last_off > self.params.max_premise_gap {
                 continue;
             }
-            stack.push(id);
-            self.extend_chain(tx, next, j, last_id, stack);
-            stack.pop();
+            let grown = self.child(chain, id);
+            self.extend_chain(tx, next, j, grown, len + 1);
         }
     }
 
@@ -132,7 +174,8 @@ impl SupportCounts {
     /// [`SupportCounts::record_tail`] for every visit in arrival
     /// order.
     pub fn rebuild(&mut self, txs: &[Transaction]) {
-        self.counts.clear();
+        self.children.clear();
+        self.nodes.clear();
         for tx in txs {
             for end in 1..=tx.len() {
                 self.record_tail(&tx[..end]);
@@ -141,59 +184,57 @@ impl SupportCounts {
     }
 
     /// Derives the canonical pattern list: exactly what
-    /// [`mine`](crate::mine)(crate::mine) returns over the same visits — same
-    /// patterns, same order, bit-identical confidences.
-    pub fn derive(&self) -> Vec<TrajectoryPattern> {
-        let max_len = self.params.max_premise_len + 1;
-        let mut levels: Vec<Vec<(&Itemset, u32)>> = vec![Vec::new(); max_len];
-        for (set, &n) in &self.counts {
-            if n >= self.params.min_support {
-                levels[set.len() - 1].push((set, n));
+    /// [`mine`](crate::mine) returns over the same visits — same
+    /// patterns, same order, bit-identical confidences — as an
+    /// exact-size table.
+    pub fn derive(&self) -> PatternTable {
+        // One rule per frequent itemset of size ≥ 2 that meets the
+        // confidence bar; its premise support is the parent's count.
+        // `ids` holds the itemsets back to back, `rules` their
+        // `(start, end, support, confidence)`.
+        let mut ids: Vec<u32> = Vec::new();
+        let mut rules: Vec<(usize, usize, u32, f64)> = Vec::new();
+        for node in &self.nodes {
+            if node.parent == ROOT || node.count < self.params.min_support {
+                continue;
             }
-        }
-        let mut out = Vec::new();
-        for k in 2..=max_len {
-            let level = &mut levels[k - 1];
-            if level.is_empty() {
-                // Frequent itemsets shrink monotonically with size:
-                // nothing larger can be frequent either — the same
-                // early stop `mine`'s level loop takes.
-                break;
+            let premise_support = self.nodes[node.parent as usize].count;
+            debug_assert!(premise_support >= node.count);
+            let confidence = node.count as f64 / premise_support as f64;
+            if confidence < self.params.min_confidence {
+                continue;
             }
-            level.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            for &(set, support) in level.iter() {
-                let premise = &set[..k - 1];
-                let premise_support = *self
-                    .counts
-                    .get(premise)
-                    .expect("premise of a counted itemset is itself counted");
-                debug_assert!(premise_support >= support);
-                let confidence = support as f64 / premise_support as f64;
-                if confidence >= self.params.min_confidence {
-                    out.push(TrajectoryPattern {
-                        premise: premise.iter().map(|&id| RegionId(id)).collect(),
-                        consequence: RegionId(set[k - 1]),
-                        confidence,
-                        support,
-                    });
+            let start = ids.len();
+            let mut at = node;
+            loop {
+                ids.push(at.id);
+                if at.parent == ROOT {
+                    break;
                 }
+                at = &self.nodes[at.parent as usize];
             }
+            ids[start..].reverse();
+            rules.push((start, ids.len(), node.count, confidence));
         }
-        out
+        // `mine` emits level by level, each level in itemset order.
+        rules.sort_unstable_by(|a, b| {
+            let (a, b) = (&ids[a.0..a.1], &ids[b.0..b.1]);
+            a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+        });
+        PatternTable::from_rows(
+            rules.len(),
+            ids.len() - rules.len(),
+            rules.iter().map(|&(start, end, support, confidence)| {
+                let premise = ids[start..end - 1].iter().map(|&id| RegionId(id));
+                (premise, RegionId(ids[end - 1]), confidence, support)
+            }),
+        )
     }
 }
 
 impl hpm_geo::MemUse for SupportCounts {
     fn mem_bytes(&self) -> usize {
-        // Bucket array at capacity plus hashbrown's control byte per
-        // slot, plus each boxed itemset key's heap.
-        std::mem::size_of::<Self>()
-            + self.counts.capacity() * (std::mem::size_of::<(Itemset, u32)>() + 1)
-            + self
-                .counts
-                .keys()
-                .map(|k| k.len() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+        std::mem::size_of::<Self>() + hashmap_bytes(&self.children) + vec_cap_bytes(&self.nodes)
     }
 }
 

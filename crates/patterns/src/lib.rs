@@ -56,6 +56,7 @@
 mod fxhash;
 mod pattern;
 mod region;
+mod table;
 
 pub mod discovery;
 pub mod incremental;
@@ -70,3 +71,4 @@ pub use incremental::{SupportCounts, Transaction};
 pub use mining::{mine, mine_with_threads, prune_statistics, MiningParams, PruneStats};
 pub use pattern::TrajectoryPattern;
 pub use region::{FrequentRegion, RegionId, RegionSet};
+pub use table::PatternTable;

@@ -1,8 +1,6 @@
 //! The trajectory-pattern value type (Definition 1 of the paper).
 
 use crate::{RegionId, RegionSet};
-use hpm_geo::mem::vec_cap_bytes;
-use hpm_geo::MemUse;
 use hpm_trajectory::TimeOffset;
 use std::fmt;
 
@@ -26,12 +24,6 @@ pub struct TrajectoryPattern {
     pub confidence: f64,
     /// Number of sub-trajectories matching premise *and* consequence.
     pub support: u32,
-}
-
-impl MemUse for TrajectoryPattern {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + vec_cap_bytes(&self.premise)
-    }
 }
 
 impl TrajectoryPattern {
@@ -60,31 +52,7 @@ impl TrajectoryPattern {
     /// strictly after the last premise offset, confidence in `(0, 1]`,
     /// and all ids valid.
     pub fn validate(&self, regions: &RegionSet) -> Result<(), String> {
-        if self.premise.is_empty() {
-            return Err("empty premise".into());
-        }
-        let in_range = |id: RegionId| id.index() < regions.len();
-        if !self.premise.iter().all(|&id| in_range(id)) || !in_range(self.consequence) {
-            return Err("region id out of range".into());
-        }
-        let mut prev: Option<TimeOffset> = None;
-        for &id in &self.premise {
-            let t = regions.get(id).offset;
-            if let Some(p) = prev {
-                if t <= p {
-                    return Err(format!("premise offsets not strictly increasing at {t}"));
-                }
-            }
-            prev = Some(t);
-        }
-        let tn = self.consequence_offset(regions);
-        if tn <= prev.expect("non-empty premise") {
-            return Err(format!("consequence offset {tn} not after premise"));
-        }
-        if !(self.confidence > 0.0 && self.confidence <= 1.0) {
-            return Err(format!("confidence {} outside (0, 1]", self.confidence));
-        }
-        Ok(())
+        validate_rule(&self.premise, self.consequence, self.confidence, regions)
     }
 
     /// Human-readable rendering in the paper's notation, e.g.
@@ -95,6 +63,41 @@ impl TrajectoryPattern {
             regions,
         }
     }
+}
+
+/// [`TrajectoryPattern::validate`] over a rule's parts, shared with
+/// [`PatternTable::validate`](crate::PatternTable::validate).
+pub(crate) fn validate_rule(
+    premise: &[RegionId],
+    consequence: RegionId,
+    confidence: f64,
+    regions: &RegionSet,
+) -> Result<(), String> {
+    if premise.is_empty() {
+        return Err("empty premise".into());
+    }
+    let in_range = |id: RegionId| id.index() < regions.len();
+    if !premise.iter().all(|&id| in_range(id)) || !in_range(consequence) {
+        return Err("region id out of range".into());
+    }
+    let mut prev: Option<TimeOffset> = None;
+    for &id in premise {
+        let t = regions.get(id).offset;
+        if let Some(p) = prev {
+            if t <= p {
+                return Err(format!("premise offsets not strictly increasing at {t}"));
+            }
+        }
+        prev = Some(t);
+    }
+    let tn = regions.get(consequence).offset;
+    if tn <= prev.expect("non-empty premise") {
+        return Err(format!("consequence offset {tn} not after premise"));
+    }
+    if !(confidence > 0.0 && confidence <= 1.0) {
+        return Err(format!("confidence {confidence} outside (0, 1]"));
+    }
+    Ok(())
 }
 
 struct PatternDisplay<'a> {

@@ -267,5 +267,26 @@ props! {
         let mut reseeded = SupportCounts::new(mp);
         reseeded.rebuild(&txs);
         require_eq!(reseeded.derive(), counts.derive());
+
+        // The counts track each structurally valid itemset once: a
+        // naive enumeration of every visit subset finds as many.
+        let mut universe = std::collections::BTreeSet::new();
+        for tx in &txs {
+            for mask in 1u32..1 << tx.len() {
+                let picked: Vec<(u32, u32)> = (0..tx.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| tx[i])
+                    .collect();
+                let (premise, last) = picked.split_at(picked.len() - 1);
+                if premise.len() <= mp.max_premise_len
+                    && premise.windows(2).all(|w| w[1].1 - w[0].1 <= mp.max_premise_gap)
+                    && last[0].1 - picked[0].1 <= mp.max_span
+                {
+                    universe.insert(picked.iter().map(|v| v.0).collect::<Vec<u32>>());
+                }
+            }
+        }
+        require_eq!(counts.tracked_itemsets(), universe.len());
+        require_eq!(reseeded.tracked_itemsets(), universe.len());
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use hpm_store::{decode_model, encode_model};
-//! use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+//! use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 //! use hpm_geo::{BoundingBox, Point};
 //!
 //! let region = |id: u32, offset: u32| FrequentRegion {
@@ -31,12 +31,12 @@
 //!     support: 5,
 //! };
 //! let regions = RegionSet::new(vec![region(0, 0), region(1, 1)], 2);
-//! let patterns = vec![TrajectoryPattern {
+//! let patterns = PatternTable::from(vec![TrajectoryPattern {
 //!     premise: vec![RegionId(0)],
 //!     consequence: RegionId(1),
 //!     confidence: 0.8,
 //!     support: 4,
-//! }];
+//! }]);
 //!
 //! let blob = encode_model(&regions, &patterns);
 //! let restored = decode_model(&blob).unwrap();

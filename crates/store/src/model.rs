@@ -5,7 +5,7 @@ use crate::codec::{fnv1a, get_count, get_f64, get_varint, put_f64, put_varint};
 use crate::format::{MAGIC, MAX_PATTERNS, MAX_PREMISE, MAX_REGIONS, VERSION};
 use crate::DecodeError;
 use hpm_geo::{BoundingBox, Point};
-use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 use hpm_trajectory::TimeOffset;
 use std::path::Path;
 
@@ -16,11 +16,11 @@ pub struct StoredModel {
     /// The frequent regions.
     pub regions: RegionSet,
     /// The mined trajectory patterns.
-    pub patterns: Vec<TrajectoryPattern>,
+    pub patterns: PatternTable,
 }
 
 /// Encodes a model into the version-1 binary format.
-pub fn encode_model(regions: &RegionSet, patterns: &[TrajectoryPattern]) -> Vec<u8> {
+pub fn encode_model(regions: &RegionSet, patterns: &PatternTable) -> Vec<u8> {
     let _span = hpm_obs::span!(crate::metrics::ENCODE_SPAN);
     // Rough pre-size: fixed 48 B per region, ~12 B per pattern.
     let mut buf = Vec::with_capacity(16 + regions.len() * 56 + patterns.len() * 16);
@@ -42,10 +42,11 @@ pub fn encode_model(regions: &RegionSet, patterns: &[TrajectoryPattern]) -> Vec<
     }
 
     put_varint(&mut buf, patterns.len() as u64);
-    for p in patterns {
-        put_varint(&mut buf, p.premise.len() as u64);
+    for p in 0..patterns.len() {
+        let premise = patterns.premise(p);
+        put_varint(&mut buf, premise.len() as u64);
         let mut prev = 0u64;
-        for (i, id) in p.premise.iter().enumerate() {
+        for (i, id) in premise.iter().enumerate() {
             let raw = u64::from(id.0);
             if i == 0 {
                 put_varint(&mut buf, raw);
@@ -54,9 +55,9 @@ pub fn encode_model(regions: &RegionSet, patterns: &[TrajectoryPattern]) -> Vec<
             }
             prev = raw;
         }
-        put_varint(&mut buf, u64::from(p.consequence.0));
-        put_f64(&mut buf, p.confidence);
-        put_varint(&mut buf, u64::from(p.support));
+        put_varint(&mut buf, u64::from(patterns.consequence(p).0));
+        put_f64(&mut buf, patterns.confidence(p));
+        put_varint(&mut buf, u64::from(patterns.support(p)));
     }
 
     let checksum = fnv1a(&buf);
@@ -186,14 +187,17 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
     if buf.has_remaining() {
         return Err(DecodeError::TrailingBytes(buf.remaining()));
     }
-    Ok(StoredModel { regions, patterns })
+    Ok(StoredModel {
+        regions,
+        patterns: patterns.into(),
+    })
 }
 
 /// Encodes and writes a model to a file.
 pub fn save_model(
     path: impl AsRef<Path>,
     regions: &RegionSet,
-    patterns: &[TrajectoryPattern],
+    patterns: &PatternTable,
 ) -> std::io::Result<()> {
     let _span = hpm_obs::span!(crate::metrics::SAVE_SPAN);
     std::fs::write(path, encode_model(regions, patterns))
@@ -210,7 +214,7 @@ mod tests {
     use super::*;
     use hpm_geo::Point;
 
-    fn sample() -> (RegionSet, Vec<TrajectoryPattern>) {
+    fn sample() -> (RegionSet, PatternTable) {
         let mk = |id: u32, offset: TimeOffset, j: u32, cx: f64| {
             let c = Point::new(cx, cx * 0.5);
             FrequentRegion {
@@ -248,7 +252,7 @@ mod tests {
                 support: 5,
             },
         ];
-        (regions, patterns)
+        (regions, patterns.into())
     }
 
     #[test]
@@ -267,7 +271,7 @@ mod tests {
     #[test]
     fn empty_model_roundtrips() {
         let regions = RegionSet::new(Vec::new(), 5);
-        let blob = encode_model(&regions, &[]);
+        let blob = encode_model(&regions, &PatternTable::default());
         let model = decode_model(&blob).unwrap();
         assert_eq!(model.regions.len(), 0);
         assert_eq!(model.regions.period(), 5);
@@ -368,8 +372,8 @@ mod tests {
             confidence: 0.5,
             support: 5,
         };
-        let blob = encode_model(&regions, std::slice::from_ref(&wide));
+        let blob = encode_model(&regions, &std::slice::from_ref(&wide).into());
         let model = decode_model(&blob).unwrap();
-        assert_eq!(model.patterns[0], wide);
+        assert_eq!(model.patterns.get(0), wide);
     }
 }

@@ -5,7 +5,7 @@
 
 use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
-use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 // `fnv1a` lets tests re-seal tampered payloads and exercise validation
 // *past* the whole-file checksum.
 use hpm_store::wire::fnv1a;
@@ -15,7 +15,7 @@ use hpm_store::{
 use hpm_trajectory::SealedChunk;
 
 /// A small real model (three offsets, two chained patterns).
-fn model() -> (RegionSet, Vec<TrajectoryPattern>) {
+fn model() -> (RegionSet, PatternTable) {
     let regions: Vec<FrequentRegion> = (0..3u32)
         .map(|t| {
             let c = Point::new(t as f64 * 50.0, 7.0);
@@ -46,7 +46,7 @@ fn model() -> (RegionSet, Vec<TrajectoryPattern>) {
             support: 4,
         },
     ];
-    (RegionSet::new(regions, 3), patterns)
+    (RegionSet::new(regions, 3), patterns.into())
 }
 
 /// A sealed chunk over a deterministic smooth walk.

@@ -3,7 +3,7 @@
 
 use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
-use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 use hpm_store::{decode_model, encode_model};
 
 /// Random valid model: one region per offset over a random period,
@@ -60,10 +60,13 @@ fn arb_model() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
 }
 
 props! {
-    /// decode(encode(m)) == m.
+    /// decode(encode(m)) == m, and the flat table the codec works on
+    /// holds exactly the rule list it was built from.
     fn roundtrip(model in arb_model()) {
         let (regions, patterns) = model;
-        let blob = encode_model(&regions, &patterns);
+        let table = PatternTable::from(patterns.as_slice());
+        require_eq!(table.to_vec(), patterns);
+        let blob = encode_model(&regions, &table);
         let model = decode_model(&blob).unwrap();
         require_eq!(model.regions.period(), regions.period());
         require_eq!(model.regions.all(), regions.all());
@@ -74,8 +77,8 @@ props! {
     fn deterministic(model in arb_model()) {
         let (regions, patterns) = model;
         require_eq!(
-            encode_model(&regions, &patterns),
-            encode_model(&regions, &patterns)
+            encode_model(&regions, &patterns.as_slice().into()),
+            encode_model(&regions, &patterns.into())
         );
     }
 
@@ -88,7 +91,7 @@ props! {
     /// Flipping any single byte of a valid blob is detected.
     fn corruption_detected(model in arb_model(), idx in index(), mask in int(1u8..=255)) {
         let (regions, patterns) = model;
-        let blob = encode_model(&regions, &patterns);
+        let blob = encode_model(&regions, &patterns.into());
         let i = idx.index(blob.len());
         let mut bad = blob.clone();
         bad[i] ^= mask;
@@ -135,7 +138,7 @@ props! {
                 max_span: 16,
             },
         );
-        let blob = encode_model(&out.regions, &patterns);
+        let blob = encode_model(&out.regions, &patterns.as_slice().into());
         let model = decode_model(&blob).unwrap();
         require_eq!(model.regions.period(), out.regions.period());
         require_eq!(model.regions.all(), out.regions.all());
@@ -170,7 +173,7 @@ fn real_mined_model_roundtrips() {
             max_span: 64,
         },
     );
-    let blob = encode_model(&out.regions, &patterns);
+    let blob = encode_model(&out.regions, &patterns.as_slice().into());
     let model = decode_model(&blob).unwrap();
     assert_eq!(model.patterns, patterns);
     assert_eq!(model.regions.all(), out.regions.all());
@@ -181,4 +184,61 @@ fn real_mined_model_roundtrips() {
         hpm_core::HpmConfig::default(),
     );
     assert_eq!(predictor.patterns().len(), patterns.len());
+}
+
+/// The model frozen into `tests/fixtures/model_v1.bin`: two regions per
+/// offset over a period of six, every one- and two-region premise that
+/// chains adjacent offsets, confidences that do not round.
+fn golden_model() -> (RegionSet, Vec<TrajectoryPattern>) {
+    let regions: Vec<FrequentRegion> = (0..12u32)
+        .map(|id| {
+            let c = Point::new(f64::from(id / 2) * 37.5, f64::from(id % 2) * 81.25 - 3.0);
+            FrequentRegion {
+                id: RegionId(id),
+                offset: id / 2,
+                local_index: id % 2,
+                centroid: c,
+                bbox: BoundingBox {
+                    min: c - Point::new(1.5, 0.75),
+                    max: c + Point::new(2.25, 1.0),
+                },
+                support: 7 + id,
+            }
+        })
+        .collect();
+    let mut patterns = Vec::new();
+    for a in 0..10u32 {
+        for b in [2 * (a / 2 + 1), 2 * (a / 2 + 1) + 1] {
+            let support = 3 + (a * 5 + b) % 11;
+            patterns.push(TrajectoryPattern {
+                premise: vec![RegionId(a)],
+                consequence: RegionId(b),
+                confidence: f64::from(support) / f64::from(support + 1 + a % 4),
+                support,
+            });
+            if b + 2 < 12 {
+                patterns.push(TrajectoryPattern {
+                    premise: vec![RegionId(a), RegionId(b)],
+                    consequence: RegionId(b + 2 - b % 2),
+                    confidence: f64::from(support) / f64::from(2 * support + b),
+                    support: support - 1,
+                });
+            }
+        }
+    }
+    (RegionSet::new(regions, 6), patterns)
+}
+
+/// `encode_model` still writes, byte for byte, the blob the
+/// `Vec<TrajectoryPattern>` encoder wrote for this model before the
+/// pattern table existed — model files and snapshot model sections
+/// cannot have moved.
+#[test]
+fn committed_model_fixture_is_reproduced_byte_for_byte() {
+    let golden: &[u8] = include_bytes!("fixtures/model_v1.bin");
+    let (regions, patterns) = golden_model();
+    assert_eq!(encode_model(&regions, &patterns.as_slice().into()), golden);
+    let model = decode_model(golden).expect("committed model fixture must decode");
+    assert_eq!(model.regions.all(), regions.all());
+    assert_eq!(model.patterns, patterns);
 }

@@ -12,7 +12,7 @@
 //! and every §V.A operation applies to both parts.
 
 use crate::Bitmap;
-use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
+use hpm_geo::mem::heap_bytes;
 use hpm_geo::MemUse;
 use hpm_patterns::{RegionId, RegionSet, TrajectoryPattern};
 use hpm_trajectory::TimeOffset;
@@ -94,27 +94,28 @@ pub struct KeyTable {
     region_count: usize,
     /// Sorted distinct time offsets appearing as pattern consequences;
     /// index = time id (consequence-key bit).
-    consequence_offsets: Vec<TimeOffset>,
+    consequence_offsets: Box<[TimeOffset]>,
 }
 
 impl MemUse for KeyTable {
     fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + vec_cap_bytes(&self.consequence_offsets)
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.consequence_offsets)
     }
 }
 
 impl KeyTable {
-    /// Builds the tables for a region set and its mined patterns.
-    pub fn build(regions: &RegionSet, patterns: &[TrajectoryPattern]) -> Self {
-        let mut offsets: Vec<TimeOffset> = patterns
-            .iter()
-            .map(|p| p.consequence_offset(regions))
-            .collect();
-        offsets.sort_unstable();
-        offsets.dedup();
+    /// Builds the tables for a region set and the consequence regions
+    /// of its mined patterns (one per pattern; repeats are expected).
+    pub fn build(regions: &RegionSet, consequences: impl IntoIterator<Item = RegionId>) -> Self {
+        // One bit per offset of the period: reads out sorted and
+        // distinct, however many patterns share an offset.
+        let mut seen = Bitmap::zeros(regions.period() as usize);
+        for c in consequences {
+            seen.set(regions.get(c).offset as usize);
+        }
         KeyTable {
             region_count: regions.len(),
-            consequence_offsets: offsets,
+            consequence_offsets: seen.iter_ones().map(|t| t as TimeOffset).collect(),
         }
     }
 
@@ -305,7 +306,7 @@ mod tests {
     fn table() -> (RegionSet, Vec<TrajectoryPattern>, KeyTable) {
         let regions = fig3_regions();
         let patterns = fig3_patterns();
-        let table = KeyTable::build(&regions, &patterns);
+        let table = KeyTable::build(&regions, patterns.iter().map(|p| p.consequence));
         (regions, patterns, table)
     }
 
@@ -331,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn table_iii_pattern_keys() {
+    fn table_iii_keys_of_fig3_patterns() {
         let (regions, patterns, t) = table();
         let keys: Vec<String> = patterns
             .iter()
@@ -426,7 +427,7 @@ mod tests {
     #[should_panic(expected = "missing from key table")]
     fn encoding_foreign_pattern_panics() {
         let regions = fig3_regions();
-        let table = KeyTable::build(&regions, &fig3_patterns()[..1]); // offsets {1}
+        let table = KeyTable::build(&regions, [fig3_patterns()[0].consequence]); // offsets {1}
         let foreign = &fig3_patterns()[2]; // consequence offset 2
         table.encode_pattern(foreign, &regions);
     }
@@ -434,7 +435,7 @@ mod tests {
     #[test]
     fn zero_pattern_table() {
         let regions = fig3_regions();
-        let t = KeyTable::build(&regions, &[]);
+        let t = KeyTable::build(&regions, []);
         assert_eq!(t.consequence_count(), 0);
         let q = t.fqp_query([RegionId(0)], 1);
         assert!(q.consequence.is_zero());

@@ -85,14 +85,14 @@ pub struct PackedTpt {
     cw: usize,
     /// Words per premise part.
     pw: usize,
-    nodes: Vec<PackedNode>,
+    nodes: Box<[PackedNode]>,
     /// Signature arena: per entry `cw + pw` words, consequence first,
     /// node entries contiguous, nodes in DFS pre-order.
-    sig: Vec<u64>,
+    sig: Box<[u64]>,
     /// Per entry: child node id (internal) or pattern id (leaf).
-    child: Vec<u32>,
+    child: Box<[u32]>,
     /// Per entry: confidence (leaves; 0 for internal entries).
-    confidence: Vec<f64>,
+    confidence: Box<[f64]>,
     len: usize,
     height: usize,
 }
@@ -115,7 +115,20 @@ impl Tpt {
             packed.prem_bits = first.premise.len();
             packed.cw = packed.cons_bits.div_ceil(64);
             packed.pw = packed.prem_bits.div_ceil(64);
-            packed.pack_node(self, self.root);
+            // Every builder node is live, so the arenas are sized
+            // before the first copy and freeze without slack.
+            let entries: usize = self.nodes.iter().map(|n| n.entries.len()).sum();
+            let mut arenas = Arenas {
+                nodes: Vec::with_capacity(self.nodes.len()),
+                sig: Vec::with_capacity(entries * (packed.cw + packed.pw)),
+                child: Vec::with_capacity(entries),
+                confidence: Vec::with_capacity(entries),
+            };
+            arenas.pack_node(self, self.root);
+            packed.nodes = arenas.nodes.into();
+            packed.sig = arenas.sig.into();
+            packed.child = arenas.child.into();
+            packed.confidence = arenas.confidence.into();
             packed.len = self.len();
             packed.height = self.height();
         }
@@ -124,23 +137,16 @@ impl Tpt {
     }
 }
 
-impl hpm_geo::MemUse for PackedTpt {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.sig.capacity() * 8
-            + self.child.capacity() * 4
-            + self.confidence.capacity() * 8
-            + self.nodes.capacity() * std::mem::size_of::<PackedNode>()
-    }
+/// The arenas of an image while [`Tpt::compact`] fills them.
+struct Arenas {
+    nodes: Vec<PackedNode>,
+    sig: Vec<u64>,
+    child: Vec<u32>,
+    confidence: Vec<f64>,
 }
 
-impl PackedTpt {
-    /// An empty image (what compacting an empty tree yields).
-    pub fn new() -> Self {
-        PackedTpt::default()
-    }
-
-    /// Copies `node` and (pre-order) its subtree into the arena,
+impl Arenas {
+    /// Copies `node` and (pre-order) its subtree into the arenas,
     /// returning the packed node id.
     fn pack_node(&mut self, tree: &Tpt, node: u32) -> u32 {
         let n = &tree.nodes[node as usize];
@@ -167,6 +173,21 @@ impl PackedTpt {
             }
         }
         id
+    }
+}
+
+impl hpm_geo::MemUse for PackedTpt {
+    /// The arenas are boxed slices, so resident bytes are
+    /// [`storage_bytes`](PackedTpt::storage_bytes) exactly.
+    fn mem_bytes(&self) -> usize {
+        self.storage_bytes()
+    }
+}
+
+impl PackedTpt {
+    /// An empty image (what compacting an empty tree yields).
+    pub fn new() -> Self {
+        PackedTpt::default()
     }
 
     /// Number of indexed patterns.
@@ -214,7 +235,7 @@ impl PackedTpt {
     /// Returns the number of patched entries.
     pub fn patch_confidences(&mut self, mut patch: impl FnMut(u32) -> Option<f64>) -> usize {
         let mut patched = 0;
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             if !node.leaf {
                 continue;
             }
@@ -382,7 +403,7 @@ mod tests {
 
     fn fig3() -> (KeyTable, Tpt) {
         let patterns = fig3_patterns();
-        let table = KeyTable::build(&fig3_regions(), &patterns);
+        let table = KeyTable::build(&fig3_regions(), patterns.iter().map(|p| p.consequence));
         let mut tree = Tpt::new(TptConfig::new(4));
         for (k, c, p) in entries(&table, &patterns) {
             tree.insert(k, c, p);
@@ -413,7 +434,7 @@ mod tests {
     #[test]
     fn patch_confidences_equals_a_fresh_build() {
         let mut patterns = fig3_patterns();
-        let table = KeyTable::build(&fig3_regions(), &patterns);
+        let table = KeyTable::build(&fig3_regions(), patterns.iter().map(|p| p.consequence));
         let image = |patterns: &[hpm_patterns::TrajectoryPattern]| {
             Tpt::bulk_load(TptConfig::new(4), entries(&table, patterns)).compact()
         };

@@ -434,7 +434,7 @@ mod tests {
     fn fig3_tree(config: TptConfig) -> (KeyTable, Tpt) {
         let regions = fig3_regions();
         let patterns = fig3_patterns();
-        let table = KeyTable::build(&regions, &patterns);
+        let table = KeyTable::build(&regions, patterns.iter().map(|p| p.consequence));
         let mut tree = Tpt::new(config);
         for (i, p) in patterns.iter().enumerate() {
             tree.insert(table.encode_pattern(p, &regions), p.confidence, i as u32);

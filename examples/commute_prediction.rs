@@ -88,7 +88,7 @@ fn main() {
         pred.best().distance(&q.truth)
     );
     if let Some(pid) = pred.answers[0].pattern {
-        let pattern = &predictor.patterns()[pid as usize];
+        let pattern = predictor.patterns().get(pid as usize);
         println!(
             "  supporting pattern   : {}",
             pattern.display(predictor.regions())

@@ -96,7 +96,7 @@ fn main() {
     let known: std::collections::HashSet<_> = predictor
         .patterns()
         .iter()
-        .map(|p| (p.premise.clone(), p.consequence))
+        .map(|p| (p.premise, p.consequence))
         .collect();
     let fresh: Vec<_> = refreshed
         .into_iter()

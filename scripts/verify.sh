@@ -150,14 +150,16 @@ fi
     > "$SMOKE_DIR/stats.out"
 diff <(grep '^STATS' "$SMOKE_DIR/twin.out") <(grep '^STATS' "$SMOKE_DIR/stats.out")
 grep -Eq '^MEM approx_bytes=[1-9]' "$SMOKE_DIR/stats.out"
-grep -Eq '^MEM store_bytes=[1-9]' "$SMOKE_DIR/stats.out"
+grep -Eq '^MEM store_bytes=[1-9][0-9]* bytes_per_object=[1-9][0-9]* history_bytes=[1-9][0-9]* predictor_bytes=[1-9][0-9]* trainer_bytes=[1-9][0-9]* index_bytes=[0-9]+$' \
+    "$SMOKE_DIR/stats.out"
 wait "$SERVE_PID"
 grep -q '^SHUTDOWN clean' "$SMOKE_DIR/serve.out"
 
-echo "==> memory smoke (10k-object store under the committed bytes/object budget)"
+echo "==> memory smoke (10k-object store bytes/object and trained predictor bytes/rule, each under its committed budget)"
 cargo bench --offline -q -p hpm-bench --bench memory -- --memsmoke \
     > "$SMOKE_DIR/memsmoke.out"
-grep -q '^MEMSMOKE ok' "$SMOKE_DIR/memsmoke.out"
+grep -q '^MEMSMOKE ok objects=' "$SMOKE_DIR/memsmoke.out"
+grep -q '^MEMSMOKE ok trained_objects=' "$SMOKE_DIR/memsmoke.out"
 
 echo "==> safe code: every crate root but hpm-check forbids unsafe"
 # hpm-check owns the one `unsafe` in the workspace (its counting

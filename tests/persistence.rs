@@ -4,7 +4,9 @@
 use hybrid_prediction_model::core::eval::{make_workload, training_slice, WorkloadParams};
 use hybrid_prediction_model::core::{HpmConfig, HybridPredictor};
 use hybrid_prediction_model::datagen::{paper_dataset, PaperDataset, PERIOD};
-use hybrid_prediction_model::patterns::{discover, mine, DiscoveryParams, MiningParams};
+use hybrid_prediction_model::patterns::{
+    discover, mine, DiscoveryParams, MiningParams, PatternTable,
+};
 use hybrid_prediction_model::store::{decode_model, encode_model};
 
 #[test]
@@ -24,7 +26,7 @@ fn restored_model_predicts_identically() {
         max_span: 64,
     };
     let out = discover(&train, &discovery);
-    let patterns = mine(&out.regions, &out.visits, &mining);
+    let patterns: PatternTable = mine(&out.regions, &out.visits, &mining).into();
     assert!(!patterns.is_empty());
 
     let blob = encode_model(&out.regions, &patterns);
@@ -65,7 +67,7 @@ fn blob_size_is_compact() {
             min_pts: 4,
         },
     );
-    let patterns = mine(
+    let patterns: PatternTable = mine(
         &out.regions,
         &out.visits,
         &MiningParams {
@@ -75,7 +77,8 @@ fn blob_size_is_compact() {
             max_premise_gap: 8,
             max_span: 64,
         },
-    );
+    )
+    .into();
     let blob = encode_model(&out.regions, &patterns);
     let per_pattern =
         (blob.len() as f64 - out.regions.len() as f64 * 56.0) / patterns.len().max(1) as f64;
@@ -104,7 +107,7 @@ fn empty_pattern_model_round_trips() {
         },
     );
     // Impossible support floor: mining legitimately yields nothing.
-    let patterns = mine(
+    let patterns: PatternTable = mine(
         &out.regions,
         &out.visits,
         &MiningParams {
@@ -114,7 +117,8 @@ fn empty_pattern_model_round_trips() {
             max_premise_gap: 8,
             max_span: 64,
         },
-    );
+    )
+    .into();
     assert!(patterns.is_empty());
 
     let blob = encode_model(&out.regions, &patterns);
