@@ -154,7 +154,7 @@ fn run(sizes: &[usize], reps: usize, report: Option<&str>) {
             .collect::<Vec<_>>()
             .join(",\n");
         let json = format!(
-            "{{\n  \"bench\": \"retrain\",\n  \"period\": {PERIOD},\n  \"reps\": {reps},\n  \"methodology\": \"steady-state commuter (period 4, 3-day jitter cycle); per size H: best-of-{reps} wall clock of one incremental daily pass (cursor delta -> IncDBSCAN insertions -> support-count tails + derive -> apply_update) while history grows H..H+{reps} days, vs best-of-{reps} HybridPredictor::build over H days; end state asserted pattern- and region-identical to a full rebuild\",\n  \"speedup_at_largest\": {speedup_at_max:.2},\n  \"results\": [\n{results}\n  ]\n}}\n"
+            "{{\n  \"bench\": \"retrain\",\n  \"period\": {PERIOD},\n  \"reps\": {reps},\n  \"methodology\": \"steady-state commuter (period 4, 3-day jitter cycle); per size H: best-of-{reps} wall clock of one incremental daily pass (cursor delta -> IncDBSCAN insertions -> support-count tails + derive -> apply_update) while history grows H..H+{reps} days, vs best-of-{reps} HybridPredictor::build over H days; end state asserted pattern- and region-identical to a full rebuild; speedup = full_ns / incremental_ns is a ratio of two costs, not a score: a faster batch DBSCAN lowers full_ns and with it the ratio (the one-grid sweep did exactly that), so read the two ns columns first\",\n  \"speedup_at_largest\": {speedup_at_max:.2},\n  \"results\": [\n{results}\n  ]\n}}\n"
         );
         std::fs::write(path, json).expect("write retrain report");
         println!("wrote {path}");

@@ -1,6 +1,6 @@
 //! The DBSCAN algorithm proper.
 
-use crate::GridIndex;
+use crate::grid::GridIndex;
 use hpm_geo::{BoundingBox, Point};
 
 /// DBSCAN parameters: the paper's frequent-region knobs (§IV, §VII.B).
@@ -55,10 +55,7 @@ pub struct Cluster {
 /// order here is by ascending seed index, so results are
 /// deterministic).
 pub fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
-    let index = GridIndex::build(points, params.eps.max(f64::MIN_POSITIVE));
-    dbscan_impl(points, params, |p, visit| {
-        index.for_each_neighbor(p, params.eps, visit)
-    })
+    sweep_grid(points, params).1.into_output()
 }
 
 /// Naive `O(n²)` DBSCAN — differential-testing oracle and ablation
@@ -74,29 +71,136 @@ pub fn dbscan_naive(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<
     })
 }
 
-/// `UNCLASSIFIED` sentinel used during the sweep.
-const UNVISITED: u32 = u32::MAX;
-/// Noise sentinel (may later be upgraded to a border point).
-const NOISE: u32 = u32::MAX - 1;
-
 fn dbscan_impl(
     points: &[Point],
     params: DbscanParams,
     neighbors_of: impl Fn(&Point, &mut dyn FnMut(u32)),
 ) -> (Vec<Label>, Vec<Cluster>) {
+    sweep(points, params.min_pts, |p, out| {
+        neighbors_of(p, &mut |i| out.push(i))
+    })
+    .into_output()
+}
+
+/// Builds the neighbour grid for `params` over `points` and runs the
+/// sweep against it — the one clustering pass behind both [`dbscan`]
+/// and [`IncrementalDbscan::seed`](crate::IncrementalDbscan::seed),
+/// which keeps the grid.
+pub(crate) fn sweep_grid(points: &[Point], params: DbscanParams) -> (GridIndex, Sweep) {
+    let grid = GridIndex::build(points, params.eps.max(f64::MIN_POSITIVE));
+    let swept = sweep(points, params.min_pts, |p, out| {
+        grid.neighbors_into(points, p, params.eps, out)
+    });
+    (grid, swept)
+}
+
+/// Running aggregate of one cluster: members in ascending index order
+/// with their coordinate sum and tight box. Batch summaries and the
+/// incremental state's later appends extend this same fold, which is
+/// what keeps them bit-identical.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ClusterFold {
+    pub(crate) members: Vec<u32>,
+    pub(crate) sum: Point,
+    pub(crate) bbox: BoundingBox,
+}
+
+impl ClusterFold {
+    fn with_capacity(members: usize) -> Self {
+        ClusterFold {
+            members: Vec::with_capacity(members),
+            sum: Point::ORIGIN,
+            bbox: BoundingBox::from_point(Point::ORIGIN),
+        }
+    }
+
+    /// Folds in point `i` at `p`; callers push in ascending `i`.
+    pub(crate) fn push(&mut self, i: u32, p: Point) {
+        if self.members.is_empty() {
+            self.bbox = BoundingBox::from_point(p);
+        } else {
+            self.bbox.expand(p);
+        }
+        self.members.push(i);
+        self.sum += p;
+    }
+
+    #[inline]
+    pub(crate) fn centroid(&self) -> Point {
+        self.sum / self.members.len() as f64
+    }
+}
+
+/// Everything one DBSCAN sweep learns about a point set.
+pub(crate) struct Sweep {
+    /// Cluster id per point, [`NOISE`] outside every cluster.
+    pub(crate) assign: Vec<u32>,
+    /// `|N_Eps(p)|` including the point itself, recorded at the single
+    /// neighbourhood query the sweep makes for each point.
+    pub(crate) counts: Vec<u32>,
+    pub(crate) clusters: Vec<ClusterFold>,
+}
+
+impl Sweep {
+    fn into_output(self) -> (Vec<Label>, Vec<Cluster>) {
+        let clusters = self
+            .clusters
+            .into_iter()
+            .zip(0..)
+            .map(|(fold, id)| Cluster {
+                id,
+                centroid: fold.centroid(),
+                bbox: fold.bbox,
+                members: fold.members,
+            })
+            .collect();
+        let labels = self.assign.into_iter().map(label_of).collect();
+        (labels, clusters)
+    }
+}
+
+/// `UNCLASSIFIED` sentinel used during the sweep.
+const UNVISITED: u32 = u32::MAX;
+/// Noise sentinel (during the sweep it may still be upgraded to a
+/// border point).
+pub(crate) const NOISE: u32 = u32::MAX - 1;
+
+/// The public [`Label`] of a swept point's assignment.
+#[inline]
+pub(crate) fn label_of(assign: u32) -> Label {
+    if assign < NOISE {
+        Label::Cluster(assign)
+    } else {
+        Label::Noise
+    }
+}
+
+/// The DBSCAN sweep. `neighbors_of(p, out)` appends the index of every
+/// point within `Eps` of `p` to `out` (any order) and is called exactly
+/// once per point: for an unvisited seed, or when a point first claimed
+/// by a cluster is popped off the frontier.
+pub(crate) fn sweep(
+    points: &[Point],
+    min_pts: usize,
+    mut neighbors_of: impl FnMut(&Point, &mut Vec<u32>),
+) -> Sweep {
     let n = points.len();
     let mut assign = vec![UNVISITED; n];
+    let mut counts = vec![0u32; n];
     let mut next_cluster = 0u32;
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut scratch: Vec<u32> = Vec::new();
+    // Sized for the worst case up front (every point on the frontier,
+    // every point a neighbour), so the sweep never regrows a buffer.
+    let mut frontier: Vec<u32> = Vec::with_capacity(n);
+    let mut scratch: Vec<u32> = Vec::with_capacity(n);
 
     for seed in 0..n {
         if assign[seed] != UNVISITED {
             continue;
         }
         scratch.clear();
-        neighbors_of(&points[seed], &mut |i| scratch.push(i));
-        if scratch.len() < params.min_pts {
+        neighbors_of(&points[seed], &mut scratch);
+        counts[seed] = scratch.len() as u32;
+        if scratch.len() < min_pts {
             assign[seed] = NOISE;
             continue;
         }
@@ -117,8 +221,9 @@ fn dbscan_impl(
         }
         while let Some(p) = frontier.pop() {
             scratch.clear();
-            neighbors_of(&points[p as usize], &mut |i| scratch.push(i));
-            if scratch.len() < params.min_pts {
+            neighbors_of(&points[p as usize], &mut scratch);
+            counts[p as usize] = scratch.len() as u32;
+            if scratch.len() < min_pts {
                 continue; // border point: keeps membership, no expansion
             }
             for &i in &scratch {
@@ -133,42 +238,24 @@ fn dbscan_impl(
         }
     }
 
-    // Summaries.
-    let mut clusters: Vec<Cluster> = (0..next_cluster)
-        .map(|id| Cluster {
-            id,
-            members: Vec::new(),
-            centroid: Point::ORIGIN,
-            bbox: BoundingBox::from_point(Point::ORIGIN),
-        })
-        .collect();
-    for (i, &a) in assign.iter().enumerate() {
+    // Summaries: one fold per cluster, members ascending. Sizes are
+    // counted first so that each member list is allocated exactly once.
+    let mut sizes = vec![0usize; next_cluster as usize];
+    for &a in assign.iter().filter(|&&a| a < NOISE) {
+        sizes[a as usize] += 1;
+    }
+    let mut clusters: Vec<ClusterFold> =
+        sizes.into_iter().map(ClusterFold::with_capacity).collect();
+    for ((&a, &p), i) in assign.iter().zip(points).zip(0..) {
         if a < NOISE {
-            clusters[a as usize].members.push(i as u32);
+            clusters[a as usize].push(i, p);
         }
     }
-    for cl in &mut clusters {
-        debug_assert!(!cl.members.is_empty());
-        let pts: Vec<Point> = cl.members.iter().map(|&i| points[i as usize]).collect();
-        cl.centroid = hpm_geo::Point::ORIGIN;
-        for p in &pts {
-            cl.centroid += *p;
-        }
-        cl.centroid = cl.centroid / pts.len() as f64;
-        cl.bbox = BoundingBox::from_points(&pts).expect("non-empty cluster");
+    Sweep {
+        assign,
+        counts,
+        clusters,
     }
-
-    let labels = assign
-        .iter()
-        .map(|&a| {
-            if a < NOISE {
-                Label::Cluster(a)
-            } else {
-                Label::Noise
-            }
-        })
-        .collect();
-    (labels, clusters)
 }
 
 #[cfg(test)]
@@ -260,6 +347,25 @@ mod tests {
         let (l2, c2) = dbscan_naive(&pts, params);
         assert_eq!(l1, l2);
         assert_eq!(c1, c2);
+    }
+
+    /// `|x / Eps| ≥ 2⁶³` saturates the cell index; the 3×3 walk used to
+    /// compute `i64::MAX + 1` there (a panic with overflow checks on, a
+    /// wrap to the opposite edge with them off).
+    #[test]
+    fn huge_finite_coordinates_do_not_overflow_the_walk() {
+        let pts = [
+            Point::new(1e300, 0.0),
+            Point::new(1e300, 0.0),
+            Point::new(-1e300, -1e300),
+            Point::new(f64::MAX, -f64::MAX),
+            Point::new(0.0, 0.0),
+            Point::new(0.5, 0.0),
+        ];
+        let params = DbscanParams::new(2.0, 2);
+        let got = dbscan(&pts, params);
+        assert_eq!(got, dbscan_naive(&pts, params));
+        assert_eq!(got.1.len(), 2);
     }
 
     #[test]

@@ -25,11 +25,22 @@
 //! new cluster, absorption of non-members) is conservatively reported
 //! as [`InsertOutcome::Drift`]: the caller falls back to a batch
 //! rebuild. Over-reporting drift costs only time, never correctness.
+//!
+//! Seeding is that batch sweep and nothing more: one grid is built over
+//! the points, the sweep queries it once per point, and the grid, the
+//! assignment vector, the `|N_Eps|` each query returned and the cluster
+//! folds move into the state as they are; `insert` queries and appends
+//! to the same grid. The seed is the first train of every object, every
+//! drift fallback and every trained object at every reopen, which is
+//! why it does each piece of neighbourhood work exactly once (DESIGN.md
+//! "Training lifecycle" records what a second cell map, a second fold
+//! and a separate counting pass used to cost).
 
-use crate::{dbscan, Cluster, DbscanParams, Label};
-use hpm_geo::mem::{hashmap_bytes, vec_cap_bytes};
+use crate::dbscan::{label_of, sweep, sweep_grid, ClusterFold, Sweep, NOISE};
+use crate::grid::GridIndex;
+use crate::{Cluster, DbscanParams, Label};
+use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
 use hpm_geo::{BoundingBox, MemUse, Point};
-use std::collections::HashMap;
 
 /// Why an insertion could not be absorbed locally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +69,18 @@ pub enum InsertOutcome {
     Drift(DriftKind),
 }
 
-/// Running aggregate of one cluster, maintained so that emitted
-/// summaries are bit-identical to the batch fold (members ascending).
-#[derive(Debug, Clone)]
-struct ClusterState {
-    members: Vec<u32>,
-    sum: Point,
-    bbox: BoundingBox,
+/// Borrowed summary of one cluster of an [`IncrementalDbscan`]: what
+/// [`Cluster`] carries, without copying the member list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClusterView<'a> {
+    /// Dense 0-based id, consistent with [`Label::Cluster`].
+    pub id: u32,
+    /// Indices into the state's point sequence, ascending.
+    pub members: &'a [u32],
+    /// Arithmetic mean of the members.
+    pub centroid: Point,
+    /// Tight bounding box of the members.
+    pub bbox: BoundingBox,
 }
 
 /// Persistent per-group clustering state supporting single-point
@@ -72,92 +88,45 @@ struct ClusterState {
 #[derive(Debug, Clone)]
 pub struct IncrementalDbscan {
     params: DbscanParams,
-    cell: f64,
     points: Vec<Point>,
-    /// `Eps`-sized grid buckets over `points` (indices).
-    buckets: HashMap<(i64, i64), Vec<u32>>,
+    /// `Eps`-sized neighbour grid over `points`.
+    grid: GridIndex,
     /// `|N_Eps(p)|` including the point itself.
     counts: Vec<u32>,
-    labels: Vec<Label>,
-    clusters: Vec<ClusterState>,
+    /// Cluster id per point, [`NOISE`] outside every cluster — the
+    /// sweep's own assignment vector (half the size of `Vec<Label>`).
+    assign: Vec<u32>,
+    /// Running folds, so emitted summaries are bit-identical to the
+    /// batch fold (members ascending).
+    clusters: Vec<ClusterFold>,
+    /// Neighbour list of the sample being inserted, kept so that a
+    /// fold does not allocate per point.
+    neighbors: Vec<u32>,
     drift_events: u64,
     poisoned: bool,
 }
 
 impl IncrementalDbscan {
-    /// Seeds the state from a batch DBSCAN run over `points`.
+    /// Seeds the state with the batch DBSCAN sweep over `points`: the
+    /// grid it was run against, the neighbourhood size it saw for each
+    /// point and the cluster folds it produced all move into the state.
     pub fn seed(points: Vec<Point>, params: DbscanParams) -> Self {
-        let cell = params.eps.max(f64::MIN_POSITIVE);
-        let mut buckets: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-        for (i, p) in points.iter().enumerate() {
-            buckets
-                .entry(Self::key_of(p, cell))
-                .or_default()
-                .push(i as u32);
-        }
-        let (labels, batch_clusters) = dbscan(&points, params);
-        let clusters = batch_clusters
-            .into_iter()
-            .map(|c| {
-                // Re-fold in the same ascending-member order the batch
-                // summaries use, so later appends extend the very same
-                // fold.
-                let mut sum = Point::ORIGIN;
-                let mut bbox: Option<BoundingBox> = None;
-                for &m in &c.members {
-                    let p = points[m as usize];
-                    sum += p;
-                    match &mut bbox {
-                        None => bbox = Some(BoundingBox::from_point(p)),
-                        Some(b) => b.expand(p),
-                    }
-                }
-                ClusterState {
-                    bbox: bbox.expect("batch clusters are non-empty"),
-                    members: c.members,
-                    sum,
-                }
-            })
-            .collect();
-        let mut state = IncrementalDbscan {
-            params,
-            cell,
-            counts: Vec::with_capacity(points.len()),
-            points,
-            buckets,
-            labels,
+        let (grid, swept) = sweep_grid(&points, params);
+        let Sweep {
+            assign,
+            counts,
             clusters,
+        } = swept;
+        IncrementalDbscan {
+            params,
+            points,
+            grid,
+            counts,
+            assign,
+            clusters,
+            neighbors: Vec::new(),
             drift_events: 0,
             poisoned: false,
-        };
-        let mut scratch = Vec::new();
-        for i in 0..state.points.len() {
-            let p = state.points[i];
-            scratch.clear();
-            state.neighbors_into(&p, &mut scratch);
-            state.counts.push(scratch.len() as u32);
-        }
-        state
-    }
-
-    fn key_of(p: &Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-    }
-
-    /// Indices of existing points within `Eps` of `p` (any order).
-    fn neighbors_into(&self, p: &Point, out: &mut Vec<u32>) {
-        let (cx, cy) = Self::key_of(p, self.cell);
-        let eps2 = self.params.eps * self.params.eps;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(bucket) = self.buckets.get(&(cx + dx, cy + dy)) {
-                    for &i in bucket {
-                        if self.points[i as usize].distance_sq(p) <= eps2 {
-                            out.push(i);
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -175,9 +144,18 @@ impl IncrementalDbscan {
     /// Panics when called on a poisoned state.
     pub fn insert(&mut self, p: Point) -> InsertOutcome {
         assert!(!self.poisoned, "insert on a drifted IncrementalDbscan");
-        let mut neighbors = Vec::new();
-        self.neighbors_into(&p, &mut neighbors);
+        let mut neighbors = std::mem::take(&mut self.neighbors);
+        neighbors.clear();
+        self.grid
+            .neighbors_into(&self.points, &p, self.params.eps, &mut neighbors);
+        let outcome = self.absorb(p, &neighbors);
+        self.neighbors = neighbors;
+        outcome
+    }
 
+    /// Classifies `p` against its `neighbors` (existing points within
+    /// `Eps`, any order) and commits it when that is safe.
+    fn absorb(&mut self, p: Point, neighbors: &[u32]) -> InsertOutcome {
         // Any neighbour crossing the core threshold can re-route
         // borders, absorb noise, or merge clusters: bail out first.
         if neighbors
@@ -192,27 +170,24 @@ impl IncrementalDbscan {
             // The new point is core: it may only join a cluster whose
             // members already cover its whole neighbourhood.
             let mut target: Option<u32> = None;
-            for &i in &neighbors {
+            for &i in neighbors {
                 if !self.is_core(i) {
                     continue;
                 }
-                match (target, self.labels[i as usize]) {
-                    (_, Label::Noise) => unreachable!("core points are always clustered"),
-                    (None, Label::Cluster(c)) => target = Some(c),
-                    (Some(t), Label::Cluster(c)) if c != t => return self.drift(DriftKind::Merge),
+                match (target, self.assign[i as usize]) {
+                    (_, NOISE) => unreachable!("core points are always clustered"),
+                    (None, c) => target = Some(c),
+                    (Some(t), c) if c != t => return self.drift(DriftKind::Merge),
                     _ => {}
                 }
             }
             let Some(c) = target else {
                 return self.drift(DriftKind::NewCluster);
             };
-            if neighbors
-                .iter()
-                .any(|&i| self.labels[i as usize] != Label::Cluster(c))
-            {
+            if neighbors.iter().any(|&i| self.assign[i as usize] != c) {
                 return self.drift(DriftKind::Absorption);
             }
-            self.commit(p, &neighbors, Label::Cluster(c));
+            self.commit(p, neighbors, c);
             InsertOutcome::Member(c)
         } else {
             // Border or noise: joins the lowest-id cluster with a core
@@ -221,43 +196,28 @@ impl IncrementalDbscan {
             let joined = neighbors
                 .iter()
                 .filter(|&&i| self.is_core(i))
-                .filter_map(|&i| match self.labels[i as usize] {
-                    Label::Cluster(c) => Some(c),
-                    Label::Noise => None,
-                })
+                .map(|&i| self.assign[i as usize])
+                .filter(|&c| c != NOISE)
                 .min();
-            match joined {
-                Some(c) => {
-                    self.commit(p, &neighbors, Label::Cluster(c));
-                    InsertOutcome::Member(c)
-                }
-                None => {
-                    self.commit(p, &neighbors, Label::Noise);
-                    InsertOutcome::Noise
-                }
-            }
+            self.commit(p, neighbors, joined.unwrap_or(NOISE));
+            joined.map_or(InsertOutcome::Noise, InsertOutcome::Member)
         }
     }
 
     /// Applies a safe insertion: appends the point, bumps neighbour
-    /// counts, and extends the joined cluster's running fold.
-    fn commit(&mut self, p: Point, neighbors: &[u32], label: Label) {
+    /// counts, and extends the joined cluster's running fold (`cluster`
+    /// is [`NOISE`] when it joins none).
+    fn commit(&mut self, p: Point, neighbors: &[u32], cluster: u32) {
         let idx = self.points.len() as u32;
         for &i in neighbors {
             self.counts[i as usize] += 1;
         }
         self.counts.push(neighbors.len() as u32 + 1);
         self.points.push(p);
-        self.buckets
-            .entry(Self::key_of(&p, self.cell))
-            .or_default()
-            .push(idx);
-        self.labels.push(label);
-        if let Label::Cluster(c) = label {
-            let cl = &mut self.clusters[c as usize];
-            cl.members.push(idx);
-            cl.sum += p;
-            cl.bbox.expand(p);
+        self.grid.push(idx, &p);
+        self.assign.push(cluster);
+        if cluster != NOISE {
+            self.clusters[cluster as usize].push(idx, p);
         }
     }
 
@@ -286,9 +246,8 @@ impl IncrementalDbscan {
     }
 
     /// Per-point labels, batch-identical on the safe path.
-    #[inline]
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
+    pub fn labels(&self) -> Vec<Label> {
+        self.assign.iter().map(|&a| label_of(a)).collect()
     }
 
     /// Structure-drift events observed so far (at most one per state:
@@ -305,26 +264,59 @@ impl IncrementalDbscan {
         self.poisoned
     }
 
-    /// Cluster summaries, bit-identical to what [`dbscan`] over the
-    /// same point sequence returns (same fold order).
+    /// Cluster summaries in id order, borrowing the member lists —
+    /// bit-identical to what [`dbscan`](crate::dbscan) over the same
+    /// point sequence returns (same fold order).
+    pub fn cluster_views(&self) -> impl Iterator<Item = ClusterView<'_>> {
+        self.clusters.iter().zip(0..).map(|(c, id)| ClusterView {
+            id,
+            members: &c.members,
+            centroid: c.centroid(),
+            bbox: c.bbox,
+        })
+    }
+
+    /// [`cluster_views`](Self::cluster_views) as owned [`Cluster`]s
+    /// (copies every member list; for tests and one-off inspection).
     pub fn clusters(&self) -> Vec<Cluster> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .map(|(id, c)| Cluster {
-                id: id as u32,
-                members: c.members.clone(),
-                centroid: c.sum / c.members.len() as f64,
-                bbox: c.bbox,
+        self.cluster_views()
+            .map(|v| Cluster {
+                id: v.id,
+                members: v.members.to_vec(),
+                centroid: v.centroid,
+                bbox: v.bbox,
             })
             .collect()
     }
 
-    /// Summary of one cluster without allocating the members list:
-    /// `(member count, centroid, bbox)`.
-    pub fn cluster_summary(&self, id: u32) -> (usize, Point, BoundingBox) {
-        let c = &self.clusters[id as usize];
-        (c.members.len(), c.sum / c.members.len() as f64, c.bbox)
+    /// Test support: re-derives the whole state by brute force — a
+    /// fresh sweep whose neighbourhoods are `O(n²)` scans, so every
+    /// `|N_Eps|`, every assignment and every cluster's member list,
+    /// `sum` and `bbox` fold is recomputed without the grid — and
+    /// reports what disagrees; the grid itself is checked against a
+    /// fresh build.
+    #[doc(hidden)]
+    pub fn validate(&self) -> Result<(), String> {
+        self.grid.validate(&self.points)?;
+        let eps2 = self.params.eps * self.params.eps;
+        let naive = sweep(&self.points, self.params.min_pts, |p, out| {
+            let within = self.points.iter().zip(0..);
+            out.extend(
+                within
+                    .filter(|(q, _)| q.distance_sq(p) <= eps2)
+                    .map(|(_, i)| i),
+            )
+        });
+        for (what, same) in [
+            ("|N_Eps| counts", naive.counts == self.counts),
+            ("assignments", naive.assign == self.assign),
+            ("cluster folds", naive.clusters == self.clusters),
+        ] {
+            if !same {
+                return Err(format!("{what} differ from a brute-force sweep"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -332,22 +324,23 @@ impl MemUse for IncrementalDbscan {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + vec_cap_bytes(&self.points)
-            + hashmap_bytes(&self.buckets)
-            + self.buckets.values().map(vec_cap_bytes).sum::<usize>()
+            + heap_bytes(&self.grid)
             + vec_cap_bytes(&self.counts)
-            + vec_cap_bytes(&self.labels)
-            + self.clusters.capacity() * std::mem::size_of::<ClusterState>()
+            + vec_cap_bytes(&self.assign)
+            + self.clusters.capacity() * std::mem::size_of::<ClusterFold>()
             + self
                 .clusters
                 .iter()
                 .map(|c| vec_cap_bytes(&c.members))
                 .sum::<usize>()
+            + vec_cap_bytes(&self.neighbors)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dbscan_naive;
 
     fn dense_blob(cx: f64, n: usize) -> Vec<Point> {
         (0..n)
@@ -365,7 +358,8 @@ mod tests {
         pts.extend(dense_blob(50.0, 4));
         pts.push(Point::new(25.0, 25.0));
         let state = IncrementalDbscan::seed(pts.clone(), params());
-        let (labels, clusters) = dbscan(&pts, params());
+        state.validate().unwrap();
+        let (labels, clusters) = dbscan_naive(&pts, params());
         assert_eq!(state.labels(), &labels[..]);
         assert_eq!(state.clusters(), clusters);
     }
@@ -379,7 +373,8 @@ mod tests {
         let p = Point::new(0.02, 0.0);
         assert_eq!(state.insert(p), InsertOutcome::Member(0));
         pts.push(p);
-        let (labels, clusters) = dbscan(&pts, params());
+        state.validate().unwrap();
+        let (labels, clusters) = dbscan_naive(&pts, params());
         assert_eq!(state.labels(), &labels[..]);
         assert_eq!(state.clusters(), clusters);
     }
@@ -429,6 +424,27 @@ mod tests {
             InsertOutcome::Drift(DriftKind::Merge | DriftKind::Promotion) => {}
             other => panic!("expected merge-ish drift, got {other:?}"),
         }
+    }
+
+    /// Saturated cell indices: the clipped walk must neither overflow
+    /// nor count the edge cell's points twice.
+    #[test]
+    fn inserts_at_the_edge_of_the_key_space() {
+        let mut state = IncrementalDbscan::seed(dense_blob(0.0, 5), params());
+        let corner = Point::new(f64::MAX, f64::MAX);
+        assert_eq!(state.insert(corner), InsertOutcome::Noise);
+        assert_eq!(
+            state.insert(Point::new(-f64::MAX, 1e300)),
+            InsertOutcome::Noise
+        );
+        assert_eq!(state.insert(corner), InsertOutcome::Noise);
+        state.validate().unwrap();
+        // The third duplicate sees the other two exactly once each,
+        // which lifts both to MinPts = 3.
+        assert_eq!(
+            state.insert(corner),
+            InsertOutcome::Drift(DriftKind::Promotion)
+        );
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! `MinPts` locations fall within distance `Eps` of it, and clusters
 //! grow transitively from core points.
 //!
-//! Neighbourhood queries use a uniform grid with `Eps`-sized cells
-//! ([`GridIndex`]), giving the expected `O(n · k)` behaviour instead of
-//! the naive `O(n²)` scan (a naive variant is kept for the ablation
-//! bench and as a differential-testing oracle).
+//! Neighbourhood queries use one uniform grid with `Eps`-sized cells
+//! (the crate-private cell-run table of `grid.rs`: point indices
+//! grouped by cell, occupied cells sorted, no hashing), giving the
+//! expected `O(n · k)` behaviour instead of the naive `O(n²)` scan (a
+//! naive variant is kept for the ablation bench and as a
+//! differential-testing oracle). Batch [`dbscan`] builds the grid with
+//! one sort and sweeps it once; [`IncrementalDbscan::seed`] *is* that
+//! sweep — it keeps the grid, the `|N_Eps|` the sweep saw at its one
+//! query per point and the cluster folds — and
+//! [`IncrementalDbscan::insert`] appends to the same grid.
 
 //! # Example
 //!
@@ -35,5 +41,4 @@ mod grid;
 mod incremental;
 
 pub use dbscan::{dbscan, dbscan_naive, Cluster, DbscanParams, Label};
-pub use grid::GridIndex;
-pub use incremental::{DriftKind, IncrementalDbscan, InsertOutcome};
+pub use incremental::{ClusterView, DriftKind, IncrementalDbscan, InsertOutcome};

@@ -1,0 +1,118 @@
+//! Allocation budget of the incremental clustering state: one grid, no
+//! heap block per cell.
+//!
+//! Installs [`hpm_check::alloc::CountingAllocator`] as the global
+//! allocator (hence a dedicated integration-test file with a single
+//! test) and holds [`IncrementalDbscan`] to three statements:
+//!
+//! * seeding `n` points spread over `c` occupied cells acquires a
+//!   fixed number of blocks plus one member list per cluster —
+//!   independent of `n` and of `c`. (The hash-map grid this replaced
+//!   acquired two maps and a bucket `Vec` per cell in each, with their
+//!   regrowths: 1,920 points over 1,920 cells cost it thousands of
+//!   blocks where the table costs nine.)
+//! * a safe-path `insert` into a state with spare capacity acquires
+//!   nothing, the neighbour list included;
+//! * `MemUse` charges exactly the heap the state holds, byte for byte,
+//!   after a seed and after inserts have regrown its buffers.
+
+use hpm_check::alloc::CountingAllocator;
+use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome};
+use hpm_geo::mem::heap_bytes;
+use hpm_geo::Point;
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// Blocks a seed acquires whatever its input: the sort buffer, the
+/// grid's two tables, assignments, neighbour counts, the sweep's
+/// frontier and neighbour scratch, cluster sizes, the cluster table.
+const SEED_FIXED_BLOCKS: u64 = 9;
+
+/// `n` points over `cells` occupied cells (`Eps` = 1): cells sit three
+/// apart so no neighbourhood crosses one, and the points of a cell are
+/// all within `Eps` of each other.
+fn spread(n: usize, cells: usize) -> Vec<Point> {
+    let mut pts = Vec::with_capacity(n);
+    for i in 0..n {
+        let (cell, nth) = (i % cells, i / cells);
+        pts.push(Point::new(cell as f64 * 3.0 + 0.1, 0.1 + nth as f64 * 1e-4));
+    }
+    pts
+}
+
+/// Runs `f` in a few allocator windows and returns the quietest as
+/// `(blocks acquired, live bytes retained, value)`. The counters are
+/// process-global, so the libtest harness thread can inject the odd
+/// stray allocation into a window; a cost that belongs to `f` shows in
+/// every window.
+fn quietest<T>(mut f: impl FnMut() -> T) -> (u64, u64, T) {
+    (0..4)
+        .map(|_| {
+            let (blocks, bytes) = (ALLOC.allocations(), ALLOC.live_bytes());
+            let value = f();
+            (
+                ALLOC.allocations() - blocks,
+                ALLOC.live_bytes() - bytes,
+                value,
+            )
+        })
+        .min_by_key(|window| window.0)
+        .unwrap()
+}
+
+#[test]
+fn one_grid_no_per_cell_allocation() {
+    let params = DbscanParams::new(1.0, 3);
+    for (n, cells) in [(240, 1), (240, 60), (240, 240), (1_920, 60), (1_920, 1_920)] {
+        let pts = spread(n, cells);
+        let (blocks, _, state) = quietest(|| IncrementalDbscan::seed(pts.clone(), params));
+        let clusters = state.cluster_count() as u64;
+        assert_eq!(clusters, if n / cells >= 3 { cells as u64 } else { 0 });
+        // `pts.clone()` is the `+ 1`.
+        assert!(
+            blocks <= SEED_FIXED_BLOCKS + 1 + clusters,
+            "seeding {n} points over {cells} cells ({clusters} clusters) took {blocks} blocks"
+        );
+
+        let (_, retained, state) = quietest(|| IncrementalDbscan::seed(spread(n, cells), params));
+        assert_eq!(
+            retained as usize,
+            heap_bytes(&state),
+            "MemUse after seeding {n} points over {cells} cells"
+        );
+    }
+
+    // Fold: the first insert regrows every exactly-sized buffer and
+    // sizes the neighbour list (40 neighbours: capacity 64); the next
+    // twenty fit all of them.
+    let mut grown = (0..4)
+        .map(|_| {
+            let bytes = ALLOC.live_bytes();
+            let mut state = IncrementalDbscan::seed(spread(160, 4), params);
+            let warm = Point::new(0.1, 0.1);
+            assert_eq!(state.insert(warm), InsertOutcome::Member(0));
+            let blocks = ALLOC.allocations();
+            for i in 0..20 {
+                let p = Point::new(0.1, 0.2 + i as f64 * 1e-4);
+                assert_eq!(state.insert(p), InsertOutcome::Member(0));
+            }
+            let blocks = ALLOC.allocations() - blocks;
+            (blocks, ALLOC.live_bytes() - bytes, state)
+        })
+        .min_by_key(|window| window.0)
+        .unwrap();
+    assert_eq!(grown.0, 0, "20 safe inserts took {} blocks", grown.0);
+    assert_eq!(
+        grown.1 as usize,
+        heap_bytes(&grown.2),
+        "MemUse after inserts"
+    );
+    grown.2.validate().unwrap();
+    // A new cell shifts the run table but is still a safe insert.
+    assert_eq!(
+        grown.2.insert(Point::new(-40.0, -40.0)),
+        InsertOutcome::Noise
+    );
+    grown.2.validate().unwrap();
+}

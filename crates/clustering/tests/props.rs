@@ -4,21 +4,73 @@ use hpm_check::prelude::*;
 use hpm_clustering::{dbscan, dbscan_naive, DbscanParams, IncrementalDbscan, InsertOutcome, Label};
 use hpm_geo::Point;
 
-fn arb_points() -> Gen<Vec<Point>> {
-    vec(
-        tuple((float(-50.0..50.0), float(-50.0..50.0))).map(|(x, y)| Point::new(x, y)),
-        0..80,
-    )
-}
-
 fn arb_params() -> Gen<DbscanParams> {
     tuple((float(0.5..8.0), int(2usize..6))).map(|(eps, min_pts)| DbscanParams::new(eps, min_pts))
+}
+
+/// One point to place: a `kind` and the raw material each kind draws
+/// on (a free position, an earlier point, two small integers).
+type Spec = (u32, (f64, f64), Index, (i32, i32));
+
+/// Places `spec` given the points so far. Most points are free; the
+/// rest sit where a neighbour grid can go wrong: exact duplicates,
+/// pairs exactly `eps` apart, cell boundaries (multiples of `eps`,
+/// `±0.0`, negative), and finite coordinates whose cell index
+/// saturates.
+fn place((kind, (x, y), earlier, (k, m)): Spec, eps: f64, so_far: &[Point]) -> Point {
+    let anchor = (!so_far.is_empty()).then(|| so_far[earlier.index(so_far.len())]);
+    match (kind, anchor) {
+        (10 | 11, Some(a)) => a,
+        (12, Some(a)) => match k.rem_euclid(4) {
+            0 => Point::new(a.x + eps, a.y),
+            1 => Point::new(a.x - eps, a.y),
+            2 => Point::new(a.x, a.y + eps),
+            _ => Point::new(a.x, a.y - eps),
+        },
+        (13, _) => Point::new(k as f64 * eps, m as f64 * eps),
+        (14, _) => Point::new(if k < 0 { -0.0 } else { 0.0 }, m as f64 * eps),
+        (15, _) => Point::new(1e300_f64.copysign(k as f64), 1e300_f64.copysign(m as f64)),
+        _ => Point::new(x, y),
+    }
+}
+
+/// A point set with its parameters (the adversarial placements depend
+/// on `eps`).
+fn arb_case() -> Gen<(Vec<Point>, DbscanParams)> {
+    arb_case_of(16)
+}
+
+/// [`arb_case`] without the 1e300-magnitude points, for the property
+/// whose tolerance is absolute.
+fn arb_bounded_case() -> Gen<(Vec<Point>, DbscanParams)> {
+    arb_case_of(15)
+}
+
+fn arb_case_of(kinds: u32) -> Gen<(Vec<Point>, DbscanParams)> {
+    let spec = tuple((
+        int(0..kinds),
+        tuple((float(-50.0..50.0), float(-50.0..50.0))),
+        index(),
+        tuple((int(-6i32..7), int(-6i32..7))),
+    ));
+    tuple((vec(spec, 0..80), arb_params())).map(|(specs, params)| {
+        let mut pts = Vec::with_capacity(specs.len());
+        for spec in specs {
+            pts.push(place(spec, params.eps, &pts));
+        }
+        (pts, params)
+    })
+}
+
+/// The state's own brute-force consistency check as a case result.
+fn valid(state: &IncrementalDbscan) -> CaseResult {
+    state.validate().map_err(CaseError::Fail)
 }
 
 props! {
     /// The grid-indexed implementation is exactly equivalent to the
     /// naive O(n²) oracle.
-    fn grid_equals_naive(pts in arb_points(), params in arb_params()) {
+    fn grid_equals_naive((pts, params) in arb_case()) {
         let (l1, c1) = dbscan(&pts, params);
         let (l2, c2) = dbscan_naive(&pts, params);
         require_eq!(l1, l2);
@@ -31,7 +83,7 @@ props! {
     /// core point's neighbourhood may already have been claimed by an
     /// earlier cluster, the classic DBSCAN order-dependence — a
     /// counterexample found by this suite's earlier, stricter version.)
-    fn clusters_have_a_core_point(pts in arb_points(), params in arb_params()) {
+    fn clusters_have_a_core_point((pts, params) in arb_case()) {
         let (_, clusters) = dbscan(&pts, params);
         let eps2 = params.eps * params.eps;
         for c in &clusters {
@@ -47,7 +99,7 @@ props! {
 
     /// Labels partition the points: member lists are disjoint,
     /// cover exactly the clustered points, and ids are dense.
-    fn partition_invariants(pts in arb_points(), params in arb_params()) {
+    fn partition_invariants((pts, params) in arb_case()) {
         let (labels, clusters) = dbscan(&pts, params);
         let mut seen = vec![false; pts.len()];
         for (cid, c) in clusters.iter().enumerate() {
@@ -66,7 +118,7 @@ props! {
     }
 
     /// Cluster geometry: centroid and all members inside the bbox.
-    fn summaries_are_tight(pts in arb_points(), params in arb_params()) {
+    fn summaries_are_tight((pts, params) in arb_bounded_case()) {
         let (_, clusters) = dbscan(&pts, params);
         for c in &clusters {
             require!(c.bbox.contains_within(&c.centroid, 1e-9));
@@ -78,7 +130,7 @@ props! {
 
     /// Noise points really are sparse: a noise point has fewer than
     /// MinPts neighbours (it can never be a core point).
-    fn noise_is_never_core(pts in arb_points(), params in arb_params()) {
+    fn noise_is_never_core((pts, params) in arb_case()) {
         let (labels, _) = dbscan(&pts, params);
         let eps2 = params.eps * params.eps;
         for (i, l) in labels.iter().enumerate() {
@@ -94,22 +146,26 @@ props! {
     // reseed) the labels and summaries equal a fresh batch run over
     // the same point sequence. This simultaneously checks that the
     // safe path changes nothing it should not, and that every
-    // structure-changing insertion is caught as drift.
+    // structure-changing insertion is caught as drift. The batch side
+    // is the naive oracle — `dbscan` shares the state's grid — and
+    // `validate` re-derives what the comparison cannot see (the
+    // private `|N_Eps|` counts, the grid's filing).
     #[cases(96)]
     fn incremental_equals_batch_at_every_prefix(
-        pts in arb_points(),
-        params in arb_params(),
+        (pts, params) in arb_case(),
         split in float(0.0..1.0),
     ) {
         let cut = (pts.len() as f64 * split) as usize;
         let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params);
+        valid(&state)?;
         for (extra, &p) in pts[cut..].iter().enumerate() {
             let n = cut + extra + 1;
             if let InsertOutcome::Drift(_) = state.insert(p) {
                 require!(state.is_poisoned());
                 state = IncrementalDbscan::seed(pts[..n].to_vec(), params);
             }
-            let (labels, clusters) = dbscan(&pts[..n], params);
+            valid(&state)?;
+            let (labels, clusters) = dbscan_naive(&pts[..n], params);
             require_eq!(state.labels(), &labels[..]);
             require_eq!(state.clusters(), clusters);
         }

@@ -150,9 +150,9 @@ impl TrainerState {
             let pts = group.iter().map(|&(_, p)| p).collect();
             let state = IncrementalDbscan::seed(pts, db);
             let mut index = Vec::with_capacity(state.cluster_count());
-            for cluster in state.clusters() {
+            for cluster in state.cluster_views() {
                 index.push(next_id);
-                for &m in &cluster.members {
+                for &m in cluster.members {
                     let (sub, _) = group[m as usize];
                     self.txs[sub].push((next_id, t as TimeOffset));
                 }
@@ -234,7 +234,7 @@ impl TrainerState {
     pub fn regions(&self) -> RegionSet {
         let mut regions = Vec::new();
         for (t, state) in self.offsets.iter().enumerate() {
-            for cluster in state.clusters() {
+            for cluster in state.cluster_views() {
                 debug_assert_eq!(
                     self.region_index[t][cluster.id as usize],
                     regions.len() as u32,

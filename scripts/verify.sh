@@ -43,6 +43,11 @@ for i in $(seq 1 "$STRESS_RUNS"); do
         --test query_edge --test retrain --test recovery --test failpoints
     cargo test -q --release --offline -p hpm-server \
         --test proto_props --test faults
+    # The neighbour grid's cell arithmetic panics on overflow in the
+    # debug pass above and wraps here: the layout's equivalence props
+    # have to hold under both.
+    cargo test -q --release --offline -p hpm-clustering --test props --test alloc
+    cargo test -q --release --offline -p hpm-core --test train_props
 done
 
 echo "==> metrics-json smoke (hpm predict --metrics-json + obs-json-check)"
