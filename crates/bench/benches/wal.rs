@@ -198,10 +198,9 @@ fn snapshot_cost(objects: usize, samples_per_object: usize, reps: usize) -> Snap
                 start: 0,
                 history: HistorySnapshot::Chunked {
                     chunks: h.chunks().to_vec(),
-                    tail: h.tail().iter().map(|p| (p.x, p.y)).collect(),
+                    tail: h.tail().to_vec(),
                 },
                 trained_subs: 0,
-                trained_len: 0,
                 model: None,
             }
         })

@@ -177,9 +177,19 @@ pub fn on_write(point: &str, len: usize) -> WriteOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// The failpoint is process-global: every test that installs,
+    /// clears or consults it holds this lock so the default parallel
+    /// test harness cannot interleave two arming windows.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn unarmed_is_full() {
+        let _guard = serial();
         clear();
         assert_eq!(on_write("wal.append", 100), WriteOutcome::Full);
     }
@@ -195,6 +205,7 @@ mod tests {
 
     #[test]
     fn torn_fires_once_at_cumulative_threshold() {
+        let _guard = serial();
         install("p=torn@25").unwrap();
         assert_eq!(on_write("other", 100), WriteOutcome::Full);
         assert_eq!(on_write("p", 10), WriteOutcome::Full);
@@ -208,6 +219,7 @@ mod tests {
 
     #[test]
     fn exit_fires_at_a_write_boundary() {
+        let _guard = serial();
         install("p=exit@15").unwrap();
         assert_eq!(on_write("p", 10), WriteOutcome::Full);
         // The write crossing byte 15 never lands: clean boundary.
@@ -217,6 +229,7 @@ mod tests {
 
     #[test]
     fn short_keeps_prefix() {
+        let _guard = serial();
         install("p=short@3").unwrap();
         assert_eq!(on_write("p", 10), WriteOutcome::Short(3));
         assert_eq!(on_write("p", 10), WriteOutcome::Full);
@@ -225,6 +238,7 @@ mod tests {
 
     #[test]
     fn exact_boundary_tears_next_write_at_zero() {
+        let _guard = serial();
         install("p=torn@10").unwrap();
         assert_eq!(on_write("p", 10), WriteOutcome::Full);
         assert_eq!(on_write("p", 10), WriteOutcome::TornExit(0));

@@ -73,7 +73,7 @@ SUBCOMMANDS
   predict   answer predictive queries from a model + recent movements
             --model model.hpm  --input traj.csv  (--at T | --batch FILE)
             [--threads N]  (batch mode: one query time per line,
-            `#` comments allowed; N=0 sizes from HPM_THREADS/cores)
+            `#` comments allowed; N=0 sizes from the core count)
             [--recent 20] [--k 1] [--distant 60] [--teps 2] [--margin 30]
             [--fill-gaps true] [--despike MAX_STEP] [--prob true]
             [--metrics true] [--metrics-json FILE|-]  (FILE `-` = stdout)

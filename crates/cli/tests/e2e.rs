@@ -140,6 +140,55 @@ fn full_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The documented snapshot schema (`docs/OBSERVABILITY.md`):
+/// `counters` and `gauges` are objects of numbers; `histograms` is an
+/// array of objects carrying name, unit, count, sum, min, max, p50,
+/// p99 and `[upper_bound, count]` buckets that sum to the count.
+fn assert_snapshot_shape(doc: &hpm_obs::json::Json) {
+    use hpm_obs::json::Json;
+    for section in ["counters", "gauges"] {
+        let map = doc.get(section).and_then(Json::as_object);
+        let map = map.unwrap_or_else(|| panic!("missing object field {section:?}"));
+        for (name, v) in map {
+            assert!(v.as_f64().is_some(), "{section}[{name:?}] is not a number");
+        }
+    }
+    let hists = doc.get("histograms").and_then(Json::as_array);
+    for h in hists.expect("missing array field \"histograms\"") {
+        let name = h
+            .get("name")
+            .and_then(Json::as_str)
+            .expect("histogram name");
+        let unit = h.get("unit").and_then(Json::as_str);
+        assert!(
+            matches!(unit, Some("count" | "ns" | "bytes")),
+            "{name}: unit {unit:?}"
+        );
+        let number = |field: &str| {
+            let v = h.get(field).and_then(Json::as_f64);
+            v.unwrap_or_else(|| panic!("{name}: missing number {field:?}"))
+        };
+        for field in ["sum", "min", "max", "p50", "p99"] {
+            number(field);
+        }
+        let buckets = h.get("buckets").and_then(Json::as_array);
+        let total: f64 = buckets
+            .unwrap_or_else(|| panic!("{name}: missing array \"buckets\""))
+            .iter()
+            .map(|b| match b.as_array() {
+                Some([upper, count]) if upper.as_f64().is_some() => count.as_f64(),
+                _ => None,
+            })
+            .map(|count| count.unwrap_or_else(|| panic!("{name}: bucket is not [upper, count]")))
+            .sum();
+        assert_eq!(
+            total,
+            number("count"),
+            "{name}: buckets do not sum to count"
+        );
+    }
+}
+
 #[test]
 fn predict_metrics_json_covers_hot_path() {
     let dir = tmpdir("metrics_json");
@@ -189,6 +238,7 @@ fn predict_metrics_json_covers_hot_path() {
         .find(|l| l.starts_with("{\"counters\""))
         .expect("snapshot JSON on stdout");
     let doc = hpm_obs::json::parse(json_line).expect("valid snapshot JSON");
+    assert_snapshot_shape(&doc);
     let counter = |name: &str| {
         doc.get("counters")
             .and_then(|c| c.get(name))
@@ -237,7 +287,7 @@ fn predict_metrics_json_covers_hot_path() {
     assert!(out.status.success(), "{}", stderr(&out));
     let doc = hpm_obs::json::parse(&std::fs::read_to_string(&json_file).unwrap())
         .expect("valid snapshot JSON file");
-    assert!(doc.get("counters").is_some() && doc.get("histograms").is_some());
+    assert_snapshot_shape(&doc);
 
     std::fs::remove_dir_all(&dir).ok();
 }

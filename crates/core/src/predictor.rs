@@ -368,33 +368,18 @@ impl HybridPredictor {
             .or_else(|| LinearMotion::fit(recent).map(FittedMotion::Linear))
     }
 
-    /// Bounding box of every location the predictor can answer with on
-    /// the **pattern** paths (FQP/BQP): the discovered frequent-region
-    /// centroids. `None` when no regions were discovered (an untrained
-    /// or pattern-free predictor always answers from the motion
-    /// function).
+    /// Bounding box of every frequent region's full extent: every
+    /// location the **pattern** paths (FQP/BQP) can answer with — a
+    /// region centroid — and the whole uncertainty region such an
+    /// answer can claim, since pattern answers carry the supporting
+    /// consequence region's bbox. `None` when no regions were
+    /// discovered (an untrained or pattern-free predictor always
+    /// answers from the motion function).
     ///
     /// Together with [`fallback_envelope`](Self::fallback_envelope)
     /// this bounds every possible [`predict`](Self::predict) answer,
     /// which is what lets `hpm-objectstore`'s predictive index prune
     /// objects without re-predicting them.
-    pub fn centroid_envelope(&self) -> Option<BoundingBox> {
-        let mut all = self.regions.all().iter();
-        let first = all.next()?;
-        let mut bb = BoundingBox::from_point(first.centroid);
-        for r in all {
-            bb.expand(r.centroid);
-        }
-        Some(bb)
-    }
-
-    /// Bounding box of every frequent region's full extent — covers
-    /// not just the centroids ([`centroid_envelope`]) but the whole
-    /// uncertainty region a pattern answer can claim, since pattern
-    /// answers carry the supporting consequence region's bbox. `None`
-    /// when no regions were discovered.
-    ///
-    /// [`centroid_envelope`]: Self::centroid_envelope
     pub fn region_envelope(&self) -> Option<BoundingBox> {
         let mut all = self.regions.all().iter();
         let first = all.next()?;
@@ -732,12 +717,11 @@ mod tests {
     }
 
     #[test]
-    fn region_envelope_covers_centroid_envelope() {
+    fn region_envelope_covers_every_centroid_and_bbox() {
         let p = commuter_predictor();
-        let centroids = p.centroid_envelope().unwrap();
         let regions = p.region_envelope().unwrap();
-        assert_eq!(regions.union(&centroids), regions);
         for r in p.regions().all() {
+            assert!(regions.contains(&r.centroid));
             assert!(regions.union(&r.bbox) == regions);
         }
     }

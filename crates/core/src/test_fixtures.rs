@@ -12,11 +12,11 @@ pub(crate) const COMMUTER_PERIOD: u32 = 4;
 
 /// 100 "days" of period 4: home → road → work → {pub | gym}.
 pub(crate) fn commuter_trajectory() -> Trajectory {
-    commuter_history(100)
+    commuter_days(100)
 }
 
 /// The commuter world truncated to `days` days.
-pub(crate) fn commuter_history(days: usize) -> Trajectory {
+pub(crate) fn commuter_days(days: usize) -> Trajectory {
     let mut pts = Vec::with_capacity(days * COMMUTER_PERIOD as usize);
     for day in 0..days {
         let jitter = (day % 3) as f64 * 0.2;

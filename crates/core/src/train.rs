@@ -3,11 +3,11 @@
 //!
 //! [`HybridPredictor::build`] reruns the whole §III–§V pipeline —
 //! decomposition, DBSCAN, Apriori, TPT bulk load — over the *entire*
-//! movement history on every call. [`TrainerState`] is the persistent
-//! counterpart: it remembers where the last training pass stopped and
-//! folds only the samples reported since then into per-offset
-//! clustering states ([`IncrementalDbscan`]) and persistent support
-//! counts ([`SupportCounts`]).
+//! movement history on every call. [`TrainerState`] is the long-lived
+//! in-memory counterpart: it remembers where the last training pass
+//! stopped and folds only the samples reported since then into
+//! per-offset clustering states ([`IncrementalDbscan`]) and persistent
+//! support counts ([`SupportCounts`]).
 //!
 //! The stages mirror the batch pipeline one-to-one so callers can time
 //! them individually:
@@ -27,6 +27,14 @@
 //!    into the index image when the rule list and key vocabulary did
 //!    not move, otherwise the image is rebuilt from the table.
 //!
+//! The state is *derived*: [`seed`](TrainerState::seed) re-derives all
+//! of it from a history, and a state seeded from a history equals one
+//! folded up to it. So nothing persists it — an object restored from a
+//! snapshot has no trainer, and its next retrain seeds one. Every verb
+//! that reads samples (`seed`, `stage_decompose`) takes any
+//! [`History`] — a raw `Trajectory` or the store's compressed
+//! `ChunkedHistory` — through one entry point.
+//!
 //! **Equivalence guarantee**: after a successful incremental pass the
 //! resulting predictor answers every query exactly like
 //! `HybridPredictor::build` over the full history would — same
@@ -43,7 +51,7 @@ use hpm_patterns::{
     DiscoveryParams, FrequentRegion, MiningParams, PatternTable, RegionId, RegionSet,
     SupportCounts, Transaction,
 };
-use hpm_trajectory::{DecomposeCursor, DeltaSample, History, OffsetGroups, TimeOffset, Trajectory};
+use hpm_trajectory::{DecomposeCursor, DeltaSample, History, OffsetGroups, TimeOffset};
 
 /// One region visit produced by the clustering stage: sub-trajectory
 /// `sub` passed through region `region` at time offset `offset`.
@@ -111,7 +119,7 @@ impl TrainerState {
         &self.mining
     }
 
-    /// Samples of `traj` already folded into this state.
+    /// Samples of the history already folded into this state.
     #[inline]
     pub fn consumed(&self) -> usize {
         self.cursor.consumed()
@@ -125,19 +133,15 @@ impl TrainerState {
     }
 
     /// Re-derives the whole state from the full history — the seeding
-    /// path taken on first training and after structure drift. The
-    /// cursor is caught up to the end of `traj`.
-    pub fn seed(&mut self, traj: &Trajectory) {
-        self.seed_history(traj)
-    }
-
-    /// [`seed`](Self::seed) over any [`History`]: streams the samples
-    /// (decoding compressed chunks on the fly) instead of requiring a
-    /// raw point slice; the derived state is identical.
-    pub fn seed_history<H: History>(&mut self, hist: &H) {
+    /// path taken on first training, after structure drift, and by the
+    /// first retrain after a restart (a recovered object carries no
+    /// trainer). The samples are streamed, so a compressed history
+    /// decodes on the fly; the cursor is caught up to the end of
+    /// `hist`.
+    pub fn seed(&mut self, hist: &impl History) {
         let drift = self.drift_events + self.offset_drifts();
         let db = DbscanParams::new(self.discovery.eps, self.discovery.min_pts);
-        let groups = OffsetGroups::build_history(hist, self.discovery.period);
+        let groups = OffsetGroups::build(hist, self.discovery.period);
         self.offsets.clear();
         self.region_index.clear();
         self.txs = vec![Transaction::new(); groups.sub_count()];
@@ -163,27 +167,19 @@ impl TrainerState {
         }
         self.counts.rebuild(&self.txs);
         self.cursor = DecomposeCursor::new(self.discovery.period);
-        self.cursor.catch_up_history(hist);
+        self.cursor.catch_up(hist);
         self.drift_events = drift;
     }
 
     /// Stage 1 — §III decomposition delta: the samples appended to
-    /// `traj` since the last pass, placed into `(sub, offset)` slots.
+    /// `hist` since the last pass (only those are streamed), placed
+    /// into `(sub, offset)` slots.
     ///
     /// # Panics
-    /// Panics when `traj` shrank below the consumed watermark (the
+    /// Panics when `hist` shrank below the consumed watermark (the
     /// caller must [`seed`](Self::seed) a fresh state instead).
-    pub fn stage_decompose(&mut self, traj: &Trajectory) -> Vec<DeltaSample> {
-        self.cursor.advance(traj)
-    }
-
-    /// [`stage_decompose`](Self::stage_decompose) over any
-    /// [`History`]: streams only the not-yet-consumed samples.
-    ///
-    /// # Panics
-    /// Panics when `hist` shrank below the consumed watermark.
-    pub fn stage_decompose_history<H: History>(&mut self, hist: &H) -> Vec<DeltaSample> {
-        self.cursor.advance_history(hist)
+    pub fn stage_decompose(&mut self, hist: &impl History) -> Vec<DeltaSample> {
+        self.cursor.advance(hist)
     }
 
     /// Stage 2 — incremental region discovery: inserts each delta
@@ -343,10 +339,10 @@ impl HybridPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::{commuter_config, commuter_history, COMMUTER_PERIOD};
+    use crate::test_fixtures::{commuter_config, commuter_days, COMMUTER_PERIOD};
     use crate::PredictiveQuery;
     use hpm_geo::Point;
-    use hpm_trajectory::Timestamp;
+    use hpm_trajectory::{Timestamp, Trajectory};
 
     fn discovery() -> DiscoveryParams {
         DiscoveryParams {
@@ -412,7 +408,7 @@ mod tests {
 
     #[test]
     fn incremental_pass_tracks_batch_build() {
-        let full = commuter_history(60);
+        let full = commuter_days(60);
         let mut cfg = commuter_config();
         cfg.k = 2;
         // Start from 40 days, feed the rest day by day.
@@ -437,7 +433,7 @@ mod tests {
     /// wrong offset's state).
     #[test]
     fn seed_on_sub_period_history_stays_aligned() {
-        let full = commuter_history(41);
+        let full = commuter_days(41);
         let mut cfg = commuter_config();
         cfg.k = 2;
         // Seed mid-period: offsets >= 3 have no samples yet.
@@ -465,7 +461,7 @@ mod tests {
     /// uncovered; the seeded state must still index by absolute offset.
     #[test]
     fn seed_on_unaligned_history_stays_aligned() {
-        let full = commuter_history(41);
+        let full = commuter_days(41);
         let start: Timestamp = 2; // offsets 0..2 of the first sub empty
         let warm = Trajectory::new(start, full.points()[2..COMMUTER_PERIOD as usize].to_vec());
         let mut trainer = TrainerState::new(discovery(), mining());
@@ -486,7 +482,7 @@ mod tests {
 
     #[test]
     fn wild_day_drifts_and_reseeds() {
-        let mut pts = commuter_history(40).points().to_vec();
+        let mut pts = commuter_days(40).points().to_vec();
         let mut trainer = TrainerState::new(discovery(), mining());
         let warm = Trajectory::from_points(pts.clone());
         trainer.seed(&warm);
@@ -515,7 +511,7 @@ mod tests {
 
     #[test]
     fn apply_update_same_inputs_is_identity_tier() {
-        let traj = commuter_history(30);
+        let traj = commuter_days(30);
         let p = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
         let (q, tier) = p.apply_update(p.regions().clone(), p.patterns().to_vec());
         assert_eq!(tier, UpdateTier::Confidences);
@@ -541,7 +537,7 @@ mod tests {
 
     #[test]
     fn apply_update_added_patterns_rebuild() {
-        let traj = commuter_history(30);
+        let traj = commuter_days(30);
         let full = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
         // Start from the single-region premises only; the update adds
         // the two-region ones, so ids shift and the weight table grows.
@@ -562,7 +558,7 @@ mod tests {
 
     #[test]
     fn apply_update_removed_pattern_rebuilds() {
-        let traj = commuter_history(30);
+        let traj = commuter_days(30);
         let full = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
         // Drop one pattern from the middle: every later id shifts down.
         let mut fewer = full.patterns().to_vec();
@@ -576,7 +572,7 @@ mod tests {
 
     #[test]
     fn apply_update_vocabulary_growth_rebuilds() {
-        let traj = commuter_history(30);
+        let traj = commuter_days(30);
         let p = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
         let mut trainer = TrainerState::new(
             DiscoveryParams {

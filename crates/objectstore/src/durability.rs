@@ -10,7 +10,8 @@
 //! ```text
 //! wal-<epoch>-<shard>.log   per-shard write-ahead log segments
 //! snap-<epoch>.snap         full-store snapshot (atomic: written to
-//!                           snap-<epoch>.tmp, fsynced, renamed)
+//!                           snap-<epoch>.tmp, fsynced, renamed — by
+//!                           `hpm_store::write_atomic`)
 //! snap-<epoch>.tmp          in-flight snapshot; ignored by recovery
 //! ```
 //!
@@ -129,10 +130,6 @@ pub(crate) fn snap_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("snap-{epoch}.snap"))
 }
 
-pub(crate) fn snap_tmp_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("snap-{epoch}.tmp"))
-}
-
 /// Everything durable in a data directory, by epoch.
 #[derive(Debug, Default)]
 pub(crate) struct DirListing {
@@ -179,20 +176,6 @@ pub(crate) fn list_dir(dir: &Path) -> io::Result<DirListing> {
     listing.snap_epochs.sort_unstable();
     listing.snap_epochs.dedup();
     Ok(listing)
-}
-
-/// Durably writes `bytes` as the epoch's snapshot: tmp file, fsync,
-/// atomic rename, directory fsync.
-pub(crate) fn write_snapshot_file(dir: &Path, epoch: u64, bytes: &[u8]) -> io::Result<()> {
-    let tmp = snap_tmp_path(dir, epoch);
-    let finaln = snap_path(dir, epoch);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &finaln)?;
-    fsync_dir(dir)
 }
 
 /// Fsyncs a directory so renames/creates within it are durable.
@@ -270,9 +253,11 @@ mod tests {
     fn snapshot_write_is_atomic_rename() {
         let dir = std::env::temp_dir().join(format!("hpm-dur-snap-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        write_snapshot_file(&dir, 5, b"payload").unwrap();
+        hpm_store::write_atomic(&snap_path(&dir, 5), b"payload").unwrap();
         assert_eq!(fs::read(snap_path(&dir, 5)).unwrap(), b"payload");
-        assert!(!snap_tmp_path(&dir, 5).exists());
+        // The in-flight name the layout documents, gone after rename.
+        assert!(!dir.join("snap-5.tmp").exists());
+        assert_eq!(list_dir(&dir).unwrap().snap_epochs, vec![5]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

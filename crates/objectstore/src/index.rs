@@ -6,25 +6,32 @@
 //! # How pruning stays exact
 //!
 //! Every possible answer of [`HybridPredictor::predict`] for an object
-//! is one of:
+//! — its location *and* the uncertainty region it claims — is one of:
 //!
-//! * a frequent-region **centroid** (the FQP/BQP pattern paths) —
-//!   a finite, query-independent set bounded by
-//!   [`HybridPredictor::centroid_envelope`], or
+//! * a frequent-region **centroid** (the FQP/BQP pattern paths),
+//!   claiming at most that region's bounding box — a finite,
+//!   query-independent set bounded by
+//!   [`HybridPredictor::region_envelope`], the union of every region's
+//!   bbox, or
 //! * the **motion-function fallback** at prediction length
 //!   `tq − tc` — deterministic in the object's frozen recent window,
 //!   so its rollout over lengths `1..=horizon` is precomputable and
-//!   bounded by [`HybridPredictor::fallback_envelope`].
+//!   bounded by [`HybridPredictor::fallback_envelope`]; its error
+//!   ellipse widens with √steps, so padding that box by the
+//!   half-axes at the horizon
+//!   ([`Uncertainty::ellipse_half_axes`] of the window's residual
+//!   sigma) covers the ellipse at every earlier step too.
 //!
-//! The union of the two boxes is the object's **envelope**: for any
-//! query time within `horizon` steps of the object's current time, the
-//! answer provably lies inside it. Query times *beyond* the horizon
-//! are unprunable (recursive-motion rollouts have no closed-form
-//! bound), so the index keeps an expiry structure and treats those
-//! objects as unconditional candidates. Either way the surviving
-//! candidates run the ordinary predict path, so results are
-//! bit-identical to the full scan — the index only decides who is
-//! *skipped*, never what is *answered*.
+//! The union of the region box and the padded rollout box is the
+//! object's **envelope** (`MovingObjectStore::compute_envelope`): for
+//! any query time within `horizon` steps of the object's current time,
+//! the answer and its claimed region provably lie inside it. Query
+//! times *beyond* the horizon are unprunable (recursive-motion
+//! rollouts have no closed-form bound), so the index keeps an expiry
+//! structure and treats those objects as unconditional candidates.
+//! Either way the surviving candidates run the ordinary predict path,
+//! so results are bit-identical to the full scan — the index only
+//! decides who is *skipped*, never what is *answered*.
 //!
 //! # Partitioning
 //!
@@ -49,7 +56,8 @@
 //! thousand times.
 //!
 //! [`HybridPredictor::predict`]: hpm_core::HybridPredictor::predict
-//! [`HybridPredictor::centroid_envelope`]: hpm_core::HybridPredictor::centroid_envelope
+//! [`HybridPredictor::region_envelope`]: hpm_core::HybridPredictor::region_envelope
+//! [`Uncertainty::ellipse_half_axes`]: hpm_core::Uncertainty::ellipse_half_axes
 //! [`HybridPredictor::fallback_envelope`]: hpm_core::HybridPredictor::fallback_envelope
 
 use hpm_geo::{grid, BoundingBox, Point};

@@ -18,7 +18,7 @@
 //! writers to different shards never contend. Batch calls
 //! ([`MovingObjectStore::predict_batch`],
 //! [`MovingObjectStore::report_many`]) fan work across an internal
-//! [`WorkerPool`] sized by `StoreConfig::threads` / `HPM_THREADS`.
+//! [`WorkerPool`] sized by `StoreConfig::threads`.
 
 //! # Example
 //!
@@ -42,7 +42,7 @@
 //!     retrain_every_subs: 5,
 //!     recent_len: 2,
 //!     shards: 4,
-//!     threads: 0, // auto: HPM_THREADS, else available parallelism
+//!     threads: 0, // auto: available parallelism
 //!     index: IndexConfig::default(), // auto horizon/cell
 //! });
 //!

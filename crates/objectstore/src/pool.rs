@@ -10,8 +10,7 @@
 //! input-order output for free and parallel runs are bit-identical to
 //! sequential ones for pure jobs.
 //!
-//! Sizing: [`WorkerPool::sized`]`(0)` resolves the auto size from the
-//! `HPM_THREADS` environment variable, falling back to
+//! Sizing: [`WorkerPool::sized`]`(0)` is
 //! `std::thread::available_parallelism`. A pool of one thread runs
 //! jobs inline on the caller — no spawn, no queue, no locking.
 
@@ -35,18 +34,12 @@ impl WorkerPool {
     }
 
     /// A pool of `requested` workers, where `0` means "auto": the
-    /// `HPM_THREADS` environment variable if set and positive,
-    /// otherwise the machine's available parallelism.
+    /// machine's available parallelism.
     pub fn sized(requested: usize) -> Self {
         if requested > 0 {
             return WorkerPool::new(requested);
         }
-        let auto = std::env::var("HPM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        WorkerPool::new(auto)
+        WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// The pool width.
@@ -102,7 +95,7 @@ impl WorkerPool {
 }
 
 impl Default for WorkerPool {
-    /// The auto-sized pool (`HPM_THREADS` / available parallelism).
+    /// The auto-sized pool (available parallelism).
     fn default() -> Self {
         WorkerPool::sized(0)
     }

@@ -16,9 +16,7 @@ use hpm_store::wal::{scan_wal_file, WalRecord, WalWriter};
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
 };
-use hpm_trajectory::{
-    ChunkParams, ChunkedHistory, HistoryPrefix, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
-};
+use hpm_trajectory::{ChunkParams, ChunkedHistory, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,8 +53,8 @@ pub struct StoreConfig {
     /// shard has its own lock, so the hot path never takes a global
     /// one. Must be at least 1.
     pub shards: usize,
-    /// Worker threads for the batch APIs; `0` = auto (`HPM_THREADS`
-    /// environment variable, else available parallelism).
+    /// Worker threads for the batch APIs; `0` = auto (available
+    /// parallelism).
     pub threads: usize,
     /// Predictive-index tuning (horizon and bucket cell size; the
     /// defaults auto-derive both from the discovery parameters).
@@ -314,14 +312,12 @@ struct ObjectState {
     /// sized so every recent-window read is a plain slice borrow.
     history: ChunkedHistory,
     predictor: Option<HybridPredictor>,
-    /// Incremental-training state carried between retrains (None until
-    /// the first training pass seeds it).
+    /// Incremental-training state carried between retrains. Derived
+    /// state: `None` until the first training pass seeds it, and
+    /// `None` again on an object restored at `open` — `retrain`
+    /// answers an absent trainer by re-seeding from the full history.
     trainer: Option<TrainerState>,
     trained_subs: usize,
-    /// Samples the last retrain covered — the first `trained_len`
-    /// samples are the prefix that re-seeds an equivalent trainer
-    /// after recovery.
-    trained_len: usize,
     /// Set (under the state's write lock) when the object is removed
     /// from its shard map. A writer that raced `remove` and still
     /// holds a stale `Arc` sees the flag and re-resolves the object,
@@ -496,8 +492,7 @@ impl MovingObjectStore {
         &self.config
     }
 
-    /// The batch-API worker pool (sized by `StoreConfig::threads` /
-    /// `HPM_THREADS`).
+    /// The batch-API worker pool (sized by `StoreConfig::threads`).
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }
@@ -1132,8 +1127,7 @@ impl MovingObjectStore {
     /// the horizon-widened error-ellipse half-axes (√steps widening is
     /// monotone, so the horizon pad covers every earlier step), unioned
     /// with the full frequent-region extent box (pattern answers claim
-    /// their consequence region's bbox). A pure widening of the old
-    /// centroid envelope, so point queries prune exactly as before.
+    /// their consequence region's bbox).
     /// `None` uninstalls the object: removed, history-less, or
     /// poisoned objects answer no query, so pruning them is exact.
     fn compute_envelope(&self, shard: usize, raw: u64) -> Option<Envelope> {
@@ -1382,10 +1376,9 @@ impl MovingObjectStore {
                 // copies compressed words, it never recompresses.
                 history: HistorySnapshot::Chunked {
                     chunks: state.history.chunks().to_vec(),
-                    tail: state.history.tail().iter().map(|p| (p.x, p.y)).collect(),
+                    tail: state.history.tail().to_vec(),
                 },
                 trained_subs: state.trained_subs as u64,
-                trained_len: state.trained_len as u64,
                 model: state
                     .predictor
                     .as_ref()
@@ -1396,7 +1389,7 @@ impl MovingObjectStore {
         // byte-identical snapshots.
         objects.sort_unstable_by_key(|o| o.id);
         let bytes = encode_snapshot(&objects);
-        durability::write_snapshot_file(&d.config.dir, epoch, &bytes)?;
+        hpm_store::write_atomic(&snap_path(&d.config.dir, epoch), &bytes)?;
         durability::gc_below(&d.config.dir, epoch);
         hpm_obs::counter!(crate::metrics::SNAPSHOTS).add(1);
         hpm_obs::gauge!(crate::metrics::SNAPSHOT_OBJECTS).set(objects.len() as i64);
@@ -1424,11 +1417,14 @@ impl MovingObjectStore {
         }
     }
 
-    /// Installs snapshot state into an empty store. The trained
-    /// predictor is decoded from its nested model blob; the
-    /// incremental trainer is reconstructed by seeding a fresh one
-    /// over the exact sample prefix the last retrain covered, which
-    /// reproduces it by the workspace training contract.
+    /// Installs snapshot state into an empty store: histories verbatim
+    /// and each trained predictor decoded from its nested model blob.
+    /// Nothing is trained here. The incremental trainer is derived
+    /// state and stays absent; [`retrain`](Self::retrain) answers that
+    /// at the object's next cadence crossing by deriving it again from
+    /// the full history — by the workspace training contract
+    /// bit-identical to what a never-restarted store folded up to the
+    /// same sample, at the cost of one first-training-sized pass.
     fn restore_objects(
         &mut self,
         objects: Vec<ObjectSnapshot>,
@@ -1441,17 +1437,12 @@ impl MovingObjectStore {
             // compressed through the ordinary push path.
             let history = match o.history {
                 HistorySnapshot::Raw(points) => {
-                    let pts: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
-                    ChunkedHistory::from_points(o.start, params, &pts)
+                    ChunkedHistory::from_points(o.start, params, &points)
                 }
-                HistorySnapshot::Chunked { chunks, tail } => ChunkedHistory::from_parts(
-                    o.start,
-                    params,
-                    chunks,
-                    tail.iter().map(|&(x, y)| Point::new(x, y)).collect(),
-                ),
+                HistorySnapshot::Chunked { chunks, tail } => {
+                    ChunkedHistory::from_parts(o.start, params, chunks, tail)
+                }
             };
-            let trained_len = o.trained_len as usize;
             let predictor = match &o.model {
                 Some(blob) => {
                     let m = decode_model(blob)?;
@@ -1463,11 +1454,6 @@ impl MovingObjectStore {
                 }
                 None => None,
             };
-            let trainer = predictor.as_ref().map(|_| {
-                let mut t = TrainerState::new(self.config.discovery, self.config.mining);
-                t.seed_history(&HistoryPrefix::new(&history, trained_len));
-                t
-            });
             let shard_idx = self.shard_index(o.id);
             let mut map = self.shards[shard_idx].write_map();
             map.insert(
@@ -1475,9 +1461,8 @@ impl MovingObjectStore {
                 Arc::new(RwLock::new(ObjectState {
                     history,
                     predictor,
-                    trainer,
+                    trainer: None,
                     trained_subs: o.trained_subs as usize,
-                    trained_len,
                     removed: false,
                 })),
             );
@@ -1521,7 +1506,6 @@ impl MovingObjectStore {
                 predictor: None,
                 trainer: None,
                 trained_subs: 0,
-                trained_len: 0,
                 removed: false,
             }))
         }));
@@ -1549,12 +1533,16 @@ impl MovingObjectStore {
     /// Retrains `state` — the one training path. The trainer either
     /// folds in the samples reported since the last pass
     /// ([`cluster_delta`](Self::cluster_delta)) or, when it cannot —
-    /// first training, `force_full`, structure drift — is re-seeded
+    /// first training, first retrain after a restart (no trainer
+    /// either way), `force_full`, structure drift — is re-seeded
     /// from the complete history: batch DBSCAN per offset plus a
     /// support-count rebuild. Either way the patterns are then derived
     /// from the trainer's counts and the predictor assembled from the
-    /// trainer's regions: as deltas against the live index after a
-    /// fold, from parts after a seed. Both are equivalent to the
+    /// trainer's regions: as an update of the live predictor when
+    /// there is one (a rule list that did not move — the usual case
+    /// after a fold, and after the re-seed that follows a restart —
+    /// only patches confidences into the index image), from parts on
+    /// first training. Both are equivalent to the
     /// paper's batch pipeline [`HybridPredictor::build`] by the
     /// `hpm-core` training contract; that function is the reference
     /// the test suites compare against.
@@ -1576,25 +1564,23 @@ impl MovingObjectStore {
         } else {
             None
         };
-        if visits.is_none() {
+        if visits.is_some() {
+            hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
+        } else {
             hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-            trainer.seed_history(&state.history);
+            trainer.seed(&state.history);
         }
         let patterns = {
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
             trainer.stage_mine(visits.as_deref().unwrap_or(&[]))
         };
         let _s = hpm_obs::span!(crate::metrics::RETRAIN_TPT_SPAN);
-        state.predictor = Some(match (&state.predictor, visits) {
-            (Some(live), Some(_)) => {
-                hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
-                live.apply_update(trainer.regions(), patterns).0
-            }
-            _ => HybridPredictor::from_parts(trainer.regions(), patterns, self.config.hpm),
+        state.predictor = Some(match &state.predictor {
+            Some(live) => live.apply_update(trainer.regions(), patterns).0,
+            None => HybridPredictor::from_parts(trainer.regions(), patterns, self.config.hpm),
         });
         state.trained_subs = full;
-        state.trained_len = state.history.len();
     }
 
     /// The incremental half of a retrain: decomposes the samples
@@ -1607,7 +1593,7 @@ impl MovingObjectStore {
     ) -> Option<Vec<NewVisit>> {
         let delta = {
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_DECOMPOSE_SPAN);
-            trainer.stage_decompose_history(history)
+            trainer.stage_decompose(history)
         };
         let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
         let visits = trainer.stage_cluster(&delta).ok();

@@ -19,6 +19,7 @@ use hpm_trajectory::Timestamp;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 const PERIOD: u32 = 4;
 
@@ -51,6 +52,16 @@ fn config(shards: usize) -> StoreConfig {
         threads: 2,
         index: hpm_objectstore::IndexConfig::default(),
     }
+}
+
+/// `open_installs_without_training` reads process-global `hpm_obs`
+/// counters exactly, so it holds this lock exclusively while it has
+/// instrumentation switched on; every other test — its retrains would
+/// be counted too — holds it shared.
+static OBS: RwLock<()> = RwLock::new(());
+
+fn obs_shared() -> RwLockReadGuard<'static, ()> {
+    OBS.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A unique scratch data directory (not yet created).
@@ -116,6 +127,15 @@ fn live_objects(records: &[WalRecord]) -> Vec<(u64, Timestamp)> {
     live.into_iter().collect()
 }
 
+/// `approx_bytes` is capacity-based (allocator growth history) and
+/// counts a trainer a restored object does not have until it next
+/// retrains, so equal logical state may legitimately report different
+/// bytes after recovery — zero it before comparing.
+fn logical(mut s: hpm_objectstore::ObjectStats) -> hpm_objectstore::ObjectStats {
+    s.approx_bytes = 0;
+    s
+}
+
 /// The recovery contract: same population, same per-object stats,
 /// same ranked answers (or the same typed refusal) at future query
 /// times.
@@ -132,13 +152,6 @@ fn assert_equivalent(
     );
     for (raw, last) in live_objects(records) {
         let id = ObjectId(raw);
-        // approx_bytes is capacity-based (allocator growth history),
-        // so equal logical state may legitimately report different
-        // bytes after recovery — zero it before comparing.
-        let logical = |mut s: hpm_objectstore::ObjectStats| {
-            s.approx_bytes = 0;
-            s
-        };
         assert_eq!(
             logical(recovered.stats(id).unwrap()),
             logical(reference.stats(id).unwrap()),
@@ -185,6 +198,7 @@ props! {
         group_commit in choice(vec![1usize, 3]),
         seed in int(0u64..100_000),
     ) {
+        let _shared = obs_shared();
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -288,11 +302,11 @@ props! {
 }
 
 /// A snapshot mid-stream, then a crash that tears the post-snapshot
-/// WAL tail: recovery must load the snapshot (predictor *and* trainer
-/// state) and replay the surviving tail — and keep training exactly
-/// like a store that never crashed.
+/// WAL tail: recovery must load the snapshot and replay the surviving
+/// tail — and keep training exactly like a store that never crashed.
 #[test]
 fn snapshot_plus_torn_tail_recovers_and_keeps_training() {
+    let _shared = obs_shared();
     let dir = tmp_dir("snaptail");
     std::fs::create_dir_all(&dir).unwrap();
     let id = ObjectId(9);
@@ -367,8 +381,9 @@ fn snapshot_plus_torn_tail_recovers_and_keeps_training() {
     );
     let last = (4 * PERIOD as usize + 6 - 1) as Timestamp;
 
-    // The recovered trainer must carry on exactly like the reference's
-    // (snapshot restored predictor + re-seeded trainer): finish the
+    // The recovered store must carry on exactly like the reference
+    // (snapshot restored the predictor; the trainer is re-seeded by
+    // the first retrain the tail or the days below trigger): finish the
     // torn day and add two more, comparing stats and answers each day.
     let mut t = last + 1;
     for d in 0..3 {
@@ -383,10 +398,6 @@ fn snapshot_plus_torn_tail_recovers_and_keeps_training() {
             reference.report(id, t, *p).unwrap();
             t += 1;
         }
-        let logical = |mut s: hpm_objectstore::ObjectStats| {
-            s.approx_bytes = 0;
-            s
-        };
         assert_eq!(
             logical(recovered.stats(id).unwrap()),
             logical(reference.stats(id).unwrap()),
@@ -408,6 +419,7 @@ fn snapshot_plus_torn_tail_recovers_and_keeps_training() {
 /// between) is the degenerate crash: nothing may change.
 #[test]
 fn clean_reopen_round_trips_with_auto_snapshots() {
+    let _shared = obs_shared();
     let dir = tmp_dir("reopen");
     std::fs::create_dir_all(&dir).unwrap();
     let mut cfg = durable(&dir, 1);
@@ -487,6 +499,7 @@ fn clean_reopen_round_trips_with_auto_snapshots() {
 /// whole. Recovery loses exactly each shard's torn suffix.
 #[test]
 fn multi_shard_crash_loses_each_shard_tail_independently() {
+    let _shared = obs_shared();
     const SHARDS: usize = 4;
     let dir = tmp_dir("shards");
     std::fs::create_dir_all(&dir).unwrap();
@@ -543,6 +556,7 @@ fn multi_shard_crash_loses_each_shard_tail_independently() {
 /// reads as a torn tail: everything durably framed still recovers.
 #[test]
 fn trailing_garbage_after_valid_prefix_is_ignored() {
+    let _shared = obs_shared();
     let dir = tmp_dir("garbage");
     std::fs::create_dir_all(&dir).unwrap();
     let id = ObjectId(3);
@@ -574,6 +588,7 @@ fn trailing_garbage_after_valid_prefix_is_ignored() {
 /// loudly, never silently lose data.
 #[test]
 fn corrupt_snapshot_refuses_to_open() {
+    let _shared = obs_shared();
     let dir = tmp_dir("rot");
     std::fs::create_dir_all(&dir).unwrap();
     let id = ObjectId(4);
@@ -599,4 +614,162 @@ fn corrupt_snapshot_refuses_to_open() {
         Ok(_) => panic!("expected CorruptSnapshot, store opened anyway"),
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One period of answers past `last`, with the logical stats.
+fn answers(
+    store: &MovingObjectStore,
+    id: ObjectId,
+    last: Timestamp,
+) -> (hpm_objectstore::ObjectStats, Vec<hpm_core::Prediction>) {
+    let period = (1..=PERIOD as Timestamp).map(|dt| store.predict(id, last + dt).unwrap());
+    (logical(store.stats(id).unwrap()), period.collect())
+}
+
+/// `open` installs state, it does not train: reopening on a snapshot
+/// with an empty WAL tail retrains nothing yet answers like the store
+/// that was dropped, and the trainer the snapshot does not carry is
+/// re-seeded by the object's next retrain — one full pass, after which
+/// the reopened store folds (and falls back on drift) exactly like a
+/// twin that never restarted.
+#[test]
+fn open_installs_without_training() {
+    let _alone = OBS.write().unwrap_or_else(PoisonError::into_inner);
+    hpm_obs::enable();
+    let count = |name| hpm_obs::registry().counter(name).value();
+    let day = |d: usize, wild: bool| -> Vec<Point> {
+        let j = (d % 3) as f64 * 0.2;
+        let wild_at = |t: f64| Point::new(400.0 + t * 0.3 + j, 400.0);
+        let quiet_at = |t: f64| Point::new(t * 40.0 + j, j);
+        let hours = (0..PERIOD).map(f64::from);
+        if wild {
+            hours.map(wild_at).collect()
+        } else {
+            hours.map(quiet_at).collect()
+        }
+    };
+    let dir = tmp_dir("install");
+    let id = ObjectId(11);
+    let twin = MovingObjectStore::new(config(1));
+    let live = MovingObjectStore::open(config(1), durable(&dir, 1)).unwrap();
+    // Two of the six days are wild: a third one completes a cluster.
+    for d in 0..6 {
+        let pts = day(d, d == 2 || d == 4);
+        let start = (d * PERIOD as usize) as Timestamp;
+        live.report_batch(id, start, &pts).unwrap();
+        twin.report_batch(id, start, &pts).unwrap();
+    }
+    let mut last = 6 * PERIOD as Timestamp - 1;
+    assert!(live.snapshot().unwrap());
+    let pre_drop = answers(&live, id, last);
+    assert_eq!(pre_drop.0.trained_periods, 6);
+    drop(live);
+
+    let before = count("objectstore.retrains");
+    let reopened = MovingObjectStore::open(config(1), durable(&dir, 1)).unwrap();
+    assert_eq!(count("objectstore.retrains"), before, "open trained");
+    assert_eq!(answers(&reopened, id, last), pre_drop);
+
+    // First crossing, an ordinary day: the absent trainer is re-seeded
+    // (the twin folds). Second, a third wild day: both fold, drift,
+    // and fall back to a full pass.
+    for (d, wild, fallbacks) in [(6, false, 0), (7, true, 1)] {
+        let pts = day(d, wild);
+        let (total, full, drift) = (
+            count("objectstore.retrains"),
+            count("objectstore.retrains.full"),
+            count("objectstore.retrains.drift_fallback"),
+        );
+        reopened.report_batch(id, last + 1, &pts).unwrap();
+        assert_eq!(count("objectstore.retrains") - total, 1, "day {d}");
+        assert_eq!(count("objectstore.retrains.full") - full, 1, "day {d}");
+        assert_eq!(
+            count("objectstore.retrains.drift_fallback") - drift,
+            fallbacks,
+            "day {d}"
+        );
+        twin.report_batch(id, last + 1, &pts).unwrap();
+        last += PERIOD as Timestamp;
+        assert_eq!(
+            answers(&reopened, id, last),
+            answers(&twin, id, last),
+            "day {d}"
+        );
+    }
+    hpm_obs::disable();
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The reports frozen into `store/tests/fixtures/snapshot_v2.bin`, in
+/// feed order: a trained commuter (id 1, five days), an untrained
+/// newcomer (id 2, three samples) and a long-lived commuter whose
+/// history has sealed a chunk (id 3, 300 samples from an unaligned
+/// start).
+fn v2_fixture_reports() -> Vec<(ObjectId, Timestamp, Point)> {
+    let commute = |i: u64, y: f64| {
+        let j = (i * 37 % 100) as f64 / 100.0;
+        Point::new((i % u64::from(PERIOD)) as f64 * 40.0 + j, y + j)
+    };
+    let mut reports = Vec::new();
+    reports.extend((0..20).map(|i| (ObjectId(1), i, commute(i, 0.0))));
+    reports.extend((0..3).map(|i| (ObjectId(2), 100 + i, Point::new(i as f64 * 1.5, -7.25))));
+    reports.extend((6..306).map(|i| (ObjectId(3), i, commute(i, 50.0))));
+    reports
+}
+
+/// The committed v2 snapshot — cut from a store fed
+/// [`v2_fixture_reports`] by the last commit whose snapshots carried
+/// `trained_len` and whose `open` re-seeded trainers from it — restores
+/// into a store that answers, and keeps training, like one fed the same
+/// reports; and that store's own snapshot is the committed file with
+/// nothing but the reserved slots changed.
+#[test]
+fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
+    let _shared = obs_shared();
+    let golden: &[u8] = include_bytes!("../../store/tests/fixtures/snapshot_v2.bin");
+    let dir = tmp_dir("v2-fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("snap-1.snap"), golden).unwrap();
+    let restored = MovingObjectStore::open(config(1), durable(&dir, 1)).unwrap();
+
+    let fed_dir = tmp_dir("v2-fed");
+    let fed = MovingObjectStore::open(config(1), durable(&fed_dir, 1)).unwrap();
+    let mut records = Vec::new();
+    for (id, timestamp, p) in v2_fixture_reports() {
+        fed.report(id, timestamp, p).unwrap();
+        records.push(WalRecord::Report {
+            object: id.0,
+            timestamp,
+            x: p.x,
+            y: p.y,
+        });
+    }
+    assert_equivalent(&restored, &fed, &records, "v2 fixture");
+    assert!(fed.snapshot().unwrap());
+    let reencoded = hpm_store::encode_snapshot(&hpm_store::decode_snapshot(golden).unwrap());
+    assert_eq!(
+        std::fs::read(fed_dir.join("snap-1.snap")).unwrap(),
+        reencoded
+    );
+
+    // One more day each: the trained objects retrain (the restored
+    // ones by re-seeding), the newcomer does not.
+    for (raw, last) in live_objects(&records) {
+        for k in 1..=PERIOD as Timestamp {
+            let p = Point::new(k as f64 * 40.0, raw as f64);
+            restored.report(ObjectId(raw), last + k, p).unwrap();
+            fed.report(ObjectId(raw), last + k, p).unwrap();
+            records.push(WalRecord::Report {
+                object: raw,
+                timestamp: last + k,
+                x: p.x,
+                y: p.y,
+            });
+        }
+    }
+    assert_equivalent(&restored, &fed, &records, "v2 fixture + one day");
+    drop((restored, fed));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&fed_dir).unwrap();
 }

@@ -1,6 +1,6 @@
 //! A minimal JSON value, parser, and string escaper — just enough for
-//! the snapshot render, its round-trip tests, and the `obs-json-check`
-//! shape checker. No registry JSON crate is on the offline dependency
+//! the snapshot render, its round-trip tests, and the tests that
+//! shape-check snapshots. No registry JSON crate is on the offline dependency
 //! list, so this stays in-tree and `std`-only.
 
 use std::collections::BTreeMap;

@@ -148,7 +148,8 @@ impl MetricsSnapshot {
     }
 
     /// The stable JSON render (schema documented in
-    /// `docs/OBSERVABILITY.md`; shape-checked by `obs-json-check`).
+    /// `docs/OBSERVABILITY.md`; shape-checked by `hpm-cli`'s e2e
+    /// suite).
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(256 + 128 * self.histograms.len());

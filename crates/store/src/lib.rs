@@ -9,11 +9,14 @@
 //! decoded patterns is fast and keeps the format independent of index
 //! layout choices.)
 //!
-//! No serialization-format crate is available offline, so the format
-//! is hand-rolled on top of small in-tree byte-cursor traits: a
+//! No serialization-format crate is available offline, so every
+//! format here is hand-rolled on the one byte layer in [`wire`]: a
 //! magic/version header, LEB128 varints for integers, IEEE-754
-//! little-endian doubles, and an FNV-1a trailer checksum. The format is documented in [`mod@format`] and
-//! guarded by round-trip property tests.
+//! little-endian doubles, and an FNV-1a trailer checksum. The model
+//! format is documented in [`mod@format`] and guarded by round-trip
+//! property tests. The same crate holds what the moving-objects store
+//! persists: its [`snapshot`] codec, its [`wal`], and
+//! [`write_atomic`], the one crash-safe way a file is replaced.
 
 //! # Example
 //!
@@ -45,9 +48,8 @@
 
 #![forbid(unsafe_code)]
 
-mod bytes;
-mod codec;
 mod error;
+mod file;
 pub mod format;
 pub mod metrics;
 mod model;
@@ -56,6 +58,7 @@ pub mod wal;
 pub mod wire;
 
 pub use error::DecodeError;
+pub use file::write_atomic;
 pub use model::{decode_model, encode_model, load_model, save_model, StoredModel};
 pub use snapshot::{decode_snapshot, encode_snapshot, HistorySnapshot, ObjectSnapshot};
 pub use wal::{

@@ -1,8 +1,13 @@
-//! Encoding and decoding of the (regions, patterns) model pair.
+//! Encoding and decoding of the (regions, patterns) model pair: a
+//! sealed container ([`crate::wire`]) whose body is laid out in
+//! [`crate::format`]. Files are written through
+//! [`crate::write_atomic`], so a failed `save_model` over an existing
+//! model leaves the old one intact.
 
-use crate::bytes::Buf;
-use crate::codec::{fnv1a, get_count, get_f64, get_varint, put_f64, put_varint};
 use crate::format::{MAGIC, MAX_PATTERNS, MAX_PREMISE, MAX_REGIONS, VERSION};
+use crate::wire::{
+    begin_sealed, get_count, get_f64, get_varint, open_sealed, put_f64, put_varint, seal,
+};
 use crate::DecodeError;
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
@@ -23,10 +28,11 @@ pub struct StoredModel {
 pub fn encode_model(regions: &RegionSet, patterns: &PatternTable) -> Vec<u8> {
     let _span = hpm_obs::span!(crate::metrics::ENCODE_SPAN);
     // Rough pre-size: fixed 48 B per region, ~12 B per pattern.
-    let mut buf = Vec::with_capacity(16 + regions.len() * 56 + patterns.len() * 16);
-    buf.extend_from_slice(MAGIC);
-    put_varint(&mut buf, u64::from(VERSION));
-
+    let mut buf = begin_sealed(
+        MAGIC,
+        VERSION,
+        16 + regions.len() * 56 + patterns.len() * 16,
+    );
     put_varint(&mut buf, u64::from(regions.period()));
     put_varint(&mut buf, regions.len() as u64);
     for r in regions.all() {
@@ -60,8 +66,7 @@ pub fn encode_model(regions: &RegionSet, patterns: &PatternTable) -> Vec<u8> {
         put_varint(&mut buf, u64::from(patterns.support(p)));
     }
 
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    seal(&mut buf, 0);
     hpm_obs::counter!(crate::metrics::BYTES_WRITTEN).add(buf.len() as u64);
     buf
 }
@@ -80,21 +85,7 @@ pub fn decode_model(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
 }
 
 fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let computed = fnv1a(payload);
-    if stored != computed {
-        return Err(DecodeError::ChecksumMismatch { stored, computed });
-    }
-    let mut buf = payload;
-    if buf[..MAGIC.len()] != MAGIC[..] {
-        return Err(DecodeError::BadMagic);
-    }
-    buf.advance(MAGIC.len());
-    let version = get_varint(&mut buf)? as u32;
+    let (version, mut buf) = open_sealed(bytes, MAGIC)?;
     if version != VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
@@ -184,8 +175,8 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
         patterns.push(pattern);
     }
 
-    if buf.has_remaining() {
-        return Err(DecodeError::TrailingBytes(buf.remaining()));
+    if !buf.is_empty() {
+        return Err(DecodeError::TrailingBytes(buf.len()));
     }
     Ok(StoredModel {
         regions,
@@ -193,14 +184,14 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
     })
 }
 
-/// Encodes and writes a model to a file.
+/// Encodes a model and atomically replaces the file at `path` with it.
 pub fn save_model(
     path: impl AsRef<Path>,
     regions: &RegionSet,
     patterns: &PatternTable,
 ) -> std::io::Result<()> {
     let _span = hpm_obs::span!(crate::metrics::SAVE_SPAN);
-    std::fs::write(path, encode_model(regions, patterns))
+    crate::write_atomic(path.as_ref(), &encode_model(regions, patterns))
 }
 
 /// Reads and decodes a model file.
@@ -255,6 +246,12 @@ mod tests {
         (regions, patterns.into())
     }
 
+    /// Replaces a tampered blob's trailer with a fresh checksum.
+    fn reseal(blob: &mut Vec<u8>) {
+        blob.truncate(blob.len() - 8);
+        seal(blob, 0);
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let (regions, patterns) = sample();
@@ -307,9 +304,7 @@ mod tests {
         let mut blob = encode_model(&regions, &patterns);
         blob[0] = b'X';
         // Fix up the checksum so the magic check itself is exercised.
-        let n = blob.len() - 8;
-        let checksum = crate::codec::fnv1a(&blob[..n]);
-        blob[n..].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut blob);
         assert!(matches!(decode_model(&blob), Err(DecodeError::BadMagic)));
     }
 
@@ -318,9 +313,7 @@ mod tests {
         let (regions, patterns) = sample();
         let mut blob = encode_model(&regions, &patterns);
         blob[8] = 2; // version varint
-        let n = blob.len() - 8;
-        let checksum = crate::codec::fnv1a(&blob[..n]);
-        blob[n..].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut blob);
         assert!(matches!(
             decode_model(&blob),
             Err(DecodeError::UnsupportedVersion(2))
@@ -333,9 +326,7 @@ mod tests {
         let mut blob = encode_model(&regions, &patterns);
         let trailer_at = blob.len() - 8;
         blob.insert(trailer_at, 0); // junk byte inside the payload
-        let n = blob.len() - 8;
-        let checksum = crate::codec::fnv1a(&blob[..n]);
-        blob[n..].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut blob);
         assert!(matches!(
             decode_model(&blob),
             Err(DecodeError::TrailingBytes(1))
@@ -343,15 +334,27 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
+    fn save_replaces_the_file_atomically() {
         let (regions, patterns) = sample();
-        let dir = std::env::temp_dir().join("hpm_store_test");
+        let dir = std::env::temp_dir().join(format!("hpm-store-save-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.hpm");
         save_model(&path, &regions, &patterns).unwrap();
-        let model = load_model(&path).unwrap().unwrap();
-        assert_eq!(model.patterns, patterns);
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(load_model(&path).unwrap().unwrap().patterns, patterns);
+        // Nothing but the model is left behind — no `*.tmp`.
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["model.hpm"]);
+
+        // A write that fails (its tmp path is occupied by a directory)
+        // returns the error and leaves the old model byte-identical.
+        let old = std::fs::read(&path).unwrap();
+        std::fs::create_dir(dir.join("model.tmp")).unwrap();
+        assert!(save_model(&path, &regions, &PatternTable::default()).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //!              history                       (v1: raw layout, no kind
 //!                                             byte; v2: see below)
 //!              trained_subs  varint          (0 = untrained)
-//!              trained_len   varint          (samples covered by the
-//!                                             last retrain; ≤ total)
+//!              reserved      varint          (written 0; read and
+//!                                             discarded — older files
+//!                                             hold trained_len here,
+//!                                             the samples their last
+//!                                             retrain covered)
 //!              model flag    u8 0|1
 //!              model         varint length + model-codec blob
 //!                                            (present when flag = 1)
@@ -46,19 +49,23 @@
 //! The trained predictor rides along as a nested model-codec blob
 //! (`encode_model`'s format, checksum included), so model-level
 //! corruption is detected even if the outer trailer were somehow
-//! forged. The incremental `TrainerState` is *not* serialized: by the
-//! workspace training contract, re-seeding a fresh trainer over the
-//! first `trained_len` samples reproduces it exactly — recovery code
-//! does that instead of persisting clustering internals.
+//! forged. The incremental `TrainerState` is *not* serialized, and
+//! nothing about it is: it is derived state, and a store that opens a
+//! snapshot installs no trainer — the object's next retrain re-seeds
+//! one from its full history, which by the workspace training
+//! contract is bit-identical to the trainer a never-restarted store
+//! would have folded up to the same sample.
 //!
-//! Snapshot files must be written to a temporary name, fsynced, and
-//! renamed into place; a decode failure therefore means corruption
-//! (or a torn tmp file that was never renamed), never a mid-write
-//! state.
+//! Snapshot files are written with [`crate::write_atomic`]; a decode
+//! failure therefore means corruption (or a torn tmp file that was
+//! never renamed), never a mid-write state.
 
-use crate::bytes::Buf as _;
-use crate::codec::{fnv1a, get_count, get_f64, get_u64, get_varint, put_f64, put_u64, put_varint};
+use crate::wire::{
+    begin_sealed, get_count, get_f64, get_u64, get_u8, get_varint, open_sealed, put_f64, put_u64,
+    put_varint, seal, take,
+};
 use crate::DecodeError;
+use hpm_geo::Point;
 use hpm_trajectory::SealedChunk;
 
 /// Magic bytes opening every snapshot file.
@@ -85,19 +92,19 @@ pub const MAX_SNAPSHOT_MODEL_BYTES: usize = 1 << 32;
 /// allocating.
 const MAX_WORDS_PER_SAMPLE: usize = 3;
 
-/// An object's serialized position history: either raw `(x, y)` pairs
+/// An object's serialized position history: either raw points
 /// (the only v1 form) or sealed compressed chunks plus a raw hot tail
 /// (what a live store holds).
 #[derive(Debug, Clone, PartialEq)]
 pub enum HistorySnapshot {
     /// Every sample raw, in timestamp order.
-    Raw(Vec<(f64, f64)>),
+    Raw(Vec<Point>),
     /// Sealed chunks (oldest first) followed by the raw hot tail.
     Chunked {
         /// Compressed runs, written/read verbatim.
         chunks: Vec<SealedChunk>,
         /// Uncompressed most-recent samples.
-        tail: Vec<(f64, f64)>,
+        tail: Vec<Point>,
     },
 }
 
@@ -131,64 +138,36 @@ pub struct ObjectSnapshot {
     pub history: HistorySnapshot,
     /// Full periods the predictor was trained on (0 = untrained).
     pub trained_subs: u64,
-    /// Samples the last retrain covered (the first `trained_len`
-    /// samples re-seed the incremental trainer). Always ≤
-    /// `history.len()`.
-    pub trained_len: u64,
     /// The trained model, encoded with the model codec.
     pub model: Option<Vec<u8>>,
 }
 
-fn put_points(buf: &mut Vec<u8>, points: &[(f64, f64)]) {
+fn put_points(buf: &mut Vec<u8>, points: &[Point]) {
     put_varint(buf, points.len() as u64);
-    for &(x, y) in points {
-        put_f64(buf, x);
-        put_f64(buf, y);
+    for p in points {
+        put_f64(buf, p.x);
+        put_f64(buf, p.y);
     }
 }
 
-fn get_points(buf: &mut &[u8]) -> Result<Vec<(f64, f64)>, DecodeError> {
+fn get_points(buf: &mut &[u8]) -> Result<Vec<Point>, DecodeError> {
     let samples = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
     if buf.len() < samples * 16 {
         return Err(DecodeError::Truncated);
     }
     let mut points = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let x = get_f64(buf)?;
-        let y = get_f64(buf)?;
-        points.push((x, y));
+        points.push(Point::new(get_f64(buf)?, get_f64(buf)?));
     }
     Ok(points)
-}
-
-fn put_object_tail(buf: &mut Vec<u8>, o: &ObjectSnapshot) {
-    put_varint(buf, o.trained_subs);
-    put_varint(buf, o.trained_len);
-    match &o.model {
-        Some(blob) => {
-            buf.push(1);
-            put_varint(buf, blob.len() as u64);
-            buf.extend_from_slice(blob);
-        }
-        None => buf.push(0),
-    }
-}
-
-fn seal_with_checksum(mut buf: Vec<u8>) -> Vec<u8> {
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
 }
 
 /// Encodes a snapshot of every given object in the current (v2)
 /// format. Chunked histories are written verbatim — no recompression.
 pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + objects.len() * 64);
-    buf.extend_from_slice(SNAPSHOT_MAGIC);
-    put_varint(&mut buf, u64::from(SNAPSHOT_VERSION));
+    let mut buf = begin_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 64 + objects.len() * 64);
     put_varint(&mut buf, objects.len() as u64);
     for o in objects {
-        debug_assert!(o.trained_len as usize <= o.history.len());
         put_varint(&mut buf, o.id);
         put_varint(&mut buf, o.start);
         match &o.history {
@@ -210,20 +189,23 @@ pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
                 put_points(&mut buf, tail);
             }
         }
-        put_object_tail(&mut buf, o);
+        put_varint(&mut buf, o.trained_subs);
+        put_varint(&mut buf, 0); // reserved (see the layout above)
+        match &o.model {
+            Some(blob) => {
+                buf.push(1);
+                put_varint(&mut buf, blob.len() as u64);
+                buf.extend_from_slice(blob);
+            }
+            None => buf.push(0),
+        }
     }
-    seal_with_checksum(buf)
+    seal(&mut buf, 0);
+    buf
 }
 
 fn get_history_v2(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeError> {
-    let kind = if buf.has_remaining() {
-        let k = buf[0];
-        *buf = &buf[1..];
-        k
-    } else {
-        return Err(DecodeError::Truncated);
-    };
-    match kind {
+    match get_u8(buf)? {
         0 => Ok(HistorySnapshot::Raw(get_points(buf)?)),
         1 => {
             // Every chunk holds ≥ 1 sample, so chunk count is bounded
@@ -275,72 +257,40 @@ fn get_history_v2(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeErr
 /// decoded here — the caller hands them to `decode_model`, which
 /// re-validates them.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 trailer bytes"));
-    let computed = fnv1a(payload);
-    if stored != computed {
-        return Err(DecodeError::ChecksumMismatch { stored, computed });
-    }
-    if &payload[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut buf = &payload[SNAPSHOT_MAGIC.len()..];
+    let (version, mut buf) = open_sealed(bytes, SNAPSHOT_MAGIC)?;
     let buf = &mut buf;
-    let version = get_varint(buf)?;
-    if version != u64::from(SNAPSHOT_VERSION) && version != u64::from(SNAPSHOT_VERSION_V1) {
-        return Err(DecodeError::UnsupportedVersion(
-            version.min(u32::MAX as u64) as u32,
-        ));
+    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_V1 {
+        return Err(DecodeError::UnsupportedVersion(version));
     }
     let count = get_count(buf, MAX_SNAPSHOT_OBJECTS)?;
     let mut objects = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let id = get_varint(buf)?;
         let start = get_varint(buf)?;
-        let history = if version == u64::from(SNAPSHOT_VERSION_V1) {
+        let history = if version == SNAPSHOT_VERSION_V1 {
             HistorySnapshot::Raw(get_points(buf)?)
         } else {
             get_history_v2(buf, id)?
         };
         let trained_subs = get_varint(buf)?;
-        let trained_len = get_varint(buf)?;
-        if trained_len as usize > history.len() {
-            return Err(DecodeError::Invalid(format!(
-                "object {id}: trained_len {trained_len} exceeds {} samples",
-                history.len()
-            )));
-        }
-        let model = match buf.first() {
-            Some(0) => {
-                *buf = &buf[1..];
-                None
-            }
-            Some(1) => {
-                *buf = &buf[1..];
+        get_varint(buf)?; // reserved (see the layout above)
+        let model = match get_u8(buf)? {
+            0 => None,
+            1 => {
                 let len = get_count(buf, MAX_SNAPSHOT_MODEL_BYTES)?;
-                if buf.len() < len {
-                    return Err(DecodeError::Truncated);
-                }
-                let blob = buf[..len].to_vec();
-                *buf = &buf[len..];
-                Some(blob)
+                Some(take(buf, len)?.to_vec())
             }
-            Some(&other) => {
+            other => {
                 return Err(DecodeError::Invalid(format!(
                     "object {id}: model flag {other} is not 0/1"
                 )))
             }
-            None => return Err(DecodeError::Truncated),
         };
         objects.push(ObjectSnapshot {
             id,
             start,
             history,
             trained_subs,
-            trained_len,
             model,
         });
     }
@@ -353,7 +303,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_geo::Point;
 
     fn chunk(n: usize, seed: f64) -> SealedChunk {
         let points: Vec<Point> = (0..n)
@@ -367,9 +316,12 @@ mod tests {
             ObjectSnapshot {
                 id: 42,
                 start: 1000,
-                history: HistorySnapshot::Raw(vec![(0.0, 0.5), (-1.25, 2.0), (3.0, -0.0)]),
+                history: HistorySnapshot::Raw(vec![
+                    Point::new(0.0, 0.5),
+                    Point::new(-1.25, 2.0),
+                    Point::new(3.0, -0.0),
+                ]),
                 trained_subs: 1,
-                trained_len: 2,
                 model: Some(vec![1, 2, 3, 4]),
             },
             ObjectSnapshot {
@@ -377,10 +329,9 @@ mod tests {
                 start: 50,
                 history: HistorySnapshot::Chunked {
                     chunks: vec![chunk(20, 1.0), chunk(8, -3.5)],
-                    tail: vec![(9.0, 9.5), (10.0, 10.5)],
+                    tail: vec![Point::new(9.0, 9.5), Point::new(10.0, 10.5)],
                 },
                 trained_subs: 2,
-                trained_len: 28,
                 model: None,
             },
             ObjectSnapshot {
@@ -388,7 +339,6 @@ mod tests {
                 start: 0,
                 history: HistorySnapshot::Raw(Vec::new()),
                 trained_subs: 0,
-                trained_len: 0,
                 model: None,
             },
         ]
@@ -450,10 +400,9 @@ mod tests {
             start: 0,
             history: HistorySnapshot::Chunked {
                 chunks: vec![chunk(30, 2.0)],
-                tail: vec![(1.0, 1.0)],
+                tail: vec![Point::new(1.0, 1.0)],
             },
             trained_subs: 0,
-            trained_len: 0,
             model: None,
         }];
         let blob = encode_snapshot(&objects);
@@ -466,7 +415,7 @@ mod tests {
         for i in 14..payload_len {
             let mut bad = blob[..payload_len].to_vec();
             bad[i] ^= 0x80;
-            let bad = seal_with_checksum(bad);
+            seal(&mut bad, 0);
             match decode_snapshot(&bad) {
                 Ok(decoded) => {
                     // A flip in the raw tail or trained fields can
@@ -486,46 +435,44 @@ mod tests {
     }
 
     #[test]
-    fn trained_len_bound_enforced() {
+    fn reserved_slot_is_written_zero_and_read_blind() {
+        // An older file's slot holds a sample count; it may be any
+        // varint, of any width, and decodes to the same object.
+        let points = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
         let o = ObjectSnapshot {
             id: 9,
             start: 5,
-            history: HistorySnapshot::Raw(vec![(0.0, 0.0), (1.0, 1.0)]),
+            history: HistorySnapshot::Raw(points.clone()),
             trained_subs: 1,
-            trained_len: 3, // > 2 samples
             model: None,
         };
-        // encode_snapshot debug-asserts, so build the blob by hand.
-        let blob = {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(SNAPSHOT_MAGIC);
-            put_varint(&mut buf, u64::from(SNAPSHOT_VERSION));
+        let with_slot = |slot: u64| {
+            let mut buf = begin_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0);
             put_varint(&mut buf, 1);
             put_varint(&mut buf, o.id);
             put_varint(&mut buf, o.start);
             buf.push(0);
-            match &o.history {
-                HistorySnapshot::Raw(points) => put_points(&mut buf, points),
-                _ => unreachable!(),
-            }
+            put_points(&mut buf, &points);
             put_varint(&mut buf, o.trained_subs);
-            put_varint(&mut buf, o.trained_len);
+            put_varint(&mut buf, slot);
             buf.push(0);
-            seal_with_checksum(buf)
+            seal(&mut buf, 0);
+            buf
         };
-        assert!(matches!(
-            decode_snapshot(&blob),
-            Err(DecodeError::Invalid(_))
-        ));
+        for slot in [0, 2, 300, u64::MAX] {
+            assert_eq!(
+                decode_snapshot(&with_slot(slot)).unwrap(),
+                std::slice::from_ref(&o)
+            );
+        }
+        assert_eq!(encode_snapshot(std::slice::from_ref(&o)), with_slot(0));
     }
 
     #[test]
     fn unknown_version_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(SNAPSHOT_MAGIC);
-        put_varint(&mut buf, 3);
-        put_varint(&mut buf, 0);
-        let blob = seal_with_checksum(buf);
+        let mut blob = begin_sealed(SNAPSHOT_MAGIC, 3, 0);
+        put_varint(&mut blob, 0);
+        seal(&mut blob, 0);
         assert!(matches!(
             decode_snapshot(&blob),
             Err(DecodeError::UnsupportedVersion(3))

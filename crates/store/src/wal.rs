@@ -28,9 +28,10 @@
 //! the `hpm-check` failpoint hook (`wal.append`), which is how the
 //! crash-recovery suites tear this file at chosen byte offsets.
 
-use crate::bytes::{BufMut, StackBuf};
-use crate::codec::{fnv1a, get_f64, get_varint, put_f64, put_varint};
 use crate::metrics;
+use crate::wire::{
+    get_count, get_f64, get_u8, get_varint, put_f64, put_varint, seal, strip_magic, take, unseal,
+};
 use crate::DecodeError;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -42,6 +43,8 @@ pub const WAL_MAGIC: &[u8; 8] = b"HPMWAL01";
 /// Sanity limit on a frame payload (a report is ≤ 37 bytes; anything
 /// larger is corruption, not a record).
 pub const MAX_WAL_PAYLOAD: usize = 64;
+// `encode_wal_record` fills a frame's length in as one varint byte.
+const _: () = assert!(MAX_WAL_PAYLOAD < 0x80);
 
 /// Failpoint name the writer's physical writes are routed through.
 pub const WAL_APPEND_FAILPOINT: &str = "wal.append";
@@ -70,43 +73,44 @@ pub enum WalRecord {
 const TAG_REPORT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 
-/// Appends one framed record (length, payload, checksum) to `out`.
-/// The payload is staged on the stack — this runs once per accepted
-/// report, where a heap allocation costs more than the encode.
+/// Appends one framed record (length, payload, checksum) to `out` —
+/// the writer's group-commit buffer. The payload is written straight
+/// into place and its length filled in behind it: this runs once per
+/// accepted report, so the frame is neither staged nor copied.
 pub fn encode_wal_record(out: &mut Vec<u8>, record: &WalRecord) {
-    let mut payload = StackBuf::<MAX_WAL_PAYLOAD>::new();
-    match record {
+    let len_at = out.len();
+    out.push(0);
+    match *record {
         WalRecord::Report {
             object,
             timestamp,
             x,
             y,
         } => {
-            payload.put_u8(TAG_REPORT);
-            put_varint(&mut payload, *object);
-            put_varint(&mut payload, *timestamp);
-            put_f64(&mut payload, *x);
-            put_f64(&mut payload, *y);
+            out.push(TAG_REPORT);
+            put_varint(out, object);
+            put_varint(out, timestamp);
+            put_f64(out, x);
+            put_f64(out, y);
         }
         WalRecord::Remove { object } => {
-            payload.put_u8(TAG_REMOVE);
-            put_varint(&mut payload, *object);
+            out.push(TAG_REMOVE);
+            put_varint(out, object);
         }
     }
-    let payload = payload.filled();
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    let payload_len = out.len() - len_at - 1;
+    debug_assert!(payload_len <= MAX_WAL_PAYLOAD);
+    out[len_at] = payload_len as u8;
+    seal(out, len_at + 1);
 }
 
-fn decode_payload(mut p: &[u8]) -> Result<WalRecord, DecodeError> {
-    let buf = &mut p;
-    if buf.is_empty() {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf[0];
-    *buf = &buf[1..];
-    let record = match tag {
+/// Parses the frame at the head of `rest` and steps past it.
+fn next_record(rest: &mut &[u8]) -> Result<WalRecord, DecodeError> {
+    let mut cursor = *rest;
+    let payload_len = get_count(&mut cursor, MAX_WAL_PAYLOAD)?;
+    let mut payload = unseal(take(&mut cursor, payload_len + 8)?)?;
+    let buf = &mut payload;
+    let record = match get_u8(buf)? {
         TAG_REPORT => WalRecord::Report {
             object: get_varint(buf)?,
             timestamp: get_varint(buf)?,
@@ -121,6 +125,7 @@ fn decode_payload(mut p: &[u8]) -> Result<WalRecord, DecodeError> {
     if !buf.is_empty() {
         return Err(DecodeError::TrailingBytes(buf.len()));
     }
+    *rest = cursor;
     Ok(record)
 }
 
@@ -150,60 +155,27 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
         valid_len: 0,
         torn: None,
     };
-    if bytes.len() < WAL_MAGIC.len() {
-        if !bytes.is_empty() {
-            scan.torn = Some(DecodeError::Truncated);
-        }
+    if bytes.is_empty() {
         return scan;
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        scan.torn = Some(DecodeError::BadMagic);
-        return scan;
-    }
-    let mut offset = WAL_MAGIC.len();
-    scan.valid_len = offset;
-    while offset < bytes.len() {
-        let mut cursor = &bytes[offset..];
-        let payload_len = match get_varint(&mut cursor) {
-            Ok(v) if v as usize <= MAX_WAL_PAYLOAD => v as usize,
-            Ok(v) => {
-                scan.torn = Some(DecodeError::CountOutOfRange {
-                    got: v,
-                    limit: MAX_WAL_PAYLOAD as u64,
-                });
-                return scan;
-            }
-            Err(e) => {
-                scan.torn = Some(e);
-                return scan;
-            }
-        };
-        if cursor.len() < payload_len + 8 {
-            scan.torn = Some(DecodeError::Truncated);
+    let mut rest = match strip_magic(bytes, WAL_MAGIC) {
+        Ok(frames) => frames,
+        Err(e) => {
+            scan.torn = Some(e);
             return scan;
         }
-        let payload = &cursor[..payload_len];
-        let stored = u64::from_le_bytes(
-            cursor[payload_len..payload_len + 8]
-                .try_into()
-                .expect("8 checksum bytes"),
-        );
-        let computed = fnv1a(payload);
-        if stored != computed {
-            scan.torn = Some(DecodeError::ChecksumMismatch { stored, computed });
-            return scan;
-        }
-        match decode_payload(payload) {
+    };
+    scan.valid_len = bytes.len() - rest.len();
+    while !rest.is_empty() {
+        match next_record(&mut rest) {
             Ok(record) => {
-                let frame_end = offset + (bytes.len() - offset - cursor.len()) + payload_len + 8;
+                scan.valid_len = bytes.len() - rest.len();
                 scan.records.push(record);
-                scan.offsets.push(frame_end);
-                scan.valid_len = frame_end;
-                offset = frame_end;
+                scan.offsets.push(scan.valid_len);
             }
             Err(e) => {
                 scan.torn = Some(e);
-                return scan;
+                break;
             }
         }
     }
@@ -440,7 +412,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_rejected() {
         let mut bytes = WAL_MAGIC.to_vec();
-        crate::codec::put_varint(&mut bytes, 10_000);
+        put_varint(&mut bytes, 10_000);
         bytes.extend_from_slice(&[0u8; 64]);
         let scan = scan_wal(&bytes);
         assert!(scan.records.is_empty());

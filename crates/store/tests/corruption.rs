@@ -8,7 +8,7 @@ use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 // `fnv1a` lets tests re-seal tampered payloads and exercise validation
 // *past* the whole-file checksum.
-use hpm_store::wire::fnv1a;
+use hpm_store::wire::{fnv1a, get_varint, put_varint};
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
 };
@@ -63,9 +63,10 @@ fn snapshot_objects() -> Vec<ObjectSnapshot> {
         ObjectSnapshot {
             id: 1,
             start: 0,
-            history: HistorySnapshot::Raw((0..9).map(|t| (t as f64 * 10.0, 1.0)).collect()),
+            history: HistorySnapshot::Raw(
+                (0..9).map(|t| Point::new(t as f64 * 10.0, 1.0)).collect(),
+            ),
             trained_subs: 3,
-            trained_len: 9,
             model: Some(encode_model(&regions, &patterns)),
         },
         ObjectSnapshot {
@@ -73,18 +74,16 @@ fn snapshot_objects() -> Vec<ObjectSnapshot> {
             start: 30,
             history: HistorySnapshot::Chunked {
                 chunks: vec![walk_chunk(24, 4.0), walk_chunk(24, -2.5)],
-                tail: vec![(100.0, 100.5), (101.0, 100.0)],
+                tail: vec![Point::new(100.0, 100.5), Point::new(101.0, 100.0)],
             },
             trained_subs: 1,
-            trained_len: 40,
             model: None,
         },
         ObjectSnapshot {
             id: 44,
             start: 120,
-            history: HistorySnapshot::Raw(vec![(3.5, -1.25)]),
+            history: HistorySnapshot::Raw(vec![Point::new(3.5, -1.25)]),
             trained_subs: 0,
-            trained_len: 0,
             model: None,
         },
     ]
@@ -152,13 +151,12 @@ fn v1_fixture_objects() -> Vec<ObjectSnapshot> {
             id: 7,
             start: 100,
             history: HistorySnapshot::Raw(vec![
-                (0.0, 0.5),
-                (-1.25, 2.0),
-                (3.0, -0.0),
-                (f64::MIN_POSITIVE, 1e300),
+                Point::new(0.0, 0.5),
+                Point::new(-1.25, 2.0),
+                Point::new(3.0, -0.0),
+                Point::new(f64::MIN_POSITIVE, 1e300),
             ]),
             trained_subs: 1,
-            trained_len: 3,
             model: Some(vec![0xDE, 0xAD, 0xBE, 0xEF]),
         },
         ObjectSnapshot {
@@ -166,7 +164,6 @@ fn v1_fixture_objects() -> Vec<ObjectSnapshot> {
             start: 0,
             history: HistorySnapshot::Raw(Vec::new()),
             trained_subs: 0,
-            trained_len: 0,
             model: None,
         },
     ]
@@ -188,10 +185,64 @@ fn committed_v1_fixture_opens_bit_identically() {
         };
         assert_eq!(dp.len(), ep.len());
         for (a, b) in dp.iter().zip(ep) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
+            assert_eq!(a.x.to_bits(), b.x.to_bits());
+            assert_eq!(a.y.to_bits(), b.y.to_bits());
         }
     }
+}
+
+/// The committed v2 snapshot — cut from a live store (a trained
+/// commuter, a three-sample newcomer, a 300-sample history with a
+/// sealed chunk) by the last commit that still wrote `trained_len` —
+/// decodes, and re-encoding what it decodes to gives the file back
+/// byte for byte except for each object's reserved slot: same length
+/// before it, `trained_len` (of whatever width) then and 0 now, same
+/// bytes after it.
+#[test]
+fn committed_v2_fixture_reencodes_identically_but_for_the_reserved_slot() {
+    let golden: &[u8] = include_bytes!("fixtures/snapshot_v2.bin");
+    let objects = decode_snapshot(golden).expect("committed v2 fixture must decode");
+    let shape: Vec<_> = objects
+        .iter()
+        .map(|o| (o.id, o.start, o.history.len(), o.trained_subs))
+        .collect();
+    assert_eq!(shape, [(1, 0, 20, 5), (2, 100, 3, 0), (3, 6, 300, 75)]);
+    let HistorySnapshot::Chunked { chunks, tail } = &objects[2].history else {
+        panic!("a live store snapshots chunked histories");
+    };
+    assert_eq!((chunks.len(), tail.len()), (1, 44));
+    for o in &objects {
+        let model = o.model.as_ref().map(|blob| decode_model(blob).unwrap());
+        assert_eq!(model.is_some(), o.trained_subs > 0, "object {}", o.id);
+    }
+
+    let ours = encode_snapshot(&objects);
+    let (old, new) = (&golden[..golden.len() - 8], &ours[..ours.len() - 8]);
+    let (mut at_old, mut at_new) = (0, 0);
+    let mut old_slots = Vec::new();
+    for (i, o) in objects.iter().enumerate() {
+        // What follows the slot: the model flag, then length + blob.
+        let mut after = vec![u8::from(o.model.is_some())];
+        if let Some(blob) = &o.model {
+            put_varint(&mut after, blob.len() as u64);
+            after.extend_from_slice(blob);
+        }
+        let slot = encode_snapshot(&objects[..=i]).len() - 8 - after.len() - 1;
+        let run = slot - at_new;
+        assert_eq!(
+            old[at_old..at_old + run],
+            new[at_new..slot],
+            "object {}",
+            o.id
+        );
+        assert_eq!(new[slot], 0, "object {}: reserved slot", o.id);
+        let mut rest = &old[at_old + run..];
+        old_slots.push(get_varint(&mut rest).unwrap());
+        at_old = old.len() - rest.len();
+        at_new = slot + 1;
+    }
+    assert_eq!(old[at_old..], new[at_new..]);
+    assert_eq!(old_slots, [20, 0, 300]);
 }
 
 /// A flipped bit inside a v2 chunk's packed words that is re-sealed
@@ -209,7 +260,6 @@ fn corrupt_v2_chunk_refuses_to_open() {
             tail: Vec::new(),
         },
         trained_subs: 0,
-        trained_len: 0,
         model: None,
     }];
     let blob = encode_snapshot(&objects);

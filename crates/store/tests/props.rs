@@ -4,6 +4,7 @@
 use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
+use hpm_store::wal::{encode_wal_record, scan_wal, WalRecord, WAL_MAGIC};
 use hpm_store::{decode_model, encode_model};
 
 /// Random valid model: one region per offset over a random period,
@@ -241,4 +242,51 @@ fn committed_model_fixture_is_reproduced_byte_for_byte() {
     let model = decode_model(golden).expect("committed model fixture must decode");
     assert_eq!(model.regions.all(), regions.all());
     assert_eq!(model.patterns, patterns);
+}
+
+/// `encode_wal_record` still writes, byte for byte, the frames it
+/// wrote while it staged each payload on the stack
+/// (`tests/fixtures/wal_v1.bin`: Report and Remove frames with one-
+/// and ten-byte varints, `-0.0`, a subnormal and a sum that does not
+/// round), and `scan_wal` reads them back equal — a WAL written before
+/// an upgrade replays after it.
+#[test]
+fn committed_wal_fixture_is_reproduced_byte_for_byte() {
+    let golden: &[u8] = include_bytes!("fixtures/wal_v1.bin");
+    let records = [
+        WalRecord::Report {
+            object: 7,
+            timestamp: 0,
+            x: 1.5,
+            y: -2.25,
+        },
+        WalRecord::Report {
+            object: u64::MAX,
+            timestamp: 12_345,
+            x: f64::MIN_POSITIVE,
+            y: -0.0,
+        },
+        WalRecord::Remove { object: 7 },
+        WalRecord::Report {
+            object: 300,
+            timestamp: u64::MAX,
+            x: 1e300,
+            y: 0.1 + 0.2,
+        },
+        WalRecord::Remove { object: u64::MAX },
+    ];
+    let mut bytes = WAL_MAGIC.to_vec();
+    for r in &records {
+        encode_wal_record(&mut bytes, r);
+    }
+    assert_eq!(bytes, golden);
+    let scan = scan_wal(golden);
+    assert_eq!(scan.torn, None);
+    assert_eq!(scan.valid_len, golden.len());
+    assert_eq!(scan.offsets.last(), Some(&golden.len()));
+    for (got, want) in scan.records.iter().zip(&records) {
+        // Debug prints `-0.0` and `0.0` apart; `==` would not tell.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+    assert_eq!(scan.records.len(), records.len());
 }

@@ -3,6 +3,12 @@
 //! A trajectory of `n` samples with period `T` splits into `⌈n/T⌉`
 //! sub-trajectories; group `Gₜ` collects, across sub-trajectories, the
 //! locations whose time offset is `t`.
+//!
+//! Grouping and the incremental cursor take any [`History`] — a raw
+//! [`Trajectory`] is one, a compressed
+//! [`ChunkedHistory`](crate::ChunkedHistory) another — and stream its
+//! samples, so there is one entry point per verb and compressed
+//! storage decodes on the fly instead of materializing a point slice.
 
 use crate::{History, TimeOffset, Timestamp, Trajectory};
 use hpm_geo::Point;
@@ -74,20 +80,15 @@ pub struct OffsetGroups {
 }
 
 impl OffsetGroups {
-    /// Builds the groups for `traj` with the given period.
-    pub fn build(traj: &Trajectory, period: u32) -> Self {
-        let subs = decompose(traj, period);
-        Self::from_subs(&subs, period)
-    }
-
-    /// Builds the groups for any [`History`] by streaming its samples —
-    /// equivalent to [`build`](Self::build) (each `Gₜ` fills in
-    /// sub-trajectory order either way) but never materializes a point
-    /// slice, so compressed histories decode on the fly.
+    /// Builds the groups for `hist` with the given period by streaming
+    /// its samples: sample `i` of a history starting at `s` lands in
+    /// `G_{(s + i) mod T}` tagged with sub-trajectory `(s + i)/T − s/T`
+    /// — [`decompose`]'s placement, so each `Gₜ` fills in
+    /// sub-trajectory order.
     ///
     /// # Panics
     /// Panics if `period == 0`.
-    pub fn build_history<H: History>(hist: &H, period: u32) -> Self {
+    pub fn build(hist: &impl History, period: u32) -> Self {
         assert!(period > 0, "period must be positive");
         let t = period as Timestamp;
         let start = hist.start();
@@ -102,26 +103,6 @@ impl OffsetGroups {
             groups.append((abs / t) as usize - base, (abs % t) as TimeOffset, p);
         }
         groups
-    }
-
-    /// Builds the groups from already-decomposed sub-trajectories.
-    pub fn from_subs(subs: &[SubTrajectory<'_>], period: u32) -> Self {
-        assert!(period > 0, "period must be positive");
-        let mut groups: Vec<Vec<(usize, Point)>> = vec![Vec::new(); period as usize];
-        let mut sub_count = 0usize;
-        for sub in subs {
-            sub_count = sub_count.max(sub.index + 1);
-            for (i, p) in sub.points.iter().enumerate() {
-                let t = sub.first_offset as usize + i;
-                debug_assert!(t < period as usize);
-                groups[t].push((sub.index, *p));
-            }
-        }
-        OffsetGroups {
-            period,
-            groups,
-            sub_count,
-        }
     }
 
     /// The period `T`.
@@ -223,24 +204,13 @@ impl DecomposeCursor {
         self.consumed
     }
 
-    /// Yields the samples of `traj` not yet consumed, in timestamp
-    /// order, and marks them consumed. Trajectories only grow
-    /// (truncation must reset the cursor), so a shrunken `traj` is a
-    /// caller bug.
-    ///
-    /// # Panics
-    /// Panics when `traj` has fewer samples than already consumed.
-    pub fn advance(&mut self, traj: &Trajectory) -> Vec<DeltaSample> {
-        self.advance_history(traj)
-    }
-
-    /// [`advance`](Self::advance) over any [`History`]: streams the
-    /// not-yet-consumed samples (decoding compressed chunks on the fly
-    /// when the history is chunked) and marks them consumed.
+    /// Yields the samples of `hist` not yet consumed, in timestamp
+    /// order, and marks them consumed. Histories only grow (truncation
+    /// must reset the cursor), so a shrunken `hist` is a caller bug.
     ///
     /// # Panics
     /// Panics when `hist` has fewer samples than already consumed.
-    pub fn advance_history<H: History>(&mut self, hist: &H) -> Vec<DeltaSample> {
+    pub fn advance(&mut self, hist: &impl History) -> Vec<DeltaSample> {
         assert!(
             hist.len() >= self.consumed,
             "trajectory shrank under the cursor"
@@ -264,15 +234,10 @@ impl DecomposeCursor {
         out
     }
 
-    /// Marks every sample of `traj` consumed without yielding them —
+    /// Marks every sample of `hist` consumed without yielding them —
     /// used after a full (non-incremental) rebuild already processed
     /// the whole history.
-    pub fn catch_up(&mut self, traj: &Trajectory) {
-        self.consumed = traj.len();
-    }
-
-    /// [`catch_up`](Self::catch_up) over any [`History`].
-    pub fn catch_up_history<H: History>(&mut self, hist: &H) {
+    pub fn catch_up(&mut self, hist: &impl History) {
         self.consumed = hist.len();
     }
 }
@@ -435,12 +400,18 @@ mod tests {
     }
 
     #[test]
-    fn build_history_matches_build() {
+    fn build_streams_any_history_into_the_decomposed_groups() {
         use crate::chunks::{ChunkParams, ChunkedHistory};
         for (start, n) in [(0u64, 0usize), (0, 17), (2, 8), (7, 40)] {
             let traj = Trajectory::new(start, (0..n).map(|i| Point::new(i as f64, 1.0)).collect());
-            let via_history = OffsetGroups::build_history(&traj, 5);
-            assert!(groups_eq(&via_history, &OffsetGroups::build(&traj, 5)));
+            // The reference: regroup `decompose`'s slices by hand.
+            let mut by_subs = OffsetGroups::build(&Trajectory::new(start, Vec::new()), 5);
+            for sub in decompose(&traj, 5) {
+                for (i, p) in sub.points.iter().enumerate() {
+                    by_subs.append(sub.index, sub.first_offset + i as TimeOffset, *p);
+                }
+            }
+            assert!(groups_eq(&OffsetGroups::build(&traj, 5), &by_subs));
             let chunked = ChunkedHistory::from_points(
                 start,
                 ChunkParams {
@@ -449,13 +420,12 @@ mod tests {
                 },
                 traj.points(),
             );
-            let via_chunked = OffsetGroups::build_history(&chunked, 5);
-            assert!(groups_eq(&via_chunked, &OffsetGroups::build(&traj, 5)));
+            assert!(groups_eq(&OffsetGroups::build(&chunked, 5), &by_subs));
         }
     }
 
     #[test]
-    fn cursor_advance_history_matches_advance() {
+    fn cursor_advances_alike_over_raw_and_chunked_histories() {
         use crate::chunks::{ChunkParams, ChunkedHistory};
         let traj = Trajectory::new(2, (0..23).map(|i| Point::new(i as f64, 0.5)).collect());
         let chunked = ChunkedHistory::from_points(
@@ -472,11 +442,11 @@ mod tests {
         let prefix = Trajectory::new(2, traj.points()[..9].to_vec());
         assert_eq!(a.advance(&prefix), {
             b.consumed = 0;
-            let d = b.advance_history(&chunked);
+            let d = b.advance(&chunked);
             d[..9].to_vec()
         });
         b.consumed = 9;
-        assert_eq!(a.advance(&traj), b.advance_history(&chunked));
+        assert_eq!(a.advance(&traj), b.advance(&chunked));
     }
 
     #[test]

@@ -58,42 +58,6 @@ impl History for Trajectory {
     }
 }
 
-/// A view of the first `len` samples of a history — used to replay the
-/// trained prefix of an object's history (e.g. when re-seeding a
-/// trainer after recovery) without copying it out.
-#[derive(Debug, Clone, Copy)]
-pub struct HistoryPrefix<'a, H> {
-    inner: &'a H,
-    len: usize,
-}
-
-impl<'a, H: History> HistoryPrefix<'a, H> {
-    /// The first `len` samples of `inner` (clamped to its length).
-    pub fn new(inner: &'a H, len: usize) -> Self {
-        HistoryPrefix {
-            inner,
-            len: len.min(inner.len()),
-        }
-    }
-}
-
-impl<H: History> History for HistoryPrefix<'_, H> {
-    #[inline]
-    fn start(&self) -> Timestamp {
-        self.inner.start()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn iter_from(&self, from: usize) -> impl Iterator<Item = Point> + '_ {
-        let from = from.min(self.len);
-        self.inner.iter_from(from).take(self.len - from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,21 +74,5 @@ mod tests {
         let tail: Vec<Point> = t.iter_from(4).collect();
         assert_eq!(tail, t.points()[4..].to_vec());
         assert_eq!(t.iter_from(99).count(), 0);
-    }
-
-    #[test]
-    fn prefix_clamps_and_streams() {
-        let t = traj(6);
-        let p = HistoryPrefix::new(&t, 4);
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.end(), 9);
-        assert_eq!(p.iter_from(0).collect::<Vec<_>>(), t.points()[..4].to_vec());
-        assert_eq!(
-            p.iter_from(3).collect::<Vec<_>>(),
-            t.points()[3..4].to_vec()
-        );
-        assert_eq!(p.iter_from(4).count(), 0);
-        let clamped = HistoryPrefix::new(&t, 100);
-        assert_eq!(clamped.len(), 6);
     }
 }

@@ -42,7 +42,7 @@ pub use chunks::{
     DEFAULT_SEAL_LEN,
 };
 pub use decompose::{decompose, DecomposeCursor, DeltaSample, OffsetGroups, SubTrajectory};
-pub use history::{History, HistoryPrefix};
+pub use history::History;
 pub use preprocess::{despike, from_sparse_samples, PreprocessError};
 pub use staypoints::{stay_points, StayPoint};
 pub use traj::{TimeOffset, Timestamp, Trajectory};

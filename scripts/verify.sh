@@ -48,40 +48,17 @@ for i in $(seq 1 "$STRESS_RUNS"); do
     # have to hold under both.
     cargo test -q --release --offline -p hpm-clustering --test props --test alloc
     cargo test -q --release --offline -p hpm-core --test train_props
+    # Likewise the codecs: committed fixtures and the every-cut /
+    # bit-flip fuzz, with length arithmetic that wraps instead of
+    # panicking.
+    cargo test -q --release --offline -p hpm-store --test props --test corruption
 done
 
-echo "==> metrics-json smoke (hpm predict --metrics-json + obs-json-check)"
-cargo build --release --offline -p hpm-cli -p hpm-obs
+# The smokes below drive the `hpm` binary; the root build above does
+# not build it.
+cargo build --release --offline -p hpm-cli
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-./target/release/hpm generate --dataset bike --subs 45 --seed 3 \
-    --output "$SMOKE_DIR/bike.csv" >/dev/null
-./target/release/hpm train --input "$SMOKE_DIR/bike.csv" --period 300 \
-    --output "$SMOKE_DIR/bike.hpm" >/dev/null
-./target/release/hpm predict --model "$SMOKE_DIR/bike.hpm" \
-    --input "$SMOKE_DIR/bike.csv" --at 13540 \
-    --metrics-json "$SMOKE_DIR/metrics.json" >/dev/null
-./target/release/obs-json-check "$SMOKE_DIR/metrics.json" \
-    counter:core.predict.calls \
-    any-counter:core.predict.fqp_dispatch,core.predict.bqp_dispatch \
-    counter:store.model.bytes_read \
-    histogram:core.predict \
-    histogram:store.model.decode
-
-echo "==> CLI batch-predict smoke (--batch --threads 4)"
-printf '# smoke queries\n13540\n13600\n13700\n' > "$SMOKE_DIR/times.txt"
-# Capture first, grep the file after: grep -q on the live pipe exits at
-# the first match and the resulting EPIPE kills the producer mid-print.
-./target/release/hpm predict --model "$SMOKE_DIR/bike.hpm" \
-    --input "$SMOKE_DIR/bike.csv" --batch "$SMOKE_DIR/times.txt" \
-    --threads 4 > "$SMOKE_DIR/batch4.out"
-grep -q "3 batch queries on 4 threads" "$SMOKE_DIR/batch4.out"
-./target/release/hpm predict --model "$SMOKE_DIR/bike.hpm" \
-    --input "$SMOKE_DIR/bike.csv" --batch "$SMOKE_DIR/times.txt" \
-    --threads 1 > "$SMOKE_DIR/batch1.out"
-# Parallel answers must be byte-identical to sequential ones.
-diff <(sed 's/on 4 threads/on N threads/' "$SMOKE_DIR/batch4.out") \
-     <(sed 's/on 1 threads/on N threads/' "$SMOKE_DIR/batch1.out")
 
 echo "==> calibration smoke (noisy-sensor: claimed mass vs empirical hit rate)"
 # The fallback-dominated noisy-sensor scenario is where the residual
@@ -176,6 +153,15 @@ for root in src/lib.rs crates/cli/src/main.rs crates/*/src/lib.rs; do
         exit 1
     fi
 done
+
+echo "==> one checksum: fn fnv1a is defined in wire.rs and hpm-check only"
+# hpm-store depends on hpm-check, so hpm-check keeps its own copy (and
+# the comment saying why); every other crate calls hpm_store::wire.
+FNV_DEFS="$(grep -rl 'fn fnv1a' --include='*.rs' src crates sysbench | sort | xargs)"
+if [ "$FNV_DEFS" != "crates/check/src/runner.rs crates/store/src/wire.rs" ]; then
+    echo "ERROR: fn fnv1a defined in: $FNV_DEFS" >&2
+    exit 1
+fi
 
 echo "==> hermetic manifest scan"
 if grep -En '^(proptest|rand|criterion|serde|bytes|crossbeam|parking_lot)' \
