@@ -53,31 +53,5 @@ fn bench_discovery(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mining_threads(c: &mut Criterion) {
-    use hpm_patterns::mine_with_threads;
-    let mut group = c.benchmark_group("mining_threads");
-    group.sample_size(10);
-    let traj = paper_dataset(PaperDataset::Cow, 42).generate_subs(60);
-    let train = training_slice(&traj, PERIOD, 60);
-    let out = discover(&train, &paper_discovery(30.0, 4));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    std::hint::black_box(mine_with_threads(
-                        &out.regions,
-                        &out.visits,
-                        &paper_mining(0.3),
-                        threads,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_mining, bench_discovery, bench_mining_threads);
+criterion_group!(benches, bench_mining, bench_discovery);
 criterion_main!(benches);

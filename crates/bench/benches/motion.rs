@@ -41,22 +41,19 @@ fn bench_predict(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lstsq_backends(c: &mut Criterion) {
-    use hpm_linalg::{lstsq, lstsq_qr, Matrix};
+fn bench_lstsq(c: &mut Criterion) {
+    use hpm_linalg::{lstsq, Matrix};
     // RMF-shaped systems: (window - f) rows x 2f cols, 2 rhs columns.
-    let mut group = c.benchmark_group("lstsq_backend");
+    let mut group = c.benchmark_group("lstsq");
     for &(rows, cols) in &[(17usize, 6usize), (57, 6), (147, 10)] {
         let a = Matrix::from_fn(rows, cols, |i, j| ((i * 31 + j * 17) % 23) as f64 - 11.0);
         let b = Matrix::from_fn(rows, 2, |i, j| ((i * 13 + j * 7) % 19) as f64 - 9.0);
         group.bench_function(format!("svd_{rows}x{cols}"), |bch| {
             bch.iter(|| std::hint::black_box(lstsq(&a, &b)))
         });
-        group.bench_function(format!("qr_{rows}x{cols}"), |bch| {
-            bch.iter(|| std::hint::black_box(lstsq_qr(&a, &b).expect("full rank")))
-        });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_predict, bench_lstsq_backends);
+criterion_group!(benches, bench_fit, bench_predict, bench_lstsq);
 criterion_main!(benches);

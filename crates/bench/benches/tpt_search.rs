@@ -1,8 +1,7 @@
 //! TPT search vs brute-force scan (Fig. 11b), plus the node-fanout
 //! ablation called out in DESIGN.md, plus the Fig. 11 region-scale
 //! sweep. Every search group runs against the packed image — the index
-//! that serves queries; the build group times the two builders, each
-//! through to its compacted image.
+//! that serves queries; the build group times its bulk load.
 //!
 //! The criterion-shim groups run in both modes as before. The sweep at
 //! the end uses its own harness (best-of-reps wall clock, JSON report,
@@ -13,10 +12,13 @@
 
 use hpm_bench::synthetic_patterns;
 use hpm_bench::{criterion_group, BenchmarkId, Criterion};
-use hpm_tpt::{
-    BruteForce, KeyTable, PatternIndex, PatternKey, SearchCursor, SearchStats, Tpt, TptConfig,
-};
+use hpm_tpt::{BruteForce, KeyTable, PackedTpt, PatternKey, SearchCursor, SearchStats};
 use std::time::Instant;
+
+/// The fanout the system runs with.
+fn default_fanout() -> usize {
+    hpm_core::HpmConfig::default().tpt_fanout
+}
 
 fn queries(table: &KeyTable, n: usize, regions: usize) -> Vec<PatternKey> {
     (0..n)
@@ -40,7 +42,7 @@ fn bench_search(c: &mut Criterion) {
             .enumerate()
             .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
             .collect();
-        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let tpt = PackedTpt::bulk_load(default_fanout(), entries.clone());
         let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, 20, set.len());
         let mut out = Vec::new();
@@ -75,7 +77,7 @@ fn bench_fanout(c: &mut Criterion) {
         .collect();
     let qs = queries(&table, 20, set.len());
     for &fanout in &[8usize, 32, 128] {
-        let tpt = Tpt::bulk_load(TptConfig::new(fanout), entries.clone()).compact();
+        let tpt = PackedTpt::bulk_load(fanout, entries.clone());
         let mut out = Vec::new();
         group.bench_with_input(BenchmarkId::from_parameter(fanout), &fanout, |b, _| {
             b.iter(|| {
@@ -89,7 +91,7 @@ fn bench_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_insert(c: &mut Criterion) {
+fn bench_bulk_load(c: &mut Criterion) {
     let (set, patterns) = synthetic_patterns(5_000, 400, 31);
     let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
     let entries: Vec<_> = patterns
@@ -97,24 +99,14 @@ fn bench_insert(c: &mut Criterion) {
         .enumerate()
         .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
         .collect();
-    c.bench_function("tpt_insert_5k", |b| {
-        b.iter(|| {
-            let mut tpt = Tpt::new(TptConfig::default());
-            for (k, conf, id) in &entries {
-                tpt.insert(k.clone(), *conf, *id);
-            }
-            std::hint::black_box(tpt.compact().len())
-        })
-    });
     c.bench_function("tpt_bulk_load_5k", |b| {
         b.iter(|| {
-            let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone());
-            std::hint::black_box(tpt.compact().len())
+            std::hint::black_box(PackedTpt::bulk_load(default_fanout(), entries.clone()).len())
         })
     });
 }
 
-criterion_group!(benches, bench_search, bench_fanout, bench_insert);
+criterion_group!(benches, bench_search, bench_fanout, bench_bulk_load);
 
 /// Best-of-`reps` wall-clock ns/query for one full pass over the
 /// query set (single thread; one untimed warmup pass first).
@@ -148,7 +140,7 @@ fn fig11_sweep(
             .enumerate()
             .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
             .collect();
-        let packed = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let packed = PackedTpt::bulk_load(default_fanout(), entries.clone());
         let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, n_queries, set.len());
 
@@ -200,7 +192,7 @@ fn fig11_sweep(
         let json = format!(
             "{{\n  \"bench\": \"tpt_search_fig11\",\n  \"patterns\": {patterns_n},\n  \
              \"queries\": {n_queries},\n  \"reps\": {reps},\n  \
-             \"methodology\": \"single thread; the packed TPT image (bulk load + compact) \
+             \"methodology\": \"single thread; the packed TPT image (bulk load) \
              and the brute-force scan hold identical entries; per scale the full query set \
              runs once untimed asserting the packed result set equal to the scan's and \
              aggregating SearchStats, then each index is timed as best-of-{reps} wall-clock \

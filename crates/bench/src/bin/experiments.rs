@@ -18,7 +18,7 @@ use hpm_core::{HpmConfig, HybridPredictor, WeightFunction};
 use hpm_datagen::{PaperDataset, EXTENT, PERIOD};
 use hpm_motion::{MotionModel, Rmf};
 use hpm_patterns::{mine, prune_statistics, RegionId};
-use hpm_tpt::{BruteForce, KeyTable, PatternIndex, Tpt, TptConfig};
+use hpm_tpt::{BruteForce, KeyTable, PackedTpt};
 use std::time::Instant;
 
 fn main() -> std::io::Result<()> {
@@ -347,20 +347,20 @@ fn time_per_query(queries: &[EvalQuery], mut f: impl FnMut(&EvalQuery)) -> f64 {
 /// Both are taken from the packed image — the index that runs.
 fn fig11() -> std::io::Result<()> {
     let sizes = [1_000usize, 5_000, 10_000, 50_000, 100_000];
+    let fanout = HpmConfig::default().tpt_fanout;
 
     let mut a = Report::new("fig11a-storage", &["num_regions", "num_patterns", "tpt_mb"])?;
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
             let (set, patterns) = synthetic_patterns(n, regions, 11);
             let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-            let tpt = Tpt::bulk_load(
-                TptConfig::default(),
+            let tpt = PackedTpt::bulk_load(
+                fanout,
                 patterns
                     .iter()
                     .enumerate()
                     .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32)),
-            )
-            .compact();
+            );
             let mb = tpt.storage_bytes() as f64 / (1024.0 * 1024.0);
             a.row(&[regions.to_string(), n.to_string(), format!("{mb:.2}")])?;
         }
@@ -378,7 +378,7 @@ fn fig11() -> std::io::Result<()> {
             .enumerate()
             .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
             .collect();
-        let tpt = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let tpt = PackedTpt::bulk_load(fanout, entries.clone());
         let brute = BruteForce::from_entries(entries);
         // 50 FQP-style query keys: 1–3 recent regions + one offset.
         let queries: Vec<_> = (0..50u32)
@@ -684,12 +684,11 @@ fn calibration() -> std::io::Result<()> {
     ));
     for (name, trajectory) in &scenarios {
         let train = training_slice(trajectory, PERIOD, TRAIN_SUBS);
-        let predictor = HybridPredictor::build_with_threads(
+        let predictor = HybridPredictor::build(
             &train,
             &paper_discovery(30.0, 4),
             &paper_mining(0.3),
             HpmConfig::default(),
-            4,
         );
         for len in [20u32, 50] {
             let queries = make_workload(

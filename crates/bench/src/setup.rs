@@ -85,9 +85,7 @@ impl Experiment {
         config: HpmConfig,
     ) -> HybridPredictor {
         let train = training_slice(&self.trajectory, PERIOD, self.train_subs);
-        // Sweeps rebuild predictors dozens of times; parallel support
-        // counting (results identical to serial) keeps them quick.
-        HybridPredictor::build_with_threads(&train, discovery, mining, config, 4)
+        HybridPredictor::build(&train, discovery, mining, config)
     }
 
     /// Builds a predictor with the §VII.A defaults.

@@ -15,7 +15,7 @@ use crate::{
 use hpm_geo::{BoundingBox, Point};
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
 use hpm_patterns::{
-    discover, mine_with_threads, DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet,
+    discover, mine, DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet,
 };
 use hpm_tpt::{KeyTable, PackedTpt, PatternKey};
 use hpm_trajectory::{TimeOffset, Timestamp, Trajectory};
@@ -45,16 +45,14 @@ pub struct HybridPredictor {
 }
 
 /// Builds the predictor's index: encodes `<pk, c, p>` for every
-/// pattern, bulk-loads them into a transient builder tree (§V.B) and
-/// freezes it into the packed image, dropping keys and tree on the
-/// spot.
+/// pattern and bulk-loads them (§V.B) straight into the packed image,
+/// dropping the keys on the spot.
 fn build_image(
     regions: &RegionSet,
     patterns: &PatternTable,
     key_table: &KeyTable,
     tpt_fanout: usize,
 ) -> PackedTpt {
-    use hpm_tpt::{Tpt, TptConfig};
     let entries = (0..patterns.len()).map(|i| {
         let key = PatternKey {
             consequence: key_table.consequence_key([regions.get(patterns.consequence(i)).offset]),
@@ -62,7 +60,7 @@ fn build_image(
         };
         (key, patterns.confidence(i), i as u32)
     });
-    Tpt::bulk_load(TptConfig::new(tpt_fanout), entries).compact()
+    PackedTpt::bulk_load(tpt_fanout, entries)
 }
 
 impl hpm_geo::MemUse for HybridPredictor {
@@ -91,23 +89,8 @@ impl HybridPredictor {
         mining: &MiningParams,
         config: HpmConfig,
     ) -> Self {
-        Self::build_with_threads(history, discovery, mining, config, 1)
-    }
-
-    /// [`build`](Self::build) with the mining support-counting pass
-    /// parallelised over `threads` workers (identical results).
-    ///
-    /// # Panics
-    /// Panics when `threads == 0`.
-    pub fn build_with_threads(
-        history: &Trajectory,
-        discovery: &DiscoveryParams,
-        mining_params: &MiningParams,
-        config: HpmConfig,
-        threads: usize,
-    ) -> Self {
         let out = discover(history, discovery);
-        let patterns = mine_with_threads(&out.regions, &out.visits, mining_params, threads);
+        let patterns = mine(&out.regions, &out.visits, mining);
         Self::from_parts(out.regions, patterns, config)
     }
 

@@ -9,10 +9,6 @@
 //! so this crate implements the needed pieces from scratch:
 //!
 //! * [`Matrix`] — a small row-major dense matrix,
-//! * [`solve`] — Gaussian elimination with partial pivoting for square
-//!   systems,
-//! * [`Qr`] — Householder QR with [`lstsq_qr`] for the well-conditioned
-//!   full-rank case (the fitting-ablation baseline),
 //! * [`Svd`] — one-sided Jacobi SVD, from which [`Matrix::pseudo_inverse`]
 //!   and [`lstsq`] (minimum-norm least squares) are derived.
 
@@ -20,14 +16,10 @@
 
 mod eigen;
 mod matrix;
-mod qr;
-mod solve;
 mod svd;
 
 pub use eigen::spectral_radius;
 pub use matrix::Matrix;
-pub use qr::{lstsq_qr, Qr};
-pub use solve::solve;
 pub use svd::{lstsq, Svd};
 
 /// Numerical tolerance below which singular values are treated as zero.

@@ -178,15 +178,6 @@ pub(crate) fn list_dir(dir: &Path) -> io::Result<DirListing> {
     Ok(listing)
 }
 
-/// Fsyncs a directory so renames/creates within it are durable.
-/// Best-effort on platforms where directories cannot be opened.
-pub(crate) fn fsync_dir(dir: &Path) -> io::Result<()> {
-    match fs::File::open(dir) {
-        Ok(f) => f.sync_all(),
-        Err(_) => Ok(()),
-    }
-}
-
 /// Deletes WAL segments and snapshots of epochs strictly below
 /// `keep_from`. Best-effort: a file that refuses to die only wastes
 /// disk and is retried at the next snapshot.

@@ -476,7 +476,7 @@ impl MovingObjectStore {
                 WalWriter::create(wal_path(&durability.dir, epoch, shard), opts).map(Mutex::new)
             })
             .collect::<Result<Box<[_]>, _>>()?;
-        durability::fsync_dir(&durability.dir)?;
+        hpm_store::sync_dir(&durability.dir)?;
         store.durability = Some(DurabilityState {
             config: durability,
             epoch: AtomicU64::new(epoch),

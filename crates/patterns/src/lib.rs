@@ -68,7 +68,7 @@ pub use discovery::{
 };
 pub use fxhash::FxBuildHasher;
 pub use incremental::{SupportCounts, Transaction};
-pub use mining::{mine, mine_with_threads, prune_statistics, MiningParams, PruneStats};
+pub use mining::{mine, prune_statistics, MiningParams, PruneStats};
 pub use pattern::TrajectoryPattern;
 pub use region::{FrequentRegion, RegionId, RegionSet};
 pub use table::PatternTable;

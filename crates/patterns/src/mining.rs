@@ -119,26 +119,9 @@ pub fn mine(
     visits: &VisitTable,
     params: &MiningParams,
 ) -> Vec<TrajectoryPattern> {
-    mine_with_threads(regions, visits, params, 1)
-}
-
-/// [`mine`] with the support-counting pass fanned out over `threads`
-/// worker threads (std scoped threads; the itemset universe is
-/// partitioned by anchor region, so the per-worker maps are disjoint
-/// and merge-free). Results are identical to the serial path.
-///
-/// # Panics
-/// Panics when `threads == 0` or `params` are inconsistent.
-pub fn mine_with_threads(
-    regions: &RegionSet,
-    visits: &VisitTable,
-    params: &MiningParams,
-    threads: usize,
-) -> Vec<TrajectoryPattern> {
-    assert!(threads >= 1, "threads must be >= 1");
     params.validate();
     let _span = hpm_obs::span!(crate::metrics::MINE_SPAN);
-    let levels = frequent_itemsets(regions, visits, params, threads);
+    let levels = frequent_itemsets(regions, visits, params);
     let patterns = {
         let _span = hpm_obs::span!(crate::metrics::RULES_SPAN);
         generate_rules(&levels, params.min_confidence)
@@ -154,7 +137,7 @@ pub fn prune_statistics(
     params: &MiningParams,
 ) -> (Vec<TrajectoryPattern>, PruneStats) {
     params.validate();
-    let levels = frequent_itemsets(regions, visits, params, 1);
+    let levels = frequent_itemsets(regions, visits, params);
     let patterns = generate_rules(&levels, params.min_confidence);
     let stats = PruneStats {
         pruned_rules: patterns.len(),
@@ -164,14 +147,11 @@ pub fn prune_statistics(
 }
 
 /// Level-wise frequent-itemset mining. `result[k-1]` holds the
-/// frequent itemsets of size `k` with their supports. Support counting
-/// at each level fans out over `threads` workers, partitioned by
-/// anchor region id (see [`count_level_parallel`]).
+/// frequent itemsets of size `k` with their supports.
 fn frequent_itemsets(
     regions: &RegionSet,
     visits: &VisitTable,
     params: &MiningParams,
-    threads: usize,
 ) -> Vec<Counts> {
     let _span = hpm_obs::span!(crate::metrics::ITEMSETS_SPAN);
     let max_len = params.max_premise_len + 1;
@@ -198,12 +178,7 @@ fn frequent_itemsets(
 
     let mut levels = vec![c1];
     for k in 2..=max_len {
-        let ck = if threads <= 1 || txs.len() < 2 * threads {
-            count_level(&txs, k, params, &levels)
-        } else {
-            count_level_parallel(&txs, k, params, &levels, threads)
-        };
-        let mut ck = ck;
+        let mut ck = count_level(&txs, k, params, &levels);
         ck.retain(|_, &mut n| n >= params.min_support);
         if ck.is_empty() {
             break;
@@ -225,18 +200,6 @@ fn count_level(
     params: &MiningParams,
     levels: &[Counts],
 ) -> Counts {
-    count_level_filtered(txs, k, params, levels, |_| true)
-}
-
-/// [`count_level`] restricted to itemsets whose *anchor* (first,
-/// earliest region) satisfies `anchor_filter`.
-fn count_level_filtered(
-    txs: &[Vec<(u32, TimeOffset)>],
-    k: usize,
-    params: &MiningParams,
-    levels: &[Counts],
-    anchor_filter: impl Fn(u32) -> bool,
-) -> Counts {
     let mut ck: Counts = Counts::default();
     let mut stack: Vec<u32> = Vec::with_capacity(k);
     for tx in txs {
@@ -244,56 +207,12 @@ fn count_level_filtered(
             continue;
         }
         for start in 0..=tx.len() - k {
-            if !anchor_filter(tx[start].0) {
-                continue;
-            }
             stack.clear();
             stack.push(tx[start].0);
             extend(tx, start, start, k, params, levels, &mut stack, &mut ck);
         }
     }
     ck
-}
-
-/// Parallel level counting, partitioned by **anchor region id**.
-///
-/// Frequent itemsets recur in *every* transaction (that is what makes
-/// them frequent), so splitting work by transaction makes each worker
-/// build a near-full-size count map and the merge costs more than the
-/// counting saved. An itemset's identity is determined by its anchor
-/// (its earliest region), so partitioning anchors by `id % threads`
-/// gives every worker a **disjoint** slice of the itemset universe:
-/// no merge at all, the per-worker maps are simply concatenated.
-fn count_level_parallel(
-    txs: &[Vec<(u32, TimeOffset)>],
-    k: usize,
-    params: &MiningParams,
-    levels: &[Counts],
-    threads: usize,
-) -> Counts {
-    let shards: Vec<Counts> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u32)
-            .map(|w| {
-                scope.spawn(move || {
-                    count_level_filtered(txs, k, params, levels, |anchor| {
-                        anchor % threads as u32 == w
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mining worker panicked"))
-            .collect()
-    });
-
-    // The shards are disjoint by construction: concatenate.
-    let total: usize = shards.iter().map(Counts::len).sum();
-    let mut out: Counts = Counts::with_capacity_and_hasher(total, FxBuildHasher::default());
-    for shard in shards {
-        out.extend(shard);
-    }
-    out
 }
 
 /// Depth-first extension of `stack` — a frequent prefix anchored at

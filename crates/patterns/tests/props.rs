@@ -165,24 +165,6 @@ props! {
         }
     }
 
-    /// Parallel mining produces exactly the serial result for any
-    /// thread count.
-    fn parallel_mining_equals_serial(history in arb_history(), threads in int(2usize..6)) {
-        let (traj, period) = history;
-        let out = discover(&traj, &params(period));
-        let serial = mine(&out.regions, &out.visits, &mining_params());
-        let parallel =
-            hpm_patterns::mine_with_threads(&out.regions, &out.visits, &mining_params(), threads);
-        // Same rule multiset (order may differ across merge orders).
-        let canon = |mut v: Vec<hpm_patterns::TrajectoryPattern>| {
-            v.sort_by(|a, b| {
-                (&a.premise, a.consequence).partial_cmp(&(&b.premise, b.consequence)).unwrap()
-            });
-            v
-        };
-        require_eq!(canon(serial), canon(parallel));
-    }
-
     // Incrementally grown support counts derive *exactly* the batch
     // mine result — same patterns, same order, bit-identical
     // confidences — after every single appended visit, including

@@ -17,11 +17,15 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     file.sync_all()?;
     drop(file);
     fs::rename(&tmp, path)?;
-    // Make the rename itself durable; best-effort on platforms where
-    // a directory cannot be opened.
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => sync_dir(dir),
+        _ => sync_dir(Path::new(".")),
+    }
+}
+
+/// Fsyncs a directory so the renames and creates within it are
+/// durable. Best-effort on platforms where a directory cannot be
+/// opened.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir).map_or(Ok(()), |d| d.sync_all())
 }

@@ -16,7 +16,8 @@
 //! format is documented in [`mod@format`] and guarded by round-trip
 //! property tests. The same crate holds what the moving-objects store
 //! persists: its [`snapshot`] codec, its [`wal`], and
-//! [`write_atomic`], the one crash-safe way a file is replaced.
+//! [`write_atomic`], the one crash-safe way a file is replaced (with
+//! [`sync_dir`], the directory fsync it ends on).
 
 //! # Example
 //!
@@ -58,7 +59,7 @@ pub mod wal;
 pub mod wire;
 
 pub use error::DecodeError;
-pub use file::write_atomic;
+pub use file::{sync_dir, write_atomic};
 pub use model::{decode_model, encode_model, load_model, save_model, StoredModel};
 pub use snapshot::{decode_snapshot, encode_snapshot, HistorySnapshot, ObjectSnapshot};
 pub use wal::{

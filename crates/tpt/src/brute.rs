@@ -2,9 +2,10 @@
 //!
 //! Stores `<pk, c, p>` entries in a flat vector and answers searches by
 //! testing the paper's `Intersect` against every entry. Same results as
-//! the [`Tpt`](crate::Tpt) (property-tested), linear cost.
+//! the [`PackedTpt`](crate::PackedTpt) (it is the property suite's
+//! oracle), linear cost.
 
-use crate::{Match, PatternIndex, PatternKey};
+use crate::{Match, PatternKey};
 
 /// The linear-scan index.
 #[derive(Debug, Clone, Default)]
@@ -39,10 +40,9 @@ impl BruteForce {
                 .map(|(k, _, _)| k.storage_bytes() + std::mem::size_of::<(PatternKey, f64, u32)>())
                 .sum::<usize>()
     }
-}
 
-impl PatternIndex for BruteForce {
-    fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
+    /// Appends every match of `query` to `out`, in entry order.
+    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
         for (key, confidence, pattern) in &self.entries {
             if key.intersects(query) {
                 out.push(Match {
@@ -53,8 +53,21 @@ impl PatternIndex for BruteForce {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Every match of `query`, in entry order, in a fresh vector.
+    pub fn search(&self, query: &PatternKey) -> Vec<Match> {
+        let mut out = Vec::new();
+        self.search_into(query, &mut out);
+        out
+    }
+
+    /// Number of indexed patterns.
+    pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Whether no patterns are indexed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -79,6 +92,9 @@ mod tests {
         let q = key(&[0], &[1]);
         let found: Vec<u32> = idx.search(&q).iter().map(|m| m.pattern).collect();
         assert_eq!(found, vec![0]); // 1 fails on consequence, 2 on premise
+        let mut appended = Vec::new();
+        idx.search_into(&q, &mut appended);
+        assert_eq!(appended, idx.search(&q));
         assert_eq!(idx.len(), 3);
         assert!(!idx.is_empty());
     }

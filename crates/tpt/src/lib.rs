@@ -5,34 +5,35 @@
 //! consequence-key bitmap over the distinct consequence time offsets
 //! plus a premise-key bitmap over the frequent regions (Tables I–III)
 //! — and indexed by the TPT, a balanced signature-tree variant whose
-//! internal entries hold the OR of their subtree's keys. The [`Tpt`]
-//! *builds* that tree (Algorithm 1 insertion or bulk load) and
-//! [`Tpt::compact`] freezes it into the [`PackedTpt`] image, the one
-//! form that is searched. Predictive queries encode to keys too
+//! internal entries hold the OR of their subtree's keys. The tree has
+//! one form, the arena-packed [`PackedTpt`] image, and one way in:
+//! [`PackedTpt::bulk_load`] (§V.B) packs the complete rule list
+//! straight into it — nothing inserts into a resident index, a changed
+//! rule list is loaded afresh. Predictive queries encode to keys too
 //! ([`KeyTable::fqp_query`], [`KeyTable::bqp_query`]) and retrieve,
 //! via a depth-first `Intersect`-pruned traversal of the image, every
 //! pattern sharing consequence *and* premise bits with the query.
 //! [`BruteForce`] answers the same searches by a linear scan
-//! (Fig. 11b's baseline).
+//! (Fig. 11b's baseline, and the test oracle).
 //!
 //! # Example
 //!
 //! ```
-//! use hpm_tpt::{Bitmap, PatternIndex, PatternKey, Tpt, TptConfig};
+//! use hpm_tpt::{Bitmap, PackedTpt, PatternKey};
 //!
 //! // Keys over 2 consequence time ids and 5 regions (Fig. 3 sizes).
 //! let key = |ck: &[usize], rk: &[usize]| PatternKey {
 //!     consequence: Bitmap::from_indices(2, ck),
 //!     premise: Bitmap::from_indices(5, rk),
 //! };
-//! let mut tpt = Tpt::new(TptConfig::default());
-//! tpt.insert(key(&[1], &[0, 1]), 0.5, 2); // P2: R0^0 ∧ R1^0 -> R2^0
-//! tpt.insert(key(&[1], &[0, 2]), 0.4, 3); // P3: R0^0 ∧ R1^1 -> R2^1
-//! tpt.insert(key(&[0], &[0]), 0.9, 0);    // P0: R0^0 -> R1^0
+//! let tpt = PackedTpt::bulk_load(32, [
+//!     (key(&[1], &[0, 1]), 0.5, 2), // P2: R0^0 ∧ R1^0 -> R2^0
+//!     (key(&[1], &[0, 2]), 0.4, 3), // P3: R0^0 ∧ R1^1 -> R2^1
+//!     (key(&[0], &[0]), 0.9, 0),    // P0: R0^0 -> R1^0
+//! ]);
 //!
-//! // §VI.B's query: recent movements {R0^0, R1^0}, tq at time id 1,
-//! // answered by the compacted image (the builder is not searched).
-//! let hits = tpt.compact().search(&key(&[1], &[0, 1]));
+//! // §VI.B's query: recent movements {R0^0, R1^0}, tq at time id 1.
+//! let hits = tpt.search(&key(&[1], &[0, 1]));
 //! let mut ids: Vec<u32> = hits.iter().map(|m| m.pattern).collect();
 //! ids.sort();
 //! assert_eq!(ids, vec![2, 3]);
@@ -42,15 +43,11 @@
 
 mod bitmap;
 mod brute;
-mod index;
 mod keys;
 pub mod metrics;
 mod packed;
-mod tree;
 
 pub use bitmap::{Bitmap, INLINE_WORDS};
 pub use brute::BruteForce;
-pub use index::{Match, PatternIndex};
 pub use keys::{KeyTable, PatternKey};
-pub use packed::{PackedTpt, SearchCursor, SearchStats};
-pub use tree::{Tpt, TptConfig};
+pub use packed::{Match, PackedTpt, SearchCursor, SearchStats};

@@ -20,12 +20,12 @@ pub const SEARCH_ENTRIES_CHECKED: &str = "tpt.search.entries_checked";
 pub const SEARCH_FALSE_HITS: &str = "tpt.search.false_hits";
 /// Matches returned per search (histogram, unit `count`).
 pub const SEARCH_MATCHES: &str = "tpt.search.matches";
-/// Latency span (and histogram, unit `ns`) around [`Tpt::compact`]
-/// freezing a transient builder tree into the packed image.
+/// Latency span (and histogram, unit `ns`) around
+/// [`PackedTpt::bulk_load`] sorting the entries and packing the image.
 ///
-/// [`Tpt::compact`]: crate::Tpt::compact
+/// [`PackedTpt::bulk_load`]: crate::PackedTpt::bulk_load
 pub const REPACK_SPAN: &str = "tpt.repack";
-/// Packed images built (one per `compact()` call).
+/// Packed images built (one per `bulk_load` call).
 pub const REPACK_CALLS: &str = "tpt.repack.calls";
 /// Arena bytes of the most recently built packed image (gauge; with
 /// one image per object this tracks the last build, not a sum).

@@ -1,26 +1,34 @@
-//! The arena-packed TPT: the searchable form of the index, and the
-//! §V.C search itself.
+//! The arena-packed TPT: the index's one form, its bulk loader
+//! (§V.B) and the §V.C search.
 //!
-//! [`Tpt`] is the transient *builder* — its insert/split and bulk-load
-//! logic shapes the signature tree, but its layout would pay a pointer
-//! tax on every search: `Vec<Node> → Vec<Entry> → PatternKey → Bitmap
-//! → Vec<u64>` is four dependent loads before the first signature word
-//! arrives. [`Tpt::compact`] freezes the tree into a [`PackedTpt`]
-//! whose entry signatures live contiguously in one `Vec<u64>` arena —
-//! each node's entries form a run of `[consequence words | premise
-//! words]` blocks, so the intersect test scans the arena linearly —
-//! with entry metadata (child/pattern id, confidence) in parallel SoA
-//! arrays. Nodes are laid out in DFS pre-order, so a search walks
-//! mostly forward in memory.
+//! [`PackedTpt`] keeps every entry signature contiguously in one `u64`
+//! arena: each node's entries form a run of `[consequence words |
+//! premise words]` blocks, so the intersect test scans the arena
+//! linearly and chases no pointer, with entry metadata (child/pattern
+//! id, confidence) in parallel SoA arrays. Nodes are laid out in DFS
+//! pre-order, so a search walks mostly forward in memory.
+//! [`PackedTpt::bulk_load`] packs sorted keys straight into those
+//! arenas; no pointer tree exists at any point.
 //!
 //! Search walks the image depth-first, descending only into entries
 //! whose key intersects the query key on both the consequence and the
-//! premise part. The image is a pure function of the builder's shape,
-//! so equal trees compact to equal images; the property suite in
-//! `tests/props.rs` holds both builders' images and the brute-force
-//! scan equal on every result set over generated key sets.
+//! premise part. The image is a pure function of `(fanout, entries)`;
+//! the property suite in `tests/props.rs` holds it structurally valid
+//! and equal to the brute-force scan on every result set over
+//! generated key sets, and a parent-written fixture pins its bytes.
 
-use crate::{Match, PatternIndex, PatternKey, Tpt};
+use crate::PatternKey;
+
+/// One qualifying leaf entry: a trajectory pattern whose key intersects
+/// the query key, with its confidence (the `c` of `<pk, c, p>`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Match {
+    /// Index of the pattern in the pattern store the index was built
+    /// over (the leaf entry's region-key pointer `p`).
+    pub pattern: u32,
+    /// The pattern's confidence.
+    pub confidence: f64,
+}
 
 /// Statistics of one search (Fig. 11b instrumentation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,15 +74,16 @@ struct PackedNode {
     leaf: bool,
 }
 
-/// The packed search image of a [`Tpt`] — the only searchable form of
-/// the index.
+/// The Trajectory Pattern Tree (§V) as one packed image: leaf entries
+/// are `<pk, c, p>` (pattern key, confidence, pattern pointer) and each
+/// internal entry's key is the logical OR of all keys in its subtree.
 ///
-/// Built by [`Tpt::compact`]; node 0 is the root. The shape is frozen:
-/// a pattern set that gains or loses a key is bulk-loaded and
-/// compacted afresh, and only leaf confidences can be patched in place
-/// ([`patch_confidences`](Self::patch_confidences)). Two images are
-/// equal exactly when they hold the same nodes, signatures, payloads
-/// and confidences in the same layout.
+/// Built by [`bulk_load`](Self::bulk_load); node 0 is the root. The
+/// shape is frozen: a pattern set that gains or loses a key is
+/// bulk-loaded afresh, and only leaf confidences can be patched in
+/// place ([`patch_confidences`](Self::patch_confidences)). Two images
+/// are equal exactly when they hold the same nodes, signatures,
+/// payloads and confidences in the same layout.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedTpt {
     /// Bit length of the consequence part of every key.
@@ -97,85 +106,6 @@ pub struct PackedTpt {
     height: usize,
 }
 
-impl Tpt {
-    /// Freezes the tree into its arena-packed search image.
-    ///
-    /// Emits the `tpt.repack` span/histogram, bumps `tpt.repack.calls`
-    /// and sets the `tpt.packed.arena_bytes` gauge to the new image's
-    /// arena size (i.e. the gauge reports the most recent repack).
-    pub fn compact(&self) -> PackedTpt {
-        let _span = hpm_obs::span!(crate::metrics::REPACK_SPAN);
-        let mut packed = PackedTpt::default();
-        if !self.nodes.is_empty() {
-            // Every live node holds at least one entry, and all keys in
-            // one tree share part lengths, so the root's first key
-            // fixes the geometry.
-            let first = &self.nodes[self.root as usize].entries[0].key;
-            packed.cons_bits = first.consequence.len();
-            packed.prem_bits = first.premise.len();
-            packed.cw = packed.cons_bits.div_ceil(64);
-            packed.pw = packed.prem_bits.div_ceil(64);
-            // Every builder node is live, so the arenas are sized
-            // before the first copy and freeze without slack.
-            let entries: usize = self.nodes.iter().map(|n| n.entries.len()).sum();
-            let mut arenas = Arenas {
-                nodes: Vec::with_capacity(self.nodes.len()),
-                sig: Vec::with_capacity(entries * (packed.cw + packed.pw)),
-                child: Vec::with_capacity(entries),
-                confidence: Vec::with_capacity(entries),
-            };
-            arenas.pack_node(self, self.root);
-            packed.nodes = arenas.nodes.into();
-            packed.sig = arenas.sig.into();
-            packed.child = arenas.child.into();
-            packed.confidence = arenas.confidence.into();
-            packed.len = self.len();
-            packed.height = self.height();
-        }
-        crate::metrics::record_repack(packed.arena_bytes());
-        packed
-    }
-}
-
-/// The arenas of an image while [`Tpt::compact`] fills them.
-struct Arenas {
-    nodes: Vec<PackedNode>,
-    sig: Vec<u64>,
-    child: Vec<u32>,
-    confidence: Vec<f64>,
-}
-
-impl Arenas {
-    /// Copies `node` and (pre-order) its subtree into the arenas,
-    /// returning the packed node id.
-    fn pack_node(&mut self, tree: &Tpt, node: u32) -> u32 {
-        let n = &tree.nodes[node as usize];
-        let id = self.nodes.len() as u32;
-        let meta_start = self.child.len();
-        self.nodes.push(PackedNode {
-            sig_start: self.sig.len() as u32,
-            meta_start: meta_start as u32,
-            count: n.entries.len() as u32,
-            leaf: n.leaf,
-        });
-        for e in &n.entries {
-            self.sig.extend_from_slice(e.key.consequence.words());
-            self.sig.extend_from_slice(e.key.premise.words());
-            self.child.push(e.child);
-            self.confidence.push(e.confidence);
-        }
-        if !n.leaf {
-            // Children pack after their parent's signature run; patch
-            // the child slots with packed ids as they are assigned.
-            for (i, e) in n.entries.iter().enumerate() {
-                let child_id = self.pack_node(tree, e.child);
-                self.child[meta_start + i] = child_id;
-            }
-        }
-        id
-    }
-}
-
 impl hpm_geo::MemUse for PackedTpt {
     /// The arenas are boxed slices, so resident bytes are
     /// [`storage_bytes`](PackedTpt::storage_bytes) exactly.
@@ -185,9 +115,182 @@ impl hpm_geo::MemUse for PackedTpt {
 }
 
 impl PackedTpt {
-    /// An empty image (what compacting an empty tree yields).
-    pub fn new() -> Self {
-        PackedTpt::default()
+    /// Builds the image by bulk loading (§V.B: the system bulk-loads
+    /// the static history): entries are sorted — stably, by
+    /// `(consequence, premise)` — so similar keys become neighbours,
+    /// packed into leaves at ¾ of `fanout`, and parent levels are
+    /// packed bottom-up from the OR of each node's signatures.
+    ///
+    /// Emits the `tpt.repack` span/histogram around sort and pack,
+    /// bumps `tpt.repack.calls` and sets the `tpt.packed.arena_bytes`
+    /// gauge to the new image's arena size (i.e. the gauge reports the
+    /// most recent build).
+    ///
+    /// # Panics
+    /// Panics when `fanout < 4`, and when two entries' keys differ in
+    /// either part's bit length (all keys of one image come from one
+    /// [`KeyTable`](crate::KeyTable)).
+    pub fn bulk_load(
+        fanout: usize,
+        entries: impl IntoIterator<Item = (PatternKey, f64, u32)>,
+    ) -> Self {
+        assert!(fanout >= 4, "max_entries must be at least 4");
+        let _span = hpm_obs::span!(crate::metrics::REPACK_SPAN);
+        let mut items: Vec<(PatternKey, f64, u32)> = entries.into_iter().collect();
+        let mut packed = PackedTpt::default();
+        if let Some((first, ..)) = items.first() {
+            let (cons_bits, prem_bits) = (first.consequence.len(), first.premise.len());
+            let (cw, pw) = (cons_bits.div_ceil(64), prem_bits.div_ceil(64));
+            let (fill, stride) = (fanout * 3 / 4, cw + pw);
+            items.sort_by(|a, b| {
+                (&a.0.consequence, &a.0.premise).cmp(&(&b.0.consequence, &b.0.premise))
+            });
+            // Level 0 is the sorted leaf signatures. The arena is read
+            // at one stride, so one geometry per image: the contract
+            // `search_impl` holds queries to.
+            let mut leaves = Vec::with_capacity(items.len() * stride);
+            for (key, ..) in &items {
+                let lengths = (key.consequence.len(), key.premise.len());
+                assert_eq!(lengths, (cons_bits, prem_bits), "bitmap length mismatch");
+                leaves.extend_from_slice(key.consequence.words());
+                leaves.extend_from_slice(key.premise.words());
+            }
+            // Per level, its signature count and the signatures: node
+            // `j` of a level covers signatures `[j·fill, (j+1)·fill)`,
+            // and signature `j` of the level above is their OR. The
+            // top level is the first that fits one node.
+            let mut levels = vec![(items.len(), leaves)];
+            while let Some(&(n, ref below)) = levels.last().filter(|l| l.0 > fill) {
+                let mut above = vec![0u64; n.div_ceil(fill) * stride];
+                for i in 0..n {
+                    let (from, to) = (i * stride, i / fill * stride);
+                    for w in 0..stride {
+                        above[to + w] |= below[from + w];
+                    }
+                }
+                levels.push((n.div_ceil(fill), above));
+            }
+            // Every node and entry is known before the first copy, so
+            // the arenas freeze without slack.
+            let entries: usize = levels.iter().map(|l| l.0).sum();
+            let mut nodes = Vec::with_capacity(levels.iter().map(|l| l.0.div_ceil(fill)).sum());
+            let mut sig = Vec::with_capacity(entries * stride);
+            let mut child = Vec::with_capacity(entries);
+            let mut confidence = Vec::with_capacity(entries);
+            // Root first, then DFS pre-order: `(level, j, slot)` is a
+            // node to emit and the child slot of its parent, which is
+            // patched with the packed id as it is assigned.
+            let mut stack = vec![(levels.len() - 1, 0, None)];
+            while let Some((level, j, slot)) = stack.pop() {
+                let (n, ref sigs) = levels[level];
+                let (lo, hi) = (j * fill, ((j + 1) * fill).min(n));
+                if let Some(slot) = slot {
+                    child[slot] = nodes.len() as u32;
+                }
+                let meta_start = child.len();
+                nodes.push(PackedNode {
+                    sig_start: sig.len() as u32,
+                    meta_start: meta_start as u32,
+                    count: (hi - lo) as u32,
+                    leaf: level == 0,
+                });
+                sig.extend_from_slice(&sigs[lo * stride..hi * stride]);
+                if level == 0 {
+                    for (_, c, pattern) in &items[lo..hi] {
+                        child.push(*pattern);
+                        confidence.push(*c);
+                    }
+                } else {
+                    child.resize(meta_start + hi - lo, 0);
+                    confidence.resize(meta_start + hi - lo, 0.0);
+                    let below = (lo..hi)
+                        .rev()
+                        .map(|i| (level - 1, i, Some(meta_start + i - lo)));
+                    stack.extend(below);
+                }
+            }
+            packed = PackedTpt {
+                cons_bits,
+                prem_bits,
+                cw,
+                pw,
+                nodes: nodes.into(),
+                sig: sig.into(),
+                child: child.into(),
+                confidence: confidence.into(),
+                len: items.len(),
+                height: levels.len(),
+            };
+        }
+        crate::metrics::record_repack(packed.arena_bytes());
+        packed
+    }
+
+    /// Checks the image's structural invariants against the `fanout`
+    /// it was loaded with; test/debug helper.
+    ///
+    /// Verified: nodes are laid out in DFS pre-order from node 0 (so
+    /// child ids are in range and every node is referenced exactly
+    /// once), every internal entry's signature is the OR of its child
+    /// node's signatures, leaves (and only leaves) sit at depth
+    /// `height`, no node is empty or holds more than `fanout` entries,
+    /// and `len` matches the number of leaf entries.
+    pub fn validate(&self, fanout: usize) -> Result<(), String> {
+        let (mut visited, mut leaf_entries) = (0, 0);
+        if !self.nodes.is_empty() {
+            self.validate_node(1, fanout, &mut visited, &mut leaf_entries)?;
+        }
+        let height_ok = visited != 0 || self.height == 0;
+        if visited != self.nodes.len() || leaf_entries != self.len || !height_ok {
+            let claimed = (self.nodes.len(), self.len, self.height);
+            return Err(format!(
+                "walked {visited} nodes, {leaf_entries} leaf entries of {claimed:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validates the next node in pre-order (`visited` counts the
+    /// nodes before it) and its subtree; returns the OR of the node's
+    /// signatures, which is what its parent entry must hold.
+    fn validate_node(
+        &self,
+        depth: usize,
+        fanout: usize,
+        visited: &mut usize,
+        leaf_entries: &mut usize,
+    ) -> Result<Vec<u64>, String> {
+        let id = *visited;
+        let check = |ok: bool, what: &str| match ok {
+            true => Ok(()),
+            false => Err(format!("node {id} at depth {depth}: {what}")),
+        };
+        check(id < self.nodes.len(), "id out of range")?;
+        *visited += 1;
+        let n = self.nodes[id];
+        let (count, stride) = (n.count as usize, self.cw + self.pw);
+        // No occupancy floor: a level may end in one short node.
+        check((1..=fanout).contains(&count), "empty or above the fanout")?;
+        check(
+            n.leaf == (depth == self.height),
+            "only leaves sit at depth `height`",
+        )?;
+        let mut union = vec![0u64; stride];
+        for i in 0..count {
+            let block = &self.sig[n.sig_start as usize + i * stride..][..stride];
+            if n.leaf {
+                *leaf_entries += 1;
+            } else {
+                let child = self.child[n.meta_start as usize + i] as usize;
+                check(child == *visited, "a child is not next in pre-order")?;
+                let below = self.validate_node(depth + 1, fanout, visited, leaf_entries)?;
+                check(below == block, "an entry is not the OR of its child node")?;
+            }
+            for (u, w) in union.iter_mut().zip(block) {
+                *u |= w;
+            }
+        }
+        Ok(union)
     }
 
     /// Number of indexed patterns.
@@ -250,40 +353,44 @@ impl PackedTpt {
         patched
     }
 
+    /// Every match of `query` (order unspecified), in a fresh vector.
+    pub fn search(&self, query: &PatternKey) -> Vec<Match> {
+        self.search_with_stats(query).0
+    }
+
+    /// Appends every match of `query` to `out` (order unspecified).
+    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
+        self.search_impl(query, out);
+    }
+
     /// Searches with instrumentation (allocates the match vector; the
     /// hot path uses [`SearchCursor::search_packed`]).
     pub fn search_with_stats(&self, query: &PatternKey) -> (Vec<Match>, SearchStats) {
-        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
         let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        self.search_impl(query, &mut out, &mut stats);
-        crate::metrics::record_search(&stats, out.len());
+        let stats = self.search_impl(query, &mut out);
         (out, stats)
     }
 
-    fn search_impl(&self, query: &PatternKey, out: &mut Vec<Match>, stats: &mut SearchStats) {
-        if self.nodes.is_empty() {
-            return;
+    /// One search under the `tpt.search` span: appends the matches to
+    /// `out`, publishes the stats to the counters and returns them.
+    fn search_impl(&self, query: &PatternKey, out: &mut Vec<Match>) -> SearchStats {
+        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
+        let (before, mut stats) = (out.len(), SearchStats::default());
+        if !self.nodes.is_empty() {
+            // Same contract as `Bitmap::intersects`: searching a
+            // non-empty index with a foreign-geometry key is a logic
+            // error.
+            let lengths = (query.consequence.len(), query.premise.len());
+            assert_eq!(
+                lengths,
+                (self.cons_bits, self.prem_bits),
+                "bitmap length mismatch"
+            );
+            let (cq, pq) = (query.consequence.words(), query.premise.words());
+            self.dfs(0, cq, pq, out, &mut stats);
         }
-        // Same contract as `Bitmap::intersects`: searching a non-empty
-        // index with a foreign-geometry key is a logic error.
-        assert_eq!(
-            query.consequence.len(),
-            self.cons_bits,
-            "bitmap length mismatch"
-        );
-        assert_eq!(
-            query.premise.len(),
-            self.prem_bits,
-            "bitmap length mismatch"
-        );
-        self.dfs(
-            0,
-            query.consequence.words(),
-            query.premise.words(),
-            out,
-            stats,
-        );
+        crate::metrics::record_search(&stats, out.len() - before);
+        stats
     }
 
     /// §V.C's Intersect-pruned depth-first traversal, reading
@@ -358,26 +465,9 @@ impl SearchCursor {
     /// and stats — the allocation-free hot path: after the cursor's
     /// buffer reaches its high-water mark, no heap traffic at all.
     pub fn search_packed<'c>(&'c mut self, packed: &PackedTpt, query: &PatternKey) -> &'c [Match] {
-        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
         self.out.clear();
-        self.stats = SearchStats::default();
-        packed.search_impl(query, &mut self.out, &mut self.stats);
-        crate::metrics::record_search(&self.stats, self.out.len());
+        self.stats = packed.search_impl(query, &mut self.out);
         &self.out
-    }
-}
-
-impl PatternIndex for PackedTpt {
-    fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
-        let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
-        let before = out.len();
-        let mut stats = SearchStats::default();
-        self.search_impl(query, out, &mut stats);
-        crate::metrics::record_search(&stats, out.len() - before);
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -385,8 +475,9 @@ impl PatternIndex for PackedTpt {
 mod tests {
     use super::*;
     use crate::keys::{fig3_patterns, fig3_regions};
-    use crate::{Bitmap, BruteForce, KeyTable, TptConfig};
+    use crate::{Bitmap, KeyTable};
     use hpm_patterns::RegionId;
+    use hpm_rand::{Rng, SmallRng};
 
     /// `<pk, c, p>` entries of `patterns` over Fig. 3's regions.
     fn entries(
@@ -401,34 +492,62 @@ mod tests {
             .collect()
     }
 
-    fn fig3() -> (KeyTable, Tpt) {
+    /// Fig. 3's four patterns at fanout 4: two leaves under one root.
+    fn fig3() -> (KeyTable, PackedTpt) {
         let patterns = fig3_patterns();
         let table = KeyTable::build(&fig3_regions(), patterns.iter().map(|p| p.consequence));
-        let mut tree = Tpt::new(TptConfig::new(4));
-        for (k, c, p) in entries(&table, &patterns) {
-            tree.insert(k, c, p);
-        }
-        (table, tree)
+        let packed = PackedTpt::bulk_load(4, entries(&table, &patterns));
+        packed.validate(4).unwrap();
+        (table, packed)
+    }
+
+    /// Seeded pseudo-random keys for structural tests: one consequence
+    /// bit, up to three premise bits.
+    fn synth_keys(n: usize, ck_len: usize, rk_len: usize) -> Vec<(PatternKey, f64, u32)> {
+        let mut rng = SmallRng::seed_from_u64(0x9E37_79B9);
+        let entry = |i| {
+            let rk: Vec<usize> = (0..3).map(|_| rng.gen_range(0..rk_len)).collect();
+            let key = PatternKey {
+                consequence: Bitmap::from_indices(ck_len, &[rng.gen_range(0..ck_len)]),
+                premise: Bitmap::from_indices(rk_len, &rk),
+            };
+            (key, rng.gen_range(1..=100u32) as f64 / 100.0, i)
+        };
+        (0..n as u32).map(entry).collect()
+    }
+
+    /// Sorted pattern ids the image returns for `q`.
+    fn ids(packed: &PackedTpt, q: &PatternKey) -> Vec<u32> {
+        let mut found: Vec<u32> = packed.search(q).iter().map(|m| m.pattern).collect();
+        found.sort_unstable();
+        found
     }
 
     #[test]
-    fn packed_matches_brute_force_on_fig3() {
-        let (table, tree) = fig3();
-        let packed = tree.compact();
-        assert_eq!(packed.len(), tree.len());
-        assert_eq!(packed.height(), tree.height());
-        assert_eq!(packed.node_count(), tree.node_count());
-        let brute = BruteForce::from_entries(entries(&table, &fig3_patterns()));
-        for q in [
-            table.fqp_query([RegionId(0), RegionId(1)], 2),
-            table.fqp_query([RegionId(0)], 1),
-            table.bqp_query(1, 2),
-            table.fqp_query([RegionId(4)], 0),
-        ] {
-            let mut pm = packed.search(&q);
-            pm.sort_by_key(|m| m.pattern);
-            assert_eq!(pm, brute.search(&q), "same ids and confidences");
-        }
+    fn fig4_query_finds_shadow_entries() {
+        // §VI.B's worked example: query 1000011 matches P2 and P3.
+        let (table, packed) = fig3();
+        assert_eq!((packed.height(), packed.node_count()), (2, 3));
+        let q = table.fqp_query([RegionId(0), RegionId(1)], 2);
+        assert_eq!(ids(&packed, &q), vec![2, 3]);
+    }
+
+    #[test]
+    fn non_matching_consequence_prunes() {
+        let (table, packed) = fig3();
+        // tq = 1 matches P0 and P1 only (consequence offset 1).
+        let q = table.fqp_query([RegionId(0)], 1);
+        assert_eq!(ids(&packed, &q), vec![0, 1]);
+    }
+
+    #[test]
+    fn duplicate_keys_supported() {
+        // Table III: pattern key 0100001 represents two patterns.
+        let (table, packed) = fig3();
+        let found = packed.search(&table.fqp_query([RegionId(0)], 1));
+        assert_eq!(found.len(), 2);
+        let confs: Vec<f64> = found.iter().map(|m| m.confidence).collect();
+        assert!(confs.contains(&0.9) && confs.contains(&0.8));
     }
 
     #[test]
@@ -436,7 +555,7 @@ mod tests {
         let mut patterns = fig3_patterns();
         let table = KeyTable::build(&fig3_regions(), patterns.iter().map(|p| p.consequence));
         let image = |patterns: &[hpm_patterns::TrajectoryPattern]| {
-            Tpt::bulk_load(TptConfig::new(4), entries(&table, patterns)).compact()
+            PackedTpt::bulk_load(4, entries(&table, patterns))
         };
         let mut packed = image(&patterns);
         let patched = packed.patch_confidences(|p| (p == 2).then_some(0.77));
@@ -450,23 +569,86 @@ mod tests {
     }
 
     #[test]
-    fn empty_tree_compacts_to_empty_image() {
-        let packed = Tpt::new(TptConfig::default()).compact();
+    fn bulk_load_empty() {
+        let packed = PackedTpt::bulk_load(32, Vec::new());
+        packed.validate(32).unwrap();
         assert!(packed.is_empty());
-        assert_eq!(packed.node_count(), 0);
+        assert_eq!((packed.height(), packed.node_count()), (0, 0));
         assert_eq!(packed.arena_bytes(), 0);
-        assert_eq!(packed, PackedTpt::new());
+        assert_eq!(packed, PackedTpt::default());
         // Any query geometry is accepted on an empty image.
         let q = PatternKey {
             consequence: Bitmap::ones(2),
             premise: Bitmap::ones(5),
         };
-        let (m, s) = packed.search_with_stats(&q);
-        assert!(m.is_empty());
-        assert_eq!(s, SearchStats::default());
+        let nothing = (Vec::new(), SearchStats::default());
+        assert_eq!(packed.search_with_stats(&q), nothing);
         let mut cursor = SearchCursor::new();
         assert!(cursor.search_packed(&packed, &q).is_empty());
         assert_eq!(cursor.stats(), SearchStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4")]
+    fn tiny_fanout_rejected() {
+        PackedTpt::bulk_load(3, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "bitmap length mismatch")]
+    fn mixed_geometry_rejected() {
+        // One leaf, so no union ever compares the two keys: without
+        // the check this packs a 7-word arena that is read at the
+        // first key's stride of 2.
+        let key = |prem_bits| PatternKey {
+            consequence: Bitmap::ones(4),
+            premise: Bitmap::ones(prem_bits),
+        };
+        PackedTpt::bulk_load(4, [(key(10), 0.5, 0), (key(200), 0.5, 1)]);
+    }
+
+    #[test]
+    fn height_grows_logarithmically() {
+        let packed = PackedTpt::bulk_load(4, synth_keys(200, 8, 40));
+        // fill = 3; 200 leaf entries -> 67 leaves -> 23 -> 8 -> 3 -> 1.
+        assert_eq!(packed.height(), 5);
+        assert_eq!(packed.node_count(), 67 + 23 + 8 + 3 + 1);
+        packed.validate(4).unwrap();
+    }
+
+    #[test]
+    fn selective_query_prunes_subtrees() {
+        // A selective query should check far fewer entries than a full
+        // scan would.
+        let packed = PackedTpt::bulk_load(32, synth_keys(2000, 16, 200));
+        let (q, _, _) = &synth_keys(1, 16, 200)[0];
+        let (_, stats) = packed.search_with_stats(q);
+        assert!(stats.nodes_visited >= 1);
+        assert!(stats.entries_checked < 2000, "{stats:?}");
+    }
+
+    #[test]
+    fn storage_grows_with_patterns() {
+        let storage =
+            |n, rk_len| PackedTpt::bulk_load(32, synth_keys(n, 8, rk_len)).storage_bytes();
+        assert!(storage(1000, 80) > storage(100, 80));
+        // Wider premise keys also cost more.
+        assert!(storage(1000, 800) > storage(1000, 80));
+    }
+
+    #[test]
+    fn validate_rejects_a_broken_image() {
+        let good = PackedTpt::bulk_load(4, synth_keys(40, 8, 40));
+        let broken = |fanout, edit: fn(&mut PackedTpt)| {
+            let mut image = good.clone();
+            edit(&mut image);
+            image.validate(fanout).unwrap_err()
+        };
+        assert!(broken(2, |_| ()).contains("fanout"));
+        assert!(broken(4, |p| p.sig[0] = !p.sig[0]).contains("OR of"));
+        assert!(broken(4, |p| p.child[1] = p.child[0]).contains("pre-order"));
+        assert!(broken(4, |p| p.len += 1).contains("leaf entries"));
+        assert!(broken(4, |p| p.height += 1).contains("depth"));
     }
 
     #[test]
@@ -474,8 +656,7 @@ mod tests {
         // Regression: a reused cursor must report each search's own
         // matches and stats; false_hits (and the other counters) must
         // never carry over from the previous search.
-        let (table, tree) = fig3();
-        let packed = tree.compact();
+        let (table, packed) = fig3();
         let mut cursor = SearchCursor::new();
         let queries = [
             table.fqp_query([RegionId(0), RegionId(1)], 2),
@@ -492,17 +673,13 @@ mod tests {
         let first = cursor.stats();
         cursor.search_packed(&packed, &queries[0]);
         assert_eq!(cursor.stats(), first);
-        assert_eq!(
-            cursor.matches(),
-            &packed.search_with_stats(&queries[0]).0[..]
-        );
+        assert_eq!(cursor.matches(), &packed.search(&queries[0])[..]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn foreign_geometry_panics() {
-        let (_, tree) = fig3();
-        let packed = tree.compact();
+        let (_, packed) = fig3();
         let q = PatternKey {
             consequence: Bitmap::ones(3), // table has 2 time ids
             premise: Bitmap::ones(5),
@@ -511,9 +688,8 @@ mod tests {
     }
 
     #[test]
-    fn pattern_index_impl_appends() {
-        let (table, tree) = fig3();
-        let packed = tree.compact();
+    fn search_into_appends() {
+        let (table, packed) = fig3();
         let q = table.fqp_query([RegionId(0)], 1);
         let mut out = vec![Match {
             pattern: 99,
@@ -521,54 +697,7 @@ mod tests {
         }];
         packed.search_into(&q, &mut out);
         assert_eq!(out[0].pattern, 99);
+        assert_eq!(out[1..], packed.search(&q)[..]);
         assert_eq!(out.len(), 3);
-        assert_eq!(PatternIndex::len(&packed), 4);
-    }
-
-    #[test]
-    fn arena_is_contiguous_and_preorder() {
-        // 500 synthetic keys: the arena must hold exactly one signature
-        // block per entry (leaf + internal), and node 0 is the root.
-        let mut tree = Tpt::new(TptConfig::new(8));
-        let mut state = 1u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..500u32 {
-            let mut ck = Bitmap::zeros(8);
-            ck.set((next() % 8) as usize);
-            let mut rk = Bitmap::zeros(300);
-            rk.set((next() % 300) as usize);
-            tree.insert(
-                PatternKey {
-                    consequence: ck,
-                    premise: rk,
-                },
-                0.5,
-                i,
-            );
-        }
-        let packed = tree.compact();
-        let stride = 8usize.div_ceil(64) + 300usize.div_ceil(64);
-        let entries: usize = packed.nodes.iter().map(|n| n.count as usize).sum();
-        assert_eq!(packed.sig.len(), entries * stride);
-        assert_eq!(packed.child.len(), entries);
-        assert_eq!(packed.confidence.len(), entries);
-        assert!(packed.arena_bytes() > 0);
-        assert!(packed.storage_bytes() > packed.arena_bytes());
-        // Pre-order: every node's signature run starts where the
-        // previous entry count left off only for the root; children
-        // always pack after their parent.
-        for (id, n) in packed.nodes.iter().enumerate() {
-            if !n.leaf {
-                for i in 0..n.count as usize {
-                    let child = packed.child[n.meta_start as usize + i];
-                    assert!(child as usize > id, "child packs after parent");
-                }
-            }
-        }
     }
 }

@@ -1,7 +1,10 @@
 //! Property-based invariants for the signature bitmaps and the TPT.
 
 use hpm_check::prelude::*;
-use hpm_tpt::{Bitmap, BruteForce, Match, PatternIndex, PatternKey, SearchCursor, Tpt, TptConfig};
+use hpm_rand::{Rng, SmallRng};
+use hpm_store::wire::fnv1a;
+use hpm_tpt::{Bitmap, BruteForce, Match, PackedTpt, PatternKey, SearchCursor};
+use std::fmt::Write;
 
 const CK_LEN: usize = 12;
 const RK_LEN: usize = 90;
@@ -44,24 +47,39 @@ fn arb_entries(max: usize) -> Gen<Vec<(PatternKey, f64, u32)>> {
     arb_entries_of(CK_LEN, RK_LEN, max)
 }
 
-/// The two builders over the same entries: Algorithm 1 insertion and
-/// bulk load.
-fn build_both(fanout: usize, entries: &[(PatternKey, f64, u32)]) -> [Tpt; 2] {
-    let mut inc = Tpt::new(TptConfig::new(fanout));
-    for (k, c, p) in entries {
-        inc.insert(k.clone(), *c, *p);
-    }
-    [
-        inc,
-        Tpt::bulk_load(TptConfig::new(fanout), entries.to_vec()),
-    ]
-}
-
 /// Pattern ids of a match list, sorted: the order-free result *set*.
 fn sorted(matches: Vec<Match>) -> Vec<u32> {
     let mut ids: Vec<u32> = matches.iter().map(|m| m.pattern).collect();
     ids.sort_unstable();
     ids
+}
+
+/// A bulk-loaded image is structurally valid and returns exactly the
+/// brute-force match *set* for every query, self-queries included
+/// (covers the empty index), and the allocating and cursor search
+/// entry points agree on matches and stats.
+fn image_equals_brute(
+    fanout: usize,
+    entries: &[(PatternKey, f64, u32)],
+    queries: &[PatternKey],
+) -> CaseResult {
+    let brute = BruteForce::from_entries(entries.to_vec());
+    let packed = PackedTpt::bulk_load(fanout, entries.to_vec());
+    packed.validate(fanout).map_err(CaseError::Fail)?;
+    require_eq!(packed.len(), entries.len());
+    require_eq!(packed.is_empty(), entries.is_empty());
+    let mut cursor = SearchCursor::new();
+    for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
+        let (found, stats) = packed.search_with_stats(q);
+        require_eq!(cursor.search_packed(&packed, q), &found[..]);
+        require_eq!(
+            cursor.stats(),
+            stats,
+            "cursor stats differ from search_with_stats"
+        );
+        require_eq!(sorted(found), sorted(brute.search(q)));
+    }
+    Ok(())
 }
 
 props! {
@@ -104,50 +122,24 @@ props! {
         require_eq!(a.size(), a.consequence.count_ones() + a.premise.count_ones());
     }
 
-    /// Both builders — Algorithm 1 insertion and bulk load — produce
-    /// valid trees whose compacted images return exactly the
-    /// brute-force match *set* for every query, self-queries included
-    /// (covers the empty index), and the allocating and cursor search
-    /// entry points agree on matches and stats.
-    fn builders_equal_brute(entries in arb_entries(300), queries in vec(arb_key(), 1..10)) {
-        let brute = BruteForce::from_entries(entries.clone());
-        let mut cursor = SearchCursor::new();
-        for tree in build_both(6, &entries) {
-            tree.validate().unwrap();
-            require_eq!(tree.len(), entries.len());
-            let packed = tree.compact();
-            require_eq!(packed.len(), tree.len());
-            require_eq!(packed.height(), tree.height());
-            require_eq!(packed.node_count(), tree.node_count());
-            for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
-                let (found, stats) = packed.search_with_stats(q);
-                require_eq!(cursor.search_packed(&packed, q), &found[..]);
-                require_eq!(cursor.stats(), stats, "cursor stats differ from search_with_stats");
-                require_eq!(sorted(found), sorted(brute.search(q)));
-            }
-        }
+    /// See [`image_equals_brute`].
+    fn bulk_load_equals_brute(entries in arb_entries(300), queries in vec(arb_key(), 1..10)) {
+        image_equals_brute(6, &entries, &queries)?;
     }
 
     /// The same holds for keys wider than the bitmap's inline storage
     /// (heap-backed words, multi-word arena blocks).
-    fn builders_equal_brute_wide_keys(
+    fn bulk_load_equals_brute_wide_keys(
         entries in arb_entries_of(CK_LEN_WIDE, RK_LEN_WIDE, 150),
         queries in vec(arb_key_of(CK_LEN_WIDE, RK_LEN_WIDE), 1..8),
     ) {
-        let brute = BruteForce::from_entries(entries.clone());
-        for tree in build_both(4, &entries) {
-            tree.validate().unwrap();
-            let packed = tree.compact();
-            for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
-                require_eq!(sorted(packed.search(q)), sorted(brute.search(q)));
-            }
-        }
+        image_equals_brute(4, &entries, &queries)?;
     }
 
     /// Every indexed entry is found by a query equal to its own key
     /// (keys always have ≥ 1 bit per part here), with its confidence.
     fn self_query_finds_entry(entries in arb_entries(120)) {
-        let packed = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let packed = PackedTpt::bulk_load(32, entries.clone());
         for (k, c, p) in &entries {
             let found = packed.search(k);
             let me = found.iter().find(|m| m.pattern == *p);
@@ -158,7 +150,7 @@ props! {
 
     /// Search visits no more entries than a full scan would.
     fn search_never_worse_than_scan(entries in arb_entries(200), q in arb_key()) {
-        let packed = Tpt::bulk_load(TptConfig::default(), entries.clone()).compact();
+        let packed = PackedTpt::bulk_load(32, entries.clone());
         let (_, stats) = packed.search_with_stats(&q);
         // Internal entries add overhead bounded by the tree fanout
         // structure; leaf entries checked can never exceed the total.
@@ -170,7 +162,7 @@ props! {
     /// that moved only confidences never needs a rebuild.
     fn confidence_patch_equals_fresh_build(entries in arb_entries(200), pick in index()) {
         assume!(!entries.is_empty());
-        let image = |e: Vec<(PatternKey, f64, u32)>| Tpt::bulk_load(TptConfig::new(6), e).compact();
+        let image = |e: Vec<(PatternKey, f64, u32)>| PackedTpt::bulk_load(6, e);
         let mut packed = image(entries.clone());
         let mut patched = entries;
         let i = pick.index(patched.len());
@@ -179,4 +171,69 @@ props! {
         require_eq!(packed.patch_confidences(|p| (p == id).then_some(0.005)), 1);
         require_eq!(&packed, &image(patched));
     }
+}
+
+/// `n` seeded `<pk, c, p>` entries over `cons_bits` × `prem_bits` keys;
+/// every fifth entry repeats an earlier key (Table III: one key, two
+/// patterns).
+fn fixture_entries(
+    rng: &mut SmallRng,
+    n: usize,
+    cons_bits: usize,
+    prem_bits: usize,
+) -> Vec<(PatternKey, f64, u32)> {
+    let mut entries: Vec<(PatternKey, f64, u32)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let key = if i % 5 == 4 {
+            entries[rng.gen_range(0..i)].0.clone()
+        } else {
+            let mut bits = |len: usize, max: usize| {
+                let ones: Vec<usize> = (0..rng.gen_range(1..=max))
+                    .map(|_| rng.gen_range(0..len))
+                    .collect();
+                Bitmap::from_indices(len, &ones)
+            };
+            PatternKey {
+                consequence: bits(cons_bits, 2),
+                premise: bits(prem_bits, 4),
+            }
+        };
+        entries.push((key, rng.gen_range(1..=100u32) as f64 / 100.0, i as u32));
+    }
+    entries
+}
+
+/// `PackedTpt::bulk_load` builds, byte for byte, the image the pointer
+/// tree compacted to before it was deleted. `fixtures/
+/// packed_image_v1.txt` was written by that commit's
+/// `Tpt::bulk_load(..).compact()` through this same loop: one line per
+/// case — fanouts 4 / 6 / 32; one- and multi-word parts on either
+/// side; 0, 1, `fill`, `fill + 1`, `fill² + 1` and 3,000 entries,
+/// duplicate keys among them — carrying the image's shape and the
+/// FNV-1a of its `Debug` text (every field of every arena).
+#[test]
+fn committed_image_fixture_is_reproduced_byte_for_byte() {
+    let mut rng = SmallRng::seed_from_u64(0x7074_2121);
+    let mut out = String::new();
+    for fanout in [4usize, 6, 32] {
+        let fill = fanout * 3 / 4;
+        for (cons_bits, prem_bits) in [(4, 10), (12, 90), (70, 200), (130, 30)] {
+            for n in [0, 1, fill, fill + 1, fill * fill + 1, 3000] {
+                let packed = PackedTpt::bulk_load(
+                    fanout,
+                    fixture_entries(&mut rng, n, cons_bits, prem_bits),
+                );
+                packed.validate(fanout).unwrap();
+                writeln!(
+                    out,
+                    "fanout={fanout} key={cons_bits}+{prem_bits} n={n} nodes={} height={} debug_fnv1a={:016x}",
+                    packed.node_count(),
+                    packed.height(),
+                    fnv1a(format!("{packed:?}").as_bytes()),
+                )
+                .unwrap();
+            }
+        }
+    }
+    assert_eq!(out, include_str!("fixtures/packed_image_v1.txt"));
 }

@@ -52,6 +52,9 @@ for i in $(seq 1 "$STRESS_RUNS"); do
     # bit-flip fuzz, with length arithmetic that wraps instead of
     # panicking.
     cargo test -q --release --offline -p hpm-store --test props --test corruption
+    # And the TPT packer: the parent-written image fixture and the
+    # brute-force equivalence props, with index arithmetic unchecked.
+    cargo test -q --release --offline -p hpm-tpt --test props
 done
 
 # The smokes below drive the `hpm` binary; the root build above does
@@ -160,6 +163,15 @@ echo "==> one checksum: fn fnv1a is defined in wire.rs and hpm-check only"
 FNV_DEFS="$(grep -rl 'fn fnv1a' --include='*.rs' src crates sysbench | sort | xargs)"
 if [ "$FNV_DEFS" != "crates/check/src/runner.rs crates/store/src/wire.rs" ]; then
     echo "ERROR: fn fnv1a defined in: $FNV_DEFS" >&2
+    exit 1
+fi
+
+echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync"
+# Each of these was a second way to do a job (ROADMAP "Quality of
+# design"); a match means one has been reintroduced.
+GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir'
+if grep -rnE "$GONE" crates/ src/ examples/ tests/; then
+    echo "ERROR: a deleted item is back (see the PR 21 ledger in CHANGES.md)" >&2
     exit 1
 fi
 
