@@ -35,12 +35,6 @@ impl CellGrid {
         }
     }
 
-    /// Cells per side.
-    #[inline]
-    pub fn cols(&self) -> u32 {
-        self.cols
-    }
-
     /// Total number of cells.
     #[inline]
     pub fn cell_count(&self) -> usize {
@@ -98,7 +92,7 @@ mod tests {
     #[test]
     fn cell_indexing_roundtrip() {
         let g = CellGrid::new(100.0, 10.0);
-        assert_eq!(g.cols(), 10);
+        assert_eq!(g.cols, 10);
         assert_eq!(g.cell_count(), 100);
         let p = Point::new(25.0, 37.0);
         let c = g.cell_of(&p);
@@ -116,7 +110,7 @@ mod tests {
     #[test]
     fn non_dividing_extent_rounds_up() {
         let g = CellGrid::new(100.0, 30.0);
-        assert_eq!(g.cols(), 4);
+        assert_eq!(g.cols, 4);
         assert_eq!(g.cell_of(&Point::new(99.0, 99.0)), 15);
     }
 

@@ -47,28 +47,6 @@ impl MarkovPredictor {
         MarkovPredictor { grid, transitions }
     }
 
-    /// The grid in use.
-    #[inline]
-    pub fn grid(&self) -> &CellGrid {
-        &self.grid
-    }
-
-    /// Number of cells with at least one outgoing transition.
-    pub fn trained_cells(&self) -> usize {
-        self.transitions.len()
-    }
-
-    /// Transition probability `P(to | from)`, 0 when unobserved.
-    pub fn probability(&self, from: u32, to: u32) -> f64 {
-        let Some(outs) = self.transitions.get(&from) else {
-            return 0.0;
-        };
-        let total: u32 = outs.iter().map(|&(_, n)| n).sum();
-        outs.iter()
-            .find(|&&(t, _)| t == to)
-            .map_or(0.0, |&(_, n)| f64::from(n) / f64::from(total))
-    }
-
     /// One greedy step: the most frequent successor cell, or a
     /// deterministic pseudo-random neighbour when the cell was never
     /// seen (the [7] fallback; `tick` varies the choice per step).
@@ -118,7 +96,6 @@ mod tests {
     #[test]
     fn learns_deterministic_cycle() {
         let m = MarkovPredictor::train(&circuit(), CellGrid::new(50.0, 10.0));
-        assert_eq!(m.trained_cells(), 4);
         let start = Point::new(5.0, 5.0);
         // One step lands in the (45, 5) cell, four steps return home.
         assert_eq!(m.predict(&start, 1), Point::new(45.0, 5.0));
@@ -127,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn probabilities_normalise() {
+    fn greedy_step_follows_the_majority() {
         // From home the object goes east 2/3 of the time, north 1/3.
         let mut pts = Vec::new();
         for i in 0..30 {
@@ -139,15 +116,6 @@ mod tests {
             }
         }
         let m = MarkovPredictor::train(&Trajectory::from_points(pts), CellGrid::new(50.0, 10.0));
-        let home = m.grid().cell_of(&Point::new(5.0, 5.0));
-        let east = m.grid().cell_of(&Point::new(45.0, 5.0));
-        let north = m.grid().cell_of(&Point::new(5.0, 45.0));
-        let pe = m.probability(home, east);
-        let pn = m.probability(home, north);
-        assert!(pe > pn);
-        assert!((pe + pn - 1.0).abs() < 0.05, "pe {pe} pn {pn}");
-        assert_eq!(m.probability(east, 9999), 0.0);
-        // Greedy prediction follows the majority.
         assert_eq!(m.predict(&Point::new(5.0, 5.0), 1), Point::new(45.0, 5.0));
     }
 
@@ -173,7 +141,6 @@ mod tests {
     #[test]
     fn empty_history_still_predicts() {
         let m = MarkovPredictor::train(&Trajectory::from_points(vec![]), CellGrid::new(50.0, 10.0));
-        assert_eq!(m.trained_cells(), 0);
         assert!(m.predict(&Point::new(25.0, 25.0), 5).is_finite());
     }
 

@@ -45,17 +45,6 @@ impl SecondOrderMarkov {
         }
     }
 
-    /// The grid in use.
-    #[inline]
-    pub fn grid(&self) -> &CellGrid {
-        &self.grid
-    }
-
-    /// Number of `(prev, cur)` pair states with statistics.
-    pub fn trained_pairs(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// Predicts the location `steps` timestamps ahead of the two most
     /// recent positions (`prev` then `current`), chaining greedy
     /// pair transitions and degrading to the first-order model where
@@ -150,22 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn trained_pairs_counted() {
-        let traj = figure_eight();
-        let m2 = SecondOrderMarkov::train(&traj, CellGrid::new(50.0, 10.0));
-        // Pair states: (w,mid),(mid,e),(e,mid),(mid,n),(n,mid),(mid,s),
-        // (s,mid),(mid,w) = 8.
-        assert_eq!(m2.trained_pairs(), 8);
-        assert_eq!(m2.grid().cols(), 5);
-    }
-
-    #[test]
     fn short_history_still_works() {
         let m2 = SecondOrderMarkov::train(
             &Trajectory::from_points(vec![Point::ORIGIN; 2]),
             CellGrid::new(50.0, 10.0),
         );
-        assert_eq!(m2.trained_pairs(), 0);
         assert!(m2.predict(&Point::ORIGIN, &Point::ORIGIN, 3).is_finite());
     }
 }

@@ -54,23 +54,6 @@ impl SlottedMarkov {
         }
     }
 
-    /// The grid in use.
-    #[inline]
-    pub fn grid(&self) -> &CellGrid {
-        &self.grid
-    }
-
-    /// The period `T`.
-    #[inline]
-    pub fn period(&self) -> u32 {
-        self.period
-    }
-
-    /// Number of `(offset, cell)` states with statistics.
-    pub fn trained_states(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// One greedy step at a given time offset; unseen states fall back
     /// to a deterministic pseudo-random neighbour, like the unslotted
     /// model.
@@ -153,16 +136,6 @@ mod tests {
         let b = slotted.predict(&lost, 80, 3);
         assert_eq!(a, b);
         assert!(a.is_finite());
-    }
-
-    #[test]
-    fn trained_states_counts_slots() {
-        let traj = alternating();
-        let slotted = SlottedMarkov::train(&traj, CellGrid::new(50.0, 10.0), 4);
-        // States: (0,hub),(1,east),(2,hub),(3,north) = 4.
-        assert_eq!(slotted.trained_states(), 4);
-        assert_eq!(slotted.period(), 4);
-        assert_eq!(slotted.grid().cols(), 5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Grid-indexed vs naive O(n²) DBSCAN (the neighbour-index ablation).
 
-use hpm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hpm_bench::Bench;
 use hpm_clustering::{dbscan, dbscan_naive, DbscanParams};
 use hpm_geo::Point;
 
@@ -26,22 +26,17 @@ fn points(n: usize) -> Vec<Point> {
     out
 }
 
-fn bench_dbscan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dbscan");
+fn main() {
+    let mut bench = Bench::from_args();
     for &n in &[200usize, 1_000, 4_000] {
         let pts = points(n);
         let params = DbscanParams::new(30.0, 4);
-        group.bench_with_input(BenchmarkId::new("grid", n), &pts, |b, pts| {
-            b.iter(|| std::hint::black_box(dbscan(pts, params)))
-        });
+        bench.run(&format!("dbscan/grid/{n}"), None, || dbscan(&pts, params));
         if n <= 1_000 {
-            group.bench_with_input(BenchmarkId::new("naive", n), &pts, |b, pts| {
-                b.iter(|| std::hint::black_box(dbscan_naive(pts, params)))
+            bench.run(&format!("dbscan/naive/{n}"), None, || {
+                dbscan_naive(&pts, params)
             });
         }
     }
-    group.finish();
+    bench.summary();
 }
-
-criterion_group!(benches, bench_dbscan);
-criterion_main!(benches);

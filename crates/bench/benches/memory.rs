@@ -26,16 +26,20 @@
 //! in predictor bytes, over a small fleet of forked commuters.
 //!
 //! Run with `cargo bench --bench memory`; writes `BENCH_memory.json`
-//! at the workspace root (override with `HPM_MEMORY_OUT`). Under
-//! `cargo test` it runs a small smoke pass and writes nothing.
+//! at the workspace root (`HPM_BENCH_OUT` overrides the directory).
+//! Under `cargo test` it runs a small smoke pass, renders and parses
+//! the report, and writes nothing.
 //!
 //! Caveat: single small container core; throughput numbers are floors
 //! and the portable signal is the compression ratio and the shape of
 //! bytes/object across fleet sizes (flat = no super-linear overhead).
 
+use hpm_bench::report::{num, obj, write_json};
+use hpm_bench::Bench;
 use hpm_core::HpmConfig;
 use hpm_geo::{MemUse, Point};
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
+use hpm_obs::json::Json;
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::{ChunkParams, ChunkedHistory};
 use std::time::Instant;
@@ -253,12 +257,35 @@ fn trained_row(objects: u64) -> TrainedRow {
     }
 }
 
+const METHODOLOGY: &str = "fleet rows materialize N real ChunkedHistory values (default \
+    geometry: 256-sample sealed chunks, 16-sample raw hot tail) filled with a paper-like smooth \
+    walk and account them via MemUse (capacity-walk, no sample traversal); raw baseline is \
+    len*16 bytes, the most charitable uncompressed layout, so ratios never flatter the codec. \
+    history_compression_ratio compares payload bytes (packed words + tail) to that baseline; \
+    bytes_per_object additionally carries struct headers and chunk-vec capacity. Throughput \
+    pushes one long history through the seal pipeline and then streams it back through a \
+    DecodeCursor. The store row reports memory_use() on a live MovingObjectStore (16 shards, \
+    untrained fleet) — the same figure the store.mem.bytes gauge exports — and times the \
+    accounting walk itself to show measuring a large store is cheap. Container caveat: one \
+    small core, so throughputs are floors; the portable signals are the compression ratio and \
+    the flat bytes/object across fleet sizes";
+
+const TRAINED_METHODOLOGY: &str = "a live MovingObjectStore of forked commuters in sysbench's \
+    predict_point shape (period 32, 12 trained periods, two routes that share a first leg, \
+    per-object geometry and seed; Eps 2 / MinPts 3, min_support 3, premises of up to 2 \
+    regions), each loaded in one batch so it trains once at its last sample; the per-object \
+    figures are memory_use()'s predictor / trainer / history shares (the store.mem.*_bytes \
+    gauges) over the fleet, and predictor_bytes_per_rule is the predictor share over the rules \
+    it indexes — regions, pattern table, key table, packed TPT image and weight table \
+    together. Capacity-based MemUse figures, held to the allocator's live bytes within 20% by \
+    objectstore/tests/mem_growth.rs";
+
 fn run(
+    bench: &Bench,
     fleets: &[(usize, usize)],
     tp_samples: usize,
     store_objects: u64,
     trained_objects: u64,
-    out: Option<&str>,
 ) {
     let rows: Vec<FleetRow> = fleets
         .iter()
@@ -301,44 +328,59 @@ fn run(
         tr.history_bytes_per_object
     );
 
-    if let Some(path) = out {
-        let fleet_json = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"objects\": {}, \"samples_per_object\": {}, \
-                     \"chunked_bytes_per_object\": {}, \"raw_bytes_per_object\": {}, \
-                     \"history_compression_ratio\": {:.2}}}",
-                    r.objects,
-                    r.samples_per_object,
-                    r.chunked_bytes_per_object,
-                    r.raw_bytes_per_object,
-                    r.history_ratio
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        // Hand-built JSON: the workspace is hermetic (no serde).
-        let json = format!(
-            "{{\n  \"bench\": \"memory\",\n  \"methodology\": \"fleet rows materialize N real ChunkedHistory values (default geometry: 256-sample sealed chunks, 16-sample raw hot tail) filled with a paper-like smooth walk and account them via MemUse (capacity-walk, no sample traversal); raw baseline is len*16 bytes, the most charitable uncompressed layout, so ratios never flatter the codec. history_compression_ratio compares payload bytes (packed words + tail) to that baseline; bytes_per_object additionally carries struct headers and chunk-vec capacity. Throughput pushes one long history through the seal pipeline and then streams it back through a DecodeCursor. The store row reports memory_use() on a live MovingObjectStore (16 shards, untrained fleet) — the same figure the store.mem.bytes gauge exports — and times the accounting walk itself to show measuring a large store is cheap. Container caveat: one small core, so throughputs are floors; the portable signals are the compression ratio and the flat bytes/object across fleet sizes\",\n  \"fleets\": [\n{fleet_json}\n  ],\n  \"append_samples\": {},\n  \"append_per_s\": {:.0},\n  \"decode_per_s\": {:.0},\n  \"store\": {{\n    \"objects\": {}, \"samples_per_object\": {}, \"bytes_per_object\": {},\n    \"history_compression_ratio\": {:.2}, \"memory_use_ms\": {:.1}\n  }},\n  \"trained\": {{\n    \"methodology\": \"a live MovingObjectStore of forked commuters in sysbench's predict_point shape (period 32, 12 trained periods, two routes that share a first leg, per-object geometry and seed; Eps 2 / MinPts 3, min_support 3, premises of up to 2 regions), each loaded in one batch so it trains once at its last sample; the per-object figures are memory_use()'s predictor / trainer / history shares (the store.mem.*_bytes gauges) over the fleet, and predictor_bytes_per_rule is the predictor share over the rules it indexes — regions, pattern table, key table, packed TPT image and weight table together. Capacity-based MemUse figures, held to the allocator's live bytes within 20% by objectstore/tests/mem_growth.rs\",\n    \"objects\": {}, \"rules_per_object\": {},\n    \"predictor_bytes_per_object\": {}, \"trainer_bytes_per_object\": {}, \"history_bytes_per_object\": {},\n    \"predictor_bytes_per_rule\": {:.1}\n  }},\n  \"notes\": \"run `cargo bench -p hpm-bench --bench memory` to regenerate\"\n}}\n",
-            tp.samples,
-            tp.append_per_s,
-            tp.decode_per_s,
-            st.objects,
-            st.samples_per_object,
-            st.bytes_per_object,
-            st.history_ratio,
-            st.measure_ms,
-            tr.objects,
-            tr.rules_per_object,
-            tr.predictor_bytes_per_object,
-            tr.trainer_bytes_per_object,
-            tr.history_bytes_per_object,
-            tr.predictor_bytes_per_rule
-        );
-        std::fs::write(path, json).expect("write memory report");
-        println!("wrote {path}");
-    }
+    let count = |n: usize| num(n as f64, 0);
+    let fleet_rows = rows
+        .iter()
+        .map(|r| {
+            obj([
+                ("objects", count(r.objects)),
+                ("samples_per_object", count(r.samples_per_object)),
+                (
+                    "chunked_bytes_per_object",
+                    count(r.chunked_bytes_per_object),
+                ),
+                ("raw_bytes_per_object", count(r.raw_bytes_per_object)),
+                ("history_compression_ratio", num(r.history_ratio, 2)),
+            ])
+        })
+        .collect();
+    let store = obj([
+        ("objects", count(st.objects)),
+        ("samples_per_object", count(st.samples_per_object)),
+        ("bytes_per_object", count(st.bytes_per_object)),
+        ("history_compression_ratio", num(st.history_ratio, 2)),
+        ("memory_use_ms", num(st.measure_ms, 1)),
+    ]);
+    let trained = obj([
+        ("methodology", Json::String(TRAINED_METHODOLOGY.into())),
+        ("objects", count(tr.objects)),
+        ("rules_per_object", count(tr.rules_per_object)),
+        (
+            "predictor_bytes_per_object",
+            count(tr.predictor_bytes_per_object),
+        ),
+        (
+            "trainer_bytes_per_object",
+            count(tr.trainer_bytes_per_object),
+        ),
+        (
+            "history_bytes_per_object",
+            count(tr.history_bytes_per_object),
+        ),
+        (
+            "predictor_bytes_per_rule",
+            num(tr.predictor_bytes_per_rule, 1),
+        ),
+    ]);
+    let fields = [
+        ("fleets", Json::Array(fleet_rows)),
+        ("append_samples", count(tp.samples)),
+        ("append_per_s", num(tp.append_per_s, 0)),
+        ("decode_per_s", num(tp.decode_per_s, 0)),
+        ("store", store),
+        ("trained", trained),
+    ];
+    write_json(bench, "memory", METHODOLOGY, &fields);
 
     // The tentpole claim, enforced wherever the bench runs: ≥3x
     // history reduction on the paper-like workload at depth. Short
@@ -411,21 +453,19 @@ fn main() {
         );
         return;
     }
-    let measure_mode = std::env::args().any(|a| a == "--bench");
-    if !measure_mode {
+    let bench = Bench::from_args();
+    if bench.measuring() {
+        run(
+            &bench,
+            &[(10_000, 8192), (100_000, 2048), (1_000_000, 512)],
+            4_000_000,
+            10_000,
+            256,
+        );
+    } else {
         // Smoke (cargo test): tiny fleet, same code paths — including
         // the ≥3x gate on the deep-history row.
-        run(&[(100, 2048), (200, 256)], 100_000, 50, 4, None);
+        run(&bench, &[(100, 2048), (200, 256)], 100_000, 50, 4);
         println!("memory benchmark smoke test passed");
-        return;
     }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_memory.json");
-    let out = std::env::var("HPM_MEMORY_OUT").unwrap_or_else(|_| default_out.into());
-    run(
-        &[(10_000, 8192), (100_000, 2048), (1_000_000, 512)],
-        4_000_000,
-        10_000,
-        256,
-        Some(&out),
-    );
 }

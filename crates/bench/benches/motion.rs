@@ -1,7 +1,7 @@
 //! RMF fitting cost across retrospect and window size (the paper's
 //! n³-SVD cost claim), plus prediction rollout.
 
-use hpm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hpm_bench::Bench;
 use hpm_geo::Point;
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
 
@@ -14,46 +14,39 @@ fn wave(n: usize) -> Vec<Point> {
         .collect()
 }
 
-fn bench_fit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rmf_fit");
+fn bench_fit(bench: &mut Bench) {
     for &window in &[20usize, 60, 150] {
         let pts = wave(window);
         for retrospect in [2usize, 3, 5] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("w{window}"), retrospect),
-                &retrospect,
-                |b, &f| b.iter(|| std::hint::black_box(Rmf::fit(&pts, f).unwrap())),
-            );
+            bench.run(&format!("rmf_fit/w{window}/{retrospect}"), None, || {
+                Rmf::fit(&pts, retrospect).unwrap()
+            });
         }
     }
-    group.finish();
 }
 
-fn bench_predict(c: &mut Criterion) {
+fn bench_predict(bench: &mut Bench) {
     let pts = wave(60);
     let rmf = Rmf::fit(&pts, 3).unwrap();
     let lin = LinearMotion::fit(&pts).unwrap();
-    let mut group = c.benchmark_group("motion_predict_200");
-    group.bench_function("rmf", |b| b.iter(|| std::hint::black_box(rmf.predict(200))));
-    group.bench_function("linear", |b| {
-        b.iter(|| std::hint::black_box(lin.predict(200)))
-    });
-    group.finish();
+    bench.run("motion_predict_200/rmf", None, || rmf.predict(200));
+    bench.run("motion_predict_200/linear", None, || lin.predict(200));
 }
 
-fn bench_lstsq(c: &mut Criterion) {
+fn bench_lstsq(bench: &mut Bench) {
     use hpm_linalg::{lstsq, Matrix};
     // RMF-shaped systems: (window - f) rows x 2f cols, 2 rhs columns.
-    let mut group = c.benchmark_group("lstsq");
     for &(rows, cols) in &[(17usize, 6usize), (57, 6), (147, 10)] {
         let a = Matrix::from_fn(rows, cols, |i, j| ((i * 31 + j * 17) % 23) as f64 - 11.0);
         let b = Matrix::from_fn(rows, 2, |i, j| ((i * 13 + j * 7) % 19) as f64 - 9.0);
-        group.bench_function(format!("svd_{rows}x{cols}"), |bch| {
-            bch.iter(|| std::hint::black_box(lstsq(&a, &b)))
-        });
+        bench.run(&format!("lstsq/svd_{rows}x{cols}"), None, || lstsq(&a, &b));
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_predict, bench_lstsq);
-criterion_main!(benches);
+fn main() {
+    let mut bench = Bench::from_args();
+    bench_fit(&mut bench);
+    bench_predict(&mut bench);
+    bench_lstsq(&mut bench);
+    bench.summary();
+}

@@ -2,34 +2,27 @@
 //! (Fig. 10's microbenchmark form).
 
 use hpm_bench::setup::Experiment;
-use hpm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hpm_bench::Bench;
 use hpm_datagen::PaperDataset;
 use hpm_motion::{MotionModel, Rmf};
 
-fn bench_query_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("query_cost_bike");
+fn main() {
+    let mut bench = Bench::from_args();
     for &subs in &[20usize, 60, 100] {
         let exp = Experiment::new(PaperDataset::Bike, subs);
         let predictor = exp.build();
         let queries = exp.workload_with_recent(50, 60, 30);
-        group.bench_with_input(BenchmarkId::new("hpm", subs), &subs, |b, _| {
-            b.iter(|| {
-                for q in &queries {
-                    std::hint::black_box(predictor.predict(&q.as_query()));
-                }
-            })
+        bench.run(&format!("query_cost_bike/hpm/{subs}"), None, || {
+            for q in &queries {
+                std::hint::black_box(predictor.predict(&q.as_query()));
+            }
         });
-        group.bench_with_input(BenchmarkId::new("rmf", subs), &subs, |b, _| {
-            b.iter(|| {
-                for q in &queries {
-                    let m = Rmf::fit(&q.recent, 3).expect("window fits");
-                    std::hint::black_box(m.predict(q.prediction_length()));
-                }
-            })
+        bench.run(&format!("query_cost_bike/rmf/{subs}"), None, || {
+            for q in &queries {
+                let m = Rmf::fit(&q.recent, 3).expect("window fits");
+                std::hint::black_box(m.predict(q.prediction_length()));
+            }
         });
     }
-    group.finish();
+    bench.summary();
 }
-
-criterion_group!(benches, bench_query_cost);
-criterion_main!(benches);

@@ -2,16 +2,19 @@
 //! the brute-force scan at 10k/100k/1M objects, emitting
 //! `BENCH_range.json`.
 //!
-//! Custom harness (no criterion shim): the measurement is a mean
-//! wall-clock per query over a site set, and the run writes a JSON
-//! report. `cargo test` invokes this target in smoke mode (tiny
-//! workload, no report); `cargo bench --bench range` measures.
-//! `HPM_RANGE_OUT` overrides the report path (default:
-//! `BENCH_range.json` at the workspace root).
+//! The measurement is a mean wall-clock per query over a site set,
+//! the fastest of a few passes ([`hpm_bench::best_of`]). `cargo test`
+//! invokes this target in smoke mode (tiny workload, the report
+//! rendered and parsed but not written); `cargo bench --bench range`
+//! measures and writes the report (`HPM_BENCH_OUT` overrides the
+//! directory, default: the workspace root).
 
+use hpm_bench::report::{num, obj, write_json};
+use hpm_bench::{best_of, Bench};
 use hpm_core::HpmConfig;
 use hpm_geo::{BoundingBox, Point};
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
+use hpm_obs::json::Json;
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::Timestamp;
 use std::time::Instant;
@@ -115,14 +118,8 @@ fn query_sites(n: usize, side: f64, extent: f64) -> Vec<(BoundingBox, Point)> {
 }
 
 /// Mean ns/query over `sites`, best of `reps` passes.
-fn measure_ns(reps: usize, sites: usize, mut pass: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        pass();
-        best = best.min(started.elapsed().as_nanos() as f64 / sites as f64);
-    }
-    best
+fn measure_ns(reps: usize, sites: usize, pass: impl FnMut()) -> f64 {
+    best_of(reps, pass).as_nanos() as f64 / sites as f64
 }
 
 struct RangeRow {
@@ -197,77 +194,76 @@ fn run_range(objects: u64, n_queries: usize, reps: usize, scan_reps: usize) -> R
     }
 }
 
-fn run_range_suite(report: Option<&str>) {
-    let rows = [
-        run_range(10_000, 64, 5, 3),
-        run_range(100_000, 64, 3, 2),
-        run_range(1_000_000, 32, 2, 1),
-    ];
+const METHODOLOGY: &str = "Fleet on a 50-unit grid (constant density; the plane grows with the \
+    fleet): 1% trained commuters looping a local 4-stop route, 99% untrained drifters \
+    with 3 reports, all sharing one current time so a single query time (tc+3) lies \
+    within every object's horizon. Queries: 200x200 boxes (range) and their centres \
+    with k=10 (kNN) at Weyl-sequence sites; ns/query is best-of-reps mean wall-clock \
+    over the site set; the scan baseline uses a capped site subset because it \
+    re-predicts the whole fleet per query. flush_secs is the one-time cost of the \
+    first indexed query after building (every object dirty: one motion fit + horizon \
+    rollout each); steady-state numbers exclude it, matching the ingest-many/query-many \
+    regime. Every indexed answer was asserted equal to the scan. Caveats: run in a \
+    shared container (no isolated cores, frequency scaling uncontrolled); single \
+    thread; times include per-query result allocation; kNN candidate selection still \
+    enumerates all buckets per query (O(buckets) with a small constant), so its \
+    speedup is predict-pruning only, while range selection is cell-probed (sublinear \
+    for small queries).";
+
+/// Renders (and, measuring, writes) the report over `rows`.
+fn report(bench: &Bench, rows: &[RangeRow]) {
     // Crossover: the workload sizes where the index starts winning.
-    let range_crossover = rows
+    let crossover = |wins: fn(&RangeRow) -> bool| {
+        let at = rows.iter().find(|r| wins(r));
+        num(at.map_or(-1.0, |r| r.objects as f64), 0)
+    };
+    let results = rows
         .iter()
-        .find(|r| r.index_range_ns < r.scan_range_ns)
-        .map_or(-1i64, |r| r.objects as i64);
-    let knn_crossover = rows
-        .iter()
-        .find(|r| r.index_knn_ns < r.scan_knn_ns)
-        .map_or(-1i64, |r| r.objects as i64);
-    if let Some(path) = report {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"objects\": {}, \"flush_secs\": {:.3}, \
-                     \"scan_range_ns_per_query\": {:.0}, \"index_range_ns_per_query\": {:.0}, \
-                     \"scan_knn_ns_per_query\": {:.0}, \"index_knn_ns_per_query\": {:.0}, \
-                     \"range_speedup\": {:.1}, \"knn_speedup\": {:.1}}}",
-                    r.objects,
-                    r.flush_secs,
-                    r.scan_range_ns,
-                    r.index_range_ns,
-                    r.scan_knn_ns,
-                    r.index_knn_ns,
-                    r.scan_range_ns / r.index_range_ns,
-                    r.scan_knn_ns / r.index_knn_ns
-                )
-            })
-            .collect();
-        let methodology = "Fleet on a 50-unit grid (constant density; the plane grows with the \
-            fleet): 1% trained commuters looping a local 4-stop route, 99% untrained drifters \
-            with 3 reports, all sharing one current time so a single query time (tc+3) lies \
-            within every object's horizon. Queries: 200x200 boxes (range) and their centres \
-            with k=10 (kNN) at Weyl-sequence sites; ns/query is best-of-reps mean wall-clock \
-            over the site set; the scan baseline uses a capped site subset because it \
-            re-predicts the whole fleet per query. flush_secs is the one-time cost of the \
-            first indexed query after building (every object dirty: one motion fit + horizon \
-            rollout each); steady-state numbers exclude it, matching the ingest-many/query-many \
-            regime. Every indexed answer was asserted equal to the scan. Caveats: run in a \
-            shared container (no isolated cores, frequency scaling uncontrolled); single \
-            thread; times include per-query result allocation; kNN candidate selection still \
-            enumerates all buckets per query (O(buckets) with a small constant), so its \
-            speedup is predict-pruning only, while range selection is cell-probed (sublinear \
-            for small queries).";
-        let json = format!(
-            "{{\n  \"bench\": \"range\",\n  \"k\": 10,\n  \"query_extent\": 200.0,\n  \
-             \"range_crossover_objects\": {range_crossover},\n  \
-             \"knn_crossover_objects\": {knn_crossover},\n  \
-             \"methodology\": \"{methodology}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            body.join(",\n")
-        );
-        std::fs::write(path, json).expect("write range report");
-        println!("wrote {path}");
-    }
+        .map(|r| {
+            obj([
+                ("objects", num(r.objects as f64, 0)),
+                ("flush_secs", num(r.flush_secs, 3)),
+                ("scan_range_ns_per_query", num(r.scan_range_ns, 0)),
+                ("index_range_ns_per_query", num(r.index_range_ns, 0)),
+                ("scan_knn_ns_per_query", num(r.scan_knn_ns, 0)),
+                ("index_knn_ns_per_query", num(r.index_knn_ns, 0)),
+                ("range_speedup", num(r.scan_range_ns / r.index_range_ns, 1)),
+                ("knn_speedup", num(r.scan_knn_ns / r.index_knn_ns, 1)),
+            ])
+        })
+        .collect();
+    let fields = [
+        ("k", num(10.0, 0)),
+        ("query_extent", num(200.0, 0)),
+        (
+            "range_crossover_objects",
+            crossover(|r| r.index_range_ns < r.scan_range_ns),
+        ),
+        (
+            "knn_crossover_objects",
+            crossover(|r| r.index_knn_ns < r.scan_knn_ns),
+        ),
+        ("results", Json::Array(results)),
+    ];
+    write_json(bench, "range", METHODOLOGY, &fields);
 }
 
 fn main() {
-    if !std::env::args().any(|a| a == "--bench") {
-        // Smoke (cargo test): prove the path works, skip the report.
+    let bench = Bench::from_args();
+    if bench.measuring() {
+        report(
+            &bench,
+            &[
+                run_range(10_000, 64, 5, 3),
+                run_range(100_000, 64, 3, 2),
+                run_range(1_000_000, 32, 2, 1),
+            ],
+        );
+    } else {
+        // Smoke (cargo test): prove the path works and the report parses.
         let row = run_range(400, 8, 1, 1);
         assert!(row.flush_secs >= 0.0);
+        report(&bench, &[row]);
         println!("range benchmark smoke test passed");
-        return;
     }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_range.json");
-    let out = std::env::var("HPM_RANGE_OUT").unwrap_or_else(|_| default_out.into());
-    run_range_suite(Some(&out));
 }

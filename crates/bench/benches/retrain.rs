@@ -1,12 +1,12 @@
 //! Incremental vs full retraining latency at growing history sizes,
 //! emitting `BENCH_retrain.json`.
 //!
-//! Custom harness (no criterion shim): each measurement is one whole
-//! retrain pass timed with `Instant`, and the run writes a JSON report.
-//! `cargo test` invokes this target in smoke mode (tiny workload, no
-//! report); `cargo bench --bench retrain` measures.
-//! `HPM_RETRAIN_OUT` overrides the report path (default:
-//! `BENCH_retrain.json` at the workspace root).
+//! Each measurement is one whole retrain pass under
+//! [`hpm_bench::best_of`]. `cargo test` invokes this target in smoke
+//! mode (tiny workload, the report rendered and parsed but not
+//! written); `cargo bench --bench retrain` measures and writes the
+//! report (`HPM_BENCH_OUT` overrides the directory, default: the
+//! workspace root).
 //!
 //! Methodology: a steady-state commuter (period 4, three-day jitter
 //! cycle) whose every new day lands inside mature clusters — the
@@ -19,11 +19,13 @@
 //! H days. Best-of is deliberate: retrain cost has no data-dependent
 //! variance here, so the minimum is the least noise-polluted estimate.
 
+use hpm_bench::report::{num, obj, write_json};
+use hpm_bench::{best_of, Bench};
 use hpm_core::{HpmConfig, HybridPredictor, TrainerState};
 use hpm_geo::Point;
+use hpm_obs::json::Json;
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::Trajectory;
-use std::time::Instant;
 
 const PERIOD: u32 = 4;
 
@@ -86,31 +88,31 @@ fn measure(history_subs: usize, reps: usize) -> Row {
     let warm = Trajectory::from_points(all[..history_subs * PERIOD as usize].to_vec());
 
     // Full pipeline over exactly H days.
-    let mut full_ns = u128::MAX;
-    for _ in 0..reps {
-        let started = Instant::now();
-        let built = HybridPredictor::build(&warm, &discovery(), &mining(), config());
-        full_ns = full_ns.min(started.elapsed().as_nanos());
-        std::hint::black_box(built);
-    }
+    let full_ns = best_of(reps, || {
+        HybridPredictor::build(&warm, &discovery(), &mining(), config())
+    })
+    .as_nanos();
 
     // Incremental: seed at H days, then time each steady-state daily
-    // pass while the history grows from H to H + reps days.
+    // pass while the history grows from H to H + reps days (the grown
+    // histories are assembled before the clock starts).
     let mut trainer = TrainerState::new(discovery(), mining());
     trainer.seed(&warm);
     let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), config());
-    let mut incremental_ns = u128::MAX;
-    for day in history_subs + 1..=history_subs + reps {
-        let traj = Trajectory::from_points(all[..day * PERIOD as usize].to_vec());
-        let started = Instant::now();
-        let delta = trainer.stage_decompose(&traj);
+    let grown: Vec<Trajectory> = (history_subs + 1..=history_subs + reps)
+        .map(|day| Trajectory::from_points(all[..day * PERIOD as usize].to_vec()))
+        .collect();
+    let mut days = grown.iter();
+    let incremental_ns = best_of(reps, || {
+        let traj = days.next().expect("one grown history per rep");
+        let delta = trainer.stage_decompose(traj);
         let visits = trainer
             .stage_cluster(&delta)
             .expect("steady-state commuter days never drift");
         let patterns = trainer.stage_mine(&visits);
         predictor = predictor.apply_update(trainer.regions(), patterns).0;
-        incremental_ns = incremental_ns.min(started.elapsed().as_nanos());
-    }
+    })
+    .as_nanos();
 
     // The pass being fast is worthless unless it is also right.
     let final_traj = Trajectory::from_points(all);
@@ -130,7 +132,7 @@ fn measure(history_subs: usize, reps: usize) -> Row {
     }
 }
 
-fn run(sizes: &[usize], reps: usize, report: Option<&str>) {
+fn run(bench: &Bench, sizes: &[usize], reps: usize) {
     let mut rows = Vec::new();
     for &h in sizes {
         let row = measure(h, reps);
@@ -140,36 +142,45 @@ fn run(sizes: &[usize], reps: usize, report: Option<&str>) {
         );
         rows.push(row);
     }
-    if let Some(path) = report {
-        let speedup_at_max = rows.last().map_or(0.0, |r| r.speedup);
-        // Hand-built JSON: the workspace is hermetic (no serde).
-        let results = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"history_subs\": {}, \"incremental_ns\": {}, \"full_ns\": {}, \"speedup\": {:.2}}}",
-                    r.history_subs, r.incremental_ns, r.full_ns, r.speedup
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!(
-            "{{\n  \"bench\": \"retrain\",\n  \"period\": {PERIOD},\n  \"reps\": {reps},\n  \"methodology\": \"steady-state commuter (period 4, 3-day jitter cycle); per size H: best-of-{reps} wall clock of one incremental daily pass (cursor delta -> IncDBSCAN insertions -> support-count tails + derive -> apply_update) while history grows H..H+{reps} days, vs best-of-{reps} HybridPredictor::build over H days; end state asserted pattern- and region-identical to a full rebuild; speedup = full_ns / incremental_ns is a ratio of two costs, not a score: a faster batch DBSCAN lowers full_ns and with it the ratio (the one-grid sweep did exactly that), so read the two ns columns first\",\n  \"speedup_at_largest\": {speedup_at_max:.2},\n  \"results\": [\n{results}\n  ]\n}}\n"
-        );
-        std::fs::write(path, json).expect("write retrain report");
-        println!("wrote {path}");
-    }
+    let methodology = format!(
+        "steady-state commuter (period 4, 3-day jitter cycle); per size H: best-of-{reps} wall \
+         clock of one incremental daily pass (cursor delta -> IncDBSCAN insertions -> \
+         support-count tails + derive -> apply_update) while history grows H..H+{reps} days, vs \
+         best-of-{reps} HybridPredictor::build over H days; end state asserted pattern- and \
+         region-identical to a full rebuild; speedup = full_ns / incremental_ns is a ratio of \
+         two costs, not a score: a faster batch DBSCAN lowers full_ns and with it the ratio \
+         (the one-grid sweep did exactly that), so read the two ns columns first"
+    );
+    let results = rows
+        .iter()
+        .map(|r| {
+            obj([
+                ("history_subs", num(r.history_subs as f64, 0)),
+                ("incremental_ns", num(r.incremental_ns as f64, 0)),
+                ("full_ns", num(r.full_ns as f64, 0)),
+                ("speedup", num(r.speedup, 2)),
+            ])
+        })
+        .collect();
+    let fields = [
+        ("period", num(PERIOD as f64, 0)),
+        ("reps", num(reps as f64, 0)),
+        (
+            "speedup_at_largest",
+            num(rows.last().map_or(0.0, |r| r.speedup), 2),
+        ),
+        ("results", Json::Array(results)),
+    ];
+    write_json(bench, "retrain", &methodology, &fields);
 }
 
 fn main() {
-    let measure_mode = std::env::args().any(|a| a == "--bench");
-    if !measure_mode {
-        // Smoke (cargo test): prove the path works, skip the report.
-        run(&[10], 3, None);
+    let bench = Bench::from_args();
+    if bench.measuring() {
+        run(&bench, &[10, 50, 200], 20);
+    } else {
+        // Smoke (cargo test): prove the path works and the report parses.
+        run(&bench, &[10], 3);
         println!("retrain benchmark smoke test passed");
-        return;
     }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_retrain.json");
-    let out = std::env::var("HPM_RETRAIN_OUT").unwrap_or_else(|_| default_out.into());
-    run(&[10, 50, 200], 20, Some(&out));
 }

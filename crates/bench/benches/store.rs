@@ -1,33 +1,29 @@
 //! Persistence-codec and object-store throughput benches.
 
 use hpm_bench::synthetic_patterns;
-use hpm_bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hpm_bench::{Bench, Throughput};
 use hpm_core::HpmConfig;
 use hpm_datagen::{paper_dataset, PaperDataset, PERIOD};
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
 use hpm_patterns::{DiscoveryParams, MiningParams, PatternTable};
 use hpm_store::{decode_model, encode_model};
 
-fn bench_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("model_codec");
+fn bench_codec(bench: &mut Bench) {
     for &n in &[1_000usize, 20_000] {
         let (regions, patterns) = synthetic_patterns(n, 400, 5);
         let patterns = PatternTable::from(patterns);
         let blob = encode_model(&regions, &patterns);
-        group.throughput(Throughput::Bytes(blob.len() as u64));
-        group.bench_with_input(BenchmarkId::new("encode", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(encode_model(&regions, &patterns)))
+        let bytes = Some(Throughput::Bytes(blob.len() as u64));
+        bench.run(&format!("model_codec/encode/{n}"), bytes, || {
+            encode_model(&regions, &patterns)
         });
-        group.bench_with_input(BenchmarkId::new("decode", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(decode_model(&blob).expect("valid")))
+        bench.run(&format!("model_codec/decode/{n}"), bytes, || {
+            decode_model(&blob).expect("valid")
         });
     }
-    group.finish();
 }
 
-fn bench_objectstore_ingest(c: &mut Criterion) {
-    let mut group = c.benchmark_group("objectstore");
-    group.sample_size(10);
+fn bench_objectstore_ingest(bench: &mut Bench) {
     let traj = paper_dataset(PaperDataset::Cow, 9).generate_subs(25);
     let config = || StoreConfig {
         discovery: DiscoveryParams {
@@ -50,9 +46,11 @@ fn bench_objectstore_ingest(c: &mut Criterion) {
         threads: 1,
         index: hpm_objectstore::IndexConfig::default(),
     };
-    group.throughput(Throughput::Elements(traj.len() as u64));
-    group.bench_function("ingest_25_days_with_one_retrain", |b| {
-        b.iter(|| {
+    let samples = Some(Throughput::Elements(traj.len() as u64));
+    bench.run(
+        "objectstore/ingest_25_days_with_one_retrain",
+        samples,
+        || {
             let store = MovingObjectStore::new(config());
             for d in 0..25usize {
                 let day = &traj.points()[d * PERIOD as usize..(d + 1) * PERIOD as usize];
@@ -60,9 +58,9 @@ fn bench_objectstore_ingest(c: &mut Criterion) {
                     .report_batch(ObjectId(1), (d * PERIOD as usize) as u64, day)
                     .unwrap();
             }
-            std::hint::black_box(store.stats(ObjectId(1)).unwrap())
-        })
-    });
+            store.stats(ObjectId(1)).unwrap()
+        },
+    );
 
     // Query throughput on a trained store.
     let store = MovingObjectStore::new(config());
@@ -73,15 +71,17 @@ fn bench_objectstore_ingest(c: &mut Criterion) {
             .unwrap();
     }
     let now = 25 * PERIOD as u64 - 1;
-    group.bench_function("predict_trained", |b| {
-        let mut ahead = 1u64;
-        b.iter(|| {
-            ahead = ahead % 150 + 1;
-            std::hint::black_box(store.predict(ObjectId(1), now + ahead).unwrap())
-        })
+    let mut ahead = 1u64;
+    let one = Some(Throughput::Elements(1));
+    bench.run("objectstore/predict_trained", one, || {
+        ahead = ahead % 150 + 1;
+        store.predict(ObjectId(1), now + ahead).unwrap()
     });
-    group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_objectstore_ingest);
-criterion_main!(benches);
+fn main() {
+    let mut bench = Bench::from_args();
+    bench_codec(&mut bench);
+    bench_objectstore_ingest(&mut bench);
+    bench.summary();
+}

@@ -3,17 +3,17 @@
 //! sweep. Every search group runs against the packed image — the index
 //! that serves queries; the build group times its bulk load.
 //!
-//! The criterion-shim groups run in both modes as before. The sweep at
-//! the end uses its own harness (best-of-reps wall clock, JSON report,
-//! same shape as `benches/throughput.rs`): `cargo test` runs it as a
-//! tiny smoke check; `cargo bench --bench tpt_search` measures 80/400/
-//! 800 frequent regions single-threaded and writes
-//! `BENCH_tpt_search.json` (override with `HPM_TPT_SEARCH_OUT`).
+//! The labelled groups run through [`Bench::run`] in both modes. The
+//! sweep at the end times whole passes with [`best_of`] and reports
+//! JSON: `cargo test` runs it as a tiny smoke check (report rendered
+//! and parsed, not written); `cargo bench --bench tpt_search` measures
+//! 80/400/800 frequent regions single-threaded and writes
+//! `BENCH_tpt_search.json` (`HPM_BENCH_OUT` overrides the directory).
 
-use hpm_bench::synthetic_patterns;
-use hpm_bench::{criterion_group, BenchmarkId, Criterion};
+use hpm_bench::report::{num, obj, write_json};
+use hpm_bench::{best_of, synthetic_index, Bench};
+use hpm_obs::json::Json;
 use hpm_tpt::{BruteForce, KeyTable, PackedTpt, PatternKey, SearchCursor, SearchStats};
-use std::time::Instant;
 
 /// The fanout the system runs with.
 fn default_fanout() -> usize {
@@ -32,117 +32,68 @@ fn queries(table: &KeyTable, n: usize, regions: usize) -> Vec<PatternKey> {
         .collect()
 }
 
-fn bench_search(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tpt_vs_brute");
+fn bench_search(bench: &mut Bench) {
     for &n in &[1_000usize, 10_000, 100_000] {
-        let (set, patterns) = synthetic_patterns(n, 800, 13);
-        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-        let entries: Vec<_> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
-            .collect();
+        let (table, regions, entries) = synthetic_index(n, 800, 13);
         let tpt = PackedTpt::bulk_load(default_fanout(), entries.clone());
         let brute = BruteForce::from_entries(entries);
-        let qs = queries(&table, 20, set.len());
+        let qs = queries(&table, 20, regions);
         let mut out = Vec::new();
-        group.bench_with_input(BenchmarkId::new("tpt", n), &n, |b, _| {
-            b.iter(|| {
-                for q in &qs {
-                    out.clear();
-                    tpt.search_into(std::hint::black_box(q), &mut out);
-                }
-            })
+        bench.run(&format!("tpt_vs_brute/tpt/{n}"), None, || {
+            for q in &qs {
+                out.clear();
+                tpt.search_into(std::hint::black_box(q), &mut out);
+            }
         });
-        group.bench_with_input(BenchmarkId::new("brute", n), &n, |b, _| {
-            b.iter(|| {
-                for q in &qs {
-                    out.clear();
-                    brute.search_into(std::hint::black_box(q), &mut out);
-                }
-            })
+        bench.run(&format!("tpt_vs_brute/brute/{n}"), None, || {
+            for q in &qs {
+                out.clear();
+                brute.search_into(std::hint::black_box(q), &mut out);
+            }
         });
     }
-    group.finish();
 }
 
-fn bench_fanout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tpt_fanout");
-    let (set, patterns) = synthetic_patterns(20_000, 400, 29);
-    let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-    let entries: Vec<_> = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
-        .collect();
-    let qs = queries(&table, 20, set.len());
+fn bench_fanout(bench: &mut Bench) {
+    let (table, regions, entries) = synthetic_index(20_000, 400, 29);
+    let qs = queries(&table, 20, regions);
     for &fanout in &[8usize, 32, 128] {
         let tpt = PackedTpt::bulk_load(fanout, entries.clone());
         let mut out = Vec::new();
-        group.bench_with_input(BenchmarkId::from_parameter(fanout), &fanout, |b, _| {
-            b.iter(|| {
-                for q in &qs {
-                    out.clear();
-                    tpt.search_into(std::hint::black_box(q), &mut out);
-                }
-            })
+        bench.run(&format!("tpt_fanout/{fanout}"), None, || {
+            for q in &qs {
+                out.clear();
+                tpt.search_into(std::hint::black_box(q), &mut out);
+            }
         });
     }
-    group.finish();
 }
 
-fn bench_bulk_load(c: &mut Criterion) {
-    let (set, patterns) = synthetic_patterns(5_000, 400, 31);
-    let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-    let entries: Vec<_> = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
-        .collect();
-    c.bench_function("tpt_bulk_load_5k", |b| {
-        b.iter(|| {
-            std::hint::black_box(PackedTpt::bulk_load(default_fanout(), entries.clone()).len())
-        })
+fn bench_bulk_load(bench: &mut Bench) {
+    let (_, _, entries) = synthetic_index(5_000, 400, 31);
+    bench.run("tpt_bulk_load_5k", None, || {
+        PackedTpt::bulk_load(default_fanout(), entries.clone()).len()
     });
 }
 
-criterion_group!(benches, bench_search, bench_fanout, bench_bulk_load);
-
-/// Best-of-`reps` wall-clock ns/query for one full pass over the
-/// query set (single thread; one untimed warmup pass first).
-fn best_ns_per_query(reps: usize, n_queries: usize, mut pass: impl FnMut()) -> f64 {
-    pass(); // warmup: faults code in, grows scratch buffers
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        pass();
-        best = best.min(started.elapsed().as_nanos() as f64);
-    }
-    best / n_queries as f64
+/// ns/query of the fastest of `reps` full passes over `n_queries`
+/// queries, after one untimed warm-up pass (faults code in, grows
+/// scratch buffers).
+fn ns_per_query(reps: usize, n_queries: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
+    best_of(reps, pass).as_nanos() as f64 / n_queries as f64
 }
 
 /// Fig. 11 region-scale sweep: the packed TPT image vs the brute-force
 /// scan over the same entries and queries, asserting equal result sets
 /// before timing.
-fn fig11_sweep(
-    patterns_n: usize,
-    n_queries: usize,
-    reps: usize,
-    scales: &[usize],
-    report: Option<&str>,
-) {
+fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, scales: &[usize]) {
     let mut rows = Vec::new();
     for &regions in scales {
-        let (set, patterns) = synthetic_patterns(patterns_n, regions, 13);
-        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-        let entries: Vec<_> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
-            .collect();
+        let (table, region_count, entries) = synthetic_index(patterns_n, regions, 13);
         let packed = PackedTpt::bulk_load(default_fanout(), entries.clone());
         let brute = BruteForce::from_entries(entries);
-        let qs = queries(&table, n_queries, set.len());
+        let qs = queries(&table, n_queries, region_count);
 
         // Untimed equivalence + instrumentation pass: the tree search
         // must return exactly the scan's result set.
@@ -160,13 +111,13 @@ fn fig11_sweep(
         let false_hit_rate = agg.false_hits as f64 / agg.entries_checked.max(1) as f64;
 
         let mut cursor = SearchCursor::new();
-        let packed_ns = best_ns_per_query(reps, qs.len(), || {
+        let packed_ns = ns_per_query(reps, qs.len(), || {
             for q in &qs {
                 cursor.search_packed(&packed, std::hint::black_box(q));
             }
         });
         let mut out = Vec::new();
-        let brute_ns = best_ns_per_query(reps, qs.len(), || {
+        let brute_ns = ns_per_query(reps, qs.len(), || {
             for q in &qs {
                 out.clear();
                 brute.search_into(std::hint::black_box(q), &mut out);
@@ -177,48 +128,47 @@ fn fig11_sweep(
             "  {regions:>4} regions: packed {packed_ns:>9.1} ns/q, brute {brute_ns:>11.1} ns/q \
              ({speedup:.1}x), false-hit rate {false_hit_rate:.4}"
         );
-        rows.push(format!(
-            "    {{\"regions\": {regions}, \"packed_ns_per_query\": {packed_ns:.1}, \
-             \"brute_ns_per_query\": {brute_ns:.1}, \"speedup\": {speedup:.3}, \
-             \"matches\": {matches_total}, \"nodes_visited\": {}, \
-             \"entries_checked\": {}, \"false_hits\": {}, \
-             \"false_hit_rate\": {false_hit_rate:.5}}}",
-            agg.nodes_visited, agg.entries_checked, agg.false_hits
-        ));
+        rows.push(obj([
+            ("regions", num(regions as f64, 0)),
+            ("packed_ns_per_query", num(packed_ns, 1)),
+            ("brute_ns_per_query", num(brute_ns, 1)),
+            ("speedup", num(speedup, 3)),
+            ("matches", num(matches_total as f64, 0)),
+            ("nodes_visited", num(agg.nodes_visited as f64, 0)),
+            ("entries_checked", num(agg.entries_checked as f64, 0)),
+            ("false_hits", num(agg.false_hits as f64, 0)),
+            ("false_hit_rate", num(false_hit_rate, 5)),
+        ]));
     }
-
-    if let Some(path) = report {
-        // Hand-built JSON: the workspace is hermetic (no serde).
-        let json = format!(
-            "{{\n  \"bench\": \"tpt_search_fig11\",\n  \"patterns\": {patterns_n},\n  \
-             \"queries\": {n_queries},\n  \"reps\": {reps},\n  \
-             \"methodology\": \"single thread; the packed TPT image (bulk load) \
-             and the brute-force scan hold identical entries; per scale the full query set \
-             runs once untimed asserting the packed result set equal to the scan's and \
-             aggregating SearchStats, then each index is timed as best-of-{reps} wall-clock \
-             passes over the set after one warmup pass; ns/query = best pass / query count; \
-             speedup = brute / packed; false-hit rate = false_hits / entries_checked \
-             aggregated over the set\",\n  \
-             \"results\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        );
-        std::fs::write(path, json).expect("write tpt_search report");
-        println!("wrote {path}");
-    }
+    let methodology = format!(
+        "single thread; the packed TPT image (bulk load) and the brute-force scan hold \
+         identical entries; per scale the full query set runs once untimed asserting the \
+         packed result set equal to the scan's and aggregating SearchStats, then each index \
+         is timed as best-of-{reps} wall-clock passes over the set after one warmup pass; \
+         ns/query = best pass / query count; speedup = brute / packed; false-hit rate = \
+         false_hits / entries_checked aggregated over the set"
+    );
+    let fields = [
+        ("patterns", num(patterns_n as f64, 0)),
+        ("queries", num(n_queries as f64, 0)),
+        ("reps", num(reps as f64, 0)),
+        ("results", Json::Array(rows)),
+    ];
+    write_json(bench, "tpt_search", &methodology, &fields);
 }
 
 fn main() {
-    let mut c = Criterion::from_args();
-    benches(&mut c);
-    c.final_summary();
-    let measure_mode = std::env::args().any(|a| a == "--bench");
-    if !measure_mode {
-        // Smoke (cargo test): prove the sweep path works, no report.
-        fig11_sweep(500, 16, 1, &[80], None);
+    let mut bench = Bench::from_args();
+    bench_search(&mut bench);
+    bench_fanout(&mut bench);
+    bench_bulk_load(&mut bench);
+    bench.summary();
+    if bench.measuring() {
+        fig11_sweep(&bench, 20_000, 64, 5, &[80, 400, 800]);
+    } else {
+        // Smoke (cargo test): prove the sweep path works and the
+        // report parses.
+        fig11_sweep(&bench, 500, 16, 1, &[80]);
         println!("fig11 sweep smoke test passed");
-        return;
     }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tpt_search.json");
-    let out = std::env::var("HPM_TPT_SEARCH_OUT").unwrap_or_else(|_| default_out.into());
-    fig11_sweep(20_000, 64, 5, &[80, 400, 800], Some(&out));
 }

@@ -17,8 +17,9 @@
 //! 256 progression.
 //!
 //! Run with `cargo bench --bench wal`; writes `BENCH_wal.json` at the
-//! workspace root (override the path with `HPM_WAL_OUT`). Under
-//! `cargo test` it runs a small smoke pass and writes nothing.
+//! workspace root (`HPM_BENCH_OUT` overrides the directory). Under
+//! `cargo test` it runs a small smoke pass, renders and parses the
+//! report, and writes nothing.
 //!
 //! Caveat: numbers come from the machine's temp filesystem inside a
 //! container. The in-memory baseline is a few tens of nanoseconds, so
@@ -27,13 +28,15 @@
 //! portable signals are the orderings (off <= gc256 <= gc32 <= gc1,
 //! Never <= Always) and the shrinking fsync penalty as batches grow.
 
+use hpm_bench::report::{num, obj, write_json};
+use hpm_bench::{best_of, Bench};
 use hpm_core::HpmConfig;
 use hpm_geo::Point;
 use hpm_objectstore::{DurabilityConfig, MovingObjectStore, ObjectId, StoreConfig};
+use hpm_obs::json::Json;
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::wal::FsyncPolicy;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 const PERIOD: u32 = 300;
 
@@ -124,35 +127,37 @@ struct Row {
 }
 
 /// Ingests `reports` contiguous samples and returns the wall-clock
-/// nanoseconds per report, best of `reps` fresh runs.
+/// nanoseconds per report, best of `reps` fresh runs. Every rep's
+/// store is opened before the clock starts and checked after it stops.
 fn measure(mode: &Mode, reports: usize, reps: usize) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..reps {
-        let dir = mode.group_commit.map(|_| tmp_dir());
-        let store = match (mode.group_commit, &dir) {
-            (Some(gc), Some(dir)) => MovingObjectStore::open(
-                config(),
-                DurabilityConfig {
+    let id = ObjectId(1);
+    let fresh: Vec<_> = (0..reps)
+        .map(|_| match mode.group_commit {
+            Some(group_commit) => {
+                let dir = tmp_dir();
+                let durability = DurabilityConfig {
                     dir: dir.clone(),
-                    group_commit: gc,
+                    group_commit,
                     fsync: mode.fsync,
                     snapshot_every: 0,
-                },
-            )
-            .expect("open durable store"),
-            _ => MovingObjectStore::new(config()),
-        };
-        let id = ObjectId(1);
-        let start = Instant::now();
+                };
+                let store = MovingObjectStore::open(config(), durability);
+                (store.expect("open durable store"), Some(dir))
+            }
+            None => (MovingObjectStore::new(config()), None),
+        })
+        .collect();
+    let mut stores = fresh.iter();
+    let best = best_of(reps, || {
+        let (store, _) = stores.next().expect("one fresh store per rep");
         for t in 0..reports as u64 {
             let w = (t % PERIOD as u64) as f64;
             let p = Point::new(w * 3.0, (t / PERIOD as u64) as f64 * 0.01);
             std::hint::black_box(store.report(id, t, std::hint::black_box(p))).unwrap();
         }
         store.flush_wal().expect("drain group-commit buffer");
-        let elapsed = start.elapsed().as_nanos() as u64;
-        best = best.min(elapsed / reports as u64);
-
+    });
+    for (store, dir) in fresh {
         // Durability must not change what was ingested: every sample
         // survives a reopen (replayed from the WAL segments).
         assert_eq!(store.stats(id).unwrap().samples, reports);
@@ -165,7 +170,7 @@ fn measure(mode: &Mode, reports: usize, reps: usize) -> u64 {
             std::fs::remove_dir_all(&dir).expect("clean bench dir");
         }
     }
-    best
+    best.as_nanos() as u64 / reports as u64
 }
 
 /// Snapshot write cost: the format writes sealed chunks verbatim (no
@@ -206,23 +211,21 @@ fn snapshot_cost(objects: usize, samples_per_object: usize, reps: usize) -> Snap
         })
         .collect();
 
-    let mut encode_ms = f64::MAX;
     let mut bytes = 0;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let blob = std::hint::black_box(encode_snapshot(&snaps));
-        encode_ms = encode_ms.min(start.elapsed().as_secs_f64() * 1e3);
+    let encode = best_of(reps, || {
+        let blob = encode_snapshot(&snaps);
         bytes = blob.len();
-    }
+        blob
+    });
     SnapCost {
         objects,
         samples_per_object,
         bytes,
-        encode_ms,
+        encode_ms: encode.as_secs_f64() * 1e3,
     }
 }
 
-fn run(reports: usize, reps: usize, report_path: Option<&str>) -> Vec<Row> {
+fn run(bench: &Bench, reports: usize, reps: usize) {
     let mut rows: Vec<Row> = Vec::new();
     for mode in &MODES {
         // fsync rows cost microseconds per report (the device round
@@ -250,9 +253,9 @@ fn run(reports: usize, reps: usize, report_path: Option<&str>) -> Vec<Row> {
         );
         rows.push(row);
     }
-    // Snapshot write cost: also printed in smoke mode so `cargo test`
+    // Snapshot write cost: also taken in smoke mode so `cargo test`
     // exercises the encoder.
-    let snap = if report_path.is_some() {
+    let snap = if bench.measuring() {
         snapshot_cost(64, 4096, 3)
     } else {
         snapshot_cost(4, 600, 1)
@@ -261,44 +264,69 @@ fn run(reports: usize, reps: usize, report_path: Option<&str>) -> Vec<Row> {
         "  snapshot {} objs x {} samples: {} B, encode {:.1} ms",
         snap.objects, snap.samples_per_object, snap.bytes, snap.encode_ms
     );
-    if let Some(path) = report_path {
-        let overhead_at_256 = rows
-            .iter()
-            .find(|r| r.group_commit == 256 && r.fsync == "never")
-            .map_or(0.0, |r| r.vs_off);
-        // Hand-built JSON: the workspace is hermetic (no serde).
-        let results = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"mode\": \"{}\", \"group_commit\": {}, \"fsync\": \"{}\", \"ns_per_report\": {}, \"vs_off\": {:.2}}}",
-                    r.name, r.group_commit, r.fsync, r.ns_per_report, r.vs_off
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!(
-            "{{\n  \"bench\": \"wal\",\n  \"period\": {PERIOD},\n  \"reports_per_rep\": {reports},\n  \"reps\": {reps},\n  \"methodology\": \"single object, {reports} contiguous report() calls per rep, best-of-{reps} fresh runs per fsync=never mode (fsync=always modes run a quarter of the reports, half the reps: device latency dwarfs scheduler noise there); min_train_subs out of reach so no retrain pollutes timing; durable modes open a fresh data dir and drain the group-commit buffer via flush_wal() inside the clock; each durable rep is reopened afterwards and must replay to the same sample count. fsync=never rows isolate WAL cost under the process-crash durability model (page cache survives, matching the recovery tests); fsync=always rows add one fdatasync per batch and so measure the device as much as the WAL — group commit amortizes that round-trip. Container caveat: temp-fs fdatasync latency is container-fs latency, not a datacenter disk's, and the few-tens-of-ns in-memory baseline makes any syscall register as a multiple; the portable signals are the orderings (off <= gc256 <= gc32 <= gc1, never <= always), not the absolute ratios\",\n  \"wal_on_overhead_at_gc256\": {overhead_at_256:.2},\n  \"snapshot\": {{\n    \"objects\": {}, \"samples_per_object\": {},\n    \"bytes\": {}, \"encode_ms\": {:.2},\n    \"note\": \"sealed compressed chunks are written verbatim (no recompress); raw size is 16 B per sample\"\n  }},\n  \"results\": [\n{results}\n  ]\n}}\n",
-            snap.objects,
-            snap.samples_per_object,
-            snap.bytes,
-            snap.encode_ms
-        );
-        std::fs::write(path, json).expect("write wal report");
-        println!("wrote {path}");
-    }
-    rows
+    let overhead_at_256 = rows
+        .iter()
+        .find(|r| r.group_commit == 256 && r.fsync == "never")
+        .map_or(0.0, |r| r.vs_off);
+    let results = rows
+        .iter()
+        .map(|r| {
+            obj([
+                ("mode", Json::String(r.name.into())),
+                ("group_commit", num(r.group_commit as f64, 0)),
+                ("fsync", Json::String(r.fsync.into())),
+                ("ns_per_report", num(r.ns_per_report as f64, 0)),
+                ("vs_off", num(r.vs_off, 2)),
+            ])
+        })
+        .collect();
+    let methodology = format!(
+        "single object, {reports} contiguous report() calls per rep, best-of-{reps} fresh runs \
+         per fsync=never mode (fsync=always modes run a quarter of the reports, half the reps: \
+         device latency dwarfs scheduler noise there); min_train_subs out of reach so no \
+         retrain pollutes timing; durable modes open a fresh data dir before the clock starts \
+         and drain the group-commit buffer via flush_wal() inside it; each durable rep is \
+         reopened afterwards and must replay to the same sample count. fsync=never rows \
+         isolate WAL cost under the process-crash durability model (page cache survives, \
+         matching the recovery tests); fsync=always rows add one fdatasync per batch and so \
+         measure the device as much as the WAL — group commit amortizes that round-trip. \
+         Container caveat: temp-fs fdatasync latency is container-fs latency, not a \
+         datacenter disk's, and the few-tens-of-ns in-memory baseline makes any syscall \
+         register as a multiple; the portable signals are the orderings (off <= gc256 <= \
+         gc32 <= gc1, never <= always), not the absolute ratios"
+    );
+    let snapshot = obj([
+        ("objects", num(snap.objects as f64, 0)),
+        ("samples_per_object", num(snap.samples_per_object as f64, 0)),
+        ("bytes", num(snap.bytes as f64, 0)),
+        ("encode_ms", num(snap.encode_ms, 2)),
+        (
+            "note",
+            Json::String(
+                "sealed compressed chunks are written verbatim (no recompress); raw size is \
+                 16 B per sample"
+                    .into(),
+            ),
+        ),
+    ]);
+    let fields = [
+        ("period", num(PERIOD as f64, 0)),
+        ("reports_per_rep", num(reports as f64, 0)),
+        ("reps", num(reps as f64, 0)),
+        ("wal_on_overhead_at_gc256", num(overhead_at_256, 2)),
+        ("snapshot", snapshot),
+        ("results", Json::Array(results)),
+    ];
+    write_json(bench, "wal", &methodology, &fields);
 }
 
 fn main() {
-    let measure_mode = std::env::args().any(|a| a == "--bench");
-    if !measure_mode {
+    let bench = Bench::from_args();
+    if bench.measuring() {
+        run(&bench, 50_000, 9);
+    } else {
         // Smoke (cargo test): prove every mode ingests and reopens.
-        run(512, 1, None);
+        run(&bench, 512, 1);
         println!("wal benchmark smoke test passed");
-        return;
     }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wal.json");
-    let out = std::env::var("HPM_WAL_OUT").unwrap_or_else(|_| default_out.into());
-    run(50_000, 9, Some(&out));
 }

@@ -5,21 +5,41 @@
 //! cargo run --release -p hpm-bench --bin experiments -- <exp-id>
 //! ```
 //!
-//! Experiment ids: `tables`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig10`, `fig11`, `prune`, `weights`, `teps`, `cellsize`,
-//! `baselines`, `topk`, `calibration`, or `all`. Each prints a TSV
-//! table and writes it to `experiments_output/<id>.tsv`.
+//! Experiment ids are the names in [`EXPERIMENTS`], or `all`. Each
+//! prints a TSV table and writes it to `experiments_output/<id>.tsv`
+//! at the workspace root.
 
-use hpm_bench::report::{f1, f3, us, Report};
+use hpm_bench::best_of;
+use hpm_bench::report::{f1, f3, Report};
 use hpm_bench::setup::{paper_discovery, paper_mining, Experiment, ACCURACY_QUERIES, COST_QUERIES};
-use hpm_bench::synth::synthetic_patterns;
+use hpm_bench::synth::synthetic_index;
 use hpm_core::eval::{avg_error_hpm, avg_error_rmf, EvalQuery};
 use hpm_core::{HpmConfig, HybridPredictor, WeightFunction};
 use hpm_datagen::{PaperDataset, EXTENT, PERIOD};
 use hpm_motion::{MotionModel, Rmf};
 use hpm_patterns::{mine, prune_statistics, RegionId};
 use hpm_tpt::{BruteForce, KeyTable, PackedTpt};
-use std::time::Instant;
+
+type Run = fn() -> std::io::Result<()>;
+
+/// Every experiment id with the function that runs it, in `all` order.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("tables", tables),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("prune", prune),
+    ("weights", weights),
+    ("teps", teps),
+    ("cellsize", cellsize),
+    ("baselines", baselines),
+    ("topk", topk),
+    ("calibration", calibration),
+];
 
 fn main() -> std::io::Result<()> {
     // HPM_OBS=1 runs every experiment instrumented and appends the
@@ -28,45 +48,17 @@ fn main() -> std::io::Result<()> {
         hpm_obs::enable();
     }
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    match arg.as_str() {
-        "tables" => tables()?,
-        "fig5" => fig5()?,
-        "fig6" => fig6()?,
-        "fig7" => fig7()?,
-        "fig8" => fig8()?,
-        "fig9" => fig9()?,
-        "fig10" => fig10()?,
-        "fig11" => fig11()?,
-        "prune" => prune()?,
-        "weights" => weights()?,
-        "teps" => teps()?,
-        "cellsize" => cellsize()?,
-        "baselines" => baselines()?,
-        "topk" => topk()?,
-        "calibration" => calibration()?,
-        "all" => {
-            tables()?;
-            fig5()?;
-            fig6()?;
-            fig7()?;
-            fig8()?;
-            fig9()?;
-            fig10()?;
-            fig11()?;
-            prune()?;
-            weights()?;
-            teps()?;
-            cellsize()?;
-            baselines()?;
-            topk()?;
-            calibration()?;
-        }
-        other => {
-            eprintln!(
-                "unknown experiment `{other}`; expected tables|fig5|fig6|fig7|fig8|fig9|fig10|fig11|prune|weights|teps|cellsize|baselines|topk|calibration|all"
-            );
-            std::process::exit(2);
-        }
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| arg == "all" || arg == *id)
+        .collect();
+    if selected.is_empty() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        eprintln!("unknown experiment `{arg}`; expected {}|all", ids.join("|"));
+        std::process::exit(2);
+    }
+    for (_, run) in selected {
+        run()?;
     }
     if hpm_obs::enabled() {
         println!("\n-- metrics (HPM_OBS=1) --");
@@ -189,23 +181,25 @@ fn fig6() -> std::io::Result<()> {
     Ok(())
 }
 
-/// Fig. 7: (a) number of patterns and (b) average error vs DBSCAN Eps
-/// (22…38).
-fn fig7() -> std::io::Result<()> {
-    let mut r = Report::new("fig7-eps", &["dataset", "eps", "num_patterns", "hpm_error"])?;
+/// Fig. 7 and Fig. 8 share a shape: (a) number of patterns and (b)
+/// average error as one DBSCAN parameter sweeps over `values`.
+fn dbscan_sweep(
+    name: &str,
+    column: &str,
+    values: impl Iterator<Item = usize> + Clone,
+    discovery: impl Fn(usize) -> hpm_patterns::DiscoveryParams,
+) -> std::io::Result<()> {
+    let mut r = Report::new(name, &["dataset", column, "num_patterns", "hpm_error"])?;
     for dataset in PaperDataset::ALL {
         let exp = Experiment::paper(dataset);
-        for eps in (22..=38).step_by(2) {
-            let predictor = exp.build_with(
-                &paper_discovery(eps as f64, 4),
-                &paper_mining(0.3),
-                HpmConfig::default(),
-            );
+        for value in values.clone() {
+            let predictor =
+                exp.build_with(&discovery(value), &paper_mining(0.3), HpmConfig::default());
             let queries = exp.workload(50, ACCURACY_QUERIES);
             let err = avg_error_hpm(&predictor, &queries, EXTENT);
             r.row(&[
                 dataset.name().into(),
-                eps.to_string(),
+                value.to_string(),
                 predictor.patterns().len().to_string(),
                 f1(err),
             ])?;
@@ -214,32 +208,18 @@ fn fig7() -> std::io::Result<()> {
     Ok(())
 }
 
-/// Fig. 8: (a) number of patterns and (b) average error vs DBSCAN
-/// MinPts (3…7).
+/// Fig. 7: patterns and error vs DBSCAN Eps (22…38).
+fn fig7() -> std::io::Result<()> {
+    dbscan_sweep("fig7-eps", "eps", (22..=38).step_by(2), |eps| {
+        paper_discovery(eps as f64, 4)
+    })
+}
+
+/// Fig. 8: patterns and error vs DBSCAN MinPts (3…7).
 fn fig8() -> std::io::Result<()> {
-    let mut r = Report::new(
-        "fig8-minpts",
-        &["dataset", "min_pts", "num_patterns", "hpm_error"],
-    )?;
-    for dataset in PaperDataset::ALL {
-        let exp = Experiment::paper(dataset);
-        for min_pts in 3..=7usize {
-            let predictor = exp.build_with(
-                &paper_discovery(30.0, min_pts),
-                &paper_mining(0.3),
-                HpmConfig::default(),
-            );
-            let queries = exp.workload(50, ACCURACY_QUERIES);
-            let err = avg_error_hpm(&predictor, &queries, EXTENT);
-            r.row(&[
-                dataset.name().into(),
-                min_pts.to_string(),
-                predictor.patterns().len().to_string(),
-                f1(err),
-            ])?;
-        }
-    }
-    Ok(())
+    dbscan_sweep("fig8-minpts", "min_pts", 3..=7, |min_pts| {
+        paper_discovery(30.0, min_pts)
+    })
 }
 
 /// Fig. 9: (a) number of patterns and (b) average error vs minimum
@@ -316,8 +296,8 @@ fn fig10() -> std::io::Result<()> {
             r.row(&[
                 dataset.name().into(),
                 subs.to_string(),
-                us(hpm_us),
-                us(rmf_us),
+                f1(hpm_us),
+                f1(rmf_us),
                 f3(hits),
             ])?;
         }
@@ -325,21 +305,18 @@ fn fig10() -> std::io::Result<()> {
     Ok(())
 }
 
-/// Microseconds per query, averaged over enough repetitions for a
-/// stable reading.
+/// Microseconds per query: the fastest of 21 passes over `queries`
+/// (the first doubles as the warm-up).
 fn time_per_query(queries: &[EvalQuery], mut f: impl FnMut(&EvalQuery)) -> f64 {
-    const REPS: usize = 20;
-    // Warm-up pass.
-    for q in queries {
-        f(q);
-    }
-    let start = Instant::now();
-    for _ in 0..REPS {
-        for q in queries {
-            f(q);
-        }
-    }
-    start.elapsed().as_secs_f64() * 1e6 / (REPS * queries.len()) as f64
+    us_per_query(
+        best_of(21, || queries.iter().for_each(&mut f)),
+        queries.len(),
+    )
+}
+
+/// A pass over `queries` queries as microseconds per query.
+fn us_per_query(pass: std::time::Duration, queries: usize) -> f64 {
+    pass.as_secs_f64() * 1e6 / queries as f64
 }
 
 /// Fig. 11: (a) TPT storage vs number of patterns for 80/400/800
@@ -352,15 +329,8 @@ fn fig11() -> std::io::Result<()> {
     let mut a = Report::new("fig11a-storage", &["num_regions", "num_patterns", "tpt_mb"])?;
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
-            let (set, patterns) = synthetic_patterns(n, regions, 11);
-            let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-            let tpt = PackedTpt::bulk_load(
-                fanout,
-                patterns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32)),
-            );
+            let (_, _, entries) = synthetic_index(n, regions, 11);
+            let tpt = PackedTpt::bulk_load(fanout, entries);
             let mb = tpt.storage_bytes() as f64 / (1024.0 * 1024.0);
             a.row(&[regions.to_string(), n.to_string(), format!("{mb:.2}")])?;
         }
@@ -371,13 +341,7 @@ fn fig11() -> std::io::Result<()> {
         &["num_patterns", "tpt_us", "brute_us", "tpt_nodes_visited"],
     )?;
     for &n in &sizes {
-        let (set, patterns) = synthetic_patterns(n, 800, 13);
-        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-        let entries: Vec<_> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
-            .collect();
+        let (table, regions, entries) = synthetic_index(n, 800, 13);
         let tpt = PackedTpt::bulk_load(fanout, entries.clone());
         let brute = BruteForce::from_entries(entries);
         // 50 FQP-style query keys: 1–3 recent regions + one offset.
@@ -385,7 +349,7 @@ fn fig11() -> std::io::Result<()> {
             .map(|i| {
                 let seed = i as usize * 7919;
                 let recent: Vec<RegionId> = (0..1 + i % 3)
-                    .map(|j| RegionId(((seed + j as usize * 131) % set.len()) as u32))
+                    .map(|j| RegionId(((seed + j as usize * 131) % regions) as u32))
                     .collect();
                 let offsets = table.consequence_offsets();
                 let tq = offsets[seed % offsets.len()];
@@ -393,25 +357,25 @@ fn fig11() -> std::io::Result<()> {
             })
             .collect();
         let mut visited = 0usize;
-        let t0 = Instant::now();
-        for q in &queries {
-            let (res, stats) = tpt.search_with_stats(q);
-            std::hint::black_box(&res);
-            visited += stats.nodes_visited;
-        }
-        let tpt_us = t0.elapsed().as_secs_f64() * 1e6 / queries.len() as f64;
+        let tpt_pass = best_of(1, || {
+            for q in &queries {
+                let (res, stats) = tpt.search_with_stats(q);
+                std::hint::black_box(&res);
+                visited += stats.nodes_visited;
+            }
+        });
         let mut out = Vec::new();
-        let t1 = Instant::now();
-        for q in &queries {
-            out.clear();
-            brute.search_into(q, &mut out);
-            std::hint::black_box(&out);
-        }
-        let brute_us = t1.elapsed().as_secs_f64() * 1e6 / queries.len() as f64;
+        let brute_pass = best_of(1, || {
+            for q in &queries {
+                out.clear();
+                brute.search_into(q, &mut out);
+                std::hint::black_box(&out);
+            }
+        });
         b.row(&[
             n.to_string(),
-            us(tpt_us),
-            us(brute_us),
+            f1(us_per_query(tpt_pass, queries.len())),
+            f1(us_per_query(brute_pass, queries.len())),
             (visited / queries.len()).to_string(),
         ])?;
     }
@@ -656,8 +620,8 @@ fn baselines() -> std::io::Result<()> {
 /// noisy-sensor scenario (where the residual-calibrated ellipse is the
 /// only source of mass).
 fn calibration() -> std::io::Result<()> {
-    use hpm_bench::setup::{paper_discovery, paper_mining, SEED, TRAIN_SUBS};
-    use hpm_core::eval::{calibration as calibrate, make_workload, training_slice, WorkloadParams};
+    use hpm_bench::setup::{SEED, TRAIN_SUBS};
+    use hpm_core::eval::calibration as calibrate;
 
     let mut r = Report::new(
         "calibration",
@@ -669,41 +633,22 @@ fn calibration() -> std::io::Result<()> {
             "gap",
         ],
     )?;
-    let mut scenarios: Vec<(String, hpm_trajectory::Trajectory)> = PaperDataset::ALL
+    let mut scenarios: Vec<(&str, Experiment)> = PaperDataset::ALL
         .iter()
-        .map(|&d| {
-            (
-                d.name().to_string(),
-                hpm_datagen::paper_dataset(d, SEED).generate_subs(TRAIN_SUBS + 20),
-            )
-        })
+        .map(|&d| (d.name(), Experiment::paper(d)))
         .collect();
-    scenarios.push((
-        "NoisySensor".to_string(),
-        hpm_datagen::noisy_sensor(SEED).generate_subs(TRAIN_SUBS + 20),
-    ));
-    for (name, trajectory) in &scenarios {
-        let train = training_slice(trajectory, PERIOD, TRAIN_SUBS);
-        let predictor = HybridPredictor::build(
-            &train,
-            &paper_discovery(30.0, 4),
-            &paper_mining(0.3),
-            HpmConfig::default(),
-        );
+    let noisy = Experiment {
+        trajectory: hpm_datagen::noisy_sensor(SEED).generate_subs(TRAIN_SUBS + 20),
+        train_subs: TRAIN_SUBS,
+    };
+    scenarios.push(("NoisySensor", noisy));
+    for (name, exp) in &scenarios {
+        let predictor = exp.build();
         for len in [20u32, 50] {
-            let queries = make_workload(
-                trajectory,
-                PERIOD,
-                &WorkloadParams {
-                    train_subs: TRAIN_SUBS,
-                    recent_len: 20,
-                    prediction_length: len,
-                    num_queries: ACCURACY_QUERIES,
-                },
-            );
+            let queries = exp.workload(len, ACCURACY_QUERIES);
             let c = calibrate(&predictor, &queries);
             r.row(&[
-                name.clone(),
+                name.to_string(),
                 len.to_string(),
                 f3(c.predicted_mass),
                 f3(c.hit_rate),

@@ -53,8 +53,6 @@ pub fn paper_mining(min_confidence: f64) -> MiningParams {
 /// (train + held-out) and the knobs to build predictors and workloads
 /// against it.
 pub struct Experiment {
-    /// Which §VII dataset this is.
-    pub dataset: PaperDataset,
     /// The full trajectory (training prefix + held-out test subs).
     pub trajectory: Trajectory,
     /// Training sub-trajectories used for discovery/mining.
@@ -66,7 +64,6 @@ impl Experiment {
     pub fn new(dataset: PaperDataset, train_subs: usize) -> Self {
         let trajectory = paper_dataset(dataset, SEED).generate_subs(train_subs + 20);
         Experiment {
-            dataset,
             trajectory,
             train_subs,
         }

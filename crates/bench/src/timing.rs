@@ -1,17 +1,12 @@
-//! A thin in-tree timing harness with a `criterion`-shaped API.
+//! The in-tree timing harness: one [`Bench`] per bench binary and one
+//! [`best_of`] loop for everything timed as whole passes.
 //!
-//! The real `criterion` crate is unavailable offline, so the bench
-//! targets link against this shim instead: the types and macros carry
-//! the same names (`Criterion`, `BenchmarkId`, `Throughput`,
-//! `criterion_group!`, `criterion_main!`), so a bench file only swaps
-//! its `use criterion::…` line for `use hpm_bench::…`.
+//! [`Bench::from_args`] is the only reader of the harness flags:
 //!
-//! Like criterion, the harness looks at its CLI arguments:
-//!
-//! - `--bench` (what `cargo bench` passes): measure properly — warm
-//!   up, pick an iteration count that fills the per-sample budget, take
-//!   `sample_size` samples, and report median/min/max ns per iteration
-//!   plus derived throughput.
+//! - `--bench` (what `cargo bench` passes): measure — warm up, pick an
+//!   iteration count that fills the per-sample budget, take 20
+//!   samples, and report median/min/max ns per iteration plus derived
+//!   throughput.
 //! - `--test` or no `--bench` (what `cargo test` does with
 //!   `harness = false` targets): run every benchmark body exactly once
 //!   as a smoke test and print nothing but a pass line. This keeps
@@ -19,6 +14,9 @@
 //! - any other bare argument filters benchmarks by substring.
 
 use std::time::{Duration, Instant};
+
+/// Timed samples per measured benchmark.
+const SAMPLES: usize = 20;
 
 /// Units for derived per-second rates.
 #[derive(Debug, Clone, Copy)]
@@ -29,126 +27,25 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// A benchmark label, optionally `function/parameter`-structured.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `name/parameter`.
-    pub fn new(name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{}/{}", name.into(), parameter),
-        }
-    }
-
-    /// Just the parameter.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
-    }
-}
-
-/// Drives one benchmark body: [`Bencher::iter`] runs the closure in a
-/// timed loop.
-pub struct Bencher {
-    mode: Mode,
-    sample_size: usize,
-    /// (per-iteration nanoseconds, one entry per sample)
-    samples: Vec<f64>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// `cargo test`: one untimed pass.
-    Smoke,
-    /// `cargo bench`: measure.
-    Measure,
-}
-
-impl Bencher {
-    /// Times the closure. The return value is passed through
-    /// `black_box` so the computation is not optimised away.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        if self.mode == Mode::Smoke {
-            std::hint::black_box(f());
-            return;
-        }
-        // Warm-up and per-iteration cost estimate: run doubling batches
-        // until the batch takes >= 20 ms or we have spent ~300 ms.
-        let warmup_budget = Duration::from_millis(300);
-        let mut batch = 1u64;
-        let per_iter;
-        let warmup_start = Instant::now();
-        loop {
-            let t = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(f());
-            }
-            let took = t.elapsed();
-            if took >= Duration::from_millis(20) || warmup_start.elapsed() >= warmup_budget {
-                per_iter = took.max(Duration::from_nanos(1)) / batch as u32;
-                break;
-            }
-            batch = batch.saturating_mul(2);
-        }
-        // Size each sample to ~40 ms of work, at least one iteration.
-        let iters_per_sample =
-            (Duration::from_millis(40).as_nanos() / per_iter.as_nanos().max(1)).max(1) as u64;
-        self.samples.clear();
-        for _ in 0..self.sample_size {
-            let t = Instant::now();
-            for _ in 0..iters_per_sample {
-                std::hint::black_box(f());
-            }
-            self.samples
-                .push(t.elapsed().as_nanos() as f64 / iters_per_sample as f64);
-        }
-    }
-}
-
-/// The harness root; one per bench binary, built by `criterion_main!`.
-pub struct Criterion {
-    mode: Mode,
+/// The harness root; one per bench binary.
+#[derive(Debug, Default)]
+pub struct Bench {
+    measure: bool,
     filter: Option<String>,
     ran: usize,
 }
 
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            mode: Mode::Smoke,
-            filter: None,
-            ran: 0,
-        }
-    }
-}
-
-impl Criterion {
+impl Bench {
     /// Builds a harness from the process CLI arguments (see the module
     /// docs for the flag protocol).
     pub fn from_args() -> Self {
-        let mut c = Criterion::default();
+        let mut bench = Bench::default();
         for arg in std::env::args().skip(1) {
             match arg.as_str() {
-                "--bench" => c.mode = Mode::Measure,
-                "--test" => c.mode = Mode::Smoke,
+                "--bench" => bench.measure = true,
+                "--test" => bench.measure = false,
                 a if a.starts_with('-') => {} // ignore libtest-style flags
-                a => c.filter = Some(a.to_string()),
+                a => bench.filter = Some(a.to_string()),
             }
         }
         // HPM_OBS=1 benches the instrumented path (and the closing
@@ -157,84 +54,72 @@ impl Criterion {
         if std::env::var("HPM_OBS").is_ok_and(|v| v == "1") {
             hpm_obs::enable();
         }
-        c
+        bench
     }
 
-    /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            c: self,
-            name: name.into(),
-            sample_size: 20,
-            throughput: None,
-        }
+    /// Whether this run measures (`cargo bench`) rather than smokes
+    /// (`cargo test`).
+    pub fn measuring(&self) -> bool {
+        self.measure
     }
 
-    /// Runs one stand-alone benchmark.
-    pub fn bench_function(
-        &mut self,
-        name: impl Into<BenchmarkId>,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let id = name.into();
-        self.run_one(&id.id, 20, None, &mut f);
-        self
-    }
-
-    fn run_one(
+    /// Runs one benchmark: once under smoke, in a timed loop under
+    /// measure. The body's return value is passed through `black_box`
+    /// so the computation is not optimised away.
+    pub fn run<R>(
         &mut self,
         label: &str,
-        sample_size: usize,
         throughput: Option<Throughput>,
-        f: &mut dyn FnMut(&mut Bencher),
+        mut body: impl FnMut() -> R,
     ) {
-        if let Some(filter) = &self.filter {
-            if !label.contains(filter.as_str()) {
-                return;
-            }
+        if self.filter.as_ref().is_some_and(|f| !label.contains(f)) {
+            return;
         }
-        let mut b = Bencher {
-            mode: self.mode,
-            sample_size,
-            samples: Vec::new(),
-        };
-        f(&mut b);
         self.ran += 1;
-        match self.mode {
-            Mode::Smoke => println!("smoke {label} ... ok"),
-            Mode::Measure => {
-                if b.samples.is_empty() {
-                    println!("{label:<50} (no measurement: iter() never called)");
-                    return;
-                }
-                b.samples.sort_by(|a, b| a.total_cmp(b));
-                let median = b.samples[b.samples.len() / 2];
-                let min = b.samples[0];
-                let max = b.samples[b.samples.len() - 1];
-                let rate = throughput.map(|t| match t {
-                    Throughput::Bytes(n) => {
-                        format!("  {:>10.1} MiB/s", n as f64 / median / 1.048576e3)
-                    }
-                    Throughput::Elements(n) => {
-                        format!("  {:>10.0} elem/s", n as f64 / median * 1e9)
-                    }
-                });
-                println!(
-                    "{label:<50} median {} (min {}, max {}){}",
-                    fmt_ns(median),
-                    fmt_ns(min),
-                    fmt_ns(max),
-                    rate.unwrap_or_default()
-                );
-            }
+        if !self.measure {
+            std::hint::black_box(body());
+            println!("smoke {label} ... ok");
+            return;
         }
+        // Warm-up and per-iteration cost estimate: run doubling batches
+        // until the batch takes >= 20 ms or we have spent ~300 ms.
+        let warmup_start = Instant::now();
+        let mut batch = 1u32;
+        let per_iter = loop {
+            let took = time(batch, &mut body);
+            if took >= Duration::from_millis(20)
+                || warmup_start.elapsed() >= Duration::from_millis(300)
+            {
+                break took.max(Duration::from_nanos(1)) / batch;
+            }
+            batch = batch.saturating_mul(2);
+        };
+        // Size each sample to ~40 ms of work, at least one iteration.
+        let iters = (Duration::from_millis(40).as_nanos() / per_iter.as_nanos().max(1)).max(1);
+        let mut samples: Vec<f64> = (0..SAMPLES)
+            .map(|_| time(iters as u32, &mut body).as_nanos() as f64 / iters as f64)
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        let median = samples[SAMPLES / 2];
+        let rate = throughput.map(|t| match t {
+            Throughput::Bytes(n) => format!("  {:>10.1} MiB/s", n as f64 / median / 1.048576e3),
+            Throughput::Elements(n) => format!("  {:>10.0} elem/s", n as f64 / median * 1e9),
+        });
+        println!(
+            "{label:<50} median {} (min {}, max {}){}",
+            fmt_ns(median),
+            fmt_ns(samples[0]),
+            fmt_ns(samples[SAMPLES - 1]),
+            rate.unwrap_or_default()
+        );
     }
 
-    /// Prints the closing line (called by `criterion_main!`).
-    pub fn final_summary(&self) {
-        match self.mode {
-            Mode::Smoke => println!("{} benchmark smoke tests passed", self.ran),
-            Mode::Measure => println!("{} benchmarks measured", self.ran),
+    /// Prints the closing line.
+    pub fn summary(&self) {
+        if self.measure {
+            println!("{} benchmarks measured", self.ran);
+        } else {
+            println!("{} benchmark smoke tests passed", self.ran);
         }
         if hpm_obs::enabled() {
             println!("\n-- metrics (HPM_OBS=1) --");
@@ -243,55 +128,27 @@ impl Criterion {
     }
 }
 
-/// A group of related benchmarks sharing a name prefix and settings.
-pub struct BenchmarkGroup<'a> {
-    c: &'a mut Criterion,
-    name: String,
-    sample_size: usize,
-    throughput: Option<Throughput>,
+/// Wall clock of `iters` back-to-back calls of `body`.
+fn time<R>(iters: u32, body: &mut impl FnMut() -> R) -> Duration {
+    let started = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(body());
+    }
+    started.elapsed()
 }
 
-impl BenchmarkGroup<'_> {
-    /// Sets how many timed samples each benchmark takes.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Declares per-iteration work so a rate is reported.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
-    /// Runs one benchmark in this group.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let label = format!("{}/{}", self.name, id.into().id);
-        let (sample_size, throughput) = (self.sample_size, self.throughput);
-        self.c.run_one(&label, sample_size, throughput, &mut f);
-        self
-    }
-
-    /// Runs one benchmark parameterised by `input`.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let label = format!("{}/{}", self.name, id.id);
-        let (sample_size, throughput) = (self.sample_size, self.throughput);
-        self.c
-            .run_one(&label, sample_size, throughput, &mut |b| f(b, input));
-        self
-    }
-
-    /// Ends the group (retained for criterion API parity).
-    pub fn finish(self) {}
+/// The fastest of `reps` timed calls of `pass` — the least
+/// noise-polluted estimate of a cost with no data-dependent variance.
+/// What a pass returns is dropped after its clock stops.
+pub fn best_of<R>(reps: usize, mut pass: impl FnMut() -> R) -> Duration {
+    let timed = (0..reps).map(|_| {
+        let started = Instant::now();
+        let out = std::hint::black_box(pass());
+        let took = started.elapsed();
+        drop(out);
+        took
+    });
+    timed.min().expect("at least one rep")
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -306,85 +163,54 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Bundles bench functions into a group runner, like
-/// `criterion::criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name(c: &mut $crate::Criterion) {
-            $( $target(c); )+
-        }
-    };
-}
-
-/// Emits `main` for a bench binary, like `criterion::criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::Criterion::from_args();
-            $( $group(&mut c); )+
-            c.final_summary();
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn measuring() -> Criterion {
-        Criterion {
-            mode: Mode::Measure,
-            filter: None,
-            ran: 0,
-        }
-    }
-
     #[test]
     fn smoke_mode_runs_body_once() {
-        let mut c = Criterion::default();
+        let mut bench = Bench::default();
         let mut calls = 0u32;
-        c.bench_function("one_pass", |b| b.iter(|| calls += 1));
+        bench.run("one_pass", None, || calls += 1);
         assert_eq!(calls, 1);
-        assert_eq!(c.ran, 1);
+        assert_eq!(bench.ran, 1);
     }
 
     #[test]
     fn measure_mode_collects_samples() {
-        let mut c = measuring();
-        let mut group = c.benchmark_group("g");
-        group.sample_size(3);
-        let mut max_seen = 0u64;
-        group.bench_with_input(BenchmarkId::new("sum", 64), &64u64, |b, &n| {
-            b.iter(|| {
-                let s: u64 = std::hint::black_box((0..n).sum());
-                max_seen = max_seen.max(s);
-                s
-            })
+        let mut bench = Bench {
+            measure: true,
+            ..Bench::default()
+        };
+        let mut calls = 0u64;
+        bench.run("g/sum/64", Some(Throughput::Elements(64)), || {
+            calls += 1;
+            (0..64u64).sum::<u64>()
         });
-        group.finish();
-        assert!(max_seen > 0);
-        assert_eq!(c.ran, 1);
+        assert!(calls > SAMPLES as u64);
+        assert_eq!(bench.ran, 1);
     }
 
     #[test]
     fn filter_skips_non_matching() {
-        let mut c = Criterion {
+        let mut bench = Bench {
             filter: Some("wanted".to_string()),
-            ..Criterion::default()
+            ..Bench::default()
         };
         let mut calls = 0u32;
-        c.bench_function("unrelated", |b| b.iter(|| calls += 1));
-        c.bench_function("the_wanted_one", |b| b.iter(|| calls += 1));
+        bench.run("unrelated", None, || calls += 1);
+        bench.run("the_wanted_one", None, || calls += 1);
         assert_eq!(calls, 1);
-        assert_eq!(c.ran, 1);
+        assert_eq!(bench.ran, 1);
     }
 
     #[test]
-    fn benchmark_id_formats() {
-        assert_eq!(BenchmarkId::new("tpt", 1000).id, "tpt/1000");
-        assert_eq!(BenchmarkId::from_parameter(32).id, "32");
+    fn best_of_times_every_rep_and_keeps_the_fastest() {
+        let mut reps = 0u32;
+        let started = Instant::now();
+        let best = best_of(3, || reps += 1);
+        assert_eq!(reps, 3);
+        assert!(best <= started.elapsed());
     }
 
     #[test]

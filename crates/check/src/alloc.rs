@@ -17,11 +17,9 @@
 //! ```
 //!
 //! Beyond call counts, the allocator tracks **bytes**: the live
-//! (currently outstanding) byte total and the high-water mark since the
-//! last [`reset_peak`](CountingAllocator::reset_peak). That lets a
-//! steady-state test bound *retained growth* (diff two `live_bytes`
-//! readings around a window that should retain almost nothing) and a
-//! footprint test bound *transient spikes* (`peak_bytes` after a reset).
+//! (currently outstanding) byte total. That lets a steady-state test
+//! bound *retained growth* (diff two `live_bytes` readings around a
+//! window that should retain almost nothing).
 //!
 //! Install it with `#[global_allocator]` in a dedicated integration
 //! test file holding a *single* test function — the counters are
@@ -33,14 +31,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global allocator that delegates to [`System`] and counts
-/// allocations and live/peak bytes (frees decrement the live total but
+/// allocations and live bytes (frees decrement the live total but
 /// are not counted as calls: a regression test for an allocation-free
 /// path only cares about acquisitions).
 #[derive(Debug)]
 pub struct CountingAllocator {
     allocations: AtomicU64,
     live_bytes: AtomicU64,
-    peak_bytes: AtomicU64,
 }
 
 impl CountingAllocator {
@@ -49,7 +46,6 @@ impl CountingAllocator {
         CountingAllocator {
             allocations: AtomicU64::new(0),
             live_bytes: AtomicU64::new(0),
-            peak_bytes: AtomicU64::new(0),
         }
     }
 
@@ -66,30 +62,9 @@ impl CountingAllocator {
         self.live_bytes.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of [`live_bytes`](Self::live_bytes) since
-    /// process start or the last [`reset_peak`](Self::reset_peak).
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Resets the peak to the current live total, so the next
-    /// [`peak_bytes`](Self::peak_bytes) reading reflects only the
-    /// window that follows. Relaxed and racy by design: concurrent
-    /// allocations during the reset may land on either side of it,
-    /// which is fine for the single-threaded measurement windows these
-    /// tests use.
-    pub fn reset_peak(&self) {
-        self.peak_bytes
-            .store(self.live_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     fn on_alloc(&self, size: usize) {
         self.allocations.fetch_add(1, Ordering::Relaxed);
-        let live = self
-            .live_bytes
-            .fetch_add(size as u64, Ordering::Relaxed)
-            .wrapping_add(size as u64);
-        self.peak_bytes.fetch_max(live, Ordering::Relaxed);
+        self.live_bytes.fetch_add(size as u64, Ordering::Relaxed);
     }
 
     fn on_dealloc(&self, size: usize) {

@@ -35,6 +35,7 @@
 pub mod alloc;
 pub mod fail;
 pub mod gen;
+pub mod mutate;
 pub mod runner;
 pub mod tree;
 

@@ -664,11 +664,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         args.get_or("threads", 0)?,
     )?;
     // The served registry should catalogue every layer's metrics even
-    // before traffic touches them.
-    hpm_core::metrics::register();
-    hpm_patterns::metrics::register();
-    hpm_store::metrics::register();
-    hpm_objectstore::metrics::register();
+    // before traffic touches them: the server's `register` chains down
+    // through the store's to the predictor's.
     hpm_server::metrics::register();
     hpm_obs::enable();
     let store = match args.optional("data-dir") {

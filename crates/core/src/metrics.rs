@@ -9,56 +9,38 @@
 //! `crate.module.op` convention; the full catalogue lives in
 //! `docs/OBSERVABILITY.md`.
 
-/// Latency span around the whole `predict` call.
-pub const PREDICT_SPAN: &str = "core.predict";
-/// Latency span around FQP retrieval + scoring (Algorithm 2).
-pub const FQP_SPAN: &str = "core.fqp";
-/// Latency span around BQP retrieval + scoring (Algorithm 3).
-pub const BQP_SPAN: &str = "core.bqp";
-/// Latency span around similarity ranking (Eq. 2 / Eq. 5 sort +
-/// distinct-consequence top-k), shared by FQP and BQP.
-pub const RANK_SPAN: &str = "core.rank";
-/// Latency span around applying a retrain result to the live index
-/// ([`crate::HybridPredictor::apply_update`]: confidence patches in
-/// place, or re-assembly from the pattern list).
-pub const APPLY_UPDATE_SPAN: &str = "core.apply_update";
+hpm_obs::catalog! {
+    #![extends(hpm_tpt::metrics::register)]
 
-/// Predictive queries answered.
-pub const PREDICT_CALLS: &str = "core.predict.calls";
-/// Queries routed to Forward Query Processing.
-pub const FQP_DISPATCH: &str = "core.predict.fqp_dispatch";
-/// Queries routed to Backward Query Processing.
-pub const BQP_DISPATCH: &str = "core.predict.bqp_dispatch";
-/// Queries answered by the motion-function fallback (no pattern
-/// qualified on the dispatched path).
-pub const RMF_FALLBACK: &str = "core.predict.rmf_fallback";
-/// BQP interval widenings beyond the first round (Algorithm 3
-/// line 8's `i` minus one, summed over queries).
-pub const BQP_WIDENINGS: &str = "core.bqp.widenings";
+    /// Latency span around the whole `predict` call.
+    span PREDICT_SPAN = "core.predict";
+    /// Latency span around FQP retrieval + scoring (Algorithm 2).
+    span FQP_SPAN = "core.fqp";
+    /// Latency span around BQP retrieval + scoring (Algorithm 3).
+    span BQP_SPAN = "core.bqp";
+    /// Latency span around similarity ranking (Eq. 2 / Eq. 5 sort +
+    /// distinct-consequence top-k), shared by FQP and BQP.
+    span RANK_SPAN = "core.rank";
+    /// Latency span around applying a retrain result to the live index
+    /// ([`crate::HybridPredictor::apply_update`]: confidence patches in
+    /// place, or re-assembly from the pattern list).
+    span APPLY_UPDATE_SPAN = "core.apply_update";
 
-/// FQP candidate-set size per query (histogram, unit `count`).
-pub const FQP_CANDIDATES: &str = "core.fqp.candidates";
-/// BQP candidate-set size per query (histogram, unit `count`).
-pub const BQP_CANDIDATES: &str = "core.bqp.candidates";
+    /// Predictive queries answered.
+    counter PREDICT_CALLS = "core.predict.calls";
+    /// Queries routed to Forward Query Processing.
+    counter FQP_DISPATCH = "core.predict.fqp_dispatch";
+    /// Queries routed to Backward Query Processing.
+    counter BQP_DISPATCH = "core.predict.bqp_dispatch";
+    /// Queries answered by the motion-function fallback (no pattern
+    /// qualified on the dispatched path).
+    counter RMF_FALLBACK = "core.predict.rmf_fallback";
+    /// BQP interval widenings beyond the first round (Algorithm 3
+    /// line 8's `i` minus one, summed over queries).
+    counter BQP_WIDENINGS = "core.bqp.widenings";
 
-/// Registers every metric above so snapshots cover them even before
-/// the first query (zero-valued metrics are still listed).
-pub fn register() {
-    hpm_obs::registry().counter(PREDICT_CALLS);
-    hpm_obs::registry().counter(FQP_DISPATCH);
-    hpm_obs::registry().counter(BQP_DISPATCH);
-    hpm_obs::registry().counter(RMF_FALLBACK);
-    hpm_obs::registry().counter(BQP_WIDENINGS);
-    hpm_obs::registry().histogram(FQP_CANDIDATES, hpm_obs::Unit::Count);
-    hpm_obs::registry().histogram(BQP_CANDIDATES, hpm_obs::Unit::Count);
-    for span in [
-        PREDICT_SPAN,
-        FQP_SPAN,
-        BQP_SPAN,
-        RANK_SPAN,
-        APPLY_UPDATE_SPAN,
-    ] {
-        hpm_obs::registry().histogram(span, hpm_obs::Unit::Nanos);
-    }
-    hpm_tpt::metrics::register();
+    /// FQP candidate-set size per query (histogram, unit `count`).
+    histogram[Count] FQP_CANDIDATES = "core.fqp.candidates";
+    /// BQP candidate-set size per query (histogram, unit `count`).
+    histogram[Count] BQP_CANDIDATES = "core.bqp.candidates";
 }

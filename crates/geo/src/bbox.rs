@@ -79,12 +79,6 @@ impl BoundingBox {
         self.max.y - self.min.y
     }
 
-    /// Area of the box (0 for degenerate boxes).
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Whether two boxes overlap (inclusive of touching edges).
     #[inline]
     pub fn intersects(&self, other: &BoundingBox) -> bool {
@@ -177,7 +171,7 @@ mod tests {
         let u = a.union(&b);
         assert!(u.contains(&Point::new(0.0, 0.0)));
         assert!(u.contains(&Point::new(3.0, 3.0)));
-        assert_eq!(u.area(), 9.0);
+        assert_eq!((u.width(), u.height()), (3.0, 3.0));
     }
 
     #[test]
@@ -189,7 +183,6 @@ mod tests {
         assert_eq!(bb.center(), Point::new(2.0, 1.0));
         assert_eq!(bb.width(), 4.0);
         assert_eq!(bb.height(), 2.0);
-        assert_eq!(bb.area(), 8.0);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The predictive index in `hpm-objectstore` buckets object envelopes
 //! by the grid cell their centre falls in; these helpers keep the
-//! cell arithmetic (quantisation, cell extents, box↔cell coverage) in
+//! cell arithmetic (quantisation, point↔cell membership) in
 //! one place, next to the geometry types it is defined over.
 
-use crate::{BoundingBox, Point};
+use crate::Point;
 
 /// Index of a uniform grid cell: `(column, row)` in units of the grid's
 /// cell size, covering the whole plane (negative coordinates quantise
@@ -31,16 +31,6 @@ pub fn cell_of(p: &Point, size: f64) -> CellKey {
     (cell_index(p.x, size), cell_index(p.y, size))
 }
 
-/// The axis-aligned extent of a cell.
-#[inline]
-pub fn cell_box(key: CellKey, size: f64) -> BoundingBox {
-    let min = Point::new(key.0 as f64 * size, key.1 as f64 * size);
-    BoundingBox {
-        min,
-        max: Point::new(min.x + size, min.y + size),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,19 +48,5 @@ mod tests {
     #[test]
     fn cell_of_uses_both_axes() {
         assert_eq!(cell_of(&Point::new(25.0, -5.0), 10.0), (2, -1));
-    }
-
-    #[test]
-    fn cell_box_roundtrips_membership() {
-        let size = 7.5;
-        for p in [
-            Point::new(0.0, 0.0),
-            Point::new(13.2, -4.4),
-            Point::new(-100.0, 99.9),
-        ] {
-            let key = cell_of(&p, size);
-            let bb = cell_box(key, size);
-            assert!(bb.contains(&p), "{p} not in its own cell box {bb:?}");
-        }
     }
 }

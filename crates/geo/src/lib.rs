@@ -12,13 +12,11 @@
 
 mod bbox;
 pub mod grid;
-mod hull;
 pub mod mem;
 mod point;
 mod polyline;
 
 pub use bbox::BoundingBox;
-pub use hull::{convex_contains, convex_hull, polygon_area};
 pub use mem::MemUse;
 pub use point::{centroid, Point};
 pub use polyline::{

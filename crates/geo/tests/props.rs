@@ -74,28 +74,6 @@ fn arb_small_points(lo: usize, hi: usize) -> Gen<Vec<Point>> {
 }
 
 props! {
-    /// Convex hull invariants: contains every input point, hull of the
-    /// hull is the hull, and its area never exceeds the bounding box's.
-    fn convex_hull_invariants(pts in arb_small_points(1, 60)) {
-        use hpm_geo::{convex_contains, convex_hull, polygon_area, BoundingBox};
-        let hull = convex_hull(&pts);
-        for p in &pts {
-            require!(convex_contains(&hull, p), "point {p} escapes its hull");
-        }
-        // Idempotent.
-        let again = convex_hull(&hull);
-        require_eq!(&again, &hull);
-        // Orientation and area bound.
-        let area = polygon_area(&hull);
-        require!(area >= 0.0, "clockwise hull");
-        let bbox = BoundingBox::from_points(&pts).unwrap();
-        require!(area <= bbox.area() + 1e-9);
-        // Hull vertices are input points.
-        for v in &hull {
-            require!(pts.iter().any(|p| p == v));
-        }
-    }
-
     /// RDP never moves a surviving vertex and keeps the endpoints.
     fn rdp_invariants(pts in arb_small_points(2, 50), eps in float(0.0..20.0)) {
         use hpm_geo::{point_segment_distance, simplify_rdp};

@@ -382,7 +382,6 @@ impl PredictiveIndex {
         }
     }
 
-    /// Indexed objects across all shards (the `index.entries` gauge).
     /// Approximate total bytes held by the index across every shard
     /// (structures + dirty sets), capacity-based.
     pub(crate) fn mem_bytes(&self) -> usize {
@@ -400,6 +399,7 @@ impl PredictiveIndex {
                 .sum::<usize>()
     }
 
+    /// Indexed objects across all shards (the `index.entries` gauge).
     pub(crate) fn entry_count(&self) -> usize {
         self.shards
             .iter()

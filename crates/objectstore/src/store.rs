@@ -497,11 +497,6 @@ impl MovingObjectStore {
         &self.pool
     }
 
-    /// Number of shards the object population is split across.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of tracked objects.
     pub fn object_count(&self) -> usize {
         self.shards.iter().map(|s| s.read_map().len()).sum()
@@ -1886,7 +1881,6 @@ mod tests {
         feed_days(&store, ObjectId(0), 0..6);
         feed_days(&store, ObjectId(1), 0..6);
         assert_eq!(store.object_count(), 2);
-        assert_eq!(store.shard_count(), 1);
         assert!(store.predict(ObjectId(1), 30).is_ok());
     }
 

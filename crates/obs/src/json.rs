@@ -61,6 +61,35 @@ impl Json {
     }
 }
 
+/// Compact JSON that [`parse`] reads back. A non-finite number has no
+/// JSON form and renders as Rust prints it, which [`parse`] rejects —
+/// a writer that validates its render catches a NaN that way.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Number(n) => write!(f, "{n}"),
+            Json::String(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { ", " } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            Json::Object(map) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in map.iter().enumerate() {
+                    let sep = if i > 0 { ", " } else { "" };
+                    write!(f, "{sep}\"{}\": {value}", escape(key))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
 /// Where and why parsing stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -337,6 +366,17 @@ mod tests {
         // is rejected, not sliced mid-scalar.
         assert!(parse(r#""\u00é""#).is_err());
         assert!(parse(r#""\u0𝄞""#).is_err());
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        let doc =
+            parse(r#"{"a": [1, 2.5, -3, 1e21], "b": {"c": "x\n\"y\" é"}, "d": true, "e": null}"#)
+                .expect("valid");
+        assert_eq!(parse(&doc.to_string()).as_ref(), Ok(&doc));
+        assert_eq!(Json::Array(vec![]).to_string(), "[]");
+        // The one value with no JSON form fails the round trip loudly.
+        assert!(parse(&Json::Number(f64::NAN).to_string()).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod metrics;
 mod snapshot;
 mod span;
 
-pub use metrics::{registry, Counter, Gauge, Histogram, Registry, Unit, BUCKETS};
+pub use metrics::{registry, Counter, Gauge, Histogram, Kind, MetricDef, Registry, Unit, BUCKETS};
 pub use snapshot::{snapshot, HistogramSnapshot, MetricsSnapshot};
 pub use span::{capture, SpanGuard, SpanNode};
 
@@ -138,6 +138,56 @@ macro_rules! span {
             None
         }
     }};
+}
+
+/// Declares a crate's metrics once. Each entry is a doc comment and
+/// `counter | gauge | histogram[Unit] | span NAME = "crate.module.op";`
+/// and the block expands to the `pub const NAME: &str` the call sites
+/// use, a `pub const CATALOG: &[MetricDef]` of every entry, and a
+/// `pub fn register()` that registers them all — after calling each
+/// function a leading `#![extends(path::to::register, …)]` names.
+///
+/// ```
+/// mod metrics {
+///     hpm_obs::catalog! {
+///         /// Requests served.
+///         counter REQUESTS = "doc.catalog.requests";
+///         /// Payload sizes.
+///         histogram[Bytes] PAYLOAD = "doc.catalog.payload";
+///         /// Latency span around one request.
+///         span REQUEST_SPAN = "doc.catalog.request";
+///     }
+/// }
+/// metrics::register();
+/// assert_eq!(metrics::CATALOG.len(), 3);
+/// assert_eq!(hpm_obs::snapshot().counter(metrics::REQUESTS), Some(0));
+/// ```
+#[macro_export]
+macro_rules! catalog {
+    (@kind counter) => { $crate::Kind::Counter };
+    (@kind gauge) => { $crate::Kind::Gauge };
+    (@kind span) => { $crate::Kind::Histogram($crate::Unit::Nanos) };
+    (@kind histogram $unit:ident) => { $crate::Kind::Histogram($crate::Unit::$unit) };
+    (
+        $(#![extends($($dep:path),+)])?
+        $($(#[$doc:meta])* $kind:ident $([$unit:ident])? $name:ident = $value:literal;)*
+    ) => {
+        $($(#[$doc])* pub const $name: &str = $value;)*
+
+        /// Every metric declared above, as registered.
+        pub const CATALOG: &[$crate::MetricDef] = &[$($crate::MetricDef {
+            name: $name,
+            kind: $crate::catalog!(@kind $kind $($unit)?),
+        }),*];
+
+        /// Registers the whole catalogue so snapshots cover it even
+        /// before the first update (zero-valued metrics are still
+        /// listed).
+        pub fn register() {
+            $($($dep();)+)?
+            CATALOG.iter().for_each($crate::MetricDef::register);
+        }
+    };
 }
 
 #[cfg(test)]

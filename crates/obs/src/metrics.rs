@@ -330,6 +330,36 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
+/// How a catalogued metric registers. A span is a
+/// `Histogram(Unit::Nanos)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Counter,
+    Gauge,
+    Histogram(Unit),
+}
+
+/// One row of a crate's metric catalogue (see [`crate::catalog!`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricDef {
+    /// The `crate.module.op` name.
+    pub name: &'static str,
+    /// Which primitive carries it.
+    pub kind: Kind,
+}
+
+impl MetricDef {
+    /// Registers the metric, so snapshots list it (zero-valued) before
+    /// its first update.
+    pub fn register(&self) {
+        match self.kind {
+            Kind::Counter => drop(registry().counter(self.name)),
+            Kind::Gauge => drop(registry().gauge(self.name)),
+            Kind::Histogram(unit) => drop(registry().histogram(self.name, unit)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
 //! Incremental Apriori support counting: the persistent-state form of
-//! [`mine`](crate::mine)(crate::mine) used by the delta-retraining pipeline.
+//! [`mine`](crate::mine) used by the delta-retraining pipeline.
 //!
 //! [`mine`](crate::mine) recounts every transaction on every call. But a growing
 //! trajectory only ever *appends* region visits — at the tail of the

@@ -5,33 +5,24 @@
 //! time. Names follow the workspace `crate.module.op` convention; the
 //! full catalogue lives in `docs/OBSERVABILITY.md`.
 
-/// Latency span around frequent-region discovery (periodic
-/// decomposition + per-offset DBSCAN).
-pub const DISCOVER_SPAN: &str = "patterns.discover";
-/// Latency span around the whole mining call.
-pub const MINE_SPAN: &str = "patterns.mine";
-/// Latency span around level-wise frequent-itemset counting (the
-/// Apriori passes), inside [`MINE_SPAN`].
-pub const ITEMSETS_SPAN: &str = "patterns.mine.itemsets";
-/// Latency span around association-rule generation, inside
-/// [`MINE_SPAN`].
-pub const RULES_SPAN: &str = "patterns.mine.rules";
+hpm_obs::catalog! {
+    /// Latency span around frequent-region discovery (periodic
+    /// decomposition + per-offset DBSCAN).
+    span DISCOVER_SPAN = "patterns.discover";
+    /// Latency span around the whole mining call.
+    span MINE_SPAN = "patterns.mine";
+    /// Latency span around level-wise frequent-itemset counting (the
+    /// Apriori passes), inside [`MINE_SPAN`].
+    span ITEMSETS_SPAN = "patterns.mine.itemsets";
+    /// Latency span around association-rule generation, inside
+    /// [`MINE_SPAN`].
+    span RULES_SPAN = "patterns.mine.rules";
 
-/// Frequent regions discovered, summed over discovery runs.
-pub const DISCOVER_REGIONS: &str = "patterns.discover.regions";
-/// Trajectory patterns produced, summed over mining runs.
-pub const MINE_PATTERNS: &str = "patterns.mine.patterns";
-/// Frequent itemsets surviving each Apriori level (histogram, unit
-/// `count`; one sample per level per mining run).
-pub const MINE_LEVEL_ITEMSETS: &str = "patterns.mine.level_itemsets";
-
-/// Registers every metric above so snapshots cover them even before
-/// the first pipeline run (zero-valued metrics are still listed).
-pub fn register() {
-    hpm_obs::registry().counter(DISCOVER_REGIONS);
-    hpm_obs::registry().counter(MINE_PATTERNS);
-    hpm_obs::registry().histogram(MINE_LEVEL_ITEMSETS, hpm_obs::Unit::Count);
-    for span in [DISCOVER_SPAN, MINE_SPAN, ITEMSETS_SPAN, RULES_SPAN] {
-        hpm_obs::registry().histogram(span, hpm_obs::Unit::Nanos);
-    }
+    /// Frequent regions discovered, summed over discovery runs.
+    counter DISCOVER_REGIONS = "patterns.discover.regions";
+    /// Trajectory patterns produced, summed over mining runs.
+    counter MINE_PATTERNS = "patterns.mine.patterns";
+    /// Frequent itemsets surviving each Apriori level (histogram, unit
+    /// `count`; one sample per level per mining run).
+    histogram[Count] MINE_LEVEL_ITEMSETS = "patterns.mine.level_itemsets";
 }

@@ -33,14 +33,6 @@ impl TrajectoryPattern {
         self.premise.len()
     }
 
-    /// Time offsets of the premise regions, in order.
-    pub fn premise_offsets<'a>(
-        &'a self,
-        regions: &'a RegionSet,
-    ) -> impl Iterator<Item = TimeOffset> + 'a {
-        self.premise.iter().map(|id| regions.get(*id).offset)
-    }
-
     /// Time offset `tₙ` of the consequence.
     #[inline]
     pub fn consequence_offset(&self, regions: &RegionSet) -> TimeOffset {
@@ -161,7 +153,6 @@ mod tests {
     fn offsets_accessors() {
         let r = fig3_regions();
         let p = p3();
-        assert_eq!(p.premise_offsets(&r).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(p.consequence_offset(&r), 2);
         assert_eq!(p.premise_len(), 2);
     }

@@ -35,13 +35,6 @@ impl SmallRng {
         ];
         SmallRng { s }
     }
-
-    /// Forks an independent generator: draws a fresh seed from `self`.
-    /// Used by the property harness to give every test case its own
-    /// stream while keeping the master sequence replayable.
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from_u64(self.next_u64())
-    }
 }
 
 impl Rng for SmallRng {
@@ -87,13 +80,5 @@ mod tests {
         let mut s = 1234567u64;
         assert_eq!(splitmix64(&mut s), 6457827717110365317);
         assert_eq!(splitmix64(&mut s), 3203168211198807973);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut master = SmallRng::seed_from_u64(9);
-        let mut a = master.fork();
-        let mut b = master.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

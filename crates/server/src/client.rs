@@ -129,17 +129,6 @@ impl Client {
         })
     }
 
-    /// The largest response payload this client accepts.
-    pub fn max_frame(&self) -> usize {
-        self.max_frame
-    }
-
-    /// Changes the response-payload cap for subsequent
-    /// [`recv`](Self::recv)s.
-    pub fn set_max_frame(&mut self, max_frame: usize) {
-        self.max_frame = max_frame;
-    }
-
     /// Queues one request frame without waiting for its answer
     /// (pipelining). Returns the correlation id the response will
     /// echo; match it against [`recv`](Self::recv)'d responses.

@@ -930,6 +930,7 @@ pub fn decode_response(mut payload: &[u8]) -> Result<Response, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpm_check::mutate::every_cut;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -955,17 +956,16 @@ mod tests {
 
     #[test]
     fn eof_mid_frame_is_typed() {
-        let bytes = frame(b"payload");
-        for cut in 1..bytes.len() {
-            let mut r = &bytes[..cut];
-            let mut payload = Vec::new();
-            let err = read_frame(&mut r, &mut payload, 1024).unwrap_err();
-            assert_eq!(
-                err,
-                ProtoError::Io(io::ErrorKind::UnexpectedEof),
-                "cut {cut}"
-            );
-        }
+        every_cut(&frame(b"payload"), |cut, mut prefix| {
+            let got = read_frame(&mut prefix, &mut Vec::new(), 1024);
+            if cut == 0 {
+                // Nothing of a frame: a clean end of stream.
+                assert_eq!(got, Ok(false));
+            } else {
+                let eof = ProtoError::Io(io::ErrorKind::UnexpectedEof);
+                assert_eq!(got, Err(eof), "cut {cut}");
+            }
+        });
     }
 
     #[test]
@@ -1171,12 +1171,12 @@ mod tests {
         // one-byte-short cut is the regression case: the announced
         // string length then equals the pre-varint remainder, which
         // passes the count limit but overruns the post-varint slice.
-        for cut in 0..out.len() {
+        every_cut(&out, |cut, prefix| {
             assert!(
-                decode_response(&out[..cut]).is_err(),
+                decode_response(prefix).is_err(),
                 "truncation at {cut} must be a typed error"
             );
-        }
+        });
     }
 
     #[test]
@@ -1206,12 +1206,12 @@ mod tests {
         let mut out = Vec::new();
         encode_response(&resp, &mut out);
         assert_eq!(decode_response(&out).unwrap(), resp);
-        for cut in 0..out.len() {
+        every_cut(&out, |cut, prefix| {
             assert!(
-                decode_response(&out[..cut]).is_err(),
+                decode_response(prefix).is_err(),
                 "truncation at {cut} must be a typed error"
             );
-        }
+        });
     }
 
     #[test]
@@ -1229,9 +1229,9 @@ mod tests {
             },
             &mut out,
         );
-        for cut in 0..out.len() {
-            assert!(decode_request(&out[..cut]).is_err(), "request cut {cut}");
-        }
+        every_cut(&out, |cut, prefix| {
+            assert!(decode_request(prefix).is_err(), "request cut {cut}");
+        });
         encode_response(
             &Response {
                 correlation: 2,
@@ -1239,9 +1239,9 @@ mod tests {
             },
             &mut out,
         );
-        for cut in 0..out.len() {
-            assert!(decode_response(&out[..cut]).is_err(), "response cut {cut}");
-        }
+        every_cut(&out, |cut, prefix| {
+            assert!(decode_response(prefix).is_err(), "response cut {cut}");
+        });
     }
 
     #[test]

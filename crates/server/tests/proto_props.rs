@@ -338,9 +338,9 @@ props! {
     }
 
     #[cases(64)]
-    /// Tier 1: the payload decoders are total — valid payloads
-    /// mutated by truncation/bit-flips, and pure garbage, return a
-    /// value or a typed error without panicking.
+    /// Tier 1: the payload decoders are total — a valid payload or
+    /// pure garbage, intact, cut at every byte and with every bit
+    /// flipped, returns a value or a typed error without panicking.
     fn decoders_are_total(seed in int(0u64..1_000_000)) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut payload = Vec::new();
@@ -357,22 +357,14 @@ props! {
                     .collect();
             }
         }
-        if !payload.is_empty() {
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    let cut = rng.gen_range(0..payload.len());
-                    payload.truncate(cut);
-                }
-                1 => {
-                    let i = rng.gen_range(0..payload.len());
-                    payload[i] ^= 1 << rng.gen_range(0..8u32);
-                }
-                _ => {}
-            }
-        }
         // Returning at all is the property; both Ok and Err are fine.
-        let _ = decode_request(&payload);
-        let _ = decode_response(&payload);
+        let decode = |_: usize, bytes: &[u8]| {
+            let _ = decode_request(bytes);
+            let _ = decode_response(bytes);
+        };
+        decode(0, &payload);
+        hpm_check::mutate::every_cut(&payload, decode);
+        hpm_check::mutate::every_bit_flip(&payload, decode);
     }
 
     #[cases(64)]

@@ -3,48 +3,30 @@
 //! Names follow the workspace `crate.module.op` convention; the full
 //! catalogue lives in `docs/OBSERVABILITY.md`.
 
-/// Latency span around in-memory model encoding.
-pub const ENCODE_SPAN: &str = "store.model.encode";
-/// Latency span around in-memory model decoding (checksum included).
-pub const DECODE_SPAN: &str = "store.model.decode";
-/// Latency span around encode + file write.
-pub const SAVE_SPAN: &str = "store.model.save";
-/// Latency span around file read + decode.
-pub const LOAD_SPAN: &str = "store.model.load";
+hpm_obs::catalog! {
+    /// Latency span around in-memory model encoding.
+    span ENCODE_SPAN = "store.model.encode";
+    /// Latency span around in-memory model decoding (checksum included).
+    span DECODE_SPAN = "store.model.decode";
+    /// Latency span around encode + file write.
+    span SAVE_SPAN = "store.model.save";
+    /// Latency span around file read + decode.
+    span LOAD_SPAN = "store.model.load";
 
-/// Model bytes produced by encoding, summed over calls.
-pub const BYTES_WRITTEN: &str = "store.model.bytes_written";
-/// Model bytes consumed by decoding (valid or not), summed over calls.
-pub const BYTES_READ: &str = "store.model.bytes_read";
-/// Decode attempts rejected (bad magic, version, checksum, bounds).
-pub const DECODE_ERRORS: &str = "store.model.decode_errors";
+    /// Model bytes produced by encoding, summed over calls.
+    counter BYTES_WRITTEN = "store.model.bytes_written";
+    /// Model bytes consumed by decoding (valid or not), summed over calls.
+    counter BYTES_READ = "store.model.bytes_read";
+    /// Decode attempts rejected (bad magic, version, checksum, bounds).
+    counter DECODE_ERRORS = "store.model.decode_errors";
 
-/// Latency span around one WAL record append (group-commit write
-/// included when the batch fills).
-pub const WAL_APPEND_SPAN: &str = "store.wal.append";
-/// Latency span around one WAL fsync (`FsyncPolicy::Always` only).
-pub const WAL_FSYNC_SPAN: &str = "store.wal.fsync";
-/// WAL records appended.
-pub const WAL_RECORDS: &str = "store.wal.records";
-/// WAL bytes physically written (headers excluded).
-pub const WAL_BYTES: &str = "store.wal.bytes";
-
-/// Registers every metric above so snapshots cover them even before
-/// the first model round-trip (zero-valued metrics are still listed).
-pub fn register() {
-    hpm_obs::registry().counter(BYTES_WRITTEN);
-    hpm_obs::registry().counter(BYTES_READ);
-    hpm_obs::registry().counter(DECODE_ERRORS);
-    hpm_obs::registry().counter(WAL_RECORDS);
-    hpm_obs::registry().counter(WAL_BYTES);
-    for span in [
-        ENCODE_SPAN,
-        DECODE_SPAN,
-        SAVE_SPAN,
-        LOAD_SPAN,
-        WAL_APPEND_SPAN,
-        WAL_FSYNC_SPAN,
-    ] {
-        hpm_obs::registry().histogram(span, hpm_obs::Unit::Nanos);
-    }
+    /// Latency span around one WAL record append (group-commit write
+    /// included when the batch fills).
+    span WAL_APPEND_SPAN = "store.wal.append";
+    /// Latency span around one WAL fsync (`FsyncPolicy::Always` only).
+    span WAL_FSYNC_SPAN = "store.wal.fsync";
+    /// WAL records appended.
+    counter WAL_RECORDS = "store.wal.records";
+    /// WAL bytes physically written (headers excluded).
+    counter WAL_BYTES = "store.wal.bytes";
 }

@@ -279,23 +279,21 @@ mod tests {
     fn bitflip_detected_by_checksum() {
         let (regions, patterns) = sample();
         let blob = encode_model(&regions, &patterns);
-        for i in (0..blob.len()).step_by(7) {
-            let mut bad = blob.clone();
-            bad[i] ^= 0x40;
+        hpm_check::mutate::every_bit_flip(&blob, |i, bad| {
             assert!(
-                decode_model(&bad).is_err(),
+                decode_model(bad).is_err(),
                 "bit flip at byte {i} went undetected"
             );
-        }
+        });
     }
 
     #[test]
     fn truncation_detected() {
         let (regions, patterns) = sample();
         let blob = encode_model(&regions, &patterns);
-        for cut in [0, 3, blob.len() / 2, blob.len() - 1] {
-            assert!(decode_model(&blob[..cut]).is_err(), "cut at {cut}");
-        }
+        hpm_check::mutate::every_cut(&blob, |cut, prefix| {
+            assert!(decode_model(prefix).is_err(), "cut at {cut}");
+        });
     }
 
     #[test]

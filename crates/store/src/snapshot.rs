@@ -376,19 +376,17 @@ mod tests {
     #[test]
     fn checksum_guards_every_byte() {
         let blob = encode_snapshot(&sample());
-        for i in 0..blob.len() {
-            let mut bad = blob.clone();
-            bad[i] ^= 0x10;
-            assert!(decode_snapshot(&bad).is_err(), "flip at byte {i} accepted");
-        }
+        hpm_check::mutate::every_bit_flip(&blob, |i, bad| {
+            assert!(decode_snapshot(bad).is_err(), "flip at byte {i} accepted");
+        });
     }
 
     #[test]
     fn truncations_rejected() {
         let blob = encode_snapshot(&sample());
-        for cut in 0..blob.len() {
-            assert!(decode_snapshot(&blob[..cut]).is_err(), "cut at {cut}");
-        }
+        hpm_check::mutate::every_cut(&blob, |cut, prefix| {
+            assert!(decode_snapshot(prefix).is_err(), "cut at {cut}");
+        });
     }
 
     #[test]
@@ -406,15 +404,18 @@ mod tests {
             model: None,
         }];
         let blob = encode_snapshot(&objects);
-        // Flip every payload byte in turn (re-sealing the checksum each
-        // time so only structural validation can object) and require at
-        // least one flip — landing in the packed words, which dominate
-        // this blob — to surface the typed corrupt-chunk Invalid.
+        // Flip every bit past the 14-byte header in turn (re-sealing the
+        // checksum each time so only structural validation can object)
+        // and require at least one flip — landing in the packed words,
+        // which dominate this blob — to surface the typed corrupt-chunk
+        // Invalid.
         let payload_len = blob.len() - 8;
         let mut saw_chunk_invalid = false;
-        for i in 14..payload_len {
-            let mut bad = blob[..payload_len].to_vec();
-            bad[i] ^= 0x80;
+        hpm_check::mutate::every_bit_flip(&blob[..payload_len], |i, flipped| {
+            if i < 14 {
+                return;
+            }
+            let mut bad = flipped.to_vec();
             seal(&mut bad, 0);
             match decode_snapshot(&bad) {
                 Ok(decoded) => {
@@ -427,7 +428,7 @@ mod tests {
                 }
                 Err(_) => {}
             }
-        }
+        });
         assert!(
             saw_chunk_invalid,
             "no flip produced a typed corrupt-chunk error"

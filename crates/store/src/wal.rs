@@ -372,15 +372,15 @@ mod tests {
     fn every_truncation_point_yields_a_valid_prefix() {
         let records = sample_records();
         let bytes = encoded(&records);
-        for cut in 0..bytes.len() {
-            let scan = scan_wal(&bytes[..cut]);
+        hpm_check::mutate::every_cut(&bytes, |cut, prefix| {
+            let scan = scan_wal(prefix);
             let survivors = scan.offsets.iter().filter(|&&o| o <= cut).count();
             assert_eq!(scan.records.len(), survivors, "cut at {cut}");
             assert_eq!(scan.records, records[..survivors], "cut at {cut}");
-            if cut != bytes.len() && scan.valid_len != cut {
+            if scan.valid_len != cut {
                 assert!(scan.torn.is_some(), "cut at {cut} dropped bytes silently");
             }
-        }
+        });
     }
 
     #[test]

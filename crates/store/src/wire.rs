@@ -247,12 +247,9 @@ mod tests {
         assert_eq!(open_sealed(&blob, MAGIC), Ok((7, &b"body"[..])));
 
         // Too short for magic + trailer, whatever the bytes say.
-        for cut in 0..16 {
-            assert_eq!(
-                open_sealed(&blob[..cut], MAGIC),
-                Err(DecodeError::Truncated)
-            );
-        }
+        hpm_check::mutate::every_cut(&blob[..16], |_, prefix| {
+            assert_eq!(open_sealed(prefix, MAGIC), Err(DecodeError::Truncated));
+        });
         // A damaged magic is a checksum failure until re-sealed.
         let mut bad = blob.clone();
         bad[0] = b'X';

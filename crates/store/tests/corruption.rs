@@ -3,6 +3,7 @@
 //! a silently wrong model — and every failed decode must bump the
 //! `store.model.decode_errors` counter so operators see bit rot.
 
+use hpm_check::mutate::{every_bit_flip, every_cut};
 use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
@@ -89,20 +90,48 @@ fn snapshot_objects() -> Vec<ObjectSnapshot> {
     ]
 }
 
-props! {
-    /// Truncating a model blob at ANY byte yields a typed error —
-    /// no prefix of a valid blob is itself a valid blob.
-    fn model_truncation_always_detected(idx in index()) {
-        let (regions, patterns) = model();
-        let blob = encode_model(&regions, &patterns);
-        let cut = idx.index(blob.len());
-        require!(
-            decode_model(&blob[..cut]).is_err(),
+/// Truncating a model blob at ANY byte yields a typed error —
+/// no prefix of a valid blob is itself a valid blob.
+#[test]
+fn model_truncation_always_detected() {
+    let (regions, patterns) = model();
+    let blob = encode_model(&regions, &patterns);
+    every_cut(&blob, |cut, prefix| {
+        assert!(
+            decode_model(prefix).is_err(),
             "truncation to {cut}/{} bytes decoded",
             blob.len()
         );
-    }
+    });
+}
 
+/// Flipping any bit of a snapshot blob is detected: the
+/// whole-file checksum is verified before any field is trusted.
+#[test]
+fn snapshot_bit_flip_detected() {
+    let blob = encode_snapshot(&snapshot_objects());
+    every_bit_flip(&blob, |i, bad| {
+        assert!(
+            decode_snapshot(bad).is_err(),
+            "a flipped bit of byte {i} undetected"
+        );
+    });
+}
+
+/// Truncating a snapshot blob at any byte yields a typed error.
+#[test]
+fn snapshot_truncation_always_detected() {
+    let blob = encode_snapshot(&snapshot_objects());
+    every_cut(&blob, |cut, prefix| {
+        assert!(
+            decode_snapshot(prefix).is_err(),
+            "truncation to {cut}/{} bytes decoded",
+            blob.len()
+        );
+    });
+}
+
+props! {
     /// Trailing garbage after a valid model blob is detected (the
     /// checksum trailer must be the last eight bytes).
     fn model_trailing_garbage_detected(extra in vec(int(0u8..=255), 1..40)) {
@@ -110,30 +139,6 @@ props! {
         let mut blob = encode_model(&regions, &patterns);
         blob.extend_from_slice(&extra);
         require!(decode_model(&blob).is_err(), "trailing garbage accepted");
-    }
-
-    /// Flipping any bit of a snapshot blob is detected: the
-    /// whole-file checksum is verified before any field is trusted.
-    fn snapshot_bit_flip_detected(idx in index(), bit in int(0u32..8)) {
-        let blob = encode_snapshot(&snapshot_objects());
-        let i = idx.index(blob.len());
-        let mut bad = blob.clone();
-        bad[i] ^= 1 << bit;
-        require!(
-            decode_snapshot(&bad).is_err(),
-            "flipped bit {bit} of byte {i} undetected"
-        );
-    }
-
-    /// Truncating a snapshot blob at any byte yields a typed error.
-    fn snapshot_truncation_always_detected(idx in index()) {
-        let blob = encode_snapshot(&snapshot_objects());
-        let cut = idx.index(blob.len());
-        require!(
-            decode_snapshot(&blob[..cut]).is_err(),
-            "truncation to {cut}/{} bytes decoded",
-            blob.len()
-        );
     }
 
     /// decode_snapshot is total on arbitrary bytes: error, not panic.
@@ -245,6 +250,14 @@ fn committed_v2_fixture_reencodes_identically_but_for_the_reserved_slot() {
     assert_eq!(old_slots, [20, 0, 300]);
 }
 
+/// `payload` under a fresh whole-file checksum: corruption the trailer
+/// cannot catch.
+fn resealed(payload: &[u8]) -> Vec<u8> {
+    let mut blob = payload.to_vec();
+    blob.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    blob
+}
+
 /// A flipped bit inside a v2 chunk's packed words that is re-sealed
 /// with a fresh whole-file checksum (simulating corruption the trailer
 /// cannot catch) must refuse to open with the typed corrupt-chunk
@@ -265,44 +278,38 @@ fn corrupt_v2_chunk_refuses_to_open() {
     let blob = encode_snapshot(&objects);
     let payload = &blob[..blob.len() - 8];
     let mut typed_refusals = 0usize;
-    for i in 14..payload.len() {
-        for bit in [0x01u8, 0x80] {
-            let mut bad = payload.to_vec();
-            bad[i] ^= bit;
-            let checksum = fnv1a(&bad);
-            bad.extend_from_slice(&checksum.to_le_bytes());
-            match decode_snapshot(&bad) {
-                Ok(decoded) => assert_eq!(decoded.len(), 1, "flip at {i} changed object count"),
-                Err(hpm_store::DecodeError::Invalid(msg)) if msg.contains("corrupt chunk") => {
-                    typed_refusals += 1;
-                }
-                Err(_) => {}
-            }
+    every_bit_flip(payload, |i, flipped| {
+        if i < 14 {
+            return; // the header: magic, version, object count
         }
-    }
+        match decode_snapshot(&resealed(flipped)) {
+            Ok(decoded) => assert_eq!(decoded.len(), 1, "flip at {i} changed object count"),
+            Err(hpm_store::DecodeError::Invalid(msg)) if msg.contains("corrupt chunk") => {
+                typed_refusals += 1;
+            }
+            Err(_) => {}
+        }
+    });
     assert!(
         typed_refusals > 0,
         "no packed-word flip produced the typed corrupt-chunk error"
     );
 }
 
-props! {
-    /// decode is total on re-sealed tampered v2 payloads: arbitrary
-    /// single-byte corruption past the checksum errs or decodes — it
-    /// never panics and never invents objects.
-    fn resealed_tamper_never_panics(idx in index(), bit in int(0u32..8)) {
-        let blob = encode_snapshot(&snapshot_objects());
-        let payload = &blob[..blob.len() - 8];
-        let i = idx.index(payload.len());
-        let mut bad = payload.to_vec();
-        bad[i] ^= 1 << bit;
-        let checksum = fnv1a(&bad);
-        bad.extend_from_slice(&checksum.to_le_bytes());
-        if let Ok(decoded) = decode_snapshot(&bad) {
-            require!(decoded.len() <= snapshot_objects().len(),
-                "tamper at byte {i} invented objects");
+/// decode is total on re-sealed tampered v2 payloads: any single-bit
+/// corruption past the checksum errs or decodes — it never panics and
+/// never invents objects.
+#[test]
+fn resealed_tamper_never_panics() {
+    let blob = encode_snapshot(&snapshot_objects());
+    every_bit_flip(&blob[..blob.len() - 8], |i, flipped| {
+        if let Ok(decoded) = decode_snapshot(&resealed(flipped)) {
+            assert!(
+                decoded.len() <= snapshot_objects().len(),
+                "tamper at byte {i} invented objects"
+            );
         }
-    }
+    });
 }
 
 /// Every failed model decode — truncated, bit-flipped, or pure
@@ -319,16 +326,14 @@ fn failed_decodes_bump_the_error_counter() {
     assert_eq!(counter.value(), before, "a clean decode counted as error");
 
     let mut failures = 0u64;
-    for cut in [0, 5, blob.len() / 2, blob.len() - 1] {
-        assert!(decode_model(&blob[..cut]).is_err());
+    every_cut(&blob, |_, prefix| {
+        assert!(decode_model(prefix).is_err());
         failures += 1;
-    }
-    for i in [0, blob.len() / 3, blob.len() - 4] {
-        let mut bad = blob.clone();
-        bad[i] ^= 0x11;
-        assert!(decode_model(&bad).is_err());
+    });
+    every_bit_flip(&blob, |_, bad| {
+        assert!(decode_model(bad).is_err());
         failures += 1;
-    }
+    });
     assert!(decode_model(b"not a model at all").is_err());
     failures += 1;
     assert!(

@@ -66,12 +66,6 @@ impl PatternKey {
         self.consequence.difference(&other.consequence) + self.premise.difference(&other.premise)
     }
 
-    /// The paper's `Union`, in place (maintains internal TPT entries).
-    pub fn union_assign(&mut self, other: &PatternKey) {
-        self.consequence.or_assign(&other.consequence);
-        self.premise.or_assign(&other.premise);
-    }
-
     /// Heap bytes of the two bitmaps (Fig. 11a accounting).
     #[inline]
     pub fn storage_bytes(&self) -> usize {
@@ -363,17 +357,6 @@ mod tests {
         assert_eq!(pk3.difference(&q), 1); // bit of R1^1
         assert_eq!(q.difference(&pk3), 1); // bit of R1^0
         assert_eq!(pk2.size(), 3);
-    }
-
-    #[test]
-    fn union_assign_covers_both_parts() {
-        let (regions, patterns, t) = table();
-        let pk0 = t.encode_pattern(&patterns[0], &regions); // 0100001
-        let pk2 = t.encode_pattern(&patterns[2], &regions); // 1000011
-        let mut u = pk0.clone();
-        u.union_assign(&pk2);
-        assert_eq!(format!("{u:?}"), "1100011");
-        assert!(u.contains(&pk0) && u.contains(&pk2));
     }
 
     #[test]

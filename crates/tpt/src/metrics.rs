@@ -7,42 +7,30 @@
 
 use crate::SearchStats;
 
-/// Latency span (and histogram, unit `ns`) around every TPT search.
-pub const SEARCH_SPAN: &str = "tpt.search";
-/// Searches executed.
-pub const SEARCH_CALLS: &str = "tpt.search.calls";
-/// Tree nodes whose entries were examined, summed over searches.
-pub const SEARCH_NODES_VISITED: &str = "tpt.search.nodes_visited";
-/// Entry keys tested against a query key, summed over searches.
-pub const SEARCH_ENTRIES_CHECKED: &str = "tpt.search.entries_checked";
-/// Signature false hits: leaf entries reached whose key did not
-/// intersect the query (see [`SearchStats::false_hits`]).
-pub const SEARCH_FALSE_HITS: &str = "tpt.search.false_hits";
-/// Matches returned per search (histogram, unit `count`).
-pub const SEARCH_MATCHES: &str = "tpt.search.matches";
-/// Latency span (and histogram, unit `ns`) around
-/// [`PackedTpt::bulk_load`] sorting the entries and packing the image.
-///
-/// [`PackedTpt::bulk_load`]: crate::PackedTpt::bulk_load
-pub const REPACK_SPAN: &str = "tpt.repack";
-/// Packed images built (one per `bulk_load` call).
-pub const REPACK_CALLS: &str = "tpt.repack.calls";
-/// Arena bytes of the most recently built packed image (gauge; with
-/// one image per object this tracks the last build, not a sum).
-pub const PACKED_ARENA_BYTES: &str = "tpt.packed.arena_bytes";
-
-/// Registers every metric above so snapshots cover them even before
-/// the first search (zero-valued metrics are still listed).
-pub fn register() {
-    hpm_obs::registry().counter(SEARCH_CALLS);
-    hpm_obs::registry().counter(SEARCH_NODES_VISITED);
-    hpm_obs::registry().counter(SEARCH_ENTRIES_CHECKED);
-    hpm_obs::registry().counter(SEARCH_FALSE_HITS);
-    hpm_obs::registry().histogram(SEARCH_MATCHES, hpm_obs::Unit::Count);
-    hpm_obs::registry().histogram(SEARCH_SPAN, hpm_obs::Unit::Nanos);
-    hpm_obs::registry().counter(REPACK_CALLS);
-    hpm_obs::registry().gauge(PACKED_ARENA_BYTES);
-    hpm_obs::registry().histogram(REPACK_SPAN, hpm_obs::Unit::Nanos);
+hpm_obs::catalog! {
+    /// Latency span (and histogram, unit `ns`) around every TPT search.
+    span SEARCH_SPAN = "tpt.search";
+    /// Searches executed.
+    counter SEARCH_CALLS = "tpt.search.calls";
+    /// Tree nodes whose entries were examined, summed over searches.
+    counter SEARCH_NODES_VISITED = "tpt.search.nodes_visited";
+    /// Entry keys tested against a query key, summed over searches.
+    counter SEARCH_ENTRIES_CHECKED = "tpt.search.entries_checked";
+    /// Signature false hits: leaf entries reached whose key did not
+    /// intersect the query (see [`SearchStats::false_hits`]).
+    counter SEARCH_FALSE_HITS = "tpt.search.false_hits";
+    /// Matches returned per search (histogram, unit `count`).
+    histogram[Count] SEARCH_MATCHES = "tpt.search.matches";
+    /// Latency span (and histogram, unit `ns`) around
+    /// [`PackedTpt::bulk_load`] sorting the entries and packing the image.
+    ///
+    /// [`PackedTpt::bulk_load`]: crate::PackedTpt::bulk_load
+    span REPACK_SPAN = "tpt.repack";
+    /// Packed images built (one per `bulk_load` call).
+    counter REPACK_CALLS = "tpt.repack.calls";
+    /// Arena bytes of the most recently built packed image (gauge; with
+    /// one image per object this tracks the last build, not a sum).
+    gauge PACKED_ARENA_BYTES = "tpt.packed.arena_bytes";
 }
 
 /// Publishes one search's [`SearchStats`] to the counters.

@@ -123,11 +123,6 @@ impl OffsetGroups {
         &self.groups[t as usize]
     }
 
-    /// Just the locations of `Gₜ` (what DBSCAN clusters).
-    pub fn locations(&self, t: TimeOffset) -> Vec<Point> {
-        self.groups[t as usize].iter().map(|&(_, p)| p).collect()
-    }
-
     /// Iterates `(offset, group)` over all non-empty groups.
     pub fn iter(&self) -> impl Iterator<Item = (TimeOffset, &[(usize, Point)])> {
         self.groups
@@ -309,16 +304,6 @@ mod tests {
         assert_eq!(g1[0], (0, Point::new(1.0, 0.0)));
         assert_eq!(g1[1], (1, Point::new(4.0, 0.0)));
         assert_eq!(g1[2], (2, Point::new(7.0, 0.0)));
-    }
-
-    #[test]
-    fn groups_locations_match() {
-        let t = seq(6);
-        let g = OffsetGroups::build(&t, 3);
-        assert_eq!(
-            g.locations(0),
-            vec![Point::new(0.0, 0.0), Point::new(3.0, 0.0)]
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use hpm_geo::mem::vec_cap_bytes;
-use hpm_geo::{BoundingBox, MemUse, Point};
+use hpm_geo::{MemUse, Point};
 
 /// Discrete timestamp of a sample (unit sampling interval).
 pub type Timestamp = u64;
@@ -98,18 +98,6 @@ impl Trajectory {
         );
         self.points.extend_from_slice(&other.points);
     }
-
-    /// Bounding box of the whole trajectory (`None` when empty).
-    pub fn bounding_box(&self) -> Option<BoundingBox> {
-        BoundingBox::from_points(&self.points)
-    }
-
-    /// Time offset of absolute timestamp `t` within a period of `T`.
-    #[inline]
-    pub fn offset_of(t: Timestamp, period: u32) -> TimeOffset {
-        debug_assert!(period > 0);
-        (t % period as Timestamp) as TimeOffset
-    }
 }
 
 impl MemUse for Trajectory {
@@ -174,22 +162,5 @@ mod tests {
         let mut a = traj(3);
         let b = Trajectory::new(5, vec![Point::new(0.0, 0.0)]);
         a.append(&b);
-    }
-
-    #[test]
-    fn offset_of_wraps() {
-        assert_eq!(Trajectory::offset_of(0, 300), 0);
-        assert_eq!(Trajectory::offset_of(299, 300), 299);
-        assert_eq!(Trajectory::offset_of(300, 300), 0);
-        assert_eq!(Trajectory::offset_of(601, 300), 1);
-    }
-
-    #[test]
-    fn bounding_box_covers_all() {
-        let t = traj(5);
-        let bb = t.bounding_box().unwrap();
-        assert_eq!(bb.min, Point::new(0.0, 0.0));
-        assert_eq!(bb.max, Point::new(4.0, 0.0));
-        assert!(Trajectory::from_points(vec![]).bounding_box().is_none());
     }
 }

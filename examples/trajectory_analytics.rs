@@ -1,15 +1,14 @@
 //! Trajectory analytics: the supporting toolbox around the predictor —
-//! stay-point detection, convex-hull region summaries, RDP compaction,
-//! and RMF stability analysis — run over one synthetic commuter.
+//! stay-point detection, RDP compaction, and RMF stability analysis —
+//! run over one synthetic commuter.
 //!
 //! ```text
 //! cargo run --release --example trajectory_analytics
 //! ```
 
 use hybrid_prediction_model::datagen::{paper_dataset, PaperDataset, PERIOD};
-use hybrid_prediction_model::geo::{convex_hull, polygon_area, simplify_rdp_indices};
+use hybrid_prediction_model::geo::simplify_rdp_indices;
 use hybrid_prediction_model::motion::Rmf;
-use hybrid_prediction_model::patterns::{discover, DiscoveryParams};
 use hybrid_prediction_model::trajectory::stay_points;
 
 fn main() {
@@ -39,38 +38,7 @@ fn main() {
         println!("  … and {} more", stays.len() - 5);
     }
 
-    // 2. Frequent regions summarised by hulls: how much tighter than
-    // the bounding boxes the paper draws?
-    let out = discover(
-        &traj,
-        &DiscoveryParams {
-            period: PERIOD,
-            eps: 30.0,
-            min_pts: 4,
-        },
-    );
-    let mut hull_area = 0.0;
-    let mut bbox_area = 0.0;
-    let groups = hybrid_prediction_model::trajectory::OffsetGroups::build(&traj, PERIOD);
-    for region in out.regions.all().iter().take(50) {
-        // Re-collect the member locations of this region's offset that
-        // fall inside its box (a cheap stand-in for cluster members).
-        let members: Vec<_> = groups
-            .group(region.offset)
-            .iter()
-            .map(|&(_, p)| p)
-            .filter(|p| region.bbox.contains(p))
-            .collect();
-        let hull = convex_hull(&members);
-        hull_area += polygon_area(&hull);
-        bbox_area += region.bbox.area();
-    }
-    println!(
-        "\nregion summaries over the first 50 frequent regions:\n  convex hulls cover {:.0}% of the bounding-box area",
-        100.0 * hull_area / bbox_area.max(1e-9)
-    );
-
-    // 3. RDP compaction: how few vertices carry the day's shape?
+    // 2. RDP compaction: how few vertices carry the day's shape?
     let day = &traj.points()[..PERIOD as usize];
     for eps in [10.0, 30.0, 100.0] {
         let kept = simplify_rdp_indices(day, eps);
@@ -82,7 +50,7 @@ fn main() {
         );
     }
 
-    // 4. RMF stability: why motion functions drift at long horizons.
+    // 3. RMF stability: why motion functions drift at long horizons.
     println!("\nRMF stability along the day (retrospect 3, window 20):");
     for start in [20usize, 100, 200] {
         let window = &traj.points()[start..start + 20];

@@ -22,6 +22,12 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace (all crates)"
 cargo test -q --offline --workspace
 
+echo "==> bench smoke: every bench body once, every BENCH_*.json rendered and parsed"
+# Bench targets are not test targets, so the workspace run above skips
+# them; --benches runs each in smoke mode (seconds) and the five report
+# benches hold their render to hpm_obs::json::parse.
+cargo test -q --offline -p hpm-bench --benches
+
 echo "==> sysbench: frozen API surface + end-to-end oracles (--smoke)"
 # sysbench is a package of its own compiled against the public store,
 # server and client API, so building it proves that surface intact;
@@ -166,6 +172,20 @@ if [ "$FNV_DEFS" != "crates/check/src/runner.rs crates/store/src/wire.rs" ]; the
     exit 1
 fi
 
+echo "==> one bench harness: no criterion look-alike, one report directory, no stray TSV directory"
+# hpm-bench times through `Bench` / `best_of` and writes reports through
+# `report::write_json` into HPM_BENCH_OUT; `Report` resolves
+# experiments_output/ against the workspace root, so the test runs
+# above must not have left one in the crate directory.
+if grep -rniE 'criterion' crates/ || grep -rnoE 'HPM_[A-Z_]+_OUT' crates/ | grep -v 'HPM_BENCH_OUT$'; then
+    echo "ERROR: a criterion identifier or a per-bench HPM_*_OUT variable is back under crates/" >&2
+    exit 1
+fi
+if [ -e crates/bench/experiments_output ]; then
+    echo "ERROR: cargo test left crates/bench/experiments_output behind" >&2
+    exit 1
+fi
+
 echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync"
 # Each of these was a second way to do a job (ROADMAP "Quality of
 # design"); a match means one has been reintroduced.
@@ -182,7 +202,7 @@ if grep -En '^(proptest|rand|criterion|serde|bytes|crossbeam|parking_lot)' \
     exit 1
 fi
 
-echo "==> source size (informational, no gate; see the CHANGES.md deletion ledger)"
-scripts/loc.sh
+echo "==> source size: crates/*/src within the budgets committed in scripts/loc.sh"
+scripts/loc.sh --check
 
 echo "OK: offline build + tests green, no registry dependencies"
