@@ -1,4 +1,4 @@
-//! Apriori mining cost, with and without computing the unpruned rule
+//! Pattern mining cost, with and without computing the unpruned rule
 //! universe (the §IV pruning ablation).
 
 use hpm_bench::setup::{paper_discovery, paper_mining};

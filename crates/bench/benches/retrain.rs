@@ -16,7 +16,9 @@
 //! (cursor delta → DBSCAN insertions → support-count tails + derive →
 //! `apply_update`) while the history keeps growing day by day; the
 //! full figure is the best-of-N `HybridPredictor::build` over the same
-//! H days. Best-of is deliberate: retrain cost has no data-dependent
+//! H days — a trainer seeded from scratch plus the index bulk load,
+//! what a store's first training and every re-seed cost. Best-of is
+//! deliberate: retrain cost has no data-dependent
 //! variance here, so the minimum is the least noise-polluted estimate.
 
 use hpm_bench::report::{num, obj, write_json};
@@ -146,9 +148,10 @@ fn run(bench: &Bench, sizes: &[usize], reps: usize) {
         "steady-state commuter (period 4, 3-day jitter cycle); per size H: best-of-{reps} wall \
          clock of one incremental daily pass (cursor delta -> IncDBSCAN insertions -> \
          support-count tails + derive -> apply_update) while history grows H..H+{reps} days, vs \
-         best-of-{reps} HybridPredictor::build over H days; end state asserted pattern- and \
+         best-of-{reps} HybridPredictor::build over H days (a trainer seeded from scratch + the \
+         index bulk load: a store's first-training path); end state asserted pattern- and \
          region-identical to a full rebuild; speedup = full_ns / incremental_ns is a ratio of \
-         two costs, not a score: a faster batch DBSCAN lowers full_ns and with it the ratio \
+         two costs, not a score: a faster seed sweep lowers full_ns and with it the ratio \
          (the one-grid sweep did exactly that), so read the two ns columns first"
     );
     let results = rows

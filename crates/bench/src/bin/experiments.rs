@@ -245,7 +245,6 @@ fn fig9() -> std::io::Result<()> {
             let patterns: Vec<_> = all_patterns
                 .iter()
                 .filter(|p| p.confidence >= threshold)
-                .cloned()
                 .collect();
             let n = patterns.len();
             let predictor =

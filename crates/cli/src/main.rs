@@ -24,7 +24,7 @@ use hpm_core::eval::{
 use hpm_core::{HpmConfig, HybridPredictor, PredictiveQuery};
 use hpm_datagen::{paper_dataset, PaperDataset};
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
-use hpm_patterns::{discover, mine, DiscoveryParams, MiningParams};
+use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::{load_model, save_model};
 use hpm_trajectory::{despike, from_sparse_samples, Trajectory};
 
@@ -207,15 +207,14 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     };
     let mining = mining_from(args)?;
     let started = std::time::Instant::now();
-    let out = discover(&traj, &discovery);
-    let patterns = mine(&out.regions, &out.visits, &mining);
+    let model = HybridPredictor::build(&traj, &discovery, &mining, HpmConfig::default());
     let output = args.required("output")?;
-    let count = patterns.len();
-    save_model(output, &out.regions, &patterns.into()).map_err(|e| e.to_string())?;
+    save_model(output, model.regions(), model.patterns()).map_err(|e| e.to_string())?;
     println!(
-        "trained in {:.1}s: {} frequent regions, {count} patterns -> {output}",
+        "trained in {:.1}s: {} frequent regions, {} patterns -> {output}",
         started.elapsed().as_secs_f64(),
-        out.regions.len(),
+        model.regions().len(),
+        model.patterns().len(),
     );
     Ok(())
 }
@@ -605,17 +604,8 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         let json = client
             .metrics_json()
             .map_err(|e| format!("metrics request failed: {e}"))?;
-        // Literal key scan: the obs JSON render never escapes these
-        // fixed metric names (the workspace is hermetic, no serde).
-        let gauge = |name: &str| -> Option<i64> {
-            let key = format!("\"{name}\":");
-            let at = json.find(&key)? + key.len();
-            let rest = &json[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit() && c != '-')
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
+        let doc = hpm_obs::json::parse(&json).map_err(|e| format!("metrics JSON: {e}"))?;
+        let gauge = |name: &str| Some(doc.get("gauges")?.get(name)?.as_f64()? as i64);
         if let (Some(total), Some(per_obj)) = (
             gauge("store.mem.bytes"),
             gauge("store.mem.bytes_per_object"),

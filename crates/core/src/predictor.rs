@@ -8,15 +8,14 @@
 //! images.
 
 use crate::scratch::PredictScratch;
+use crate::train::TrainerState;
 use crate::{
     bqp, fqp, HpmConfig, Prediction, PredictionSource, PredictiveQuery, RankedAnswer, Uncertainty,
     WeightTable,
 };
 use hpm_geo::{BoundingBox, Point};
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
-use hpm_patterns::{
-    discover, mine, DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet,
-};
+use hpm_patterns::{DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet};
 use hpm_tpt::{KeyTable, PackedTpt, PatternKey};
 use hpm_trajectory::{TimeOffset, Timestamp, Trajectory};
 use std::cell::RefCell;
@@ -81,23 +80,25 @@ impl hpm_geo::MemUse for HybridPredictor {
 
 impl HybridPredictor {
     /// Runs the full offline pipeline over a movement history:
-    /// periodic decomposition → DBSCAN frequent regions → Apriori
-    /// pattern mining → TPT bulk load.
+    /// periodic decomposition → DBSCAN frequent regions → pattern
+    /// mining → TPT bulk load. The first three are a
+    /// [`TrainerState`] seeded on `history` — the path a store's first
+    /// training takes — dropped once the predictor is assembled.
     pub fn build(
         history: &Trajectory,
         discovery: &DiscoveryParams,
         mining: &MiningParams,
         config: HpmConfig,
     ) -> Self {
-        let out = discover(history, discovery);
-        let patterns = mine(&out.regions, &out.visits, mining);
-        Self::from_parts(out.regions, patterns, config)
+        let mut trainer = TrainerState::new(*discovery, *mining);
+        trainer.seed(history);
+        Self::from_parts(trainer.regions(), trainer.stage_mine(&[]), config)
     }
 
     /// Assembles a predictor from already-discovered regions and
     /// patterns (custom pipelines, persisted pattern sets) — a
-    /// [`PatternTable`] or anything that converts into one, such as
-    /// the `Vec` [`mine`](hpm_patterns::mine) returns.
+    /// [`PatternTable`] (what [`mine`](hpm_patterns::mine) returns) or
+    /// anything that converts into one, such as a `Vec` of rules.
     ///
     /// # Panics
     /// Panics when `config` is inconsistent or any pattern fails

@@ -1,16 +1,18 @@
-//! Incremental training state: retrain on deltas, not on the full
-//! history.
+//! The training pipeline: one trainer, seeded from a history or
+//! folded forward over its deltas.
 //!
-//! [`HybridPredictor::build`] reruns the whole §III–§V pipeline —
-//! decomposition, DBSCAN, Apriori, TPT bulk load — over the *entire*
-//! movement history on every call. [`TrainerState`] is the long-lived
-//! in-memory counterpart: it remembers where the last training pass
-//! stopped and folds only the samples reported since then into
-//! per-offset clustering states ([`IncrementalDbscan`]) and persistent
-//! support counts ([`SupportCounts`]).
+//! [`TrainerState`] is the §III–§IV pipeline as long-lived state:
+//! per-offset clustering states ([`IncrementalDbscan`]), the visit
+//! sequences and persistent support counts ([`SupportCounts`]).
+//! [`seed`](TrainerState::seed) derives all of it from a complete
+//! history — that is the batch pipeline, and
+//! [`HybridPredictor::build`] is exactly "seed a trainer, derive,
+//! assemble". A trainer that is kept afterwards remembers where its
+//! last pass stopped and folds only the samples reported since then
+//! into the same structures.
 //!
-//! The stages mirror the batch pipeline one-to-one so callers can time
-//! them individually:
+//! The fold's stages mirror the seeding pipeline one-to-one so callers
+//! can time them individually:
 //!
 //! 1. [`stage_decompose`](TrainerState::stage_decompose) — the
 //!    [`DecomposeCursor`] yields the samples appended since the last
@@ -18,9 +20,9 @@
 //! 2. [`stage_cluster`](TrainerState::stage_cluster) — each sample is
 //!    inserted into its offset's density structure; safe insertions
 //!    become region visits, anything structural reports
-//!    [`DriftKind`] and the caller falls back to a full rebuild.
+//!    [`DriftKind`] and the caller falls back to a re-seed.
 //! 3. [`stage_mine`](TrainerState::stage_mine) — new visits extend
-//!    their sub-trajectory's transaction, support counts absorb the
+//!    their sub-trajectory's sequence, support counts absorb the
 //!    tails, and the full pattern list is re-derived from counts.
 //! 4. [`HybridPredictor::apply_update`] — the derived regions +
 //!    pattern table replace the live ones: confidences are patched
@@ -37,21 +39,21 @@
 //!
 //! **Equivalence guarantee**: after a successful incremental pass the
 //! resulting predictor answers every query exactly like
-//! `HybridPredictor::build` over the full history would — same
-//! regions, same patterns (ids included), same ranked answers. Drift
-//! is detected conservatively, so the guarantee holds *because* every
-//! case that could perturb batch output falls back to the batch path
-//! (property-tested in `tests/train_props.rs`).
+//! `HybridPredictor::build` — a fresh seed — over the full history
+//! would: same regions, same patterns (ids included), same ranked
+//! answers. Drift is detected conservatively, so the guarantee holds
+//! *because* every case that could perturb a fresh seed's output falls
+//! back to one (property-tested in `tests/train_props.rs`).
 
 use crate::HybridPredictor;
 use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome};
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
 use hpm_geo::MemUse;
 use hpm_patterns::{
-    DiscoveryParams, FrequentRegion, MiningParams, PatternTable, RegionId, RegionSet,
-    SupportCounts, Transaction,
+    cluster_offsets, region_set, DiscoveryParams, MiningParams, OffsetClusters, PatternTable,
+    RegionId, RegionSet, SupportCounts, VisitTable,
 };
-use hpm_trajectory::{DecomposeCursor, DeltaSample, History, OffsetGroups, TimeOffset};
+use hpm_trajectory::{DecomposeCursor, DeltaSample, History, TimeOffset};
 
 /// One region visit produced by the clustering stage: sub-trajectory
 /// `sub` passed through region `region` at time offset `offset`.
@@ -73,14 +75,11 @@ pub struct TrainerState {
     discovery: DiscoveryParams,
     mining: MiningParams,
     cursor: DecomposeCursor,
-    /// One clustering state per time offset (`Gₜ` of §III).
-    offsets: Vec<IncrementalDbscan>,
-    /// `region_index[t][c]` = global region id of offset `t`'s cluster
-    /// `c`. Frozen between re-seeds: the safe insertion path never
-    /// creates, merges, or renumbers clusters.
-    region_index: Vec<Vec<u32>>,
-    /// Per-sub-trajectory visit transactions, ascending in offset.
-    txs: Vec<Transaction>,
+    /// One clustering state per time offset (`Gₜ` of §III), the
+    /// region id of each of their clusters — frozen between re-seeds:
+    /// the safe insertion path never creates, merges, or renumbers
+    /// clusters — and the per-sub-trajectory visit sequences.
+    clusters: OffsetClusters,
     counts: SupportCounts,
     /// Structure-drift events accumulated across re-seeds.
     drift_events: u64,
@@ -95,11 +94,13 @@ impl TrainerState {
         let db = DbscanParams::new(discovery.eps, discovery.min_pts);
         TrainerState {
             cursor: DecomposeCursor::new(discovery.period),
-            offsets: (0..discovery.period)
-                .map(|_| IncrementalDbscan::seed(Vec::new(), db))
-                .collect(),
-            region_index: vec![Vec::new(); discovery.period as usize],
-            txs: Vec::new(),
+            clusters: OffsetClusters {
+                offsets: (0..discovery.period)
+                    .map(|_| IncrementalDbscan::seed(Vec::new(), db))
+                    .collect(),
+                region_index: vec![Vec::new(); discovery.period as usize],
+                visits: VisitTable::default(),
+            },
             counts: SupportCounts::new(mining),
             discovery,
             mining,
@@ -132,40 +133,16 @@ impl TrainerState {
         self.drift_events
     }
 
-    /// Re-derives the whole state from the full history — the seeding
-    /// path taken on first training, after structure drift, and by the
-    /// first retrain after a restart (a recovered object carries no
-    /// trainer). The samples are streamed, so a compressed history
-    /// decodes on the fly; the cursor is caught up to the end of
-    /// `hist`.
+    /// Re-derives the whole state from the full history — the batch
+    /// pipeline, taken on first training, after structure drift, and
+    /// by the first retrain after a restart (a recovered object
+    /// carries no trainer). The samples are streamed, so a compressed
+    /// history decodes on the fly; the cursor is caught up to the end
+    /// of `hist`.
     pub fn seed(&mut self, hist: &impl History) {
         let drift = self.drift_events + self.offset_drifts();
-        let db = DbscanParams::new(self.discovery.eps, self.discovery.min_pts);
-        let groups = OffsetGroups::build(hist, self.discovery.period);
-        self.offsets.clear();
-        self.region_index.clear();
-        self.txs = vec![Transaction::new(); groups.sub_count()];
-        let mut next_id = 0u32;
-        // Iterate offsets densely: `stage_cluster` and `regions` index
-        // `offsets`/`region_index` by absolute offset, so every offset
-        // needs a state even when the seeded history never covered it.
-        for t in 0..self.discovery.period {
-            let group = groups.group(t as TimeOffset);
-            let pts = group.iter().map(|&(_, p)| p).collect();
-            let state = IncrementalDbscan::seed(pts, db);
-            let mut index = Vec::with_capacity(state.cluster_count());
-            for cluster in state.cluster_views() {
-                index.push(next_id);
-                for &m in cluster.members {
-                    let (sub, _) = group[m as usize];
-                    self.txs[sub].push((next_id, t as TimeOffset));
-                }
-                next_id += 1;
-            }
-            self.region_index.push(index);
-            self.offsets.push(state);
-        }
-        self.counts.rebuild(&self.txs);
+        self.clusters = cluster_offsets(hist, &self.discovery);
+        self.counts.rebuild(&self.clusters.visits);
         self.cursor = DecomposeCursor::new(self.discovery.period);
         self.cursor.catch_up(hist);
         self.drift_events = drift;
@@ -191,12 +168,12 @@ impl TrainerState {
     pub fn stage_cluster(&mut self, samples: &[DeltaSample]) -> Result<Vec<NewVisit>, DriftKind> {
         let mut visits = Vec::new();
         for s in samples {
-            let state = &mut self.offsets[s.offset as usize];
+            let state = &mut self.clusters.offsets[s.offset as usize];
             match state.insert(s.point) {
                 InsertOutcome::Noise => {}
                 InsertOutcome::Member(c) => visits.push(NewVisit {
                     sub: s.sub,
-                    region: RegionId(self.region_index[s.offset as usize][c as usize]),
+                    region: RegionId(self.clusters.region_index[s.offset as usize][c as usize]),
                     offset: s.offset,
                 }),
                 InsertOutcome::Drift(kind) => {
@@ -209,62 +186,47 @@ impl TrainerState {
     }
 
     /// Stage 3 — incremental mining: extends the visited
-    /// sub-trajectories' transactions, folds the new tails into the
+    /// sub-trajectories' sequences, folds the new tails into the
     /// support counts, and derives the full canonical pattern list
-    /// (identical to a batch [`mine`](hpm_patterns::mine) over the
-    /// whole history).
+    /// (identical to what a fresh seed over the whole history derives).
     pub fn stage_mine(&mut self, visits: &[NewVisit]) -> PatternTable {
         for v in visits {
-            if self.txs.len() <= v.sub {
-                self.txs.resize(v.sub + 1, Transaction::new());
-            }
-            self.txs[v.sub].push((v.region.0, v.offset));
-            self.counts.record_tail(&self.txs[v.sub]);
+            let tx = self.clusters.visits.record(v.sub, v.region, v.offset);
+            self.counts.record_tail(tx);
         }
         self.counts.derive()
     }
 
-    /// The current frequent regions, rebuilt from the per-offset
-    /// cluster summaries — bit-identical to what batch discovery over
-    /// the full consumed history produces.
+    /// The current frequent regions, read off the per-offset cluster
+    /// summaries — bit-identical to what a fresh seed over the full
+    /// consumed history produces.
     pub fn regions(&self) -> RegionSet {
-        let mut regions = Vec::new();
-        for (t, state) in self.offsets.iter().enumerate() {
-            for cluster in state.cluster_views() {
-                debug_assert_eq!(
-                    self.region_index[t][cluster.id as usize],
-                    regions.len() as u32,
-                    "cluster structure changed without drift"
-                );
-                regions.push(FrequentRegion {
-                    id: RegionId(regions.len() as u32),
-                    offset: t as TimeOffset,
-                    local_index: cluster.id,
-                    centroid: cluster.centroid,
-                    bbox: cluster.bbox,
-                    support: cluster.members.len() as u32,
-                });
-            }
-        }
-        RegionSet::new(regions, self.discovery.period)
+        let regions = region_set(&self.clusters.offsets);
+        debug_assert!(
+            (self.clusters.region_index.iter().flatten().copied()).eq(0..regions.len() as u32),
+            "cluster structure changed without drift"
+        );
+        regions
     }
 
     fn offset_drifts(&self) -> u64 {
-        self.offsets
-            .iter()
-            .map(IncrementalDbscan::drift_events)
-            .sum()
+        let offsets = self.clusters.offsets.iter();
+        offsets.map(IncrementalDbscan::drift_events).sum()
     }
 }
 
 impl MemUse for TrainerState {
     fn mem_bytes(&self) -> usize {
+        let clusters = &self.clusters;
         std::mem::size_of::<Self>()
-            + heap_bytes(&self.offsets)
-            + self.region_index.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self.region_index.iter().map(vec_cap_bytes).sum::<usize>()
-            + self.txs.capacity() * std::mem::size_of::<Transaction>()
-            + self.txs.iter().map(vec_cap_bytes).sum::<usize>()
+            + heap_bytes(&clusters.offsets)
+            + clusters.region_index.capacity() * std::mem::size_of::<Vec<u32>>()
+            + clusters
+                .region_index
+                .iter()
+                .map(vec_cap_bytes)
+                .sum::<usize>()
+            + heap_bytes(&clusters.visits)
             + heap_bytes(&self.counts)
     }
 }

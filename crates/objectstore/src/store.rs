@@ -1530,17 +1530,17 @@ impl MovingObjectStore {
     /// ([`cluster_delta`](Self::cluster_delta)) or, when it cannot —
     /// first training, first retrain after a restart (no trainer
     /// either way), `force_full`, structure drift — is re-seeded
-    /// from the complete history: batch DBSCAN per offset plus a
+    /// from the complete history: one DBSCAN sweep per offset plus a
     /// support-count rebuild. Either way the patterns are then derived
     /// from the trainer's counts and the predictor assembled from the
     /// trainer's regions: as an update of the live predictor when
     /// there is one (a rule list that did not move — the usual case
     /// after a fold, and after the re-seed that follows a restart —
     /// only patches confidences into the index image), from parts on
-    /// first training. Both are equivalent to the
-    /// paper's batch pipeline [`HybridPredictor::build`] by the
-    /// `hpm-core` training contract; that function is the reference
-    /// the test suites compare against.
+    /// first training. A seed followed by `from_parts` is, call for
+    /// call, the paper's batch pipeline [`HybridPredictor::build`]; a
+    /// fold equals it by the `hpm-core` training contract, and that
+    /// function is what the test suites compare the store against.
     fn retrain(&self, state: &mut ObjectState, force_full: bool) {
         if state.history.is_empty() {
             return;

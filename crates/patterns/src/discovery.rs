@@ -5,11 +5,18 @@
 //! regions `Rₜʲ` in ascending `(offset, cluster)` order. Alongside the
 //! [`RegionSet`] it produces the [`VisitTable`]: for every
 //! sub-trajectory, the ordered sequence of frequent regions it passed
-//! through — the "transactions" the Apriori miner consumes.
+//! through — the "transactions" [`SupportCounts`](crate::SupportCounts)
+//! counts.
+//!
+//! [`cluster_offsets`] clusters a history and [`region_set`] reads the
+//! regions off the clusterings, whoever trains: [`discover`] is the two
+//! back to back, the trainer in `hpm-core` keeps the clusterings in
+//! between so that it can insert into them.
 
 use crate::{FrequentRegion, RegionId, RegionSet};
-use hpm_clustering::{dbscan, DbscanParams};
-use hpm_trajectory::{OffsetGroups, TimeOffset, Trajectory};
+use hpm_clustering::{DbscanParams, IncrementalDbscan};
+use hpm_geo::mem::vec_cap_bytes;
+use hpm_trajectory::{History, OffsetGroups, TimeOffset, Trajectory};
 
 /// Knobs of the discovery stage (§VII.B: `Eps`, `MinPts`, and the
 /// period `T`).
@@ -35,15 +42,19 @@ impl DiscoveryParams {
     }
 }
 
+/// One region visit: the region and its time offset.
+pub type Visit = (RegionId, TimeOffset);
+
 /// Per-sub-trajectory region visits.
 ///
 /// `sequence(s)` is the ordered list of frequent regions sub-trajectory
-/// `s` visited; region ids ascend (ids are assigned in offset order and
-/// a sub-trajectory occupies at most one cluster per offset), so each
-/// sequence is already a strictly-increasing-in-time itemset.
+/// `s` visited, each with its time offset. Offsets ascend strictly — a
+/// sub-trajectory occupies at most one cluster per offset — and so do
+/// the region ids (assigned in offset order), so each sequence is
+/// already a strictly-increasing-in-time itemset.
 #[derive(Debug, Clone, Default)]
 pub struct VisitTable {
-    visits: Vec<Vec<RegionId>>,
+    visits: Vec<Vec<Visit>>,
 }
 
 impl VisitTable {
@@ -66,28 +77,44 @@ impl VisitTable {
         self.visits.is_empty()
     }
 
-    /// The visit sequence of sub-trajectory `s` (ascending region ids).
+    /// The visit sequence of sub-trajectory `s` (ascending in offset
+    /// and region id).
     #[inline]
-    pub fn sequence(&self, s: usize) -> &[RegionId] {
+    pub fn sequence(&self, s: usize) -> &[Visit] {
         &self.visits[s]
     }
 
     /// Iterates all visit sequences in sub-trajectory order.
-    pub fn iter(&self) -> impl Iterator<Item = &[RegionId]> {
+    pub fn iter(&self) -> impl Iterator<Item = &[Visit]> {
         self.visits.iter().map(Vec::as_slice)
     }
 
-    /// Records that sub-trajectory `s` visited `region`.
+    /// Records that sub-trajectory `s` visited `region` at `offset`,
+    /// growing the table when `s` is a sub-trajectory it has not seen,
+    /// and returns `s`'s sequence — the new visit last.
     ///
     /// # Panics
-    /// Panics (debug) when ids are appended out of order.
-    pub fn record(&mut self, s: usize, region: RegionId) {
+    /// Panics (debug) when visits are appended out of time order.
+    pub fn record(&mut self, s: usize, region: RegionId, offset: TimeOffset) -> &[Visit] {
+        if self.visits.len() <= s {
+            self.visits.resize(s + 1, Vec::new());
+        }
         let seq = &mut self.visits[s];
         debug_assert!(
-            seq.last().is_none_or(|last| *last < region),
-            "visits must be recorded in ascending region-id order"
+            seq.last()
+                .is_none_or(|last| last.0 < region && last.1 < offset),
+            "visits must be recorded in ascending offset and region-id order"
         );
-        seq.push(region);
+        seq.push((region, offset));
+        seq
+    }
+}
+
+impl hpm_geo::MemUse for VisitTable {
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.visits.capacity() * std::mem::size_of::<Vec<Visit>>()
+            + self.visits.iter().map(vec_cap_bytes).sum::<usize>()
     }
 }
 
@@ -100,71 +127,101 @@ pub struct DiscoveryOutput {
     pub visits: VisitTable,
 }
 
+/// A history clustered offset by offset (see [`cluster_offsets`]).
+#[derive(Debug, Clone)]
+pub struct OffsetClusters {
+    /// `offsets[t]` = the clustering of `Gₜ`, for every `t` of the
+    /// period — offsets the history never covered hold an empty one.
+    pub offsets: Vec<IncrementalDbscan>,
+    /// `region_index[t][c]` = id of the region that offset `t`'s
+    /// cluster `c` is.
+    pub region_index: Vec<Vec<u32>>,
+    /// Which regions each sub-trajectory visited.
+    pub visits: VisitTable,
+}
+
 /// Discovers the frequent regions of `traj` and the per-sub-trajectory
-/// visit sequences.
-///
-/// For every time offset `t`, the locations of `Gₜ` are clustered with
-/// DBSCAN(`eps`, `min_pts`); each cluster becomes a frequent region
-/// whose `support` is its member count. Region ids are assigned in
-/// ascending `(offset, cluster-id)` order — the numbering §V.A's region
-/// keys and Property 1 depend on.
+/// visit sequences: [`cluster_offsets`], then [`region_set`].
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
 pub fn discover(traj: &Trajectory, params: &DiscoveryParams) -> DiscoveryOutput {
-    let groups = OffsetGroups::build(traj, params.period);
-    discover_from_groups(&groups, params)
+    let clustered = cluster_offsets(traj, params);
+    DiscoveryOutput {
+        regions: region_set(&clustered.offsets),
+        visits: clustered.visits,
+    }
 }
 
-/// [`discover`] over pre-built offset groups (lets sweeps that vary
-/// only `eps`/`min_pts` reuse the decomposition).
-pub fn discover_from_groups(groups: &OffsetGroups, params: &DiscoveryParams) -> DiscoveryOutput {
-    assert_eq!(groups.period(), params.period, "period mismatch");
+/// Decomposes `hist` into its periodic offset groups and clusters the
+/// locations of every `Gₜ` with DBSCAN(`eps`, `min_pts`). Each cluster
+/// is a frequent region; ids are assigned in ascending `(offset,
+/// cluster-id)` order — the numbering §V.A's region keys and
+/// Property 1 depend on — and every cluster member is a visit of its
+/// sub-trajectory to that region.
+///
+/// # Panics
+/// Panics when `params.period == 0` (propagated from the decomposition).
+pub fn cluster_offsets(hist: &impl History, params: &DiscoveryParams) -> OffsetClusters {
     let _span = hpm_obs::span!(crate::metrics::DISCOVER_SPAN);
     let db = DbscanParams::new(params.eps, params.min_pts);
-    let mut regions: Vec<FrequentRegion> = Vec::new();
+    let groups = OffsetGroups::build(hist, params.period);
+    let mut offsets = Vec::with_capacity(params.period as usize);
+    let mut region_index = Vec::with_capacity(params.period as usize);
     let mut visits = VisitTable::with_subs(groups.sub_count());
-    let mut locations: Vec<hpm_geo::Point> = Vec::new();
-
-    for (t, group) in groups.iter() {
-        if group.len() < params.min_pts {
-            continue; // cannot contain a core point
+    let mut next_id = 0u32;
+    for t in 0..params.period {
+        let group = groups.group(t);
+        let state = IncrementalDbscan::seed(group.iter().map(|&(_, p)| p).collect(), db);
+        let mut index = Vec::with_capacity(state.cluster_count());
+        for cluster in state.cluster_views() {
+            index.push(next_id);
+            for &m in cluster.members {
+                visits.record(group[m as usize].0, RegionId(next_id), t);
+            }
+            next_id += 1;
         }
-        locations.clear();
-        locations.extend(group.iter().map(|&(_, p)| p));
-        let (_, clusters) = dbscan(&locations, db);
-        for cluster in &clusters {
-            let id = RegionId(regions.len() as u32);
+        region_index.push(index);
+        offsets.push(state);
+    }
+    hpm_obs::counter!(crate::metrics::DISCOVER_REGIONS).add(u64::from(next_id));
+    OffsetClusters {
+        offsets,
+        region_index,
+        visits,
+    }
+}
+
+/// The frequent regions of per-offset clusterings (`offsets[t]` = the
+/// clustering of `Gₜ`, one per offset of the period): each cluster's
+/// centroid, bounding box and member count as its `support`, numbered
+/// as [`cluster_offsets`] numbers them.
+pub fn region_set(offsets: &[IncrementalDbscan]) -> RegionSet {
+    let mut regions = Vec::new();
+    for (t, state) in offsets.iter().enumerate() {
+        for cluster in state.cluster_views() {
             regions.push(FrequentRegion {
-                id,
+                id: RegionId(regions.len() as u32),
                 offset: t as TimeOffset,
                 local_index: cluster.id,
                 centroid: cluster.centroid,
                 bbox: cluster.bbox,
                 support: cluster.members.len() as u32,
             });
-            for &m in &cluster.members {
-                let (sub, _) = group[m as usize];
-                visits.record(sub, id);
-            }
         }
     }
-
-    hpm_obs::counter!(crate::metrics::DISCOVER_REGIONS).add(regions.len() as u64);
-    DiscoveryOutput {
-        regions: RegionSet::new(regions, params.period),
-        visits,
-    }
+    RegionSet::new(regions, offsets.len() as u32)
 }
 
 /// Maps a trajectory onto an *existing* region vocabulary: for every
 /// sample, the frequent region (if any) containing it at its time
 /// offset, collected into per-sub-trajectory visit sequences.
 ///
-/// This is the §V.B incremental path: when new data accumulates, mine
-/// fresh patterns over the new history *against the regions the live
-/// index already knows* — the resulting patterns share region ids with
-/// the index and can be inserted without a rebuild.
+/// Mining these visits yields rules over the region ids a live
+/// predictor already uses, so they can be compared with its pattern
+/// list or joined to it; a predictor over the joined list is
+/// assembled afresh (`HybridPredictor::from_parts`), the index has no
+/// insertion path.
 ///
 /// `margin` plays the same role as the predictor's query-matching
 /// margin: a sample within `margin` of a region's bounding box counts
@@ -180,7 +237,7 @@ pub fn visits_against(traj: &Trajectory, regions: &RegionSet, margin: f64) -> Vi
         }
         for &(sub, p) in group {
             if let Some(id) = regions.region_at(t, &p, margin) {
-                visits.record(sub, id);
+                visits.record(sub, id, t);
             }
         }
     }
@@ -292,7 +349,7 @@ mod tests {
             },
         );
         assert!(out.regions.is_empty());
-        assert!(out.visits.iter().all(<[RegionId]>::is_empty));
+        assert!(out.visits.iter().all(<[Visit]>::is_empty));
     }
 
     #[test]
@@ -366,7 +423,7 @@ mod tests {
             assert!(visits
                 .sequence(s)
                 .iter()
-                .all(|id| id.index() < out.regions.len()));
+                .all(|(id, _)| id.index() < out.regions.len()));
         }
     }
 
@@ -375,15 +432,6 @@ mod tests {
         let out = discover(&commuter(), &params());
         let fresh = Trajectory::from_points(vec![Point::new(5000.0, 5000.0); 8]);
         let visits = visits_against(&fresh, &out.regions, 1.0);
-        assert!(visits.iter().all(<[RegionId]>::is_empty));
-    }
-
-    #[test]
-    #[should_panic(expected = "period mismatch")]
-    fn group_period_mismatch_panics() {
-        let groups = OffsetGroups::build(&commuter(), 4);
-        let mut p = params();
-        p.period = 5;
-        discover_from_groups(&groups, &p);
+        assert!(visits.iter().all(<[Visit]>::is_empty));
     }
 }

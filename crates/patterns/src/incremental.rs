@@ -1,31 +1,36 @@
-//! Incremental Apriori support counting: the persistent-state form of
-//! [`mine`](crate::mine) used by the delta-retraining pipeline.
+//! Exact support counting — the miner.
 //!
-//! [`mine`](crate::mine) recounts every transaction on every call. But a growing
-//! trajectory only ever *appends* region visits — at the tail of the
-//! newest sub-trajectory's transaction, in ascending offset order — so
-//! support counts can be maintained as persistent state instead: every
-//! structurally valid itemset instance is counted exactly once, at the
-//! moment its time-wise **last** element is appended
+//! The paper's §IV second component is an Apriori pass over the
+//! per-sub-trajectory visit sequences. Its two rule-level prunings
+//! decide which itemsets can carry a rule at all: regions strictly
+//! ascending in time with the consequence last (time monotonicity),
+//! one region as consequence (Theorem 1), plus the two structural
+//! bounds of [`MiningParams`]. That universe is bounded by the region
+//! vocabulary, not by the history, so [`SupportCounts`] counts all of
+//! it exactly instead of generating and pruning candidates level by
+//! level: every structurally valid itemset instance is counted once, at
+//! the moment its time-wise **last** element is appended
 //! ([`SupportCounts::record_tail`]), at a cost proportional to the
-//! premise window, not to history length.
+//! premise window. Apriori's downward-closure pruning is unnecessary
+//! rather than skipped — an infrequent itemset is simply not read at
+//! [`derive`](SupportCounts::derive) time, and a frequent one has
+//! frequent prefixes because its prefixes are counted in every
+//! transaction it is.
 //!
-//! [`SupportCounts::derive`] then replays [`mine`](crate::mine)'s rule generation
-//! verbatim — same `(level, itemset)` emission order, same confidence
-//! arithmetic over the same integer supports — so the derived pattern
-//! list is *identical* (ids included) to a fresh batch mine over the
-//! full visit table. The equivalence hinges on three structural facts,
-//! property-tested in `tests/incremental.rs`:
+//! A growing trajectory only ever *appends* region visits — at the tail
+//! of the newest sub-trajectory's sequence, in ascending offset order —
+//! so the same counts serve a full training pass
+//! ([`rebuild`](SupportCounts::rebuild): every visit of every sequence
+//! in turn) and a delta retrain (the new tails only), and the two agree
+//! by construction. Two facts make the counts the supports of
+//! Definition 1, both held by `tests/props.rs` against a direct
+//! enumeration of every sequence's subsets:
 //!
-//! * a region occurs at most once per transaction (it is bound to one
+//! * a region occurs at most once per sequence (it is bound to one
 //!   offset, sampled once per sub-trajectory), so instance counts are
 //!   transaction supports;
-//! * [`mine`](crate::mine)'s Apriori pruning and frequent-singles transaction
-//!   filtering never change the counts of *frequent* itemsets (every
-//!   prefix of a valid frequent itemset is valid and frequent);
-//! * this module counts the *unpruned* itemset universe (bounded by
-//!   the region vocabulary, not by history), so infrequent itemsets
-//!   simply fall out at derive time.
+//! * every prefix of a valid itemset is valid (see
+//!   [`MiningParams`]), so a rule's premise is always counted.
 //!
 //! The counts live in a prefix trie: an itemset's premise is counted
 //! before the itemset is (the premise's last visit was itself a tail
@@ -33,14 +38,9 @@
 //! an already-tracked instance touches no allocator, and a rule's
 //! premise support is its parent's count.
 
-use crate::{FxBuildHasher, MiningParams, PatternTable, RegionId};
+use crate::{FxBuildHasher, MiningParams, PatternTable, RegionId, Visit, VisitTable};
 use hpm_geo::mem::{hashmap_bytes, vec_cap_bytes};
-use hpm_trajectory::TimeOffset;
 use std::collections::HashMap;
-
-/// One transaction: the `(region id, offset)` visit sequence of one
-/// sub-trajectory, strictly ascending in offset.
-pub type Transaction = Vec<(u32, TimeOffset)>;
 
 /// Parent of the single-region itemsets.
 const ROOT: u32 = u32::MAX;
@@ -51,7 +51,7 @@ const ROOT: u32 = u32::MAX;
 struct Node {
     count: u32,
     parent: u32,
-    id: u32,
+    id: RegionId,
 }
 
 /// Persistent exact support counts over the structurally valid itemset
@@ -63,7 +63,7 @@ struct Node {
 pub struct SupportCounts {
     params: MiningParams,
     /// `(parent node, region id) → node`; singles hang off [`ROOT`].
-    children: HashMap<(u32, u32), u32, FxBuildHasher>,
+    children: HashMap<(u32, RegionId), u32, FxBuildHasher>,
     nodes: Vec<Node>,
 }
 
@@ -96,7 +96,7 @@ impl SupportCounts {
 
     /// Counts one more instance of the itemset `parent + [id]`,
     /// starting to track it on its first. Returns its node.
-    fn bump(&mut self, parent: u32, id: u32) -> u32 {
+    fn bump(&mut self, parent: u32, id: RegionId) -> u32 {
         let next = self.nodes.len() as u32;
         let node = *self.children.entry((parent, id)).or_insert(next);
         if node == next {
@@ -112,7 +112,7 @@ impl SupportCounts {
 
     /// The node of `parent + [id]`, a premise chain: counted when its
     /// own last visit was the tail.
-    fn child(&self, parent: u32, id: u32) -> u32 {
+    fn child(&self, parent: u32, id: RegionId) -> u32 {
         *self
             .children
             .get(&(parent, id))
@@ -121,18 +121,17 @@ impl SupportCounts {
 
     /// Counts every structurally valid itemset whose **final** element
     /// is the last visit of `tx` — call exactly once right after
-    /// appending a visit to its transaction. Offsets in `tx` must be
+    /// appending a visit to its sequence. Offsets in `tx` must be
     /// strictly ascending (one region per offset per sub-trajectory).
     /// Allocates only when an itemset is seen for the first time.
-    pub fn record_tail(&mut self, tx: &[(u32, TimeOffset)]) {
+    pub fn record_tail(&mut self, tx: &[Visit]) {
         let j = tx.len() - 1;
         let (last_id, last_off) = tx[j];
         debug_assert!(j == 0 || tx[j - 1].1 < last_off, "offsets must ascend");
         self.bump(ROOT, last_id);
         // Premise chains drawn from the window [anchor, j): consecutive
         // premise gaps ≤ max_premise_gap; the final element (the new
-        // visit) is bound only by max_span from the anchor — the same
-        // constraints `mine`'s level-wise `extend` applies.
+        // visit) is bound only by max_span from the anchor.
         for anchor in 0..j {
             let (aid, aoff) = tx[anchor];
             if last_off - aoff > self.params.max_span {
@@ -145,14 +144,7 @@ impl SupportCounts {
 
     /// Counts `chain + [tx[j]]` and grows the premise chain — `len`
     /// regions ending at position `last` — towards `j`.
-    fn extend_chain(
-        &mut self,
-        tx: &[(u32, TimeOffset)],
-        last: usize,
-        j: usize,
-        chain: u32,
-        len: usize,
-    ) {
+    fn extend_chain(&mut self, tx: &[Visit], last: usize, j: usize, chain: u32, len: usize) {
         self.bump(chain, tx[j].0);
         if len == self.params.max_premise_len {
             return;
@@ -169,54 +161,78 @@ impl SupportCounts {
         }
     }
 
-    /// Rebuilds the counts from scratch over complete transactions —
-    /// the seeding path after a full retrain. Equivalent to replaying
+    /// Recounts from scratch over complete visit sequences — a full
+    /// training pass. Equivalent to replaying
     /// [`SupportCounts::record_tail`] for every visit in arrival
     /// order.
-    pub fn rebuild(&mut self, txs: &[Transaction]) {
+    pub fn rebuild(&mut self, visits: &VisitTable) {
+        let _span = hpm_obs::span!(crate::metrics::ITEMSETS_SPAN);
         self.children.clear();
         self.nodes.clear();
-        for tx in txs {
+        for tx in visits.iter() {
             for end in 1..=tx.len() {
                 self.record_tail(&tx[..end]);
             }
         }
     }
 
-    /// Derives the canonical pattern list: exactly what
-    /// [`mine`](crate::mine) returns over the same visits — same
-    /// patterns, same order, bit-identical confidences — as an
-    /// exact-size table.
+    /// The frequent itemsets of two or more regions — the ones that
+    /// can carry a rule — each with its premise's support.
+    fn frequent(&self) -> impl Iterator<Item = (&Node, u32)> {
+        let rule = |n: &&Node| n.parent != ROOT && n.count >= self.params.min_support;
+        self.nodes.iter().filter(rule).map(|n| {
+            let premise_support = self.nodes[n.parent as usize].count;
+            debug_assert!(premise_support >= n.count);
+            (n, premise_support)
+        })
+    }
+
+    /// Appends the regions of `node`'s itemset to `out`, in time order.
+    fn spell(&self, node: &Node, out: &mut Vec<RegionId>) {
+        let start = out.len();
+        let mut at = node;
+        loop {
+            out.push(at.id);
+            if at.parent == ROOT {
+                break;
+            }
+            at = &self.nodes[at.parent as usize];
+        }
+        out[start..].reverse();
+    }
+
+    /// Every frequent itemset of two or more regions, spelled out,
+    /// with its support (for the pruning-effect statistics).
+    pub(crate) fn frequent_sets(&self) -> impl Iterator<Item = (Vec<RegionId>, u32)> + '_ {
+        self.frequent().map(|(node, _)| {
+            let mut set = Vec::new();
+            self.spell(node, &mut set);
+            (set, node.count)
+        })
+    }
+
+    /// Derives the canonical pattern list: one rule per frequent
+    /// itemset of size ≥ 2 — premise = all but the time-wise last
+    /// region, consequence = the last, confidence = support over the
+    /// premise's support — that meets the confidence bar, ordered by
+    /// `(itemset size, region ids)`, as an exact-size table. A pure
+    /// function of the counts: however they were reached (rebuilt,
+    /// grown visit by visit), equal counts give an equal table.
     pub fn derive(&self) -> PatternTable {
-        // One rule per frequent itemset of size ≥ 2 that meets the
-        // confidence bar; its premise support is the parent's count.
+        let _span = hpm_obs::span!(crate::metrics::RULES_SPAN);
         // `ids` holds the itemsets back to back, `rules` their
         // `(start, end, support, confidence)`.
-        let mut ids: Vec<u32> = Vec::new();
+        let mut ids: Vec<RegionId> = Vec::new();
         let mut rules: Vec<(usize, usize, u32, f64)> = Vec::new();
-        for node in &self.nodes {
-            if node.parent == ROOT || node.count < self.params.min_support {
-                continue;
-            }
-            let premise_support = self.nodes[node.parent as usize].count;
-            debug_assert!(premise_support >= node.count);
+        for (node, premise_support) in self.frequent() {
             let confidence = node.count as f64 / premise_support as f64;
             if confidence < self.params.min_confidence {
                 continue;
             }
             let start = ids.len();
-            let mut at = node;
-            loop {
-                ids.push(at.id);
-                if at.parent == ROOT {
-                    break;
-                }
-                at = &self.nodes[at.parent as usize];
-            }
-            ids[start..].reverse();
+            self.spell(node, &mut ids);
             rules.push((start, ids.len(), node.count, confidence));
         }
-        // `mine` emits level by level, each level in itemset order.
         rules.sort_unstable_by(|a, b| {
             let (a, b) = (&ids[a.0..a.1], &ids[b.0..b.1]);
             a.len().cmp(&b.len()).then_with(|| a.cmp(b))
@@ -225,8 +241,8 @@ impl SupportCounts {
             rules.len(),
             ids.len() - rules.len(),
             rules.iter().map(|&(start, end, support, confidence)| {
-                let premise = ids[start..end - 1].iter().map(|&id| RegionId(id));
-                (premise, RegionId(ids[end - 1]), confidence, support)
+                let premise = ids[start..end - 1].iter().copied();
+                (premise, ids[end - 1], confidence, support)
             }),
         )
     }
@@ -253,33 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn tail_counting_equals_rebuild() {
-        let txs: Vec<Transaction> = vec![
-            vec![(0, 0), (2, 1), (5, 3)],
-            vec![(0, 0), (5, 3)],
-            vec![(2, 1), (5, 3)],
-        ];
-        let mut grown = SupportCounts::new(params());
-        for tx in &txs {
-            for end in 1..=tx.len() {
-                grown.record_tail(&tx[..end]);
-            }
-        }
-        let mut rebuilt = SupportCounts::new(params());
-        rebuilt.rebuild(&txs);
-        assert_eq!(grown.derive(), rebuilt.derive());
-        assert_eq!(grown.tracked_itemsets(), rebuilt.tracked_itemsets());
-    }
-
-    #[test]
     fn span_and_gap_constraints_enforced() {
         // Gap 0 -> 3 exceeds max_premise_gap = 2 for a premise pair,
         // but the final element is bound only by max_span = 4.
         let mut c = SupportCounts::new(params());
-        let tx: Transaction = vec![(1, 0), (2, 3), (3, 4)];
-        for end in 1..=tx.len() {
-            c.record_tail(&tx[..end]);
+        let mut txs = VisitTable::default();
+        for (id, offset) in [(1, 0), (2, 3), (3, 4)] {
+            txs.record(0, RegionId(id), offset);
         }
+        c.rebuild(&txs);
         let pats = c.derive();
         // min_support = 2 filters everything here.
         assert!(pats.is_empty());
@@ -287,7 +285,7 @@ mod tests {
             min_support: 1,
             ..params()
         });
-        c2.rebuild(&[tx]);
+        c2.rebuild(&txs);
         let pats = c2.derive();
         // [1,2] valid (1->2 as final is span-bound), [1,3] valid,
         // [2,3] valid, [1,2,3] needs premise gap 0->3 > 2: absent.

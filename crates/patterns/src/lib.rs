@@ -8,14 +8,19 @@
 //!    frequent region `Rₜʲ`. Region ids are assigned in `(offset,
 //!    cluster)` order — the sort order the Trajectory Pattern Tree's
 //!    region-key table relies on (Property 1 of §V.A).
-//! 2. **Trajectory patterns** ([`mining`]): an Apriori-style miner
-//!    derives association rules `Rt₁ ∧ … ∧ Rtₘ --c--> Rtₙ` over the
-//!    per-sub-trajectory region-visit sequences, applying the paper's
-//!    two pruning rules: premises must be *monotonically increasing in
-//!    time* with the consequence strictly last (no predicting the past
-//!    from the future), and consequences are always a *single* region
-//!    (Theorem 1: the multi-consequence variant can never win the
-//!    ranking, so it is never generated).
+//! 2. **Trajectory patterns** ([`mining`], [`incremental`]): exact
+//!    support counts over the per-sub-trajectory region-visit sequences
+//!    ([`SupportCounts`]) yield association rules
+//!    `Rt₁ ∧ … ∧ Rtₘ --c--> Rtₙ`, with the paper's two pruning rules
+//!    built into which itemsets are counted: premises must be
+//!    *monotonically increasing in time* with the consequence strictly
+//!    last (no predicting the past from the future), and consequences
+//!    are always a *single* region (Theorem 1: the multi-consequence
+//!    variant can never win the ranking, so it is never generated).
+//!
+//! Both components have one implementation: [`discover`] + [`mine`]
+//! are the one-call forms of what an incremental trainer
+//! (`hpm_core::TrainerState`) holds on to between retrains.
 
 //! # Example
 //!
@@ -64,10 +69,11 @@ pub mod metrics;
 pub mod mining;
 
 pub use discovery::{
-    discover, discover_from_groups, visits_against, DiscoveryOutput, DiscoveryParams, VisitTable,
+    cluster_offsets, discover, region_set, visits_against, DiscoveryOutput, DiscoveryParams,
+    OffsetClusters, Visit, VisitTable,
 };
 pub use fxhash::FxBuildHasher;
-pub use incremental::{SupportCounts, Transaction};
+pub use incremental::SupportCounts;
 pub use mining::{mine, prune_statistics, MiningParams, PruneStats};
 pub use pattern::TrajectoryPattern;
 pub use region::{FrequentRegion, RegionId, RegionSet};

@@ -1,28 +1,27 @@
 //! Metric names this crate emits, and their registration.
 //!
-//! The offline pipeline (§IV discovery, §V.A mining) runs rarely but
-//! long; its spans let an operator see where a retrain spends its
-//! time. Names follow the workspace `crate.module.op` convention; the
+//! A full training pass (§IV discovery, §V.A mining) runs rarely but
+//! long; its spans let an operator see where one spends its time. They
+//! sit inside the functions every trainer goes through — a batch
+//! `HybridPredictor::build` and a store's first training or re-seed
+//! alike. Names follow the workspace `crate.module.op` convention; the
 //! full catalogue lives in `docs/OBSERVABILITY.md`.
 
 hpm_obs::catalog! {
     /// Latency span around frequent-region discovery (periodic
-    /// decomposition + per-offset DBSCAN).
+    /// decomposition + per-offset DBSCAN): `cluster_offsets`.
     span DISCOVER_SPAN = "patterns.discover";
-    /// Latency span around the whole mining call.
+    /// Latency span around the one-call form, `mine`.
     span MINE_SPAN = "patterns.mine";
-    /// Latency span around level-wise frequent-itemset counting (the
-    /// Apriori passes), inside [`MINE_SPAN`].
+    /// Latency span around a from-scratch support count over complete
+    /// visit sequences: `SupportCounts::rebuild`.
     span ITEMSETS_SPAN = "patterns.mine.itemsets";
-    /// Latency span around association-rule generation, inside
-    /// [`MINE_SPAN`].
+    /// Latency span around deriving the rule list from the counts —
+    /// once per training pass, full or delta: `SupportCounts::derive`.
     span RULES_SPAN = "patterns.mine.rules";
 
     /// Frequent regions discovered, summed over discovery runs.
     counter DISCOVER_REGIONS = "patterns.discover.regions";
-    /// Trajectory patterns produced, summed over mining runs.
+    /// Trajectory patterns produced, summed over `mine` calls.
     counter MINE_PATTERNS = "patterns.mine.patterns";
-    /// Frequent itemsets surviving each Apriori level (histogram, unit
-    /// `count`; one sample per level per mining run).
-    histogram[Count] MINE_LEVEL_ITEMSETS = "patterns.mine.level_itemsets";
 }

@@ -1,10 +1,12 @@
-//! Apriori trajectory-pattern mining (§IV, second component).
+//! Trajectory-pattern mining (§IV, second component): the parameters,
+//! the one-call form, and the pruning-effect statistics.
 //!
 //! Transactions are the per-sub-trajectory region-visit sequences of
-//! the [`VisitTable`]; frequent itemsets are mined
-//! level-wise and every frequent itemset of size ≥ 2 yields exactly one
-//! rule — premise = all but the time-wise last region, consequence =
-//! the last region. That bakes in the paper's two pruning rules:
+//! the [`VisitTable`]; [`SupportCounts`] counts every structurally
+//! valid itemset in them and every frequent itemset of size ≥ 2 yields
+//! exactly one rule — premise = all but the time-wise last region,
+//! consequence = the last region. That bakes in the paper's two pruning
+//! rules:
 //!
 //! * **time monotonicity** — premises strictly increase in time and the
 //!   consequence is strictly last (no predicting the past from the
@@ -26,14 +28,8 @@
 //! premise-start → consequence distance (longer horizons are served by
 //! BQP's consequence-time search, not by longer premises).
 
-use crate::{FxBuildHasher, RegionId, RegionSet, TrajectoryPattern, VisitTable};
-use hpm_trajectory::TimeOffset;
+use crate::{FxBuildHasher, PatternTable, RegionId, RegionSet, SupportCounts, Visit, VisitTable};
 use std::collections::HashMap;
-
-/// Itemset key: region ids in ascending (time) order.
-type Itemset = Box<[u32]>;
-/// Support counts per itemset at one level.
-type Counts = HashMap<Itemset, u32, FxBuildHasher>;
 
 /// Knobs of the mining stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,25 +103,20 @@ impl PruneStats {
     }
 }
 
-/// Mines trajectory patterns from the visit sequences.
+/// Mines the trajectory patterns of `visits` — sequences over
+/// `regions` — in one call: counts the supports
+/// ([`SupportCounts::rebuild`]) and derives the rules
+/// ([`SupportCounts::derive`]).
 ///
-/// Returns patterns in deterministic (level, itemset) order; every
-/// returned pattern satisfies [`TrajectoryPattern::validate`].
+/// Returns patterns in deterministic (itemset size, itemset) order;
+/// every returned pattern satisfies
+/// [`TrajectoryPattern::validate`](crate::TrajectoryPattern::validate).
 ///
 /// # Panics
 /// Panics when `params` are inconsistent (see [`MiningParams`]).
-pub fn mine(
-    regions: &RegionSet,
-    visits: &VisitTable,
-    params: &MiningParams,
-) -> Vec<TrajectoryPattern> {
-    params.validate();
+pub fn mine(regions: &RegionSet, visits: &VisitTable, params: &MiningParams) -> PatternTable {
     let _span = hpm_obs::span!(crate::metrics::MINE_SPAN);
-    let levels = frequent_itemsets(regions, visits, params);
-    let patterns = {
-        let _span = hpm_obs::span!(crate::metrics::RULES_SPAN);
-        generate_rules(&levels, params.min_confidence)
-    };
+    let patterns = counted(regions, visits, params).derive();
     hpm_obs::counter!(crate::metrics::MINE_PATTERNS).add(patterns.len() as u64);
     patterns
 }
@@ -135,157 +126,28 @@ pub fn prune_statistics(
     regions: &RegionSet,
     visits: &VisitTable,
     params: &MiningParams,
-) -> (Vec<TrajectoryPattern>, PruneStats) {
-    params.validate();
-    let levels = frequent_itemsets(regions, visits, params);
-    let patterns = generate_rules(&levels, params.min_confidence);
+) -> (PatternTable, PruneStats) {
+    let counts = counted(regions, visits, params);
+    let patterns = counts.derive();
     let stats = PruneStats {
         pruned_rules: patterns.len(),
-        unpruned_rules: count_unpruned_rules(&levels, visits, params.min_confidence),
+        unpruned_rules: count_unpruned_rules(&counts, visits),
     };
     (patterns, stats)
 }
 
-/// Level-wise frequent-itemset mining. `result[k-1]` holds the
-/// frequent itemsets of size `k` with their supports.
-fn frequent_itemsets(
-    regions: &RegionSet,
-    visits: &VisitTable,
-    params: &MiningParams,
-) -> Vec<Counts> {
-    let _span = hpm_obs::span!(crate::metrics::ITEMSETS_SPAN);
-    let max_len = params.max_premise_len + 1;
-
-    // Level 1: count singles.
-    let mut c1: Counts = Counts::default();
-    for seq in visits.iter() {
-        for &id in seq {
-            *c1.entry(Box::new([id.0])).or_insert(0) += 1;
-        }
-    }
-    c1.retain(|_, &mut n| n >= params.min_support);
-
-    // Transactions restricted to frequent regions, with offsets.
-    let txs: Vec<Vec<(u32, TimeOffset)>> = visits
-        .iter()
-        .map(|seq| {
-            seq.iter()
-                .filter(|id| c1.contains_key([id.0].as_slice()))
-                .map(|&id| (id.0, regions.get(id).offset))
-                .collect()
-        })
-        .collect();
-
-    let mut levels = vec![c1];
-    for k in 2..=max_len {
-        let mut ck = count_level(&txs, k, params, &levels);
-        ck.retain(|_, &mut n| n >= params.min_support);
-        if ck.is_empty() {
-            break;
-        }
-        levels.push(ck);
-    }
-    if hpm_obs::enabled() {
-        for counts in &levels {
-            hpm_obs::histogram!(crate::metrics::MINE_LEVEL_ITEMSETS).record(counts.len() as u64);
-        }
-    }
-    levels
-}
-
-/// Counts level-`k` itemset occurrences over a transaction slice.
-fn count_level(
-    txs: &[Vec<(u32, TimeOffset)>],
-    k: usize,
-    params: &MiningParams,
-    levels: &[Counts],
-) -> Counts {
-    let mut ck: Counts = Counts::default();
-    let mut stack: Vec<u32> = Vec::with_capacity(k);
-    for tx in txs {
-        if tx.len() < k {
-            continue;
-        }
-        for start in 0..=tx.len() - k {
-            stack.clear();
-            stack.push(tx[start].0);
-            extend(tx, start, start, k, params, levels, &mut stack, &mut ck);
-        }
-    }
-    ck
-}
-
-/// Depth-first extension of `stack` — a frequent prefix anchored at
-/// `tx[anchor]` whose last item sits at `tx[last]` — up to length `k`,
-/// incrementing `out` for every completed, structurally valid itemset.
-/// `levels[d - 1]` holds the frequent itemsets of size `d`; only
-/// frequent prefixes are extended (Apriori pruning).
-#[allow(clippy::too_many_arguments)]
-fn extend(
-    tx: &[(u32, TimeOffset)],
-    anchor: usize,
-    last: usize,
-    k: usize,
-    params: &MiningParams,
-    levels: &[Counts],
-    stack: &mut Vec<u32>,
-    out: &mut Counts,
-) {
-    let depth = stack.len();
-    let anchor_off = tx[anchor].1;
-    let last_off = tx[last].1;
-    for next in last + 1..tx.len() {
-        let (id, off) = tx[next];
-        debug_assert!(off >= last_off);
-        if off == last_off {
-            continue; // same offset cannot co-occur; skip defensively
-        }
-        if off - anchor_off > params.max_span {
-            break; // offsets ascend: nothing further can qualify
-        }
-        if depth + 1 == k {
-            // Final (consequence) item: only the span constraint applies.
-            stack.push(id);
-            *out.entry(stack[..].into()).or_insert(0) += 1;
-            stack.pop();
-        } else {
-            // Premise item: must respect the premise gap, and the grown
-            // prefix must itself be frequent.
-            if off - last_off > params.max_premise_gap {
-                continue;
-            }
-            stack.push(id);
-            if levels[depth].contains_key(&stack[..]) {
-                extend(tx, anchor, next, k, params, levels, stack, out);
-            }
-            stack.pop();
-        }
-    }
-}
-
-/// One rule per frequent itemset of size ≥ 2: premise = all but last,
-/// consequence = last (maximal offset), filtered by confidence.
-fn generate_rules(levels: &[Counts], min_confidence: f64) -> Vec<TrajectoryPattern> {
-    let mut out = Vec::new();
-    for k in 2..=levels.len() {
-        let mut items: Vec<(&Itemset, u32)> = levels[k - 1].iter().map(|(s, &n)| (s, n)).collect();
-        items.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        for (set, support) in items {
-            let premise = &set[..k - 1];
-            let premise_support = levels[k - 2][premise];
-            debug_assert!(premise_support >= support);
-            let confidence = support as f64 / premise_support as f64;
-            if confidence >= min_confidence {
-                out.push(TrajectoryPattern {
-                    premise: premise.iter().map(|&id| RegionId(id)).collect(),
-                    consequence: RegionId(set[k - 1]),
-                    confidence,
-                    support,
-                });
-            }
-        }
-    }
-    out
+/// The support counts of `visits`.
+fn counted(regions: &RegionSet, visits: &VisitTable, params: &MiningParams) -> SupportCounts {
+    debug_assert!(
+        visits
+            .iter()
+            .flatten()
+            .all(|&(id, offset)| regions.get(id).offset == offset),
+        "visits must be over `regions`"
+    );
+    let mut counts = SupportCounts::new(*params);
+    counts.rebuild(visits);
+    counts
 }
 
 /// Counts the rules an unpruned Apriori rule generator would emit from
@@ -293,27 +155,24 @@ fn generate_rules(levels: &[Counts], min_confidence: f64) -> Vec<TrajectoryPatte
 /// every non-empty proper subset `C ⊂ S` taken as consequence,
 /// the rule `S∖C → C` counts when `supp(S)/supp(S∖C) ≥ min_confidence`.
 ///
-/// `supp(S∖C)` for arbitrary subsets is not in the level tables (they
+/// `supp(S∖C)` for arbitrary subsets is not among the counts (they
 /// only hold structurally valid itemsets), so subsets are recounted by
 /// direct transaction scans, memoised per subset.
-fn count_unpruned_rules(levels: &[Counts], visits: &VisitTable, min_confidence: f64) -> usize {
-    let mut subset_support: Counts = Counts::default();
+fn count_unpruned_rules(counts: &SupportCounts, visits: &VisitTable) -> usize {
+    let mut subset_support: HashMap<Vec<RegionId>, u32, FxBuildHasher> = HashMap::default();
     let mut count = 0usize;
-    for level in levels.iter().skip(1) {
-        for (set, &support) in level {
-            let k = set.len();
-            // Enumerate non-empty proper subsets as premise masks.
-            for mask in 1..(1u32 << k) - 1 {
-                let premise: Itemset = (0..k)
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(|i| set[i])
-                    .collect();
-                let psupp = *subset_support
-                    .entry(premise)
-                    .or_insert_with_key(|p| transaction_support(visits, p));
-                if psupp > 0 && support as f64 / psupp as f64 >= min_confidence {
-                    count += 1;
-                }
+    for (set, support) in counts.frequent_sets() {
+        // Enumerate non-empty proper subsets as premise masks.
+        for mask in 1..(1u32 << set.len()) - 1 {
+            let premise = (0..set.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| set[i])
+                .collect();
+            let psupp = *subset_support
+                .entry(premise)
+                .or_insert_with_key(|p| transaction_support(visits, p));
+            if psupp > 0 && support as f64 / psupp as f64 >= counts.params().min_confidence {
+                count += 1;
             }
         }
     }
@@ -321,7 +180,7 @@ fn count_unpruned_rules(levels: &[Counts], visits: &VisitTable, min_confidence: 
 }
 
 /// Support of an arbitrary sorted itemset by scanning all transactions.
-fn transaction_support(visits: &VisitTable, set: &[u32]) -> u32 {
+fn transaction_support(visits: &VisitTable, set: &[RegionId]) -> u32 {
     let mut n = 0;
     for seq in visits.iter() {
         if contains_sorted(seq, set) {
@@ -331,8 +190,8 @@ fn transaction_support(visits: &VisitTable, set: &[u32]) -> u32 {
     n
 }
 
-/// Whether sorted `haystack` (of region ids) contains sorted `needle`.
-fn contains_sorted(haystack: &[RegionId], needle: &[u32]) -> bool {
+/// Whether sorted `haystack` (of region visits) contains sorted `needle`.
+fn contains_sorted(haystack: &[Visit], needle: &[RegionId]) -> bool {
     let mut it = haystack.iter();
     'outer: for &want in needle {
         for got in it.by_ref() {
@@ -351,6 +210,7 @@ fn contains_sorted(haystack: &[RegionId], needle: &[u32]) -> bool {
 mod tests {
     use super::*;
     use crate::region::test_region;
+    use crate::TrajectoryPattern;
 
     /// Fig. 3's world: 5 regions over offsets 0..=2. 10 sub-trajectory
     /// transactions reproduce the paper's confidences:
@@ -370,23 +230,26 @@ mod tests {
             3,
         );
         let mut visits = VisitTable::with_subs(11);
+        let mut visit = |s: usize, id: u32| {
+            visits.record(s, RegionId(id), regions.get(RegionId(id)).offset);
+        };
         let mut s = 0;
         for _ in 0..5 {
-            visits.record(s, RegionId(0));
-            visits.record(s, RegionId(1));
-            visits.record(s, RegionId(3));
+            visit(s, 0);
+            visit(s, 1);
+            visit(s, 3);
             s += 1;
         }
         for _ in 0..4 {
-            visits.record(s, RegionId(0));
-            visits.record(s, RegionId(2));
-            visits.record(s, RegionId(4));
+            visit(s, 0);
+            visit(s, 2);
+            visit(s, 4);
             s += 1;
         }
-        visits.record(s, RegionId(0));
-        visits.record(s, RegionId(2));
+        visit(s, 0);
+        visit(s, 2);
         s += 1;
-        visits.record(s, RegionId(1));
+        visit(s, 1);
         (regions, visits)
     }
 
@@ -398,6 +261,10 @@ mod tests {
             max_premise_gap: 2,
             max_span: 4,
         }
+    }
+
+    fn ids(raw: &[u32]) -> Vec<RegionId> {
+        raw.iter().map(|&i| RegionId(i)).collect()
     }
 
     fn find<'a>(
@@ -414,7 +281,7 @@ mod tests {
     #[test]
     fn fig3_confidences_reproduced() {
         let (regions, visits) = fig3();
-        let patterns = mine(&regions, &visits, &params());
+        let patterns = mine(&regions, &visits, &params()).to_vec();
         // R0 --> R1⁰ with confidence 5/10.
         let p = find(&patterns, &[0], 1).expect("R0 -> R1^0");
         assert_eq!(p.support, 5);
@@ -438,7 +305,7 @@ mod tests {
         let (regions, visits) = fig3();
         let mut p = params();
         p.min_support = 5;
-        let patterns = mine(&regions, &visits, &p);
+        let patterns = mine(&regions, &visits, &p).to_vec();
         // The 4-support mall→beach itemsets drop out.
         assert!(find(&patterns, &[0, 2], 4).is_none());
         assert!(find(&patterns, &[0, 1], 3).is_some());
@@ -449,7 +316,7 @@ mod tests {
         let (regions, visits) = fig3();
         let mut p = params();
         p.min_confidence = 0.9;
-        let patterns = mine(&regions, &visits, &p);
+        let patterns = mine(&regions, &visits, &p).to_vec();
         assert!(find(&patterns, &[0], 1).is_none(), "conf 0.5 filtered");
         assert!(find(&patterns, &[0, 1], 3).is_some(), "conf 1.0 kept");
     }
@@ -460,7 +327,7 @@ mod tests {
         let mut p = params();
         p.max_span = 1;
         p.max_premise_gap = 1;
-        let patterns = mine(&regions, &visits, &p);
+        let patterns = mine(&regions, &visits, &p).to_vec();
         // Offset 0 -> 2 exceeds span 1; only adjacent-offset rules stay.
         assert!(find(&patterns, &[0], 3).is_none());
         assert!(find(&patterns, &[0], 1).is_some());
@@ -472,17 +339,9 @@ mod tests {
         let (regions, visits) = fig3();
         let mut p = params();
         p.max_premise_len = 1;
-        let patterns = mine(&regions, &visits, &p);
+        let patterns = mine(&regions, &visits, &p).to_vec();
         assert!(patterns.iter().all(|p| p.premise_len() == 1));
         assert!(!patterns.is_empty());
-    }
-
-    #[test]
-    fn all_mined_patterns_validate() {
-        let (regions, visits) = fig3();
-        for p in mine(&regions, &visits, &params()) {
-            p.validate(&regions).unwrap();
-        }
     }
 
     #[test]
@@ -501,22 +360,21 @@ mod tests {
         // Direct check of Theorem 1 on the mined supports: for the
         // itemset {R0, R1⁰, R2⁰}, conf(R0 -> R1⁰ ∧ R2⁰) ≤ conf(R0 -> R1⁰).
         let (_, visits) = fig3();
-        let c_single = transaction_support(&visits, &[0, 1]) as f64
-            / transaction_support(&visits, &[0]) as f64;
-        let c_multi = transaction_support(&visits, &[0, 1, 3]) as f64
-            / transaction_support(&visits, &[0]) as f64;
+        let support = |set: &[u32]| transaction_support(&visits, &ids(set)) as f64;
+        let c_single = support(&[0, 1]) / support(&[0]);
+        let c_multi = support(&[0, 1, 3]) / support(&[0]);
         assert!(c_multi <= c_single);
     }
 
     #[test]
     fn contains_sorted_cases() {
-        let hay: Vec<RegionId> = [1u32, 3, 5, 9].iter().map(|&i| RegionId(i)).collect();
-        assert!(contains_sorted(&hay, &[1, 5]));
-        assert!(contains_sorted(&hay, &[9]));
+        let hay: Vec<Visit> = [1u32, 3, 5, 9].iter().map(|&i| (RegionId(i), i)).collect();
+        assert!(contains_sorted(&hay, &ids(&[1, 5])));
+        assert!(contains_sorted(&hay, &ids(&[9])));
         assert!(contains_sorted(&hay, &[]));
-        assert!(!contains_sorted(&hay, &[2]));
-        assert!(!contains_sorted(&hay, &[5, 10]));
-        assert!(!contains_sorted(&[], &[1]));
+        assert!(!contains_sorted(&hay, &ids(&[2])));
+        assert!(!contains_sorted(&hay, &ids(&[5, 10])));
+        assert!(!contains_sorted(&[], &ids(&[1])));
     }
 
     #[test]

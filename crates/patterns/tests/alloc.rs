@@ -8,7 +8,7 @@
 //! a steady-state retrain — allocates nothing.
 
 use hpm_check::alloc::CountingAllocator;
-use hpm_patterns::{MiningParams, SupportCounts, Transaction};
+use hpm_patterns::{MiningParams, RegionId, SupportCounts, Visit};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -23,9 +23,11 @@ fn counting_tracked_itemsets_is_allocation_free() {
         max_span: 8,
     });
     // Two routes over eight offsets, forking at offset 3.
-    let routes: [Transaction; 2] = [
-        (0..8).map(|t| (t, t)).collect(),
-        (0..8).map(|t| (if t < 3 { t } else { t + 8 }, t)).collect(),
+    let routes: [Vec<Visit>; 2] = [
+        (0..8).map(|t| (RegionId(t), t)).collect(),
+        (0..8)
+            .map(|t| (RegionId(if t < 3 { t } else { t + 8 }), t))
+            .collect(),
     ];
     let replay = |counts: &mut SupportCounts| {
         for tx in &routes {

@@ -1,11 +1,76 @@
-//! Property-based invariants for discovery and Apriori mining.
+//! Property-based invariants for discovery and pattern mining.
+//!
+//! The mining oracle is [`rules_by_definition`]: supports, thresholds,
+//! confidences and order computed straight from the definitions over a
+//! subset-mask enumeration of every visit sequence — no trie, no tail
+//! counting, nothing shared with [`SupportCounts`].
 
 use hpm_check::prelude::*;
 use hpm_geo::Point;
 use hpm_patterns::{
     discover, mine, prune_statistics, visits_against, DiscoveryParams, MiningParams, RegionId,
+    SupportCounts, TrajectoryPattern, Visit, VisitTable,
 };
 use hpm_trajectory::Trajectory;
+use std::collections::BTreeMap;
+
+/// Support of every structurally valid itemset, by definition: each
+/// subset of each visit sequence (regions are distinct within one, so
+/// a subset is one itemset occurring once in that transaction) whose
+/// premise — all but the last visit — is at most `max_premise_len`
+/// long with consecutive gaps ≤ `max_premise_gap`, and whose last
+/// visit is within `max_span` of its first.
+fn supports_by_definition(visits: &VisitTable, mp: &MiningParams) -> BTreeMap<Vec<RegionId>, u32> {
+    let mut supports = BTreeMap::new();
+    for tx in visits.iter() {
+        for mask in 1u32..1 << tx.len() {
+            let picked: Vec<_> = (0..tx.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| tx[i])
+                .collect();
+            let (premise, last) = picked.split_at(picked.len() - 1);
+            if premise.len() <= mp.max_premise_len
+                && premise
+                    .windows(2)
+                    .all(|w| w[1].1 - w[0].1 <= mp.max_premise_gap)
+                && last[0].1 - picked[0].1 <= mp.max_span
+            {
+                let set = picked.iter().map(|v| v.0).collect();
+                *supports.entry(set).or_insert(0) += 1;
+            }
+        }
+    }
+    supports
+}
+
+/// The rule list, by definition: one rule per itemset of two or more
+/// regions with support ≥ `min_support` — premise = all but the last
+/// region — whose confidence `supp(itemset) / supp(premise)` is ≥
+/// `min_confidence`, ordered by `(itemset size, region ids)`.
+fn rules_by_definition(
+    supports: &BTreeMap<Vec<RegionId>, u32>,
+    mp: &MiningParams,
+) -> Vec<TrajectoryPattern> {
+    let mut sets: Vec<_> = supports
+        .iter()
+        .filter(|(set, &n)| set.len() >= 2 && n >= mp.min_support)
+        .collect();
+    sets.sort_by_key(|(set, _)| (set.len(), *set));
+    let mut rules = Vec::new();
+    for (set, &support) in sets {
+        let (consequence, premise) = set.split_last().unwrap();
+        let confidence = support as f64 / supports[premise] as f64;
+        if confidence >= mp.min_confidence {
+            rules.push(TrajectoryPattern {
+                premise: premise.to_vec(),
+                consequence: *consequence,
+                confidence,
+                support,
+            });
+        }
+    }
+    rules
+}
 
 /// A random "commuter": a few anchor spots per offset, each day picks
 /// an anchor per offset with jitter — guaranteed periodic structure
@@ -74,7 +139,8 @@ props! {
         let mut visit_counts = vec![0u32; regions.len()];
         for seq in out.visits.iter() {
             require!(seq.windows(2).all(|w| w[0] < w[1]), "non-ascending visits");
-            for id in seq {
+            for (id, offset) in seq {
+                require_eq!(regions.get(*id).offset, *offset);
                 visit_counts[id.index()] += 1;
             }
         }
@@ -84,19 +150,24 @@ props! {
     }
 
     /// Every mined pattern is Definition-1-valid, meets the thresholds,
-    /// and its confidence matches a direct recount over transactions.
+    /// and its confidence matches a direct recount over transactions;
+    /// the list as a whole is the one the definitions give.
     fn mined_patterns_are_sound(history in arb_history()) {
         let (traj, period) = history;
         let out = discover(&traj, &params(period));
         let mp = mining_params();
         let patterns = mine(&out.regions, &out.visits, &mp);
-        for p in &patterns {
+        require_eq!(
+            patterns,
+            rules_by_definition(&supports_by_definition(&out.visits, &mp), &mp)
+        );
+        for p in patterns.iter() {
             require_eq!(p.validate(&out.regions), Ok(()));
             require!(p.support >= mp.min_support);
             require!(p.confidence >= mp.min_confidence);
             // Recount premise and full-itemset support directly.
-            let contains = |seq: &[RegionId], ids: &[RegionId]| {
-                ids.iter().all(|id| seq.binary_search(id).is_ok())
+            let contains = |seq: &[Visit], ids: &[RegionId]| {
+                ids.iter().all(|id| seq.iter().any(|visit| visit.0 == *id))
             };
             let full: Vec<RegionId> = p
                 .premise
@@ -116,7 +187,7 @@ props! {
     fn confidence_bounds(history in arb_history()) {
         let (traj, period) = history;
         let out = discover(&traj, &params(period));
-        for p in mine(&out.regions, &out.visits, &mining_params()) {
+        for p in mine(&out.regions, &out.visits, &mining_params()).iter() {
             require!(p.confidence > 0.0 && p.confidence <= 1.0);
         }
     }
@@ -137,7 +208,6 @@ props! {
         let expected: Vec<_> = loose
             .iter()
             .filter(|p| p.support >= 4 && p.confidence >= 0.5)
-            .cloned()
             .collect();
         require_eq!(strict, expected);
     }
@@ -165,12 +235,13 @@ props! {
         }
     }
 
-    // Incrementally grown support counts derive *exactly* the batch
-    // mine result — same patterns, same order, bit-identical
-    // confidences — after every single appended visit, including
-    // partially filled tail transactions.
+    // `SupportCounts` — grown visit by visit, and rebuilt from
+    // scratch — derives *exactly* the rule list the definitions give:
+    // same patterns, same order, bit-identical confidences, after every
+    // single appended visit, including partially filled tail
+    // transactions; and it tracks each structurally valid itemset once.
     #[cases(96)]
-    fn incremental_counts_equal_batch_mine_at_every_visit(
+    fn support_counts_match_the_definition_at_every_visit(
         region_counts in vec(int(0u32..3), 3..8),
         subs in int(1usize..10),
         seed in int(0u64..10_000),
@@ -191,28 +262,8 @@ props! {
             }
         }),
     ) {
-        use hpm_geo::BoundingBox;
-        use hpm_patterns::{FrequentRegion, RegionSet, SupportCounts, VisitTable};
-
-        let period = region_counts.len() as u32;
         // Region vocabulary: `region_counts[t]` regions at offset t,
         // dense ids in (offset, local) order, as discovery assigns.
-        let mut regions = Vec::new();
-        for (t, &n) in region_counts.iter().enumerate() {
-            for j in 0..n {
-                let c = Point::new(t as f64 * 10.0, j as f64 * 10.0);
-                regions.push(FrequentRegion {
-                    id: RegionId(regions.len() as u32),
-                    offset: t as u32,
-                    local_index: j,
-                    centroid: c,
-                    bbox: BoundingBox::from_point(c),
-                    support: 1,
-                });
-            }
-        }
-        let region_set = RegionSet::new(regions, period);
-
         // Per-sub visit choices: at most one region per offset.
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut next = move || {
@@ -233,42 +284,21 @@ props! {
             }
         }
 
-        // Replay the stream visit by visit, comparing against a batch
-        // mine over everything seen so far at each step.
-        let mut counts = SupportCounts::new(mp);
+        // Replay the stream visit by visit, comparing the grown counts
+        // and a fresh rebuild with the enumeration over everything
+        // seen so far at each step.
+        let mut grown = SupportCounts::new(mp);
         let mut visits = VisitTable::with_subs(subs);
-        let mut txs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); subs];
         for &(s, id, t) in &stream {
-            visits.record(s, id);
-            txs[s].push((id.0, t));
-            counts.record_tail(&txs[s]);
-            require_eq!(counts.derive(), mine(&region_set, &visits, &mp));
-        }
-
-        // And the seed path reproduces the grown state.
-        let mut reseeded = SupportCounts::new(mp);
-        reseeded.rebuild(&txs);
-        require_eq!(reseeded.derive(), counts.derive());
-
-        // The counts track each structurally valid itemset once: a
-        // naive enumeration of every visit subset finds as many.
-        let mut universe = std::collections::BTreeSet::new();
-        for tx in &txs {
-            for mask in 1u32..1 << tx.len() {
-                let picked: Vec<(u32, u32)> = (0..tx.len())
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(|i| tx[i])
-                    .collect();
-                let (premise, last) = picked.split_at(picked.len() - 1);
-                if premise.len() <= mp.max_premise_len
-                    && premise.windows(2).all(|w| w[1].1 - w[0].1 <= mp.max_premise_gap)
-                    && last[0].1 - picked[0].1 <= mp.max_span
-                {
-                    universe.insert(picked.iter().map(|v| v.0).collect::<Vec<u32>>());
-                }
+            grown.record_tail(visits.record(s, id, t));
+            let supports = supports_by_definition(&visits, &mp);
+            let rules = rules_by_definition(&supports, &mp);
+            let mut rebuilt = SupportCounts::new(mp);
+            rebuilt.rebuild(&visits);
+            for counts in [&grown, &rebuilt] {
+                require_eq!(counts.derive(), rules);
+                require_eq!(counts.tracked_itemsets(), supports.len());
             }
         }
-        require_eq!(counts.tracked_itemsets(), universe.len());
-        require_eq!(reseeded.tracked_itemsets(), universe.len());
     }
 }

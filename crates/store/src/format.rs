@@ -32,6 +32,11 @@ pub const MAGIC: &[u8; 8] = b"HPMMODEL";
 /// The current (and only) format version.
 pub const VERSION: u32 = 1;
 
+/// Sanity limit on the period: the decoded region table allocates one
+/// slot per time offset, so the bound is checked before anything is
+/// sized by it. A week of one-second samples (604,800) fits.
+pub const MAX_PERIOD: u32 = 1 << 20;
+
 /// Sanity limit on region counts (a discovery run over a single
 /// object's history stays far below this).
 pub const MAX_REGIONS: usize = 50_000_000;

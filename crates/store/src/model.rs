@@ -4,7 +4,7 @@
 //! [`crate::write_atomic`], so a failed `save_model` over an existing
 //! model leaves the old one intact.
 
-use crate::format::{MAGIC, MAX_PATTERNS, MAX_PREMISE, MAX_REGIONS, VERSION};
+use crate::format::{MAGIC, MAX_PATTERNS, MAX_PERIOD, MAX_PREMISE, MAX_REGIONS, VERSION};
 use crate::wire::{
     begin_sealed, get_count, get_f64, get_varint, open_sealed, put_f64, put_varint, seal,
 };
@@ -90,10 +90,10 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
         return Err(DecodeError::UnsupportedVersion(version));
     }
 
-    let period = get_varint(&mut buf)? as u32;
-    if period == 0 {
-        return Err(DecodeError::Invalid("period must be positive".into()));
-    }
+    let period = u32::try_from(get_varint(&mut buf)?)
+        .ok()
+        .filter(|period| (1..=MAX_PERIOD).contains(period))
+        .ok_or_else(|| DecodeError::Invalid(format!("period must be in 1..={MAX_PERIOD}")))?;
     let region_count = get_count(&mut buf, MAX_REGIONS)?;
     let mut regions = Vec::with_capacity(region_count);
     for id in 0..region_count {
@@ -316,6 +316,34 @@ mod tests {
             decode_model(&blob),
             Err(DecodeError::UnsupportedVersion(2))
         ));
+    }
+
+    /// A period is a size — the region table holds one slot per offset
+    /// — and a valid checksum proves nothing about who wrote the file:
+    /// an absurd one is refused before anything is sized by it, and one
+    /// past `u32` is refused, not wrapped into a small one.
+    #[test]
+    fn absurd_period_is_invalid_not_an_allocation() {
+        for period in [
+            u64::from(u32::MAX),
+            (1 << 32) + 5,
+            u64::from(MAX_PERIOD) + 1,
+            0,
+        ] {
+            let mut blob = MAGIC.to_vec();
+            put_varint(&mut blob, u64::from(VERSION));
+            put_varint(&mut blob, period);
+            put_varint(&mut blob, 0); // regions
+            put_varint(&mut blob, 0); // patterns
+            seal(&mut blob, 0);
+            assert!(
+                matches!(decode_model(&blob), Err(DecodeError::Invalid(_))),
+                "period {period}"
+            );
+        }
+        let widest = RegionSet::new(Vec::new(), MAX_PERIOD);
+        let blob = encode_model(&widest, &PatternTable::default());
+        assert_eq!(decode_model(&blob).unwrap().regions.period(), MAX_PERIOD);
     }
 
     #[test]

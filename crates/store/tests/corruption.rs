@@ -296,6 +296,35 @@ fn corrupt_v2_chunk_refuses_to_open() {
     );
 }
 
+/// A nested model blob is only as trustworthy as its own decoder: 24
+/// well-sealed bytes announcing a period of `u32::MAX` ride through
+/// the snapshot codec untouched (it does not look inside) and must then
+/// be refused by `decode_model` — not sized by.
+#[test]
+fn absurd_period_nested_in_a_snapshot_is_refused() {
+    let mut payload = hpm_store::format::MAGIC.to_vec();
+    put_varint(&mut payload, u64::from(hpm_store::format::VERSION));
+    put_varint(&mut payload, u64::from(u32::MAX)); // period
+    put_varint(&mut payload, 0); // regions
+    put_varint(&mut payload, 0); // patterns
+    let crafted = resealed(&payload);
+    assert_eq!(crafted.len(), 24);
+    assert!(matches!(
+        decode_model(&crafted),
+        Err(hpm_store::DecodeError::Invalid(_))
+    ));
+
+    let mut objects = snapshot_objects();
+    objects[0].model = Some(crafted.clone());
+    let restored = decode_snapshot(&encode_snapshot(&objects)).expect("snapshot itself is sound");
+    assert_eq!(restored[0].model.as_deref(), Some(&crafted[..]));
+    let nested = restored[0].model.as_deref().unwrap();
+    assert!(matches!(
+        decode_model(nested),
+        Err(hpm_store::DecodeError::Invalid(_))
+    ));
+}
+
 /// decode is total on re-sealed tampered v2 payloads: any single-bit
 /// corruption past the checksum errs or decodes — it never panics and
 /// never invents objects.

@@ -139,7 +139,7 @@ props! {
                 max_span: 16,
             },
         );
-        let blob = encode_model(&out.regions, &patterns.as_slice().into());
+        let blob = encode_model(&out.regions, &patterns);
         let model = decode_model(&blob).unwrap();
         require_eq!(model.regions.period(), out.regions.period());
         require_eq!(model.regions.all(), out.regions.all());
@@ -174,7 +174,7 @@ fn real_mined_model_roundtrips() {
             max_span: 64,
         },
     );
-    let blob = encode_model(&out.regions, &patterns.as_slice().into());
+    let blob = encode_model(&out.regions, &patterns);
     let model = decode_model(&blob).unwrap();
     assert_eq!(model.patterns, patterns);
     assert_eq!(model.regions.all(), out.regions.all());

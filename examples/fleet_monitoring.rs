@@ -10,7 +10,7 @@
 use hybrid_prediction_model::core::{HpmConfig, HybridPredictor};
 use hybrid_prediction_model::datagen::{paper_dataset, PaperDataset, PERIOD};
 use hybrid_prediction_model::objectstore::{MovingObjectStore, ObjectId, StoreConfig};
-use hybrid_prediction_model::patterns::{DiscoveryParams, MiningParams, PatternTable};
+use hybrid_prediction_model::patterns::{DiscoveryParams, MiningParams};
 use hybrid_prediction_model::store::{decode_model, encode_model};
 
 fn main() {
@@ -93,7 +93,7 @@ fn main() {
             min_pts: 4,
         },
     );
-    let patterns = PatternTable::from(hybrid_prediction_model::patterns::mine(
+    let patterns = hybrid_prediction_model::patterns::mine(
         &out.regions,
         &out.visits,
         &MiningParams {
@@ -103,7 +103,7 @@ fn main() {
             max_premise_gap: 8,
             max_span: 64,
         },
-    ));
+    );
     let blob = encode_model(&out.regions, &patterns);
     println!(
         "\npersisted vehicle 1's model: {} regions + {} patterns -> {:.1} KiB",

@@ -99,7 +99,7 @@ fn main() {
         .map(|p| (p.premise, p.consequence))
         .collect();
     let fresh: Vec<_> = refreshed
-        .into_iter()
+        .iter()
         .filter(|p| !known.contains(&(p.premise.clone(), p.consequence)))
         .take(500)
         .collect();

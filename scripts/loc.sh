@@ -14,11 +14,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The totals this tree may not exceed: what PR 22 left. A change that
+# The totals this tree may not exceed: what PR 23 left. A change that
 # needs the room raises them in the same diff and says why in
-# CHANGES.md (ROADMAP 7b's targets are 27,500 / 13,300).
-BUDGET_FILE_LINES=27949
-BUDGET_CODE_ONLY=13382
+# CHANGES.md (ROADMAP 7b's targets are 27,500 / 13,300; the second is
+# met).
+BUDGET_FILE_LINES=27843
+BUDGET_CODE_ONLY=13253
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {

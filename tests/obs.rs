@@ -7,8 +7,11 @@ use hybrid_prediction_model::core::{
     metrics as core_metrics, HpmConfig, HybridPredictor, PredictiveQuery,
 };
 use hybrid_prediction_model::geo::Point;
+use hybrid_prediction_model::objectstore::{IndexConfig, MovingObjectStore, ObjectId, StoreConfig};
 use hybrid_prediction_model::obs;
-use hybrid_prediction_model::patterns::{DiscoveryParams, MiningParams};
+use hybrid_prediction_model::patterns::{
+    metrics as patterns_metrics, DiscoveryParams, MiningParams,
+};
 use hybrid_prediction_model::trajectory::Trajectory;
 use std::sync::{Mutex, MutexGuard};
 
@@ -154,4 +157,56 @@ fn disabled_mode_captures_nothing() {
     let (prediction, roots) = obs::capture(|| predictor.predict(&near_query(&recent)));
     assert!(prediction.from_patterns(), "prediction itself unaffected");
     assert!(roots.is_empty(), "disabled mode must not record spans");
+}
+
+/// A store trains through the same functions `HybridPredictor::build`
+/// does, so its first training shows up under `patterns.*` — the names
+/// an operator reads off a served registry.
+#[test]
+fn store_first_training_fires_the_patterns_spans() {
+    let _guard = serial();
+    let store = MovingObjectStore::new(StoreConfig {
+        discovery: DiscoveryParams {
+            period: 3,
+            eps: 2.0,
+            min_pts: 3,
+        },
+        mining: MiningParams {
+            min_support: 4,
+            min_confidence: 0.3,
+            max_premise_len: 2,
+            max_premise_gap: 2,
+            max_span: 2,
+        },
+        hpm: HpmConfig::default(),
+        min_train_subs: 10,
+        retrain_every_subs: 10,
+        recent_len: 3,
+        shards: 1,
+        threads: 1,
+        index: IndexConfig::default(),
+    });
+    let days: Vec<Point> = (0..10)
+        .flat_map(|day| {
+            let j = (day % 3) as f64 * 0.1;
+            [0.0, 50.0, 100.0].map(|x| Point::new(x + j, 0.0))
+        })
+        .collect();
+    patterns_metrics::register();
+    obs::enable();
+    let spans = [
+        patterns_metrics::DISCOVER_SPAN,
+        patterns_metrics::RULES_SPAN,
+    ];
+    let count = |span| obs::snapshot().histogram(span).map_or(0, |h| h.count);
+    let before = spans.map(count);
+    store.report_batch(ObjectId(1), 0, &days).unwrap();
+    obs::disable();
+    assert!(
+        store.stats(ObjectId(1)).unwrap().patterns > 0,
+        "did not train"
+    );
+    for (span, before) in spans.into_iter().zip(before) {
+        assert!(count(span) > before, "{span} did not fire");
+    }
 }
