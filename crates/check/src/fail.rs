@@ -19,6 +19,8 @@
 //!                         with EXIT_CODE
 //! wal.append=short@4096   silently drop the tail of that write once,
 //!                         then keep going (a lying disk)
+//! wal.append=error@4096   write the prefix up to byte 4096, then fail
+//!                         that write with an I/O error (a full disk)
 //! wal.append=exit@4096    exit with EXIT_CODE instead of performing
 //!                         the write that would pass cumulative byte
 //!                         4096 (a clean write-boundary crash)
@@ -43,6 +45,8 @@ pub enum FailAction {
     Torn,
     /// Write a partial prefix, report success, keep running.
     Short,
+    /// Write a partial prefix, then fail the write with an I/O error.
+    Error,
     /// Exit cleanly before the crossing write touches the file.
     Exit,
 }
@@ -67,6 +71,9 @@ pub enum WriteOutcome {
     TornExit(usize),
     /// Write only the first `n` bytes and report success.
     Short(usize),
+    /// Write only the first `n` bytes, then fail the write with an
+    /// I/O error.
+    Error(usize),
     /// Write nothing and `process::exit(EXIT_CODE)`.
     ExitNow,
 }
@@ -102,6 +109,7 @@ fn parse(spec: &str) -> Result<Failpoint, String> {
     let action = match action {
         "torn" => FailAction::Torn,
         "short" => FailAction::Short,
+        "error" => FailAction::Error,
         "exit" => FailAction::Exit,
         other => return Err(format!("unknown failpoint action `{other}`")),
     };
@@ -138,9 +146,10 @@ pub fn clear() {
 
 /// Consults the armed failpoint (if any) about a physical write of
 /// `len` bytes through `point`. The caller must honour the outcome:
-/// write the indicated prefix, and exit with [`EXIT_CODE`] on
+/// write the indicated prefix, exit with [`EXIT_CODE`] on
 /// [`WriteOutcome::TornExit`] / [`WriteOutcome::ExitNow`] *after*
-/// flushing the partial bytes to the file.
+/// flushing the partial bytes to the file, and fail the write with an
+/// I/O error on [`WriteOutcome::Error`].
 pub fn on_write(point: &str, len: usize) -> WriteOutcome {
     // The first call must reach `active()` even while unarmed: that is
     // what parses `HPM_FAILPOINT` and arms an env-specified failpoint.
@@ -167,6 +176,7 @@ pub fn on_write(point: &str, len: usize) -> WriteOutcome {
     match fp.action {
         FailAction::Torn => WriteOutcome::TornExit(keep),
         FailAction::Short => WriteOutcome::Short(keep),
+        FailAction::Error => WriteOutcome::Error(keep),
         // The crossing write never touches the file: the file holds
         // exactly the writes that fit under the threshold — a crash at
         // a clean write boundary.
@@ -232,6 +242,16 @@ mod tests {
         let _guard = serial();
         install("p=short@3").unwrap();
         assert_eq!(on_write("p", 10), WriteOutcome::Short(3));
+        assert_eq!(on_write("p", 10), WriteOutcome::Full);
+        clear();
+    }
+
+    #[test]
+    fn error_keeps_prefix_once() {
+        let _guard = serial();
+        install("p=error@14").unwrap();
+        assert_eq!(on_write("p", 10), WriteOutcome::Full);
+        assert_eq!(on_write("p", 10), WriteOutcome::Error(4));
         assert_eq!(on_write("p", 10), WriteOutcome::Full);
         clear();
     }

@@ -26,11 +26,14 @@
 //! no effect of segments with epoch `≥ e` beyond what replay
 //! re-applies. Recovery therefore loads the highest decodable
 //! snapshot `b` and replays all segments of epochs `b..=max` in epoch
-//! order (records for one object live in one shard's segments, so
-//! per-object order is total). Replay runs through the same ingest
-//! path as live traffic with logging disabled; the contiguity check
-//! makes re-applied reports idempotent and a logged `Remove` resets
-//! the object exactly as it did live.
+//! order — every segment on disk, whatever shard count wrote it. An
+//! epoch's segments were written by one process with one shard count,
+//! so an object's records of that epoch live in exactly one of them:
+//! per-object order is total, and the segments of one epoch replay in
+//! parallel. Replay runs through the same ingest path as live traffic
+//! with logging disabled; the contiguity check makes re-applied
+//! reports idempotent and a logged `Remove` resets the object exactly
+//! as it did live.
 
 use hpm_store::wal::{FsyncPolicy, WalOptions, WalWriter};
 use hpm_store::DecodeError;
@@ -133,18 +136,16 @@ pub(crate) fn snap_path(dir: &Path, epoch: u64) -> PathBuf {
 /// Everything durable in a data directory, by epoch.
 #[derive(Debug, Default)]
 pub(crate) struct DirListing {
-    /// Epochs having at least one WAL segment, ascending.
-    pub(crate) wal_epochs: Vec<u64>,
+    /// Every WAL segment as `(epoch, shard)`, ascending.
+    pub(crate) wal_segments: Vec<(u64, usize)>,
     /// Epochs having a snapshot file, ascending.
     pub(crate) snap_epochs: Vec<u64>,
 }
 
 impl DirListing {
     pub(crate) fn max_epoch(&self) -> Option<u64> {
-        self.wal_epochs
-            .last()
-            .copied()
-            .max(self.snap_epochs.last().copied())
+        let wal = self.wal_segments.last().map(|&(epoch, _)| epoch);
+        wal.max(self.snap_epochs.last().copied())
     }
 }
 
@@ -157,9 +158,9 @@ pub(crate) fn list_dir(dir: &Path) -> io::Result<DirListing> {
             .strip_prefix("wal-")
             .and_then(|r| r.strip_suffix(".log"))
         {
-            if let Some((epoch, _shard)) = rest.split_once('-') {
-                if let Ok(epoch) = epoch.parse::<u64>() {
-                    listing.wal_epochs.push(epoch);
+            if let Some((epoch, shard)) = rest.split_once('-') {
+                if let (Ok(epoch), Ok(shard)) = (epoch.parse(), shard.parse()) {
+                    listing.wal_segments.push((epoch, shard));
                 }
             }
         } else if let Some(rest) = name
@@ -171,8 +172,7 @@ pub(crate) fn list_dir(dir: &Path) -> io::Result<DirListing> {
             }
         }
     }
-    listing.wal_epochs.sort_unstable();
-    listing.wal_epochs.dedup();
+    listing.wal_segments.sort_unstable();
     listing.snap_epochs.sort_unstable();
     listing.snap_epochs.dedup();
     Ok(listing)
@@ -217,7 +217,9 @@ mod tests {
         for name in [
             "wal-3-0.log",
             "wal-3-1.log",
+            "wal-3-7.log",
             "wal-10-0.log",
+            "wal-10-x.log",
             "snap-3.snap",
             "snap-2.snap",
             "snap-4.tmp",
@@ -227,12 +229,12 @@ mod tests {
             fs::write(dir.join(name), b"").unwrap();
         }
         let listing = list_dir(&dir).unwrap();
-        assert_eq!(listing.wal_epochs, vec![3, 10]);
+        assert_eq!(listing.wal_segments, [(3, 0), (3, 1), (3, 7), (10, 0)]);
         assert_eq!(listing.snap_epochs, vec![2, 3]);
         assert_eq!(listing.max_epoch(), Some(10));
         gc_below(&dir, 4);
         let listing = list_dir(&dir).unwrap();
-        assert_eq!(listing.wal_epochs, vec![10]);
+        assert_eq!(listing.wal_segments, [(10, 0)]);
         assert!(listing.snap_epochs.is_empty());
         // tmp and unrelated files untouched by GC.
         assert!(dir.join("snap-4.tmp").exists());

@@ -12,15 +12,16 @@ use hpm_core::{
 use hpm_geo::mem::heap_bytes;
 use hpm_geo::{MemUse, Point};
 use hpm_patterns::{DiscoveryParams, MiningParams};
-use hpm_store::wal::{scan_wal_file, WalRecord, WalWriter};
+use hpm_store::wal::{scan_wal_runs, WalRecord, WalWriter};
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
 };
 use hpm_trajectory::{ChunkParams, ChunkedHistory, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN};
 use std::collections::HashMap;
 use std::fmt;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Identifier of a tracked object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -307,6 +308,21 @@ fn score(prediction: &Prediction, select: Select<'_>, refine: Refine) -> Option<
     Some((best, s))
 }
 
+/// The ingest contract for one report: a finite position at the
+/// object's next timestamp, `expected`.
+fn admit(timestamp: Timestamp, position: &Point, expected: Timestamp) -> Result<(), IngestError> {
+    if !position.is_finite() {
+        Err(IngestError::NonFinitePosition)
+    } else if timestamp != expected {
+        Err(IngestError::NonContiguous {
+            expected,
+            got: timestamp,
+        })
+    } else {
+        Ok(())
+    }
+}
+
 struct ObjectState {
     /// Position history: sealed compressed chunks plus a raw hot tail
     /// sized so every recent-window read is a plain slice borrow.
@@ -418,11 +434,11 @@ impl MovingObjectStore {
 
     /// Opens a durable store on a data directory, recovering whatever
     /// a previous process persisted there: the highest decodable
-    /// snapshot is loaded, every WAL segment from that epoch on is
-    /// replayed up to its torn tail, and fresh WAL segments are
-    /// started at a new epoch. The recovered store answers queries
-    /// bit-identically to one that ingested the surviving report
-    /// stream without ever crashing.
+    /// snapshot is loaded, every WAL segment from that epoch on — of
+    /// any shard count — is replayed up to its torn tail, and fresh
+    /// WAL segments are started at a new epoch. The recovered store
+    /// answers queries bit-identically to one that ingested the
+    /// surviving report stream without ever crashing.
     ///
     /// # Panics
     /// Panics when `config` is inconsistent.
@@ -451,19 +467,23 @@ impl MovingObjectStore {
         };
 
         // Replay WAL segments from the snapshot's epoch on (segments
-        // below it are fully contained in the snapshot), each scanned
-        // to its torn tail.
+        // below it are fully contained in the snapshot), epoch by
+        // epoch, each scanned to its torn tail. One process with one
+        // shard count wrote an epoch's segments, so an object's records
+        // of that epoch live in exactly one of them: the segments of an
+        // epoch are independent pool tasks.
         let mut replayed = 0u64;
-        for &epoch in &listing.wal_epochs {
+        for segments in listing.wal_segments.chunk_by(|a, b| a.0 == b.0) {
+            let epoch = segments[0].0;
             if base_epoch.is_some_and(|b| epoch < b) {
                 continue;
             }
-            for shard in 0..store.shards.len() {
-                let scan = scan_wal_file(&wal_path(&durability.dir, epoch, shard))?;
-                for record in &scan.records {
-                    store.replay_record(record);
-                    replayed += 1;
-                }
+            let path = |i: usize| wal_path(&durability.dir, epoch, segments[i].1);
+            for records in store
+                .pool
+                .run(segments.len(), |i| store.replay_segment(&path(i)))
+            {
+                replayed += records?;
             }
         }
         hpm_obs::gauge!(crate::metrics::RECOVERY_REPLAYED).set(replayed as i64);
@@ -557,10 +577,7 @@ impl MovingObjectStore {
         let mut result = Ok(());
         // Stop at the first failure: what follows it cannot be
         // contiguous.
-        self.apply_run(id, run, |r| {
-            result = r;
-            r.is_ok()
-        });
+        self.apply_run(id, run, true, |r| result = r);
         self.maybe_auto_snapshot();
         result
     }
@@ -606,9 +623,8 @@ impl MovingObjectStore {
                 for raw in order {
                     let mut slots = per_object[&raw].iter();
                     let run = slots.clone().map(|&i| (reports[i].1, reports[i].2));
-                    self.apply_run(ObjectId(raw), run, |r| {
+                    self.apply_run(ObjectId(raw), run, false, |r| {
                         out.extend(slots.next().map(|&i| (i, r)));
-                        true
                     });
                 }
                 out
@@ -629,27 +645,36 @@ impl MovingObjectStore {
 
     /// The one ingest path: applies `run` — one object's reports, in
     /// order — under a single hold of the object's write lock, handing
-    /// each report's outcome to `each` in run order until it returns
-    /// `false`. Retrains at every cadence crossing inside the run,
-    /// exactly as the same reports sent one at a time would — batch
-    /// size is never observable in training — and marks the object's
-    /// envelope stale iff something was accepted.
+    /// each report's outcome to `each` in run order (up to the first
+    /// failure when `stop_at_error`). The reports the finiteness and
+    /// contiguity checks accept always form one contiguous timestamp
+    /// run from the history's end: they are logged first, under a
+    /// single hold of the shard's WAL lock, so the run lies contiguous
+    /// in the log whatever other threads do; then applied, retraining
+    /// at every cadence crossing inside the run exactly as the same
+    /// reports sent one at a time would — batch size is never
+    /// observable in training. Marks the object's envelope stale iff
+    /// something was accepted.
     fn apply_run(
         &self,
         id: ObjectId,
-        mut run: impl Iterator<Item = (Timestamp, Point)> + Clone,
-        mut each: impl FnMut(Result<(), IngestError>) -> bool,
+        run: impl Iterator<Item = (Timestamp, Point)> + Clone,
+        stop_at_error: bool,
+        mut each: impl FnMut(Result<(), IngestError>),
     ) {
+        let reject_all = if stop_at_error { 1 } else { usize::MAX };
         // Non-finite reports never create the object: the first finite
         // one resolves (and, for a new object, starts) its state.
         let Some((start, _)) = run.clone().find(|(_, p)| p.is_finite()) else {
-            let _ = run.all(|_| each(Err(IngestError::NonFinitePosition)));
+            run.take(reject_all)
+                .for_each(|_| each(Err(IngestError::NonFinitePosition)));
             return;
         };
         loop {
             let state = self.state_of(id, start);
             let Ok(mut state) = state.write() else {
-                let _ = run.all(|_| each(Err(IngestError::ObjectUnavailable(id))));
+                run.take(reject_all)
+                    .for_each(|_| each(Err(IngestError::ObjectUnavailable(id))));
                 return;
             };
             if state.removed {
@@ -657,49 +682,85 @@ impl MovingObjectStore {
                 // re-resolve so the run lands after it.
                 continue;
             }
+            // Log before apply: a report the WAL rejected leaves no
+            // trace in memory either.
+            let unlogged = self.log_run(id, run.clone(), state.history.end(), stop_at_error);
             let period = self.config.discovery.period as usize;
-            let mut accepted = 0u64;
-            for (timestamp, position) in run.by_ref() {
-                let expected = state.history.end();
-                let result = if !position.is_finite() {
-                    Err(IngestError::NonFinitePosition)
-                } else if timestamp != expected {
-                    Err(IngestError::NonContiguous {
-                        expected,
-                        got: timestamp,
-                    })
-                } else {
-                    // Log before apply: a report the WAL rejected
-                    // leaves no trace in memory either.
-                    let logged = self.wal_append(
-                        id,
-                        &WalRecord::Report {
-                            object: id.0,
-                            timestamp,
-                            x: position.x,
-                            y: position.y,
-                        },
-                    );
-                    if logged.is_ok() {
-                        state.history.push(position);
-                        accepted += 1;
-                        // Due-ness only changes when a period fills.
-                        if state.history.len() % period == 0 {
-                            self.maybe_retrain(&mut state);
-                        }
+            let mut accepted = 0;
+            for (timestamp, position) in run {
+                // The report the log refused, and any the log never saw
+                // after it, fail as the refused one did.
+                let result = match (admit(timestamp, &position, state.history.end()), unlogged) {
+                    (Ok(()), Some((logged, kind))) if accepted == logged => {
+                        Err(IngestError::Durability(kind))
                     }
-                    logged
+                    (result, _) => result,
                 };
-                if !each(result) {
+                let ok = result.is_ok();
+                if ok {
+                    state.history.push(position);
+                    accepted += 1;
+                    // Due-ness only changes when a period fills.
+                    if state.history.len() % period == 0 {
+                        self.maybe_retrain(&mut state);
+                    }
+                }
+                each(result);
+                if !ok && stop_at_error {
                     break;
                 }
             }
-            hpm_obs::counter!(crate::metrics::REPORTS).add(accepted);
+            hpm_obs::counter!(crate::metrics::REPORTS).add(accepted as u64);
             if accepted > 0 {
                 self.index.mark_dirty(self.shard_index(id.0), id.0);
             }
             return;
         }
+    }
+
+    /// The logging half of [`apply_run`](Self::apply_run): appends the
+    /// reports of `run` that [`admit`] accepts against a history ending
+    /// at `end` — stopping at the first one it rejects when
+    /// `stop_at_error` — to the object's shard WAL under one hold of
+    /// its lock. `None` when every accepted report is logged (or the
+    /// store is memory-only); `Some((n, kind))` when only the first `n`
+    /// are and the next one's append failed with `kind`.
+    fn log_run(
+        &self,
+        id: ObjectId,
+        run: impl Iterator<Item = (Timestamp, Point)>,
+        end: Timestamp,
+        stop_at_error: bool,
+    ) -> Option<(usize, std::io::ErrorKind)> {
+        let d = self.durability.as_ref()?;
+        let mut wal = None;
+        let mut expected = end;
+        let mut failed = None;
+        for (timestamp, p) in run {
+            if admit(timestamp, &p, expected).is_err() {
+                if stop_at_error {
+                    break;
+                }
+                continue;
+            }
+            let record = WalRecord::Report {
+                object: id.0,
+                timestamp,
+                x: p.x,
+                y: p.y,
+            };
+            if let Err(e) = wal
+                .get_or_insert_with(|| self.wal_of(d, id))
+                .append(&record)
+            {
+                failed = Some(e.kind());
+                break;
+            }
+            expected += 1;
+        }
+        d.since_snapshot
+            .fetch_add(expected - end, Ordering::Relaxed);
+        failed.map(|kind| ((expected - end) as usize, kind))
     }
 
     /// Answers "where will `id` be at `query_time`" from the object's
@@ -1241,11 +1302,14 @@ impl MovingObjectStore {
         // Removal is best-effort in the log: an I/O error here cannot
         // un-remove the object, so surface it through metrics only.
         // At worst a crash resurrects the object at the next open.
-        if self
-            .wal_append(id, &WalRecord::Remove { object: id.0 })
-            .is_err()
-        {
-            hpm_obs::counter!(crate::metrics::WAL_REMOVE_ERRORS).add(1);
+        if let Some(d) = &self.durability {
+            match self
+                .wal_of(d, id)
+                .append(&WalRecord::Remove { object: id.0 })
+            {
+                Ok(()) => _ = d.since_snapshot.fetch_add(1, Ordering::Relaxed),
+                Err(_) => hpm_obs::counter!(crate::metrics::WAL_REMOVE_ERRORS).add(1),
+            }
         }
         crate::metrics::shard_objects_gauge(shard_idx).set(objects.len() as i64);
         hpm_obs::gauge!(crate::metrics::OBJECTS).add(-1);
@@ -1391,25 +1455,50 @@ impl MovingObjectStore {
         Ok(())
     }
 
-    /// Re-applies one recovered WAL record through the normal ingest
-    /// paths (durability is not attached yet during recovery, so
-    /// nothing is re-logged). Rejections are expected — records the
-    /// snapshot already contains fail the contiguity check — and make
-    /// replay idempotent.
-    fn replay_record(&self, record: &WalRecord) {
-        match *record {
-            WalRecord::Report {
-                object,
-                timestamp,
-                x,
-                y,
-            } => {
-                let _ = self.report(ObjectId(object), timestamp, Point::new(x, y));
+    /// Re-applies one WAL segment through the normal ingest path
+    /// (durability is not attached yet during recovery, so nothing is
+    /// re-logged) and returns how many records it held. Consecutive
+    /// reports of one object reach [`apply_run`](Self::apply_run) as
+    /// one run: the prefix a snapshot already holds fails the
+    /// contiguity check inside that one lock hold, and the rest
+    /// applies. A logged `Remove` resets the object exactly as it did
+    /// live.
+    fn replay_segment(&self, path: &Path) -> std::io::Result<u64> {
+        let bytes = std::fs::read(path)?;
+        let mut records = 0u64;
+        // The run being gathered: its object and first timestamp, and
+        // its positions in `points`.
+        let mut run: Option<(u64, Timestamp)> = None;
+        let mut points: Vec<Point> = Vec::new();
+        let apply = |run: Option<(u64, Timestamp)>, points: &mut Vec<Point>| {
+            if let Some((object, first)) = run {
+                let reports = points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| (first + i as Timestamp, *p));
+                self.apply_run(ObjectId(object), reports, false, |_| {});
             }
-            WalRecord::Remove { object } => {
-                self.remove(ObjectId(object));
+            points.clear();
+        };
+        scan_wal_runs(&bytes, |next, _| {
+            records += next.points.len().max(1) as u64;
+            let extends = run.is_some_and(|(object, first)| {
+                object == next.object
+                    && !next.points.is_empty()
+                    && first.checked_add(points.len() as Timestamp) == Some(next.first)
+            });
+            if !extends {
+                apply(run.take(), &mut points);
             }
-        }
+            if next.points.is_empty() {
+                self.remove(ObjectId(next.object));
+            } else {
+                run.get_or_insert((next.object, next.first));
+                points.extend_from_slice(next.points);
+            }
+        });
+        apply(run, &mut points);
+        Ok(records)
     }
 
     /// Installs snapshot state into an empty store: histories verbatim
@@ -1469,20 +1558,12 @@ impl MovingObjectStore {
         Ok(())
     }
 
-    /// Logs a record to the shard WAL of `id`, if durable. Taken with
-    /// the object's lock held (WAL mutexes are innermost); an error
-    /// means the operation must not be applied.
-    fn wal_append(&self, id: ObjectId, record: &WalRecord) -> Result<(), IngestError> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let mut wal = d.wals[self.shard_index(id.0)]
+    /// The shard WAL of `id`, locked. Taken with the object's lock held
+    /// (WAL mutexes are innermost).
+    fn wal_of<'a>(&self, d: &'a DurabilityState, id: ObjectId) -> MutexGuard<'a, WalWriter> {
+        d.wals[self.shard_index(id.0)]
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        wal.append(record)
-            .map_err(|e| IngestError::Durability(e.kind()))?;
-        d.since_snapshot.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fetches or creates the state cell of an object. A new object's

@@ -2,8 +2,10 @@
 //! stream with `HPM_FAILPOINT` armed, dies mid-WAL-write (exit code
 //! 86), and the parent recovers its data directory — asserting the
 //! recovered store equals a reference fed exactly the records that
-//! survived on disk. One in-process test covers the `short` (lying
-//! disk) action, where the write "succeeds" but the bytes never land.
+//! survived on disk. Two in-process tests cover the actions a process
+//! lives through: `short` (a lying disk — the write "succeeds" but the
+//! bytes never land) and `error` (a full disk — the write lands in
+//! part, then fails).
 
 use hpm_core::HpmConfig;
 use hpm_geo::Point;
@@ -95,29 +97,23 @@ fn apply_ops(store: &MovingObjectStore, ops: &[(u64, Timestamp, Option<Point>)])
 }
 
 /// A cumulative byte threshold that is guaranteed to land *inside*
-/// the frame after `whole` complete frames — with `group_commit: 1`
-/// the failpoint's byte counter advances exactly one frame per
-/// commit, so `sum(first `whole` frames) + 3` tears the next one.
+/// the frame after `whole` complete frames. The frame ends come from a
+/// clean, failpoint-free run of the same stream; with `group_commit`
+/// 1 every record is a frame of its own and the failpoint's byte
+/// counter advances one frame per commit, from the end of the 8-byte
+/// header — so the `whole`-th frame end, less the header, plus 3
+/// tears the next frame.
 fn mid_frame_threshold(whole: usize) -> u64 {
-    let frames: u64 = stream()
-        .iter()
-        .take(whole)
-        .map(|&(o, t, p)| {
-            let r = match p {
-                Some(p) => WalRecord::Report {
-                    object: o,
-                    timestamp: t,
-                    x: p.x,
-                    y: p.y,
-                },
-                None => WalRecord::Remove { object: o },
-            };
-            let mut buf = Vec::new();
-            hpm_store::wal::encode_wal_record(&mut buf, &r);
-            buf.len() as u64
-        })
-        .sum();
-    frames + 3
+    let _writers = WAL_WRITERS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("hpm-fp-clean-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = MovingObjectStore::open(config(), durable(&dir)).unwrap();
+    apply_ops(&store, &stream());
+    drop(store);
+    let scan = scan_wal(&std::fs::read(dir.join("wal-0-0.log")).unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(scan.records.len(), stream().len(), "one frame per record");
+    (scan.offsets[whole - 1] - 8 + 3) as u64
 }
 
 fn feed_records(store: &MovingObjectStore, records: &[WalRecord]) {
@@ -221,13 +217,11 @@ fn child_ingest() {
 /// ends mid-frame; recovery keeps every whole record before the tear.
 #[test]
 fn torn_write_crash_recovers_valid_prefix() {
+    let threshold = mid_frame_threshold(20);
     let dir = std::env::temp_dir().join(format!("hpm-fp-torn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    spawn_crashing_child(
-        &dir,
-        &format!("wal.append=torn@{}", mid_frame_threshold(20)),
-    );
+    spawn_crashing_child(&dir, &format!("wal.append=torn@{threshold}"));
 
     let bytes = std::fs::read(dir.join("wal-0-0.log")).unwrap();
     let scan = scan_wal(&bytes);
@@ -278,12 +272,13 @@ fn boundary_crash_recovers_clean_prefix() {
 /// the records from before it.
 #[test]
 fn short_write_loses_suffix_but_recovers_prefix() {
+    let threshold = mid_frame_threshold(10);
     let _writers = WAL_WRITERS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("hpm-fp-short-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    hpm_check::fail::install(&format!("wal.append=short@{}", mid_frame_threshold(10))).unwrap();
+    hpm_check::fail::install(&format!("wal.append=short@{threshold}")).unwrap();
     let store = MovingObjectStore::open(config(), durable(&dir)).unwrap();
     apply_ops(&store, &stream()); // every report "succeeds"
     store.flush_wal().unwrap();
@@ -296,5 +291,67 @@ fn short_write_loses_suffix_but_recovers_prefix() {
     let total = stream().len();
     let survivors = recover_and_check(&dir, "short write");
     assert!(survivors > 0 && survivors < total);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `error@N` (in-process): a full disk. The write crossing byte N lands
+/// in part and then fails, so that report is refused and not applied;
+/// the ingest retries it and carries on. The log must hold exactly what
+/// the live store holds — no byte of the failed write, nothing of the
+/// refused report but its retry, every acknowledged record before and
+/// after it — so the reopened store answers like the live one.
+#[test]
+fn failed_write_is_cut_off_and_a_retried_report_lands_once() {
+    let _writers = WAL_WRITERS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("hpm-fp-error-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let batched = DurabilityConfig {
+        group_commit: 3,
+        ..durable(&dir)
+    };
+
+    hpm_check::fail::install("wal.append=error@300").unwrap();
+    let live = MovingObjectStore::open(config(), batched.clone()).unwrap();
+    let mut refused = 0;
+    for &(o, t, p) in &stream() {
+        let Some(p) = p else {
+            live.remove(ObjectId(o));
+            continue;
+        };
+        if let Err(e) = live.report(ObjectId(o), t, p) {
+            assert_eq!(
+                e,
+                hpm_objectstore::IngestError::Durability(std::io::ErrorKind::StorageFull)
+            );
+            refused += 1;
+            live.report(ObjectId(o), t, p).unwrap();
+        }
+    }
+    hpm_check::fail::clear();
+    assert_eq!(refused, 1, "the failpoint fires once");
+    live.flush_wal().unwrap();
+
+    let scan = scan_wal(&std::fs::read(dir.join("wal-0-0.log")).unwrap());
+    assert_eq!(scan.torn, None, "bytes of the failed write survived");
+    assert_eq!(scan.records.len(), stream().len(), "each op logged once");
+    let reopened = MovingObjectStore::open(config(), batched).unwrap();
+    // Resident bytes are capacity-based; the logical state must match.
+    let logical = |store: &MovingObjectStore, id| hpm_objectstore::ObjectStats {
+        approx_bytes: 0,
+        ..store.stats(id).unwrap()
+    };
+    let last = (DAYS * PERIOD as usize - 1) as Timestamp;
+    for id in [ObjectId(1), ObjectId(2)] {
+        assert_eq!(logical(&reopened, id), logical(&live, id), "stats of {id}");
+        for dt in 1..=PERIOD as Timestamp {
+            assert_eq!(
+                reopened.predict(id, last + dt),
+                live.predict(id, last + dt),
+                "answers of {id} at +{dt}"
+            );
+        }
+    }
+    drop((live, reopened));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -773,3 +773,152 @@ fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&fed_dir).unwrap();
 }
+
+/// The shard count is configuration, not data: a directory written
+/// with one count reopens under another and replays every segment of
+/// every epoch — nothing is left for the next snapshot to collect
+/// unread. Each reshaped store matches a never-closed twin, before and
+/// after a snapshot folds the old segments in.
+#[test]
+fn reopening_with_another_shard_count_replays_every_segment() {
+    let _shared = obs_shared();
+    for (before, after) in [(8, 4), (8, 1), (1, 8)] {
+        let ctx = format!("{before} -> {after} shards");
+        let dir = tmp_dir("reshard");
+        let mut rng = 4_242u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let twin = MovingObjectStore::new(config(before));
+        let live = MovingObjectStore::open(config(before), durable(&dir, 3)).unwrap();
+        let mut records = Vec::new();
+        for d in 0..4usize {
+            let start = (d * PERIOD as usize) as Timestamp;
+            for o in 1..=12u64 {
+                if o == 5 && d == 2 {
+                    live.remove(ObjectId(5));
+                    twin.remove(ObjectId(5));
+                    records.push(WalRecord::Remove { object: 5 });
+                }
+                let pts = gen_day(&mut next, 200);
+                live.report_batch(ObjectId(o), start, &pts).unwrap();
+                twin.report_batch(ObjectId(o), start, &pts).unwrap();
+                records.extend(pts.iter().enumerate().map(|(k, p)| WalRecord::Report {
+                    object: o,
+                    timestamp: start + k as Timestamp,
+                    x: p.x,
+                    y: p.y,
+                }));
+            }
+        }
+        live.flush_wal().unwrap();
+        drop(live);
+
+        let reopened = MovingObjectStore::open(config(after), durable(&dir, 3)).unwrap();
+        assert_equivalent(&reopened, &twin, &records, &ctx);
+        assert!(reopened.snapshot().unwrap());
+        drop(reopened);
+        let again = MovingObjectStore::open(config(after), durable(&dir, 3)).unwrap();
+        assert_equivalent(&again, &twin, &records, &format!("{ctx}, snapshot, reopen"));
+        drop(again);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The log records reports, not the way they were sent: the same
+/// reports through `report`, `report_batch`, or `report_many` on a
+/// pool of 1 or 4 threads leave byte-identical segments. And a run
+/// is logged under one hold of its shard's WAL lock, so batches sent
+/// concurrently for two objects of one shard each lie whole in that
+/// shard's segment.
+#[test]
+fn send_path_and_pool_width_leave_identical_segments() {
+    let _shared = obs_shared();
+    const SHARDS: usize = 4;
+    let objects = [4u64, 5, 6, 7];
+    let days = 6 * PERIOD as usize;
+    let at = |o: u64, t: usize| {
+        let w = (t % PERIOD as usize) as f64;
+        Point::new(
+            w * 40.0 + o as f64 * 0.01,
+            (t / PERIOD as usize) as f64 * 0.1,
+        )
+    };
+    let segments = |threads, group, send: &dyn Fn(&MovingObjectStore)| -> Vec<Vec<u8>> {
+        let dir = tmp_dir("paths");
+        let mut cfg = config(SHARDS);
+        cfg.threads = threads;
+        let store = MovingObjectStore::open(cfg, durable(&dir, group)).unwrap();
+        send(&store);
+        store.flush_wal().unwrap();
+        drop(store);
+        let bytes = (0..SHARDS)
+            .map(|s| std::fs::read(dir.join(format!("wal-0-{s}.log"))).unwrap())
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        bytes
+    };
+    let one_at_a_time = segments(2, 8, &|store| {
+        for t in 0..days {
+            for o in objects {
+                store.report(ObjectId(o), t as Timestamp, at(o, t)).unwrap();
+            }
+        }
+    });
+    let batched = segments(2, 8, &|store| {
+        for o in objects {
+            let pts: Vec<Point> = (0..days).map(|t| at(o, t)).collect();
+            store.report_batch(ObjectId(o), 0, &pts).unwrap();
+        }
+    });
+    assert_eq!(batched, one_at_a_time, "report_batch vs report");
+    for threads in [1, 4] {
+        let many = segments(threads, 8, &|store| {
+            let reports: Vec<_> = (0..days)
+                .flat_map(|t| objects.map(|o| (ObjectId(o), t as Timestamp, at(o, t))))
+                .collect();
+            assert!(store.report_many(&reports).iter().all(Result::is_ok));
+        });
+        assert_eq!(many, one_at_a_time, "report_many on {threads} threads");
+    }
+
+    // Objects 1 and 5 share shard 1. One long batch of 1 races single
+    // reports of 5, both released by one barrier; training is off and
+    // every record is a frame of its own, so the segment shows the
+    // append order. Object 1's run must lie whole in it.
+    let dir = tmp_dir("race");
+    let mut cfg = config(SHARDS);
+    cfg.min_train_subs = usize::MAX;
+    let store = MovingObjectStore::open(cfg, durable(&dir, 1)).unwrap();
+    let long: Vec<Point> = (0..days * 1000).map(|t| at(1, t)).collect();
+    let go = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            go.wait();
+            store.report_batch(ObjectId(1), 0, &long).unwrap();
+        });
+        s.spawn(|| {
+            go.wait();
+            for t in 0..long.len() {
+                store.report(ObjectId(5), t as Timestamp, at(5, t)).unwrap();
+            }
+        });
+    });
+    store.flush_wal().unwrap();
+    drop(store);
+    let records = scan_wal(&std::fs::read(dir.join("wal-0-1.log")).unwrap()).records;
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(records.len(), 2 * long.len());
+    let ones: Vec<usize> = (0..records.len())
+        .filter(|&i| matches!(records[i], WalRecord::Report { object: 1, .. }))
+        .collect();
+    assert_eq!(ones.len(), long.len());
+    assert_eq!(
+        ones[ones.len() - 1] - ones[0] + 1,
+        long.len(),
+        "the batch was split"
+    );
+}

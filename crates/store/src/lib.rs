@@ -63,6 +63,6 @@ pub use file::{sync_dir, write_atomic};
 pub use model::{decode_model, encode_model, load_model, save_model, StoredModel};
 pub use snapshot::{decode_snapshot, encode_snapshot, HistorySnapshot, ObjectSnapshot};
 pub use wal::{
-    encode_wal_record, scan_wal, scan_wal_file, FsyncPolicy, WalOptions, WalRecord, WalScan,
+    scan_wal, scan_wal_file, scan_wal_runs, FsyncPolicy, WalOptions, WalRecord, WalRun, WalScan,
     WalWriter,
 };

@@ -20,13 +20,13 @@ hpm_obs::catalog! {
     /// Decode attempts rejected (bad magic, version, checksum, bounds).
     counter DECODE_ERRORS = "store.model.decode_errors";
 
-    /// Latency span around one WAL record append (group-commit write
-    /// included when the batch fills).
+    /// Latency span around one WAL record append (the batch's encode
+    /// and write included when the record fills it).
     span WAL_APPEND_SPAN = "store.wal.append";
     /// Latency span around one WAL fsync (`FsyncPolicy::Always` only).
     span WAL_FSYNC_SPAN = "store.wal.fsync";
-    /// WAL records appended.
+    /// WAL records appended successfully.
     counter WAL_RECORDS = "store.wal.records";
-    /// WAL bytes physically written (headers excluded).
+    /// WAL frame bytes physically written (headers excluded).
     counter WAL_BYTES = "store.wal.bytes";
 }

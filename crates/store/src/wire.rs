@@ -88,7 +88,15 @@ pub fn get_count(buf: &mut &[u8], limit: usize) -> Result<usize, DecodeError> {
 
 /// FNV-1a over a byte slice — the workspace checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a_extend(FNV1A_EMPTY, bytes)
+}
+
+/// FNV-1a of the empty slice: where an incremental checksum starts.
+pub(crate) const FNV1A_EMPTY: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continues an FNV-1a checksum over more bytes:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub(crate) fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -97,8 +105,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Appends the checksum trailer over `buf[from..]`: 8 bytes,
-/// little-endian. A model or snapshot file seals its whole buffer; a
-/// WAL frame seals its payload where it sits in the commit buffer.
+/// little-endian. A model or snapshot file seals its whole buffer. (A
+/// WAL frame carries the same trailer, checksummed run by run with
+/// [`fnv1a_extend`] as the writer encodes it.)
 pub(crate) fn seal(buf: &mut Vec<u8>, from: usize) {
     let checksum = fnv1a(&buf[from..]);
     buf.extend_from_slice(&checksum.to_le_bytes());
@@ -236,6 +245,7 @@ mod tests {
         assert_eq!(fnv1a(b"hello"), 0xA430_D846_80AA_BD0B);
         assert_ne!(fnv1a(b"hello"), fnv1a(b"hellp"));
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a_extend(fnv1a(b"he"), b"llo"), fnv1a(b"hello"));
     }
 
     #[test]

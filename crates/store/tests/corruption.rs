@@ -1,7 +1,9 @@
 //! Corruption resilience of the on-disk codecs: a damaged model or
 //! snapshot blob must decode to a typed error — never a panic, never
 //! a silently wrong model — and every failed decode must bump the
-//! `store.model.decode_errors` counter so operators see bit rot.
+//! `store.model.decode_errors` counter so operators see bit rot. A
+//! damaged WAL segment keeps exactly the whole frames before the
+//! damage.
 
 use hpm_check::mutate::{every_bit_flip, every_cut};
 use hpm_check::prelude::*;
@@ -9,6 +11,7 @@ use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 // `fnv1a` lets tests re-seal tampered payloads and exercise validation
 // *past* the whole-file checksum.
+use hpm_store::wal::{scan_wal, FsyncPolicy, WalOptions, WalRecord, WalWriter};
 use hpm_store::wire::{fnv1a, get_varint, put_varint};
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
@@ -371,4 +374,93 @@ fn failed_decodes_bump_the_error_counter() {
         before,
         counter.value()
     );
+}
+
+/// A multi-frame v2 segment as a writer committing every five records
+/// leaves it — interleaved runs of three objects, two removes — with
+/// its records in log order: batch by batch, each batch in object
+/// order (an object's own records in append order).
+fn wal_segment() -> (Vec<u8>, Vec<WalRecord>) {
+    let mut records = Vec::new();
+    for t in 0..12u64 {
+        for object in [3u64, 40, 41] {
+            if object == 40 && t == 7 {
+                records.push(WalRecord::Remove { object });
+            }
+            let w = (t * object) as f64;
+            records.push(WalRecord::Report {
+                object,
+                timestamp: 100 + t,
+                x: 2.5 + w * 0.125,
+                y: -w,
+            });
+        }
+    }
+    records.push(WalRecord::Remove { object: 3 });
+    let path = std::env::temp_dir().join(format!("hpm-corrupt-wal-{}", std::process::id()));
+    let options = WalOptions {
+        group_commit: 5,
+        fsync: FsyncPolicy::Never,
+    };
+    let mut writer = WalWriter::create(&path, options).unwrap();
+    for r in &records {
+        writer.append(r).unwrap();
+    }
+    writer.flush().unwrap();
+    drop(writer);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    for batch in records.chunks_mut(5) {
+        batch.sort_by_key(|r| match *r {
+            WalRecord::Report { object, .. } | WalRecord::Remove { object } => object,
+        });
+    }
+    (bytes, records)
+}
+
+/// How many records survive damage at byte `at`: those of the whole
+/// frames ending at or before it.
+fn survivors(frame_ends: &[usize], at: usize) -> usize {
+    frame_ends.iter().filter(|&&end| end <= at).count()
+}
+
+/// Cutting a v2 segment anywhere keeps exactly the records of the
+/// whole frames before the cut.
+#[test]
+fn wal_truncation_keeps_the_whole_frames_before_the_cut() {
+    let (bytes, records) = wal_segment();
+    let clean = scan_wal(&bytes);
+    assert_eq!(clean.records, records);
+    let frames = {
+        let mut ends = clean.offsets.clone();
+        ends.dedup();
+        ends
+    };
+    assert!(frames.len() > 5, "{} frames", frames.len());
+    every_cut(&bytes, |cut, prefix| {
+        let scan = scan_wal(prefix);
+        let n = survivors(&clean.offsets, cut);
+        assert_eq!(scan.records, records[..n], "cut at {cut}");
+        let header = if cut < 8 { 0 } else { 8 };
+        let valid = clean.offsets[..n].last().copied().unwrap_or(header);
+        assert_eq!(scan.valid_len, valid, "cut at {cut}");
+    });
+}
+
+/// Flipping any bit of a v2 segment keeps exactly the records of the
+/// whole frames before the damaged one; a damaged header keeps none.
+#[test]
+fn wal_bit_flip_keeps_the_whole_frames_before_the_damage() {
+    let (bytes, records) = wal_segment();
+    let clean = scan_wal(&bytes);
+    every_bit_flip(&bytes, |i, bad| {
+        let scan = scan_wal(bad);
+        let n = if i < 8 {
+            0
+        } else {
+            survivors(&clean.offsets, i)
+        };
+        assert_eq!(scan.records, records[..n], "flip in byte {i}");
+        assert!(scan.torn.is_some(), "flip in byte {i} went unnoticed");
+    });
 }

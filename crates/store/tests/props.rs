@@ -4,7 +4,7 @@
 use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
-use hpm_store::wal::{encode_wal_record, scan_wal, WalRecord, WAL_MAGIC};
+use hpm_store::wal::{scan_wal, FsyncPolicy, WalOptions, WalRecord, WalWriter};
 use hpm_store::{decode_model, encode_model};
 
 /// Random valid model: one region per offset over a random period,
@@ -244,14 +244,32 @@ fn committed_model_fixture_is_reproduced_byte_for_byte() {
     assert_eq!(model.patterns, patterns);
 }
 
-/// `encode_wal_record` still writes, byte for byte, the frames it
-/// wrote while it staged each payload on the stack
-/// (`tests/fixtures/wal_v1.bin`: Report and Remove frames with one-
-/// and ten-byte varints, `-0.0`, a subnormal and a sum that does not
-/// round), and `scan_wal` reads them back equal — a WAL written before
-/// an upgrade replays after it.
+/// A record's fields as bits: `==` on `f64` would hide `-0.0` and
+/// every NaN payload.
+fn record_bits(r: &WalRecord) -> (u64, u64, u64, u64) {
+    match *r {
+        WalRecord::Report {
+            object,
+            timestamp,
+            x,
+            y,
+        } => (object, timestamp, x.to_bits(), y.to_bits()),
+        WalRecord::Remove { object } => (object, u64::MAX, 0, 0),
+    }
+}
+
+fn assert_bit_identical(got: &[WalRecord], want: &[WalRecord]) {
+    let bits = |records: &[WalRecord]| records.iter().map(record_bits).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want));
+}
+
+/// A WAL written before the run-framed format (`tests/fixtures/
+/// wal_v1.bin`: Report and Remove frames with one- and ten-byte
+/// varints, `-0.0`, a subnormal and a sum that does not round; nothing
+/// writes v1 any more, so these bytes are the proof) still scans to
+/// its five records — a WAL written before an upgrade replays after it.
 #[test]
-fn committed_wal_fixture_is_reproduced_byte_for_byte() {
+fn committed_v1_wal_fixture_still_scans() {
     let golden: &[u8] = include_bytes!("fixtures/wal_v1.bin");
     let records = [
         WalRecord::Report {
@@ -275,18 +293,82 @@ fn committed_wal_fixture_is_reproduced_byte_for_byte() {
         },
         WalRecord::Remove { object: u64::MAX },
     ];
-    let mut bytes = WAL_MAGIC.to_vec();
-    for r in &records {
-        encode_wal_record(&mut bytes, r);
-    }
-    assert_eq!(bytes, golden);
     let scan = scan_wal(golden);
     assert_eq!(scan.torn, None);
     assert_eq!(scan.valid_len, golden.len());
     assert_eq!(scan.offsets.last(), Some(&golden.len()));
-    for (got, want) in scan.records.iter().zip(&records) {
-        // Debug prints `-0.0` and `0.0` apart; `==` would not tell.
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    // One frame per record.
+    let mut frames = scan.offsets.clone();
+    frames.dedup();
+    assert_eq!(frames.len(), records.len());
+    assert_bit_identical(&scan.records, &records);
+}
+
+/// The records frozen into `tests/fixtures/wal_v2.bin`, appended in
+/// this order by a writer committing every four: object 7's five
+/// reports are one run split across the first two frames, a remove
+/// sits between runs, and the coordinates carry `-0.0`, a subnormal, a
+/// sum that does not round and two NaN payloads through the XOR codec;
+/// the last frame is a run ending at `u64::MAX` of object `u64::MAX`.
+fn v2_fixture_records() -> Vec<WalRecord> {
+    let report = |object, timestamp, x, y| WalRecord::Report {
+        object,
+        timestamp,
+        x,
+        y,
+    };
+    vec![
+        report(7, 0, 1.5, -2.25),
+        report(7, 1, -0.0, -2.25),
+        report(7, 2, f64::MIN_POSITIVE / 2.0, 0.1 + 0.2),
+        report(7, 3, 1e300, -0.0),
+        report(7, 4, 1.5, f64::from_bits(0x7FF8_0000_DEAD_BEEF)),
+        WalRecord::Remove { object: 7 },
+        report(300, 12_345, 2.0, 3.0),
+        report(300, 12_346, 2.5, 3.0),
+        report(
+            u64::MAX,
+            u64::MAX - 1,
+            -1.0,
+            f64::from_bits(0xFFF0_0000_0000_0001),
+        ),
+        report(u64::MAX, u64::MAX, -1.0, 0.0),
+        WalRecord::Remove { object: u64::MAX },
+    ]
+}
+
+/// `WalWriter` still writes, byte for byte, the segment it wrote when
+/// the run-framed format was introduced, and `scan_wal` reads it back
+/// bit-identically, frame by frame.
+#[test]
+fn committed_v2_wal_fixture_is_reproduced_byte_for_byte() {
+    let golden: &[u8] = include_bytes!("fixtures/wal_v2.bin");
+    let records = v2_fixture_records();
+    let path = std::env::temp_dir().join(format!("hpm-wal-v2-fixture-{}", std::process::id()));
+    let options = WalOptions {
+        group_commit: 4,
+        fsync: FsyncPolicy::Never,
+    };
+    let mut writer = WalWriter::create(&path, options).unwrap();
+    for r in &records {
+        writer.append(r).unwrap();
     }
-    assert_eq!(scan.records.len(), records.len());
+    writer.flush().unwrap();
+    drop(writer);
+    let written = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(written, golden);
+
+    let scan = scan_wal(golden);
+    assert_eq!(scan.torn, None);
+    assert_eq!(scan.valid_len, golden.len());
+    assert_bit_identical(&scan.records, &records);
+    let mut frames = scan.offsets.clone();
+    frames.dedup();
+    assert_eq!(frames.len(), 3, "one frame per commit");
+    assert_eq!(
+        scan.offsets[3], scan.offsets[0],
+        "the first four share a frame"
+    );
+    assert_ne!(scan.offsets[4], scan.offsets[3], "object 7's run is split");
 }

@@ -28,6 +28,10 @@
 //! when the new XOR fits inside it (`lead' ≥ lead` and
 //! `trail' ≥ 64 − lead − sig`), writing only `sig` bits.
 //!
+//! [`encode_xor_bytes`] writes the same grammar over bytes instead of
+//! words, zero-padded to a whole byte — the form the WAL stores each
+//! run's coordinates in.
+//!
 //! # Losslessness
 //!
 //! XOR over bit patterns is an involution, so decode reproduces every
@@ -144,47 +148,130 @@ const fn low_mask(n: u32) -> u64 {
     }
 }
 
-/// MSB-first bit sink over `u64` words.
-#[derive(Debug, Default)]
-struct BitWriter {
-    words: Vec<u64>,
-    bits: u64,
+/// The unit a bit stream is stored in: `u64` words in a
+/// [`SealedChunk`], bytes in a [`encode_xor_bytes`] stream. Both move
+/// the stream 64 bits at a time.
+trait Word: Copy {
+    /// Appends the first `bits` bits of `word` (most significant
+    /// first): a whole word, or the zero-padded end of the stream.
+    fn put(out: &mut Vec<Self>, word: u64, bits: u32);
+    /// The 64 stream bits from bit `pos` on, zero past the end.
+    fn load(words: &[Self], pos: u64) -> u64;
 }
 
-impl BitWriter {
-    /// Appends the low `n` bits of `value`, most significant first.
-    fn push_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 64);
-        debug_assert!(n == 64 || value >> n == 0, "value wider than n");
-        let mut n = n;
-        while n > 0 {
-            let fill = (self.bits & 63) as u32;
-            if fill == 0 {
-                self.words.push(0);
-            }
-            let avail = 64 - fill;
-            let take = n.min(avail);
-            let piece = (value >> (n - take)) & low_mask(take);
-            let w = self.words.last_mut().expect("word pushed above");
-            *w |= piece << (avail - take);
-            self.bits += u64::from(take);
-            n -= take;
+impl Word for u64 {
+    fn put(out: &mut Vec<u64>, word: u64, _bits: u32) {
+        out.push(word);
+    }
+
+    fn load(words: &[u64], pos: u64) -> u64 {
+        let (i, off) = ((pos / 64) as usize, (pos % 64) as u32);
+        let next = || words.get(i + 1).map_or(0, |w| w >> (64 - off));
+        if off == 0 {
+            words[i]
+        } else {
+            words[i] << off | next()
         }
     }
 }
 
-/// MSB-first bit source over `u64` words, bounded by a declared bit
-/// count so corruption surfaces as a typed error instead of a read
-/// past the stream.
+impl Word for u8 {
+    fn put(out: &mut Vec<u8>, word: u64, bits: u32) {
+        out.extend_from_slice(&word.to_be_bytes()[..bits.div_ceil(8) as usize]);
+    }
+
+    fn load(words: &[u8], pos: u64) -> u64 {
+        let (i, off) = ((pos / 8) as usize, (pos % 8) as u32);
+        let mut window = [0u8; 9];
+        let window = match words.get(i..i + 9) {
+            Some(nine) => nine,
+            None => {
+                let have = words.len().saturating_sub(i);
+                window[..have].copy_from_slice(&words[i..]);
+                &window
+            }
+        };
+        let head = u64::from_be_bytes(window[..8].try_into().expect("eight bytes"));
+        if off == 0 {
+            head
+        } else {
+            head << off | u64::from(window[8]) >> (8 - off)
+        }
+    }
+}
+
+/// MSB-first bit sink appending to a vector of words. Bits gather in a
+/// 64-bit accumulator that is stored whole when it fills;
+/// [`finish`](Self::finish) stores the zero-padded rest.
+#[derive(Debug)]
+struct BitWriter<'a, W: Word> {
+    words: &'a mut Vec<W>,
+    /// Pending bits, most significant first; `fill` of them are valid.
+    acc: u64,
+    fill: u32,
+    /// Bits appended by this writer.
+    bits: u64,
+}
+
+impl<'a, W: Word> BitWriter<'a, W> {
+    fn new(words: &'a mut Vec<W>) -> Self {
+        BitWriter {
+            words,
+            acc: 0,
+            fill: 0,
+            bits: 0,
+        }
+    }
+
+    /// Appends the low `n` bits of `value`, most significant first.
+    fn push_bits(&mut self, value: u64, n: u32) {
+        debug_assert!((1..=64).contains(&n));
+        debug_assert!(n == 64 || value >> n == 0, "value wider than n");
+        let room = 64 - self.fill;
+        if n < room {
+            self.acc |= value << (room - n);
+            self.fill += n;
+        } else {
+            let rest = n - room;
+            W::put(self.words, self.acc | value >> rest, 64);
+            self.acc = if rest == 0 { 0 } else { value << (64 - rest) };
+            self.fill = rest;
+        }
+        self.bits += u64::from(n);
+    }
+
+    /// Appends `head` (`head_bits` wide) then `body` (`body_bits`
+    /// wide) — in one step when both fit a word.
+    fn push_tagged(&mut self, head: u64, head_bits: u32, body: u64, body_bits: u32) {
+        if head_bits + body_bits <= 64 {
+            self.push_bits(head << body_bits | body, head_bits + body_bits);
+        } else {
+            self.push_bits(head, head_bits);
+            self.push_bits(body, body_bits);
+        }
+    }
+
+    /// Stores the pending bits, zero-padded; returns the bits written.
+    fn finish(self) -> u64 {
+        if self.fill > 0 {
+            W::put(self.words, self.acc, self.fill);
+        }
+        self.bits
+    }
+}
+
+/// MSB-first bit source over words, bounded by a declared bit count
+/// so corruption surfaces as a typed error instead of a read past the
+/// stream.
 #[derive(Debug, Clone)]
-struct BitReader<'a> {
-    words: &'a [u64],
+struct BitReader<'a, W> {
+    words: &'a [W],
     pos: u64,
     limit: u64,
 }
 
-impl<'a> BitReader<'a> {
-    fn new(words: &'a [u64], limit: u64) -> Self {
+impl<'a, W: Word> BitReader<'a, W> {
+    fn new(words: &'a [W], limit: u64) -> Self {
         BitReader {
             words,
             pos: 0,
@@ -193,27 +280,13 @@ impl<'a> BitReader<'a> {
     }
 
     fn read_bits(&mut self, n: u32) -> Result<u64, ChunkError> {
-        debug_assert!(n <= 64);
+        debug_assert!((1..=64).contains(&n));
         if self.pos + u64::from(n) > self.limit {
             return Err(ChunkError::Truncated);
         }
-        let mut out = 0u64;
-        let mut n = n;
-        while n > 0 {
-            let word = self.words[(self.pos / 64) as usize];
-            let fill = (self.pos & 63) as u32;
-            let avail = 64 - fill;
-            let take = n.min(avail);
-            let piece = (word >> (avail - take)) & low_mask(take);
-            out = if take == 64 {
-                piece
-            } else {
-                (out << take) | piece
-            };
-            self.pos += u64::from(take);
-            n -= take;
-        }
-        Ok(out)
+        let bits = W::load(self.words, self.pos) >> (64 - n);
+        self.pos += u64::from(n);
+        Ok(bits)
     }
 }
 
@@ -234,7 +307,7 @@ impl AxisState {
         }
     }
 
-    fn encode(&mut self, bits: u64, w: &mut BitWriter) {
+    fn encode<W: Word>(&mut self, bits: u64, w: &mut BitWriter<'_, W>) {
         let xor = bits ^ self.prev;
         self.prev = bits;
         if xor == 0 {
@@ -246,22 +319,19 @@ impl AxisState {
         if let Some((wlead, wsig)) = self.window {
             let wtrail = 64 - wlead - wsig;
             if lead >= wlead && trail >= wtrail {
-                w.push_bits(0b10, 2);
-                w.push_bits(xor >> wtrail, wsig);
+                w.push_tagged(0b10, 2, xor >> wtrail, wsig);
                 return;
             }
         }
         // New window: 6-bit lead caps at 63 (xor != 0 keeps it there
         // naturally), 6-bit `sig - 1` covers sig in 1..=64.
         let sig = 64 - lead - trail;
-        w.push_bits(0b11, 2);
-        w.push_bits(u64::from(lead), 6);
-        w.push_bits(u64::from(sig - 1), 6);
-        w.push_bits(xor >> trail, sig);
+        let head = 0b11 << 12 | u64::from(lead) << 6 | u64::from(sig - 1);
+        w.push_tagged(head, 14, xor >> trail, sig);
         self.window = Some((lead, sig));
     }
 
-    fn decode(&mut self, r: &mut BitReader<'_>) -> Result<u64, ChunkError> {
+    fn decode<W: Word>(&mut self, r: &mut BitReader<'_, W>) -> Result<u64, ChunkError> {
         if r.read_bits(1)? == 0 {
             return Ok(self.prev);
         }
@@ -286,6 +356,77 @@ impl AxisState {
     }
 }
 
+/// The point codec of the grammar above, over both axes: the first
+/// point raw, every later one as an XOR delta per axis. One coder for
+/// two containers — a [`SealedChunk`]'s words and the byte-aligned
+/// streams of [`encode_xor_bytes`].
+#[derive(Debug, Clone, Copy, Default)]
+struct XorCoder {
+    /// `None` until the first (raw) point has been written/read.
+    axes: Option<(AxisState, AxisState)>,
+}
+
+impl XorCoder {
+    fn encode<W: Word>(&mut self, p: Point, w: &mut BitWriter<'_, W>) {
+        let (xb, yb) = (p.x.to_bits(), p.y.to_bits());
+        match &mut self.axes {
+            Some((x, y)) => {
+                x.encode(xb, w);
+                y.encode(yb, w);
+            }
+            None => {
+                w.push_bits(xb, 64);
+                w.push_bits(yb, 64);
+                self.axes = Some((AxisState::new(xb), AxisState::new(yb)));
+            }
+        }
+    }
+
+    fn decode<W: Word>(&mut self, r: &mut BitReader<'_, W>) -> Result<Point, ChunkError> {
+        let (xb, yb) = match &mut self.axes {
+            Some((x, y)) => (x.decode(r)?, y.decode(r)?),
+            None => {
+                let (xb, yb) = (r.read_bits(64)?, r.read_bits(64)?);
+                self.axes = Some((AxisState::new(xb), AxisState::new(yb)));
+                (xb, yb)
+            }
+        };
+        Ok(Point::new(f64::from_bits(xb), f64::from_bits(yb)))
+    }
+}
+
+/// Appends `points` to `out` as one stream of the chunk grammar,
+/// zero-padded to a whole byte: a one-point stream is its 16 raw bytes
+/// (x then y, most significant byte first), every later point costs
+/// its two XOR deltas. Bit-lossless like a chunk. The WAL stores each
+/// run's coordinates this way.
+pub fn encode_xor_bytes(out: &mut Vec<u8>, points: &[Point]) {
+    let mut w = BitWriter::new(out);
+    let mut coder = XorCoder::default();
+    for &p in points {
+        coder.encode(p, &mut w);
+    }
+    w.finish();
+}
+
+/// Decodes the `n`-point stream [`encode_xor_bytes`] wrote at the head
+/// of `bytes`, appending the points to `out`; returns the bytes the
+/// stream occupies. A stream running past `bytes` is
+/// [`ChunkError::Truncated`], nonzero padding [`ChunkError::DirtyPadding`].
+pub fn decode_xor_bytes(bytes: &[u8], n: usize, out: &mut Vec<Point>) -> Result<usize, ChunkError> {
+    let mut r = BitReader::new(bytes, bytes.len() as u64 * 8);
+    let mut coder = XorCoder::default();
+    for _ in 0..n {
+        out.push(coder.decode(&mut r)?);
+    }
+    let used = r.pos.div_ceil(8) as usize;
+    let pad = (used as u64 * 8 - r.pos) as u32;
+    if pad > 0 && u64::from(bytes[used - 1]) & low_mask(pad) != 0 {
+        return Err(ChunkError::DirtyPadding);
+    }
+    Ok(used)
+}
+
 /// One sealed, immutable, bit-packed run of consecutive samples.
 ///
 /// Sealed chunks are never mutated or re-encoded: snapshots write
@@ -304,20 +445,17 @@ impl SealedChunk {
     /// Panics when `points` is empty.
     pub fn seal(points: &[Point]) -> Self {
         assert!(!points.is_empty(), "cannot seal an empty chunk");
-        let mut w = BitWriter::default();
-        let first = points[0];
-        w.push_bits(first.x.to_bits(), 64);
-        w.push_bits(first.y.to_bits(), 64);
-        let mut x = AxisState::new(first.x.to_bits());
-        let mut y = AxisState::new(first.y.to_bits());
-        for p in &points[1..] {
-            x.encode(p.x.to_bits(), &mut w);
-            y.encode(p.y.to_bits(), &mut w);
+        let mut words = Vec::new();
+        let mut w = BitWriter::new(&mut words);
+        let mut coder = XorCoder::default();
+        for &p in points {
+            coder.encode(p, &mut w);
         }
+        let bits = w.finish();
         SealedChunk {
             samples: points.len() as u32,
-            bits: w.bits,
-            words: w.words.into_boxed_slice(),
+            bits,
+            words: words.into_boxed_slice(),
         }
     }
 
@@ -405,9 +543,8 @@ impl MemUse for SealedChunk {
 /// samples in order without materializing them.
 #[derive(Debug, Clone)]
 pub struct ChunkDecoder<'a> {
-    reader: BitReader<'a>,
-    x: AxisState,
-    y: AxisState,
+    reader: BitReader<'a, u64>,
+    coder: XorCoder,
     yielded: u32,
     samples: u32,
 }
@@ -416,8 +553,7 @@ impl<'a> ChunkDecoder<'a> {
     fn new(chunk: &'a SealedChunk) -> Self {
         ChunkDecoder {
             reader: BitReader::new(&chunk.words, chunk.bits),
-            x: AxisState::new(0),
-            y: AxisState::new(0),
+            coder: XorCoder::default(),
             yielded: 0,
             samples: chunk.samples,
         }
@@ -430,17 +566,7 @@ impl<'a> ChunkDecoder<'a> {
         if self.yielded == self.samples {
             return Ok(None);
         }
-        let p = if self.yielded == 0 {
-            let xb = self.reader.read_bits(64)?;
-            let yb = self.reader.read_bits(64)?;
-            self.x = AxisState::new(xb);
-            self.y = AxisState::new(yb);
-            Point::new(f64::from_bits(xb), f64::from_bits(yb))
-        } else {
-            let xb = self.x.decode(&mut self.reader)?;
-            let yb = self.y.decode(&mut self.reader)?;
-            Point::new(f64::from_bits(xb), f64::from_bits(yb))
-        };
+        let p = self.coder.decode(&mut self.reader)?;
         self.yielded += 1;
         Ok(Some(p))
     }
@@ -799,6 +925,46 @@ mod tests {
         let chunk = SealedChunk::seal(&points);
         let decoded: Vec<Point> = chunk.decoder().collect();
         assert!(bits_eq(&decoded, &points));
+    }
+
+    /// The byte form is the chunk's bit stream, byte-aligned: the same
+    /// bits as the words, most significant byte first, zero-padded.
+    #[test]
+    fn byte_stream_is_the_chunk_stream_byte_aligned() {
+        let points = vec![
+            Point::new(0.0, -0.0),
+            Point::new(1.5, f64::MIN_POSITIVE / 2.0),
+            Point::new(f64::from_bits(0x7FF8_0000_0000_1234), -3.25),
+            Point::new(1.5000001, -3.25),
+        ];
+        let mut bytes = vec![0xAB];
+        encode_xor_bytes(&mut bytes, &points);
+        let chunk = SealedChunk::seal(&points);
+        let words: Vec<u8> = chunk.words().iter().flat_map(|w| w.to_be_bytes()).collect();
+        let used = chunk.bits().div_ceil(8) as usize;
+        assert_eq!(bytes[1..], words[..used]);
+
+        let mut out = Vec::new();
+        assert_eq!(decode_xor_bytes(&bytes[1..], 4, &mut out), Ok(used));
+        assert!(bits_eq(&out, &points));
+        // One point is its 16 raw bytes.
+        let mut one = Vec::new();
+        encode_xor_bytes(&mut one, &points[2..3]);
+        assert_eq!(one[..8], 0x7FF8_0000_0000_1234u64.to_be_bytes());
+        assert_eq!(one.len(), 16);
+        // Short input and dirty padding are typed errors.
+        let mut sink = Vec::new();
+        assert_eq!(
+            decode_xor_bytes(&bytes[1..used], 4, &mut sink),
+            Err(ChunkError::Truncated)
+        );
+        assert_ne!(chunk.bits() % 8, 0, "the stream ends mid-byte");
+        let mut dirty = bytes[1..].to_vec();
+        dirty[used - 1] |= 1;
+        assert_eq!(
+            decode_xor_bytes(&dirty, 4, &mut sink),
+            Err(ChunkError::DirtyPadding)
+        );
     }
 
     #[test]

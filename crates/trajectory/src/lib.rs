@@ -38,8 +38,8 @@ mod staypoints;
 mod traj;
 
 pub use chunks::{
-    ChunkError, ChunkParams, ChunkedHistory, DecodeCursor, SealedChunk, DEFAULT_MIN_TAIL,
-    DEFAULT_SEAL_LEN,
+    decode_xor_bytes, encode_xor_bytes, ChunkError, ChunkParams, ChunkedHistory, DecodeCursor,
+    SealedChunk, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
 };
 pub use decompose::{decompose, DecomposeCursor, DeltaSample, OffsetGroups, SubTrajectory};
 pub use history::History;

@@ -14,12 +14,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The totals this tree may not exceed: what PR 23 left. A change that
-# needs the room raises them in the same diff and says why in
-# CHANGES.md (ROADMAP 7b's targets are 27,500 / 13,300; the second is
-# met).
-BUDGET_FILE_LINES=27843
-BUDGET_CODE_ONLY=13253
+# The totals this tree may not exceed: what the last change to them
+# left. A change that needs the room raises them in the same diff and
+# says why in CHANGES.md (ROADMAP 7b's targets are 27,500 / 13,300).
+BUDGET_FILE_LINES=28601
+BUDGET_CODE_ONLY=13645
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {
