@@ -1,7 +1,7 @@
-//! Grid-indexed vs naive O(n²) DBSCAN (the neighbour-index ablation).
+//! Seeding grid-indexed DBSCAN over blobs plus background noise.
 
 use hpm_bench::Bench;
-use hpm_clustering::{dbscan, dbscan_naive, DbscanParams};
+use hpm_clustering::{DbscanParams, IncrementalDbscan};
 use hpm_geo::Point;
 
 /// Deterministic mixture of dense blobs plus background noise.
@@ -31,12 +31,9 @@ fn main() {
     for &n in &[200usize, 1_000, 4_000] {
         let pts = points(n);
         let params = DbscanParams::new(30.0, 4);
-        bench.run(&format!("dbscan/grid/{n}"), None, || dbscan(&pts, params));
-        if n <= 1_000 {
-            bench.run(&format!("dbscan/naive/{n}"), None, || {
-                dbscan_naive(&pts, params)
-            });
-        }
+        bench.run(&format!("dbscan/grid/{n}"), None, || {
+            IncrementalDbscan::seed(pts.clone(), params)
+        });
     }
     bench.summary();
 }

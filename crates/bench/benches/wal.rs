@@ -236,7 +236,7 @@ fn snapshot_cost(objects: usize, samples_per_object: usize, reps: usize) -> Snap
             ObjectSnapshot {
                 id,
                 start: 0,
-                history: HistorySnapshot::Chunked {
+                history: HistorySnapshot {
                     chunks: h.chunks().to_vec(),
                     tail: h.tail().to_vec(),
                 },

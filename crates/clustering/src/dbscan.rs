@@ -1,6 +1,9 @@
-//! The DBSCAN algorithm proper.
+//! The DBSCAN algorithm proper: the one sweep behind
+//! [`IncrementalDbscan::seed`](crate::IncrementalDbscan::seed) (against
+//! the neighbour grid) and
+//! [`IncrementalDbscan::validate`](crate::IncrementalDbscan::validate)
+//! (against brute-force scans).
 
-use crate::grid::GridIndex;
 use hpm_geo::{BoundingBox, Point};
 
 /// DBSCAN parameters: the paper's frequent-region knobs (§IV, §VII.B).
@@ -47,57 +50,10 @@ pub struct Cluster {
     pub bbox: BoundingBox,
 }
 
-/// Runs DBSCAN over `points`, returning per-point labels and the
-/// cluster summaries.
-///
-/// Border points are assigned to the cluster of the first core point
-/// that reaches them (classic DBSCAN order-dependence; the expansion
-/// order here is by ascending seed index, so results are
-/// deterministic).
-pub fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
-    sweep_grid(points, params).1.into_output()
-}
-
-/// Naive `O(n²)` DBSCAN — differential-testing oracle and ablation
-/// baseline for the grid index.
-pub fn dbscan_naive(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
-    let eps2 = params.eps * params.eps;
-    dbscan_impl(points, params, |p, visit| {
-        for (i, q) in points.iter().enumerate() {
-            if q.distance_sq(p) <= eps2 {
-                visit(i as u32);
-            }
-        }
-    })
-}
-
-fn dbscan_impl(
-    points: &[Point],
-    params: DbscanParams,
-    neighbors_of: impl Fn(&Point, &mut dyn FnMut(u32)),
-) -> (Vec<Label>, Vec<Cluster>) {
-    sweep(points, params.min_pts, |p, out| {
-        neighbors_of(p, &mut |i| out.push(i))
-    })
-    .into_output()
-}
-
-/// Builds the neighbour grid for `params` over `points` and runs the
-/// sweep against it — the one clustering pass behind both [`dbscan`]
-/// and [`IncrementalDbscan::seed`](crate::IncrementalDbscan::seed),
-/// which keeps the grid.
-pub(crate) fn sweep_grid(points: &[Point], params: DbscanParams) -> (GridIndex, Sweep) {
-    let grid = GridIndex::build(points, params.eps.max(f64::MIN_POSITIVE));
-    let swept = sweep(points, params.min_pts, |p, out| {
-        grid.neighbors_into(points, p, params.eps, out)
-    });
-    (grid, swept)
-}
-
 /// Running aggregate of one cluster: members in ascending index order
-/// with their coordinate sum and tight box. Batch summaries and the
-/// incremental state's later appends extend this same fold, which is
-/// what keeps them bit-identical.
+/// with their coordinate sum and tight box. The sweep's summaries and
+/// the incremental state's later appends extend this same fold, which
+/// is what keeps them bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClusterFold {
     pub(crate) members: Vec<u32>,
@@ -139,24 +95,6 @@ pub(crate) struct Sweep {
     /// neighbourhood query the sweep makes for each point.
     pub(crate) counts: Vec<u32>,
     pub(crate) clusters: Vec<ClusterFold>,
-}
-
-impl Sweep {
-    fn into_output(self) -> (Vec<Label>, Vec<Cluster>) {
-        let clusters = self
-            .clusters
-            .into_iter()
-            .zip(0..)
-            .map(|(fold, id)| Cluster {
-                id,
-                centroid: fold.centroid(),
-                bbox: fold.bbox,
-                members: fold.members,
-            })
-            .collect();
-        let labels = self.assign.into_iter().map(label_of).collect();
-        (labels, clusters)
-    }
 }
 
 /// `UNCLASSIFIED` sentinel used during the sweep.
@@ -261,6 +199,15 @@ pub(crate) fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IncrementalDbscan;
+
+    /// Labels and summaries of a seeded state, checked against the
+    /// brute-force sweep first.
+    fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
+        let state = IncrementalDbscan::seed(points.to_vec(), params);
+        state.validate().unwrap();
+        (state.labels(), state.clusters())
+    }
 
     fn blob(cx: f64, cy: f64, n: usize, spread: f64) -> Vec<Point> {
         // Deterministic pseudo-random-ish blob on a small spiral.
@@ -338,15 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_naive() {
+    fn touching_blobs_match_the_brute_force_sweep() {
         let mut pts = blob(0.0, 0.0, 25, 2.0);
         pts.extend(blob(6.0, 1.0, 25, 2.0));
         pts.push(Point::new(-30.0, -30.0));
-        let params = DbscanParams::new(1.2, 4);
-        let (l1, c1) = dbscan(&pts, params);
-        let (l2, c2) = dbscan_naive(&pts, params);
-        assert_eq!(l1, l2);
-        assert_eq!(c1, c2);
+        let (labels, _) = dbscan(&pts, DbscanParams::new(1.2, 4));
+        assert_eq!(labels[50], Label::Noise);
     }
 
     /// `|x / Eps| ≥ 2⁶³` saturates the cell index; the 3×3 walk used to
@@ -362,10 +306,8 @@ mod tests {
             Point::new(0.0, 0.0),
             Point::new(0.5, 0.0),
         ];
-        let params = DbscanParams::new(2.0, 2);
-        let got = dbscan(&pts, params);
-        assert_eq!(got, dbscan_naive(&pts, params));
-        assert_eq!(got.1.len(), 2);
+        let (_, clusters) = dbscan(&pts, DbscanParams::new(2.0, 2));
+        assert_eq!(clusters.len(), 2);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! same visiting order on every run. The exact distance test decides
 //! membership; the layout only bounds which points are tested.
 //!
-//! Batch [`dbscan`](crate::dbscan), [`IncrementalDbscan::seed`] and
-//! [`IncrementalDbscan::insert`] all go through this one type. The
+//! [`IncrementalDbscan::seed`] and [`IncrementalDbscan::insert`] both
+//! go through this one type. The
 //! SipHash cell maps it replaced (one per caller, a `Vec` per cell)
 //! lost to it on every count — time, bytes, allocations (DESIGN.md
 //! "Training lifecycle") — and a faster hasher would have to stay sound

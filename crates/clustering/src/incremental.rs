@@ -4,8 +4,8 @@
 //! changing any other point's label — or report **structure drift**
 //! and let the caller rebuild.
 //!
-//! The batch [`dbscan`](crate::dbscan) sweep is deterministic in a way
-//! the incremental path can replicate exactly:
+//! The batch DBSCAN sweep [`IncrementalDbscan::seed`] runs is
+//! deterministic in a way the incremental path can replicate exactly:
 //!
 //! * cluster ids are assigned in ascending order of each cluster's
 //!   smallest core-point index (seeds are tried in index order and a
@@ -19,7 +19,7 @@
 //! noise, border join, core join that reaches only one cluster's
 //! members — provably leave every existing label, every cluster id and
 //! every summary fold-order unchanged, and the updated state is
-//! *identical* to re-running batch DBSCAN over the extended point set
+//! *identical* to re-seeding over the extended point set
 //! (property-tested in `tests/props.rs`). Every other case (a
 //! neighbour crossing the `MinPts` core threshold, a merge, a brand
 //! new cluster, absorption of non-members) is conservatively reported
@@ -36,7 +36,7 @@
 //! "Training lifecycle" records what a second cell map, a second fold
 //! and a separate counting pass used to cost).
 
-use crate::dbscan::{label_of, sweep, sweep_grid, ClusterFold, Sweep, NOISE};
+use crate::dbscan::{label_of, sweep, ClusterFold, Sweep, NOISE};
 use crate::grid::GridIndex;
 use crate::{Cluster, DbscanParams, Label};
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
@@ -111,12 +111,14 @@ impl IncrementalDbscan {
     /// grid it was run against, the neighbourhood size it saw for each
     /// point and the cluster folds it produced all move into the state.
     pub fn seed(points: Vec<Point>, params: DbscanParams) -> Self {
-        let (grid, swept) = sweep_grid(&points, params);
+        let grid = GridIndex::build(&points, params.eps.max(f64::MIN_POSITIVE));
         let Sweep {
             assign,
             counts,
             clusters,
-        } = swept;
+        } = sweep(&points, params.min_pts, |p, out| {
+            grid.neighbors_into(&points, p, params.eps, out)
+        });
         IncrementalDbscan {
             params,
             points,
@@ -265,8 +267,8 @@ impl IncrementalDbscan {
     }
 
     /// Cluster summaries in id order, borrowing the member lists —
-    /// bit-identical to what [`dbscan`](crate::dbscan) over the same
-    /// point sequence returns (same fold order).
+    /// bit-identical to what a fresh [`seed`](Self::seed) over the
+    /// same point sequence holds (same fold order).
     pub fn cluster_views(&self) -> impl Iterator<Item = ClusterView<'_>> {
         self.clusters.iter().zip(0..).map(|(c, id)| ClusterView {
             id,
@@ -278,6 +280,8 @@ impl IncrementalDbscan {
 
     /// [`cluster_views`](Self::cluster_views) as owned [`Cluster`]s
     /// (copies every member list; for tests and one-off inspection).
+    /// With [`labels`](Self::labels), what batch DBSCAN over the
+    /// seeded points returns.
     pub fn clusters(&self) -> Vec<Cluster> {
         self.cluster_views()
             .map(|v| Cluster {
@@ -289,12 +293,12 @@ impl IncrementalDbscan {
             .collect()
     }
 
-    /// Test support: re-derives the whole state by brute force — a
-    /// fresh sweep whose neighbourhoods are `O(n²)` scans, so every
-    /// `|N_Eps|`, every assignment and every cluster's member list,
-    /// `sum` and `bbox` fold is recomputed without the grid — and
-    /// reports what disagrees; the grid itself is checked against a
-    /// fresh build.
+    /// Test support, and the crate's one `O(n²)` oracle: re-derives the
+    /// whole state by brute force — a fresh sweep whose neighbourhoods
+    /// are full scans, so every `|N_Eps|`, every assignment and every
+    /// cluster's member list, `sum` and `bbox` fold is recomputed
+    /// without the grid — and reports what disagrees; the grid itself
+    /// is checked against a fresh build.
     #[doc(hidden)]
     pub fn validate(&self) -> Result<(), String> {
         self.grid.validate(&self.points)?;
@@ -340,7 +344,6 @@ impl MemUse for IncrementalDbscan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan_naive;
 
     fn dense_blob(cx: f64, n: usize) -> Vec<Point> {
         (0..n)
@@ -353,15 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn seed_matches_batch() {
+    fn seed_matches_brute_force() {
         let mut pts = dense_blob(0.0, 5);
         pts.extend(dense_blob(50.0, 4));
         pts.push(Point::new(25.0, 25.0));
-        let state = IncrementalDbscan::seed(pts.clone(), params());
+        let state = IncrementalDbscan::seed(pts, params());
         state.validate().unwrap();
-        let (labels, clusters) = dbscan_naive(&pts, params());
-        assert_eq!(state.labels(), &labels[..]);
-        assert_eq!(state.clusters(), clusters);
+        assert_eq!(state.cluster_count(), 2);
+        assert_eq!(state.labels()[9], Label::Noise);
     }
 
     #[test]
@@ -374,9 +376,9 @@ mod tests {
         assert_eq!(state.insert(p), InsertOutcome::Member(0));
         pts.push(p);
         state.validate().unwrap();
-        let (labels, clusters) = dbscan_naive(&pts, params());
-        assert_eq!(state.labels(), &labels[..]);
-        assert_eq!(state.clusters(), clusters);
+        let reseeded = IncrementalDbscan::seed(pts, params());
+        assert_eq!(state.labels(), reseeded.labels());
+        assert_eq!(state.clusters(), reseeded.clusters());
     }
 
     #[test]

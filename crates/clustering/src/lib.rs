@@ -10,18 +10,21 @@
 //! Neighbourhood queries use one uniform grid with `Eps`-sized cells
 //! (the crate-private cell-run table of `grid.rs`: point indices
 //! grouped by cell, occupied cells sorted, no hashing), giving the
-//! expected `O(n · k)` behaviour instead of the naive `O(n²)` scan (a
-//! naive variant is kept for the ablation bench and as a
-//! differential-testing oracle). Batch [`dbscan`] builds the grid with
-//! one sort and sweeps it once; [`IncrementalDbscan::seed`] *is* that
-//! sweep — it keeps the grid, the `|N_Eps|` the sweep saw at its one
-//! query per point and the cluster folds — and
-//! [`IncrementalDbscan::insert`] appends to the same grid.
+//! expected `O(n · k)` behaviour instead of the naive `O(n²)` scan.
+//! There is one entry point: [`IncrementalDbscan::seed`] builds the
+//! grid with one sort and runs the batch sweep over it once, keeping the
+//! grid, the `|N_Eps|` the sweep saw at its one query per point and the
+//! cluster folds, so that [`IncrementalDbscan::insert`] can append to
+//! the same grid. Batch DBSCAN is a seed read back through
+//! [`labels`](IncrementalDbscan::labels) and
+//! [`clusters`](IncrementalDbscan::clusters); the brute-force re-sweep
+//! behind [`IncrementalDbscan::validate`] is the differential-testing
+//! oracle.
 
 //! # Example
 //!
 //! ```
-//! use hpm_clustering::{dbscan, DbscanParams, Label};
+//! use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label};
 //! use hpm_geo::Point;
 //!
 //! // Two tight groups of 4 points and one straggler.
@@ -29,9 +32,13 @@
 //! pts.extend((0..4).map(|i| Point::new(50.0 + i as f64 * 0.1, 0.0)));
 //! pts.push(Point::new(25.0, 25.0));
 //!
-//! let (labels, clusters) = dbscan(&pts, DbscanParams::new(1.0, 3));
-//! assert_eq!(clusters.len(), 2);
-//! assert_eq!(labels[8], Label::Noise);
+//! let mut state = IncrementalDbscan::seed(pts, DbscanParams::new(1.0, 3));
+//! assert_eq!(state.clusters().len(), 2);
+//! assert_eq!(state.labels()[8], Label::Noise);
+//!
+//! // A fifth point inside the first group joins it in place.
+//! assert_eq!(state.insert(Point::new(0.15, 0.0)), InsertOutcome::Member(0));
+//! assert_eq!(state.clusters()[0].members.len(), 5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,5 +47,5 @@ mod dbscan;
 mod grid;
 mod incremental;
 
-pub use dbscan::{dbscan, dbscan_naive, Cluster, DbscanParams, Label};
+pub use dbscan::{Cluster, DbscanParams, Label};
 pub use incremental::{ClusterView, DriftKind, IncrementalDbscan, InsertOutcome};

@@ -1,7 +1,9 @@
-//! Property-based invariants for DBSCAN.
+//! Property-based invariants for DBSCAN, run on a freshly seeded
+//! [`IncrementalDbscan`] — the crate's one entry point — and held to its
+//! brute-force `validate` sweep.
 
 use hpm_check::prelude::*;
-use hpm_clustering::{dbscan, dbscan_naive, DbscanParams, IncrementalDbscan, InsertOutcome, Label};
+use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label};
 use hpm_geo::Point;
 
 fn arb_params() -> Gen<DbscanParams> {
@@ -68,13 +70,10 @@ fn valid(state: &IncrementalDbscan) -> CaseResult {
 }
 
 props! {
-    /// The grid-indexed implementation is exactly equivalent to the
-    /// naive O(n²) oracle.
+    /// The grid-indexed sweep is exactly equivalent to the naive O(n²)
+    /// one: every count, assignment and fold.
     fn grid_equals_naive((pts, params) in arb_case()) {
-        let (l1, c1) = dbscan(&pts, params);
-        let (l2, c2) = dbscan_naive(&pts, params);
-        require_eq!(l1, l2);
-        require_eq!(c1, c2);
+        valid(&IncrementalDbscan::seed(pts, params))?;
     }
 
     /// Every cluster contains at least one core point — a member with
@@ -84,7 +83,7 @@ props! {
     /// earlier cluster, the classic DBSCAN order-dependence — a
     /// counterexample found by this suite's earlier, stricter version.)
     fn clusters_have_a_core_point((pts, params) in arb_case()) {
-        let (_, clusters) = dbscan(&pts, params);
+        let clusters = IncrementalDbscan::seed(pts.clone(), params).clusters();
         let eps2 = params.eps * params.eps;
         for c in &clusters {
             let has_core = c.members.iter().any(|&m| {
@@ -100,7 +99,8 @@ props! {
     /// Labels partition the points: member lists are disjoint,
     /// cover exactly the clustered points, and ids are dense.
     fn partition_invariants((pts, params) in arb_case()) {
-        let (labels, clusters) = dbscan(&pts, params);
+        let state = IncrementalDbscan::seed(pts.clone(), params);
+        let (labels, clusters) = (state.labels(), state.clusters());
         let mut seen = vec![false; pts.len()];
         for (cid, c) in clusters.iter().enumerate() {
             require_eq!(c.id as usize, cid);
@@ -119,7 +119,7 @@ props! {
 
     /// Cluster geometry: centroid and all members inside the bbox.
     fn summaries_are_tight((pts, params) in arb_bounded_case()) {
-        let (_, clusters) = dbscan(&pts, params);
+        let clusters = IncrementalDbscan::seed(pts.clone(), params).clusters();
         for c in &clusters {
             require!(c.bbox.contains_within(&c.centroid, 1e-9));
             for &m in &c.members {
@@ -131,7 +131,7 @@ props! {
     /// Noise points really are sparse: a noise point has fewer than
     /// MinPts neighbours (it can never be a core point).
     fn noise_is_never_core((pts, params) in arb_case()) {
-        let (labels, _) = dbscan(&pts, params);
+        let labels = IncrementalDbscan::seed(pts.clone(), params).labels();
         let eps2 = params.eps * params.eps;
         for (i, l) in labels.iter().enumerate() {
             if *l == Label::Noise {
@@ -143,13 +143,11 @@ props! {
 
     // Incremental insertion with reseed-on-drift is *exactly* the
     // batch algorithm at every prefix: after each insert (or fallback
-    // reseed) the labels and summaries equal a fresh batch run over
-    // the same point sequence. This simultaneously checks that the
-    // safe path changes nothing it should not, and that every
-    // structure-changing insertion is caught as drift. The batch side
-    // is the naive oracle — `dbscan` shares the state's grid — and
-    // `validate` re-derives what the comparison cannot see (the
-    // private `|N_Eps|` counts, the grid's filing).
+    // reseed) `validate` re-derives every `|N_Eps|` count, assignment
+    // and cluster fold by a brute-force sweep over the same point
+    // sequence, and checks the grid's filing. This simultaneously
+    // checks that the safe path changes nothing it should not, and
+    // that every structure-changing insertion is caught as drift.
     #[cases(96)]
     fn incremental_equals_batch_at_every_prefix(
         (pts, params) in arb_case(),
@@ -165,9 +163,6 @@ props! {
                 state = IncrementalDbscan::seed(pts[..n].to_vec(), params);
             }
             valid(&state)?;
-            let (labels, clusters) = dbscan_naive(&pts[..n], params);
-            require_eq!(state.labels(), &labels[..]);
-            require_eq!(state.clusters(), clusters);
         }
     }
 }

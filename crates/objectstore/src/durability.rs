@@ -90,6 +90,16 @@ pub enum RecoverError {
     /// alone cannot reconstruct state that predates the oldest
     /// surviving segment, so opening would silently lose data.
     CorruptSnapshot(DecodeError),
+    /// The newest snapshot, or a WAL segment recovery must replay, is
+    /// in a format version this build does not read (version-1 files
+    /// included): skipping it would lose its records, so opening
+    /// refuses.
+    UnsupportedVersion {
+        /// The refused file.
+        path: PathBuf,
+        /// The version its header names.
+        version: u32,
+    },
 }
 
 impl fmt::Display for RecoverError {
@@ -99,6 +109,11 @@ impl fmt::Display for RecoverError {
             RecoverError::CorruptSnapshot(e) => {
                 write!(f, "no decodable snapshot in data dir: {e}")
             }
+            RecoverError::UnsupportedVersion { path, version } => write!(
+                f,
+                "{}: format version {version} is not read by this build",
+                path.display()
+            ),
         }
     }
 }

@@ -14,7 +14,8 @@ use hpm_geo::{MemUse, Point};
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::wal::{scan_wal_runs, WalRecord, WalWriter};
 use hpm_store::{
-    decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
+    decode_model, decode_snapshot, encode_model, encode_snapshot, DecodeError, HistorySnapshot,
+    ObjectSnapshot,
 };
 use hpm_trajectory::{ChunkParams, ChunkedHistory, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN};
 use std::collections::HashMap;
@@ -438,7 +439,9 @@ impl MovingObjectStore {
     /// any shard count — is replayed up to its torn tail, and fresh
     /// WAL segments are started at a new epoch. The recovered store
     /// answers queries bit-identically to one that ingested the
-    /// surviving report stream without ever crashing.
+    /// surviving report stream without ever crashing. A snapshot or
+    /// segment in another format version (version 1 included) fails
+    /// the open with [`RecoverError::UnsupportedVersion`].
     ///
     /// # Panics
     /// Panics when `config` is inconsistent.
@@ -452,12 +455,19 @@ impl MovingObjectStore {
         // are renamed into place atomically, and the GC that follows a
         // successful snapshot deletes the WAL segments an *older*
         // snapshot would need for replay. A decode failure here is
-        // bit-rot, and falling back would silently lose data — refuse
-        // to open instead.
+        // bit-rot (or a format version this build does not read), and
+        // falling back would silently lose data — refuse to open
+        // instead.
         let base_epoch = match listing.snap_epochs.last().copied() {
             Some(epoch) => {
-                let bytes = std::fs::read(snap_path(&durability.dir, epoch))?;
-                let objects = decode_snapshot(&bytes).map_err(RecoverError::CorruptSnapshot)?;
+                let path = snap_path(&durability.dir, epoch);
+                let bytes = std::fs::read(&path)?;
+                let objects = decode_snapshot(&bytes).map_err(|e| match e {
+                    DecodeError::UnsupportedVersion(version) => {
+                        RecoverError::UnsupportedVersion { path, version }
+                    }
+                    e => RecoverError::CorruptSnapshot(e),
+                })?;
                 store
                     .restore_objects(objects)
                     .map_err(RecoverError::CorruptSnapshot)?;
@@ -1433,7 +1443,7 @@ impl MovingObjectStore {
                 start: state.history.start(),
                 // Sealed chunks are written verbatim — a snapshot
                 // copies compressed words, it never recompresses.
-                history: HistorySnapshot::Chunked {
+                history: HistorySnapshot {
                     chunks: state.history.chunks().to_vec(),
                     tail: state.history.tail().to_vec(),
                 },
@@ -1462,8 +1472,9 @@ impl MovingObjectStore {
     /// one run: the prefix a snapshot already holds fails the
     /// contiguity check inside that one lock hold, and the rest
     /// applies. A logged `Remove` resets the object exactly as it did
-    /// live.
-    fn replay_segment(&self, path: &Path) -> std::io::Result<u64> {
+    /// live. A segment of another format version is refused, not
+    /// skipped as an empty log.
+    fn replay_segment(&self, path: &Path) -> Result<u64, RecoverError> {
         let bytes = std::fs::read(path)?;
         let mut records = 0u64;
         // The run being gathered: its object and first timestamp, and
@@ -1480,7 +1491,7 @@ impl MovingObjectStore {
             }
             points.clear();
         };
-        scan_wal_runs(&bytes, |next, _| {
+        let (_, stopped) = scan_wal_runs(&bytes, |next, _| {
             records += next.points.len().max(1) as u64;
             let extends = run.is_some_and(|(object, first)| {
                 object == next.object
@@ -1497,6 +1508,10 @@ impl MovingObjectStore {
                 points.extend_from_slice(next.points);
             }
         });
+        if let Some(DecodeError::UnsupportedVersion(version)) = stopped {
+            let path = path.to_owned();
+            return Err(RecoverError::UnsupportedVersion { path, version });
+        }
         apply(run, &mut points);
         Ok(records)
     }
@@ -1509,24 +1524,13 @@ impl MovingObjectStore {
     /// the full history — by the workspace training contract
     /// bit-identical to what a never-restarted store folded up to the
     /// same sample, at the cost of one first-training-sized pass.
-    fn restore_objects(
-        &mut self,
-        objects: Vec<ObjectSnapshot>,
-    ) -> Result<(), hpm_store::DecodeError> {
+    fn restore_objects(&mut self, objects: Vec<ObjectSnapshot>) -> Result<(), DecodeError> {
         for o in objects {
-            let params = self.chunk_params();
-            // v2 chunks install verbatim (`from_parts` only unseals
+            // Chunks install verbatim: `from_parts` only unseals
             // trailing chunks if the recovered tail is too short for
-            // this configuration's hot window); v1 raw histories are
-            // compressed through the ordinary push path.
-            let history = match o.history {
-                HistorySnapshot::Raw(points) => {
-                    ChunkedHistory::from_points(o.start, params, &points)
-                }
-                HistorySnapshot::Chunked { chunks, tail } => {
-                    ChunkedHistory::from_parts(o.start, params, chunks, tail)
-                }
-            };
+            // this configuration's hot window.
+            let HistorySnapshot { chunks, tail } = o.history;
+            let history = ChunkedHistory::from_parts(o.start, self.chunk_params(), chunks, tail);
             let predictor = match &o.model {
                 Some(blob) => {
                     let m = decode_model(blob)?;

@@ -616,6 +616,72 @@ fn corrupt_snapshot_refuses_to_open() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The file names in a data directory, sorted.
+fn dir_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Opens a directory holding `fixture` (from `store/tests/fixtures`)
+/// as `name` and returns the refusal, which must leave the directory
+/// untouched.
+fn refusal(name: &str, fixture: &[u8]) -> RecoverError {
+    let dir = tmp_dir("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(name), fixture).unwrap();
+    let err = match MovingObjectStore::open(config(1), durable(&dir, 1)) {
+        Err(e) => e,
+        Ok(_) => panic!("{name}: a version-1 file opened"),
+    };
+    assert_eq!(dir_names(&dir), [name], "{name}: the refusal wrote files");
+    std::fs::remove_dir_all(&dir).unwrap();
+    err
+}
+
+/// A version-1 WAL segment the open must replay is refused with a typed
+/// error naming it: skipping it as an empty log would drop its records.
+#[test]
+fn a_v1_wal_segment_refuses_to_open() {
+    let _shared = obs_shared();
+    let fixture = include_bytes!("../../store/tests/fixtures/wal_v1.bin");
+    match refusal("wal-0-0.log", fixture) {
+        RecoverError::UnsupportedVersion { path, version: 1 } => {
+            assert!(path.ends_with("wal-0-0.log"), "{path:?}");
+        }
+        e => panic!("expected UnsupportedVersion(1), got {e:?}"),
+    }
+}
+
+/// A version-1 snapshot is refused by version, not reported as bit rot
+/// and not misread. A version-1 segment *below* a readable snapshot's
+/// epoch is never read at all: the snapshot already holds its effects.
+#[test]
+fn a_v1_snapshot_refuses_to_open() {
+    let _shared = obs_shared();
+    let fixture = include_bytes!("../../store/tests/fixtures/snapshot_v1.bin");
+    match refusal("snap-0.snap", fixture) {
+        RecoverError::UnsupportedVersion { path, version: 1 } => {
+            assert!(path.ends_with("snap-0.snap"), "{path:?}");
+        }
+        e => panic!("expected UnsupportedVersion(1), got {e:?}"),
+    }
+
+    let dir = tmp_dir("v1-below");
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1_wal = include_bytes!("../../store/tests/fixtures/wal_v1.bin");
+    std::fs::write(dir.join("wal-0-0.log"), v1_wal).unwrap();
+    let v2_snapshot = include_bytes!("../../store/tests/fixtures/snapshot_v2.bin");
+    std::fs::write(dir.join("snap-1.snap"), v2_snapshot).unwrap();
+    let store = MovingObjectStore::open(config(1), durable(&dir, 1)).unwrap();
+    assert_eq!(store.object_count(), 3);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One period of answers past `last`, with the logical stats.
 fn answers(
     store: &MovingObjectStore,

@@ -2,16 +2,17 @@
 
 use std::fmt;
 
-/// Why a model blob failed to decode.
+/// Why a model, snapshot or WAL blob failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The input ended before the structure was complete.
     Truncated,
     /// A varint used more than 64 bits.
     VarintOverflow,
-    /// The magic bytes did not match — not a model file.
+    /// The magic bytes did not match the file kind being decoded.
     BadMagic,
-    /// The format version is newer than this library understands.
+    /// The file names a format version this library does not read
+    /// (older versions are refused, never misread).
     UnsupportedVersion(u32),
     /// A length prefix exceeded its sanity limit (likely corruption).
     CountOutOfRange {
@@ -39,7 +40,7 @@ impl fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "input truncated"),
             DecodeError::VarintOverflow => write!(f, "varint exceeds 64 bits"),
-            DecodeError::BadMagic => write!(f, "bad magic bytes (not an HPM model file)"),
+            DecodeError::BadMagic => write!(f, "bad magic bytes"),
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
             DecodeError::CountOutOfRange { got, limit } => {
                 write!(f, "count {got} exceeds limit {limit}")
@@ -80,5 +81,7 @@ mod tests {
         for (e, needle) in cases {
             assert!(e.to_string().contains(needle), "{e}");
         }
+        // Snapshot and WAL decoders return it too: it names no file kind.
+        assert_eq!(DecodeError::BadMagic.to_string(), "bad magic bytes");
     }
 }

@@ -1,18 +1,17 @@
 //! Store-snapshot codec: the full per-object state of a moving-objects
-//! store at a point in time. Version 2 (current) writes compressed
-//! history chunks verbatim; version 1 (raw samples only) stays
-//! readable so committed fixtures and pre-upgrade snapshot files keep
-//! opening.
+//! store at a point in time, with compressed history chunks written
+//! verbatim. Version 2 is the only version read: a version-1 file (raw
+//! samples only) is refused as [`DecodeError::UnsupportedVersion`],
+//! never misread.
 //!
 //! ```text
 //! header   magic  b"HPMSNAP1"                8 bytes
-//!          version varint                    1 | 2
+//!          version varint                    2
 //! payload  object_count varint
-//!          objects: per object —
+//!          objects: per object, ids strictly ascending —
 //!              id            varint
 //!              start         varint          (first sample timestamp)
-//!              history                       (v1: raw layout, no kind
-//!                                             byte; v2: see below)
+//!              history                       (see below)
 //!              trained_subs  varint          (0 = untrained)
 //!              reserved      varint          (written 0; read and
 //!                                             discarded — older files
@@ -24,17 +23,19 @@
 //!                                            (present when flag = 1)
 //! trailer  fnv1a over header + payload       8 bytes little-endian
 //!
-//! v2 history:
-//!          kind          u8                  0 = raw, 1 = chunked
-//!          raw:     sample_count varint, then f64 x, f64 y each
-//!          chunked: chunk_count varint
-//!                   per chunk —
-//!                       samples    varint    (≥ 1)
-//!                       bits       varint    (valid bits in stream)
-//!                       word_count varint    (must equal ⌈bits/64⌉)
-//!                       words      u64 LE × word_count (verbatim —
-//!                                             never recompressed)
-//!                   tail_count varint, then f64 x, f64 y each
+//! history:
+//!          kind          u8                  1 = chunked (0, raw
+//!                                             samples, was never
+//!                                             written by a store and
+//!                                             is refused)
+//!          chunk_count   varint
+//!          per chunk —
+//!              samples    varint             (≥ 1)
+//!              bits       varint             (valid bits in stream)
+//!              word_count varint             (must equal ⌈bits/64⌉)
+//!              words      u64 LE × word_count (verbatim — never
+//!                                             recompressed)
+//!          tail_count    varint, then f64 x, f64 y each
 //! ```
 //!
 //! Chunk payloads are the sealed `hpm_trajectory::SealedChunk` bit
@@ -71,11 +72,11 @@ use hpm_trajectory::SealedChunk;
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPMSNAP1";
 
-/// The current snapshot format version.
+/// The snapshot format version, the only one written or read.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// The legacy raw-samples version, still decodable.
-pub const SNAPSHOT_VERSION_V1: u32 = 1;
+/// The history kind byte: sealed chunks plus a raw tail.
+const HISTORY_CHUNKED: u8 = 1;
 
 /// Sanity limit on objects per snapshot.
 pub const MAX_SNAPSHOT_OBJECTS: usize = 100_000_000;
@@ -92,37 +93,15 @@ pub const MAX_SNAPSHOT_MODEL_BYTES: usize = 1 << 32;
 /// allocating.
 const MAX_WORDS_PER_SAMPLE: usize = 3;
 
-/// An object's serialized position history: either raw points
-/// (the only v1 form) or sealed compressed chunks plus a raw hot tail
-/// (what a live store holds).
+/// An object's serialized position history, as a live store holds it:
+/// sealed compressed chunks (oldest first) followed by the raw hot
+/// tail.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HistorySnapshot {
-    /// Every sample raw, in timestamp order.
-    Raw(Vec<Point>),
-    /// Sealed chunks (oldest first) followed by the raw hot tail.
-    Chunked {
-        /// Compressed runs, written/read verbatim.
-        chunks: Vec<SealedChunk>,
-        /// Uncompressed most-recent samples.
-        tail: Vec<Point>,
-    },
-}
-
-impl HistorySnapshot {
-    /// Total samples across every form.
-    pub fn len(&self) -> usize {
-        match self {
-            HistorySnapshot::Raw(points) => points.len(),
-            HistorySnapshot::Chunked { chunks, tail } => {
-                chunks.iter().map(SealedChunk::samples).sum::<usize>() + tail.len()
-            }
-        }
-    }
-
-    /// Whether the history holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+pub struct HistorySnapshot {
+    /// Compressed runs, written/read verbatim.
+    pub chunks: Vec<SealedChunk>,
+    /// Uncompressed most-recent samples.
+    pub tail: Vec<Point>,
 }
 
 /// One object's durable state. `history` holds the samples in
@@ -134,7 +113,7 @@ pub struct ObjectSnapshot {
     pub id: u64,
     /// Timestamp of the first sample.
     pub start: u64,
-    /// Every sample, raw or chunk-compressed.
+    /// Every sample, chunk-compressed then raw.
     pub history: HistorySnapshot,
     /// Full periods the predictor was trained on (0 = untrained).
     pub trained_subs: u64,
@@ -162,33 +141,26 @@ fn get_points(buf: &mut &[u8]) -> Result<Vec<Point>, DecodeError> {
     Ok(points)
 }
 
-/// Encodes a snapshot of every given object in the current (v2)
-/// format. Chunked histories are written verbatim — no recompression.
+/// Encodes a snapshot of every given object, which the caller lists in
+/// ascending id order (the decoder refuses any other). Chunks are
+/// written verbatim — no recompression.
 pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
     let mut buf = begin_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 64 + objects.len() * 64);
     put_varint(&mut buf, objects.len() as u64);
     for o in objects {
         put_varint(&mut buf, o.id);
         put_varint(&mut buf, o.start);
-        match &o.history {
-            HistorySnapshot::Raw(points) => {
-                buf.push(0);
-                put_points(&mut buf, points);
-            }
-            HistorySnapshot::Chunked { chunks, tail } => {
-                buf.push(1);
-                put_varint(&mut buf, chunks.len() as u64);
-                for c in chunks {
-                    put_varint(&mut buf, c.samples() as u64);
-                    put_varint(&mut buf, c.bits());
-                    put_varint(&mut buf, c.words().len() as u64);
-                    for &w in c.words() {
-                        put_u64(&mut buf, w);
-                    }
-                }
-                put_points(&mut buf, tail);
+        buf.push(HISTORY_CHUNKED);
+        put_varint(&mut buf, o.history.chunks.len() as u64);
+        for c in &o.history.chunks {
+            put_varint(&mut buf, c.samples() as u64);
+            put_varint(&mut buf, c.bits());
+            put_varint(&mut buf, c.words().len() as u64);
+            for &w in c.words() {
+                put_u64(&mut buf, w);
             }
         }
+        put_points(&mut buf, &o.history.tail);
         put_varint(&mut buf, o.trained_subs);
         put_varint(&mut buf, 0); // reserved (see the layout above)
         match &o.model {
@@ -204,74 +176,73 @@ pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
     buf
 }
 
-fn get_history_v2(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeError> {
-    match get_u8(buf)? {
-        0 => Ok(HistorySnapshot::Raw(get_points(buf)?)),
-        1 => {
-            // Every chunk holds ≥ 1 sample, so chunk count is bounded
-            // by the per-object sample limit.
-            let chunk_count = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
-            let mut chunks = Vec::with_capacity(chunk_count.min(1024));
-            let mut total: u64 = 0;
-            for _ in 0..chunk_count {
-                let samples = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
-                total = total.saturating_add(samples as u64);
-                if total > MAX_SNAPSHOT_SAMPLES as u64 {
-                    return Err(DecodeError::CountOutOfRange {
-                        got: total,
-                        limit: MAX_SNAPSHOT_SAMPLES as u64,
-                    });
-                }
-                let bits = get_varint(buf)?;
-                let word_count =
-                    get_count(buf, samples.saturating_mul(MAX_WORDS_PER_SAMPLE).max(2))?;
-                if buf.len() < word_count * 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut words = Vec::with_capacity(word_count);
-                for _ in 0..word_count {
-                    words.push(get_u64(buf)?);
-                }
-                let samples_u32 =
-                    u32::try_from(samples).map_err(|_| DecodeError::CountOutOfRange {
-                        got: samples as u64,
-                        limit: u64::from(u32::MAX),
-                    })?;
-                let chunk = SealedChunk::from_raw_parts(samples_u32, bits, words).map_err(|e| {
-                    DecodeError::Invalid(format!("object {id}: corrupt chunk: {e}"))
-                })?;
-                chunks.push(chunk);
-            }
-            let tail = get_points(buf)?;
-            Ok(HistorySnapshot::Chunked { chunks, tail })
-        }
-        other => Err(DecodeError::Invalid(format!(
-            "object {id}: history kind {other} is not 0/1"
-        ))),
+fn get_history(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeError> {
+    let kind = get_u8(buf)?;
+    if kind != HISTORY_CHUNKED {
+        return Err(DecodeError::Invalid(format!(
+            "object {id}: history kind {kind} is not {HISTORY_CHUNKED}"
+        )));
     }
+    // Every chunk holds ≥ 1 sample, so chunk count is bounded by the
+    // per-object sample limit.
+    let chunk_count = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
+    let mut chunks = Vec::with_capacity(chunk_count.min(1024));
+    let mut total: u64 = 0;
+    for _ in 0..chunk_count {
+        let samples = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
+        total = total.saturating_add(samples as u64);
+        if total > MAX_SNAPSHOT_SAMPLES as u64 {
+            return Err(DecodeError::CountOutOfRange {
+                got: total,
+                limit: MAX_SNAPSHOT_SAMPLES as u64,
+            });
+        }
+        let bits = get_varint(buf)?;
+        let word_count = get_count(buf, samples.saturating_mul(MAX_WORDS_PER_SAMPLE).max(2))?;
+        if buf.len() < word_count * 8 {
+            return Err(DecodeError::Truncated);
+        }
+        let mut words = Vec::with_capacity(word_count);
+        for _ in 0..word_count {
+            words.push(get_u64(buf)?);
+        }
+        let samples_u32 = u32::try_from(samples).map_err(|_| DecodeError::CountOutOfRange {
+            got: samples as u64,
+            limit: u64::from(u32::MAX),
+        })?;
+        let chunk = SealedChunk::from_raw_parts(samples_u32, bits, words)
+            .map_err(|e| DecodeError::Invalid(format!("object {id}: corrupt chunk: {e}")))?;
+        chunks.push(chunk);
+    }
+    let tail = get_points(buf)?;
+    Ok(HistorySnapshot { chunks, tail })
 }
 
-/// Decodes a snapshot (v1 or v2), validating the trailer checksum
-/// first and every structural bound after — including a full decode
-/// validation of every compressed chunk. Nested model blobs are *not*
-/// decoded here — the caller hands them to `decode_model`, which
+/// Decodes a snapshot, validating the trailer checksum first and every
+/// structural bound after — including ascending object ids and a full
+/// decode validation of every compressed chunk. Nested model blobs are
+/// *not* decoded here — the caller hands them to `decode_model`, which
 /// re-validates them.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError> {
     let (version, mut buf) = open_sealed(bytes, SNAPSHOT_MAGIC)?;
     let buf = &mut buf;
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_V1 {
+    if version != SNAPSHOT_VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
     let count = get_count(buf, MAX_SNAPSHOT_OBJECTS)?;
-    let mut objects = Vec::with_capacity(count.min(1024));
+    let mut objects: Vec<ObjectSnapshot> = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let id = get_varint(buf)?;
+        // The writer lists objects in id order; a repeated id would
+        // silently replace the object restored before it.
+        if let Some(prev) = objects.last().filter(|prev| prev.id >= id) {
+            return Err(DecodeError::Invalid(format!(
+                "object {id} does not ascend past object {}",
+                prev.id
+            )));
+        }
         let start = get_varint(buf)?;
-        let history = if version == SNAPSHOT_VERSION_V1 {
-            HistorySnapshot::Raw(get_points(buf)?)
-        } else {
-            get_history_v2(buf, id)?
-        };
+        let history = get_history(buf, id)?;
         let trained_subs = get_varint(buf)?;
         get_varint(buf)?; // reserved (see the layout above)
         let model = match get_u8(buf)? {
@@ -311,33 +282,41 @@ mod tests {
         SealedChunk::seal(&points)
     }
 
+    fn history(chunks: Vec<SealedChunk>, tail: Vec<Point>) -> HistorySnapshot {
+        HistorySnapshot { chunks, tail }
+    }
+
+    /// Objects in ascending id order, as the store writes them.
     fn sample() -> Vec<ObjectSnapshot> {
         vec![
             ObjectSnapshot {
-                id: 42,
-                start: 1000,
-                history: HistorySnapshot::Raw(vec![
-                    Point::new(0.0, 0.5),
-                    Point::new(-1.25, 2.0),
-                    Point::new(3.0, -0.0),
-                ]),
-                trained_subs: 1,
-                model: Some(vec![1, 2, 3, 4]),
-            },
-            ObjectSnapshot {
                 id: 7,
                 start: 50,
-                history: HistorySnapshot::Chunked {
-                    chunks: vec![chunk(20, 1.0), chunk(8, -3.5)],
-                    tail: vec![Point::new(9.0, 9.5), Point::new(10.0, 10.5)],
-                },
+                history: history(
+                    vec![chunk(20, 1.0), chunk(8, -3.5)],
+                    vec![Point::new(9.0, 9.5), Point::new(10.0, 10.5)],
+                ),
                 trained_subs: 2,
                 model: None,
             },
             ObjectSnapshot {
+                id: 42,
+                start: 1000,
+                history: history(
+                    Vec::new(),
+                    vec![
+                        Point::new(0.0, 0.5),
+                        Point::new(-1.25, 2.0),
+                        Point::new(3.0, -0.0),
+                    ],
+                ),
+                trained_subs: 1,
+                model: Some(vec![1, 2, 3, 4]),
+            },
+            ObjectSnapshot {
                 id: u64::MAX,
                 start: 0,
-                history: HistorySnapshot::Raw(Vec::new()),
+                history: history(Vec::new(), Vec::new()),
                 trained_subs: 0,
                 model: None,
             },
@@ -358,18 +337,11 @@ mod tests {
         // a copy, never a recompress.
         let objects = sample();
         let decoded = decode_snapshot(&encode_snapshot(&objects)).unwrap();
-        match (&decoded[1].history, &objects[1].history) {
-            (
-                HistorySnapshot::Chunked { chunks: d, .. },
-                HistorySnapshot::Chunked { chunks: o, .. },
-            ) => {
-                assert_eq!(d.len(), o.len());
-                for (dc, oc) in d.iter().zip(o) {
-                    assert_eq!(dc.bits(), oc.bits());
-                    assert_eq!(dc.words(), oc.words());
-                }
-            }
-            _ => panic!("chunked history lost its form"),
+        let (d, o) = (&decoded[0].history.chunks, &objects[0].history.chunks);
+        assert_eq!(d.len(), o.len());
+        for (dc, oc) in d.iter().zip(o) {
+            assert_eq!(dc.bits(), oc.bits());
+            assert_eq!(dc.words(), oc.words());
         }
     }
 
@@ -396,10 +368,7 @@ mod tests {
         let objects = vec![ObjectSnapshot {
             id: 3,
             start: 0,
-            history: HistorySnapshot::Chunked {
-                chunks: vec![chunk(30, 2.0)],
-                tail: vec![Point::new(1.0, 1.0)],
-            },
+            history: history(vec![chunk(30, 2.0)], vec![Point::new(1.0, 1.0)]),
             trained_subs: 0,
             model: None,
         }];
@@ -443,7 +412,7 @@ mod tests {
         let o = ObjectSnapshot {
             id: 9,
             start: 5,
-            history: HistorySnapshot::Raw(points.clone()),
+            history: history(Vec::new(), points.clone()),
             trained_subs: 1,
             model: None,
         };
@@ -452,7 +421,8 @@ mod tests {
             put_varint(&mut buf, 1);
             put_varint(&mut buf, o.id);
             put_varint(&mut buf, o.start);
-            buf.push(0);
+            buf.push(HISTORY_CHUNKED);
+            put_varint(&mut buf, 0);
             put_points(&mut buf, &points);
             put_varint(&mut buf, o.trained_subs);
             put_varint(&mut buf, slot);
@@ -470,13 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_version_rejected() {
-        let mut blob = begin_sealed(SNAPSHOT_MAGIC, 3, 0);
-        put_varint(&mut blob, 0);
-        seal(&mut blob, 0);
-        assert!(matches!(
-            decode_snapshot(&blob),
-            Err(DecodeError::UnsupportedVersion(3))
-        ));
+    fn other_versions_rejected() {
+        for version in [1, 3] {
+            let mut blob = begin_sealed(SNAPSHOT_MAGIC, version, 0);
+            put_varint(&mut blob, 0);
+            seal(&mut blob, 0);
+            assert_eq!(
+                decode_snapshot(&blob),
+                Err(DecodeError::UnsupportedVersion(version))
+            );
+        }
     }
 }

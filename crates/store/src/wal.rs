@@ -31,10 +31,9 @@
 //! own records stay in append order, which is all replay needs, since
 //! objects are independent — so the id deltas are small gaps whichever
 //! thread logged its run first.
-//! Version 1 (magic `b"HPMWAL01"`) framed each record on its own —
-//! `payload_len varint (≤ 64) | tag u8 + fields | fnv1a(payload)`, tag 1
-//! a report (object varint, timestamp varint, x f64, y f64), tag 2 a
-//! remove (object varint) — and is still read, never written.
+//! Version 2 is the only version read: a header naming another
+//! (`b"HPMWAL01"`, one frame per record, included) is refused as
+//! [`DecodeError::UnsupportedVersion`], never misread.
 //!
 //! Frames are append-only and individually checksummed, so a crash
 //! mid-write leaves a file whose longest valid prefix is exactly the
@@ -55,8 +54,7 @@
 
 use crate::metrics;
 use crate::wire::{
-    fnv1a_extend, get_count, get_f64, get_u8, get_varint, put_varint, strip_magic, take, unseal,
-    FNV1A_EMPTY,
+    fnv1a_extend, get_count, get_varint, put_varint, strip_magic, take, unseal, FNV1A_EMPTY,
 };
 use crate::DecodeError;
 use hpm_geo::Point;
@@ -68,18 +66,10 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every WAL file [`WalWriter`] writes.
 pub const WAL_MAGIC: &[u8; 8] = b"HPMWAL02";
 
-/// Magic bytes of a version-1 WAL file (one frame per record), which
-/// [`scan_wal`] still reads.
-const WAL_MAGIC_V1: &[u8; 8] = b"HPMWAL01";
-
 /// Largest frame payload in bytes. The writer cuts a batch into frames
 /// under it, splitting a run if it must; the scanner refuses a longer
 /// length before reading the frame.
 const WAL_FRAME_CAP: usize = 1 << 16;
-
-/// Largest version-1 frame payload (a report is ≤ 37 bytes; anything
-/// larger is corruption, not a record).
-const V1_PAYLOAD_CAP: usize = 64;
 
 /// Most bytes a run header takes: three ten-byte varints.
 const RUN_HEAD_MAX: usize = 30;
@@ -234,8 +224,8 @@ impl Runs {
         }
     }
 
-    /// Decodes the v2 frame at the head of `rest` into `self` (whole,
-    /// or not at all) and steps past it.
+    /// Decodes the frame at the head of `rest` into `self` (whole, or
+    /// not at all) and steps past it.
     fn decode_frame(&mut self, rest: &mut &[u8]) -> Result<(), DecodeError> {
         self.clear();
         let len = get_count(rest, WAL_FRAME_CAP)?;
@@ -267,32 +257,6 @@ impl Runs {
                 len,
             });
         }
-        Ok(())
-    }
-
-    /// Decodes the v1 frame (one record) at the head of `rest` into
-    /// `self` and steps past it.
-    fn decode_v1(&mut self, rest: &mut &[u8]) -> Result<(), DecodeError> {
-        self.clear();
-        let len = get_count(rest, V1_PAYLOAD_CAP)?;
-        let mut payload = unseal(take(rest, len + 8)?)?;
-        let buf = &mut payload;
-        let record = match get_u8(buf)? {
-            1 => WalRecord::Report {
-                object: get_varint(buf)?,
-                timestamp: get_varint(buf)?,
-                x: get_f64(buf)?,
-                y: get_f64(buf)?,
-            },
-            2 => WalRecord::Remove {
-                object: get_varint(buf)?,
-            },
-            other => return Err(DecodeError::Invalid(format!("unknown WAL tag {other}"))),
-        };
-        if !buf.is_empty() {
-            return Err(DecodeError::TrailingBytes(buf.len()));
-        }
-        self.push(&record);
         Ok(())
     }
 }
@@ -400,9 +364,11 @@ pub struct WalScan {
 /// bytes to `visit`, in log order, with the offset its frame ends at;
 /// returns the prefix length (header included) and why the scan
 /// stopped short of the end, if it did. Each frame is decoded whole
-/// before its first run is visited. A v1 file visits each record as a
-/// run of its own. Never fails: a file without even a whole magic
-/// header is an empty log with a torn tail.
+/// before its first run is visited. Never fails: a file without even a
+/// whole magic header is an empty log with a torn tail, and a header
+/// naming another version of the format (`HPMWAL` and two digits) is an
+/// empty log that stopped at [`DecodeError::UnsupportedVersion`] —
+/// which recovery must refuse rather than skip.
 pub fn scan_wal_runs(
     bytes: &[u8],
     mut visit: impl FnMut(WalRun<'_>, usize),
@@ -410,13 +376,9 @@ pub fn scan_wal_runs(
     if bytes.is_empty() {
         return (0, None);
     }
-    let (v1, mut rest) = match strip_magic(bytes, WAL_MAGIC) {
-        Ok(frames) => (false, frames),
-        Err(DecodeError::BadMagic) => match strip_magic(bytes, WAL_MAGIC_V1) {
-            Ok(frames) => (true, frames),
-            Err(e) => return (0, Some(e)),
-        },
-        Err(e) => return (0, Some(e)),
+    let mut rest = match strip_magic(bytes, WAL_MAGIC) {
+        Ok(frames) => frames,
+        Err(e) => return (0, Some(other_version(bytes).unwrap_or(e))),
     };
     let mut frame = Runs::default();
     loop {
@@ -425,12 +387,7 @@ pub fn scan_wal_runs(
             return (valid_len, None);
         }
         let mut cursor = rest;
-        let decoded = if v1 {
-            frame.decode_v1(&mut cursor)
-        } else {
-            frame.decode_frame(&mut cursor)
-        };
-        if let Err(e) = decoded {
+        if let Err(e) = frame.decode_frame(&mut cursor) {
             return (valid_len, Some(e));
         }
         rest = cursor;
@@ -446,6 +403,17 @@ pub fn scan_wal_runs(
                 end,
             );
         }
+    }
+}
+
+/// The refusal for a WAL header that names a version other than
+/// [`WAL_MAGIC`]'s: `HPMWAL` followed by the version's two digits.
+fn other_version(bytes: &[u8]) -> Option<DecodeError> {
+    match *bytes.get(..WAL_MAGIC.len())? {
+        [b'H', b'P', b'M', b'W', b'A', b'L', hi @ b'0'..=b'9', lo @ b'0'..=b'9'] => Some(
+            DecodeError::UnsupportedVersion(u32::from(hi - b'0') * 10 + u32::from(lo - b'0')),
+        ),
+        _ => None,
     }
 }
 
@@ -822,7 +790,15 @@ mod tests {
         assert!(scan.records.is_empty());
         assert_eq!(scan.torn, Some(DecodeError::Truncated));
         assert_eq!(scan_wal(&[]).torn, None);
-        assert_eq!(scan_wal(WAL_MAGIC_V1).torn, None);
+        // Another version of the format is refused by number, with
+        // nothing read past its header.
+        for (header, version) in [(b"HPMWAL01", 1), (b"HPMWAL13", 13)] {
+            let scan = scan_wal(header);
+            assert!(scan.records.is_empty());
+            assert_eq!(scan.valid_len, 0);
+            assert_eq!(scan.torn, Some(DecodeError::UnsupportedVersion(version)));
+        }
+        assert_eq!(scan_wal(b"HPMWAL0x").torn, Some(DecodeError::BadMagic));
     }
 
     #[test]

@@ -11,10 +11,12 @@ use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 // `fnv1a` lets tests re-seal tampered payloads and exercise validation
 // *past* the whole-file checksum.
+use hpm_store::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use hpm_store::wal::{scan_wal, FsyncPolicy, WalOptions, WalRecord, WalWriter};
-use hpm_store::wire::{fnv1a, get_varint, put_varint};
+use hpm_store::wire::{fnv1a, get_varint, put_f64, put_varint};
 use hpm_store::{
-    decode_model, decode_snapshot, encode_model, encode_snapshot, HistorySnapshot, ObjectSnapshot,
+    decode_model, decode_snapshot, encode_model, encode_snapshot, DecodeError, HistorySnapshot,
+    ObjectSnapshot,
 };
 use hpm_trajectory::SealedChunk;
 
@@ -61,13 +63,18 @@ fn walk_chunk(n: usize, seed: f64) -> SealedChunk {
     SealedChunk::seal(&points)
 }
 
+fn history(chunks: Vec<SealedChunk>, tail: Vec<Point>) -> HistorySnapshot {
+    HistorySnapshot { chunks, tail }
+}
+
 fn snapshot_objects() -> Vec<ObjectSnapshot> {
     let (regions, patterns) = model();
     vec![
         ObjectSnapshot {
             id: 1,
             start: 0,
-            history: HistorySnapshot::Raw(
+            history: history(
+                Vec::new(),
                 (0..9).map(|t| Point::new(t as f64 * 10.0, 1.0)).collect(),
             ),
             trained_subs: 3,
@@ -76,17 +83,17 @@ fn snapshot_objects() -> Vec<ObjectSnapshot> {
         ObjectSnapshot {
             id: 17,
             start: 30,
-            history: HistorySnapshot::Chunked {
-                chunks: vec![walk_chunk(24, 4.0), walk_chunk(24, -2.5)],
-                tail: vec![Point::new(100.0, 100.5), Point::new(101.0, 100.0)],
-            },
+            history: history(
+                vec![walk_chunk(24, 4.0), walk_chunk(24, -2.5)],
+                vec![Point::new(100.0, 100.5), Point::new(101.0, 100.0)],
+            ),
             trained_subs: 1,
             model: None,
         },
         ObjectSnapshot {
             id: 44,
             start: 120,
-            history: HistorySnapshot::Raw(vec![Point::new(3.5, -1.25)]),
+            history: history(Vec::new(), vec![Point::new(3.5, -1.25)]),
             trained_subs: 0,
             model: None,
         },
@@ -150,53 +157,16 @@ props! {
     }
 }
 
-/// The objects frozen into `tests/fixtures/snapshot_v1.bin`. The model
-/// blob is a fixed literal (nested blobs are opaque to the snapshot
-/// codec) so this fixture tests exactly one thing: v1 layout stability.
-fn v1_fixture_objects() -> Vec<ObjectSnapshot> {
-    vec![
-        ObjectSnapshot {
-            id: 7,
-            start: 100,
-            history: HistorySnapshot::Raw(vec![
-                Point::new(0.0, 0.5),
-                Point::new(-1.25, 2.0),
-                Point::new(3.0, -0.0),
-                Point::new(f64::MIN_POSITIVE, 1e300),
-            ]),
-            trained_subs: 1,
-            model: Some(vec![0xDE, 0xAD, 0xBE, 0xEF]),
-        },
-        ObjectSnapshot {
-            id: 9000,
-            start: 0,
-            history: HistorySnapshot::Raw(Vec::new()),
-            trained_subs: 0,
-            model: None,
-        },
-    ]
-}
-
-/// The committed pre-upgrade (v1) snapshot keeps opening (nothing
-/// encodes v1, so these bytes are the proof), and every decoded sample
-/// is bit-identical to what was written — including the `-0.0` and
-/// subnormal probes that arithmetic comparison would hide.
+/// The committed version-1 snapshot (raw samples only, written before
+/// histories were chunked) is refused by version — a well-sealed file
+/// of another format version is never misread.
 #[test]
-fn committed_v1_fixture_opens_bit_identically() {
+fn committed_v1_fixture_is_refused() {
     let blob: &[u8] = include_bytes!("fixtures/snapshot_v1.bin");
-    let decoded = decode_snapshot(blob).expect("committed v1 fixture must decode");
-    let expected = v1_fixture_objects();
-    assert_eq!(decoded, expected);
-    for (d, e) in decoded.iter().zip(&expected) {
-        let (HistorySnapshot::Raw(dp), HistorySnapshot::Raw(ep)) = (&d.history, &e.history) else {
-            panic!("v1 histories decode raw, got {:?}", d.history);
-        };
-        assert_eq!(dp.len(), ep.len());
-        for (a, b) in dp.iter().zip(ep) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-        }
-    }
+    assert_eq!(
+        decode_snapshot(blob),
+        Err(DecodeError::UnsupportedVersion(1))
+    );
 }
 
 /// The committed v2 snapshot — cut from a live store (a trained
@@ -212,13 +182,14 @@ fn committed_v2_fixture_reencodes_identically_but_for_the_reserved_slot() {
     let objects = decode_snapshot(golden).expect("committed v2 fixture must decode");
     let shape: Vec<_> = objects
         .iter()
-        .map(|o| (o.id, o.start, o.history.len(), o.trained_subs))
+        .map(|o| {
+            let sealed: usize = o.history.chunks.iter().map(SealedChunk::samples).sum();
+            (o.id, o.start, sealed + o.history.tail.len(), o.trained_subs)
+        })
         .collect();
     assert_eq!(shape, [(1, 0, 20, 5), (2, 100, 3, 0), (3, 6, 300, 75)]);
-    let HistorySnapshot::Chunked { chunks, tail } = &objects[2].history else {
-        panic!("a live store snapshots chunked histories");
-    };
-    assert_eq!((chunks.len(), tail.len()), (1, 44));
+    let sealed = &objects[2].history;
+    assert_eq!((sealed.chunks.len(), sealed.tail.len()), (1, 44));
     for o in &objects {
         let model = o.model.as_ref().map(|blob| decode_model(blob).unwrap());
         assert_eq!(model.is_some(), o.trained_subs > 0, "object {}", o.id);
@@ -271,10 +242,7 @@ fn corrupt_v2_chunk_refuses_to_open() {
     let objects = vec![ObjectSnapshot {
         id: 5,
         start: 10,
-        history: HistorySnapshot::Chunked {
-            chunks: vec![walk_chunk(64, 1.0)],
-            tail: Vec::new(),
-        },
+        history: history(vec![walk_chunk(64, 1.0)], Vec::new()),
         trained_subs: 0,
         model: None,
     }];
@@ -287,7 +255,7 @@ fn corrupt_v2_chunk_refuses_to_open() {
         }
         match decode_snapshot(&resealed(flipped)) {
             Ok(decoded) => assert_eq!(decoded.len(), 1, "flip at {i} changed object count"),
-            Err(hpm_store::DecodeError::Invalid(msg)) if msg.contains("corrupt chunk") => {
+            Err(DecodeError::Invalid(msg)) if msg.contains("corrupt chunk") => {
                 typed_refusals += 1;
             }
             Err(_) => {}
@@ -297,6 +265,46 @@ fn corrupt_v2_chunk_refuses_to_open() {
         typed_refusals > 0,
         "no packed-word flip produced the typed corrupt-chunk error"
     );
+}
+
+/// History kind 0 (every sample raw) was never written by a store: a
+/// well-sealed v2 blob holding one is refused, not decoded.
+#[test]
+fn raw_history_kind_is_refused() {
+    let mut payload = SNAPSHOT_MAGIC.to_vec();
+    put_varint(&mut payload, u64::from(SNAPSHOT_VERSION));
+    put_varint(&mut payload, 1); // objects
+    put_varint(&mut payload, 5); // id
+    put_varint(&mut payload, 0); // start
+    payload.push(0); // history kind 0, then one raw sample
+    put_varint(&mut payload, 1);
+    put_f64(&mut payload, 1.5);
+    put_f64(&mut payload, -2.0);
+    put_varint(&mut payload, 0); // trained_subs
+    put_varint(&mut payload, 0); // reserved
+    payload.push(0); // no model
+    assert!(matches!(
+        decode_snapshot(&resealed(&payload)),
+        Err(DecodeError::Invalid(msg)) if msg.contains("history kind 0")
+    ));
+}
+
+/// Object ids strictly ascend — the one writer sorts them — so a
+/// well-sealed blob that repeats or reverses one is refused: restoring
+/// it would silently replace the first object.
+#[test]
+fn repeated_or_descending_object_ids_are_refused() {
+    for ids in [[17, 17], [17, 1]] {
+        let mut objects = snapshot_objects();
+        objects.truncate(2);
+        objects[0].id = ids[0];
+        objects[1].id = ids[1];
+        let blob = encode_snapshot(&objects);
+        assert!(
+            matches!(decode_snapshot(&blob), Err(DecodeError::Invalid(msg)) if msg.contains("ascend")),
+            "ids {ids:?}"
+        );
+    }
 }
 
 /// A nested model blob is only as trustworthy as its own decoder: 24
@@ -314,7 +322,7 @@ fn absurd_period_nested_in_a_snapshot_is_refused() {
     assert_eq!(crafted.len(), 24);
     assert!(matches!(
         decode_model(&crafted),
-        Err(hpm_store::DecodeError::Invalid(_))
+        Err(DecodeError::Invalid(_))
     ));
 
     let mut objects = snapshot_objects();
@@ -322,10 +330,7 @@ fn absurd_period_nested_in_a_snapshot_is_refused() {
     let restored = decode_snapshot(&encode_snapshot(&objects)).expect("snapshot itself is sound");
     assert_eq!(restored[0].model.as_deref(), Some(&crafted[..]));
     let nested = restored[0].model.as_deref().unwrap();
-    assert!(matches!(
-        decode_model(nested),
-        Err(hpm_store::DecodeError::Invalid(_))
-    ));
+    assert!(matches!(decode_model(nested), Err(DecodeError::Invalid(_))));
 }
 
 /// decode is total on re-sealed tampered v2 payloads: any single-bit

@@ -5,7 +5,7 @@ use hpm_check::prelude::*;
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 use hpm_store::wal::{scan_wal, FsyncPolicy, WalOptions, WalRecord, WalWriter};
-use hpm_store::{decode_model, encode_model};
+use hpm_store::{decode_model, encode_model, DecodeError};
 
 /// Random valid model: one region per offset over a random period,
 /// random forward-chained patterns.
@@ -264,44 +264,16 @@ fn assert_bit_identical(got: &[WalRecord], want: &[WalRecord]) {
 }
 
 /// A WAL written before the run-framed format (`tests/fixtures/
-/// wal_v1.bin`: Report and Remove frames with one- and ten-byte
-/// varints, `-0.0`, a subnormal and a sum that does not round; nothing
-/// writes v1 any more, so these bytes are the proof) still scans to
-/// its five records — a WAL written before an upgrade replays after it.
+/// wal_v1.bin`, one frame per record) is refused by version: the scan
+/// stops at the header with `UnsupportedVersion(1)` and yields nothing,
+/// so recovery can refuse the segment instead of misreading it.
 #[test]
-fn committed_v1_wal_fixture_still_scans() {
+fn committed_v1_wal_fixture_is_refused() {
     let golden: &[u8] = include_bytes!("fixtures/wal_v1.bin");
-    let records = [
-        WalRecord::Report {
-            object: 7,
-            timestamp: 0,
-            x: 1.5,
-            y: -2.25,
-        },
-        WalRecord::Report {
-            object: u64::MAX,
-            timestamp: 12_345,
-            x: f64::MIN_POSITIVE,
-            y: -0.0,
-        },
-        WalRecord::Remove { object: 7 },
-        WalRecord::Report {
-            object: 300,
-            timestamp: u64::MAX,
-            x: 1e300,
-            y: 0.1 + 0.2,
-        },
-        WalRecord::Remove { object: u64::MAX },
-    ];
     let scan = scan_wal(golden);
-    assert_eq!(scan.torn, None);
-    assert_eq!(scan.valid_len, golden.len());
-    assert_eq!(scan.offsets.last(), Some(&golden.len()));
-    // One frame per record.
-    let mut frames = scan.offsets.clone();
-    frames.dedup();
-    assert_eq!(frames.len(), records.len());
-    assert_bit_identical(&scan.records, &records);
+    assert!(scan.records.is_empty());
+    assert_eq!(scan.valid_len, 0);
+    assert_eq!(scan.torn, Some(DecodeError::UnsupportedVersion(1)));
 }
 
 /// The records frozen into `tests/fixtures/wal_v2.bin`, appended in

@@ -655,16 +655,6 @@ impl ChunkedHistory {
         h
     }
 
-    /// A history built by pushing every point of a raw slice — the
-    /// migration/compat constructor.
-    pub fn from_points(start: Timestamp, params: ChunkParams, points: &[Point]) -> Self {
-        let mut h = Self::new(start, params);
-        for &p in points {
-            h.push(p);
-        }
-        h
-    }
-
     /// First timestamp covered.
     #[inline]
     pub fn start(&self) -> Timestamp {
@@ -903,7 +893,9 @@ mod tests {
     }
 
     fn history(points: &[Point], seal_len: usize, min_tail: usize) -> ChunkedHistory {
-        ChunkedHistory::from_points(7, ChunkParams { seal_len, min_tail }, points)
+        let mut h = ChunkedHistory::new(7, ChunkParams { seal_len, min_tail });
+        points.iter().for_each(|&p| h.push(p));
+        h
     }
 
     fn bits_eq(a: &[Point], b: &[Point]) -> bool {

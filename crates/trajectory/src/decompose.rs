@@ -5,63 +5,13 @@
 //! locations whose time offset is `t`.
 //!
 //! Grouping and the incremental cursor take any [`History`] — a raw
-//! [`Trajectory`] is one, a compressed
+//! [`Trajectory`](crate::Trajectory) is one, a compressed
 //! [`ChunkedHistory`](crate::ChunkedHistory) another — and stream its
 //! samples, so there is one entry point per verb and compressed
 //! storage decodes on the fly instead of materializing a point slice.
 
-use crate::{History, TimeOffset, Timestamp, Trajectory};
+use crate::{History, TimeOffset, Timestamp};
 use hpm_geo::Point;
-
-/// One period-aligned slice of a trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubTrajectory<'a> {
-    /// Index of this sub-trajectory (0-based period number).
-    pub index: usize,
-    /// Time offset of `points[0]` within the period (non-zero only for
-    /// a trajectory whose `start` is not period-aligned).
-    pub first_offset: TimeOffset,
-    /// The samples, at consecutive offsets starting at `first_offset`.
-    pub points: &'a [Point],
-}
-
-impl SubTrajectory<'_> {
-    /// Location at time offset `t` within this sub-trajectory, if
-    /// covered.
-    pub fn at_offset(&self, t: TimeOffset) -> Option<Point> {
-        let idx = t.checked_sub(self.first_offset)? as usize;
-        self.points.get(idx).copied()
-    }
-}
-
-/// Splits `traj` into period-aligned sub-trajectories of length ≤ `T`.
-///
-/// The first sub-trajectory may start mid-period when `traj.start()` is
-/// not a multiple of `T`; the last may be shorter than `T`.
-///
-/// # Panics
-/// Panics if `period == 0`.
-pub fn decompose(traj: &Trajectory, period: u32) -> Vec<SubTrajectory<'_>> {
-    assert!(period > 0, "period must be positive");
-    let t = period as Timestamp;
-    let mut out = Vec::with_capacity(traj.len() / period as usize + 1);
-    let points = traj.points();
-    let mut abs = traj.start();
-    let mut consumed = 0usize;
-    while consumed < points.len() {
-        let offset = (abs % t) as TimeOffset;
-        let remaining_in_period = (t - abs % t) as usize;
-        let take = remaining_in_period.min(points.len() - consumed);
-        out.push(SubTrajectory {
-            index: (abs / t) as usize - (traj.start() / t) as usize,
-            first_offset: offset,
-            points: &points[consumed..consumed + take],
-        });
-        consumed += take;
-        abs += take as Timestamp;
-    }
-    out
-}
 
 /// Per-offset location groups `G₀ … G_{T−1}` (§III, Fig. 2(b)).
 ///
@@ -82,9 +32,10 @@ pub struct OffsetGroups {
 impl OffsetGroups {
     /// Builds the groups for `hist` with the given period by streaming
     /// its samples: sample `i` of a history starting at `s` lands in
-    /// `G_{(s + i) mod T}` tagged with sub-trajectory `(s + i)/T − s/T`
-    /// — [`decompose`]'s placement, so each `Gₜ` fills in
-    /// sub-trajectory order.
+    /// `G_{(s + i) mod T}` tagged with sub-trajectory `(s + i)/T − s/T`,
+    /// so each `Gₜ` fills in sub-trajectory order. The first
+    /// sub-trajectory starts mid-period when `s` is not a multiple of
+    /// `T`; the last may be shorter than `T`.
     ///
     /// # Panics
     /// Panics if `period == 0`.
@@ -162,12 +113,13 @@ pub struct DeltaSample {
 /// Incremental decomposition cursor (§III in delta form): remembers how
 /// many samples of a growing trajectory have been consumed and yields
 /// only the new ones, already placed into `(sub, offset)` coordinates —
-/// the information a full [`decompose`] + regroup would recompute from
+/// the information a full [`OffsetGroups::build`] would recompute from
 /// scratch.
 ///
-/// The placement matches [`decompose`] exactly (including unaligned
-/// starts and partial tails): sample `i` of a trajectory starting at
-/// `s` has `sub = (s + i)/T − s/T` and `offset = (s + i) mod T`.
+/// The placement is [`OffsetGroups::build`]'s exactly (including
+/// unaligned starts and partial tails): sample `i` of a trajectory
+/// starting at `s` has `sub = (s + i)/T − s/T` and
+/// `offset = (s + i) mod T`.
 #[derive(Debug, Clone)]
 pub struct DecomposeCursor {
     period: u32,
@@ -240,57 +192,75 @@ impl DecomposeCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChunkParams, ChunkedHistory, Trajectory};
 
     fn seq(n: usize) -> Trajectory {
         Trajectory::from_points((0..n).map(|i| Point::new(i as f64, 0.0)).collect())
     }
 
+    /// `traj` as a store holds it: pushed sample by sample into chunks.
+    fn chunked(traj: &Trajectory, seal_len: usize, min_tail: usize) -> ChunkedHistory {
+        let mut h = ChunkedHistory::new(traj.start(), ChunkParams { seal_len, min_tail });
+        traj.points().iter().for_each(|&p| h.push(p));
+        h
+    }
+
+    /// The placement both entry points document: sample `i` of a
+    /// history starting at `s` lands in sub-trajectory `(s+i)/T − s/T`
+    /// at offset `(s+i) mod T` — whole periods, partial tails, unaligned
+    /// starts and empty histories alike, over raw and chunked storage.
     #[test]
-    fn decompose_exact_periods() {
-        let t = seq(9);
-        let subs = decompose(&t, 3);
-        assert_eq!(subs.len(), 3);
-        for (k, sub) in subs.iter().enumerate() {
-            assert_eq!(sub.index, k);
-            assert_eq!(sub.first_offset, 0);
-            assert_eq!(sub.points.len(), 3);
+    fn groups_and_cursor_place_samples_in_closed_form() {
+        for (start, n) in [(0u64, 0usize), (0, 9), (0, 7), (2, 4), (2, 8), (7, 40)] {
+            let traj = Trajectory::new(start, (0..n).map(|i| Point::new(i as f64, 1.0)).collect());
+            let deltas: Vec<DeltaSample> = (0..n)
+                .map(|i| {
+                    let abs = start + i as Timestamp;
+                    DeltaSample {
+                        sub: (abs / 5 - start / 5) as usize,
+                        offset: (abs % 5) as TimeOffset,
+                        point: traj.points()[i],
+                    }
+                })
+                .collect();
+            let mut expected = vec![Vec::new(); 5];
+            for d in &deltas {
+                expected[d.offset as usize].push((d.sub, d.point));
+            }
+            let subs = deltas.last().map_or(0, |d| d.sub + 1);
+            let compressed = chunked(&traj, 4, 2);
+            let ctx = format!("start {start}, {n} samples");
+            for groups in [
+                OffsetGroups::build(&traj, 5),
+                OffsetGroups::build(&compressed, 5),
+            ] {
+                assert_eq!(groups.sub_count(), subs, "{ctx}");
+                for t in 0..5 {
+                    assert_eq!(groups.group(t), expected[t as usize], "{ctx}, offset {t}");
+                }
+            }
+            assert_eq!(DecomposeCursor::new(5).advance(&traj), deltas, "{ctx}");
+            assert_eq!(
+                DecomposeCursor::new(5).advance(&compressed),
+                deltas,
+                "{ctx}"
+            );
         }
-        assert_eq!(subs[1].points[0], Point::new(3.0, 0.0));
     }
 
     #[test]
-    fn decompose_partial_tail() {
-        let t = seq(7);
-        let subs = decompose(&t, 3);
-        assert_eq!(subs.len(), 3);
-        assert_eq!(subs[2].points.len(), 1);
-        assert_eq!(subs[2].points[0], Point::new(6.0, 0.0));
-    }
-
-    #[test]
-    fn decompose_unaligned_start() {
+    fn unaligned_start_begins_mid_period() {
+        // Timestamps 2..6 with T = 3: sub-trajectory 0 is [2] at offset
+        // 2, sub-trajectory 1 is [3, 4, 5] from offset 0.
         let t = Trajectory::new(2, (0..4).map(|i| Point::new(i as f64, 0.0)).collect());
-        let subs = decompose(&t, 3);
-        // Covers timestamps 2..6: [2], [3,4,5] -> offsets: first sub
-        // starts at offset 2 with one point, second at offset 0.
-        assert_eq!(subs.len(), 2);
-        assert_eq!(subs[0].first_offset, 2);
-        assert_eq!(subs[0].points.len(), 1);
-        assert_eq!(subs[1].first_offset, 0);
-        assert_eq!(subs[1].points.len(), 3);
-        assert_eq!(subs[1].index, 1);
-    }
-
-    #[test]
-    fn sub_trajectory_at_offset() {
-        let t = seq(6);
-        let subs = decompose(&t, 3);
-        assert_eq!(subs[1].at_offset(2), Some(Point::new(5.0, 0.0)));
-        assert_eq!(subs[1].at_offset(3), None);
-        let unaligned = Trajectory::new(1, vec![Point::new(9.0, 9.0)]);
-        let s2 = decompose(&unaligned, 3);
-        assert_eq!(s2[0].at_offset(0), None);
-        assert_eq!(s2[0].at_offset(1), Some(Point::new(9.0, 9.0)));
+        let g = OffsetGroups::build(&t, 3);
+        assert_eq!(g.sub_count(), 2);
+        assert_eq!(g.group(0), [(1, Point::new(1.0, 0.0))]);
+        assert_eq!(g.group(1), [(1, Point::new(2.0, 0.0))]);
+        assert_eq!(
+            g.group(2),
+            [(0, Point::new(0.0, 0.0)), (1, Point::new(3.0, 0.0))]
+        );
     }
 
     #[test]
@@ -325,7 +295,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_panics() {
-        decompose(&seq(3), 0);
+        OffsetGroups::build(&seq(3), 0);
     }
 
     fn groups_eq(a: &OffsetGroups, b: &OffsetGroups) -> bool {
@@ -354,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_placement_matches_decompose() {
+    fn cursor_appends_complete_the_groups_of_a_prefix() {
         // Unaligned start and a partial tail, consumed in two chunks.
         let traj = Trajectory::new(2, (0..8).map(|i| Point::new(i as f64, 1.0)).collect());
         let prefix = Trajectory::new(2, traj.points()[..3].to_vec());
@@ -385,42 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn build_streams_any_history_into_the_decomposed_groups() {
-        use crate::chunks::{ChunkParams, ChunkedHistory};
-        for (start, n) in [(0u64, 0usize), (0, 17), (2, 8), (7, 40)] {
-            let traj = Trajectory::new(start, (0..n).map(|i| Point::new(i as f64, 1.0)).collect());
-            // The reference: regroup `decompose`'s slices by hand.
-            let mut by_subs = OffsetGroups::build(&Trajectory::new(start, Vec::new()), 5);
-            for sub in decompose(&traj, 5) {
-                for (i, p) in sub.points.iter().enumerate() {
-                    by_subs.append(sub.index, sub.first_offset + i as TimeOffset, *p);
-                }
-            }
-            assert!(groups_eq(&OffsetGroups::build(&traj, 5), &by_subs));
-            let chunked = ChunkedHistory::from_points(
-                start,
-                ChunkParams {
-                    seal_len: 4,
-                    min_tail: 2,
-                },
-                traj.points(),
-            );
-            assert!(groups_eq(&OffsetGroups::build(&chunked, 5), &by_subs));
-        }
-    }
-
-    #[test]
     fn cursor_advances_alike_over_raw_and_chunked_histories() {
-        use crate::chunks::{ChunkParams, ChunkedHistory};
         let traj = Trajectory::new(2, (0..23).map(|i| Point::new(i as f64, 0.5)).collect());
-        let chunked = ChunkedHistory::from_points(
-            2,
-            ChunkParams {
-                seal_len: 8,
-                min_tail: 3,
-            },
-            traj.points(),
-        );
+        let chunked = chunked(&traj, 8, 3);
         let mut a = DecomposeCursor::new(5);
         let mut b = DecomposeCursor::new(5);
         // Consume a prefix first, then the rest, comparing deltas.

@@ -41,7 +41,7 @@ pub use chunks::{
     decode_xor_bytes, encode_xor_bytes, ChunkError, ChunkParams, ChunkedHistory, DecodeCursor,
     SealedChunk, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
 };
-pub use decompose::{decompose, DecomposeCursor, DeltaSample, OffsetGroups, SubTrajectory};
+pub use decompose::{DecomposeCursor, DeltaSample, OffsetGroups};
 pub use history::History;
 pub use preprocess::{despike, from_sparse_samples, PreprocessError};
 pub use staypoints::{stay_points, StayPoint};

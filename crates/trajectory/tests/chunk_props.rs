@@ -69,6 +69,13 @@ fn arb_adversarial() -> Gen<Vec<Point>> {
     })
 }
 
+/// The history a store holds after `points` were reported one by one.
+fn pushed(start: u64, params: ChunkParams, points: &[Point]) -> ChunkedHistory {
+    let mut h = ChunkedHistory::new(start, params);
+    points.iter().for_each(|&p| h.push(p));
+    h
+}
+
 fn bits_eq(a: &[Point], b: &[Point]) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -80,7 +87,7 @@ props! {
     /// Chunked == raw point-for-point on smooth walks, at every chunk
     /// geometry.
     fn walk_roundtrips_bit_exact(points in arb_walk(), params in arb_params()) {
-        let h = ChunkedHistory::from_points(3, params, &points);
+        let h = pushed(3, params, &points);
         require_eq!(h.len(), points.len());
         require!(bits_eq(&h.to_points(), &points));
     }
@@ -88,7 +95,7 @@ props! {
     /// Chunked == raw even for adversarial bit patterns: the codec
     /// moves bits, never arithmetic values.
     fn adversarial_bits_roundtrip(points in arb_adversarial(), params in arb_params()) {
-        let h = ChunkedHistory::from_points(0, params, &points);
+        let h = pushed(0, params, &points);
         require!(bits_eq(&h.to_points(), &points));
     }
 
@@ -98,7 +105,7 @@ props! {
         params in arb_params(),
         from in int(0usize..500),
     ) {
-        let h = ChunkedHistory::from_points(11, params, &points);
+        let h = pushed(11, params, &points);
         let streamed: Vec<Point> = h.iter_from(from).collect();
         require!(bits_eq(&streamed, &points[from.min(points.len())..]));
     }
@@ -112,7 +119,7 @@ props! {
         want in int(0usize..40),
     ) {
         let want = want.min(params.min_tail);
-        let h = ChunkedHistory::from_points(5, params, &points);
+        let h = pushed(5, params, &points);
         let (w, ts) = match h.hot_window(want) {
             Some(ok) => ok,
             None => return Err(CaseError::Fail(format!(
@@ -127,7 +134,7 @@ props! {
     /// Seal → serialize parts → `from_raw_parts` is the identity, so a
     /// snapshot can carry chunks verbatim.
     fn raw_parts_roundtrip(points in arb_adversarial(), params in arb_params()) {
-        let h = ChunkedHistory::from_points(0, params, &points);
+        let h = pushed(0, params, &points);
         for c in h.chunks() {
             let back = SealedChunk::from_raw_parts(
                 c.samples() as u32,
@@ -145,7 +152,7 @@ props! {
         write in arb_params(),
         read in arb_params(),
     ) {
-        let h = ChunkedHistory::from_points(9, write, &points);
+        let h = pushed(9, write, &points);
         let r = ChunkedHistory::from_parts(9, read, h.chunks().to_vec(), h.tail().to_vec());
         require!(bits_eq(&r.to_points(), &points));
         require!(r.chunks().is_empty() || r.tail().len() >= read.min_tail);

@@ -16,9 +16,10 @@ cd "$(dirname "$0")/.."
 
 # The totals this tree may not exceed: what the last change to them
 # left. A change that needs the room raises them in the same diff and
-# says why in CHANGES.md (ROADMAP 7b's targets are 27,500 / 13,300).
-BUDGET_FILE_LINES=28601
-BUDGET_CODE_ONLY=13645
+# says why in CHANGES.md (ROADMAP item 9's targets are 27,850 / 13,300,
+# with 27,500 file lines as the stretch).
+BUDGET_FILE_LINES=28451
+BUDGET_CODE_ONLY=13515
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {

@@ -186,10 +186,10 @@ if [ -e crates/bench/experiments_output ]; then
     exit 1
 fi
 
-echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync, the level-wise miner, the per-record WAL encoder"
+echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync, the level-wise miner, the per-record WAL encoder, the v1 WAL and snapshot readers, the batch dbscan / decompose twins"
 # Each of these was a second way to do a job (ROADMAP "Quality of
 # design"); a match means one has been reintroduced.
-GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir|fn frequent_itemsets|fn count_level|fn generate_rules|discover_from_groups|type Transaction|MINE_LEVEL_ITEMSETS|fn encode_wal_record|MAX_WAL_PAYLOAD'
+GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir|fn frequent_itemsets|fn count_level|fn generate_rules|discover_from_groups|type Transaction|MINE_LEVEL_ITEMSETS|fn encode_wal_record|MAX_WAL_PAYLOAD|decode_v1|V1_PAYLOAD_CAP|SNAPSHOT_VERSION_V1|HistorySnapshot::Raw|fn dbscan_naive|pub fn dbscan\(|pub fn decompose\(|struct SubTrajectory'
 if grep -rnE "$GONE" crates/ src/ examples/ tests/; then
     echo "ERROR: a deleted item is back (see the deletion ledgers in CHANGES.md)" >&2
     exit 1
