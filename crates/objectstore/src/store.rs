@@ -17,7 +17,9 @@ use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, DecodeError, HistorySnapshot,
     ObjectSnapshot,
 };
-use hpm_trajectory::{ChunkParams, ChunkedHistory, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN};
+use hpm_trajectory::{
+    ChunkParams, ChunkedHistory, History, Prefix, Timestamp, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -142,9 +144,9 @@ pub enum QueryError {
     /// The object's state lock was poisoned by a panic in an earlier
     /// operation. Remove and re-track the object to recover.
     ObjectUnavailable(ObjectId),
-    /// A forced retrain was refused: the object's history holds fewer
-    /// full periods than `StoreConfig::min_train_subs`, so training
-    /// would seed a near-empty model over noise.
+    /// A forced retrain was refused: the object has no model to rebuild
+    /// (fewer full periods than `StoreConfig::min_train_subs`, or a
+    /// snapshot restored it untrained).
     InsufficientHistory {
         /// Full periods of history the object has.
         full_periods: usize,
@@ -331,8 +333,8 @@ struct ObjectState {
     predictor: Option<HybridPredictor>,
     /// Incremental-training state carried between retrains. Derived
     /// state: `None` until the first training pass seeds it, and
-    /// `None` again on an object restored at `open` — `retrain`
-    /// answers an absent trainer by re-seeding from the full history.
+    /// `None` again after `open` restores it or `force_retrain` —
+    /// `retrain` answers an absent trainer by re-seeding.
     trainer: Option<TrainerState>,
     trained_subs: usize,
     /// Set (under the state's write lock) when the object is removed
@@ -1329,26 +1331,30 @@ impl MovingObjectStore {
         true
     }
 
-    /// Forces an immediate **full** retrain of `id` over its complete
-    /// history, resetting the incremental trainer state (never the
-    /// delta path — this is the recovery hammer). Histories shorter
-    /// than `min_train_subs` full periods are refused with
-    /// [`QueryError::InsufficientHistory`]: training on a sub-period
-    /// slice would seed a near-empty model that then shadows the
-    /// motion-function fallback.
+    /// Rebuilds `id`'s model from scratch: drops the incremental trainer
+    /// and re-seeds it over the first `trained_periods` full periods,
+    /// the samples the current model was trained on (the repair hammer
+    /// for a trainer suspected bad). Cadence-neutral: the rebuilt model
+    /// is the one the cadence produced, so answers and stats stay a
+    /// function of the report log, which is all a reopen replays. An
+    /// object not trained yet (under `min_train_subs` full periods, or
+    /// restored untrained by a snapshot) has no model to rebuild:
+    /// [`QueryError::InsufficientHistory`].
     pub fn force_retrain(&self, id: ObjectId) -> Result<(), QueryError> {
         let state = self.lookup(id).ok_or(QueryError::UnknownObject(id))?;
         let mut state = state
             .write()
             .map_err(|_| QueryError::ObjectUnavailable(id))?;
         let full_periods = state.history.len() / self.config.discovery.period as usize;
-        if full_periods < self.config.min_train_subs {
+        if state.trained_subs == 0 {
             return Err(QueryError::InsufficientHistory {
                 full_periods,
                 min_train_subs: self.config.min_train_subs,
             });
         }
-        self.retrain(&mut state, true);
+        state.trainer = None;
+        let subs = state.trained_subs;
+        self.retrain(&mut state, subs);
         self.index.mark_dirty(self.shard_index(id.0), id.0);
         Ok(())
     }
@@ -1606,41 +1612,50 @@ impl MovingObjectStore {
             full >= state.trained_subs + self.config.retrain_every_subs
         };
         if due {
-            self.retrain(state, false);
+            self.retrain(state, full);
         }
     }
 
-    /// Retrains `state` — the one training path. The trainer either
-    /// folds in the samples reported since the last pass
-    /// ([`cluster_delta`](Self::cluster_delta)) or, when it cannot —
-    /// first training, first retrain after a restart (no trainer
-    /// either way), `force_full`, structure drift — is re-seeded
-    /// from the complete history: one DBSCAN sweep per offset plus a
-    /// support-count rebuild. Either way the patterns are then derived
-    /// from the trainer's counts and the predictor assembled from the
-    /// trainer's regions: as an update of the live predictor when
-    /// there is one (a rule list that did not move — the usual case
-    /// after a fold, and after the re-seed that follows a restart —
-    /// only patches confidences into the index image), from parts on
-    /// first training. A seed followed by `from_parts` is, call for
-    /// call, the paper's batch pipeline [`HybridPredictor::build`]; a
-    /// fold equals it by the `hpm-core` training contract, and that
-    /// function is what the test suites compare the store against.
-    fn retrain(&self, state: &mut ObjectState, force_full: bool) {
-        if state.history.is_empty() {
+    /// Retrains `state` on its first `subs` full periods (a crossing
+    /// passes all it has, `force_retrain` the watermark it had) and
+    /// sets the watermark to `subs` — the one training path. The
+    /// trainer either folds in the samples reported since the last
+    /// pass ([`cluster_delta`](Self::cluster_delta)) or, when it cannot
+    /// — no trainer (first training, after a restart or a
+    /// `force_retrain`), structure drift — is re-seeded from those
+    /// periods: one DBSCAN sweep per offset plus a support-count
+    /// rebuild. Either way the patterns are then derived from the
+    /// trainer's counts and the predictor assembled from the trainer's
+    /// regions: as an update of the live predictor when there is one
+    /// (a rule list that did not move — the usual case after a fold,
+    /// and after the re-seed that follows a restart — only patches
+    /// confidences into the index image), from parts on first
+    /// training. A seed followed by `from_parts` is, call for call, the
+    /// paper's batch pipeline [`HybridPredictor::build`]; a fold equals
+    /// it by the `hpm-core` training contract, and that function is
+    /// what the test suites compare the store against.
+    fn retrain(&self, state: &mut ObjectState, subs: usize) {
+        let period = self.config.discovery.period as usize;
+        let ObjectState {
+            history,
+            predictor,
+            trainer,
+            trained_subs,
+            ..
+        } = state;
+        let samples = Prefix::new(&*history, subs * period);
+        if samples.is_empty() {
             return;
         }
         let _span = hpm_obs::span!(crate::metrics::RETRAIN_SPAN);
         hpm_obs::counter!(crate::metrics::RETRAINS).add(1);
-        let full = state.history.len() / self.config.discovery.period as usize;
         hpm_obs::gauge!(crate::metrics::RETRAIN_STALENESS)
-            .set(full.saturating_sub(state.trained_subs) as i64);
-        let foldable = !force_full && state.predictor.is_some() && state.trainer.is_some();
-        let trainer = state
-            .trainer
+            .set((history.len() / period).saturating_sub(*trained_subs) as i64);
+        let foldable = predictor.is_some() && trainer.is_some();
+        let trainer = trainer
             .get_or_insert_with(|| TrainerState::new(self.config.discovery, self.config.mining));
         let visits = if foldable {
-            Self::cluster_delta(trainer, &state.history)
+            Self::cluster_delta(trainer, &samples)
         } else {
             None
         };
@@ -1649,28 +1664,25 @@ impl MovingObjectStore {
         } else {
             hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-            trainer.seed(&state.history);
+            trainer.seed(&samples);
         }
         let patterns = {
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
             trainer.stage_mine(visits.as_deref().unwrap_or(&[]))
         };
         let _s = hpm_obs::span!(crate::metrics::RETRAIN_TPT_SPAN);
-        state.predictor = Some(match &state.predictor {
+        *predictor = Some(match predictor.as_ref() {
             Some(live) => live.apply_update(trainer.regions(), patterns).0,
             None => HybridPredictor::from_parts(trainer.regions(), patterns, self.config.hpm),
         });
-        state.trained_subs = full;
+        *trained_subs = subs;
     }
 
     /// The incremental half of a retrain: decomposes the samples
     /// reported since the last pass and inserts them into the
     /// trainer's per-offset clusterings. `None` on structure drift —
     /// the trainer is then poisoned and must be re-seeded.
-    fn cluster_delta(
-        trainer: &mut TrainerState,
-        history: &ChunkedHistory,
-    ) -> Option<Vec<NewVisit>> {
+    fn cluster_delta(trainer: &mut TrainerState, history: &impl History) -> Option<Vec<NewVisit>> {
         let delta = {
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_DECOMPOSE_SPAN);
             trainer.stage_decompose(history)
@@ -1885,6 +1897,27 @@ mod tests {
         let s = store.stats(id).unwrap();
         assert_eq!(s.trained_periods, 5);
         assert!(s.regions > 0);
+    }
+
+    /// A snapshot written under a higher `min_train_subs` restores an
+    /// untrained object past the lower one: with no model to rebuild,
+    /// the force is refused, not a silent no-op, until a boundary trains it.
+    #[test]
+    fn force_retrain_refuses_an_object_restored_untrained() {
+        let dir = std::env::temp_dir().join(format!("hpm-store-force-{}", std::process::id()));
+        let (id, mut lower) = (ObjectId(8), config());
+        let store = MovingObjectStore::open(config(), DurabilityConfig::new(&dir)).unwrap();
+        feed_days(&store, id, 0..3);
+        assert!(store.snapshot().unwrap());
+        drop(store);
+        lower.min_train_subs = 2;
+        let store = MovingObjectStore::open(lower, DurabilityConfig::new(&dir)).unwrap();
+        let e = store.force_retrain(id).unwrap_err().to_string();
+        assert_eq!(e, "only 3 full periods of history (min_train_subs = 2)");
+        feed_days(&store, id, 3..4);
+        assert_eq!(store.stats(id).unwrap().trained_periods, 4);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! A pipelined client for the wire protocol.
 //!
-//! [`Client`] works at two levels. The typed helpers
-//! ([`report_many`](Client::report_many),
-//! [`predict_batch`](Client::predict_batch), …) are synchronous
-//! call-and-wait wrappers whose signatures mirror
-//! `MovingObjectStore`'s — same inputs, same `Result` values, just
-//! across a socket. Underneath, [`send`](Client::send) and
+//! [`Client`] works at two levels. [`call`](Client::call) sends any
+//! [`RequestBody`] and waits for its [`ResponseBody`]; a few typed
+//! helpers ([`report_many`](Client::report_many),
+//! [`predict_batch`](Client::predict_batch), [`stats`](Client::stats),
+//! the admin verbs) unwrap the answer for the verbs the CLI and the
+//! benchmarks drive, with signatures that mirror `MovingObjectStore`'s.
+//! Fleet queries go through `call`. Underneath, [`send`](Client::send) and
 //! [`recv`](Client::recv) expose the pipeline directly: queue many
 //! request frames without waiting, then drain responses (the server
 //! answers in receive order and echoes each request's correlation
@@ -18,7 +19,7 @@ use crate::proto::{
     decode_response, encode_request, read_frame, write_frame, ProtoError, Request, RequestBody,
     Response, ResponseBody, DEFAULT_MAX_FRAME,
 };
-use hpm_geo::{BoundingBox, Point};
+use hpm_geo::Point;
 use hpm_objectstore::{IngestError, ObjectId, ObjectStats, QueryError};
 use hpm_trajectory::Timestamp;
 use std::fmt;
@@ -201,99 +202,11 @@ impl Client {
         }
     }
 
-    /// Predictive range query over the fleet (mirrors
-    /// `MovingObjectStore::predict_range`).
-    pub fn predict_range(
-        &mut self,
-        region: &BoundingBox,
-        query_time: Timestamp,
-    ) -> Result<Vec<(ObjectId, Point)>, ClientError> {
-        match self.call(RequestBody::PredictRange {
-            region: *region,
-            query_time,
-        })? {
-            ResponseBody::Range(hits) => Ok(hits),
-            _ => Err(ClientError::UnexpectedResponse { expected: "Range" }),
-        }
-    }
-
-    /// Predictive k-nearest-neighbour query over the fleet (mirrors
-    /// `MovingObjectStore::predict_nearest`).
-    pub fn predict_nearest(
-        &mut self,
-        focus: &Point,
-        query_time: Timestamp,
-        k: usize,
-    ) -> Result<Vec<(ObjectId, Point, f64)>, ClientError> {
-        match self.call(RequestBody::PredictNearest {
-            focus: *focus,
-            query_time,
-            k: k as u64,
-        })? {
-            ResponseBody::Nearest(hits) => Ok(hits),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "Nearest",
-            }),
-        }
-    }
-
-    /// Probabilistic range query over the fleet (mirrors
-    /// `MovingObjectStore::predict_within`): objects putting at least
-    /// `tau` of their predicted mass inside `region`.
-    pub fn predict_within(
-        &mut self,
-        region: &BoundingBox,
-        query_time: Timestamp,
-        tau: f64,
-    ) -> Result<Vec<(ObjectId, Point, f64)>, ClientError> {
-        match self.call(RequestBody::PredictWithin {
-            region: *region,
-            query_time,
-            tau,
-        })? {
-            ResponseBody::Within(hits) => Ok(hits),
-            _ => Err(ClientError::UnexpectedResponse { expected: "Within" }),
-        }
-    }
-
-    /// Probabilistic k-nearest-neighbour query over the fleet (mirrors
-    /// `MovingObjectStore::predict_nearest_prob`).
-    pub fn predict_nearest_prob(
-        &mut self,
-        focus: &Point,
-        query_time: Timestamp,
-        k: usize,
-        tau: f64,
-    ) -> Result<Vec<(ObjectId, Point, f64)>, ClientError> {
-        match self.call(RequestBody::PredictNearestProb {
-            focus: *focus,
-            query_time,
-            k: k as u64,
-            tau,
-        })? {
-            ResponseBody::NearestProb(hits) => Ok(hits),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "NearestProb",
-            }),
-        }
-    }
-
     /// Per-object health snapshot (mirrors `MovingObjectStore::stats`).
     pub fn stats(&mut self, id: ObjectId) -> Result<Result<ObjectStats, QueryError>, ClientError> {
         match self.call(RequestBody::Stats(id))? {
             ResponseBody::Stats(result) => Ok(result),
             _ => Err(ClientError::UnexpectedResponse { expected: "Stats" }),
-        }
-    }
-
-    /// Admin: force a full retrain (mirrors
-    /// `MovingObjectStore::force_retrain`).
-    pub fn force_retrain(&mut self, id: ObjectId) -> Result<Result<(), QueryError>, ClientError> {
-        match self.call(RequestBody::ForceRetrain(id))? {
-            ResponseBody::Retrained(result) => Ok(result),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "Retrained",
-            }),
         }
     }
 

@@ -6,9 +6,10 @@
 //! nearest-neighbour queries, stats, retraining, snapshots, metrics —
 //! becomes reachable over a socket, with **the same inputs, the same
 //! outputs, and the same typed errors**. That equivalence is the
-//! crate's contract: the end-to-end suite asserts wire answers are
-//! bit-identical to direct [`MovingObjectStore`] calls, error
-//! variants included.
+//! crate's contract: the workspace's op-trace model suite
+//! (`tests/model.rs`) asserts wire answers are byte-identical to
+//! direct [`MovingObjectStore`] calls after every step of random
+//! traces, error variants included.
 //!
 //! No async runtime and no registry dependencies: the server is a
 //! scoped accept loop with one thread per connection and the socket

@@ -24,7 +24,7 @@
 //! Error results are **typed**: [`IngestError`] and [`QueryError`]
 //! cross the wire structurally (every variant, field for field), so a
 //! wire client sees the exact error value an in-process caller would
-//! — the property the end-to-end equivalence suite pins down.
+//! — the property the workspace's op-trace model suite pins down.
 //!
 //! Decoding is total: any byte sequence yields either a value or a
 //! typed [`ProtoError`], never a panic, and length prefixes are
@@ -176,7 +176,10 @@ pub enum RequestBody {
     },
     /// Per-object health snapshot (`MovingObjectStore::stats`).
     Stats(ObjectId),
-    /// Admin: force a full retrain (`MovingObjectStore::force_retrain`).
+    /// Admin: rebuild the object's model from a fresh trainer seeded
+    /// over the periods it was trained on
+    /// (`MovingObjectStore::force_retrain`; cadence-neutral, so the
+    /// answers after it equal those before).
     ForceRetrain(ObjectId),
     /// Admin: cut a durability snapshot (`MovingObjectStore::snapshot`).
     Snapshot,

@@ -14,7 +14,7 @@ mod common;
 
 use common::{config, fleet_horizon, fleet_reports};
 use hpm_objectstore::{DurabilityConfig, FsyncPolicy, IngestError, MovingObjectStore, ObjectId};
-use hpm_server::{Client, Server, ServerConfig};
+use hpm_server::{Client, RequestBody, ResponseBody, Server, ServerConfig};
 use hpm_trajectory::Timestamp;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -186,11 +186,13 @@ fn crash_mid_wire_ingest_recovers_bit_identically_to_twin() {
             min: hpm_geo::Point::new(-5.0, -5.0),
             max: hpm_geo::Point::new(160.0, 10.0),
         };
+        let range = RequestBody::PredictRange {
+            region,
+            query_time: horizon + 2,
+        };
         assert_eq!(
-            client
-                .predict_range(&region, horizon + 2)
-                .expect("wire range"),
-            twin.predict_range(&region, horizon + 2),
+            client.call(range).expect("wire range"),
+            ResponseBody::Range(twin.predict_range(&region, horizon + 2)),
             "run {run}: range diverges after recovery"
         );
 

@@ -298,15 +298,24 @@ fn healthy_connections_stay_bit_identical_under_chaos() {
                         min: Point::new(-10.0, -10.0),
                         max: Point::new(rng.gen_f64() * 200.0, 60.0),
                     };
+                    let range = RequestBody::PredictRange {
+                        region,
+                        query_time: t,
+                    };
                     assert_eq!(
-                        client.predict_range(&region, t).expect("wire range"),
-                        store.predict_range(&region, t),
+                        client.call(range).expect("wire range"),
+                        ResponseBody::Range(store.predict_range(&region, t)),
                         "healthy range diverged in round {round}"
                     );
                     let focus = Point::new(rng.gen_f64() * 150.0, rng.gen_f64() * 40.0);
+                    let knn = RequestBody::PredictNearest {
+                        focus,
+                        query_time: t,
+                        k: 3,
+                    };
                     assert_eq!(
-                        client.predict_nearest(&focus, t, 3).expect("wire knn"),
-                        store.predict_nearest(&focus, t, 3),
+                        client.call(knn).expect("wire knn"),
+                        ResponseBody::Nearest(store.predict_nearest(&focus, t, 3)),
                         "healthy knn diverged in round {round}"
                     );
                 }

@@ -39,6 +39,43 @@ pub trait History {
     }
 }
 
+/// The first samples of a history, viewed as a history of its own —
+/// what a retrain reads when it must not see the samples reported
+/// after its cadence crossing.
+#[derive(Debug, Clone, Copy)]
+pub struct Prefix<'a, H> {
+    hist: &'a H,
+    len: usize,
+}
+
+impl<'a, H: History> Prefix<'a, H> {
+    /// The first `len` samples of `hist` (all when it is shorter).
+    pub fn new(hist: &'a H, len: usize) -> Self {
+        Prefix {
+            hist,
+            len: len.min(hist.len()),
+        }
+    }
+}
+
+impl<H: History> History for Prefix<'_, H> {
+    #[inline]
+    fn start(&self) -> Timestamp {
+        self.hist.start()
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn iter_from(&self, from: usize) -> impl Iterator<Item = Point> + '_ {
+        self.hist
+            .iter_from(from)
+            .take(self.len.saturating_sub(from))
+    }
+}
+
 impl History for Trajectory {
     #[inline]
     fn start(&self) -> Timestamp {
@@ -74,5 +111,16 @@ mod tests {
         let tail: Vec<Point> = t.iter_from(4).collect();
         assert_eq!(tail, t.points()[4..].to_vec());
         assert_eq!(t.iter_from(99).count(), 0);
+    }
+
+    #[test]
+    fn prefix_ends_early() {
+        let t = traj(6);
+        let p = Prefix::new(&t, 4);
+        assert_eq!((History::start(&p), History::end(&p)), (5, 9));
+        let tail: Vec<Point> = p.iter_from(1).collect();
+        assert_eq!(tail, t.points()[1..4].to_vec());
+        assert_eq!(p.iter_from(5).count(), 0);
+        assert_eq!(Prefix::new(&t, 99).len(), 6);
     }
 }

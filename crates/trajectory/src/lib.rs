@@ -42,7 +42,7 @@ pub use chunks::{
     SealedChunk, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
 };
 pub use decompose::{DecomposeCursor, DeltaSample, OffsetGroups};
-pub use history::History;
+pub use history::{History, Prefix};
 pub use preprocess::{despike, from_sparse_samples, PreprocessError};
 pub use staypoints::{stay_points, StayPoint};
 pub use traj::{TimeOffset, Timestamp, Trajectory};

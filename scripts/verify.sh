@@ -45,8 +45,10 @@ STRESS_RUNS="${HPM_STRESS_RUNS:-1}"
 for i in $(seq 1 "$STRESS_RUNS"); do
     [ "$STRESS_RUNS" -gt 1 ] && echo "  stress run $i/$STRESS_RUNS"
     cargo test -q --release --offline -p hpm-objectstore \
-        --test stress --test props --test index_props --test prob_props \
-        --test query_edge --test retrain --test recovery --test failpoints
+        --test stress --test retrain --test recovery --test failpoints
+    # The op-trace model: every path to an answer (index, scans, pool
+    # widths, reopen, crash, wire) against one naive reference store.
+    HPM_CHECK_CASES=256 cargo test -q --release --offline --test model
     cargo test -q --release --offline -p hpm-server \
         --test proto_props --test faults
     # The neighbour grid's cell arithmetic panics on overflow in the
@@ -186,10 +188,10 @@ if [ -e crates/bench/experiments_output ]; then
     exit 1
 fi
 
-echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync, the level-wise miner, the per-record WAL encoder, the v1 WAL and snapshot readers, the batch dbscan / decompose twins"
+echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync, the level-wise miner, the per-record WAL encoder, the v1 WAL and snapshot readers, the batch dbscan / decompose twins, the per-operator client helpers"
 # Each of these was a second way to do a job (ROADMAP "Quality of
 # design"); a match means one has been reintroduced.
-GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir|fn frequent_itemsets|fn count_level|fn generate_rules|discover_from_groups|type Transaction|MINE_LEVEL_ITEMSETS|fn encode_wal_record|MAX_WAL_PAYLOAD|decode_v1|V1_PAYLOAD_CAP|SNAPSHOT_VERSION_V1|HistorySnapshot::Raw|fn dbscan_naive|pub fn dbscan\(|pub fn decompose\(|struct SubTrajectory'
+GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir|fn frequent_itemsets|fn count_level|fn generate_rules|discover_from_groups|type Transaction|MINE_LEVEL_ITEMSETS|fn encode_wal_record|MAX_WAL_PAYLOAD|decode_v1|V1_PAYLOAD_CAP|SNAPSHOT_VERSION_V1|HistorySnapshot::Raw|fn dbscan_naive|pub fn dbscan\(|pub fn decompose\(|struct SubTrajectory|Result<Vec<\(ObjectId, Point(, f64)?\)>, ClientError>|Result<Result<\(\), QueryError>, ClientError>'
 if grep -rnE "$GONE" crates/ src/ examples/ tests/; then
     echo "ERROR: a deleted item is back (see the deletion ledgers in CHANGES.md)" >&2
     exit 1
