@@ -17,11 +17,10 @@
 //! Each property runs a fixed number of deterministic cases (default
 //! 64) seeded from the property name, so suites are reproducible and
 //! independent of test ordering. On failure the input is greedily
-//! shrunk via hedgehog-style integrated shrink trees and the failing
-//! seed is appended to a `<test-file-stem>.proptest-regressions` file
-//! next to the test source — the same location and `cc <hex>` line
-//! format `proptest` used, so seeds persisted by earlier `proptest`
-//! runs keep replaying.
+//! shrunk via hedgehog-style integrated shrink trees, and the panic
+//! names the case seed and the shrunk input. Nothing is written to the
+//! source tree: a failure worth keeping is pinned as a fixed `#[test]`
+//! that runs the shrunk input through the property.
 //!
 //! Environment knobs:
 //!
@@ -30,7 +29,6 @@
 //! | `HPM_CHECK_CASES`   | 64      | cases per property                   |
 //! | `HPM_CHECK_SEED`    | fixed   | master seed (decimal or `0x…` hex)   |
 //! | `HPM_CHECK_SHRINKS` | 2048    | shrink-candidate evaluation budget   |
-//! | `HPM_CHECK_PERSIST` | 1       | write new failure seeds (`0` = off)  |
 
 pub mod alloc;
 pub mod fail;
@@ -112,12 +110,7 @@ macro_rules! props {
         $(#[$meta])*
         #[test]
         fn $name() {
-            let __runner = $crate::runner::Runner::new(
-                env!("CARGO_MANIFEST_DIR"),
-                file!(),
-                stringify!($name),
-            )
-            .min_cases($min_cases);
+            let __runner = $crate::runner::Runner::new(stringify!($name)).min_cases($min_cases);
             let __gen = $crate::gen::tuple(($($gen,)+));
             __runner.run(__gen, |__case| {
                 let ($($arg,)+) = __case.clone();

@@ -1,14 +1,12 @@
-//! The property runner: deterministic case generation, regression-seed
-//! replay, greedy shrinking, and failure persistence.
+//! The property runner: deterministic case generation and greedy
+//! shrinking. A failure prints its case seed and shrunk input; pin it
+//! as a fixed test that runs that input through the property.
 
 use crate::gen::Gen;
 use crate::tree::Tree;
 use crate::CaseError;
 use hpm_rand::{Rng, SmallRng};
 use std::fmt::Debug;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Default deterministic cases per property (raise with
 /// `HPM_CHECK_CASES`).
@@ -28,9 +26,6 @@ pub struct Config {
     pub seed: u64,
     /// Cap on shrink-candidate evaluations (`HPM_CHECK_SHRINKS`).
     pub max_shrink_evals: u32,
-    /// Persist new failure seeds to the regression file
-    /// (`HPM_CHECK_PERSIST=0` disables).
-    pub persist: bool,
 }
 
 impl Config {
@@ -53,7 +48,6 @@ impl Config {
             cases: parse_u64("HPM_CHECK_CASES", u64::from(DEFAULT_CASES)).max(1) as u32,
             seed: parse_u64("HPM_CHECK_SEED", DEFAULT_SEED),
             max_shrink_evals: parse_u64("HPM_CHECK_SHRINKS", 2048) as u32,
-            persist: std::env::var("HPM_CHECK_PERSIST").map_or(true, |v| v != "0"),
         }
     }
 }
@@ -69,30 +63,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Runs one property: regression replay first, then fresh cases.
+/// Runs one property over its deterministic cases.
 pub struct Runner {
     config: Config,
     name: String,
-    regression_file: PathBuf,
 }
 
 impl Runner {
-    /// Creates a runner for the property `name` defined in the test
-    /// source `file` (pass `file!()`) of the crate at `manifest_dir`
-    /// (pass `env!("CARGO_MANIFEST_DIR")`). The pair is needed because
-    /// `file!()` is workspace-relative while tests run from the crate
-    /// root — see `resolve_source` in this module.
-    pub fn new(manifest_dir: &str, file: &str, name: &str) -> Self {
-        let source = resolve_source(manifest_dir, file);
-        let stem = source
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "props".to_string());
-        let regression_file = source.with_file_name(format!("{stem}.proptest-regressions"));
+    /// Creates a runner for the property `name`, configured from the
+    /// environment; the name seeds the property's case stream.
+    pub fn new(name: &str) -> Self {
         Runner {
             config: Config::from_env(),
             name: name.to_string(),
-            regression_file,
         }
     }
 
@@ -109,35 +92,23 @@ impl Runner {
         self
     }
 
-    /// Disables failure persistence (tests of the harness itself).
-    pub fn no_persist(mut self) -> Self {
-        self.config.persist = false;
-        self
-    }
-
-    /// Runs the property over the configured number of cases, replaying
-    /// any persisted regression seeds first.
+    /// Runs the property over the configured number of cases.
     ///
     /// # Panics
-    /// Panics with the shrunk counterexample on the first failing case.
+    /// Panics with the case seed and the shrunk counterexample on the
+    /// first failing case.
     pub fn run<T, P>(&self, gen: Gen<T>, prop: P)
     where
         T: Clone + Debug + 'static,
         P: Fn(&T) -> Result<(), CaseError>,
     {
-        // 1. Regression seeds recorded by earlier failures.
-        for seed in read_regression_seeds(&self.regression_file) {
-            self.run_case(&gen, &prop, seed, true);
-        }
-
-        // 2. Fresh deterministic cases.
         let mut master = SmallRng::seed_from_u64(self.config.seed ^ fnv1a(self.name.as_bytes()));
         let mut accepted = 0u32;
         let mut discarded = 0u32;
         let discard_budget = self.config.cases.saturating_mul(20);
         while accepted < self.config.cases {
             let case_seed = master.next_u64();
-            if self.run_case(&gen, &prop, case_seed, false) {
+            if self.run_case(&gen, &prop, case_seed) {
                 accepted += 1;
             } else {
                 discarded += 1;
@@ -154,7 +125,7 @@ impl Runner {
     }
 
     /// Runs one case; returns `false` when the case was discarded.
-    fn run_case<T, P>(&self, gen: &Gen<T>, prop: &P, case_seed: u64, from_regression: bool) -> bool
+    fn run_case<T, P>(&self, gen: &Gen<T>, prop: &P, case_seed: u64) -> bool
     where
         T: Clone + Debug + 'static,
         P: Fn(&T) -> Result<(), CaseError>,
@@ -166,20 +137,11 @@ impl Runner {
             Err(CaseError::Discard) => false,
             Err(CaseError::Fail(msg)) => {
                 let (value, msg, evals) = self.shrink(tree, msg, prop);
-                if self.config.persist && !from_regression {
-                    persist_seed(&self.regression_file, case_seed, &value);
-                }
                 panic!(
-                    "property '{}' failed{}.\n  seed: 0x{case_seed:016x}\n  \
-                     minimal case (after {evals} shrink evals): {value:?}\n  error: {msg}\n  \
-                     replayed automatically from {}",
-                    self.name,
-                    if from_regression {
-                        " (persisted regression seed)"
-                    } else {
-                        ""
-                    },
-                    self.regression_file.display(),
+                    "property '{}' failed.\n  seed: 0x{case_seed:016x} \
+                     (master seed 0x{:016x}, HPM_CHECK_SEED)\n  \
+                     minimal case (after {evals} shrink evals): {value:?}\n  error: {msg}",
+                    self.name, self.config.seed,
                 );
             }
         }
@@ -231,104 +193,10 @@ where
     }
 }
 
-/// Resolves `file!()` (workspace-relative at compile time) against the
-/// test binary's working directory and the crate's manifest dir.
-fn resolve_source(manifest_dir: &str, file: &str) -> PathBuf {
-    let p = Path::new(file);
-    if p.exists() {
-        return p.to_path_buf();
-    }
-    let manifest = Path::new(manifest_dir);
-    let joined = manifest.join(p);
-    if joined.exists() {
-        return joined;
-    }
-    // `file!()` is rooted at the *workspace*, the manifest dir at the
-    // *crate*: drop leading components until the suffix resolves.
-    let mut components: Vec<_> = p.components().collect();
-    while components.len() > 1 {
-        components.remove(0);
-        let suffix: PathBuf = components.iter().collect();
-        let candidate = manifest.join(&suffix);
-        if candidate.exists() {
-            return candidate;
-        }
-    }
-    joined
-}
-
-/// Parses a `*.proptest-regressions` file into replay seeds.
-///
-/// The `proptest` format is `cc <64 hex chars> # shrinks to …` per
-/// line. The leading 16 hex chars are taken as the replay seed, so
-/// seeds this harness persists round-trip exactly, and seeds inherited
-/// from `proptest` runs still replay a deterministic (if different)
-/// case.
-pub fn read_regression_seeds(path: &Path) -> Vec<u64> {
-    let Ok(content) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    content
-        .lines()
-        .filter_map(|line| {
-            let token = line.trim().strip_prefix("cc ")?.split_whitespace().next()?;
-            if token.len() < 16 {
-                return Some(fnv1a(token.as_bytes()));
-            }
-            u64::from_str_radix(&token[..16], 16)
-                .ok()
-                .or_else(|| Some(fnv1a(token.as_bytes())))
-        })
-        .collect()
-}
-
-/// Appends a failing seed in the `proptest` regression format (the
-/// trailing 48 hex chars are zero padding; only the first 16 encode the
-/// seed).
-fn persist_seed<T: Debug>(path: &Path, seed: u64, shrunk: &T) {
-    let token = format!("{seed:016x}{:048}", 0);
-    if let Ok(existing) = fs::read_to_string(path) {
-        if existing
-            .lines()
-            .any(|l| l.trim().starts_with(&format!("cc {token}")))
-        {
-            return;
-        }
-    }
-    let header_needed = !path.exists();
-    let Ok(mut f) = fs::OpenOptions::new().create(true).append(true).open(path) else {
-        return; // read-only checkout: the panic message still has the seed
-    };
-    if header_needed {
-        let _ = writeln!(
-            f,
-            "# Seeds for failure cases proptest has generated in the past. It is\n\
-             # automatically read and these particular cases re-run before any\n\
-             # novel cases are generated.\n\
-             #\n\
-             # It is recommended to check this file in to source control so that\n\
-             # everyone who runs the test benefits from these saved cases."
-        );
-    }
-    let mut line = format!("cc {token} # shrinks to {shrunk:?}");
-    line.truncate(800); // keep the file reviewable for huge cases
-    let _ = writeln!(f, "{line}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{int, vec};
-
-    fn temp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "hpm_check_{}_{:x}",
-            std::process::id(),
-            fnv1a(std::thread::current().name().unwrap_or("t").as_bytes())
-        ));
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn runner(name: &str) -> Runner {
         Runner {
@@ -336,10 +204,8 @@ mod tests {
                 cases: 64,
                 seed: DEFAULT_SEED,
                 max_shrink_evals: 2048,
-                persist: false,
             },
             name: name.to_string(),
-            regression_file: temp_dir().join("props.proptest-regressions"),
         }
     }
 
@@ -403,48 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn persisted_seed_replays_same_case() {
-        let dir = temp_dir();
-        let path = dir.join("replay.proptest-regressions");
-        let _ = fs::remove_file(&path);
-        persist_seed(&path, 0xDEAD_BEEF_0123_4567, &"x");
-        let seeds = read_regression_seeds(&path);
-        assert_eq!(seeds, vec![0xDEAD_BEEF_0123_4567]);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn proptest_native_seed_lines_parse() {
-        let dir = temp_dir();
-        let path = dir.join("native.proptest-regressions");
-        fs::write(
-            &path,
-            "# comment line\n\
-             cc 86ec72848a6630af31d0ffba7f1c72c4e8ae304dd53800e4a0714c6a11fb0368 # shrinks to x = 1\n",
-        )
-        .unwrap();
-        let seeds = read_regression_seeds(&path);
-        assert_eq!(seeds, vec![0x86ec72848a6630af]);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn failure_persists_and_then_replays() {
-        let dir = temp_dir();
-        let path = dir.join("cycle.proptest-regressions");
-        let _ = fs::remove_file(&path);
-        let mk = |persist| Runner {
-            config: Config {
-                cases: 64,
-                seed: DEFAULT_SEED,
-                max_shrink_evals: 2048,
-                persist,
-            },
-            name: "cycle".to_string(),
-            regression_file: path.clone(),
-        };
+    fn failure_names_its_case_seed() {
         let result = std::panic::catch_unwind(|| {
-            mk(true).run(int(0u32..1000), |&v| {
+            runner("seeded").run(int(0u32..1000), |&v| {
                 if v < 10 {
                     Ok(())
                 } else {
@@ -452,17 +279,9 @@ mod tests {
                 }
             });
         });
-        assert!(result.is_err());
-        assert!(path.exists(), "failure seed persisted");
-        let content = fs::read_to_string(&path).unwrap();
-        assert!(content.contains("# shrinks to 10"), "{content}");
-        // Replay: the persisted seed fires before fresh cases, and a
-        // now-passing property sails through replay.
-        let result = std::panic::catch_unwind(|| {
-            mk(false).run(int(0u32..1000), |&_v| Ok(()));
-        });
-        assert!(result.is_ok());
-        fs::remove_file(&path).unwrap();
+        let msg = *result.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("seed: 0x"), "{msg}");
+        assert!(msg.contains(&format!("{DEFAULT_SEED:016x}")), "{msg}");
     }
 
     #[test]
@@ -472,13 +291,5 @@ mod tests {
         });
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("discards"), "{msg}");
-    }
-
-    #[test]
-    fn resolve_source_strips_workspace_prefix() {
-        // This very file resolves from its manifest dir + file!().
-        let path = resolve_source(env!("CARGO_MANIFEST_DIR"), file!());
-        assert!(path.exists(), "{}", path.display());
-        assert!(path.ends_with("src/runner.rs"));
     }
 }

@@ -45,15 +45,13 @@ props! {
 #[test]
 fn failing_property_panics_with_minimal_case() {
     let result = std::panic::catch_unwind(|| {
-        hpm_check::Runner::new(env!("CARGO_MANIFEST_DIR"), file!(), "external_shrink")
-            .no_persist()
-            .run(hpm_check::int(0u32..10_000), |&v| {
-                if v < 128 {
-                    Ok(())
-                } else {
-                    Err(hpm_check::CaseError::Fail("too big".into()))
-                }
-            });
+        hpm_check::Runner::new("external_shrink").run(hpm_check::int(0u32..10_000), |&v| {
+            if v < 128 {
+                Ok(())
+            } else {
+                Err(hpm_check::CaseError::Fail("too big".into()))
+            }
+        });
     });
     let msg = *result.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains(": 128"), "expected shrink to 128, got: {msg}");
@@ -62,15 +60,16 @@ fn failing_property_panics_with_minimal_case() {
 #[test]
 fn library_panics_are_caught_and_shrunk() {
     let result = std::panic::catch_unwind(|| {
-        hpm_check::Runner::new(env!("CARGO_MANIFEST_DIR"), file!(), "external_panic")
-            .no_persist()
-            .run(hpm_check::vec(hpm_check::int(0u32..100), 0..20), |v| {
+        hpm_check::Runner::new("external_panic").run(
+            hpm_check::vec(hpm_check::int(0u32..100), 0..20),
+            |v| {
                 // An out-of-bounds index panics instead of returning Fail.
                 if v.len() >= 3 {
                     let _ = v[v.len() + 1];
                 }
                 Ok(())
-            });
+            },
+        );
     });
     let msg = *result.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains("panic"), "{msg}");

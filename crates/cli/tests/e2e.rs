@@ -140,6 +140,40 @@ fn full_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 22-byte model file with a valid checksum that claims 50,000,000
+/// regions (`HPMMODEL`, version 1, period 1, the count, the trailer).
+/// Sized by its claim, the region table asks for 3.2 GB and the process
+/// aborts under a 1 GB address-space limit; bounded by the bytes behind
+/// the count, `hpm info` exits 1 with the typed decode error.
+#[test]
+fn info_refuses_a_count_its_bytes_cannot_hold_under_a_memory_limit() {
+    use hpm_store::wire::{fnv1a, put_varint};
+    let dir = tmpdir("count_bound");
+    let model = dir.join("claims-50m-regions.hpm");
+    let mut blob = hpm_store::format::MAGIC.to_vec();
+    for v in [1, 1, 50_000_000] {
+        put_varint(&mut blob, v);
+    }
+    let checksum = fnv1a(&blob);
+    blob.extend_from_slice(&checksum.to_le_bytes());
+    assert_eq!(blob.len(), 22);
+    std::fs::write(&model, &blob).unwrap();
+
+    let script = r#"ulimit -v 1000000; exec "$0" info --model "$1""#;
+    let out = Command::new("sh")
+        .args(["-c", script, env!("CARGO_BIN_EXE_hpm")])
+        .arg(&model)
+        .output()
+        .expect("sh runs");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(
+        stderr(&out),
+        "error: count 50000000 exceeds limit 0\n",
+        "the typed CountOutOfRange, not an allocation failure"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The documented snapshot schema (`docs/OBSERVABILITY.md`):
 /// `counters` and `gauges` are objects of numbers; `histograms` is an
 /// array of objects carrying name, unit, count, sum, min, max, p50,

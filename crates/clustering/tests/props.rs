@@ -69,100 +69,164 @@ fn valid(state: &IncrementalDbscan) -> CaseResult {
     state.validate().map_err(CaseError::Fail)
 }
 
+/// The grid-indexed sweep is exactly equivalent to the naive O(n²)
+/// one: every count, assignment and fold.
+fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
+    valid(&IncrementalDbscan::seed(pts.to_vec(), params))
+}
+
+/// Every cluster contains at least one core point — a member with at
+/// least MinPts dataset neighbours within eps. (The cluster itself can
+/// hold *fewer* than MinPts members: border points in a core point's
+/// neighbourhood may already have been claimed by an earlier cluster,
+/// the classic DBSCAN order-dependence — a counterexample found by this
+/// suite's earlier, stricter version.)
+fn clusters_have_a_core_point_on(pts: &[Point], params: DbscanParams) -> CaseResult {
+    let clusters = IncrementalDbscan::seed(pts.to_vec(), params).clusters();
+    let eps2 = params.eps * params.eps;
+    for c in &clusters {
+        let has_core = c.members.iter().any(|&m| {
+            pts.iter()
+                .filter(|q| q.distance_sq(&pts[m as usize]) <= eps2)
+                .count()
+                >= params.min_pts
+        });
+        require!(has_core, "cluster {:?} has no core point", c.members);
+    }
+    Ok(())
+}
+
+/// Labels partition the points: member lists are disjoint, cover
+/// exactly the clustered points, and ids are dense.
+fn partition_invariants_on(pts: &[Point], params: DbscanParams) -> CaseResult {
+    let state = IncrementalDbscan::seed(pts.to_vec(), params);
+    let (labels, clusters) = (state.labels(), state.clusters());
+    let mut seen = vec![false; pts.len()];
+    for (cid, c) in clusters.iter().enumerate() {
+        require_eq!(c.id as usize, cid);
+        for &m in &c.members {
+            require!(!seen[m as usize], "point in two clusters");
+            seen[m as usize] = true;
+            require_eq!(labels[m as usize], Label::Cluster(c.id));
+        }
+    }
+    for (i, s) in seen.iter().enumerate() {
+        if !s {
+            require_eq!(labels[i], Label::Noise);
+        }
+    }
+    Ok(())
+}
+
+/// Cluster geometry: centroid and all members inside the bbox.
+fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
+    let clusters = IncrementalDbscan::seed(pts.to_vec(), params).clusters();
+    for c in &clusters {
+        require!(c.bbox.contains_within(&c.centroid, 1e-9));
+        for &m in &c.members {
+            require!(c.bbox.contains(&pts[m as usize]));
+        }
+    }
+    Ok(())
+}
+
+/// Noise points really are sparse: a noise point has fewer than MinPts
+/// neighbours (it can never be a core point).
+fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
+    let labels = IncrementalDbscan::seed(pts.to_vec(), params).labels();
+    let eps2 = params.eps * params.eps;
+    for (i, l) in labels.iter().enumerate() {
+        if *l == Label::Noise {
+            let n = pts
+                .iter()
+                .filter(|q| q.distance_sq(&pts[i]) <= eps2)
+                .count();
+            require!(n < params.min_pts);
+        }
+    }
+    Ok(())
+}
+
+/// Incremental insertion with reseed-on-drift is *exactly* the batch
+/// algorithm at every prefix: seeded on `pts[..cut]`, after each
+/// further insert (or fallback reseed) `validate` re-derives every
+/// `|N_Eps|` count, assignment and cluster fold by a brute-force sweep
+/// over the same point sequence, and checks the grid's filing. This
+/// simultaneously checks that the safe path changes nothing it should
+/// not, and that every structure-changing insertion is caught as drift.
+fn incremental_equals_batch_on(pts: &[Point], params: DbscanParams, cut: usize) -> CaseResult {
+    let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params);
+    valid(&state)?;
+    for (extra, &p) in pts[cut..].iter().enumerate() {
+        let n = cut + extra + 1;
+        if let InsertOutcome::Drift(_) = state.insert(p) {
+            require!(state.is_poisoned());
+            state = IncrementalDbscan::seed(pts[..n].to_vec(), params);
+        }
+        valid(&state)?;
+    }
+    Ok(())
+}
+
 props! {
-    /// The grid-indexed sweep is exactly equivalent to the naive O(n²)
-    /// one: every count, assignment and fold.
     fn grid_equals_naive((pts, params) in arb_case()) {
-        valid(&IncrementalDbscan::seed(pts, params))?;
+        grid_equals_naive_on(&pts, params)?;
     }
 
-    /// Every cluster contains at least one core point — a member with
-    /// at least MinPts dataset neighbours within eps. (The cluster
-    /// itself can hold *fewer* than MinPts members: border points in a
-    /// core point's neighbourhood may already have been claimed by an
-    /// earlier cluster, the classic DBSCAN order-dependence — a
-    /// counterexample found by this suite's earlier, stricter version.)
     fn clusters_have_a_core_point((pts, params) in arb_case()) {
-        let clusters = IncrementalDbscan::seed(pts.clone(), params).clusters();
-        let eps2 = params.eps * params.eps;
-        for c in &clusters {
-            let has_core = c.members.iter().any(|&m| {
-                pts.iter()
-                    .filter(|q| q.distance_sq(&pts[m as usize]) <= eps2)
-                    .count()
-                    >= params.min_pts
-            });
-            require!(has_core, "cluster {:?} has no core point", c.members);
-        }
+        clusters_have_a_core_point_on(&pts, params)?;
     }
 
-    /// Labels partition the points: member lists are disjoint,
-    /// cover exactly the clustered points, and ids are dense.
     fn partition_invariants((pts, params) in arb_case()) {
-        let state = IncrementalDbscan::seed(pts.clone(), params);
-        let (labels, clusters) = (state.labels(), state.clusters());
-        let mut seen = vec![false; pts.len()];
-        for (cid, c) in clusters.iter().enumerate() {
-            require_eq!(c.id as usize, cid);
-            for &m in &c.members {
-                require!(!seen[m as usize], "point in two clusters");
-                seen[m as usize] = true;
-                require_eq!(labels[m as usize], Label::Cluster(c.id));
-            }
-        }
-        for (i, s) in seen.iter().enumerate() {
-            if !s {
-                require_eq!(labels[i], Label::Noise);
-            }
-        }
+        partition_invariants_on(&pts, params)?;
     }
 
-    /// Cluster geometry: centroid and all members inside the bbox.
     fn summaries_are_tight((pts, params) in arb_bounded_case()) {
-        let clusters = IncrementalDbscan::seed(pts.clone(), params).clusters();
-        for c in &clusters {
-            require!(c.bbox.contains_within(&c.centroid, 1e-9));
-            for &m in &c.members {
-                require!(c.bbox.contains(&pts[m as usize]));
-            }
-        }
+        summaries_are_tight_on(&pts, params)?;
     }
 
-    /// Noise points really are sparse: a noise point has fewer than
-    /// MinPts neighbours (it can never be a core point).
     fn noise_is_never_core((pts, params) in arb_case()) {
-        let labels = IncrementalDbscan::seed(pts.clone(), params).labels();
-        let eps2 = params.eps * params.eps;
-        for (i, l) in labels.iter().enumerate() {
-            if *l == Label::Noise {
-                let n = pts.iter().filter(|q| q.distance_sq(&pts[i]) <= eps2).count();
-                require!(n < params.min_pts);
-            }
-        }
+        noise_is_never_core_on(&pts, params)?;
     }
 
-    // Incremental insertion with reseed-on-drift is *exactly* the
-    // batch algorithm at every prefix: after each insert (or fallback
-    // reseed) `validate` re-derives every `|N_Eps|` count, assignment
-    // and cluster fold by a brute-force sweep over the same point
-    // sequence, and checks the grid's filing. This simultaneously
-    // checks that the safe path changes nothing it should not, and
-    // that every structure-changing insertion is caught as drift.
     #[cases(96)]
     fn incremental_equals_batch_at_every_prefix(
         (pts, params) in arb_case(),
         split in float(0.0..1.0),
     ) {
-        let cut = (pts.len() as f64 * split) as usize;
-        let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params);
-        valid(&state)?;
-        for (extra, &p) in pts[cut..].iter().enumerate() {
-            let n = cut + extra + 1;
-            if let InsertOutcome::Drift(_) = state.insert(p) {
-                require!(state.is_poisoned());
-                state = IncrementalDbscan::seed(pts[..n].to_vec(), params);
-            }
-            valid(&state)?;
-        }
+        incremental_equals_batch_on(&pts, params, (pts.len() as f64 * split) as usize)?;
+    }
+}
+
+/// The one failure the `proptest` suite this file replaced recorded
+/// (as a shrunk input in a regression-seed file): nine points in a
+/// 13 × 20 patch with eps ≈ 6.8 and MinPts 5. It runs through every
+/// property above, the incremental one at every split.
+#[test]
+fn recorded_proptest_failure() {
+    let pts = [
+        (-19.92055850610582, 28.804711307678772),
+        (-23.24099432354212, 14.422211691999443),
+        (-21.585849166020886, 19.110416227986708),
+        (-29.100363318253876, 15.582893594645222),
+        (-22.049117712145513, 25.350963246763932),
+        (-26.692122883433544, 30.24504568147459),
+        (-16.726042955770165, 22.781490577275832),
+        (-21.32428657705831, 12.254945756330242),
+        (-18.079898446719437, 10.15649790453443),
+    ]
+    .map(|(x, y)| Point::new(x, y));
+    let params = DbscanParams::new(6.8162515272535025, 5);
+    for property in [
+        grid_equals_naive_on,
+        clusters_have_a_core_point_on,
+        partition_invariants_on,
+        summaries_are_tight_on,
+        noise_is_never_core_on,
+    ] {
+        property(&pts, params).unwrap();
+    }
+    for cut in 0..=pts.len() {
+        incremental_equals_batch_on(&pts, params, cut).unwrap();
     }
 }

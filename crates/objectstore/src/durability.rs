@@ -197,27 +197,15 @@ pub(crate) fn list_dir(dir: &Path) -> io::Result<DirListing> {
 /// `keep_from`. Best-effort: a file that refuses to die only wastes
 /// disk and is retried at the next snapshot.
 pub(crate) fn gc_below(dir: &Path, keep_from: u64) {
-    let Ok(entries) = fs::read_dir(dir) else {
+    let Ok(listing) = list_dir(dir) else {
         return;
     };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let epoch = name
-            .strip_prefix("wal-")
-            .and_then(|r| r.strip_suffix(".log"))
-            .and_then(|r| r.split_once('-'))
-            .and_then(|(e, _)| e.parse::<u64>().ok())
-            .or_else(|| {
-                name.strip_prefix("snap-")
-                    .and_then(|r| r.strip_suffix(".snap"))
-                    .and_then(|e| e.parse::<u64>().ok())
-            });
-        if let Some(epoch) = epoch {
-            if epoch < keep_from {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
+    let wals = listing.wal_segments.into_iter();
+    for (epoch, shard) in wals.filter(|&(epoch, _)| epoch < keep_from) {
+        let _ = fs::remove_file(wal_path(dir, epoch, shard));
+    }
+    for epoch in listing.snap_epochs.into_iter().filter(|&e| e < keep_from) {
+        let _ = fs::remove_file(snap_path(dir, epoch));
     }
 }
 

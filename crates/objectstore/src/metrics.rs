@@ -107,7 +107,7 @@ hpm_obs::catalog! {
     /// flush; lags `objectstore.objects` by the dirty set).
     gauge INDEX_SIZE = "objectstore.index.entries";
 
-    /// Queue depth observed by pool workers at each job pop — deep means
+    /// Jobs still unclaimed at each pool worker's job claim — deep means
     /// batches arrive faster than workers drain them, shallow means the
     /// pool is wider than the work.
     histogram[Count] POOL_QUEUE_DEPTH = "objectstore.pool.queue_depth";

@@ -1,21 +1,20 @@
 //! A std-only worker pool for the store's batch APIs: scoped threads
-//! draining a shared injector queue.
+//! claiming job indices from one shared cursor.
 //!
 //! No registry crates are on the offline dependency list (no `rayon`,
 //! no `crossbeam`), so this is the minimal deterministic-output
 //! substitute: a batch call enumerates its jobs, the pool spawns up to
-//! `threads` scoped workers, and each worker pops job indices from one
-//! mutex-guarded queue until it is dry. Results are returned **in job
+//! `threads` scoped workers, and each worker claims the next job index
+//! from one atomic cursor until every index is taken. Results are returned **in job
 //! order** regardless of which worker ran which job, so callers get
 //! input-order output for free and parallel runs are bit-identical to
 //! sequential ones for pure jobs.
 //!
 //! Sizing: [`WorkerPool::sized`]`(0)` is
 //! `std::thread::available_parallelism`. A pool of one thread runs
-//! jobs inline on the caller — no spawn, no queue, no locking.
+//! jobs inline on the caller — no spawn, no cursor.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fixed-width worker pool. Cheap to construct (threads are spawned
 /// per [`run`](WorkerPool::run) call, scoped to it, and joined before
@@ -65,16 +64,29 @@ impl WorkerPool {
         if workers <= 1 {
             return (0..jobs).map(job).collect();
         }
-        let injector = Injector::new(jobs);
+        // Each claim records the jobs still unclaimed into the
+        // `objectstore.pool.queue_depth` histogram, so an operator can
+        // see whether batches arrive queue-bound (deep) or worker-bound
+        // (shallow). Relaxed is enough: the cursor publishes no data,
+        // results come back through `join`.
+        let cursor = AtomicUsize::new(0);
+        let claim = || {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            (i < jobs).then(|| {
+                let unclaimed = (jobs - 1 - i) as u64;
+                hpm_obs::histogram!(crate::metrics::POOL_QUEUE_DEPTH).record(unclaimed);
+                i
+            })
+        };
         let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let injector = &injector;
+                    let claim = &claim;
                     let job = &job;
                     s.spawn(move || {
                         let mut local: Vec<(usize, T)> = Vec::new();
-                        while let Some(i) = injector.pop() {
+                        while let Some(i) = claim() {
                             local.push((i, job(i)));
                         }
                         local
@@ -98,31 +110,6 @@ impl Default for WorkerPool {
     /// The auto-sized pool (available parallelism).
     fn default() -> Self {
         WorkerPool::sized(0)
-    }
-}
-
-/// The shared job queue: workers pop indices until it runs dry. Each
-/// pop records the remaining depth into the
-/// `objectstore.pool.queue_depth` histogram, so an operator can see
-/// whether batches arrive queue-bound (deep) or worker-bound (shallow).
-struct Injector {
-    queue: Mutex<VecDeque<usize>>,
-}
-
-impl Injector {
-    fn new(jobs: usize) -> Self {
-        Injector {
-            queue: Mutex::new((0..jobs).collect()),
-        }
-    }
-
-    fn pop(&self) -> Option<usize> {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        let item = q.pop_front();
-        if item.is_some() {
-            hpm_obs::histogram!(crate::metrics::POOL_QUEUE_DEPTH).record(q.len() as u64);
-        }
-        item
     }
 }
 

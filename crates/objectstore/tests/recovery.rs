@@ -15,6 +15,8 @@ use hpm_objectstore::{
 };
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::wal::{scan_wal, WalRecord};
+use hpm_store::wire::{fnv1a, put_varint};
+use hpm_store::{DecodeError, HistorySnapshot, ObjectSnapshot};
 use hpm_trajectory::Timestamp;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -611,6 +613,44 @@ fn corrupt_snapshot_refuses_to_open() {
     match MovingObjectStore::open(config(1), durable(&dir, 1)) {
         Err(RecoverError::CorruptSnapshot(_)) => {}
         Err(e) => panic!("expected CorruptSnapshot, got {e:?}"),
+        Ok(_) => panic!("expected CorruptSnapshot, store opened anyway"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A well-sealed snapshot whose nested model is 22 well-sealed bytes
+/// claiming 50,000,000 regions: the model decoder bounds the count by
+/// the bytes behind it, so the open refuses with `CorruptSnapshot`
+/// instead of sizing a region table by the claim.
+#[test]
+fn a_nested_model_claiming_more_regions_than_its_bytes_refuses_to_open() {
+    let _shared = obs_shared();
+    let dir = tmp_dir("count");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut model = hpm_store::format::MAGIC.to_vec();
+    for v in [1, 1, 50_000_000] {
+        put_varint(&mut model, v);
+    }
+    model.extend_from_slice(&fnv1a(&model).to_le_bytes());
+    assert_eq!(model.len(), 22);
+    let object = ObjectSnapshot {
+        id: 1,
+        start: 0,
+        history: HistorySnapshot {
+            chunks: Vec::new(),
+            tail: vec![Point::new(0.0, 0.0); PERIOD as usize],
+        },
+        trained_subs: 1,
+        model: Some(model),
+    };
+    let snap = hpm_store::encode_snapshot(&[object]);
+    std::fs::write(dir.join("snap-0.snap"), snap).unwrap();
+    match MovingObjectStore::open(config(1), durable(&dir, 1)) {
+        Err(RecoverError::CorruptSnapshot(DecodeError::CountOutOfRange {
+            got: 50_000_000,
+            limit: 0,
+        })) => {}
+        Err(e) => panic!("expected CorruptSnapshot(CountOutOfRange), got {e:?}"),
         Ok(_) => panic!("expected CorruptSnapshot, store opened anyway"),
     }
     std::fs::remove_dir_all(&dir).unwrap();

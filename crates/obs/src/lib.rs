@@ -1,7 +1,7 @@
-//! Observability for the serving path (extension beyond the paper): a
-//! thread-local span stack with monotonic timing, atomic
-//! counters/gauges, and fixed-bucket latency/value histograms behind a
-//! near-zero-cost disabled path.
+//! Observability for the serving path (extension beyond the paper):
+//! spans timed on the monotonic clock, atomic counters/gauges, and
+//! fixed-bucket latency/value histograms behind a near-zero-cost
+//! disabled path.
 //!
 //! The paper motivates its index with per-stage cost breakdowns
 //! (Fig. 10's query response time, Fig. 11b's nodes-visited search
@@ -12,8 +12,8 @@
 //!
 //! Instrumentation is **off by default** and globally switched by one
 //! atomic flag: while disabled, a counter update is a single relaxed
-//! load and branch, and a span neither reads the clock nor touches
-//! thread-local state. Call [`enable`] (the CLI's `--metrics` flags
+//! load and branch, and a span neither reads the clock nor creates a
+//! guard. Call [`enable`] (the CLI's `--metrics` flags
 //! and `HPM_OBS=1` in the bench harness do) and the same call sites
 //! start recording.
 //!
@@ -45,7 +45,7 @@ mod span;
 
 pub use metrics::{registry, Counter, Gauge, Histogram, Kind, MetricDef, Registry, Unit, BUCKETS};
 pub use snapshot::{snapshot, HistogramSnapshot, MetricsSnapshot};
-pub use span::{capture, SpanGuard, SpanNode};
+pub use span::SpanGuard;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -120,8 +120,7 @@ macro_rules! histogram {
 
 /// Opens a timed span over the rest of the enclosing block: binds a
 /// guard whose drop records the elapsed nanoseconds into the span's
-/// latency histogram (unit [`Unit::Nanos`]) and, when a [`capture`] is
-/// active on this thread, adds a node to the captured span tree.
+/// latency histogram (unit [`Unit::Nanos`]) as one sample.
 ///
 /// Disabled mode neither reads the clock nor creates a guard.
 #[macro_export]
@@ -130,10 +129,9 @@ macro_rules! span {
         static SLOT: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
         if $crate::enabled() {
-            Some($crate::SpanGuard::enter(
-                $name,
-                *SLOT.get_or_init(|| $crate::registry().histogram($name, $crate::Unit::Nanos)),
-            ))
+            Some($crate::SpanGuard::enter(*SLOT.get_or_init(|| {
+                $crate::registry().histogram($name, $crate::Unit::Nanos)
+            })))
         } else {
             None
         }
@@ -237,10 +235,9 @@ mod tests {
     fn disabled_span_is_noop() {
         let _guard = test_support::serial();
         disable();
-        let (_, roots) = capture(|| {
-            let _s = span!("obs.test.disabled_span");
-        });
-        assert!(roots.is_empty());
+        let span = span!("obs.test.disabled_span");
+        assert!(span.is_none());
+        assert!(snapshot().histogram("obs.test.disabled_span").is_none());
     }
 
     #[test]

@@ -1,120 +1,29 @@
-//! Thread-local timed spans.
+//! Timed spans.
 //!
 //! A span is opened by the [`crate::span!`] macro and closed by its
 //! guard's drop: the elapsed monotonic time lands in the span's
-//! latency histogram, and — when a [`capture`] is active on the
-//! thread — a node is added to the captured span tree. Spans nest
-//! lexically (the guard lives to the end of its block), so the capture
-//! reconstructs the call structure without any global ordering.
+//! latency histogram as one sample. That sample is all a span leaves
+//! behind, so a test or an operator counts spans by histogram deltas.
 
 use crate::metrics::Histogram;
-use std::cell::RefCell;
 use std::time::Instant;
-
-/// One node of a captured span tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
-    /// The span's name (`crate.module.op`).
-    pub name: &'static str,
-    /// Wall time between the span's open and close, monotonic clock.
-    pub duration_ns: u64,
-    /// Spans opened (and closed) while this one was open, in
-    /// completion order.
-    pub children: Vec<SpanNode>,
-}
-
-impl SpanNode {
-    /// Total spans in this subtree, the node itself included — the
-    /// "span budget" a hot-path operation spends.
-    pub fn span_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SpanNode::span_count)
-            .sum::<usize>()
-    }
-
-    /// Depth-first search for a descendant (or self) by name.
-    pub fn find(&self, name: &str) -> Option<&SpanNode> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-}
-
-/// Open frames of the active capture; `stack[0]` accumulates finished
-/// top-level spans, `stack[i > 0]` the finished children of the i-th
-/// currently-open span.
-struct CaptureState {
-    stack: Vec<Vec<SpanNode>>,
-}
-
-thread_local! {
-    static CAPTURE: RefCell<Option<CaptureState>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` while collecting this thread's span tree; returns `f`'s
-/// result and the top-level spans closed during the call.
-///
-/// Spans are only emitted while instrumentation is [`crate::enabled`],
-/// so a disabled-mode capture returns an empty tree. A nested capture
-/// on the same thread observes nothing (the outer one keeps
-/// collecting); spans still open when `f` returns are not reported.
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanNode>) {
-    let installed = CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(CaptureState {
-            stack: vec![Vec::new()],
-        });
-        true
-    });
-    let result = f();
-    if !installed {
-        return (result, Vec::new());
-    }
-    let roots = CAPTURE.with(|c| match c.borrow_mut().take() {
-        Some(mut state) => std::mem::take(&mut state.stack[0]),
-        None => Vec::new(),
-    });
-    (result, roots)
-}
 
 /// RAII guard of one open span; created by [`crate::span!`] only while
 /// instrumentation is enabled.
 #[derive(Debug)]
 pub struct SpanGuard {
-    name: &'static str,
     hist: &'static Histogram,
     start: Instant,
-    /// Whether a capture frame was pushed at entry (and must be popped
-    /// at drop).
-    framed: bool,
 }
 
 impl SpanGuard {
     /// Opens the span. Callers go through [`crate::span!`], which
     /// resolves the latency histogram once per call site and skips
     /// this entirely in disabled mode.
-    pub fn enter(name: &'static str, hist: &'static Histogram) -> Self {
-        let framed = CAPTURE.with(|c| {
-            let mut slot = c.borrow_mut();
-            match slot.as_mut() {
-                Some(state) => {
-                    state.stack.push(Vec::new());
-                    true
-                }
-                None => false,
-            }
-        });
+    pub fn enter(hist: &'static Histogram) -> Self {
         SpanGuard {
-            name,
             hist,
             start: Instant::now(),
-            framed,
         }
     }
 }
@@ -125,58 +34,12 @@ impl Drop for SpanGuard {
         // The enabled check happened at entry; record unconditionally
         // so a span straddling a disable() still closes its histogram.
         self.hist.record_always(duration_ns);
-        if self.framed {
-            CAPTURE.with(|c| {
-                let mut slot = c.borrow_mut();
-                // The capture may have ended while this span was open;
-                // its frame died with the capture state then.
-                if let Some(state) = slot.as_mut() {
-                    if state.stack.len() > 1 {
-                        let children = state.stack.pop().expect("non-empty stack");
-                        let parent = state.stack.last_mut().expect("root frame");
-                        parent.push(SpanNode {
-                            name: self.name,
-                            duration_ns,
-                            children,
-                        });
-                    }
-                }
-            });
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::test_support;
-
-    #[test]
-    fn capture_reconstructs_nesting() {
-        let _guard = test_support::serial();
-        crate::enable();
-        let (value, roots) = capture(|| {
-            let _outer = crate::span!("obs.test.outer");
-            {
-                let _inner = crate::span!("obs.test.inner");
-            }
-            {
-                let _inner = crate::span!("obs.test.inner2");
-            }
-            42
-        });
-        crate::disable();
-        assert_eq!(value, 42);
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name, "obs.test.outer");
-        let children: Vec<&str> = roots[0].children.iter().map(|c| c.name).collect();
-        assert_eq!(children, ["obs.test.inner", "obs.test.inner2"]);
-        assert_eq!(roots[0].span_count(), 3);
-        assert!(roots[0].find("obs.test.inner2").is_some());
-        assert!(roots[0].find("missing").is_none());
-        // Durations are monotone: the parent covers its children.
-        assert!(roots[0].duration_ns >= roots[0].children[0].duration_ns);
-    }
 
     #[test]
     fn spans_feed_latency_histograms() {
@@ -192,32 +55,17 @@ mod tests {
     }
 
     #[test]
-    fn nested_capture_yields_nothing_and_outer_keeps_collecting() {
+    fn nested_and_sibling_spans_each_record_one_sample() {
         let _guard = test_support::serial();
         crate::enable();
-        let (_, outer) = capture(|| {
-            let (_, inner) = capture(|| {
-                let _s = crate::span!("obs.test.nested");
-            });
-            assert!(inner.is_empty());
-        });
+        {
+            let _outer = crate::span!("obs.test.outer");
+            let _a = crate::span!("obs.test.inner");
+            let _b = crate::span!("obs.test.inner");
+        }
         crate::disable();
-        assert_eq!(outer.len(), 1);
-        assert_eq!(outer[0].name, "obs.test.nested");
-    }
-
-    #[test]
-    fn sibling_spans_in_one_block_both_record() {
-        let _guard = test_support::serial();
-        crate::enable();
-        let (_, roots) = capture(|| {
-            let _a = crate::span!("obs.test.sib_a");
-            let _b = crate::span!("obs.test.sib_b");
-        });
-        crate::disable();
-        // _b drops first (reverse declaration order) inside _a's frame.
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name, "obs.test.sib_a");
-        assert_eq!(roots[0].children[0].name, "obs.test.sib_b");
+        let count = |name| crate::snapshot().histogram(name).map_or(0, |h| h.count);
+        assert_eq!((count("obs.test.outer"), count("obs.test.inner")), (1, 2));
+        crate::reset();
     }
 }

@@ -29,12 +29,16 @@
 //! Decoding is total: any byte sequence yields either a value or a
 //! typed [`ProtoError`], never a panic, and length prefixes are
 //! sanity-checked before any allocation (a hostile 4 GiB length
-//! prefix is rejected while 4 bytes have been read).
+//! prefix is rejected while 4 bytes have been read; a count inside a
+//! payload is bounded by the bytes behind it, `wire::get_seq`).
 
 use hpm_core::{Prediction, PredictionSource, RankedAnswer, Uncertainty};
 use hpm_geo::{BoundingBox, Point};
 use hpm_objectstore::{IngestError, ObjectId, ObjectStats, QueryError};
-use hpm_store::wire::{fnv1a, get_count, get_f64, get_varint, put_f64, put_varint};
+use hpm_store::wire::{
+    fnv1a, get_bbox, get_f64, get_len, get_point, get_seq, get_u8, get_varint, put_bbox, put_f64,
+    put_point, put_varint,
+};
 use hpm_store::DecodeError;
 use hpm_trajectory::Timestamp;
 use std::fmt;
@@ -354,74 +358,19 @@ pub fn write_frame(w: &mut impl Write, staging: &mut Vec<u8>, payload: &[u8]) ->
 
 // ------------------------------------------------------------- primitives
 
-fn put_point(out: &mut Vec<u8>, p: &Point) {
-    put_f64(out, p.x);
-    put_f64(out, p.y);
-}
-
-fn get_point(buf: &mut &[u8]) -> Result<Point, DecodeError> {
-    Ok(Point::new(get_f64(buf)?, get_f64(buf)?))
-}
-
-fn put_region(out: &mut Vec<u8>, r: &BoundingBox) {
-    put_point(out, &r.min);
-    put_point(out, &r.max);
-}
-
-fn get_region(buf: &mut &[u8]) -> Result<BoundingBox, DecodeError> {
-    Ok(BoundingBox {
-        min: get_point(buf)?,
-        max: get_point(buf)?,
-    })
-}
-
 fn put_string(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    // The limit handed to `get_count` is measured before the varint is
-    // consumed, so an announced length equal to the pre-varint
-    // remainder still passes it while exceeding what is actually left.
-    let len = get_count(buf, buf.len())?;
-    if len > buf.len() {
-        return Err(DecodeError::Truncated);
-    }
+    let len = get_len(buf, 1)?;
     let (head, rest) = buf.split_at(len);
     let s = std::str::from_utf8(head)
         .map_err(|_| DecodeError::Invalid("string is not UTF-8".into()))?
         .to_string();
     *buf = rest;
     Ok(s)
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
-    let (&first, rest) = buf.split_first().ok_or(DecodeError::Truncated)?;
-    *buf = rest;
-    Ok(first)
-}
-
-/// A count whose elements take at least `min_bytes` each cannot exceed
-/// the remaining input divided by that floor — the sanity bound every
-/// batched field is decoded under.
-fn get_len(buf: &mut &[u8], min_bytes: usize) -> Result<usize, DecodeError> {
-    get_count(buf, buf.len() / min_bytes.max(1))
-}
-
-/// A counted sequence: the count is bounded by [`get_len`] before the
-/// vector is allocated, then `item` decodes each element in order.
-fn get_seq<T>(
-    buf: &mut &[u8],
-    min_bytes: usize,
-    mut item: impl FnMut(&mut &[u8]) -> Result<T, DecodeError>,
-) -> Result<Vec<T>, DecodeError> {
-    let n = get_len(buf, min_bytes)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(item(buf)?);
-    }
-    Ok(items)
 }
 
 // The stable wire numbering of `std::io::ErrorKind` values a
@@ -569,7 +518,7 @@ fn put_prediction(out: &mut Vec<u8>, p: &Prediction) {
         put_f64(out, a.score);
         // 0 = no supporting pattern, else index + 1.
         put_varint(out, a.pattern.map_or(0, |i| u64::from(i) + 1));
-        put_region(out, &a.uncertainty.region);
+        put_bbox(out, &a.uncertainty.region);
         put_f64(out, a.uncertainty.mass);
     }
 }
@@ -596,7 +545,7 @@ fn get_prediction(buf: &mut &[u8]) -> Result<Prediction, DecodeError> {
                 Some(i as u32)
             }
         };
-        let region = get_region(buf)?;
+        let region = get_bbox(buf)?;
         let mass = get_f64(buf)?;
         Ok(RankedAnswer {
             location,
@@ -710,7 +659,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         }
         RequestBody::PredictRange { region, query_time } => {
             out.push(REQ_PREDICT_RANGE);
-            put_region(out, region);
+            put_bbox(out, region);
             put_varint(out, *query_time);
         }
         RequestBody::PredictNearest {
@@ -729,7 +678,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             tau,
         } => {
             out.push(REQ_PREDICT_WITHIN);
-            put_region(out, region);
+            put_bbox(out, region);
             put_varint(out, *query_time);
             put_f64(out, *tau);
         }
@@ -780,7 +729,7 @@ pub fn decode_request(mut payload: &[u8]) -> Result<Request, ProtoError> {
             Ok((ObjectId(get_varint(buf)?), get_varint(buf)?))
         })?),
         REQ_PREDICT_RANGE => RequestBody::PredictRange {
-            region: get_region(buf)?,
+            region: get_bbox(buf)?,
             query_time: get_varint(buf)?,
         },
         REQ_PREDICT_NEAREST => RequestBody::PredictNearest {
@@ -789,7 +738,7 @@ pub fn decode_request(mut payload: &[u8]) -> Result<Request, ProtoError> {
             k: get_varint(buf)?,
         },
         REQ_PREDICT_WITHIN => RequestBody::PredictWithin {
-            region: get_region(buf)?,
+            region: get_bbox(buf)?,
             query_time: get_varint(buf)?,
             tau: get_f64(buf)?,
         },
@@ -1172,8 +1121,8 @@ mod tests {
         );
         // Every truncation must decode to a typed error. The
         // one-byte-short cut is the regression case: the announced
-        // string length then equals the pre-varint remainder, which
-        // passes the count limit but overruns the post-varint slice.
+        // string length then equals the pre-varint remainder, one more
+        // than the bytes left after the varint.
         every_cut(&out, |cut, prefix| {
             assert!(
                 decode_response(prefix).is_err(),

@@ -14,7 +14,8 @@ pub enum DecodeError {
     /// The file names a format version this library does not read
     /// (older versions are refused, never misread).
     UnsupportedVersion(u32),
-    /// A length prefix exceeded its sanity limit (likely corruption).
+    /// A count exceeded what the bytes behind it can hold, or a frame
+    /// length its cap (corruption, or a writer that lies).
     CountOutOfRange {
         /// The decoded count.
         got: u64,

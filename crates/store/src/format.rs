@@ -34,15 +34,7 @@ pub const VERSION: u32 = 1;
 
 /// Sanity limit on the period: the decoded region table allocates one
 /// slot per time offset, so the bound is checked before anything is
-/// sized by it. A week of one-second samples (604,800) fits.
+/// sized by it. A week of one-second samples (604,800) fits. (The
+/// counts need no cap: each is bounded by the bytes behind it — see
+/// [`crate::wire::get_len`].)
 pub const MAX_PERIOD: u32 = 1 << 20;
-
-/// Sanity limit on region counts (a discovery run over a single
-/// object's history stays far below this).
-pub const MAX_REGIONS: usize = 50_000_000;
-
-/// Sanity limit on pattern counts.
-pub const MAX_PATTERNS: usize = 500_000_000;
-
-/// Sanity limit on premise length.
-pub const MAX_PREMISE: usize = 10_000;

@@ -4,12 +4,12 @@
 //! [`crate::write_atomic`], so a failed `save_model` over an existing
 //! model leaves the old one intact.
 
-use crate::format::{MAGIC, MAX_PATTERNS, MAX_PERIOD, MAX_PREMISE, MAX_REGIONS, VERSION};
+use crate::format::{MAGIC, MAX_PERIOD, VERSION};
 use crate::wire::{
-    begin_sealed, get_count, get_f64, get_varint, open_sealed, put_f64, put_varint, seal,
+    begin_sealed, get_bbox, get_f64, get_point, get_seq, get_varint, open_sealed, put_bbox,
+    put_f64, put_point, put_varint, seal,
 };
 use crate::DecodeError;
-use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, TrajectoryPattern};
 use hpm_trajectory::TimeOffset;
 use std::path::Path;
@@ -39,12 +39,8 @@ pub fn encode_model(regions: &RegionSet, patterns: &PatternTable) -> Vec<u8> {
         put_varint(&mut buf, u64::from(r.offset));
         put_varint(&mut buf, u64::from(r.local_index));
         put_varint(&mut buf, u64::from(r.support));
-        put_f64(&mut buf, r.centroid.x);
-        put_f64(&mut buf, r.centroid.y);
-        put_f64(&mut buf, r.bbox.min.x);
-        put_f64(&mut buf, r.bbox.min.y);
-        put_f64(&mut buf, r.bbox.max.x);
-        put_f64(&mut buf, r.bbox.max.y);
+        put_point(&mut buf, &r.centroid);
+        put_bbox(&mut buf, &r.bbox);
     }
 
     put_varint(&mut buf, patterns.len() as u64);
@@ -94,39 +90,40 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
         .ok()
         .filter(|period| (1..=MAX_PERIOD).contains(period))
         .ok_or_else(|| DecodeError::Invalid(format!("period must be in 1..={MAX_PERIOD}")))?;
-    let region_count = get_count(&mut buf, MAX_REGIONS)?;
-    let mut regions = Vec::with_capacity(region_count);
-    for id in 0..region_count {
-        let offset = get_varint(&mut buf)? as TimeOffset;
-        let local_index = get_varint(&mut buf)? as u32;
-        let support = get_varint(&mut buf)? as u32;
-        let centroid = Point::new(get_f64(&mut buf)?, get_f64(&mut buf)?);
-        let min = Point::new(get_f64(&mut buf)?, get_f64(&mut buf)?);
-        let max = Point::new(get_f64(&mut buf)?, get_f64(&mut buf)?);
+    // A region is at least 51 bytes: three one-byte varints, six f64.
+    let mut next_id = 0u32;
+    let regions = get_seq(&mut buf, 51, |buf| {
+        let id = next_id;
+        next_id += 1;
+        let offset = get_varint(buf)? as TimeOffset;
+        let local_index = get_varint(buf)? as u32;
+        let support = get_varint(buf)? as u32;
+        let centroid = get_point(buf)?;
+        let bbox = get_bbox(buf)?;
         if offset >= period {
             return Err(DecodeError::Invalid(format!(
                 "region {id}: offset {offset} >= period {period}"
             )));
         }
-        if !(centroid.is_finite() && min.is_finite() && max.is_finite()) {
+        if !(centroid.is_finite() && bbox.min.is_finite() && bbox.max.is_finite()) {
             return Err(DecodeError::Invalid(format!(
                 "region {id}: non-finite geometry"
             )));
         }
-        if min.x > max.x || min.y > max.y {
+        if bbox.min.x > bbox.max.x || bbox.min.y > bbox.max.y {
             return Err(DecodeError::Invalid(format!(
                 "region {id}: inverted bounding box"
             )));
         }
-        regions.push(FrequentRegion {
-            id: RegionId(id as u32),
+        Ok(FrequentRegion {
+            id: RegionId(id),
             offset,
             local_index,
             centroid,
-            bbox: BoundingBox { min, max },
+            bbox,
             support,
-        });
-    }
+        })
+    })?;
     // RegionSet::new enforces the id/offset ordering invariants; map
     // its panic into a decode error via a pre-check.
     for w in regions.windows(2) {
@@ -138,31 +135,32 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
     }
     let regions = RegionSet::new(regions, period);
 
-    let pattern_count = get_count(&mut buf, MAX_PATTERNS)?;
-    let mut patterns = Vec::with_capacity(pattern_count.min(1 << 20));
-    for i in 0..pattern_count {
-        let premise_len = get_count(&mut buf, MAX_PREMISE)?;
-        let mut premise = Vec::with_capacity(premise_len);
+    // A valid pattern is at least 12 bytes: the premise length, one
+    // premise id, the consequence, the confidence f64 and the support.
+    let mut next_index = 0usize;
+    let patterns = get_seq(&mut buf, 12, |buf| {
+        let i = next_index;
+        next_index += 1;
+        // A premise id is at least one varint byte.
         let mut prev = 0u64;
-        for j in 0..premise_len {
-            let v = get_varint(&mut buf)?;
-            let id = if j == 0 { v } else { prev + v };
+        let premise = get_seq(buf, 1, |buf| {
+            let id = prev.saturating_add(get_varint(buf)?);
             if id > u64::from(u32::MAX) {
                 return Err(DecodeError::Invalid(format!(
                     "pattern {i}: premise id overflows u32"
                 )));
             }
-            premise.push(RegionId(id as u32));
             prev = id;
-        }
-        let consequence = get_varint(&mut buf)?;
+            Ok(RegionId(id as u32))
+        })?;
+        let consequence = get_varint(buf)?;
         if consequence > u64::from(u32::MAX) {
             return Err(DecodeError::Invalid(format!(
                 "pattern {i}: consequence id overflows u32"
             )));
         }
-        let confidence = get_f64(&mut buf)?;
-        let support = get_varint(&mut buf)? as u32;
+        let confidence = get_f64(buf)?;
+        let support = get_varint(buf)? as u32;
         let pattern = TrajectoryPattern {
             premise,
             consequence: RegionId(consequence as u32),
@@ -172,8 +170,8 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
         pattern
             .validate(&regions)
             .map_err(|e| DecodeError::Invalid(format!("pattern {i}: {e}")))?;
-        patterns.push(pattern);
-    }
+        Ok(pattern)
+    })?;
 
     if !buf.is_empty() {
         return Err(DecodeError::TrailingBytes(buf.len()));
@@ -203,7 +201,7 @@ pub fn load_model(path: impl AsRef<Path>) -> std::io::Result<Result<StoredModel,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_geo::Point;
+    use hpm_geo::{BoundingBox, Point};
 
     fn sample() -> (RegionSet, PatternTable) {
         let mk = |id: u32, offset: TimeOffset, j: u32, cx: f64| {

@@ -62,8 +62,8 @@
 //! never renamed), never a mid-write state.
 
 use crate::wire::{
-    begin_sealed, get_count, get_f64, get_u64, get_u8, get_varint, open_sealed, put_f64, put_u64,
-    put_varint, seal, take,
+    begin_sealed, get_len, get_point, get_seq, get_u64, get_u8, get_varint, open_sealed, put_point,
+    put_u64, put_varint, seal, take,
 };
 use crate::DecodeError;
 use hpm_geo::Point;
@@ -77,21 +77,6 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The history kind byte: sealed chunks plus a raw tail.
 const HISTORY_CHUNKED: u8 = 1;
-
-/// Sanity limit on objects per snapshot.
-pub const MAX_SNAPSHOT_OBJECTS: usize = 100_000_000;
-
-/// Sanity limit on samples per object.
-pub const MAX_SNAPSHOT_SAMPLES: usize = 1_000_000_000;
-
-/// Sanity limit on a nested model blob's length.
-pub const MAX_SNAPSHOT_MODEL_BYTES: usize = 1 << 32;
-
-/// Worst-case packed words per sample, rounded up (a delta is at most
-/// 2 × 77 bits ≈ 2.5 words; the raw first sample is 2 words). Bounds
-/// each chunk's `word_count` against its declared `samples` before
-/// allocating.
-const MAX_WORDS_PER_SAMPLE: usize = 3;
 
 /// An object's serialized position history, as a live store holds it:
 /// sealed compressed chunks (oldest first) followed by the raw hot
@@ -121,26 +106,6 @@ pub struct ObjectSnapshot {
     pub model: Option<Vec<u8>>,
 }
 
-fn put_points(buf: &mut Vec<u8>, points: &[Point]) {
-    put_varint(buf, points.len() as u64);
-    for p in points {
-        put_f64(buf, p.x);
-        put_f64(buf, p.y);
-    }
-}
-
-fn get_points(buf: &mut &[u8]) -> Result<Vec<Point>, DecodeError> {
-    let samples = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
-    if buf.len() < samples * 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut points = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        points.push(Point::new(get_f64(buf)?, get_f64(buf)?));
-    }
-    Ok(points)
-}
-
 /// Encodes a snapshot of every given object, which the caller lists in
 /// ascending id order (the decoder refuses any other). Chunks are
 /// written verbatim — no recompression.
@@ -160,7 +125,10 @@ pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
                 put_u64(&mut buf, w);
             }
         }
-        put_points(&mut buf, &o.history.tail);
+        put_varint(&mut buf, o.history.tail.len() as u64);
+        for p in &o.history.tail {
+            put_point(&mut buf, p);
+        }
         put_varint(&mut buf, o.trained_subs);
         put_varint(&mut buf, 0); // reserved (see the layout above)
         match &o.model {
@@ -183,38 +151,20 @@ fn get_history(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeError>
             "object {id}: history kind {kind} is not {HISTORY_CHUNKED}"
         )));
     }
-    // Every chunk holds ≥ 1 sample, so chunk count is bounded by the
-    // per-object sample limit.
-    let chunk_count = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
-    let mut chunks = Vec::with_capacity(chunk_count.min(1024));
-    let mut total: u64 = 0;
-    for _ in 0..chunk_count {
-        let samples = get_count(buf, MAX_SNAPSHOT_SAMPLES)?;
-        total = total.saturating_add(samples as u64);
-        if total > MAX_SNAPSHOT_SAMPLES as u64 {
-            return Err(DecodeError::CountOutOfRange {
-                got: total,
-                limit: MAX_SNAPSHOT_SAMPLES as u64,
-            });
-        }
+    // A chunk is at least 11 bytes: three one-byte varints and the one
+    // packed word a non-empty stream needs; a word is 8, a point 16.
+    let chunks = get_seq(buf, 11, |buf| {
+        let samples = get_varint(buf)?;
         let bits = get_varint(buf)?;
-        let word_count = get_count(buf, samples.saturating_mul(MAX_WORDS_PER_SAMPLE).max(2))?;
-        if buf.len() < word_count * 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut words = Vec::with_capacity(word_count);
-        for _ in 0..word_count {
-            words.push(get_u64(buf)?);
-        }
-        let samples_u32 = u32::try_from(samples).map_err(|_| DecodeError::CountOutOfRange {
-            got: samples as u64,
+        let words = get_seq(buf, 8, get_u64)?;
+        let samples = u32::try_from(samples).map_err(|_| DecodeError::CountOutOfRange {
+            got: samples,
             limit: u64::from(u32::MAX),
         })?;
-        let chunk = SealedChunk::from_raw_parts(samples_u32, bits, words)
-            .map_err(|e| DecodeError::Invalid(format!("object {id}: corrupt chunk: {e}")))?;
-        chunks.push(chunk);
-    }
-    let tail = get_points(buf)?;
+        SealedChunk::from_raw_parts(samples, bits, words)
+            .map_err(|e| DecodeError::Invalid(format!("object {id}: corrupt chunk: {e}")))
+    })?;
+    let tail = get_seq(buf, 16, get_point)?;
     Ok(HistorySnapshot { chunks, tail })
 }
 
@@ -229,18 +179,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
     if version != SNAPSHOT_VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    let count = get_count(buf, MAX_SNAPSHOT_OBJECTS)?;
-    let mut objects: Vec<ObjectSnapshot> = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
+    // An object is at least 8 bytes: six one-byte varints and two u8.
+    let mut prev: Option<u64> = None;
+    let objects = get_seq(buf, 8, |buf| {
         let id = get_varint(buf)?;
         // The writer lists objects in id order; a repeated id would
         // silently replace the object restored before it.
-        if let Some(prev) = objects.last().filter(|prev| prev.id >= id) {
+        if let Some(prev) = prev.filter(|&prev| prev >= id) {
             return Err(DecodeError::Invalid(format!(
-                "object {id} does not ascend past object {}",
-                prev.id
+                "object {id} does not ascend past object {prev}"
             )));
         }
+        prev = Some(id);
         let start = get_varint(buf)?;
         let history = get_history(buf, id)?;
         let trained_subs = get_varint(buf)?;
@@ -248,7 +198,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
         let model = match get_u8(buf)? {
             0 => None,
             1 => {
-                let len = get_count(buf, MAX_SNAPSHOT_MODEL_BYTES)?;
+                let len = get_len(buf, 1)?;
                 Some(take(buf, len)?.to_vec())
             }
             other => {
@@ -257,14 +207,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
                 )))
             }
         };
-        objects.push(ObjectSnapshot {
+        Ok(ObjectSnapshot {
             id,
             start,
             history,
             trained_subs,
             model,
-        });
-    }
+        })
+    })?;
     if !buf.is_empty() {
         return Err(DecodeError::TrailingBytes(buf.len()));
     }
@@ -423,7 +373,8 @@ mod tests {
             put_varint(&mut buf, o.start);
             buf.push(HISTORY_CHUNKED);
             put_varint(&mut buf, 0);
-            put_points(&mut buf, &points);
+            put_varint(&mut buf, points.len() as u64);
+            points.iter().for_each(|p| put_point(&mut buf, p));
             put_varint(&mut buf, o.trained_subs);
             put_varint(&mut buf, slot);
             buf.push(0);

@@ -5,8 +5,16 @@
 //! checksum trailer) model and snapshot files share. Encoders append
 //! to a `Vec<u8>`; decoders consume a shrinking `&[u8]` and turn every
 //! short read into [`DecodeError::Truncated`], never a panic.
+//!
+//! Every count a decoder reads is sized by one rule, [`get_len`]: a
+//! count of items that each encode to at least `k` bytes may not exceed
+//! the bytes left after it divided by `k`. So decoding `n` untrusted
+//! bytes allocates at most `a·n + b`, whatever a well-sealed file or
+//! frame claims; the only caps left ([`crate::format::MAX_PERIOD`] and
+//! the WAL and wire frame caps) bound things that are not sequences.
 
 use crate::DecodeError;
+use hpm_geo::{BoundingBox, Point};
 
 /// Writes an unsigned LEB128 varint.
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -46,7 +54,7 @@ pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeE
 }
 
 /// Reads one byte (a tag or flag).
-pub(crate) fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
     Ok(take(buf, 1)?[0])
 }
 
@@ -73,17 +81,69 @@ pub(crate) fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
     Ok(u64::from_le_bytes(bytes))
 }
 
-/// Reads a `usize`-sized count, guarding against absurd allocations on
-/// corrupt input: the count may not exceed `limit`.
+/// Writes a point as two `f64`s, x then y.
+pub fn put_point(buf: &mut Vec<u8>, p: &Point) {
+    put_f64(buf, p.x);
+    put_f64(buf, p.y);
+}
+
+/// Reads a point [`put_point`] wrote.
+pub fn get_point(buf: &mut &[u8]) -> Result<Point, DecodeError> {
+    Ok(Point::new(get_f64(buf)?, get_f64(buf)?))
+}
+
+/// Writes a bounding box as its min then max corner.
+pub fn put_bbox(buf: &mut Vec<u8>, b: &BoundingBox) {
+    put_point(buf, &b.min);
+    put_point(buf, &b.max);
+}
+
+/// Reads a bounding box [`put_bbox`] wrote (corner order unchecked).
+pub fn get_bbox(buf: &mut &[u8]) -> Result<BoundingBox, DecodeError> {
+    Ok(BoundingBox {
+        min: get_point(buf)?,
+        max: get_point(buf)?,
+    })
+}
+
+/// Reads a count against a fixed cap — for the frame lengths the
+/// writers obey too, not for sequences (those use [`get_len`]).
 pub fn get_count(buf: &mut &[u8], limit: usize) -> Result<usize, DecodeError> {
-    let v = get_varint(buf)?;
-    if v > limit as u64 {
+    bounded(get_varint(buf)?, limit)
+}
+
+/// Reads the count of a sequence whose items each encode to at least
+/// `min_item_bytes` (read off the format grammar): it may not exceed
+/// the bytes left after the count's own varint divided by that floor,
+/// else [`DecodeError::CountOutOfRange`].
+pub fn get_len(buf: &mut &[u8], min_item_bytes: usize) -> Result<usize, DecodeError> {
+    let n = get_varint(buf)?;
+    bounded(n, buf.len() / min_item_bytes.max(1))
+}
+
+/// A counted sequence: the count is bounded by [`get_len`], exactly
+/// that many slots are allocated, then `item` decodes each in order.
+pub fn get_seq<T>(
+    buf: &mut &[u8],
+    min_item_bytes: usize,
+    mut item: impl FnMut(&mut &[u8]) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = get_len(buf, min_item_bytes)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(item(buf)?);
+    }
+    Ok(items)
+}
+
+fn bounded(got: u64, limit: usize) -> Result<usize, DecodeError> {
+    if got > limit as u64 {
         return Err(DecodeError::CountOutOfRange {
-            got: v,
+            got,
             limit: limit as u64,
         });
     }
-    Ok(v as usize)
+    Ok(got as usize)
 }
 
 /// FNV-1a over a byte slice — the workspace checksum.
@@ -208,10 +268,16 @@ mod tests {
         let mut buf = vec![0xAB];
         put_f64(&mut buf, -1.25);
         put_u64(&mut buf, u64::MAX - 1);
+        let bbox = BoundingBox {
+            min: Point::new(-1.0, 2.0),
+            max: Point::new(3.5, 4.0),
+        };
+        put_bbox(&mut buf, &bbox);
         let mut cursor = &buf[..];
         assert_eq!(get_u8(&mut cursor), Ok(0xAB));
         assert_eq!(get_f64(&mut cursor), Ok(-1.25));
         assert_eq!(get_u64(&mut cursor), Ok(u64::MAX - 1));
+        assert_eq!(get_bbox(&mut cursor), Ok(bbox));
         assert!(cursor.is_empty());
         // A short read is a typed error and consumes nothing.
         let mut short = &buf[..5];
@@ -237,6 +303,30 @@ mod tests {
             Err(DecodeError::CountOutOfRange { got: 1000, .. })
         ));
         assert_eq!(get_count(&mut &varint(999)[..], 999).unwrap(), 999);
+    }
+
+    /// A sequence count is bounded by the bytes after its own varint:
+    /// three 8-byte items fit in 24 bytes, a fourth does not, and a
+    /// rejected count allocates nothing.
+    #[test]
+    fn sequence_count_is_bounded_by_the_bytes_behind_it() {
+        let words = |n: u64| {
+            let mut buf = varint(n);
+            (0..3).for_each(|w| put_u64(&mut buf, w));
+            buf
+        };
+        assert_eq!(get_seq(&mut &words(3)[..], 8, get_u64), Ok(vec![0, 1, 2]));
+        assert_eq!(
+            get_seq(&mut &words(4)[..], 8, get_u64),
+            Err(DecodeError::CountOutOfRange { got: 4, limit: 3 })
+        );
+        assert_eq!(
+            get_len(&mut &words(u64::MAX)[..], 8),
+            Err(DecodeError::CountOutOfRange {
+                got: u64::MAX,
+                limit: 3
+            })
+        );
     }
 
     #[test]

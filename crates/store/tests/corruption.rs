@@ -333,6 +333,57 @@ fn absurd_period_nested_in_a_snapshot_is_refused() {
     assert!(matches!(decode_model(nested), Err(DecodeError::Invalid(_))));
 }
 
+/// A well-sealed blob of the format `magic` opens, whose body is the
+/// varints `fields` then `zeros` zero bytes.
+fn counted(magic: &[u8; 8], fields: &[u64], zeros: usize) -> Vec<u8> {
+    let mut payload = magic.to_vec();
+    fields.iter().for_each(|&v| put_varint(&mut payload, v));
+    payload.resize(payload.len() + zeros, 0);
+    resealed(&payload)
+}
+
+/// A valid checksum proves nothing about a count. 22 bytes claiming
+/// 50,000,000 regions are refused before a slot is allocated, and in
+/// both codecs a count one past the bytes behind it (over the fewest
+/// bytes one of its items encodes to) is out of range.
+#[test]
+fn counts_are_bounded_by_the_bytes_behind_them() {
+    use hpm_store::format::{MAGIC, VERSION};
+    let out_of_range = |got, limit| DecodeError::CountOutOfRange { got, limit };
+    let blob = counted(MAGIC, &[VERSION.into(), 1, 50_000_000], 0);
+    assert_eq!(blob.len(), 22);
+    assert_eq!(
+        decode_model(&blob).unwrap_err(),
+        out_of_range(50_000_000, 0)
+    );
+
+    let model = |fields: &[u64], zeros| {
+        let fields = [&[VERSION.into(), 3], fields].concat();
+        decode_model(&counted(MAGIC, &fields, zeros)).unwrap_err()
+    };
+    // Regions: 51 bytes each. Two zeroed ones decode, and then the
+    // pattern count is missing.
+    assert_eq!(model(&[3], 102), out_of_range(3, 2));
+    assert_eq!(model(&[2], 102), DecodeError::Truncated);
+    // Patterns: 12 bytes each. Premise ids: a byte each.
+    assert_eq!(model(&[0, 3], 24), out_of_range(3, 2));
+    assert_eq!(model(&[0, 1, 21], 20), out_of_range(21, 20));
+
+    // One object (id 0, start 0, chunked history) is `[1, 0, 0, 1]`.
+    let snapshot = |fields: &[u64], zeros| {
+        let fields = [&[SNAPSHOT_VERSION.into()], fields].concat();
+        decode_snapshot(&counted(SNAPSHOT_MAGIC, &fields, zeros)).unwrap_err()
+    };
+    // Objects: 8 bytes each.
+    assert_eq!(snapshot(&[3], 16), out_of_range(3, 2));
+    // Chunks: 11 bytes each.
+    assert_eq!(snapshot(&[1, 0, 0, 1, 3], 22), out_of_range(3, 2));
+    // One chunk of one sample in 64 bits, then its words: 8 bytes each.
+    assert_eq!(snapshot(&[1, 0, 0, 1, 1, 1, 64, 3], 16), out_of_range(3, 2));
+    // No chunks, then tail points: 16 bytes each.
+    assert_eq!(snapshot(&[1, 0, 0, 1, 0, 3], 32), out_of_range(3, 2));
+}
+
 /// decode is total on re-sealed tampered v2 payloads: any single-bit
 /// corruption past the checksum errs or decodes — it never panics and
 /// never invents objects.
