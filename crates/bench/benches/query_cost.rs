@@ -3,8 +3,8 @@
 
 use hpm_bench::setup::Experiment;
 use hpm_bench::Bench;
+use hpm_core::eval::rmf_or_last;
 use hpm_datagen::PaperDataset;
-use hpm_motion::{MotionModel, Rmf};
 
 fn main() {
     let mut bench = Bench::from_args();
@@ -19,8 +19,7 @@ fn main() {
         });
         bench.run(&format!("query_cost_bike/rmf/{subs}"), None, || {
             for q in &queries {
-                let m = Rmf::fit(&q.recent, 3).expect("window fits");
-                std::hint::black_box(m.predict(q.prediction_length()));
+                std::hint::black_box(rmf_or_last(&q.as_query(), 3));
             }
         });
     }

@@ -98,8 +98,7 @@ fn measure(history_subs: usize, reps: usize) -> Row {
     // Incremental: seed at H days, then time each steady-state daily
     // pass while the history grows from H to H + reps days (the grown
     // histories are assembled before the clock starts).
-    let mut trainer = TrainerState::new(discovery(), mining());
-    trainer.seed(&warm);
+    let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
     let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), config());
     let grown: Vec<Trajectory> = (history_subs + 1..=history_subs + reps)
         .map(|day| Trajectory::from_points(all[..day * PERIOD as usize].to_vec()))

@@ -9,14 +9,14 @@
 //! prints a TSV table and writes it to `experiments_output/<id>.tsv`
 //! at the workspace root.
 
+use hpm_baselines::{CellGrid, MarkovPredictor, SlottedMarkov};
 use hpm_bench::best_of;
 use hpm_bench::report::{f1, f3, Report};
 use hpm_bench::setup::{paper_discovery, paper_mining, Experiment, ACCURACY_QUERIES, COST_QUERIES};
 use hpm_bench::synth::synthetic_index;
-use hpm_core::eval::{avg_error_hpm, avg_error_rmf, EvalQuery};
+use hpm_core::eval::{mean, point_errors, rmf_or_last, EvalQuery, Record};
 use hpm_core::{HpmConfig, HybridPredictor, WeightFunction};
 use hpm_datagen::{PaperDataset, EXTENT, PERIOD};
-use hpm_motion::{MotionModel, Rmf};
 use hpm_patterns::{mine, prune_statistics, RegionId};
 use hpm_tpt::{BruteForce, KeyTable, PackedTpt};
 
@@ -153,8 +153,8 @@ fn fig5() -> std::io::Result<()> {
         let predictor = exp.build();
         for len in (20..=200).step_by(20) {
             let queries = exp.workload(len, ACCURACY_QUERIES);
-            let hpm = avg_error_hpm(&predictor, &queries, EXTENT);
-            let rmf = avg_error_rmf(&queries, 3, EXTENT);
+            let hpm = Record::of(&predictor, &queries, EXTENT).mean_error();
+            let rmf = rmf_error(&queries);
             r.row(&[dataset.name().into(), len.to_string(), f1(hpm), f1(rmf)])?;
         }
     }
@@ -173,12 +173,27 @@ fn fig6() -> std::io::Result<()> {
             let exp = Experiment::new(dataset, subs);
             let predictor = exp.build();
             let queries = exp.workload(50, ACCURACY_QUERIES);
-            let hpm = avg_error_hpm(&predictor, &queries, EXTENT);
-            let rmf = avg_error_rmf(&queries, 3, EXTENT);
+            let hpm = Record::of(&predictor, &queries, EXTENT).mean_error();
+            let rmf = rmf_error(&queries);
             r.row(&[dataset.name().into(), subs.to_string(), f1(hpm), f1(rmf)])?;
         }
     }
     Ok(())
+}
+
+/// Average error of the paper's RMF comparator (retrospect 3).
+fn rmf_error(queries: &[EvalQuery]) -> f64 {
+    mean(&point_errors(|q| rmf_or_last(q, 3), queries, EXTENT))
+}
+
+/// Average error of a cell-grid Markov chain stepped from the last
+/// recent sample.
+fn markov_error(markov: &MarkovPredictor, queries: &[EvalQuery]) -> f64 {
+    mean(&point_errors(
+        |q| markov.predict(q.recent.last().expect("non-empty"), q.prediction_length()),
+        queries,
+        EXTENT,
+    ))
 }
 
 /// Fig. 7 and Fig. 8 share a shape: (a) number of patterns and (b)
@@ -196,7 +211,7 @@ fn dbscan_sweep(
             let predictor =
                 exp.build_with(&discovery(value), &paper_mining(0.3), HpmConfig::default());
             let queries = exp.workload(50, ACCURACY_QUERIES);
-            let err = avg_error_hpm(&predictor, &queries, EXTENT);
+            let err = Record::of(&predictor, &queries, EXTENT).mean_error();
             r.row(&[
                 dataset.name().into(),
                 value.to_string(),
@@ -249,7 +264,7 @@ fn fig9() -> std::io::Result<()> {
             let n = patterns.len();
             let predictor =
                 HybridPredictor::from_parts(out.regions.clone(), patterns, HpmConfig::default());
-            let err = avg_error_hpm(&predictor, &queries, EXTENT);
+            let err = Record::of(&predictor, &queries, EXTENT).mean_error();
             r.row(&[
                 dataset.name().into(),
                 pct.to_string(),
@@ -288,10 +303,9 @@ fn fig10() -> std::io::Result<()> {
                 std::hint::black_box(predictor.predict(&q.as_query()));
             });
             let rmf_us = time_per_query(&queries, |q| {
-                let m = Rmf::fit(&q.recent, 3).expect("recent window fits RMF");
-                std::hint::black_box(m.predict(q.prediction_length()));
+                std::hint::black_box(rmf_or_last(&q.as_query(), 3));
             });
-            let hits = hpm_core::eval::pattern_hit_rate(&predictor, &queries);
+            let hits = Record::of(&predictor, &queries, EXTENT).pattern_share();
             r.row(&[
                 dataset.name().into(),
                 subs.to_string(),
@@ -434,25 +448,23 @@ fn weights() -> std::io::Result<()> {
         let exp = Experiment::paper(dataset);
         let queries = exp.workload_with_recent(50, 4, ACCURACY_QUERIES);
         let base = exp.build_with(&paper_discovery(30.0, 4), &mining, HpmConfig::default());
-        let linear_top: Vec<Option<u32>> = queries
-            .iter()
-            .map(|q| base.predict(&q.as_query()).answers[0].pattern)
-            .collect();
-        for wf in WeightFunction::ALL {
+        let records = WeightFunction::ALL.map(|weight_fn| {
             let predictor = base.clone().with_config(HpmConfig {
-                weight_fn: wf,
+                weight_fn,
                 ..Default::default()
             });
-            let err = avg_error_hpm(&predictor, &queries, EXTENT);
-            let differs = queries
-                .iter()
-                .zip(&linear_top)
-                .filter(|(q, lt)| predictor.predict(&q.as_query()).answers[0].pattern != **lt)
+            Record::of(&predictor, &queries, EXTENT)
+        });
+        // `ALL` starts with the linear weight function.
+        let linear = &records[0].outcomes;
+        for (wf, record) in WeightFunction::ALL.iter().zip(&records) {
+            let differs = (record.outcomes.iter().zip(linear))
+                .filter(|(o, lin)| o.pattern != lin.pattern)
                 .count();
             r.row(&[
                 dataset.name().into(),
                 wf.name().into(),
-                f1(err),
+                f1(record.mean_error()),
                 f1(differs as f64 * 100.0 / queries.len() as f64),
             ])?;
         }
@@ -465,7 +477,6 @@ fn weights() -> std::io::Result<()> {
 /// (routes sharing a premise, Fig. 3's mall-vs-city split) make k > 1
 /// genuinely informative.
 fn topk() -> std::io::Result<()> {
-    use hpm_core::eval::hit_rate_at_k;
     let mut r = Report::new(
         "topk-hit-rate",
         &["dataset", "prediction_length", "k1", "k2", "k3"],
@@ -481,7 +492,7 @@ fn topk() -> std::io::Result<()> {
                     k,
                     ..Default::default()
                 });
-                cells.push(f3(hit_rate_at_k(&p, &queries, 300.0, EXTENT)));
+                cells.push(f3(Record::of(&p, &queries, EXTENT).hit_rate(300.0)));
             }
             r.row(&cells)?;
         }
@@ -494,8 +505,7 @@ fn topk() -> std::io::Result<()> {
 /// the paper holds against cell-based predictors — while HPM has no
 /// such knob.
 fn cellsize() -> std::io::Result<()> {
-    use hpm_baselines::{CellGrid, MarkovPredictor};
-    use hpm_core::eval::{avg_error, training_slice};
+    use hpm_core::eval::training_slice;
 
     let mut r = Report::new(
         "cellsize-markov",
@@ -506,18 +516,13 @@ fn cellsize() -> std::io::Result<()> {
         let train = training_slice(&exp.trajectory, PERIOD, exp.train_subs);
         let predictor = exp.build();
         let queries = exp.workload(50, ACCURACY_QUERIES);
-        let hpm = avg_error_hpm(&predictor, &queries, EXTENT);
+        let hpm = Record::of(&predictor, &queries, EXTENT).mean_error();
         for cell in [50.0f64, 100.0, 200.0, 400.0, 800.0, 1600.0] {
             let markov = MarkovPredictor::train(&train, CellGrid::new(EXTENT, cell));
-            let err = avg_error(
-                |q| markov.predict(q.recent.last().expect("non-empty"), q.prediction_length()),
-                &queries,
-                EXTENT,
-            );
             r.row(&[
                 dataset.name().into(),
                 format!("{cell:.0}"),
-                f1(err),
+                f1(markov_error(&markov, &queries)),
                 f1(hpm),
             ])?;
         }
@@ -528,8 +533,7 @@ fn cellsize() -> std::io::Result<()> {
 /// Extension: all predictors side by side at three horizons, plus the
 /// per-path breakdown that exposes the hybrid mechanism.
 fn baselines() -> std::io::Result<()> {
-    use hpm_baselines::{CellGrid, MarkovPredictor, SlottedMarkov};
-    use hpm_core::eval::{avg_error, avg_error_linear, source_breakdown, training_slice};
+    use hpm_core::eval::{linear_or_last, training_slice};
 
     let mut r = Report::new(
         "baselines-comparison",
@@ -552,15 +556,9 @@ fn baselines() -> std::io::Result<()> {
         let slotted = SlottedMarkov::train(&train, CellGrid::new(EXTENT, 200.0), PERIOD);
         for len in [20u32, 80, 160] {
             let queries = exp.workload(len, ACCURACY_QUERIES);
-            let hpm = avg_error_hpm(&predictor, &queries, EXTENT);
-            let rmf = avg_error_rmf(&queries, 3, EXTENT);
-            let linear = avg_error_linear(&queries, EXTENT);
-            let mkv = avg_error(
-                |q| markov.predict(q.recent.last().expect("non-empty"), q.prediction_length()),
-                &queries,
-                EXTENT,
-            );
-            let slt = avg_error(
+            let record = Record::of(&predictor, &queries, EXTENT);
+            let linear = mean(&point_errors(linear_or_last, &queries, EXTENT));
+            let slt = mean(&point_errors(
                 |q| {
                     slotted.predict(
                         q.recent.last().expect("non-empty"),
@@ -570,27 +568,21 @@ fn baselines() -> std::io::Result<()> {
                 },
                 &queries,
                 EXTENT,
-            );
+            ));
             r.row(&[
                 dataset.name().into(),
                 len.to_string(),
-                f1(hpm),
-                f1(rmf),
+                f1(record.mean_error()),
+                f1(rmf_error(&queries)),
                 f1(linear),
-                f1(mkv),
+                f1(markov_error(&markov, &queries)),
                 f1(slt),
             ])?;
-            let bd = source_breakdown(&predictor, &queries, EXTENT);
-            breakdown_rows.push(vec![
-                dataset.name().into(),
-                len.to_string(),
-                bd.forward.0.to_string(),
-                f1(bd.forward.1),
-                bd.backward.0.to_string(),
-                f1(bd.backward.1),
-                bd.motion.0.to_string(),
-                f1(bd.motion.1),
-            ]);
+            let mut row = vec![dataset.name().into(), len.to_string()];
+            for (n, err) in record.sources() {
+                row.extend([n.to_string(), f1(err)]);
+            }
+            breakdown_rows.push(row);
         }
     }
     let mut b = Report::new(
@@ -620,7 +612,6 @@ fn baselines() -> std::io::Result<()> {
 /// only source of mass).
 fn calibration() -> std::io::Result<()> {
     use hpm_bench::setup::{SEED, TRAIN_SUBS};
-    use hpm_core::eval::calibration as calibrate;
 
     let mut r = Report::new(
         "calibration",
@@ -645,7 +636,7 @@ fn calibration() -> std::io::Result<()> {
         let predictor = exp.build();
         for len in [20u32, 50] {
             let queries = exp.workload(len, ACCURACY_QUERIES);
-            let c = calibrate(&predictor, &queries);
+            let c = Record::of(&predictor, &queries, EXTENT).calibration();
             r.row(&[
                 name.to_string(),
                 len.to_string(),
@@ -670,7 +661,7 @@ fn teps() -> std::io::Result<()> {
                 time_relaxation: t_eps,
                 ..Default::default()
             });
-            let err = avg_error_hpm(&predictor, &queries, EXTENT);
+            let err = Record::of(&predictor, &queries, EXTENT).mean_error();
             r.row(&[dataset.name().into(), t_eps.to_string(), f1(err)])?;
         }
     }

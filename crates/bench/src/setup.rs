@@ -134,7 +134,7 @@ mod tests {
         let w = exp.workload(50, 7);
         assert_eq!(w.len(), 7);
         assert!(w.iter().all(|q| q.recent.len() == RECENT_LEN));
-        assert!(w.iter().all(|q| q.prediction_length() == 50));
+        assert!(w.iter().all(|q| q.as_query().prediction_length() == 50));
         let w2 = exp.workload_with_recent(50, 3, 4);
         assert!(w2.iter().all(|q| q.recent.len() == 3));
     }

@@ -6,7 +6,7 @@
 //! `cargo test -p hpm-bench --release rmf_tuning -- --nocapture`
 
 use hpm_bench::setup::Experiment;
-use hpm_core::eval::avg_error_rmf;
+use hpm_core::eval::{mean, point_errors, rmf_or_last};
 use hpm_datagen::{PaperDataset, EXTENT};
 
 #[test]
@@ -17,7 +17,11 @@ fn rmf_tuning_sweep() {
     for window in [10usize, 20, 40] {
         for retrospect in [2usize, 3, 5] {
             let queries = exp.workload_with_recent(20, window, 30);
-            let err = avg_error_rmf(&queries, retrospect, EXTENT);
+            let err = mean(&point_errors(
+                |q| rmf_or_last(q, retrospect),
+                &queries,
+                EXTENT,
+            ));
             println!("{window:>6} {retrospect:>10} {err:>9.1}");
             best = best.min(err);
         }

@@ -19,11 +19,11 @@ mod csv;
 
 use args::Args;
 use hpm_core::eval::{
-    error_stats, make_workload, source_breakdown, training_slice, WorkloadParams,
+    linear_or_last, make_workload, point_errors, rmf_or_last, training_slice, ErrorStats, Record,
+    WorkloadParams,
 };
 use hpm_core::{HpmConfig, HybridPredictor, PredictiveQuery};
 use hpm_datagen::{paper_dataset, PaperDataset};
-use hpm_motion::{LinearMotion, MotionModel, Rmf};
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::{load_model, save_model};
 use hpm_trajectory::{despike, from_sparse_samples, Trajectory};
@@ -783,38 +783,25 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         "{:<8} {:>9} {:>9} {:>9} {:>9}",
         "", "mean", "median", "p95", "max"
     );
-    let hpm = error_stats(|q| predictor.predict(q).best(), &queries, extent);
-    let rmf = error_stats(
-        |q| {
-            Rmf::fit(q.recent, 3)
-                .map(|m| m.predict(q.prediction_length()))
-                .unwrap_or_else(|| *q.recent.last().expect("non-empty recent"))
-        },
-        &queries,
-        extent,
-    );
-    let linear = error_stats(
-        |q| {
-            LinearMotion::fit(q.recent)
-                .map(|m| m.predict(q.prediction_length()))
-                .unwrap_or_else(|| *q.recent.last().expect("non-empty recent"))
-        },
-        &queries,
-        extent,
-    );
-    for (name, s) in [("HPM", hpm), ("RMF", rmf), ("linear", linear)] {
+    let record = Record::of(&predictor, &queries, extent);
+    for (name, errors) in [
+        ("HPM", record.errors()),
+        ("RMF", point_errors(|q| rmf_or_last(q, 3), &queries, extent)),
+        ("linear", point_errors(linear_or_last, &queries, extent)),
+    ] {
+        let s = ErrorStats::of(&errors);
         println!(
             "{name:<8} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
             s.mean, s.median, s.p95, s.max
         );
     }
-    let b = source_breakdown(&predictor, &queries, extent);
+    let [fqp, bqp, motion] = record.sources();
     println!(
         "HPM paths: FQP {}q (err {:.1}) | BQP {}q (err {:.1}) | motion fallback {}q (err {:.1})",
-        b.forward.0, b.forward.1, b.backward.0, b.backward.1, b.motion.0, b.motion.1
+        fqp.0, fqp.1, bqp.0, bqp.1, motion.0, motion.1
     );
     if args.get_or("calibration", false)? {
-        let c = hpm_core::eval::calibration(&predictor, &queries);
+        let c = record.calibration();
         println!(
             "CALIBRATION predicted_mass={:.3} hit_rate={:.3} gap={:.3}",
             c.predicted_mass,

@@ -102,7 +102,6 @@ pub struct IncrementalDbscan {
     /// Neighbour list of the sample being inserted, kept so that a
     /// fold does not allocate per point.
     neighbors: Vec<u32>,
-    drift_events: u64,
     poisoned: bool,
 }
 
@@ -127,7 +126,6 @@ impl IncrementalDbscan {
             assign,
             clusters,
             neighbors: Vec::new(),
-            drift_events: 0,
             poisoned: false,
         }
     }
@@ -224,7 +222,6 @@ impl IncrementalDbscan {
     }
 
     fn drift(&mut self, kind: DriftKind) -> InsertOutcome {
-        self.drift_events += 1;
         self.poisoned = true;
         InsertOutcome::Drift(kind)
     }
@@ -250,14 +247,6 @@ impl IncrementalDbscan {
     /// Per-point labels, batch-identical on the safe path.
     pub fn labels(&self) -> Vec<Label> {
         self.assign.iter().map(|&a| label_of(a)).collect()
-    }
-
-    /// Structure-drift events observed so far (at most one per state:
-    /// a drifted state is poisoned until re-seeded, so callers
-    /// accumulate this across re-seeds).
-    #[inline]
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events
     }
 
     /// Whether a drift has poisoned this state.
@@ -400,7 +389,6 @@ mod tests {
         let out = state.insert(Point::new(50.6, 0.0));
         assert_eq!(out, InsertOutcome::Drift(DriftKind::Promotion));
         assert!(state.is_poisoned());
-        assert_eq!(state.drift_events(), 1);
     }
 
     #[test]

@@ -4,11 +4,19 @@
 //! average prediction error — "the distance between a predicted
 //! location and its actual location".
 //!
+//! Every metric is a reduction over one pass that predicts each query
+//! once: [`point_errors`] for any point predictor (the baselines
+//! [`rmf_or_last`] and [`linear_or_last`], Markov, slotted Markov), and
+//! [`Record::of`] for the hybrid predictor, whose [`Outcome`]s also
+//! keep what the breakdowns beyond the paper read — the source, the
+//! nearest of the top-k answers, the claimed mass and whether it
+//! covered the truth, the best answer's pattern.
+//!
 //! Query placement is deterministic (evenly strided over test
 //! sub-trajectories and in-period positions), so runs are exactly
 //! reproducible without threading an RNG through the core crate.
 
-use crate::{HybridPredictor, PredictiveQuery};
+use crate::{HybridPredictor, PredictionSource, PredictiveQuery, RankedAnswer};
 use hpm_geo::Point;
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
 use hpm_trajectory::{Timestamp, Trajectory};
@@ -41,11 +49,6 @@ pub struct EvalQuery {
 }
 
 impl EvalQuery {
-    /// Prediction length `tq − tc`.
-    pub fn prediction_length(&self) -> u32 {
-        self.as_query().prediction_length()
-    }
-
     /// Borrowed [`PredictiveQuery`] view.
     pub fn as_query(&self) -> PredictiveQuery<'_> {
         PredictiveQuery {
@@ -140,23 +143,45 @@ pub fn clamp_extent(p: Point, extent: f64) -> Point {
     p.clamp(0.0, extent)
 }
 
-/// Average prediction error of an arbitrary predictor closure.
-pub fn avg_error(
+/// The paper's comparison baseline: an RMF of retrospect `retrospect`
+/// fitted on the query's recent window, or the last recent sample when
+/// the window is too short to fit one.
+pub fn rmf_or_last(q: &PredictiveQuery<'_>, retrospect: usize) -> Point {
+    Rmf::fit(q.recent, retrospect)
+        .map(|m| m.predict(q.prediction_length()))
+        .unwrap_or_else(|| *q.recent.last().expect("non-empty recent"))
+}
+
+/// The linear motion function baseline, or the last recent sample when
+/// the window is too short to fit one.
+pub fn linear_or_last(q: &PredictiveQuery<'_>) -> Point {
+    LinearMotion::fit(q.recent)
+        .map(|m| m.predict(q.prediction_length()))
+        .unwrap_or_else(|| *q.recent.last().expect("non-empty recent"))
+}
+
+/// A point predictor's pass over a workload: each query predicted once,
+/// the answer clamped into the extent, and its distance to the truth
+/// kept in query order.
+pub fn point_errors(
     mut predict: impl FnMut(&PredictiveQuery<'_>) -> Point,
     queries: &[EvalQuery],
     extent: f64,
-) -> f64 {
+) -> Vec<f64> {
     assert!(!queries.is_empty(), "empty workload");
-    let total: f64 = queries
+    queries
         .iter()
         .map(|q| clamp_extent(predict(&q.as_query()), extent).distance(&q.truth))
-        .sum();
-    total / queries.len() as f64
+        .collect()
 }
 
-/// Average error of the Hybrid Prediction Model over a workload.
-pub fn avg_error_hpm(predictor: &HybridPredictor, queries: &[EvalQuery], extent: f64) -> f64 {
-    avg_error(|q| predictor.predict(q).best(), queries, extent)
+/// The §VII average error: the mean of a pass's per-query errors,
+/// summed in query order (0 for none).
+pub fn mean(errors: &[f64]) -> f64 {
+    if errors.is_empty() {
+        return 0.0;
+    }
+    errors.iter().sum::<f64>() / errors.len() as f64
 }
 
 /// Distribution statistics of per-query errors — means hide tails, and
@@ -175,108 +200,22 @@ pub struct ErrorStats {
     pub max: f64,
 }
 
-/// Computes [`ErrorStats`] for an arbitrary predictor closure.
-pub fn error_stats(
-    mut predict: impl FnMut(&PredictiveQuery<'_>) -> Point,
-    queries: &[EvalQuery],
-    extent: f64,
-) -> ErrorStats {
-    assert!(!queries.is_empty(), "empty workload");
-    let mut errors: Vec<f64> = queries
-        .iter()
-        .map(|q| clamp_extent(predict(&q.as_query()), extent).distance(&q.truth))
-        .collect();
-    errors.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-    let n = errors.len();
-    let rank = |p: f64| errors[(((n as f64) * p).ceil() as usize).clamp(1, n) - 1];
-    ErrorStats {
-        count: n,
-        mean: errors.iter().sum::<f64>() / n as f64,
-        median: rank(0.5),
-        p95: rank(0.95),
-        max: errors[n - 1],
-    }
-}
-
-/// Per-processing-path breakdown of an HPM run: how often each of
-/// FQP / BQP / motion-fallback answered, and at what mean error.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SourceBreakdown {
-    /// (queries answered, mean error) for Forward Query Processing.
-    pub forward: (usize, f64),
-    /// (queries answered, mean error) for Backward Query Processing.
-    pub backward: (usize, f64),
-    /// (queries answered, mean error) for the motion-function fallback.
-    pub motion: (usize, f64),
-}
-
-/// Computes the per-source breakdown of an HPM run over a workload.
-pub fn source_breakdown(
-    predictor: &HybridPredictor,
-    queries: &[EvalQuery],
-    extent: f64,
-) -> SourceBreakdown {
-    assert!(!queries.is_empty(), "empty workload");
-    let mut sums = [(0usize, 0.0f64); 3];
-    for q in queries {
-        let pred = predictor.predict(&q.as_query());
-        let err = clamp_extent(pred.best(), extent).distance(&q.truth);
-        let slot = match pred.source {
-            crate::PredictionSource::ForwardPatterns => 0,
-            crate::PredictionSource::BackwardPatterns => 1,
-            crate::PredictionSource::MotionFunction => 2,
-        };
-        sums[slot].0 += 1;
-        sums[slot].1 += err;
-    }
-    let mean = |(n, total): (usize, f64)| {
-        if n == 0 {
-            (0, 0.0)
-        } else {
-            (n, total / n as f64)
+impl ErrorStats {
+    /// The statistics of a pass's per-query errors.
+    pub fn of(errors: &[f64]) -> Self {
+        assert!(!errors.is_empty(), "empty workload");
+        let mut sorted = errors.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
+        let n = sorted.len();
+        let rank = |p: f64| sorted[(((n as f64) * p).ceil() as usize).clamp(1, n) - 1];
+        ErrorStats {
+            count: n,
+            mean: mean(errors),
+            median: rank(0.5),
+            p95: rank(0.95),
+            max: sorted[n - 1],
         }
-    };
-    SourceBreakdown {
-        forward: mean(sums[0]),
-        backward: mean(sums[1]),
-        motion: mean(sums[2]),
     }
-}
-
-/// Fraction of queries the HPM answered from patterns (vs the motion
-/// fallback) — the driver of Fig. 10's query-cost gap.
-pub fn pattern_hit_rate(predictor: &HybridPredictor, queries: &[EvalQuery]) -> f64 {
-    assert!(!queries.is_empty(), "empty workload");
-    let hits = queries
-        .iter()
-        .filter(|q| predictor.predict(&q.as_query()).from_patterns())
-        .count();
-    hits as f64 / queries.len() as f64
-}
-
-/// Fraction of queries where the truth lies within `radius` of at
-/// least one of the predictor's top-k answers — the metric that makes
-/// `k > 1` meaningful (the best single answer may be the wrong branch
-/// of a fork, while the true branch sits at rank 2).
-pub fn hit_rate_at_k(
-    predictor: &HybridPredictor,
-    queries: &[EvalQuery],
-    radius: f64,
-    extent: f64,
-) -> f64 {
-    assert!(!queries.is_empty(), "empty workload");
-    assert!(radius >= 0.0 && radius.is_finite(), "radius must be finite");
-    let hits = queries
-        .iter()
-        .filter(|q| {
-            predictor
-                .predict(&q.as_query())
-                .answers
-                .iter()
-                .any(|a| clamp_extent(a.location, extent).distance(&q.truth) <= radius)
-        })
-        .count();
-    hits as f64 / queries.len() as f64
 }
 
 /// Calibration of the claimed uncertainty over a workload: the mean
@@ -304,63 +243,122 @@ impl Calibration {
     }
 }
 
-/// Measures [`Calibration`] of the Hybrid Prediction Model.
-pub fn calibration(predictor: &HybridPredictor, queries: &[EvalQuery]) -> Calibration {
-    assert!(!queries.is_empty(), "empty workload");
-    let mut mass = 0.0;
-    let mut hits = 0usize;
-    for q in queries {
-        let pred = predictor.predict(&q.as_query());
-        mass += pred.answers.iter().map(|a| a.uncertainty.mass).sum::<f64>();
-        if pred
-            .answers
+/// What one query of a [`Record`] kept of its prediction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Outcome {
+    /// Distance from the truth to the best answer, clamped into the
+    /// extent.
+    pub error: f64,
+    /// Which processing path answered.
+    pub source: PredictionSource,
+    /// Distance from the truth to the nearest of the top-k answers,
+    /// each clamped into the extent.
+    pub nearest: f64,
+    /// Total probability mass the answers claim.
+    pub mass: f64,
+    /// Whether the truth lies inside at least one answer's uncertainty
+    /// region.
+    pub covered: bool,
+    /// The best answer's supporting pattern, if any.
+    pub pattern: Option<u32>,
+}
+
+/// One pass of the Hybrid Prediction Model over a workload: every query
+/// predicted exactly once, one [`Outcome`] each, in query order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The per-query outcomes.
+    pub outcomes: Vec<Outcome>,
+}
+
+impl Record {
+    /// Predicts every query once with `predictor` and keeps its
+    /// [`Outcome`].
+    pub fn of(predictor: &HybridPredictor, queries: &[EvalQuery], extent: f64) -> Self {
+        assert!(!queries.is_empty(), "empty workload");
+        let outcomes = queries
             .iter()
-            .any(|a| a.uncertainty.region.contains(&q.truth))
-        {
-            hits += 1;
+            .map(|q| {
+                let pred = predictor.predict(&q.as_query());
+                let dist = |a: &RankedAnswer| clamp_extent(a.location, extent).distance(&q.truth);
+                Outcome {
+                    error: dist(&pred.answers[0]),
+                    source: pred.source,
+                    nearest: pred.answers.iter().map(dist).fold(f64::INFINITY, f64::min),
+                    mass: pred.answers.iter().map(|a| a.uncertainty.mass).sum(),
+                    covered: (pred.answers.iter()).any(|a| a.uncertainty.region.contains(&q.truth)),
+                    pattern: pred.answers[0].pattern,
+                }
+            })
+            .collect();
+        Record { outcomes }
+    }
+
+    /// The per-query errors of the best answers, in query order.
+    pub fn errors(&self) -> Vec<f64> {
+        self.outcomes.iter().map(|o| o.error).collect()
+    }
+
+    /// The §VII average error of the best answers.
+    pub fn mean_error(&self) -> f64 {
+        mean(&self.errors())
+    }
+
+    /// Fraction of queries answered from patterns (vs the motion
+    /// fallback) — what sets Fig. 10's query-cost gap.
+    pub fn pattern_share(&self) -> f64 {
+        self.share(|o| o.source != PredictionSource::MotionFunction)
+    }
+
+    /// Fraction of queries where the truth lies within `radius` of at
+    /// least one of the top-k answers — the metric that makes `k > 1`
+    /// meaningful (the best single answer may be the wrong branch of a
+    /// fork, while the true branch sits at rank 2).
+    pub fn hit_rate(&self, radius: f64) -> f64 {
+        assert!(radius >= 0.0 && radius.is_finite(), "radius must be finite");
+        self.share(|o| o.nearest <= radius)
+    }
+
+    /// How many queries each processing path answered, and their mean
+    /// error (0 for a path that answered none): Forward Query
+    /// Processing, Backward Query Processing, then the motion fallback.
+    pub fn sources(&self) -> [(usize, f64); 3] {
+        let paths = [
+            PredictionSource::ForwardPatterns,
+            PredictionSource::BackwardPatterns,
+            PredictionSource::MotionFunction,
+        ];
+        paths.map(|source| {
+            let errors: Vec<f64> = (self.outcomes.iter())
+                .filter(|o| o.source == source)
+                .map(|o| o.error)
+                .collect();
+            (errors.len(), mean(&errors))
+        })
+    }
+
+    /// The claimed mass against the rate of the truth landing inside an
+    /// answer region.
+    pub fn calibration(&self) -> Calibration {
+        let masses: Vec<f64> = self.outcomes.iter().map(|o| o.mass).collect();
+        Calibration {
+            queries: self.outcomes.len(),
+            predicted_mass: mean(&masses),
+            hit_rate: self.share(|o| o.covered),
         }
     }
-    let n = queries.len() as f64;
-    Calibration {
-        queries: queries.len(),
-        predicted_mass: mass / n,
-        hit_rate: hits as f64 / n,
+
+    fn share(&self, hit: impl Fn(&Outcome) -> bool) -> f64 {
+        let hits = self.outcomes.iter().filter(|o| hit(o)).count();
+        hits as f64 / self.outcomes.len() as f64
     }
-}
-
-/// Average error of a standalone RMF (the paper's comparison baseline):
-/// fitted per query on its recent window.
-pub fn avg_error_rmf(queries: &[EvalQuery], retrospect: usize, extent: f64) -> f64 {
-    avg_error(
-        |q| {
-            let steps = q.prediction_length();
-            Rmf::fit(q.recent, retrospect)
-                .map(|m| m.predict(steps))
-                .unwrap_or_else(|| *q.recent.last().expect("non-empty recent"))
-        },
-        queries,
-        extent,
-    )
-}
-
-/// Average error of the linear motion function baseline.
-pub fn avg_error_linear(queries: &[EvalQuery], extent: f64) -> f64 {
-    avg_error(
-        |q| {
-            let steps = q.prediction_length();
-            LinearMotion::fit(q.recent)
-                .map(|m| m.predict(steps))
-                .unwrap_or_else(|| *q.recent.last().expect("non-empty recent"))
-        },
-        queries,
-        extent,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_fixtures::{commuter_config, commuter_trajectory, COMMUTER_PERIOD};
+    use crate::HpmConfig;
     use hpm_patterns::{DiscoveryParams, MiningParams};
 
     fn workload(len: u32) -> Vec<EvalQuery> {
@@ -376,9 +374,9 @@ mod tests {
         )
     }
 
-    fn predictor() -> HybridPredictor {
-        let traj = commuter_trajectory();
-        let train = training_slice(&traj, COMMUTER_PERIOD, 60);
+    /// The commuter trained on its first 60 days, answering top-`k`.
+    fn predictor(k: usize) -> HybridPredictor {
+        let train = training_slice(&commuter_trajectory(), COMMUTER_PERIOD, 60);
         HybridPredictor::build(
             &train,
             &DiscoveryParams {
@@ -393,7 +391,10 @@ mod tests {
                 max_premise_gap: 2,
                 max_span: 3,
             },
-            commuter_config(),
+            HpmConfig {
+                k,
+                ..commuter_config()
+            },
         )
     }
 
@@ -413,24 +414,54 @@ mod tests {
         }
     }
 
+    /// Every reduction reads one pass over the commuter, whose
+    /// movements repeat (modulo tiny jitter): pattern answers land on
+    /// region centres while a motion function extrapolating "home ->
+    /// road" misses the work/pub turns.
     #[test]
-    fn hpm_beats_motion_on_patterned_data() {
-        // The commuter's movements repeat exactly (modulo tiny jitter):
-        // pattern answers land on region centres while a motion
-        // function extrapolating "home -> road" misses work/pub turns.
-        let p = predictor();
+    fn every_reduction_reads_one_commuter_pass() {
+        let p = predictor(1);
         let w = workload(1);
-        let hpm = avg_error_hpm(&p, &w, 200.0);
-        let rmf = avg_error_rmf(&w, 2, 200.0);
+        let record = Record::of(&p, &w, 200.0);
+        // A record's error is the point error of the best answer.
+        let best = point_errors(|q| p.predict(q).best(), &w, 200.0);
+        assert_eq!(record.errors(), best);
+        let hpm = record.mean_error();
+        let rmf = mean(&point_errors(|q| rmf_or_last(q, 2), &w, 200.0));
         assert!(hpm < rmf, "hpm {hpm} vs rmf {rmf}");
         assert!(hpm < 5.0, "hpm error too large: {hpm}");
-    }
+        assert!(record.pattern_share() > 0.8);
 
-    #[test]
-    fn hit_rate_high_on_patterned_data() {
-        let p = predictor();
-        let w = workload(1);
-        assert!(pattern_hit_rate(&p, &w) > 0.8);
+        let stats = ErrorStats::of(&record.errors());
+        assert_eq!(stats.count, w.len());
+        assert!(stats.median <= stats.mean * 2.0 + 1e-9);
+        assert!(stats.median <= stats.p95 + 1e-9);
+        assert!(stats.p95 <= stats.max + 1e-9);
+        assert!(stats.max.is_finite());
+
+        let c = record.calibration();
+        assert_eq!(c.queries, w.len());
+        // Pattern answer masses are normalised to sum to 1 per query,
+        // and the commuter workload is fully patterned.
+        assert!((c.predicted_mass - 1.0).abs() < 1e-9, "{c:?}");
+        assert!((0.0..=1.0).contains(&c.hit_rate));
+        assert_eq!(c.gap(), c.hit_rate - c.predicted_mass);
+        // The commuter repeats its route within eps: the truth lands
+        // inside a discovered region's bbox almost always.
+        assert!(c.hit_rate > 0.8, "{c:?}");
+
+        let [fqp, bqp, motion] = record.sources();
+        assert_eq!(fqp.0 + bqp.0 + motion.0, w.len());
+        // The commuter's offsets are fully patterned: forward answers
+        // dominate at length 1.
+        assert!(fqp.0 > 0);
+        for (n, mean) in [fqp, bqp, motion] {
+            if n == 0 {
+                assert_eq!(mean, 0.0);
+            } else {
+                assert!(mean.is_finite() && mean >= 0.0);
+            }
+        }
     }
 
     #[test]
@@ -473,7 +504,7 @@ mod tests {
     #[test]
     fn linear_baseline_runs() {
         let w = workload(1);
-        let e = avg_error_linear(&w, 200.0);
+        let e = mean(&point_errors(linear_or_last, &w, 200.0));
         assert!(e.is_finite() && e >= 0.0);
     }
 
@@ -483,24 +514,12 @@ mod tests {
     }
 
     #[test]
-    fn error_stats_orders_percentiles() {
-        let p = predictor();
-        let w = workload(1);
-        let stats = error_stats(|q| p.predict(q).best(), &w, 200.0);
-        assert_eq!(stats.count, w.len());
-        assert!(stats.median <= stats.mean * 2.0 + 1e-9);
-        assert!(stats.median <= stats.p95 + 1e-9);
-        assert!(stats.p95 <= stats.max + 1e-9);
-        assert!(stats.max.is_finite());
-    }
-
-    #[test]
     fn error_stats_constant_predictor() {
         // A predictor that always answers the truth has all-zero stats.
         let w = workload(1);
         let truths: Vec<_> = w.iter().map(|q| q.truth).collect();
         let mut i = 0;
-        let stats = error_stats(
+        let errors = point_errors(
             |_| {
                 let t = truths[i];
                 i += 1;
@@ -509,35 +528,15 @@ mod tests {
             &w,
             200.0,
         );
+        let stats = ErrorStats::of(&errors);
         assert_eq!(stats.mean, 0.0);
         assert_eq!(stats.p95, 0.0);
         assert_eq!(stats.max, 0.0);
     }
 
     #[test]
-    fn hit_rate_at_k_monotone_in_k_and_radius() {
+    fn hit_rate_monotone_in_k_and_radius() {
         let traj = commuter_trajectory();
-        let train = training_slice(&traj, COMMUTER_PERIOD, 60);
-        let build = |k: usize| {
-            let mut cfg = commuter_config();
-            cfg.k = k;
-            HybridPredictor::build(
-                &train,
-                &DiscoveryParams {
-                    period: COMMUTER_PERIOD,
-                    eps: 2.0,
-                    min_pts: 3,
-                },
-                &MiningParams {
-                    min_support: 2,
-                    min_confidence: 0.3,
-                    max_premise_len: 2,
-                    max_premise_gap: 2,
-                    max_span: 3,
-                },
-                cfg,
-            )
-        };
         // Queries targeting offset 3 (the pub/gym fork): top-1 can
         // pick the wrong branch, top-2 covers both. Built by hand —
         // the fork sits at the last offset of the tiny period, outside
@@ -553,34 +552,19 @@ mod tests {
                 }
             })
             .collect();
+        let record = |k| Record::of(&predictor(k), &w, 200.0);
         // Eq. 5 ranks the certain "work" consequence (adjacent offset,
         // confidence 1) first, then the two fork branches: k = 1 never
         // hits the fork, k = 2 covers one branch, k = 3 covers both.
-        let k1 = hit_rate_at_k(&build(1), &w, 5.0, 200.0);
-        let k2 = hit_rate_at_k(&build(2), &w, 5.0, 200.0);
-        let k3 = hit_rate_at_k(&build(3), &w, 5.0, 200.0);
+        let top1 = record(1);
+        let k1 = top1.hit_rate(5.0);
+        let k2 = record(2).hit_rate(5.0);
+        let k3 = record(3).hit_rate(5.0);
         assert!(k1 <= k2 && k2 <= k3, "not monotone: {k1} {k2} {k3}");
         assert!((k2 - 0.5).abs() < 0.2, "k2 {k2}");
         assert!(k3 > 0.9, "k3 {k3}");
         // Wider radius can only help.
-        let wide = hit_rate_at_k(&build(1), &w, 500.0, 200.0);
-        assert!(wide >= k1);
-    }
-
-    #[test]
-    fn calibration_bounds_and_unit_pattern_mass() {
-        let p = predictor();
-        let w = workload(1);
-        let c = calibration(&p, &w);
-        assert_eq!(c.queries, w.len());
-        // Pattern answer masses are normalised to sum to 1 per query,
-        // and the commuter workload is fully patterned.
-        assert!((c.predicted_mass - 1.0).abs() < 1e-9, "{c:?}");
-        assert!((0.0..=1.0).contains(&c.hit_rate));
-        assert_eq!(c.gap(), c.hit_rate - c.predicted_mass);
-        // The commuter repeats its route within eps: the truth lands
-        // inside a discovered region's bbox almost always.
-        assert!(c.hit_rate > 0.8, "{c:?}");
+        assert!(top1.hit_rate(500.0) >= k1);
     }
 
     #[test]
@@ -588,7 +572,7 @@ mod tests {
         // A patternless workload (random recent points far from any
         // region) forces the motion fallback; each answer claims the
         // two-axis ellipse mass.
-        let p = predictor();
+        let p = predictor(1);
         let w: Vec<EvalQuery> = (0..10)
             .map(|i| EvalQuery {
                 recent: vec![
@@ -600,25 +584,7 @@ mod tests {
                 truth: Point::new(1006.0 + i as f64, 1004.0),
             })
             .collect();
-        let c = calibration(&p, &w);
+        let c = Record::of(&p, &w, 2000.0).calibration();
         assert!(c.predicted_mass > 0.0 && c.predicted_mass <= 1.0, "{c:?}");
-    }
-
-    #[test]
-    fn source_breakdown_partitions_queries() {
-        let p = predictor();
-        let w = workload(1);
-        let b = source_breakdown(&p, &w, 200.0);
-        assert_eq!(b.forward.0 + b.backward.0 + b.motion.0, w.len());
-        // The commuter's offsets are fully patterned: forward answers
-        // dominate at length 1.
-        assert!(b.forward.0 > 0);
-        for (n, mean) in [b.forward, b.backward, b.motion] {
-            if n == 0 {
-                assert_eq!(mean, 0.0);
-            } else {
-                assert!(mean.is_finite() && mean >= 0.0);
-            }
-        }
     }
 }

@@ -90,8 +90,7 @@ impl HybridPredictor {
         mining: &MiningParams,
         config: HpmConfig,
     ) -> Self {
-        let mut trainer = TrainerState::new(*discovery, *mining);
-        trainer.seed(history);
+        let mut trainer = TrainerState::seed(history, discovery, mining);
         Self::from_parts(trainer.regions(), trainer.stage_mine(&[]), config)
     }
 

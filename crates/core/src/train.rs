@@ -2,7 +2,8 @@
 //! folded forward over its deltas.
 //!
 //! [`TrainerState`] is the §III–§IV pipeline as long-lived state:
-//! per-offset clustering states ([`IncrementalDbscan`]), the visit
+//! per-offset clustering states
+//! ([`IncrementalDbscan`](hpm_clustering::IncrementalDbscan)), the visit
 //! sequences and persistent support counts ([`SupportCounts`]).
 //! [`seed`](TrainerState::seed) derives all of it from a complete
 //! history — that is the batch pipeline, and
@@ -46,12 +47,12 @@
 //! back to one (property-tested in `tests/train_props.rs`).
 
 use crate::HybridPredictor;
-use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome};
+use hpm_clustering::{DriftKind, InsertOutcome};
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
 use hpm_geo::MemUse;
 use hpm_patterns::{
     cluster_offsets, region_set, DiscoveryParams, MiningParams, OffsetClusters, PatternTable,
-    RegionId, RegionSet, SupportCounts, VisitTable,
+    RegionId, RegionSet, SupportCounts,
 };
 use hpm_trajectory::{DecomposeCursor, DeltaSample, History, TimeOffset};
 
@@ -72,80 +73,41 @@ pub struct NewVisit {
 /// counts, all grown in lock-step with the trajectory.
 #[derive(Debug, Clone)]
 pub struct TrainerState {
-    discovery: DiscoveryParams,
-    mining: MiningParams,
     cursor: DecomposeCursor,
-    /// One clustering state per time offset (`Gₜ` of §III), the
-    /// region id of each of their clusters — frozen between re-seeds:
+    /// One clustering state per time offset (`Gₜ` of §III), the region
+    /// id of each offset's first cluster — frozen until the next seed:
     /// the safe insertion path never creates, merges, or renumbers
     /// clusters — and the per-sub-trajectory visit sequences.
     clusters: OffsetClusters,
     counts: SupportCounts,
-    /// Structure-drift events accumulated across re-seeds.
-    drift_events: u64,
 }
 
 impl TrainerState {
-    /// Empty state (no history consumed yet).
+    /// Derives a trainer from the full history — the batch pipeline,
+    /// taken on first training, after structure drift, and by the first
+    /// retrain after a restart (a recovered object carries no trainer).
+    /// The samples are streamed, so a compressed history decodes on the
+    /// fly; the cursor is caught up to the end of `hist`.
     ///
     /// # Panics
     /// Panics when `discovery.period == 0` or `mining` is inconsistent.
-    pub fn new(discovery: DiscoveryParams, mining: MiningParams) -> Self {
-        let db = DbscanParams::new(discovery.eps, discovery.min_pts);
+    pub fn seed(hist: &impl History, discovery: &DiscoveryParams, mining: &MiningParams) -> Self {
+        let mut counts = SupportCounts::new(*mining);
+        let clusters = cluster_offsets(hist, discovery);
+        counts.rebuild(&clusters.visits);
+        let mut cursor = DecomposeCursor::new(discovery.period);
+        cursor.catch_up(hist);
         TrainerState {
-            cursor: DecomposeCursor::new(discovery.period),
-            clusters: OffsetClusters {
-                offsets: (0..discovery.period)
-                    .map(|_| IncrementalDbscan::seed(Vec::new(), db))
-                    .collect(),
-                region_index: vec![Vec::new(); discovery.period as usize],
-                visits: VisitTable::default(),
-            },
-            counts: SupportCounts::new(mining),
-            discovery,
-            mining,
-            drift_events: 0,
+            cursor,
+            clusters,
+            counts,
         }
-    }
-
-    /// The discovery parameters in use.
-    #[inline]
-    pub fn discovery(&self) -> &DiscoveryParams {
-        &self.discovery
-    }
-
-    /// The mining parameters in use.
-    #[inline]
-    pub fn mining(&self) -> &MiningParams {
-        &self.mining
     }
 
     /// Samples of the history already folded into this state.
     #[inline]
     pub fn consumed(&self) -> usize {
         self.cursor.consumed()
-    }
-
-    /// Structure-drift events seen over this state's lifetime
-    /// (including before re-seeds).
-    #[inline]
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events
-    }
-
-    /// Re-derives the whole state from the full history — the batch
-    /// pipeline, taken on first training, after structure drift, and
-    /// by the first retrain after a restart (a recovered object
-    /// carries no trainer). The samples are streamed, so a compressed
-    /// history decodes on the fly; the cursor is caught up to the end
-    /// of `hist`.
-    pub fn seed(&mut self, hist: &impl History) {
-        let drift = self.drift_events + self.offset_drifts();
-        self.clusters = cluster_offsets(hist, &self.discovery);
-        self.counts.rebuild(&self.clusters.visits);
-        self.cursor = DecomposeCursor::new(self.discovery.period);
-        self.cursor.catch_up(hist);
-        self.drift_events = drift;
     }
 
     /// Stage 1 — §III decomposition delta: the samples appended to
@@ -164,22 +126,19 @@ impl TrainerState {
     /// that land in a cluster become [`NewVisit`]s; any structural
     /// change aborts with the observed [`DriftKind`], poisoning the
     /// state — the caller must fall back to a full rebuild and
-    /// [`seed`](Self::seed).
+    /// [`seed`](Self::seed) a fresh one.
     pub fn stage_cluster(&mut self, samples: &[DeltaSample]) -> Result<Vec<NewVisit>, DriftKind> {
         let mut visits = Vec::new();
         for s in samples {
-            let state = &mut self.clusters.offsets[s.offset as usize];
-            match state.insert(s.point) {
+            let t = s.offset as usize;
+            match self.clusters.offsets[t].insert(s.point) {
                 InsertOutcome::Noise => {}
                 InsertOutcome::Member(c) => visits.push(NewVisit {
                     sub: s.sub,
-                    region: RegionId(self.clusters.region_index[s.offset as usize][c as usize]),
+                    region: RegionId(self.clusters.first_ids[t] + c),
                     offset: s.offset,
                 }),
-                InsertOutcome::Drift(kind) => {
-                    self.drift_events += 1;
-                    return Err(kind);
-                }
+                InsertOutcome::Drift(kind) => return Err(kind),
             }
         }
         Ok(visits)
@@ -202,16 +161,14 @@ impl TrainerState {
     /// consumed history produces.
     pub fn regions(&self) -> RegionSet {
         let regions = region_set(&self.clusters.offsets);
+        let counts = (self.clusters.offsets.iter()).map(|s| s.cluster_count() as u32);
         debug_assert!(
-            (self.clusters.region_index.iter().flatten().copied()).eq(0..regions.len() as u32),
+            (counts.zip(&self.clusters.first_ids))
+                .try_fold(0, |first, (n, &id)| (id == first).then_some(first + n))
+                == Some(regions.len() as u32),
             "cluster structure changed without drift"
         );
         regions
-    }
-
-    fn offset_drifts(&self) -> u64 {
-        let offsets = self.clusters.offsets.iter();
-        offsets.map(IncrementalDbscan::drift_events).sum()
     }
 }
 
@@ -220,12 +177,7 @@ impl MemUse for TrainerState {
         let clusters = &self.clusters;
         std::mem::size_of::<Self>()
             + heap_bytes(&clusters.offsets)
-            + clusters.region_index.capacity() * std::mem::size_of::<Vec<u32>>()
-            + clusters
-                .region_index
-                .iter()
-                .map(vec_cap_bytes)
-                .sum::<usize>()
+            + vec_cap_bytes(&clusters.first_ids)
             + heap_bytes(&clusters.visits)
             + heap_bytes(&self.counts)
     }
@@ -362,7 +314,7 @@ mod tests {
                 predictor.apply_update(trainer.regions(), patterns).0
             }
             Err(_) => {
-                trainer.seed(traj);
+                *trainer = TrainerState::seed(traj, &discovery(), &mining());
                 HybridPredictor::build(traj, &discovery(), &mining(), *predictor.config())
             }
         }
@@ -375,8 +327,7 @@ mod tests {
         cfg.k = 2;
         // Start from 40 days, feed the rest day by day.
         let warm = Trajectory::from_points(full.points()[..40 * COMMUTER_PERIOD as usize].to_vec());
-        let mut trainer = TrainerState::new(discovery(), mining());
-        trainer.seed(&warm);
+        let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
         let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), cfg);
         for day in 41..=60 {
             let traj =
@@ -389,8 +340,8 @@ mod tests {
 
     /// Regression: seeding on a history shorter than one period (or
     /// starting unaligned) must still produce one clustering state per
-    /// offset. The sparse seeding it replaced left `offsets` /
-    /// `region_index` shorter than `period`, so the next delta pass
+    /// offset. The sparse seeding it replaced left `offsets` and the
+    /// region ids shorter than `period`, so the next delta pass
     /// panicked in `stage_cluster` (or silently clustered against the
     /// wrong offset's state).
     #[test]
@@ -400,8 +351,7 @@ mod tests {
         cfg.k = 2;
         // Seed mid-period: offsets >= 3 have no samples yet.
         let warm = Trajectory::from_points(full.points()[..3].to_vec());
-        let mut trainer = TrainerState::new(discovery(), mining());
-        trainer.seed(&warm);
+        let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
         assert_eq!(trainer.regions().period(), COMMUTER_PERIOD);
         let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), cfg);
         // Grow past the period boundary and beyond — previously an
@@ -426,8 +376,7 @@ mod tests {
         let full = commuter_days(41);
         let start: Timestamp = 2; // offsets 0..2 of the first sub empty
         let warm = Trajectory::new(start, full.points()[2..COMMUTER_PERIOD as usize].to_vec());
-        let mut trainer = TrainerState::new(discovery(), mining());
-        trainer.seed(&warm);
+        let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
         let mut predictor =
             HybridPredictor::build(&warm, &discovery(), &mining(), commuter_config());
         for days in [2usize, 10, 40] {
@@ -445,9 +394,8 @@ mod tests {
     #[test]
     fn wild_day_drifts_and_reseeds() {
         let mut pts = commuter_days(40).points().to_vec();
-        let mut trainer = TrainerState::new(discovery(), mining());
         let warm = Trajectory::from_points(pts.clone());
-        trainer.seed(&warm);
+        let trainer = TrainerState::seed(&warm, &discovery(), &mining());
         let predictor = HybridPredictor::build(&warm, &discovery(), &mining(), commuter_config());
         // A brand-new dense hotspot must eventually register as drift
         // (promotion/new-cluster), never silently change structure.
@@ -460,10 +408,9 @@ mod tests {
         let mut drifted = trainer.clone();
         let delta = drifted.stage_decompose(&traj);
         assert!(drifted.stage_cluster(&delta).is_err(), "expected drift");
-        assert!(drifted.drift_events() > trainer.drift_events());
         // Recovery: seed + batch build is again equivalent going
         // forward.
-        drifted.seed(&traj);
+        let mut drifted = TrainerState::seed(&traj, &discovery(), &mining());
         assert_eq!(drifted.consumed(), traj.len());
         let rebuilt = HybridPredictor::build(&traj, &discovery(), &mining(), *predictor.config());
         let (next, tier) = rebuilt.apply_update(drifted.regions(), drifted.stage_mine(&[]));
@@ -536,14 +483,11 @@ mod tests {
     fn apply_update_vocabulary_growth_rebuilds() {
         let traj = commuter_days(30);
         let p = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
-        let mut trainer = TrainerState::new(
-            DiscoveryParams {
-                eps: 2.5,
-                ..discovery()
-            },
-            mining(),
-        );
-        trainer.seed(&traj);
+        let wider = DiscoveryParams {
+            eps: 2.5,
+            ..discovery()
+        };
+        let trainer = TrainerState::seed(&traj, &wider, &mining());
         // Different eps can change the region vocabulary; force the
         // mismatch by dropping a region from the trainer's view.
         let shrunk = RegionSet::new(

@@ -1651,21 +1651,22 @@ impl MovingObjectStore {
         hpm_obs::counter!(crate::metrics::RETRAINS).add(1);
         hpm_obs::gauge!(crate::metrics::RETRAIN_STALENESS)
             .set((history.len() / period).saturating_sub(*trained_subs) as i64);
-        let foldable = predictor.is_some() && trainer.is_some();
-        let trainer = trainer
-            .get_or_insert_with(|| TrainerState::new(self.config.discovery, self.config.mining));
-        let visits = if foldable {
-            Self::cluster_delta(trainer, &samples)
-        } else {
-            None
+        let visits = match trainer.as_mut() {
+            Some(trainer) if predictor.is_some() => Self::cluster_delta(trainer, &samples),
+            _ => None,
         };
-        if visits.is_some() {
-            hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
-        } else {
-            hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-            trainer.seed(&samples);
-        }
+        let trainer = match (visits.is_some(), trainer) {
+            (true, Some(trainer)) => {
+                hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
+                trainer
+            }
+            (_, slot) => {
+                hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
+                let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
+                let (discovery, mining) = (&self.config.discovery, &self.config.mining);
+                slot.insert(TrainerState::seed(&samples, discovery, mining))
+            }
+        };
         let patterns = {
             let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
             trainer.stage_mine(visits.as_deref().unwrap_or(&[]))

@@ -81,6 +81,15 @@ pub fn reset() {
     registry().reset();
 }
 
+/// Serialises callers that toggle the process-wide switch or read
+/// registry deltas: the test harness runs tests on parallel threads,
+/// and a delta is exact only while no other instrumented work runs
+/// beside it.
+pub fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// An updatable handle to the named [`Counter`], registered on first
 /// use and cached in a per-call-site static thereafter.
 ///
@@ -189,26 +198,12 @@ macro_rules! catalog {
 }
 
 #[cfg(test)]
-pub(crate) mod test_support {
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Unit tests toggling the global [`super::ENABLED`] flag or
-    /// reading the shared registry serialise on this lock so the
-    /// default multi-threaded test harness cannot interleave them.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub fn serial() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_by_default_and_toggleable() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         disable();
         assert!(!enabled());
         enable();
@@ -219,7 +214,7 @@ mod tests {
 
     #[test]
     fn disabled_counter_does_not_record() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         disable();
         let c = counter!("obs.test.disabled_counter");
         c.add(7);
@@ -233,7 +228,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_noop() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         disable();
         let span = span!("obs.test.disabled_span");
         assert!(span.is_none());
@@ -242,7 +237,7 @@ mod tests {
 
     #[test]
     fn macro_handles_are_cached_per_call_site() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         let a = counter!("obs.test.cached");
         let b = counter!("obs.test.cached");
         // Two call sites, one underlying metric.

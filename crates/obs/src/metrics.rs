@@ -363,7 +363,6 @@ impl MetricDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support;
 
     #[test]
     fn bucket_index_is_floor_log2() {
@@ -388,7 +387,7 @@ mod tests {
 
     #[test]
     fn histogram_records_and_resets() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         crate::enable();
         let h = Histogram::new("obs.test.hist", Unit::Count);
         for v in [0, 1, 5, 5, 1000] {
@@ -408,7 +407,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         crate::enable();
         let g = registry().gauge("obs.test.gauge");
         g.reset();

@@ -223,7 +223,6 @@ pub fn snapshot() -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support;
 
     fn sample(values: &[u64]) -> HistogramSnapshot {
         let mut h = HistogramSnapshot::empty("h", Unit::Count);
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn snapshot_renders_stable_json_and_text() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         crate::enable();
         crate::counter!("obs.test.snap_counter").add(3);
         crate::gauge!("obs.test.snap_gauge").set(-2);

@@ -39,11 +39,9 @@ impl Drop for SpanGuard {
 
 #[cfg(test)]
 mod tests {
-    use crate::test_support;
-
     #[test]
     fn spans_feed_latency_histograms() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         crate::enable();
         {
             let _s = crate::span!("obs.test.latency");
@@ -56,7 +54,7 @@ mod tests {
 
     #[test]
     fn nested_and_sibling_spans_each_record_one_sample() {
-        let _guard = test_support::serial();
+        let _guard = crate::serial();
         crate::enable();
         {
             let _outer = crate::span!("obs.test.outer");

@@ -133,9 +133,10 @@ pub struct OffsetClusters {
     /// `offsets[t]` = the clustering of `Gₜ`, for every `t` of the
     /// period — offsets the history never covered hold an empty one.
     pub offsets: Vec<IncrementalDbscan>,
-    /// `region_index[t][c]` = id of the region that offset `t`'s
-    /// cluster `c` is.
-    pub region_index: Vec<Vec<u32>>,
+    /// `first_ids[t]` = id of offset `t`'s cluster 0. Ids run in
+    /// ascending `(offset, cluster)` order, so cluster `c` of offset `t`
+    /// is region `first_ids[t] + c`.
+    pub first_ids: Vec<u32>,
     /// Which regions each sub-trajectory visited.
     pub visits: VisitTable,
 }
@@ -167,27 +168,25 @@ pub fn cluster_offsets(hist: &impl History, params: &DiscoveryParams) -> OffsetC
     let db = DbscanParams::new(params.eps, params.min_pts);
     let groups = OffsetGroups::build(hist, params.period);
     let mut offsets = Vec::with_capacity(params.period as usize);
-    let mut region_index = Vec::with_capacity(params.period as usize);
+    let mut first_ids = Vec::with_capacity(params.period as usize);
     let mut visits = VisitTable::with_subs(groups.sub_count());
     let mut next_id = 0u32;
     for t in 0..params.period {
         let group = groups.group(t);
         let state = IncrementalDbscan::seed(group.iter().map(|&(_, p)| p).collect(), db);
-        let mut index = Vec::with_capacity(state.cluster_count());
+        first_ids.push(next_id);
         for cluster in state.cluster_views() {
-            index.push(next_id);
             for &m in cluster.members {
                 visits.record(group[m as usize].0, RegionId(next_id), t);
             }
             next_id += 1;
         }
-        region_index.push(index);
         offsets.push(state);
     }
     hpm_obs::counter!(crate::metrics::DISCOVER_REGIONS).add(u64::from(next_id));
     OffsetClusters {
         offsets,
-        region_index,
+        first_ids,
         visits,
     }
 }

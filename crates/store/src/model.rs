@@ -95,9 +95,9 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
     let regions = get_seq(&mut buf, 51, |buf| {
         let id = next_id;
         next_id += 1;
-        let offset = get_varint(buf)? as TimeOffset;
-        let local_index = get_varint(buf)? as u32;
-        let support = get_varint(buf)? as u32;
+        let offset: TimeOffset = get_u32(buf, "region offset")?;
+        let local_index = get_u32(buf, "region local index")?;
+        let support = get_u32(buf, "region support")?;
         let centroid = get_point(buf)?;
         let bbox = get_bbox(buf)?;
         if offset >= period {
@@ -141,29 +141,22 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
     let patterns = get_seq(&mut buf, 12, |buf| {
         let i = next_index;
         next_index += 1;
-        // A premise id is at least one varint byte.
-        let mut prev = 0u64;
+        // A premise id is at least one varint byte: the first id, then
+        // each one's gap from the previous.
+        let mut prev = 0u32;
         let premise = get_seq(buf, 1, |buf| {
-            let id = prev.saturating_add(get_varint(buf)?);
-            if id > u64::from(u32::MAX) {
-                return Err(DecodeError::Invalid(format!(
-                    "pattern {i}: premise id overflows u32"
-                )));
-            }
-            prev = id;
-            Ok(RegionId(id as u32))
+            let id = prev.checked_add(get_u32(buf, "premise id")?);
+            prev = id.ok_or_else(|| {
+                DecodeError::Invalid(format!("pattern {i}: premise id overflows u32"))
+            })?;
+            Ok(RegionId(prev))
         })?;
-        let consequence = get_varint(buf)?;
-        if consequence > u64::from(u32::MAX) {
-            return Err(DecodeError::Invalid(format!(
-                "pattern {i}: consequence id overflows u32"
-            )));
-        }
+        let consequence = RegionId(get_u32(buf, "consequence id")?);
         let confidence = get_f64(buf)?;
-        let support = get_varint(buf)? as u32;
+        let support = get_u32(buf, "pattern support")?;
         let pattern = TrajectoryPattern {
             premise,
-            consequence: RegionId(consequence as u32),
+            consequence,
             confidence,
             support,
         };
@@ -180,6 +173,13 @@ fn decode_model_inner(bytes: &[u8]) -> Result<StoredModel, DecodeError> {
         regions,
         patterns: patterns.into(),
     })
+}
+
+/// Reads a varint into a `u32` field: a wider one is refused, never
+/// truncated into a smaller value.
+fn get_u32(buf: &mut &[u8], field: &str) -> Result<u32, DecodeError> {
+    u32::try_from(get_varint(buf)?)
+        .map_err(|_| DecodeError::Invalid(format!("{field} overflows u32")))
 }
 
 /// Encodes a model and atomically replaces the file at `path` with it.

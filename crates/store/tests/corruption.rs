@@ -384,6 +384,37 @@ fn counts_are_bounded_by_the_bytes_behind_them() {
     assert_eq!(snapshot(&[1, 0, 0, 1, 0, 3], 32), out_of_range(3, 2));
 }
 
+/// A varint wider than its `u32` field is refused, not truncated: a
+/// region offset of 2^32 would otherwise decode as offset 0.
+#[test]
+fn varints_wider_than_their_field_are_refused() {
+    use hpm_store::format::{MAGIC, VERSION};
+    let wide = 1u64 << 32;
+    // Period 3, one region (offset, local index, support, six zero
+    // doubles), no patterns.
+    for region in [[wide, 0, 1], [0, wide, 1], [0, 0, wide]] {
+        let fields = [&[VERSION.into(), 3, 1], &region[..]].concat();
+        assert!(
+            matches!(
+                decode_model(&counted(MAGIC, &fields, 49)),
+                Err(DecodeError::Invalid(_))
+            ),
+            "region {region:?}"
+        );
+    }
+    // The last pattern's support is the payload's last varint.
+    let (regions, patterns) = model();
+    let blob = encode_model(&regions, &patterns);
+    let with_support = |support: u64| {
+        let mut payload = blob[..blob.len() - 9].to_vec();
+        put_varint(&mut payload, support);
+        decode_model(&resealed(&payload))
+    };
+    let widest = with_support(u32::MAX.into()).expect("u32::MAX fits");
+    assert_eq!(widest.patterns.support(1), u32::MAX);
+    assert!(matches!(with_support(wide), Err(DecodeError::Invalid(_))));
+}
+
 /// decode is total on re-sealed tampered v2 payloads: any single-bit
 /// corruption past the checksum errs or decodes — it never panics and
 /// never invents objects.

@@ -8,7 +8,7 @@
 //! ```
 
 use hybrid_prediction_model::core::eval::{
-    avg_error_hpm, avg_error_rmf, make_workload, training_slice, WorkloadParams,
+    make_workload, mean, point_errors, rmf_or_last, training_slice, Record, WorkloadParams,
 };
 use hybrid_prediction_model::core::{HpmConfig, HybridPredictor};
 use hybrid_prediction_model::datagen::{paper_dataset, PaperDataset, EXTENT, PERIOD};
@@ -58,8 +58,8 @@ fn main() {
                 num_queries: 50,
             },
         );
-        let hpm = avg_error_hpm(&predictor, &queries, EXTENT);
-        let rmf = avg_error_rmf(&queries, 3, EXTENT);
+        let hpm = Record::of(&predictor, &queries, EXTENT).mean_error();
+        let rmf = mean(&point_errors(|q| rmf_or_last(q, 3), &queries, EXTENT));
         println!("{length:>8} {hpm:>12.1} {rmf:>12.1} {:>7.1}x", rmf / hpm);
     }
 

@@ -3,6 +3,7 @@
 //! move the dispatch counters, and stay within the hot-path span budget
 //! (the regression guard for "someone added a span per candidate").
 
+use hybrid_prediction_model::core::eval::{EvalQuery, Record};
 use hybrid_prediction_model::core::{
     metrics as core_metrics, HpmConfig, HybridPredictor, PredictiveQuery,
 };
@@ -14,14 +15,6 @@ use hybrid_prediction_model::patterns::{
 };
 use hybrid_prediction_model::trajectory::Trajectory;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
-
-/// Tests toggle the process-wide obs flag; serialize them.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Samples per span: every latency (unit ns) histogram is a span's, and
 /// each closed span adds one sample to it.
@@ -92,7 +85,7 @@ fn near_query(recent: &[Point]) -> PredictiveQuery<'_> {
 
 #[test]
 fn predict_emits_expected_span_tree_and_dispatch_counter() {
-    let _guard = serial();
+    let _guard = obs::serial();
     let predictor = commuter();
     core_metrics::register();
     obs::enable();
@@ -127,7 +120,7 @@ fn predict_emits_expected_span_tree_and_dispatch_counter() {
 
 #[test]
 fn span_budget_stays_flat() {
-    let _guard = serial();
+    let _guard = obs::serial();
     let predictor = commuter();
     obs::enable();
     let recent = [Point::new(0.0, 0.0)];
@@ -146,7 +139,7 @@ fn span_budget_stays_flat() {
 
 #[test]
 fn fallback_path_counts_rmf() {
-    let _guard = serial();
+    let _guard = obs::serial();
     let predictor = commuter();
     core_metrics::register();
     obs::enable();
@@ -164,9 +157,39 @@ fn fallback_path_counts_rmf() {
     );
 }
 
+/// An evaluation pass predicts each query exactly once, whatever the
+/// path — near, distant, fallback; every metric is then a reduction
+/// over the record, which holds no predictor to call again.
+#[test]
+fn an_evaluation_pass_predicts_each_query_once() {
+    let _guard = obs::serial();
+    let predictor = commuter();
+    core_metrics::register();
+    obs::enable();
+    let calls = || obs::snapshot().counter(core_metrics::PREDICT_CALLS);
+    let queries: Vec<EvalQuery> = [(0.0, 2), (0.0, 90), (900.0, 2)]
+        .into_iter()
+        .cycle()
+        .take(7)
+        .map(|(x, steps)| EvalQuery {
+            recent: vec![Point::new(x, 0.0)],
+            current_time: 120,
+            query_time: 120 + steps,
+            truth: Point::new(100.0, 0.0),
+        })
+        .collect();
+    let before = calls().unwrap();
+    let record = Record::of(&predictor, &queries, 1000.0);
+    let made = calls().unwrap() - before;
+    obs::disable();
+    assert_eq!(made, queries.len() as u64);
+    // The workload reaches all three paths.
+    assert!(record.sources().iter().all(|&(n, _)| n > 0));
+}
+
 #[test]
 fn disabled_mode_captures_nothing() {
-    let _guard = serial();
+    let _guard = obs::serial();
     let predictor = commuter();
     obs::disable();
     let recent = [Point::new(0.0, 0.0)];
@@ -180,7 +203,7 @@ fn disabled_mode_captures_nothing() {
 /// an operator reads off a served registry.
 #[test]
 fn store_first_training_fires_the_patterns_spans() {
-    let _guard = serial();
+    let _guard = obs::serial();
     let store = MovingObjectStore::new(StoreConfig {
         discovery: DiscoveryParams {
             period: 3,

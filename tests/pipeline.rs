@@ -3,7 +3,7 @@
 //! qualitative results.
 
 use hybrid_prediction_model::core::eval::{
-    avg_error_hpm, avg_error_rmf, make_workload, pattern_hit_rate, training_slice, WorkloadParams,
+    make_workload, mean, point_errors, rmf_or_last, training_slice, Record, WorkloadParams,
 };
 use hybrid_prediction_model::core::{HpmConfig, HybridPredictor};
 use hybrid_prediction_model::datagen::{paper_dataset, PaperDataset, EXTENT, PERIOD};
@@ -45,8 +45,8 @@ fn build(dataset: PaperDataset, train_subs: usize) -> (HybridPredictor, Vec<f64>
                 num_queries: 50,
             },
         );
-        out.push(avg_error_hpm(&predictor, &queries, EXTENT));
-        out.push(avg_error_rmf(&queries, 3, EXTENT));
+        out.push(Record::of(&predictor, &queries, EXTENT).mean_error());
+        out.push(mean(&point_errors(|q| rmf_or_last(q, 3), &queries, EXTENT)));
     }
     (predictor, out)
 }
@@ -109,7 +109,7 @@ fn hit_rate_tracks_pattern_strength() {
                 num_queries: 30,
             },
         );
-        pattern_hit_rate(&p, &queries)
+        Record::of(&p, &queries, EXTENT).pattern_share()
     };
     let bike = mk(&traj_bike);
     let air = mk(&traj_air);

@@ -50,8 +50,7 @@ fn trained_models_match_the_parent_written_trailers() {
         assert_eq!(trailer(&blob), golden, "{} build", dataset.name());
 
         // The store's first-training path, spelled out.
-        let mut trainer = TrainerState::new(discovery, mining);
-        trainer.seed(&history);
+        let mut trainer = TrainerState::seed(&history, &discovery, &mining);
         let blob = encode_model(&trainer.regions(), &trainer.stage_mine(&[]));
         assert_eq!(trailer(&blob), golden, "{} seeded trainer", dataset.name());
     }
