@@ -12,18 +12,20 @@
 //! cycle) whose every new day lands inside mature clusters — the
 //! incremental path absorbs it without structure drift, which is the
 //! regime the delta pipeline exists for. At each history size H the
-//! incremental figure is the best-of-N wall clock of one daily pass
-//! (cursor delta → DBSCAN insertions → support-count tails + derive →
-//! `apply_update`) while the history keeps growing day by day; the
-//! full figure is the best-of-N `HybridPredictor::build` over the same
-//! H days — a trainer seeded from scratch plus the index bulk load,
-//! what a store's first training and every re-seed cost. Best-of is
-//! deliberate: retrain cost has no data-dependent
-//! variance here, so the minimum is the least noise-polluted estimate.
+//! incremental figure is the best-of-N wall clock of one daily pass of
+//! `TrainerState::retrain` (a fold: DBSCAN insertions → support-count
+//! tails + derive → index update) while the history keeps growing day
+//! by day — every timed pass is asserted to have folded, so a silent
+//! drift cannot turn it into a seed timing; the full figure is the
+//! best-of-N `HybridPredictor::build` over the same H days — the verb
+//! with no trainer, a seed plus the index bulk load, what a store's
+//! first training and every re-seed cost. Best-of is deliberate:
+//! retrain cost has no data-dependent variance here, so the minimum is
+//! the least noise-polluted estimate.
 
 use hpm_bench::report::{num, obj, write_json};
 use hpm_bench::{best_of, Bench};
-use hpm_core::{HpmConfig, HybridPredictor, TrainerState};
+use hpm_core::{HpmConfig, HybridPredictor, TrainPass, TrainerState};
 use hpm_geo::Point;
 use hpm_obs::json::Json;
 use hpm_patterns::{DiscoveryParams, MiningParams};
@@ -98,20 +100,20 @@ fn measure(history_subs: usize, reps: usize) -> Row {
     // Incremental: seed at H days, then time each steady-state daily
     // pass while the history grows from H to H + reps days (the grown
     // histories are assembled before the clock starts).
-    let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
-    let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), config());
+    let (disc, mine) = (discovery(), mining());
+    let mut trainer = None;
+    let (mut predictor, _) =
+        TrainerState::retrain(&mut trainer, None, &warm, &disc, &mine, config());
     let grown: Vec<Trajectory> = (history_subs + 1..=history_subs + reps)
         .map(|day| Trajectory::from_points(all[..day * PERIOD as usize].to_vec()))
         .collect();
     let mut days = grown.iter();
     let incremental_ns = best_of(reps, || {
         let traj = days.next().expect("one grown history per rep");
-        let delta = trainer.stage_decompose(traj);
-        let visits = trainer
-            .stage_cluster(&delta)
-            .expect("steady-state commuter days never drift");
-        let patterns = trainer.stage_mine(&visits);
-        predictor = predictor.apply_update(trainer.regions(), patterns).0;
+        let (next, pass) =
+            TrainerState::retrain(&mut trainer, Some(&predictor), traj, &disc, &mine, config());
+        assert_eq!(pass, TrainPass::Folded, "a steady-state day drifted");
+        predictor = next;
     })
     .as_nanos();
 
@@ -145,13 +147,14 @@ fn run(bench: &Bench, sizes: &[usize], reps: usize) {
     }
     let methodology = format!(
         "steady-state commuter (period 4, 3-day jitter cycle); per size H: best-of-{reps} wall \
-         clock of one incremental daily pass (cursor delta -> IncDBSCAN insertions -> \
-         support-count tails + derive -> apply_update) while history grows H..H+{reps} days, vs \
-         best-of-{reps} HybridPredictor::build over H days (a trainer seeded from scratch + the \
-         index bulk load: a store's first-training path); end state asserted pattern- and \
-         region-identical to a full rebuild; speedup = full_ns / incremental_ns is a ratio of \
-         two costs, not a score: a faster seed sweep lowers full_ns and with it the ratio \
-         (the one-grid sweep did exactly that), so read the two ns columns first"
+         clock of one daily TrainerState::retrain pass, every timed pass asserted to fold \
+         (IncDBSCAN insertions -> support-count tails + derive -> index update) while history \
+         grows H..H+{reps} days, vs best-of-{reps} HybridPredictor::build over H days (the verb \
+         with no trainer: a seed + the index bulk load, a store's first-training path); end \
+         state asserted pattern- and region-identical to a full rebuild; speedup = full_ns / \
+         incremental_ns is a ratio of two costs, not a score: a faster seed sweep lowers \
+         full_ns and with it the ratio (the one-grid sweep did exactly that), so read the two \
+         ns columns first"
     );
     let results = rows
         .iter()

@@ -2,6 +2,8 @@
 //! offline dependency list).
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Parsed command line: a subcommand plus `--key value` flags.
 #[derive(Debug, Clone)]
@@ -53,7 +55,7 @@ impl Args {
     }
 
     /// A parsed flag with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.flags.get(key) {
             None => Ok(default),
             Some(raw) => raw
@@ -63,10 +65,32 @@ impl Args {
     }
 
     /// A required parsed flag.
-    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+    pub fn get<T: FromStr>(&self, key: &str) -> Result<T, String> {
         let raw = self.required(key)?;
         raw.parse()
             .map_err(|_| format!("flag --{key}: cannot parse `{raw}`"))
+    }
+
+    /// A parsed flag — `default` when absent, required when `None` —
+    /// that `ok` accepts. A value outside what a library asserts on is
+    /// refused here, naming the flag and `want`, instead of panicking
+    /// further down.
+    pub fn get_valid<T: FromStr + Display>(
+        &self,
+        key: &str,
+        default: Option<T>,
+        want: &str,
+        ok: impl FnOnce(&T) -> bool,
+    ) -> Result<T, String> {
+        let value = match default {
+            Some(default) => self.get_or(key, default)?,
+            None => self.get(key)?,
+        };
+        if ok(&value) {
+            Ok(value)
+        } else {
+            Err(format!("--{key} must be {want}, got {value}"))
+        }
     }
 
     /// Rejects unknown flags (typo protection).
@@ -126,6 +150,18 @@ mod tests {
         let a = Args::parse(&argv("x --good 1 --bad 2")).unwrap();
         assert!(a.expect_only(&["good"]).unwrap_err().contains("--bad"));
         assert!(a.expect_only(&["good", "bad"]).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_values_name_the_flag_and_the_range() {
+        let a = Args::parse(&argv("x --k 0")).unwrap();
+        let positive = |v: &u32| *v > 0;
+        assert_eq!(
+            a.get_valid("k", Some(1), "positive", positive).unwrap_err(),
+            "--k must be positive, got 0"
+        );
+        assert_eq!(a.get_valid("n", Some(3), "positive", positive), Ok(3));
+        assert!(a.get_valid("n", None, "positive", positive).is_err());
     }
 
     #[test]

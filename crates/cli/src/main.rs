@@ -174,14 +174,48 @@ fn load_input(args: &Args) -> Result<Trajectory, String> {
     Ok(traj)
 }
 
-fn mining_from(args: &Args) -> Result<MiningParams, String> {
-    Ok(MiningParams {
-        min_support: args.get_or("min-support", 4)?,
-        min_confidence: args.get_or("min-conf", 0.3)?,
-        max_premise_len: args.get_or("max-premise", 2)?,
-        max_premise_gap: args.get_or("max-gap", 8)?,
-        max_span: args.get_or("max-span", 64)?,
+/// The ranges the libraries assert on, for [`Args::get_valid`].
+fn positive<T: PartialOrd + Default>(v: &T) -> bool {
+    *v > T::default()
+}
+
+fn finite_positive(v: &f64) -> bool {
+    v.is_finite() && *v > 0.0
+}
+
+fn finite_non_negative(v: &f64) -> bool {
+    v.is_finite() && *v >= 0.0
+}
+
+/// `--period`, `--eps` and `--min-pts`, the last two defaulting to
+/// `eps` and `min_pts`.
+fn discovery_from(args: &Args, eps: f64, min_pts: usize) -> Result<DiscoveryParams, String> {
+    Ok(DiscoveryParams {
+        period: args.get_valid("period", None, "positive", positive)?,
+        eps: args.get_valid("eps", Some(eps), "finite and positive", finite_positive)?,
+        min_pts: args.get_valid("min-pts", Some(min_pts), "positive", positive)?,
     })
+}
+
+fn mining_from(args: &Args) -> Result<MiningParams, String> {
+    let mining = MiningParams {
+        min_support: args.get_valid("min-support", Some(4), "positive", positive)?,
+        min_confidence: args.get_valid("min-conf", Some(0.3), "in [0, 1]", |c| {
+            (0.0..=1.0).contains(c)
+        })?,
+        max_premise_len: args.get_valid("max-premise", Some(2), "positive", positive)?,
+        max_premise_gap: args.get_or("max-gap", 8)?,
+        max_span: args.get_valid("max-span", Some(64), "positive", positive)?,
+    };
+    let premise_span =
+        ((mining.max_premise_len - 1) as u64).saturating_mul(u64::from(mining.max_premise_gap));
+    if premise_span > u64::from(mining.max_span) {
+        return Err(format!(
+            "--max-span {} is shorter than (--max-premise - 1) * --max-gap = {premise_span}",
+            mining.max_span
+        ));
+    }
+    Ok(mining)
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
@@ -200,11 +234,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         "despike",
     ])?;
     let traj = load_input(args)?;
-    let discovery = DiscoveryParams {
-        period: args.get("period")?,
-        eps: args.get_or("eps", 30.0)?,
-        min_pts: args.get_or("min-pts", 4)?,
-    };
+    let discovery = discovery_from(args, 30.0, 4)?;
     let mining = mining_from(args)?;
     let started = std::time::Instant::now();
     let model = HybridPredictor::build(&traj, &discovery, &mining, HpmConfig::default());
@@ -351,14 +381,14 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let traj = load_input(args)?;
     let config = HpmConfig {
-        k: args.get_or("k", 1)?,
-        distant_threshold: args.get_or("distant", 60)?,
-        time_relaxation: args.get_or("teps", 2)?,
-        match_margin: args.get_or("margin", 30.0)?,
+        k: args.get_valid("k", Some(1), "positive", positive)?,
+        distant_threshold: args.get_valid("distant", Some(60), "positive", positive)?,
+        time_relaxation: args.get_valid("teps", Some(2), "positive", positive)?,
+        match_margin: margin(args)?,
         ..HpmConfig::default()
     };
     let predictor = HybridPredictor::from_parts(model.regions, model.patterns, config);
-    let recent_len: usize = args.get_or("recent", 20)?;
+    let recent_len: usize = args.get_valid("recent", Some(20), "positive", positive)?;
     let (recent, _) = traj.recent_window(recent_len);
     let current_time = traj.end() - 1;
     if let Some(batch) = args.optional("batch") {
@@ -475,24 +505,30 @@ fn store_config(
     threads: usize,
 ) -> Result<hpm_objectstore::StoreConfig, String> {
     Ok(hpm_objectstore::StoreConfig {
-        discovery: DiscoveryParams {
-            period: args.get("period")?,
-            eps: args.get_or("eps", 2.0)?,
-            min_pts: args.get_or("min-pts", 3)?,
-        },
+        discovery: discovery_from(args, 2.0, 3)?,
         mining: mining_from(args)?,
         hpm: HpmConfig {
-            k: args.get_or("k", 1)?,
-            match_margin: args.get_or("margin", 30.0)?,
+            k: args.get_valid("k", Some(1), "positive", positive)?,
+            match_margin: margin(args)?,
             ..HpmConfig::default()
         },
-        min_train_subs: args.get_or("min-train", 3)?,
-        retrain_every_subs: args.get_or("retrain-every", 1)?,
+        min_train_subs: args.get_valid("min-train", Some(3), "positive", positive)?,
+        retrain_every_subs: args.get_valid("retrain-every", Some(1), "positive", positive)?,
         recent_len,
         shards,
         threads,
         index: hpm_objectstore::IndexConfig::default(),
     })
+}
+
+/// `--margin`, the query-matching margin around a region's box.
+fn margin(args: &Args) -> Result<f64, String> {
+    args.get_valid(
+        "margin",
+        Some(30.0),
+        "finite and non-negative",
+        finite_non_negative,
+    )
 }
 
 /// The durability policy [`DURABILITY_FLAGS`] describe, over `dir`.
@@ -649,8 +685,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.required("addr")?;
     let config = store_config(
         args,
-        args.get_or("recent", 2)?,
-        args.get_or("shards", 4)?,
+        args.get_valid("recent", Some(2), "positive", positive)?,
+        args.get_valid("shards", Some(4), "positive", positive)?,
         args.get_or("threads", 0)?,
     )?;
     // The served registry should catalogue every layer's metrics even
@@ -681,8 +717,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn cmd_staypoints(args: &Args) -> Result<(), String> {
     args.expect_only(&["input", "radius", "min-duration", "fill-gaps", "despike"])?;
     let traj = load_input(args)?;
-    let radius: f64 = args.get("radius")?;
-    let min_duration: u64 = args.get("min-duration")?;
+    let radius = args.get_valid("radius", None, "finite and positive", finite_positive)?;
+    let min_duration: u64 = args.get_valid("min-duration", None, "positive", positive)?;
     let points = hpm_trajectory::stay_points(&traj, radius, min_duration);
     println!(
         "{} stay points (radius {radius}, min duration {min_duration}):",
@@ -748,19 +784,32 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         "tolerance",
     ])?;
     let traj = load_input(args)?;
-    let period: u32 = args.get("period")?;
-    let train_subs: usize = args.get("train-subs")?;
-    let length: u32 = args.get("length")?;
-    let discovery = DiscoveryParams {
-        period,
-        eps: args.get_or("eps", 30.0)?,
-        min_pts: args.get_or("min-pts", 4)?,
-    };
-    let mining = MiningParams {
-        min_confidence: args.get_or("min-conf", 0.3)?,
-        ..MiningParams::paper_defaults()
-    };
-    let extent: f64 = args.get_or("extent", 10_000.0)?;
+    let discovery = discovery_from(args, 30.0, 4)?;
+    let period = discovery.period;
+    let full_periods = traj.len() / period as usize;
+    let train_subs: usize = args.get_valid(
+        "train-subs",
+        None,
+        &format!("below the input's {full_periods} full periods"),
+        |&n| n < full_periods,
+    )?;
+    let recent_len = args.get_valid("recent", Some(20), "positive", positive)?;
+    let room = (period as usize).saturating_sub(recent_len);
+    let length: u32 = args.get_valid(
+        "length",
+        None,
+        &format!("positive and below {room} (--period {period} less --recent {recent_len})"),
+        |&n| n > 0 && (n as usize) < room,
+    )?;
+    // `eval` exposes `--min-conf` alone: the rest are the paper's
+    // defaults, which are `mining_from`'s.
+    let mining = mining_from(args)?;
+    let extent = args.get_valid(
+        "extent",
+        Some(10_000.0),
+        "finite and non-negative",
+        finite_non_negative,
+    )?;
     let train = training_slice(&traj, period, train_subs);
     let predictor = HybridPredictor::build(&train, &discovery, &mining, HpmConfig::default());
     let queries = make_workload(
@@ -768,9 +817,9 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         period,
         &WorkloadParams {
             train_subs,
-            recent_len: args.get_or("recent", 20)?,
+            recent_len,
             prediction_length: length,
-            num_queries: args.get_or("queries", 50)?,
+            num_queries: args.get_valid("queries", Some(50), "positive", positive)?,
         },
     );
     println!(

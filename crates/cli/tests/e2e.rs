@@ -140,6 +140,65 @@ fn full_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag value a library asserts on is refused where the flag is
+/// read: exit 1 with an `error:` line naming the flag, never a panic
+/// (exit 101).
+#[test]
+fn out_of_range_flags_exit_1_naming_the_flag() {
+    let dir = tmpdir("flag_ranges");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (csv, small, model) = (path("bike.csv"), path("small.csv"), path("bike.hpm"));
+    let generate = ["generate", "--dataset", "bike", "--seed", "3", "--subs"];
+    for (subs, out) in [("20", &csv), ("3", &small)] {
+        let out = hpm(&[&generate[..], &[subs, "--output", out]].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+    }
+    let out = hpm(&[
+        "train", "--input", &small, "--period", "300", "--output", &model,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let predict = [
+        "predict", "--model", &model, "--input", &csv, "--at", "6100",
+    ];
+    let eval = ["eval", "--input", &csv, "--period", "300"];
+    let train = ["train", "--input", &csv, "--output", &path("never.hpm")];
+    let store = path("store");
+    let ingest = ["ingest", "--input", &csv, "--data-dir", &store];
+    let staypoints = ["staypoints", "--input", &csv, "--min-duration", "3"];
+    // Each case gets one value wrong, in its last flag.
+    let cases: [(&[&str], &str); 13] = [
+        (&predict, "--recent 0"),
+        (&predict, "--k 0"),
+        (&predict, "--margin -1"),
+        (&eval, "--train-subs 10 --length 0"),
+        (&eval, "--train-subs 10 --length 9 --queries 0"),
+        (&eval, "--length 9 --train-subs 40"),
+        (&eval, "--train-subs 10 --length 290"),
+        (&train, "--period 0"),
+        (&train, "--period 300 --eps 0"),
+        (&train, "--period 300 --min-support 0"),
+        (&ingest, "--period 300 --min-train 0"),
+        (&ingest, "--period 0"),
+        (&staypoints, "--radius -1"),
+    ];
+    for (command, flags) in cases {
+        let flags: Vec<&str> = flags.split(' ').collect();
+        let args = [command, &flags].concat();
+        let out = hpm(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        let flag = flags[flags.len() - 2];
+        assert!(
+            err.starts_with("error: ") && err.contains(flag),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!dir.join("never.hpm").exists() && !dir.join("store").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A 22-byte model file with a valid checksum that claims 50,000,000
 /// regions (`HPMMODEL`, version 1, period 1, the count, the trailer).
 /// Sized by its claim, the region table asks for 3.2 GB and the process

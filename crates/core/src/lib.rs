@@ -83,7 +83,7 @@ pub use similarity::{
     consequence_similarity, premise_similarity, premise_similarity_ids, premise_similarity_with,
     WeightFunction, WeightTable,
 };
-pub use train::{NewVisit, TrainerState, UpdateTier};
+pub use train::{TrainPass, TrainerState};
 pub use types::{
     Prediction, PredictionSource, PredictiveQuery, RankedAnswer, Uncertainty, ELLIPSE_SIGMAS,
 };

@@ -25,6 +25,19 @@ hpm_obs::catalog! {
     /// ([`crate::HybridPredictor::apply_update`]: confidence patches in
     /// place, or re-assembly from the pattern list).
     span APPLY_UPDATE_SPAN = "core.apply_update";
+    /// Latency span around the region-discovery phase of a training pass
+    /// ([`crate::TrainerState::retrain`]): a fold's DBSCAN insertions and
+    /// the support-count tails of the visits they record, or a whole
+    /// trainer seed (decomposition, batch DBSCAN, support-count rebuild).
+    /// A drift records both. (`objectstore.`-prefixed: the name predates
+    /// the verb's move out of the store.)
+    span RETRAIN_DISCOVER_SPAN = "objectstore.retrain.discover";
+    /// Latency span around the pattern-mining phase of a training pass:
+    /// deriving the rule list from the support counts.
+    span RETRAIN_MINE_SPAN = "objectstore.retrain.mine";
+    /// Latency span around the TPT phase of a training pass (region
+    /// summaries + a confidence patch, or a bulk load + one repack).
+    span RETRAIN_TPT_SPAN = "objectstore.retrain.tpt";
 
     /// Predictive queries answered.
     counter PREDICT_CALLS = "core.predict.calls";

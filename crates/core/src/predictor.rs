@@ -81,17 +81,17 @@ impl hpm_geo::MemUse for HybridPredictor {
 impl HybridPredictor {
     /// Runs the full offline pipeline over a movement history:
     /// periodic decomposition → DBSCAN frequent regions → pattern
-    /// mining → TPT bulk load. The first three are a
-    /// [`TrainerState`] seeded on `history` — the path a store's first
-    /// training takes — dropped once the predictor is assembled.
+    /// mining → TPT bulk load. It is [`TrainerState::retrain`] with no
+    /// trainer and no live predictor — the path a store's first
+    /// training takes — and the seeded trainer is dropped once the
+    /// predictor is assembled.
     pub fn build(
         history: &Trajectory,
         discovery: &DiscoveryParams,
         mining: &MiningParams,
         config: HpmConfig,
     ) -> Self {
-        let mut trainer = TrainerState::seed(history, discovery, mining);
-        Self::from_parts(trainer.regions(), trainer.stage_mine(&[]), config)
+        TrainerState::retrain(&mut None, None, history, discovery, mining, config).0
     }
 
     /// Assembles a predictor from already-discovered regions and

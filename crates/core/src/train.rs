@@ -1,52 +1,50 @@
 //! The training pipeline: one trainer, seeded from a history or
-//! folded forward over its deltas.
+//! folded forward over its deltas, behind one verb.
 //!
 //! [`TrainerState`] is the §III–§IV pipeline as long-lived state:
 //! per-offset clustering states
 //! ([`IncrementalDbscan`](hpm_clustering::IncrementalDbscan)), the visit
 //! sequences and persistent support counts ([`SupportCounts`]).
-//! [`seed`](TrainerState::seed) derives all of it from a complete
-//! history — that is the batch pipeline, and
-//! [`HybridPredictor::build`] is exactly "seed a trainer, derive,
-//! assemble". A trainer that is kept afterwards remembers where its
-//! last pass stopped and folds only the samples reported since then
-//! into the same structures.
+//! [`TrainerState::retrain`] is the one way to train: given the trainer
+//! slot, the live predictor and a history, it either **folds** the
+//! samples reported since the last pass into the trainer or **seeds** a
+//! new one from the whole history — the batch pipeline — and then
+//! derives the pattern list and assembles the predictor.
+//! [`HybridPredictor::build`] is that verb called with nothing.
 //!
-//! The fold's stages mirror the seeding pipeline one-to-one so callers
-//! can time them individually:
+//! A pass runs three phases, each under its own span:
 //!
-//! 1. [`stage_decompose`](TrainerState::stage_decompose) — the
-//!    [`DecomposeCursor`] yields the samples appended since the last
-//!    pass, already placed as `(sub, offset, point)` (§III).
-//! 2. [`stage_cluster`](TrainerState::stage_cluster) — each sample is
-//!    inserted into its offset's density structure; safe insertions
-//!    become region visits, anything structural reports
-//!    [`DriftKind`] and the caller falls back to a re-seed.
-//! 3. [`stage_mine`](TrainerState::stage_mine) — new visits extend
-//!    their sub-trajectory's sequence, support counts absorb the
-//!    tails, and the full pattern list is re-derived from counts.
-//! 4. [`HybridPredictor::apply_update`] — the derived regions +
-//!    pattern table replace the live ones: confidences are patched
-//!    into the index image when the rule list and key vocabulary did
-//!    not move, otherwise the image is rebuilt from the table.
+//! 1. *discover* — a fold streams the new samples, places each one
+//!    (§III, [`Placement`]) and inserts it into its offset's density
+//!    structure; a safe insertion that lands in a cluster is recorded as
+//!    a region visit and the support counts absorb the itemsets it
+//!    ends, anything structural is drift and the pass seeds instead. A
+//!    seed clusters every offset group in one sweep
+//!    ([`cluster_offsets`]) and rebuilds the support counts.
+//! 2. *mine* — the full pattern list is derived from the counts.
+//! 3. *tpt* — the derived regions + pattern table replace the live
+//!    ones: confidences are patched into the index image when the rule
+//!    list and key vocabulary did not move, otherwise the image is
+//!    rebuilt from the table; with no live predictor, it is assembled
+//!    from parts.
 //!
-//! The state is *derived*: [`seed`](TrainerState::seed) re-derives all
-//! of it from a history, and a state seeded from a history equals one
-//! folded up to it. So nothing persists it — an object restored from a
-//! snapshot has no trainer, and its next retrain seeds one. Every verb
-//! that reads samples (`seed`, `stage_decompose`) takes any
+//! The state is *derived*: a seed re-derives all of it from a history,
+//! and a state seeded from a history equals one folded up to it. So
+//! nothing persists it — an object restored from a snapshot has no
+//! trainer, and its next retrain seeds one. The verb takes any
 //! [`History`] — a raw `Trajectory` or the store's compressed
-//! `ChunkedHistory` — through one entry point.
+//! `ChunkedHistory`.
 //!
-//! **Equivalence guarantee**: after a successful incremental pass the
-//! resulting predictor answers every query exactly like
-//! `HybridPredictor::build` — a fresh seed — over the full history
-//! would: same regions, same patterns (ids included), same ranked
-//! answers. Drift is detected conservatively, so the guarantee holds
-//! *because* every case that could perturb a fresh seed's output falls
-//! back to one (property-tested in `tests/train_props.rs`).
+//! **Equivalence guarantee**: after a fold the resulting predictor
+//! answers every query exactly like `HybridPredictor::build` — a fresh
+//! seed — over the full history would: same regions, same patterns (ids
+//! included), same ranked answers. Drift is detected conservatively, so
+//! the guarantee holds *because* every case that could perturb a fresh
+//! seed's output falls back to one (property-tested in
+//! `tests/train_props.rs`).
 
-use crate::HybridPredictor;
+use crate::metrics::{RETRAIN_DISCOVER_SPAN, RETRAIN_MINE_SPAN, RETRAIN_TPT_SPAN};
+use crate::{HpmConfig, HybridPredictor};
 use hpm_clustering::{DriftKind, InsertOutcome};
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
 use hpm_geo::MemUse;
@@ -54,26 +52,28 @@ use hpm_patterns::{
     cluster_offsets, region_set, DiscoveryParams, MiningParams, OffsetClusters, PatternTable,
     RegionId, RegionSet, SupportCounts,
 };
-use hpm_trajectory::{DecomposeCursor, DeltaSample, History, TimeOffset};
+use hpm_trajectory::{History, Placement};
 
-/// One region visit produced by the clustering stage: sub-trajectory
-/// `sub` passed through region `region` at time offset `offset`.
+/// What one [`TrainerState::retrain`] pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NewVisit {
-    /// Sub-trajectory index (cursor numbering).
-    pub sub: usize,
-    /// The frequent region visited.
-    pub region: RegionId,
-    /// Its time offset.
-    pub offset: TimeOffset,
+pub enum TrainPass {
+    /// Folded the samples reported since the last pass into the
+    /// trainer.
+    Folded,
+    /// Seeded a trainer from the whole history: there was no trainer,
+    /// or no live predictor to update.
+    Seeded,
+    /// The fold hit structure drift, so a trainer was seeded instead.
+    Drifted,
 }
 
-/// Persistent incremental-training state of one object: the cursor
-/// into its history plus per-offset density structures and support
-/// counts, all grown in lock-step with the trajectory.
+/// Persistent incremental-training state of one object: how much of
+/// its history has been folded in, plus per-offset density structures
+/// and support counts, all grown in lock-step with the history.
 #[derive(Debug, Clone)]
 pub struct TrainerState {
-    cursor: DecomposeCursor,
+    /// Samples of the history folded in so far.
+    consumed: usize,
     /// One clustering state per time offset (`Gₜ` of §III), the region
     /// id of each offset's first cluster — frozen until the next seed:
     /// the safe insertion path never creates, merges, or renumbers
@@ -83,22 +83,66 @@ pub struct TrainerState {
 }
 
 impl TrainerState {
-    /// Derives a trainer from the full history — the batch pipeline,
-    /// taken on first training, after structure drift, and by the first
-    /// retrain after a restart (a recovered object carries no trainer).
-    /// The samples are streamed, so a compressed history decodes on the
-    /// fly; the cursor is caught up to the end of `hist`.
+    /// Trains over `hist` — the one training verb. With a trainer in
+    /// `slot` and a `live` predictor it folds the samples reported since
+    /// the last pass; with either missing, or when the fold drifts, it
+    /// seeds a trainer from all of `hist` into `slot`. It then derives
+    /// the pattern list and returns the predictor — `live` updated when
+    /// there is one (it keeps its own configuration), else assembled
+    /// under `config` — with what the pass did.
     ///
     /// # Panics
-    /// Panics when `discovery.period == 0` or `mining` is inconsistent.
-    pub fn seed(hist: &impl History, discovery: &DiscoveryParams, mining: &MiningParams) -> Self {
+    /// Panics when `discovery.period == 0`, `mining` or `config` is
+    /// inconsistent, or `hist` holds fewer samples than the trainer
+    /// already folded in (a caller that shrinks a history must empty
+    /// `slot` first).
+    pub fn retrain(
+        slot: &mut Option<TrainerState>,
+        live: Option<&HybridPredictor>,
+        hist: &impl History,
+        discovery: &DiscoveryParams,
+        mining: &MiningParams,
+        config: HpmConfig,
+    ) -> (HybridPredictor, TrainPass) {
+        let pass = match (slot.as_mut(), live) {
+            (Some(trainer), Some(_)) => {
+                let _s = hpm_obs::span!(RETRAIN_DISCOVER_SPAN);
+                match trainer.fold(hist) {
+                    Ok(()) => TrainPass::Folded,
+                    Err(_) => TrainPass::Drifted,
+                }
+            }
+            _ => TrainPass::Seeded,
+        };
+        let trainer = match slot {
+            Some(trainer) if pass == TrainPass::Folded => trainer,
+            slot => {
+                let _s = hpm_obs::span!(RETRAIN_DISCOVER_SPAN);
+                slot.insert(Self::seed(hist, discovery, mining))
+            }
+        };
+        let patterns = {
+            let _s = hpm_obs::span!(RETRAIN_MINE_SPAN);
+            trainer.counts.derive()
+        };
+        let _s = hpm_obs::span!(RETRAIN_TPT_SPAN);
+        let regions = trainer.regions();
+        let predictor = match live {
+            Some(live) => live.apply_update(regions, patterns).0,
+            None => HybridPredictor::from_parts(regions, patterns, config),
+        };
+        (predictor, pass)
+    }
+
+    /// Derives a trainer from the full history — the batch pipeline.
+    /// The samples are streamed, so a compressed history decodes on the
+    /// fly.
+    fn seed(hist: &impl History, discovery: &DiscoveryParams, mining: &MiningParams) -> Self {
         let mut counts = SupportCounts::new(*mining);
         let clusters = cluster_offsets(hist, discovery);
         counts.rebuild(&clusters.visits);
-        let mut cursor = DecomposeCursor::new(discovery.period);
-        cursor.catch_up(hist);
         TrainerState {
-            cursor,
+            consumed: hist.len(),
             clusters,
             counts,
         }
@@ -107,59 +151,39 @@ impl TrainerState {
     /// Samples of the history already folded into this state.
     #[inline]
     pub fn consumed(&self) -> usize {
-        self.cursor.consumed()
+        self.consumed
     }
 
-    /// Stage 1 — §III decomposition delta: the samples appended to
-    /// `hist` since the last pass (only those are streamed), placed
-    /// into `(sub, offset)` slots.
-    ///
-    /// # Panics
-    /// Panics when `hist` shrank below the consumed watermark (the
-    /// caller must [`seed`](Self::seed) a fresh state instead).
-    pub fn stage_decompose(&mut self, hist: &impl History) -> Vec<DeltaSample> {
-        self.cursor.advance(hist)
-    }
-
-    /// Stage 2 — incremental region discovery: inserts each delta
-    /// sample into its offset's density structure. Safe insertions
-    /// that land in a cluster become [`NewVisit`]s; any structural
-    /// change aborts with the observed [`DriftKind`], poisoning the
-    /// state — the caller must fall back to a full rebuild and
-    /// [`seed`](Self::seed) a fresh one.
-    pub fn stage_cluster(&mut self, samples: &[DeltaSample]) -> Result<Vec<NewVisit>, DriftKind> {
-        let mut visits = Vec::new();
-        for s in samples {
-            let t = s.offset as usize;
-            match self.clusters.offsets[t].insert(s.point) {
+    /// Folds the samples reported since the last pass in, in time
+    /// order: each is placed, inserted into its offset's density
+    /// structure, and — when the insertion is safe and lands in a
+    /// cluster — recorded as a visit whose new itemsets are counted on
+    /// the spot. Structural change aborts with the observed drift,
+    /// poisoning the state.
+    fn fold(&mut self, hist: &impl History) -> Result<(), DriftKind> {
+        assert!(hist.len() >= self.consumed, "history shrank");
+        let clusters = &mut self.clusters;
+        let place = Placement::new(hist.start(), clusters.offsets.len() as u32);
+        for (i, p) in (self.consumed..).zip(hist.iter_from(self.consumed)) {
+            let (sub, t) = place.place(i);
+            match clusters.offsets[t as usize].insert(p) {
                 InsertOutcome::Noise => {}
-                InsertOutcome::Member(c) => visits.push(NewVisit {
-                    sub: s.sub,
-                    region: RegionId(self.clusters.first_ids[t] + c),
-                    offset: s.offset,
-                }),
+                InsertOutcome::Member(c) => {
+                    let region = RegionId(clusters.first_ids[t as usize] + c);
+                    self.counts
+                        .record_tail(clusters.visits.record(sub, region, t));
+                }
                 InsertOutcome::Drift(kind) => return Err(kind),
             }
         }
-        Ok(visits)
-    }
-
-    /// Stage 3 — incremental mining: extends the visited
-    /// sub-trajectories' sequences, folds the new tails into the
-    /// support counts, and derives the full canonical pattern list
-    /// (identical to what a fresh seed over the whole history derives).
-    pub fn stage_mine(&mut self, visits: &[NewVisit]) -> PatternTable {
-        for v in visits {
-            let tx = self.clusters.visits.record(v.sub, v.region, v.offset);
-            self.counts.record_tail(tx);
-        }
-        self.counts.derive()
+        self.consumed = hist.len();
+        Ok(())
     }
 
     /// The current frequent regions, read off the per-offset cluster
     /// summaries — bit-identical to what a fresh seed over the full
     /// consumed history produces.
-    pub fn regions(&self) -> RegionSet {
+    fn regions(&self) -> RegionSet {
         let regions = region_set(&self.clusters.offsets);
         let counts = (self.clusters.offsets.iter()).map(|s| s.cluster_count() as u32);
         debug_assert!(
@@ -185,7 +209,7 @@ impl MemUse for TrainerState {
 
 /// How [`HybridPredictor::apply_update`] absorbed a retrain result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateTier {
+enum UpdateTier {
     /// Pattern keys unchanged: confidences patched into the index
     /// image in place.
     Confidences,
@@ -214,7 +238,7 @@ impl HybridPredictor {
     /// Panics when a pattern fails validation against `regions` (only
     /// reachable on the rebuild outcome; a confidence patch reuses
     /// validated keys).
-    pub fn apply_update(
+    fn apply_update(
         &self,
         regions: RegionSet,
         patterns: impl Into<PatternTable>,
@@ -276,6 +300,17 @@ mod tests {
         }
     }
 
+    /// One pass of the verb over `traj` with the fixture's parameters.
+    fn retrain(
+        slot: &mut Option<TrainerState>,
+        live: Option<&HybridPredictor>,
+        traj: &Trajectory,
+    ) -> (HybridPredictor, TrainPass) {
+        let mut cfg = commuter_config();
+        cfg.k = 2;
+        TrainerState::retrain(slot, live, traj, &discovery(), &mining(), cfg)
+    }
+
     /// Asserts the full-equivalence contract between an incrementally
     /// maintained predictor and a batch build over the same history.
     fn assert_equivalent(incremental: &HybridPredictor, traj: &Trajectory) {
@@ -300,39 +335,20 @@ mod tests {
         }
     }
 
-    /// Runs one incremental retrain pass, falling back to seed+rebuild
-    /// on drift (the store's retrain logic, inlined).
-    fn retrain(
-        trainer: &mut TrainerState,
-        predictor: &HybridPredictor,
-        traj: &Trajectory,
-    ) -> HybridPredictor {
-        let delta = trainer.stage_decompose(traj);
-        match trainer.stage_cluster(&delta) {
-            Ok(visits) => {
-                let patterns = trainer.stage_mine(&visits);
-                predictor.apply_update(trainer.regions(), patterns).0
-            }
-            Err(_) => {
-                *trainer = TrainerState::seed(traj, &discovery(), &mining());
-                HybridPredictor::build(traj, &discovery(), &mining(), *predictor.config())
-            }
-        }
-    }
-
     #[test]
     fn incremental_pass_tracks_batch_build() {
         let full = commuter_days(60);
-        let mut cfg = commuter_config();
-        cfg.k = 2;
         // Start from 40 days, feed the rest day by day.
         let warm = Trajectory::from_points(full.points()[..40 * COMMUTER_PERIOD as usize].to_vec());
-        let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
-        let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), cfg);
+        let mut slot = None;
+        let (mut predictor, pass) = retrain(&mut slot, None, &warm);
+        assert_eq!(pass, TrainPass::Seeded);
         for day in 41..=60 {
             let traj =
                 Trajectory::from_points(full.points()[..day * COMMUTER_PERIOD as usize].to_vec());
-            predictor = retrain(&mut trainer, &predictor, &traj);
+            let (next, pass) = retrain(&mut slot, Some(&predictor), &traj);
+            assert_eq!(pass, TrainPass::Folded, "day {day}");
+            predictor = next;
             assert_equivalent(&predictor, &traj);
         }
         assert!(!predictor.patterns().is_empty());
@@ -341,28 +357,25 @@ mod tests {
     /// Regression: seeding on a history shorter than one period (or
     /// starting unaligned) must still produce one clustering state per
     /// offset. The sparse seeding it replaced left `offsets` and the
-    /// region ids shorter than `period`, so the next delta pass
-    /// panicked in `stage_cluster` (or silently clustered against the
-    /// wrong offset's state).
+    /// region ids shorter than `period`, so the next fold panicked (or
+    /// silently clustered against the wrong offset's state).
     #[test]
     fn seed_on_sub_period_history_stays_aligned() {
         let full = commuter_days(41);
-        let mut cfg = commuter_config();
-        cfg.k = 2;
         // Seed mid-period: offsets >= 3 have no samples yet.
         let warm = Trajectory::from_points(full.points()[..3].to_vec());
-        let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
-        assert_eq!(trainer.regions().period(), COMMUTER_PERIOD);
-        let mut predictor = HybridPredictor::build(&warm, &discovery(), &mining(), cfg);
+        let mut slot = None;
+        let (mut predictor, _) = retrain(&mut slot, None, &warm);
+        assert_eq!(predictor.regions().period(), COMMUTER_PERIOD);
         // Grow past the period boundary and beyond — previously an
-        // index-out-of-bounds panic in stage_cluster.
+        // index-out-of-bounds panic in the fold.
         for len in [
             COMMUTER_PERIOD as usize + 2,
             10 * COMMUTER_PERIOD as usize,
             40 * COMMUTER_PERIOD as usize,
         ] {
             let traj = Trajectory::from_points(full.points()[..len].to_vec());
-            predictor = retrain(&mut trainer, &predictor, &traj);
+            predictor = retrain(&mut slot, Some(&predictor), &traj).0;
             assert_equivalent(&predictor, &traj);
         }
         assert!(!predictor.patterns().is_empty());
@@ -376,15 +389,14 @@ mod tests {
         let full = commuter_days(41);
         let start: Timestamp = 2; // offsets 0..2 of the first sub empty
         let warm = Trajectory::new(start, full.points()[2..COMMUTER_PERIOD as usize].to_vec());
-        let mut trainer = TrainerState::seed(&warm, &discovery(), &mining());
-        let mut predictor =
-            HybridPredictor::build(&warm, &discovery(), &mining(), commuter_config());
+        let mut slot = None;
+        let (mut predictor, _) = retrain(&mut slot, None, &warm);
         for days in [2usize, 10, 40] {
             let traj = Trajectory::new(
                 start,
                 full.points()[2..days * COMMUTER_PERIOD as usize].to_vec(),
             );
-            predictor = retrain(&mut trainer, &predictor, &traj);
+            predictor = retrain(&mut slot, Some(&predictor), &traj).0;
             let batch = HybridPredictor::build(&traj, &discovery(), &mining(), *predictor.config());
             assert_eq!(predictor.regions().all(), batch.regions().all());
             assert_eq!(predictor.patterns(), batch.patterns());
@@ -394,9 +406,8 @@ mod tests {
     #[test]
     fn wild_day_drifts_and_reseeds() {
         let mut pts = commuter_days(40).points().to_vec();
-        let warm = Trajectory::from_points(pts.clone());
-        let trainer = TrainerState::seed(&warm, &discovery(), &mining());
-        let predictor = HybridPredictor::build(&warm, &discovery(), &mining(), commuter_config());
+        let mut slot = None;
+        let (predictor, _) = retrain(&mut slot, None, &Trajectory::from_points(pts.clone()));
         // A brand-new dense hotspot must eventually register as drift
         // (promotion/new-cluster), never silently change structure.
         for _ in 0..4 {
@@ -405,17 +416,33 @@ mod tests {
             }
         }
         let traj = Trajectory::from_points(pts);
-        let mut drifted = trainer.clone();
-        let delta = drifted.stage_decompose(&traj);
-        assert!(drifted.stage_cluster(&delta).is_err(), "expected drift");
-        // Recovery: seed + batch build is again equivalent going
-        // forward.
-        let mut drifted = TrainerState::seed(&traj, &discovery(), &mining());
-        assert_eq!(drifted.consumed(), traj.len());
-        let rebuilt = HybridPredictor::build(&traj, &discovery(), &mining(), *predictor.config());
-        let (next, tier) = rebuilt.apply_update(drifted.regions(), drifted.stage_mine(&[]));
-        assert_eq!(tier, UpdateTier::Confidences);
-        assert_eq!(next.patterns(), rebuilt.patterns());
+        let (next, pass) = retrain(&mut slot, Some(&predictor), &traj);
+        assert_eq!(pass, TrainPass::Drifted);
+        // The re-seeded trainer is caught up, and the predictor equals
+        // a batch build going forward.
+        assert_eq!(slot.as_ref().map(TrainerState::consumed), Some(traj.len()));
+        assert_equivalent(&next, &traj);
+        assert_eq!(retrain(&mut slot, Some(&next), &traj).1, TrainPass::Folded);
+    }
+
+    /// Histories only grow: a fold over fewer samples than the trainer
+    /// consumed is a caller bug, not a silent rewind.
+    #[test]
+    #[should_panic(expected = "history shrank")]
+    fn a_fold_over_a_shrunk_history_panics() {
+        let mut slot = None;
+        let (live, _) = retrain(&mut slot, None, &commuter_days(10));
+        retrain(&mut slot, Some(&live), &commuter_days(9));
+    }
+
+    #[test]
+    fn no_live_predictor_seeds_even_with_a_trainer() {
+        let traj = commuter_days(30);
+        let mut slot = None;
+        retrain(&mut slot, None, &traj);
+        let (p, pass) = retrain(&mut slot, None, &commuter_days(31));
+        assert_eq!(pass, TrainPass::Seeded);
+        assert_equivalent(&p, &commuter_days(31));
     }
 
     #[test]

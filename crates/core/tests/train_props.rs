@@ -1,10 +1,13 @@
-//! The incremental-training contract: a predictor maintained through
-//! `TrainerState` + `apply_update` answers exactly like
-//! `HybridPredictor::build` over the full history — after **every**
-//! retrain point, drift fallbacks included.
+//! The training contract: a predictor kept by `TrainerState::retrain`
+//! answers exactly like `HybridPredictor::build` over the same history
+//! — after **every** pass, whatever the history grew by since the last
+//! one: part of a period, several periods at once, or a drift day that
+//! forces a re-seed.
 
 use hpm_check::prelude::*;
-use hpm_core::{HpmConfig, HybridPredictor, PredictiveQuery, TrainerState, WeightFunction};
+use hpm_core::{
+    HpmConfig, HybridPredictor, PredictiveQuery, TrainPass, TrainerState, WeightFunction,
+};
 use hpm_geo::Point;
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::{Timestamp, Trajectory};
@@ -21,42 +24,89 @@ fn config() -> HpmConfig {
     }
 }
 
-/// One incremental retrain pass with the drift fallback the object
-/// store takes: on structure drift, rebuild in full and re-seed.
-fn retrain(
-    trainer: &mut TrainerState,
-    predictor: &HybridPredictor,
-    traj: &Trajectory,
-    disc: &DiscoveryParams,
-    mp: &MiningParams,
-) -> HybridPredictor {
-    let delta = trainer.stage_decompose(traj);
-    match trainer.stage_cluster(&delta) {
-        Ok(visits) => {
-            let patterns = trainer.stage_mine(&visits);
-            predictor.apply_update(trainer.regions(), patterns).0
-        }
-        Err(_) => {
-            *trainer = TrainerState::seed(traj, disc, mp);
-            HybridPredictor::build(traj, disc, mp, *predictor.config())
-        }
+fn discovery(period: u32) -> DiscoveryParams {
+    DiscoveryParams {
+        period,
+        eps: 3.0,
+        min_pts: 3,
     }
 }
 
+fn mining() -> MiningParams {
+    MiningParams {
+        min_support: 2,
+        min_confidence: 0.2,
+        max_premise_len: 2,
+        max_premise_gap: 2,
+        max_span: 3,
+    }
+}
+
+/// One commuter day on `branch`, jittered by `jitter(t)`.
+fn commute(period: u32, branch: f64, mut jitter: impl FnMut() -> f64) -> Vec<Point> {
+    (0..period)
+        .map(|t| {
+            let j = jitter();
+            Point::new(t as f64 * 50.0 + j, branch * 40.0 + j)
+        })
+        .collect()
+}
+
+/// One day spent at a remote hotspot: three of them at one spot make
+/// new dense regions, which a fold reports as drift.
+fn wild_day(period: u32, x: f64, y: f64) -> Vec<Point> {
+    (0..period)
+        .map(|t| Point::new(x + t as f64 * 0.2, y))
+        .collect()
+}
+
+/// One pass of the verb over `traj`, checked against a batch build:
+/// same regions, same patterns (ids included), the same index image —
+/// a pure function of the pattern list — and the same ranked answers on
+/// near (FQP) and distant (BQP) queries and motion fallbacks.
+fn step(
+    slot: &mut Option<TrainerState>,
+    live: Option<&HybridPredictor>,
+    traj: &Trajectory,
+    period: u32,
+) -> Result<(HybridPredictor, TrainPass), CaseError> {
+    let (disc, mp) = (discovery(period), mining());
+    let (got, pass) = TrainerState::retrain(slot, live, traj, &disc, &mp, config());
+    let batch = HybridPredictor::build(traj, &disc, &mp, config());
+    require_eq!(got.regions().all(), batch.regions().all(), "{pass:?}");
+    require_eq!(got.patterns(), batch.patterns(), "{pass:?}");
+    require_eq!(got.packed_tpt(), batch.packed_tpt(), "{pass:?}");
+    let p = traj.points();
+    let now = traj.end() - 1;
+    let far = [Point::new(900.0, 900.0)];
+    for recent in [&p[p.len() - 1..], &p[p.len().saturating_sub(2)..], &far] {
+        for dt in [1, 2, period as Timestamp] {
+            let q = PredictiveQuery {
+                recent,
+                current_time: now,
+                query_time: now + dt,
+            };
+            require_eq!(got.predict(&q), batch.predict(&q), "{pass:?}, query {q:?}");
+        }
+    }
+    require_eq!(slot.as_ref().map(TrainerState::consumed), Some(traj.len()));
+    Ok((got, pass))
+}
+
 props! {
-    // Report streams are commuter days with `wild`-probability outlier
-    // days (new hotspots -> promotion/new-cluster drift). After every
-    // daily retrain the incrementally maintained predictor must match
-    // a batch build over the full prefix: same regions, same patterns
-    // (ids included), same ranked answers on sampled near (FQP) and
-    // distant (BQP) queries, and the same motion fallbacks.
+    // Report streams are commuter days on one or two branches with
+    // `wild`-probability outlier days (new hotspots -> promotion /
+    // new-cluster drift), starting at any phase of the period. The
+    // history grows by the drawn `steps` in turn — 1..=24 samples, so a
+    // step is part of a period as often as several whole ones — and
+    // every pass must match a batch build over the history it has seen.
     #[cases(96)]
-    fn incremental_retrain_equals_full_rebuild(
+    fn a_pass_over_any_delta_equals_a_batch_build(
         period in int(3u32..6),
+        start in int(0u64..6),
         days in int(6usize..16),
-        warm in int(2usize..5),
-        branches in int(1u64..3),
         wild in choice(vec![0u64, 150, 400]),
+        steps in vec(int(1usize..25), 1..6),
         seed in int(0u64..100_000),
     ) {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -66,66 +116,66 @@ props! {
             state ^= state << 17;
             state
         };
-        // The full report stream, day by day.
+        let branches = 1 + next() % 2;
         let mut pts = Vec::with_capacity(days * period as usize);
         for _ in 0..days {
             if next() % 1000 < wild {
-                // A wild day: the whole day at a remote hotspot.
-                let bx = 500.0 + (next() % 3) as f64 * 150.0;
-                let by = 500.0 + (next() % 3) as f64 * 150.0;
-                for t in 0..period {
-                    pts.push(Point::new(bx + t as f64 * 0.2, by));
-                }
+                let x = 500.0 + (next() % 3) as f64 * 150.0;
+                let y = 500.0 + (next() % 3) as f64 * 150.0;
+                pts.extend(wild_day(period, x, y));
             } else {
                 let branch = (next() % branches) as f64;
-                for t in 0..period {
-                    let jitter = (next() % 100) as f64 / 100.0;
-                    pts.push(Point::new(t as f64 * 50.0 + jitter, branch * 40.0 + jitter));
-                }
+                pts.extend(commute(period, branch, || (next() % 100) as f64 / 100.0));
             }
         }
-        let prefix =
-            |d: usize| Trajectory::from_points(pts[..d * period as usize].to_vec());
 
-        let disc = DiscoveryParams { period, eps: 3.0, min_pts: 3 };
-        let mp = MiningParams {
-            min_support: 2,
-            min_confidence: 0.2,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 3,
-        };
-        let warm_days = warm.min(days - 1);
-        let warm_traj = prefix(warm_days);
-        let mut trainer = TrainerState::seed(&warm_traj, &disc, &mp);
-        let mut predictor = HybridPredictor::build(&warm_traj, &disc, &mp, config());
-
-        for d in warm_days + 1..=days {
-            let traj = prefix(d);
-            predictor = retrain(&mut trainer, &predictor, &traj, &disc, &mp);
-            let batch = HybridPredictor::build(&traj, &disc, &mp, config());
-            require_eq!(predictor.regions().all(), batch.regions().all());
-            require_eq!(predictor.patterns(), batch.patterns());
-            // One index per predictor, a pure function of its pattern
-            // list: an incrementally maintained image equals the
-            // bulk-loaded one, not merely its answers.
-            require_eq!(predictor.packed_tpt(), batch.packed_tpt());
-
-            let p = traj.points();
-            let now = (p.len() - 1) as Timestamp;
-            let recents: [&[Point]; 3] =
-                [&p[p.len() - 1..], &p[p.len() - 2..], &[Point::new(900.0, 900.0)]];
-            for recent in recents {
-                for dt in [1, 2, period as Timestamp] {
-                    let q = PredictiveQuery {
-                        recent,
-                        current_time: now,
-                        query_time: now + dt,
-                    };
-                    require_eq!(predictor.predict(&q), batch.predict(&q));
-                }
+        let (mut slot, mut live) = (None, None);
+        let mut len = 0;
+        for &grow in steps.iter().cycle() {
+            len = (len + grow).min(pts.len());
+            let traj = Trajectory::new(start, pts[..len].to_vec());
+            live = Some(step(&mut slot, live.as_ref(), &traj, period)?.0);
+            if len == pts.len() {
+                break;
             }
         }
-        require_eq!(trainer.consumed(), days * period as usize);
+    }
+}
+
+/// A fixed schedule that takes every kind of delta the property draws:
+/// a part of a period, several periods in one pass, and a drift day —
+/// so a draw that misses one kind cannot hide a broken fold.
+#[test]
+fn the_schedule_folds_partial_and_multi_period_deltas_and_reseeds_on_drift() {
+    let period = 4;
+    let mut day = 0u64;
+    let mut commuter = |days: usize| -> Vec<Point> {
+        (0..days)
+            .flat_map(|_| {
+                day += 1;
+                commute(period, 0.0, || (day % 3) as f64 * 0.3)
+            })
+            .collect()
+    };
+    let mut pts = commuter(8);
+    let mut ends = vec![(6 * period as usize, TrainPass::Seeded)];
+    ends.push((ends[0].0 + 1, TrainPass::Folded)); // one sample
+    ends.push((7 * period as usize + 2, TrainPass::Folded)); // the rest of a period and more
+    pts.extend(commuter(4));
+    ends.push((pts.len(), TrainPass::Folded)); // several periods at once
+    for _ in 0..3 {
+        pts.extend(wild_day(period, 700.0, 700.0));
+    }
+    ends.push((pts.len(), TrainPass::Drifted)); // three days at a new hotspot
+    pts.extend(commuter(2));
+    ends.push((pts.len(), TrainPass::Folded)); // folding again after the re-seed
+
+    let (mut slot, mut live) = (None, None);
+    for (end, want) in ends {
+        let traj = Trajectory::new(2, pts[..end].to_vec());
+        let (next, pass) = step(&mut slot, live.as_ref(), &traj, period)
+            .unwrap_or_else(|e| panic!("pass to {end}: {e:?}"));
+        assert_eq!(pass, want, "pass to {end}");
+        live = Some(next);
     }
 }

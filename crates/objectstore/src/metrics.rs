@@ -21,22 +21,9 @@ hpm_obs::catalog! {
     /// Latency span around one per-object predictor retrain (incremental
     /// or full).
     span RETRAIN_SPAN = "objectstore.retrain";
-    /// Latency span around the decomposition phase of an incremental
-    /// retrain (§III delta cursor). The seed path — first train, forced,
-    /// drift fallback — decomposes inside the discover span instead.
-    span RETRAIN_DECOMPOSE_SPAN = "objectstore.retrain.decompose";
-    /// Latency span around the region-discovery phase of a retrain:
-    /// incremental DBSCAN insertions, or on the seed path the whole
-    /// trainer seed (decomposition, batch DBSCAN, support-count rebuild).
-    span RETRAIN_DISCOVER_SPAN = "objectstore.retrain.discover";
-    /// Latency span around the pattern-mining phase of a retrain
-    /// (support-count deltas + rule derivation; derivation alone after a
-    /// seed).
-    span RETRAIN_MINE_SPAN = "objectstore.retrain.mine";
-    /// Latency span around the TPT phase of a retrain (a confidence
-    /// patch, or a bulk load + one repack — always the latter on the seed
-    /// path).
-    span RETRAIN_TPT_SPAN = "objectstore.retrain.tpt";
+    // The phase spans of a retrain — `objectstore.retrain.discover`,
+    // `.mine` and `.tpt` — are declared by `hpm_core::metrics`, where
+    // the training verb records them.
     /// Latency span around one batch predictive call (`predict_batch`),
     /// pool fan-out included.
     span PREDICT_BATCH_SPAN = "objectstore.predict_batch";

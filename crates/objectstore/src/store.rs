@@ -6,7 +6,7 @@ use crate::durability::{
 use crate::index::{Envelope, IndexConfig, PredictiveIndex};
 use crate::pool::WorkerPool;
 use hpm_core::{
-    HpmConfig, HybridPredictor, NewVisit, PredictScratch, Prediction, PredictiveQuery,
+    HpmConfig, HybridPredictor, PredictScratch, Prediction, PredictiveQuery, TrainPass,
     TrainerState, Uncertainty,
 };
 use hpm_geo::mem::heap_bytes;
@@ -1618,82 +1618,43 @@ impl MovingObjectStore {
 
     /// Retrains `state` on its first `subs` full periods (a crossing
     /// passes all it has, `force_retrain` the watermark it had) and
-    /// sets the watermark to `subs` — the one training path. The
-    /// trainer either folds in the samples reported since the last
-    /// pass ([`cluster_delta`](Self::cluster_delta)) or, when it cannot
-    /// — no trainer (first training, after a restart or a
-    /// `force_retrain`), structure drift — is re-seeded from those
-    /// periods: one DBSCAN sweep per offset plus a support-count
-    /// rebuild. Either way the patterns are then derived from the
-    /// trainer's counts and the predictor assembled from the trainer's
-    /// regions: as an update of the live predictor when there is one
-    /// (a rule list that did not move — the usual case after a fold,
-    /// and after the re-seed that follows a restart — only patches
-    /// confidences into the index image), from parts on first
-    /// training. A seed followed by `from_parts` is, call for call, the
-    /// paper's batch pipeline [`HybridPredictor::build`]; a fold equals
-    /// it by the `hpm-core` training contract, and that function is
-    /// what the test suites compare the store against.
+    /// sets the watermark to `subs` — the one training path, through
+    /// [`TrainerState::retrain`]: the trainer folds in the samples
+    /// reported since the last pass, or is re-seeded from those periods
+    /// when it cannot (no trainer — first training, after a restart or
+    /// a `force_retrain` — or structure drift). A seed with no live
+    /// predictor is, call for call, the paper's batch pipeline
+    /// [`HybridPredictor::build`]; a fold equals it by the `hpm-core`
+    /// training contract, and that function is what the test suites
+    /// compare the store against.
     fn retrain(&self, state: &mut ObjectState, subs: usize) {
         let period = self.config.discovery.period as usize;
-        let ObjectState {
-            history,
-            predictor,
-            trainer,
-            trained_subs,
-            ..
-        } = state;
-        let samples = Prefix::new(&*history, subs * period);
+        let samples = Prefix::new(&state.history, subs * period);
         if samples.is_empty() {
             return;
         }
         let _span = hpm_obs::span!(crate::metrics::RETRAIN_SPAN);
         hpm_obs::counter!(crate::metrics::RETRAINS).add(1);
         hpm_obs::gauge!(crate::metrics::RETRAIN_STALENESS)
-            .set((history.len() / period).saturating_sub(*trained_subs) as i64);
-        let visits = match trainer.as_mut() {
-            Some(trainer) if predictor.is_some() => Self::cluster_delta(trainer, &samples),
-            _ => None,
-        };
-        let trainer = match (visits.is_some(), trainer) {
-            (true, Some(trainer)) => {
-                hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
-                trainer
-            }
-            (_, slot) => {
-                hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
-                let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-                let (discovery, mining) = (&self.config.discovery, &self.config.mining);
-                slot.insert(TrainerState::seed(&samples, discovery, mining))
-            }
-        };
-        let patterns = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_MINE_SPAN);
-            trainer.stage_mine(visits.as_deref().unwrap_or(&[]))
-        };
-        let _s = hpm_obs::span!(crate::metrics::RETRAIN_TPT_SPAN);
-        *predictor = Some(match predictor.as_ref() {
-            Some(live) => live.apply_update(trainer.regions(), patterns).0,
-            None => HybridPredictor::from_parts(trainer.regions(), patterns, self.config.hpm),
-        });
-        *trained_subs = subs;
-    }
-
-    /// The incremental half of a retrain: decomposes the samples
-    /// reported since the last pass and inserts them into the
-    /// trainer's per-offset clusterings. `None` on structure drift —
-    /// the trainer is then poisoned and must be re-seeded.
-    fn cluster_delta(trainer: &mut TrainerState, history: &impl History) -> Option<Vec<NewVisit>> {
-        let delta = {
-            let _s = hpm_obs::span!(crate::metrics::RETRAIN_DECOMPOSE_SPAN);
-            trainer.stage_decompose(history)
-        };
-        let _s = hpm_obs::span!(crate::metrics::RETRAIN_DISCOVER_SPAN);
-        let visits = trainer.stage_cluster(&delta).ok();
-        if visits.is_none() {
+            .set((state.history.len() / period).saturating_sub(state.trained_subs) as i64);
+        let (predictor, pass) = TrainerState::retrain(
+            &mut state.trainer,
+            state.predictor.as_ref(),
+            &samples,
+            &self.config.discovery,
+            &self.config.mining,
+            self.config.hpm,
+        );
+        if pass == TrainPass::Folded {
+            hpm_obs::counter!(crate::metrics::RETRAINS_INCREMENTAL).add(1);
+        } else {
+            hpm_obs::counter!(crate::metrics::RETRAINS_FULL).add(1);
+        }
+        if pass == TrainPass::Drifted {
             hpm_obs::counter!(crate::metrics::RETRAIN_DRIFT_FALLBACKS).add(1);
         }
-        visits
+        state.predictor = Some(predictor);
+        state.trained_subs = subs;
     }
 
     /// Chunk geometry every object history uses: `min_tail` is sized

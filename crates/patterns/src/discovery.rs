@@ -1,6 +1,6 @@
 //! Frequent-region discovery (§IV, first component).
 //!
-//! Decomposes the history into periodic offset groups `Gₜ`, clusters
+//! Streams the history into its periodic offset groups `Gₜ`, clusters
 //! every group with DBSCAN, and numbers the dense clusters as frequent
 //! regions `Rₜʲ` in ascending `(offset, cluster)` order. Alongside the
 //! [`RegionSet`] it produces the [`VisitTable`]: for every
@@ -16,7 +16,8 @@
 use crate::{FrequentRegion, RegionId, RegionSet};
 use hpm_clustering::{DbscanParams, IncrementalDbscan};
 use hpm_geo::mem::vec_cap_bytes;
-use hpm_trajectory::{History, OffsetGroups, TimeOffset, Trajectory};
+use hpm_geo::Point;
+use hpm_trajectory::{History, Placement, TimeOffset};
 
 /// Knobs of the discovery stage (§VII.B: `Eps`, `MinPts`, and the
 /// period `T`).
@@ -141,43 +142,50 @@ pub struct OffsetClusters {
     pub visits: VisitTable,
 }
 
-/// Discovers the frequent regions of `traj` and the per-sub-trajectory
+/// Discovers the frequent regions of `hist` and the per-sub-trajectory
 /// visit sequences: [`cluster_offsets`], then [`region_set`].
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
-pub fn discover(traj: &Trajectory, params: &DiscoveryParams) -> DiscoveryOutput {
-    let clustered = cluster_offsets(traj, params);
+pub fn discover(hist: &impl History, params: &DiscoveryParams) -> DiscoveryOutput {
+    let clustered = cluster_offsets(hist, params);
     DiscoveryOutput {
         regions: region_set(&clustered.offsets),
         visits: clustered.visits,
     }
 }
 
-/// Decomposes `hist` into its periodic offset groups and clusters the
-/// locations of every `Gₜ` with DBSCAN(`eps`, `min_pts`). Each cluster
-/// is a frequent region; ids are assigned in ascending `(offset,
-/// cluster-id)` order — the numbering §V.A's region keys and
+/// Streams `hist` once into its periodic offset groups and clusters
+/// the locations of every `Gₜ` with DBSCAN(`eps`, `min_pts`). Each
+/// cluster is a frequent region; ids are assigned in ascending
+/// `(offset, cluster-id)` order — the numbering §V.A's region keys and
 /// Property 1 depend on — and every cluster member is a visit of its
-/// sub-trajectory to that region.
+/// sub-trajectory to that region. Each group is sized exactly before
+/// it fills and moves into its clustering as is.
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
 pub fn cluster_offsets(hist: &impl History, params: &DiscoveryParams) -> OffsetClusters {
     let _span = hpm_obs::span!(crate::metrics::DISCOVER_SPAN);
     let db = DbscanParams::new(params.eps, params.min_pts);
-    let groups = OffsetGroups::build(hist, params.period);
+    let place = Placement::new(hist.start(), params.period);
+    let n = hist.len();
+    let mut groups: Vec<Vec<Point>> = (0..params.period)
+        .map(|t| Vec::with_capacity(place.count(n, t)))
+        .collect();
+    for (i, p) in hist.iter_from(0).enumerate() {
+        groups[place.place(i).1 as usize].push(p);
+    }
     let mut offsets = Vec::with_capacity(params.period as usize);
     let mut first_ids = Vec::with_capacity(params.period as usize);
-    let mut visits = VisitTable::with_subs(groups.sub_count());
+    let mut visits = VisitTable::with_subs(place.subs(n));
     let mut next_id = 0u32;
-    for t in 0..params.period {
-        let group = groups.group(t);
-        let state = IncrementalDbscan::seed(group.iter().map(|&(_, p)| p).collect(), db);
+    for (t, group) in (0..).zip(groups) {
+        let state = IncrementalDbscan::seed(group, db);
         first_ids.push(next_id);
         for cluster in state.cluster_views() {
             for &m in cluster.members {
-                visits.record(group[m as usize].0, RegionId(next_id), t);
+                visits.record(place.sub(t, m as usize), RegionId(next_id), t);
             }
             next_id += 1;
         }
@@ -212,7 +220,7 @@ pub fn region_set(offsets: &[IncrementalDbscan]) -> RegionSet {
     RegionSet::new(regions, offsets.len() as u32)
 }
 
-/// Maps a trajectory onto an *existing* region vocabulary: for every
+/// Maps a history onto an *existing* region vocabulary: for every
 /// sample, the frequent region (if any) containing it at its time
 /// offset, collected into per-sub-trajectory visit sequences.
 ///
@@ -226,18 +234,13 @@ pub fn region_set(offsets: &[IncrementalDbscan]) -> RegionSet {
 /// margin: a sample within `margin` of a region's bounding box counts
 /// as visiting it (the closest-centroid region wins when several
 /// match).
-pub fn visits_against(traj: &Trajectory, regions: &RegionSet, margin: f64) -> VisitTable {
-    let period = regions.period();
-    let groups = OffsetGroups::build(traj, period);
-    let mut visits = VisitTable::with_subs(groups.sub_count());
-    for (t, group) in groups.iter() {
-        if regions.at_offset(t).is_empty() {
-            continue;
-        }
-        for &(sub, p) in group {
-            if let Some(id) = regions.region_at(t, &p, margin) {
-                visits.record(sub, id, t);
-            }
+pub fn visits_against(hist: &impl History, regions: &RegionSet, margin: f64) -> VisitTable {
+    let place = Placement::new(hist.start(), regions.period());
+    let mut visits = VisitTable::with_subs(place.subs(hist.len()));
+    for (i, p) in hist.iter_from(0).enumerate() {
+        let (sub, t) = place.place(i);
+        if let Some(id) = regions.region_at(t, &p, margin) {
+            visits.record(sub, id, t);
         }
     }
     visits
@@ -246,7 +249,7 @@ pub fn visits_against(traj: &Trajectory, regions: &RegionSet, margin: f64) -> Vi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_geo::Point;
+    use hpm_trajectory::Trajectory;
 
     /// A toy commuter: 10 "days" of period 4. Offsets 0..2 are always
     /// near fixed spots (home, road, work); offset 3 alternates between

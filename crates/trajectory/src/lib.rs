@@ -11,7 +11,7 @@
 //! # Example
 //!
 //! ```
-//! use hpm_trajectory::{from_sparse_samples, OffsetGroups, Trajectory};
+//! use hpm_trajectory::{from_sparse_samples, Placement, Trajectory};
 //! use hpm_geo::Point;
 //!
 //! // A sparse GPS feed with a dropped fix at t = 2.
@@ -23,9 +23,11 @@
 //! assert_eq!(filled, 1);
 //! assert_eq!(traj.at(2), Some(Point::new(2.0, 0.0)));
 //!
-//! // Decompose into per-offset groups with a period of 2.
-//! let groups = OffsetGroups::build(&traj, 2);
-//! assert_eq!(groups.group(0).len(), 2); // t = 0 and t = 2
+//! // Decompose with a period of 2: t = 3 is offset 1 of the second
+//! // sub-trajectory, and offset 0 holds two samples (t = 0 and t = 2).
+//! let place = Placement::new(traj.start(), 2);
+//! assert_eq!(place.place(3), (1, 1));
+//! assert_eq!(place.count(traj.len(), 0), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,7 +43,7 @@ pub use chunks::{
     decode_xor_bytes, encode_xor_bytes, ChunkError, ChunkParams, ChunkedHistory, DecodeCursor,
     SealedChunk, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
 };
-pub use decompose::{DecomposeCursor, DeltaSample, OffsetGroups};
+pub use decompose::Placement;
 pub use history::{History, Prefix};
 pub use preprocess::{despike, from_sparse_samples, PreprocessError};
 pub use staypoints::{stay_points, StayPoint};

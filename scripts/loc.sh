@@ -18,8 +18,8 @@ cd "$(dirname "$0")/.."
 # left. A change that needs the room raises them in the same diff and
 # says why in CHANGES.md (ROADMAP item 9's targets are 27,850 / 13,300,
 # with 27,500 file lines as the stretch).
-BUDGET_FILE_LINES=27920
-BUDGET_CODE_ONLY=13119
+BUDGET_FILE_LINES=27732
+BUDGET_CODE_ONLY=13105
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {

@@ -18,10 +18,11 @@
 //! A change that moves what training produces — not how — has to
 //! regenerate them the same way and say why.
 
-use hybrid_prediction_model::core::{HpmConfig, HybridPredictor, TrainerState};
+use hybrid_prediction_model::core::{HpmConfig, HybridPredictor, TrainPass, TrainerState};
 use hybrid_prediction_model::datagen::{paper_dataset, PaperDataset, PERIOD};
 use hybrid_prediction_model::patterns::{DiscoveryParams, MiningParams};
 use hybrid_prediction_model::store::encode_model;
+use hybrid_prediction_model::trajectory::Prefix;
 
 const GOLDEN: [(PaperDataset, usize, u64, &str); 3] = [
     (PaperDataset::Airplane, 40, 42, "68c6cff7e81e5feb"),
@@ -43,15 +44,33 @@ fn trained_models_match_the_parent_written_trailers() {
         ..DiscoveryParams::paper_defaults()
     };
     let mining = MiningParams::paper_defaults();
+    let mut folds = 0;
     for (dataset, subs, seed, golden) in GOLDEN {
         let history = paper_dataset(dataset, seed).generate_subs(subs);
         let built = HybridPredictor::build(&history, &discovery, &mining, HpmConfig::default());
         let blob = encode_model(built.regions(), built.patterns());
         assert_eq!(trailer(&blob), golden, "{} build", dataset.name());
 
-        // The store's first-training path, spelled out.
-        let mut trainer = TrainerState::seed(&history, &discovery, &mining);
-        let blob = encode_model(&trainer.regions(), &trainer.stage_mine(&[]));
-        assert_eq!(trailer(&blob), golden, "{} seeded trainer", dataset.name());
+        // The store's path: a trainer seeded on all but the last
+        // period, then one pass of the verb over the last — a fold, or a
+        // re-seed where the fold drifts.
+        let mut slot = None;
+        let mut pass = |live, subs: usize| {
+            let hist = Prefix::new(&history, subs * PERIOD as usize);
+            TrainerState::retrain(
+                &mut slot,
+                live,
+                &hist,
+                &discovery,
+                &mining,
+                HpmConfig::default(),
+            )
+        };
+        let (seeded, _) = pass(None, subs - 1);
+        let (live, last) = pass(Some(&seeded), subs);
+        folds += usize::from(last == TrainPass::Folded);
+        let blob = encode_model(live.regions(), live.patterns());
+        assert_eq!(trailer(&blob), golden, "{} retrained", dataset.name());
     }
+    assert!(folds > 0, "no pass folded: only the seed path was pinned");
 }
