@@ -22,8 +22,10 @@
 //!
 //! A trained row answers the other half: what a *trained* object
 //! keeps resident — predictor, trainer, history, split the way the
-//! `store.mem.*_bytes` gauges split it — and what one mined rule costs
-//! in predictor bytes, over a small fleet of forked commuters.
+//! `store.mem.*_bytes` gauges split it, and the trainer further into
+//! its clusterings, open visit sequence and support counts — and what
+//! one mined rule costs in predictor bytes, over a small fleet of
+//! forked commuters.
 //!
 //! Run with `cargo bench --bench memory`; writes `BENCH_memory.json`
 //! at the workspace root (`HPM_BENCH_OUT` overrides the directory).
@@ -36,7 +38,7 @@
 
 use hpm_bench::report::{num, obj, write_json};
 use hpm_bench::Bench;
-use hpm_core::HpmConfig;
+use hpm_core::{HpmConfig, TrainPass, TrainerState};
 use hpm_geo::{MemUse, Point};
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
 use hpm_obs::json::Json;
@@ -176,13 +178,16 @@ fn store_row(objects: u64, samples_per_object: usize) -> StoreRow {
 }
 
 /// Trained-state bytes over a fleet of forked commuters: the
-/// per-object shares `memory_use()` reports and the predictor's cost
-/// per mined rule.
+/// per-object shares `memory_use()` reports, the trainer's three parts
+/// ([`TrainerState::mem_shares`]) and the predictor's cost per mined
+/// rule.
 struct TrainedRow {
     objects: usize,
     rules_per_object: usize,
     predictor_bytes_per_object: usize,
     trainer_bytes_per_object: usize,
+    /// Clusterings, open visit sequence, support counts.
+    trainer_shares_per_object: [usize; 3],
     history_bytes_per_object: usize,
     predictor_bytes_per_rule: f64,
 }
@@ -194,19 +199,21 @@ const TRAINED_PERIODS: usize = 12;
 
 fn trained_row(objects: u64) -> TrainedRow {
     use hpm_datagen::{Archetype, GeneratorConfig, PeriodicGenerator};
+    let discovery = DiscoveryParams {
+        period: TRAINED_PERIOD,
+        eps: 2.0,
+        min_pts: 3,
+    };
+    let mining = MiningParams {
+        min_support: 3,
+        min_confidence: 0.3,
+        max_premise_len: 2,
+        max_premise_gap: 2,
+        max_span: 8,
+    };
     let store = MovingObjectStore::new(StoreConfig {
-        discovery: DiscoveryParams {
-            period: TRAINED_PERIOD,
-            eps: 2.0,
-            min_pts: 3,
-        },
-        mining: MiningParams {
-            min_support: 3,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 8,
-        },
+        discovery,
+        mining,
         hpm: HpmConfig::default(),
         min_train_subs: TRAINED_PERIODS,
         retrain_every_subs: usize::MAX >> 1,
@@ -216,6 +223,7 @@ fn trained_row(objects: u64) -> TrainedRow {
         index: hpm_objectstore::IndexConfig::default(),
     });
     let mut rules = 0;
+    let (mut trainer_bytes, mut shares) = (0, [0; 3]);
     for id in 0..objects {
         // Two routes share a first leg and fork, per-object geometry.
         let reach = 24.0 + (id % 7) as f64;
@@ -244,14 +252,30 @@ fn trained_row(objects: u64) -> TrainedRow {
             .report_batch(ObjectId(id), 0, path.points())
             .expect("contiguous synthetic stream");
         rules += store.stats(ObjectId(id)).expect("just reported").patterns;
+        // The store keeps its trainer to itself: seed the same one
+        // beside it to read the parts.
+        let mut trainer = None;
+        let hpm = HpmConfig::default();
+        let (_, pass) = TrainerState::retrain(&mut trainer, None, &path, &discovery, &mining, hpm);
+        assert_eq!(pass, TrainPass::Seeded);
+        let trainer = trainer.expect("a seed fills the slot");
+        trainer_bytes += trainer.mem_bytes();
+        for (sum, part) in shares.iter_mut().zip(trainer.mem_shares()) {
+            *sum += part;
+        }
     }
     let mem = store.memory_use();
+    assert_eq!(
+        trainer_bytes, mem.trainer_bytes,
+        "the store trained another state"
+    );
     let n = objects as usize;
     TrainedRow {
         objects: n,
         rules_per_object: rules / n,
         predictor_bytes_per_object: mem.predictor_bytes / n,
         trainer_bytes_per_object: mem.trainer_bytes / n,
+        trainer_shares_per_object: shares.map(|b| b / n),
         history_bytes_per_object: mem.history_bytes / n,
         predictor_bytes_per_rule: mem.predictor_bytes as f64 / rules.max(1) as f64,
     }
@@ -275,7 +299,9 @@ const TRAINED_METHODOLOGY: &str = "a live MovingObjectStore of forked commuters 
     per-object geometry and seed; Eps 2 / MinPts 3, min_support 3, premises of up to 2 \
     regions), each loaded in one batch so it trains once at its last sample; the per-object \
     figures are memory_use()'s predictor / trainer / history shares (the store.mem.*_bytes \
-    gauges) over the fleet, and predictor_bytes_per_rule is the predictor share over the rules \
+    gauges) over the fleet; the trainer's clustering / visits / support-count parts come from a \
+    TrainerState seeded beside each object over the same path (TrainerState::mem_shares, each \
+    part with its inline size; their fleet total is asserted equal to the store's trainer share); predictor_bytes_per_rule is the predictor share over the rules \
     it indexes — regions, pattern table, key table, packed TPT image and weight table \
     together. Capacity-based MemUse figures, held to the allocator's live bytes within 20% by \
     objectstore/tests/mem_growth.rs";
@@ -317,9 +343,10 @@ fn run(
     );
 
     let tr = trained_row(trained_objects);
+    let [clustering, visits, counts] = tr.trainer_shares_per_object;
     println!(
-        "  trained {} objs x {} rules: predictor {} B/obj ({:.1} B/rule), trainer {} B/obj, \
-         history {} B/obj",
+        "  trained {} objs x {} rules: predictor {} B/obj ({:.1} B/rule), trainer {} B/obj \
+         (clustering {clustering}, visits {visits}, support counts {counts}), history {} B/obj",
         tr.objects,
         tr.rules_per_object,
         tr.predictor_bytes_per_object,
@@ -363,6 +390,9 @@ fn run(
             "trainer_bytes_per_object",
             count(tr.trainer_bytes_per_object),
         ),
+        ("trainer_clustering_bytes_per_object", count(clustering)),
+        ("trainer_visits_bytes_per_object", count(visits)),
+        ("trainer_support_counts_bytes_per_object", count(counts)),
         (
             "history_bytes_per_object",
             count(tr.history_bytes_per_object),
@@ -413,6 +443,14 @@ const MEMSMOKE_BUDGET_BYTES_PER_OBJECT: usize = 12 * 1024;
 /// the rules' keys (a pattern-key side array is 80 B/rule).
 const MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE: f64 = 128.0;
 
+/// Committed trainer-bytes-per-object budget for the same smoke: the
+/// same commuters' trainer share. Measured 37,469 B/object
+/// (clustering 21,941, visits 245, support counts 15,282); 10%
+/// headroom, so a regrowth of ~3.7 KB fails it — a hash map of
+/// itemset keys (~+15 KB), or member lists in the cluster folds with a
+/// full visit table (~+5 KB).
+const MEMSMOKE_BUDGET_TRAINER_BYTES_PER_OBJECT: usize = 41_216;
+
 fn main() {
     if std::env::args().any(|a| a == "--memsmoke") {
         let tr = trained_row(64);
@@ -422,13 +460,22 @@ fn main() {
             tr.predictor_bytes_per_rule,
             MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE
         );
+        assert!(
+            tr.trainer_bytes_per_object < MEMSMOKE_BUDGET_TRAINER_BYTES_PER_OBJECT,
+            "{} trainer B/object ({:?} by part) exceeds the committed budget of {} B",
+            tr.trainer_bytes_per_object,
+            tr.trainer_shares_per_object,
+            MEMSMOKE_BUDGET_TRAINER_BYTES_PER_OBJECT
+        );
         println!(
             "MEMSMOKE ok trained_objects={} rules_per_object={} predictor_bytes_per_rule={:.1} \
-             budget={}",
+             budget={} trainer_bytes_per_object={} trainer_budget={}",
             tr.objects,
             tr.rules_per_object,
             tr.predictor_bytes_per_rule,
-            MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE
+            MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE,
+            tr.trainer_bytes_per_object,
+            MEMSMOKE_BUDGET_TRAINER_BYTES_PER_OBJECT
         );
         let st = store_row(10_000, 600);
         assert!(

@@ -50,40 +50,43 @@ pub struct Cluster {
     pub bbox: BoundingBox,
 }
 
-/// Running aggregate of one cluster: members in ascending index order
-/// with their coordinate sum and tight box. The sweep's summaries and
-/// the incremental state's later appends extend this same fold, which
-/// is what keeps them bit-identical.
-#[derive(Debug, Clone, PartialEq)]
+/// Running aggregate of one cluster: its member count, coordinate sum
+/// and tight box, folded in ascending member-index order. The sweep's
+/// summaries and the incremental state's later appends extend this
+/// same fold, which is what keeps them bit-identical. The members
+/// themselves are the points whose assignment names the cluster.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ClusterFold {
-    pub(crate) members: Vec<u32>,
+    pub(crate) len: u32,
     pub(crate) sum: Point,
     pub(crate) bbox: BoundingBox,
 }
 
 impl ClusterFold {
-    fn with_capacity(members: usize) -> Self {
-        ClusterFold {
-            members: Vec::with_capacity(members),
-            sum: Point::ORIGIN,
-            bbox: BoundingBox::from_point(Point::ORIGIN),
-        }
-    }
+    const EMPTY: ClusterFold = ClusterFold {
+        len: 0,
+        sum: Point::ORIGIN,
+        bbox: BoundingBox {
+            min: Point::ORIGIN,
+            max: Point::ORIGIN,
+        },
+    };
 
-    /// Folds in point `i` at `p`; callers push in ascending `i`.
-    pub(crate) fn push(&mut self, i: u32, p: Point) {
-        if self.members.is_empty() {
+    /// Folds in the next member at `p`; callers push in ascending
+    /// member index.
+    pub(crate) fn push(&mut self, p: Point) {
+        if self.len == 0 {
             self.bbox = BoundingBox::from_point(p);
         } else {
             self.bbox.expand(p);
         }
-        self.members.push(i);
+        self.len += 1;
         self.sum += p;
     }
 
     #[inline]
     pub(crate) fn centroid(&self) -> Point {
-        self.sum / self.members.len() as f64
+        self.sum / self.len as f64
     }
 }
 
@@ -176,17 +179,11 @@ pub(crate) fn sweep(
         }
     }
 
-    // Summaries: one fold per cluster, members ascending. Sizes are
-    // counted first so that each member list is allocated exactly once.
-    let mut sizes = vec![0usize; next_cluster as usize];
-    for &a in assign.iter().filter(|&&a| a < NOISE) {
-        sizes[a as usize] += 1;
-    }
-    let mut clusters: Vec<ClusterFold> =
-        sizes.into_iter().map(ClusterFold::with_capacity).collect();
-    for ((&a, &p), i) in assign.iter().zip(points).zip(0..) {
+    // Summaries: one fold per cluster, members ascending.
+    let mut clusters = vec![ClusterFold::EMPTY; next_cluster as usize];
+    for (&a, &p) in assign.iter().zip(points) {
         if a < NOISE {
-            clusters[a as usize].push(i, p);
+            clusters[a as usize].push(p);
         }
     }
     Sweep {
@@ -205,7 +202,7 @@ mod tests {
     /// brute-force sweep first.
     fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
         let state = IncrementalDbscan::seed(points.to_vec(), params);
-        state.validate().unwrap();
+        state.validate(&params).unwrap();
         (state.labels(), state.clusters())
     }
 

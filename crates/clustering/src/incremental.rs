@@ -30,7 +30,11 @@
 //! the points, the sweep queries it once per point, and the grid, the
 //! assignment vector, the `|N_Eps|` each query returned and the cluster
 //! folds move into the state as they are; `insert` queries and appends
-//! to the same grid. The seed is the first train of every object, every
+//! to the same grid. A state holds only what is its own: the
+//! parameters and the neighbour scratch are the caller's, so a trainer
+//! with one state per time offset keeps one copy of each, and a cluster
+//! is a count, a sum and a box — its members are the points whose
+//! assignment names it. The seed is the first train of every object, every
 //! drift fallback and every trained object at every reopen, which is
 //! why it does each piece of neighbourhood work exactly once (DESIGN.md
 //! "Training lifecycle" records what a second cell map, a second fold
@@ -69,14 +73,14 @@ pub enum InsertOutcome {
     Drift(DriftKind),
 }
 
-/// Borrowed summary of one cluster of an [`IncrementalDbscan`]: what
-/// [`Cluster`] carries, without copying the member list.
+/// Summary of one cluster of an [`IncrementalDbscan`]: what
+/// [`Cluster`] carries, with the member count in place of the list.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterView<'a> {
+pub struct ClusterView {
     /// Dense 0-based id, consistent with [`Label::Cluster`].
     pub id: u32,
-    /// Indices into the state's point sequence, ascending.
-    pub members: &'a [u32],
+    /// Number of members.
+    pub size: u32,
     /// Arithmetic mean of the members.
     pub centroid: Point,
     /// Tight bounding box of the members.
@@ -84,10 +88,10 @@ pub struct ClusterView<'a> {
 }
 
 /// Persistent per-group clustering state supporting single-point
-/// insertion with exact batch equivalence on the safe path.
+/// insertion with exact batch equivalence on the safe path. The
+/// [`DbscanParams`] it was seeded under are passed to every later call.
 #[derive(Debug, Clone)]
 pub struct IncrementalDbscan {
-    params: DbscanParams,
     points: Vec<Point>,
     /// `Eps`-sized neighbour grid over `points`.
     grid: GridIndex,
@@ -99,10 +103,6 @@ pub struct IncrementalDbscan {
     /// Running folds, so emitted summaries are bit-identical to the
     /// batch fold (members ascending).
     clusters: Vec<ClusterFold>,
-    /// Neighbour list of the sample being inserted, kept so that a
-    /// fold does not allocate per point.
-    neighbors: Vec<u32>,
-    poisoned: bool,
 }
 
 impl IncrementalDbscan {
@@ -119,73 +119,65 @@ impl IncrementalDbscan {
             grid.neighbors_into(&points, p, params.eps, out)
         });
         IncrementalDbscan {
-            params,
             points,
             grid,
             counts,
             assign,
             clusters,
-            neighbors: Vec::new(),
-            poisoned: false,
         }
     }
 
-    #[inline]
-    fn is_core(&self, i: u32) -> bool {
-        self.counts[i as usize] as usize >= self.params.min_pts
-    }
-
-    /// Inserts one point (appended at the highest index) and reports
-    /// how it was absorbed. On [`InsertOutcome::Drift`] the state is
-    /// *poisoned* — stale with respect to the inserted point — and only
-    /// [`IncrementalDbscan::seed`] can produce a fresh one.
-    ///
-    /// # Panics
-    /// Panics when called on a poisoned state.
-    pub fn insert(&mut self, p: Point) -> InsertOutcome {
-        assert!(!self.poisoned, "insert on a drifted IncrementalDbscan");
-        let mut neighbors = std::mem::take(&mut self.neighbors);
+    /// Inserts one point (appended at the highest index) under the
+    /// `params` the state was seeded with, and reports how it was
+    /// absorbed. `neighbors` is scratch: it is overwritten, and a
+    /// caller folding many states keeps one for all of them so that a
+    /// fold does not allocate per point. On [`InsertOutcome::Drift`]
+    /// the point is *not* inserted and the state is stale with respect
+    /// to it: only [`IncrementalDbscan::seed`] over the extended point
+    /// set produces a fresh one, and the caller must not insert again.
+    pub fn insert(
+        &mut self,
+        p: Point,
+        params: &DbscanParams,
+        neighbors: &mut Vec<u32>,
+    ) -> InsertOutcome {
         neighbors.clear();
         self.grid
-            .neighbors_into(&self.points, &p, self.params.eps, &mut neighbors);
-        let outcome = self.absorb(p, &neighbors);
-        self.neighbors = neighbors;
-        outcome
+            .neighbors_into(&self.points, &p, params.eps, neighbors);
+        self.absorb(p, neighbors, params.min_pts)
     }
 
     /// Classifies `p` against its `neighbors` (existing points within
     /// `Eps`, any order) and commits it when that is safe.
-    fn absorb(&mut self, p: Point, neighbors: &[u32]) -> InsertOutcome {
+    fn absorb(&mut self, p: Point, neighbors: &[u32], min_pts: usize) -> InsertOutcome {
+        let is_core = |i: u32| self.counts[i as usize] as usize >= min_pts;
         // Any neighbour crossing the core threshold can re-route
         // borders, absorb noise, or merge clusters: bail out first.
         if neighbors
             .iter()
-            .any(|&i| self.counts[i as usize] as usize + 1 == self.params.min_pts)
+            .any(|&i| self.counts[i as usize] as usize + 1 == min_pts)
         {
-            return self.drift(DriftKind::Promotion);
+            return InsertOutcome::Drift(DriftKind::Promotion);
         }
 
-        let count_q = neighbors.len() as u32 + 1; // neighbourhood includes self
-        if count_q as usize >= self.params.min_pts {
+        let count_q = neighbors.len() + 1; // neighbourhood includes self
+        if count_q >= min_pts {
             // The new point is core: it may only join a cluster whose
             // members already cover its whole neighbourhood.
             let mut target: Option<u32> = None;
-            for &i in neighbors {
-                if !self.is_core(i) {
-                    continue;
-                }
+            for &i in neighbors.iter().filter(|&&i| is_core(i)) {
                 match (target, self.assign[i as usize]) {
                     (_, NOISE) => unreachable!("core points are always clustered"),
                     (None, c) => target = Some(c),
-                    (Some(t), c) if c != t => return self.drift(DriftKind::Merge),
+                    (Some(t), c) if c != t => return InsertOutcome::Drift(DriftKind::Merge),
                     _ => {}
                 }
             }
             let Some(c) = target else {
-                return self.drift(DriftKind::NewCluster);
+                return InsertOutcome::Drift(DriftKind::NewCluster);
             };
             if neighbors.iter().any(|&i| self.assign[i as usize] != c) {
-                return self.drift(DriftKind::Absorption);
+                return InsertOutcome::Drift(DriftKind::Absorption);
             }
             self.commit(p, neighbors, c);
             InsertOutcome::Member(c)
@@ -195,7 +187,7 @@ impl IncrementalDbscan {
             // expands clusters in id order) would hand it to.
             let joined = neighbors
                 .iter()
-                .filter(|&&i| self.is_core(i))
+                .filter(|&&i| is_core(i))
                 .map(|&i| self.assign[i as usize])
                 .filter(|&c| c != NOISE)
                 .min();
@@ -217,13 +209,8 @@ impl IncrementalDbscan {
         self.grid.push(idx, &p);
         self.assign.push(cluster);
         if cluster != NOISE {
-            self.clusters[cluster as usize].push(idx, p);
+            self.clusters[cluster as usize].push(p);
         }
-    }
-
-    fn drift(&mut self, kind: DriftKind) -> InsertOutcome {
-        self.poisoned = true;
-        InsertOutcome::Drift(kind)
     }
 
     /// Number of points in the state.
@@ -249,50 +236,61 @@ impl IncrementalDbscan {
         self.assign.iter().map(|&a| label_of(a)).collect()
     }
 
-    /// Whether a drift has poisoned this state.
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+    /// Every clustered point as `(point index, cluster id)`, in
+    /// ascending point index — the member lists, read off the
+    /// assignments.
+    pub fn memberships(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.assign
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| a != NOISE)
+            .map(|(i, &a)| (i, a))
     }
 
-    /// Cluster summaries in id order, borrowing the member lists —
-    /// bit-identical to what a fresh [`seed`](Self::seed) over the
-    /// same point sequence holds (same fold order).
-    pub fn cluster_views(&self) -> impl Iterator<Item = ClusterView<'_>> {
+    /// Cluster summaries in id order — bit-identical to what a fresh
+    /// [`seed`](Self::seed) over the same point sequence holds (same
+    /// fold order).
+    pub fn cluster_views(&self) -> impl Iterator<Item = ClusterView> + '_ {
         self.clusters.iter().zip(0..).map(|(c, id)| ClusterView {
             id,
-            members: &c.members,
+            size: c.len,
             centroid: c.centroid(),
             bbox: c.bbox,
         })
     }
 
-    /// [`cluster_views`](Self::cluster_views) as owned [`Cluster`]s
-    /// (copies every member list; for tests and one-off inspection).
-    /// With [`labels`](Self::labels), what batch DBSCAN over the
-    /// seeded points returns.
+    /// [`cluster_views`](Self::cluster_views) as owned [`Cluster`]s,
+    /// member lists derived from [`memberships`](Self::memberships)
+    /// (for tests and one-off inspection). With
+    /// [`labels`](Self::labels), what batch DBSCAN over the seeded
+    /// points returns.
     pub fn clusters(&self) -> Vec<Cluster> {
-        self.cluster_views()
+        let mut out: Vec<Cluster> = self
+            .cluster_views()
             .map(|v| Cluster {
                 id: v.id,
-                members: v.members.to_vec(),
+                members: Vec::with_capacity(v.size as usize),
                 centroid: v.centroid,
                 bbox: v.bbox,
             })
-            .collect()
+            .collect();
+        for (i, c) in self.memberships() {
+            out[c as usize].members.push(i as u32);
+        }
+        out
     }
 
     /// Test support, and the crate's one `O(n²)` oracle: re-derives the
-    /// whole state by brute force — a fresh sweep whose neighbourhoods
-    /// are full scans, so every `|N_Eps|`, every assignment and every
-    /// cluster's member list, `sum` and `bbox` fold is recomputed
-    /// without the grid — and reports what disagrees; the grid itself
-    /// is checked against a fresh build.
+    /// whole state under `params` by brute force — a fresh sweep whose
+    /// neighbourhoods are full scans, so every `|N_Eps|`, every
+    /// assignment and every cluster's size, `sum` and `bbox` fold is
+    /// recomputed without the grid — and reports what disagrees; the
+    /// grid itself is checked against a fresh build.
     #[doc(hidden)]
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self, params: &DbscanParams) -> Result<(), String> {
         self.grid.validate(&self.points)?;
-        let eps2 = self.params.eps * self.params.eps;
-        let naive = sweep(&self.points, self.params.min_pts, |p, out| {
+        let eps2 = params.eps * params.eps;
+        let naive = sweep(&self.points, params.min_pts, |p, out| {
             let within = self.points.iter().zip(0..);
             out.extend(
                 within
@@ -320,13 +318,7 @@ impl MemUse for IncrementalDbscan {
             + heap_bytes(&self.grid)
             + vec_cap_bytes(&self.counts)
             + vec_cap_bytes(&self.assign)
-            + self.clusters.capacity() * std::mem::size_of::<ClusterFold>()
-            + self
-                .clusters
-                .iter()
-                .map(|c| vec_cap_bytes(&c.members))
-                .sum::<usize>()
-            + vec_cap_bytes(&self.neighbors)
+            + vec_cap_bytes(&self.clusters)
     }
 }
 
@@ -344,13 +336,18 @@ mod tests {
         DbscanParams::new(1.0, 3)
     }
 
+    /// Inserts `p` under [`params`] with a fresh neighbour scratch.
+    fn insert(state: &mut IncrementalDbscan, p: Point) -> InsertOutcome {
+        state.insert(p, &params(), &mut Vec::new())
+    }
+
     #[test]
     fn seed_matches_brute_force() {
         let mut pts = dense_blob(0.0, 5);
         pts.extend(dense_blob(50.0, 4));
         pts.push(Point::new(25.0, 25.0));
         let state = IncrementalDbscan::seed(pts, params());
-        state.validate().unwrap();
+        state.validate(&params()).unwrap();
         assert_eq!(state.cluster_count(), 2);
         assert_eq!(state.labels()[9], Label::Noise);
     }
@@ -362,9 +359,9 @@ mod tests {
         let mut state = IncrementalDbscan::seed(pts.clone(), params());
         // Inside the first blob: all neighbours are blob-0 members.
         let p = Point::new(0.02, 0.0);
-        assert_eq!(state.insert(p), InsertOutcome::Member(0));
+        assert_eq!(insert(&mut state, p), InsertOutcome::Member(0));
         pts.push(p);
-        state.validate().unwrap();
+        state.validate(&params()).unwrap();
         let reseeded = IncrementalDbscan::seed(pts, params());
         assert_eq!(state.labels(), reseeded.labels());
         assert_eq!(state.clusters(), reseeded.clusters());
@@ -373,7 +370,10 @@ mod tests {
     #[test]
     fn far_point_is_noise() {
         let mut state = IncrementalDbscan::seed(dense_blob(0.0, 5), params());
-        assert_eq!(state.insert(Point::new(100.0, 100.0)), InsertOutcome::Noise);
+        assert_eq!(
+            insert(&mut state, Point::new(100.0, 100.0)),
+            InsertOutcome::Noise
+        );
         assert_eq!(state.cluster_count(), 1);
         assert_eq!(*state.labels().last().unwrap(), Label::Noise);
     }
@@ -386,9 +386,9 @@ mod tests {
         pts.push(Point::new(50.0, 0.0));
         pts.push(Point::new(50.3, 0.0));
         let mut state = IncrementalDbscan::seed(pts, params());
-        let out = state.insert(Point::new(50.6, 0.0));
+        let out = insert(&mut state, Point::new(50.6, 0.0));
         assert_eq!(out, InsertOutcome::Drift(DriftKind::Promotion));
-        assert!(state.is_poisoned());
+        assert_eq!(state.len(), 7, "a drifting point is not inserted");
     }
 
     #[test]
@@ -397,7 +397,7 @@ mod tests {
         let p = DbscanParams::new(1.0, 1);
         let mut state = IncrementalDbscan::seed(vec![Point::new(0.0, 0.0)], p);
         assert_eq!(
-            state.insert(Point::new(10.0, 0.0)),
+            state.insert(Point::new(10.0, 0.0), &p, &mut Vec::new()),
             InsertOutcome::Drift(DriftKind::NewCluster)
         );
     }
@@ -410,7 +410,7 @@ mod tests {
         pts.extend((0..4).map(|i| Point::new(1.6 + i as f64 * 0.01, 0.0)));
         let mut state = IncrementalDbscan::seed(pts, params());
         assert_eq!(state.cluster_count(), 2);
-        match state.insert(Point::new(0.8, 0.0)) {
+        match insert(&mut state, Point::new(0.8, 0.0)) {
             InsertOutcome::Drift(DriftKind::Merge | DriftKind::Promotion) => {}
             other => panic!("expected merge-ish drift, got {other:?}"),
         }
@@ -422,27 +422,18 @@ mod tests {
     fn inserts_at_the_edge_of_the_key_space() {
         let mut state = IncrementalDbscan::seed(dense_blob(0.0, 5), params());
         let corner = Point::new(f64::MAX, f64::MAX);
-        assert_eq!(state.insert(corner), InsertOutcome::Noise);
+        assert_eq!(insert(&mut state, corner), InsertOutcome::Noise);
         assert_eq!(
-            state.insert(Point::new(-f64::MAX, 1e300)),
+            insert(&mut state, Point::new(-f64::MAX, 1e300)),
             InsertOutcome::Noise
         );
-        assert_eq!(state.insert(corner), InsertOutcome::Noise);
-        state.validate().unwrap();
+        assert_eq!(insert(&mut state, corner), InsertOutcome::Noise);
+        state.validate(&params()).unwrap();
         // The third duplicate sees the other two exactly once each,
         // which lifts both to MinPts = 3.
         assert_eq!(
-            state.insert(corner),
+            insert(&mut state, corner),
             InsertOutcome::Drift(DriftKind::Promotion)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "drifted")]
-    fn poisoned_state_rejects_inserts() {
-        let p = DbscanParams::new(1.0, 1);
-        let mut state = IncrementalDbscan::seed(vec![Point::new(0.0, 0.0)], p);
-        let _ = state.insert(Point::new(10.0, 0.0));
-        let _ = state.insert(Point::new(20.0, 0.0));
     }
 }

@@ -32,12 +32,15 @@
 //! pts.extend((0..4).map(|i| Point::new(50.0 + i as f64 * 0.1, 0.0)));
 //! pts.push(Point::new(25.0, 25.0));
 //!
-//! let mut state = IncrementalDbscan::seed(pts, DbscanParams::new(1.0, 3));
+//! let params = DbscanParams::new(1.0, 3);
+//! let mut state = IncrementalDbscan::seed(pts, params);
 //! assert_eq!(state.clusters().len(), 2);
 //! assert_eq!(state.labels()[8], Label::Noise);
 //!
 //! // A fifth point inside the first group joins it in place.
-//! assert_eq!(state.insert(Point::new(0.15, 0.0)), InsertOutcome::Member(0));
+//! let mut scratch = Vec::new();
+//! let joined = state.insert(Point::new(0.15, 0.0), &params, &mut scratch);
+//! assert_eq!(joined, InsertOutcome::Member(0));
 //! assert_eq!(state.clusters()[0].members.len(), 5);
 //! ```
 

@@ -6,13 +6,13 @@
 //! test) and holds [`IncrementalDbscan`] to three statements:
 //!
 //! * seeding `n` points spread over `c` occupied cells acquires a
-//!   fixed number of blocks plus one member list per cluster —
-//!   independent of `n` and of `c`. (The hash-map grid this replaced
-//!   acquired two maps and a bucket `Vec` per cell in each, with their
-//!   regrowths: 1,920 points over 1,920 cells cost it thousands of
-//!   blocks where the table costs nine.)
+//!   fixed number of blocks — independent of `n`, of `c` and of the
+//!   number of clusters (a cluster is a fold, not a member list). (The
+//!   hash-map grid this replaced acquired two maps and a bucket `Vec`
+//!   per cell in each, with their regrowths: 1,920 points over 1,920
+//!   cells cost it thousands of blocks where the table costs eight.)
 //! * a safe-path `insert` into a state with spare capacity acquires
-//!   nothing, the neighbour list included;
+//!   nothing, the caller's neighbour scratch included;
 //! * `MemUse` charges exactly the heap the state holds, byte for byte,
 //!   after a seed and after inserts have regrown its buffers.
 
@@ -26,8 +26,8 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Blocks a seed acquires whatever its input: the sort buffer, the
 /// grid's two tables, assignments, neighbour counts, the sweep's
-/// frontier and neighbour scratch, cluster sizes, the cluster table.
-const SEED_FIXED_BLOCKS: u64 = 9;
+/// frontier and neighbour scratch, the cluster table.
+const SEED_FIXED_BLOCKS: u64 = 8;
 
 /// `n` points over `cells` occupied cells (`Eps` = 1): cells sit three
 /// apart so no neighbourhood crosses one, and the points of a cell are
@@ -71,7 +71,7 @@ fn one_grid_no_per_cell_allocation() {
         assert_eq!(clusters, if n / cells >= 3 { cells as u64 } else { 0 });
         // `pts.clone()` is the `+ 1`.
         assert!(
-            blocks <= SEED_FIXED_BLOCKS + 1 + clusters,
+            blocks <= SEED_FIXED_BLOCKS + 1,
             "seeding {n} points over {cells} cells ({clusters} clusters) took {blocks} blocks"
         );
 
@@ -84,20 +84,25 @@ fn one_grid_no_per_cell_allocation() {
     }
 
     // Fold: the first insert regrows every exactly-sized buffer and
-    // sizes the neighbour list (40 neighbours: capacity 64); the next
-    // twenty fit all of them.
+    // sizes the neighbour scratch (40 neighbours: capacity 64); the
+    // next twenty fit all of them. The scratch is the caller's, so it
+    // is freed before the state's bytes are read.
     let mut grown = (0..4)
         .map(|_| {
             let bytes = ALLOC.live_bytes();
             let mut state = IncrementalDbscan::seed(spread(160, 4), params);
+            let mut scratch = Vec::new();
             let warm = Point::new(0.1, 0.1);
-            assert_eq!(state.insert(warm), InsertOutcome::Member(0));
+            let joined = state.insert(warm, &params, &mut scratch);
+            assert_eq!(joined, InsertOutcome::Member(0));
             let blocks = ALLOC.allocations();
             for i in 0..20 {
                 let p = Point::new(0.1, 0.2 + i as f64 * 1e-4);
-                assert_eq!(state.insert(p), InsertOutcome::Member(0));
+                let joined = state.insert(p, &params, &mut scratch);
+                assert_eq!(joined, InsertOutcome::Member(0));
             }
             let blocks = ALLOC.allocations() - blocks;
+            drop(scratch);
             (blocks, ALLOC.live_bytes() - bytes, state)
         })
         .min_by_key(|window| window.0)
@@ -108,11 +113,13 @@ fn one_grid_no_per_cell_allocation() {
         heap_bytes(&grown.2),
         "MemUse after inserts"
     );
-    grown.2.validate().unwrap();
+    grown.2.validate(&params).unwrap();
     // A new cell shifts the run table but is still a safe insert.
     assert_eq!(
-        grown.2.insert(Point::new(-40.0, -40.0)),
+        grown
+            .2
+            .insert(Point::new(-40.0, -40.0), &params, &mut Vec::new()),
         InsertOutcome::Noise
     );
-    grown.2.validate().unwrap();
+    grown.2.validate(&params).unwrap();
 }

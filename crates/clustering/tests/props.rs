@@ -65,14 +65,14 @@ fn arb_case_of(kinds: u32) -> Gen<(Vec<Point>, DbscanParams)> {
 }
 
 /// The state's own brute-force consistency check as a case result.
-fn valid(state: &IncrementalDbscan) -> CaseResult {
-    state.validate().map_err(CaseError::Fail)
+fn valid(state: &IncrementalDbscan, params: &DbscanParams) -> CaseResult {
+    state.validate(params).map_err(CaseError::Fail)
 }
 
 /// The grid-indexed sweep is exactly equivalent to the naive O(n²)
 /// one: every count, assignment and fold.
 fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    valid(&IncrementalDbscan::seed(pts.to_vec(), params))
+    valid(&IncrementalDbscan::seed(pts.to_vec(), params), &params)
 }
 
 /// Every cluster contains at least one core point — a member with at
@@ -156,14 +156,15 @@ fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// not, and that every structure-changing insertion is caught as drift.
 fn incremental_equals_batch_on(pts: &[Point], params: DbscanParams, cut: usize) -> CaseResult {
     let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params);
-    valid(&state)?;
+    valid(&state, &params)?;
+    let mut scratch = Vec::new();
     for (extra, &p) in pts[cut..].iter().enumerate() {
         let n = cut + extra + 1;
-        if let InsertOutcome::Drift(_) = state.insert(p) {
-            require!(state.is_poisoned());
+        if let InsertOutcome::Drift(_) = state.insert(p, &params, &mut scratch) {
+            require_eq!(state.len(), n - 1, "a drifting point is not inserted");
             state = IncrementalDbscan::seed(pts[..n].to_vec(), params);
         }
-        valid(&state)?;
+        valid(&state, &params)?;
     }
     Ok(())
 }

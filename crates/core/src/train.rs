@@ -1,10 +1,22 @@
 //! The training pipeline: one trainer, seeded from a history or
 //! folded forward over its deltas, behind one verb.
 //!
-//! [`TrainerState`] is the §III–§IV pipeline as long-lived state:
-//! per-offset clustering states
-//! ([`IncrementalDbscan`](hpm_clustering::IncrementalDbscan)), the visit
-//! sequences and persistent support counts ([`SupportCounts`]).
+//! [`TrainerState`] is the §III–§IV pipeline as long-lived state, and
+//! holds only what a fold writes to:
+//!
+//! * the per-offset clusterings ([`OffsetClusters`]: one
+//!   [`IncrementalDbscan`](hpm_clustering::IncrementalDbscan) per offset
+//!   of the period, each a point copy, its neighbour grid, assignments,
+//!   `|N_Eps|` counts and one fold — count, sum, box — per cluster, plus
+//!   one parameter set and one neighbour scratch for all of them);
+//! * the visit sequence of the open sub-trajectory only — samples
+//!   arrive in time order, so a fold appends to nothing older, and the
+//!   sequence is cleared when a sample opens the next sub-trajectory
+//!   (the full [`VisitTable`](hpm_patterns::VisitTable) exists only
+//!   while a seed counts it);
+//! * the persistent support counts ([`SupportCounts`]: a prefix trie of
+//!   12-byte nodes behind a table of node indices).
+//!
 //! [`TrainerState::retrain`] is the one way to train: given the trainer
 //! slot, the live predictor and a history, it either **folds** the
 //! samples reported since the last pass into the trainer or **seeds** a
@@ -16,11 +28,12 @@
 //!
 //! 1. *discover* — a fold streams the new samples, places each one
 //!    (§III, [`Placement`]) and inserts it into its offset's density
-//!    structure; a safe insertion that lands in a cluster is recorded as
-//!    a region visit and the support counts absorb the itemsets it
-//!    ends, anything structural is drift and the pass seeds instead. A
-//!    seed clusters every offset group in one sweep
-//!    ([`cluster_offsets`]) and rebuilds the support counts.
+//!    structure; a safe insertion that lands in a cluster is appended to
+//!    the open visit sequence and the support counts absorb the itemsets
+//!    it ends, anything structural is drift and the pass seeds instead.
+//!    A seed clusters every offset group in one sweep
+//!    ([`cluster_offsets`]), rebuilds the support counts from the visit
+//!    table it returns and keeps that table's newest sequence open.
 //! 2. *mine* — the full pattern list is derived from the counts.
 //! 3. *tpt* — the derived regions + pattern table replace the live
 //!    ones: confidences are patched into the index image when the rule
@@ -45,12 +58,12 @@
 
 use crate::metrics::{RETRAIN_DISCOVER_SPAN, RETRAIN_MINE_SPAN, RETRAIN_TPT_SPAN};
 use crate::{HpmConfig, HybridPredictor};
-use hpm_clustering::{DriftKind, InsertOutcome};
-use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
+use hpm_clustering::DriftKind;
+use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::MemUse;
 use hpm_patterns::{
-    cluster_offsets, region_set, DiscoveryParams, MiningParams, OffsetClusters, PatternTable,
-    RegionId, RegionSet, SupportCounts,
+    cluster_offsets, DiscoveryParams, MiningParams, OffsetClusters, PatternTable, RegionSet,
+    SupportCounts, Visit,
 };
 use hpm_trajectory::{History, Placement};
 
@@ -67,18 +80,18 @@ pub enum TrainPass {
     Drifted,
 }
 
-/// Persistent incremental-training state of one object: how much of
-/// its history has been folded in, plus per-offset density structures
-/// and support counts, all grown in lock-step with the history.
+/// Persistent incremental-training state of one object: per-offset
+/// density structures — one point per sample folded in, so they also
+/// count the samples consumed — the open sub-trajectory's visits and
+/// support counts, all grown in lock-step with the history.
 #[derive(Debug, Clone)]
 pub struct TrainerState {
-    /// Samples of the history folded in so far.
-    consumed: usize,
-    /// One clustering state per time offset (`Gₜ` of §III), the region
-    /// id of each offset's first cluster — frozen until the next seed:
-    /// the safe insertion path never creates, merges, or renumbers
-    /// clusters — and the per-sub-trajectory visit sequences.
+    /// One clustering state per time offset (`Gₜ` of §III), region ids
+    /// frozen until the next seed.
     clusters: OffsetClusters,
+    /// The visit sequence so far of the sub-trajectory the last folded
+    /// sample belongs to.
+    open: Vec<Visit>,
     counts: SupportCounts,
 }
 
@@ -126,7 +139,9 @@ impl TrainerState {
             trainer.counts.derive()
         };
         let _s = hpm_obs::span!(RETRAIN_TPT_SPAN);
-        let regions = trainer.regions();
+        // Bit-identical to what a fresh seed over the full consumed
+        // history reads off its clusterings.
+        let regions = trainer.clusters.regions();
         let predictor = match live {
             Some(live) => live.apply_update(regions, patterns).0,
             None => HybridPredictor::from_parts(regions, patterns, config),
@@ -139,71 +154,60 @@ impl TrainerState {
     /// fly.
     fn seed(hist: &impl History, discovery: &DiscoveryParams, mining: &MiningParams) -> Self {
         let mut counts = SupportCounts::new(*mining);
-        let clusters = cluster_offsets(hist, discovery);
-        counts.rebuild(&clusters.visits);
+        let (clusters, visits) = cluster_offsets(hist, discovery);
+        counts.rebuild(&visits);
         TrainerState {
-            consumed: hist.len(),
             clusters,
+            open: visits.into_last(),
             counts,
         }
     }
 
     /// Samples of the history already folded into this state.
-    #[inline]
     pub fn consumed(&self) -> usize {
-        self.consumed
+        self.clusters.samples()
     }
 
     /// Folds the samples reported since the last pass in, in time
     /// order: each is placed, inserted into its offset's density
     /// structure, and — when the insertion is safe and lands in a
-    /// cluster — recorded as a visit whose new itemsets are counted on
-    /// the spot. Structural change aborts with the observed drift,
-    /// poisoning the state.
+    /// cluster — appended to the open visit sequence, whose new
+    /// itemsets are counted on the spot. Structural change aborts with
+    /// the observed drift, poisoning the state.
     fn fold(&mut self, hist: &impl History) -> Result<(), DriftKind> {
-        assert!(hist.len() >= self.consumed, "history shrank");
-        let clusters = &mut self.clusters;
-        let place = Placement::new(hist.start(), clusters.offsets.len() as u32);
-        for (i, p) in (self.consumed..).zip(hist.iter_from(self.consumed)) {
-            let (sub, t) = place.place(i);
-            match clusters.offsets[t as usize].insert(p) {
-                InsertOutcome::Noise => {}
-                InsertOutcome::Member(c) => {
-                    let region = RegionId(clusters.first_ids[t as usize] + c);
-                    self.counts
-                        .record_tail(clusters.visits.record(sub, region, t));
-                }
-                InsertOutcome::Drift(kind) => return Err(kind),
+        let consumed = self.consumed();
+        assert!(hist.len() >= consumed, "history shrank");
+        let place = Placement::new(hist.start(), self.clusters.period());
+        for (i, p) in (consumed..).zip(hist.iter_from(consumed)) {
+            let t = place.place(i).1;
+            // Offset 0 opens the next sub-trajectory.
+            if t == 0 {
+                self.open.clear();
+            }
+            if let Some(region) = self.clusters.insert(t, p)? {
+                debug_assert!(self.open.last().is_none_or(|v| v.1 < t));
+                self.open.push((region, t));
+                self.counts.record_tail(&self.open);
             }
         }
-        self.consumed = hist.len();
         Ok(())
     }
 
-    /// The current frequent regions, read off the per-offset cluster
-    /// summaries — bit-identical to what a fresh seed over the full
-    /// consumed history produces.
-    fn regions(&self) -> RegionSet {
-        let regions = region_set(&self.clusters.offsets);
-        let counts = (self.clusters.offsets.iter()).map(|s| s.cluster_count() as u32);
-        debug_assert!(
-            (counts.zip(&self.clusters.first_ids))
-                .try_fold(0, |first, (n, &id)| (id == first).then_some(first + n))
-                == Some(regions.len() as u32),
-            "cluster structure changed without drift"
-        );
-        regions
+    /// Resident bytes by part — the clusterings, the open visit
+    /// sequence, the support counts — each with its inline size; they
+    /// sum to [`mem_bytes`](MemUse::mem_bytes).
+    pub fn mem_shares(&self) -> [usize; 3] {
+        [
+            self.clusters.mem_bytes(),
+            std::mem::size_of::<Vec<Visit>>() + vec_cap_bytes(&self.open),
+            self.counts.mem_bytes(),
+        ]
     }
 }
 
 impl MemUse for TrainerState {
     fn mem_bytes(&self) -> usize {
-        let clusters = &self.clusters;
-        std::mem::size_of::<Self>()
-            + heap_bytes(&clusters.offsets)
-            + vec_cap_bytes(&clusters.first_ids)
-            + heap_bytes(&clusters.visits)
-            + heap_bytes(&self.counts)
+        self.mem_shares().iter().sum()
     }
 }
 
@@ -435,6 +439,21 @@ mod tests {
         retrain(&mut slot, Some(&live), &commuter_days(9));
     }
 
+    /// Every object of a store carries a trainer slot inline, trained
+    /// or not, so the state itself stays within the 168 bytes each
+    /// object pays for it; and its three parts are all of it, so
+    /// `mem_shares` sums to `mem_bytes`.
+    #[test]
+    fn the_inline_trainer_is_its_three_parts_in_168_bytes() {
+        use std::mem::size_of;
+        let parts = size_of::<OffsetClusters>() + size_of::<Vec<Visit>>();
+        assert_eq!(
+            size_of::<TrainerState>(),
+            parts + size_of::<SupportCounts>()
+        );
+        assert!(size_of::<Option<TrainerState>>() <= 168);
+    }
+
     #[test]
     fn no_live_predictor_seeds_even_with_a_trainer() {
         let traj = commuter_days(30);
@@ -518,7 +537,7 @@ mod tests {
         // Different eps can change the region vocabulary; force the
         // mismatch by dropping a region from the trainer's view.
         let shrunk = RegionSet::new(
-            trainer.regions().all()[..p.regions().len() - 1].to_vec(),
+            trainer.clusters.regions().all()[..p.regions().len() - 1].to_vec(),
             COMMUTER_PERIOD,
         );
         let keep: Vec<_> = p

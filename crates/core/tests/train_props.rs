@@ -143,8 +143,9 @@ props! {
 }
 
 /// A fixed schedule that takes every kind of delta the property draws:
-/// a part of a period, several periods in one pass, and a drift day —
-/// so a draw that misses one kind cannot hide a broken fold.
+/// a part of a period, several periods in one pass, a drift day, and a
+/// seed that ends a sub-trajectory — so a draw that misses one kind
+/// cannot hide a broken fold.
 #[test]
 fn the_schedule_folds_partial_and_multi_period_deltas_and_reseeds_on_drift() {
     let period = 4;
@@ -169,9 +170,20 @@ fn the_schedule_folds_partial_and_multi_period_deltas_and_reseeds_on_drift() {
     ends.push((pts.len(), TrainPass::Drifted)); // three days at a new hotspot
     pts.extend(commuter(2));
     ends.push((pts.len(), TrainPass::Folded)); // folding again after the re-seed
+                                               // A seed that stops on a sub-trajectory boundary, then a fold
+                                               // whose first sample opens the next one: the open visit sequence
+                                               // the seed left must be reset, not extended.
+    pts.extend(commuter(3));
+    let boundary = pts.len() - 2;
+    assert_eq!((2 + boundary) % period as usize, 0);
+    ends.push((boundary, TrainPass::Seeded));
+    ends.push((pts.len(), TrainPass::Folded));
 
     let (mut slot, mut live) = (None, None);
     for (end, want) in ends {
+        if want == TrainPass::Seeded {
+            live = None; // no live predictor: the verb seeds
+        }
         let traj = Trajectory::new(2, pts[..end].to_vec());
         let (next, pass) = step(&mut slot, live.as_ref(), &traj, period)
             .unwrap_or_else(|e| panic!("pass to {end}: {e:?}"));

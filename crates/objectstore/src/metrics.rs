@@ -72,7 +72,7 @@ hpm_obs::catalog! {
     /// table, key table, packed TPT image, weight table (gauge).
     gauge MEM_PREDICTOR_BYTES = "store.mem.predictor_bytes";
     /// The incremental-trainer share of `store.mem.bytes`: per-offset
-    /// clustering state, visit transactions, support counts (gauge).
+    /// clustering state, the open visit sequence, support counts (gauge).
     gauge MEM_TRAINER_BYTES = "store.mem.trainer_bytes";
     /// The predictive-index share of `store.mem.bytes`, all shards (gauge).
     gauge MEM_INDEX_BYTES = "store.mem.index_bytes";

@@ -7,9 +7,12 @@
 //! decomposes into:
 //!
 //! * compressed history (~2–5 B/sample on a paper-like walk, vs 16 raw);
-//! * trainer state: per-offset clustering points (16 B/sample) plus
-//!   visit transactions and support counts — linear by design, the
-//!   price of incremental retraining;
+//! * trainer state: per-offset clustering points (16 B/sample) with
+//!   their grid, assignment and neighbour-count entries — linear by
+//!   design, the price of incremental retraining. Visit transactions
+//!   are not: the trainer keeps only the open sub-trajectory's visit
+//!   sequence, and the support counts are bounded by the region
+//!   vocabulary;
 //! * predictor/index churn: bounded, retained regions/patterns reach a
 //!   fixed point on a repeating commuter loop.
 //!
@@ -108,10 +111,11 @@ fn warm_report_retains_bounded_bytes_per_sample() {
     let per_sample = live_grew as f64 / samples as f64;
 
     // Budget: compressed history + trainer linear state + slack.
-    // Measured ~80 B/sample (dominated by per-offset clustering points
-    // and per-day visit transactions, inflated by Vec capacity
-    // doubling); a leak of per-report scratch (retrain temporaries run
-    // >1 KiB/day = >256 B/sample) overshoots immediately.
+    // Measured ~53 B/sample (dominated by per-offset clustering points
+    // and their grid / assignment / count entries, inflated by Vec
+    // capacity doubling); a leak of per-report scratch (retrain
+    // temporaries run >1 KiB/day = >256 B/sample) overshoots
+    // immediately.
     assert!(
         per_sample < 128.0,
         "steady-state report retained {per_sample:.1} B/sample \

@@ -8,15 +8,16 @@
 //! through — the "transactions" [`SupportCounts`](crate::SupportCounts)
 //! counts.
 //!
-//! [`cluster_offsets`] clusters a history and [`region_set`] reads the
-//! regions off the clusterings, whoever trains: [`discover`] is the two
-//! back to back, the trainer in `hpm-core` keeps the clusterings in
-//! between so that it can insert into them.
+//! [`cluster_offsets`] clusters a history and
+//! [`OffsetClusters::regions`] reads the regions off the clusterings,
+//! whoever trains: [`discover`] is the two back to back, the trainer in
+//! `hpm-core` keeps the clusterings in between so that it can insert
+//! into them ([`OffsetClusters::insert`]).
 
 use crate::{FrequentRegion, RegionId, RegionSet};
-use hpm_clustering::{DbscanParams, IncrementalDbscan};
+use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome};
 use hpm_geo::mem::vec_cap_bytes;
-use hpm_geo::Point;
+use hpm_geo::{MemUse, Point};
 use hpm_trajectory::{History, Placement, TimeOffset};
 
 /// Knobs of the discovery stage (§VII.B: `Eps`, `MinPts`, and the
@@ -109,13 +110,11 @@ impl VisitTable {
         seq.push((region, offset));
         seq
     }
-}
 
-impl hpm_geo::MemUse for VisitTable {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.visits.capacity() * std::mem::size_of::<Vec<Visit>>()
-            + self.visits.iter().map(vec_cap_bytes).sum::<usize>()
+    /// The newest sub-trajectory's sequence, consuming the table
+    /// (empty when the table covers none).
+    pub fn into_last(mut self) -> Vec<Visit> {
+        self.visits.pop().unwrap_or_default()
     }
 }
 
@@ -128,30 +127,101 @@ pub struct DiscoveryOutput {
     pub visits: VisitTable,
 }
 
-/// A history clustered offset by offset (see [`cluster_offsets`]).
+/// A history clustered offset by offset (see [`cluster_offsets`]),
+/// with what inserting into the clusterings shares: the DBSCAN
+/// parameters and one neighbour scratch for every offset.
 #[derive(Debug, Clone)]
 pub struct OffsetClusters {
+    params: DbscanParams,
     /// `offsets[t]` = the clustering of `Gₜ`, for every `t` of the
     /// period — offsets the history never covered hold an empty one.
-    pub offsets: Vec<IncrementalDbscan>,
+    /// Empty once a drift has poisoned the clusterings: they are stale
+    /// then, and only a new [`cluster_offsets`] replaces them.
+    offsets: Box<[IncrementalDbscan]>,
     /// `first_ids[t]` = id of offset `t`'s cluster 0. Ids run in
     /// ascending `(offset, cluster)` order, so cluster `c` of offset `t`
     /// is region `first_ids[t] + c`.
-    pub first_ids: Vec<u32>,
-    /// Which regions each sub-trajectory visited.
-    pub visits: VisitTable,
+    first_ids: Box<[u32]>,
+    /// Neighbour list of the sample being inserted.
+    neighbors: Vec<u32>,
+}
+
+impl OffsetClusters {
+    /// The period: one clustering per offset.
+    #[inline]
+    pub fn period(&self) -> u32 {
+        self.offsets.len() as u32
+    }
+
+    /// Samples clustered: every sample of the history, noise included,
+    /// is a point of its offset's clustering.
+    pub fn samples(&self) -> usize {
+        self.offsets.iter().map(IncrementalDbscan::len).sum()
+    }
+
+    /// Inserts a sample at offset `t` of the period into that offset's
+    /// clustering: the region it joined, `None` for noise, or the drift
+    /// that stopped it — which poisons the clusterings and drops them.
+    /// The safe path never creates, merges or renumbers clusters, so
+    /// region ids stay what [`cluster_offsets`] numbered them.
+    ///
+    /// # Panics
+    /// Panics when a drift has poisoned the clusterings.
+    pub fn insert(&mut self, t: TimeOffset, p: Point) -> Result<Option<RegionId>, DriftKind> {
+        assert!(!self.offsets.is_empty(), "insert into drifted clusterings");
+        let state = &mut self.offsets[t as usize];
+        match state.insert(p, &self.params, &mut self.neighbors) {
+            InsertOutcome::Noise => Ok(None),
+            InsertOutcome::Member(c) => Ok(Some(RegionId(self.first_ids[t as usize] + c))),
+            InsertOutcome::Drift(kind) => {
+                self.offsets = Box::default();
+                Err(kind)
+            }
+        }
+    }
+
+    /// The frequent regions: each cluster's centroid, bounding box and
+    /// member count as its `support`, numbered as [`cluster_offsets`]
+    /// numbers them.
+    pub fn regions(&self) -> RegionSet {
+        let mut regions = Vec::new();
+        for (t, state) in self.offsets.iter().enumerate() {
+            debug_assert_eq!(regions.len(), self.first_ids[t] as usize, "ids renumbered");
+            for cluster in state.cluster_views() {
+                regions.push(FrequentRegion {
+                    id: RegionId(regions.len() as u32),
+                    offset: t as TimeOffset,
+                    local_index: cluster.id,
+                    centroid: cluster.centroid,
+                    bbox: cluster.bbox,
+                    support: cluster.size,
+                });
+            }
+        }
+        RegionSet::new(regions, self.period())
+    }
+}
+
+impl MemUse for OffsetClusters {
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.offsets.iter().map(MemUse::mem_bytes).sum::<usize>()
+            + std::mem::size_of_val::<[u32]>(&self.first_ids)
+            + vec_cap_bytes(&self.neighbors)
+    }
 }
 
 /// Discovers the frequent regions of `hist` and the per-sub-trajectory
-/// visit sequences: [`cluster_offsets`], then [`region_set`].
+/// visit sequences: [`cluster_offsets`], then
+/// [`OffsetClusters::regions`].
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
 pub fn discover(hist: &impl History, params: &DiscoveryParams) -> DiscoveryOutput {
-    let clustered = cluster_offsets(hist, params);
+    let (clusters, visits) = cluster_offsets(hist, params);
     DiscoveryOutput {
-        regions: region_set(&clustered.offsets),
-        visits: clustered.visits,
+        regions: clusters.regions(),
+        visits,
     }
 }
 
@@ -160,12 +230,16 @@ pub fn discover(hist: &impl History, params: &DiscoveryParams) -> DiscoveryOutpu
 /// cluster is a frequent region; ids are assigned in ascending
 /// `(offset, cluster-id)` order — the numbering §V.A's region keys and
 /// Property 1 depend on — and every cluster member is a visit of its
-/// sub-trajectory to that region. Each group is sized exactly before
-/// it fills and moves into its clustering as is.
+/// sub-trajectory to that region, returned beside the clusterings.
+/// Each group is sized exactly before it fills and moves into its
+/// clustering as is.
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
-pub fn cluster_offsets(hist: &impl History, params: &DiscoveryParams) -> OffsetClusters {
+pub fn cluster_offsets(
+    hist: &impl History,
+    params: &DiscoveryParams,
+) -> (OffsetClusters, VisitTable) {
     let _span = hpm_obs::span!(crate::metrics::DISCOVER_SPAN);
     let db = DbscanParams::new(params.eps, params.min_pts);
     let place = Placement::new(hist.start(), params.period);
@@ -183,41 +257,20 @@ pub fn cluster_offsets(hist: &impl History, params: &DiscoveryParams) -> OffsetC
     for (t, group) in (0..).zip(groups) {
         let state = IncrementalDbscan::seed(group, db);
         first_ids.push(next_id);
-        for cluster in state.cluster_views() {
-            for &m in cluster.members {
-                visits.record(place.sub(t, m as usize), RegionId(next_id), t);
-            }
-            next_id += 1;
+        for (m, c) in state.memberships() {
+            visits.record(place.sub(t, m), RegionId(next_id + c), t);
         }
+        next_id += state.cluster_count() as u32;
         offsets.push(state);
     }
     hpm_obs::counter!(crate::metrics::DISCOVER_REGIONS).add(u64::from(next_id));
-    OffsetClusters {
-        offsets,
-        first_ids,
-        visits,
-    }
-}
-
-/// The frequent regions of per-offset clusterings (`offsets[t]` = the
-/// clustering of `Gₜ`, one per offset of the period): each cluster's
-/// centroid, bounding box and member count as its `support`, numbered
-/// as [`cluster_offsets`] numbers them.
-pub fn region_set(offsets: &[IncrementalDbscan]) -> RegionSet {
-    let mut regions = Vec::new();
-    for (t, state) in offsets.iter().enumerate() {
-        for cluster in state.cluster_views() {
-            regions.push(FrequentRegion {
-                id: RegionId(regions.len() as u32),
-                offset: t as TimeOffset,
-                local_index: cluster.id,
-                centroid: cluster.centroid,
-                bbox: cluster.bbox,
-                support: cluster.members.len() as u32,
-            });
-        }
-    }
-    RegionSet::new(regions, offsets.len() as u32)
+    let clusters = OffsetClusters {
+        params: db,
+        offsets: offsets.into_boxed_slice(),
+        first_ids: first_ids.into_boxed_slice(),
+        neighbors: Vec::new(),
+    };
+    (clusters, visits)
 }
 
 /// Maps a history onto an *existing* region vocabulary: for every
@@ -382,6 +435,19 @@ mod tests {
         );
         assert_eq!(loose.regions.len(), 1);
         assert_eq!(tight.regions.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "drifted")]
+    fn drifted_clusterings_reject_inserts() {
+        let every_point_core = DiscoveryParams {
+            min_pts: 1,
+            ..params()
+        };
+        let (mut clusters, _) = cluster_offsets(&commuter(), &every_point_core);
+        let far = Point::new(500.0, 500.0);
+        assert_eq!(clusters.insert(0, far), Err(DriftKind::NewCluster));
+        let _ = clusters.insert(1, far);
     }
 
     #[test]

@@ -36,14 +36,31 @@
 //! before the itemset is (the premise's last visit was itself a tail
 //! once), so a node is its premise's node plus one region id, counting
 //! an already-tracked instance touches no allocator, and a rule's
-//! premise support is its parent's count.
+//! premise support is its parent's count. A node is found through an
+//! open-addressing table that stores nothing but node indices — the
+//! key `(parent, id)` is read back from the node itself — so an
+//! itemset costs its 12-byte node plus about 5 bytes of table.
 
-use crate::{FxBuildHasher, MiningParams, PatternTable, RegionId, Visit, VisitTable};
-use hpm_geo::mem::{hashmap_bytes, vec_cap_bytes};
-use std::collections::HashMap;
+use crate::{MiningParams, PatternTable, RegionId, Visit, VisitTable};
+use hpm_geo::mem::vec_cap_bytes;
 
 /// Parent of the single-region itemsets.
 const ROOT: u32 = u32::MAX;
+
+/// A free slot of [`SupportCounts::slots`].
+const EMPTY: u32 = u32::MAX;
+
+/// Slots a growing table has at least.
+const MIN_SLOTS: usize = 256;
+
+/// The home slot of `(parent, id)` in a table of `len` slots: the top
+/// bits of a multiplicative hash of the key, scaled to the length.
+#[inline]
+fn home(parent: u32, id: RegionId, len: usize) -> usize {
+    let key = (u64::from(parent) << 32) | u64::from(id.0);
+    let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    ((hash * len as u64) >> 32) as usize
+}
 
 /// One counted itemset: its prefix (`parent`, the rule's premise) plus
 /// its time-wise last region `id`.
@@ -62,9 +79,12 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct SupportCounts {
     params: MiningParams,
-    /// `(parent node, region id) → node`; singles hang off [`ROOT`].
-    children: HashMap<(u32, RegionId), u32, FxBuildHasher>,
+    /// The trie, in the order itemsets were first counted; singles hang
+    /// off [`ROOT`].
     nodes: Vec<Node>,
+    /// `(parent node, region id) → node` as a linear-probing table of
+    /// node indices ([`EMPTY`] when free), kept under 7/8 full.
+    slots: Box<[u32]>,
 }
 
 impl SupportCounts {
@@ -76,8 +96,8 @@ impl SupportCounts {
         params.validate();
         SupportCounts {
             params,
-            children: HashMap::default(),
             nodes: Vec::new(),
+            slots: Box::default(),
         }
     }
 
@@ -94,18 +114,56 @@ impl SupportCounts {
         self.nodes.len()
     }
 
+    /// The slot holding the node of `parent + [id]`, or the free slot
+    /// where it would go: linear probing from its [`home`].
+    fn probe(&self, parent: u32, id: RegionId) -> usize {
+        let len = self.slots.len();
+        let mut slot = home(parent, id, len);
+        loop {
+            let node = self.slots[slot];
+            if node == EMPTY {
+                return slot;
+            }
+            let at = &self.nodes[node as usize];
+            if at.parent == parent && at.id == id {
+                return slot;
+            }
+            slot = if slot + 1 == len { 0 } else { slot + 1 };
+        }
+    }
+
+    /// Re-files every node into a table of `len` slots. The keys are
+    /// distinct, so each takes the first free slot from its home
+    /// without reading any other node.
+    fn rehash(&mut self, len: usize) {
+        let mut slots = vec![EMPTY; len].into_boxed_slice();
+        for (node, at) in (0..).zip(&self.nodes) {
+            let mut slot = home(at.parent, at.id, len);
+            while slots[slot] != EMPTY {
+                slot = if slot + 1 == len { 0 } else { slot + 1 };
+            }
+            slots[slot] = node;
+        }
+        self.slots = slots;
+    }
+
     /// Counts one more instance of the itemset `parent + [id]`,
     /// starting to track it on its first. Returns its node.
     fn bump(&mut self, parent: u32, id: RegionId) -> u32 {
-        let next = self.nodes.len() as u32;
-        let node = *self.children.entry((parent, id)).or_insert(next);
-        if node == next {
+        // Room for one more itemset first: the probe then always ends.
+        if (self.nodes.len() + 1) * 8 > self.slots.len() * 7 {
+            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
+        }
+        let slot = self.probe(parent, id);
+        if self.slots[slot] == EMPTY {
+            self.slots[slot] = self.nodes.len() as u32;
             self.nodes.push(Node {
                 count: 0,
                 parent,
                 id,
             });
         }
+        let node = self.slots[slot];
         self.nodes[node as usize].count += 1;
         node
     }
@@ -113,10 +171,12 @@ impl SupportCounts {
     /// The node of `parent + [id]`, a premise chain: counted when its
     /// own last visit was the tail.
     fn child(&self, parent: u32, id: RegionId) -> u32 {
-        *self
-            .children
-            .get(&(parent, id))
-            .expect("premise of a counted itemset is itself counted")
+        let node = self.slots[self.probe(parent, id)];
+        assert_ne!(
+            node, EMPTY,
+            "premise of a counted itemset is itself counted"
+        );
+        node
     }
 
     /// Counts every structurally valid itemset whose **final** element
@@ -164,16 +224,20 @@ impl SupportCounts {
     /// Recounts from scratch over complete visit sequences — a full
     /// training pass. Equivalent to replaying
     /// [`SupportCounts::record_tail`] for every visit in arrival
-    /// order.
+    /// order; the node list is then sized to the itemsets found, and the
+    /// table to about 3/4 full.
     pub fn rebuild(&mut self, visits: &VisitTable) {
         let _span = hpm_obs::span!(crate::metrics::ITEMSETS_SPAN);
-        self.children.clear();
         self.nodes.clear();
+        self.slots = Box::default();
         for tx in visits.iter() {
             for end in 1..=tx.len() {
                 self.record_tail(&tx[..end]);
             }
         }
+        self.nodes.shrink_to_fit();
+        let n = self.nodes.len();
+        self.rehash(n + n / 3 + 1);
     }
 
     /// The frequent itemsets of two or more regions — the ones that
@@ -250,7 +314,9 @@ impl SupportCounts {
 
 impl hpm_geo::MemUse for SupportCounts {
     fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + hashmap_bytes(&self.children) + vec_cap_bytes(&self.nodes)
+        std::mem::size_of::<Self>()
+            + std::mem::size_of_val::<[u32]>(&self.slots)
+            + vec_cap_bytes(&self.nodes)
     }
 }
 

@@ -69,8 +69,8 @@ pub mod metrics;
 pub mod mining;
 
 pub use discovery::{
-    cluster_offsets, discover, region_set, visits_against, DiscoveryOutput, DiscoveryParams,
-    OffsetClusters, Visit, VisitTable,
+    cluster_offsets, discover, visits_against, DiscoveryOutput, DiscoveryParams, OffsetClusters,
+    Visit, VisitTable,
 };
 pub use fxhash::FxBuildHasher;
 pub use incremental::SupportCounts;

@@ -240,6 +240,12 @@ props! {
     // same patterns, same order, bit-identical confidences, after every
     // single appended visit, including partially filled tail
     // transactions; and it tracks each structurally valid itemset once.
+    // One draw in four is `wide` (drawn last, so the other inputs of
+    // every case seed are what they were): twice the offsets, 12 to 36 regions
+    // at each and 12 times the sub-trajectories, so the counts track up
+    // to thousands of itemsets and their table grows several times;
+    // such a draw is compared after every fourth sub-trajectory rather
+    // than after every visit, which keeps the enumeration affordable.
     #[cases(96)]
     fn support_counts_match_the_definition_at_every_visit(
         region_counts in vec(int(0u32..3), 3..8),
@@ -261,6 +267,7 @@ props! {
                 max_span: max_premise_len.saturating_sub(1) as u32 * max_premise_gap + slack,
             }
         }),
+        wide in choice(vec![false, false, false, true]),
     ) {
         // Region vocabulary: `region_counts[t]` regions at offset t,
         // dense ids in (offset, local) order, as discovery assigns.
@@ -271,6 +278,12 @@ props! {
             state ^= state >> 7;
             state ^= state << 17;
             state
+        };
+        let (region_counts, subs) = if wide {
+            let twice = region_counts.iter().chain(&region_counts);
+            (twice.map(|&n| (n + 1) * 12).collect(), subs * 12)
+        } else {
+            (region_counts, subs)
         };
         let mut stream: Vec<(usize, RegionId, u32)> = Vec::new(); // (sub, region, offset)
         for s in 0..subs {
@@ -286,11 +299,15 @@ props! {
 
         // Replay the stream visit by visit, comparing the grown counts
         // and a fresh rebuild with the enumeration over everything
-        // seen so far at each step.
+        // seen so far at each step (after every fourth sub-trajectory
+        // when wide).
         let mut grown = SupportCounts::new(mp);
         let mut visits = VisitTable::with_subs(subs);
-        for &(s, id, t) in &stream {
+        for (i, &(s, id, t)) in stream.iter().enumerate() {
             grown.record_tail(visits.record(s, id, t));
+            if wide && stream.get(i + 1).is_some_and(|next| next.0 / 4 == s / 4) {
+                continue;
+            }
             let supports = supports_by_definition(&visits, &mp);
             let rules = rules_by_definition(&supports, &mp);
             let mut rebuilt = SupportCounts::new(mp);

@@ -148,11 +148,11 @@ grep -Eq '^MEM store_bytes=[1-9][0-9]* bytes_per_object=[1-9][0-9]* history_byte
 wait "$SERVE_PID"
 grep -q '^SHUTDOWN clean' "$SMOKE_DIR/serve.out"
 
-echo "==> memory smoke (10k-object store bytes/object and trained predictor bytes/rule, each under its committed budget)"
+echo "==> memory smoke (10k-object store bytes/object, trained predictor bytes/rule and trainer bytes/object, each under its committed budget)"
 cargo bench --offline -q -p hpm-bench --bench memory -- --memsmoke \
     > "$SMOKE_DIR/memsmoke.out"
 grep -q '^MEMSMOKE ok objects=' "$SMOKE_DIR/memsmoke.out"
-grep -q '^MEMSMOKE ok trained_objects=' "$SMOKE_DIR/memsmoke.out"
+grep -q '^MEMSMOKE ok trained_objects=.* trainer_budget=' "$SMOKE_DIR/memsmoke.out"
 
 echo "==> safe code: every crate root but hpm-check forbids unsafe"
 # hpm-check owns the one `unsafe` in the workspace (its counting
