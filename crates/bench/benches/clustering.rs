@@ -1,7 +1,7 @@
 //! Seeding grid-indexed DBSCAN over blobs plus background noise.
 
 use hpm_bench::Bench;
-use hpm_clustering::{DbscanParams, IncrementalDbscan};
+use hpm_clustering::{DbscanParams, IncrementalDbscan, SeedScratch};
 use hpm_geo::Point;
 
 /// Deterministic mixture of dense blobs plus background noise.
@@ -31,8 +31,9 @@ fn main() {
     for &n in &[200usize, 1_000, 4_000] {
         let pts = points(n);
         let params = DbscanParams::new(30.0, 4);
+        let mut scratch = SeedScratch::default();
         bench.run(&format!("dbscan/grid/{n}"), None, || {
-            IncrementalDbscan::seed(pts.clone(), params)
+            IncrementalDbscan::seed(pts.clone(), params, &mut scratch)
         });
     }
     bench.summary();

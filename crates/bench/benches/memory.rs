@@ -37,7 +37,8 @@
 //! bytes/object across fleet sizes (flat = no super-linear overhead).
 
 use hpm_bench::report::{num, obj, write_json};
-use hpm_bench::Bench;
+use hpm_bench::synth::FORKED_PERIODS;
+use hpm_bench::{forked_commuter, forked_params, Bench};
 use hpm_core::{HpmConfig, TrainPass, TrainerState};
 use hpm_geo::{MemUse, Point};
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
@@ -192,30 +193,13 @@ struct TrainedRow {
     predictor_bytes_per_rule: f64,
 }
 
-/// Period and trained periods of a [`trained_row`] commuter
-/// (sysbench's `predict_point` shape).
-const TRAINED_PERIOD: u32 = 32;
-const TRAINED_PERIODS: usize = 12;
-
 fn trained_row(objects: u64) -> TrainedRow {
-    use hpm_datagen::{Archetype, GeneratorConfig, PeriodicGenerator};
-    let discovery = DiscoveryParams {
-        period: TRAINED_PERIOD,
-        eps: 2.0,
-        min_pts: 3,
-    };
-    let mining = MiningParams {
-        min_support: 3,
-        min_confidence: 0.3,
-        max_premise_len: 2,
-        max_premise_gap: 2,
-        max_span: 8,
-    };
+    let (discovery, mining) = forked_params();
     let store = MovingObjectStore::new(StoreConfig {
         discovery,
         mining,
         hpm: HpmConfig::default(),
-        min_train_subs: TRAINED_PERIODS,
+        min_train_subs: FORKED_PERIODS,
         retrain_every_subs: usize::MAX >> 1,
         recent_len: 20,
         shards: 16,
@@ -225,29 +209,7 @@ fn trained_row(objects: u64) -> TrainedRow {
     let mut rules = 0;
     let (mut trainer_bytes, mut shares) = (0, [0; 3]);
     for id in 0..objects {
-        // Two routes share a first leg and fork, per-object geometry.
-        let reach = 24.0 + (id % 7) as f64;
-        let home = Point::new(4.0, 4.0 + (id % 5) as f64);
-        let hub = Point::new(home.x + reach * 0.5, home.y);
-        let work = Point::new(hub.x + reach * 0.4, hub.y + reach * 0.5);
-        let mall = Point::new(hub.x + reach * 0.3, (hub.y - reach * 0.2).max(1.0));
-        let beach = Point::new(mall.x + reach * 0.15, mall.y + reach * 0.3);
-        let path = PeriodicGenerator::new(
-            GeneratorConfig {
-                period: TRAINED_PERIOD,
-                num_subs: TRAINED_PERIODS,
-                similarity_prob: 0.9,
-                point_noise: 0.25,
-                route_noise: 0.4,
-                extent: 40.0,
-                seed: 0x7EA1 ^ id,
-            },
-            vec![
-                Archetype::new(vec![home, hub, work], 0.65),
-                Archetype::new(vec![home, hub, mall, beach], 0.35),
-            ],
-        )
-        .generate();
+        let path = forked_commuter(id);
         store
             .report_batch(ObjectId(id), 0, path.points())
             .expect("contiguous synthetic stream");

@@ -22,13 +22,22 @@
 //! first training and every re-seed cost. Best-of is deliberate:
 //! retrain cost has no data-dependent variance here, so the minimum is
 //! the least noise-polluted estimate.
+//!
+//! The `seed` row attributes one seed's cost to its phases — the
+//! §III clustering sweep (`cluster_offsets`), the §IV support counts
+//! (`SupportCounts::rebuild`), the rule list (`derive`) and the §V.B
+//! predictor assembly (`HybridPredictor::from_parts`) — per commuter of
+//! a fleet of forked commuters in sysbench's `predict_point` shape
+//! (period 32, 12 periods). Each phase is timed best-of-N on its own,
+//! from inputs the previous phases built before the clock started, and
+//! the four are asserted to assemble the predictor a whole seed does.
 
 use hpm_bench::report::{num, obj, write_json};
-use hpm_bench::{best_of, Bench};
+use hpm_bench::{best_of, forked_commuter, forked_params, Bench};
 use hpm_core::{HpmConfig, HybridPredictor, TrainPass, TrainerState};
 use hpm_geo::Point;
 use hpm_obs::json::Json;
-use hpm_patterns::{DiscoveryParams, MiningParams};
+use hpm_patterns::{cluster_offsets, DiscoveryParams, MiningParams, SupportCounts};
 use hpm_trajectory::Trajectory;
 
 const PERIOD: u32 = 4;
@@ -135,7 +144,66 @@ fn measure(history_subs: usize, reps: usize) -> Row {
     }
 }
 
-fn run(bench: &Bench, sizes: &[usize], reps: usize) {
+/// Per-commuter cost of one seed's phases, in ns.
+struct SeedRow {
+    commuters: u64,
+    rules_per_commuter: usize,
+    /// `cluster_offsets`, `rebuild`, `derive`, `from_parts`.
+    phases: [u128; 4],
+}
+
+/// The report keys of [`SeedRow::phases`].
+const SEED_PHASES: [&str; 4] = [
+    "cluster_offsets_ns",
+    "rebuild_ns",
+    "derive_ns",
+    "from_parts_ns",
+];
+
+/// Times each phase of a seed of `commuters` forked commuters, best of
+/// `reps` per commuter and phase, and sums the minima.
+fn measure_seed(commuters: u64, reps: usize) -> SeedRow {
+    let (discovery, mining) = forked_params();
+    let config = HpmConfig::default();
+    let (mut phases, mut rules) = ([0u128; 4], 0);
+    for id in 0..commuters {
+        let path = forked_commuter(id);
+        phases[0] += best_of(reps, || cluster_offsets(&path, &discovery)).as_nanos();
+        let (clusters, visits) = cluster_offsets(&path, &discovery);
+        let rebuild = || {
+            let mut counts = SupportCounts::new(mining);
+            counts.rebuild(&visits);
+            counts
+        };
+        phases[1] += best_of(reps, rebuild).as_nanos();
+        let counts = rebuild();
+        phases[2] += best_of(reps, || counts.derive()).as_nanos();
+        let (regions, patterns) = (clusters.regions(), counts.derive());
+        let mut parts: Vec<_> = (0..reps)
+            .map(|_| (regions.clone(), patterns.clone()))
+            .collect();
+        phases[3] += best_of(reps, || {
+            let (regions, patterns) = parts.pop().expect("one input per rep");
+            HybridPredictor::from_parts(regions, patterns, config)
+        })
+        .as_nanos();
+        // The phases are the seed: same predictor as the verb's.
+        let (seeded, pass) =
+            TrainerState::retrain(&mut None, None, &path, &discovery, &mining, config);
+        assert_eq!(pass, TrainPass::Seeded);
+        let assembled = HybridPredictor::from_parts(regions, patterns, config);
+        assert_eq!(seeded.patterns(), assembled.patterns());
+        assert_eq!(seeded.packed_tpt(), assembled.packed_tpt());
+        rules += assembled.patterns().len();
+    }
+    SeedRow {
+        commuters,
+        rules_per_commuter: rules / commuters as usize,
+        phases: phases.map(|ns| ns / u128::from(commuters)),
+    }
+}
+
+fn run(bench: &Bench, sizes: &[usize], reps: usize, seed_commuters: u64) {
     let mut rows = Vec::new();
     for &h in sizes {
         let row = measure(h, reps);
@@ -167,6 +235,41 @@ fn run(bench: &Bench, sizes: &[usize], reps: usize) {
             ])
         })
         .collect();
+    let seed = measure_seed(seed_commuters, reps);
+    let total: u128 = seed.phases.iter().sum();
+    println!(
+        "  seed, {} commuters x {} rules: {total} ns/commuter ({})",
+        seed.commuters,
+        seed.rules_per_commuter,
+        SEED_PHASES
+            .iter()
+            .zip(seed.phases)
+            .map(|(name, ns)| format!("{name} {ns}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let seed_methodology = format!(
+        "{} forked commuters in sysbench's predict_point shape (period 32, 12 periods, two \
+         routes sharing a first leg; Eps 2 / MinPts 3, min_support 3, premises of up to 2 \
+         regions, span 8); per commuter and phase, best-of-{reps} wall clock of the phase alone \
+         on inputs built before the clock started: cluster_offsets (the §III sweep), \
+         SupportCounts::new + rebuild (§IV counts), derive (the rule list), \
+         HybridPredictor::from_parts (key table, §V.B image, weight table); per-commuter ns = \
+         the sum of the minima over the fleet / commuters; total_ns = the four phases' sum; \
+         the phases are asserted to assemble the predictor TrainerState::retrain seeds",
+        seed.commuters
+    );
+    let mut seed_fields = vec![
+        ("methodology", Json::String(seed_methodology)),
+        ("commuters", num(seed.commuters as f64, 0)),
+        ("rules_per_commuter", num(seed.rules_per_commuter as f64, 0)),
+    ];
+    seed_fields.extend(
+        SEED_PHASES
+            .into_iter()
+            .zip(seed.phases.map(|ns| num(ns as f64, 0))),
+    );
+    seed_fields.push(("total_ns", num(total as f64, 0)));
     let fields = [
         ("period", num(PERIOD as f64, 0)),
         ("reps", num(reps as f64, 0)),
@@ -175,6 +278,7 @@ fn run(bench: &Bench, sizes: &[usize], reps: usize) {
             num(rows.last().map_or(0.0, |r| r.speedup), 2),
         ),
         ("results", Json::Array(results)),
+        ("seed", obj(seed_fields)),
     ];
     write_json(bench, "retrain", &methodology, &fields);
 }
@@ -182,10 +286,10 @@ fn run(bench: &Bench, sizes: &[usize], reps: usize) {
 fn main() {
     let bench = Bench::from_args();
     if bench.measuring() {
-        run(&bench, &[10, 50, 200], 20);
+        run(&bench, &[10, 50, 200], 20, 256);
     } else {
         // Smoke (cargo test): prove the path works and the report parses.
-        run(&bench, &[10], 3);
+        run(&bench, &[10], 3, 4);
         println!("retrain benchmark smoke test passed");
     }
 }

@@ -343,7 +343,7 @@ fn fig11() -> std::io::Result<()> {
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
             let (_, _, entries) = synthetic_index(n, regions, 11);
-            let tpt = PackedTpt::bulk_load(fanout, entries);
+            let tpt = PackedTpt::bulk_load(fanout, entries.into_iter().collect());
             let mb = tpt.storage_bytes() as f64 / (1024.0 * 1024.0);
             a.row(&[regions.to_string(), n.to_string(), format!("{mb:.2}")])?;
         }
@@ -355,7 +355,7 @@ fn fig11() -> std::io::Result<()> {
     )?;
     for &n in &sizes {
         let (table, regions, entries) = synthetic_index(n, 800, 13);
-        let tpt = PackedTpt::bulk_load(fanout, entries.clone());
+        let tpt = PackedTpt::bulk_load(fanout, entries.iter().cloned().collect());
         let brute = BruteForce::from_entries(entries);
         // 50 FQP-style query keys: 1–3 recent regions + one offset.
         let queries: Vec<_> = (0..50u32)

@@ -1,15 +1,70 @@
-//! Synthetic pattern sets for the Fig. 11 index experiments.
+//! Synthetic inputs: pattern sets for the Fig. 11 index experiments,
+//! and the forked commuters the trained-state benches train.
 //!
 //! Fig. 11 studies the TPT in isolation — storage at 1 k…100 k patterns
 //! for 80/400/800 frequent regions, and search cost against a
 //! brute-force scan — so the pattern sets are generated directly rather
 //! than mined.
 
+use hpm_datagen::{Archetype, GeneratorConfig, PeriodicGenerator};
 use hpm_geo::{BoundingBox, Point};
-use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+use hpm_patterns::{
+    DiscoveryParams, FrequentRegion, MiningParams, RegionId, RegionSet, TrajectoryPattern,
+};
 use hpm_rand::{Rng, SmallRng};
 use hpm_tpt::{KeyTable, PatternKey};
-use hpm_trajectory::TimeOffset;
+use hpm_trajectory::{TimeOffset, Trajectory};
+
+/// Period of a [`forked_commuter`] (sysbench's `predict_point` shape).
+pub const FORKED_PERIOD: u32 = 32;
+
+/// Periods a [`forked_commuter`]'s history covers.
+pub const FORKED_PERIODS: usize = 12;
+
+/// What a [`forked_commuter`] trains under: Eps 2 / MinPts 3,
+/// min_support 3, premises of up to 2 regions within a span of 8.
+pub fn forked_params() -> (DiscoveryParams, MiningParams) {
+    let discovery = DiscoveryParams {
+        period: FORKED_PERIOD,
+        eps: 2.0,
+        min_pts: 3,
+    };
+    let mining = MiningParams {
+        min_support: 3,
+        min_confidence: 0.3,
+        max_premise_len: 2,
+        max_premise_gap: 2,
+        max_span: 8,
+    };
+    (discovery, mining)
+}
+
+/// Commuter `id`'s history: [`FORKED_PERIODS`] periods of two routes
+/// that share a first leg and fork, with per-object geometry and seed.
+pub fn forked_commuter(id: u64) -> Trajectory {
+    let reach = 24.0 + (id % 7) as f64;
+    let home = Point::new(4.0, 4.0 + (id % 5) as f64);
+    let hub = Point::new(home.x + reach * 0.5, home.y);
+    let work = Point::new(hub.x + reach * 0.4, hub.y + reach * 0.5);
+    let mall = Point::new(hub.x + reach * 0.3, (hub.y - reach * 0.2).max(1.0));
+    let beach = Point::new(mall.x + reach * 0.15, mall.y + reach * 0.3);
+    PeriodicGenerator::new(
+        GeneratorConfig {
+            period: FORKED_PERIOD,
+            num_subs: FORKED_PERIODS,
+            similarity_prob: 0.9,
+            point_noise: 0.25,
+            route_noise: 0.4,
+            extent: 40.0,
+            seed: 0x7EA1 ^ id,
+        },
+        vec![
+            Archetype::new(vec![home, hub, work], 0.65),
+            Archetype::new(vec![home, hub, mall, beach], 0.35),
+        ],
+    )
+    .generate()
+}
 
 /// Builds `num_regions` frequent regions spread evenly over a period of
 /// 300, plus `num_patterns` random (but Definition-1-valid) trajectory

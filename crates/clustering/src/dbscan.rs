@@ -119,10 +119,13 @@ pub(crate) fn label_of(assign: u32) -> Label {
 /// The DBSCAN sweep. `neighbors_of(p, out)` appends the index of every
 /// point within `Eps` of `p` to `out` (any order) and is called exactly
 /// once per point: for an unvisited seed, or when a point first claimed
-/// by a cluster is popped off the frontier.
+/// by a cluster is popped off the frontier. `frontier` and `scratch`
+/// are the caller's buffers, overwritten.
 pub(crate) fn sweep(
     points: &[Point],
     min_pts: usize,
+    frontier: &mut Vec<u32>,
+    scratch: &mut Vec<u32>,
     mut neighbors_of: impl FnMut(&Point, &mut Vec<u32>),
 ) -> Sweep {
     let n = points.len();
@@ -131,15 +134,17 @@ pub(crate) fn sweep(
     let mut next_cluster = 0u32;
     // Sized for the worst case up front (every point on the frontier,
     // every point a neighbour), so the sweep never regrows a buffer.
-    let mut frontier: Vec<u32> = Vec::with_capacity(n);
-    let mut scratch: Vec<u32> = Vec::with_capacity(n);
+    for buffer in [&mut *frontier, &mut *scratch] {
+        buffer.clear();
+        buffer.reserve(n);
+    }
 
     for seed in 0..n {
         if assign[seed] != UNVISITED {
             continue;
         }
         scratch.clear();
-        neighbors_of(&points[seed], &mut scratch);
+        neighbors_of(&points[seed], scratch);
         counts[seed] = scratch.len() as u32;
         if scratch.len() < min_pts {
             assign[seed] = NOISE;
@@ -150,7 +155,7 @@ pub(crate) fn sweep(
         next_cluster += 1;
         assign[seed] = cid;
         frontier.clear();
-        for &i in &scratch {
+        for &i in scratch.iter() {
             let a = &mut assign[i as usize];
             if *a == UNVISITED || *a == NOISE {
                 let was_unvisited = *a == UNVISITED;
@@ -162,12 +167,12 @@ pub(crate) fn sweep(
         }
         while let Some(p) = frontier.pop() {
             scratch.clear();
-            neighbors_of(&points[p as usize], &mut scratch);
+            neighbors_of(&points[p as usize], scratch);
             counts[p as usize] = scratch.len() as u32;
             if scratch.len() < min_pts {
                 continue; // border point: keeps membership, no expansion
             }
-            for &i in &scratch {
+            for &i in scratch.iter() {
                 let a = &mut assign[i as usize];
                 if *a == UNVISITED {
                     *a = cid;
@@ -196,12 +201,12 @@ pub(crate) fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IncrementalDbscan;
+    use crate::{IncrementalDbscan, SeedScratch};
 
     /// Labels and summaries of a seeded state, checked against the
     /// brute-force sweep first.
     fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
-        let state = IncrementalDbscan::seed(points.to_vec(), params);
+        let state = IncrementalDbscan::seed(points.to_vec(), params, &mut SeedScratch::default());
         state.validate(&params).unwrap();
         (state.labels(), state.clusters())
     }

@@ -50,22 +50,20 @@ pub(crate) struct GridIndex {
 
 impl GridIndex {
     /// Builds the grid over `points`; `cell` must be positive (use the
-    /// query radius).
+    /// query radius). `keyed` is the sort buffer: overwritten, and kept
+    /// by a caller that builds many grids.
     ///
     /// # Panics
     /// Panics if `cell <= 0` or not finite.
-    pub(crate) fn build(points: &[Point], cell: f64) -> Self {
+    pub(crate) fn build(points: &[Point], cell: f64, keyed: &mut Vec<(CellKey, u32)>) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
-        let mut keyed: Vec<(CellKey, u32)> = points
-            .iter()
-            .zip(0..)
-            .map(|(p, i)| (cell_of(p, cell), i))
-            .collect();
+        keyed.clear();
+        keyed.extend(points.iter().zip(0..).map(|(p, i)| (cell_of(p, cell), i)));
         keyed.sort_unstable();
         let distinct = keyed.chunk_by(|a, b| a.0 == b.0).count();
         let mut cells: Vec<Cell> = Vec::with_capacity(distinct);
         let mut order = Vec::with_capacity(points.len());
-        for (key, i) in keyed {
+        for &(key, i) in keyed.iter() {
             order.push(i);
             let end = order.len() as u32;
             match cells.last_mut() {
@@ -142,7 +140,7 @@ impl GridIndex {
     /// very table a fresh [`build`](Self::build) over the same points
     /// produces (runs are index-ascending either way).
     pub(crate) fn validate(&self, points: &[Point]) -> Result<(), String> {
-        let fresh = GridIndex::build(points, self.cell);
+        let fresh = GridIndex::build(points, self.cell, &mut Vec::new());
         if self.cells == fresh.cells && self.order == fresh.order {
             Ok(())
         } else {
@@ -182,7 +180,7 @@ mod tests {
         let pts: Vec<Point> = (0..10)
             .flat_map(|x| (0..10).map(move |y| Point::new(x as f64, y as f64)))
             .collect();
-        let idx = GridIndex::build(&pts, 1.5);
+        let idx = GridIndex::build(&pts, 1.5, &mut Vec::new());
         idx.validate(&pts).unwrap();
         for c in &pts {
             assert_eq!(
@@ -195,7 +193,7 @@ mod tests {
     #[test]
     fn includes_self_and_boundary() {
         let pts = [Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
-        let idx = GridIndex::build(&pts, 2.0);
+        let idx = GridIndex::build(&pts, 2.0, &mut Vec::new());
         let n = sorted_neighbors(&idx, &pts, &pts[0], 2.0);
         assert_eq!(n.len(), 2, "boundary point at exactly eps is included");
     }
@@ -207,7 +205,7 @@ mod tests {
             Point::new(-1.2, -0.9),
             Point::new(5.0, 5.0),
         ];
-        let idx = GridIndex::build(&pts, 0.5);
+        let idx = GridIndex::build(&pts, 0.5, &mut Vec::new());
         let n = sorted_neighbors(&idx, &pts, &pts[0], 0.5);
         assert_eq!(n.len(), 2);
     }
@@ -217,12 +215,12 @@ mod tests {
         let pts: Vec<Point> = (0..60)
             .map(|i| Point::new((i * 7 % 11) as f64 - 5.0, (i * 5 % 13) as f64 - 6.0))
             .collect();
-        let mut grown = GridIndex::build(&pts[..20], 1.5);
+        let mut grown = GridIndex::build(&pts[..20], 1.5, &mut Vec::new());
         for (i, p) in pts.iter().enumerate().skip(20) {
             grown.push(i as u32, p);
             grown.validate(&pts[..=i]).unwrap();
         }
-        let built = GridIndex::build(&pts, 1.5);
+        let built = GridIndex::build(&pts, 1.5, &mut Vec::new());
         for c in &pts {
             assert_eq!(
                 sorted_neighbors(&grown, &pts, c, 1.5),
@@ -241,7 +239,7 @@ mod tests {
             Point::new(-1e300, 1e300),
             Point::new(0.0, 0.0),
         ];
-        let idx = GridIndex::build(&pts, 2.0);
+        let idx = GridIndex::build(&pts, 2.0, &mut Vec::new());
         idx.validate(&pts).unwrap();
         for c in &pts {
             assert_eq!(
@@ -254,6 +252,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_cell_panics() {
-        GridIndex::build(&[], 0.0);
+        GridIndex::build(&[], 0.0, &mut Vec::new());
     }
 }

@@ -43,6 +43,7 @@
 use crate::dbscan::{label_of, sweep, ClusterFold, Sweep, NOISE};
 use crate::grid::GridIndex;
 use crate::{Cluster, DbscanParams, Label};
+use hpm_geo::grid::CellKey;
 use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
 use hpm_geo::{BoundingBox, MemUse, Point};
 
@@ -87,6 +88,17 @@ pub struct ClusterView {
     pub bbox: BoundingBox,
 }
 
+/// The buffers a seed works in and keeps nothing of — the grid's sort
+/// buffer, the sweep's frontier and neighbour list — so that a caller
+/// seeding many states (one per offset of a period) allocates them
+/// once.
+#[derive(Debug, Default)]
+pub struct SeedScratch {
+    keyed: Vec<(CellKey, u32)>,
+    frontier: Vec<u32>,
+    neighbors: Vec<u32>,
+}
+
 /// Persistent per-group clustering state supporting single-point
 /// insertion with exact batch equivalence on the safe path. The
 /// [`DbscanParams`] it was seeded under are passed to every later call.
@@ -108,14 +120,17 @@ pub struct IncrementalDbscan {
 impl IncrementalDbscan {
     /// Seeds the state with the batch DBSCAN sweep over `points`: the
     /// grid it was run against, the neighbourhood size it saw for each
-    /// point and the cluster folds it produced all move into the state.
-    pub fn seed(points: Vec<Point>, params: DbscanParams) -> Self {
-        let grid = GridIndex::build(&points, params.eps.max(f64::MIN_POSITIVE));
+    /// point and the cluster folds it produced all move into the state,
+    /// and `points` with them. The sweep works in `scratch`.
+    pub fn seed(points: Vec<Point>, params: DbscanParams, scratch: &mut SeedScratch) -> Self {
+        let cell = params.eps.max(f64::MIN_POSITIVE);
+        let grid = GridIndex::build(&points, cell, &mut scratch.keyed);
+        let (frontier, neighbors) = (&mut scratch.frontier, &mut scratch.neighbors);
         let Sweep {
             assign,
             counts,
             clusters,
-        } = sweep(&points, params.min_pts, |p, out| {
+        } = sweep(&points, params.min_pts, frontier, neighbors, |p, out| {
             grid.neighbors_into(&points, p, params.eps, out)
         });
         IncrementalDbscan {
@@ -290,14 +305,21 @@ impl IncrementalDbscan {
     pub fn validate(&self, params: &DbscanParams) -> Result<(), String> {
         self.grid.validate(&self.points)?;
         let eps2 = params.eps * params.eps;
-        let naive = sweep(&self.points, params.min_pts, |p, out| {
-            let within = self.points.iter().zip(0..);
-            out.extend(
-                within
-                    .filter(|(q, _)| q.distance_sq(p) <= eps2)
-                    .map(|(_, i)| i),
-            )
-        });
+        let (frontier, neighbors) = (&mut Vec::new(), &mut Vec::new());
+        let naive = sweep(
+            &self.points,
+            params.min_pts,
+            frontier,
+            neighbors,
+            |p, out| {
+                let within = self.points.iter().zip(0..);
+                out.extend(
+                    within
+                        .filter(|(q, _)| q.distance_sq(p) <= eps2)
+                        .map(|(_, i)| i),
+                )
+            },
+        );
         for (what, same) in [
             ("|N_Eps| counts", naive.counts == self.counts),
             ("assignments", naive.assign == self.assign),
@@ -336,6 +358,11 @@ mod tests {
         DbscanParams::new(1.0, 3)
     }
 
+    /// Seeds a state over `points` under [`params`].
+    fn seed(points: Vec<Point>) -> IncrementalDbscan {
+        IncrementalDbscan::seed(points, params(), &mut SeedScratch::default())
+    }
+
     /// Inserts `p` under [`params`] with a fresh neighbour scratch.
     fn insert(state: &mut IncrementalDbscan, p: Point) -> InsertOutcome {
         state.insert(p, &params(), &mut Vec::new())
@@ -346,7 +373,7 @@ mod tests {
         let mut pts = dense_blob(0.0, 5);
         pts.extend(dense_blob(50.0, 4));
         pts.push(Point::new(25.0, 25.0));
-        let state = IncrementalDbscan::seed(pts, params());
+        let state = seed(pts);
         state.validate(&params()).unwrap();
         assert_eq!(state.cluster_count(), 2);
         assert_eq!(state.labels()[9], Label::Noise);
@@ -356,20 +383,20 @@ mod tests {
     fn safe_core_join_matches_batch() {
         let mut pts = dense_blob(0.0, 5);
         pts.extend(dense_blob(50.0, 4));
-        let mut state = IncrementalDbscan::seed(pts.clone(), params());
+        let mut state = seed(pts.clone());
         // Inside the first blob: all neighbours are blob-0 members.
         let p = Point::new(0.02, 0.0);
         assert_eq!(insert(&mut state, p), InsertOutcome::Member(0));
         pts.push(p);
         state.validate(&params()).unwrap();
-        let reseeded = IncrementalDbscan::seed(pts, params());
+        let reseeded = seed(pts);
         assert_eq!(state.labels(), reseeded.labels());
         assert_eq!(state.clusters(), reseeded.clusters());
     }
 
     #[test]
     fn far_point_is_noise() {
-        let mut state = IncrementalDbscan::seed(dense_blob(0.0, 5), params());
+        let mut state = seed(dense_blob(0.0, 5));
         assert_eq!(
             insert(&mut state, Point::new(100.0, 100.0)),
             InsertOutcome::Noise
@@ -385,7 +412,7 @@ mod tests {
         let mut pts = dense_blob(0.0, 5);
         pts.push(Point::new(50.0, 0.0));
         pts.push(Point::new(50.3, 0.0));
-        let mut state = IncrementalDbscan::seed(pts, params());
+        let mut state = seed(pts);
         let out = insert(&mut state, Point::new(50.6, 0.0));
         assert_eq!(out, InsertOutcome::Drift(DriftKind::Promotion));
         assert_eq!(state.len(), 7, "a drifting point is not inserted");
@@ -395,7 +422,8 @@ mod tests {
     fn isolated_core_reports_new_cluster_drift() {
         // min_pts = 1: every point is core on arrival.
         let p = DbscanParams::new(1.0, 1);
-        let mut state = IncrementalDbscan::seed(vec![Point::new(0.0, 0.0)], p);
+        let mut state =
+            IncrementalDbscan::seed(vec![Point::new(0.0, 0.0)], p, &mut SeedScratch::default());
         assert_eq!(
             state.insert(Point::new(10.0, 0.0), &p, &mut Vec::new()),
             InsertOutcome::Drift(DriftKind::NewCluster)
@@ -408,7 +436,7 @@ mod tests {
         // of both.
         let mut pts: Vec<Point> = (0..4).map(|i| Point::new(i as f64 * 0.01, 0.0)).collect();
         pts.extend((0..4).map(|i| Point::new(1.6 + i as f64 * 0.01, 0.0)));
-        let mut state = IncrementalDbscan::seed(pts, params());
+        let mut state = seed(pts);
         assert_eq!(state.cluster_count(), 2);
         match insert(&mut state, Point::new(0.8, 0.0)) {
             InsertOutcome::Drift(DriftKind::Merge | DriftKind::Promotion) => {}
@@ -420,7 +448,7 @@ mod tests {
     /// nor count the edge cell's points twice.
     #[test]
     fn inserts_at_the_edge_of_the_key_space() {
-        let mut state = IncrementalDbscan::seed(dense_blob(0.0, 5), params());
+        let mut state = seed(dense_blob(0.0, 5));
         let corner = Point::new(f64::MAX, f64::MAX);
         assert_eq!(insert(&mut state, corner), InsertOutcome::Noise);
         assert_eq!(

@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label};
+//! use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label, SeedScratch};
 //! use hpm_geo::Point;
 //!
 //! // Two tight groups of 4 points and one straggler.
@@ -33,7 +33,7 @@
 //! pts.push(Point::new(25.0, 25.0));
 //!
 //! let params = DbscanParams::new(1.0, 3);
-//! let mut state = IncrementalDbscan::seed(pts, params);
+//! let mut state = IncrementalDbscan::seed(pts, params, &mut SeedScratch::default());
 //! assert_eq!(state.clusters().len(), 2);
 //! assert_eq!(state.labels()[8], Label::Noise);
 //!
@@ -51,4 +51,5 @@ mod grid;
 mod incremental;
 
 pub use dbscan::{Cluster, DbscanParams, Label};
-pub use incremental::{ClusterView, DriftKind, IncrementalDbscan, InsertOutcome};
+
+pub use incremental::{ClusterView, DriftKind, IncrementalDbscan, InsertOutcome, SeedScratch};

@@ -7,27 +7,33 @@
 //!
 //! * seeding `n` points spread over `c` occupied cells acquires a
 //!   fixed number of blocks — independent of `n`, of `c` and of the
-//!   number of clusters (a cluster is a fold, not a member list). (The
-//!   hash-map grid this replaced acquired two maps and a bucket `Vec`
-//!   per cell in each, with their regrowths: 1,920 points over 1,920
-//!   cells cost it thousands of blocks where the table costs eight.)
+//!   number of clusters (a cluster is a fold, not a member list): with
+//!   a cold [`SeedScratch`] one block more per scratch buffer, with a
+//!   warm one only the state's own. (The hash-map
+//!   grid this replaced acquired two maps and a bucket `Vec` per cell
+//!   in each, with their regrowths: 1,920 points over 1,920 cells cost
+//!   it thousands of blocks where the table costs eight.)
 //! * a safe-path `insert` into a state with spare capacity acquires
 //!   nothing, the caller's neighbour scratch included;
 //! * `MemUse` charges exactly the heap the state holds, byte for byte,
 //!   after a seed and after inserts have regrown its buffers.
 
 use hpm_check::alloc::CountingAllocator;
-use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome};
+use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, SeedScratch};
 use hpm_geo::mem::heap_bytes;
 use hpm_geo::Point;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Blocks a seed acquires whatever its input: the sort buffer, the
-/// grid's two tables, assignments, neighbour counts, the sweep's
-/// frontier and neighbour scratch, the cluster table.
-const SEED_FIXED_BLOCKS: u64 = 8;
+/// Blocks a seed acquires whatever its input once its scratch (the
+/// sort buffer, the sweep's frontier and neighbour list) is warm: the
+/// grid's two tables, assignments, neighbour counts, the cluster table.
+const SEED_FIXED_BLOCKS: u64 = 5;
+
+/// Blocks a cold [`SeedScratch`] adds to a seed: one per buffer, sized
+/// once, however many points it sorts or sweeps.
+const SCRATCH_BLOCKS: u64 = 3;
 
 /// `n` points over `cells` occupied cells (`Eps` = 1): cells sit three
 /// apart so no neighbourhood crosses one, and the points of a cell are
@@ -64,18 +70,28 @@ fn quietest<T>(mut f: impl FnMut() -> T) -> (u64, u64, T) {
 #[test]
 fn one_grid_no_per_cell_allocation() {
     let params = DbscanParams::new(1.0, 3);
+    let mut scratch = SeedScratch::default();
     for (n, cells) in [(240, 1), (240, 60), (240, 240), (1_920, 60), (1_920, 1_920)] {
         let pts = spread(n, cells);
-        let (blocks, _, state) = quietest(|| IncrementalDbscan::seed(pts.clone(), params));
+        // `pts.clone()` is the `+ 1` here and below.
+        let (blocks, _, _) =
+            quietest(|| IncrementalDbscan::seed(pts.clone(), params, &mut SeedScratch::default()));
+        assert!(
+            blocks <= SEED_FIXED_BLOCKS + SCRATCH_BLOCKS + 1,
+            "seeding {n} points over {cells} cells with a cold scratch took {blocks} blocks"
+        );
+        // The first window warms the scratch to `n` points.
+        let (blocks, _, state) =
+            quietest(|| IncrementalDbscan::seed(pts.clone(), params, &mut scratch));
         let clusters = state.cluster_count() as u64;
         assert_eq!(clusters, if n / cells >= 3 { cells as u64 } else { 0 });
-        // `pts.clone()` is the `+ 1`.
         assert!(
             blocks <= SEED_FIXED_BLOCKS + 1,
             "seeding {n} points over {cells} cells ({clusters} clusters) took {blocks} blocks"
         );
 
-        let (_, retained, state) = quietest(|| IncrementalDbscan::seed(spread(n, cells), params));
+        let (_, retained, state) =
+            quietest(|| IncrementalDbscan::seed(spread(n, cells), params, &mut scratch));
         assert_eq!(
             retained as usize,
             heap_bytes(&state),
@@ -90,7 +106,7 @@ fn one_grid_no_per_cell_allocation() {
     let mut grown = (0..4)
         .map(|_| {
             let bytes = ALLOC.live_bytes();
-            let mut state = IncrementalDbscan::seed(spread(160, 4), params);
+            let mut state = IncrementalDbscan::seed(spread(160, 4), params, &mut scratch);
             let mut scratch = Vec::new();
             let warm = Point::new(0.1, 0.1);
             let joined = state.insert(warm, &params, &mut scratch);

@@ -3,7 +3,7 @@
 //! brute-force `validate` sweep.
 
 use hpm_check::prelude::*;
-use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label};
+use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label, SeedScratch};
 use hpm_geo::Point;
 
 fn arb_params() -> Gen<DbscanParams> {
@@ -64,6 +64,11 @@ fn arb_case_of(kinds: u32) -> Gen<(Vec<Point>, DbscanParams)> {
     })
 }
 
+/// A state seeded over `pts` with fresh scratch.
+fn seed(pts: &[Point], params: DbscanParams) -> IncrementalDbscan {
+    IncrementalDbscan::seed(pts.to_vec(), params, &mut SeedScratch::default())
+}
+
 /// The state's own brute-force consistency check as a case result.
 fn valid(state: &IncrementalDbscan, params: &DbscanParams) -> CaseResult {
     state.validate(params).map_err(CaseError::Fail)
@@ -72,7 +77,7 @@ fn valid(state: &IncrementalDbscan, params: &DbscanParams) -> CaseResult {
 /// The grid-indexed sweep is exactly equivalent to the naive O(n²)
 /// one: every count, assignment and fold.
 fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    valid(&IncrementalDbscan::seed(pts.to_vec(), params), &params)
+    valid(&seed(pts, params), &params)
 }
 
 /// Every cluster contains at least one core point — a member with at
@@ -82,7 +87,7 @@ fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// the classic DBSCAN order-dependence — a counterexample found by this
 /// suite's earlier, stricter version.)
 fn clusters_have_a_core_point_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let clusters = IncrementalDbscan::seed(pts.to_vec(), params).clusters();
+    let clusters = seed(pts, params).clusters();
     let eps2 = params.eps * params.eps;
     for c in &clusters {
         let has_core = c.members.iter().any(|&m| {
@@ -99,7 +104,7 @@ fn clusters_have_a_core_point_on(pts: &[Point], params: DbscanParams) -> CaseRes
 /// Labels partition the points: member lists are disjoint, cover
 /// exactly the clustered points, and ids are dense.
 fn partition_invariants_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let state = IncrementalDbscan::seed(pts.to_vec(), params);
+    let state = seed(pts, params);
     let (labels, clusters) = (state.labels(), state.clusters());
     let mut seen = vec![false; pts.len()];
     for (cid, c) in clusters.iter().enumerate() {
@@ -120,7 +125,7 @@ fn partition_invariants_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 
 /// Cluster geometry: centroid and all members inside the bbox.
 fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let clusters = IncrementalDbscan::seed(pts.to_vec(), params).clusters();
+    let clusters = seed(pts, params).clusters();
     for c in &clusters {
         require!(c.bbox.contains_within(&c.centroid, 1e-9));
         for &m in &c.members {
@@ -133,7 +138,7 @@ fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// Noise points really are sparse: a noise point has fewer than MinPts
 /// neighbours (it can never be a core point).
 fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let labels = IncrementalDbscan::seed(pts.to_vec(), params).labels();
+    let labels = seed(pts, params).labels();
     let eps2 = params.eps * params.eps;
     for (i, l) in labels.iter().enumerate() {
         if *l == Label::Noise {
@@ -155,14 +160,16 @@ fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// simultaneously checks that the safe path changes nothing it should
 /// not, and that every structure-changing insertion is caught as drift.
 fn incremental_equals_batch_on(pts: &[Point], params: DbscanParams, cut: usize) -> CaseResult {
-    let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params);
+    // One seed scratch for every reseed, as a trainer keeps one.
+    let mut seeds = SeedScratch::default();
+    let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params, &mut seeds);
     valid(&state, &params)?;
     let mut scratch = Vec::new();
     for (extra, &p) in pts[cut..].iter().enumerate() {
         let n = cut + extra + 1;
         if let InsertOutcome::Drift(_) = state.insert(p, &params, &mut scratch) {
             require_eq!(state.len(), n - 1, "a drifting point is not inserted");
-            state = IncrementalDbscan::seed(pts[..n].to_vec(), params);
+            state = IncrementalDbscan::seed(pts[..n].to_vec(), params, &mut seeds);
         }
         valid(&state, &params)?;
     }

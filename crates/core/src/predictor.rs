@@ -16,7 +16,7 @@ use crate::{
 use hpm_geo::{BoundingBox, Point};
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
 use hpm_patterns::{DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet};
-use hpm_tpt::{KeyTable, PackedTpt, PatternKey};
+use hpm_tpt::{KeyTable, LeafEntries, PackedTpt};
 use hpm_trajectory::{TimeOffset, Timestamp, Trajectory};
 use std::cell::RefCell;
 
@@ -43,23 +43,28 @@ pub struct HybridPredictor {
     pub(crate) period: u32,
 }
 
-/// Builds the predictor's index: encodes `<pk, c, p>` for every
-/// pattern and bulk-loads them (§V.B) straight into the packed image,
-/// dropping the keys on the spot.
+/// Builds the predictor's index: writes every pattern's key `<pk, c,
+/// p>` straight into the leaf signature words — its premise's region
+/// bits and its consequence offset's time-id bit — and bulk-loads them
+/// (§V.B) into the packed image.
 fn build_image(
     regions: &RegionSet,
     patterns: &PatternTable,
     key_table: &KeyTable,
     tpt_fanout: usize,
 ) -> PackedTpt {
-    let entries = (0..patterns.len()).map(|i| {
-        let key = PatternKey {
-            consequence: key_table.consequence_key([regions.get(patterns.consequence(i)).offset]),
-            premise: key_table.premise_key(patterns.premise(i).iter().copied()),
-        };
-        (key, patterns.confidence(i), i as u32)
-    });
-    PackedTpt::bulk_load(tpt_fanout, entries)
+    let (cons_bits, prem_bits) = (key_table.consequence_count(), key_table.region_count());
+    // The consequence bit of every region, looked up once.
+    let time_ids: Vec<Option<usize>> = (regions.all().iter())
+        .map(|r| key_table.time_id(r.offset))
+        .collect();
+    let mut leaves = LeafEntries::with_capacity(cons_bits, prem_bits, patterns.len());
+    for i in 0..patterns.len() {
+        let time_id = time_ids[patterns.consequence(i).index()];
+        let premise = patterns.premise(i).iter().map(|r| r.index());
+        leaves.push(time_id, premise, patterns.confidence(i), i as u32);
+    }
+    PackedTpt::bulk_load(tpt_fanout, leaves)
 }
 
 impl hpm_geo::MemUse for HybridPredictor {

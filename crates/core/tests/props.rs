@@ -8,7 +8,7 @@ use hpm_core::{
 };
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
-use hpm_tpt::{Bitmap, KeyTable};
+use hpm_tpt::{Bitmap, KeyTable, PackedTpt};
 
 const LEN: usize = 40;
 
@@ -135,7 +135,83 @@ fn arb_branching_world() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
     })
 }
 
+/// A world past one signature word on both key parts: 66 to 139
+/// offsets of one to three regions each, and at every offset after the
+/// first one to three rules whose consequence sits there, each premise
+/// taking one region from each of up to three earlier offsets.
+fn arb_wide_world() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
+    tuple((int(66u32..140), int(0u64..10_000))).map(|(period, seed)| {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move |below: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(below)) as u32
+        };
+        let (mut regions, mut first_id, mut per_offset) = (Vec::new(), Vec::new(), Vec::new());
+        for t in 0..period {
+            let n = 1 + next(3);
+            first_id.push(regions.len() as u32);
+            per_offset.push(n);
+            for j in 0..n {
+                let c = Point::new(f64::from(t) * 100.0, f64::from(j) * 40.0);
+                regions.push(FrequentRegion {
+                    id: RegionId(regions.len() as u32),
+                    offset: t,
+                    local_index: j,
+                    centroid: c,
+                    bbox: BoundingBox::from_point(c),
+                    support: 5,
+                });
+            }
+        }
+        let pick = |t: u32, next: &mut dyn FnMut(u32) -> u32| {
+            RegionId(first_id[t as usize] + next(per_offset[t as usize]))
+        };
+        let mut patterns = Vec::new();
+        for t in 1..period {
+            for _ in 0..1 + next(3) {
+                let mut offsets: Vec<u32> = (0..1 + next(3)).map(|_| next(t)).collect();
+                offsets.sort_unstable();
+                offsets.dedup();
+                let salt = next(1000);
+                patterns.push(TrajectoryPattern {
+                    premise: offsets.iter().map(|&o| pick(o, &mut next)).collect(),
+                    consequence: pick(t, &mut next),
+                    confidence: 0.05 + f64::from(salt % 95) / 100.0,
+                    support: 1 + salt % 30,
+                });
+            }
+        }
+        (RegionSet::new(regions, period), patterns)
+    })
+}
+
 props! {
+    /// `from_parts` writes every rule's signature words straight into
+    /// the index; past 64 regions and 64 consequence offsets — across
+    /// the word boundary of both key parts — its image is the one a bulk
+    /// load of the rules' `KeyTable`-encoded pattern keys builds.
+    fn image_equals_a_load_of_encoded_keys(
+        world in arb_wide_world(),
+        fanout in choice(vec![4usize, 6, 32]),
+    ) {
+        let (set, patterns) = world;
+        let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
+        require!(table.region_count() > 64 && table.consequence_count() > 64);
+        let keys = (patterns.iter().zip(0..))
+            .map(|(p, i)| (table.encode_pattern(p, &set), p.confidence, i))
+            .collect();
+        let encoded = PackedTpt::bulk_load(fanout, keys);
+        let config = HpmConfig {
+            tpt_fanout: fanout,
+            ..HpmConfig::default()
+        };
+        let predictor = HybridPredictor::from_parts(set, patterns, config);
+        require_eq!(predictor.packed_tpt(), &encoded);
+        require_eq!(predictor.key_table().consequence_offsets(), table.consequence_offsets());
+    }
+
     /// Eq. 1 bounds and identities, for every weight function.
     fn premise_similarity_bounds(rk in arb_bits(), rkq in arb_bits(), wf in arb_wf()) {
         let s = premise_similarity(&rk, &rkq, wf);

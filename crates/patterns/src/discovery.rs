@@ -15,7 +15,7 @@
 //! into them ([`OffsetClusters::insert`]).
 
 use crate::{FrequentRegion, RegionId, RegionSet};
-use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome};
+use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome, SeedScratch};
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::{MemUse, Point};
 use hpm_trajectory::{History, Placement, TimeOffset};
@@ -232,7 +232,7 @@ pub fn discover(hist: &impl History, params: &DiscoveryParams) -> DiscoveryOutpu
 /// Property 1 depend on — and every cluster member is a visit of its
 /// sub-trajectory to that region, returned beside the clusterings.
 /// Each group is sized exactly before it fills and moves into its
-/// clustering as is.
+/// clustering as is, and the sweeps share one [`SeedScratch`].
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
@@ -253,9 +253,9 @@ pub fn cluster_offsets(
     let mut offsets = Vec::with_capacity(params.period as usize);
     let mut first_ids = Vec::with_capacity(params.period as usize);
     let mut visits = VisitTable::with_subs(place.subs(n));
-    let mut next_id = 0u32;
+    let (mut next_id, mut scratch) = (0u32, SeedScratch::default());
     for (t, group) in (0..).zip(groups) {
-        let state = IncrementalDbscan::seed(group, db);
+        let state = IncrementalDbscan::seed(group, db, &mut scratch);
         first_ids.push(next_id);
         for (m, c) in state.memberships() {
             visits.record(place.sub(t, m), RegionId(next_id + c), t);

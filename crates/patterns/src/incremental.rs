@@ -20,11 +20,12 @@
 //! A growing trajectory only ever *appends* region visits — at the tail
 //! of the newest sub-trajectory's sequence, in ascending offset order —
 //! so the same counts serve a full training pass
-//! ([`rebuild`](SupportCounts::rebuild): every visit of every sequence
-//! in turn) and a delta retrain (the new tails only), and the two agree
-//! by construction. Two facts make the counts the supports of
-//! Definition 1, both held by `tests/props.rs` against a direct
-//! enumeration of every sequence's subsets:
+//! ([`rebuild`](SupportCounts::rebuild): every visit of every distinct
+//! sequence in turn, weighted by the sequence's repeats) and a delta
+//! retrain (the new tails only), and the two close the same itemsets at
+//! each visit. Two facts make the counts the supports of Definition 1,
+//! both held by `tests/props.rs` against a direct enumeration of every
+//! sequence's subsets, for the grown and the rebuilt counts alike:
 //!
 //! * a region occurs at most once per sequence (it is bound to one
 //!   offset, sampled once per sub-trajectory), so instance counts are
@@ -43,6 +44,7 @@
 
 use crate::{MiningParams, PatternTable, RegionId, Visit, VisitTable};
 use hpm_geo::mem::vec_cap_bytes;
+use hpm_trajectory::TimeOffset;
 
 /// Parent of the single-region itemsets.
 const ROOT: u32 = u32::MAX;
@@ -147,9 +149,9 @@ impl SupportCounts {
         self.slots = slots;
     }
 
-    /// Counts one more instance of the itemset `parent + [id]`,
+    /// Counts `instances` more instances of the itemset `parent + [id]`,
     /// starting to track it on its first. Returns its node.
-    fn bump(&mut self, parent: u32, id: RegionId) -> u32 {
+    fn bump(&mut self, parent: u32, id: RegionId, instances: u32) -> u32 {
         // Room for one more itemset first: the probe then always ends.
         if (self.nodes.len() + 1) * 8 > self.slots.len() * 7 {
             self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
@@ -164,7 +166,7 @@ impl SupportCounts {
             });
         }
         let node = self.slots[slot];
-        self.nodes[node as usize].count += 1;
+        self.nodes[node as usize].count += instances;
         node
     }
 
@@ -188,7 +190,7 @@ impl SupportCounts {
         let j = tx.len() - 1;
         let (last_id, last_off) = tx[j];
         debug_assert!(j == 0 || tx[j - 1].1 < last_off, "offsets must ascend");
-        self.bump(ROOT, last_id);
+        self.bump(ROOT, last_id, 1);
         // Premise chains drawn from the window [anchor, j): consecutive
         // premise gaps ≤ max_premise_gap; the final element (the new
         // visit) is bound only by max_span from the anchor.
@@ -205,7 +207,7 @@ impl SupportCounts {
     /// Counts `chain + [tx[j]]` and grows the premise chain — `len`
     /// regions ending at position `last` — towards `j`.
     fn extend_chain(&mut self, tx: &[Visit], last: usize, j: usize, chain: u32, len: usize) {
-        self.bump(chain, tx[j].0);
+        self.bump(chain, tx[j].0, 1);
         if len == self.params.max_premise_len {
             return;
         }
@@ -222,33 +224,53 @@ impl SupportCounts {
     }
 
     /// Recounts from scratch over complete visit sequences — a full
-    /// training pass. Equivalent to replaying
-    /// [`SupportCounts::record_tail`] for every visit in arrival
-    /// order; the node list is then sized to the itemsets found, and the
-    /// table to about 3/4 full.
+    /// training pass. Counts what replaying
+    /// [`SupportCounts::record_tail`] for every visit in arrival order
+    /// counts, with two shortcuts. Equal sequences hold equal itemsets,
+    /// so each distinct sequence is counted once, weighted by how often
+    /// it occurs. And a premise chain is an itemset that ended at an
+    /// earlier visit of the same sequence, so its node is kept from that
+    /// visit and an instance costs one probe. The node list is then
+    /// sized to the itemsets found, and the table to about 3/4 full.
     pub fn rebuild(&mut self, visits: &VisitTable) {
         let _span = hpm_obs::span!(crate::metrics::ITEMSETS_SPAN);
+        let mut sequences: Vec<&[Visit]> = visits.iter().collect();
+        sequences.sort_unstable();
+        let distinct: Vec<(&[Visit], u32)> = (sequences.chunk_by(|a, b| a == b))
+            .map(|run| (run[0], run.len() as u32))
+            .collect();
         self.nodes.clear();
         self.slots = Box::default();
-        for tx in visits.iter() {
-            for end in 1..=tx.len() {
-                self.record_tail(&tx[..end]);
+        let (span, gap) = (self.params.max_span, self.params.max_premise_gap);
+        // The current sequence's premise chains, in the order they
+        // ended: `(node, anchor offset, length, last offset)`.
+        let mut chains: Vec<(u32, TimeOffset, usize, TimeOffset)> = Vec::new();
+        for &(tx, weight) in &distinct {
+            chains.clear();
+            let mut live = 0;
+            for &(id, t) in tx {
+                // A chain that ended more than `max_span` ago is anchored
+                // earlier still, and chains end in time order.
+                while chains.get(live).is_some_and(|c| t - c.3 > span) {
+                    live += 1;
+                }
+                for c in live..chains.len() {
+                    let (chain, anchor, len, last) = chains[c];
+                    if t - anchor > span {
+                        continue;
+                    }
+                    let node = self.bump(chain, id, weight);
+                    if len < self.params.max_premise_len && t - last <= gap {
+                        chains.push((node, anchor, len + 1, t));
+                    }
+                }
+                let single = self.bump(ROOT, id, weight);
+                chains.push((single, t, 1, t));
             }
         }
         self.nodes.shrink_to_fit();
         let n = self.nodes.len();
         self.rehash(n + n / 3 + 1);
-    }
-
-    /// The frequent itemsets of two or more regions — the ones that
-    /// can carry a rule — each with its premise's support.
-    fn frequent(&self) -> impl Iterator<Item = (&Node, u32)> {
-        let rule = |n: &&Node| n.parent != ROOT && n.count >= self.params.min_support;
-        self.nodes.iter().filter(rule).map(|n| {
-            let premise_support = self.nodes[n.parent as usize].count;
-            debug_assert!(premise_support >= n.count);
-            (n, premise_support)
-        })
     }
 
     /// Appends the regions of `node`'s itemset to `out`, in time order.
@@ -268,7 +290,8 @@ impl SupportCounts {
     /// Every frequent itemset of two or more regions, spelled out,
     /// with its support (for the pruning-effect statistics).
     pub(crate) fn frequent_sets(&self) -> impl Iterator<Item = (Vec<RegionId>, u32)> + '_ {
-        self.frequent().map(|(node, _)| {
+        let frequent = |n: &&Node| n.parent != ROOT && n.count >= self.params.min_support;
+        self.nodes.iter().filter(frequent).map(|node| {
             let mut set = Vec::new();
             self.spell(node, &mut set);
             (set, node.count)
@@ -282,33 +305,73 @@ impl SupportCounts {
     /// `(itemset size, region ids)`, as an exact-size table. A pure
     /// function of the counts: however they were reached (rebuilt,
     /// grown visit by visit), equal counts give an equal table.
+    ///
+    /// Region ids ascend along every trie path, so that order is the
+    /// trie's level order with each level ranked by `(parent's rank,
+    /// id)`: per level, the nodes are sorted by that pair packed into
+    /// one `u64`. Only frequent nodes are ranked (a premise is at least
+    /// as frequent as its rules), and nothing is allocated per rule.
     pub fn derive(&self) -> PatternTable {
         let _span = hpm_obs::span!(crate::metrics::RULES_SPAN);
-        // `ids` holds the itemsets back to back, `rules` their
-        // `(start, end, support, confidence)`.
-        let mut ids: Vec<RegionId> = Vec::new();
-        let mut rules: Vec<(usize, usize, u32, f64)> = Vec::new();
-        for (node, premise_support) in self.frequent() {
-            let confidence = node.count as f64 / premise_support as f64;
-            if confidence < self.params.min_confidence {
-                continue;
-            }
-            let start = ids.len();
-            self.spell(node, &mut ids);
-            rules.push((start, ids.len(), node.count, confidence));
+        let nodes = &self.nodes;
+        // Per node: its itemset's size (a parent precedes its
+        // children), then its rank within its level.
+        let mut size: Vec<u32> = Vec::with_capacity(nodes.len());
+        for n in nodes {
+            size.push(match n.parent {
+                ROOT => 1,
+                parent => size[parent as usize] + 1,
+            });
         }
-        rules.sort_unstable_by(|a, b| {
-            let (a, b) = (&ids[a.0..a.1], &ids[b.0..b.1]);
-            a.len().cmp(&b.len()).then_with(|| a.cmp(b))
-        });
+        let mut rank = vec![0u32; nodes.len()];
+        // One level's `((parent's rank, id), node)`.
+        let mut level: Vec<(u64, u32)> = Vec::with_capacity(nodes.len());
+        let (mut rules, mut premise_ids) = (Vec::with_capacity(nodes.len()), 0);
+        for len in 1..=self.params.max_premise_len as u32 + 1 {
+            level.clear();
+            for (node, n) in (0u32..).zip(nodes) {
+                if size[node as usize] == len && n.count >= self.params.min_support {
+                    let parent_rank = match n.parent {
+                        ROOT => 0,
+                        parent => rank[parent as usize],
+                    };
+                    level.push(((u64::from(parent_rank) << 32) | u64::from(n.id.0), node));
+                }
+            }
+            level.sort_unstable();
+            for (r, &(_, node)) in (0..).zip(&level) {
+                rank[node as usize] = r;
+                let n = &nodes[node as usize];
+                if len > 1 && self.confidence(n) >= self.params.min_confidence {
+                    rules.push(node);
+                    premise_ids += len as usize - 1;
+                }
+            }
+        }
+        // A premise spelled forward: its `k`th region is `len - 1 - k`
+        // steps up from its last.
+        let up = |mut node: u32, steps: usize| {
+            for _ in 0..steps {
+                node = nodes[node as usize].parent;
+            }
+            nodes[node as usize].id
+        };
         PatternTable::from_rows(
             rules.len(),
-            ids.len() - rules.len(),
-            rules.iter().map(|&(start, end, support, confidence)| {
-                let premise = ids[start..end - 1].iter().copied();
-                (premise, ids[end - 1], confidence, support)
+            premise_ids,
+            rules.iter().map(|&node| {
+                let n = &nodes[node as usize];
+                let len = size[n.parent as usize] as usize;
+                let premise = (0..len).map(move |k| up(n.parent, len - 1 - k));
+                (premise, n.id, self.confidence(n), n.count)
             }),
         )
+    }
+
+    /// A counted itemset's confidence as a rule: its support over its
+    /// premise's.
+    fn confidence(&self, n: &Node) -> f64 {
+        n.count as f64 / self.nodes[n.parent as usize].count as f64
     }
 }
 

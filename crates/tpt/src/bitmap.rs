@@ -295,23 +295,6 @@ impl Hash for Bitmap {
     }
 }
 
-impl PartialOrd for Bitmap {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bitmap {
-    /// Orders by length, then numerically (most-significant word
-    /// first) — a stable total order used to cluster similar keys
-    /// together during TPT bulk loading.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.len
-            .cmp(&other.len)
-            .then_with(|| self.words().iter().rev().cmp(other.words().iter().rev()))
-    }
-}
-
 impl fmt::Debug for Bitmap {
     /// Renders like the paper's figures: most significant bit first,
     /// e.g. `00101`.
@@ -463,7 +446,6 @@ mod tests {
         let inline = Bitmap::from_indices(70, &[3]);
         assert_eq!(inline.storage_bytes(), 0);
         assert_eq!(heap, inline);
-        assert_eq!(heap.cmp(&inline), std::cmp::Ordering::Equal);
         let h = |b: &Bitmap| {
             let mut s = DefaultHasher::new();
             b.hash(&mut s);

@@ -8,8 +8,9 @@
 //! internal entries hold the OR of their subtree's keys. The tree has
 //! one form, the arena-packed [`PackedTpt`] image, and one way in:
 //! [`PackedTpt::bulk_load`] (§V.B) packs the complete rule list
-//! straight into it — nothing inserts into a resident index, a changed
-//! rule list is loaded afresh. Predictive queries encode to keys too
+//! straight into it, from [`LeafEntries`] whose signature words were
+//! written by setting each key's bits. Nothing inserts into a resident
+//! index; a changed rule list is loaded afresh. Predictive queries encode to keys too
 //! ([`KeyTable::fqp_query`], [`KeyTable::bqp_query`]) and retrieve,
 //! via a depth-first `Intersect`-pruned traversal of the image, every
 //! pattern sharing consequence *and* premise bits with the query.
@@ -19,18 +20,19 @@
 //! # Example
 //!
 //! ```
-//! use hpm_tpt::{Bitmap, PackedTpt, PatternKey};
+//! use hpm_tpt::{Bitmap, LeafEntries, PackedTpt, PatternKey};
 //!
-//! // Keys over 2 consequence time ids and 5 regions (Fig. 3 sizes).
+//! // Keys over 2 consequence time ids and 5 regions (Fig. 3 sizes),
+//! // each given by its set bits.
+//! let mut leaves = LeafEntries::with_capacity(2, 5, 3);
+//! leaves.push([1], [0, 1], 0.5, 2); // P2: R0^0 ∧ R1^0 -> R2^0
+//! leaves.push([1], [0, 2], 0.4, 3); // P3: R0^0 ∧ R1^1 -> R2^1
+//! leaves.push([0], [0], 0.9, 0); // P0: R0^0 -> R1^0
+//! let tpt = PackedTpt::bulk_load(32, leaves);
 //! let key = |ck: &[usize], rk: &[usize]| PatternKey {
 //!     consequence: Bitmap::from_indices(2, ck),
 //!     premise: Bitmap::from_indices(5, rk),
 //! };
-//! let tpt = PackedTpt::bulk_load(32, [
-//!     (key(&[1], &[0, 1]), 0.5, 2), // P2: R0^0 ∧ R1^0 -> R2^0
-//!     (key(&[1], &[0, 2]), 0.4, 3), // P3: R0^0 ∧ R1^1 -> R2^1
-//!     (key(&[0], &[0]), 0.9, 0),    // P0: R0^0 -> R1^0
-//! ]);
 //!
 //! // §VI.B's query: recent movements {R0^0, R1^0}, tq at time id 1.
 //! let hits = tpt.search(&key(&[1], &[0, 1]));
@@ -50,4 +52,4 @@ mod packed;
 pub use bitmap::{Bitmap, INLINE_WORDS};
 pub use brute::BruteForce;
 pub use keys::{KeyTable, PatternKey};
-pub use packed::{Match, PackedTpt, SearchCursor, SearchStats};
+pub use packed::{LeafEntries, Match, PackedTpt, SearchCursor, SearchStats};

@@ -114,12 +114,98 @@ impl hpm_geo::MemUse for PackedTpt {
     }
 }
 
+/// The leaf entries `<pk, c, p>` of an image in input order, each key
+/// written straight in arena layout — `cw + pw` words, consequence
+/// first — by setting its bits ([`push`](Self::push)): what
+/// [`PackedTpt::bulk_load`] sorts and packs. Keys held as
+/// [`PatternKey`]s collect into one, their words copied as they are
+/// ([`FromIterator`]).
+#[derive(Debug, Clone, Default)]
+pub struct LeafEntries {
+    cons_bits: usize,
+    prem_bits: usize,
+    /// Per entry `cw + pw` words, entries in input order.
+    sig: Vec<u64>,
+    confidence: Vec<f64>,
+    pattern: Vec<u32>,
+}
+
+impl LeafEntries {
+    /// No entries yet, for keys of `cons_bits` consequence and
+    /// `prem_bits` premise bits, with room for `n`.
+    pub fn with_capacity(cons_bits: usize, prem_bits: usize, n: usize) -> Self {
+        let stride = cons_bits.div_ceil(64) + prem_bits.div_ceil(64);
+        LeafEntries {
+            cons_bits,
+            prem_bits,
+            sig: Vec::with_capacity(n * stride),
+            confidence: Vec::with_capacity(n),
+            pattern: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends pattern `pattern` with confidence `confidence`, whose key
+    /// sets the `consequence` and `premise` bits.
+    ///
+    /// # Panics
+    /// Panics when a bit is outside its part.
+    pub fn push(
+        &mut self,
+        consequence: impl IntoIterator<Item = usize>,
+        premise: impl IntoIterator<Item = usize>,
+        confidence: f64,
+        pattern: u32,
+    ) {
+        let cw = self.cons_bits.div_ceil(64);
+        let start = self.sig.len();
+        self.sig.resize(start + cw + self.prem_bits.div_ceil(64), 0);
+        let (cons, prem) = self.sig[start..].split_at_mut(cw);
+        set_bits(cons, self.cons_bits, consequence);
+        set_bits(prem, self.prem_bits, premise);
+        self.confidence.push(confidence);
+        self.pattern.push(pattern);
+    }
+}
+
+/// Sets `bits` in `words`, a part of `len` bits.
+fn set_bits(words: &mut [u64], len: usize, bits: impl IntoIterator<Item = usize>) {
+    for i in bits {
+        assert!(i < len, "bit {i} out of range (len {len})");
+        words[i / 64] |= 1 << (i % 64);
+    }
+}
+
+impl FromIterator<(PatternKey, f64, u32)> for LeafEntries {
+    /// Copies held keys' words out, geometry from the first.
+    ///
+    /// # Panics
+    /// Panics when two keys differ in either part's bit length (all
+    /// keys of one image come from one [`KeyTable`](crate::KeyTable)).
+    fn from_iter<I: IntoIterator<Item = (PatternKey, f64, u32)>>(entries: I) -> Self {
+        let mut leaves = LeafEntries::default();
+        for (i, (key, confidence, pattern)) in entries.into_iter().enumerate() {
+            let lengths = (key.consequence.len(), key.premise.len());
+            if i == 0 {
+                (leaves.cons_bits, leaves.prem_bits) = lengths;
+            }
+            let geometry = (leaves.cons_bits, leaves.prem_bits);
+            assert_eq!(lengths, geometry, "bitmap length mismatch");
+            leaves.sig.extend_from_slice(key.consequence.words());
+            leaves.sig.extend_from_slice(key.premise.words());
+            leaves.confidence.push(confidence);
+            leaves.pattern.push(pattern);
+        }
+        leaves
+    }
+}
+
 impl PackedTpt {
     /// Builds the image by bulk loading (§V.B: the system bulk-loads
-    /// the static history): entries are sorted — stably, by
-    /// `(consequence, premise)` — so similar keys become neighbours,
-    /// packed into leaves at ¾ of `fanout`, and parent levels are
-    /// packed bottom-up from the OR of each node's signatures.
+    /// the static history): entries are sorted — by consequence part,
+    /// then premise part, each read as a number most-significant word
+    /// first, ties in input order — so similar keys become neighbours,
+    /// packed into leaves at ¾ of `fanout`, and parent levels are packed
+    /// bottom-up from the OR of each node's signatures.
     ///
     /// Emits the `tpt.repack` span/histogram around sort and pack,
     /// bumps `tpt.repack.calls` and sets the `tpt.packed.arena_bytes`
@@ -127,39 +213,52 @@ impl PackedTpt {
     /// most recent build).
     ///
     /// # Panics
-    /// Panics when `fanout < 4`, and when two entries' keys differ in
-    /// either part's bit length (all keys of one image come from one
-    /// [`KeyTable`](crate::KeyTable)).
-    pub fn bulk_load(
-        fanout: usize,
-        entries: impl IntoIterator<Item = (PatternKey, f64, u32)>,
-    ) -> Self {
-        assert!(fanout >= 4, "max_entries must be at least 4");
+    /// Panics when `fanout < 4`.
+    pub fn bulk_load(fanout: usize, entries: LeafEntries) -> Self {
+        assert!(fanout >= 4, "fanout must be at least 4");
         let _span = hpm_obs::span!(crate::metrics::REPACK_SPAN);
-        let mut items: Vec<(PatternKey, f64, u32)> = entries.into_iter().collect();
         let mut packed = PackedTpt::default();
-        if let Some((first, ..)) = items.first() {
-            let (cons_bits, prem_bits) = (first.consequence.len(), first.premise.len());
+        let LeafEntries {
+            cons_bits,
+            prem_bits,
+            sig: input,
+            confidence: input_confidence,
+            pattern: input_pattern,
+        } = entries;
+        let n = input_pattern.len();
+        if n > 0 {
             let (cw, pw) = (cons_bits.div_ceil(64), prem_bits.div_ceil(64));
             let (fill, stride) = (fanout * 3 / 4, cw + pw);
-            items.sort_by(|a, b| {
-                (&a.0.consequence, &a.0.premise).cmp(&(&b.0.consequence, &b.0.premise))
+            // The `k`th word of that comparison, read from the arena (0
+            // past the block). The first two lead the sort key, a wider
+            // block breaks ties on them by the words after it, and the
+            // input position ends it, so the unstable sort places
+            // entries as a stable one would.
+            let block = |i: u32| &input[i as usize * stride..][..stride];
+            let word = |i: u32, k: usize| match k {
+                k if k >= stride => 0,
+                k if k < cw => block(i)[cw - 1 - k],
+                k => block(i)[stride - 1 - (k - cw)],
+            };
+            let mut order: Vec<(u64, u64, u32)> =
+                (0..n as u32).map(|i| (word(i, 0), word(i, 1), i)).collect();
+            let rest = |i: u32| (2..stride).map(move |k| word(i, k));
+            order.sort_unstable_by(|a, b| {
+                (a.0, a.1)
+                    .cmp(&(b.0, b.1))
+                    .then_with(|| rest(a.2).cmp(rest(b.2)))
+                    .then(a.2.cmp(&b.2))
             });
-            // Level 0 is the sorted leaf signatures. The arena is read
-            // at one stride, so one geometry per image: the contract
-            // `search_impl` holds queries to.
-            let mut leaves = Vec::with_capacity(items.len() * stride);
-            for (key, ..) in &items {
-                let lengths = (key.consequence.len(), key.premise.len());
-                assert_eq!(lengths, (cons_bits, prem_bits), "bitmap length mismatch");
-                leaves.extend_from_slice(key.consequence.words());
-                leaves.extend_from_slice(key.premise.words());
+            // Level 0 is the sorted leaf signatures.
+            let mut leaves = Vec::with_capacity(n * stride);
+            for &(.., i) in &order {
+                leaves.extend_from_slice(block(i));
             }
             // Per level, its signature count and the signatures: node
             // `j` of a level covers signatures `[j·fill, (j+1)·fill)`,
             // and signature `j` of the level above is their OR. The
             // top level is the first that fits one node.
-            let mut levels = vec![(items.len(), leaves)];
+            let mut levels = vec![(n, leaves)];
             while let Some(&(n, ref below)) = levels.last().filter(|l| l.0 > fill) {
                 let mut above = vec![0u64; n.div_ceil(fill) * stride];
                 for i in 0..n {
@@ -196,9 +295,9 @@ impl PackedTpt {
                 });
                 sig.extend_from_slice(&sigs[lo * stride..hi * stride]);
                 if level == 0 {
-                    for (_, c, pattern) in &items[lo..hi] {
-                        child.push(*pattern);
-                        confidence.push(*c);
+                    for &(.., i) in &order[lo..hi] {
+                        child.push(input_pattern[i as usize]);
+                        confidence.push(input_confidence[i as usize]);
                     }
                 } else {
                     child.resize(meta_start + hi - lo, 0);
@@ -218,7 +317,7 @@ impl PackedTpt {
                 sig: sig.into(),
                 child: child.into(),
                 confidence: confidence.into(),
-                len: items.len(),
+                len: n,
                 height: levels.len(),
             };
         }
@@ -480,10 +579,7 @@ mod tests {
     use hpm_rand::{Rng, SmallRng};
 
     /// `<pk, c, p>` entries of `patterns` over Fig. 3's regions.
-    fn entries(
-        table: &KeyTable,
-        patterns: &[hpm_patterns::TrajectoryPattern],
-    ) -> Vec<(PatternKey, f64, u32)> {
+    fn entries(table: &KeyTable, patterns: &[hpm_patterns::TrajectoryPattern]) -> LeafEntries {
         let regions = fig3_regions();
         patterns
             .iter()
@@ -514,6 +610,11 @@ mod tests {
             (key, rng.gen_range(1..=100u32) as f64 / 100.0, i)
         };
         (0..n as u32).map(entry).collect()
+    }
+
+    /// The image of held keys.
+    fn load(fanout: usize, keys: Vec<(PatternKey, f64, u32)>) -> PackedTpt {
+        PackedTpt::bulk_load(fanout, keys.into_iter().collect())
     }
 
     /// Sorted pattern ids the image returns for `q`.
@@ -570,7 +671,7 @@ mod tests {
 
     #[test]
     fn bulk_load_empty() {
-        let packed = PackedTpt::bulk_load(32, Vec::new());
+        let packed = PackedTpt::bulk_load(32, LeafEntries::default());
         packed.validate(32).unwrap();
         assert!(packed.is_empty());
         assert_eq!((packed.height(), packed.node_count()), (0, 0));
@@ -591,7 +692,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 4")]
     fn tiny_fanout_rejected() {
-        PackedTpt::bulk_load(3, Vec::new());
+        PackedTpt::bulk_load(3, LeafEntries::default());
     }
 
     #[test]
@@ -604,12 +705,12 @@ mod tests {
             consequence: Bitmap::ones(4),
             premise: Bitmap::ones(prem_bits),
         };
-        PackedTpt::bulk_load(4, [(key(10), 0.5, 0), (key(200), 0.5, 1)]);
+        load(4, vec![(key(10), 0.5, 0), (key(200), 0.5, 1)]);
     }
 
     #[test]
     fn height_grows_logarithmically() {
-        let packed = PackedTpt::bulk_load(4, synth_keys(200, 8, 40));
+        let packed = load(4, synth_keys(200, 8, 40));
         // fill = 3; 200 leaf entries -> 67 leaves -> 23 -> 8 -> 3 -> 1.
         assert_eq!(packed.height(), 5);
         assert_eq!(packed.node_count(), 67 + 23 + 8 + 3 + 1);
@@ -620,7 +721,7 @@ mod tests {
     fn selective_query_prunes_subtrees() {
         // A selective query should check far fewer entries than a full
         // scan would.
-        let packed = PackedTpt::bulk_load(32, synth_keys(2000, 16, 200));
+        let packed = load(32, synth_keys(2000, 16, 200));
         let (q, _, _) = &synth_keys(1, 16, 200)[0];
         let (_, stats) = packed.search_with_stats(q);
         assert!(stats.nodes_visited >= 1);
@@ -629,8 +730,7 @@ mod tests {
 
     #[test]
     fn storage_grows_with_patterns() {
-        let storage =
-            |n, rk_len| PackedTpt::bulk_load(32, synth_keys(n, 8, rk_len)).storage_bytes();
+        let storage = |n, rk_len| load(32, synth_keys(n, 8, rk_len)).storage_bytes();
         assert!(storage(1000, 80) > storage(100, 80));
         // Wider premise keys also cost more.
         assert!(storage(1000, 800) > storage(1000, 80));
@@ -638,7 +738,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_a_broken_image() {
-        let good = PackedTpt::bulk_load(4, synth_keys(40, 8, 40));
+        let good = load(4, synth_keys(40, 8, 40));
         let broken = |fanout, edit: fn(&mut PackedTpt)| {
             let mut image = good.clone();
             edit(&mut image);

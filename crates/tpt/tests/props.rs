@@ -47,6 +47,11 @@ fn arb_entries(max: usize) -> Gen<Vec<(PatternKey, f64, u32)>> {
     arb_entries_of(CK_LEN, RK_LEN, max)
 }
 
+/// The image of held keys.
+fn load(fanout: usize, entries: &[(PatternKey, f64, u32)]) -> PackedTpt {
+    PackedTpt::bulk_load(fanout, entries.iter().cloned().collect())
+}
+
 /// Pattern ids of a match list, sorted: the order-free result *set*.
 fn sorted(matches: Vec<Match>) -> Vec<u32> {
     let mut ids: Vec<u32> = matches.iter().map(|m| m.pattern).collect();
@@ -64,7 +69,7 @@ fn image_equals_brute(
     queries: &[PatternKey],
 ) -> CaseResult {
     let brute = BruteForce::from_entries(entries.to_vec());
-    let packed = PackedTpt::bulk_load(fanout, entries.to_vec());
+    let packed = load(fanout, entries);
     packed.validate(fanout).map_err(CaseError::Fail)?;
     require_eq!(packed.len(), entries.len());
     require_eq!(packed.is_empty(), entries.is_empty());
@@ -139,7 +144,7 @@ props! {
     /// Every indexed entry is found by a query equal to its own key
     /// (keys always have ≥ 1 bit per part here), with its confidence.
     fn self_query_finds_entry(entries in arb_entries(120)) {
-        let packed = PackedTpt::bulk_load(32, entries.clone());
+        let packed = load(32, &entries);
         for (k, c, p) in &entries {
             let found = packed.search(k);
             let me = found.iter().find(|m| m.pattern == *p);
@@ -150,7 +155,7 @@ props! {
 
     /// Search visits no more entries than a full scan would.
     fn search_never_worse_than_scan(entries in arb_entries(200), q in arb_key()) {
-        let packed = PackedTpt::bulk_load(32, entries.clone());
+        let packed = load(32, &entries);
         let (_, stats) = packed.search_with_stats(&q);
         // Internal entries add overhead bounded by the tree fanout
         // structure; leaf entries checked can never exceed the total.
@@ -162,7 +167,7 @@ props! {
     /// that moved only confidences never needs a rebuild.
     fn confidence_patch_equals_fresh_build(entries in arb_entries(200), pick in index()) {
         assume!(!entries.is_empty());
-        let image = |e: Vec<(PatternKey, f64, u32)>| PackedTpt::bulk_load(6, e);
+        let image = |e: Vec<(PatternKey, f64, u32)>| load(6, &e);
         let mut packed = image(entries.clone());
         let mut patched = entries;
         let i = pick.index(patched.len());
@@ -219,10 +224,7 @@ fn committed_image_fixture_is_reproduced_byte_for_byte() {
         let fill = fanout * 3 / 4;
         for (cons_bits, prem_bits) in [(4, 10), (12, 90), (70, 200), (130, 30)] {
             for n in [0, 1, fill, fill + 1, fill * fill + 1, 3000] {
-                let packed = PackedTpt::bulk_load(
-                    fanout,
-                    fixture_entries(&mut rng, n, cons_bits, prem_bits),
-                );
+                let packed = load(fanout, &fixture_entries(&mut rng, n, cons_bits, prem_bits));
                 packed.validate(fanout).unwrap();
                 writeln!(
                     out,

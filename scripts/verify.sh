@@ -55,6 +55,9 @@ for i in $(seq 1 "$STRESS_RUNS"); do
     # debug pass above and wraps here: the layout's equivalence props
     # have to hold under both.
     cargo test -q --release --offline -p hpm-clustering --test props --test alloc
+    # So does the support counting's and the rule derivation's index
+    # arithmetic, held to the Definition-1 enumeration.
+    cargo test -q --release --offline -p hpm-patterns --test props --test alloc
     cargo test -q --release --offline -p hpm-core --test train_props
     # Likewise the codecs: committed fixtures and the every-cut /
     # bit-flip fuzz, with length arithmetic that wraps instead of
