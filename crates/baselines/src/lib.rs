@@ -35,10 +35,8 @@
 
 mod grid;
 mod markov;
-mod second_order;
 mod slotted;
 
 pub use grid::CellGrid;
 pub use markov::MarkovPredictor;
-pub use second_order::SecondOrderMarkov;
 pub use slotted::SlottedMarkov;

@@ -1331,11 +1331,6 @@ impl MovingObjectStore {
         Ok(())
     }
 
-    /// Whether this store persists to a data directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Writes out any group-commit batches still buffered in memory
     /// (fsyncing per policy). Call before a clean shutdown; a no-op on
     /// a memory-only store.

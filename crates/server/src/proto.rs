@@ -26,18 +26,30 @@
 //! wire client sees the exact error value an in-process caller would
 //! — the property the workspace's op-trace model suite pins down.
 //!
+//! Each message's layout is stated once, as a table near the end of
+//! this module: `wire_enum!` gives every variant of [`RequestBody`],
+//! [`ResponseBody`], [`QueryError`] and [`PredictionSource`] its tag
+//! byte and its fields in wire order, and `wire_struct!` lists the
+//! fields of [`Request`], [`Response`], [`ObjectStats`], [`Prediction`],
+//! [`RankedAnswer`] and [`Uncertainty`]. Encoder, decoder and every
+//! count floor derive from those tables through one private `Wire`
+//! trait. Besides the generic sequence, tuple and `Result` layouts, the
+//! only hand-written ones are the leaf types and the ingest result (`0`
+//! for `Ok`, `1`–`4` naming the [`IngestError`]).
+//!
 //! Decoding is total: any byte sequence yields either a value or a
 //! typed [`ProtoError`], never a panic, and length prefixes are
 //! sanity-checked before any allocation (a hostile 4 GiB length
 //! prefix is rejected while 4 bytes have been read; a count inside a
-//! payload is bounded by the bytes behind it, `wire::get_seq`).
+//! payload is bounded by the bytes behind it over its element type's
+//! `Wire::MIN`, `wire::get_seq`).
 
 use hpm_core::{Prediction, PredictionSource, RankedAnswer, Uncertainty};
 use hpm_geo::{BoundingBox, Point};
 use hpm_objectstore::{IngestError, ObjectId, ObjectStats, QueryError};
 use hpm_store::wire::{
-    fnv1a, get_bbox, get_f64, get_len, get_point, get_seq, get_u8, get_varint, put_bbox, put_f64,
-    put_point, put_varint,
+    fnv1a, get_bbox, get_f64, get_point, get_seq, get_u8, get_varint, put_bbox, put_f64, put_point,
+    put_varint,
 };
 use hpm_store::DecodeError;
 use hpm_trajectory::Timestamp;
@@ -196,19 +208,6 @@ pub enum RequestBody {
     Shutdown,
 }
 
-const REQ_REPORT_MANY: u8 = 1;
-const REQ_PREDICT_BATCH: u8 = 2;
-const REQ_PREDICT_RANGE: u8 = 3;
-const REQ_PREDICT_NEAREST: u8 = 4;
-const REQ_STATS: u8 = 5;
-const REQ_FORCE_RETRAIN: u8 = 6;
-const REQ_SNAPSHOT: u8 = 7;
-const REQ_METRICS: u8 = 8;
-const REQ_PING: u8 = 9;
-const REQ_SHUTDOWN: u8 = 10;
-const REQ_PREDICT_WITHIN: u8 = 11;
-const REQ_PREDICT_NEAREST_PROB: u8 = 12;
-
 /// One response frame, echoing its request's correlation id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -273,21 +272,6 @@ pub enum ResponseBody {
         limit: u64,
     },
 }
-
-const RESP_INGESTED: u8 = 1;
-const RESP_PREDICTIONS: u8 = 2;
-const RESP_RANGE: u8 = 3;
-const RESP_NEAREST: u8 = 4;
-const RESP_STATS: u8 = 5;
-const RESP_RETRAINED: u8 = 6;
-const RESP_SNAPSHOTTED: u8 = 7;
-const RESP_METRICS: u8 = 8;
-const RESP_PONG: u8 = 9;
-const RESP_SHUTTING_DOWN: u8 = 10;
-const RESP_MALFORMED: u8 = 11;
-const RESP_OVERSIZED: u8 = 12;
-const RESP_WITHIN: u8 = 13;
-const RESP_NEAREST_PROB: u8 = 14;
 
 // ---------------------------------------------------------------- framing
 
@@ -356,26 +340,78 @@ pub fn write_frame(w: &mut impl Write, staging: &mut Vec<u8>, payload: &[u8]) ->
     w.write_all(staging)
 }
 
-// ------------------------------------------------------------- primitives
+// ------------------------------------------------------------------ codec
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// A type with one wire layout: `put` appends it, `get` reads it back,
+/// and `MIN` is a floor on the bytes one value takes — what
+/// [`get_seq`] bounds a count of them by, so no count floor is typed in
+/// beside the layout it describes.
+trait Wire: Sized {
+    /// No value encodes to fewer bytes: the sum of the fields' floors,
+    /// plus the tag byte of a `Result` and the smaller arm's floor; an
+    /// enum's floor is its tag byte alone.
+    const MIN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError>;
 }
 
-fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    let len = get_len(buf, 1)?;
-    let (head, rest) = buf.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| DecodeError::Invalid("string is not UTF-8".into()))?
-        .to_string();
-    *buf = rest;
-    Ok(s)
+/// Leaf types: `type, MIN, |value, out| put, |buf| get`.
+macro_rules! wire_leaf {
+    ($($ty:ty, $min:expr, |$v:ident, $out:ident| $put:expr, |$buf:ident| $get:expr;)*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = $min;
+            fn put(&self, $out: &mut Vec<u8>) {
+                let $v = self;
+                $put
+            }
+            fn get($buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                $get
+            }
+        }
+    )*};
 }
 
-// The stable wire numbering of `std::io::ErrorKind` values a
-// `snapshot` can realistically surface; everything else crosses as
-// `Other` (the set must be closed for decode to be total).
+wire_leaf! {
+    u8, 1, |v, out| out.push(*v), |buf| get_u8(buf);
+    u64, 1, |v, out| put_varint(out, *v), |buf| get_varint(buf);
+    usize, 1, |v, out| put_varint(out, *v as u64), |buf| Ok(get_varint(buf)? as usize);
+    ObjectId, 1, |v, out| put_varint(out, v.0), |buf| get_varint(buf).map(ObjectId);
+    f64, 8, |v, out| put_f64(out, *v), |buf| get_f64(buf);
+    Point, 16, |v, out| put_point(out, v), |buf| get_point(buf);
+    BoundingBox, 32, |v, out| put_bbox(out, v), |buf| get_bbox(buf);
+    (), 0, |_v, _out| (), |_buf| Ok(());
+    // A flag is 0 or 1: any other byte would make unequal payloads
+    // decode to equal values.
+    bool, 1, |v, out| out.push(u8::from(*v)), |buf| match get_u8(buf)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(DecodeError::Invalid(format!("flag byte {other}"))),
+    };
+    // A varint length, then UTF-8 bytes.
+    String, 1, |v, out| {
+        put_varint(out, v.len() as u64);
+        out.extend_from_slice(v.as_bytes());
+    }, |buf| String::from_utf8(<Vec<u8> as Wire>::get(buf)?)
+        .map_err(|_| DecodeError::Invalid("string is not UTF-8".into()));
+    // The stable numbering of the `io::ErrorKind`s a snapshot can
+    // realistically surface; every other kind crosses as `Other` (0),
+    // so decode is total.
+    io::ErrorKind, 1, |v, out| {
+        out.push(IO_KINDS.iter().find(|(_, k)| k == v).map_or(0, |(c, _)| *c))
+    }, |buf| {
+        let code = get_u8(buf)?;
+        Ok(IO_KINDS.iter().find(|(c, _)| *c == code).map_or(io::ErrorKind::Other, |(_, k)| *k))
+    };
+    // A ranked answer's supporting pattern: 0 for none, else index + 1.
+    Option<u32>, 1, |v, out| put_varint(out, v.map_or(0, |i| u64::from(i) + 1)),
+    |buf| match get_varint(buf)? {
+        0 => Ok(None),
+        i => u32::try_from(i - 1)
+            .map(Some)
+            .map_err(|_| DecodeError::Invalid(format!("pattern index {}", i - 1))),
+    };
+}
+
 const IO_KINDS: [(u8, io::ErrorKind); 10] = [
     (1, io::ErrorKind::NotFound),
     (2, io::ErrorKind::PermissionDenied),
@@ -389,494 +425,230 @@ const IO_KINDS: [(u8, io::ErrorKind); 10] = [
     (10, io::ErrorKind::TimedOut),
 ];
 
-fn put_io_kind(out: &mut Vec<u8>, kind: &io::ErrorKind) {
-    let code = IO_KINDS
-        .iter()
-        .find(|(_, k)| k == kind)
-        .map_or(0, |(c, _)| *c);
-    out.push(code);
-}
-
-fn get_io_kind(buf: &mut &[u8]) -> Result<io::ErrorKind, DecodeError> {
-    let code = get_u8(buf)?;
-    Ok(IO_KINDS
-        .iter()
-        .find(|(c, _)| *c == code)
-        .map_or(io::ErrorKind::Other, |(_, k)| *k))
-}
-
-// ---------------------------------------------------------- typed errors
-
-const INGEST_OK: u8 = 0;
-const INGEST_NON_CONTIGUOUS: u8 = 1;
-const INGEST_NON_FINITE: u8 = 2;
-const INGEST_UNAVAILABLE: u8 = 3;
-const INGEST_DURABILITY: u8 = 4;
-
-fn put_ingest_result(out: &mut Vec<u8>, r: &Result<(), IngestError>) {
-    match r {
-        Ok(()) => out.push(INGEST_OK),
-        Err(IngestError::NonContiguous { expected, got }) => {
-            out.push(INGEST_NON_CONTIGUOUS);
-            put_varint(out, *expected);
-            put_varint(out, *got);
-        }
-        Err(IngestError::NonFinitePosition) => out.push(INGEST_NON_FINITE),
-        Err(IngestError::ObjectUnavailable(id)) => {
-            out.push(INGEST_UNAVAILABLE);
-            put_varint(out, id.0);
-        }
-        Err(IngestError::Durability(kind)) => {
-            out.push(INGEST_DURABILITY);
-            put_io_kind(out, kind);
-        }
+/// A varint count, then each item; the count is bounded by the item's
+/// `MIN` before a slot is allocated.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        self.iter().for_each(|item| item.put(out));
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        get_seq(buf, T::MIN, T::get)
     }
 }
 
-fn get_ingest_result(buf: &mut &[u8]) -> Result<Result<(), IngestError>, DecodeError> {
-    Ok(match get_u8(buf)? {
-        INGEST_OK => Ok(()),
-        INGEST_NON_CONTIGUOUS => Err(IngestError::NonContiguous {
-            expected: get_varint(buf)?,
-            got: get_varint(buf)?,
-        }),
-        INGEST_NON_FINITE => Err(IngestError::NonFinitePosition),
-        INGEST_UNAVAILABLE => Err(IngestError::ObjectUnavailable(ObjectId(get_varint(buf)?))),
-        INGEST_DURABILITY => Err(IngestError::Durability(get_io_kind(buf)?)),
-        other => return Err(DecodeError::Invalid(format!("ingest result tag {other}"))),
-    })
-}
-
-const QUERY_UNKNOWN: u8 = 1;
-const QUERY_NO_HISTORY: u8 = 2;
-const QUERY_NOT_IN_FUTURE: u8 = 3;
-const QUERY_UNAVAILABLE: u8 = 4;
-const QUERY_INSUFFICIENT: u8 = 5;
-
-fn put_query_error(out: &mut Vec<u8>, e: &QueryError) {
-    match e {
-        QueryError::UnknownObject(id) => {
-            out.push(QUERY_UNKNOWN);
-            put_varint(out, id.0);
-        }
-        QueryError::NoHistory(id) => {
-            out.push(QUERY_NO_HISTORY);
-            put_varint(out, id.0);
-        }
-        QueryError::NotInFuture { current, requested } => {
-            out.push(QUERY_NOT_IN_FUTURE);
-            put_varint(out, *current);
-            put_varint(out, *requested);
-        }
-        QueryError::ObjectUnavailable(id) => {
-            out.push(QUERY_UNAVAILABLE);
-            put_varint(out, id.0);
-        }
-        QueryError::InsufficientHistory {
-            full_periods,
-            min_train_subs,
-        } => {
-            out.push(QUERY_INSUFFICIENT);
-            put_varint(out, *full_periods as u64);
-            put_varint(out, *min_train_subs as u64);
-        }
-    }
-}
-
-fn get_query_error(buf: &mut &[u8]) -> Result<QueryError, DecodeError> {
-    Ok(match get_u8(buf)? {
-        QUERY_UNKNOWN => QueryError::UnknownObject(ObjectId(get_varint(buf)?)),
-        QUERY_NO_HISTORY => QueryError::NoHistory(ObjectId(get_varint(buf)?)),
-        QUERY_NOT_IN_FUTURE => QueryError::NotInFuture {
-            current: get_varint(buf)?,
-            requested: get_varint(buf)?,
-        },
-        QUERY_UNAVAILABLE => QueryError::ObjectUnavailable(ObjectId(get_varint(buf)?)),
-        QUERY_INSUFFICIENT => QueryError::InsufficientHistory {
-            full_periods: get_varint(buf)? as usize,
-            min_train_subs: get_varint(buf)? as usize,
-        },
-        other => return Err(DecodeError::Invalid(format!("query error tag {other}"))),
-    })
-}
-
-// ------------------------------------------------------------ predictions
-
-const SOURCE_FORWARD: u8 = 1;
-const SOURCE_BACKWARD: u8 = 2;
-const SOURCE_MOTION: u8 = 3;
-
-fn put_prediction(out: &mut Vec<u8>, p: &Prediction) {
-    out.push(match p.source {
-        PredictionSource::ForwardPatterns => SOURCE_FORWARD,
-        PredictionSource::BackwardPatterns => SOURCE_BACKWARD,
-        PredictionSource::MotionFunction => SOURCE_MOTION,
-    });
-    put_varint(out, p.answers.len() as u64);
-    for a in &p.answers {
-        put_point(out, &a.location);
-        put_f64(out, a.score);
-        // 0 = no supporting pattern, else index + 1.
-        put_varint(out, a.pattern.map_or(0, |i| u64::from(i) + 1));
-        put_bbox(out, &a.uncertainty.region);
-        put_f64(out, a.uncertainty.mass);
-    }
-}
-
-fn get_prediction(buf: &mut &[u8]) -> Result<Prediction, DecodeError> {
-    let source = match get_u8(buf)? {
-        SOURCE_FORWARD => PredictionSource::ForwardPatterns,
-        SOURCE_BACKWARD => PredictionSource::BackwardPatterns,
-        SOURCE_MOTION => PredictionSource::MotionFunction,
-        other => return Err(DecodeError::Invalid(format!("prediction source {other}"))),
-    };
-    // Each answer is ≥ 65 bytes: location (2×f64), score (f64), one
-    // varint byte, uncertainty region (4×f64) and mass (f64).
-    let answers = get_seq(buf, 65, |buf| {
-        let location = get_point(buf)?;
-        let score = get_f64(buf)?;
-        let pattern = match get_varint(buf)? {
-            0 => None,
-            i => {
-                let i = i - 1;
-                if i > u64::from(u32::MAX) {
-                    return Err(DecodeError::Invalid(format!("pattern index {i}")));
-                }
-                Some(i as u32)
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),*) => {
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            const MIN: usize = 0 $(+ $t::MIN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$i.put(out);)*
             }
-        };
-        let region = get_bbox(buf)?;
-        let mass = get_f64(buf)?;
-        Ok(RankedAnswer {
-            location,
-            score,
-            pattern,
-            uncertainty: Uncertainty { region, mass },
-        })
-    })?;
-    Ok(Prediction { answers, source })
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &ObjectStats) {
-    put_varint(out, s.samples as u64);
-    put_varint(out, s.full_periods as u64);
-    put_varint(out, s.trained_periods as u64);
-    put_varint(out, s.patterns as u64);
-    put_varint(out, s.regions as u64);
-    put_varint(out, s.approx_bytes as u64);
-}
-
-fn get_stats(buf: &mut &[u8]) -> Result<ObjectStats, DecodeError> {
-    Ok(ObjectStats {
-        samples: get_varint(buf)? as usize,
-        full_periods: get_varint(buf)? as usize,
-        trained_periods: get_varint(buf)? as usize,
-        patterns: get_varint(buf)? as usize,
-        regions: get_varint(buf)? as usize,
-        approx_bytes: get_varint(buf)? as usize,
-    })
-}
-
-/// A `Result` on the wire: `0` then the `Ok` value, or `1` then the
-/// error — the one shape `Predictions` items, `Stats`, `Retrained`
-/// and `Snapshotted` share.
-fn put_result<T, E>(
-    out: &mut Vec<u8>,
-    r: &Result<T, E>,
-    put_ok: impl FnOnce(&mut Vec<u8>, &T),
-    put_err: impl FnOnce(&mut Vec<u8>, &E),
-) {
-    match r {
-        Ok(v) => {
-            out.push(0);
-            put_ok(out, v);
+            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                Ok(($($t::get(buf)?,)*))
+            }
         }
-        Err(e) => {
-            out.push(1);
-            put_err(out, e);
+    };
+}
+
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+/// `0` then the `Ok` value, or `1` then the error.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    const MIN: usize = 1 + if T::MIN < E::MIN { T::MIN } else { E::MIN };
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Ok(v) => {
+                out.push(0);
+                v.put(out);
+            }
+            Err(e) => {
+                out.push(1);
+                e.put(out);
+            }
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        match get_u8(buf)? {
+            0 => T::get(buf).map(Ok),
+            1 => E::get(buf).map(Err),
+            other => Err(DecodeError::Invalid(format!("result tag {other}"))),
         }
     }
 }
 
-/// The inverse of [`put_result`]; `what` names the result in the
-/// bad-tag error.
-fn get_result<T, E>(
-    buf: &mut &[u8],
-    what: &str,
-    get_ok: impl FnOnce(&mut &[u8]) -> Result<T, DecodeError>,
-    get_err: impl FnOnce(&mut &[u8]) -> Result<E, DecodeError>,
-) -> Result<Result<T, E>, DecodeError> {
-    match get_u8(buf)? {
-        0 => get_ok(buf).map(Ok),
-        1 => get_err(buf).map(Err),
-        other => Err(DecodeError::Invalid(format!("{what} result tag {other}"))),
+/// An ingest result is one tag byte: `0` for `Ok`, `1`–`4` naming the
+/// error. (`IngestError` is not `Wire`, so this does not overlap the
+/// generic `Result` layout.)
+impl Wire for Result<(), IngestError> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Ok(()) => out.push(0),
+            Err(IngestError::NonContiguous { expected, got }) => (1u8, *expected, *got).put(out),
+            Err(IngestError::NonFinitePosition) => out.push(2),
+            Err(IngestError::ObjectUnavailable(id)) => (3u8, *id).put(out),
+            Err(IngestError::Durability(kind)) => (4u8, *kind).put(out),
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(Err(match get_u8(buf)? {
+            0 => return Ok(Ok(())),
+            1 => IngestError::NonContiguous {
+                expected: Wire::get(buf)?,
+                got: Wire::get(buf)?,
+            },
+            2 => IngestError::NonFinitePosition,
+            3 => IngestError::ObjectUnavailable(Wire::get(buf)?),
+            4 => IngestError::Durability(Wire::get(buf)?),
+            other => return Err(DecodeError::Invalid(format!("ingest result tag {other}"))),
+        }))
     }
 }
 
-/// The `(id, best point, scalar)` rows `Nearest`, `Within` and
-/// `NearestProb` all answer with.
-fn put_hits(out: &mut Vec<u8>, tag: u8, hits: &[(ObjectId, Point, f64)]) {
-    out.push(tag);
-    put_varint(out, hits.len() as u64);
-    for (id, p, scalar) in hits {
-        put_varint(out, id.0);
-        put_point(out, p);
-        put_f64(out, *scalar);
+/// One enum's wire table: each variant's tag byte, then its fields in
+/// wire order (a tuple variant's fields are named only to bind them).
+/// `put` writes the tag, then each field; `get` reads them back, and
+/// an unlisted tag is `Invalid`, named by the leading string. An enum's
+/// `MIN` is its tag byte: a floor, not its smallest variant's size.
+macro_rules! wire_enum {
+    ($($ty:ident $what:literal {
+        $($tag:literal => $v:ident $(($($b:ident: $bt:ty),*))? $({$($f:ident: $ft:ty),*})?,)*
+    })*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    $ty::$v $(($($b),*))? $({$($f),*})? => {
+                        out.push($tag);
+                        $($($b.put(out);)*)?
+                        $($($f.put(out);)*)?
+                    }
+                )*}
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                Ok(match get_u8(buf)? {
+                    $($tag => $ty::$v
+                        $(($(<$bt as Wire>::get(buf)?),*))?
+                        $({$($f: <$ft as Wire>::get(buf)?),*})?,)*
+                    other => return Err(DecodeError::Invalid(format!("{} {other}", $what))),
+                })
+            }
+        }
+    )*};
+}
+
+/// One struct's wire table: its fields in wire order, each in its own
+/// layout, with no tag; `MIN` is the fields' sum.
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:ident: $ft:ty,)* })*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$ft as Wire>::MIN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                Ok($ty { $($f: <$ft as Wire>::get(buf)?),* })
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    RequestBody "unknown request verb" {
+        1 => ReportMany(reports: Vec<(ObjectId, Timestamp, Point)>),
+        2 => PredictBatch(queries: Vec<(ObjectId, Timestamp)>),
+        3 => PredictRange { region: BoundingBox, query_time: Timestamp },
+        4 => PredictNearest { focus: Point, query_time: Timestamp, k: u64 },
+        5 => Stats(id: ObjectId),
+        6 => ForceRetrain(id: ObjectId),
+        7 => Snapshot,
+        8 => Metrics,
+        9 => Ping,
+        10 => Shutdown,
+        11 => PredictWithin { region: BoundingBox, query_time: Timestamp, tau: f64 },
+        12 => PredictNearestProb { focus: Point, query_time: Timestamp, k: u64, tau: f64 },
+    }
+    ResponseBody "unknown response tag" {
+        1 => Ingested(results: Vec<Result<(), IngestError>>),
+        2 => Predictions(results: Vec<Result<Prediction, QueryError>>),
+        3 => Range(hits: Vec<(ObjectId, Point)>),
+        4 => Nearest(hits: Vec<(ObjectId, Point, f64)>),
+        5 => Stats(result: Result<ObjectStats, QueryError>),
+        6 => Retrained(result: Result<(), QueryError>),
+        7 => Snapshotted(result: Result<bool, io::ErrorKind>),
+        8 => Metrics(json: String),
+        9 => Pong,
+        10 => ShuttingDown,
+        11 => Malformed(why: String),
+        12 => Oversized { encoded: u64, limit: u64 },
+        13 => Within(hits: Vec<(ObjectId, Point, f64)>),
+        14 => NearestProb(hits: Vec<(ObjectId, Point, f64)>),
+    }
+    QueryError "query error tag" {
+        1 => UnknownObject(id: ObjectId),
+        2 => NoHistory(id: ObjectId),
+        3 => NotInFuture { current: Timestamp, requested: Timestamp },
+        4 => ObjectUnavailable(id: ObjectId),
+        5 => InsufficientHistory { full_periods: usize, min_train_subs: usize },
+    }
+    PredictionSource "prediction source" {
+        1 => ForwardPatterns,
+        2 => BackwardPatterns,
+        3 => MotionFunction,
     }
 }
 
-fn get_hits(buf: &mut &[u8]) -> Result<Vec<(ObjectId, Point, f64)>, DecodeError> {
-    // A row is ≥ 25 bytes: a 1-byte varint and three f64.
-    get_seq(buf, 25, |buf| {
-        Ok((ObjectId(get_varint(buf)?), get_point(buf)?, get_f64(buf)?))
-    })
+wire_struct! {
+    Request { correlation: u64, body: RequestBody, }
+    Response { correlation: u64, body: ResponseBody, }
+    ObjectStats {
+        samples: usize,
+        full_periods: usize,
+        trained_periods: usize,
+        patterns: usize,
+        regions: usize,
+        approx_bytes: usize,
+    }
+    Prediction { source: PredictionSource, answers: Vec<RankedAnswer>, }
+    RankedAnswer { location: Point, score: f64, pattern: Option<u32>, uncertainty: Uncertainty, }
+    Uncertainty { region: BoundingBox, mass: f64, }
 }
 
-// --------------------------------------------------------------- requests
+/// Reads one `T` that must fill the whole payload.
+fn decode_whole<T: Wire>(mut payload: &[u8]) -> Result<T, ProtoError> {
+    let value = T::get(&mut payload)?;
+    if !payload.is_empty() {
+        return Err(DecodeError::TrailingBytes(payload.len()).into());
+    }
+    Ok(value)
+}
 
-/// Encodes a request payload into `out` (cleared first). Frame it with
-/// [`write_frame_into`] / [`write_frame`].
+/// Encodes a request payload into `out` (cleared first): the
+/// correlation, then the body. Frame it with [`write_frame_into`] /
+/// [`write_frame`].
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     out.clear();
-    put_varint(out, req.correlation);
-    match &req.body {
-        RequestBody::ReportMany(reports) => {
-            out.push(REQ_REPORT_MANY);
-            put_varint(out, reports.len() as u64);
-            for (id, t, p) in reports {
-                put_varint(out, id.0);
-                put_varint(out, *t);
-                put_point(out, p);
-            }
-        }
-        RequestBody::PredictBatch(queries) => {
-            out.push(REQ_PREDICT_BATCH);
-            put_varint(out, queries.len() as u64);
-            for (id, t) in queries {
-                put_varint(out, id.0);
-                put_varint(out, *t);
-            }
-        }
-        RequestBody::PredictRange { region, query_time } => {
-            out.push(REQ_PREDICT_RANGE);
-            put_bbox(out, region);
-            put_varint(out, *query_time);
-        }
-        RequestBody::PredictNearest {
-            focus,
-            query_time,
-            k,
-        } => {
-            out.push(REQ_PREDICT_NEAREST);
-            put_point(out, focus);
-            put_varint(out, *query_time);
-            put_varint(out, *k);
-        }
-        RequestBody::PredictWithin {
-            region,
-            query_time,
-            tau,
-        } => {
-            out.push(REQ_PREDICT_WITHIN);
-            put_bbox(out, region);
-            put_varint(out, *query_time);
-            put_f64(out, *tau);
-        }
-        RequestBody::PredictNearestProb {
-            focus,
-            query_time,
-            k,
-            tau,
-        } => {
-            out.push(REQ_PREDICT_NEAREST_PROB);
-            put_point(out, focus);
-            put_varint(out, *query_time);
-            put_varint(out, *k);
-            put_f64(out, *tau);
-        }
-        RequestBody::Stats(id) => {
-            out.push(REQ_STATS);
-            put_varint(out, id.0);
-        }
-        RequestBody::ForceRetrain(id) => {
-            out.push(REQ_FORCE_RETRAIN);
-            put_varint(out, id.0);
-        }
-        RequestBody::Snapshot => out.push(REQ_SNAPSHOT),
-        RequestBody::Metrics => out.push(REQ_METRICS),
-        RequestBody::Ping => out.push(REQ_PING),
-        RequestBody::Shutdown => out.push(REQ_SHUTDOWN),
-    }
+    req.put(out);
 }
 
 /// Decodes a request payload. Total: every failure is a typed error.
-pub fn decode_request(mut payload: &[u8]) -> Result<Request, ProtoError> {
-    let buf = &mut payload;
-    let correlation = get_varint(buf)?;
-    let verb = get_u8(buf)?;
-    let body = match verb {
-        REQ_REPORT_MANY => {
-            // A report is ≥ 18 bytes (two 1-byte varints + two f64).
-            RequestBody::ReportMany(get_seq(buf, 18, |buf| {
-                Ok((
-                    ObjectId(get_varint(buf)?),
-                    get_varint(buf)?,
-                    get_point(buf)?,
-                ))
-            })?)
-        }
-        REQ_PREDICT_BATCH => RequestBody::PredictBatch(get_seq(buf, 2, |buf| {
-            Ok((ObjectId(get_varint(buf)?), get_varint(buf)?))
-        })?),
-        REQ_PREDICT_RANGE => RequestBody::PredictRange {
-            region: get_bbox(buf)?,
-            query_time: get_varint(buf)?,
-        },
-        REQ_PREDICT_NEAREST => RequestBody::PredictNearest {
-            focus: get_point(buf)?,
-            query_time: get_varint(buf)?,
-            k: get_varint(buf)?,
-        },
-        REQ_PREDICT_WITHIN => RequestBody::PredictWithin {
-            region: get_bbox(buf)?,
-            query_time: get_varint(buf)?,
-            tau: get_f64(buf)?,
-        },
-        REQ_PREDICT_NEAREST_PROB => RequestBody::PredictNearestProb {
-            focus: get_point(buf)?,
-            query_time: get_varint(buf)?,
-            k: get_varint(buf)?,
-            tau: get_f64(buf)?,
-        },
-        REQ_STATS => RequestBody::Stats(ObjectId(get_varint(buf)?)),
-        REQ_FORCE_RETRAIN => RequestBody::ForceRetrain(ObjectId(get_varint(buf)?)),
-        REQ_SNAPSHOT => RequestBody::Snapshot,
-        REQ_METRICS => RequestBody::Metrics,
-        REQ_PING => RequestBody::Ping,
-        REQ_SHUTDOWN => RequestBody::Shutdown,
-        other => {
-            return Err(ProtoError::Decode(DecodeError::Invalid(format!(
-                "unknown request verb {other}"
-            ))))
-        }
-    };
-    if !buf.is_empty() {
-        return Err(ProtoError::Decode(DecodeError::TrailingBytes(buf.len())));
-    }
-    Ok(Request { correlation, body })
+pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
+    decode_whole(payload)
 }
 
-// -------------------------------------------------------------- responses
-
-/// Encodes a response payload into `out` (cleared first).
+/// Encodes a response payload into `out` (cleared first): the
+/// correlation, then the body.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     out.clear();
-    put_varint(out, resp.correlation);
-    match &resp.body {
-        ResponseBody::Ingested(results) => {
-            out.push(RESP_INGESTED);
-            put_varint(out, results.len() as u64);
-            for r in results {
-                put_ingest_result(out, r);
-            }
-        }
-        ResponseBody::Predictions(results) => {
-            out.push(RESP_PREDICTIONS);
-            put_varint(out, results.len() as u64);
-            for r in results {
-                put_result(out, r, put_prediction, put_query_error);
-            }
-        }
-        ResponseBody::Range(hits) => {
-            out.push(RESP_RANGE);
-            put_varint(out, hits.len() as u64);
-            for (id, p) in hits {
-                put_varint(out, id.0);
-                put_point(out, p);
-            }
-        }
-        ResponseBody::Nearest(hits) => put_hits(out, RESP_NEAREST, hits),
-        ResponseBody::Within(hits) => put_hits(out, RESP_WITHIN, hits),
-        ResponseBody::NearestProb(hits) => put_hits(out, RESP_NEAREST_PROB, hits),
-        ResponseBody::Stats(result) => {
-            out.push(RESP_STATS);
-            put_result(out, result, put_stats, put_query_error);
-        }
-        ResponseBody::Retrained(result) => {
-            out.push(RESP_RETRAINED);
-            put_result(out, result, |_, ()| {}, put_query_error);
-        }
-        ResponseBody::Snapshotted(result) => {
-            out.push(RESP_SNAPSHOTTED);
-            put_result(
-                out,
-                result,
-                |out, cut| out.push(u8::from(*cut)),
-                put_io_kind,
-            );
-        }
-        ResponseBody::Metrics(json) => {
-            out.push(RESP_METRICS);
-            put_string(out, json);
-        }
-        ResponseBody::Pong => out.push(RESP_PONG),
-        ResponseBody::ShuttingDown => out.push(RESP_SHUTTING_DOWN),
-        ResponseBody::Malformed(why) => {
-            out.push(RESP_MALFORMED);
-            put_string(out, why);
-        }
-        ResponseBody::Oversized { encoded, limit } => {
-            out.push(RESP_OVERSIZED);
-            put_varint(out, *encoded);
-            put_varint(out, *limit);
-        }
-    }
+    resp.put(out);
 }
 
 /// Decodes a response payload. Total: every failure is a typed error.
-pub fn decode_response(mut payload: &[u8]) -> Result<Response, ProtoError> {
-    let buf = &mut payload;
-    let correlation = get_varint(buf)?;
-    let tag = get_u8(buf)?;
-    let body = match tag {
-        RESP_INGESTED => ResponseBody::Ingested(get_seq(buf, 1, get_ingest_result)?),
-        RESP_PREDICTIONS => ResponseBody::Predictions(get_seq(buf, 2, |buf| {
-            get_result(buf, "prediction", get_prediction, get_query_error)
-        })?),
-        RESP_RANGE => ResponseBody::Range(get_seq(buf, 17, |buf| {
-            Ok((ObjectId(get_varint(buf)?), get_point(buf)?))
-        })?),
-        RESP_NEAREST => ResponseBody::Nearest(get_hits(buf)?),
-        RESP_WITHIN => ResponseBody::Within(get_hits(buf)?),
-        RESP_NEAREST_PROB => ResponseBody::NearestProb(get_hits(buf)?),
-        RESP_STATS => ResponseBody::Stats(get_result(buf, "stats", get_stats, get_query_error)?),
-        RESP_RETRAINED => {
-            ResponseBody::Retrained(get_result(buf, "retrain", |_| Ok(()), get_query_error)?)
-        }
-        RESP_SNAPSHOTTED => ResponseBody::Snapshotted(get_result(
-            buf,
-            "snapshot",
-            |buf| Ok(get_u8(buf)? != 0),
-            get_io_kind,
-        )?),
-        RESP_METRICS => ResponseBody::Metrics(get_string(buf)?),
-        RESP_PONG => ResponseBody::Pong,
-        RESP_SHUTTING_DOWN => ResponseBody::ShuttingDown,
-        RESP_MALFORMED => ResponseBody::Malformed(get_string(buf)?),
-        RESP_OVERSIZED => ResponseBody::Oversized {
-            encoded: get_varint(buf)?,
-            limit: get_varint(buf)?,
-        },
-        other => {
-            return Err(ProtoError::Decode(DecodeError::Invalid(format!(
-                "unknown response tag {other}"
-            ))))
-        }
-    };
-    if !buf.is_empty() {
-        return Err(ProtoError::Decode(DecodeError::TrailingBytes(buf.len())));
-    }
-    Ok(Response { correlation, body })
+pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
+    decode_whole(payload)
 }
 
 #[cfg(test)]
@@ -1199,7 +971,55 @@ mod tests {
     #[test]
     fn unknown_io_kind_crosses_as_other() {
         let mut out = Vec::new();
-        put_io_kind(&mut out, &io::ErrorKind::BrokenPipe); // not in the table
-        assert_eq!(get_io_kind(&mut &out[..]).unwrap(), io::ErrorKind::Other);
+        io::ErrorKind::BrokenPipe.put(&mut out); // not in the table
+        let got = <io::ErrorKind as Wire>::get(&mut &out[..]).unwrap();
+        assert_eq!(got, io::ErrorKind::Other);
+    }
+
+    #[test]
+    fn a_flag_byte_other_than_0_or_1_is_refused() {
+        let mut out = Vec::new();
+        encode_response(
+            &Response {
+                correlation: 1,
+                body: ResponseBody::Snapshotted(Ok(true)),
+            },
+            &mut out,
+        );
+        assert_eq!(out.last(), Some(&1));
+        *out.last_mut().unwrap() = 2;
+        assert!(matches!(
+            decode_response(&out),
+            Err(ProtoError::Decode(DecodeError::Invalid(_)))
+        ));
+    }
+
+    /// Pins `T::MIN` to the count floor it has always been, and checks
+    /// that a smallest value encodes to at least that: a floor too high
+    /// refuses valid frames, one too low weakens the allocation bound.
+    fn floor<T: Wire>(smallest: T, min: usize) {
+        assert_eq!(T::MIN, min, "{}", std::any::type_name::<T>());
+        let mut out = Vec::new();
+        smallest.put(&mut out);
+        assert!(out.len() >= T::MIN, "{}", std::any::type_name::<T>());
+    }
+
+    #[test]
+    fn count_floors_are_the_element_minimums() {
+        let origin = Point::new(0.0, 0.0);
+        floor::<(ObjectId, Timestamp, Point)>((ObjectId(0), 0, origin), 18);
+        floor::<(ObjectId, Timestamp)>((ObjectId(0), 0), 2);
+        floor::<(ObjectId, Point)>((ObjectId(0), origin), 17);
+        floor::<(ObjectId, Point, f64)>((ObjectId(0), origin, 0.0), 25);
+        let answer = RankedAnswer {
+            location: origin,
+            score: 0.0,
+            pattern: None,
+            uncertainty: Uncertainty::point_claim(origin),
+        };
+        floor(answer, 65);
+        floor::<Result<(), IngestError>>(Ok(()), 1);
+        floor::<Result<Prediction, QueryError>>(Ok(Prediction::default()), 2);
+        floor::<Result<Prediction, QueryError>>(Err(QueryError::UnknownObject(ObjectId(0))), 2);
     }
 }
