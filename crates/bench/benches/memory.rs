@@ -400,7 +400,7 @@ const MEMSMOKE_BUDGET_BYTES_PER_OBJECT: usize = 12 * 1024;
 
 /// Committed predictor-bytes-per-rule budget for the same smoke: a
 /// trained forked commuter's whole predictor share over the rules it
-/// indexes. Measured ~63 B/rule (image ~30, pattern table ~27,
+/// indexes. Measured ~55 B/rule (image ~22, pattern table ~27,
 /// regions ~6); the 2x headroom does not fit a second resident copy of
 /// the rules' keys (a pattern-key side array is 80 B/rule).
 const MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE: f64 = 128.0;

@@ -104,7 +104,7 @@ fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, 
         let mut matches_total = 0usize;
         for q in &qs {
             let (mut pm, ps) = packed.search_with_stats(q);
-            pm.sort_by_key(|m| m.pattern);
+            pm.sort_unstable();
             assert_eq!(pm, brute.search(q), "packed result set differs from scan");
             agg.nodes_visited += ps.nodes_visited;
             agg.entries_checked += ps.entries_checked;

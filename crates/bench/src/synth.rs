@@ -142,20 +142,19 @@ pub fn synthetic_patterns(
 }
 
 /// [`synthetic_patterns`] as index input: the key table that encodes
-/// the set, the region count, and one `(key, confidence, id)` entry
-/// per pattern — what `PackedTpt::bulk_load` and
-/// `BruteForce::from_entries` take.
+/// the set, the region count, and one `(key, id)` entry per pattern —
+/// what `PackedTpt::bulk_load` and `BruteForce::from_entries` take.
 pub fn synthetic_index(
     num_patterns: usize,
     num_regions: usize,
     seed: u64,
-) -> (KeyTable, usize, Vec<(PatternKey, f64, u32)>) {
+) -> (KeyTable, usize, Vec<(PatternKey, u32)>) {
     let (set, patterns) = synthetic_patterns(num_patterns, num_regions, seed);
     let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
     let entries = patterns
         .iter()
         .enumerate()
-        .map(|(i, p)| (table.encode_pattern(p, &set), p.confidence, i as u32))
+        .map(|(i, p)| (table.encode_pattern(p, &set), i as u32))
         .collect();
     (table, set.len(), entries)
 }

@@ -116,7 +116,7 @@ fn extend(predictor: &HybridPredictor, lo: i64, hi: i64, consequence: &mut Bitma
 /// Eq. 5 scores for each candidate.
 fn score_into(
     predictor: &HybridPredictor,
-    matches: &[hpm_tpt::Match],
+    matches: &[u32],
     rkq: &Bitmap,
     tc: i64,
     tq: i64,
@@ -126,20 +126,23 @@ fn score_into(
     let t_eps = predictor.config.time_relaxation;
     let d = predictor.config.distant_threshold as f64;
     let tq_offset = tq.rem_euclid(period);
-    out.extend(matches.iter().map(|m| {
-        let premise = predictor.patterns.premise(m.pattern as usize);
+    out.extend(matches.iter().map(|&id| {
+        let premise = predictor.patterns.premise(id as usize);
         let weights = predictor.weight_table.weights(premise.len());
         let sr = premise_similarity_ids(premise, rkq, weights);
         // Temporal distance of the consequence offset to the query
         // offset, on the period circle.
-        let consequence = predictor.patterns.consequence(m.pattern as usize);
+        let consequence = predictor.patterns.consequence(id as usize);
         let t_off = predictor.regions.get(consequence).offset as i64;
         let delta = (t_off - tq_offset).rem_euclid(period);
         let dist = delta.min(period - delta);
         let sc = consequence_similarity(0, dist, t_eps);
         // Eq. 5: premise similarity penalised by d / (tq − tc) ≤ 1.
         let penalty = (d / (tq - tc) as f64).min(1.0);
-        (m.pattern, (sr * penalty + sc) * m.confidence)
+        (
+            id,
+            (sr * penalty + sc) * predictor.patterns.confidence(id as usize),
+        )
     }));
 }
 

@@ -46,11 +46,11 @@ pub(crate) fn run(
     }
     // Eq. 2: S_p = S_r × c.
     scored.clear();
-    scored.extend(matches.iter().map(|m| {
-        let premise = predictor.patterns.premise(m.pattern as usize);
+    scored.extend(matches.iter().map(|&id| {
+        let premise = predictor.patterns.premise(id as usize);
         let weights = predictor.weight_table.weights(premise.len());
         let sr = premise_similarity_ids(premise, &qkey.premise, weights);
-        (m.pattern, sr * m.confidence)
+        (id, sr * predictor.patterns.confidence(id as usize))
     }));
     rank_answers_into(
         predictor,

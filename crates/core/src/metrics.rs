@@ -22,8 +22,8 @@ hpm_obs::catalog! {
     /// distinct-consequence top-k), shared by FQP and BQP.
     span RANK_SPAN = "core.rank";
     /// Latency span around applying a retrain result to the live index
-    /// ([`crate::HybridPredictor::apply_update`]: confidence patches in
-    /// place, or re-assembly from the pattern list).
+    /// ([`crate::HybridPredictor::apply_update`]: the image kept as it
+    /// is, or re-assembly from the pattern list).
     span APPLY_UPDATE_SPAN = "core.apply_update";
     /// Latency span around the region-discovery phase of a training pass
     /// ([`crate::TrainerState::retrain`]): a fold's DBSCAN insertions and

@@ -24,17 +24,16 @@ use std::cell::RefCell;
 /// trajectory patterns, their TPT index, and the query processors.
 ///
 /// Each rule is held once per job: as a row of `patterns` (what a
-/// match is scored and answered from) and as a leaf signature of
-/// `packed` (what a query is matched against). Pattern keys (§V.A)
-/// exist only inside the image.
+/// match is scored and answered from, its confidence included) and as
+/// a leaf signature of `packed` (what a query is matched against, with
+/// the row's id). Pattern keys (§V.A) exist only inside the image.
 #[derive(Debug, Clone)]
 pub struct HybridPredictor {
     pub(crate) regions: RegionSet,
     pub(crate) patterns: PatternTable,
     pub(crate) key_table: KeyTable,
     /// The index: the arena-packed TPT image of the patterns' keys,
-    /// built by `build_image` and never mutated beyond confidence
-    /// patches.
+    /// built by `build_image` and never mutated.
     pub(crate) packed: PackedTpt,
     /// Precomputed Eq. 1 weight rows for every premise length among
     /// `patterns` (keyed to `config.weight_fn`).
@@ -43,10 +42,10 @@ pub struct HybridPredictor {
     pub(crate) period: u32,
 }
 
-/// Builds the predictor's index: writes every pattern's key `<pk, c,
-/// p>` straight into the leaf signature words — its premise's region
-/// bits and its consequence offset's time-id bit — and bulk-loads them
-/// (§V.B) into the packed image.
+/// Builds the predictor's index: writes every pattern's leaf entry
+/// `<pk, p>` straight into the leaf signature words — its premise's
+/// region bits and its consequence offset's time-id bit — beside its
+/// id, and bulk-loads them (§V.B) into the packed image.
 fn build_image(
     regions: &RegionSet,
     patterns: &PatternTable,
@@ -62,7 +61,7 @@ fn build_image(
     for i in 0..patterns.len() {
         let time_id = time_ids[patterns.consequence(i).index()];
         let premise = patterns.premise(i).iter().map(|r| r.index());
-        leaves.push(time_id, premise, patterns.confidence(i), i as u32);
+        leaves.push(time_id, premise, i as u32);
     }
     PackedTpt::bulk_load(tpt_fanout, leaves)
 }

@@ -214,9 +214,10 @@ impl MemUse for TrainerState {
 /// How [`HybridPredictor::apply_update`] absorbed a retrain result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum UpdateTier {
-    /// Pattern keys unchanged: confidences patched into the index
-    /// image in place.
-    Confidences,
+    /// Pattern keys unchanged: the index image is reused untouched
+    /// (it holds no confidence; the scorers read `c` from the pattern
+    /// table).
+    ImageKept,
     /// Pattern set or key vocabulary changed: the index image was
     /// rebuilt from the pattern list (no re-discovery, no re-mining).
     Rebuild,
@@ -230,9 +231,8 @@ impl HybridPredictor {
     ///
     /// * same `(premise, consequence)` list over an unchanged key
     ///   vocabulary (region count, period, every consequence's time
-    ///   offset) → pattern ids and keys are unchanged, so only leaf
-    ///   confidences can differ and they are patched in place
-    ///   ([`UpdateTier::Confidences`]);
+    ///   offset) → pattern ids and keys are unchanged, so the image is
+    ///   too and is reused as it is ([`UpdateTier::ImageKept`]);
     /// * anything else — patterns added or removed, regions or
     ///   consequence offsets changed — → the predictor is re-assembled
     ///   with [`from_parts`](Self::from_parts)
@@ -240,8 +240,8 @@ impl HybridPredictor {
     ///
     /// # Panics
     /// Panics when a pattern fails validation against `regions` (only
-    /// reachable on the rebuild outcome; a confidence patch reuses
-    /// validated keys).
+    /// reachable on the rebuild outcome; a kept image reuses validated
+    /// keys).
     fn apply_update(
         &self,
         regions: RegionSet,
@@ -260,21 +260,16 @@ impl HybridPredictor {
             let rebuilt = Self::from_parts(regions, patterns, self.config);
             return (rebuilt, UpdateTier::Rebuild);
         }
-        let mut packed = self.packed.clone();
-        packed.patch_confidences(|id| {
-            let n = patterns.confidence(id as usize);
-            (n != self.patterns.confidence(id as usize)).then_some(n)
-        });
         let out = HybridPredictor {
             regions,
             patterns,
-            packed,
+            packed: self.packed.clone(),
             key_table: self.key_table.clone(),
             weight_table: self.weight_table.clone(),
             config: self.config,
             period: self.period,
         };
-        (out, UpdateTier::Confidences)
+        (out, UpdateTier::ImageKept)
     }
 }
 
@@ -469,7 +464,7 @@ mod tests {
         let traj = commuter_days(30);
         let p = HybridPredictor::build(&traj, &discovery(), &mining(), commuter_config());
         let (q, tier) = p.apply_update(p.regions().clone(), p.patterns().to_vec());
-        assert_eq!(tier, UpdateTier::Confidences);
+        assert_eq!(tier, UpdateTier::ImageKept);
         assert_eq!(q.patterns(), p.patterns());
     }
 

@@ -200,7 +200,7 @@ props! {
         let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
         require!(table.region_count() > 64 && table.consequence_count() > 64);
         let keys = (patterns.iter().zip(0..))
-            .map(|(p, i)| (table.encode_pattern(p, &set), p.confidence, i))
+            .map(|(p, i)| (table.encode_pattern(p, &set), i))
             .collect();
         let encoded = PackedTpt::bulk_load(fanout, keys);
         let config = HpmConfig {

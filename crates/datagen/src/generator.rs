@@ -8,9 +8,8 @@
 //! the extent. Concatenating `num_subs` such periods yields the final
 //! trajectory.
 
-use crate::NormalSampler;
 use hpm_geo::{resample_uniform, Point};
-use hpm_rand::{Rng, SmallRng};
+use hpm_rand::{NormalSampler, Rng, SmallRng};
 use hpm_trajectory::Trajectory;
 
 /// A seed route the object habitually follows, with a selection

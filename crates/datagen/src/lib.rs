@@ -18,11 +18,9 @@
 
 mod datasets;
 mod generator;
-mod rand_ext;
 
 pub use datasets::{
     airplane, bike, car, cow, noisy_sensor, paper_dataset, PaperDataset, EXTENT,
     NOISY_SENSOR_SIGMA, PERIOD, SUB_COUNT,
 };
 pub use generator::{Archetype, GeneratorConfig, PeriodicGenerator};
-pub use rand_ext::NormalSampler;

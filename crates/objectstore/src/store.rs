@@ -92,6 +92,9 @@ pub enum IngestError {
     },
     /// The position contained NaN/∞.
     NonFinitePosition,
+    /// The report is at `Timestamp::MAX`, which no history can hold:
+    /// the history's end, one past its last timestamp, would overflow.
+    TimestampOutOfRange,
     /// The object's state lock was poisoned by a panic in an earlier
     /// operation; its history can no longer be trusted. Remove and
     /// re-track the object to recover.
@@ -112,6 +115,13 @@ impl fmt::Display for IngestError {
                 )
             }
             IngestError::NonFinitePosition => write!(f, "non-finite position"),
+            IngestError::TimestampOutOfRange => {
+                write!(
+                    f,
+                    "timestamp {} leaves no room for the history's end",
+                    Timestamp::MAX
+                )
+            }
             IngestError::ObjectUnavailable(id) => {
                 write!(
                     f,
@@ -301,12 +311,23 @@ fn score(prediction: &Prediction, select: Select<'_>, refine: Refine) -> Option<
     Some((best, s))
 }
 
-/// The ingest contract for one report: a finite position at the
-/// object's next timestamp, `expected`.
-fn admit(timestamp: Timestamp, position: &Point, expected: Timestamp) -> Result<(), IngestError> {
+/// The half of the ingest contract a report meets on its own: a finite
+/// position, at a timestamp a history can end after.
+fn admissible(timestamp: Timestamp, position: &Point) -> Result<(), IngestError> {
     if !position.is_finite() {
         Err(IngestError::NonFinitePosition)
-    } else if timestamp != expected {
+    } else if timestamp == Timestamp::MAX {
+        Err(IngestError::TimestampOutOfRange)
+    } else {
+        Ok(())
+    }
+}
+
+/// The ingest contract for one report: [`admissible`], at the object's
+/// next timestamp, `expected`.
+fn admit(timestamp: Timestamp, position: &Point, expected: Timestamp) -> Result<(), IngestError> {
+    admissible(timestamp, position)?;
+    if timestamp != expected {
         Err(IngestError::NonContiguous {
             expected,
             got: timestamp,
@@ -572,10 +593,12 @@ impl MovingObjectStore {
         if positions.iter().any(|p| !p.is_finite()) {
             return Err(IngestError::NonFinitePosition);
         }
+        // Past `Timestamp::MAX` the run stays there: refused, and it
+        // stops the batch.
         let run = positions
             .iter()
             .enumerate()
-            .map(|(i, p)| (start + i as Timestamp, *p));
+            .map(|(i, p)| (start.saturating_add(i as Timestamp), *p));
         let mut result = Ok(());
         // Stop at the first failure: what follows it cannot be
         // contiguous.
@@ -665,11 +688,12 @@ impl MovingObjectStore {
         mut each: impl FnMut(Result<(), IngestError>),
     ) {
         let reject_all = if stop_at_error { 1 } else { usize::MAX };
-        // Non-finite reports never create the object: the first finite
-        // one resolves (and, for a new object, starts) its state.
-        let Some((start, _)) = run.clone().find(|(_, p)| p.is_finite()) else {
+        // Inadmissible reports never create the object: the first
+        // admissible one resolves (and, for a new object, starts) its
+        // state.
+        let Some((start, _)) = run.clone().find(|(t, p)| admissible(*t, p).is_ok()) else {
             run.take(reject_all)
-                .for_each(|_| each(Err(IngestError::NonFinitePosition)));
+                .for_each(|(t, p)| each(admissible(t, &p)));
             return;
         };
         loop {
@@ -1192,7 +1216,7 @@ impl MovingObjectStore {
         }
         Some(Envelope {
             tc,
-            until: tc + u64::from(self.index.horizon),
+            until: tc.saturating_add(u64::from(self.index.horizon)),
             bbox,
         })
     }

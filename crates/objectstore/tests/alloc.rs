@@ -19,57 +19,26 @@
 //! allocation noise is the libtest harness itself, absorbed by taking
 //! the best of several windows.
 
+mod common;
+
+use common::{day, PERIOD};
 use hpm_check::alloc::CountingAllocator;
-use hpm_core::HpmConfig;
-use hpm_geo::Point;
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
-use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::Timestamp;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-const PERIOD: u32 = 4;
-
 fn config() -> StoreConfig {
-    StoreConfig {
-        discovery: DiscoveryParams {
-            period: PERIOD,
-            eps: 2.0,
-            min_pts: 3,
-        },
-        mining: MiningParams {
-            min_support: 2,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 3,
-        },
-        hpm: HpmConfig {
-            distant_threshold: 3,
-            time_relaxation: 1,
-            match_margin: 5.0,
-            rmf_retrospect: 2,
-            ..HpmConfig::default()
-        },
+    let mut config = StoreConfig {
         min_train_subs: 5,
         retrain_every_subs: 100, // no retrain during the measured window
-        recent_len: 2,
         shards: 2,
         threads: 1, // inline pool: the measured thread does all the work
-        index: hpm_objectstore::IndexConfig::default(),
-    }
-}
-
-/// One commuter day: home → road → work → pub (jittered by day).
-fn day(d: usize) -> Vec<Point> {
-    let j = (d % 3) as f64 * 0.2;
-    vec![
-        Point::new(j, 0.0),
-        Point::new(50.0 + j, 0.0),
-        Point::new(100.0 + j, 0.0),
-        Point::new(100.0 + j, 50.0),
-    ]
+        ..common::config()
+    };
+    config.hpm.k = 1;
+    config
 }
 
 #[test]

@@ -7,51 +7,20 @@
 //! bytes never land) and `error` (a full disk — the write lands in
 //! part, then fails).
 
-use hpm_core::HpmConfig;
+mod common;
+
+use common::{config, PERIOD};
 use hpm_geo::Point;
-use hpm_objectstore::{DurabilityConfig, FsyncPolicy, MovingObjectStore, ObjectId, StoreConfig};
-use hpm_patterns::{DiscoveryParams, MiningParams};
+use hpm_objectstore::{DurabilityConfig, FsyncPolicy, MovingObjectStore, ObjectId};
 use hpm_store::wal::{scan_wal, WalRecord};
 use hpm_trajectory::Timestamp;
 
-const PERIOD: u32 = 4;
 const DAYS: usize = 6;
 
 /// Failpoints are process-global; tests that append WAL records
 /// in-process take this lock so an armed failpoint never bleeds into
 /// a neighbour's writes.
 static WAL_WRITERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn config() -> StoreConfig {
-    StoreConfig {
-        discovery: DiscoveryParams {
-            period: PERIOD,
-            eps: 2.0,
-            min_pts: 3,
-        },
-        mining: MiningParams {
-            min_support: 2,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 3,
-        },
-        hpm: HpmConfig {
-            k: 2,
-            distant_threshold: 3,
-            time_relaxation: 1,
-            match_margin: 5.0,
-            rmf_retrospect: 2,
-            ..HpmConfig::default()
-        },
-        min_train_subs: 3,
-        retrain_every_subs: 1,
-        recent_len: 2,
-        shards: 1,
-        threads: 2,
-        index: hpm_objectstore::IndexConfig::default(),
-    }
-}
 
 fn durable(dir: &std::path::Path) -> DurabilityConfig {
     DurabilityConfig {

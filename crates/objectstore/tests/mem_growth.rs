@@ -28,6 +28,9 @@
 //! handed out while a small commuter fleet trained, so a drop in the
 //! `MemUse` figure is a drop in real heap.
 
+mod common;
+
+use common::{day, PERIOD};
 use hpm_check::alloc::CountingAllocator;
 use hpm_core::HpmConfig;
 use hpm_geo::Point;
@@ -42,46 +45,20 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// parallel threads and the allocator counters are process-global.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-const PERIOD: u32 = 4;
-
 fn config() -> StoreConfig {
-    StoreConfig {
-        discovery: DiscoveryParams {
-            period: PERIOD,
-            eps: 2.0,
-            min_pts: 3,
-        },
-        mining: MiningParams {
-            min_support: 2,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 3,
-        },
-        hpm: HpmConfig {
-            distant_threshold: 3,
-            time_relaxation: 1,
-            match_margin: 5.0,
-            ..HpmConfig::default()
-        },
+    let mut config = StoreConfig {
         min_train_subs: 5,
         retrain_every_subs: 1, // retrain on every day: worst-case cadence
-        recent_len: 2,
         shards: 2,
         threads: 1,
-        index: hpm_objectstore::IndexConfig::default(),
-    }
-}
-
-/// One commuter day: home → road → work → pub (jittered by day).
-fn day(d: usize) -> Vec<Point> {
-    let j = (d % 3) as f64 * 0.2;
-    vec![
-        Point::new(j, 0.0),
-        Point::new(50.0 + j, 0.0),
-        Point::new(100.0 + j, 0.0),
-        Point::new(100.0 + j, 50.0),
-    ]
+        ..common::config()
+    };
+    config.hpm = HpmConfig {
+        k: 1,
+        rmf_retrospect: HpmConfig::default().rmf_retrospect,
+        ..config.hpm
+    };
+    config
 }
 
 #[test]

@@ -10,13 +10,14 @@
 //! Snapshots with torn tails, multi-shard crashes, reshards and
 //! automatic snapshots are the op-trace model's (`tests/model.rs`).
 
+mod common;
+
+use common::PERIOD;
 use hpm_check::prelude::*;
-use hpm_core::HpmConfig;
 use hpm_geo::Point;
 use hpm_objectstore::{
     DurabilityConfig, FsyncPolicy, MovingObjectStore, ObjectId, RecoverError, StoreConfig,
 };
-use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_store::wal::{scan_wal, WalRecord};
 use hpm_store::wire::{fnv1a, put_varint};
 use hpm_store::{DecodeError, HistorySnapshot, ObjectSnapshot};
@@ -26,36 +27,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-const PERIOD: u32 = 4;
-
 fn config(shards: usize) -> StoreConfig {
     StoreConfig {
-        discovery: DiscoveryParams {
-            period: PERIOD,
-            eps: 2.0,
-            min_pts: 3,
-        },
-        mining: MiningParams {
-            min_support: 2,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 3,
-        },
-        hpm: HpmConfig {
-            k: 2,
-            distant_threshold: 3,
-            time_relaxation: 1,
-            match_margin: 5.0,
-            rmf_retrospect: 2,
-            ..HpmConfig::default()
-        },
-        min_train_subs: 3,
-        retrain_every_subs: 1,
-        recent_len: 2,
         shards,
-        threads: 2,
-        index: hpm_objectstore::IndexConfig::default(),
+        ..common::config()
     }
 }
 

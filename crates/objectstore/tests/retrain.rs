@@ -5,42 +5,18 @@
 //! batched, live or reopened — is the op-trace model's job
 //! (`tests/model.rs` at the workspace root).
 
-use hpm_core::HpmConfig;
+mod common;
+
+use common::PERIOD;
 use hpm_geo::Point;
 use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
-use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::Timestamp;
-
-const PERIOD: u32 = 4;
 
 fn config(retrain_every_subs: usize) -> StoreConfig {
     StoreConfig {
-        discovery: DiscoveryParams {
-            period: PERIOD,
-            eps: 2.0,
-            min_pts: 3,
-        },
-        mining: MiningParams {
-            min_support: 2,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 2,
-            max_span: 3,
-        },
-        hpm: HpmConfig {
-            k: 2,
-            distant_threshold: 3,
-            time_relaxation: 1,
-            match_margin: 5.0,
-            rmf_retrospect: 2,
-            ..HpmConfig::default()
-        },
-        min_train_subs: 3,
         retrain_every_subs,
-        recent_len: 2,
         shards: 4,
-        threads: 2,
-        index: hpm_objectstore::IndexConfig::default(),
+        ..common::config()
     }
 }
 
@@ -53,13 +29,7 @@ fn day(d: usize, wild: bool) -> Vec<Point> {
             .map(|t| Point::new(400.0 + t as f64 * 0.3 + j, 400.0))
             .collect();
     }
-    let j = (d % 3) as f64 * 0.2;
-    vec![
-        Point::new(j, 0.0),
-        Point::new(50.0 + j, 0.0),
-        Point::new(100.0 + j, 0.0),
-        Point::new(100.0 + j, 50.0),
-    ]
+    common::day(d)
 }
 
 /// A 30-day stream with a burst of wild days in the middle: quiet

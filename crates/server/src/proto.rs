@@ -35,7 +35,7 @@
 //! count floor derive from those tables through one private `Wire`
 //! trait. Besides the generic sequence, tuple and `Result` layouts, the
 //! only hand-written ones are the leaf types and the ingest result (`0`
-//! for `Ok`, `1`–`4` naming the [`IngestError`]).
+//! for `Ok`, `1`–`5` naming the [`IngestError`]).
 //!
 //! Decoding is total: any byte sequence yields either a value or a
 //! typed [`ProtoError`], never a panic, and length prefixes are
@@ -491,6 +491,7 @@ impl Wire for Result<(), IngestError> {
             Err(IngestError::NonFinitePosition) => out.push(2),
             Err(IngestError::ObjectUnavailable(id)) => (3u8, *id).put(out),
             Err(IngestError::Durability(kind)) => (4u8, *kind).put(out),
+            Err(IngestError::TimestampOutOfRange) => out.push(5),
         }
     }
     fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -503,6 +504,7 @@ impl Wire for Result<(), IngestError> {
             2 => IngestError::NonFinitePosition,
             3 => IngestError::ObjectUnavailable(Wire::get(buf)?),
             4 => IngestError::Durability(Wire::get(buf)?),
+            5 => IngestError::TimestampOutOfRange,
             other => return Err(DecodeError::Invalid(format!("ingest result tag {other}"))),
         }))
     }
@@ -808,6 +810,7 @@ mod tests {
                 Err(IngestError::NonFinitePosition),
                 Err(IngestError::ObjectUnavailable(ObjectId(5))),
                 Err(IngestError::Durability(io::ErrorKind::StorageFull)),
+                Err(IngestError::TimestampOutOfRange),
             ]),
             ResponseBody::Predictions(vec![
                 Ok(pred),

@@ -93,7 +93,7 @@ fn random_request(rng: &mut SmallRng) -> Request {
 }
 
 fn random_ingest_result(rng: &mut SmallRng) -> Result<(), IngestError> {
-    match rng.gen_range(0..5u32) {
+    match rng.gen_range(0..6u32) {
         0 => Ok(()),
         1 => Err(IngestError::NonContiguous {
             expected: rng.gen_range(0..1u64 << 40),
@@ -103,7 +103,8 @@ fn random_ingest_result(rng: &mut SmallRng) -> Result<(), IngestError> {
         3 => Err(IngestError::ObjectUnavailable(ObjectId(
             rng.gen_range(0..1000),
         ))),
-        _ => Err(IngestError::Durability(std::io::ErrorKind::StorageFull)),
+        4 => Err(IngestError::Durability(std::io::ErrorKind::StorageFull)),
+        _ => Err(IngestError::TimestampOutOfRange),
     }
 }
 

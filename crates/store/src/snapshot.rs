@@ -193,6 +193,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
         prev = Some(id);
         let start = get_varint(buf)?;
         let history = get_history(buf, id)?;
+        let chunked: usize = history.chunks.iter().map(SealedChunk::samples).sum();
+        let samples = (chunked + history.tail.len()) as u64;
+        if start.checked_add(samples).is_none() {
+            return Err(DecodeError::Invalid(format!(
+                "object {id}: history ends past the last timestamp"
+            )));
+        }
         let trained_subs = get_varint(buf)?;
         get_varint(buf)?; // reserved (see the layout above)
         let model = match get_u8(buf)? {

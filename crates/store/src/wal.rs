@@ -241,7 +241,9 @@ impl Runs {
             let at = self.points.len();
             if len > 0 {
                 first = get_delta(&mut payload, first)?;
-                if first.checked_add(len as u64 - 1).is_none() {
+                // The history it extends ends at `first + len`, one
+                // past the run's last timestamp.
+                if first.checked_add(len as u64).is_none() {
                     return Err(DecodeError::Invalid(
                         "WAL run passes the last timestamp".into(),
                     ));
@@ -761,7 +763,7 @@ mod tests {
             f64::from_bits(state)
         };
         let records: Vec<WalRecord> = (0..8_000)
-            .map(|t| report(3, u64::MAX - 7_999 + t, bits(), bits()))
+            .map(|t| report(3, u64::MAX - 8_000 + t, bits(), bits()))
             .collect();
         let bytes = encoded(&records, records.len());
         let scan = scan_wal(&bytes);

@@ -484,25 +484,78 @@ fn wal_segment() -> (Vec<u8>, Vec<WalRecord>) {
         }
     }
     records.push(WalRecord::Remove { object: 3 });
-    let path = std::env::temp_dir().join(format!("hpm-corrupt-wal-{}", std::process::id()));
-    let options = WalOptions {
-        group_commit: 5,
-        fsync: FsyncPolicy::Never,
-    };
-    let mut writer = WalWriter::create(&path, options).unwrap();
-    for r in &records {
-        writer.append(r).unwrap();
-    }
-    writer.flush().unwrap();
-    drop(writer);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
+    let bytes = written(&records, "segment");
     for batch in records.chunks_mut(5) {
         batch.sort_by_key(|r| match *r {
             WalRecord::Report { object, .. } | WalRecord::Remove { object } => object,
         });
     }
     (bytes, records)
+}
+
+/// The bytes of a segment a writer committing every five records
+/// leaves for `records` (`name` keeps concurrent tests apart).
+fn written(records: &[WalRecord], name: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("hpm-corrupt-wal-{name}-{}", std::process::id()));
+    let options = WalOptions {
+        group_commit: 5,
+        fsync: FsyncPolicy::Never,
+    };
+    let mut writer = WalWriter::create(&path, options).unwrap();
+    for r in records {
+        writer.append(r).unwrap();
+    }
+    writer.flush().unwrap();
+    drop(writer);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
+/// A history ends one past its last timestamp, so that end must fit: a
+/// snapshot object whose `start + samples` passes `u64::MAX` is refused
+/// (it used to open, and the first predict overflowed), and so is a WAL
+/// run reaching `u64::MAX`; one sample fewer decodes.
+#[test]
+fn histories_ending_past_the_last_timestamp_are_refused() {
+    let tail: Vec<Point> = (0..4).map(|i| Point::new(i as f64, 2.0)).collect();
+    for (past, chunks) in [(false, 0), (false, 1), (true, 0), (true, 1)] {
+        let history = history(vec![walk_chunk(24, 1.0); chunks], tail.clone());
+        let start = u64::MAX - 4 - 24 * chunks as u64 + u64::from(past);
+        let object = ObjectSnapshot {
+            id: 9,
+            start,
+            history,
+            trained_subs: 0,
+            model: None,
+        };
+        let want = match past {
+            true => Err(DecodeError::Invalid(
+                "object 9: history ends past the last timestamp".into(),
+            )),
+            false => Ok(vec![object.clone()]),
+        };
+        assert_eq!(
+            decode_snapshot(&encode_snapshot(&[object])),
+            want,
+            "start {start}"
+        );
+    }
+    for (first, fits) in [(u64::MAX - 2, true), (u64::MAX - 1, false)] {
+        let report = |timestamp| WalRecord::Report {
+            object: 3,
+            timestamp,
+            x: 1.5,
+            y: -2.0,
+        };
+        let records = [report(first), report(first + 1)];
+        let scan = scan_wal(&written(&records, "last"));
+        let past = DecodeError::Invalid("WAL run passes the last timestamp".into());
+        assert_eq!(
+            (scan.records.len(), scan.torn),
+            if fits { (2, None) } else { (0, Some(past)) }
+        );
+    }
 }
 
 /// How many records survive damage at byte `at`: those of the whole

@@ -281,7 +281,9 @@ fn committed_v1_wal_fixture_is_refused() {
 /// reports are one run split across the first two frames, a remove
 /// sits between runs, and the coordinates carry `-0.0`, a subnormal, a
 /// sum that does not round and two NaN payloads through the XOR codec;
-/// the last frame is a run ending at `u64::MAX` of object `u64::MAX`.
+/// the last frame is a run ending at `u64::MAX` of object `u64::MAX` —
+/// a timestamp no history holds since its end would overflow, so the
+/// scanner now refuses that frame.
 fn v2_fixture_records() -> Vec<WalRecord> {
     let report = |object, timestamp, x, y| WalRecord::Report {
         object,
@@ -310,8 +312,9 @@ fn v2_fixture_records() -> Vec<WalRecord> {
 }
 
 /// `WalWriter` still writes, byte for byte, the segment it wrote when
-/// the run-framed format was introduced, and `scan_wal` reads it back
-/// bit-identically, frame by frame.
+/// the run-framed format was introduced, and `scan_wal` reads its first
+/// two frames back bit-identically and refuses the third, whose run
+/// reaches `u64::MAX`.
 #[test]
 fn committed_v2_wal_fixture_is_reproduced_byte_for_byte() {
     let golden: &[u8] = include_bytes!("fixtures/wal_v2.bin");
@@ -332,12 +335,13 @@ fn committed_v2_wal_fixture_is_reproduced_byte_for_byte() {
     assert_eq!(written, golden);
 
     let scan = scan_wal(golden);
-    assert_eq!(scan.torn, None);
-    assert_eq!(scan.valid_len, golden.len());
-    assert_bit_identical(&scan.records, &records);
+    let past_max = DecodeError::Invalid("WAL run passes the last timestamp".into());
+    assert_eq!(scan.torn, Some(past_max));
+    assert_bit_identical(&scan.records, &records[..8]);
     let mut frames = scan.offsets.clone();
     frames.dedup();
-    assert_eq!(frames.len(), 3, "one frame per commit");
+    assert_eq!(frames.len(), 2, "one frame per commit");
+    assert_eq!(scan.valid_len, frames[1]);
     assert_eq!(
         scan.offsets[3], scan.offsets[0],
         "the first four share a frame"

@@ -1,16 +1,16 @@
 //! Brute-force pattern scan — Fig. 11b's baseline.
 //!
-//! Stores `<pk, c, p>` entries in a flat vector and answers searches by
+//! Stores `<pk, p>` entries in a flat vector and answers searches by
 //! testing the paper's `Intersect` against every entry. Same results as
 //! the [`PackedTpt`](crate::PackedTpt) (it is the property suite's
 //! oracle), linear cost.
 
-use crate::{Match, PatternKey};
+use crate::PatternKey;
 
 /// The linear-scan index.
 #[derive(Debug, Clone, Default)]
 pub struct BruteForce {
-    entries: Vec<(PatternKey, f64, u32)>,
+    entries: Vec<(PatternKey, u32)>,
 }
 
 impl BruteForce {
@@ -20,15 +20,15 @@ impl BruteForce {
     }
 
     /// Builds from an entry iterator.
-    pub fn from_entries(entries: impl IntoIterator<Item = (PatternKey, f64, u32)>) -> Self {
+    pub fn from_entries(entries: impl IntoIterator<Item = (PatternKey, u32)>) -> Self {
         BruteForce {
             entries: entries.into_iter().collect(),
         }
     }
 
     /// Adds one entry.
-    pub fn insert(&mut self, key: PatternKey, confidence: f64, pattern: u32) {
-        self.entries.push((key, confidence, pattern));
+    pub fn insert(&mut self, key: PatternKey, pattern: u32) {
+        self.entries.push((key, pattern));
     }
 
     /// Resident bytes, for a like-for-like Fig. 11a comparison.
@@ -37,24 +37,23 @@ impl BruteForce {
             + self
                 .entries
                 .iter()
-                .map(|(k, _, _)| k.storage_bytes() + std::mem::size_of::<(PatternKey, f64, u32)>())
+                .map(|(k, _)| k.storage_bytes() + std::mem::size_of::<(PatternKey, u32)>())
                 .sum::<usize>()
     }
 
-    /// Appends every match of `query` to `out`, in entry order.
-    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
-        for (key, confidence, pattern) in &self.entries {
+    /// Appends the pattern id of every match of `query` to `out`, in
+    /// entry order.
+    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<u32>) {
+        for (key, pattern) in &self.entries {
             if key.intersects(query) {
-                out.push(Match {
-                    pattern: *pattern,
-                    confidence: *confidence,
-                });
+                out.push(*pattern);
             }
         }
     }
 
-    /// Every match of `query`, in entry order, in a fresh vector.
-    pub fn search(&self, query: &PatternKey) -> Vec<Match> {
+    /// The pattern id of every match of `query`, in entry order, in a
+    /// fresh vector.
+    pub fn search(&self, query: &PatternKey) -> Vec<u32> {
         let mut out = Vec::new();
         self.search_into(query, &mut out);
         out
@@ -86,12 +85,11 @@ mod tests {
     #[test]
     fn scan_applies_intersect_on_both_parts() {
         let mut idx = BruteForce::new();
-        idx.insert(key(&[0], &[0, 1]), 0.9, 0);
-        idx.insert(key(&[1], &[0, 1]), 0.8, 1);
-        idx.insert(key(&[0], &[5]), 0.7, 2);
+        idx.insert(key(&[0], &[0, 1]), 0);
+        idx.insert(key(&[1], &[0, 1]), 1);
+        idx.insert(key(&[0], &[5]), 2);
         let q = key(&[0], &[1]);
-        let found: Vec<u32> = idx.search(&q).iter().map(|m| m.pattern).collect();
-        assert_eq!(found, vec![0]); // 1 fails on consequence, 2 on premise
+        assert_eq!(idx.search(&q), vec![0]); // 1 fails on consequence, 2 on premise
         let mut appended = Vec::new();
         idx.search_into(&q, &mut appended);
         assert_eq!(appended, idx.search(&q));
@@ -108,18 +106,15 @@ mod tests {
 
     #[test]
     fn from_entries_roundtrip() {
-        let idx = BruteForce::from_entries(vec![(key(&[0], &[0]), 0.5, 7)]);
-        let m = idx.search(&key(&[0], &[0]));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].pattern, 7);
-        assert_eq!(m[0].confidence, 0.5);
+        let idx = BruteForce::from_entries(vec![(key(&[0], &[0]), 7)]);
+        assert_eq!(idx.search(&key(&[0], &[0])), vec![7]);
     }
 
     #[test]
     fn storage_accounts_entries() {
         let mut idx = BruteForce::new();
         let empty = idx.storage_bytes();
-        idx.insert(key(&[0], &[0]), 0.5, 0);
+        idx.insert(key(&[0], &[0]), 0);
         assert!(idx.storage_bytes() > empty);
     }
 }

@@ -12,8 +12,10 @@
 //! written by setting each key's bits. Nothing inserts into a resident
 //! index; a changed rule list is loaded afresh. Predictive queries encode to keys too
 //! ([`KeyTable::fqp_query`], [`KeyTable::bqp_query`]) and retrieve,
-//! via a depth-first `Intersect`-pruned traversal of the image, every
-//! pattern sharing consequence *and* premise bits with the query.
+//! via a depth-first `Intersect`-pruned traversal of the image, the id
+//! of every pattern sharing consequence *and* premise bits with the
+//! query; the rule itself, confidence included, is read through that id
+//! from the pattern store the image was built over.
 //! [`BruteForce`] answers the same searches by a linear scan
 //! (Fig. 11b's baseline, and the test oracle).
 //!
@@ -25,9 +27,9 @@
 //! // Keys over 2 consequence time ids and 5 regions (Fig. 3 sizes),
 //! // each given by its set bits.
 //! let mut leaves = LeafEntries::with_capacity(2, 5, 3);
-//! leaves.push([1], [0, 1], 0.5, 2); // P2: R0^0 ∧ R1^0 -> R2^0
-//! leaves.push([1], [0, 2], 0.4, 3); // P3: R0^0 ∧ R1^1 -> R2^1
-//! leaves.push([0], [0], 0.9, 0); // P0: R0^0 -> R1^0
+//! leaves.push([1], [0, 1], 2); // P2: R0^0 ∧ R1^0 -> R2^0
+//! leaves.push([1], [0, 2], 3); // P3: R0^0 ∧ R1^1 -> R2^1
+//! leaves.push([0], [0], 0); // P0: R0^0 -> R1^0
 //! let tpt = PackedTpt::bulk_load(32, leaves);
 //! let key = |ck: &[usize], rk: &[usize]| PatternKey {
 //!     consequence: Bitmap::from_indices(2, ck),
@@ -35,8 +37,7 @@
 //! };
 //!
 //! // §VI.B's query: recent movements {R0^0, R1^0}, tq at time id 1.
-//! let hits = tpt.search(&key(&[1], &[0, 1]));
-//! let mut ids: Vec<u32> = hits.iter().map(|m| m.pattern).collect();
+//! let mut ids = tpt.search(&key(&[1], &[0, 1]));
 //! ids.sort();
 //! assert_eq!(ids, vec![2, 3]);
 //! ```
@@ -52,4 +53,4 @@ mod packed;
 pub use bitmap::{Bitmap, INLINE_WORDS};
 pub use brute::BruteForce;
 pub use keys::{KeyTable, PatternKey};
-pub use packed::{LeafEntries, Match, PackedTpt, SearchCursor, SearchStats};
+pub use packed::{LeafEntries, PackedTpt, SearchCursor, SearchStats};

@@ -4,9 +4,9 @@
 //! [`PackedTpt`] keeps every entry signature contiguously in one `u64`
 //! arena: each node's entries form a run of `[consequence words |
 //! premise words]` blocks, so the intersect test scans the arena
-//! linearly and chases no pointer, with entry metadata (child/pattern
-//! id, confidence) in parallel SoA arrays. Nodes are laid out in DFS
-//! pre-order, so a search walks mostly forward in memory.
+//! linearly and chases no pointer, with each entry's child or pattern
+//! id in one parallel array. Nodes are laid out in DFS pre-order, so a
+//! search walks mostly forward in memory.
 //! [`PackedTpt::bulk_load`] packs sorted keys straight into those
 //! arenas; no pointer tree exists at any point.
 //!
@@ -18,17 +18,6 @@
 //! generated key sets, and a parent-written fixture pins its bytes.
 
 use crate::PatternKey;
-
-/// One qualifying leaf entry: a trajectory pattern whose key intersects
-/// the query key, with its confidence (the `c` of `<pk, c, p>`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Match {
-    /// Index of the pattern in the pattern store the index was built
-    /// over (the leaf entry's region-key pointer `p`).
-    pub pattern: u32,
-    /// The pattern's confidence.
-    pub confidence: f64,
-}
 
 /// Statistics of one search (Fig. 11b instrumentation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,7 +45,7 @@ pub struct SearchStats {
 /// `false_hits` (or any other field) across calls.
 #[derive(Debug, Clone, Default)]
 pub struct SearchCursor {
-    out: Vec<Match>,
+    out: Vec<u32>,
     stats: SearchStats,
 }
 
@@ -66,7 +55,7 @@ pub struct SearchCursor {
 struct PackedNode {
     /// First word of this node's signature run in `PackedTpt::sig`.
     sig_start: u32,
-    /// First entry of this node in `PackedTpt::{child, confidence}`.
+    /// First entry of this node in `PackedTpt::child`.
     meta_start: u32,
     /// Number of entries.
     count: u32,
@@ -75,15 +64,14 @@ struct PackedNode {
 }
 
 /// The Trajectory Pattern Tree (§V) as one packed image: leaf entries
-/// are `<pk, c, p>` (pattern key, confidence, pattern pointer) and each
-/// internal entry's key is the logical OR of all keys in its subtree.
+/// are `<pk, p>` (pattern key, pattern pointer; §V's confidence `c` is
+/// read through `p` from the pattern store) and each internal entry's
+/// key is the logical OR of all keys in its subtree.
 ///
 /// Built by [`bulk_load`](Self::bulk_load); node 0 is the root. The
-/// shape is frozen: a pattern set that gains or loses a key is
-/// bulk-loaded afresh, and only leaf confidences can be patched in
-/// place ([`patch_confidences`](Self::patch_confidences)). Two images
-/// are equal exactly when they hold the same nodes, signatures,
-/// payloads and confidences in the same layout.
+/// image is frozen: a pattern set whose keys change is bulk-loaded
+/// afresh. Two images are equal exactly when they hold the same nodes,
+/// signatures and payloads in the same layout.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedTpt {
     /// Bit length of the consequence part of every key.
@@ -100,8 +88,6 @@ pub struct PackedTpt {
     sig: Box<[u64]>,
     /// Per entry: child node id (internal) or pattern id (leaf).
     child: Box<[u32]>,
-    /// Per entry: confidence (leaves; 0 for internal entries).
-    confidence: Box<[f64]>,
     len: usize,
     height: usize,
 }
@@ -114,7 +100,7 @@ impl hpm_geo::MemUse for PackedTpt {
     }
 }
 
-/// The leaf entries `<pk, c, p>` of an image in input order, each key
+/// The leaf entries `<pk, p>` of an image in input order, each key
 /// written straight in arena layout — `cw + pw` words, consequence
 /// first — by setting its bits ([`push`](Self::push)): what
 /// [`PackedTpt::bulk_load`] sorts and packs. Keys held as
@@ -126,7 +112,6 @@ pub struct LeafEntries {
     prem_bits: usize,
     /// Per entry `cw + pw` words, entries in input order.
     sig: Vec<u64>,
-    confidence: Vec<f64>,
     pattern: Vec<u32>,
 }
 
@@ -139,13 +124,12 @@ impl LeafEntries {
             cons_bits,
             prem_bits,
             sig: Vec::with_capacity(n * stride),
-            confidence: Vec::with_capacity(n),
             pattern: Vec::with_capacity(n),
         }
     }
 
-    /// Appends pattern `pattern` with confidence `confidence`, whose key
-    /// sets the `consequence` and `premise` bits.
+    /// Appends pattern `pattern`, whose key sets the `consequence` and
+    /// `premise` bits.
     ///
     /// # Panics
     /// Panics when a bit is outside its part.
@@ -153,7 +137,6 @@ impl LeafEntries {
         &mut self,
         consequence: impl IntoIterator<Item = usize>,
         premise: impl IntoIterator<Item = usize>,
-        confidence: f64,
         pattern: u32,
     ) {
         let cw = self.cons_bits.div_ceil(64);
@@ -162,7 +145,6 @@ impl LeafEntries {
         let (cons, prem) = self.sig[start..].split_at_mut(cw);
         set_bits(cons, self.cons_bits, consequence);
         set_bits(prem, self.prem_bits, premise);
-        self.confidence.push(confidence);
         self.pattern.push(pattern);
     }
 }
@@ -175,15 +157,15 @@ fn set_bits(words: &mut [u64], len: usize, bits: impl IntoIterator<Item = usize>
     }
 }
 
-impl FromIterator<(PatternKey, f64, u32)> for LeafEntries {
+impl FromIterator<(PatternKey, u32)> for LeafEntries {
     /// Copies held keys' words out, geometry from the first.
     ///
     /// # Panics
     /// Panics when two keys differ in either part's bit length (all
     /// keys of one image come from one [`KeyTable`](crate::KeyTable)).
-    fn from_iter<I: IntoIterator<Item = (PatternKey, f64, u32)>>(entries: I) -> Self {
+    fn from_iter<I: IntoIterator<Item = (PatternKey, u32)>>(entries: I) -> Self {
         let mut leaves = LeafEntries::default();
-        for (i, (key, confidence, pattern)) in entries.into_iter().enumerate() {
+        for (i, (key, pattern)) in entries.into_iter().enumerate() {
             let lengths = (key.consequence.len(), key.premise.len());
             if i == 0 {
                 (leaves.cons_bits, leaves.prem_bits) = lengths;
@@ -192,7 +174,6 @@ impl FromIterator<(PatternKey, f64, u32)> for LeafEntries {
             assert_eq!(lengths, geometry, "bitmap length mismatch");
             leaves.sig.extend_from_slice(key.consequence.words());
             leaves.sig.extend_from_slice(key.premise.words());
-            leaves.confidence.push(confidence);
             leaves.pattern.push(pattern);
         }
         leaves
@@ -222,7 +203,6 @@ impl PackedTpt {
             cons_bits,
             prem_bits,
             sig: input,
-            confidence: input_confidence,
             pattern: input_pattern,
         } = entries;
         let n = input_pattern.len();
@@ -275,7 +255,6 @@ impl PackedTpt {
             let mut nodes = Vec::with_capacity(levels.iter().map(|l| l.0.div_ceil(fill)).sum());
             let mut sig = Vec::with_capacity(entries * stride);
             let mut child = Vec::with_capacity(entries);
-            let mut confidence = Vec::with_capacity(entries);
             // Root first, then DFS pre-order: `(level, j, slot)` is a
             // node to emit and the child slot of its parent, which is
             // patched with the packed id as it is assigned.
@@ -297,11 +276,9 @@ impl PackedTpt {
                 if level == 0 {
                     for &(.., i) in &order[lo..hi] {
                         child.push(input_pattern[i as usize]);
-                        confidence.push(input_confidence[i as usize]);
                     }
                 } else {
                     child.resize(meta_start + hi - lo, 0);
-                    confidence.resize(meta_start + hi - lo, 0.0);
                     let below = (lo..hi)
                         .rev()
                         .map(|i| (level - 1, i, Some(meta_start + i - lo)));
@@ -316,7 +293,6 @@ impl PackedTpt {
                 nodes: nodes.into(),
                 sig: sig.into(),
                 child: child.into(),
-                confidence: confidence.into(),
                 len: n,
                 height: levels.len(),
             };
@@ -420,7 +396,6 @@ impl PackedTpt {
     pub fn arena_bytes(&self) -> usize {
         self.sig.len() * 8
             + self.child.len() * 4
-            + self.confidence.len() * 8
             + self.nodes.len() * std::mem::size_of::<PackedNode>()
     }
 
@@ -429,42 +404,21 @@ impl PackedTpt {
         std::mem::size_of::<Self>() + self.arena_bytes()
     }
 
-    /// Patches leaf confidences in place through `patch` (pattern id →
-    /// new confidence; `None` leaves an entry untouched), avoiding a
-    /// full rebuild when a retrain changed only confidences: the
-    /// builder places entries by key alone, so the patched image equals
-    /// the one a fresh bulk load with the new confidences compacts to.
-    /// Returns the number of patched entries.
-    pub fn patch_confidences(&mut self, mut patch: impl FnMut(u32) -> Option<f64>) -> usize {
-        let mut patched = 0;
-        for node in self.nodes.iter() {
-            if !node.leaf {
-                continue;
-            }
-            let meta = node.meta_start as usize..(node.meta_start + node.count) as usize;
-            for m in meta {
-                if let Some(c) = patch(self.child[m]) {
-                    self.confidence[m] = c;
-                    patched += 1;
-                }
-            }
-        }
-        patched
-    }
-
-    /// Every match of `query` (order unspecified), in a fresh vector.
-    pub fn search(&self, query: &PatternKey) -> Vec<Match> {
+    /// The pattern id `p` of every leaf entry matching `query` (order
+    /// unspecified), in a fresh vector.
+    pub fn search(&self, query: &PatternKey) -> Vec<u32> {
         self.search_with_stats(query).0
     }
 
-    /// Appends every match of `query` to `out` (order unspecified).
-    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<Match>) {
+    /// Appends the pattern id of every match of `query` to `out` (order
+    /// unspecified).
+    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<u32>) {
         self.search_impl(query, out);
     }
 
     /// Searches with instrumentation (allocates the match vector; the
     /// hot path uses [`SearchCursor::search_packed`]).
-    pub fn search_with_stats(&self, query: &PatternKey) -> (Vec<Match>, SearchStats) {
+    pub fn search_with_stats(&self, query: &PatternKey) -> (Vec<u32>, SearchStats) {
         let mut out = Vec::new();
         let stats = self.search_impl(query, &mut out);
         (out, stats)
@@ -472,7 +426,7 @@ impl PackedTpt {
 
     /// One search under the `tpt.search` span: appends the matches to
     /// `out`, publishes the stats to the counters and returns them.
-    fn search_impl(&self, query: &PatternKey, out: &mut Vec<Match>) -> SearchStats {
+    fn search_impl(&self, query: &PatternKey, out: &mut Vec<u32>) -> SearchStats {
         let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
         let (before, mut stats) = (out.len(), SearchStats::default());
         if !self.nodes.is_empty() {
@@ -495,14 +449,7 @@ impl PackedTpt {
     /// §V.C's Intersect-pruned depth-first traversal, reading
     /// signature words straight from the arena. `cq`/`pq` are the
     /// query's consequence and premise words.
-    fn dfs(
-        &self,
-        node: u32,
-        cq: &[u64],
-        pq: &[u64],
-        out: &mut Vec<Match>,
-        stats: &mut SearchStats,
-    ) {
+    fn dfs(&self, node: u32, cq: &[u64], pq: &[u64], out: &mut Vec<u32>, stats: &mut SearchStats) {
         let n = self.nodes[node as usize];
         stats.nodes_visited += 1;
         stats.entries_checked += n.count as usize;
@@ -516,10 +463,7 @@ impl PackedTpt {
             if hit {
                 let m = n.meta_start as usize + i;
                 if n.leaf {
-                    out.push(Match {
-                        pattern: self.child[m],
-                        confidence: self.confidence[m],
-                    });
+                    out.push(self.child[m]);
                 } else {
                     self.dfs(self.child[m], cq, pq, out, stats);
                 }
@@ -550,8 +494,8 @@ impl SearchCursor {
         SearchCursor::default()
     }
 
-    /// The most recent search's matches.
-    pub fn matches(&self) -> &[Match] {
+    /// The most recent search's matches, as pattern ids.
+    pub fn matches(&self) -> &[u32] {
         &self.out
     }
 
@@ -563,7 +507,7 @@ impl SearchCursor {
     /// Searches a packed image, replacing the cursor's previous matches
     /// and stats — the allocation-free hot path: after the cursor's
     /// buffer reaches its high-water mark, no heap traffic at all.
-    pub fn search_packed<'c>(&'c mut self, packed: &PackedTpt, query: &PatternKey) -> &'c [Match] {
+    pub fn search_packed<'c>(&'c mut self, packed: &PackedTpt, query: &PatternKey) -> &'c [u32] {
         self.out.clear();
         self.stats = packed.search_impl(query, &mut self.out);
         &self.out
@@ -578,13 +522,13 @@ mod tests {
     use hpm_patterns::RegionId;
     use hpm_rand::{Rng, SmallRng};
 
-    /// `<pk, c, p>` entries of `patterns` over Fig. 3's regions.
+    /// `<pk, p>` entries of `patterns` over Fig. 3's regions.
     fn entries(table: &KeyTable, patterns: &[hpm_patterns::TrajectoryPattern]) -> LeafEntries {
         let regions = fig3_regions();
         patterns
             .iter()
             .enumerate()
-            .map(|(i, p)| (table.encode_pattern(p, &regions), p.confidence, i as u32))
+            .map(|(i, p)| (table.encode_pattern(p, &regions), i as u32))
             .collect()
     }
 
@@ -599,7 +543,7 @@ mod tests {
 
     /// Seeded pseudo-random keys for structural tests: one consequence
     /// bit, up to three premise bits.
-    fn synth_keys(n: usize, ck_len: usize, rk_len: usize) -> Vec<(PatternKey, f64, u32)> {
+    fn synth_keys(n: usize, ck_len: usize, rk_len: usize) -> Vec<(PatternKey, u32)> {
         let mut rng = SmallRng::seed_from_u64(0x9E37_79B9);
         let entry = |i| {
             let rk: Vec<usize> = (0..3).map(|_| rng.gen_range(0..rk_len)).collect();
@@ -607,19 +551,19 @@ mod tests {
                 consequence: Bitmap::from_indices(ck_len, &[rng.gen_range(0..ck_len)]),
                 premise: Bitmap::from_indices(rk_len, &rk),
             };
-            (key, rng.gen_range(1..=100u32) as f64 / 100.0, i)
+            (key, i)
         };
         (0..n as u32).map(entry).collect()
     }
 
     /// The image of held keys.
-    fn load(fanout: usize, keys: Vec<(PatternKey, f64, u32)>) -> PackedTpt {
+    fn load(fanout: usize, keys: Vec<(PatternKey, u32)>) -> PackedTpt {
         PackedTpt::bulk_load(fanout, keys.into_iter().collect())
     }
 
     /// Sorted pattern ids the image returns for `q`.
     fn ids(packed: &PackedTpt, q: &PatternKey) -> Vec<u32> {
-        let mut found: Vec<u32> = packed.search(q).iter().map(|m| m.pattern).collect();
+        let mut found = packed.search(q);
         found.sort_unstable();
         found
     }
@@ -645,28 +589,10 @@ mod tests {
     fn duplicate_keys_supported() {
         // Table III: pattern key 0100001 represents two patterns.
         let (table, packed) = fig3();
-        let found = packed.search(&table.fqp_query([RegionId(0)], 1));
-        assert_eq!(found.len(), 2);
-        let confs: Vec<f64> = found.iter().map(|m| m.confidence).collect();
-        assert!(confs.contains(&0.9) && confs.contains(&0.8));
-    }
-
-    #[test]
-    fn patch_confidences_equals_a_fresh_build() {
-        let mut patterns = fig3_patterns();
-        let table = KeyTable::build(&fig3_regions(), patterns.iter().map(|p| p.consequence));
-        let image = |patterns: &[hpm_patterns::TrajectoryPattern]| {
-            PackedTpt::bulk_load(4, entries(&table, patterns))
-        };
-        let mut packed = image(&patterns);
-        let patched = packed.patch_confidences(|p| (p == 2).then_some(0.77));
-        assert_eq!(patched, 1);
-        patterns[2].confidence = 0.77;
-        // The patched image is the image of the patched pattern list.
-        assert_eq!(packed, image(&patterns));
-        let q = table.fqp_query([RegionId(0), RegionId(1)], 2);
-        let hit = packed.search(&q).into_iter().find(|m| m.pattern == 2);
-        assert_eq!(hit.map(|m| m.confidence), Some(0.77));
+        let (patterns, regions) = (fig3_patterns(), fig3_regions());
+        let key = |i: usize| table.encode_pattern(&patterns[i], &regions);
+        assert_eq!(key(0), key(1));
+        assert_eq!(ids(&packed, &key(0)), vec![0, 1]);
     }
 
     #[test]
@@ -705,7 +631,7 @@ mod tests {
             consequence: Bitmap::ones(4),
             premise: Bitmap::ones(prem_bits),
         };
-        load(4, vec![(key(10), 0.5, 0), (key(200), 0.5, 1)]);
+        load(4, vec![(key(10), 0), (key(200), 1)]);
     }
 
     #[test]
@@ -722,7 +648,7 @@ mod tests {
         // A selective query should check far fewer entries than a full
         // scan would.
         let packed = load(32, synth_keys(2000, 16, 200));
-        let (q, _, _) = &synth_keys(1, 16, 200)[0];
+        let (q, _) = &synth_keys(1, 16, 200)[0];
         let (_, stats) = packed.search_with_stats(q);
         assert!(stats.nodes_visited >= 1);
         assert!(stats.entries_checked < 2000, "{stats:?}");
@@ -791,12 +717,9 @@ mod tests {
     fn search_into_appends() {
         let (table, packed) = fig3();
         let q = table.fqp_query([RegionId(0)], 1);
-        let mut out = vec![Match {
-            pattern: 99,
-            confidence: 0.0,
-        }];
+        let mut out = vec![99];
         packed.search_into(&q, &mut out);
-        assert_eq!(out[0].pattern, 99);
+        assert_eq!(out[0], 99);
         assert_eq!(out[1..], packed.search(&q)[..]);
         assert_eq!(out.len(), 3);
     }

@@ -3,7 +3,7 @@
 use hpm_check::prelude::*;
 use hpm_rand::{Rng, SmallRng};
 use hpm_store::wire::fnv1a;
-use hpm_tpt::{Bitmap, BruteForce, Match, PackedTpt, PatternKey, SearchCursor};
+use hpm_tpt::{Bitmap, BruteForce, PackedTpt, PatternKey, SearchCursor};
 use std::fmt::Write;
 
 const CK_LEN: usize = 12;
@@ -30,31 +30,21 @@ fn arb_key() -> Gen<PatternKey> {
     arb_key_of(CK_LEN, RK_LEN)
 }
 
-fn arb_entries_of(ck_len: usize, rk_len: usize, max: usize) -> Gen<Vec<(PatternKey, f64, u32)>> {
-    vec(
-        tuple((arb_key_of(ck_len, rk_len), float(0.01..=1.0))),
-        0..max,
-    )
-    .map(|v| {
-        v.into_iter()
-            .enumerate()
-            .map(|(i, (k, c))| (k, c, i as u32))
-            .collect()
-    })
+fn arb_entries_of(ck_len: usize, rk_len: usize, max: usize) -> Gen<Vec<(PatternKey, u32)>> {
+    vec(arb_key_of(ck_len, rk_len), 0..max).map(|keys| keys.into_iter().zip(0..).collect())
 }
 
-fn arb_entries(max: usize) -> Gen<Vec<(PatternKey, f64, u32)>> {
+fn arb_entries(max: usize) -> Gen<Vec<(PatternKey, u32)>> {
     arb_entries_of(CK_LEN, RK_LEN, max)
 }
 
 /// The image of held keys.
-fn load(fanout: usize, entries: &[(PatternKey, f64, u32)]) -> PackedTpt {
+fn load(fanout: usize, entries: &[(PatternKey, u32)]) -> PackedTpt {
     PackedTpt::bulk_load(fanout, entries.iter().cloned().collect())
 }
 
-/// Pattern ids of a match list, sorted: the order-free result *set*.
-fn sorted(matches: Vec<Match>) -> Vec<u32> {
-    let mut ids: Vec<u32> = matches.iter().map(|m| m.pattern).collect();
+/// A match list sorted: the order-free result *set*.
+fn sorted(mut ids: Vec<u32>) -> Vec<u32> {
     ids.sort_unstable();
     ids
 }
@@ -65,7 +55,7 @@ fn sorted(matches: Vec<Match>) -> Vec<u32> {
 /// entry points agree on matches and stats.
 fn image_equals_brute(
     fanout: usize,
-    entries: &[(PatternKey, f64, u32)],
+    entries: &[(PatternKey, u32)],
     queries: &[PatternKey],
 ) -> CaseResult {
     let brute = BruteForce::from_entries(entries.to_vec());
@@ -74,7 +64,7 @@ fn image_equals_brute(
     require_eq!(packed.len(), entries.len());
     require_eq!(packed.is_empty(), entries.is_empty());
     let mut cursor = SearchCursor::new();
-    for q in queries.iter().chain(entries.iter().map(|(k, _, _)| k)) {
+    for q in queries.iter().chain(entries.iter().map(|(k, _)| k)) {
         let (found, stats) = packed.search_with_stats(q);
         require_eq!(cursor.search_packed(&packed, q), &found[..]);
         require_eq!(
@@ -142,14 +132,11 @@ props! {
     }
 
     /// Every indexed entry is found by a query equal to its own key
-    /// (keys always have ≥ 1 bit per part here), with its confidence.
+    /// (keys always have ≥ 1 bit per part here).
     fn self_query_finds_entry(entries in arb_entries(120)) {
         let packed = load(32, &entries);
-        for (k, c, p) in &entries {
-            let found = packed.search(k);
-            let me = found.iter().find(|m| m.pattern == *p);
-            require!(me.is_some(), "entry {p} not found by its own key");
-            require_eq!(me.unwrap().confidence, *c);
+        for (k, p) in &entries {
+            require!(packed.search(k).contains(p), "entry {p} not found by its own key");
         }
     }
 
@@ -161,24 +148,9 @@ props! {
         // structure; leaf entries checked can never exceed the total.
         require!(stats.entries_checked <= entries.len() + packed.node_count() * 32);
     }
-
-    /// Confidences do not shape the tree: patching one in the image
-    /// equals a fresh bulk load over the patched entries, so a retrain
-    /// that moved only confidences never needs a rebuild.
-    fn confidence_patch_equals_fresh_build(entries in arb_entries(200), pick in index()) {
-        assume!(!entries.is_empty());
-        let image = |e: Vec<(PatternKey, f64, u32)>| load(6, &e);
-        let mut packed = image(entries.clone());
-        let mut patched = entries;
-        let i = pick.index(patched.len());
-        patched[i].1 = 0.005;
-        let id = patched[i].2;
-        require_eq!(packed.patch_confidences(|p| (p == id).then_some(0.005)), 1);
-        require_eq!(&packed, &image(patched));
-    }
 }
 
-/// `n` seeded `<pk, c, p>` entries over `cons_bits` × `prem_bits` keys;
+/// `n` seeded `<pk, p>` entries over `cons_bits` × `prem_bits` keys;
 /// every fifth entry repeats an earlier key (Table III: one key, two
 /// patterns).
 fn fixture_entries(
@@ -186,8 +158,8 @@ fn fixture_entries(
     n: usize,
     cons_bits: usize,
     prem_bits: usize,
-) -> Vec<(PatternKey, f64, u32)> {
-    let mut entries: Vec<(PatternKey, f64, u32)> = Vec::with_capacity(n);
+) -> Vec<(PatternKey, u32)> {
+    let mut entries: Vec<(PatternKey, u32)> = Vec::with_capacity(n);
     for i in 0..n {
         let key = if i % 5 == 4 {
             entries[rng.gen_range(0..i)].0.clone()
@@ -203,19 +175,20 @@ fn fixture_entries(
                 premise: bits(prem_bits, 4),
             }
         };
-        entries.push((key, rng.gen_range(1..=100u32) as f64 / 100.0, i as u32));
+        entries.push((key, i as u32));
     }
     entries
 }
 
-/// `PackedTpt::bulk_load` builds, byte for byte, the image the pointer
-/// tree compacted to before it was deleted. `fixtures/
-/// packed_image_v1.txt` was written by that commit's
-/// `Tpt::bulk_load(..).compact()` through this same loop: one line per
-/// case — fanouts 4 / 6 / 32; one- and multi-word parts on either
-/// side; 0, 1, `fill`, `fill + 1`, `fill² + 1` and 3,000 entries,
-/// duplicate keys among them — carrying the image's shape and the
-/// FNV-1a of its `Debug` text (every field of every arena).
+/// `PackedTpt::bulk_load` builds, byte for byte, the image the commit
+/// before leaf confidences left it built, minus that confidence arena.
+/// `fixtures/packed_image_v2.txt` was written there through this same
+/// loop, with every entry given one constant confidence and the
+/// `confidence: [..]` field cut out of the `Debug` text before hashing:
+/// one line per case — fanouts 4 / 6 / 32; one- and multi-word parts on
+/// either side; 0, 1, `fill`, `fill + 1`, `fill² + 1` and 3,000
+/// entries, duplicate keys among them — carrying the image's shape and
+/// the FNV-1a of its `Debug` text (every field of every arena).
 #[test]
 fn committed_image_fixture_is_reproduced_byte_for_byte() {
     let mut rng = SmallRng::seed_from_u64(0x7074_2121);
@@ -237,5 +210,5 @@ fn committed_image_fixture_is_reproduced_byte_for_byte() {
             }
         }
     }
-    assert_eq!(out, include_str!("fixtures/packed_image_v1.txt"));
+    assert_eq!(out, include_str!("fixtures/packed_image_v2.txt"));
 }

@@ -19,7 +19,7 @@ use hpm_check::prelude::*;
 use hpm_check::Tree;
 use hpm_core::HpmConfig;
 use hpm_geo::{BoundingBox, Point};
-use hpm_objectstore::{IndexConfig, ObjectId, ObjectStats, QueryError, StoreConfig};
+use hpm_objectstore::{IndexConfig, IngestError, ObjectId, ObjectStats, QueryError, StoreConfig};
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_rand::{Rng, SmallRng};
 use hpm_server::{RequestBody as Q, ResponseBody as R};
@@ -95,14 +95,16 @@ fn position(id: u64, t: Timestamp) -> Point {
 
 /// A report's timestamp, relative to its object's next one: that one,
 /// `n + 1` past it, wholly before it (`n` further back), or that one
-/// with a NaN position (a batch's last). An untracked object starts
-/// wherever a finite report puts it.
+/// with a NaN position (a batch's last); or `Timestamp::MAX`, which no
+/// history holds (a batch's first, the rest pinned there). An untracked
+/// object starts wherever an admissible report puts it.
 #[derive(Debug, Clone, Copy)]
 enum When {
     Next,
     Skip(u64),
     Past(u64),
     NonFinite,
+    Max,
 }
 
 /// A query time: `d` past a current time — the queried object's, the
@@ -142,10 +144,11 @@ enum Op {
 }
 
 fn random_op(rng: &mut SmallRng) -> Op {
-    let when = |rng: &mut SmallRng| match rng.gen_range(0..12u32) {
+    let when = |rng: &mut SmallRng| match rng.gen_range(0..13u32) {
         0..=8 => When::Next,
         9 => When::Skip(rng.gen_range(0..6)),
         10 => When::Past(rng.gen_range(0..6)),
+        11 => When::Max,
         _ => When::NonFinite,
     };
     let at = |rng: &mut SmallRng| match rng.gen_range(0..6u32) {
@@ -289,8 +292,10 @@ impl Harness {
         let m = &self.model;
         let time = |at: &At, s: &Spot| match (*at, *s) {
             (At::Abs(t), _) => t,
-            (At::Ahead(d), Spot::Near(id)) => m.end(id).map_or(m.clock(), |end| end - 1) + d,
-            (At::Ahead(d), _) => m.clock() + d,
+            (At::Ahead(d), Spot::Near(id)) => {
+                m.end(id).map_or(m.clock(), |end| end - 1).saturating_add(d)
+            }
+            (At::Ahead(d), _) => m.clock().saturating_add(d),
         };
         let spot = |s: &Spot| match *s {
             Spot::Near(id) => m.last(id).unwrap_or(Point::ORIGIN),
@@ -309,7 +314,8 @@ impl Harness {
             Op::Exact(id, t, p) => return Req::Report(ObjectId(*id), *t, *p),
             Op::ReportBatch(id, w, len) => {
                 let (start, len) = span(m.end(*id), *w, *len as u64);
-                let mut ps: Vec<Point> = (start..start + len).map(|t| position(*id, t)).collect();
+                let at = |i| position(*id, start.saturating_add(i));
+                let mut ps: Vec<Point> = (0..len).map(at).collect();
                 if let When::NonFinite = w {
                     ps[len as usize - 1] = Point::new(f64::NAN, 0.0);
                 }
@@ -322,7 +328,7 @@ impl Harness {
                 let reports = entries.iter().map(|&(id, w)| {
                     let end = ends.entry(id).or_insert_with(|| m.end(id));
                     let (t, p) = report(*end, id, w);
-                    if p.is_finite() && end.is_none_or(|e| e == t) {
+                    if p.is_finite() && t < Timestamp::MAX && end.is_none_or(|e| e == t) {
                         *end = Some(t + 1);
                     }
                     (ObjectId(id), t, p)
@@ -367,9 +373,8 @@ impl Harness {
             let ok = |i: usize| matches!(answer, Answer::Body(R::Ingested(r)) if r[i].is_ok());
             let logged: Vec<Req> = match req {
                 Req::Report(..) if ok(0) => vec![req.clone()],
-                Req::ReportBatch(id, start, ps) if ok(0) => (*start..)
-                    .zip(ps)
-                    .map(|(t, p)| Req::Report(*id, t, *p))
+                Req::ReportBatch(id, start, ps) if ok(0) => (ps.iter().zip(*start..))
+                    .map(|(p, t)| Req::Report(*id, t, *p))
                     .collect(),
                 Req::Wire(Q::ReportMany(reports)) => (reports.iter().enumerate())
                     .filter(|&(i, _)| ok(i))
@@ -422,6 +427,7 @@ fn report(end: Option<Timestamp>, id: u64, w: When) -> (Timestamp, Point) {
 /// The first timestamp and the length of a run of `len` reports.
 fn span(end: Option<Timestamp>, w: When, len: u64) -> (Timestamp, u64) {
     match (w, end) {
+        (When::Max, _) => (Timestamp::MAX, len),
         (When::Next | When::NonFinite, end) => (end.unwrap_or(0), len),
         (When::Skip(n) | When::Past(n), None) => (n, len),
         (When::Skip(n), Some(e)) => (e + 1 + n, len),
@@ -577,6 +583,33 @@ fn force_retrain_on_sub_period_history_is_refused() {
     let s = stats(&answers, 32, 4);
     assert_eq!((s.full_periods, s.trained_periods), (30, 30));
     assert!(s.patterns > 0);
+}
+
+/// A report at `Timestamp::MAX` is refused before it creates an object:
+/// a history holding it would end past the last timestamp (the next
+/// touch overflowed; a release build then refused every later report as
+/// non-contiguous from 0). An object at `MAX - 1` keeps it through a
+/// snapshot, reopen and crash, and answers queries up to `MAX`.
+#[test]
+fn reports_at_the_last_timestamp_are_refused() {
+    let ops = [
+        Op::Report(0, When::Max),
+        Op::Exact(1, Timestamp::MAX - 1, Point::new(1.0, 2.0)),
+        Op::ReportBatch(1, When::Next, 2),
+        Op::ReportMany(vec![(3, When::Max), (1, When::Next), (3, When::Next)]),
+        Op::PredictBatch(vec![(1, At::Ahead(1)), (1, At::Ahead(5))]),
+        Op::Snapshot,
+        Op::Reopen(3),
+        Op::Crash(Vec::new()),
+        Op::Nearest(ORIGIN, At::Ahead(2), 5),
+    ];
+    let answers = run(config(4, 2, 1, 0), (3, 0), &ops).unwrap();
+    let no = Err(IngestError::TimestampOutOfRange);
+    for (op, want) in [(0, vec![no]), (2, vec![no]), (3, vec![no, no, Ok(())])] {
+        assert_eq!(*answer(&answers, op), R::Ingested(want), "op {op}");
+    }
+    assert!(matches!(answer(&answers, 4), R::Predictions(p) if p.iter().all(Result::is_ok)));
+    assert_eq!(hits(&answers, 8), [1, 3]);
 }
 
 /// `remove` then re-report leaves nothing of the first life (which

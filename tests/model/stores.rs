@@ -195,12 +195,13 @@ impl RefStore {
     }
 
     /// A batch holding a non-finite point is refused whole; otherwise
-    /// its reports apply in order up to the first error.
+    /// its reports apply in order up to the first error (its timestamps
+    /// stop at `Timestamp::MAX`, which is one).
     fn report_batch(&mut self, id: ObjectId, t: Timestamp, ps: &[Point]) -> Ingested {
         if ps.iter().any(|p| !p.is_finite()) {
             return Err(IngestError::NonFinitePosition);
         }
-        (t..).zip(ps).try_for_each(|(t, p)| self.admit(id, t, *p))
+        (ps.iter().zip(0..)).try_for_each(|(p, i)| self.admit(id, t.saturating_add(i), *p))
     }
 
     fn report_many(&mut self, reports: &[(ObjectId, Timestamp, Point)]) -> Vec<Ingested> {
@@ -208,11 +209,15 @@ impl RefStore {
         reports.iter().map(admit).collect()
     }
 
-    /// One report, judged on its own. A non-finite one never creates an
-    /// object; a finite one starts an untracked object's history.
+    /// One report, judged on its own. A non-finite one, or one at
+    /// `Timestamp::MAX`, never creates an object; any other starts an
+    /// untracked object's history.
     fn admit(&mut self, id: ObjectId, t: Timestamp, p: Point) -> Ingested {
         if !p.is_finite() {
             return Err(IngestError::NonFinitePosition);
+        }
+        if t == Timestamp::MAX {
+            return Err(IngestError::TimestampOutOfRange);
         }
         let expected = self.end(id.0).unwrap_or(t);
         if t != expected {
