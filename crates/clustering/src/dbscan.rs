@@ -37,19 +37,6 @@ pub enum Label {
     Cluster(u32),
 }
 
-/// A discovered dense cluster, summarised for frequent-region use.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cluster {
-    /// Dense 0-based id, consistent with [`Label::Cluster`].
-    pub id: u32,
-    /// Indices into the input point slice.
-    pub members: Vec<u32>,
-    /// Arithmetic mean of the members.
-    pub centroid: Point,
-    /// Tight bounding box of the members.
-    pub bbox: BoundingBox,
-}
-
 /// Running aggregate of one cluster: its member count, coordinate sum
 /// and tight box, folded in ascending member-index order. The sweep's
 /// summaries and the incremental state's later appends extend this
@@ -90,14 +77,18 @@ impl ClusterFold {
     }
 }
 
-/// Everything one DBSCAN sweep learns about a point set.
-pub(crate) struct Sweep {
+/// The buffers one DBSCAN sweep fills and works in, kept by a caller
+/// that sweeps many point sets: its per-point outputs `assign` and
+/// `counts`, read after the sweep, and its frontier and neighbour list.
+#[derive(Debug, Default)]
+pub(crate) struct SweepBuffers {
     /// Cluster id per point, [`NOISE`] outside every cluster.
     pub(crate) assign: Vec<u32>,
     /// `|N_Eps(p)|` including the point itself, recorded at the single
     /// neighbourhood query the sweep makes for each point.
     pub(crate) counts: Vec<u32>,
-    pub(crate) clusters: Vec<ClusterFold>,
+    frontier: Vec<u32>,
+    neighbors: Vec<u32>,
 }
 
 /// `UNCLASSIFIED` sentinel used during the sweep.
@@ -116,21 +107,28 @@ pub(crate) fn label_of(assign: u32) -> Label {
     }
 }
 
-/// The DBSCAN sweep. `neighbors_of(p, out)` appends the index of every
-/// point within `Eps` of `p` to `out` (any order) and is called exactly
-/// once per point: for an unvisited seed, or when a point first claimed
-/// by a cluster is popped off the frontier. `frontier` and `scratch`
-/// are the caller's buffers, overwritten.
+/// The DBSCAN sweep: fills `bufs.assign` and `bufs.counts` for every
+/// point and returns the cluster folds. `neighbors_of(p, out)` appends
+/// the index of every point within `Eps` of `p` to `out` (any order)
+/// and is called exactly once per point: for an unvisited seed, or when
+/// a point first claimed by a cluster is popped off the frontier.
 pub(crate) fn sweep(
     points: &[Point],
     min_pts: usize,
-    frontier: &mut Vec<u32>,
-    scratch: &mut Vec<u32>,
+    bufs: &mut SweepBuffers,
     mut neighbors_of: impl FnMut(&Point, &mut Vec<u32>),
-) -> Sweep {
+) -> Box<[ClusterFold]> {
     let n = points.len();
-    let mut assign = vec![UNVISITED; n];
-    let mut counts = vec![0u32; n];
+    let SweepBuffers {
+        assign,
+        counts,
+        frontier,
+        neighbors: scratch,
+    } = bufs;
+    assign.clear();
+    assign.resize(n, UNVISITED);
+    counts.clear();
+    counts.resize(n, 0);
     let mut next_cluster = 0u32;
     // Sized for the worst case up front (every point on the frontier,
     // every point a neighbour), so the sweep never regrows a buffer.
@@ -191,24 +189,28 @@ pub(crate) fn sweep(
             clusters[a as usize].push(p);
         }
     }
-    Sweep {
-        assign,
-        counts,
-        clusters,
-    }
+    clusters.into_boxed_slice()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IncrementalDbscan, SeedScratch};
+    use crate::{ClusterView, IncrementalDbscan, SeedScratch};
 
     /// Labels and summaries of a seeded state, checked against the
     /// brute-force sweep first.
-    fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<Cluster>) {
-        let state = IncrementalDbscan::seed(points.to_vec(), params, &mut SeedScratch::default());
-        state.validate(&params).unwrap();
-        (state.labels(), state.clusters())
+    fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<ClusterView>) {
+        let mut scratch = SeedScratch::default();
+        let state = IncrementalDbscan::seed(points.to_vec(), params, &mut scratch);
+        state.validate(points, &params).unwrap();
+        (scratch.labels().collect(), state.cluster_views().collect())
+    }
+
+    /// The input indices `labels` puts in cluster `c`.
+    fn members(labels: &[Label], c: &ClusterView) -> Vec<usize> {
+        (0..labels.len())
+            .filter(|&i| labels[i] == Label::Cluster(c.id))
+            .collect()
     }
 
     fn blob(cx: f64, cy: f64, n: usize, spread: f64) -> Vec<Point> {
@@ -276,13 +278,13 @@ mod tests {
     #[test]
     fn cluster_summary_fields() {
         let pts = blob(10.0, 20.0, 40, 0.5);
-        let (_, clusters) = dbscan(&pts, DbscanParams::new(0.5, 3));
+        let (labels, clusters) = dbscan(&pts, DbscanParams::new(0.5, 3));
         assert_eq!(clusters.len(), 1);
         let c = &clusters[0];
-        assert_eq!(c.members.len(), 40);
+        assert_eq!(c.size, 40);
         assert!(c.centroid.distance(&Point::new(10.0, 20.0)) < 0.2);
-        for &m in &c.members {
-            assert!(c.bbox.contains(&pts[m as usize]));
+        for m in members(&labels, c) {
+            assert!(c.bbox.contains(&pts[m]));
         }
     }
 
@@ -295,9 +297,10 @@ mod tests {
         assert_eq!(labels[50], Label::Noise);
     }
 
-    /// `|x / Eps| ≥ 2⁶³` saturates the cell index; the 3×3 walk used to
-    /// compute `i64::MAX + 1` there (a panic with overflow checks on, a
-    /// wrap to the opposite edge with them off).
+    /// `|x / Eps| ≥ 2³¹` clamps the cell key to the edge cell; the 3×3
+    /// walk must not step past it (the walk once computed `MAX + 1`
+    /// there: a panic with overflow checks on, a wrap to the opposite
+    /// edge with them off).
     #[test]
     fn huge_finite_coordinates_do_not_overflow_the_walk() {
         let pts = [
@@ -320,13 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_consistent_with_members() {
+    fn sizes_count_the_labels() {
         let pts = blob(0.0, 0.0, 20, 1.0);
         let (labels, clusters) = dbscan(&pts, DbscanParams::new(1.0, 4));
         for c in &clusters {
-            for &m in &c.members {
-                assert_eq!(labels[m as usize], Label::Cluster(c.id));
-            }
+            assert_eq!(members(&labels, c).len(), c.size as usize);
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   assigned points are never re-claimed);
 //! * cluster summaries fold members in ascending index order.
 //!
-//! A new point is appended at the highest index, so the *safe* cases —
+//! A new point arrives last (at the highest index), so the *safe* cases —
 //! noise, border join, core join that reaches only one cluster's
 //! members — provably leave every existing label, every cluster id and
 //! every summary fold-order unchanged, and the updated state is
@@ -26,25 +26,28 @@
 //! as [`InsertOutcome::Drift`]: the caller falls back to a batch
 //! rebuild. Over-reporting drift costs only time, never correctness.
 //!
-//! Seeding is that batch sweep and nothing more: one grid is built over
-//! the points, the sweep queries it once per point, and the grid, the
-//! assignment vector, the `|N_Eps|` each query returned and the cluster
-//! folds move into the state as they are; `insert` queries and appends
-//! to the same grid. A state holds only what is its own: the
-//! parameters and the neighbour scratch are the caller's, so a trainer
-//! with one state per time offset keeps one copy of each, and a cluster
-//! is a count, a sum and a box — its members are the points whose
-//! assignment names it. The seed is the first train of every object, every
-//! drift fallback and every trained object at every reopen, which is
-//! why it does each piece of neighbourhood work exactly once (DESIGN.md
+//! Seeding is that batch sweep and nothing more: the points are sorted
+//! by cell once, the sweep queries the cell table over that order once
+//! per point, and the state keeps each point once, as a sample — the
+//! point, the `|N_Eps|` its query returned, its assignment — in cell
+//! order (arrival order within a cell), beside the cell table and the
+//! cluster folds. No sample records its input index: a seed's
+//! input-order labels are read from its [`SeedScratch`], and `insert`
+//! files the new sample at the end of its cell's run. A state holds
+//! only what is its own: the parameters (the cell size is `Eps`) and
+//! the neighbour scratch are the caller's, so a trainer with one state
+//! per time offset keeps one copy of each, and a cluster is a count, a
+//! sum and a box — its members are the samples whose assignment names
+//! it. The seed is the first train of every object, every drift
+//! fallback and every trained object at every reopen, which is why it
+//! does each piece of neighbourhood work exactly once (DESIGN.md
 //! "Training lifecycle" records what a second cell map, a second fold
-//! and a separate counting pass used to cost).
+//! and a separate counting pass cost, and why the cell table stays).
 
-use crate::dbscan::{label_of, sweep, ClusterFold, Sweep, NOISE};
-use crate::grid::GridIndex;
-use crate::{Cluster, DbscanParams, Label};
-use hpm_geo::grid::CellKey;
-use hpm_geo::mem::{heap_bytes, vec_cap_bytes};
+use crate::dbscan::{label_of, sweep, ClusterFold, SweepBuffers, NOISE};
+use crate::grid::{self, Cell, Key};
+use crate::{DbscanParams, Label};
+use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::{BoundingBox, MemUse, Point};
 
 /// Why an insertion could not be absorbed locally.
@@ -74,8 +77,8 @@ pub enum InsertOutcome {
     Drift(DriftKind),
 }
 
-/// Summary of one cluster of an [`IncrementalDbscan`]: what
-/// [`Cluster`] carries, with the member count in place of the list.
+/// Summary of one cluster of an [`IncrementalDbscan`]: its id, member
+/// count, centroid and box.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterView {
     /// Dense 0-based id, consistent with [`Label::Cluster`].
@@ -88,68 +91,111 @@ pub struct ClusterView {
     pub bbox: BoundingBox,
 }
 
-/// The buffers a seed works in and keeps nothing of — the grid's sort
-/// buffer, the sweep's frontier and neighbour list — so that a caller
+/// The buffers a seed works in — the grid's sort buffer, the sweep's
+/// assignments, counts, frontier and neighbour list — so that a caller
 /// seeding many states (one per offset of a period) allocates them
-/// once.
+/// once. The state keeps samples in cell order, not input order, so the
+/// last seed's input-order [`labels`](Self::labels) are read here.
 #[derive(Debug, Default)]
 pub struct SeedScratch {
-    keyed: Vec<(CellKey, u32)>,
-    frontier: Vec<u32>,
-    neighbors: Vec<u32>,
+    keyed: Vec<(Key, u32)>,
+    sweep: SweepBuffers,
+}
+
+impl SeedScratch {
+    /// The last seed's label of every input point, in input order.
+    pub fn labels(&self) -> impl ExactSizeIterator<Item = Label> + '_ {
+        self.sweep.assign.iter().map(|&a| label_of(a))
+    }
+}
+
+/// One clustered point: where it is, `|N_Eps|` including itself, and
+/// its cluster id ([`NOISE`] outside every cluster).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Sample {
+    p: Point,
+    count: u32,
+    assign: u32,
 }
 
 /// Persistent per-group clustering state supporting single-point
 /// insertion with exact batch equivalence on the safe path. The
 /// [`DbscanParams`] it was seeded under are passed to every later call.
-#[derive(Debug, Clone)]
+///
+/// Equality is equality of the whole state: a state grown by safe
+/// inserts equals the one a seed over the same point sequence builds.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalDbscan {
-    points: Vec<Point>,
-    /// `Eps`-sized neighbour grid over `points`.
-    grid: GridIndex,
-    /// `|N_Eps(p)|` including the point itself.
-    counts: Vec<u32>,
-    /// Cluster id per point, [`NOISE`] outside every cluster — the
-    /// sweep's own assignment vector (half the size of `Vec<Label>`).
-    assign: Vec<u32>,
+    /// Every point with its count and assignment, grouped by `Eps`-cell
+    /// in `cells` order and by arrival within a cell.
+    samples: Vec<Sample>,
+    /// The occupied cells, ascending by key, with their runs' ends in
+    /// `samples`.
+    cells: Vec<Cell>,
     /// Running folds, so emitted summaries are bit-identical to the
-    /// batch fold (members ascending).
-    clusters: Vec<ClusterFold>,
+    /// batch fold (members in arrival order). The safe path never adds
+    /// a cluster.
+    clusters: Box<[ClusterFold]>,
 }
 
 impl IncrementalDbscan {
-    /// Seeds the state with the batch DBSCAN sweep over `points`: the
-    /// grid it was run against, the neighbourhood size it saw for each
-    /// point and the cluster folds it produced all move into the state,
-    /// and `points` with them. The sweep works in `scratch`.
+    /// Seeds the state with the batch DBSCAN sweep over `points`,
+    /// against the grid a sort of the points by cell builds; the sweep
+    /// works in `scratch` and leaves the input-order labels there
+    /// ([`SeedScratch::labels`]). The state keeps the grid's cell table
+    /// and gathers each point, with the neighbourhood size the sweep saw
+    /// for it and its assignment, into one sample in cell order.
     pub fn seed(points: Vec<Point>, params: DbscanParams, scratch: &mut SeedScratch) -> Self {
-        let cell = params.eps.max(f64::MIN_POSITIVE);
-        let grid = GridIndex::build(&points, cell, &mut scratch.keyed);
-        let (frontier, neighbors) = (&mut scratch.frontier, &mut scratch.neighbors);
-        let Sweep {
-            assign,
-            counts,
-            clusters,
-        } = sweep(&points, params.min_pts, frontier, neighbors, |p, out| {
-            grid.neighbors_into(&points, p, params.eps, out)
+        let SeedScratch { keyed, sweep: bufs } = scratch;
+        let cells = grid::build(&points, params.eps, keyed);
+        let r2 = params.eps * params.eps;
+        let clusters = sweep(&points, params.min_pts, bufs, |p, out| {
+            grid::block_runs(&cells, grid::key_of(p, params.eps), |run| {
+                for &(_, i) in &keyed[run] {
+                    if points[i as usize].distance_sq(p) <= r2 {
+                        out.push(i);
+                    }
+                }
+            })
         });
+        Self::gather(&points, keyed, bufs, cells, clusters)
+    }
+
+    /// The state over `points` whose sweep left `bufs`: the points in
+    /// `keyed` (cell) order, each with its count and assignment.
+    fn gather(
+        points: &[Point],
+        keyed: &[(Key, u32)],
+        bufs: &SweepBuffers,
+        cells: Vec<Cell>,
+        clusters: Box<[ClusterFold]>,
+    ) -> Self {
+        let samples = keyed
+            .iter()
+            .map(|&(_, i)| {
+                let i = i as usize;
+                Sample {
+                    p: points[i],
+                    count: bufs.counts[i],
+                    assign: bufs.assign[i],
+                }
+            })
+            .collect();
         IncrementalDbscan {
-            points,
-            grid,
-            counts,
-            assign,
+            samples,
+            cells,
             clusters,
         }
     }
 
-    /// Inserts one point (appended at the highest index) under the
-    /// `params` the state was seeded with, and reports how it was
-    /// absorbed. `neighbors` is scratch: it is overwritten, and a
-    /// caller folding many states keeps one for all of them so that a
-    /// fold does not allocate per point. On [`InsertOutcome::Drift`]
-    /// the point is *not* inserted and the state is stale with respect
-    /// to it: only [`IncrementalDbscan::seed`] over the extended point
-    /// set produces a fresh one, and the caller must not insert again.
+    /// Inserts one point (the newest arrival) under the `params` the
+    /// state was seeded with, and reports how it was absorbed.
+    /// `neighbors` is scratch: it is overwritten, and a caller folding
+    /// many states keeps one for all of them so that a fold does not
+    /// allocate per point. On [`InsertOutcome::Drift`] the point is
+    /// *not* inserted and the state is stale with respect to it: only
+    /// [`IncrementalDbscan::seed`] over the extended point set produces
+    /// a fresh one, and the caller must not insert again.
     pub fn insert(
         &mut self,
         p: Point,
@@ -157,20 +203,28 @@ impl IncrementalDbscan {
         neighbors: &mut Vec<u32>,
     ) -> InsertOutcome {
         neighbors.clear();
-        self.grid
-            .neighbors_into(&self.points, &p, params.eps, neighbors);
-        self.absorb(p, neighbors, params.min_pts)
+        let key = grid::key_of(&p, params.eps);
+        let r2 = params.eps * params.eps;
+        grid::block_runs(&self.cells, key, |run| {
+            for (s, j) in self.samples[run.clone()].iter().zip(run.start as u32..) {
+                if s.p.distance_sq(&p) <= r2 {
+                    neighbors.push(j);
+                }
+            }
+        });
+        self.absorb(p, key, neighbors, params.min_pts)
     }
 
-    /// Classifies `p` against its `neighbors` (existing points within
-    /// `Eps`, any order) and commits it when that is safe.
-    fn absorb(&mut self, p: Point, neighbors: &[u32], min_pts: usize) -> InsertOutcome {
-        let is_core = |i: u32| self.counts[i as usize] as usize >= min_pts;
+    /// Classifies `p` against its `neighbors` (positions in `samples`
+    /// within `Eps`, any order) and commits it when that is safe.
+    fn absorb(&mut self, p: Point, key: Key, neighbors: &[u32], min_pts: usize) -> InsertOutcome {
+        let sample = |j: u32| self.samples[j as usize];
+        let is_core = |j: u32| sample(j).count as usize >= min_pts;
         // Any neighbour crossing the core threshold can re-route
         // borders, absorb noise, or merge clusters: bail out first.
         if neighbors
             .iter()
-            .any(|&i| self.counts[i as usize] as usize + 1 == min_pts)
+            .any(|&j| sample(j).count as usize + 1 == min_pts)
         {
             return InsertOutcome::Drift(DriftKind::Promotion);
         }
@@ -180,8 +234,8 @@ impl IncrementalDbscan {
             // The new point is core: it may only join a cluster whose
             // members already cover its whole neighbourhood.
             let mut target: Option<u32> = None;
-            for &i in neighbors.iter().filter(|&&i| is_core(i)) {
-                match (target, self.assign[i as usize]) {
+            for &j in neighbors.iter().filter(|&&j| is_core(j)) {
+                match (target, sample(j).assign) {
                     (_, NOISE) => unreachable!("core points are always clustered"),
                     (None, c) => target = Some(c),
                     (Some(t), c) if c != t => return InsertOutcome::Drift(DriftKind::Merge),
@@ -191,10 +245,10 @@ impl IncrementalDbscan {
             let Some(c) = target else {
                 return InsertOutcome::Drift(DriftKind::NewCluster);
             };
-            if neighbors.iter().any(|&i| self.assign[i as usize] != c) {
+            if neighbors.iter().any(|&j| sample(j).assign != c) {
                 return InsertOutcome::Drift(DriftKind::Absorption);
             }
-            self.commit(p, neighbors, c);
+            self.commit(p, key, neighbors, c);
             InsertOutcome::Member(c)
         } else {
             // Border or noise: joins the lowest-id cluster with a core
@@ -202,27 +256,34 @@ impl IncrementalDbscan {
             // expands clusters in id order) would hand it to.
             let joined = neighbors
                 .iter()
-                .filter(|&&i| is_core(i))
-                .map(|&i| self.assign[i as usize])
+                .filter(|&&j| is_core(j))
+                .map(|&j| sample(j).assign)
                 .filter(|&c| c != NOISE)
                 .min();
-            self.commit(p, neighbors, joined.unwrap_or(NOISE));
+            self.commit(p, key, neighbors, joined.unwrap_or(NOISE));
             joined.map_or(InsertOutcome::Noise, InsertOutcome::Member)
         }
     }
 
-    /// Applies a safe insertion: appends the point, bumps neighbour
-    /// counts, and extends the joined cluster's running fold (`cluster`
-    /// is [`NOISE`] when it joins none).
-    fn commit(&mut self, p: Point, neighbors: &[u32], cluster: u32) {
-        let idx = self.points.len() as u32;
-        for &i in neighbors {
-            self.counts[i as usize] += 1;
+    /// Applies a safe insertion: bumps neighbour counts, files the point
+    /// at the end of its cell's run, and extends the joined cluster's
+    /// running fold (`cluster` is [`NOISE`] when it joins none).
+    fn commit(&mut self, p: Point, key: Key, neighbors: &[u32], cluster: u32) {
+        // Neighbours are positions, so they are bumped before the
+        // insert below shifts the samples behind it.
+        for &j in neighbors {
+            self.samples[j as usize].count += 1;
         }
-        self.counts.push(neighbors.len() as u32 + 1);
-        self.points.push(p);
-        self.grid.push(idx, &p);
-        self.assign.push(cluster);
+        let at = grid::file(&mut self.cells, key);
+        let count = neighbors.len() as u32 + 1;
+        self.samples.insert(
+            at,
+            Sample {
+                p,
+                count,
+                assign: cluster,
+            },
+        );
         if cluster != NOISE {
             self.clusters[cluster as usize].push(p);
         }
@@ -231,35 +292,19 @@ impl IncrementalDbscan {
     /// Number of points in the state.
     #[inline]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.samples.len()
     }
 
     /// Whether the state holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.samples.is_empty()
     }
 
     /// Number of clusters.
     #[inline]
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// Per-point labels, batch-identical on the safe path.
-    pub fn labels(&self) -> Vec<Label> {
-        self.assign.iter().map(|&a| label_of(a)).collect()
-    }
-
-    /// Every clustered point as `(point index, cluster id)`, in
-    /// ascending point index — the member lists, read off the
-    /// assignments.
-    pub fn memberships(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.assign
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a != NOISE)
-            .map(|(i, &a)| (i, a))
     }
 
     /// Cluster summaries in id order — bit-identical to what a fresh
@@ -274,55 +319,32 @@ impl IncrementalDbscan {
         })
     }
 
-    /// [`cluster_views`](Self::cluster_views) as owned [`Cluster`]s,
-    /// member lists derived from [`memberships`](Self::memberships)
-    /// (for tests and one-off inspection). With
-    /// [`labels`](Self::labels), what batch DBSCAN over the seeded
-    /// points returns.
-    pub fn clusters(&self) -> Vec<Cluster> {
-        let mut out: Vec<Cluster> = self
-            .cluster_views()
-            .map(|v| Cluster {
-                id: v.id,
-                members: Vec::with_capacity(v.size as usize),
-                centroid: v.centroid,
-                bbox: v.bbox,
-            })
-            .collect();
-        for (i, c) in self.memberships() {
-            out[c as usize].members.push(i as u32);
-        }
-        out
-    }
-
     /// Test support, and the crate's one `O(n²)` oracle: re-derives the
-    /// whole state under `params` by brute force — a fresh sweep whose
-    /// neighbourhoods are full scans, so every `|N_Eps|`, every
-    /// assignment and every cluster's size, `sum` and `bbox` fold is
-    /// recomputed without the grid — and reports what disagrees; the
-    /// grid itself is checked against a fresh build.
+    /// whole state over `points` — the sequence it was seeded over and
+    /// grown by, in arrival order — under `params` by brute force: a
+    /// fresh sweep whose neighbourhoods are full scans, so every
+    /// `|N_Eps|`, every assignment and every cluster's size, `sum` and
+    /// `bbox` fold is recomputed without the grid. Reports which part
+    /// of the state differs from it, the cell table and the samples'
+    /// filing included.
     #[doc(hidden)]
-    pub fn validate(&self, params: &DbscanParams) -> Result<(), String> {
-        self.grid.validate(&self.points)?;
+    pub fn validate(&self, points: &[Point], params: &DbscanParams) -> Result<(), String> {
         let eps2 = params.eps * params.eps;
-        let (frontier, neighbors) = (&mut Vec::new(), &mut Vec::new());
-        let naive = sweep(
-            &self.points,
-            params.min_pts,
-            frontier,
-            neighbors,
-            |p, out| {
-                let within = self.points.iter().zip(0..);
-                out.extend(
-                    within
-                        .filter(|(q, _)| q.distance_sq(p) <= eps2)
-                        .map(|(_, i)| i),
-                )
-            },
-        );
+        let mut bufs = SweepBuffers::default();
+        let clusters = sweep(points, params.min_pts, &mut bufs, |p, out| {
+            let within = points.iter().zip(0..);
+            out.extend(
+                within
+                    .filter(|(q, _)| q.distance_sq(p) <= eps2)
+                    .map(|(_, i)| i),
+            )
+        });
+        let mut keyed = Vec::new();
+        let cells = grid::build(points, params.eps, &mut keyed);
+        let naive = Self::gather(points, &keyed, &bufs, cells, clusters);
         for (what, same) in [
-            ("|N_Eps| counts", naive.counts == self.counts),
-            ("assignments", naive.assign == self.assign),
+            ("cell table", naive.cells == self.cells),
+            ("samples", naive.samples == self.samples),
             ("cluster folds", naive.clusters == self.clusters),
         ] {
             if !same {
@@ -336,11 +358,9 @@ impl IncrementalDbscan {
 impl MemUse for IncrementalDbscan {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + vec_cap_bytes(&self.points)
-            + heap_bytes(&self.grid)
-            + vec_cap_bytes(&self.counts)
-            + vec_cap_bytes(&self.assign)
-            + vec_cap_bytes(&self.clusters)
+            + vec_cap_bytes(&self.samples)
+            + vec_cap_bytes(&self.cells)
+            + std::mem::size_of_val::<[ClusterFold]>(&self.clusters)
     }
 }
 
@@ -359,8 +379,8 @@ mod tests {
     }
 
     /// Seeds a state over `points` under [`params`].
-    fn seed(points: Vec<Point>) -> IncrementalDbscan {
-        IncrementalDbscan::seed(points, params(), &mut SeedScratch::default())
+    fn seed(points: &[Point]) -> IncrementalDbscan {
+        IncrementalDbscan::seed(points.to_vec(), params(), &mut SeedScratch::default())
     }
 
     /// Inserts `p` under [`params`] with a fresh neighbour scratch.
@@ -373,36 +393,35 @@ mod tests {
         let mut pts = dense_blob(0.0, 5);
         pts.extend(dense_blob(50.0, 4));
         pts.push(Point::new(25.0, 25.0));
-        let state = seed(pts);
-        state.validate(&params()).unwrap();
+        let mut scratch = SeedScratch::default();
+        let state = IncrementalDbscan::seed(pts.clone(), params(), &mut scratch);
+        state.validate(&pts, &params()).unwrap();
         assert_eq!(state.cluster_count(), 2);
-        assert_eq!(state.labels()[9], Label::Noise);
+        assert_eq!(scratch.labels().nth(9), Some(Label::Noise));
     }
 
     #[test]
     fn safe_core_join_matches_batch() {
         let mut pts = dense_blob(0.0, 5);
         pts.extend(dense_blob(50.0, 4));
-        let mut state = seed(pts.clone());
+        let mut state = seed(&pts);
         // Inside the first blob: all neighbours are blob-0 members.
         let p = Point::new(0.02, 0.0);
         assert_eq!(insert(&mut state, p), InsertOutcome::Member(0));
         pts.push(p);
-        state.validate(&params()).unwrap();
-        let reseeded = seed(pts);
-        assert_eq!(state.labels(), reseeded.labels());
-        assert_eq!(state.clusters(), reseeded.clusters());
+        state.validate(&pts, &params()).unwrap();
+        assert_eq!(state, seed(&pts));
     }
 
     #[test]
     fn far_point_is_noise() {
-        let mut state = seed(dense_blob(0.0, 5));
-        assert_eq!(
-            insert(&mut state, Point::new(100.0, 100.0)),
-            InsertOutcome::Noise
-        );
+        let mut pts = dense_blob(0.0, 5);
+        let mut state = seed(&pts);
+        let far = Point::new(100.0, 100.0);
+        assert_eq!(insert(&mut state, far), InsertOutcome::Noise);
         assert_eq!(state.cluster_count(), 1);
-        assert_eq!(*state.labels().last().unwrap(), Label::Noise);
+        pts.push(far);
+        assert_eq!(state, seed(&pts));
     }
 
     #[test]
@@ -412,10 +431,10 @@ mod tests {
         let mut pts = dense_blob(0.0, 5);
         pts.push(Point::new(50.0, 0.0));
         pts.push(Point::new(50.3, 0.0));
-        let mut state = seed(pts);
+        let mut state = seed(&pts);
         let out = insert(&mut state, Point::new(50.6, 0.0));
         assert_eq!(out, InsertOutcome::Drift(DriftKind::Promotion));
-        assert_eq!(state.len(), 7, "a drifting point is not inserted");
+        assert_eq!(state, seed(&pts), "a drifting point is not inserted");
     }
 
     #[test]
@@ -436,7 +455,7 @@ mod tests {
         // of both.
         let mut pts: Vec<Point> = (0..4).map(|i| Point::new(i as f64 * 0.01, 0.0)).collect();
         pts.extend((0..4).map(|i| Point::new(1.6 + i as f64 * 0.01, 0.0)));
-        let mut state = seed(pts);
+        let mut state = seed(&pts);
         assert_eq!(state.cluster_count(), 2);
         match insert(&mut state, Point::new(0.8, 0.0)) {
             InsertOutcome::Drift(DriftKind::Merge | DriftKind::Promotion) => {}
@@ -448,15 +467,14 @@ mod tests {
     /// nor count the edge cell's points twice.
     #[test]
     fn inserts_at_the_edge_of_the_key_space() {
-        let mut state = seed(dense_blob(0.0, 5));
+        let mut pts = dense_blob(0.0, 5);
+        let mut state = seed(&pts);
         let corner = Point::new(f64::MAX, f64::MAX);
-        assert_eq!(insert(&mut state, corner), InsertOutcome::Noise);
-        assert_eq!(
-            insert(&mut state, Point::new(-f64::MAX, 1e300)),
-            InsertOutcome::Noise
-        );
-        assert_eq!(insert(&mut state, corner), InsertOutcome::Noise);
-        state.validate(&params()).unwrap();
+        for p in [corner, Point::new(-f64::MAX, 1e300), corner] {
+            assert_eq!(insert(&mut state, p), InsertOutcome::Noise);
+            pts.push(p);
+        }
+        state.validate(&pts, &params()).unwrap();
         // The third duplicate sees the other two exactly once each,
         // which lifts both to MinPts = 3.
         assert_eq!(

@@ -8,18 +8,20 @@
 //! grow transitively from core points.
 //!
 //! Neighbourhood queries use one uniform grid with `Eps`-sized cells
-//! (the crate-private cell-run table of `grid.rs`: point indices
-//! grouped by cell, occupied cells sorted, no hashing), giving the
-//! expected `O(n · k)` behaviour instead of the naive `O(n²)` scan.
-//! There is one entry point: [`IncrementalDbscan::seed`] builds the
-//! grid with one sort and runs the batch sweep over it once, keeping the
-//! grid, the `|N_Eps|` the sweep saw at its one query per point and the
-//! cluster folds, so that [`IncrementalDbscan::insert`] can append to
-//! the same grid. Batch DBSCAN is a seed read back through
-//! [`labels`](IncrementalDbscan::labels) and
-//! [`clusters`](IncrementalDbscan::clusters); the brute-force re-sweep
-//! behind [`IncrementalDbscan::validate`] is the differential-testing
-//! oracle.
+//! (the crate-private cell table of `grid.rs`: occupied cells sorted by
+//! an `i32`-clamped key, each with the end of its run in a sequence kept
+//! sorted by cell, no hashing), giving the expected `O(n · k)` behaviour
+//! instead of the naive `O(n²)` scan. There is one entry point:
+//! [`IncrementalDbscan::seed`] sorts the points by cell once and runs
+//! the batch sweep over the table, then keeps each point once — a
+//! sample holding the point, the `|N_Eps|` the sweep saw at its one
+//! query for it and its assignment, in cell order — with the cell table
+//! and the cluster folds, so that [`IncrementalDbscan::insert`] can file
+//! a new sample into the same table. Batch DBSCAN is a seed read back
+//! through [`SeedScratch::labels`] (input order) and
+//! [`cluster_views`](IncrementalDbscan::cluster_views); the brute-force
+//! re-sweep behind [`IncrementalDbscan::validate`] is the
+//! differential-testing oracle.
 
 //! # Example
 //!
@@ -33,15 +35,16 @@
 //! pts.push(Point::new(25.0, 25.0));
 //!
 //! let params = DbscanParams::new(1.0, 3);
-//! let mut state = IncrementalDbscan::seed(pts, params, &mut SeedScratch::default());
-//! assert_eq!(state.clusters().len(), 2);
-//! assert_eq!(state.labels()[8], Label::Noise);
+//! let mut scratch = SeedScratch::default();
+//! let mut state = IncrementalDbscan::seed(pts, params, &mut scratch);
+//! assert_eq!(state.cluster_count(), 2);
+//! assert_eq!(scratch.labels().last(), Some(Label::Noise));
 //!
 //! // A fifth point inside the first group joins it in place.
-//! let mut scratch = Vec::new();
-//! let joined = state.insert(Point::new(0.15, 0.0), &params, &mut scratch);
+//! let mut neighbors = Vec::new();
+//! let joined = state.insert(Point::new(0.15, 0.0), &params, &mut neighbors);
 //! assert_eq!(joined, InsertOutcome::Member(0));
-//! assert_eq!(state.clusters()[0].members.len(), 5);
+//! assert_eq!(state.cluster_views().next().unwrap().size, 5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,6 +53,6 @@ mod dbscan;
 mod grid;
 mod incremental;
 
-pub use dbscan::{Cluster, DbscanParams, Label};
+pub use dbscan::{DbscanParams, Label};
 
 pub use incremental::{ClusterView, DriftKind, IncrementalDbscan, InsertOutcome, SeedScratch};

@@ -1,5 +1,5 @@
-//! Allocation budget of the incremental clustering state: one grid, no
-//! heap block per cell.
+//! Allocation budget of the incremental clustering state: one cell
+//! table and one sample vector, no heap block per cell.
 //!
 //! Installs [`hpm_check::alloc::CountingAllocator`] as the global
 //! allocator (hence a dedicated integration-test file with a single
@@ -27,13 +27,13 @@ use hpm_geo::Point;
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Blocks a seed acquires whatever its input once its scratch (the
-/// sort buffer, the sweep's frontier and neighbour list) is warm: the
-/// grid's two tables, assignments, neighbour counts, the cluster table.
-const SEED_FIXED_BLOCKS: u64 = 5;
+/// sort buffer, the sweep's assignments, counts, frontier and neighbour
+/// list) is warm: the cell table, the samples, the cluster folds.
+const SEED_FIXED_BLOCKS: u64 = 3;
 
 /// Blocks a cold [`SeedScratch`] adds to a seed: one per buffer, sized
 /// once, however many points it sorts or sweeps.
-const SCRATCH_BLOCKS: u64 = 3;
+const SCRATCH_BLOCKS: u64 = 5;
 
 /// `n` points over `cells` occupied cells (`Eps` = 1): cells sit three
 /// apart so no neighbourhood crosses one, and the points of a cell are
@@ -99,21 +99,21 @@ fn one_grid_no_per_cell_allocation() {
         );
     }
 
-    // Fold: the first insert regrows every exactly-sized buffer and
-    // sizes the neighbour scratch (40 neighbours: capacity 64); the
-    // next twenty fit all of them. The scratch is the caller's, so it
-    // is freed before the state's bytes are read.
+    // Fold: the first insert regrows the exactly-sized sample vector
+    // and sizes the neighbour scratch (40 neighbours: capacity 64); the
+    // next twenty fit both. The scratch is the caller's, so it is freed
+    // before the state's bytes are read.
+    let mut pts = spread(160, 4);
+    pts.extend((0..21).map(|i| Point::new(0.1, 0.1 + i as f64 * 1e-4)));
     let mut grown = (0..4)
         .map(|_| {
             let bytes = ALLOC.live_bytes();
             let mut state = IncrementalDbscan::seed(spread(160, 4), params, &mut scratch);
             let mut scratch = Vec::new();
-            let warm = Point::new(0.1, 0.1);
-            let joined = state.insert(warm, &params, &mut scratch);
+            let joined = state.insert(pts[160], &params, &mut scratch);
             assert_eq!(joined, InsertOutcome::Member(0));
             let blocks = ALLOC.allocations();
-            for i in 0..20 {
-                let p = Point::new(0.1, 0.2 + i as f64 * 1e-4);
+            for &p in &pts[161..] {
                 let joined = state.insert(p, &params, &mut scratch);
                 assert_eq!(joined, InsertOutcome::Member(0));
             }
@@ -129,13 +129,13 @@ fn one_grid_no_per_cell_allocation() {
         heap_bytes(&grown.2),
         "MemUse after inserts"
     );
-    grown.2.validate(&params).unwrap();
-    // A new cell shifts the run table but is still a safe insert.
+    grown.2.validate(&pts, &params).unwrap();
+    // A new cell shifts the cell table but is still a safe insert.
+    let far = Point::new(-40.0, -40.0);
     assert_eq!(
-        grown
-            .2
-            .insert(Point::new(-40.0, -40.0), &params, &mut Vec::new()),
+        grown.2.insert(far, &params, &mut Vec::new()),
         InsertOutcome::Noise
     );
-    grown.2.validate(&params).unwrap();
+    pts.push(far);
+    grown.2.validate(&pts, &params).unwrap();
 }

@@ -1,6 +1,7 @@
 //! Property-based invariants for DBSCAN, run on a freshly seeded
-//! [`IncrementalDbscan`] — the crate's one entry point — and held to its
-//! brute-force `validate` sweep.
+//! [`IncrementalDbscan`] — the crate's one entry point — and the labels
+//! its seed leaves in [`SeedScratch`], and held to its brute-force
+//! `validate` sweep.
 
 use hpm_check::prelude::*;
 use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label, SeedScratch};
@@ -17,10 +18,19 @@ type Spec = (u32, (f64, f64), Index, (i32, i32));
 /// Places `spec` given the points so far. Most points are free; the
 /// rest sit where a neighbour grid can go wrong: exact duplicates,
 /// pairs exactly `eps` apart, cell boundaries (multiples of `eps`,
-/// `±0.0`, negative), and finite coordinates whose cell index
-/// saturates.
+/// `±0.0`, negative), finite coordinates whose cell index saturates,
+/// and points around the `i32` edge of the cell key (±2³¹ cells, where
+/// neighbours straddle the clamp) and past it (±2⁴⁰ cells, far apart
+/// but in one clamped cell).
 fn place((kind, (x, y), earlier, (k, m)): Spec, eps: f64, so_far: &[Point]) -> Point {
     let anchor = (!so_far.is_empty()).then(|| so_far[earlier.index(so_far.len())]);
+    let past_edge = |cells: u32| {
+        let edge = f64::from(2u32).powi(cells as i32) * eps;
+        Point::new(
+            edge.copysign(m as f64) + k as f64 * 0.5 * eps,
+            (m % 3) as f64 * 0.5 * eps,
+        )
+    };
     match (kind, anchor) {
         (10 | 11, Some(a)) => a,
         (12, Some(a)) => match k.rem_euclid(4) {
@@ -32,6 +42,8 @@ fn place((kind, (x, y), earlier, (k, m)): Spec, eps: f64, so_far: &[Point]) -> P
         (13, _) => Point::new(k as f64 * eps, m as f64 * eps),
         (14, _) => Point::new(if k < 0 { -0.0 } else { 0.0 }, m as f64 * eps),
         (15, _) => Point::new(1e300_f64.copysign(k as f64), 1e300_f64.copysign(m as f64)),
+        (16, _) => past_edge(31),
+        (17, _) => past_edge(40),
         _ => Point::new(x, y),
     }
 }
@@ -39,11 +51,11 @@ fn place((kind, (x, y), earlier, (k, m)): Spec, eps: f64, so_far: &[Point]) -> P
 /// A point set with its parameters (the adversarial placements depend
 /// on `eps`).
 fn arb_case() -> Gen<(Vec<Point>, DbscanParams)> {
-    arb_case_of(16)
+    arb_case_of(18)
 }
 
-/// [`arb_case`] without the 1e300-magnitude points, for the property
-/// whose tolerance is absolute.
+/// [`arb_case`] without the points of 2³¹ cells and more, for the
+/// property whose tolerance is absolute.
 fn arb_bounded_case() -> Gen<(Vec<Point>, DbscanParams)> {
     arb_case_of(15)
 }
@@ -64,20 +76,29 @@ fn arb_case_of(kinds: u32) -> Gen<(Vec<Point>, DbscanParams)> {
     })
 }
 
-/// A state seeded over `pts` with fresh scratch.
-fn seed(pts: &[Point], params: DbscanParams) -> IncrementalDbscan {
-    IncrementalDbscan::seed(pts.to_vec(), params, &mut SeedScratch::default())
+/// A state seeded over `pts` with fresh scratch, and the seed's labels
+/// in input order.
+fn seed(pts: &[Point], params: DbscanParams) -> (IncrementalDbscan, Vec<Label>) {
+    let mut scratch = SeedScratch::default();
+    let state = IncrementalDbscan::seed(pts.to_vec(), params, &mut scratch);
+    (state, scratch.labels().collect())
 }
 
-/// The state's own brute-force consistency check as a case result.
-fn valid(state: &IncrementalDbscan, params: &DbscanParams) -> CaseResult {
-    state.validate(params).map_err(CaseError::Fail)
+/// The input indices `labels` puts in cluster `c`.
+fn members(labels: &[Label], c: u32) -> impl Iterator<Item = usize> + '_ {
+    (0..labels.len()).filter(move |&i| labels[i] == Label::Cluster(c))
+}
+
+/// The state's own brute-force consistency check over the point
+/// sequence it holds, as a case result.
+fn valid(state: &IncrementalDbscan, pts: &[Point], params: &DbscanParams) -> CaseResult {
+    state.validate(pts, params).map_err(CaseError::Fail)
 }
 
 /// The grid-indexed sweep is exactly equivalent to the naive O(n²)
-/// one: every count, assignment and fold.
+/// one: every count, assignment and fold, and the cell table.
 fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    valid(&seed(pts, params), &params)
+    valid(&seed(pts, params).0, pts, &params)
 }
 
 /// Every cluster contains at least one core point — a member with at
@@ -87,49 +108,45 @@ fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// the classic DBSCAN order-dependence — a counterexample found by this
 /// suite's earlier, stricter version.)
 fn clusters_have_a_core_point_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let clusters = seed(pts, params).clusters();
+    let (state, labels) = seed(pts, params);
     let eps2 = params.eps * params.eps;
-    for c in &clusters {
-        let has_core = c.members.iter().any(|&m| {
+    for c in state.cluster_views() {
+        let has_core = members(&labels, c.id).any(|m| {
             pts.iter()
-                .filter(|q| q.distance_sq(&pts[m as usize]) <= eps2)
+                .filter(|q| q.distance_sq(&pts[m]) <= eps2)
                 .count()
                 >= params.min_pts
         });
-        require!(has_core, "cluster {:?} has no core point", c.members);
+        require!(has_core, "cluster {} has no core point", c.id);
     }
     Ok(())
 }
 
-/// Labels partition the points: member lists are disjoint, cover
-/// exactly the clustered points, and ids are dense.
+/// Labels partition the points: ids are dense, each cluster's size is
+/// the number of points labelled with it (so no cluster is empty), and
+/// every other point is noise.
 fn partition_invariants_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let state = seed(pts, params);
-    let (labels, clusters) = (state.labels(), state.clusters());
-    let mut seen = vec![false; pts.len()];
-    for (cid, c) in clusters.iter().enumerate() {
+    let (state, labels) = seed(pts, params);
+    require_eq!(labels.len(), pts.len());
+    for (cid, c) in state.cluster_views().enumerate() {
         require_eq!(c.id as usize, cid);
-        for &m in &c.members {
-            require!(!seen[m as usize], "point in two clusters");
-            seen[m as usize] = true;
-            require_eq!(labels[m as usize], Label::Cluster(c.id));
-        }
+        require!(c.size > 0, "cluster {cid} is empty");
+        require_eq!(members(&labels, c.id).count(), c.size as usize);
     }
-    for (i, s) in seen.iter().enumerate() {
-        if !s {
-            require_eq!(labels[i], Label::Noise);
-        }
-    }
+    // With the sizes above, no label names a cluster that is not there.
+    let clustered: u32 = state.cluster_views().map(|c| c.size).sum();
+    let noise = labels.iter().filter(|l| **l == Label::Noise).count();
+    require_eq!(clustered as usize + noise, pts.len());
     Ok(())
 }
 
 /// Cluster geometry: centroid and all members inside the bbox.
 fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let clusters = seed(pts, params).clusters();
-    for c in &clusters {
+    let (state, labels) = seed(pts, params);
+    for c in state.cluster_views() {
         require!(c.bbox.contains_within(&c.centroid, 1e-9));
-        for &m in &c.members {
-            require!(c.bbox.contains(&pts[m as usize]));
+        for m in members(&labels, c.id) {
+            require!(c.bbox.contains(&pts[m]));
         }
     }
     Ok(())
@@ -138,7 +155,7 @@ fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// Noise points really are sparse: a noise point has fewer than MinPts
 /// neighbours (it can never be a core point).
 fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let labels = seed(pts, params).labels();
+    let (_, labels) = seed(pts, params);
     let eps2 = params.eps * params.eps;
     for (i, l) in labels.iter().enumerate() {
         if *l == Label::Noise {
@@ -154,24 +171,32 @@ fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 
 /// Incremental insertion with reseed-on-drift is *exactly* the batch
 /// algorithm at every prefix: seeded on `pts[..cut]`, after each
-/// further insert (or fallback reseed) `validate` re-derives every
-/// `|N_Eps|` count, assignment and cluster fold by a brute-force sweep
-/// over the same point sequence, and checks the grid's filing. This
-/// simultaneously checks that the safe path changes nothing it should
-/// not, and that every structure-changing insertion is caught as drift.
+/// further safe insert the state equals, as a whole, a fresh seed over
+/// the same point sequence, and (inserted or reseeded) `validate`
+/// re-derives every `|N_Eps|` count, assignment and cluster fold by a
+/// brute-force sweep over that sequence and checks the samples' filing
+/// in the cell table. This simultaneously checks that the safe path
+/// changes nothing it should not, and that every structure-changing
+/// insertion is caught as drift.
 fn incremental_equals_batch_on(pts: &[Point], params: DbscanParams, cut: usize) -> CaseResult {
     // One seed scratch for every reseed, as a trainer keeps one.
     let mut seeds = SeedScratch::default();
     let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params, &mut seeds);
-    valid(&state, &params)?;
+    valid(&state, &pts[..cut], &params)?;
     let mut scratch = Vec::new();
     for (extra, &p) in pts[cut..].iter().enumerate() {
         let n = cut + extra + 1;
         if let InsertOutcome::Drift(_) = state.insert(p, &params, &mut scratch) {
             require_eq!(state.len(), n - 1, "a drifting point is not inserted");
             state = IncrementalDbscan::seed(pts[..n].to_vec(), params, &mut seeds);
+        } else {
+            require_eq!(
+                state,
+                seed(&pts[..n], params).0,
+                "insert differs from a reseed"
+            );
         }
-        valid(&state, &params)?;
+        valid(&state, &pts[..n], &params)?;
     }
     Ok(())
 }

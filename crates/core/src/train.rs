@@ -6,8 +6,9 @@
 //!
 //! * the per-offset clusterings ([`OffsetClusters`]: one
 //!   [`IncrementalDbscan`](hpm_clustering::IncrementalDbscan) per offset
-//!   of the period, each a point copy, its neighbour grid, assignments,
-//!   `|N_Eps|` counts and one fold — count, sum, box — per cluster, plus
+//!   of the period, each its samples held once — point, `|N_Eps|`
+//!   count and assignment, grouped by `Eps`-cell — a 12-byte entry per
+//!   occupied cell and one fold — count, sum, box — per cluster, plus
 //!   one parameter set and one neighbour scratch for all of them);
 //! * the visit sequence of the open sub-trajectory only — samples
 //!   arrive in time order, so a fold appends to nothing older, and the

@@ -175,8 +175,8 @@ fn arb_world() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
                 let a = (next() % u64::from(period - 1)) as u32;
                 let b = a + 1 + (next() % u64::from(period - a - 1).max(1)) as u32;
                 let pick = |t: u32, r: u64| {
-                    let ids = set.at_offset(t);
-                    ids[(r % ids.len() as u64) as usize]
+                    let at = set.at_offset(t);
+                    at[(r % at.len() as u64) as usize].id
                 };
                 let two = a + 1 < b && next() % 2 == 0;
                 let mut premise = vec![pick(a, next())];

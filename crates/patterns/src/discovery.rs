@@ -12,10 +12,14 @@
 //! [`OffsetClusters::regions`] reads the regions off the clusterings,
 //! whoever trains: [`discover`] is the two back to back, the trainer in
 //! `hpm-core` keeps the clusterings in between so that it can insert
-//! into them ([`OffsetClusters::insert`]).
+//! into them ([`OffsetClusters::insert`]). A clustering holds each
+//! sample once, grouped by cell, and not which sub-trajectory it came
+//! from: a fold only ever appends the newest.
 
 use crate::{FrequentRegion, RegionId, RegionSet};
-use hpm_clustering::{DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome, SeedScratch};
+use hpm_clustering::{
+    DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome, Label, SeedScratch,
+};
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::{MemUse, Point};
 use hpm_trajectory::{History, Placement, TimeOffset};
@@ -182,9 +186,10 @@ impl OffsetClusters {
 
     /// The frequent regions: each cluster's centroid, bounding box and
     /// member count as its `support`, numbered as [`cluster_offsets`]
-    /// numbers them.
+    /// numbers them, in a table sized exactly.
     pub fn regions(&self) -> RegionSet {
-        let mut regions = Vec::new();
+        let count = self.offsets.iter().map(IncrementalDbscan::cluster_count);
+        let mut regions = Vec::with_capacity(count.sum());
         for (t, state) in self.offsets.iter().enumerate() {
             debug_assert_eq!(regions.len(), self.first_ids[t] as usize, "ids renumbered");
             for cluster in state.cluster_views() {
@@ -231,8 +236,10 @@ pub fn discover(hist: &impl History, params: &DiscoveryParams) -> DiscoveryOutpu
 /// `(offset, cluster-id)` order — the numbering §V.A's region keys and
 /// Property 1 depend on — and every cluster member is a visit of its
 /// sub-trajectory to that region, returned beside the clusterings.
-/// Each group is sized exactly before it fills and moves into its
-/// clustering as is, and the sweeps share one [`SeedScratch`].
+/// Each group is sized exactly before it fills and is consumed by its
+/// seed, which keeps each sample once, in cell order; the sweeps share
+/// one [`SeedScratch`], and the visits are read from the input-order
+/// labels each seed leaves there.
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
@@ -257,8 +264,10 @@ pub fn cluster_offsets(
     for (t, group) in (0..).zip(groups) {
         let state = IncrementalDbscan::seed(group, db, &mut scratch);
         first_ids.push(next_id);
-        for (m, c) in state.memberships() {
-            visits.record(place.sub(t, m), RegionId(next_id + c), t);
+        for (m, label) in scratch.labels().enumerate() {
+            if let Label::Cluster(c) = label {
+                visits.record(place.sub(t, m), RegionId(next_id + c), t);
+            }
         }
         next_id += state.cluster_count() as u32;
         offsets.push(state);
@@ -357,12 +366,7 @@ mod tests {
         let out = discover(&commuter(), &params());
         // Every day visits home/road/work; alternation splits offset 3.
         assert_eq!(out.regions.get(RegionId(0)).support, 10);
-        let s3: u32 = out
-            .regions
-            .at_offset(3)
-            .iter()
-            .map(|id| out.regions.get(*id).support)
-            .sum();
+        let s3: u32 = out.regions.at_offset(3).iter().map(|r| r.support).sum();
         assert_eq!(s3, 10);
     }
 

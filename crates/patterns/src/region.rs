@@ -43,18 +43,18 @@ pub struct FrequentRegion {
 /// All frequent regions of one discovery run, with offset lookup.
 #[derive(Debug, Clone, Default)]
 pub struct RegionSet {
+    /// Id-ordered, hence offset-sorted.
     regions: Vec<FrequentRegion>,
-    /// `by_offset[t]` = ids of regions at offset `t`.
-    by_offset: Vec<Vec<RegionId>>,
-    period: u32,
+    /// Offset `t`'s regions are `regions[offset_starts[t]..offset_starts[t + 1]]`
+    /// (`period + 1` entries).
+    offset_starts: Box<[u32]>,
 }
 
 impl MemUse for RegionSet {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + vec_cap_bytes(&self.regions)
-            + self.by_offset.capacity() * std::mem::size_of::<Vec<RegionId>>()
-            + self.by_offset.iter().map(vec_cap_bytes).sum::<usize>()
+            + std::mem::size_of_val::<[u32]>(&self.offset_starts)
     }
 }
 
@@ -66,19 +66,22 @@ impl RegionSet {
     /// non-decreasing with id, or any offset `≥ period`.
     pub fn new(regions: Vec<FrequentRegion>, period: u32) -> Self {
         assert!(period > 0, "period must be positive");
-        let mut by_offset = vec![Vec::new(); period as usize];
-        let mut prev_offset = 0;
+        let mut offset_starts = Vec::with_capacity(period as usize + 1);
         for (i, r) in regions.iter().enumerate() {
             assert_eq!(r.id.index(), i, "region ids must be dense and ascending");
             assert!(r.offset < period, "region offset out of period");
-            assert!(r.offset >= prev_offset, "regions must be offset-sorted");
-            prev_offset = r.offset;
-            by_offset[r.offset as usize].push(r.id);
+            let t = r.offset as usize;
+            assert!(
+                t + 1 >= offset_starts.len(),
+                "regions must be offset-sorted"
+            );
+            // Offsets after the last one seen, up to this one, start here.
+            offset_starts.resize(t + 1, i as u32);
         }
+        offset_starts.resize(period as usize + 1, regions.len() as u32);
         RegionSet {
             regions,
-            by_offset,
-            period,
+            offset_starts: offset_starts.into_boxed_slice(),
         }
     }
 
@@ -97,7 +100,7 @@ impl RegionSet {
     /// The period `T` used at discovery time.
     #[inline]
     pub fn period(&self) -> u32 {
-        self.period
+        self.offset_starts.len().saturating_sub(1) as u32
     }
 
     /// The region with this id.
@@ -112,10 +115,11 @@ impl RegionSet {
         &self.regions
     }
 
-    /// Ids of the regions at time offset `t`.
+    /// The regions at time offset `t`, in id order.
     #[inline]
-    pub fn at_offset(&self, t: TimeOffset) -> &[RegionId] {
-        &self.by_offset[t as usize]
+    pub fn at_offset(&self, t: TimeOffset) -> &[FrequentRegion] {
+        let t = t as usize;
+        &self.regions[self.offset_starts[t] as usize..self.offset_starts[t + 1] as usize]
     }
 
     /// The region at offset `t` containing `p` (within `margin` of its
@@ -123,15 +127,15 @@ impl RegionSet {
     /// closest. This is how a query's recent movements are matched to
     /// premise regions (§V.C).
     pub fn region_at(&self, t: TimeOffset, p: &Point, margin: f64) -> Option<RegionId> {
-        self.by_offset[t as usize]
+        self.at_offset(t)
             .iter()
-            .filter(|id| self.get(**id).bbox.contains_within(p, margin))
+            .filter(|r| r.bbox.contains_within(p, margin))
             .min_by(|a, b| {
-                let da = self.get(**a).centroid.distance_sq(p);
-                let db = self.get(**b).centroid.distance_sq(p);
+                let da = a.centroid.distance_sq(p);
+                let db = b.centroid.distance_sq(p);
                 da.partial_cmp(&db).expect("finite distances")
             })
-            .copied()
+            .map(|r| r.id)
     }
 }
 
@@ -174,10 +178,12 @@ mod tests {
     #[test]
     fn lookup_by_offset() {
         let s = sample_set();
-        assert_eq!(s.at_offset(0), &[RegionId(0)]);
-        assert_eq!(s.at_offset(1), &[RegionId(1), RegionId(2)]);
-        assert_eq!(s.at_offset(2), &[RegionId(3), RegionId(4)]);
+        let ids = |t| s.at_offset(t).iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(0), [RegionId(0)]);
+        assert_eq!(ids(1), [RegionId(1), RegionId(2)]);
+        assert_eq!(ids(2), [RegionId(3), RegionId(4)]);
         assert_eq!(s.len(), 5);
+        assert_eq!(s.period(), 3);
     }
 
     #[test]
