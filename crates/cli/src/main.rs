@@ -43,8 +43,6 @@ fn main() {
         "serve" => cmd_serve(&args),
         "stats" => cmd_stats(&args),
         "eval" => cmd_eval(&args),
-        "staypoints" => cmd_staypoints(&args),
-        "simplify" => cmd_simplify(&args),
         other => Err(format!("unknown subcommand `{other}`; try `hpm help`")),
     });
     if let Err(e) = result {
@@ -109,12 +107,6 @@ SUBCOMMANDS
             [--calibration true] [--tolerance GAP]
             (--calibration reports claimed mass vs empirical hit rate;
             --tolerance exits non-zero when |gap| exceeds it)
-  staypoints  detect dwell intervals (stays within RADIUS for >= DUR)
-            --input traj.csv  --radius R  --min-duration DUR
-            [--fill-gaps true] [--despike MAX_STEP]
-  simplify  Ramer-Douglas-Peucker compaction of a trajectory CSV
-            --input traj.csv  --epsilon E  --output out.csv
-            [--fill-gaps true] [--despike MAX_STEP]
 
   Input CSVs are `t,x,y` rows. --fill-gaps interpolates missing
   timestamps; --despike repairs isolated jumps larger than MAX_STEP.
@@ -711,58 +703,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     server.serve().map_err(|e| e.to_string())?;
     println!("SHUTDOWN clean");
-    Ok(())
-}
-
-fn cmd_staypoints(args: &Args) -> Result<(), String> {
-    args.expect_only(&["input", "radius", "min-duration", "fill-gaps", "despike"])?;
-    let traj = load_input(args)?;
-    let radius = args.get_valid("radius", None, "finite and positive", finite_positive)?;
-    let min_duration: u64 = args.get_valid("min-duration", None, "positive", positive)?;
-    let points = hpm_trajectory::stay_points(&traj, radius, min_duration);
-    println!(
-        "{} stay points (radius {radius}, min duration {min_duration}):",
-        points.len()
-    );
-    println!("{:>10} {:>10} {:>9}  center", "start", "end", "duration");
-    for sp in &points {
-        println!(
-            "{:>10} {:>10} {:>9}  {}",
-            sp.start,
-            sp.end,
-            sp.duration(),
-            sp.center
-        );
-    }
-    Ok(())
-}
-
-fn cmd_simplify(args: &Args) -> Result<(), String> {
-    args.expect_only(&["input", "epsilon", "output", "fill-gaps", "despike"])?;
-    let traj = load_input(args)?;
-    let epsilon: f64 = args.get("epsilon")?;
-    if !(epsilon >= 0.0 && epsilon.is_finite()) {
-        return Err(format!("--epsilon must be non-negative, got {epsilon}"));
-    }
-    let kept = hpm_geo::simplify_rdp_indices(traj.points(), epsilon);
-    // The simplified chain is a sparse polyline, not a sampled
-    // trajectory: emit the kept vertices with their original
-    // timestamps.
-    let output = args.required("output")?;
-    let file = std::fs::File::create(output).map_err(|e| e.to_string())?;
-    use std::io::Write;
-    let mut w = std::io::BufWriter::new(file);
-    writeln!(w, "t,x,y").map_err(|e| e.to_string())?;
-    for &i in &kept {
-        let v = traj.points()[i];
-        writeln!(w, "{},{},{}", traj.start() + i as u64, v.x, v.y).map_err(|e| e.to_string())?;
-    }
-    w.flush().map_err(|e| e.to_string())?;
-    println!(
-        "kept {} of {} vertices (epsilon {epsilon}) -> {output}",
-        kept.len(),
-        traj.len()
-    );
     Ok(())
 }
 

@@ -31,16 +31,28 @@ fn help_lists_subcommands() {
     let out = hpm(&["help"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    for cmd in ["generate", "train", "info", "predict", "eval"] {
-        assert!(text.contains(cmd), "help misses {cmd}");
-    }
+    // Each verb heads a two-space-indented line of the SUBCOMMANDS block.
+    let verbs: Vec<&str> = text
+        .lines()
+        .skip_while(|l| *l != "SUBCOMMANDS")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    let expected = [
+        "generate", "train", "info", "predict", "ingest", "serve", "stats", "eval",
+    ];
+    assert_eq!(verbs, expected, "{text}");
 }
 
 #[test]
 fn unknown_subcommand_fails_cleanly() {
-    let out = hpm(&["frobnicate"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("unknown subcommand"));
+    for verb in ["frobnicate", "staypoints", "simplify"] {
+        let out = hpm(&[verb]);
+        assert_eq!(out.status.code(), Some(1), "{verb}");
+        assert!(stderr(&out).contains("unknown subcommand"), "{verb}");
+    }
 }
 
 #[test]
@@ -165,9 +177,8 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
     let train = ["train", "--input", &csv, "--output", &path("never.hpm")];
     let store = path("store");
     let ingest = ["ingest", "--input", &csv, "--data-dir", &store];
-    let staypoints = ["staypoints", "--input", &csv, "--min-duration", "3"];
     // Each case gets one value wrong, in its last flag.
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 12] = [
         (&predict, "--recent 0"),
         (&predict, "--k 0"),
         (&predict, "--margin -1"),
@@ -180,7 +191,6 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
         (&train, "--period 300 --min-support 0"),
         (&ingest, "--period 300 --min-train 0"),
         (&ingest, "--period 0"),
-        (&staypoints, "--radius -1"),
     ];
     for (command, flags) in cases {
         let flags: Vec<&str> = flags.split(' ').collect();
@@ -524,55 +534,5 @@ fn train_reports_gap_errors_without_fill() {
     ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("fill-gaps"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn staypoints_and_simplify() {
-    let dir = tmpdir("staypoints_and_simplify");
-    let csv = dir.join("sp.csv");
-    // 6 samples at home, a 4-step commute, 6 samples at work.
-    let mut rows = String::from("t,x,y\n");
-    for t in 0..6 {
-        rows.push_str(&format!("{t},0,0\n"));
-    }
-    for (i, t) in (6..10).enumerate() {
-        rows.push_str(&format!("{t},{},0\n", (i + 1) * 20));
-    }
-    for t in 10..16 {
-        rows.push_str(&format!("{t},100,0\n"));
-    }
-    std::fs::write(&csv, rows).unwrap();
-
-    let out = hpm(&[
-        "staypoints",
-        "--input",
-        csv.to_str().unwrap(),
-        "--radius",
-        "5",
-        "--min-duration",
-        "4",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("2 stay points"), "{text}");
-
-    let simplified = dir.join("sp_simple.csv");
-    let out = hpm(&[
-        "simplify",
-        "--input",
-        csv.to_str().unwrap(),
-        "--epsilon",
-        "1",
-        "--output",
-        simplified.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let content = std::fs::read_to_string(&simplified).unwrap();
-    let lines: Vec<&str> = content.trim().lines().collect();
-    // Collinear commute collapses: header + a handful of vertices.
-    assert!(lines.len() <= 6, "{content}");
-    assert!(lines[1].starts_with("0,"));
-    assert!(lines.last().unwrap().starts_with("15,"));
     std::fs::remove_dir_all(&dir).ok();
 }

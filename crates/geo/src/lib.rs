@@ -3,7 +3,8 @@
 //! Moving-object trajectories in the paper live in a normalised
 //! `[0, 10000]²` plane; this crate provides the small set of geometric
 //! value types every other crate builds on: [`Point`], [`BoundingBox`]
-//! and polyline helpers.
+//! and [`resample_uniform`], the polyline resampling the workload
+//! generators author their routes with.
 //!
 //! All types are plain `f64` value types: cheap to copy and
 //! `PartialEq` for tests.
@@ -18,8 +19,5 @@ mod polyline;
 
 pub use bbox::BoundingBox;
 pub use mem::MemUse;
-pub use point::{centroid, Point};
-pub use polyline::{
-    path_length, point_segment_distance, resample_uniform, simplify_rdp, simplify_rdp_indices,
-    walk_along,
-};
+pub use point::Point;
+pub use polyline::resample_uniform;

@@ -161,22 +161,6 @@ impl Neg for Point {
     }
 }
 
-/// Arithmetic mean of a non-empty point set; `None` when empty.
-///
-/// The consequence of a trajectory pattern is a frequent *region*; FQP
-/// and BQP answer queries with "the center of each consequence" (§VI),
-/// which is this centroid.
-pub fn centroid(points: &[Point]) -> Option<Point> {
-    if points.is_empty() {
-        return None;
-    }
-    let mut acc = Point::ORIGIN;
-    for p in points {
-        acc += *p;
-    }
-    Some(acc / points.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,22 +198,6 @@ mod tests {
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
         assert_eq!(a.lerp(&b, 0.5), Point::new(5.0, 10.0));
-    }
-
-    #[test]
-    fn centroid_of_square() {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(2.0, 2.0),
-            Point::new(0.0, 2.0),
-        ];
-        assert_eq!(centroid(&pts), Some(Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn centroid_empty_is_none() {
-        assert_eq!(centroid(&[]), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::Point;
 
 /// Total length of the polyline through `points`.
-pub fn path_length(points: &[Point]) -> f64 {
+fn path_length(points: &[Point]) -> f64 {
     points.windows(2).map(|w| w[0].distance(&w[1])).sum()
 }
 
@@ -17,7 +17,7 @@ pub fn path_length(points: &[Point]) -> f64 {
 ///
 /// Clamps to the endpoints: negative distances return the first vertex,
 /// distances past the end return the last vertex.
-pub fn walk_along(points: &[Point], dist: f64) -> Option<Point> {
+fn walk_along(points: &[Point], dist: f64) -> Option<Point> {
     let (first, _) = points.split_first()?;
     if dist <= 0.0 {
         return Some(*first);
@@ -54,80 +54,6 @@ pub fn resample_uniform(points: &[Point], n: usize) -> Option<Vec<Point>> {
         out.push(walk_along(points, d).expect("non-empty polyline"));
     }
     Some(out)
-}
-
-/// Perpendicular distance from `p` to the segment `a`–`b` (to the
-/// endpoint distance when the projection falls outside the segment).
-pub fn point_segment_distance(p: &Point, a: &Point, b: &Point) -> f64 {
-    let ab = *b - *a;
-    let len2 = ab.dot(&ab);
-    if len2 == 0.0 {
-        return p.distance(a);
-    }
-    let t = ((*p - *a).dot(&ab) / len2).clamp(0.0, 1.0);
-    p.distance(&a.lerp(b, t))
-}
-
-/// Ramer–Douglas–Peucker polyline simplification: keeps the endpoints
-/// and every vertex deviating more than `epsilon` from the simplified
-/// chain. Useful for compacting stored trajectories and authoring
-/// archetype routes from dense GPS traces.
-///
-/// Returns the kept vertices in order; inputs of ≤ 2 points are
-/// returned unchanged. Use [`simplify_rdp_indices`] when the original
-/// positions (e.g. timestamps) of the kept vertices matter.
-///
-/// # Panics
-/// Panics when `epsilon` is negative or not finite.
-pub fn simplify_rdp(points: &[Point], epsilon: f64) -> Vec<Point> {
-    simplify_rdp_indices(points, epsilon)
-        .into_iter()
-        .map(|i| points[i])
-        .collect()
-}
-
-/// [`simplify_rdp`] returning the *indices* of the kept vertices
-/// (ascending) instead of their positions — unambiguous even when the
-/// input repeats positions (a dwelling object samples the same spot
-/// many times).
-///
-/// # Panics
-/// Panics when `epsilon` is negative or not finite.
-pub fn simplify_rdp_indices(points: &[Point], epsilon: f64) -> Vec<usize> {
-    assert!(
-        epsilon >= 0.0 && epsilon.is_finite(),
-        "epsilon must be non-negative"
-    );
-    if points.len() <= 2 {
-        return (0..points.len()).collect();
-    }
-    let mut keep = vec![false; points.len()];
-    keep[0] = true;
-    keep[points.len() - 1] = true;
-    // Iterative worklist instead of recursion: GPS traces can be long.
-    let mut stack = vec![(0usize, points.len() - 1)];
-    while let Some((lo, hi)) = stack.pop() {
-        if hi <= lo + 1 {
-            continue;
-        }
-        let (mut worst, mut worst_d) = (lo, -1.0f64);
-        for i in lo + 1..hi {
-            let d = point_segment_distance(&points[i], &points[lo], &points[hi]);
-            if d > worst_d {
-                (worst, worst_d) = (i, d);
-            }
-        }
-        if worst_d > epsilon {
-            keep[worst] = true;
-            stack.push((lo, worst));
-            stack.push((worst, hi));
-        }
-    }
-    keep.iter()
-        .enumerate()
-        .filter(|(_, k)| **k)
-        .map(|(i, _)| i)
-        .collect()
 }
 
 #[cfg(test)]
@@ -196,87 +122,5 @@ mod tests {
         assert!(resample_uniform(&l_shape(), 0).is_none());
         let single = resample_uniform(&[Point::new(2.0, 2.0)], 4).unwrap();
         assert_eq!(single, vec![Point::new(2.0, 2.0); 4]);
-    }
-
-    #[test]
-    fn segment_distance_cases() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        assert_eq!(point_segment_distance(&Point::new(5.0, 3.0), &a, &b), 3.0);
-        // Projection outside the segment: endpoint distance.
-        assert_eq!(point_segment_distance(&Point::new(-4.0, 0.0), &a, &b), 4.0);
-        assert_eq!(point_segment_distance(&Point::new(13.0, 4.0), &a, &b), 5.0);
-        // Degenerate segment.
-        assert_eq!(point_segment_distance(&Point::new(3.0, 4.0), &a, &a), 5.0);
-    }
-
-    #[test]
-    fn rdp_removes_collinear_points() {
-        let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64, 0.0)).collect();
-        let s = simplify_rdp(&pts, 0.01);
-        assert_eq!(s, vec![Point::new(0.0, 0.0), Point::new(9.0, 0.0)]);
-    }
-
-    #[test]
-    fn rdp_keeps_the_corner() {
-        // A dense L-shape: everything but the endpoints and the corner
-        // collapses.
-        let mut pts: Vec<Point> = (0..=30).map(|i| Point::new(i as f64 * 0.1, 0.0)).collect();
-        pts.extend((1..=40).map(|i| Point::new(3.0, i as f64 * 0.1)));
-        let s = simplify_rdp(&pts, 0.05);
-        assert_eq!(
-            s,
-            vec![
-                Point::new(0.0, 0.0),
-                Point::new(3.0, 0.0),
-                Point::new(3.0, 4.0)
-            ]
-        );
-    }
-
-    #[test]
-    fn rdp_epsilon_bounds_deviation() {
-        // Every dropped point stays within epsilon of the simplified
-        // chain.
-        let pts: Vec<Point> = (0..60)
-            .map(|i| {
-                let t = i as f64 * 0.2;
-                Point::new(t, (t * 1.3).sin() * 2.0)
-            })
-            .collect();
-        let eps = 0.4;
-        let s = simplify_rdp(&pts, eps);
-        assert!(s.len() < pts.len());
-        for p in &pts {
-            let d = s
-                .windows(2)
-                .map(|w| point_segment_distance(p, &w[0], &w[1]))
-                .fold(f64::INFINITY, f64::min);
-            assert!(d <= eps + 1e-9, "deviation {d} > {eps}");
-        }
-    }
-
-    #[test]
-    fn rdp_small_inputs_unchanged() {
-        assert!(simplify_rdp(&[], 1.0).is_empty());
-        let two = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
-        assert_eq!(simplify_rdp(&two, 1.0), two);
-    }
-
-    #[test]
-    fn rdp_zero_epsilon_keeps_all_non_collinear() {
-        let zig = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 0.0),
-            Point::new(3.0, 1.0),
-        ];
-        assert_eq!(simplify_rdp(&zig, 0.0), zig);
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn rdp_negative_epsilon_panics() {
-        simplify_rdp(&l_shape(), -1.0);
     }
 }

@@ -79,12 +79,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable row `r`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Underlying row-major storage.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -178,7 +172,7 @@ impl Mul<&Matrix> for &Matrix {
                     continue;
                 }
                 let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(r);
+                let out_row = &mut out.data[r * rhs.cols..(r + 1) * rhs.cols];
                 for (o, b) in out_row.iter_mut().zip(rhs_row) {
                     *o += a * b;
                 }

@@ -17,23 +17,8 @@ pub struct LinearMotion {
 }
 
 impl LinearMotion {
-    /// Velocity from the last two samples — the classic TPR-tree-style
-    /// formulation: `v₀ = l₋₁ − l₋₂`.
-    ///
-    /// Returns `None` with fewer than 2 samples.
-    pub fn from_last_two(window: &[Point]) -> Option<Self> {
-        let n = window.len();
-        if n < 2 {
-            return None;
-        }
-        Some(LinearMotion {
-            origin: window[n - 1],
-            velocity: window[n - 1] - window[n - 2],
-        })
-    }
-
     /// Least-squares line fit over the whole window: more robust to
-    /// sampling noise than [`from_last_two`](Self::from_last_two).
+    /// sampling noise than the last two samples' difference.
     ///
     /// Fits `l(t) = a + b·t` per coordinate for `t = 0..n`, then
     /// re-anchors at the final timestamp. Returns `None` with fewer
@@ -81,13 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn from_last_two_extrapolates() {
-        let m = LinearMotion::from_last_two(&line(5, 2.0, -1.0)).unwrap();
-        assert_eq!(m.predict(0), Point::new(18.0, -7.0));
-        assert_eq!(m.predict(3), Point::new(24.0, -10.0));
-    }
-
-    #[test]
     fn fit_recovers_exact_line() {
         let m = LinearMotion::fit(&line(10, 1.5, 0.5)).unwrap();
         let expect = Point::new(10.0 + 1.5 * 12.0, -3.0 + 0.5 * 12.0);
@@ -103,23 +81,11 @@ mod tests {
         let m = LinearMotion::fit(&pts).unwrap();
         assert!((m.velocity.x - 1.0).abs() < 1e-9);
         assert!(m.velocity.y.abs() < 0.05);
-        // from_last_two is fooled by the final jump.
-        let lt = LinearMotion::from_last_two(&pts).unwrap();
-        assert!(lt.velocity.y.abs() > 1.0);
     }
 
     #[test]
     fn too_few_samples() {
-        assert!(LinearMotion::from_last_two(&[Point::ORIGIN]).is_none());
         assert!(LinearMotion::fit(&[]).is_none());
         assert!(LinearMotion::fit(&[Point::ORIGIN]).is_none());
-    }
-
-    #[test]
-    fn two_samples_agree_between_fits() {
-        let w = [Point::new(0.0, 0.0), Point::new(1.0, 2.0)];
-        let a = LinearMotion::from_last_two(&w).unwrap();
-        let b = LinearMotion::fit(&w).unwrap();
-        assert!(a.predict(5).distance(&b.predict(5)) < 1e-9);
     }
 }

@@ -28,8 +28,6 @@ props! {
         let expect = last + v * steps as f64;
         let lin = LinearMotion::fit(&pts).unwrap();
         require!(lin.predict(steps).distance(&expect) < 1e-6 * (1.0 + expect.norm()));
-        let lt = LinearMotion::from_last_two(&pts).unwrap();
-        require!(lt.predict(steps).distance(&expect) < 1e-6 * (1.0 + expect.norm()));
         if pts.len() >= 3 {
             let rmf = Rmf::fit(&pts, 2).unwrap();
             require!(

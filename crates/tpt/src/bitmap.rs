@@ -180,18 +180,6 @@ impl Bitmap {
         self.words().iter().all(|&w| w == 0)
     }
 
-    /// In-place union (the paper's `Union`, used to maintain internal
-    /// TPT entries).
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
-            *a |= b;
-        }
-    }
-
     /// The paper's `Contain`: `self & other == other`.
     pub fn contains(&self, other: &Bitmap) -> bool {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
@@ -368,14 +356,6 @@ mod tests {
         assert_eq!(a.difference(&b), 2); // bits 0, 2
         assert_eq!(b.difference(&a), 1); // bit 5
         assert_eq!(a.difference(&a), 0);
-    }
-
-    #[test]
-    fn or_assign_unions() {
-        let mut a = Bitmap::from_indices(8, &[0]);
-        let b = Bitmap::from_indices(8, &[7]);
-        a.or_assign(&b);
-        assert_eq!(a, Bitmap::from_indices(8, &[0, 7]));
     }
 
     #[test]

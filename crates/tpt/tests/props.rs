@@ -90,11 +90,6 @@ props! {
         require_eq!(a.intersects(&b), a.and_count(&b) > 0);
         // Difference decomposition: |a| = |a∩b| + |a∖b|.
         require_eq!(a.count_ones(), a.and_count(&b) + a.difference(&b));
-        // Union is the contain-least-upper-bound.
-        let mut u = a.clone();
-        u.or_assign(&b);
-        require!(u.contains(&a) && u.contains(&b));
-        require_eq!(u.count_ones(), a.count_ones() + b.difference(&a));
         // iter_ones roundtrip.
         let rebuilt = Bitmap::from_indices(RK_LEN, &a.iter_ones().collect::<Vec<_>>());
         require_eq!(&rebuilt, &a);

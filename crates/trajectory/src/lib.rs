@@ -36,7 +36,6 @@ pub mod chunks;
 mod decompose;
 mod history;
 mod preprocess;
-mod staypoints;
 mod traj;
 
 pub use chunks::{
@@ -46,5 +45,4 @@ pub use chunks::{
 pub use decompose::Placement;
 pub use history::{History, Prefix};
 pub use preprocess::{despike, from_sparse_samples, PreprocessError};
-pub use staypoints::{stay_points, StayPoint};
 pub use traj::{TimeOffset, Timestamp, Trajectory};
