@@ -12,15 +12,11 @@
 
 use hpm_bench::report::{num, obj, write_json};
 use hpm_bench::{best_of, synthetic_index, Bench};
+use hpm_core::TPT_FANOUT;
 use hpm_obs::json::Json;
 use hpm_tpt::{
     BruteForce, KeyTable, LeafEntries, PackedTpt, PatternKey, SearchCursor, SearchStats,
 };
-
-/// The fanout the system runs with.
-fn default_fanout() -> usize {
-    hpm_core::HpmConfig::default().tpt_fanout
-}
 
 fn queries(table: &KeyTable, n: usize, regions: usize) -> Vec<PatternKey> {
     (0..n)
@@ -37,7 +33,7 @@ fn queries(table: &KeyTable, n: usize, regions: usize) -> Vec<PatternKey> {
 fn bench_search(bench: &mut Bench) {
     for &n in &[1_000usize, 10_000, 100_000] {
         let (table, regions, entries) = synthetic_index(n, 800, 13);
-        let tpt = PackedTpt::bulk_load(default_fanout(), entries.iter().cloned().collect());
+        let tpt = PackedTpt::bulk_load(TPT_FANOUT, entries.iter().cloned().collect());
         let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, 20, regions);
         let mut out = Vec::new();
@@ -75,7 +71,7 @@ fn bench_bulk_load(bench: &mut Bench) {
     let (_, _, entries) = synthetic_index(5_000, 400, 31);
     let leaves: LeafEntries = entries.into_iter().collect();
     bench.run("tpt_bulk_load_5k", None, || {
-        PackedTpt::bulk_load(default_fanout(), leaves.clone()).len()
+        PackedTpt::bulk_load(TPT_FANOUT, leaves.clone()).len()
     });
 }
 
@@ -94,7 +90,7 @@ fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, 
     let mut rows = Vec::new();
     for &regions in scales {
         let (table, region_count, entries) = synthetic_index(patterns_n, regions, 13);
-        let packed = PackedTpt::bulk_load(default_fanout(), entries.iter().cloned().collect());
+        let packed = PackedTpt::bulk_load(TPT_FANOUT, entries.iter().cloned().collect());
         let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, n_queries, region_count);
 

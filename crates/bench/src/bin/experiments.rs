@@ -15,7 +15,7 @@ use hpm_bench::report::{f1, f3, Report};
 use hpm_bench::setup::{paper_discovery, paper_mining, Experiment, ACCURACY_QUERIES, COST_QUERIES};
 use hpm_bench::synth::synthetic_index;
 use hpm_core::eval::{mean, point_errors, rmf_or_last, EvalQuery, Record};
-use hpm_core::{HpmConfig, HybridPredictor, WeightFunction};
+use hpm_core::{HpmConfig, HybridPredictor, WeightFunction, TPT_FANOUT};
 use hpm_datagen::{PaperDataset, EXTENT, PERIOD};
 use hpm_patterns::{mine, prune_statistics, RegionId};
 use hpm_tpt::{BruteForce, KeyTable, PackedTpt};
@@ -337,13 +337,12 @@ fn us_per_query(pass: std::time::Duration, queries: usize) -> f64 {
 /// Both are taken from the packed image — the index that runs.
 fn fig11() -> std::io::Result<()> {
     let sizes = [1_000usize, 5_000, 10_000, 50_000, 100_000];
-    let fanout = HpmConfig::default().tpt_fanout;
 
     let mut a = Report::new("fig11a-storage", &["num_regions", "num_patterns", "tpt_mb"])?;
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
             let (_, _, entries) = synthetic_index(n, regions, 11);
-            let tpt = PackedTpt::bulk_load(fanout, entries.into_iter().collect());
+            let tpt = PackedTpt::bulk_load(TPT_FANOUT, entries.into_iter().collect());
             let mb = tpt.storage_bytes() as f64 / (1024.0 * 1024.0);
             a.row(&[regions.to_string(), n.to_string(), format!("{mb:.2}")])?;
         }
@@ -355,7 +354,7 @@ fn fig11() -> std::io::Result<()> {
     )?;
     for &n in &sizes {
         let (table, regions, entries) = synthetic_index(n, 800, 13);
-        let tpt = PackedTpt::bulk_load(fanout, entries.iter().cloned().collect());
+        let tpt = PackedTpt::bulk_load(TPT_FANOUT, entries.iter().cloned().collect());
         let brute = BruteForce::from_entries(entries);
         // 50 FQP-style query keys: 1–3 recent regions + one offset.
         let queries: Vec<_> = (0..50u32)

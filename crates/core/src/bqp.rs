@@ -1,13 +1,20 @@
 //! Backward Query Processing (Algorithm 3): distant-time queries.
 //!
 //! Recent movements matter little far into the future, so BQP drops
-//! the premise constraint (the search key carries an all-ones premise,
-//! which intersects every indexed pattern's premise) and instead asks
-//! "where does the object usually go *around* `tq`": any pattern whose
-//! consequence time offset falls in `[tq − tε, tq + tε]` qualifies.
-//! When the interval is empty of candidates it widens by `tε` per round
-//! until a pattern is found or the interval reaches back to the current
-//! time, at which point the motion function takes over.
+//! the premise constraint and instead asks "where does the object
+//! usually go *around* `tq`": any pattern whose consequence time
+//! offset falls in `[tq − tε, tq + tε]` qualifies. When the interval
+//! is empty of candidates it widens by `tε` per round until a pattern
+//! is found or the interval reaches back to the current time, at which
+//! point the motion function takes over.
+//!
+//! With no premise constraint there is nothing for the TPT's premise
+//! signatures to prune, so each round filters the pattern table's
+//! consequence column instead: region ids are offset-sorted (§V.A,
+//! Property 1), so the round's arc of offsets is one run of region
+//! ids, or two when it wraps past offset 0. Every premise is
+//! non-empty, so the candidates are exactly the patterns a TPT search
+//! with an all-ones premise key would return.
 //!
 //! Candidates are ranked by Eq. 5,
 //! `S_p = (S_r · d/(tq − tc) + S_c) · c`: the premise similarity is
@@ -18,13 +25,18 @@
 use crate::predictor::{rank_answers_into, HybridPredictor};
 use crate::scratch::SearchScratch;
 use crate::{consequence_similarity, premise_similarity_ids, Prediction, PredictiveQuery};
-use hpm_patterns::RegionId;
+use hpm_patterns::{RegionId, RegionSet};
 use hpm_tpt::Bitmap;
 use hpm_trajectory::TimeOffset;
+use std::ops::Range;
 
 /// Retrieves and ranks BQP candidates into `out.answers`; `false`
 /// sends the caller to the motion function. Allocation-free once
 /// `scratch` is warm.
+///
+/// Times are counted from `tc`, so no absolute timestamp is ever
+/// shifted: relative time `r` falls on offset `(tc mod T + r) mod T`,
+/// and `r` stays below `2·(tq − tc) + tε`, with `tq − tc` a `u32`.
 pub(crate) fn run(
     predictor: &HybridPredictor,
     recent_ids: &[RegionId],
@@ -33,55 +45,37 @@ pub(crate) fn run(
     out: &mut Prediction,
 ) -> bool {
     let _span = hpm_obs::span!(crate::metrics::BQP_SPAN);
-    let period = predictor.period as i64;
-    let t_eps = predictor.config.time_relaxation as i64;
-    let tc = query.current_time as i64;
-    let tq = query.query_time as i64;
+    let period = u64::from(predictor.period);
+    let t_eps = u64::from(predictor.config.time_relaxation);
+    let length = u64::from(query.prediction_length());
+    let tc_offset = query.current_time % period;
+    let tq_offset = ((tc_offset + length) % period) as TimeOffset;
     let SearchScratch {
-        cursor,
-        qkey,
-        rkq,
-        scored,
-        seen,
+        qkey, scored, seen, ..
     } = scratch;
+    let rkq = &mut qkey.premise;
     predictor
         .key_table
         .premise_key_into(recent_ids.iter().copied(), rkq);
 
-    // The reusable interval key: the all-ones premise (BQP drops the
-    // premise constraint) is built once, and each widening round only
-    // sets the consequence bits of the *newly covered* interval flanks
-    // instead of rebuilding the whole key from scratch.
-    qkey.consequence
-        .reset(predictor.key_table.consequence_count());
-    qkey.premise.reset(predictor.key_table.region_count());
-    qkey.premise.set_all();
-
-    let mut i = 1i64;
-    let mut covered: Option<(i64, i64)> = None;
+    let mut i = 1;
     loop {
-        let lo = (tq - i * t_eps).max(tc + 1);
-        let hi = tq + i * t_eps;
-        match covered {
-            None => extend(predictor, lo, hi, &mut qkey.consequence),
-            Some((plo, phi)) => {
-                // [lo, hi] ⊇ [plo, phi]: lo only moves down, hi only up.
-                if lo < plo {
-                    extend(predictor, lo, plo - 1, &mut qkey.consequence);
-                }
-                if hi > phi {
-                    extend(predictor, phi + 1, hi, &mut qkey.consequence);
-                }
-            }
-        }
-        covered = Some((lo, hi));
-        if !qkey.consequence.is_zero() {
-            let matches = cursor.search_packed(&predictor.packed, qkey);
-            if !matches.is_empty() {
-                hpm_obs::histogram!(crate::metrics::BQP_CANDIDATES).record(matches.len() as u64);
-                hpm_obs::counter!(crate::metrics::BQP_WIDENINGS).add((i - 1) as u64);
-                scored.clear();
-                score_into(predictor, matches, rkq, tc, tq, scored);
+        // The round's interval `[tq − i·tε, tq + i·tε]`, cut at `tc + 1`.
+        let lo = length.saturating_sub(i * t_eps).max(1);
+        let hi = length + i * t_eps;
+        let start = ((tc_offset + lo) % period) as TimeOffset;
+        let len = (hi - lo + 1).min(period) as TimeOffset;
+        let [a, b] = arc_ids(&predictor.regions, start, len);
+        if !(a.is_empty() && b.is_empty()) {
+            let candidates = (0u32..)
+                .zip(predictor.patterns.consequences())
+                .filter(|(_, c)| a.contains(&c.0) || b.contains(&c.0))
+                .map(|(id, _)| id);
+            scored.clear();
+            score_into(predictor, candidates, rkq, length, tq_offset, scored);
+            if !scored.is_empty() {
+                hpm_obs::histogram!(crate::metrics::BQP_CANDIDATES).record(scored.len() as u64);
+                hpm_obs::counter!(crate::metrics::BQP_WIDENINGS).add(i - 1);
                 rank_answers_into(
                     predictor,
                     scored,
@@ -96,49 +90,53 @@ pub(crate) fn run(
         // Algorithm 3 line 8: stop once the interval reaches back to
         // the current time (also stop when it already spans the whole
         // period and still found nothing).
-        if tq - i * t_eps <= tc || (hi - lo) >= period {
+        if i * t_eps >= length || hi - lo >= period {
             return false;
         }
     }
 }
 
-/// Sets the consequence bits for absolute times in `[lo, hi]` (mapped
-/// onto period offsets) into the reusable interval key.
-fn extend(predictor: &HybridPredictor, lo: i64, hi: i64, consequence: &mut Bitmap) {
-    let period = predictor.period as i64;
-    let hi = hi.min(lo + period - 1); // a full period covers every offset
-    predictor.key_table.extend_consequence_key(
-        (lo..=hi).map(|t| (t.rem_euclid(period)) as TimeOffset),
-        consequence,
-    );
+/// The ids of the regions at the `len ≤ T` offsets from `start` round
+/// the period circle: one run, plus a second when the arc wraps past
+/// offset 0 (else `0..0`).
+fn arc_ids(regions: &RegionSet, start: TimeOffset, len: TimeOffset) -> [Range<u32>; 2] {
+    let period = regions.period();
+    if start + len <= period {
+        [regions.id_range(start..start + len), 0..0]
+    } else {
+        [
+            regions.id_range(start..period),
+            regions.id_range(0..start + len - period),
+        ]
+    }
 }
 
-/// Eq. 5 scores for each candidate.
+/// Eq. 5 scores for each candidate of a query `length` steps ahead at
+/// offset `tq_offset`.
 fn score_into(
     predictor: &HybridPredictor,
-    matches: &[u32],
+    candidates: impl Iterator<Item = u32>,
     rkq: &Bitmap,
-    tc: i64,
-    tq: i64,
+    length: u64,
+    tq_offset: TimeOffset,
     out: &mut Vec<(u32, f64)>,
 ) {
-    let period = predictor.period as i64;
+    let period = i64::from(predictor.period);
     let t_eps = predictor.config.time_relaxation;
     let d = predictor.config.distant_threshold as f64;
-    let tq_offset = tq.rem_euclid(period);
-    out.extend(matches.iter().map(|&id| {
+    out.extend(candidates.map(|id| {
         let premise = predictor.patterns.premise(id as usize);
         let weights = predictor.weight_table.weights(premise.len());
         let sr = premise_similarity_ids(premise, rkq, weights);
         // Temporal distance of the consequence offset to the query
         // offset, on the period circle.
         let consequence = predictor.patterns.consequence(id as usize);
-        let t_off = predictor.regions.get(consequence).offset as i64;
-        let delta = (t_off - tq_offset).rem_euclid(period);
+        let t_off = predictor.regions.get(consequence).offset;
+        let delta = (i64::from(t_off) - i64::from(tq_offset)).rem_euclid(period);
         let dist = delta.min(period - delta);
         let sc = consequence_similarity(0, dist, t_eps);
         // Eq. 5: premise similarity penalised by d / (tq − tc) ≤ 1.
-        let penalty = (d / (tq - tc) as f64).min(1.0);
+        let penalty = (d / length as f64).min(1.0);
         (
             id,
             (sr * penalty + sc) * predictor.patterns.confidence(id as usize),
@@ -150,10 +148,11 @@ fn score_into(
 mod tests {
     use super::*;
     use crate::test_fixtures::{fig3_predictor_d1, fig3_query_recent};
-    use crate::{HpmConfig, Prediction, PredictionSource, WeightFunction};
-    use hpm_geo::Point;
+    use crate::{HpmConfig, Prediction, PredictionSource};
+    use hpm_geo::{BoundingBox, Point};
+    use hpm_patterns::{FrequentRegion, TrajectoryPattern};
 
-    fn ask(p: &crate::HybridPredictor, tc: u64, tq: u64) -> Prediction {
+    fn ask(p: &HybridPredictor, tc: u64, tq: u64) -> Prediction {
         let (recent, _) = fig3_query_recent();
         p.predict(&PredictiveQuery {
             recent: &recent,
@@ -196,12 +195,21 @@ mod tests {
     }
 
     #[test]
-    fn interval_widens_until_pattern_found() {
-        // One pattern with consequence at offset 5 in a period of 10;
-        // query offset 9 with tε = 1 needs i = 4 widenings to reach it.
-        use hpm_geo::BoundingBox;
-        use hpm_patterns::{FrequentRegion, RegionSet, TrajectoryPattern};
-        let mk = |id: u32, offset: u32, cx: f64| FrequentRegion {
+    fn far_future_queries_answer_like_their_shift_by_whole_periods() {
+        // Fig. 3's period is 3, and 2⁶³ − 5 is a multiple of it: the
+        // shifted query asks about tq = 2⁶³, past `i64::MAX`.
+        let p = fig3_predictor_d1(4);
+        let near = ask(&p, 1, 5);
+        assert_eq!(near.source, PredictionSource::BackwardPatterns);
+        let top = (u64::MAX - 5) / 3 * 3;
+        for shift in [(1 << 63) - 5, top] {
+            assert_eq!(ask(&p, 1 + shift, 5 + shift), near, "shift {shift}");
+        }
+    }
+
+    /// Region `id` at `offset`, centred on `(cx, cx)`.
+    fn region(id: u32, offset: u32, cx: f64) -> FrequentRegion {
+        FrequentRegion {
             id: RegionId(id),
             offset,
             local_index: 0,
@@ -211,27 +219,81 @@ mod tests {
                 max: Point::new(cx + 1.0, cx + 1.0),
             },
             support: 5,
-        };
-        let regions = RegionSet::new(vec![mk(0, 0, 0.0), mk(1, 5, 50.0)], 10);
-        let patterns = vec![TrajectoryPattern {
+        }
+    }
+
+    /// `regions` over a period of 10, with one rule `[R0] -> c` per
+    /// `(c, confidence)`; `d = tε = 1`, so every query is distant.
+    fn predictor(regions: Vec<FrequentRegion>, rules: &[(u32, f64)], k: usize) -> HybridPredictor {
+        let rules = rules.iter().map(|&(c, confidence)| TrajectoryPattern {
             premise: vec![RegionId(0)],
-            consequence: RegionId(1),
-            confidence: 0.8,
+            consequence: RegionId(c),
+            confidence,
             support: 5,
-        }];
-        let p = crate::HybridPredictor::from_parts(
-            regions,
-            patterns,
-            HpmConfig {
-                k: 1,
-                distant_threshold: 1,
-                time_relaxation: 1,
-                weight_fn: WeightFunction::Linear,
-                match_margin: 0.5,
-                rmf_retrospect: 2,
-                tpt_fanout: 8,
-            },
-        );
+        });
+        let config = HpmConfig {
+            k,
+            distant_threshold: 1,
+            time_relaxation: 1,
+            ..HpmConfig::default()
+        };
+        HybridPredictor::from_parts(
+            RegionSet::new(regions, 10),
+            rules.collect::<Vec<_>>(),
+            config,
+        )
+    }
+
+    /// Offsets 0, 1 and 9, one region each; `[R0]` predicts R1 and R2.
+    fn wrap_predictor(k: usize) -> HybridPredictor {
+        let regions = vec![region(0, 0, 0.0), region(1, 1, 10.0), region(2, 9, 90.0)];
+        predictor(regions, &[(1, 0.5), (2, 0.5)], k)
+    }
+
+    #[test]
+    fn wrapped_arcs_cover_both_runs() {
+        let p = wrap_predictor(1);
+        let ids = |start, len| {
+            let [a, b] = arc_ids(&p.regions, start, len);
+            a.chain(b).collect::<Vec<_>>()
+        };
+        // Offsets {9, 0, 1} wrap past 0 and hold every region: the
+        // offsets outside the arc hold none.
+        assert_eq!(ids(9, 3), [2, 0, 1]);
+        assert_eq!(ids(2, 7), []);
+        assert_eq!(ids(8, 2), [2]);
+        assert_eq!(ids(1, 1), [1]);
+        // A full-period arc covers every region once, from any start.
+        for start in 0..10 {
+            let mut all = ids(start, 10);
+            all.sort_unstable();
+            assert_eq!(all, [0, 1, 2], "start {start}");
+        }
+    }
+
+    #[test]
+    fn a_wrapped_first_round_finds_both_consequences() {
+        // tc = 7 (offset 7), tq = 10 (offset 0), tε = 1: round 1 spans
+        // offsets {9, 0, 1}, so R2 (offset 9) and R1 (offset 1) both
+        // qualify at once, each one offset from tq.
+        let p = wrap_predictor(2);
+        let recent = [Point::new(0.0, 0.0)];
+        let pred = p.predict(&PredictiveQuery {
+            recent: &recent,
+            current_time: 7,
+            query_time: 10,
+        });
+        assert_eq!(pred.source, PredictionSource::BackwardPatterns);
+        let order: Vec<u32> = pred.answers.iter().map(|a| a.pattern.unwrap()).collect();
+        assert_eq!(order, [0, 1]);
+        assert_eq!(pred.answers[0].score, pred.answers[1].score);
+    }
+
+    #[test]
+    fn interval_widens_until_pattern_found() {
+        // One pattern with consequence at offset 5 in a period of 10;
+        // query offset 9 with tε = 1 needs i = 4 widenings to reach it.
+        let p = predictor(vec![region(0, 0, 0.0), region(1, 5, 50.0)], &[(1, 0.8)], 1);
         let recent = [Point::new(0.0, 0.0)];
         let pred = p.predict(&PredictiveQuery {
             recent: &recent,
@@ -249,10 +311,9 @@ mod tests {
     #[test]
     fn no_patterns_at_all_falls_back() {
         use crate::test_fixtures::commuter_config;
-        use hpm_patterns::RegionSet;
         let mut cfg = commuter_config();
         cfg.distant_threshold = 1;
-        let p = crate::HybridPredictor::from_parts(RegionSet::new(Vec::new(), 3), Vec::new(), cfg);
+        let p = HybridPredictor::from_parts(RegionSet::new(Vec::new(), 3), Vec::new(), cfg);
         let recent = [Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
         let pred = p.predict(&PredictiveQuery {
             recent: &recent,

@@ -2,6 +2,10 @@
 
 use crate::WeightFunction;
 
+/// Fanout of the Trajectory Pattern Tree every predictor's index is
+/// bulk-loaded with (§VII.A).
+pub const TPT_FANOUT: usize = 32;
+
 /// Configuration of the hybrid predictor (§VI and §VII.A defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HpmConfig {
@@ -20,13 +24,11 @@ pub struct HpmConfig {
     pub match_margin: f64,
     /// Retrospect `f` of the RMF fallback.
     pub rmf_retrospect: usize,
-    /// Fanout of the Trajectory Pattern Tree.
-    pub tpt_fanout: usize,
 }
 
 impl Default for HpmConfig {
     /// §VII.A evaluation setting: `k = 1`, `d = 60`, `tε = 2`, linear
-    /// weights, margin = `Eps` = 30, RMF retrospect 3, TPT fanout 32.
+    /// weights, margin = `Eps` = 30, RMF retrospect 3.
     fn default() -> Self {
         HpmConfig {
             k: 1,
@@ -35,7 +37,6 @@ impl Default for HpmConfig {
             weight_fn: WeightFunction::Linear,
             match_margin: 30.0,
             rmf_retrospect: 3,
-            tpt_fanout: 32,
         }
     }
 }
@@ -45,8 +46,8 @@ impl HpmConfig {
     ///
     /// # Panics
     /// Panics on `k == 0`, `distant_threshold == 0`,
-    /// `time_relaxation == 0`, non-finite/negative margin, zero RMF
-    /// retrospect, or a TPT fanout below 4.
+    /// `time_relaxation == 0`, non-finite/negative margin or zero RMF
+    /// retrospect.
     pub fn validate(&self) {
         assert!(self.k >= 1, "k must be at least 1");
         assert!(
@@ -59,7 +60,6 @@ impl HpmConfig {
             "match_margin must be finite and non-negative"
         );
         assert!(self.rmf_retrospect >= 1, "rmf_retrospect must be >= 1");
-        assert!(self.tpt_fanout >= 4, "tpt_fanout must be at least 4");
     }
 }
 

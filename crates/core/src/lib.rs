@@ -76,7 +76,7 @@ pub mod train;
 #[cfg(test)]
 pub(crate) mod test_fixtures;
 
-pub use config::HpmConfig;
+pub use config::{HpmConfig, TPT_FANOUT};
 pub use predictor::HybridPredictor;
 pub use scratch::PredictScratch;
 pub use similarity::{

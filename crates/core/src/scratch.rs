@@ -1,15 +1,16 @@
 //! Reusable scratch buffers for the allocation-free predict hot path.
 //!
 //! Every transient a predictive query needs — the recent-region list,
-//! the TPT search cursor, the query key, the BQP premise key, the score
-//! accumulator, the rank dedup set — lives in one [`PredictScratch`]
-//! that the caller owns and reuses. After a warmup query has grown each
-//! buffer to its high-water mark, [`HybridPredictor::predict_with`]
-//! performs **zero heap allocations** on the pattern paths (the
-//! motion-function fallback still allocates inside the RMF least-squares
-//! fit — a cold path by construction, taken only when no pattern
-//! qualifies). A regression test under `tests/alloc.rs` holds this at
-//! exactly zero with a counting allocator.
+//! the FQP search cursor, the query key (whose premise part is also
+//! BQP's premise key), the score accumulator, the rank dedup set —
+//! lives in one [`PredictScratch`] that the caller owns and reuses.
+//! After a warmup query has grown each buffer to its high-water mark,
+//! [`HybridPredictor::predict_with`] performs **zero heap allocations**
+//! on the pattern paths (the motion-function fallback still allocates
+//! inside the RMF least-squares fit — a cold path by construction,
+//! taken only when no pattern qualifies). A regression test under
+//! `tests/alloc.rs` holds this at exactly zero with a counting
+//! allocator.
 //!
 //! [`HybridPredictor::predict_with`]: crate::HybridPredictor::predict_with
 
@@ -38,12 +39,11 @@ impl PredictScratch {
 /// borrow checker can hand `recent_ids` and these out independently.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SearchScratch {
-    /// TPT search cursor: match buffer + per-search stats.
+    /// FQP's TPT search cursor: match buffer + per-search stats.
     pub(crate) cursor: SearchCursor,
-    /// The FQP query key / BQP widening interval key.
+    /// The FQP query key; BQP uses only its premise part, the query
+    /// premise key `rkq` of Eq. 5.
     pub(crate) qkey: PatternKey,
-    /// BQP's query premise key `rkq` (Eq. 5 scoring).
-    pub(crate) rkq: hpm_tpt::Bitmap,
     /// `(pattern id, score)` accumulator for ranking.
     pub(crate) scored: Vec<(u32, f64)>,
     /// Consequence regions already emitted (top-`k` dedup).

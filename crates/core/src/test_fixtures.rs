@@ -40,7 +40,6 @@ pub(crate) fn commuter_config() -> HpmConfig {
         weight_fn: WeightFunction::Linear,
         match_margin: 5.0,
         rmf_retrospect: 2,
-        tpt_fanout: 8,
     }
 }
 
@@ -124,7 +123,6 @@ pub(crate) fn fig3_predictor(k: usize) -> HybridPredictor {
             weight_fn: WeightFunction::Linear,
             match_margin: 0.5,
             rmf_retrospect: 2,
-            tpt_fanout: 8,
         },
     )
 }
@@ -142,7 +140,6 @@ pub(crate) fn fig3_predictor_d1(k: usize) -> HybridPredictor {
             weight_fn: WeightFunction::Linear,
             match_margin: 0.5,
             rmf_retrospect: 2,
-            tpt_fanout: 8,
         },
     )
 }

@@ -121,13 +121,14 @@ impl PredictiveQuery<'_> {
     ///
     /// # Panics
     /// Panics when `query_time <= current_time` (Definition 2 requires
-    /// a future query time).
+    /// a future query time) or when `tq − tc > u32::MAX`.
     pub fn prediction_length(&self) -> u32 {
         assert!(
             self.query_time > self.current_time,
             "query time must be after the current time"
         );
-        (self.query_time - self.current_time) as u32
+        u32::try_from(self.query_time - self.current_time)
+            .expect("prediction length must fit a u32")
     }
 }
 
@@ -282,6 +283,18 @@ mod tests {
             recent: &recent,
             current_time: 100,
             query_time: 100,
+        }
+        .prediction_length();
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit a u32")]
+    fn horizon_past_u32_panics() {
+        let recent = [Point::ORIGIN];
+        PredictiveQuery {
+            recent: &recent,
+            current_time: 100,
+            query_time: 100 + (1 << 32) + 3,
         }
         .prediction_length();
     }

@@ -82,7 +82,6 @@ fn predictor() -> HybridPredictor {
             weight_fn: WeightFunction::Linear,
             match_margin: 0.5,
             rmf_retrospect: 2,
-            tpt_fanout: 8,
         },
     )
 }

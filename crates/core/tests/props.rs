@@ -4,7 +4,7 @@
 use hpm_check::prelude::*;
 use hpm_core::{
     consequence_similarity, premise_similarity, premise_similarity_ids, premise_similarity_with,
-    HpmConfig, HybridPredictor, PredictiveQuery, WeightFunction,
+    HpmConfig, HybridPredictor, PredictiveQuery, WeightFunction, TPT_FANOUT,
 };
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
@@ -192,22 +192,15 @@ props! {
     /// the index; past 64 regions and 64 consequence offsets — across
     /// the word boundary of both key parts — its image is the one a bulk
     /// load of the rules' `KeyTable`-encoded pattern keys builds.
-    fn image_equals_a_load_of_encoded_keys(
-        world in arb_wide_world(),
-        fanout in choice(vec![4usize, 6, 32]),
-    ) {
+    fn image_equals_a_load_of_encoded_keys(world in arb_wide_world()) {
         let (set, patterns) = world;
         let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
         require!(table.region_count() > 64 && table.consequence_count() > 64);
         let keys = (patterns.iter().zip(0..))
             .map(|(p, i)| (table.encode_pattern(p, &set), i))
             .collect();
-        let encoded = PackedTpt::bulk_load(fanout, keys);
-        let config = HpmConfig {
-            tpt_fanout: fanout,
-            ..HpmConfig::default()
-        };
-        let predictor = HybridPredictor::from_parts(set, patterns, config);
+        let encoded = PackedTpt::bulk_load(TPT_FANOUT, keys);
+        let predictor = HybridPredictor::from_parts(set, patterns, HpmConfig::default());
         require_eq!(predictor.packed_tpt(), &encoded);
         require_eq!(predictor.key_table().consequence_offsets(), table.consequence_offsets());
     }
@@ -297,7 +290,6 @@ props! {
                 time_relaxation: 1,
                 match_margin: 1.0,
                 rmf_retrospect: 2,
-                tpt_fanout: 4,
                 ..HpmConfig::default()
             },
         );
@@ -351,7 +343,6 @@ props! {
                 time_relaxation: 1,
                 match_margin: 1.0,
                 rmf_retrospect: 2,
-                tpt_fanout: 4,
                 ..HpmConfig::default()
             },
         );

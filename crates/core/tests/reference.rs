@@ -1,6 +1,7 @@
-//! Differential tests: the TPT-backed query processors against
-//! straight-from-the-paper reference implementations that scan every
-//! pattern with no index and no shared code paths.
+//! Differential tests: the query processors (FQP over the TPT, BQP
+//! over the pattern table) against straight-from-the-paper reference
+//! implementations that scan every pattern with no index and no
+//! shared code paths.
 
 use hpm_check::prelude::*;
 use hpm_core::{
@@ -229,7 +230,6 @@ props! {
             time_relaxation: t_eps,
             match_margin: 1.0,
             rmf_retrospect: 2,
-            tpt_fanout: 4,
             ..HpmConfig::default()
         };
         let predictor =
@@ -277,46 +277,6 @@ props! {
             }
             None => {
                 require_eq!(got.source, PredictionSource::MotionFunction);
-            }
-        }
-    }
-
-    #[cases(128)]
-    /// BQP's all-ones search premise never admits a pattern the
-    /// reference interval filter would exclude (search-key soundness).
-    fn bqp_interval_soundness(
-        world in arb_world(),
-        length in int(1u64..20),
-        t_eps in int(1u32..4),
-    ) {
-        let (set, patterns) = world;
-        assume!(!patterns.is_empty());
-        let period = set.period();
-        let config = HpmConfig {
-            k: 32,
-            distant_threshold: 1, // everything distant
-            time_relaxation: t_eps,
-            match_margin: 1.0,
-            rmf_retrospect: 2,
-            tpt_fanout: 4,
-            ..HpmConfig::default()
-        };
-        let predictor = HybridPredictor::from_parts(set.clone(), patterns.clone(), config);
-        let p0 = set.get(RegionId(0)).centroid;
-        let recent = [p0];
-        let ct = u64::from(7 * period);
-        let pred = predictor.predict(&PredictiveQuery {
-            recent: &recent,
-            current_time: ct,
-            query_time: ct + length,
-        });
-        if pred.source == PredictionSource::BackwardPatterns {
-            // Every answer's consequence must land within SOME widening
-            // interval before the loop gave up — i.e. within the period
-            // circle distance reachable from tq before lo hits tc.
-            for a in &pred.answers {
-                let p = &patterns[a.pattern.unwrap() as usize];
-                require!(p.consequence_offset(&set) < period);
             }
         }
     }

@@ -20,7 +20,6 @@ fn config() -> HpmConfig {
         weight_fn: WeightFunction::Linear,
         match_margin: 2.0,
         rmf_retrospect: 2,
-        tpt_fanout: 8,
     }
 }
 

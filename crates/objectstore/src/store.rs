@@ -163,6 +163,14 @@ pub enum QueryError {
         /// The configured training floor.
         min_train_subs: usize,
     },
+    /// `query_time` is more than `u32::MAX` steps after the object's
+    /// last report: past the longest prediction length.
+    HorizonOutOfRange {
+        /// The object's current time (last report).
+        current: Timestamp,
+        /// The requested query time.
+        requested: Timestamp,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -187,6 +195,11 @@ impl fmt::Display for QueryError {
                 f,
                 "only {full_periods} full periods of history \
                  (min_train_subs = {min_train_subs})"
+            ),
+            QueryError::HorizonOutOfRange { current, requested } => write!(
+                f,
+                "query time {requested} is more than {} steps after the current time {current}",
+                u32::MAX
             ),
         }
     }
@@ -839,6 +852,12 @@ impl MovingObjectStore {
         let current_time = state.history.end() - 1;
         if query_time <= current_time {
             return Err(QueryError::NotInFuture {
+                current: current_time,
+                requested: query_time,
+            });
+        }
+        if query_time - current_time > u64::from(u32::MAX) {
+            return Err(QueryError::HorizonOutOfRange {
                 current: current_time,
                 requested: query_time,
             });
@@ -1754,6 +1773,24 @@ mod tests {
         let pred = store.predict(id, 5).unwrap();
         assert_eq!(pred.source, PredictionSource::MotionFunction);
         assert!(pred.best().distance(&Point::new(5.0, 0.0)) < 1e-6);
+    }
+
+    #[test]
+    fn query_times_past_a_u32_horizon_are_refused() {
+        let store = MovingObjectStore::new(config());
+        let id = ObjectId(3);
+        feed_days(&store, id, 0..6);
+        let current = 23;
+        let last = current + u64::from(u32::MAX);
+        let pred = store.predict(id, last).unwrap();
+        assert_eq!(pred.source, PredictionSource::BackwardPatterns);
+        // 2³² + 3 steps ahead must not be answered as 3 steps ahead.
+        for requested in [last + 1, current + (1 << 32) + 3, u64::MAX] {
+            assert_eq!(
+                store.predict(id, requested),
+                Err(QueryError::HorizonOutOfRange { current, requested })
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::{BoundingBox, MemUse, Point};
 use hpm_trajectory::TimeOffset;
+use std::ops::Range;
 
 /// Dense id of a frequent region.
 ///
@@ -118,8 +119,15 @@ impl RegionSet {
     /// The regions at time offset `t`, in id order.
     #[inline]
     pub fn at_offset(&self, t: TimeOffset) -> &[FrequentRegion] {
-        let t = t as usize;
-        &self.regions[self.offset_starts[t] as usize..self.offset_starts[t + 1] as usize]
+        let ids = self.id_range(t..t + 1);
+        &self.regions[ids.start as usize..ids.end as usize]
+    }
+
+    /// The ids of the regions at time offsets `offsets`: one run,
+    /// since ids are offset-sorted.
+    #[inline]
+    pub fn id_range(&self, offsets: Range<TimeOffset>) -> Range<u32> {
+        self.offset_starts[offsets.start as usize]..self.offset_starts[offsets.end as usize]
     }
 
     /// The region at offset `t` containing `p` (within `margin` of its
@@ -182,6 +190,9 @@ mod tests {
         assert_eq!(ids(0), [RegionId(0)]);
         assert_eq!(ids(1), [RegionId(1), RegionId(2)]);
         assert_eq!(ids(2), [RegionId(3), RegionId(4)]);
+        assert_eq!(s.id_range(1..3), 1..5);
+        assert_eq!(s.id_range(0..3), 0..5);
+        assert_eq!(s.id_range(2..2), 3..3);
         assert_eq!(s.len(), 5);
         assert_eq!(s.period(), 3);
     }

@@ -595,6 +595,7 @@ wire_enum! {
         3 => NotInFuture { current: Timestamp, requested: Timestamp },
         4 => ObjectUnavailable(id: ObjectId),
         5 => InsufficientHistory { full_periods: usize, min_train_subs: usize },
+        6 => HorizonOutOfRange { current: Timestamp, requested: Timestamp },
     }
     PredictionSource "prediction source" {
         1 => ForwardPatterns,
@@ -824,6 +825,10 @@ mod tests {
                 Err(QueryError::InsufficientHistory {
                     full_periods: 2,
                     min_train_subs: 5,
+                }),
+                Err(QueryError::HorizonOutOfRange {
+                    current: 8,
+                    requested: 8 + (1 << 32),
                 }),
             ]),
             ResponseBody::Range(vec![(ObjectId(1), Point::new(0.5, 0.25))]),

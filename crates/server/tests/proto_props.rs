@@ -109,7 +109,7 @@ fn random_ingest_result(rng: &mut SmallRng) -> Result<(), IngestError> {
 }
 
 fn random_query_error(rng: &mut SmallRng) -> QueryError {
-    match rng.gen_range(0..5u32) {
+    match rng.gen_range(0..6u32) {
         0 => QueryError::UnknownObject(ObjectId(rng.gen_range(0..1000))),
         1 => QueryError::NoHistory(ObjectId(rng.gen_range(0..1000))),
         2 => QueryError::NotInFuture {
@@ -117,6 +117,10 @@ fn random_query_error(rng: &mut SmallRng) -> QueryError {
             requested: rng.gen_range(0..1u64 << 40),
         },
         3 => QueryError::ObjectUnavailable(ObjectId(rng.gen_range(0..1000))),
+        4 => QueryError::HorizonOutOfRange {
+            current: rng.gen_range(0..1u64 << 40),
+            requested: rng.gen_range(0..1u64 << 40),
+        },
         _ => QueryError::InsufficientHistory {
             full_periods: rng.gen_range(0..100usize),
             min_train_subs: rng.gen_range(0..100usize),

@@ -61,14 +61,6 @@ impl Bitmap {
         Bitmap { len, words }
     }
 
-    /// All-ones bitmap of `len` bits (the BQP search key's premise:
-    /// intersects every non-empty premise).
-    pub fn ones(len: usize) -> Self {
-        let mut b = Bitmap::zeros(len);
-        b.set_all();
-        b
-    }
-
     /// Bitmap of `len` bits with exactly the given bits set.
     ///
     /// # Panics
@@ -126,25 +118,6 @@ impl Bitmap {
             }
             _ if wc <= INLINE_WORDS => self.words = WordStore::Inline([0; INLINE_WORDS]),
             _ => self.words = WordStore::Heap(vec![0; wc]),
-        }
-    }
-
-    /// Clears every bit, keeping the length and storage.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.words_mut().fill(0);
-    }
-
-    /// Sets every bit in `0..len()`.
-    pub fn set_all(&mut self) {
-        let len = self.len;
-        for (i, w) in self.words_mut().iter_mut().enumerate() {
-            let remaining = len - i * 64;
-            *w = if remaining >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << remaining) - 1
-            };
         }
     }
 
@@ -295,19 +268,28 @@ impl fmt::Debug for Bitmap {
 }
 
 #[cfg(test)]
+pub(crate) use tests::ones;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every bit of `0..len` set.
+    pub(crate) fn ones(len: usize) -> Bitmap {
+        Bitmap::from_indices(len, &(0..len).collect::<Vec<_>>())
+    }
+
     #[test]
     fn zeros_and_ones() {
-        let z = Bitmap::zeros(70);
-        assert_eq!(z.count_ones(), 0);
-        assert!(z.is_zero());
-        let o = Bitmap::ones(70);
-        assert_eq!(o.count_ones(), 70);
-        assert!(o.get(0) && o.get(69));
-        // No stray bits past len.
-        assert_eq!(Bitmap::ones(70).and_count(&Bitmap::ones(70)), 70);
+        for len in [0usize, 1, 63, 64, 65, 70, 192, 193, 500] {
+            let z = Bitmap::zeros(len);
+            assert!(z.is_zero() && z.len() == len);
+            let o = ones(len);
+            assert_eq!(o.count_ones(), len);
+            // No stray bits past len.
+            assert_eq!(o.and_count(&o), len);
+        }
+        assert!(ones(70).get(0) && ones(70).get(69));
     }
 
     #[test]
@@ -436,34 +418,20 @@ mod tests {
 
     #[test]
     fn reset_reuses_capacity_and_zeroes() {
-        let mut b = Bitmap::ones(1000);
+        let mut b = ones(1000);
         b.reset(1000);
         assert!(b.is_zero());
         assert_eq!(b.len(), 1000);
         // Shrinking reuses the heap buffer; growing past it reallocates.
-        b.set_all();
+        b = ones(1000);
         b.reset(500);
         assert!(b.is_zero());
         assert_eq!(b.len(), 500);
         assert_eq!(b.words().len(), 8);
         // Inline-sized reset on an inline bitmap stays inline.
-        let mut small = Bitmap::ones(64);
+        let mut small = ones(64);
         small.reset(128);
         assert!(small.is_zero());
         assert_eq!(small.storage_bytes(), 0);
-    }
-
-    #[test]
-    fn clear_and_set_all_keep_len_invariant() {
-        for len in [0usize, 1, 63, 64, 65, 192, 193, 500] {
-            let mut b = Bitmap::ones(len);
-            assert_eq!(b.count_ones(), len);
-            b.clear();
-            assert!(b.is_zero());
-            b.set_all();
-            assert_eq!(b.count_ones(), len);
-            // No stray bits past len: and_count with itself == len.
-            assert_eq!(b.and_count(&Bitmap::ones(len)), len);
-        }
     }
 }

@@ -197,22 +197,6 @@ impl KeyTable {
         }
     }
 
-    /// Sets the consequence bits of the given offsets into an
-    /// **existing** key part without resizing or clearing it first —
-    /// the BQP widening loop grows one consequence key incrementally
-    /// instead of rebuilding it every step.
-    pub fn extend_consequence_key(
-        &self,
-        offsets: impl IntoIterator<Item = TimeOffset>,
-        out: &mut Bitmap,
-    ) {
-        for t in offsets {
-            if let Some(tid) = self.time_id(t) {
-                out.set(tid);
-            }
-        }
-    }
-
     /// FQP query key (§V.C): premise from the recently visited regions,
     /// consequence bit at exactly the query's time offset.
     pub fn fqp_query(
@@ -237,17 +221,6 @@ impl KeyTable {
     ) {
         self.consequence_key_into([query_offset], &mut out.consequence);
         self.premise_key_into(recent_regions, &mut out.premise);
-    }
-
-    /// BQP query key (§VI.C): the premise constraint is dropped
-    /// (all-ones premise intersects every non-empty premise) and the
-    /// consequence accepts any offset in `[lo, hi]` (clamped to the
-    /// period by the caller).
-    pub fn bqp_query(&self, lo: TimeOffset, hi: TimeOffset) -> PatternKey {
-        PatternKey {
-            consequence: self.consequence_key(lo..=hi),
-            premise: Bitmap::ones(self.region_count),
-        }
     }
 }
 
@@ -360,17 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn bqp_query_spans_interval_and_any_premise() {
-        let (_, _, t) = table();
-        let q = t.bqp_query(1, 2);
-        assert_eq!(format!("{q:?}"), "1111111");
-        // Interval [2, 2] only matches time id 1.
-        let q2 = t.bqp_query(2, 2);
-        assert_eq!(format!("{:?}", q2.consequence), "10");
-        assert_eq!(q2.premise.count_ones(), 5);
-    }
-
-    #[test]
     fn into_variants_match_allocating_ones() {
         let (_, _, t) = table();
         // Start from deliberately wrong-sized scratch: reset must fix
@@ -384,19 +346,6 @@ mod tests {
         let mut ck = Bitmap::zeros(9);
         t.consequence_key_into([1, 2, 7], &mut ck);
         assert_eq!(ck, t.consequence_key([1, 2, 7]));
-    }
-
-    #[test]
-    fn extend_consequence_key_grows_incrementally() {
-        let (_, _, t) = table();
-        // Widening [2,2] -> [1,3] by extending the flanks equals a
-        // from-scratch [1,3] key.
-        let mut ck = Bitmap::zeros(t.consequence_count());
-        t.extend_consequence_key([2], &mut ck);
-        assert_eq!(ck, t.consequence_key([2]));
-        t.extend_consequence_key([1], &mut ck);
-        t.extend_consequence_key([3], &mut ck);
-        assert_eq!(ck, t.consequence_key(1..=3));
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! [`PackedTpt::bulk_load`] (§V.B) packs the complete rule list
 //! straight into it, from [`LeafEntries`] whose signature words were
 //! written by setting each key's bits. Nothing inserts into a resident
-//! index; a changed rule list is loaded afresh. Predictive queries encode to keys too
-//! ([`KeyTable::fqp_query`], [`KeyTable::bqp_query`]) and retrieve,
-//! via a depth-first `Intersect`-pruned traversal of the image, the id
-//! of every pattern sharing consequence *and* premise bits with the
+//! index; a changed rule list is loaded afresh. Forward queries encode
+//! to keys too ([`KeyTable::fqp_query`]) and retrieve, via a
+//! depth-first `Intersect`-pruned traversal of the image, the id of
+//! every pattern sharing consequence *and* premise bits with the
 //! query; the rule itself, confidence included, is read through that id
-//! from the pattern store the image was built over.
+//! from the pattern store the image was built over. Backward queries
+//! drop the premise constraint, so they need no signature tree:
+//! `hpm-core` answers them from the pattern table alone.
 //! [`BruteForce`] answers the same searches by a linear scan
 //! (Fig. 11b's baseline, and the test oracle).
 //!

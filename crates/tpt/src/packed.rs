@@ -34,9 +34,8 @@ pub struct SearchStats {
 }
 
 /// A reusable search cursor: owns the match buffer and the
-/// instrumentation, so a query loop (the FQP/BQP hot path re-searches
-/// per candidate time id) reuses one allocation instead of building a
-/// fresh `Vec` per call.
+/// instrumentation, so a query loop (the FQP hot path) reuses one
+/// allocation instead of building a fresh `Vec` per call.
 ///
 /// Stats are **per-search**: every
 /// [`search_packed`](SearchCursor::search_packed) resets them before
@@ -517,6 +516,7 @@ impl SearchCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::ones;
     use crate::keys::{fig3_patterns, fig3_regions};
     use crate::{Bitmap, KeyTable};
     use hpm_patterns::RegionId;
@@ -605,8 +605,8 @@ mod tests {
         assert_eq!(packed, PackedTpt::default());
         // Any query geometry is accepted on an empty image.
         let q = PatternKey {
-            consequence: Bitmap::ones(2),
-            premise: Bitmap::ones(5),
+            consequence: ones(2),
+            premise: ones(5),
         };
         let nothing = (Vec::new(), SearchStats::default());
         assert_eq!(packed.search_with_stats(&q), nothing);
@@ -628,8 +628,8 @@ mod tests {
         // the check this packs a 7-word arena that is read at the
         // first key's stride of 2.
         let key = |prem_bits| PatternKey {
-            consequence: Bitmap::ones(4),
-            premise: Bitmap::ones(prem_bits),
+            consequence: ones(4),
+            premise: ones(prem_bits),
         };
         load(4, vec![(key(10), 0), (key(200), 1)]);
     }
@@ -686,7 +686,10 @@ mod tests {
         let mut cursor = SearchCursor::new();
         let queries = [
             table.fqp_query([RegionId(0), RegionId(1)], 2),
-            table.bqp_query(1, 2),
+            PatternKey {
+                consequence: table.consequence_key(1..=2),
+                premise: ones(5),
+            },
             table.fqp_query([RegionId(4)], 0),
         ];
         for q in &queries {
@@ -707,8 +710,8 @@ mod tests {
     fn foreign_geometry_panics() {
         let (_, packed) = fig3();
         let q = PatternKey {
-            consequence: Bitmap::ones(3), // table has 2 time ids
-            premise: Bitmap::ones(5),
+            consequence: ones(3), // table has 2 time ids
+            premise: ones(5),
         };
         packed.search_with_stats(&q);
     }

@@ -589,7 +589,10 @@ fn force_retrain_on_sub_period_history_is_refused() {
 /// a history holding it would end past the last timestamp (the next
 /// touch overflowed; a release build then refused every later report as
 /// non-contiguous from 0). An object at `MAX - 1` keeps it through a
-/// snapshot, reopen and crash, and answers queries up to `MAX`.
+/// snapshot, reopen and crash, and answers queries up to `MAX`. Object
+/// 3, at 0, is more than `u32::MAX` steps behind `MAX`: a predict there
+/// is refused, and a fleet query there leaves it out (both used to
+/// answer it as a query `MAX mod 2³²` steps ahead).
 #[test]
 fn reports_at_the_last_timestamp_are_refused() {
     let ops = [
@@ -602,6 +605,7 @@ fn reports_at_the_last_timestamp_are_refused() {
         Op::Reopen(3),
         Op::Crash(Vec::new()),
         Op::Nearest(ORIGIN, At::Ahead(2), 5),
+        Op::PredictBatch(vec![(3, At::Abs(Timestamp::MAX))]),
     ];
     let answers = run(config(4, 2, 1, 0), (3, 0), &ops).unwrap();
     let no = Err(IngestError::TimestampOutOfRange);
@@ -609,7 +613,10 @@ fn reports_at_the_last_timestamp_are_refused() {
         assert_eq!(*answer(&answers, op), R::Ingested(want), "op {op}");
     }
     assert!(matches!(answer(&answers, 4), R::Predictions(p) if p.iter().all(Result::is_ok)));
-    assert_eq!(hits(&answers, 8), [1, 3]);
+    assert_eq!(hits(&answers, 8), [1]);
+    let (current, requested) = (0, Timestamp::MAX);
+    let far = Err(QueryError::HorizonOutOfRange { current, requested });
+    assert_eq!(*answer(&answers, 9), R::Predictions(vec![far]));
 }
 
 /// `remove` then re-report leaves nothing of the first life (which

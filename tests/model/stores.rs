@@ -330,9 +330,12 @@ impl RefStore {
         let o = self.objects.get(&id.0);
         let o = o.ok_or(QueryError::UnknownObject(id))?;
         let current_time = o.start + o.points.len() as Timestamp - 1;
+        let (current, requested) = (current_time, query_time);
         if query_time <= current_time {
-            let (current, requested) = (current_time, query_time);
             return Err(QueryError::NotInFuture { current, requested });
+        }
+        if query_time - current_time > u64::from(u32::MAX) {
+            return Err(QueryError::HorizonOutOfRange { current, requested });
         }
         let recent = &o.points[o.points.len().saturating_sub(self.config.recent_len)..];
         let query = PredictiveQuery {
