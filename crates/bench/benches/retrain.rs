@@ -193,7 +193,7 @@ fn measure_seed(commuters: u64, reps: usize) -> SeedRow {
         assert_eq!(pass, TrainPass::Seeded);
         let assembled = HybridPredictor::from_parts(regions, patterns, config);
         assert_eq!(seeded.patterns(), assembled.patterns());
-        assert_eq!(seeded.packed_tpt(), assembled.packed_tpt());
+        assert_eq!(*seeded.packed_tpt(), *assembled.packed_tpt());
         rules += assembled.patterns().len();
     }
     SeedRow {

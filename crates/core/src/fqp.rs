@@ -39,7 +39,7 @@ pub(crate) fn run(
     if qkey.consequence.is_zero() {
         return false; // no pattern predicts this time offset
     }
-    let matches = cursor.search_packed(&predictor.packed, qkey);
+    let matches = cursor.search_packed(predictor.packed_tpt(), qkey);
     hpm_obs::histogram!(crate::metrics::FQP_CANDIDATES).record(matches.len() as u64);
     if matches.is_empty() {
         return false;

@@ -317,7 +317,7 @@ mod tests {
         let batch = HybridPredictor::build(traj, &discovery(), &mining(), *incremental.config());
         assert_eq!(incremental.regions().all(), batch.regions().all());
         assert_eq!(incremental.patterns(), batch.patterns());
-        assert_eq!(incremental.packed_tpt(), batch.packed_tpt());
+        assert_eq!(*incremental.packed_tpt(), *batch.packed_tpt());
         let day =
             (traj.len() as Timestamp / COMMUTER_PERIOD as Timestamp) * COMMUTER_PERIOD as Timestamp;
         for (recent, len) in [
@@ -478,7 +478,7 @@ mod tests {
             got.patterns().clone(),
             *got.config(),
         );
-        assert_eq!(got.packed_tpt(), fresh.packed_tpt());
+        assert_eq!(*got.packed_tpt(), *fresh.packed_tpt());
         assert_eq!(
             got.key_table.consequence_offsets(),
             fresh.key_table.consequence_offsets()
@@ -504,7 +504,7 @@ mod tests {
         assert_eq!(tier, UpdateTier::Rebuild);
         assert_eq!(q.patterns(), full.patterns());
         assert_equals_from_parts(&q);
-        assert_eq!(q.packed_tpt(), full.packed_tpt());
+        assert_eq!(*q.packed_tpt(), *full.packed_tpt());
     }
 
     #[test]

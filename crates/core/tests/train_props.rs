@@ -74,7 +74,7 @@ fn step(
     let batch = HybridPredictor::build(traj, &disc, &mp, config());
     require_eq!(got.regions().all(), batch.regions().all(), "{pass:?}");
     require_eq!(got.patterns(), batch.patterns(), "{pass:?}");
-    require_eq!(got.packed_tpt(), batch.packed_tpt(), "{pass:?}");
+    require_eq!(*got.packed_tpt(), *batch.packed_tpt(), "{pass:?}");
     let p = traj.points();
     let now = traj.end() - 1;
     let far = [Point::new(900.0, 900.0)];
