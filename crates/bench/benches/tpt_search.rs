@@ -14,9 +14,7 @@ use hpm_bench::report::{num, obj, write_json};
 use hpm_bench::{best_of, synthetic_index, Bench};
 use hpm_core::TPT_FANOUT;
 use hpm_obs::json::Json;
-use hpm_tpt::{
-    BruteForce, KeyTable, LeafEntries, PackedTpt, PatternKey, SearchCursor, SearchStats,
-};
+use hpm_tpt::{scan, KeyTable, LeafEntries, PackedTpt, PatternKey, SearchCursor, SearchStats};
 
 fn queries(table: &KeyTable, n: usize, regions: usize) -> Vec<PatternKey> {
     (0..n)
@@ -25,55 +23,55 @@ fn queries(table: &KeyTable, n: usize, regions: usize) -> Vec<PatternKey> {
             let recent =
                 (0..1 + i % 3).map(|j| hpm_patterns::RegionId(((seed + j * 131) % regions) as u32));
             let offsets = table.consequence_offsets();
-            table.fqp_query(recent, offsets[seed % offsets.len()])
+            let mut query = PatternKey::default();
+            table.fqp_query_into(recent, offsets[seed % offsets.len()], &mut query);
+            query
         })
         .collect()
 }
 
 fn bench_search(bench: &mut Bench) {
     for &n in &[1_000usize, 10_000, 100_000] {
-        let (table, regions, entries) = synthetic_index(n, 800, 13);
-        let leaves: LeafEntries = entries.iter().map(|(k, _)| k.clone()).collect();
+        let (table, regions, keys) = synthetic_index(n, 800, 13);
+        let leaves: LeafEntries = keys.iter().collect();
         let image = PackedTpt::bulk_load(TPT_FANOUT, &leaves);
         let tpt = image.with_leaves(&leaves);
-        let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, 20, regions);
-        let mut out = Vec::new();
+        let mut cursor = SearchCursor::new();
         bench.run(&format!("tpt_vs_brute/tpt/{n}"), None, || {
             for q in &qs {
-                out.clear();
-                tpt.search_into(std::hint::black_box(q), &mut out);
+                cursor.search_packed(tpt, std::hint::black_box(q));
             }
         });
+        let mut out = Vec::new();
         bench.run(&format!("tpt_vs_brute/brute/{n}"), None, || {
             for q in &qs {
                 out.clear();
-                brute.search_into(std::hint::black_box(q), &mut out);
+                out.extend(scan(&keys, std::hint::black_box(q)));
             }
         });
     }
 }
 
 fn bench_fanout(bench: &mut Bench) {
-    let (table, regions, entries) = synthetic_index(20_000, 400, 29);
+    let (table, regions, keys) = synthetic_index(20_000, 400, 29);
     let qs = queries(&table, 20, regions);
-    let leaves: LeafEntries = entries.into_iter().map(|(k, _)| k).collect();
+    let leaves: LeafEntries = keys.iter().collect();
     for &fanout in &[8usize, 32, 128] {
         let image = PackedTpt::bulk_load(fanout, &leaves);
         let tpt = image.with_leaves(&leaves);
-        let mut out = Vec::new();
+        let mut cursor = SearchCursor::new();
         bench.run(&format!("tpt_fanout/{fanout}"), None, || {
             for q in &qs {
-                out.clear();
-                tpt.search_into(std::hint::black_box(q), &mut out);
+                cursor.search_packed(tpt, std::hint::black_box(q));
             }
         });
     }
 }
 
 fn bench_bulk_load(bench: &mut Bench) {
-    let (_, _, entries) = synthetic_index(5_000, 400, 31);
-    let leaves: LeafEntries = entries.into_iter().map(|(k, _)| k).collect();
+    let (_, _, keys) = synthetic_index(5_000, 400, 31);
+    let leaves: LeafEntries = keys.iter().collect();
     bench.run("tpt_bulk_load_5k", None, || {
         PackedTpt::bulk_load(TPT_FANOUT, &leaves).len()
     });
@@ -93,21 +91,23 @@ fn ns_per_query(reps: usize, n_queries: usize, mut pass: impl FnMut()) -> f64 {
 fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, scales: &[usize]) {
     let mut rows = Vec::new();
     for &regions in scales {
-        let (table, region_count, entries) = synthetic_index(patterns_n, regions, 13);
-        let leaves: LeafEntries = entries.iter().map(|(k, _)| k.clone()).collect();
+        let (table, region_count, keys) = synthetic_index(patterns_n, regions, 13);
+        let leaves: LeafEntries = keys.iter().collect();
         let image = PackedTpt::bulk_load(TPT_FANOUT, &leaves);
         let packed = image.with_leaves(&leaves);
-        let brute = BruteForce::from_entries(entries);
         let qs = queries(&table, n_queries, region_count);
 
         // Untimed equivalence + instrumentation pass: the tree search
         // must return exactly the scan's result set.
         let mut agg = SearchStats::default();
         let mut matches_total = 0usize;
+        let mut cursor = SearchCursor::new();
         for q in &qs {
-            let (mut pm, ps) = packed.search_with_stats(q);
+            let mut pm = cursor.search_packed(packed, q).to_vec();
+            let ps = cursor.stats();
             pm.sort_unstable();
-            assert_eq!(pm, brute.search(q), "packed result set differs from scan");
+            let scanned: Vec<u32> = scan(&keys, q).collect();
+            assert_eq!(pm, scanned, "packed result set differs from scan");
             agg.nodes_visited += ps.nodes_visited;
             agg.entries_checked += ps.entries_checked;
             agg.false_hits += ps.false_hits;
@@ -115,7 +115,6 @@ fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, 
         }
         let false_hit_rate = agg.false_hits as f64 / agg.entries_checked.max(1) as f64;
 
-        let mut cursor = SearchCursor::new();
         let packed_ns = ns_per_query(reps, qs.len(), || {
             for q in &qs {
                 cursor.search_packed(packed, std::hint::black_box(q));
@@ -125,7 +124,7 @@ fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, 
         let brute_ns = ns_per_query(reps, qs.len(), || {
             for q in &qs {
                 out.clear();
-                brute.search_into(std::hint::black_box(q), &mut out);
+                out.extend(scan(&keys, std::hint::black_box(q)));
             }
         });
         let speedup = brute_ns / packed_ns;
@@ -146,10 +145,12 @@ fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, 
         ]));
     }
     let methodology = format!(
-        "single thread; the packed TPT image (bulk load) and the brute-force scan hold \
-         identical entries; the image keeps internal signatures and leaf pattern ids, and its \
+        "single thread; the packed TPT image (bulk load) and the brute-force scan cover \
+         identical keys; the image keeps internal signatures and leaf pattern ids, and its \
          search reads each leaf key through the id from the LeafEntries it was loaded from \
-         (keys in pattern-id order, so a leaf node's keys are not adjacent); per scale the full query set runs once untimed asserting the \
+         (keys in pattern-id order, so a leaf node's keys are not adjacent); the scan \
+         (hpm_tpt::scan) tests Intersect against every PatternKey in id order, each key's \
+         two parts in heap-allocated words of their own; per scale the full query set runs once untimed asserting the \
          packed result set equal to the scan's and aggregating SearchStats, then each index \
          is timed as best-of-{reps} wall-clock passes over the set after one warmup pass; \
          ns/query = best pass / query count; speedup = brute / packed; false-hit rate = \

@@ -18,7 +18,7 @@ use hpm_core::eval::{mean, point_errors, rmf_or_last, EvalQuery, Record};
 use hpm_core::{HpmConfig, HybridPredictor, WeightFunction, TPT_FANOUT};
 use hpm_datagen::{PaperDataset, EXTENT, PERIOD};
 use hpm_patterns::{mine, prune_statistics, RegionId};
-use hpm_tpt::{BruteForce, KeyTable, LeafEntries, PackedTpt};
+use hpm_tpt::{scan, Bitmap, KeyTable, LeafEntries, PackedTpt, PatternKey, SearchCursor};
 
 type Run = fn() -> std::io::Result<()>;
 
@@ -112,8 +112,9 @@ fn tables() -> std::io::Result<()> {
         "table1-region-keys",
         &["frequent_region", "region_id", "region_key"],
     )?;
+    let mut key = Bitmap::default();
     for r in regions.all() {
-        let key = table.premise_key([r.id]);
+        table.premise_key_into([r.id], &mut key);
         t1.row(&[
             format!("R{}^{}", r.offset, r.local_index),
             r.id.0.to_string(),
@@ -125,8 +126,11 @@ fn tables() -> std::io::Result<()> {
         "table2-consequence-keys",
         &["time_offset", "time_id", "consequence_key"],
     )?;
+    let mut query = PatternKey::default();
     for (tid, &offset) in table.consequence_offsets().iter().enumerate() {
-        let key = table.consequence_key([offset]);
+        // A query key with no premise: its consequence part alone.
+        table.fqp_query_into([], offset, &mut query);
+        let key = &query.consequence;
         t2.row(&[offset.to_string(), tid.to_string(), format!("{key:?}")])?;
     }
 
@@ -345,14 +349,11 @@ fn fig11() -> std::io::Result<()> {
     let mb = |bytes: usize| format!("{:.2}", bytes as f64 / (1024.0 * 1024.0));
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
-            let (_, _, entries) = synthetic_index(n, regions, 11);
+            let (_, _, keys) = synthetic_index(n, regions, 11);
             // What a pattern table holds of a key, read through a leaf's
             // id: the premise ids, their end offset, the consequence id.
-            let ids: usize = entries
-                .iter()
-                .map(|(k, _)| k.premise.count_ones() + 2)
-                .sum();
-            let leaves: LeafEntries = entries.into_iter().map(|(k, _)| k).collect();
+            let ids: usize = keys.iter().map(|k| k.premise.count_ones() + 2).sum();
+            let leaves: LeafEntries = keys.iter().collect();
             let tpt = PackedTpt::bulk_load(TPT_FANOUT, &leaves);
             let [tpt_mb, keys_mb] = [tpt.storage_bytes(), ids * size_of::<RegionId>()].map(mb);
             a.row(&[regions.to_string(), n.to_string(), tpt_mb, keys_mb])?;
@@ -364,11 +365,10 @@ fn fig11() -> std::io::Result<()> {
         &["num_patterns", "tpt_us", "brute_us", "tpt_nodes_visited"],
     )?;
     for &n in &sizes {
-        let (table, regions, entries) = synthetic_index(n, 800, 13);
-        let leaves: LeafEntries = entries.iter().map(|(k, _)| k.clone()).collect();
+        let (table, regions, keys) = synthetic_index(n, 800, 13);
+        let leaves: LeafEntries = keys.iter().collect();
         let image = PackedTpt::bulk_load(TPT_FANOUT, &leaves);
         let tpt = image.with_leaves(&leaves);
-        let brute = BruteForce::from_entries(entries);
         // 50 FQP-style query keys: 1–3 recent regions + one offset.
         let queries: Vec<_> = (0..50u32)
             .map(|i| {
@@ -378,22 +378,23 @@ fn fig11() -> std::io::Result<()> {
                     .collect();
                 let offsets = table.consequence_offsets();
                 let tq = offsets[seed % offsets.len()];
-                table.fqp_query(recent, tq)
+                let mut query = PatternKey::default();
+                table.fqp_query_into(recent, tq, &mut query);
+                query
             })
             .collect();
-        let mut visited = 0usize;
+        let (mut visited, mut cursor) = (0usize, SearchCursor::new());
         let tpt_pass = best_of(1, || {
             for q in &queries {
-                let (res, stats) = tpt.search_with_stats(q);
-                std::hint::black_box(&res);
-                visited += stats.nodes_visited;
+                std::hint::black_box(cursor.search_packed(tpt, q));
+                visited += cursor.stats().nodes_visited;
             }
         });
         let mut out = Vec::new();
         let brute_pass = best_of(1, || {
             for q in &queries {
                 out.clear();
-                brute.search_into(q, &mut out);
+                out.extend(scan(&keys, q));
                 std::hint::black_box(&out);
             }
         });

@@ -142,21 +142,21 @@ pub fn synthetic_patterns(
 }
 
 /// [`synthetic_patterns`] as index input: the key table that encodes
-/// the set, the region count, and one `(key, id)` entry per pattern —
-/// what `PackedTpt::bulk_load` and `BruteForce::from_entries` take.
+/// the set, the region count, and each pattern's key at its position
+/// (the position is the pattern id) — what a `LeafEntries` for
+/// `PackedTpt::bulk_load` collects and `hpm_tpt::scan` reads.
 pub fn synthetic_index(
     num_patterns: usize,
     num_regions: usize,
     seed: u64,
-) -> (KeyTable, usize, Vec<(PatternKey, u32)>) {
+) -> (KeyTable, usize, Vec<PatternKey>) {
     let (set, patterns) = synthetic_patterns(num_patterns, num_regions, seed);
     let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-    let entries = patterns
+    let keys = patterns
         .iter()
-        .enumerate()
-        .map(|(i, p)| (table.encode_pattern(p, &set), i as u32))
+        .map(|p| table.encode_pattern(p, &set))
         .collect();
-    (table, set.len(), entries)
+    (table, set.len(), keys)
 }
 
 #[cfg(test)]

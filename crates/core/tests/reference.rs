@@ -10,7 +10,14 @@ use hpm_core::{
 };
 use hpm_geo::Point;
 use hpm_patterns::{RegionId, RegionSet, TrajectoryPattern};
-use hpm_tpt::KeyTable;
+use hpm_tpt::{Bitmap, KeyTable};
+
+/// The premise key of `ids` (§V.A: the OR of each region's bit).
+fn premise_key(table: &KeyTable, ids: impl IntoIterator<Item = RegionId>) -> Bitmap {
+    let mut key = Bitmap::default();
+    table.premise_key_into(ids, &mut key);
+    key
+}
 
 /// Reference FQP (Algorithm 2): filter all patterns by "consequence
 /// offset == tq offset AND premise shares a region with the recent
@@ -27,7 +34,7 @@ fn reference_fqp(
     if recent_ids.is_empty() {
         return None;
     }
-    let rkq = table.premise_key(recent_ids.iter().copied());
+    let rkq = premise_key(table, recent_ids.iter().copied());
     let mut scored: Vec<(u32, f64)> = patterns
         .iter()
         .enumerate()
@@ -36,7 +43,7 @@ fn reference_fqp(
                 && p.premise.iter().any(|id| recent_ids.contains(id))
         })
         .map(|(i, p)| {
-            let rk = table.premise_key(p.premise.iter().copied());
+            let rk = premise_key(table, p.premise.iter().copied());
             (
                 i as u32,
                 premise_similarity(&rk, &rkq, config.weight_fn) * p.confidence,
@@ -62,7 +69,7 @@ fn reference_bqp(
 ) -> Option<Vec<RankedAnswer>> {
     let period = i64::from(regions.period());
     let t_eps = i64::from(config.time_relaxation);
-    let rkq = table.premise_key(recent_ids.iter().copied());
+    let rkq = premise_key(table, recent_ids.iter().copied());
     let tq_offset = tq.rem_euclid(period);
     let mut i = 1i64;
     loop {
@@ -77,7 +84,7 @@ fn reference_bqp(
             .enumerate()
             .filter(|(_, p)| offsets.contains(&i64::from(p.consequence_offset(regions))))
             .map(|(idx, p)| {
-                let rk = table.premise_key(p.premise.iter().copied());
+                let rk = premise_key(table, p.premise.iter().copied());
                 let sr = premise_similarity(&rk, &rkq, config.weight_fn);
                 let t_off = i64::from(p.consequence_offset(regions));
                 let delta = (t_off - tq_offset).rem_euclid(period);

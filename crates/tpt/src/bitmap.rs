@@ -2,62 +2,35 @@
 //!
 //! A discovery run can yield hundreds of frequent regions (Fig. 11
 //! evaluates 80/400/800), so keys are dynamically sized bitsets rather
-//! than machine words. All the §V.A key operations reduce to word-wise
-//! logic here.
+//! than machine words. The §V.A key operations the TPT runs — `Size`
+//! ([`Bitmap::count_ones`]), `Intersect` and the OR of a signature —
+//! reduce to word-wise logic here; `Contain` and `Difference` serve
+//! only Algorithm 1's insertion, which this crate does not implement.
 //!
-//! Storage is hybrid: keys of up to [`INLINE_WORDS`]` * 64` bits live
-//! in a fixed inline array (no heap allocation at all — this covers
-//! the paper's 80-region scale and every consequence key), and only
-//! longer keys spill to a heap `Vec<u64>`. [`Bitmap::reset`] recycles
-//! an existing heap buffer when it is large enough, so hot-path query
-//! keys reach a steady state where re-encoding a query allocates
-//! nothing.
+//! The words live in one `Vec<u64>`. [`Bitmap::reset`] keeps its
+//! capacity, so hot-path query keys reach a steady state where
+//! re-encoding a query allocates nothing.
 
-use hpm_geo::MemUse;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-
-/// Number of 64-bit words stored inline before spilling to the heap.
-///
-/// Three words = 192 bits: enough for the paper's 80-region premise
-/// keys and for every realistic consequence key (one bit per distinct
-/// consequence time offset), while keeping `Bitmap` at four words
-/// total — small enough to move around by value cheaply.
-pub const INLINE_WORDS: usize = 3;
-
-/// Word storage: small bitmaps inline, large ones on the heap.
-///
-/// Invariant: a `Heap` vector always has exactly `len.div_ceil(64)`
-/// elements; an `Inline` array keeps every word at index
-/// `>= len.div_ceil(64)` zero.
-#[derive(Clone)]
-enum WordStore {
-    Inline([u64; INLINE_WORDS]),
-    Heap(Vec<u64>),
-}
 
 /// A fixed-length bit vector.
 ///
 /// Bit `i` corresponds to region id `i` (premise keys) or time id `i`
-/// (consequence keys). Equality and hashing include the length, so keys
-/// from different key tables never compare equal by accident.
-#[derive(Clone)]
+/// (consequence keys). Equality includes the length, so keys from
+/// different key tables never compare equal by accident.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Bitmap {
     /// Number of valid bits.
     len: usize,
-    /// Little-endian words; bits past `len` are kept zero.
-    words: WordStore,
+    /// Little-endian words, exactly `len.div_ceil(64)` of them; bits
+    /// past `len` are kept zero.
+    words: Vec<u64>,
 }
 
 impl Bitmap {
     /// All-zero bitmap of `len` bits.
     pub fn zeros(len: usize) -> Self {
-        let wc = len.div_ceil(64);
-        let words = if wc <= INLINE_WORDS {
-            WordStore::Inline([0; INLINE_WORDS])
-        } else {
-            WordStore::Heap(vec![0; wc])
-        };
+        let words = vec![0; len.div_ceil(64)];
         Bitmap { len, words }
     }
 
@@ -89,36 +62,16 @@ impl Bitmap {
     /// of them. This is the slice the packed TPT arena copies from.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        match &self.words {
-            WordStore::Inline(a) => &a[..self.len.div_ceil(64)],
-            WordStore::Heap(v) => v,
-        }
+        &self.words
     }
 
-    #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.words {
-            WordStore::Inline(a) => &mut a[..self.len.div_ceil(64)],
-            WordStore::Heap(v) => v,
-        }
-    }
-
-    /// Resizes to `len` bits, all zero, reusing existing storage when
-    /// possible: a heap buffer with enough capacity is recycled
-    /// (no allocation), and any `len` small enough for inline storage
-    /// never allocates. Repeated resets to the same length therefore
+    /// Resizes to `len` bits, all zero, in the storage it already has
+    /// when that is large enough: repeated resets to one length
     /// allocate at most once — the hot-path steady state.
     pub fn reset(&mut self, len: usize) {
-        let wc = len.div_ceil(64);
         self.len = len;
-        match &mut self.words {
-            WordStore::Heap(v) if v.capacity() >= wc => {
-                v.clear();
-                v.resize(wc, 0);
-            }
-            _ if wc <= INLINE_WORDS => self.words = WordStore::Inline([0; INLINE_WORDS]),
-            _ => self.words = WordStore::Heap(vec![0; wc]),
-        }
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
     }
 
     /// Sets bit `i`.
@@ -128,7 +81,7 @@ impl Bitmap {
     #[inline]
     pub fn set(&mut self, i: usize) {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
-        self.words_mut()[i / 64] |= 1 << (i % 64);
+        self.words[i / 64] |= 1 << (i % 64);
     }
 
     /// Reads bit `i`.
@@ -138,64 +91,30 @@ impl Bitmap {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
-        self.words()[i / 64] & (1 << (i % 64)) != 0
+        self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// The paper's `Size`: number of set bits.
     #[inline]
     pub fn count_ones(&self) -> usize {
-        self.words().iter().map(|w| w.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when no bit is set.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.words().iter().all(|&w| w == 0)
-    }
-
-    /// The paper's `Contain`: `self & other == other`.
-    pub fn contains(&self, other: &Bitmap) -> bool {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .all(|(a, b)| a & b == *b)
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Whether any bit is set in both (`Size(self & other) > 0`).
     pub fn intersects(&self, other: &Bitmap) -> bool {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// `Size(self & other)`: number of common set bits.
-    pub fn and_count(&self, other: &Bitmap) -> usize {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// The paper's `Difference(self, other)`:
-    /// `Size(self ⊕ (self & other))` — bits set in `self` but not in
-    /// `other`.
-    pub fn difference(&self, other: &Bitmap) -> usize {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Iterates the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().iter().enumerate().flat_map(|(wi, &w)| {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
                 if w == 0 {
@@ -207,52 +126,6 @@ impl Bitmap {
                 }
             })
         })
-    }
-
-    /// Heap bytes used by the word storage (for Fig. 11a's storage
-    /// accounting). Inline bitmaps report zero: their words live in
-    /// the `Bitmap` itself.
-    #[inline]
-    pub fn storage_bytes(&self) -> usize {
-        match &self.words {
-            WordStore::Inline(_) => 0,
-            WordStore::Heap(v) => v.len() * 8,
-        }
-    }
-}
-
-impl MemUse for Bitmap {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + match &self.words {
-                WordStore::Inline(_) => 0,
-                WordStore::Heap(v) => v.capacity() * 8,
-            }
-    }
-}
-
-impl Default for Bitmap {
-    /// The zero-length bitmap (a scratch placeholder;
-    /// [`reset`](Bitmap::reset) gives it a real geometry).
-    fn default() -> Self {
-        Bitmap::zeros(0)
-    }
-}
-
-impl PartialEq for Bitmap {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.words() == other.words()
-    }
-}
-
-impl Eq for Bitmap {}
-
-impl Hash for Bitmap {
-    /// Hashes length then words, so inline and heap bitmaps of equal
-    /// content hash identically (required by `Eq`).
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.len.hash(state);
-        self.words().hash(state);
     }
 }
 
@@ -287,7 +160,7 @@ mod tests {
             let o = ones(len);
             assert_eq!(o.count_ones(), len);
             // No stray bits past len.
-            assert_eq!(o.and_count(&o), len);
+            assert!(o.iter_ones().all(|i| i < len));
         }
         assert!(ones(70).get(0) && ones(70).get(69));
     }
@@ -310,34 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_semantics() {
-        let a = Bitmap::from_indices(8, &[0, 1, 4]);
-        let b = Bitmap::from_indices(8, &[0, 4]);
-        assert!(a.contains(&b));
-        assert!(!b.contains(&a));
-        assert!(a.contains(&a));
-        assert!(a.contains(&Bitmap::zeros(8)));
-    }
-
-    #[test]
-    fn intersects_and_count() {
+    fn intersects_needs_a_common_bit() {
         let a = Bitmap::from_indices(80, &[0, 70]);
         let b = Bitmap::from_indices(80, &[70, 71]);
         let c = Bitmap::from_indices(80, &[1, 2]);
-        assert!(a.intersects(&b));
-        assert_eq!(a.and_count(&b), 1);
+        assert!(a.intersects(&b) && b.intersects(&a));
         assert!(!a.intersects(&c));
-        assert_eq!(a.and_count(&c), 0);
-    }
-
-    #[test]
-    fn difference_counts_exclusive_bits() {
-        // Paper: Difference(pk1, pk2) = Size(pk1 ⊕ (pk1 & pk2)).
-        let a = Bitmap::from_indices(8, &[0, 1, 2]);
-        let b = Bitmap::from_indices(8, &[1, 5]);
-        assert_eq!(a.difference(&b), 2); // bits 0, 2
-        assert_eq!(b.difference(&a), 1); // bit 5
-        assert_eq!(a.difference(&a), 0);
     }
 
     #[test]
@@ -358,16 +209,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        Bitmap::zeros(8).contains(&Bitmap::zeros(9));
+        Bitmap::zeros(8).intersects(&Bitmap::zeros(9));
     }
 
     #[test]
-    fn eq_and_hash_include_len() {
-        use std::collections::HashSet;
-        let mut s = HashSet::new();
-        s.insert(Bitmap::zeros(8));
-        s.insert(Bitmap::zeros(9));
-        assert_eq!(s.len(), 2);
+    fn eq_includes_len() {
+        assert_ne!(Bitmap::zeros(8), Bitmap::zeros(9));
+        assert_eq!(Bitmap::default(), Bitmap::zeros(0));
     }
 
     #[test]
@@ -376,62 +224,26 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.is_zero());
         assert_eq!(b.count_ones(), 0);
-        assert!(b.contains(&Bitmap::zeros(0)));
         assert!(!b.intersects(&Bitmap::zeros(0)));
-    }
-
-    #[test]
-    fn inline_below_heap_above_threshold() {
-        // Up to INLINE_WORDS * 64 bits the words live inline (no heap
-        // bytes); one bit more spills to the heap.
-        let max_inline = INLINE_WORDS * 64;
-        assert_eq!(Bitmap::zeros(max_inline).storage_bytes(), 0);
-        let spilled = Bitmap::zeros(max_inline + 1);
-        assert_eq!(spilled.storage_bytes(), (INLINE_WORDS + 1) * 8);
-        // Same ops on both sides of the boundary.
-        let a = Bitmap::from_indices(max_inline, &[0, 191]);
-        let b = Bitmap::from_indices(max_inline + 1, &[0, 192]);
-        assert_eq!(a.count_ones(), 2);
-        assert_eq!(b.count_ones(), 2);
-        assert!(b.get(192));
-    }
-
-    #[test]
-    fn inline_and_heap_compare_and_hash_by_content() {
-        use std::collections::hash_map::DefaultHasher;
-        // Force a heap bitmap down to an inline-sized length via
-        // reset-with-reuse, then compare against a natural inline one.
-        let mut heap = Bitmap::zeros(1000);
-        heap.reset(70);
-        heap.set(3);
-        assert!(heap.storage_bytes() > 0, "buffer was recycled, not freed");
-        let inline = Bitmap::from_indices(70, &[3]);
-        assert_eq!(inline.storage_bytes(), 0);
-        assert_eq!(heap, inline);
-        let h = |b: &Bitmap| {
-            let mut s = DefaultHasher::new();
-            b.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&heap), h(&inline));
     }
 
     #[test]
     fn reset_reuses_capacity_and_zeroes() {
         let mut b = ones(1000);
-        b.reset(1000);
+        let buffer = b.words.as_ptr();
+        // Same length, shrink, regrow within the capacity: each reset
+        // zeroes dirty words in the buffer it already has.
+        for len in [1000, 500, 1000] {
+            b.words.fill(!0);
+            b.reset(len);
+            assert!(b.is_zero());
+            assert_eq!((b.len(), b.words().len()), (len, len.div_ceil(64)));
+            assert_eq!(b.words.as_ptr(), buffer);
+        }
+        // Growing past the capacity reallocates, still zeroed.
+        b.words.fill(!0);
+        b.reset(5000);
         assert!(b.is_zero());
-        assert_eq!(b.len(), 1000);
-        // Shrinking reuses the heap buffer; growing past it reallocates.
-        b = ones(1000);
-        b.reset(500);
-        assert!(b.is_zero());
-        assert_eq!(b.len(), 500);
-        assert_eq!(b.words().len(), 8);
-        // Inline-sized reset on an inline bitmap stays inline.
-        let mut small = ones(64);
-        small.reset(128);
-        assert!(small.is_zero());
-        assert_eq!(small.storage_bytes(), 0);
+        assert_eq!(b.words().len(), 79);
     }
 }

@@ -9,28 +9,21 @@
 //! offset* across all discovered patterns; a pattern sets the bit of
 //! its consequence's offset. The paper stores them concatenated
 //! (consequence key first); here they are two fields of [`PatternKey`]
-//! and every §V.A operation applies to both parts.
+//! and `Intersect` applies to both parts.
 
 use crate::Bitmap;
-use hpm_geo::mem::heap_bytes;
 use hpm_geo::MemUse;
 use hpm_patterns::{RegionId, RegionSet, TrajectoryPattern};
 use hpm_trajectory::TimeOffset;
 use std::fmt;
 
 /// The symbolization of a trajectory pattern (or of a query).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct PatternKey {
     /// One bit per distinct consequence time offset.
     pub consequence: Bitmap,
     /// One bit per frequent region.
     pub premise: Bitmap,
-}
-
-impl MemUse for PatternKey {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + heap_bytes(&self.consequence) + heap_bytes(&self.premise)
-    }
 }
 
 impl PatternKey {
@@ -42,34 +35,10 @@ impl PatternKey {
         }
     }
 
-    /// The paper's `Size`: total number of set bits.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.consequence.count_ones() + self.premise.count_ones()
-    }
-
-    /// The paper's `Contain`: every bit of `other` is set in `self`
-    /// (checked on both parts).
-    pub fn contains(&self, other: &PatternKey) -> bool {
-        self.consequence.contains(&other.consequence) && self.premise.contains(&other.premise)
-    }
-
     /// The paper's `Intersect`: common set bits on the consequence part
     /// **and** on the premise part.
     pub fn intersects(&self, other: &PatternKey) -> bool {
         self.consequence.intersects(&other.consequence) && self.premise.intersects(&other.premise)
-    }
-
-    /// The paper's `Difference(self, other)`: bits set in `self` but
-    /// not in `other`, summed over both parts.
-    pub fn difference(&self, other: &PatternKey) -> usize {
-        self.consequence.difference(&other.consequence) + self.premise.difference(&other.premise)
-    }
-
-    /// Heap bytes of the two bitmaps (Fig. 11a accounting).
-    #[inline]
-    pub fn storage_bytes(&self) -> usize {
-        self.consequence.storage_bytes() + self.premise.storage_bytes()
     }
 }
 
@@ -142,30 +111,22 @@ impl KeyTable {
     /// Panics when the pattern's consequence offset is not in the table
     /// (i.e. the table was built from a different pattern set).
     pub fn encode_pattern(&self, pattern: &TrajectoryPattern, regions: &RegionSet) -> PatternKey {
-        let premise = self.premise_key(pattern.premise.iter().copied());
         let t = pattern.consequence_offset(regions);
         let tid = self
             .time_id(t)
             .expect("pattern consequence offset missing from key table");
-        let mut consequence = Bitmap::zeros(self.consequence_count());
-        consequence.set(tid);
+        let mut premise = Bitmap::default();
+        self.premise_key_into(pattern.premise.iter().copied(), &mut premise);
         PatternKey {
-            consequence,
+            consequence: Bitmap::from_indices(self.consequence_count(), &[tid]),
             premise,
         }
     }
 
     /// ORs the region keys of the given regions into a premise key
-    /// (§V.A: premise key = `OR` of `2^id`).
-    pub fn premise_key(&self, regions: impl IntoIterator<Item = RegionId>) -> Bitmap {
-        let mut b = Bitmap::zeros(self.region_count);
-        self.premise_key_into(regions, &mut b);
-        b
-    }
-
-    /// [`premise_key`](KeyTable::premise_key) into a reusable bitmap:
-    /// resizes `out` to the premise length (recycling its storage) and
-    /// sets the region bits — no allocation once `out` has capacity.
+    /// (§V.A: premise key = `OR` of `2^id`): resizes `out` to the
+    /// premise length (recycling its storage) and sets the region bits
+    /// — no allocation once `out` has capacity.
     pub fn premise_key_into(&self, regions: impl IntoIterator<Item = RegionId>, out: &mut Bitmap) {
         out.reset(self.region_count);
         for id in regions {
@@ -174,17 +135,11 @@ impl KeyTable {
     }
 
     /// Consequence key with bits for every listed offset that exists in
-    /// the table; offsets no pattern predicts are skipped (the query
-    /// then simply cannot intersect on them).
-    pub fn consequence_key(&self, offsets: impl IntoIterator<Item = TimeOffset>) -> Bitmap {
-        let mut b = Bitmap::zeros(self.consequence_count());
-        self.consequence_key_into(offsets, &mut b);
-        b
-    }
-
-    /// [`consequence_key`](KeyTable::consequence_key) into a reusable
-    /// bitmap (see [`premise_key_into`](KeyTable::premise_key_into)).
-    pub fn consequence_key_into(
+    /// the table, into a reusable bitmap (as
+    /// [`premise_key_into`](KeyTable::premise_key_into)); offsets no
+    /// pattern predicts are skipped (the query then simply cannot
+    /// intersect on them).
+    fn consequence_key_into(
         &self,
         offsets: impl IntoIterator<Item = TimeOffset>,
         out: &mut Bitmap,
@@ -198,21 +153,9 @@ impl KeyTable {
     }
 
     /// FQP query key (§V.C): premise from the recently visited regions,
-    /// consequence bit at exactly the query's time offset.
-    pub fn fqp_query(
-        &self,
-        recent_regions: impl IntoIterator<Item = RegionId>,
-        query_offset: TimeOffset,
-    ) -> PatternKey {
-        PatternKey {
-            consequence: self.consequence_key([query_offset]),
-            premise: self.premise_key(recent_regions),
-        }
-    }
-
-    /// [`fqp_query`](KeyTable::fqp_query) into a reusable key: both
-    /// parts are reset in place, so a steady-state query loop encodes
-    /// without touching the heap.
+    /// consequence bit at exactly the query's time offset. Both parts
+    /// of `out` are reset in place, so a steady-state query loop
+    /// encodes without touching the heap.
     pub fn fqp_query_into(
         &self,
         recent_regions: impl IntoIterator<Item = RegionId>,
@@ -225,7 +168,7 @@ impl KeyTable {
 }
 
 #[cfg(test)]
-pub(crate) use tests::{fig3_patterns, fig3_regions};
+pub(crate) use tests::{fig3_patterns, fig3_regions, fqp_query};
 
 #[cfg(test)]
 mod tests {
@@ -270,6 +213,21 @@ mod tests {
         ]
     }
 
+    /// `t`'s FQP query key for the `recent` region ids at offset `tq`,
+    /// encoded into fresh scratch.
+    pub(crate) fn fqp_query(t: &KeyTable, recent: &[u32], tq: TimeOffset) -> PatternKey {
+        let mut q = PatternKey::default();
+        t.fqp_query_into(recent.iter().map(|&i| RegionId(i)), tq, &mut q);
+        q
+    }
+
+    /// `t`'s consequence key over `offsets`, encoded into fresh scratch.
+    fn consequence_key(t: &KeyTable, offsets: &[TimeOffset]) -> Bitmap {
+        let mut ck = Bitmap::default();
+        t.consequence_key_into(offsets.iter().copied(), &mut ck);
+        ck
+    }
+
     fn table() -> (RegionSet, Vec<TrajectoryPattern>, KeyTable) {
         let regions = fig3_regions();
         let patterns = fig3_patterns();
@@ -282,7 +240,8 @@ mod tests {
         // Region key of id i is bit i — the paper's hash 2^id.
         let (_, _, t) = table();
         assert_eq!(t.region_count(), 5);
-        let rk = t.premise_key([RegionId(2)]);
+        let mut rk = Bitmap::default();
+        t.premise_key_into([RegionId(2)], &mut rk);
         assert_eq!(format!("{rk:?}"), "00100");
     }
 
@@ -294,8 +253,8 @@ mod tests {
         assert_eq!(t.time_id(1), Some(0));
         assert_eq!(t.time_id(2), Some(1));
         assert_eq!(t.time_id(0), None);
-        assert_eq!(format!("{:?}", t.consequence_key([1])), "01");
-        assert_eq!(format!("{:?}", t.consequence_key([2])), "10");
+        assert_eq!(format!("{:?}", consequence_key(&t, &[1])), "01");
+        assert_eq!(format!("{:?}", consequence_key(&t, &[2])), "10");
     }
 
     #[test]
@@ -312,47 +271,43 @@ mod tests {
     fn fqp_query_key_of_section_vi() {
         // §VI.B: recent movements R0^0, R1^0 and tq = 2 -> 1000011.
         let (_, _, t) = table();
-        let q = t.fqp_query([RegionId(0), RegionId(1)], 2);
+        let q = fqp_query(&t, &[0, 1], 2);
         assert_eq!(format!("{q:?}"), "1000011");
     }
 
     #[test]
     fn key_operations_follow_paper() {
         let (regions, patterns, t) = table();
-        let q = t.fqp_query([RegionId(0), RegionId(1)], 2);
+        let q = fqp_query(&t, &[0, 1], 2);
         let pk2 = t.encode_pattern(&patterns[2], &regions); // 1000011
         let pk3 = t.encode_pattern(&patterns[3], &regions); // 1000101
         let pk0 = t.encode_pattern(&patterns[0], &regions); // 0100001
         assert!(pk2.intersects(&q));
         assert!(pk3.intersects(&q)); // shares R0^0 and the tq=2 bit
         assert!(!pk0.intersects(&q)); // consequence offset 1 != 2
-        assert!(pk2.contains(&q) && q.contains(&pk2));
-        assert_eq!(pk3.difference(&q), 1); // bit of R1^1
-        assert_eq!(q.difference(&pk3), 1); // bit of R1^0
-        assert_eq!(pk2.size(), 3);
     }
 
     #[test]
-    fn into_variants_match_allocating_ones() {
+    fn into_variants_reset_wrong_sized_scratch() {
         let (_, _, t) = table();
-        // Start from deliberately wrong-sized scratch: reset must fix
-        // the geometry.
+        // Start from deliberately wrong-sized, dirty scratch: reset
+        // must fix the geometry and clear the old bits.
         let mut key = PatternKey::zeros(40, 3);
+        key.premise.set(2);
         t.fqp_query_into([RegionId(0), RegionId(1)], 2, &mut key);
-        assert_eq!(key, t.fqp_query([RegionId(0), RegionId(1)], 2));
-        let mut rk = Bitmap::zeros(1);
+        assert_eq!(key, fqp_query(&t, &[0, 1], 2));
+        let mut rk = Bitmap::from_indices(70, &[0, 69]);
         t.premise_key_into([RegionId(4)], &mut rk);
-        assert_eq!(rk, t.premise_key([RegionId(4)]));
+        assert_eq!(rk, Bitmap::from_indices(5, &[4]));
         let mut ck = Bitmap::zeros(9);
         t.consequence_key_into([1, 2, 7], &mut ck);
-        assert_eq!(ck, t.consequence_key([1, 2, 7]));
+        assert_eq!(ck, Bitmap::from_indices(2, &[0, 1]));
     }
 
     #[test]
     fn unknown_offsets_skipped() {
         let (_, _, t) = table();
-        let ck = t.consequence_key([0, 7, 99]);
-        assert!(ck.is_zero());
+        assert!(consequence_key(&t, &[0, 7, 99]).is_zero());
     }
 
     #[test]
@@ -369,7 +324,6 @@ mod tests {
         let regions = fig3_regions();
         let t = KeyTable::build(&regions, []);
         assert_eq!(t.consequence_count(), 0);
-        let q = t.fqp_query([RegionId(0)], 1);
-        assert!(q.consequence.is_zero());
+        assert!(fqp_query(&t, &[0], 1).consequence.is_zero());
     }
 }

@@ -1,5 +1,9 @@
 //! Trajectory Pattern Tree (§V of the paper): signature bitmaps,
 //! pattern keys, the TPT index, and a brute-force scan baseline.
+//! §V.A's key operations appear as far as the index uses them:
+//! `Intersect`, the OR of a signature and `Size`; `Contain` and
+//! `Difference` drive only Algorithm 1's insertion, and nothing here
+//! inserts.
 //!
 //! Mined trajectory patterns are encoded into [`PatternKey`]s — a
 //! consequence-key bitmap over the distinct consequence time offsets
@@ -17,14 +21,14 @@
 //! `LeafEntries` the image was loaded from, or the pattern store,
 //! which derives the key from its row ([`PackedTpt::with_leaves`]
 //! pairs the two into a [`TptView`]). Forward queries encode to keys
-//! too ([`KeyTable::fqp_query`]) and retrieve, via a depth-first
+//! too ([`KeyTable::fqp_query_into`]) and retrieve, via a depth-first
 //! `Intersect`-pruned traversal of the image, the id of every pattern
 //! sharing consequence *and* premise bits with the query; the rule
 //! itself, confidence included, is read through that id from the
 //! pattern store. Backward queries drop the premise constraint, so they
 //! need no signature tree: `hpm-core` answers them from the pattern
-//! table alone. [`BruteForce`] answers the same searches by a linear
-//! scan (Fig. 11b's baseline, and the test oracle).
+//! table alone. [`scan`] answers the same searches by a linear pass over
+//! the keys (Fig. 11b's baseline, and the test oracle).
 //!
 //! # Example
 //!
@@ -58,7 +62,7 @@ mod keys;
 pub mod metrics;
 mod packed;
 
-pub use bitmap::{Bitmap, INLINE_WORDS};
-pub use brute::BruteForce;
+pub use bitmap::Bitmap;
+pub use brute::scan;
 pub use keys::{KeyTable, PatternKey};
 pub use packed::{LeafEntries, LeafKeys, PackedTpt, SearchCursor, SearchStats, TptView};

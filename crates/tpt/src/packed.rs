@@ -18,8 +18,8 @@
 //! whose key intersects the query key on both the consequence and the
 //! premise part. The image is a pure function of `(fanout, entries)`;
 //! the property suite in `tests/props.rs` holds it structurally valid
-//! and equal to the brute-force scan on every result set over
-//! generated key sets, and a parent-written fixture pins its bytes.
+//! and equal to the brute-force [`scan`](crate::scan) on every result
+//! set over generated key sets, and a fixture pins its bytes.
 
 use crate::PatternKey;
 
@@ -135,7 +135,8 @@ pub trait LeafKeys {
 /// bits ([`push`](Self::push)): what [`PackedTpt::bulk_load`] sorts
 /// and packs, and the [`LeafKeys`] source of callers that hold no
 /// pattern store. Keys held as [`PatternKey`]s collect into one, their
-/// words copied as they are ([`FromIterator`]).
+/// words copied as they are ([`FromIterator`]; ids are positions, as in
+/// [`scan`](crate::scan)).
 #[derive(Debug, Clone, Default)]
 pub struct LeafEntries {
     cons_bits: usize,
@@ -198,13 +199,13 @@ fn set_bits(words: &mut [u64], len: usize, bits: impl IntoIterator<Item = usize>
     }
 }
 
-impl FromIterator<PatternKey> for LeafEntries {
+impl<'a> FromIterator<&'a PatternKey> for LeafEntries {
     /// Copies held keys' words out, geometry from the first.
     ///
     /// # Panics
     /// Panics when two keys differ in either part's bit length (all
     /// keys of one image come from one [`KeyTable`](crate::KeyTable)).
-    fn from_iter<I: IntoIterator<Item = PatternKey>>(keys: I) -> Self {
+    fn from_iter<I: IntoIterator<Item = &'a PatternKey>>(keys: I) -> Self {
         let mut leaves = LeafEntries::default();
         for key in keys {
             let lengths = (key.consequence.len(), key.premise.len());
@@ -501,30 +502,20 @@ impl<L> std::ops::Deref for TptView<'_, L> {
 
 impl<L: LeafKeys> TptView<'_, L> {
     /// The pattern id `p` of every leaf entry matching `query` (order
-    /// unspecified), in a fresh vector.
+    /// unspecified), in a fresh vector; the hot path, and a caller that
+    /// wants the [`SearchStats`], use [`SearchCursor::search_packed`].
     pub fn search(&self, query: &PatternKey) -> Vec<u32> {
-        self.search_with_stats(query).0
-    }
-
-    /// Appends the pattern id of every match of `query` to `out` (order
-    /// unspecified).
-    pub fn search_into(&self, query: &PatternKey, out: &mut Vec<u32>) {
-        self.search_impl(query, out);
-    }
-
-    /// Searches with instrumentation (allocates the match vector; the
-    /// hot path uses [`SearchCursor::search_packed`]).
-    pub fn search_with_stats(&self, query: &PatternKey) -> (Vec<u32>, SearchStats) {
         let mut out = Vec::new();
-        let stats = self.search_impl(query, &mut out);
-        (out, stats)
+        self.search_impl(query, &mut out);
+        out
     }
 
-    /// One search under the `tpt.search` span: appends the matches to
-    /// `out`, publishes the stats to the counters and returns them.
+    /// One search under the `tpt.search` span: pushes the matches to
+    /// the empty `out`, publishes the stats to the counters and returns
+    /// them.
     fn search_impl(&self, query: &PatternKey, out: &mut Vec<u32>) -> SearchStats {
         let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
-        let (before, mut stats) = (out.len(), SearchStats::default());
+        let mut stats = SearchStats::default();
         if !self.image.nodes.is_empty() {
             // Same contract as `Bitmap::intersects`: searching a
             // non-empty index with a foreign-geometry key is a logic
@@ -535,7 +526,7 @@ impl<L: LeafKeys> TptView<'_, L> {
             let (cq, pq) = (query.consequence.words(), query.premise.words());
             self.dfs(0, cq, pq, &self.leaves.resolve(cq, pq), out, &mut stats);
         }
-        crate::metrics::record_search(&stats, out.len() - before);
+        crate::metrics::record_search(&stats, out.len());
         stats
     }
 
@@ -624,9 +615,8 @@ impl SearchCursor {
 mod tests {
     use super::*;
     use crate::bitmap::ones;
-    use crate::keys::{fig3_patterns, fig3_regions};
+    use crate::keys::{fig3_patterns, fig3_regions, fqp_query};
     use crate::{Bitmap, KeyTable};
-    use hpm_patterns::RegionId;
     use hpm_rand::{Rng, SmallRng};
 
     /// Fig. 3's four patterns at fanout 4 (two leaves under one root),
@@ -634,9 +624,10 @@ mod tests {
     fn fig3() -> (KeyTable, LeafEntries, PackedTpt) {
         let (patterns, regions) = (fig3_patterns(), fig3_regions());
         let table = KeyTable::build(&regions, patterns.iter().map(|p| p.consequence));
-        let leaves: LeafEntries = (patterns.iter())
+        let keys: Vec<PatternKey> = (patterns.iter())
             .map(|p| table.encode_pattern(p, &regions))
             .collect();
+        let leaves: LeafEntries = keys.iter().collect();
         let packed = PackedTpt::bulk_load(4, &leaves);
         packed.validate(4, &leaves).unwrap();
         (table, leaves, packed)
@@ -658,7 +649,7 @@ mod tests {
 
     /// [`synth_keys`] as leaf entries.
     fn synth_leaves(n: usize, ck_len: usize, rk_len: usize) -> LeafEntries {
-        synth_keys(n, ck_len, rk_len).into_iter().collect()
+        synth_keys(n, ck_len, rk_len).iter().collect()
     }
 
     /// Sorted pattern ids the tree returns for `q`.
@@ -673,7 +664,7 @@ mod tests {
         // §VI.B's worked example: query 1000011 matches P2 and P3.
         let (table, leaves, packed) = fig3();
         assert_eq!((packed.height(), packed.node_count()), (2, 3));
-        let q = table.fqp_query([RegionId(0), RegionId(1)], 2);
+        let q = fqp_query(&table, &[0, 1], 2);
         assert_eq!(ids(packed.with_leaves(&leaves), &q), vec![2, 3]);
     }
 
@@ -681,7 +672,7 @@ mod tests {
     fn non_matching_consequence_prunes() {
         let (table, leaves, packed) = fig3();
         // tq = 1 matches P0 and P1 only (consequence offset 1).
-        let q = table.fqp_query([RegionId(0)], 1);
+        let q = fqp_query(&table, &[0], 1);
         assert_eq!(ids(packed.with_leaves(&leaves), &q), vec![0, 1]);
     }
 
@@ -719,9 +710,8 @@ mod tests {
             consequence: ones(2),
             premise: ones(5),
         };
-        let nothing = (Vec::new(), SearchStats::default());
         let tpt = packed.with_leaves(&leaves);
-        assert_eq!(tpt.search_with_stats(&q), nothing);
+        assert!(tpt.search(&q).is_empty());
         let mut cursor = SearchCursor::new();
         assert!(cursor.search_packed(tpt, &q).is_empty());
         assert_eq!(cursor.stats(), SearchStats::default());
@@ -742,7 +732,7 @@ mod tests {
             consequence: ones(4),
             premise: ones(prem_bits),
         };
-        let _: LeafEntries = [key(10), key(200)].into_iter().collect();
+        let _: LeafEntries = [key(10), key(200)].iter().collect();
     }
 
     #[test]
@@ -762,7 +752,9 @@ mod tests {
         let leaves = synth_leaves(2000, 16, 200);
         let packed = PackedTpt::bulk_load(32, &leaves);
         let q = &synth_keys(1, 16, 200)[0];
-        let (_, stats) = packed.with_leaves(&leaves).search_with_stats(q);
+        let mut cursor = SearchCursor::new();
+        cursor.search_packed(packed.with_leaves(&leaves), q);
+        let stats = cursor.stats();
         assert!(stats.nodes_visited >= 1);
         assert!(stats.entries_checked < 2000, "{stats:?}");
     }
@@ -821,17 +813,18 @@ mod tests {
         let tpt = packed.with_leaves(&leaves);
         let mut cursor = SearchCursor::new();
         let queries = [
-            table.fqp_query([RegionId(0), RegionId(1)], 2),
+            fqp_query(&table, &[0, 1], 2),
             PatternKey {
-                consequence: table.consequence_key(1..=2),
+                consequence: ones(table.consequence_count()),
                 premise: ones(5),
             },
-            table.fqp_query([RegionId(4)], 0),
+            fqp_query(&table, &[4], 0),
         ];
         for q in &queries {
-            let (fresh_matches, fresh_stats) = tpt.search_with_stats(q);
-            assert_eq!(cursor.search_packed(tpt, q), &fresh_matches[..]);
-            assert_eq!(cursor.stats(), fresh_stats, "stats accumulated");
+            let mut fresh = SearchCursor::new();
+            fresh.search_packed(tpt, q);
+            assert_eq!(cursor.search_packed(tpt, q), fresh.matches());
+            assert_eq!(cursor.stats(), fresh.stats(), "stats accumulated");
         }
         // Same query twice through one cursor: identical stats, not 2x.
         cursor.search_packed(tpt, &queries[0]);
@@ -842,18 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn search_into_appends() {
-        let (table, leaves, packed) = fig3();
-        let tpt = packed.with_leaves(&leaves);
-        let q = table.fqp_query([RegionId(0)], 1);
-        let mut out = vec![99];
-        tpt.search_into(&q, &mut out);
-        assert_eq!(out[0], 99);
-        assert_eq!(out[1..], tpt.search(&q)[..]);
-        assert_eq!(out.len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn foreign_geometry_panics() {
         let (_, leaves, packed) = fig3();
@@ -861,6 +842,6 @@ mod tests {
             consequence: ones(3), // table has 2 time ids
             premise: ones(5),
         };
-        packed.with_leaves(&leaves).search_with_stats(&q);
+        packed.with_leaves(&leaves).search(&q);
     }
 }
