@@ -265,7 +265,7 @@ const TRAINED_METHODOLOGY: &str = "a live MovingObjectStore of forked commuters 
     TrainerState seeded beside each object over the same path (TrainerState::mem_shares, each \
     part with its inline size; their fleet total is asserted equal to the store's trainer share); predictor_bytes_per_rule is the predictor share over the rules \
     it indexes — regions, pattern table, key table, packed TPT image (internal signatures \
-    and leaf pattern ids; leaf keys are read from the pattern table) and weight table \
+    only; its leaves are the pattern table's rows, stored in key order) and weight table \
     together. Capacity-based MemUse figures, held to the allocator's live bytes within 20% by \
     objectstore/tests/mem_growth.rs";
 
@@ -401,12 +401,13 @@ const MEMSMOKE_BUDGET_BYTES_PER_OBJECT: usize = 12 * 1024;
 
 /// Committed predictor-bytes-per-rule budget for the same smoke: a
 /// trained forked commuter's whole predictor share over the rules it
-/// indexes. Measured 36.4 B/rule on the committed 256-object row
-/// (pattern table ~26, image ~5, regions ~4); 48 leaves 32% headroom
-/// but does not fit a second resident copy of the rules' keys (leaf
-/// signature words in the image are +16 B/rule, a pattern-key side
-/// array +80).
-const MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE: f64 = 48.0;
+/// indexes. Measured 31.7 B/rule on the committed 256-object row
+/// (pattern table ~26, regions ~4, the image most of the rest: its
+/// leaves are the table's rows); 34.9 is 10% headroom, so neither a
+/// leaf id arena back in the image (+4 B/rule) nor a second resident
+/// copy of the rules' keys (leaf signature words are +16 B/rule, a
+/// pattern-key side array +80) fits.
+const MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE: f64 = 34.9;
 
 /// Committed trainer-bytes-per-object budget for the same smoke: the
 /// same commuters' trainer share. Measured 31,162 B/object on the

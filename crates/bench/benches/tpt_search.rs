@@ -146,11 +146,11 @@ fn fig11_sweep(bench: &Bench, patterns_n: usize, n_queries: usize, reps: usize, 
     }
     let methodology = format!(
         "single thread; the packed TPT image (bulk load) and the brute-force scan cover \
-         identical keys; the image keeps internal signatures and leaf pattern ids, and its \
-         search reads each leaf key through the id from the LeafEntries it was loaded from \
-         (keys in pattern-id order, so a leaf node's keys are not adjacent); the scan \
-         (hpm_tpt::scan) tests Intersect against every PatternKey in id order, each key's \
-         two parts in heap-allocated words of their own; per scale the full query set runs once untimed asserting the \
+         identical keys; the image keeps internal signatures only, and its leaves are runs of \
+         adjacent rows of the LeafEntries it was loaded from (keys in key order, as a \
+         predictor stores its rows); the scan (hpm_tpt::scan) tests Intersect against \
+         every PatternKey in row order, each key's two parts in heap-allocated words of \
+         their own; per scale the full query set runs once untimed asserting the \
          packed result set equal to the scan's and aggregating SearchStats, then each index \
          is timed as best-of-{reps} wall-clock passes over the set after one warmup pass; \
          ns/query = best pass / query count; speedup = brute / packed; false-hit rate = \

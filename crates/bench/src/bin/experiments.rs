@@ -350,8 +350,8 @@ fn fig11() -> std::io::Result<()> {
     for regions in [80usize, 400, 800] {
         for &n in &sizes {
             let (_, _, keys) = synthetic_index(n, regions, 11);
-            // What a pattern table holds of a key, read through a leaf's
-            // id: the premise ids, their end offset, the consequence id.
+            // What a pattern table holds of a key, read from a leaf's
+            // row: the premise ids, their end offset, the consequence id.
             let ids: usize = keys.iter().map(|k| k.premise.count_ones() + 2).sum();
             let leaves: LeafEntries = keys.iter().collect();
             let tpt = PackedTpt::bulk_load(TPT_FANOUT, &leaves);

@@ -142,9 +142,10 @@ pub fn synthetic_patterns(
 }
 
 /// [`synthetic_patterns`] as index input: the key table that encodes
-/// the set, the region count, and each pattern's key at its position
-/// (the position is the pattern id) — what a `LeafEntries` for
-/// `PackedTpt::bulk_load` collects and `hpm_tpt::scan` reads.
+/// the set, the region count, and the patterns' keys in key order, as
+/// a predictor stores its rows (the position is the row id) — what a
+/// `LeafEntries` for `PackedTpt::bulk_load` collects and
+/// `hpm_tpt::scan` reads.
 pub fn synthetic_index(
     num_patterns: usize,
     num_regions: usize,
@@ -152,9 +153,10 @@ pub fn synthetic_index(
 ) -> (KeyTable, usize, Vec<PatternKey>) {
     let (set, patterns) = synthetic_patterns(num_patterns, num_regions, seed);
     let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
-    let keys = patterns
+    let rows = hpm_patterns::PatternTable::from(patterns).into_key_order(&set);
+    let keys = rows
         .iter()
-        .map(|p| table.encode_pattern(p, &set))
+        .map(|p| table.encode_pattern(&p, &set))
         .collect();
     (table, set.len(), keys)
 }

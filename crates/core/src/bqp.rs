@@ -9,12 +9,12 @@
 //! point the motion function takes over.
 //!
 //! With no premise constraint there is nothing for the TPT's premise
-//! signatures to prune, so each round filters the pattern table's
-//! consequence column instead: region ids are offset-sorted (§V.A,
-//! Property 1), so the round's arc of offsets is one run of region
-//! ids, or two when it wraps past offset 0. Every premise is
-//! non-empty, so the candidates are exactly the patterns a TPT search
-//! with an all-ones premise key would return.
+//! signatures to prune, so each round reads the pattern table instead:
+//! the rows are in key order, consequence offset first, so the round's
+//! arc of offsets is one run of rows, or two when it wraps past offset
+//! 0, each found by binary search on the consequence column. Every
+//! premise is non-empty, so the candidates are exactly the patterns a
+//! TPT search with an all-ones premise key would return.
 //!
 //! Candidates are ranked by Eq. 5,
 //! `S_p = (S_r · d/(tq − tc) + S_c) · c`: the premise similarity is
@@ -25,7 +25,7 @@
 use crate::predictor::{rank_answers_into, HybridPredictor};
 use crate::scratch::SearchScratch;
 use crate::{consequence_similarity, premise_similarity_ids, Prediction, PredictiveQuery};
-use hpm_patterns::{RegionId, RegionSet};
+use hpm_patterns::RegionId;
 use hpm_tpt::Bitmap;
 use hpm_trajectory::TimeOffset;
 use std::ops::Range;
@@ -65,14 +65,10 @@ pub(crate) fn run(
         let hi = length + i * t_eps;
         let start = ((tc_offset + lo) % period) as TimeOffset;
         let len = (hi - lo + 1).min(period) as TimeOffset;
-        let [a, b] = arc_ids(&predictor.regions, start, len);
+        let [a, b] = arc_rows(predictor, start, len);
         if !(a.is_empty() && b.is_empty()) {
-            let candidates = (0u32..)
-                .zip(predictor.patterns.consequences())
-                .filter(|(_, c)| a.contains(&c.0) || b.contains(&c.0))
-                .map(|(id, _)| id);
             scored.clear();
-            score_into(predictor, candidates, rkq, length, tq_offset, scored);
+            score_into(predictor, a.chain(b), rkq, length, tq_offset, scored);
             if !scored.is_empty() {
                 hpm_obs::histogram!(crate::metrics::BQP_CANDIDATES).record(scored.len() as u64);
                 hpm_obs::counter!(crate::metrics::BQP_WIDENINGS).add(i - 1);
@@ -96,18 +92,17 @@ pub(crate) fn run(
     }
 }
 
-/// The ids of the regions at the `len ≤ T` offsets from `start` round
-/// the period circle: one run, plus a second when the arc wraps past
-/// offset 0 (else `0..0`).
-fn arc_ids(regions: &RegionSet, start: TimeOffset, len: TimeOffset) -> [Range<u32>; 2] {
-    let period = regions.period();
-    if start + len <= period {
-        [regions.id_range(start..start + len), 0..0]
-    } else {
-        [
-            regions.id_range(start..period),
-            regions.id_range(0..start + len - period),
-        ]
+/// The rows whose consequence lies at the `len ≤ T` offsets from
+/// `start` round the period circle: one run, plus a second when the
+/// arc wraps past offset 0 (else `0..0`). Rows are sorted by
+/// consequence offset, so a run of offsets is a run of rows.
+fn arc_rows(predictor: &HybridPredictor, start: TimeOffset, len: TimeOffset) -> [Range<u32>; 2] {
+    let (regions, consequences) = (&predictor.regions, predictor.patterns.consequences());
+    let before = |t| consequences.partition_point(|&c| regions.get(c).offset < t) as u32;
+    let (end, period) = (start + len, predictor.period);
+    match end <= period {
+        true => [before(start)..before(end), 0..0],
+        false => [before(start)..before(period), 0..before(end - period)],
     }
 }
 
@@ -150,7 +145,7 @@ mod tests {
     use crate::test_fixtures::{fig3_predictor_d1, fig3_query_recent};
     use crate::{HpmConfig, Prediction, PredictionSource};
     use hpm_geo::{BoundingBox, Point};
-    use hpm_patterns::{FrequentRegion, TrajectoryPattern};
+    use hpm_patterns::{FrequentRegion, RegionSet, TrajectoryPattern};
 
     fn ask(p: &HybridPredictor, tc: u64, tq: u64) -> Prediction {
         let (recent, _) = fig3_query_recent();
@@ -252,22 +247,23 @@ mod tests {
 
     #[test]
     fn wrapped_arcs_cover_both_runs() {
+        // Row 0 predicts R1 (offset 1), row 1 R2 (offset 9).
         let p = wrap_predictor(1);
-        let ids = |start, len| {
-            let [a, b] = arc_ids(&p.regions, start, len);
+        let rows = |start, len| {
+            let [a, b] = arc_rows(&p, start, len);
             a.chain(b).collect::<Vec<_>>()
         };
-        // Offsets {9, 0, 1} wrap past 0 and hold every region: the
+        // Offsets {9, 0, 1} wrap past 0 and hold both consequences: the
         // offsets outside the arc hold none.
-        assert_eq!(ids(9, 3), [2, 0, 1]);
-        assert_eq!(ids(2, 7), []);
-        assert_eq!(ids(8, 2), [2]);
-        assert_eq!(ids(1, 1), [1]);
-        // A full-period arc covers every region once, from any start.
+        assert_eq!(rows(9, 3), [1, 0]);
+        assert_eq!(rows(2, 7), []);
+        assert_eq!(rows(8, 2), [1]);
+        assert_eq!(rows(1, 1), [0]);
+        // A full-period arc covers every row once, from any start.
         for start in 0..10 {
-            let mut all = ids(start, 10);
+            let mut all = rows(start, 10);
             all.sort_unstable();
-            assert_eq!(all, [0, 1, 2], "start {start}");
+            assert_eq!(all, [0, 1], "start {start}");
         }
     }
 

@@ -16,7 +16,7 @@ use crate::{
 use hpm_geo::{BoundingBox, Point};
 use hpm_motion::{LinearMotion, MotionModel, Rmf};
 use hpm_patterns::{DiscoveryParams, MiningParams, PatternTable, RegionId, RegionSet};
-use hpm_tpt::{KeyTable, LeafEntries, LeafKeys, PackedTpt, TptView};
+use hpm_tpt::{KeyTable, LeafKeys, PackedTpt, TptView};
 use hpm_trajectory::{TimeOffset, Timestamp, Trajectory};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -26,40 +26,23 @@ use std::ops::Range;
 /// trajectory patterns, their TPT index, and the query processors.
 ///
 /// Each rule is held once: as a row of `patterns`, what a query is
-/// matched against (its key, §V.A, read through the row as a
-/// [`LeafKeys`] source), scored and answered from, its confidence
-/// included. A leaf entry of `packed` is the row's id alone.
+/// matched against (its key, §V.A, read from the row as a [`LeafKeys`]
+/// source), scored and answered from, its confidence included. The
+/// rows are stored in key order and are `packed`'s leaf level: leaf `j`
+/// is rows `[j·fill, (j+1)·fill)`.
 #[derive(Debug, Clone)]
 pub struct HybridPredictor {
     pub(crate) regions: RegionSet,
     pub(crate) patterns: PatternTable,
     pub(crate) key_table: KeyTable,
     /// The index: the arena-packed TPT image of the patterns' keys,
-    /// built by `build_image` and never mutated; its leaves are row ids.
+    /// bulk-loaded over the rows, its leaves, and never mutated.
     pub(crate) packed: PackedTpt,
     /// Precomputed Eq. 1 weight rows for every premise length among
     /// `patterns` (keyed to `config.weight_fn`).
     pub(crate) weight_table: WeightTable,
     pub(crate) config: HpmConfig,
     pub(crate) period: u32,
-}
-
-/// Builds the predictor's index: writes every pattern's key straight
-/// into leaf signature words — its premise's region bits and its
-/// consequence offset's time-id bit — and bulk-loads them (§V.B) into
-/// the packed image, which keeps the row ids; the words are dropped.
-fn build_image(regions: &RegionSet, patterns: &PatternTable, key_table: &KeyTable) -> PackedTpt {
-    let (cons_bits, prem_bits) = (key_table.consequence_count(), key_table.region_count());
-    // The consequence bit of every region, looked up once.
-    let time_ids: Vec<Option<usize>> = (regions.all().iter())
-        .map(|r| key_table.time_id(r.offset))
-        .collect();
-    let mut leaves = LeafEntries::with_capacity(cons_bits, prem_bits, patterns.len());
-    for i in 0..patterns.len() {
-        let time_id = time_ids[patterns.consequence(i).index()];
-        leaves.push(time_id, patterns.premise(i).iter().map(|r| r.index()));
-    }
-    PackedTpt::bulk_load(TPT_FANOUT, &leaves)
 }
 
 /// Whether bit `i` is set in `words`.
@@ -75,6 +58,11 @@ impl LeafKeys for &HybridPredictor {
     /// a time id between those unset (the run then also covers that
     /// offset's regions); and its premise words.
     type Query<'q> = (Range<u32>, Option<&'q [u64]>, &'q [u64]);
+
+    fn shape(&self) -> (usize, usize, usize) {
+        let (rows, keys) = (self.patterns.len(), &self.key_table);
+        (rows, keys.consequence_count(), keys.region_count())
+    }
 
     fn resolve<'q>(&self, consequence: &'q [u64], premise: &'q [u64]) -> Self::Query<'q> {
         let set = |w: &u64| *w != 0;
@@ -93,7 +81,7 @@ impl LeafKeys for &HybridPredictor {
         (ids, gaps, premise)
     }
 
-    /// Row `p`'s key without its words — the bits `build_image` sets:
+    /// Row `p`'s key without its words — the bits `or_into` sets:
     /// the consequence region lies in the query's run (and, across a
     /// gap, its time-id bit is set), and some premise region's bit is
     /// set in the query's premise. Only the row's consequence and
@@ -151,7 +139,10 @@ impl HybridPredictor {
     /// Assembles a predictor from already-discovered regions and
     /// patterns (custom pipelines, persisted pattern sets) — a
     /// [`PatternTable`] (what [`mine`](hpm_patterns::mine) returns) or
-    /// anything that converts into one, such as a `Vec` of rules.
+    /// anything that converts into one, such as a `Vec` of rules. The
+    /// rows are stored in [key order](PatternTable::into_key_order),
+    /// whatever order they come in, so pattern ids, the image and every
+    /// answer are a function of the rule set alone.
     ///
     /// # Panics
     /// Panics when `config` is inconsistent or any pattern fails
@@ -166,19 +157,23 @@ impl HybridPredictor {
         if let Err(e) = patterns.validate(&regions) {
             panic!("{e}");
         }
+        let patterns = patterns.into_key_order(&regions);
         let key_table = KeyTable::build(&regions, patterns.consequences().iter().copied());
-        let period = regions.period();
-        let packed = build_image(&regions, &patterns, &key_table);
         let weight_table = WeightTable::build(config.weight_fn, patterns.max_premise_len());
-        HybridPredictor {
+        let mut predictor = HybridPredictor {
+            period: regions.period(),
             regions,
             patterns,
             key_table,
-            packed,
+            packed: PackedTpt::default(),
             weight_table,
             config,
-            period,
-        }
+        };
+        // The rows are the leaves (§V.B): each row's key — its premise's
+        // region bits and its consequence offset's time-id bit — is
+        // read once, to pack the level above them.
+        predictor.packed = PackedTpt::bulk_load(TPT_FANOUT, &predictor);
+        predictor
     }
 
     /// Returns the same pattern store under a different query-time
@@ -205,7 +200,8 @@ impl HybridPredictor {
         &self.regions
     }
 
-    /// The indexed trajectory patterns; row `i` is pattern id `i`.
+    /// The indexed trajectory patterns, in key order; row `i` is
+    /// pattern id `i`.
     #[inline]
     pub fn patterns(&self) -> &PatternTable {
         &self.patterns
@@ -483,10 +479,11 @@ impl FittedMotion {
     }
 }
 
-/// Ranks pattern candidates by score (descending, pattern id as the
-/// deterministic tiebreak) and materialises consequence-centre answers
-/// for the top `k` *distinct consequence regions*. Shared by FQP and
-/// BQP.
+/// Ranks pattern candidates by score (descending; equal scores by the
+/// rule — premise length, premise ids, consequence id, the order
+/// `SupportCounts::derive` emits rules in — then by pattern id) and
+/// materialises consequence-centre answers for the top `k` *distinct
+/// consequence regions*. Shared by FQP and BQP.
 ///
 /// Many patterns can share one consequence (Table III's duplicate
 /// keys); returning the same centre `k` times would waste the caller's
@@ -511,26 +508,40 @@ pub(crate) fn rank_answers_into(
     scored.sort_unstable_by_key(|&(id, s)| (Reverse(s.to_bits()), id));
     seen.clear();
     out.clear();
-    for &(pattern, score) in scored.iter() {
-        let consequence = predictor.patterns.consequence(pattern as usize);
-        if seen.contains(&consequence) {
-            continue;
-        }
-        seen.push(consequence);
-        let region = predictor.regions.get(consequence);
-        out.push(RankedAnswer {
-            location: region.centroid,
-            score,
-            pattern: Some(pattern),
-            // Mass is normalised over the emitted set below, once the
-            // total of the surviving scores is known.
-            uncertainty: Uncertainty {
-                region: region.bbox,
-                mass: 0.0,
-            },
-        });
-        if out.len() == k {
-            break;
+    // Within a run of equal scores, answers go in the order of their
+    // rules — premise length, premise ids, consequence id — each the
+    // first, by rule, of the run's candidates whose consequence no
+    // answer has yet: rows are read for the runs an answer comes from
+    // only.
+    let cons = |id: u32| predictor.patterns.consequence(id as usize);
+    let rule = |id: u32| {
+        let premise = predictor.patterns.premise(id as usize);
+        (premise.len(), premise, cons(id))
+    };
+    let by_rule = |a: &&(u32, f64), b: &&(u32, f64)| rule(a.0).cmp(&rule(b.0));
+    'runs: for run in scored.chunk_by(|a, b| a.1.to_bits() == b.1.to_bits()) {
+        loop {
+            let fresh = |c: &&(u32, f64)| !seen.contains(&cons(c.0));
+            let Some(&(pattern, score)) = run.iter().filter(fresh).min_by(by_rule) else {
+                break;
+            };
+            let consequence = cons(pattern);
+            seen.push(consequence);
+            let region = predictor.regions.get(consequence);
+            out.push(RankedAnswer {
+                location: region.centroid,
+                score,
+                pattern: Some(pattern),
+                // Mass is normalised over the emitted set below, once
+                // the total of the surviving scores is known.
+                uncertainty: Uncertainty {
+                    region: region.bbox,
+                    mass: 0.0,
+                },
+            });
+            if out.len() == k {
+                break 'runs;
+            }
         }
     }
     // Normalise the ranked scores into probability masses: each

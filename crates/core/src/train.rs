@@ -249,7 +249,9 @@ impl HybridPredictor {
         patterns: impl Into<PatternTable>,
     ) -> (HybridPredictor, UpdateTier) {
         let _span = hpm_obs::span!(crate::metrics::APPLY_UPDATE_SPAN);
-        let patterns = patterns.into();
+        // In the order `from_parts` stores, so the rule lists compare
+        // row by row.
+        let patterns = patterns.into().into_key_order(&regions);
         let same_keys = regions.len() == self.regions.len()
             && regions.period() == self.period
             && patterns.same_rules(&self.patterns)

@@ -8,6 +8,7 @@ use hpm_core::{
 };
 use hpm_geo::{BoundingBox, Point};
 use hpm_patterns::{FrequentRegion, RegionId, RegionSet, TrajectoryPattern};
+use hpm_rand::{Rng, SmallRng};
 use hpm_tpt::{
     Bitmap, KeyTable, LeafEntries, LeafKeys, PackedTpt, PatternKey, SearchCursor, SearchStats,
     TptView,
@@ -209,19 +210,20 @@ props! {
     /// `from_parts` writes every rule's signature words straight into
     /// the index; past 64 regions and 64 consequence offsets — across
     /// the word boundary of both key parts — its image is the one a bulk
-    /// load of the rules' `KeyTable`-encoded pattern keys builds, every
-    /// bottom internal entry is the OR of the row keys beneath it, each
-    /// row reads back its encoded key, and a search reading the rows
-    /// finds what one reading the encoded keys finds, in the same order
-    /// with the same stats — for a row's own key, and for the union of
-    /// two rows' keys, whose consequence bits may leave time ids unset
-    /// between them.
+    /// load of the rules' `KeyTable`-encoded pattern keys, sorted, builds
+    /// (the table's key order is the keys' `Ord`), every bottom internal
+    /// entry is the OR of the row keys beneath it, each row reads back
+    /// its encoded key, and a search reading the rows finds what one
+    /// reading the encoded keys finds, in the same order with the same
+    /// stats — for a row's own key, and for the union of two rows' keys,
+    /// whose consequence bits may leave time ids unset between them.
     fn image_equals_a_load_of_encoded_keys(world in arb_wide_world()) {
         let (set, patterns) = world;
         let table = KeyTable::build(&set, patterns.iter().map(|p| p.consequence));
         require!(table.region_count() > 64 && table.consequence_count() > 64);
-        let encoded: Vec<PatternKey> =
+        let mut encoded: Vec<PatternKey> =
             patterns.iter().map(|p| table.encode_pattern(p, &set)).collect();
+        encoded.sort();
         let keys: LeafEntries = encoded.iter().collect();
         let image = PackedTpt::bulk_load(TPT_FANOUT, &keys);
         let predictor = HybridPredictor::from_parts(set, patterns, HpmConfig::default());
@@ -409,6 +411,50 @@ props! {
                 }
             } else {
                 require_eq!(pred.source, hpm_core::PredictionSource::MotionFunction);
+            }
+        }
+    }
+
+    /// The stored order is a function of the rule set alone: one rule
+    /// set, given in derive order (premise length, premise ids,
+    /// consequence id) and shuffled, builds equal tables, images and
+    /// answers, pattern ids included.
+    fn rule_order_is_a_function_of_the_rule_set(
+        world in arb_branching_world(),
+        shuffle in int(0u64..u64::MAX),
+        k in int(1usize..4),
+    ) {
+        let (set, mut rules) = world;
+        let rule = |p: &TrajectoryPattern| (p.premise.len(), p.premise.clone(), p.consequence);
+        rules.sort_by_key(rule);
+        rules.dedup_by_key(|p| rule(p));
+        let mut shuffled = rules.clone();
+        let mut rng = SmallRng::seed_from_u64(shuffle);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..i + 1));
+        }
+        let config = HpmConfig {
+            k,
+            distant_threshold: 2,
+            time_relaxation: 1,
+            match_margin: 1.0,
+            rmf_retrospect: 2,
+            ..HpmConfig::default()
+        };
+        let [a, b] = [rules, shuffled].map(|r| HybridPredictor::from_parts(set.clone(), r, config));
+        require_eq!(a.patterns(), b.patterns());
+        require_eq!(&*a.packed_tpt(), &*b.packed_tpt());
+        a.packed_tpt().validate(TPT_FANOUT, &a).map_err(CaseError::Fail)?;
+        for r in set.all() {
+            let recent = [r.centroid];
+            let current_time = u64::from(10 * set.period() + r.offset);
+            for length in 1..=4 {
+                let q = PredictiveQuery {
+                    recent: &recent,
+                    current_time,
+                    query_time: current_time + length,
+                };
+                require_eq!(a.predict(&q), b.predict(&q), "query {q:?}");
             }
         }
     }

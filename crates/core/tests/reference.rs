@@ -53,7 +53,7 @@ fn reference_fqp(
     if scored.is_empty() {
         return None;
     }
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    rank(patterns, &mut scored);
     Some(dedupe_top_k(regions, patterns, scored, config.k))
 }
 
@@ -95,7 +95,7 @@ fn reference_bqp(
             })
             .collect();
         if !scored.is_empty() {
-            scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            rank(patterns, &mut scored);
             return Some(dedupe_top_k(regions, patterns, scored, config.k));
         }
         i += 1;
@@ -103,6 +103,20 @@ fn reference_bqp(
             return None;
         }
     }
+}
+
+/// Sorts by score, descending; equal scores by the rule — premise
+/// length, premise ids, consequence id — then by input position.
+fn rank(patterns: &[TrajectoryPattern], scored: &mut [(u32, f64)]) {
+    let rule = |i: u32| {
+        let p = &patterns[i as usize];
+        (p.premise.len(), &p.premise, p.consequence)
+    };
+    scored.sort_by(|a, b| {
+        (b.1.partial_cmp(&a.1).unwrap())
+            .then_with(|| rule(a.0).cmp(&rule(b.0)))
+            .then(a.0.cmp(&b.0))
+    });
 }
 
 fn dedupe_top_k(
@@ -206,10 +220,19 @@ fn arb_world() -> Gen<(RegionSet, Vec<TrajectoryPattern>)> {
     })
 }
 
-fn answers_equal(a: &[RankedAnswer], b: &[RankedAnswer]) -> bool {
+/// Whether the predictor's answers `a` are the reference's `b`, each
+/// naming the same rule: `a`'s pattern ids are the predictor's rows,
+/// `b`'s positions in `patterns`.
+fn answers_equal(
+    predictor: &HybridPredictor,
+    a: &[RankedAnswer],
+    patterns: &[TrajectoryPattern],
+    b: &[RankedAnswer],
+) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
-            x.pattern == y.pattern
+            x.pattern.map(|p| predictor.patterns().get(p as usize))
+                == y.pattern.map(|p| patterns[p as usize].clone())
                 && (x.score - y.score).abs() < 1e-12
                 && x.location == y.location
                 && x.uncertainty.region == y.uncertainty.region
@@ -276,7 +299,7 @@ props! {
             Some(answers) => {
                 require_ne!(got.source, PredictionSource::MotionFunction);
                 require!(
-                    answers_equal(&got.answers, &answers),
+                    answers_equal(&predictor, &got.answers, &patterns, &answers),
                     "got {:?}\nexpected {:?}",
                     got.answers,
                     answers

@@ -540,7 +540,9 @@ fn v2_fixture_reports() -> Vec<(ObjectId, Timestamp, Point)> {
 /// `trained_len` and whose `open` re-seeded trainers from it — restores
 /// into a store that answers, and keeps training, like one fed the same
 /// reports; and that store's own snapshot is the committed file with
-/// nothing but the reserved slots changed.
+/// nothing but the reserved slots changed and each model's rows in the
+/// order a predictor stores them (the file's are in the order rules
+/// were derived in before rows were stored in key order).
 #[test]
 fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
     let _shared = obs_shared();
@@ -564,7 +566,14 @@ fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
     }
     assert_equivalent(&restored, &fed, &records, "v2 fixture");
     assert!(fed.snapshot().unwrap());
-    let reencoded = hpm_store::encode_snapshot(&hpm_store::decode_snapshot(golden).unwrap());
+    let mut objects = hpm_store::decode_snapshot(golden).unwrap();
+    for blob in objects.iter_mut().filter_map(|o| o.model.as_mut()) {
+        let model = hpm_store::decode_model(blob).unwrap();
+        let config = hpm_core::HpmConfig::default();
+        let p = hpm_core::HybridPredictor::from_parts(model.regions, model.patterns, config);
+        *blob = hpm_store::encode_model(p.regions(), p.patterns());
+    }
+    let reencoded = hpm_store::encode_snapshot(&objects);
     assert_eq!(
         std::fs::read(fed_dir.join("snap-1.snap")).unwrap(),
         reencoded

@@ -7,8 +7,9 @@ use hpm_geo::MemUse;
 /// All trajectory patterns of one model in struct-of-arrays form: the
 /// premises share one CSR id array and the consequence, confidence and
 /// support columns run parallel to it, so a rule costs its ids plus 20
-/// bytes and no allocation of its own. Row `i` is pattern id `i` — the
-/// payload the TPT's leaf entries carry.
+/// bytes and no allocation of its own. Row `i` is pattern id `i`; a
+/// predictor stores its rows in [key order](Self::into_key_order), so
+/// they are the TPT's leaf level.
 ///
 /// The table is frozen once built (boxed slices: no capacity to carry
 /// slack in). [`TrajectoryPattern`] stays the owned value for building
@@ -125,6 +126,38 @@ impl PatternTable {
             .map(|i| self.premise(i).len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The table with its rows in key order, the TPT's bulk-load order
+    /// (§V.B): by consequence offset, then premise ids compared from the
+    /// last (the premise key read as a number), then consequence id.
+    /// Rules equal in premise and consequence keep their order.
+    ///
+    /// # Panics
+    /// Panics when a consequence id is not in `regions`.
+    pub fn into_key_order(self, regions: &RegionSet) -> PatternTable {
+        let premise = |i: usize| self.premise(i).iter().rev();
+        // Offset and the last two premise ids (+ 1; 0 for none) place
+        // most rows; the rest of the premise, consequence, row break ties.
+        let lead = |i: usize| {
+            let mut ids = premise(i).map(|r| u64::from(r.0) + 1);
+            let (last, before) = (ids.next().unwrap_or(0), ids.next().unwrap_or(0));
+            let offset = u64::from(regions.get(self.consequence[i]).offset);
+            (offset << 33 | last, before, i)
+        };
+        let mut order: Vec<_> = (0..self.len()).map(lead).collect();
+        order.sort_unstable();
+        for run in order.chunk_by_mut(|a, b| a.0 == b.0 && a.1 == b.1) {
+            run.sort_by(|&(.., a), &(.., b)| {
+                (premise(a).skip(2).cmp(premise(b).skip(2)))
+                    .then(self.consequence[a].cmp(&self.consequence[b]))
+            });
+        }
+        let (cons, conf, sup) = (&self.consequence, &self.confidence, &self.support);
+        let row = |&(.., i): &(u64, u64, usize)| {
+            (self.premise(i).iter().copied(), cons[i], conf[i], sup[i])
+        };
+        PatternTable::from_rows(self.len(), self.premise_ids.len(), order.iter().map(row))
     }
 
     /// Whether `other` lists the same `(premise, consequence)` rules in

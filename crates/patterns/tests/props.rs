@@ -8,8 +8,8 @@
 use hpm_check::prelude::*;
 use hpm_geo::Point;
 use hpm_patterns::{
-    discover, mine, prune_statistics, visits_against, DiscoveryParams, MiningParams, RegionId,
-    SupportCounts, TrajectoryPattern, Visit, VisitTable,
+    discover, mine, prune_statistics, visits_against, DiscoveryParams, MiningParams, PatternTable,
+    RegionId, SupportCounts, TrajectoryPattern, Visit, VisitTable,
 };
 use hpm_trajectory::Trajectory;
 use std::collections::BTreeMap;
@@ -180,6 +180,29 @@ props! {
             require_eq!(p.support, n_full);
             require!((p.confidence - n_full as f64 / n_prem as f64).abs() < 1e-12);
         }
+    }
+
+    /// `PatternTable::into_key_order` is a stable sort of the rules by
+    /// consequence offset, then premise ids compared from the last,
+    /// then consequence id — from derive order and from its reverse
+    /// alike, premises of up to four regions included.
+    fn key_order_sorts_by_offset_then_premise_from_the_last(history in arb_history()) {
+        let (traj, period) = history;
+        let out = discover(&traj, &params(period));
+        let mp = MiningParams {
+            max_premise_len: 4,
+            max_span: 8,
+            ..mining_params()
+        };
+        let mut rules = mine(&out.regions, &out.visits, &mp).to_vec();
+        let mut sorted = rules.clone();
+        sorted.sort_by_key(|r| {
+            let premise: Vec<RegionId> = r.premise.iter().rev().copied().collect();
+            (out.regions.get(r.consequence).offset, premise, r.consequence)
+        });
+        require_eq!(PatternTable::from(rules.clone()).into_key_order(&out.regions), sorted);
+        rules.reverse();
+        require_eq!(PatternTable::from(rules).into_key_order(&out.regions), sorted);
     }
 
     /// Anti-monotonicity surfaced at the rule level: confidence never

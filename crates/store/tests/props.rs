@@ -244,6 +244,28 @@ fn committed_model_fixture_is_reproduced_byte_for_byte() {
     assert_eq!(model.patterns, patterns);
 }
 
+/// The fixture's rows are not in key order; decoded and assembled,
+/// they give the predictor `golden_model()`'s rules give — the stored
+/// order is a function of the rules, whatever order a file holds them
+/// in.
+#[test]
+fn a_model_in_any_row_order_assembles_one_predictor() {
+    use hpm_core::{HpmConfig, HybridPredictor};
+    let model = decode_model(include_bytes!("fixtures/model_v1.bin")).unwrap();
+    let (regions, patterns) = golden_model();
+    let decoded =
+        HybridPredictor::from_parts(model.regions, model.patterns.clone(), HpmConfig::default());
+    let built = HybridPredictor::from_parts(regions, patterns, HpmConfig::default());
+    assert_ne!(
+        &model.patterns,
+        decoded.patterns(),
+        "the fixture is in key order"
+    );
+    assert_eq!(decoded.regions().all(), built.regions().all());
+    assert_eq!(decoded.patterns(), built.patterns());
+    assert_eq!(*decoded.packed_tpt(), *built.packed_tpt());
+}
+
 /// A record's fields as bits: `==` on `f64` would hide `-0.0` and
 /// every NaN payload.
 fn record_bits(r: &WalRecord) -> (u64, u64, u64, u64) {

@@ -27,6 +27,22 @@ pub struct Bitmap {
     words: Vec<u64>,
 }
 
+impl Ord for Bitmap {
+    /// The bits read as a number (a longer bitmap with the same words
+    /// sorts after): the order bulk loading sorts key parts in (§V.B).
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.words.iter().rev())
+            .cmp(other.words.iter().rev())
+            .then(self.len.cmp(&other.len))
+    }
+}
+
+impl PartialOrd for Bitmap {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Bitmap {
     /// All-zero bitmap of `len` bits.
     pub fn zeros(len: usize) -> Self {

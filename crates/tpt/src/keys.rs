@@ -17,8 +17,10 @@ use hpm_patterns::{RegionId, RegionSet, TrajectoryPattern};
 use hpm_trajectory::TimeOffset;
 use std::fmt;
 
-/// The symbolization of a trajectory pattern (or of a query).
-#[derive(Clone, PartialEq, Eq, Default)]
+/// The symbolization of a trajectory pattern (or of a query). Keys
+/// order as bulk loading sorts them (§V.B): by consequence part, then
+/// premise part, each read as a number.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct PatternKey {
     /// One bit per distinct consequence time offset.
     pub consequence: Bitmap,

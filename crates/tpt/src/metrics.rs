@@ -22,7 +22,7 @@ hpm_obs::catalog! {
     /// Matches returned per search (histogram, unit `count`).
     histogram[Count] SEARCH_MATCHES = "tpt.search.matches";
     /// Latency span (and histogram, unit `ns`) around
-    /// [`PackedTpt::bulk_load`] sorting the entries and packing the image.
+    /// [`PackedTpt::bulk_load`] packing the image over its rows.
     ///
     /// [`PackedTpt::bulk_load`]: crate::PackedTpt::bulk_load
     span REPACK_SPAN = "tpt.repack";

@@ -5,28 +5,27 @@
 //! one `u64` arena: each internal node's entries form a run of
 //! `[consequence words | premise words]` blocks, so the intersect test
 //! scans the arena linearly and chases no pointer, with each entry's
-//! child node id in one parallel array. A leaf node is a run of
-//! pattern ids in that array and nothing else: a leaf key is a pure
-//! function of its pattern's row, so the image does not keep a second
-//! copy of it. A search reads it through the id from the [`LeafKeys`]
-//! source it is given ([`PackedTpt::with_leaves`]). Nodes are laid out
-//! in DFS pre-order, so a search walks mostly forward in memory.
-//! [`PackedTpt::bulk_load`] packs sorted keys straight into those
-//! arenas; no pointer tree exists at any point.
+//! child in one parallel array. The leaves are not in the image: they
+//! are the rows of the [`LeafKeys`] source ([`PackedTpt::with_leaves`]),
+//! in key order, leaf `j` rows `[j·fill, (j+1)·fill)`, which a bottom
+//! entry names by `j`. Internal nodes are laid out in DFS pre-order, so
+//! a search walks mostly forward in memory. [`PackedTpt::bulk_load`]
+//! packs straight into those arenas; no pointer tree exists.
 //!
 //! Search walks the image depth-first, descending only into entries
 //! whose key intersects the query key on both the consequence and the
-//! premise part. The image is a pure function of `(fanout, entries)`;
-//! the property suite in `tests/props.rs` holds it structurally valid
-//! and equal to the brute-force [`scan`](crate::scan) on every result
-//! set over generated key sets, and a fixture pins its bytes.
+//! premise part. The image is a pure function of `(fanout, rows)`; the
+//! property suite in `tests/props.rs` holds it structurally valid and
+//! equal to the brute-force [`scan`](crate::scan) on every result set
+//! over generated key sets, and a fixture pins its bytes.
 
 use crate::PatternKey;
 
 /// Statistics of one search (Fig. 11b instrumentation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
-    /// Nodes whose entries were examined.
+    /// Nodes whose entries were examined, a leaf's rows counting as
+    /// one node.
     pub nodes_visited: usize,
     /// Entry keys tested against the query.
     pub entries_checked: usize,
@@ -52,47 +51,42 @@ pub struct SearchCursor {
     stats: SearchStats,
 }
 
-/// One packed node: a slice of the signature arena plus a slice of the
-/// metadata arrays.
+/// One internal node: a run of entries in the signature arena and the
+/// child array.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PackedNode {
-    /// First word of this node's signature run in `PackedTpt::sig`
-    /// (a leaf has no run: where the next internal node's starts).
-    sig_start: u32,
-    /// First entry of this node in `PackedTpt::child`.
-    meta_start: u32,
+    /// First entry of this node in `PackedTpt::child`; its signature
+    /// run starts at `start` keys into `PackedTpt::sig`.
+    start: u32,
     /// Number of entries.
     count: u32,
-    /// Leaf nodes yield matches; internal nodes yield child node ids.
-    leaf: bool,
 }
 
 /// The Trajectory Pattern Tree (§V) as one packed image: a leaf entry
-/// is `<p>`, the pattern pointer alone — §V's key `pk` and confidence
-/// `c` are read through `p` from the pattern store, the key by the
-/// [`LeafKeys`] source a search is given — and each internal entry's
-/// key is the logical OR of all keys in its subtree.
+/// `<pk, c, p>` is row `p` of the [`LeafKeys`] source a search is
+/// given, and each internal entry's key is the OR of all keys in its
+/// subtree.
 ///
-/// Built by [`bulk_load`](Self::bulk_load); node 0 is the root. The
-/// image is frozen: a pattern set whose keys change is bulk-loaded
-/// afresh. Two images are equal exactly when they hold the same nodes,
-/// signatures and payloads in the same layout.
+/// Built by [`bulk_load`](Self::bulk_load); node 0 is the root (rows
+/// that fit one leaf need no node). The image is frozen: a changed
+/// pattern set is bulk-loaded afresh. Two images are equal exactly
+/// when they hold the same nodes, signatures and children in order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedTpt {
     /// Bit length of the consequence part of every key.
     cons_bits: usize,
     /// Bit length of the premise part of every key.
     prem_bits: usize,
-    /// Words per consequence part (`cons_bits.div_ceil(64)`).
-    cw: usize,
-    /// Words per premise part.
-    pw: usize,
+    /// Rows per leaf, ¾ of the fanout (0 when empty): leaf `j` is rows
+    /// `[j·fill, min((j+1)·fill, len))`.
+    fill: usize,
+    /// The internal nodes, in DFS pre-order.
     nodes: Box<[PackedNode]>,
-    /// Signature arena: per internal entry `cw + pw` words,
-    /// consequence first, node entries contiguous, nodes in DFS
-    /// pre-order.
+    /// Signature arena: per internal entry one key's words,
+    /// consequence first, in node order.
     sig: Box<[u64]>,
-    /// Per entry: child node id (internal) or pattern id (leaf).
+    /// Per internal entry: its child node id, or, in a bottom node
+    /// (one level above the leaves), its leaf `j`.
     child: Box<[u32]>,
     len: usize,
     height: usize,
@@ -106,15 +100,18 @@ impl hpm_geo::MemUse for PackedTpt {
     }
 }
 
-/// Where a search reads the key of a leaf entry: pattern `p`'s key,
-/// tested against a query's or ORed into a signature, in the image's
-/// geometry (consequence words, then premise words). [`LeafEntries`]
-/// holds the keys as words; a pattern store can derive them from its
-/// rows instead.
+/// The rows an image's leaves are: row `p`'s key, tested against a
+/// query's or ORed into a signature, in the image's geometry
+/// (consequence words, then premise words). [`LeafEntries`] holds the
+/// keys as words; a pattern store derives them from its rows.
 pub trait LeafKeys {
     /// A query's words in the form [`intersects`](Self::intersects)
     /// reads, resolved once per search.
     type Query<'q>;
+
+    /// The number of rows, and the bit lengths of a key's consequence
+    /// and premise parts.
+    fn shape(&self) -> (usize, usize, usize);
 
     /// Resolves the query whose key has the `consequence` and
     /// `premise` words.
@@ -130,72 +127,23 @@ pub trait LeafKeys {
     fn or_into(&self, p: u32, consequence: &mut [u64], premise: &mut [u64]);
 }
 
-/// Pattern keys in arena layout, pattern `i` the `i`th pushed — `cw +
-/// pw` words each, consequence first, written by setting the key's
-/// bits ([`push`](Self::push)): what [`PackedTpt::bulk_load`] sorts
-/// and packs, and the [`LeafKeys`] source of callers that hold no
-/// pattern store. Keys held as [`PatternKey`]s collect into one, their
-/// words copied as they are ([`FromIterator`]; ids are positions, as in
-/// [`scan`](crate::scan)).
+/// Pattern keys in arena layout, collected from [`PatternKey`]s (row
+/// ids are positions, as in [`scan`](crate::scan)): the [`LeafKeys`]
+/// source of callers that hold no pattern store.
 #[derive(Debug, Clone, Default)]
 pub struct LeafEntries {
     cons_bits: usize,
     prem_bits: usize,
-    /// Per entry `cw + pw` words, entries in input order.
+    /// Per entry one key's words, entries in input order.
     sig: Vec<u64>,
     len: usize,
 }
 
 impl LeafEntries {
-    /// No entries yet, for keys of `cons_bits` consequence and
-    /// `prem_bits` premise bits, with room for `n`.
-    pub fn with_capacity(cons_bits: usize, prem_bits: usize, n: usize) -> Self {
-        let stride = cons_bits.div_ceil(64) + prem_bits.div_ceil(64);
-        LeafEntries {
-            cons_bits,
-            prem_bits,
-            sig: Vec::with_capacity(n * stride),
-            len: 0,
-        }
-    }
-
-    /// Appends the next pattern, whose key sets the `consequence` and
-    /// `premise` bits.
-    ///
-    /// # Panics
-    /// Panics when a bit is outside its part.
-    pub fn push(
-        &mut self,
-        consequence: impl IntoIterator<Item = usize>,
-        premise: impl IntoIterator<Item = usize>,
-    ) {
-        let cw = self.cons_bits.div_ceil(64);
-        let start = self.sig.len();
-        self.sig.resize(start + cw + self.prem_bits.div_ceil(64), 0);
-        let (cons, prem) = self.sig[start..].split_at_mut(cw);
-        set_bits(cons, self.cons_bits, consequence);
-        set_bits(prem, self.prem_bits, premise);
-        self.len += 1;
-    }
-
-    /// Words per consequence part and per key.
-    fn geometry(&self) -> (usize, usize) {
-        let cw = self.cons_bits.div_ceil(64);
-        (cw, cw + self.prem_bits.div_ceil(64))
-    }
-
-    /// Pattern `p`'s key words, split into its two parts.
+    /// Row `p`'s key words, split into its two parts.
     fn key(&self, p: u32) -> (&[u64], &[u64]) {
-        let (cw, stride) = self.geometry();
+        let (cw, stride) = geometry(self.cons_bits, self.prem_bits);
         self.sig[p as usize * stride..][..stride].split_at(cw)
-    }
-}
-
-/// Sets `bits` in `words`, a part of `len` bits.
-fn set_bits(words: &mut [u64], len: usize, bits: impl IntoIterator<Item = usize>) {
-    for i in bits {
-        assert!(i < len, "bit {i} out of range (len {len})");
-        words[i / 64] |= 1 << (i % 64);
     }
 }
 
@@ -225,6 +173,10 @@ impl<'a> FromIterator<&'a PatternKey> for LeafEntries {
 impl LeafKeys for &LeafEntries {
     type Query<'q> = (&'q [u64], &'q [u64]);
 
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.len, self.cons_bits, self.prem_bits)
+    }
+
     fn resolve<'q>(&self, consequence: &'q [u64], premise: &'q [u64]) -> Self::Query<'q> {
         (consequence, premise)
     }
@@ -244,108 +196,86 @@ impl LeafKeys for &LeafEntries {
 }
 
 impl PackedTpt {
-    /// Builds the image by bulk loading (§V.B: the system bulk-loads
-    /// the static history): entries are sorted — by consequence part,
-    /// then premise part, each read as a number most-significant word
-    /// first, ties in input order — so similar keys become neighbours,
-    /// packed into leaves at ¾ of `fanout`, and parent levels are packed
-    /// bottom-up from the OR of each node's signatures. The leaves keep
-    /// the pattern ids alone: the sorted keys are read once, to build
-    /// the level above them, and `entries` is the [`LeafKeys`] source a
-    /// search of the image may be given.
+    /// Builds the image by bulk loading (§V.B) over `rows`, which the
+    /// caller stores in key order (`PatternKey`'s `Ord`: consequence
+    /// part, then premise part, each read as a number) so similar keys
+    /// are neighbours; rows in another order search correctly but
+    /// cluster less. The rows are the leaves, ¾ of `fanout` each, read
+    /// once to build the level above them; parent levels are packed
+    /// bottom-up from the OR of each node's signatures.
     ///
-    /// Emits the `tpt.repack` span/histogram around sort and pack,
-    /// bumps `tpt.repack.calls` and sets the `tpt.packed.arena_bytes`
-    /// gauge to the new image's arena size (i.e. the gauge reports the
-    /// most recent build).
+    /// Emits the `tpt.repack` span/histogram around the pack, bumps
+    /// `tpt.repack.calls` and sets the `tpt.packed.arena_bytes` gauge to
+    /// the new image's arena size (i.e. the gauge reports the most
+    /// recent build).
     ///
     /// # Panics
     /// Panics when `fanout < 4`.
-    pub fn bulk_load(fanout: usize, entries: &LeafEntries) -> Self {
+    pub fn bulk_load(fanout: usize, rows: impl LeafKeys) -> Self {
         assert!(fanout >= 4, "fanout must be at least 4");
         let _span = hpm_obs::span!(crate::metrics::REPACK_SPAN);
         let mut packed = PackedTpt::default();
-        let n = entries.len;
+        let (n, cons_bits, prem_bits) = rows.shape();
         if n > 0 {
-            let (cw, stride) = entries.geometry();
+            let (cw, stride) = geometry(cons_bits, prem_bits);
             let fill = fanout * 3 / 4;
-            // The `k`th word of that comparison, read from the arena (0
-            // past the block). The first two lead the sort key, a wider
-            // block breaks ties on them by the words after it, and the
-            // input position ends it, so the unstable sort places
-            // entries as a stable one would.
-            let block = |i: u32| &entries.sig[i as usize * stride..][..stride];
-            let word = |i: u32, k: usize| match k {
-                k if k >= stride => 0,
-                k if k < cw => block(i)[cw - 1 - k],
-                k => block(i)[stride - 1 - (k - cw)],
-            };
-            let mut order: Vec<(u64, u64, u32)> =
-                (0..n as u32).map(|i| (word(i, 0), word(i, 1), i)).collect();
-            let rest = |i: u32| (2..stride).map(move |k| word(i, k));
-            order.sort_unstable_by(|a, b| {
-                (a.0, a.1)
-                    .cmp(&(b.0, b.1))
-                    .then_with(|| rest(a.2).cmp(rest(b.2)))
-                    .then(a.2.cmp(&b.2))
-            });
             // Per level, its signature count and the signatures: node
             // `j` of a level covers signatures `[j·fill, (j+1)·fill)`,
             // and signature `j` of the level above is their OR. Level 0
-            // holds no words: its signatures are the sorted keys. The
-            // top level is the first that fits one node.
+            // is the rows. The top level is the first that fits one
+            // node.
             let mut levels = vec![(n, Vec::new())];
             while let Some(&(n, ref below)) = levels.last().filter(|l| l.0 > fill) {
                 let mut above = vec![0u64; n.div_ceil(fill) * stride];
                 for i in 0..n {
-                    let from = match below.is_empty() {
-                        true => block(order[i].2),
-                        false => &below[i * stride..][..stride],
-                    };
                     let to = &mut above[i / fill * stride..][..stride];
-                    to.iter_mut().zip(from).for_each(|(t, f)| *t |= f);
+                    if below.is_empty() {
+                        let (consequence, premise) = to.split_at_mut(cw);
+                        rows.or_into(i as u32, consequence, premise);
+                    } else {
+                        let from = &below[i * stride..][..stride];
+                        to.iter_mut().zip(from).for_each(|(t, f)| *t |= f);
+                    }
                 }
                 levels.push((n.div_ceil(fill), above));
             }
             // Every node and entry is known before the first copy, so
             // the arenas freeze without slack.
-            let total: usize = levels.iter().map(|l| l.0).sum();
-            let mut nodes = Vec::with_capacity(levels.iter().map(|l| l.0.div_ceil(fill)).sum());
-            let mut sig = Vec::with_capacity((total - n) * stride);
-            let mut child = Vec::with_capacity(total);
+            let entries: usize = levels[1..].iter().map(|l| l.0).sum();
+            let mut nodes =
+                Vec::with_capacity(levels[1..].iter().map(|l| l.0.div_ceil(fill)).sum());
+            let mut sig = Vec::with_capacity(entries * stride);
+            let mut child = Vec::with_capacity(entries);
             // Root first, then DFS pre-order: `(level, j, slot)` is a
             // node to emit and the child slot of its parent, which is
-            // patched with the packed id as it is assigned.
-            let mut stack = vec![(levels.len() - 1, 0, None)];
+            // patched with the packed id as it is assigned. Level 1's
+            // children are leaves: the entry names leaf `j` itself.
+            let mut stack =
+                Vec::from_iter((levels.len() > 1).then_some((levels.len() - 1, 0, None)));
             while let Some((level, j, slot)) = stack.pop() {
                 let (n, ref sigs) = levels[level];
                 let (lo, hi) = (j * fill, ((j + 1) * fill).min(n));
                 if let Some(slot) = slot {
                     child[slot] = nodes.len() as u32;
                 }
-                let meta_start = child.len();
+                let start = child.len();
                 nodes.push(PackedNode {
-                    sig_start: sig.len() as u32,
-                    meta_start: meta_start as u32,
+                    start: start as u32,
                     count: (hi - lo) as u32,
-                    leaf: level == 0,
                 });
-                if level == 0 {
-                    child.extend(order[lo..hi].iter().map(|&(.., i)| i));
+                sig.extend_from_slice(&sigs[lo * stride..hi * stride]);
+                if level == 1 {
+                    child.extend(lo as u32..hi as u32);
                 } else {
-                    sig.extend_from_slice(&sigs[lo * stride..hi * stride]);
-                    child.resize(meta_start + hi - lo, 0);
-                    let below = (lo..hi)
-                        .rev()
-                        .map(|i| (level - 1, i, Some(meta_start + i - lo)));
+                    child.resize(start + hi - lo, 0);
+                    let below = (lo..hi).rev().map(|i| (level - 1, i, Some(start + i - lo)));
                     stack.extend(below);
                 }
             }
             packed = PackedTpt {
-                cons_bits: entries.cons_bits,
-                prem_bits: entries.prem_bits,
-                cw,
-                pw: stride - cw,
+                cons_bits,
+                prem_bits,
+                fill,
                 nodes: nodes.into(),
                 sig: sig.into(),
                 child: child.into(),
@@ -358,76 +288,81 @@ impl PackedTpt {
     }
 
     /// Checks the image's structural invariants against the `fanout`
-    /// it was loaded with and the `leaves` it was loaded from;
-    /// test/debug helper.
+    /// it was loaded with and the `rows` it was loaded from; test/debug
+    /// helper.
     ///
-    /// Verified: nodes are laid out in DFS pre-order from node 0 (so
-    /// child ids are in range and every node is referenced exactly
-    /// once), every internal entry's signature is the OR of its child
-    /// node's signatures — over a leaf node, of its patterns' keys read
-    /// through their ids from `leaves` — leaves (and only leaves) sit
-    /// at depth `height`, no node is empty or holds more than `fanout`
-    /// entries, and the leaves hold every pattern id in `0..len` once.
-    pub fn validate(&self, fanout: usize, leaves: impl LeafKeys) -> Result<(), String> {
-        let (mut visited, mut seen) = (0, vec![false; self.len]);
-        if !self.nodes.is_empty() {
-            self.validate_node(1, fanout, &leaves, &mut visited, &mut seen)?;
+    /// Verified: internal nodes are in DFS pre-order from node 0 (so
+    /// every node is referenced once); every internal entry is the OR
+    /// of its child's signatures — over a leaf, of its rows' keys; only
+    /// leaves sit at depth `height`; no node is empty or above `fanout`;
+    /// and the leaves, in pre-order, are 0, 1, 2, … covering the rows.
+    pub fn validate(&self, fanout: usize, rows: impl LeafKeys) -> Result<(), String> {
+        let (cw, stride) = geometry(self.cons_bits, self.prem_bits);
+        let key = |p: u32| {
+            let mut words = vec![0u64; stride];
+            let (consequence, premise) = words.split_at_mut(cw);
+            rows.or_into(p, consequence, premise);
+            words
+        };
+        // Internal nodes and leaves walked; one leaf may be the tree.
+        let mut walk = (0, usize::from(self.nodes.is_empty() && self.len > 0));
+        match self.nodes.is_empty() {
+            true if self.height != walk.1 => return Err(format!("height {}", self.height)),
+            true => {}
+            false => {
+                self.validate_node(1, fanout, &key, &mut walk)?;
+            }
         }
-        let height_ok = visited != 0 || self.height == 0;
-        let leaf_entries = seen.iter().filter(|&&s| s).count();
-        if visited != self.nodes.len() || leaf_entries != self.len || !height_ok {
-            let claimed = (self.nodes.len(), self.len);
-            return Err(format!(
-                "walked {visited} nodes, {leaf_entries} leaf entries of {claimed:?}"
-            ));
+        let claimed = (self.nodes.len(), self.node_count() - self.nodes.len());
+        match walk == claimed {
+            true => Ok(()),
+            false => Err(format!("walked {walk:?} nodes and leaves of {claimed:?}")),
         }
-        Ok(())
     }
 
-    /// Validates the next node in pre-order (`visited` counts the
-    /// nodes before it) and its subtree, marking its pattern ids in
-    /// `seen`; returns the OR of the node's signatures, which is what
-    /// its parent entry must hold.
+    /// Validates the next internal node in pre-order and its subtree,
+    /// reading row keys through `key`; returns the OR of the node's
+    /// signatures, which is what its parent entry must hold.
     fn validate_node(
         &self,
         depth: usize,
         fanout: usize,
-        leaves: &impl LeafKeys,
-        visited: &mut usize,
-        seen: &mut [bool],
+        key: &impl Fn(u32) -> Vec<u64>,
+        walk: &mut (usize, usize),
     ) -> Result<Vec<u64>, String> {
-        let id = *visited;
+        let id = walk.0;
         let check = |ok: bool, what: &str| match ok {
             true => Ok(()),
             false => Err(format!("node {id} at depth {depth}: {what}")),
         };
-        check(id < self.nodes.len(), "id out of range")?;
-        *visited += 1;
-        let n = self.nodes[id];
-        let (count, stride) = (n.count as usize, self.cw + self.pw);
-        // No occupancy floor: a level may end in one short node.
-        check((1..=fanout).contains(&count), "empty or above the fanout")?;
         check(
-            n.leaf == (depth == self.height),
-            "only leaves sit at depth `height`",
+            id < self.nodes.len() && depth < self.height,
+            "out of range or at the leaf depth",
+        )?;
+        walk.0 += 1;
+        let (n, stride) = (self.nodes[id], geometry(self.cons_bits, self.prem_bits).1);
+        // No occupancy floor: a level may end in one short node.
+        check(
+            (1..=fanout).contains(&(n.count as usize)),
+            "empty or above the fanout",
         )?;
         let mut union = vec![0u64; stride];
-        let ids = &self.child[n.meta_start as usize..][..count];
-        for (i, &child) in ids.iter().enumerate() {
-            let (cons, prem) = union.split_at_mut(self.cw);
-            if n.leaf {
-                let fresh = seen.get(child as usize).is_some_and(|s| !s);
-                check(fresh, "a pattern id is out of range or repeated")?;
-                seen[child as usize] = true;
-                leaves.or_into(child, cons, prem);
-                continue;
-            }
-            let block = &self.sig[n.sig_start as usize + i * stride..][..stride];
-            check(
-                child as usize == *visited,
-                "a child is not next in pre-order",
-            )?;
-            let below = self.validate_node(depth + 1, fanout, leaves, visited, seen)?;
+        let children = &self.child[n.start as usize..][..n.count as usize];
+        let blocks = self.sig[n.start as usize * stride..].chunks_exact(stride);
+        for (&child, block) in children.iter().zip(blocks) {
+            let below = if depth + 1 == self.height {
+                check(child as usize == walk.1, "a leaf is not next in row order")?;
+                walk.1 += 1;
+                let rows =
+                    child * self.fill as u32..((child + 1) * self.fill as u32).min(self.len as u32);
+                check(!rows.is_empty(), "a leaf past the rows")?;
+                rows.map(key).fold(vec![0u64; stride], |acc, k| {
+                    acc.iter().zip(k).map(|(a, k)| a | k).collect()
+                })
+            } else {
+                check(child as usize == walk.0, "a child is not next in pre-order")?;
+                self.validate_node(depth + 1, fanout, key, walk)?
+            };
             check(below == block, "an entry is not the OR of its child node")?;
             union.iter_mut().zip(block).for_each(|(u, w)| *u |= w);
         }
@@ -452,10 +387,11 @@ impl PackedTpt {
         self.height
     }
 
-    /// Number of packed nodes.
+    /// Number of tree nodes: the internal nodes and the leaves, each a
+    /// run of `fill` rows (the last one the rest).
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.len.div_ceil(self.fill.max(1))
     }
 
     /// Heap bytes of the arena and the SoA metadata arrays.
@@ -466,15 +402,14 @@ impl PackedTpt {
     }
 
     /// Total resident bytes (Fig. 11a accounting): the internal
-    /// signatures and the ids, not the leaf keys, which live in the
-    /// [`LeafKeys`] source.
+    /// signatures and their children, not the leaves, which are the
+    /// [`LeafKeys`] source's rows.
     pub fn storage_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.arena_bytes()
     }
 
-    /// The searchable tree: this image with the source of its leaf
-    /// keys — the [`LeafEntries`] it was loaded from, or a pattern
-    /// store that derives the same keys from its rows.
+    /// The searchable tree: this image with the rows it was loaded
+    /// from.
     pub fn with_leaves<L: LeafKeys>(&self, leaves: L) -> TptView<'_, L> {
         TptView {
             image: self,
@@ -483,8 +418,8 @@ impl PackedTpt {
     }
 }
 
-/// A [`PackedTpt`] image paired with the [`LeafKeys`] source its leaf
-/// ids point into ([`PackedTpt::with_leaves`]): what a search runs on.
+/// A [`PackedTpt`] image paired with the [`LeafKeys`] rows that are
+/// its leaves ([`PackedTpt::with_leaves`]): what a search runs on.
 /// Dereferences to the image for its shape and size.
 #[derive(Debug, Clone, Copy)]
 pub struct TptView<'a, L> {
@@ -501,42 +436,39 @@ impl<L> std::ops::Deref for TptView<'_, L> {
 }
 
 impl<L: LeafKeys> TptView<'_, L> {
-    /// The pattern id `p` of every leaf entry matching `query` (order
-    /// unspecified), in a fresh vector; the hot path, and a caller that
-    /// wants the [`SearchStats`], use [`SearchCursor::search_packed`].
-    pub fn search(&self, query: &PatternKey) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.search_impl(query, &mut out);
-        out
-    }
-
-    /// One search under the `tpt.search` span: pushes the matches to
-    /// the empty `out`, publishes the stats to the counters and returns
-    /// them.
-    fn search_impl(&self, query: &PatternKey, out: &mut Vec<u32>) -> SearchStats {
+    /// One search under the `tpt.search` span: pushes the row id of
+    /// every match to the empty `out`, ascending, publishes the stats
+    /// to the counters and returns them.
+    fn search(&self, query: &PatternKey, out: &mut Vec<u32>) -> SearchStats {
         let _span = hpm_obs::span!(crate::metrics::SEARCH_SPAN);
         let mut stats = SearchStats::default();
-        if !self.image.nodes.is_empty() {
+        let image = self.image;
+        if image.len > 0 {
             // Same contract as `Bitmap::intersects`: searching a
             // non-empty index with a foreign-geometry key is a logic
             // error.
             let lengths = (query.consequence.len(), query.premise.len());
-            let geometry = (self.image.cons_bits, self.image.prem_bits);
+            let geometry = (image.cons_bits, image.prem_bits);
             assert_eq!(lengths, geometry, "bitmap length mismatch");
             let (cq, pq) = (query.consequence.words(), query.premise.words());
-            self.dfs(0, cq, pq, &self.leaves.resolve(cq, pq), out, &mut stats);
+            let leaf_query = self.leaves.resolve(cq, pq);
+            match image.nodes.is_empty() {
+                true => self.leaf(0, &leaf_query, out, &mut stats),
+                false => self.dfs(0, 1, cq, pq, &leaf_query, out, &mut stats),
+            }
         }
         crate::metrics::record_search(&stats, out.len());
         stats
     }
 
-    /// §V.C's Intersect-pruned depth-first traversal, reading internal
-    /// signature words straight from the arena and leaf keys through
-    /// their ids. `cq`/`pq` are the query's consequence and premise
-    /// words, `leaf_query` the same query resolved by the leaf source.
+    /// §V.C's Intersect-pruned depth-first traversal from internal
+    /// node `node` at `depth` (the root's is 1): `cq`/`pq` are the
+    /// query's words, `leaf_query` the query resolved by the rows.
+    #[allow(clippy::too_many_arguments)]
     fn dfs(
         &self,
         node: u32,
+        depth: usize,
         cq: &[u64],
         pq: &[u64],
         leaf_query: &L::Query<'_>,
@@ -547,24 +479,38 @@ impl<L: LeafKeys> TptView<'_, L> {
         let n = image.nodes[node as usize];
         stats.nodes_visited += 1;
         stats.entries_checked += n.count as usize;
-        let ids = &image.child[n.meta_start as usize..][..n.count as usize];
-        if n.leaf {
-            for &p in ids {
-                match self.leaves.intersects(p, leaf_query) {
-                    true => out.push(p),
-                    false => stats.false_hits += 1,
-                }
-            }
-            return;
-        }
-        let (cw, stride) = (image.cw, image.cw + image.pw);
-        for (i, &child) in ids.iter().enumerate() {
-            let block = &image.sig[n.sig_start as usize + i * stride..][..stride];
+        let (cw, stride) = geometry(image.cons_bits, image.prem_bits);
+        let children = &image.child[n.start as usize..][..n.count as usize];
+        let blocks = image.sig[n.start as usize * stride..].chunks_exact(stride);
+        for (&child, block) in children.iter().zip(blocks) {
             if words_intersect(&block[..cw], cq) && words_intersect(&block[cw..], pq) {
-                self.dfs(child, cq, pq, leaf_query, out, stats);
+                match depth + 1 == image.height {
+                    true => self.leaf(child, leaf_query, out, stats),
+                    false => self.dfs(child, depth + 1, cq, pq, leaf_query, out, stats),
+                }
             }
         }
     }
+
+    /// Tests leaf `j`'s rows, adjacent in the source.
+    fn leaf(&self, j: u32, query: &L::Query<'_>, out: &mut Vec<u32>, stats: &mut SearchStats) {
+        let (fill, len) = (self.image.fill as u32, self.image.len as u32);
+        let rows = j * fill..((j + 1) * fill).min(len);
+        stats.nodes_visited += 1;
+        stats.entries_checked += rows.len();
+        for p in rows {
+            match self.leaves.intersects(p, query) {
+                true => out.push(p),
+                false => stats.false_hits += 1,
+            }
+        }
+    }
+}
+
+/// Words per consequence part and per key.
+fn geometry(cons_bits: usize, prem_bits: usize) -> (usize, usize) {
+    let cw = cons_bits.div_ceil(64);
+    (cw, cw + prem_bits.div_ceil(64))
 }
 
 /// Word-level intersection as a branchless OR-of-ANDs reduction: no
@@ -587,11 +533,6 @@ impl SearchCursor {
         SearchCursor::default()
     }
 
-    /// The most recent search's matches, as pattern ids.
-    pub fn matches(&self) -> &[u32] {
-        &self.out
-    }
-
     /// The most recent search's stats (zeroed if no search ran yet).
     pub fn stats(&self) -> SearchStats {
         self.stats
@@ -606,7 +547,7 @@ impl SearchCursor {
         query: &PatternKey,
     ) -> &'c [u32] {
         self.out.clear();
-        self.stats = tpt.search_impl(query, &mut self.out);
+        self.stats = tpt.search(query, &mut self.out);
         &self.out
     }
 }
@@ -633,8 +574,8 @@ mod tests {
         (table, leaves, packed)
     }
 
-    /// Seeded pseudo-random keys for structural tests: one consequence
-    /// bit, up to three premise bits.
+    /// Seeded pseudo-random keys for structural tests, in key order:
+    /// one consequence bit, up to three premise bits.
     fn synth_keys(n: usize, ck_len: usize, rk_len: usize) -> Vec<PatternKey> {
         let mut rng = SmallRng::seed_from_u64(0x9E37_79B9);
         let mut key = || {
@@ -644,7 +585,9 @@ mod tests {
                 premise: Bitmap::from_indices(rk_len, &rk),
             }
         };
-        (0..n).map(|_| key()).collect()
+        let mut keys: Vec<PatternKey> = (0..n).map(|_| key()).collect();
+        keys.sort();
+        keys
     }
 
     /// [`synth_keys`] as leaf entries.
@@ -652,9 +595,9 @@ mod tests {
         synth_keys(n, ck_len, rk_len).iter().collect()
     }
 
-    /// Sorted pattern ids the tree returns for `q`.
+    /// Sorted row ids the tree returns for `q`.
     fn ids(tpt: TptView<'_, &LeafEntries>, q: &PatternKey) -> Vec<u32> {
-        let mut found = tpt.search(q);
+        let mut found = SearchCursor::new().search_packed(tpt, q).to_vec();
         found.sort_unstable();
         found
     }
@@ -687,13 +630,14 @@ mod tests {
     }
 
     #[test]
-    fn leaves_hold_ids_not_keys() {
-        // Only the root's two entries carry signature words.
-        let (table, leaves, packed) = fig3();
+    fn leaves_are_row_ranges() {
+        // The root is the one packed node: its two entries carry the
+        // signature words and name leaves 0 and 1, rows 0..3 and 3..4.
+        let (table, _, packed) = fig3();
         let stride = table.consequence_count().div_ceil(64) + table.region_count().div_ceil(64);
         assert_eq!(packed.sig.len(), 2 * stride);
-        assert_eq!(packed.child.len(), 2 + leaves.len);
-        assert_eq!(packed.arena_bytes(), 2 * stride * 8 + 6 * 4 + 3 * 16);
+        assert_eq!(&*packed.child, &[0, 1]);
+        assert_eq!(packed.arena_bytes(), 2 * stride * 8 + 2 * 4 + 8);
     }
 
     #[test]
@@ -711,7 +655,6 @@ mod tests {
             premise: ones(5),
         };
         let tpt = packed.with_leaves(&leaves);
-        assert!(tpt.search(&q).is_empty());
         let mut cursor = SearchCursor::new();
         assert!(cursor.search_packed(tpt, &q).is_empty());
         assert_eq!(cursor.stats(), SearchStats::default());
@@ -780,25 +723,18 @@ mod tests {
         assert!(broken(2, |_| ()).contains("fanout"));
         assert!(broken(4, |p| p.sig[0] = !p.sig[0]).contains("OR of"));
         assert!(broken(4, |p| p.child[1] = p.child[0]).contains("pre-order"));
-        assert!(broken(4, |p| p.len += 1).contains("leaf entries"));
+        assert!(broken(4, |p| p.nodes[1].start += 1).contains("pre-order"));
+        assert!(broken(4, |p| p.len -= 1).contains("past the rows"));
         assert!(broken(4, |p| p.height += 1).contains("depth"));
-        // The leaf ids: each once, each in range.
-        let last = good.child.len() - 1;
-        let repeated = broken(4, |p| {
-            p.child[p.child.len() - 1] = p.child[p.child.len() - 2]
-        });
-        assert!(repeated.contains("repeated"), "{repeated}");
-        let mut far = good.clone();
-        far.child[last] = 40;
-        assert!(far
-            .validate(4, &leaves)
-            .unwrap_err()
-            .contains("out of range"));
+        // The last entry of the arena names the last leaf: the leaves
+        // cover the rows in order, each once.
+        let skipped = broken(4, |p| p.child[p.child.len() - 1] -= 1);
+        assert!(skipped.contains("next in row order"), "{skipped}");
         // A leaf read from other keys is not what its parent entry ORs.
         let other = synth_leaves(41, 8, 40);
         let skewed = LeafEntries {
             len: 40,
-            sig: other.sig[other.geometry().1..].to_vec(),
+            sig: other.sig[2..].to_vec(), // one word per part
             ..other
         };
         assert!(good.validate(4, &skewed).unwrap_err().contains("OR of"));
@@ -822,16 +758,16 @@ mod tests {
         ];
         for q in &queries {
             let mut fresh = SearchCursor::new();
-            fresh.search_packed(tpt, q);
-            assert_eq!(cursor.search_packed(tpt, q), fresh.matches());
+            let want = fresh.search_packed(tpt, q).to_vec();
+            assert_eq!(cursor.search_packed(tpt, q), want);
             assert_eq!(cursor.stats(), fresh.stats(), "stats accumulated");
         }
         // Same query twice through one cursor: identical stats, not 2x.
         cursor.search_packed(tpt, &queries[0]);
         let first = cursor.stats();
-        cursor.search_packed(tpt, &queries[0]);
+        let again = cursor.search_packed(tpt, &queries[0]).to_vec();
         assert_eq!(cursor.stats(), first);
-        assert_eq!(cursor.matches(), &tpt.search(&queries[0])[..]);
+        assert_eq!(again, ids(tpt, &queries[0]));
     }
 
     #[test]
@@ -842,6 +778,6 @@ mod tests {
             consequence: ones(3), // table has 2 time ids
             premise: ones(5),
         };
-        packed.with_leaves(&leaves).search(&q);
+        SearchCursor::new().search_packed(packed.with_leaves(&leaves), &q);
     }
 }

@@ -29,11 +29,20 @@ fn arb_key() -> Gen<PatternKey> {
     arb_key_of(CK_LEN, RK_LEN)
 }
 
-fn arb_keys(max: usize) -> Gen<Vec<PatternKey>> {
-    vec(arb_key(), 0..max)
+/// Up to `max` keys of `key`, in key order.
+fn sorted_keys(key: Gen<PatternKey>, max: usize) -> Gen<Vec<PatternKey>> {
+    vec(key, 0..max).map(|mut keys| {
+        keys.sort();
+        keys
+    })
 }
 
-/// `keys` as leaf entries (a key's id is its position) and their image.
+fn arb_keys(max: usize) -> Gen<Vec<PatternKey>> {
+    sorted_keys(arb_key(), max)
+}
+
+/// `keys`, in key order, as rows (a key's id is its position) and
+/// their image.
 fn load(fanout: usize, keys: &[PatternKey]) -> (LeafEntries, PackedTpt) {
     let leaves: LeafEntries = keys.iter().collect();
     let packed = PackedTpt::bulk_load(fanout, &leaves);
@@ -48,8 +57,7 @@ fn sorted(mut ids: Vec<u32>) -> Vec<u32> {
 
 /// A bulk-loaded image is structurally valid and returns exactly the
 /// brute-force [`scan`]'s match *set* for every query, self-queries
-/// included (covers the empty index), and the allocating and cursor
-/// search entry points agree on the matches.
+/// included (covers the empty index).
 fn image_equals_brute(fanout: usize, keys: &[PatternKey], queries: &[PatternKey]) -> CaseResult {
     let (leaves, packed) = load(fanout, keys);
     packed.validate(fanout, &leaves).map_err(CaseError::Fail)?;
@@ -57,8 +65,7 @@ fn image_equals_brute(fanout: usize, keys: &[PatternKey], queries: &[PatternKey]
     require_eq!(packed.is_empty(), keys.is_empty());
     let (tpt, mut cursor) = (packed.with_leaves(&leaves), SearchCursor::new());
     for q in queries.iter().chain(keys) {
-        let found = tpt.search(q);
-        require_eq!(cursor.search_packed(tpt, q), &found[..]);
+        let found = cursor.search_packed(tpt, q).to_vec();
         require_eq!(sorted(found), scan(keys, q).collect::<Vec<_>>());
     }
     Ok(())
@@ -95,7 +102,7 @@ props! {
 
     /// The same holds for keys with a multi-word premise part.
     fn bulk_load_equals_brute_wide_keys(
-        keys in vec(arb_key_of(CK_LEN_WIDE, RK_LEN_WIDE), 0..150),
+        keys in sorted_keys(arb_key_of(CK_LEN_WIDE, RK_LEN_WIDE), 150),
         queries in vec(arb_key_of(CK_LEN_WIDE, RK_LEN_WIDE), 1..8),
     ) {
         image_equals_brute(4, &keys, &queries)?;
@@ -106,8 +113,9 @@ props! {
     /// (keys always have ≥ 1 bit per part here).
     fn self_query_finds_entry(keys in arb_keys(120)) {
         let (leaves, packed) = load(32, &keys);
+        let mut cursor = SearchCursor::new();
         for (p, k) in (0u32..).zip(&keys) {
-            let found = packed.with_leaves(&leaves).search(k);
+            let found = cursor.search_packed(packed.with_leaves(&leaves), k);
             require!(found.contains(&p), "entry {p} not found by its own key");
         }
     }
@@ -123,8 +131,9 @@ props! {
     }
 }
 
-/// `n` seeded keys over `cons_bits` × `prem_bits`; every fifth repeats
-/// an earlier key (Table III: one key, two patterns).
+/// `n` seeded keys over `cons_bits` × `prem_bits`, in key order; every
+/// fifth drawn repeats an earlier key (Table III: one key, two
+/// patterns).
 fn fixture_keys(
     rng: &mut SmallRng,
     n: usize,
@@ -149,19 +158,23 @@ fn fixture_keys(
         };
         keys.push(key);
     }
+    keys.sort();
     keys
 }
 
 /// `PackedTpt::bulk_load` builds, byte for byte, the image of the last
-/// commit whose leaves held key words, minus those words.
-/// `fixtures/packed_image_v3.txt` was written by that commit through
-/// this same loop, hashing its image with every leaf node's words cut
-/// from the arena and each node's `sig_start` moved to where its run
-/// then starts: one line per case — fanouts 4 / 6 / 32;
-/// one- and multi-word parts on either side; 0, 1, `fill`, `fill + 1`,
-/// `fill² + 1` and 3,000 entries, duplicate keys among them — carrying
-/// the image's shape and the FNV-1a of its `Debug` text (every field of
-/// every arena).
+/// commit whose leaves were nodes of their own, minus those nodes.
+/// `fixtures/packed_image_v4.txt` was written by that commit through
+/// this same loop (its keys drawn in the same order, unsorted: that
+/// loader sorted them itself), hashing its image mapped to this layout:
+/// leaf nodes and their id runs dropped, internal nodes renumbered in
+/// pre-order, each bottom entry naming its leaf's rank in pre-order,
+/// each node's one `start` its first entry, the words per key part
+/// dropped (derived from the bit lengths) and `fill` added. One line per case — fanouts
+/// 4 / 6 / 32; one- and multi-word parts on either side; 0, 1, `fill`,
+/// `fill + 1`, `fill² + 1` and 3,000 entries, duplicate keys among them
+/// — carrying the image's shape and the FNV-1a of its `Debug` text
+/// (every field of every arena).
 #[test]
 fn committed_image_fixture_is_reproduced_byte_for_byte() {
     let mut rng = SmallRng::seed_from_u64(0x7074_2121);
@@ -184,5 +197,5 @@ fn committed_image_fixture_is_reproduced_byte_for_byte() {
             }
         }
     }
-    assert_eq!(out, include_str!("fixtures/packed_image_v3.txt"));
+    assert_eq!(out, include_str!("fixtures/packed_image_v4.txt"));
 }
