@@ -410,14 +410,14 @@ const MEMSMOKE_BUDGET_BYTES_PER_OBJECT: usize = 12 * 1024;
 const MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE: f64 = 34.9;
 
 /// Committed trainer-bytes-per-object budget for the same smoke: the
-/// same commuters' trainer share. Measured 31,162 B/object on the
+/// same commuters' trainer share. Measured 26,498 B/object on the
 /// committed 256-object row (clustering 15,743, visits 248, support
-/// counts 15,170) and 31,303 on the smoke's 64; 10% headroom over the
-/// row, so a regrowth of ~3.1 KB fails it — a hash map of itemset keys
-/// (~+15 KB), member lists in the cluster folds with a full visit
-/// table (~+5 KB), or a second copy of the clustered points (~+6 KB)
-/// or of their input order (~+1.5 KB) beside the samples.
-const MEMSMOKE_BUDGET_TRAINER_BYTES_PER_OBJECT: usize = 34_300;
+/// counts 10,506) and 26,605 on the smoke's 64; 10% headroom over the
+/// row, so a regrowth of ~2.6 KB fails it — an index table back beside
+/// the support-count trie (~+4.6 KB), member lists in the cluster folds
+/// with a full visit table (~+5 KB), or a second copy of the clustered
+/// points (~+6 KB) beside the samples.
+const MEMSMOKE_BUDGET_TRAINER_BYTES_PER_OBJECT: usize = 29_150;
 
 fn main() {
     if std::env::args().any(|a| a == "--memsmoke") {

@@ -16,7 +16,7 @@
 //!   (the full [`VisitTable`](hpm_patterns::VisitTable) exists only
 //!   while a seed counts it);
 //! * the persistent support counts ([`SupportCounts`]: a prefix trie of
-//!   12-byte nodes behind a table of node indices).
+//!   12-byte nodes in derive order, a child found in its parent's run).
 //!
 //! [`TrainerState::retrain`] is the one way to train: given the trainer
 //! slot, the live predictor and a history, it either **folds** the

@@ -37,56 +37,45 @@
 //! before the itemset is (the premise's last visit was itself a tail
 //! once), so a node is its premise's node plus one region id, counting
 //! an already-tracked instance touches no allocator, and a rule's
-//! premise support is its parent's count. A node is found through an
-//! open-addressing table that stores nothing but node indices — the
-//! key `(parent, id)` is read back from the node itself — so an
-//! itemset costs its 12-byte node plus about 5 bytes of table.
+//! premise support is its parent's count. The 12-byte nodes are all
+//! that is stored, in *derive order* (itemset size, parent position,
+//! region id): a node's children are one run sorted by id, which starts
+//! where the node says and ends where the next node's starts, and a
+//! child is found by a binary search of that run. A first-seen itemset
+//! is inserted into its parent's run, shifting every later position by
+//! one; a steady-state fold inserts none.
 
 use crate::{MiningParams, PatternTable, RegionId, Visit, VisitTable};
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_trajectory::TimeOffset;
+use std::ops::Range;
 
 /// Parent of the single-region itemsets.
 const ROOT: u32 = u32::MAX;
 
-/// A free slot of [`SupportCounts::slots`].
-const EMPTY: u32 = u32::MAX;
-
-/// Slots a growing table has at least.
-const MIN_SLOTS: usize = 256;
-
-/// The home slot of `(parent, id)` in a table of `len` slots: the top
-/// bits of a multiplicative hash of the key, scaled to the length.
-#[inline]
-fn home(parent: u32, id: RegionId, len: usize) -> usize {
-    let key = (u64::from(parent) << 32) | u64::from(id.0);
-    let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-    ((hash * len as u64) >> 32) as usize
-}
-
-/// One counted itemset: its prefix (`parent`, the rule's premise) plus
-/// its time-wise last region `id`.
-#[derive(Debug, Clone, Copy)]
+/// One counted itemset: its time-wise last region `id`, appended to
+/// the itemset of the node whose child run holds it (its premise).
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     count: u32,
-    parent: u32,
     id: RegionId,
+    /// Where this node's child run starts in [`SupportCounts::nodes`].
+    first_child: u32,
 }
 
 /// Persistent exact support counts over the structurally valid itemset
 /// universe (sizes `1..=max_premise_len + 1`), kept as a prefix trie:
 /// every counted itemset's premise is itself counted (see
 /// [`MiningParams`]), so an itemset is its premise's node plus one
-/// region id and no itemset is ever spelled out as a key.
-#[derive(Debug, Clone)]
+/// region id and no itemset is ever spelled out as a key. The layout
+/// is a pure function of the counted itemsets: counts grown visit by
+/// visit equal counts rebuilt over the same sequences, node for node.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupportCounts {
     params: MiningParams,
-    /// The trie, in the order itemsets were first counted; singles hang
-    /// off [`ROOT`].
+    /// The trie in derive order: the singles first (the child run of
+    /// [`ROOT`]), then each size's nodes by `(parent, id)`.
     nodes: Vec<Node>,
-    /// `(parent node, region id) → node` as a linear-probing table of
-    /// node indices ([`EMPTY`] when free), kept under 7/8 full.
-    slots: Box<[u32]>,
 }
 
 impl SupportCounts {
@@ -99,7 +88,6 @@ impl SupportCounts {
         SupportCounts {
             params,
             nodes: Vec::new(),
-            slots: Box::default(),
         }
     }
 
@@ -116,69 +104,61 @@ impl SupportCounts {
         self.nodes.len()
     }
 
-    /// The slot holding the node of `parent + [id]`, or the free slot
-    /// where it would go: linear probing from its [`home`].
-    fn probe(&self, parent: u32, id: RegionId) -> usize {
-        let len = self.slots.len();
-        let mut slot = home(parent, id, len);
-        loop {
-            let node = self.slots[slot];
-            if node == EMPTY {
-                return slot;
-            }
-            let at = &self.nodes[node as usize];
-            if at.parent == parent && at.id == id {
-                return slot;
-            }
-            slot = if slot + 1 == len { 0 } else { slot + 1 };
+    /// Where the child run of the node at `i` starts (past the last: the end).
+    fn run_start(&self, i: usize) -> usize {
+        (self.nodes.get(i)).map_or(self.nodes.len(), |n| n.first_child as usize)
+    }
+
+    /// The positions of `parent`'s children: from where its run starts
+    /// to where the next node's does ([`ROOT`]'s run starts at 0 and
+    /// ends where the first node's starts).
+    fn run(&self, parent: u32) -> Range<usize> {
+        match parent {
+            ROOT => 0..self.run_start(0),
+            p => self.run_start(p as usize)..self.run_start(p as usize + 1),
         }
     }
 
-    /// Re-files every node into a table of `len` slots. The keys are
-    /// distinct, so each takes the first free slot from its home
-    /// without reading any other node.
-    fn rehash(&mut self, len: usize) {
-        let mut slots = vec![EMPTY; len].into_boxed_slice();
-        for (node, at) in (0..).zip(&self.nodes) {
-            let mut slot = home(at.parent, at.id, len);
-            while slots[slot] != EMPTY {
-                slot = if slot + 1 == len { 0 } else { slot + 1 };
-            }
-            slots[slot] = node;
-        }
-        self.slots = slots;
+    /// The node of `parent + [id]`, or the position in `parent`'s run
+    /// where it would go.
+    fn find(&self, parent: u32, id: RegionId) -> Result<usize, usize> {
+        let run = self.run(parent);
+        let at = |i| run.start + i;
+        (self.nodes[run.clone()].binary_search_by_key(&id, |n| n.id))
+            .map(at)
+            .map_err(at)
     }
 
     /// Counts `instances` more instances of the itemset `parent + [id]`,
     /// starting to track it on its first. Returns its node.
     fn bump(&mut self, parent: u32, id: RegionId, instances: u32) -> u32 {
-        // Room for one more itemset first: the probe then always ends.
-        if (self.nodes.len() + 1) * 8 > self.slots.len() * 7 {
-            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
-        }
-        let slot = self.probe(parent, id);
-        if self.slots[slot] == EMPTY {
-            self.slots[slot] = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                count: 0,
-                parent,
-                id,
-            });
-        }
-        let node = self.slots[slot];
-        self.nodes[node as usize].count += instances;
-        node
+        let node = self.find(parent, id).unwrap_or_else(|at| {
+            // Every node past `parent` has its run past the new node,
+            // which takes an empty run where its successor's starts (at
+            // the end when it is the last).
+            for n in &mut self.nodes[parent.wrapping_add(1) as usize..] {
+                n.first_child += 1;
+            }
+            let first_child = self.run_start(at) + usize::from(at == self.nodes.len());
+            self.nodes.insert(
+                at,
+                Node {
+                    count: 0,
+                    id,
+                    first_child: first_child as u32,
+                },
+            );
+            at
+        });
+        self.nodes[node].count += instances;
+        node as u32
     }
 
     /// The node of `parent + [id]`, a premise chain: counted when its
     /// own last visit was the tail.
     fn child(&self, parent: u32, id: RegionId) -> u32 {
-        let node = self.slots[self.probe(parent, id)];
-        assert_ne!(
-            node, EMPTY,
-            "premise of a counted itemset is itself counted"
-        );
-        node
+        self.find(parent, id)
+            .expect("premise of a counted itemset is itself counted") as u32
     }
 
     /// Counts every structurally valid itemset whose **final** element
@@ -193,7 +173,9 @@ impl SupportCounts {
         self.bump(ROOT, last_id, 1);
         // Premise chains drawn from the window [anchor, j): consecutive
         // premise gaps ≤ max_premise_gap; the final element (the new
-        // visit) is bound only by max_span from the anchor.
+        // visit) is bound only by max_span from the anchor. A node
+        // keeps its position while its descendants are inserted: they
+        // all sit after it.
         for anchor in 0..j {
             let (aid, aoff) = tx[anchor];
             if last_off - aoff > self.params.max_span {
@@ -226,12 +208,11 @@ impl SupportCounts {
     /// Recounts from scratch over complete visit sequences — a full
     /// training pass. Counts what replaying
     /// [`SupportCounts::record_tail`] for every visit in arrival order
-    /// counts, with two shortcuts. Equal sequences hold equal itemsets,
-    /// so each distinct sequence is counted once, weighted by how often
-    /// it occurs. And a premise chain is an itemset that ended at an
-    /// earlier visit of the same sequence, so its node is kept from that
-    /// visit and an instance costs one probe. The node list is then
-    /// sized to the itemsets found, and the table to about 3/4 full.
+    /// counts, one itemset size at a time, each distinct sequence once,
+    /// weighted by its repeats. A size's instances extend the premise
+    /// chains of the size before, which come in node order, so they
+    /// arrive one parent at a time and are merged sorted by id: the
+    /// nodes are appended in derive order and none ever moves.
     pub fn rebuild(&mut self, visits: &VisitTable) {
         let _span = hpm_obs::span!(crate::metrics::ITEMSETS_SPAN);
         let mut sequences: Vec<&[Visit]> = visits.iter().collect();
@@ -240,62 +221,79 @@ impl SupportCounts {
             .map(|run| (run[0], run.len() as u32))
             .collect();
         self.nodes.clear();
-        self.slots = Box::default();
-        let (span, gap) = (self.params.max_span, self.params.max_premise_gap);
-        // The current sequence's premise chains, in the order they
-        // ended: `(node, anchor offset, length, last offset)`.
-        let mut chains: Vec<(u32, TimeOffset, usize, TimeOffset)> = Vec::new();
-        for &(tx, weight) in &distinct {
-            chains.clear();
-            let mut live = 0;
-            for &(id, t) in tx {
-                // A chain that ended more than `max_span` ago is anchored
-                // earlier still, and chains end in time order.
-                while chains.get(live).is_some_and(|c| t - c.3 > span) {
-                    live += 1;
-                }
-                for c in live..chains.len() {
-                    let (chain, anchor, len, last) = chains[c];
-                    if t - anchor > span {
-                        continue;
+        let mut instances: Vec<Instance> = Vec::new();
+        for (seq, &(tx, _)) in (0..).zip(&distinct) {
+            instances.extend((0..).zip(tx).map(|(pos, &(id, t))| (id, seq, pos, Some(t))));
+        }
+        // One size's premise chains, in node order.
+        let (mut chains, mut next) = (Vec::new(), Vec::new());
+        self.merge(&mut instances, &distinct, &mut chains);
+        let (mut level, mut len) = (0..self.nodes.len(), 1);
+        while !level.is_empty() {
+            let mut from = chains.iter().peekable();
+            for parent in level.clone() {
+                self.nodes[parent].first_child = self.nodes.len() as u32;
+                while let Some(&(_, seq, last, anchor)) = from.next_if(|c| c.0 == parent as u32) {
+                    let tx = distinct[seq as usize].0;
+                    let last_off = tx[last as usize].1;
+                    for (pos, &(id, t)) in (last + 1..).zip(&tx[last as usize + 1..]) {
+                        if t - anchor > self.params.max_span {
+                            break;
+                        }
+                        let extends = len < self.params.max_premise_len
+                            && t - last_off <= self.params.max_premise_gap;
+                        instances.push((id, seq, pos, extends.then_some(anchor)));
                     }
-                    let node = self.bump(chain, id, weight);
-                    if len < self.params.max_premise_len && t - last <= gap {
-                        chains.push((node, anchor, len + 1, t));
-                    }
                 }
-                let single = self.bump(ROOT, id, weight);
-                chains.push((single, t, 1, t));
+                self.merge(&mut instances, &distinct, &mut next);
             }
+            level = level.end..self.nodes.len();
+            len += 1;
+            std::mem::swap(&mut chains, &mut next);
+            next.clear();
         }
         self.nodes.shrink_to_fit();
-        let n = self.nodes.len();
-        self.rehash(n + n / 3 + 1);
     }
 
-    /// Appends the regions of `node`'s itemset to `out`, in time order.
-    fn spell(&self, node: &Node, out: &mut Vec<RegionId>) {
-        let start = out.len();
-        let mut at = node;
-        loop {
-            out.push(at.id);
-            if at.parent == ROOT {
-                break;
-            }
-            at = &self.nodes[at.parent as usize];
+    /// Each node's parent ([`ROOT`] for a single) and itemset size,
+    /// read off the child runs in one pass.
+    fn parents(&self) -> Vec<(u32, usize)> {
+        let mut parents = Vec::with_capacity(self.nodes.len());
+        parents.resize(self.run(ROOT).end, (ROOT, 1));
+        for p in 0..self.nodes.len() {
+            let size = parents[p].1 + 1;
+            parents.resize(self.run(p as u32).end, (p as u32, size));
         }
-        out[start..].reverse();
+        parents
+    }
+
+    /// The regions of `node`'s itemset in time order: its `k`th of
+    /// `size` is `size - k` steps up from its last.
+    fn itemset<'a>(
+        &'a self,
+        parents: &'a [(u32, usize)],
+        node: u32,
+    ) -> impl Iterator<Item = RegionId> + 'a {
+        let size = parents[node as usize].1;
+        (1..=size).map(move |k| {
+            let mut at = node;
+            for _ in k..size {
+                at = parents[at as usize].0;
+            }
+            self.nodes[at as usize].id
+        })
     }
 
     /// Every frequent itemset of two or more regions, spelled out,
     /// with its support (for the pruning-effect statistics).
     pub(crate) fn frequent_sets(&self) -> impl Iterator<Item = (Vec<RegionId>, u32)> + '_ {
-        let frequent = |n: &&Node| n.parent != ROOT && n.count >= self.params.min_support;
-        self.nodes.iter().filter(frequent).map(|node| {
-            let mut set = Vec::new();
-            self.spell(node, &mut set);
-            (set, node.count)
-        })
+        let parents = self.parents();
+        (self.run(ROOT).end..self.nodes.len())
+            .filter(|&node| self.nodes[node].count >= self.params.min_support)
+            .map(move |node| {
+                let set = self.itemset(&parents, node as u32).collect();
+                (set, self.nodes[node].count)
+            })
     }
 
     /// Derives the canonical pattern list: one rule per frequent
@@ -307,79 +305,81 @@ impl SupportCounts {
     /// grown visit by visit), equal counts give an equal table.
     ///
     /// Region ids ascend along every trie path, so that order is the
-    /// trie's level order with each level ranked by `(parent's rank,
-    /// id)`: per level, the nodes are sorted by that pair packed into
-    /// one `u64`. Only frequent nodes are ranked (a premise is at least
-    /// as frequent as its rules), and nothing is allocated per rule.
+    /// nodes' stored order (a frequent node's parent is frequent too):
+    /// the rules are read off in one pass, nothing allocated per rule.
     pub fn derive(&self) -> PatternTable {
         let _span = hpm_obs::span!(crate::metrics::RULES_SPAN);
-        let nodes = &self.nodes;
-        // Per node: its itemset's size (a parent precedes its
-        // children), then its rank within its level.
-        let mut size: Vec<u32> = Vec::with_capacity(nodes.len());
-        for n in nodes {
-            size.push(match n.parent {
-                ROOT => 1,
-                parent => size[parent as usize] + 1,
-            });
-        }
-        let mut rank = vec![0u32; nodes.len()];
-        // One level's `((parent's rank, id), node)`.
-        let mut level: Vec<(u64, u32)> = Vec::with_capacity(nodes.len());
+        let (nodes, parents) = (&self.nodes, self.parents());
         let (mut rules, mut premise_ids) = (Vec::with_capacity(nodes.len()), 0);
-        for len in 1..=self.params.max_premise_len as u32 + 1 {
-            level.clear();
-            for (node, n) in (0u32..).zip(nodes) {
-                if size[node as usize] == len && n.count >= self.params.min_support {
-                    let parent_rank = match n.parent {
-                        ROOT => 0,
-                        parent => rank[parent as usize],
-                    };
-                    level.push(((u64::from(parent_rank) << 32) | u64::from(n.id.0), node));
-                }
-            }
-            level.sort_unstable();
-            for (r, &(_, node)) in (0..).zip(&level) {
-                rank[node as usize] = r;
-                let n = &nodes[node as usize];
-                if len > 1 && self.confidence(n) >= self.params.min_confidence {
-                    rules.push(node);
-                    premise_ids += len as usize - 1;
-                }
+        for node in self.run(ROOT).end..nodes.len() {
+            let (n, (parent, size)) = (&nodes[node], parents[node]);
+            // Its support over its premise's.
+            let confidence = n.count as f64 / nodes[parent as usize].count as f64;
+            if n.count >= self.params.min_support && confidence >= self.params.min_confidence {
+                rules.push((node, confidence));
+                premise_ids += size - 1;
             }
         }
-        // A premise spelled forward: its `k`th region is `len - 1 - k`
-        // steps up from its last.
-        let up = |mut node: u32, steps: usize| {
-            for _ in 0..steps {
-                node = nodes[node as usize].parent;
-            }
-            nodes[node as usize].id
-        };
         PatternTable::from_rows(
             rules.len(),
             premise_ids,
-            rules.iter().map(|&node| {
-                let n = &nodes[node as usize];
-                let len = size[n.parent as usize] as usize;
-                let premise = (0..len).map(move |k| up(n.parent, len - 1 - k));
-                (premise, n.id, self.confidence(n), n.count)
+            rules.iter().map(|&(node, confidence)| {
+                let premise = self.itemset(&parents, parents[node].0);
+                (premise, nodes[node].id, confidence, nodes[node].count)
             }),
         )
     }
 
-    /// A counted itemset's confidence as a rule: its support over its
-    /// premise's.
-    fn confidence(&self, n: &Node) -> f64 {
-        n.count as f64 / self.nodes[n.parent as usize].count as f64
+    /// Appends one run of nodes: its instances sorted by id and merged,
+    /// each node weighing them by their sequences' repeats in `txs`. The
+    /// instances that are premise chains go on to `out` with their node.
+    fn merge(&mut self, run: &mut Vec<Instance>, txs: &[(&[Visit], u32)], out: &mut Vec<Chain>) {
+        run.sort_unstable_by_key(|i| i.0);
+        for same in run.chunk_by(|a, b| a.0 == b.0) {
+            let node = self.nodes.len() as u32;
+            self.nodes.push(Node {
+                count: same.iter().map(|i| txs[i.1 as usize].1).sum(),
+                id: same[0].0,
+                first_child: 0,
+            });
+            let chain = |&(_, seq, pos, anchor): &Instance| Some((node, seq, pos, anchor?));
+            out.extend(same.iter().filter_map(chain));
+        }
+        run.clear();
+    }
+
+    /// Panics unless the trie is laid out in derive order: every child
+    /// run starts after its parent and where the one before it ends,
+    /// the nodes ascend by `(size, parent, id)`, sizes stop at
+    /// `max_premise_len + 1`, and every count is positive and at most
+    /// its parent's.
+    #[doc(hidden)]
+    pub fn validate(&self) {
+        for c in 0..self.nodes.len() {
+            let run = self.run(c as u32);
+            assert!(c < run.start && run.start <= run.end, "{c}: {run:?}");
+        }
+        let mut last = None;
+        for (c, (at, &(parent, size))) in self.nodes.iter().zip(&self.parents()).enumerate() {
+            let cap = (self.nodes.get(parent as usize)).map_or(u32::MAX, |p| p.count);
+            let key = Some((size, parent.wrapping_add(1), at.id));
+            let fits = size <= self.params.max_premise_len + 1 && (1..=cap).contains(&at.count);
+            assert!(fits && last < key, "node {c} misplaced");
+            last = key;
+        }
     }
 }
 
+/// An itemset instance [`rebuild`](SupportCounts::rebuild) counts:
+/// `(id, sequence, position, anchor offset if it is a premise chain)`.
+type Instance = (RegionId, u32, u32, Option<TimeOffset>);
+
+/// A premise chain: `(node, sequence, last position, anchor offset)`.
+type Chain = (u32, u32, u32, TimeOffset);
+
 impl hpm_geo::MemUse for SupportCounts {
     fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + std::mem::size_of_val::<[u32]>(&self.slots)
-            + vec_cap_bytes(&self.nodes)
+        std::mem::size_of::<Self>() + vec_cap_bytes(&self.nodes)
     }
 }
 

@@ -263,10 +263,13 @@ props! {
     // same patterns, same order, bit-identical confidences, after every
     // single appended visit, including partially filled tail
     // transactions; and it tracks each structurally valid itemset once.
+    // Its layout is a function of the counted itemsets alone: the grown
+    // trie passes `validate` after every visit and equals the rebuilt
+    // one node for node.
     // One draw in four is `wide` (drawn last, so the other inputs of
     // every case seed are what they were): twice the offsets, 12 to 36 regions
     // at each and 12 times the sub-trajectories, so the counts track up
-    // to thousands of itemsets and their table grows several times;
+    // to thousands of itemsets and insert most of them mid-vector;
     // such a draw is compared after every fourth sub-trajectory rather
     // than after every visit, which keeps the enumeration affordable.
     #[cases(96)]
@@ -328,6 +331,7 @@ props! {
         let mut visits = VisitTable::with_subs(subs);
         for (i, &(s, id, t)) in stream.iter().enumerate() {
             grown.record_tail(visits.record(s, id, t));
+            grown.validate();
             if wide && stream.get(i + 1).is_some_and(|next| next.0 / 4 == s / 4) {
                 continue;
             }
@@ -335,6 +339,8 @@ props! {
             let rules = rules_by_definition(&supports, &mp);
             let mut rebuilt = SupportCounts::new(mp);
             rebuilt.rebuild(&visits);
+            rebuilt.validate();
+            require_eq!(&grown, &rebuilt);
             for counts in [&grown, &rebuilt] {
                 require_eq!(counts.derive(), rules);
                 require_eq!(counts.tracked_itemsets(), supports.len());

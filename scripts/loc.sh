@@ -21,7 +21,7 @@ cd "$(dirname "$0")/.."
 # left. A change that needs the room raises them in the same diff and
 # says why in CHANGES.md.
 BUDGET_FILE_LINES=26940
-BUDGET_CODE_ONLY=12682
+BUDGET_CODE_ONLY=12673
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {
