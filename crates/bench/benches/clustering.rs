@@ -33,7 +33,7 @@ fn main() {
         let params = DbscanParams::new(30.0, 4);
         let mut scratch = SeedScratch::default();
         bench.run(&format!("dbscan/grid/{n}"), None, || {
-            IncrementalDbscan::seed(pts.clone(), params, &mut scratch)
+            IncrementalDbscan::seed(std::slice::from_ref(&pts), params, &mut scratch, |_, _| {})
         });
     }
     bench.summary();

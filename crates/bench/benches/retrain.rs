@@ -37,7 +37,9 @@ use hpm_bench::{best_of, forked_commuter, forked_params, Bench};
 use hpm_core::{HpmConfig, HybridPredictor, TrainPass, TrainerState};
 use hpm_geo::Point;
 use hpm_obs::json::Json;
-use hpm_patterns::{cluster_offsets, DiscoveryParams, MiningParams, SupportCounts};
+use hpm_patterns::{
+    cluster_offsets, DiscoveryOutput, DiscoveryParams, MiningParams, SupportCounts,
+};
 use hpm_trajectory::Trajectory;
 
 const PERIOD: u32 = 4;
@@ -169,7 +171,7 @@ fn measure_seed(commuters: u64, reps: usize) -> SeedRow {
     for id in 0..commuters {
         let path = forked_commuter(id);
         phases[0] += best_of(reps, || cluster_offsets(&path, &discovery)).as_nanos();
-        let (clusters, visits) = cluster_offsets(&path, &discovery);
+        let (_, DiscoveryOutput { regions, visits }) = cluster_offsets(&path, &discovery);
         let rebuild = || {
             let mut counts = SupportCounts::new(mining);
             counts.rebuild(&visits);
@@ -178,7 +180,7 @@ fn measure_seed(commuters: u64, reps: usize) -> SeedRow {
         phases[1] += best_of(reps, rebuild).as_nanos();
         let counts = rebuild();
         phases[2] += best_of(reps, || counts.derive()).as_nanos();
-        let (regions, patterns) = (clusters.regions(), counts.derive());
+        let patterns = counts.derive();
         let mut parts: Vec<_> = (0..reps)
             .map(|_| (regions.clone(), patterns.clone()))
             .collect();

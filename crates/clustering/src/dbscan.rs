@@ -1,8 +1,8 @@
 //! The DBSCAN algorithm proper: the one sweep behind
 //! [`IncrementalDbscan::seed`](crate::IncrementalDbscan::seed) (against
-//! the neighbour grid) and
+//! the neighbour grid, once per offset) and
 //! [`IncrementalDbscan::validate`](crate::IncrementalDbscan::validate)
-//! (against brute-force scans).
+//! (against brute-force scans), and the cluster fold both produce.
 
 use hpm_geo::{BoundingBox, Point};
 
@@ -38,19 +38,24 @@ pub enum Label {
 }
 
 /// Running aggregate of one cluster: its member count, coordinate sum
-/// and tight box, folded in ascending member-index order. The sweep's
-/// summaries and the incremental state's later appends extend this
+/// and tight box, folded in ascending member-index order. A seed's
+/// folds ([`SeedScratch::folds`](crate::SeedScratch::folds)) and every
+/// later append a caller makes for an
+/// [`InsertOutcome::Member`](crate::InsertOutcome::Member) extend this
 /// same fold, which is what keeps them bit-identical. The members
 /// themselves are the points whose assignment names the cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ClusterFold {
-    pub(crate) len: u32,
-    pub(crate) sum: Point,
-    pub(crate) bbox: BoundingBox,
+pub struct ClusterFold {
+    /// Number of members.
+    pub len: u32,
+    /// Coordinate sum of the members.
+    pub sum: Point,
+    /// Tight bounding box of the members.
+    pub bbox: BoundingBox,
 }
 
 impl ClusterFold {
-    const EMPTY: ClusterFold = ClusterFold {
+    pub(crate) const EMPTY: ClusterFold = ClusterFold {
         len: 0,
         sum: Point::ORIGIN,
         bbox: BoundingBox {
@@ -60,8 +65,8 @@ impl ClusterFold {
     };
 
     /// Folds in the next member at `p`; callers push in ascending
-    /// member index.
-    pub(crate) fn push(&mut self, p: Point) {
+    /// member index (arrival order).
+    pub fn push(&mut self, p: Point) {
         if self.len == 0 {
             self.bbox = BoundingBox::from_point(p);
         } else {
@@ -71,22 +76,33 @@ impl ClusterFold {
         self.sum += p;
     }
 
+    /// Arithmetic mean of the members: the centroid a region reports.
     #[inline]
-    pub(crate) fn centroid(&self) -> Point {
+    pub fn mean(&self) -> Point {
         self.sum / self.len as f64
     }
 }
 
+/// What the sweep records for one point: its cluster id ([`NOISE`]
+/// outside every cluster) and `|N_Eps|` including the point itself, the
+/// size seen at the single neighbourhood query the sweep makes for it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Swept {
+    pub(crate) assign: u32,
+    pub(crate) count: u32,
+}
+
 /// The buffers one DBSCAN sweep fills and works in, kept by a caller
-/// that sweeps many point sets: its per-point outputs `assign` and
-/// `counts`, read after the sweep, and its frontier and neighbour list.
+/// that sweeps many point sets: its per-point outputs `swept`, read
+/// after the sweep, the cluster folds it appends to, and its frontier
+/// and neighbour list.
 #[derive(Debug, Default)]
 pub(crate) struct SweepBuffers {
-    /// Cluster id per point, [`NOISE`] outside every cluster.
-    pub(crate) assign: Vec<u32>,
-    /// `|N_Eps(p)|` including the point itself, recorded at the single
-    /// neighbourhood query the sweep makes for each point.
-    pub(crate) counts: Vec<u32>,
+    /// One entry per point of the last sweep, in input order.
+    pub(crate) swept: Vec<Swept>,
+    /// One fold per cluster, in id order: a sweep numbers its clusters
+    /// on from `folds.len()` and appends theirs.
+    pub(crate) folds: Vec<ClusterFold>,
     frontier: Vec<u32>,
     neighbors: Vec<u32>,
 }
@@ -107,29 +123,34 @@ pub(crate) fn label_of(assign: u32) -> Label {
     }
 }
 
-/// The DBSCAN sweep: fills `bufs.assign` and `bufs.counts` for every
-/// point and returns the cluster folds. `neighbors_of(p, out)` appends
-/// the index of every point within `Eps` of `p` to `out` (any order)
-/// and is called exactly once per point: for an unvisited seed, or when
-/// a point first claimed by a cluster is popped off the frontier.
+/// The DBSCAN sweep: fills `bufs.swept` for every point and appends
+/// the folds of the clusters it finds to `bufs.folds`, numbering them
+/// on from the folds already there. `neighbors_of(p, out)` appends the
+/// index of every point within `Eps` of `p` to `out` (any order) and is
+/// called exactly once per point: for an unvisited seed, or when a
+/// point first claimed by a cluster is popped off the frontier.
 pub(crate) fn sweep(
     points: &[Point],
     min_pts: usize,
     bufs: &mut SweepBuffers,
     mut neighbors_of: impl FnMut(&Point, &mut Vec<u32>),
-) -> Box<[ClusterFold]> {
+) {
     let n = points.len();
     let SweepBuffers {
-        assign,
-        counts,
+        swept,
+        folds,
         frontier,
         neighbors: scratch,
     } = bufs;
-    assign.clear();
-    assign.resize(n, UNVISITED);
-    counts.clear();
-    counts.resize(n, 0);
-    let mut next_cluster = 0u32;
+    swept.clear();
+    swept.resize(
+        n,
+        Swept {
+            assign: UNVISITED,
+            count: 0,
+        },
+    );
+    let mut next_cluster = folds.len() as u32;
     // Sized for the worst case up front (every point on the frontier,
     // every point a neighbour), so the sweep never regrows a buffer.
     for buffer in [&mut *frontier, &mut *scratch] {
@@ -138,23 +159,23 @@ pub(crate) fn sweep(
     }
 
     for seed in 0..n {
-        if assign[seed] != UNVISITED {
+        if swept[seed].assign != UNVISITED {
             continue;
         }
         scratch.clear();
         neighbors_of(&points[seed], scratch);
-        counts[seed] = scratch.len() as u32;
+        swept[seed].count = scratch.len() as u32;
         if scratch.len() < min_pts {
-            assign[seed] = NOISE;
+            swept[seed].assign = NOISE;
             continue;
         }
         // New cluster seeded at a core point; expand breadth-first.
         let cid = next_cluster;
         next_cluster += 1;
-        assign[seed] = cid;
+        swept[seed].assign = cid;
         frontier.clear();
         for &i in scratch.iter() {
-            let a = &mut assign[i as usize];
+            let a = &mut swept[i as usize].assign;
             if *a == UNVISITED || *a == NOISE {
                 let was_unvisited = *a == UNVISITED;
                 *a = cid;
@@ -166,12 +187,12 @@ pub(crate) fn sweep(
         while let Some(p) = frontier.pop() {
             scratch.clear();
             neighbors_of(&points[p as usize], scratch);
-            counts[p as usize] = scratch.len() as u32;
+            swept[p as usize].count = scratch.len() as u32;
             if scratch.len() < min_pts {
                 continue; // border point: keeps membership, no expansion
             }
             for &i in scratch.iter() {
-                let a = &mut assign[i as usize];
+                let a = &mut swept[i as usize].assign;
                 if *a == UNVISITED {
                     *a = cid;
                     frontier.push(i);
@@ -183,33 +204,32 @@ pub(crate) fn sweep(
     }
 
     // Summaries: one fold per cluster, members ascending.
-    let mut clusters = vec![ClusterFold::EMPTY; next_cluster as usize];
-    for (&a, &p) in assign.iter().zip(points) {
-        if a < NOISE {
-            clusters[a as usize].push(p);
+    folds.resize(next_cluster as usize, ClusterFold::EMPTY);
+    for (s, &p) in swept.iter().zip(points) {
+        if s.assign < NOISE {
+            folds[s.assign as usize].push(p);
         }
     }
-    clusters.into_boxed_slice()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterView, IncrementalDbscan, SeedScratch};
+    use crate::{IncrementalDbscan, SeedScratch};
 
-    /// Labels and summaries of a seeded state, checked against the
-    /// brute-force sweep first.
-    fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<ClusterView>) {
+    /// Labels and cluster folds of a seeded one-offset state, checked
+    /// against the brute-force sweep first.
+    fn dbscan(points: &[Point], params: DbscanParams) -> (Vec<Label>, Vec<ClusterFold>) {
         let mut scratch = SeedScratch::default();
-        let state = IncrementalDbscan::seed(points.to_vec(), params, &mut scratch);
-        state.validate(points, &params).unwrap();
-        (scratch.labels().collect(), state.cluster_views().collect())
+        let state = IncrementalDbscan::seed(&[points.to_vec()], params, &mut scratch, |_, _| {});
+        state.validate(0, points, &params, scratch.folds()).unwrap();
+        (scratch.labels().collect(), scratch.folds().to_vec())
     }
 
     /// The input indices `labels` puts in cluster `c`.
-    fn members(labels: &[Label], c: &ClusterView) -> Vec<usize> {
+    fn members(labels: &[Label], c: u32) -> Vec<usize> {
         (0..labels.len())
-            .filter(|&i| labels[i] == Label::Cluster(c.id))
+            .filter(|&i| labels[i] == Label::Cluster(c))
             .collect()
     }
 
@@ -281,9 +301,9 @@ mod tests {
         let (labels, clusters) = dbscan(&pts, DbscanParams::new(0.5, 3));
         assert_eq!(clusters.len(), 1);
         let c = &clusters[0];
-        assert_eq!(c.size, 40);
-        assert!(c.centroid.distance(&Point::new(10.0, 20.0)) < 0.2);
-        for m in members(&labels, c) {
+        assert_eq!(c.len, 40);
+        assert!(c.mean().distance(&Point::new(10.0, 20.0)) < 0.2);
+        for m in members(&labels, 0) {
             assert!(c.bbox.contains(&pts[m]));
         }
     }
@@ -326,8 +346,8 @@ mod tests {
     fn sizes_count_the_labels() {
         let pts = blob(0.0, 0.0, 20, 1.0);
         let (labels, clusters) = dbscan(&pts, DbscanParams::new(1.0, 4));
-        for c in &clusters {
-            assert_eq!(members(&labels, c).len(), c.size as usize);
+        for (id, c) in (0..).zip(&clusters) {
+            assert_eq!(members(&labels, id).len(), c.len as usize);
         }
     }
 }

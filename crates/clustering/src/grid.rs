@@ -5,9 +5,12 @@
 //! Cells are `Eps`-sized, so a radius-`Eps` disc around a point is
 //! covered by the 3×3 block of cells around the point's cell. The
 //! points live in one sequence sorted by cell key (a seed's sort buffer
-//! of input indices, or a state's samples), and the table lists the
+//! of input indices, or one offset's samples), and the table lists the
 //! occupied cells by `(column, row)` with the end of each cell's run in
-//! that sequence. The three cells of a grid column are therefore
+//! that sequence. A state keeps the tables of all its offsets in one
+//! `Vec`, one run of cells per offset: each run's ends count from its
+//! own offset's samples, so every function here works on one offset's
+//! slice of it. The three cells of a grid column are therefore
 //! adjacent in the table and their points one contiguous run: a
 //! neighbourhood query is three binary searches and three run scans —
 //! no hashing, no heap block per cell (12 B per occupied cell), and the
@@ -53,21 +56,26 @@ pub(crate) struct Cell {
     end: u32,
 }
 
-/// Sorts `keyed` to `(key of points[i], i)` for every point and returns
-/// the exactly sized cell table over it. `keyed` is the sort buffer:
-/// overwritten, and kept by a caller that builds many tables.
-pub(crate) fn build(points: &[Point], eps: f64, keyed: &mut Vec<(Key, u32)>) -> Vec<Cell> {
-    keyed.clear();
+/// Appends `(key of points[i], i)` for every point to `keyed`, sorts
+/// what it appended and returns the number of occupied cells. `keyed`
+/// is the sort buffer, kept by a caller that builds many tables.
+pub(crate) fn sort(points: &[Point], eps: f64, keyed: &mut Vec<(Key, u32)>) -> usize {
+    let from = keyed.len();
     keyed.extend(points.iter().zip(0..).map(|(p, i)| (key_of(p, eps), i)));
-    keyed.sort_unstable();
-    let mut cells = Vec::with_capacity(keyed.chunk_by(|a, b| a.0 == b.0).count());
-    for (&(key, _), end) in keyed.iter().zip(1..) {
-        match cells.last_mut() {
-            Some(Cell { key: k, end: e }) if *k == key => *e = end,
-            _ => cells.push(Cell { key, end }),
-        }
-    }
-    cells
+    let run = &mut keyed[from..];
+    run.sort_unstable();
+    run.chunk_by(|a, b| a.0 == b.0).count()
+}
+
+/// Appends the cell table over `keyed`, one run [`sort`] left, to
+/// `cells`: the run ends are positions in `keyed`, so the appended
+/// cells are a table of their own, whatever precedes them.
+pub(crate) fn append(keyed: &[(Key, u32)], cells: &mut Vec<Cell>) {
+    let mut end = 0;
+    cells.extend(keyed.chunk_by(|a, b| a.0 == b.0).map(|run| {
+        end += run.len() as u32;
+        Cell { key: run[0].0, end }
+    }));
 }
 
 /// Where cell `k`'s run starts (`k == cells.len()` gives the end of the
@@ -99,25 +107,39 @@ pub(crate) fn block_runs(cells: &[Cell], (cx, cy): Key, mut visit: impl FnMut(Ra
     }
 }
 
-/// Files one more point in cell `key` — a new cell when the key is not
-/// in the table — and returns its position in the sorted sequence: the
-/// end of the cell's run, where the caller inserts it.
-pub(crate) fn file(cells: &mut Vec<Cell>, key: Key) -> usize {
-    let k = cells.partition_point(|c| c.key < key);
-    if cells.get(k).is_none_or(|c| c.key != key) {
-        let end = start(cells, k) as u32;
-        cells.insert(k, Cell { key, end });
+/// Files one more point in cell `key` of the table `cells[span]` — a
+/// new cell when the key is not in it, which widens the span by one —
+/// and returns its position in the table's sorted sequence (the end of
+/// the cell's run, where the caller inserts it) and whether a cell was
+/// added.
+pub(crate) fn file(cells: &mut Vec<Cell>, span: Range<usize>, key: Key) -> (usize, bool) {
+    let table = &cells[span.clone()];
+    let k = table.partition_point(|c| c.key < key);
+    let added = table.get(k).is_none_or(|c| c.key != key);
+    if added {
+        let end = start(table, k) as u32;
+        cells.insert(span.start + k, Cell { key, end });
     }
-    let at = cells[k].end as usize;
-    for c in &mut cells[k..] {
+    let table = &mut cells[span.start + k..span.end + usize::from(added)];
+    let at = table[0].end as usize;
+    for c in table {
         c.end += 1;
     }
-    at
+    (at, added)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The table of one sorted sequence.
+    fn build(points: &[Point], eps: f64, keyed: &mut Vec<(Key, u32)>) -> Vec<Cell> {
+        keyed.clear();
+        let mut cells = Vec::with_capacity(sort(points, eps, keyed));
+        append(keyed, &mut cells);
+        assert_eq!(cells.len(), cells.capacity(), "sort counts the cells");
+        cells
+    }
 
     fn naive_within(points: &[Point], c: &Point, r: f64) -> Vec<u32> {
         (0..)
@@ -174,19 +196,34 @@ mod tests {
         assert_eq!(sorted_neighbors(&pts, &pts[0], 0.5).len(), 2);
     }
 
+    /// Filing into one table of several leaves the others as they were.
     #[test]
     fn filed_keys_build_the_table_a_sort_builds() {
         let pts: Vec<Point> = (0..60)
             .map(|i| Point::new((i * 7 % 11) as f64 - 5.0, (i * 5 % 13) as f64 - 6.0))
             .collect();
         let mut keyed = Vec::new();
+        let (before, after) = (
+            build(&pts[40..], 1.5, &mut keyed),
+            build(&pts[50..], 2.0, &mut keyed),
+        );
         let mut grown = build(&pts[..20], 1.5, &mut keyed);
         let mut order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
+        grown.splice(0..0, before.iter().copied());
+        grown.extend(&after);
+        let mut span = before.len()..grown.len() - after.len();
         for (p, i) in pts.iter().zip(0..).skip(20) {
-            order.insert(file(&mut grown, key_of(p, 1.5)), i);
-            assert_eq!(grown, build(&pts[..=i as usize], 1.5, &mut keyed));
+            let (at, added) = file(&mut grown, span.clone(), key_of(p, 1.5));
+            order.insert(at, i);
+            span.end += usize::from(added);
+            assert_eq!(
+                grown[span.clone()],
+                build(&pts[..=i as usize], 1.5, &mut keyed)
+            );
             let fresh: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
             assert_eq!(order, fresh, "a filed point goes last in its run");
+            assert_eq!(grown[..span.start], before);
+            assert_eq!(grown[span.end..], after);
         }
     }
 

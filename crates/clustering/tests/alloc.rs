@@ -7,9 +7,10 @@
 //!
 //! * seeding `n` points spread over `c` occupied cells acquires a
 //!   fixed number of blocks — independent of `n`, of `c` and of the
-//!   number of clusters (a cluster is a fold, not a member list): with
-//!   a cold [`SeedScratch`] one block more per scratch buffer, with a
-//!   warm one only the state's own. (The hash-map
+//!   number of clusters (a cluster is a fold in the scratch, not a
+//!   member list, and the state keeps none): with a cold
+//!   [`SeedScratch`] one block more per scratch buffer, with a warm one
+//!   only the state's own. (The hash-map
 //!   grid this replaced acquired two maps and a bucket `Vec` per cell
 //!   in each, with their regrowths: 1,920 points over 1,920 cells cost
 //!   it thousands of blocks where the table costs eight.)
@@ -26,14 +27,20 @@ use hpm_geo::Point;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Blocks a seed acquires whatever its input once its scratch (the
-/// sort buffer, the sweep's assignments, counts, frontier and neighbour
-/// list) is warm: the cell table, the samples, the cluster folds.
+/// Blocks a one-offset seed acquires whatever its input once its
+/// scratch (the sort buffer, the sweep's per-point records, cluster
+/// folds, frontier and neighbour list) is warm: the cell table, the
+/// samples, the offset table.
 const SEED_FIXED_BLOCKS: u64 = 3;
 
 /// Blocks a cold [`SeedScratch`] adds to a seed: one per buffer, sized
 /// once, however many points it sorts or sweeps.
 const SCRATCH_BLOCKS: u64 = 5;
+
+/// Seeds a one-offset state over `pts` under `params`.
+fn seed(pts: Vec<Point>, params: DbscanParams, scratch: &mut SeedScratch) -> IncrementalDbscan {
+    IncrementalDbscan::seed(std::slice::from_ref(&pts), params, scratch, |_, _| {})
+}
 
 /// `n` points over `cells` occupied cells (`Eps` = 1): cells sit three
 /// apart so no neighbourhood crosses one, and the points of a cell are
@@ -74,24 +81,21 @@ fn one_grid_no_per_cell_allocation() {
     for (n, cells) in [(240, 1), (240, 60), (240, 240), (1_920, 60), (1_920, 1_920)] {
         let pts = spread(n, cells);
         // `pts.clone()` is the `+ 1` here and below.
-        let (blocks, _, _) =
-            quietest(|| IncrementalDbscan::seed(pts.clone(), params, &mut SeedScratch::default()));
+        let (blocks, _, _) = quietest(|| seed(pts.clone(), params, &mut SeedScratch::default()));
         assert!(
             blocks <= SEED_FIXED_BLOCKS + SCRATCH_BLOCKS + 1,
             "seeding {n} points over {cells} cells with a cold scratch took {blocks} blocks"
         );
         // The first window warms the scratch to `n` points.
-        let (blocks, _, state) =
-            quietest(|| IncrementalDbscan::seed(pts.clone(), params, &mut scratch));
-        let clusters = state.cluster_count() as u64;
+        let (blocks, _, _) = quietest(|| seed(pts.clone(), params, &mut scratch));
+        let clusters = scratch.folds().len() as u64;
         assert_eq!(clusters, if n / cells >= 3 { cells as u64 } else { 0 });
         assert!(
             blocks <= SEED_FIXED_BLOCKS + 1,
             "seeding {n} points over {cells} cells ({clusters} clusters) took {blocks} blocks"
         );
 
-        let (_, retained, state) =
-            quietest(|| IncrementalDbscan::seed(spread(n, cells), params, &mut scratch));
+        let (_, retained, state) = quietest(|| seed(spread(n, cells), params, &mut scratch));
         assert_eq!(
             retained as usize,
             heap_bytes(&state),
@@ -108,13 +112,13 @@ fn one_grid_no_per_cell_allocation() {
     let mut grown = (0..4)
         .map(|_| {
             let bytes = ALLOC.live_bytes();
-            let mut state = IncrementalDbscan::seed(spread(160, 4), params, &mut scratch);
+            let mut state = seed(spread(160, 4), params, &mut scratch);
             let mut scratch = Vec::new();
-            let joined = state.insert(pts[160], &params, &mut scratch);
+            let joined = state.insert(0, pts[160], &params, &mut scratch);
             assert_eq!(joined, InsertOutcome::Member(0));
             let blocks = ALLOC.allocations();
             for &p in &pts[161..] {
-                let joined = state.insert(p, &params, &mut scratch);
+                let joined = state.insert(0, p, &params, &mut scratch);
                 assert_eq!(joined, InsertOutcome::Member(0));
             }
             let blocks = ALLOC.allocations() - blocks;
@@ -129,13 +133,19 @@ fn one_grid_no_per_cell_allocation() {
         heap_bytes(&grown.2),
         "MemUse after inserts"
     );
-    grown.2.validate(&pts, &params).unwrap();
+    // The caller's summaries: the seed's folds, cluster 0 extended by
+    // every point that joined it.
+    let mut folds = scratch.folds().to_vec();
+    for &p in &pts[160..] {
+        folds[0].push(p);
+    }
+    grown.2.validate(0, &pts, &params, &folds).unwrap();
     // A new cell shifts the cell table but is still a safe insert.
     let far = Point::new(-40.0, -40.0);
     assert_eq!(
-        grown.2.insert(far, &params, &mut Vec::new()),
+        grown.2.insert(0, far, &params, &mut Vec::new()),
         InsertOutcome::Noise
     );
     pts.push(far);
-    grown.2.validate(&pts, &params).unwrap();
+    grown.2.validate(0, &pts, &params, &folds).unwrap();
 }

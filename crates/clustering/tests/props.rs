@@ -1,10 +1,12 @@
 //! Property-based invariants for DBSCAN, run on a freshly seeded
-//! [`IncrementalDbscan`] — the crate's one entry point — and the labels
-//! its seed leaves in [`SeedScratch`], and held to its brute-force
-//! `validate` sweep.
+//! one-offset [`IncrementalDbscan`] — the crate's one entry point — and
+//! the labels and cluster folds its seed leaves in [`SeedScratch`], and
+//! held to its brute-force `validate` sweep.
 
 use hpm_check::prelude::*;
-use hpm_clustering::{DbscanParams, IncrementalDbscan, InsertOutcome, Label, SeedScratch};
+use hpm_clustering::{
+    ClusterFold, DbscanParams, IncrementalDbscan, InsertOutcome, Label, SeedScratch,
+};
 use hpm_geo::Point;
 
 fn arb_params() -> Gen<DbscanParams> {
@@ -76,12 +78,13 @@ fn arb_case_of(kinds: u32) -> Gen<(Vec<Point>, DbscanParams)> {
     })
 }
 
-/// A state seeded over `pts` with fresh scratch, and the seed's labels
-/// in input order.
-fn seed(pts: &[Point], params: DbscanParams) -> (IncrementalDbscan, Vec<Label>) {
+/// A state seeded over `pts` (one offset) with fresh scratch, and the
+/// seed's labels in input order and cluster folds in id order.
+fn seed(pts: &[Point], params: DbscanParams) -> (IncrementalDbscan, Vec<Label>, Vec<ClusterFold>) {
     let mut scratch = SeedScratch::default();
-    let state = IncrementalDbscan::seed(pts.to_vec(), params, &mut scratch);
-    (state, scratch.labels().collect())
+    let state = IncrementalDbscan::seed(&[pts.to_vec()], params, &mut scratch, |_, _| {});
+    let labels = scratch.labels().collect();
+    (state, labels, scratch.folds().to_vec())
 }
 
 /// The input indices `labels` puts in cluster `c`.
@@ -90,15 +93,24 @@ fn members(labels: &[Label], c: u32) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// The state's own brute-force consistency check over the point
-/// sequence it holds, as a case result.
-fn valid(state: &IncrementalDbscan, pts: &[Point], params: &DbscanParams) -> CaseResult {
-    state.validate(pts, params).map_err(CaseError::Fail)
+/// sequence it holds, with `folds` as its clusters' summaries, as a
+/// case result.
+fn valid(
+    state: &IncrementalDbscan,
+    pts: &[Point],
+    params: &DbscanParams,
+    folds: &[ClusterFold],
+) -> CaseResult {
+    state
+        .validate(0, pts, params, folds)
+        .map_err(CaseError::Fail)
 }
 
 /// The grid-indexed sweep is exactly equivalent to the naive O(n²)
 /// one: every count, assignment and fold, and the cell table.
 fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    valid(&seed(pts, params).0, pts, &params)
+    let (state, _, folds) = seed(pts, params);
+    valid(&state, pts, &params, &folds)
 }
 
 /// Every cluster contains at least one core point — a member with at
@@ -108,33 +120,34 @@ fn grid_equals_naive_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// the classic DBSCAN order-dependence — a counterexample found by this
 /// suite's earlier, stricter version.)
 fn clusters_have_a_core_point_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let (state, labels) = seed(pts, params);
+    let (_, labels, folds) = seed(pts, params);
     let eps2 = params.eps * params.eps;
-    for c in state.cluster_views() {
-        let has_core = members(&labels, c.id).any(|m| {
+    for c in 0..folds.len() as u32 {
+        let has_core = members(&labels, c).any(|m| {
             pts.iter()
                 .filter(|q| q.distance_sq(&pts[m]) <= eps2)
                 .count()
                 >= params.min_pts
         });
-        require!(has_core, "cluster {} has no core point", c.id);
+        require!(has_core, "cluster {c} has no core point");
     }
     Ok(())
 }
 
-/// Labels partition the points: ids are dense, each cluster's size is
-/// the number of points labelled with it (so no cluster is empty), and
-/// every other point is noise.
+/// Labels partition the points: ids are dense (the state numbers as
+/// many clusters as the seed folded), each cluster's size is the number
+/// of points labelled with it (so no cluster is empty), and every other
+/// point is noise.
 fn partition_invariants_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let (state, labels) = seed(pts, params);
+    let (state, labels, folds) = seed(pts, params);
     require_eq!(labels.len(), pts.len());
-    for (cid, c) in state.cluster_views().enumerate() {
-        require_eq!(c.id as usize, cid);
-        require!(c.size > 0, "cluster {cid} is empty");
-        require_eq!(members(&labels, c.id).count(), c.size as usize);
+    require_eq!(state.cluster_range(0), 0..folds.len() as u32);
+    for (cid, c) in (0..).zip(&folds) {
+        require!(c.len > 0, "cluster {cid} is empty");
+        require_eq!(members(&labels, cid).count(), c.len as usize);
     }
     // With the sizes above, no label names a cluster that is not there.
-    let clustered: u32 = state.cluster_views().map(|c| c.size).sum();
+    let clustered: u32 = folds.iter().map(|c| c.len).sum();
     let noise = labels.iter().filter(|l| **l == Label::Noise).count();
     require_eq!(clustered as usize + noise, pts.len());
     Ok(())
@@ -142,10 +155,10 @@ fn partition_invariants_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 
 /// Cluster geometry: centroid and all members inside the bbox.
 fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let (state, labels) = seed(pts, params);
-    for c in state.cluster_views() {
-        require!(c.bbox.contains_within(&c.centroid, 1e-9));
-        for m in members(&labels, c.id) {
+    let (_, labels, folds) = seed(pts, params);
+    for (cid, c) in (0..).zip(&folds) {
+        require!(c.bbox.contains_within(&c.mean(), 1e-9));
+        for m in members(&labels, cid) {
             require!(c.bbox.contains(&pts[m]));
         }
     }
@@ -155,7 +168,7 @@ fn summaries_are_tight_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// Noise points really are sparse: a noise point has fewer than MinPts
 /// neighbours (it can never be a core point).
 fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
-    let (_, labels) = seed(pts, params);
+    let (_, labels, _) = seed(pts, params);
     let eps2 = params.eps * params.eps;
     for (i, l) in labels.iter().enumerate() {
         if *l == Label::Noise {
@@ -172,31 +185,42 @@ fn noise_is_never_core_on(pts: &[Point], params: DbscanParams) -> CaseResult {
 /// Incremental insertion with reseed-on-drift is *exactly* the batch
 /// algorithm at every prefix: seeded on `pts[..cut]`, after each
 /// further safe insert the state equals, as a whole, a fresh seed over
-/// the same point sequence, and (inserted or reseeded) `validate`
-/// re-derives every `|N_Eps|` count, assignment and cluster fold by a
-/// brute-force sweep over that sequence and checks the samples' filing
-/// in the cell table. This simultaneously checks that the safe path
-/// changes nothing it should not, and that every structure-changing
-/// insertion is caught as drift.
+/// the same point sequence, and so do the cluster folds the test keeps
+/// the way a trainer does — the seed's, each extended by the point of
+/// every [`InsertOutcome::Member`] that names it. Inserted or reseeded,
+/// `validate` re-derives every `|N_Eps|` count, assignment and cluster
+/// fold by a brute-force sweep over that sequence and checks the
+/// samples' filing in the cell table. This simultaneously checks that
+/// the safe path changes nothing it should not, that an insert names
+/// the cluster whose fold the batch extends, and that every
+/// structure-changing insertion is caught as drift.
 fn incremental_equals_batch_on(pts: &[Point], params: DbscanParams, cut: usize) -> CaseResult {
     // One seed scratch for every reseed, as a trainer keeps one.
     let mut seeds = SeedScratch::default();
-    let mut state = IncrementalDbscan::seed(pts[..cut].to_vec(), params, &mut seeds);
-    valid(&state, &pts[..cut], &params)?;
+    let reseed = |pts: &[Point], seeds: &mut SeedScratch| {
+        let state = IncrementalDbscan::seed(&[pts.to_vec()], params, seeds, |_, _| {});
+        (state, seeds.folds().to_vec())
+    };
+    let (mut state, mut folds) = reseed(&pts[..cut], &mut seeds);
+    valid(&state, &pts[..cut], &params, &folds)?;
     let mut scratch = Vec::new();
     for (extra, &p) in pts[cut..].iter().enumerate() {
         let n = cut + extra + 1;
-        if let InsertOutcome::Drift(_) = state.insert(p, &params, &mut scratch) {
-            require_eq!(state.len(), n - 1, "a drifting point is not inserted");
-            state = IncrementalDbscan::seed(pts[..n].to_vec(), params, &mut seeds);
-        } else {
-            require_eq!(
-                state,
-                seed(&pts[..n], params).0,
-                "insert differs from a reseed"
-            );
+        match state.insert(0, p, &params, &mut scratch) {
+            InsertOutcome::Drift(_) => {
+                require_eq!(state.len(), n - 1, "a drifting point is not inserted");
+                (state, folds) = reseed(&pts[..n], &mut seeds);
+            }
+            joined => {
+                if let InsertOutcome::Member(c) = joined {
+                    folds[c as usize].push(p);
+                }
+                let (batch, _, batch_folds) = seed(&pts[..n], params);
+                require_eq!(state, batch, "insert differs from a reseed");
+                require_eq!(folds, batch_folds, "folded summaries differ from a reseed");
+            }
         }
-        valid(&state, &pts[..n], &params)?;
+        valid(&state, &pts[..n], &params, &folds)?;
     }
     Ok(())
 }

@@ -5,11 +5,13 @@
 //! holds only what a fold writes to:
 //!
 //! * the per-offset clusterings ([`OffsetClusters`]: one
-//!   [`IncrementalDbscan`](hpm_clustering::IncrementalDbscan) per offset
-//!   of the period, each its samples held once — point, `|N_Eps|`
-//!   count and assignment, grouped by `Eps`-cell — a 12-byte entry per
-//!   occupied cell and one fold — count, sum, box — per cluster, plus
-//!   one parameter set and one neighbour scratch for all of them);
+//!   [`IncrementalDbscan`](hpm_clustering::IncrementalDbscan) over every
+//!   offset of the period — per offset its samples held once, point,
+//!   `|N_Eps|` count and assignment, grouped by `Eps`-cell, and where
+//!   its runs of one shared cell table (12 bytes per occupied cell) and
+//!   of the region ids end — plus one parameter set and one running
+//!   coordinate sum per region. A region's support and box are not
+//!   copied here: they are the live predictor's, which a fold extends);
 //! * the visit sequence of the open sub-trajectory only — samples
 //!   arrive in time order, so a fold appends to nothing older, and the
 //!   sequence is cleared when a sample opens the next sub-trajectory
@@ -27,14 +29,16 @@
 //!
 //! A pass runs three phases, each under its own span:
 //!
-//! 1. *discover* — a fold streams the new samples, places each one
-//!    (§III, [`Placement`]) and inserts it into its offset's density
-//!    structure; a safe insertion that lands in a cluster is appended to
-//!    the open visit sequence and the support counts absorb the itemsets
-//!    it ends, anything structural is drift and the pass seeds instead.
-//!    A seed clusters every offset group in one sweep
-//!    ([`cluster_offsets`]), rebuilds the support counts from the visit
-//!    table it returns and keeps that table's newest sequence open.
+//! 1. *discover* — a fold copies the live predictor's regions, streams
+//!    the new samples, places each one (§III, [`Placement`]) and inserts
+//!    it into its offset's density structure; a safe insertion that
+//!    lands in a region extends that region's sum, support, box and
+//!    centroid, is appended to the open visit sequence, and the support
+//!    counts absorb the itemsets it ends; anything structural is drift
+//!    and the pass seeds instead. A seed clusters every offset group in
+//!    one sweep ([`cluster_offsets`]), which returns the regions, rebuilds
+//!    the support counts from the visit table it returns and keeps that
+//!    table's newest sequence open.
 //! 2. *mine* — the full pattern list is derived from the counts.
 //! 3. *tpt* — the derived regions + pattern table replace the live
 //!    ones: confidences are patched into the index image when the rule
@@ -63,10 +67,11 @@ use hpm_clustering::DriftKind;
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::MemUse;
 use hpm_patterns::{
-    cluster_offsets, DiscoveryParams, MiningParams, OffsetClusters, PatternTable, RegionSet,
-    SupportCounts, Visit,
+    cluster_offsets, DiscoveryOutput, DiscoveryParams, MiningParams, OffsetClusters, PatternTable,
+    RegionSet, SupportCounts, Visit,
 };
 use hpm_trajectory::{History, Placement};
+use std::cell::RefCell;
 
 /// What one [`TrainerState::retrain`] pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +80,8 @@ pub enum TrainPass {
     /// trainer.
     Folded,
     /// Seeded a trainer from the whole history: there was no trainer,
-    /// or no live predictor to update.
+    /// no live predictor to update, or a live predictor whose regions
+    /// the trainer did not number.
     Seeded,
     /// The fold hit structure drift, so a trainer was seeded instead.
     Drifted,
@@ -83,8 +89,9 @@ pub enum TrainPass {
 
 /// Persistent incremental-training state of one object: per-offset
 /// density structures — one point per sample folded in, so they also
-/// count the samples consumed — the open sub-trajectory's visits and
-/// support counts, all grown in lock-step with the history.
+/// count the samples consumed — with each region's coordinate sum, the
+/// open sub-trajectory's visits and support counts, all grown in
+/// lock-step with the history.
 #[derive(Debug, Clone)]
 pub struct TrainerState {
     /// One clustering state per time offset (`Gₜ` of §III), region ids
@@ -99,11 +106,21 @@ pub struct TrainerState {
 impl TrainerState {
     /// Trains over `hist` — the one training verb. With a trainer in
     /// `slot` and a `live` predictor it folds the samples reported since
-    /// the last pass; with either missing, or when the fold drifts, it
-    /// seeds a trainer from all of `hist` into `slot`. It then derives
-    /// the pattern list and returns the predictor — `live` updated when
-    /// there is one (it keeps its own configuration), else assembled
-    /// under `config` — with what the pass did.
+    /// the last pass into a copy of `live`'s regions; with either
+    /// missing, when `live`'s regions are not numbered offset by offset
+    /// as the trainer's are, or when the fold drifts, it seeds a trainer
+    /// from all of `hist` into `slot`. It then derives the pattern list
+    /// and returns the predictor — `live` updated when there is one (it
+    /// keeps its own configuration), else assembled under `config` —
+    /// with what the pass did.
+    ///
+    /// A trainer keeps only each region's coordinate sum: a fold reads
+    /// every other part of a region — support, box, centroid — from
+    /// `live`. So `live` must be the predictor the last pass over
+    /// `slot` returned (or one with equal regions), as every caller
+    /// passes it; one whose per-offset region counts differ is caught
+    /// and seeded over, anything else yields regions that are not a
+    /// seed's.
     ///
     /// # Panics
     /// Panics when `discovery.period == 0`, `mining` or `config` is
@@ -118,21 +135,23 @@ impl TrainerState {
         mining: &MiningParams,
         config: HpmConfig,
     ) -> (HybridPredictor, TrainPass) {
-        let pass = match (slot.as_mut(), live) {
-            (Some(trainer), Some(_)) => {
+        let (pass, folded) = match (slot.as_mut(), live) {
+            (Some(trainer), Some(live)) if trainer.clusters.numbers(live.regions()) => {
                 let _s = hpm_obs::span!(RETRAIN_DISCOVER_SPAN);
-                match trainer.fold(hist) {
-                    Ok(()) => TrainPass::Folded,
-                    Err(_) => TrainPass::Drifted,
+                let mut regions = live.regions().clone();
+                match trainer.fold(hist, &mut regions) {
+                    Ok(()) => (TrainPass::Folded, Some(regions)),
+                    Err(_) => (TrainPass::Drifted, None),
                 }
             }
-            _ => TrainPass::Seeded,
+            _ => (TrainPass::Seeded, None),
         };
-        let trainer = match slot {
-            Some(trainer) if pass == TrainPass::Folded => trainer,
-            slot => {
+        let (trainer, regions) = match (slot, folded) {
+            (Some(trainer), Some(regions)) => (trainer, regions),
+            (slot, _) => {
                 let _s = hpm_obs::span!(RETRAIN_DISCOVER_SPAN);
-                slot.insert(Self::seed(hist, discovery, mining))
+                let (trainer, regions) = Self::seed(hist, discovery, mining);
+                (slot.insert(trainer), regions)
             }
         };
         let patterns = {
@@ -140,9 +159,6 @@ impl TrainerState {
             trainer.counts.derive()
         };
         let _s = hpm_obs::span!(RETRAIN_TPT_SPAN);
-        // Bit-identical to what a fresh seed over the full consumed
-        // history reads off its clusterings.
-        let regions = trainer.clusters.regions();
         let predictor = match live {
             Some(live) => live.apply_update(regions, patterns).0,
             None => HybridPredictor::from_parts(regions, patterns, config),
@@ -150,18 +166,23 @@ impl TrainerState {
         (predictor, pass)
     }
 
-    /// Derives a trainer from the full history — the batch pipeline.
-    /// The samples are streamed, so a compressed history decodes on the
-    /// fly.
-    fn seed(hist: &impl History, discovery: &DiscoveryParams, mining: &MiningParams) -> Self {
+    /// Derives a trainer from the full history — the batch pipeline —
+    /// and returns it with the regions it numbered. The samples are
+    /// streamed, so a compressed history decodes on the fly.
+    fn seed(
+        hist: &impl History,
+        discovery: &DiscoveryParams,
+        mining: &MiningParams,
+    ) -> (Self, RegionSet) {
         let mut counts = SupportCounts::new(*mining);
-        let (clusters, visits) = cluster_offsets(hist, discovery);
+        let (clusters, DiscoveryOutput { regions, visits }) = cluster_offsets(hist, discovery);
         counts.rebuild(&visits);
-        TrainerState {
+        let trainer = TrainerState {
             clusters,
             open: visits.into_last(),
             counts,
-        }
+        };
+        (trainer, regions)
     }
 
     /// Samples of the history already folded into this state.
@@ -172,26 +193,34 @@ impl TrainerState {
     /// Folds the samples reported since the last pass in, in time
     /// order: each is placed, inserted into its offset's density
     /// structure, and — when the insertion is safe and lands in a
-    /// cluster — appended to the open visit sequence, whose new
-    /// itemsets are counted on the spot. Structural change aborts with
-    /// the observed drift, poisoning the state.
-    fn fold(&mut self, hist: &impl History) -> Result<(), DriftKind> {
+    /// region — folded into that region of `regions`, appended to the
+    /// open visit sequence, whose new itemsets are counted on the spot.
+    /// Structural change aborts with the observed drift, poisoning the
+    /// state.
+    fn fold(&mut self, hist: &impl History, regions: &mut RegionSet) -> Result<(), DriftKind> {
+        // The neighbour list of the sample being inserted: one per
+        // thread, like `predict`'s scratch, so no trainer carries one.
+        thread_local! {
+            static NEIGHBORS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+        }
         let consumed = self.consumed();
         assert!(hist.len() >= consumed, "history shrank");
         let place = Placement::new(hist.start(), self.clusters.period());
-        for (i, p) in (consumed..).zip(hist.iter_from(consumed)) {
-            let t = place.place(i).1;
-            // Offset 0 opens the next sub-trajectory.
-            if t == 0 {
-                self.open.clear();
+        NEIGHBORS.with_borrow_mut(|neighbors| {
+            for (i, p) in (consumed..).zip(hist.iter_from(consumed)) {
+                let t = place.place(i).1;
+                // Offset 0 opens the next sub-trajectory.
+                if t == 0 {
+                    self.open.clear();
+                }
+                if let Some(region) = self.clusters.insert(t, p, regions, neighbors)? {
+                    debug_assert!(self.open.last().is_none_or(|v| v.1 < t));
+                    self.open.push((region, t));
+                    self.counts.record_tail(&self.open);
+                }
             }
-            if let Some(region) = self.clusters.insert(t, p)? {
-                debug_assert!(self.open.last().is_none_or(|v| v.1 < t));
-                self.open.push((region, t));
-                self.counts.record_tail(&self.open);
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Resident bytes by part — the clusterings, the open visit
@@ -427,6 +456,35 @@ mod tests {
         assert_eq!(retrain(&mut slot, Some(&next), &traj).1, TrainPass::Folded);
     }
 
+    /// A trainer folds into the live predictor's regions, so a live
+    /// predictor whose per-offset region counts are not the trainer's —
+    /// one the trainer did not produce — gets a seeded pass, and the
+    /// pass after it folds again.
+    #[test]
+    fn a_live_predictor_the_trainer_did_not_number_is_seeded_over() {
+        let full = commuter_days(42);
+        let days = |n: usize| {
+            Trajectory::from_points(full.points()[..n * COMMUTER_PERIOD as usize].to_vec())
+        };
+        let mut slot = None;
+        let (own, _) = retrain(&mut slot, None, &days(40));
+        // A live predictor trained elsewhere: wide enough an `Eps` to
+        // merge pub and gym, so offset 3 holds one region, not two.
+        let wide = DiscoveryParams {
+            eps: 150.0,
+            ..discovery()
+        };
+        let (_, regions) = TrainerState::seed(&days(40), &wide, &mining());
+        assert_eq!(regions.len() + 1, own.regions().len());
+        let foreign = HybridPredictor::from_parts(regions, Vec::new(), commuter_config());
+        let (next, pass) = retrain(&mut slot, Some(&foreign), &days(41));
+        assert_eq!(pass, TrainPass::Seeded);
+        assert_equivalent(&next, &days(41));
+        let (last, pass) = retrain(&mut slot, Some(&next), &days(42));
+        assert_eq!(pass, TrainPass::Folded);
+        assert_equivalent(&last, &days(42));
+    }
+
     /// Histories only grow: a fold over fewer samples than the trainer
     /// consumed is a caller bug, not a silent rewind.
     #[test]
@@ -531,11 +589,11 @@ mod tests {
             eps: 2.5,
             ..discovery()
         };
-        let trainer = TrainerState::seed(&traj, &wider, &mining());
+        let (_, regions) = TrainerState::seed(&traj, &wider, &mining());
         // Different eps can change the region vocabulary; force the
         // mismatch by dropping a region from the trainer's view.
         let shrunk = RegionSet::new(
-            trainer.clusters.regions().all()[..p.regions().len() - 1].to_vec(),
+            regions.all()[..p.regions().len() - 1].to_vec(),
             COMMUTER_PERIOD,
         );
         let keep: Vec<_> = p

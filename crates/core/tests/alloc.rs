@@ -35,12 +35,13 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// Held by each test for its whole run: the counters are global.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Blocks one seed of [`commuter`] may acquire: what it makes — 12
-/// per-offset clusterings (their points and five tables each), one
-/// visit sequence per period (grown push by push), the support counts,
-/// the rule list and the predictor. A per-offset scratch buffer (12
-/// more) or a per-rule allocation (136 more) that creeps back fails
-/// the gate.
+/// Blocks one seed of [`commuter`] may acquire: what it makes — the 12
+/// offset groups, one clustering over them (a sample vector per
+/// offset, the offset table, one cell table, the region sums) and the
+/// seed's scratch, one visit sequence per period (grown push by push),
+/// the support counts, the rule list and the predictor (178 measured).
+/// A per-offset scratch buffer (12 more) or a per-rule allocation (136
+/// more) that creeps back fails the gate.
 const SEED_BLOCKS: u64 = 234;
 
 /// Hand-built three-region commuter world (period 3): R0@0 → R1@1 and

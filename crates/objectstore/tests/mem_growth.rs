@@ -7,12 +7,14 @@
 //! decomposes into:
 //!
 //! * compressed history (~2–5 B/sample on a paper-like walk, vs 16 raw);
-//! * trainer state: per-offset clustering points (16 B/sample) with
-//!   their grid, assignment and neighbour-count entries — linear by
+//! * trainer state: each clustered sample once (a 24 B sample — point,
+//!   neighbour count, assignment — in its offset's sample vector) and
+//!   its share of the one cell table over all offsets — linear by
 //!   design, the price of incremental retraining. Visit transactions
 //!   are not: the trainer keeps only the open sub-trajectory's visit
 //!   sequence, and the support counts are bounded by the region
-//!   vocabulary;
+//!   vocabulary; nor are the regions: the trainer keeps one coordinate
+//!   sum per region and folds the rest into the predictor's table;
 //! * predictor/index churn: bounded, retained regions/patterns reach a
 //!   fixed point on a repeating commuter loop.
 //!

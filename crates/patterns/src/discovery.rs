@@ -8,19 +8,20 @@
 //! through — the "transactions" [`SupportCounts`](crate::SupportCounts)
 //! counts.
 //!
-//! [`cluster_offsets`] clusters a history and
-//! [`OffsetClusters::regions`] reads the regions off the clusterings,
-//! whoever trains: [`discover`] is the two back to back, the trainer in
-//! `hpm-core` keeps the clusterings in between so that it can insert
-//! into them ([`OffsetClusters::insert`]). A clustering holds each
-//! sample once, grouped by cell, and not which sub-trajectory it came
-//! from: a fold only ever appends the newest.
+//! [`cluster_offsets`] clusters a history and turns the clusters into
+//! regions, whoever trains: [`discover`] drops the clusterings, the
+//! trainer in `hpm-core` keeps them so that it can insert into them
+//! ([`OffsetClusters::insert`]). The clusterings hold each sample once,
+//! grouped by cell, and not which sub-trajectory it came from: a fold
+//! only ever appends the newest. They keep one number per region, its
+//! running coordinate sum; the rest of a region's fold — its support
+//! and box — is the region itself, so an insert extends the live
+//! [`RegionSet`] it is handed and there is one copy of each region.
 
 use crate::{FrequentRegion, RegionId, RegionSet};
 use hpm_clustering::{
-    DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome, Label, SeedScratch,
+    ClusterFold, DbscanParams, DriftKind, IncrementalDbscan, InsertOutcome, Label, SeedScratch,
 };
-use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::{MemUse, Point};
 use hpm_trajectory::{History, Placement, TimeOffset};
 
@@ -132,121 +133,125 @@ pub struct DiscoveryOutput {
 }
 
 /// A history clustered offset by offset (see [`cluster_offsets`]),
-/// with what inserting into the clusterings shares: the DBSCAN
-/// parameters and one neighbour scratch for every offset.
+/// with the DBSCAN parameters inserting into the clusterings shares and
+/// each region's running coordinate sum.
 #[derive(Debug, Clone)]
 pub struct OffsetClusters {
     params: DbscanParams,
-    /// `offsets[t]` = the clustering of `Gₜ`, for every `t` of the
-    /// period — offsets the history never covered hold an empty one.
-    /// Empty once a drift has poisoned the clusterings: they are stale
-    /// then, and only a new [`cluster_offsets`] replaces them.
-    offsets: Box<[IncrementalDbscan]>,
-    /// `first_ids[t]` = id of offset `t`'s cluster 0. Ids run in
-    /// ascending `(offset, cluster)` order, so cluster `c` of offset `t`
-    /// is region `first_ids[t] + c`.
-    first_ids: Box<[u32]>,
-    /// Neighbour list of the sample being inserted.
-    neighbors: Vec<u32>,
+    /// The clustering of every `Gₜ` of the period — offsets the history
+    /// never covered hold no sample. Cluster ids are region ids. Empty
+    /// once a drift has poisoned it: it is stale then, and only a new
+    /// [`cluster_offsets`] replaces it.
+    clusters: IncrementalDbscan,
+    /// `sums[r]` = the coordinate sum of region `r`'s members, folded
+    /// in arrival order.
+    sums: Box<[Point]>,
 }
 
 impl OffsetClusters {
     /// The period: one clustering per offset.
     #[inline]
     pub fn period(&self) -> u32 {
-        self.offsets.len() as u32
+        self.clusters.period()
     }
 
     /// Samples clustered: every sample of the history, noise included,
     /// is a point of its offset's clustering.
     pub fn samples(&self) -> usize {
-        self.offsets.iter().map(IncrementalDbscan::len).sum()
+        self.clusters.len()
+    }
+
+    /// Whether `regions` numbers its regions offset by offset as these
+    /// clusterings number their clusters — the same count at every
+    /// offset of the same period — so that [`insert`](Self::insert) can
+    /// fold into it.
+    pub fn numbers(&self, regions: &RegionSet) -> bool {
+        regions.period() == self.period()
+            && (0..self.period())
+                .all(|t| regions.id_range(t..t + 1) == self.clusters.cluster_range(t))
     }
 
     /// Inserts a sample at offset `t` of the period into that offset's
     /// clustering: the region it joined, `None` for noise, or the drift
     /// that stopped it — which poisons the clusterings and drops them.
+    /// A joined region's support, box and centroid in `regions` absorb
+    /// the sample — the fold a seed over the extended history makes, so
+    /// the region stays bit-identical to that seed's. `regions` is the
+    /// table these clusterings last produced ([`cluster_offsets`], then
+    /// every insert since), or one equal to it; `neighbors` is scratch.
     /// The safe path never creates, merges or renumbers clusters, so
     /// region ids stay what [`cluster_offsets`] numbered them.
     ///
     /// # Panics
     /// Panics when a drift has poisoned the clusterings.
-    pub fn insert(&mut self, t: TimeOffset, p: Point) -> Result<Option<RegionId>, DriftKind> {
-        assert!(!self.offsets.is_empty(), "insert into drifted clusterings");
-        let state = &mut self.offsets[t as usize];
-        match state.insert(p, &self.params, &mut self.neighbors) {
+    pub fn insert(
+        &mut self,
+        t: TimeOffset,
+        p: Point,
+        regions: &mut RegionSet,
+        neighbors: &mut Vec<u32>,
+    ) -> Result<Option<RegionId>, DriftKind> {
+        assert!(self.period() > 0, "insert into drifted clusterings");
+        match self.clusters.insert(t, p, &self.params, neighbors) {
             InsertOutcome::Noise => Ok(None),
-            InsertOutcome::Member(c) => Ok(Some(RegionId(self.first_ids[t as usize] + c))),
+            InsertOutcome::Member(r) => {
+                let (region, sum) = (regions.get_mut(RegionId(r)), &mut self.sums[r as usize]);
+                let mut fold = ClusterFold {
+                    len: region.support,
+                    sum: *sum,
+                    bbox: region.bbox,
+                };
+                fold.push(p);
+                (*sum, region.support, region.bbox) = (fold.sum, fold.len, fold.bbox);
+                region.centroid = fold.mean();
+                Ok(Some(RegionId(r)))
+            }
             InsertOutcome::Drift(kind) => {
-                self.offsets = Box::default();
+                self.clusters = IncrementalDbscan::default();
+                self.sums = Box::default();
                 Err(kind)
             }
         }
-    }
-
-    /// The frequent regions: each cluster's centroid, bounding box and
-    /// member count as its `support`, numbered as [`cluster_offsets`]
-    /// numbers them, in a table sized exactly.
-    pub fn regions(&self) -> RegionSet {
-        let count = self.offsets.iter().map(IncrementalDbscan::cluster_count);
-        let mut regions = Vec::with_capacity(count.sum());
-        for (t, state) in self.offsets.iter().enumerate() {
-            debug_assert_eq!(regions.len(), self.first_ids[t] as usize, "ids renumbered");
-            for cluster in state.cluster_views() {
-                regions.push(FrequentRegion {
-                    id: RegionId(regions.len() as u32),
-                    offset: t as TimeOffset,
-                    local_index: cluster.id,
-                    centroid: cluster.centroid,
-                    bbox: cluster.bbox,
-                    support: cluster.size,
-                });
-            }
-        }
-        RegionSet::new(regions, self.period())
     }
 }
 
 impl MemUse for OffsetClusters {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.offsets.iter().map(MemUse::mem_bytes).sum::<usize>()
-            + std::mem::size_of_val::<[u32]>(&self.first_ids)
-            + vec_cap_bytes(&self.neighbors)
+            + hpm_geo::mem::heap_bytes(&self.clusters)
+            + std::mem::size_of_val::<[Point]>(&self.sums)
     }
 }
 
 /// Discovers the frequent regions of `hist` and the per-sub-trajectory
-/// visit sequences: [`cluster_offsets`], then
-/// [`OffsetClusters::regions`].
+/// visit sequences: [`cluster_offsets`] without the clusterings.
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
 pub fn discover(hist: &impl History, params: &DiscoveryParams) -> DiscoveryOutput {
-    let (clusters, visits) = cluster_offsets(hist, params);
-    DiscoveryOutput {
-        regions: clusters.regions(),
-        visits,
-    }
+    cluster_offsets(hist, params).1
 }
 
 /// Streams `hist` once into its periodic offset groups and clusters
 /// the locations of every `Gₜ` with DBSCAN(`eps`, `min_pts`). Each
-/// cluster is a frequent region; ids are assigned in ascending
-/// `(offset, cluster-id)` order — the numbering §V.A's region keys and
-/// Property 1 depend on — and every cluster member is a visit of its
-/// sub-trajectory to that region, returned beside the clusterings.
-/// Each group is sized exactly before it fills and is consumed by its
-/// seed, which keeps each sample once, in cell order; the sweeps share
-/// one [`SeedScratch`], and the visits are read from the input-order
-/// labels each seed leaves there.
+/// cluster is a frequent region — its centroid, bounding box and member
+/// count as its `support` — and ids are assigned in ascending
+/// `(offset, cluster-id)` order, the numbering §V.A's region keys and
+/// Property 1 depend on; every cluster member is a visit of its
+/// sub-trajectory to that region. Returns the clusterings, with each
+/// region's coordinate sum, beside the regions, in a table sized
+/// exactly, and the visits. Each group is sized exactly before it fills
+/// and is read by the seed, which keeps each sample once, in cell
+/// order; the sweeps share one [`SeedScratch`], the visits are read
+/// from the input-order labels each sweep leaves there, and the regions
+/// from the cluster folds the seed leaves there.
 ///
 /// # Panics
 /// Panics when `params.period == 0` (propagated from the decomposition).
 pub fn cluster_offsets(
     hist: &impl History,
     params: &DiscoveryParams,
-) -> (OffsetClusters, VisitTable) {
+) -> (OffsetClusters, DiscoveryOutput) {
     let _span = hpm_obs::span!(crate::metrics::DISCOVER_SPAN);
     let db = DbscanParams::new(params.eps, params.min_pts);
     let place = Placement::new(hist.start(), params.period);
@@ -257,29 +262,39 @@ pub fn cluster_offsets(
     for (i, p) in hist.iter_from(0).enumerate() {
         groups[place.place(i).1 as usize].push(p);
     }
-    let mut offsets = Vec::with_capacity(params.period as usize);
-    let mut first_ids = Vec::with_capacity(params.period as usize);
     let mut visits = VisitTable::with_subs(place.subs(n));
-    let (mut next_id, mut scratch) = (0u32, SeedScratch::default());
-    for (t, group) in (0..).zip(groups) {
-        let state = IncrementalDbscan::seed(group, db, &mut scratch);
-        first_ids.push(next_id);
-        for (m, label) in scratch.labels().enumerate() {
-            if let Label::Cluster(c) = label {
-                visits.record(place.sub(t, m), RegionId(next_id + c), t);
+    let mut scratch = SeedScratch::default();
+    let clusters = IncrementalDbscan::seed(&groups, db, &mut scratch, |t, seeded| {
+        for (m, label) in seeded.labels().enumerate() {
+            if let Label::Cluster(r) = label {
+                visits.record(place.sub(t, m), RegionId(r), t);
             }
         }
-        next_id += state.cluster_count() as u32;
-        offsets.push(state);
+    });
+    let folds = scratch.folds();
+    hpm_obs::counter!(crate::metrics::DISCOVER_REGIONS).add(folds.len() as u64);
+    let mut regions = Vec::with_capacity(folds.len());
+    for t in 0..params.period {
+        let ids = clusters.cluster_range(t);
+        for (r, j) in ids.clone().zip(0..) {
+            let fold = &folds[r as usize];
+            regions.push(FrequentRegion {
+                id: RegionId(r),
+                offset: t,
+                local_index: j,
+                centroid: fold.mean(),
+                bbox: fold.bbox,
+                support: fold.len,
+            });
+        }
     }
-    hpm_obs::counter!(crate::metrics::DISCOVER_REGIONS).add(u64::from(next_id));
     let clusters = OffsetClusters {
         params: db,
-        offsets: offsets.into_boxed_slice(),
-        first_ids: first_ids.into_boxed_slice(),
-        neighbors: Vec::new(),
+        clusters,
+        sums: folds.iter().map(|f| f.sum).collect(),
     };
-    (clusters, visits)
+    let regions = RegionSet::new(regions, params.period);
+    (clusters, DiscoveryOutput { regions, visits })
 }
 
 /// Maps a history onto an *existing* region vocabulary: for every
@@ -448,10 +463,29 @@ mod tests {
             min_pts: 1,
             ..params()
         };
-        let (mut clusters, _) = cluster_offsets(&commuter(), &every_point_core);
-        let far = Point::new(500.0, 500.0);
-        assert_eq!(clusters.insert(0, far), Err(DriftKind::NewCluster));
-        let _ = clusters.insert(1, far);
+        let (mut clusters, mut out) = cluster_offsets(&commuter(), &every_point_core);
+        let (far, scratch) = (Point::new(500.0, 500.0), &mut Vec::new());
+        let drift = clusters.insert(0, far, &mut out.regions, scratch);
+        assert_eq!(drift, Err(DriftKind::NewCluster));
+        let _ = clusters.insert(1, far, &mut out.regions, scratch);
+    }
+
+    /// An insert extends the region it joins the way a seed over the
+    /// longer history folds it, and touches no other region.
+    #[test]
+    fn inserts_fold_into_the_regions_a_seed_derives() {
+        let mut pts = commuter().points().to_vec();
+        let (mut clusters, mut out) = cluster_offsets(&commuter(), &params());
+        assert!(clusters.numbers(&out.regions));
+        let scratch = &mut Vec::new();
+        for (t, p) in (0..).zip([Point::new(0.3, 0.0), Point::new(50.1, 0.1)]) {
+            let joined = clusters.insert(t, p, &mut out.regions, scratch);
+            assert_eq!(joined, Ok(Some(RegionId(t))));
+            pts.push(p);
+        }
+        let (_, seeded) = cluster_offsets(&Trajectory::from_points(pts), &params());
+        assert_eq!(out.regions.all(), seeded.regions.all());
+        assert!(!clusters.numbers(&RegionSet::new(Vec::new(), 4)));
     }
 
     #[test]

@@ -110,6 +110,12 @@ impl RegionSet {
         &self.regions[id.index()]
     }
 
+    /// The region with this id, to fold a member into.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: RegionId) -> &mut FrequentRegion {
+        &mut self.regions[id.index()]
+    }
+
     /// All regions in id order.
     #[inline]
     pub fn all(&self) -> &[FrequentRegion] {
