@@ -238,7 +238,7 @@ fn snapshot_cost(objects: usize, samples_per_object: usize, reps: usize) -> Snap
                 start: 0,
                 history: HistorySnapshot {
                     chunks: h.chunks().to_vec(),
-                    tail: h.tail().to_vec(),
+                    tail: h.unsealed(),
                 },
                 trained_subs: 0,
                 model: None,

@@ -240,8 +240,8 @@ pub struct StoreMemory {
     pub objects: usize,
     /// Deep bytes across all object state plus the predictive index.
     pub total_bytes: usize,
-    /// Bytes held by position histories: packed chunk words plus the
-    /// hot tails at capacity.
+    /// Bytes held by position histories: sealed and open chunk words
+    /// plus the raw windows, at capacity.
     pub history_bytes: usize,
     /// What the same histories would occupy as raw point vectors
     /// (16 bytes per sample) — divide by `history_bytes` for the fleet
@@ -351,8 +351,8 @@ fn admit(timestamp: Timestamp, position: &Point, expected: Timestamp) -> Result<
 }
 
 struct ObjectState {
-    /// Position history: sealed compressed chunks plus a raw hot tail
-    /// sized so every recent-window read is a plain slice borrow.
+    /// Position history: compressed chunks plus a raw window sized so
+    /// every recent-window read is a plain slice borrow.
     history: ChunkedHistory,
     predictor: Option<HybridPredictor>,
     /// Incremental-training state carried between retrains. Derived
@@ -1463,7 +1463,7 @@ impl MovingObjectStore {
                 // copies compressed words, it never recompresses.
                 history: HistorySnapshot {
                     chunks: state.history.chunks().to_vec(),
-                    tail: state.history.tail().to_vec(),
+                    tail: state.history.unsealed(),
                 },
                 trained_subs: state.trained_subs as u64,
                 model: state
@@ -1544,9 +1544,11 @@ impl MovingObjectStore {
     /// same sample, at the cost of one first-training-sized pass.
     fn restore_objects(&mut self, objects: Vec<ObjectSnapshot>) -> Result<(), DecodeError> {
         for o in objects {
-            // Chunks install verbatim: `from_parts` only unseals
-            // trailing chunks if the recovered tail is too short for
-            // this configuration's hot window.
+            // Chunks install verbatim and the samples after them are
+            // pushed as they were reported, which rebuilds the history
+            // the writer held; `from_parts` only unseals trailing chunks
+            // if those samples are too few for this configuration's hot
+            // window.
             let HistorySnapshot { chunks, tail } = o.history;
             let history = ChunkedHistory::from_parts(o.start, self.chunk_params(), chunks, tail);
             let predictor = match &o.model {

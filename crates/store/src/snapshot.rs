@@ -78,14 +78,14 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// The history kind byte: sealed chunks plus a raw tail.
 const HISTORY_CHUNKED: u8 = 1;
 
-/// An object's serialized position history, as a live store holds it:
-/// sealed compressed chunks (oldest first) followed by the raw hot
-/// tail.
+/// An object's serialized position history: its sealed compressed
+/// chunks (oldest first) followed by every later sample, raw.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistorySnapshot {
     /// Compressed runs, written/read verbatim.
     pub chunks: Vec<SealedChunk>,
-    /// Uncompressed most-recent samples.
+    /// The samples after the last chunk, uncompressed
+    /// (`ChunkedHistory::unsealed`).
     pub tail: Vec<Point>,
 }
 

@@ -1,5 +1,5 @@
-//! Compressed trajectory storage: sealed, immutable, bit-packed chunks
-//! plus a small raw hot tail.
+//! Compressed trajectory storage: sealed, immutable, bit-packed chunks,
+//! the chunk being written, and a small raw window.
 //!
 //! Regularly sampled GPS traces are highly compressible: consecutive
 //! positions share most mantissa bits, so the XOR of consecutive `f64`
@@ -44,17 +44,29 @@
 //!
 //! # Append path
 //!
-//! [`ChunkedHistory::push`] appends to a raw tail `Vec<Point>`; when
-//! the tail reaches `seal_len + min_tail` samples the oldest `seal_len`
-//! are compressed into one [`SealedChunk`] — amortized O(1) per push,
-//! and the tail never drops below `min_tail` samples, so recent-window
+//! [`ChunkedHistory::push`] appends to a raw *window* of at most
+//! `min_tail + E` samples, `E = seal_len / 8` (at least 1,
+//! [`ChunkParams::move_len`]). A push into a full window first encodes
+//! the window's oldest `E` samples into the *open chunk*, the chunk
+//! being written: its words grow by exactly what those samples take and
+//! always hold a valid zero-padded stream, so a [`ChunkDecoder`] reads
+//! it as it reads a sealed one. When the samples since the last seal
+//! reach `seal_len + min_tail`, the push encodes the rest of the open
+//! chunk's `seal_len` samples and seals it. Chunk boundaries therefore
+//! depend on the sample count alone, every chunk is the
+//! [`SealedChunk::seal`] of its run, and the samples after the last
+//! seal ([`ChunkedHistory::unsealed`], what a snapshot stores raw) are
+//! the same whatever part of them is encoded. The window never drops
+//! below `min_tail` samples once anything is encoded, so recent-window
 //! reads (the whole `predict` hot path) are plain slice borrows that
-//! never touch compressed data.
+//! never touch compressed data. A push that moves nothing allocates
+//! nothing; one that moves samples grows the open chunk's words once.
 
 use crate::traj::Timestamp;
 use crate::History;
 use hpm_geo::mem::vec_cap_bytes;
 use hpm_geo::{MemUse, Point};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Samples per sealed chunk unless overridden — one chunk per ~256
@@ -62,7 +74,7 @@ use std::fmt;
 /// 128-bit raw first sample to under half a bit per sample.
 pub const DEFAULT_SEAL_LEN: usize = 256;
 
-/// Raw hot-tail floor unless overridden.
+/// Raw window floor unless overridden.
 pub const DEFAULT_MIN_TAIL: usize = 16;
 
 /// Chunking geometry of a [`ChunkedHistory`].
@@ -70,9 +82,10 @@ pub const DEFAULT_MIN_TAIL: usize = 16;
 pub struct ChunkParams {
     /// Samples compressed into each sealed chunk.
     pub seal_len: usize,
-    /// Raw samples always kept in the hot tail once anything has been
-    /// sealed — size this at least as large as every window length the
-    /// read hot path needs ([`ChunkedHistory::hot_window`]).
+    /// Raw samples the window always holds once anything has been
+    /// encoded — size this at least as large as every window length the
+    /// read hot path needs ([`ChunkedHistory::hot_window`]). The window
+    /// holds at most `min_tail + `[`move_len`](Self::move_len) samples.
     pub min_tail: usize,
 }
 
@@ -92,6 +105,14 @@ impl ChunkParams {
     pub fn validate(&self) {
         assert!(self.seal_len >= 1, "seal_len must be >= 1");
         assert!(self.min_tail >= 1, "min_tail must be >= 1");
+    }
+
+    /// Samples a push into a full window moves into the open chunk:
+    /// `seal_len / 8`, at least 1 (32 at the defaults, so a chunk is
+    /// written in eight steps).
+    #[inline]
+    pub fn move_len(&self) -> usize {
+        (self.seal_len / 8).max(1)
     }
 }
 
@@ -209,7 +230,8 @@ struct BitWriter<'a, W: Word> {
     /// Pending bits, most significant first; `fill` of them are valid.
     acc: u64,
     fill: u32,
-    /// Bits appended by this writer.
+    /// Bits appended by this writer, or for [`resume`](Self::resume)
+    /// bits in the stream it continues.
     bits: u64,
 }
 
@@ -251,12 +273,30 @@ impl<'a, W: Word> BitWriter<'a, W> {
         }
     }
 
-    /// Stores the pending bits, zero-padded; returns the bits written.
+    /// Stores the pending bits, zero-padded; returns [`bits`](Self::bits).
     fn finish(self) -> u64 {
         if self.fill > 0 {
             W::put(self.words, self.acc, self.fill);
         }
         self.bits
+    }
+}
+
+impl<'a> BitWriter<'a, u64> {
+    /// Continues the zero-padded `bits`-bit stream `words` holds: its
+    /// partial last word, if any, goes back into the accumulator.
+    fn resume(words: &'a mut Vec<u64>, bits: u64) -> Self {
+        let fill = (bits % 64) as u32;
+        let acc = match fill {
+            0 => 0,
+            _ => words.pop().expect("a partial word ends the stream"),
+        };
+        BitWriter {
+            words,
+            acc,
+            fill,
+            bits,
+        }
     }
 }
 
@@ -291,12 +331,12 @@ impl<'a, W: Word> BitReader<'a, W> {
 }
 
 /// Per-axis Gorilla state shared by the encoder and decoder.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct AxisState {
     prev: u64,
     /// `(leading zeros, significant bits)` of the last `'11'` form;
     /// `None` until one has been written/read.
-    window: Option<(u32, u32)>,
+    window: Option<(u8, u8)>,
 }
 
 impl AxisState {
@@ -317,6 +357,7 @@ impl AxisState {
         let lead = xor.leading_zeros();
         let trail = xor.trailing_zeros();
         if let Some((wlead, wsig)) = self.window {
+            let (wlead, wsig) = (u32::from(wlead), u32::from(wsig));
             let wtrail = 64 - wlead - wsig;
             if lead >= wlead && trail >= wtrail {
                 w.push_tagged(0b10, 2, xor >> wtrail, wsig);
@@ -328,7 +369,7 @@ impl AxisState {
         let sig = 64 - lead - trail;
         let head = 0b11 << 12 | u64::from(lead) << 6 | u64::from(sig - 1);
         w.push_tagged(head, 14, xor >> trail, sig);
-        self.window = Some((lead, sig));
+        self.window = Some((lead as u8, sig as u8));
     }
 
     fn decode<W: Word>(&mut self, r: &mut BitReader<'_, W>) -> Result<u64, ChunkError> {
@@ -337,6 +378,7 @@ impl AxisState {
         }
         let xor = if r.read_bits(1)? == 0 {
             let (wlead, wsig) = self.window.ok_or(ChunkError::Truncated)?;
+            let (wlead, wsig) = (u32::from(wlead), u32::from(wsig));
             let wtrail = 64 - wlead - wsig;
             r.read_bits(wsig)? << wtrail
         } else {
@@ -348,7 +390,7 @@ impl AxisState {
                 return Err(ChunkError::Truncated);
             }
             let trail = 64 - lead - sig;
-            self.window = Some((lead, sig));
+            self.window = Some((lead as u8, sig as u8));
             r.read_bits(sig)? << trail
         };
         self.prev ^= xor;
@@ -358,9 +400,9 @@ impl AxisState {
 
 /// The point codec of the grammar above, over both axes: the first
 /// point raw, every later one as an XOR delta per axis. One coder for
-/// two containers — a [`SealedChunk`]'s words and the byte-aligned
-/// streams of [`encode_xor_bytes`].
-#[derive(Debug, Clone, Copy, Default)]
+/// two containers — a chunk's words and the byte-aligned streams of
+/// [`encode_xor_bytes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct XorCoder {
     /// `None` until the first (raw) point has been written/read.
     axes: Option<(AxisState, AxisState)>,
@@ -427,6 +469,54 @@ pub fn decode_xor_bytes(bytes: &[u8], n: usize, out: &mut Vec<Point>) -> Result<
     Ok(used)
 }
 
+/// The chunk being written: its stream so far (zero-padded, so it
+/// decodes like a sealed chunk), the coder state after its last sample,
+/// and its sample count.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct OpenChunk {
+    words: Vec<u64>,
+    bits: u64,
+    coder: XorCoder,
+    samples: u32,
+}
+
+impl OpenChunk {
+    /// Encodes `points` after the samples already written, growing the
+    /// words once, by exactly what the points take: they are encoded
+    /// into a per-thread scratch, which continues the stream's partial
+    /// last word, and then appended.
+    fn append(&mut self, points: &[Point]) {
+        thread_local! {
+            static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        }
+        SCRATCH.with_borrow_mut(|scratch| {
+            let whole = (self.bits / 64) as usize;
+            scratch.clear();
+            scratch.extend(self.words.drain(whole..));
+            let mut w = BitWriter::resume(scratch, self.bits % 64);
+            for &p in points {
+                self.coder.encode(p, &mut w);
+            }
+            self.bits = whole as u64 * 64 + w.finish();
+            self.words.reserve_exact(scratch.len());
+            self.words.extend_from_slice(scratch);
+        });
+        self.samples += points.len() as u32;
+    }
+
+    fn decoder(&self) -> ChunkDecoder<'_> {
+        ChunkDecoder::new(&self.words, self.bits, self.samples)
+    }
+
+    fn seal(self) -> SealedChunk {
+        SealedChunk {
+            samples: self.samples,
+            bits: self.bits,
+            words: self.words.into_boxed_slice(),
+        }
+    }
+}
+
 /// One sealed, immutable, bit-packed run of consecutive samples.
 ///
 /// Sealed chunks are never mutated or re-encoded: snapshots write
@@ -445,18 +535,9 @@ impl SealedChunk {
     /// Panics when `points` is empty.
     pub fn seal(points: &[Point]) -> Self {
         assert!(!points.is_empty(), "cannot seal an empty chunk");
-        let mut words = Vec::new();
-        let mut w = BitWriter::new(&mut words);
-        let mut coder = XorCoder::default();
-        for &p in points {
-            coder.encode(p, &mut w);
-        }
-        let bits = w.finish();
-        SealedChunk {
-            samples: points.len() as u32,
-            bits,
-            words: words.into_boxed_slice(),
-        }
+        let mut open = OpenChunk::default();
+        open.append(points);
+        open.seal()
     }
 
     /// Samples stored in this chunk.
@@ -514,7 +595,7 @@ impl SealedChunk {
         };
         // Full decode validation: every sample must materialize and the
         // stream must end exactly at the declared bit count.
-        let mut dec = ChunkDecoder::new(&chunk);
+        let mut dec = chunk.decoder();
         for _ in 0..samples {
             dec.next_point()?;
         }
@@ -529,7 +610,7 @@ impl SealedChunk {
 
     /// Streaming decoder positioned at the first sample.
     pub fn decoder(&self) -> ChunkDecoder<'_> {
-        ChunkDecoder::new(self)
+        ChunkDecoder::new(&self.words, self.bits, self.samples)
     }
 }
 
@@ -539,7 +620,7 @@ impl MemUse for SealedChunk {
     }
 }
 
-/// Streaming decoder over one [`SealedChunk`]: yields the chunk's
+/// Streaming decoder over one chunk, sealed or open: yields the chunk's
 /// samples in order without materializing them.
 #[derive(Debug, Clone)]
 pub struct ChunkDecoder<'a> {
@@ -550,12 +631,12 @@ pub struct ChunkDecoder<'a> {
 }
 
 impl<'a> ChunkDecoder<'a> {
-    fn new(chunk: &'a SealedChunk) -> Self {
+    fn new(words: &'a [u64], bits: u64, samples: u32) -> Self {
         ChunkDecoder {
-            reader: BitReader::new(&chunk.words, chunk.bits),
+            reader: BitReader::new(words, bits),
             coder: XorCoder::default(),
             yielded: 0,
-            samples: chunk.samples,
+            samples,
         }
     }
 
@@ -575,7 +656,7 @@ impl<'a> ChunkDecoder<'a> {
 impl Iterator for ChunkDecoder<'_> {
     type Item = Point;
 
-    /// Iterates the chunk's samples. Sealed-by-construction chunks
+    /// Iterates the chunk's samples. Chunks written by this module
     /// never fail to decode; a chunk admitted through
     /// [`SealedChunk::from_raw_parts`] was fully validated, so the
     /// iterator treats a decode error as unreachable.
@@ -590,23 +671,39 @@ impl Iterator for ChunkDecoder<'_> {
     }
 }
 
-/// A movement history stored as sealed compressed chunks plus a raw
-/// hot tail — the drop-in replacement for a raw `Vec<Point>` history
-/// inside the object store.
+impl ExactSizeIterator for ChunkDecoder<'_> {}
+
+/// What a history holds besides its raw window: the sealed chunks and
+/// the open one. Boxed, so a history that has never encoded a sample
+/// pays one pointer for it.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Encoded {
+    chunks: Vec<SealedChunk>,
+    /// Total samples across `chunks` (cached; chunks are immutable).
+    sealed_samples: usize,
+    open: OpenChunk,
+}
+
+/// A movement history stored as sealed compressed chunks, one open
+/// chunk and a raw window — the drop-in replacement for a raw
+/// `Vec<Point>` history inside the object store.
 ///
-/// Invariant: once any chunk exists, the tail holds at least
+/// Invariant: once any sample is encoded, the window holds at least
 /// `params.min_tail` samples, so [`hot_window`](Self::hot_window) of up
 /// to `min_tail` samples is always a plain slice borrow (the `predict`
-/// hot path never decompresses).
+/// hot path never decompresses). The encoded state is a function of
+/// the sealed chunks and the samples since the last seal, so two
+/// histories with the same of both compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedHistory {
     start: Timestamp,
     params: ChunkParams,
-    chunks: Vec<SealedChunk>,
-    /// Total samples across `chunks` (cached; chunks are immutable).
-    sealed_samples: usize,
-    tail: Vec<Point>,
+    window: Vec<Point>,
+    encoded: Option<Box<Encoded>>,
 }
+
+// Every object of a fleet pays this inline, however short its history.
+const _: () = assert!(std::mem::size_of::<ChunkedHistory>() <= 56);
 
 impl ChunkedHistory {
     /// An empty history beginning at timestamp `start`.
@@ -618,128 +715,121 @@ impl ChunkedHistory {
         ChunkedHistory {
             start,
             params,
-            chunks: Vec::new(),
-            sealed_samples: 0,
-            tail: Vec::new(),
+            window: Vec::new(),
+            encoded: None,
         }
     }
 
-    /// Rebuilds a history from recovered parts. Chunks are installed
-    /// verbatim (no re-encode); if the recovered tail is shorter than
-    /// `params.min_tail`, trailing chunks are unsealed back into the
-    /// tail until the hot-window invariant holds again (chunk geometry
-    /// may differ from `params` when the writing process used another
-    /// configuration — readers never assume uniform chunk lengths).
+    /// Rebuilds a history from recovered parts: chunks are installed
+    /// verbatim (no re-encode) and the `unsealed` samples after them are
+    /// pushed as they once were, so the parts of a history rebuild one
+    /// equal to it. If `unsealed` is shorter than `params.min_tail`,
+    /// trailing chunks are first decoded back in front of it until the
+    /// hot-window invariant can hold (chunk geometry may differ from
+    /// `params` when the writing process used another configuration —
+    /// readers never assume uniform chunk lengths).
     pub fn from_parts(
         start: Timestamp,
         params: ChunkParams,
-        chunks: Vec<SealedChunk>,
-        tail: Vec<Point>,
+        mut chunks: Vec<SealedChunk>,
+        mut unsealed: Vec<Point>,
     ) -> Self {
-        params.validate();
-        let sealed_samples = chunks.iter().map(SealedChunk::samples).sum();
-        let mut h = ChunkedHistory {
-            start,
-            params,
-            chunks,
-            sealed_samples,
-            tail,
-        };
-        while !h.chunks.is_empty() && h.tail.len() < h.params.min_tail {
-            let chunk = h.chunks.pop().expect("checked non-empty");
-            h.sealed_samples -= chunk.samples();
-            let mut unsealed: Vec<Point> = chunk.decoder().collect();
-            unsealed.extend_from_slice(&h.tail);
-            h.tail = unsealed;
+        let mut h = ChunkedHistory::new(start, params);
+        while unsealed.len() < params.min_tail {
+            let Some(chunk) = chunks.pop() else { break };
+            let mut run: Vec<Point> = chunk.decoder().collect();
+            run.extend_from_slice(&unsealed);
+            unsealed = run;
         }
+        if !chunks.is_empty() {
+            let sealed_samples = chunks.iter().map(SealedChunk::samples).sum();
+            h.encoded = Some(Box::new(Encoded {
+                chunks,
+                sealed_samples,
+                open: OpenChunk::default(),
+            }));
+        }
+        unsealed.into_iter().for_each(|p| h.push(p));
         h
-    }
-
-    /// First timestamp covered.
-    #[inline]
-    pub fn start(&self) -> Timestamp {
-        self.start
-    }
-
-    /// Timestamp one past the last sample.
-    #[inline]
-    pub fn end(&self) -> Timestamp {
-        self.start + self.len() as Timestamp
-    }
-
-    /// Number of samples (sealed + hot).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.sealed_samples + self.tail.len()
-    }
-
-    /// Whether the history has no samples.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The chunk geometry in use.
-    #[inline]
-    pub fn params(&self) -> ChunkParams {
-        self.params
     }
 
     /// The sealed chunks, oldest first.
     #[inline]
     pub fn chunks(&self) -> &[SealedChunk] {
-        &self.chunks
+        self.encoded.as_ref().map_or(&[], |e| &e.chunks)
     }
 
-    /// The raw hot tail (the newest samples).
+    /// The raw window (the newest samples).
     #[inline]
-    pub fn tail(&self) -> &[Point] {
-        &self.tail
+    pub fn window(&self) -> &[Point] {
+        &self.window
     }
 
     /// Samples inside sealed chunks.
     #[inline]
     pub fn sealed_samples(&self) -> usize {
-        self.sealed_samples
+        self.encoded.as_ref().map_or(0, |e| e.sealed_samples)
     }
 
-    /// Appends the next sample, sealing the oldest `seal_len` tail
-    /// samples into a chunk when the tail has grown past
-    /// `seal_len + min_tail` — amortized O(1).
+    /// Samples encoded into the open chunk.
+    #[inline]
+    fn open_samples(&self) -> usize {
+        self.encoded.as_ref().map_or(0, |e| e.open.samples as usize)
+    }
+
+    /// Every sample after the sealed chunks — the open chunk decoded,
+    /// then the window; what a snapshot stores raw beside the chunks.
+    pub fn unsealed(&self) -> Vec<Point> {
+        self.iter_from(self.sealed_samples()).collect()
+    }
+
+    /// Appends the next sample — amortized O(1). A full window first
+    /// moves its oldest [`move_len`](ChunkParams::move_len) samples into
+    /// the open chunk; when the samples since the last seal reach
+    /// `seal_len + min_tail`, the open chunk is completed to `seal_len`
+    /// samples and sealed.
     pub fn push(&mut self, p: Point) {
-        // The tail never holds more than `seal_len + min_tail` samples,
-        // so clamp the final capacity-doubling step at exactly that:
-        // otherwise the steady-state tail retains up to 2x the bytes it
-        // can ever use, which would dominate the footprint of short
-        // histories (doubling still applies below the clamp, so tiny
-        // histories stay tiny).
-        let cap_target = self.params.seal_len + self.params.min_tail;
-        if self.tail.len() == self.tail.capacity() && self.tail.capacity() * 2 > cap_target {
-            self.tail
-                .reserve_exact(cap_target.max(self.tail.len() + 1) - self.tail.len());
+        let ChunkParams { seal_len, min_tail } = self.params;
+        let bound = min_tail + self.params.move_len();
+        if self.window.len() == bound {
+            self.encode_front(self.params.move_len().min(seal_len - self.open_samples()));
         }
-        self.tail.push(p);
-        if self.tail.len() >= self.params.seal_len + self.params.min_tail {
-            let chunk = SealedChunk::seal(&self.tail[..self.params.seal_len]);
-            self.sealed_samples += chunk.samples();
-            self.chunks.push(chunk);
-            self.tail.drain(..self.params.seal_len);
+        // The window never holds more than `bound` samples, so clamp its
+        // last capacity-doubling step there (doubling still applies
+        // below, so tiny histories stay tiny).
+        if self.window.len() == self.window.capacity() && self.window.capacity() * 2 > bound {
+            self.window.reserve_exact(bound - self.window.len());
         }
+        self.window.push(p);
+        if self.open_samples() + self.window.len() == seal_len + min_tail {
+            self.encode_front(seal_len - self.open_samples());
+            let enc = self.encoded.as_mut().expect("encode_front made it");
+            let chunk = std::mem::take(&mut enc.open).seal();
+            enc.sealed_samples += chunk.samples();
+            enc.chunks.push(chunk);
+        }
+    }
+
+    /// Moves the window's oldest `n` samples into the open chunk.
+    fn encode_front(&mut self, n: usize) {
+        let enc = self.encoded.get_or_insert_with(Box::default);
+        enc.open.append(&self.window[..n]);
+        self.window.drain(..n);
     }
 
     /// The most recent `len` samples as a raw slice, with the
     /// timestamp of the first returned sample — the `predict` hot
-    /// path. Returns `None` when the window would need sealed samples
+    /// path. Returns `None` when the window would need encoded samples
     /// (never happens for `len <= min_tail`, the invariant the store
     /// sizes `min_tail` for).
     pub fn hot_window(&self, len: usize) -> Option<(&[Point], Timestamp)> {
         let take = len.min(self.len());
-        if take > self.tail.len() {
+        if take > self.window.len() {
             return None;
         }
         let first_idx = self.len() - take;
         Some((
-            &self.tail[self.tail.len() - take..],
+            &self.window[self.window.len() - take..],
             self.start + first_idx as Timestamp,
         ))
     }
@@ -751,43 +841,42 @@ impl ChunkedHistory {
 
     /// Streams samples starting at index `from` (clamped to the end).
     /// Whole chunks before `from` are skipped without decoding; at
-    /// most one chunk is partially decoded to reach the offset.
+    /// most one chunk (sealed or open) is partially decoded to reach
+    /// the offset.
     pub fn iter_from(&self, from: usize) -> DecodeCursor<'_> {
-        let mut cursor = DecodeCursor {
-            hist: self,
-            chunk_idx: 0,
-            decoder: None,
-            tail_idx: 0,
-            remaining: self.len().saturating_sub(from),
-        };
         let mut skip = from.min(self.len());
-        while cursor.chunk_idx < self.chunks.len() {
-            let n = self.chunks[cursor.chunk_idx].samples();
-            if skip >= n {
-                skip -= n;
-                cursor.chunk_idx += 1;
-            } else {
+        let remaining = self.len() - skip;
+        let mut run = 0;
+        let mut decoder = self.run(0);
+        while let Some(dec) = &mut decoder {
+            if skip < dec.len() {
+                for _ in 0..skip {
+                    dec.next();
+                }
+                skip = 0;
                 break;
             }
+            skip -= dec.len();
+            run += 1;
+            decoder = self.run(run);
         }
-        if cursor.chunk_idx < self.chunks.len() {
-            let mut dec = self.chunks[cursor.chunk_idx].decoder();
-            for _ in 0..skip {
-                dec.next();
-            }
-            cursor.decoder = Some(dec);
-        } else {
-            cursor.tail_idx = skip;
+        DecodeCursor {
+            hist: self,
+            run,
+            decoder,
+            window_idx: skip,
+            remaining,
         }
-        cursor
     }
 
-    /// Materializes the whole history as raw points — compat and test
-    /// helper; hot paths stream instead.
-    pub fn to_points(&self) -> Vec<Point> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend(self.iter());
-        out
+    /// A decoder over encoded run `i`: sealed chunk `i`, or the open
+    /// chunk after the last of them; `None` past that.
+    fn run(&self, i: usize) -> Option<ChunkDecoder<'_>> {
+        let enc = self.encoded.as_ref()?;
+        match enc.chunks.get(i) {
+            Some(chunk) => Some(chunk.decoder()),
+            None => (i == enc.chunks.len()).then(|| enc.open.decoder()),
+        }
     }
 
     /// Bytes an uncompressed `Vec<Point>` of the same samples would
@@ -799,26 +888,35 @@ impl ChunkedHistory {
         self.len() * std::mem::size_of::<Point>()
     }
 
-    /// Bytes of compressed payload + hot tail actually held for
-    /// history samples (excludes per-chunk headers counted by
-    /// [`MemUse`]) — the numerator of honest byte accounting, the
-    /// denominator of the marketing one.
+    /// Bytes held for history samples: the sealed chunks' packed words,
+    /// the open chunk's words and the raw window, each at capacity
+    /// (excludes the headers counted by [`MemUse`]) — the numerator of
+    /// honest byte accounting, the denominator of the marketing one.
     #[inline]
     pub fn history_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(SealedChunk::packed_bytes)
-            .sum::<usize>()
-            + vec_cap_bytes(&self.tail)
+        vec_cap_bytes(&self.window)
+            + self.encoded.as_ref().map_or(0, |e| {
+                e.chunks
+                    .iter()
+                    .map(SealedChunk::packed_bytes)
+                    .sum::<usize>()
+                    + vec_cap_bytes(&e.open.words)
+            })
     }
 }
 
 impl MemUse for ChunkedHistory {
+    /// The inline header, then — once anything is encoded — the boxed
+    /// encoded part with its chunk headers at capacity: together with
+    /// [`history_bytes`](ChunkedHistory::history_bytes), every block the
+    /// history owns.
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.chunks.capacity() * std::mem::size_of::<SealedChunk>()
-            + self.chunks.iter().map(|c| c.words.len() * 8).sum::<usize>()
-            + vec_cap_bytes(&self.tail)
+            + self.history_bytes()
+            + self.encoded.as_ref().map_or(0, |e| {
+                std::mem::size_of::<Encoded>()
+                    + e.chunks.capacity() * std::mem::size_of::<SealedChunk>()
+            })
     }
 }
 
@@ -828,9 +926,10 @@ impl History for ChunkedHistory {
         self.start
     }
 
+    /// Samples sealed, in the open chunk and raw.
     #[inline]
     fn len(&self) -> usize {
-        self.len()
+        self.sealed_samples() + self.open_samples() + self.window.len()
     }
 
     fn iter_from(&self, from: usize) -> impl Iterator<Item = Point> + '_ {
@@ -838,16 +937,19 @@ impl History for ChunkedHistory {
     }
 }
 
-/// Streaming cursor over a [`ChunkedHistory`]: decodes sealed chunks
-/// one sample at a time and finishes over the raw tail, so consumers
-/// (periodic decomposition, retraining, snapshots of derived state)
-/// never materialize the full `Vec<Point>`.
+/// Streaming cursor over a [`ChunkedHistory`]: decodes the sealed
+/// chunks and then the open chunk one sample at a time and finishes
+/// over the raw window, so consumers (periodic decomposition,
+/// retraining, snapshots of derived state) never materialize the full
+/// `Vec<Point>`.
 #[derive(Debug, Clone)]
 pub struct DecodeCursor<'a> {
     hist: &'a ChunkedHistory,
-    chunk_idx: usize,
+    /// The encoded run `decoder` reads: a sealed chunk's index, or the
+    /// chunk count for the open chunk.
+    run: usize,
     decoder: Option<ChunkDecoder<'a>>,
-    tail_idx: usize,
+    window_idx: usize,
     remaining: usize,
 }
 
@@ -855,24 +957,18 @@ impl Iterator for DecodeCursor<'_> {
     type Item = Point;
 
     fn next(&mut self) -> Option<Point> {
-        loop {
-            if let Some(dec) = &mut self.decoder {
-                if let Some(p) = dec.next() {
-                    self.remaining -= 1;
-                    return Some(p);
-                }
-                self.chunk_idx += 1;
-                self.decoder = None;
+        while let Some(dec) = &mut self.decoder {
+            if let Some(p) = dec.next() {
+                self.remaining -= 1;
+                return Some(p);
             }
-            if self.chunk_idx < self.hist.chunks.len() {
-                self.decoder = Some(self.hist.chunks[self.chunk_idx].decoder());
-                continue;
-            }
-            let p = self.hist.tail.get(self.tail_idx)?;
-            self.tail_idx += 1;
-            self.remaining -= 1;
-            return Some(*p);
+            self.run += 1;
+            self.decoder = self.hist.run(self.run);
         }
+        let p = self.hist.window.get(self.window_idx)?;
+        self.window_idx += 1;
+        self.remaining -= 1;
+        Some(*p)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -970,17 +1066,22 @@ mod tests {
     }
 
     #[test]
-    fn history_partitions_into_chunks_and_tail() {
+    fn history_partitions_into_chunks_open_chunk_and_window() {
         let points = pts(1000);
         let h = history(&points, 100, 10);
         assert_eq!(h.len(), 1000);
-        assert!(h.tail().len() >= 10 && h.tail().len() < 110);
+        // Nine seals of 100 leave 100 unsealed; the window filled to
+        // 10 + 12 at sample 922 and moved 12 at every 12th push since,
+        // so 84 are encoded and 16 are raw.
+        assert_eq!(h.chunks().len(), 9);
+        assert_eq!(h.window().len(), 16);
+        assert!(bits_eq(&h.unsealed(), &points[900..]));
         assert_eq!(
-            h.sealed_samples() + h.tail().len(),
+            h.sealed_samples() + h.unsealed().len(),
             1000,
-            "chunks + tail partition the history"
+            "chunks + unsealed partition the history"
         );
-        assert!(bits_eq(&h.to_points(), &points));
+        assert!(bits_eq(&h.iter().collect::<Vec<_>>(), &points));
     }
 
     #[test]
@@ -1021,10 +1122,10 @@ mod tests {
                 min_tail: 100, // larger floor than the writer used
             },
             h.chunks().to_vec(),
-            h.tail().to_vec(),
+            h.unsealed(),
         );
-        assert!(restored.tail().len() >= 100);
-        assert!(bits_eq(&restored.to_points(), &points));
+        assert!(restored.window().len() >= 100);
+        assert!(bits_eq(&restored.iter().collect::<Vec<_>>(), &points));
         assert!(restored.hot_window(100).is_some());
     }
 
@@ -1071,6 +1172,6 @@ mod tests {
             sealed * 3 < sealed_raw,
             "sealed {sealed}B should be well under a third of raw {sealed_raw}B"
         );
-        assert!(bits_eq(&h.to_points(), &points));
+        assert!(bits_eq(&h.iter().collect::<Vec<_>>(), &points));
     }
 }

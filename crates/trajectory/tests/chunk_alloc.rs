@@ -5,8 +5,9 @@
 //! two claims the store relies on:
 //!
 //! * **Amortized O(1) append**: pushing `N` samples makes O(N /
-//!   seal_len) allocations, not O(N) — non-sealing pushes into a warm
-//!   tail allocate nothing at all.
+//!   seal_len) allocations, not O(N) — a push that moves nothing into
+//!   the open chunk allocates nothing at all, and one that moves
+//!   samples allocates at most once.
 //! * **Compression holds at the allocator**: steady-state live bytes
 //!   retained per sample on a paper-like walk stay far below the raw
 //!   16-byte `Point`, measured by the global allocator rather than by
@@ -46,28 +47,46 @@ fn append_path_allocates_amortized_o1_and_retains_compressed_bytes() {
             min_tail: TAIL,
         },
     );
-    // Warmup: grows the tail to its steady capacity and seals twice,
+    // Warmup: grows the window to its steady capacity and seals twice,
     // so the measured window sees only steady-state behavior.
     for &p in &points[..WARM] {
         h.push(p);
     }
 
-    // A non-sealing push into a warm tail is allocation-free.
+    // A push that moves nothing into the open chunk is allocation-free.
+    let window = h.window().len();
     let before = ALLOC.allocations();
     h.push(points[WARM]);
+    assert_eq!(h.window().len(), window + 1, "the push moved nothing");
     assert_eq!(
         ALLOC.allocations() - before,
         0,
-        "non-sealing push must not allocate"
+        "a push that moves nothing must not allocate"
     );
 
     let allocs_before = ALLOC.allocations();
     let live_before = ALLOC.live_bytes();
+    let (mut moving_pushes, mut most) = (0, 0);
     for &p in &points[WARM + 1..] {
+        let (window, chunks) = (h.window().len(), h.chunks().len());
+        let before = ALLOC.allocations();
         h.push(p);
+        // A seal also grows the chunk vector now and then; the
+        // floor below covers that.
+        if h.window().len() <= window && h.chunks().len() == chunks {
+            moving_pushes += 1;
+            most = most.max(ALLOC.allocations() - before);
+        }
     }
     let allocs = ALLOC.allocations() - allocs_before;
     let live_grew = ALLOC.live_bytes() - live_before;
+
+    // A push that moves samples grows the open chunk's words once.
+    assert!(moving_pushes > 0);
+    assert!(
+        most <= 1,
+        "a push that moved samples made {most} allocations"
+    );
 
     // Amortized O(1): every allocation belongs to a seal event (the
     // encoder's word vector growth + the boxed slice + chunk-vec

@@ -6,7 +6,7 @@
 
 use hpm_check::prelude::*;
 use hpm_geo::Point;
-use hpm_trajectory::{ChunkParams, ChunkedHistory, SealedChunk};
+use hpm_trajectory::{ChunkParams, ChunkedHistory, History, SealedChunk};
 
 /// Chunk geometries from degenerate (seal every sample) to generous.
 fn arb_params() -> Gen<ChunkParams> {
@@ -16,10 +16,15 @@ fn arb_params() -> Gen<ChunkParams> {
 
 /// A smooth paper-like walk: small steps, shared mantissa prefixes.
 fn arb_walk() -> Gen<Vec<Point>> {
+    walk(0..400)
+}
+
+/// A smooth walk of `len` points.
+fn walk(len: std::ops::Range<usize>) -> Gen<Vec<Point>> {
     tuple((
         float(-1e4..1e4),
         float(-1e4..1e4),
-        vec(tuple((float(-3.0..3.0), float(-3.0..3.0))), 0..400),
+        vec(tuple((float(-3.0..3.0), float(-3.0..3.0))), len),
     ))
     .map(|(x0, y0, steps)| {
         let (mut x, mut y) = (x0, y0);
@@ -37,6 +42,11 @@ fn arb_walk() -> Gen<Vec<Point>> {
 /// Arbitrary raw bit patterns per axis: every `f64`, finite or not,
 /// with a bias towards the special values XOR codecs get wrong.
 fn arb_adversarial() -> Gen<Vec<Point>> {
+    adversarial(0..200)
+}
+
+/// `len` points of [`arb_adversarial`]'s bit patterns.
+fn adversarial(len: std::ops::Range<usize>) -> Gen<Vec<Point>> {
     let special = vec![
         0.0f64.to_bits(),
         (-0.0f64).to_bits(),
@@ -57,7 +67,7 @@ fn arb_adversarial() -> Gen<Vec<Point>> {
             int(0u64..=u64::MAX),
             int(0u64..=u64::MAX),
         )),
-        0..200,
+        len,
     )
     .map(|raw| {
         raw.into_iter()
@@ -66,6 +76,43 @@ fn arb_adversarial() -> Gen<Vec<Point>> {
                 Point::new(f64::from_bits(xb), f64::from_bits(yb))
             })
             .collect()
+    })
+}
+
+/// A geometry: the store's default, a fixed one where
+/// [`ChunkParams::move_len`] does not divide `seal_len` or is 1, or an
+/// arbitrary one.
+fn arb_geometry() -> Gen<ChunkParams> {
+    let fixed = [
+        (256, 16),
+        (21, 5),
+        (100, 7),
+        (26, 2),
+        (15, 40),
+        (8, 1),
+        (1, 3),
+    ]
+    .map(|(seal_len, min_tail)| ChunkParams { seal_len, min_tail });
+    tuple((
+        choice(vec![true, false]),
+        choice(fixed.to_vec()),
+        arb_params(),
+    ))
+    .map(|(pick_fixed, fixed, any)| if pick_fixed { fixed } else { any })
+}
+
+/// A geometry and `3·seal_len + min_tail` points — three seals and a
+/// full window after them — from a smooth walk, or (when `bits`) from
+/// either a walk or [`arb_adversarial`]'s bit patterns.
+fn arb_run(bits: bool) -> Gen<(ChunkParams, Vec<Point>)> {
+    arb_geometry().flat_map(move |params| {
+        let n = 3 * params.seal_len + params.min_tail;
+        tuple((
+            choice(vec![true, false]),
+            walk(n..n + 1),
+            adversarial(n..n + 1),
+        ))
+        .map(move |(smooth, w, a)| (params, if smooth || !bits { w } else { a }))
     })
 }
 
@@ -89,14 +136,14 @@ props! {
     fn walk_roundtrips_bit_exact(points in arb_walk(), params in arb_params()) {
         let h = pushed(3, params, &points);
         require_eq!(h.len(), points.len());
-        require!(bits_eq(&h.to_points(), &points));
+        require!(bits_eq(&h.iter().collect::<Vec<_>>(), &points));
     }
 
     /// Chunked == raw even for adversarial bit patterns: the codec
     /// moves bits, never arithmetic values.
     fn adversarial_bits_roundtrip(points in arb_adversarial(), params in arb_params()) {
         let h = pushed(0, params, &points);
-        require!(bits_eq(&h.to_points(), &points));
+        require!(bits_eq(&h.iter().collect::<Vec<_>>(), &points));
     }
 
     /// `iter_from(k)` streams exactly the raw suffix `[k..]`.
@@ -146,16 +193,68 @@ props! {
     }
 
     /// Recovery via `from_parts` under a *different* chunk geometry
-    /// (unsealing to restore the hot-tail floor) is still bit-lossless.
+    /// (unsealing to restore the raw window's floor) is still
+    /// bit-lossless.
     fn from_parts_resize_is_lossless(
         points in arb_walk(),
         write in arb_params(),
         read in arb_params(),
     ) {
         let h = pushed(9, write, &points);
-        let r = ChunkedHistory::from_parts(9, read, h.chunks().to_vec(), h.tail().to_vec());
-        require!(bits_eq(&r.to_points(), &points));
-        require!(r.chunks().is_empty() || r.tail().len() >= read.min_tail);
+        let r = ChunkedHistory::from_parts(9, read, h.chunks().to_vec(), h.unsealed());
+        require!(bits_eq(&r.iter().collect::<Vec<_>>(), &points));
+        // Once anything is encoded the raw window holds `min_tail`.
+        require!(r.window().len() == r.len() || r.window().len() >= read.min_tail);
+    }
+
+    /// At every length, every sealed chunk is the batch seal of the raw
+    /// run it covers: the open chunk writes the bits
+    /// `SealedChunk::seal` would.
+    fn chunks_are_the_batch_seal_of_each_run((params, points) in arb_run(true)) {
+        let runs: Vec<SealedChunk> = points.chunks_exact(params.seal_len).map(SealedChunk::seal).collect();
+        let mut h = ChunkedHistory::new(0, params);
+        for &p in &points {
+            h.push(p);
+            let k = h.chunks().len();
+            require!(k <= runs.len());
+            require_eq!(h.chunks(), &runs[..k]);
+            require_eq!(h.sealed_samples(), k * params.seal_len);
+        }
+    }
+
+    /// At every length, `unsealed()` is the raw tail a history kept
+    /// when it compressed nothing before a seal: the tail that drops its
+    /// oldest `seal_len` samples whenever it reaches `seal_len +
+    /// min_tail`. Snapshots store it, so their bytes do not depend on
+    /// how much of it is encoded. The raw window stays within
+    /// `min_tail + move_len` and, once anything is encoded, at or above
+    /// `min_tail`.
+    fn unsealed_is_the_old_tail((params, points) in arb_run(true)) {
+        let mut h = ChunkedHistory::new(0, params);
+        let mut tail = Vec::new();
+        for &p in &points {
+            h.push(p);
+            tail.push(p);
+            if tail.len() >= params.seal_len + params.min_tail {
+                tail.drain(..params.seal_len);
+            }
+            require!(bits_eq(&h.unsealed(), &tail));
+            let window = h.window().len();
+            require!(window <= params.min_tail + params.move_len());
+            require!(window == h.len() || window >= params.min_tail);
+        }
+    }
+
+    /// At every length, the parts a snapshot takes rebuild an equal
+    /// history: the encoded state depends only on the chunks and the
+    /// samples since the last seal.
+    fn from_parts_of_its_own_parts_is_equal((params, points) in arb_run(false)) {
+        let mut h = ChunkedHistory::new(4, params);
+        for &p in &points {
+            h.push(p);
+            let r = ChunkedHistory::from_parts(4, params, h.chunks().to_vec(), h.unsealed());
+            require!(r == h);
+        }
     }
 
     /// Byte accounting is conservative: the compressed payload of a

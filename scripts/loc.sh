@@ -20,8 +20,8 @@ cd "$(dirname "$0")/.."
 # The totals this tree may not exceed: what the last change to them
 # left. A change that needs the room raises them in the same diff and
 # says why in CHANGES.md.
-BUDGET_FILE_LINES=27230
-BUDGET_CODE_ONLY=12753
+BUDGET_FILE_LINES=27333
+BUDGET_CODE_ONLY=12802
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {
