@@ -217,6 +217,7 @@ mod tests {
     fn ns_formatting_scales() {
         assert_eq!(fmt_ns(512.0), "512 ns");
         assert_eq!(fmt_ns(1_500.0), "1.50 µs");
+        assert_eq!(fmt_ns(999_000.0), "999.00 µs");
         assert_eq!(fmt_ns(2_000_000.0), "2.00 ms");
     }
 }

@@ -25,6 +25,7 @@ use hpm_core::eval::{
 use hpm_core::{HpmConfig, HybridPredictor, PredictiveQuery};
 use hpm_datagen::{paper_dataset, PaperDataset};
 use hpm_patterns::{DiscoveryParams, MiningParams};
+use hpm_store::format::MAX_PERIOD;
 use hpm_store::{load_model, save_model};
 use hpm_trajectory::{despike, from_sparse_samples, Trajectory};
 
@@ -180,10 +181,13 @@ fn finite_non_negative(v: &f64) -> bool {
 }
 
 /// `--period`, `--eps` and `--min-pts`, the last two defaulting to
-/// `eps` and `min_pts`.
+/// `eps` and `min_pts`. The period is bounded by what a model or
+/// snapshot may hold, so nothing is trained that cannot be reopened.
 fn discovery_from(args: &Args, eps: f64, min_pts: usize) -> Result<DiscoveryParams, String> {
     Ok(DiscoveryParams {
-        period: args.get_valid("period", None, "positive", positive)?,
+        period: args.get_valid("period", None, &format!("in 1..={MAX_PERIOD}"), |p| {
+            (1..=MAX_PERIOD).contains(p)
+        })?,
         eps: args.get_valid("eps", Some(eps), "finite and positive", finite_positive)?,
         min_pts: args.get_valid("min-pts", Some(min_pts), "positive", positive)?,
     })

@@ -178,7 +178,7 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
     let store = path("store");
     let ingest = ["ingest", "--input", &csv, "--data-dir", &store];
     // Each case gets one value wrong, in its last flag.
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 14] = [
         (&predict, "--recent 0"),
         (&predict, "--k 0"),
         (&predict, "--margin -1"),
@@ -191,6 +191,8 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
         (&train, "--period 300 --min-support 0"),
         (&ingest, "--period 300 --min-train 0"),
         (&ingest, "--period 0"),
+        (&train, "--period 2000000"),
+        (&ingest, "--period 2000000"),
     ];
     for (command, flags) in cases {
         let flags: Vec<&str> = flags.split(' ').collect();

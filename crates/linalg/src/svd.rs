@@ -255,6 +255,10 @@ mod tests {
         // Second row is 2x the first: rank 1.
         let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]);
         assert_eq!(Svd::compute(&a).rank(), 1);
+        // Third row is 2x the second less the first, up to rounding:
+        // the noise singular value is not counted.
+        let b = Matrix::from_rows(3, 3, &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]);
+        assert_eq!(Svd::compute(&b).rank(), 2);
         assert_eq!(Svd::compute(&Matrix::identity(3)).rank(), 3);
     }
 

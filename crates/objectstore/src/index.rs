@@ -596,6 +596,35 @@ mod tests {
     }
 
     #[test]
+    fn probes_reach_buckets_centred_past_the_query() {
+        let idx = PredictiveIndex::new(1, 8, 10.0);
+        // Far-off fillers: more buckets than the queries below probe,
+        // so they take the per-cell path.
+        for i in 0..30u32 {
+            let x = f64::from(i) * 10.0;
+            idx.install(
+                0,
+                100 + u64::from(i),
+                Some(envelope(0, 8, (x, 5e3), (x + 1.0, 5e3))),
+            );
+        }
+        // Both centred in cell column 6, reaching left into column 5:
+        // one of class 0, one of class 1 (reach 10).
+        idx.install(0, 1, Some(envelope(0, 8, (58.0, 0.0), (62.1, 1.0))));
+        idx.install(0, 2, Some(envelope(0, 8, (52.0, 0.0), (70.0, 1.0))));
+        for (max_x, want) in [(59.0, vec![1, 2]), (52.0, vec![2])] {
+            let query = BoundingBox {
+                min: Point::new(40.0, 0.0),
+                max: Point::new(max_x, 1.0),
+            };
+            let mut out = Vec::new();
+            idx.range_candidates(0, &query, 4, &mut out);
+            out.sort_unstable();
+            assert_eq!(out, want, "query up to x = {max_x}");
+        }
+    }
+
+    #[test]
     fn velocity_classes_split_buckets() {
         let idx = PredictiveIndex::new(1, 8, 10.0);
         // Same centre cell, wildly different extents: distinct buckets.

@@ -1,19 +1,14 @@
-//! Crash-recovery equivalence: a store recovered from a data
-//! directory whose WAL was cut at **any** byte prefix — every record
-//! boundary and every mid-record tear — answers bit-identically to a
-//! memory-only store fed the surviving record stream through the
-//! normal ingest API. The property suite generates ≥ 96 report
-//! streams (removes, wild days, group commit included) and tries
-//! every cut of every stream; directed tests cover a failed snapshot
-//! rotation, corruption and version refusals, what `open` trains, the
-//! committed snapshot fixture, and the bytes each send path logs.
-//! Snapshots with torn tails, multi-shard crashes, reshards and
-//! automatic snapshots are the op-trace model's (`tests/model.rs`).
+//! Recovery cases the op-trace model (`tests/model.rs`) does not
+//! state: a failed snapshot rotation, corruption and version refusals,
+//! what `open` trains, the committed snapshot fixture, and the bytes
+//! each send path logs. A WAL cut at any byte of any segment (frame
+//! boundaries and mid-frame tears), snapshots with torn tails,
+//! multi-shard crashes, reshards and automatic snapshots are the
+//! model's `Crash` and `Reopen` ops.
 
 mod common;
 
 use common::PERIOD;
-use hpm_check::prelude::*;
 use hpm_geo::Point;
 use hpm_objectstore::{
     DurabilityConfig, FsyncPolicy, MovingObjectStore, ObjectId, RecoverError, StoreConfig,
@@ -65,26 +60,6 @@ fn durable(dir: &std::path::Path, group_commit: usize) -> DurabilityConfig {
         group_commit,
         fsync: FsyncPolicy::Never,
         snapshot_every: 0,
-    }
-}
-
-/// Replays WAL records through the public ingest API — the reference
-/// "never crashed" store.
-fn feed(store: &MovingObjectStore, records: &[WalRecord]) {
-    for r in records {
-        match *r {
-            WalRecord::Report {
-                object,
-                timestamp,
-                x,
-                y,
-            } => store
-                .report(ObjectId(object), timestamp, Point::new(x, y))
-                .unwrap(),
-            WalRecord::Remove { object } => {
-                store.remove(ObjectId(object));
-            }
-        }
     }
 }
 
@@ -143,144 +118,6 @@ fn assert_equivalent(
                 reference.predict(id, last + dt),
                 "prediction of object {raw} at +{dt} ({ctx})"
             );
-        }
-    }
-}
-
-/// One generated day for one object: commuter loop, or (on wild days)
-/// a remote hotspot that drives cluster drift.
-fn gen_day(next: &mut impl FnMut() -> u64, wild_prob: u64) -> Vec<Point> {
-    if next() % 1000 < wild_prob {
-        let bx = 400.0 + (next() % 3) as f64 * 120.0;
-        (0..PERIOD)
-            .map(|t| Point::new(bx + t as f64 * 0.3, 400.0))
-            .collect()
-    } else {
-        let j = (next() % 100) as f64 / 100.0;
-        (0..PERIOD)
-            .map(|t| Point::new(t as f64 * 40.0 + j, j))
-            .collect()
-    }
-}
-
-props! {
-    // The tentpole property: ingest a generated stream durably, then
-    // crash it at EVERY interesting byte prefix of the WAL — inside
-    // the header, at each record boundary, and mid-record — and check
-    // the recovered store against a reference that ingested exactly
-    // the surviving records and never crashed.
-    #[cases(96)]
-    fn crash_at_every_wal_prefix_recovers_equivalently(
-        days in int(3usize..6),
-        objs in int(1u64..3),
-        wild in choice(vec![0u64, 200, 500]),
-        remove_at in int(0usize..12),
-        group_commit in choice(vec![1usize, 3]),
-        seed in int(0u64..100_000),
-    ) {
-        let _shared = obs_shared();
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-
-        // Live run: one shard so the whole stream lands in one WAL
-        // file whose byte order equals ingest order.
-        let dir = tmp_dir("live");
-        std::fs::create_dir_all(&dir).unwrap();
-        let live =
-            MovingObjectStore::open(config(1), durable(&dir, group_commit)).unwrap();
-        for d in 0..days {
-            let start = (d * PERIOD as usize) as Timestamp;
-            for o in 1..=objs {
-                if o == 1 && d == remove_at && d > 0 {
-                    live.remove(ObjectId(1));
-                }
-                let pts = gen_day(&mut next, wild);
-                if next() % 2 == 0 {
-                    live.report_batch(ObjectId(o), start, &pts).unwrap();
-                } else {
-                    for (k, p) in pts.iter().enumerate() {
-                        live.report(ObjectId(o), start + k as Timestamp, *p).unwrap();
-                    }
-                }
-            }
-        }
-        live.flush_wal().unwrap();
-        let bytes = std::fs::read(dir.join("wal-0-0.log")).unwrap();
-        drop(live);
-        std::fs::remove_dir_all(&dir).unwrap();
-
-        // The uncut file must parse completely.
-        let scan = scan_wal(&bytes);
-        require!(scan.torn.is_none(), "live WAL torn: {:?}", scan.torn);
-        require_eq!(scan.valid_len, bytes.len());
-        require!(!scan.records.is_empty());
-
-        // Every interesting prefix: sub-header, each boundary, and a
-        // mid-record tear between each pair of boundaries.
-        let mut cuts = vec![0usize, 4, 8];
-        let mut prev = 8;
-        for &end in &scan.offsets {
-            cuts.push((prev + end) / 2);
-            cuts.push(end);
-            prev = end;
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        for (i, &cut) in cuts.iter().enumerate() {
-            // Every other cut is followed by garbage (bit rot, a
-            // recycled block), which must read as more torn tail.
-            let garbage: &[u8] = if i % 2 == 1 { &[0xFF; 37] } else { &[] };
-            let crashed = tmp_dir("cut");
-            std::fs::create_dir_all(&crashed).unwrap();
-            let torn = [&bytes[..cut], garbage].concat();
-            std::fs::write(crashed.join("wal-0-0.log"), torn).unwrap();
-            let recovered =
-                MovingObjectStore::open(config(1), durable(&crashed, 1)).unwrap();
-            let surviving = scan_wal(&bytes[..cut]);
-            // A cut between boundaries must lose exactly the torn
-            // suffix, never a durably framed record before it.
-            require_eq!(
-                surviving.records.len(),
-                scan.offsets.iter().filter(|&&o| o <= cut).count(),
-                "cut {cut} lost framed records"
-            );
-            let reference = MovingObjectStore::new(config(1));
-            feed(&reference, &surviving.records);
-            assert_equivalent(&recovered, &reference, &surviving.records, &format!("cut {cut}"));
-
-            // A sample of cut points keeps living after recovery: one
-            // more day must land (and train) identically on both.
-            if i % 8 == 0 {
-                let extra = gen_day(&mut next, wild);
-                let mut appended = surviving.records.clone();
-                for (raw, last) in live_objects(&surviving.records) {
-                    for (k, p) in extra.iter().enumerate() {
-                        let t = last + 1 + k as Timestamp;
-                        recovered.report(ObjectId(raw), t, *p).unwrap();
-                        reference.report(ObjectId(raw), t, *p).unwrap();
-                        appended.push(WalRecord::Report {
-                            object: raw,
-                            timestamp: t,
-                            x: p.x,
-                            y: p.y,
-                        });
-                    }
-                }
-                assert_equivalent(
-                    &recovered,
-                    &reference,
-                    &appended,
-                    &format!("cut {cut} + one day"),
-                );
-            }
-            drop(recovered);
-            std::fs::remove_dir_all(&crashed).unwrap();
         }
     }
 }

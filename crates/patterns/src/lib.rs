@@ -58,7 +58,6 @@
 
 #![forbid(unsafe_code)]
 
-mod fxhash;
 mod pattern;
 mod region;
 mod table;
@@ -72,7 +71,6 @@ pub use discovery::{
     cluster_offsets, discover, visits_against, DiscoveryOutput, DiscoveryParams, OffsetClusters,
     Visit, VisitTable,
 };
-pub use fxhash::FxBuildHasher;
 pub use incremental::SupportCounts;
 pub use mining::{mine, prune_statistics, MiningParams, PruneStats};
 pub use pattern::TrajectoryPattern;

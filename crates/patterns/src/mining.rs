@@ -28,7 +28,7 @@
 //! premise-start → consequence distance (longer horizons are served by
 //! BQP's consequence-time search, not by longer premises).
 
-use crate::{FxBuildHasher, PatternTable, RegionId, RegionSet, SupportCounts, Visit, VisitTable};
+use crate::{PatternTable, RegionId, RegionSet, SupportCounts, Visit, VisitTable};
 use std::collections::HashMap;
 
 /// Knobs of the mining stage.
@@ -159,7 +159,7 @@ fn counted(regions: &RegionSet, visits: &VisitTable, params: &MiningParams) -> S
 /// only hold structurally valid itemsets), so subsets are recounted by
 /// direct transaction scans, memoised per subset.
 fn count_unpruned_rules(counts: &SupportCounts, visits: &VisitTable) -> usize {
-    let mut subset_support: HashMap<Vec<RegionId>, u32, FxBuildHasher> = HashMap::default();
+    let mut subset_support: HashMap<Vec<RegionId>, u32> = HashMap::new();
     let mut count = 0usize;
     for (set, support) in counts.frequent_sets() {
         // Enumerate non-empty proper subsets as premise masks.

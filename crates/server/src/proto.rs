@@ -697,15 +697,18 @@ mod tests {
 
     #[test]
     fn oversized_length_rejected_before_read() {
-        let mut bytes = ((1u32 << 30).to_le_bytes()).to_vec();
-        bytes.extend_from_slice(&[0; 32]);
-        let mut r = &bytes[..];
-        let mut payload = Vec::new();
-        assert!(matches!(
-            read_frame(&mut r, &mut payload, 1 << 20),
-            Err(ProtoError::Oversized { got, limit }) if got == 1 << 30 && limit == 1 << 20
-        ));
-        assert!(payload.capacity() < 1 << 20, "no giant allocation");
+        // Far past the cap, and one byte past it.
+        for len in [1u32 << 30, (1 << 20) + 1] {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 32]);
+            let mut r = &bytes[..];
+            let mut payload = Vec::new();
+            assert!(matches!(
+                read_frame(&mut r, &mut payload, 1 << 20),
+                Err(ProtoError::Oversized { got, limit }) if got == u64::from(len) && limit == 1 << 20
+            ));
+            assert!(payload.capacity() < 1 << 20, "no giant allocation");
+        }
     }
 
     #[test]

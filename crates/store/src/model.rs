@@ -345,6 +345,38 @@ mod tests {
     }
 
     #[test]
+    fn invalid_regions_are_refused() {
+        let (regions, patterns) = sample();
+        let blob = encode_model(&regions, &patterns);
+        // Magic, version, period and region count (one byte each
+        // here), then 51 bytes a region: three one-byte varints, the
+        // centroid, the box's min and max corners.
+        let region = |r: usize| 8 + 3 + 51 * r;
+        assert_eq!(blob[region(3)], 2, "region 3's offset");
+        let tampered = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = blob.clone();
+            edit(&mut bad);
+            reseal(&mut bad);
+            decode_model(&bad)
+        };
+        // The last region's offset raised to the period.
+        let at_period = tampered(&|b| b[region(3)] = 3);
+        assert!(
+            matches!(&at_period, Err(DecodeError::Invalid(m)) if m.contains("offset")),
+            "{at_period:?}"
+        );
+        // The first region's box inverted on x, then on y.
+        for axis in 0..2 {
+            let min = region(0) + 3 + 16 + 8 * axis;
+            let inverted = tampered(&|b| (min..min + 8).for_each(|i| b.swap(i, i + 16)));
+            assert!(
+                matches!(&inverted, Err(DecodeError::Invalid(m)) if m.contains("inverted")),
+                "axis {axis}: {inverted:?}"
+            );
+        }
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         let (regions, patterns) = sample();
         let mut blob = encode_model(&regions, &patterns);

@@ -398,6 +398,30 @@ mod tests {
     }
 
     #[test]
+    fn model_flags_other_than_0_or_1_are_refused() {
+        let o = ObjectSnapshot {
+            id: 3,
+            start: 0,
+            history: history(Vec::new(), vec![Point::new(1.0, 2.0)]),
+            trained_subs: 0,
+            model: None,
+        };
+        // An object without a model ends the payload with its flag.
+        let blob = encode_snapshot(&[o]);
+        let flag = blob.len() - 9;
+        assert_eq!(blob[flag], 0);
+        for other in [2, 255] {
+            let mut bad = blob[..blob.len() - 8].to_vec();
+            bad[flag] = other;
+            seal(&mut bad, 0);
+            assert!(
+                matches!(decode_snapshot(&bad), Err(DecodeError::Invalid(m)) if m.contains("model flag")),
+                "flag {other} accepted"
+            );
+        }
+    }
+
+    #[test]
     fn other_versions_rejected() {
         for version in [1, 3] {
             let mut blob = begin_sealed(SNAPSHOT_MAGIC, version, 0);

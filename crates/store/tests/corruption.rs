@@ -100,47 +100,6 @@ fn snapshot_objects() -> Vec<ObjectSnapshot> {
     ]
 }
 
-/// Truncating a model blob at ANY byte yields a typed error —
-/// no prefix of a valid blob is itself a valid blob.
-#[test]
-fn model_truncation_always_detected() {
-    let (regions, patterns) = model();
-    let blob = encode_model(&regions, &patterns);
-    every_cut(&blob, |cut, prefix| {
-        assert!(
-            decode_model(prefix).is_err(),
-            "truncation to {cut}/{} bytes decoded",
-            blob.len()
-        );
-    });
-}
-
-/// Flipping any bit of a snapshot blob is detected: the
-/// whole-file checksum is verified before any field is trusted.
-#[test]
-fn snapshot_bit_flip_detected() {
-    let blob = encode_snapshot(&snapshot_objects());
-    every_bit_flip(&blob, |i, bad| {
-        assert!(
-            decode_snapshot(bad).is_err(),
-            "a flipped bit of byte {i} undetected"
-        );
-    });
-}
-
-/// Truncating a snapshot blob at any byte yields a typed error.
-#[test]
-fn snapshot_truncation_always_detected() {
-    let blob = encode_snapshot(&snapshot_objects());
-    every_cut(&blob, |cut, prefix| {
-        assert!(
-            decode_snapshot(prefix).is_err(),
-            "truncation to {cut}/{} bytes decoded",
-            blob.len()
-        );
-    });
-}
-
 props! {
     /// Trailing garbage after a valid model blob is detected (the
     /// checksum trailer must be the last eight bytes).

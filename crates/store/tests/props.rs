@@ -147,46 +147,6 @@ props! {
     }
 }
 
-#[test]
-fn real_mined_model_roundtrips() {
-    use hpm_core::eval::training_slice;
-    use hpm_datagen::{paper_dataset, PaperDataset, PERIOD};
-    use hpm_patterns::{discover, mine, DiscoveryParams, MiningParams};
-
-    let traj = paper_dataset(PaperDataset::Airplane, 42).generate_subs(40);
-    let train = training_slice(&traj, PERIOD, 40);
-    let out = discover(
-        &train,
-        &DiscoveryParams {
-            period: PERIOD,
-            eps: 30.0,
-            min_pts: 4,
-        },
-    );
-    let patterns = mine(
-        &out.regions,
-        &out.visits,
-        &MiningParams {
-            min_support: 4,
-            min_confidence: 0.3,
-            max_premise_len: 2,
-            max_premise_gap: 8,
-            max_span: 64,
-        },
-    );
-    let blob = encode_model(&out.regions, &patterns);
-    let model = decode_model(&blob).unwrap();
-    assert_eq!(model.patterns, patterns);
-    assert_eq!(model.regions.all(), out.regions.all());
-    // The decoded model assembles into a working predictor.
-    let predictor = hpm_core::HybridPredictor::from_parts(
-        model.regions,
-        model.patterns,
-        hpm_core::HpmConfig::default(),
-    );
-    assert_eq!(predictor.patterns().len(), patterns.len());
-}
-
 /// The model frozen into `tests/fixtures/model_v1.bin`: two regions per
 /// offset over a period of six, every one- and two-region premise that
 /// chains adjacent offsets, confidences that do not round.

@@ -109,17 +109,6 @@ props! {
         image_equals_brute(32, &keys, &queries)?;
     }
 
-    /// Every indexed entry is found by a query equal to its own key
-    /// (keys always have ≥ 1 bit per part here).
-    fn self_query_finds_entry(keys in arb_keys(120)) {
-        let (leaves, packed) = load(32, &keys);
-        let mut cursor = SearchCursor::new();
-        for (p, k) in (0u32..).zip(&keys) {
-            let found = cursor.search_packed(packed.with_leaves(&leaves), k);
-            require!(found.contains(&p), "entry {p} not found by its own key");
-        }
-    }
-
     /// Search visits no more entries than a full scan would.
     fn search_never_worse_than_scan(keys in arb_keys(200), q in arb_key()) {
         let (leaves, packed) = load(32, &keys);

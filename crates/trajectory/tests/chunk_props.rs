@@ -6,7 +6,7 @@
 
 use hpm_check::prelude::*;
 use hpm_geo::Point;
-use hpm_trajectory::{ChunkParams, ChunkedHistory, History, SealedChunk};
+use hpm_trajectory::{ChunkError, ChunkParams, ChunkedHistory, History, SealedChunk};
 
 /// Chunk geometries from degenerate (seal every sample) to generous.
 fn arb_params() -> Gen<ChunkParams> {
@@ -179,7 +179,8 @@ props! {
     }
 
     /// Seal → serialize parts → `from_raw_parts` is the identity, so a
-    /// snapshot can carry chunks verbatim.
+    /// snapshot can carry chunks verbatim; a set padding bit, the
+    /// highest included, is refused.
     fn raw_parts_roundtrip(points in arb_adversarial(), params in arb_params()) {
         let h = pushed(0, params, &points);
         for c in h.chunks() {
@@ -189,6 +190,13 @@ props! {
                 c.words().to_vec(),
             );
             require_eq!(back.as_ref(), Ok(c));
+            let pad = c.words().len() as u64 * 64 - c.bits();
+            if pad > 0 {
+                let mut dirty = c.words().to_vec();
+                *dirty.last_mut().unwrap() |= 1 << (pad - 1);
+                let back = SealedChunk::from_raw_parts(c.samples() as u32, c.bits(), dirty);
+                require_eq!(back, Err(ChunkError::DirtyPadding));
+            }
         }
     }
 

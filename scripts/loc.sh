@@ -9,7 +9,7 @@
 #               for reformatting, comment deletion or test code).
 #
 # The whole-workspace run also prints the test-code total: every line
-# of every .rs file under tests/ and crates/*/tests/ (no budget).
+# of every .rs file under tests/ and crates/*/tests/.
 #
 # Usage: scripts/loc.sh [FILE.rs ...]   (no arguments: whole workspace)
 #        scripts/loc.sh --check         (whole workspace; exit 1 when a
@@ -19,9 +19,11 @@ cd "$(dirname "$0")/.."
 
 # The totals this tree may not exceed: what the last change to them
 # left. A change that needs the room raises them in the same diff and
-# says why in CHANGES.md.
-BUDGET_FILE_LINES=27333
-BUDGET_CODE_ONLY=12802
+# says why in CHANGES.md. A test deleted by scripts/mutants.sh's kill
+# matrix stays deleted: test code may not grow back unnoticed either.
+BUDGET_FILE_LINES=27324
+BUDGET_CODE_ONLY=12759
+BUDGET_TEST_LINES=9947
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {
@@ -48,13 +50,15 @@ for dir in crates/*/src; do
     crate="$(basename "$(dirname "$dir")")"
     printf '%-16s %10s %10s\n' "$crate" $(count $(find "$dir" -name '*.rs'))
 done | awk -v check="$([ "${1:-}" = --check ] && echo 1 || echo 0)" \
-    -v max_lines="$BUDGET_FILE_LINES" -v max_code="$BUDGET_CODE_ONLY" -v tests="$tests" '
+    -v max_lines="$BUDGET_FILE_LINES" -v max_code="$BUDGET_CODE_ONLY" \
+    -v max_tests="$BUDGET_TEST_LINES" -v tests="$tests" '
     { print; lines += $2; code += $3 }
     END {
         printf "%-16s %10d %10d\n", "total", lines, code
         printf "%-16s %10d\n", "test code", tests
         if (check) {
             printf "%-16s %10d %10d\n", "budget", max_lines, max_code
-            exit !(lines <= max_lines && code <= max_code)
+            printf "%-16s %10d\n", "test budget", max_tests
+            exit !(lines <= max_lines && code <= max_code && tests <= max_tests)
         }
     }'
