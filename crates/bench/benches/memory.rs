@@ -25,7 +25,9 @@
 //! `store.mem.*_bytes` gauges split it, and the trainer further into
 //! its clusterings, open visit sequence and support counts — and what
 //! one mined rule costs in predictor bytes, over a small fleet of
-//! forked commuters.
+//! forked commuters. Its twin trains the same fleet under a cadence
+//! no fold will serve, so the store keeps no trainer: what such an
+//! object costs in all.
 //!
 //! Run with `cargo bench --bench memory`; writes `BENCH_memory.json`
 //! at the workspace root (`HPM_BENCH_OUT` overrides the directory).
@@ -178,12 +180,22 @@ fn store_row(objects: u64, samples_per_object: usize) -> StoreRow {
     }
 }
 
+/// Cadence of the `trained` row: below its trained periods, so the
+/// store holds each object's trainer for the fold that would come next.
+const HELD_CADENCE: usize = 1;
+
+/// Cadence of the `trained_without_trainer` row, predict_point's: no
+/// fold will run, so the store drops each trainer after its pass.
+const DROPPED_CADENCE: usize = 1_000_000;
+
 /// Trained-state bytes over a fleet of forked commuters: the
 /// per-object shares `memory_use()` reports, the trainer's three parts
 /// ([`TrainerState::mem_shares`]) and the predictor's cost per mined
 /// rule.
 struct TrainedRow {
     objects: usize,
+    retrain_every_subs: usize,
+    bytes_per_object: usize,
     rules_per_object: usize,
     predictor_bytes_per_object: usize,
     trainer_bytes_per_object: usize,
@@ -193,14 +205,14 @@ struct TrainedRow {
     predictor_bytes_per_rule: f64,
 }
 
-fn trained_row(objects: u64) -> TrainedRow {
+fn trained_row(objects: u64, retrain_every_subs: usize) -> TrainedRow {
     let (discovery, mining) = forked_params();
     let store = MovingObjectStore::new(StoreConfig {
         discovery,
         mining,
         hpm: HpmConfig::default(),
         min_train_subs: FORKED_PERIODS,
-        retrain_every_subs: usize::MAX >> 1,
+        retrain_every_subs,
         recent_len: 20,
         shards: 16,
         threads: 1,
@@ -214,9 +226,12 @@ fn trained_row(objects: u64) -> TrainedRow {
             .report_batch(ObjectId(id), 0, path.points())
             .expect("contiguous synthetic stream");
         rules += store.stats(ObjectId(id)).expect("just reported").patterns;
+        if retrain_every_subs >= FORKED_PERIODS {
+            continue; // no fold is due, so the store holds no trainer
+        }
         // The store keeps its trainer to itself: seed the same one
         // beside it to read the parts.
-        let mut trainer = None;
+        let mut trainer: Option<TrainerState> = None;
         let hpm = HpmConfig::default();
         let (_, pass) = TrainerState::retrain(&mut trainer, None, &path, &discovery, &mining, hpm);
         assert_eq!(pass, TrainPass::Seeded);
@@ -229,11 +244,13 @@ fn trained_row(objects: u64) -> TrainedRow {
     let mem = store.memory_use();
     assert_eq!(
         trainer_bytes, mem.trainer_bytes,
-        "the store trained another state"
+        "the store holds other trainers than those seeded beside it"
     );
     let n = objects as usize;
     TrainedRow {
         objects: n,
+        retrain_every_subs,
+        bytes_per_object: mem.bytes_per_object(),
         rules_per_object: rules / n,
         predictor_bytes_per_object: mem.predictor_bytes / n,
         trainer_bytes_per_object: mem.trainer_bytes / n,
@@ -260,15 +277,21 @@ const METHODOLOGY: &str = "fleet rows materialize N real ChunkedHistory values (
 const TRAINED_METHODOLOGY: &str = "a live MovingObjectStore of forked commuters in sysbench's \
     predict_point shape (period 32, 12 trained periods, two routes that share a first leg, \
     per-object geometry and seed; Eps 2 / MinPts 3, min_support 3, premises of up to 2 \
-    regions), each loaded in one batch so it trains once at its last sample; the per-object \
-    figures are memory_use()'s predictor / trainer / history shares (the store.mem.*_bytes \
-    gauges) over the fleet; the trainer's clustering / visits / support-count parts come from a \
+    regions), each loaded in one batch so it trains once at its last sample, under a cadence \
+    (retrain_every_subs 1) that keeps its trainer for the next fold; bytes_per_object is \
+    memory_use()'s per-object figure and the other per-object figures its predictor / trainer \
+    / history shares (the store.mem.*_bytes gauges) over the fleet; the trainer's clustering / visits / support-count parts come from a \
     TrainerState seeded beside each object over the same path (TrainerState::mem_shares, each \
     part with its inline size; their fleet total is asserted equal to the store's trainer share); predictor_bytes_per_rule is the predictor share over the rules \
     it indexes — regions, pattern table, key table, packed TPT image (internal signatures \
     only; its leaves are the pattern table's rows, stored in key order) and weight table \
     together. Capacity-based MemUse figures, held to the allocator's live bytes within 20% by \
     objectstore/tests/mem_growth.rs";
+
+const UNHELD_METHODOLOGY: &str = "the trained row's fleet under predict_point's cadence \
+    (retrain_every_subs 1,000,000, at least the 12 trained periods): no retrain would fold, so \
+    the store drops each trainer after its pass and the object keeps its predictor and history \
+    alone";
 
 fn run(
     bench: &Bench,
@@ -306,17 +329,25 @@ fn run(
         st.objects, st.samples_per_object, st.bytes_per_object, st.history_ratio, st.measure_ms
     );
 
-    let tr = trained_row(trained_objects);
+    let tr = trained_row(trained_objects, HELD_CADENCE);
+    let un = trained_row(trained_objects, DROPPED_CADENCE);
     let [clustering, visits, counts] = tr.trainer_shares_per_object;
+    for r in [&tr, &un] {
+        println!(
+            "  trained {} objs x {} rules, retrain every {}: {} B/obj in all, predictor {} B/obj \
+             ({:.1} B/rule), trainer {} B/obj, history {} B/obj",
+            r.objects,
+            r.rules_per_object,
+            r.retrain_every_subs,
+            r.bytes_per_object,
+            r.predictor_bytes_per_object,
+            r.predictor_bytes_per_rule,
+            r.trainer_bytes_per_object,
+            r.history_bytes_per_object
+        );
+    }
     println!(
-        "  trained {} objs x {} rules: predictor {} B/obj ({:.1} B/rule), trainer {} B/obj \
-         (clustering {clustering}, visits {visits}, support counts {counts}), history {} B/obj",
-        tr.objects,
-        tr.rules_per_object,
-        tr.predictor_bytes_per_object,
-        tr.predictor_bytes_per_rule,
-        tr.trainer_bytes_per_object,
-        tr.history_bytes_per_object
+        "  held trainer: clustering {clustering}, visits {visits}, support counts {counts} B/obj"
     );
 
     let count = |n: usize| num(n as f64, 0);
@@ -345,6 +376,8 @@ fn run(
     let trained = obj([
         ("methodology", Json::String(TRAINED_METHODOLOGY.into())),
         ("objects", count(tr.objects)),
+        ("retrain_every_subs", count(tr.retrain_every_subs)),
+        ("bytes_per_object", count(tr.bytes_per_object)),
         ("rules_per_object", count(tr.rules_per_object)),
         (
             "predictor_bytes_per_object",
@@ -366,6 +399,24 @@ fn run(
             num(tr.predictor_bytes_per_rule, 1),
         ),
     ]);
+    let unheld = obj([
+        ("methodology", Json::String(UNHELD_METHODOLOGY.into())),
+        ("objects", count(un.objects)),
+        ("retrain_every_subs", count(un.retrain_every_subs)),
+        ("bytes_per_object", count(un.bytes_per_object)),
+        (
+            "predictor_bytes_per_object",
+            count(un.predictor_bytes_per_object),
+        ),
+        (
+            "trainer_bytes_per_object",
+            count(un.trainer_bytes_per_object),
+        ),
+        (
+            "history_bytes_per_object",
+            count(un.history_bytes_per_object),
+        ),
+    ]);
     let fields = [
         ("fleets", Json::Array(fleet_rows)),
         ("append_samples", count(tp.samples)),
@@ -373,6 +424,7 @@ fn run(
         ("decode_per_s", num(tp.decode_per_s, 0)),
         ("store", store),
         ("trained", trained),
+        ("trained_without_trainer", unheld),
     ];
     write_json(bench, "memory", METHODOLOGY, &fields);
 
@@ -435,7 +487,7 @@ const MEMSMOKE_BUDGET_HISTORY_BYTES_PER_OBJECT: usize = 6_598;
 
 fn main() {
     if std::env::args().any(|a| a == "--memsmoke") {
-        let tr = trained_row(64);
+        let tr = trained_row(64, HELD_CADENCE);
         assert!(
             tr.predictor_bytes_per_rule < MEMSMOKE_BUDGET_PREDICTOR_BYTES_PER_RULE,
             "{:.1} predictor B/rule exceeds the committed budget of {} B",

@@ -112,7 +112,7 @@ fn measure(history_subs: usize, reps: usize) -> Row {
     // pass while the history grows from H to H + reps days (the grown
     // histories are assembled before the clock starts).
     let (disc, mine) = (discovery(), mining());
-    let mut trainer = None;
+    let mut trainer: Option<TrainerState> = None;
     let (mut predictor, _) =
         TrainerState::retrain(&mut trainer, None, &warm, &disc, &mine, config());
     let grown: Vec<Trajectory> = (history_subs + 1..=history_subs + reps)
@@ -190,8 +190,9 @@ fn measure_seed(commuters: u64, reps: usize) -> SeedRow {
         })
         .as_nanos();
         // The phases are the seed: same predictor as the verb's.
+        let mut slot: Option<TrainerState> = None;
         let (seeded, pass) =
-            TrainerState::retrain(&mut None, None, &path, &discovery, &mining, config);
+            TrainerState::retrain(&mut slot, None, &path, &discovery, &mining, config);
         assert_eq!(pass, TrainPass::Seeded);
         let assembled = HybridPredictor::from_parts(regions, patterns, config);
         assert_eq!(seeded.patterns(), assembled.patterns());

@@ -133,7 +133,8 @@ impl HybridPredictor {
         mining: &MiningParams,
         config: HpmConfig,
     ) -> Self {
-        TrainerState::retrain(&mut None, None, history, discovery, mining, config).0
+        let mut slot: Option<TrainerState> = None;
+        TrainerState::retrain(&mut slot, None, history, discovery, mining, config).0
     }
 
     /// Assembles a predictor from already-discovered regions and

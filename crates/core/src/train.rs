@@ -71,6 +71,7 @@ use hpm_patterns::{
     RegionSet, SupportCounts, Visit,
 };
 use hpm_trajectory::{History, Placement};
+use std::borrow::BorrowMut;
 use std::cell::RefCell;
 
 /// What one [`TrainerState::retrain`] pass did.
@@ -122,20 +123,25 @@ impl TrainerState {
     /// and seeded over, anything else yields regions that are not a
     /// seed's.
     ///
+    /// The slot holds the trainer itself or any owner of one: a store
+    /// holds it boxed, so each of its many empty slots — untrained
+    /// objects, and those it keeps no trainer for — costs a pointer,
+    /// and a held trainer stays in its box from one pass to the next.
+    ///
     /// # Panics
     /// Panics when `discovery.period == 0`, `mining` or `config` is
     /// inconsistent, or `hist` holds fewer samples than the trainer
     /// already folded in (a caller that shrinks a history must empty
     /// `slot` first).
-    pub fn retrain(
-        slot: &mut Option<TrainerState>,
+    pub fn retrain<S: BorrowMut<TrainerState> + From<TrainerState>>(
+        slot: &mut Option<S>,
         live: Option<&HybridPredictor>,
         hist: &impl History,
         discovery: &DiscoveryParams,
         mining: &MiningParams,
         config: HpmConfig,
     ) -> (HybridPredictor, TrainPass) {
-        let (pass, folded) = match (slot.as_mut(), live) {
+        let (pass, folded) = match (slot.as_mut().map(S::borrow_mut), live) {
             (Some(trainer), Some(live)) if trainer.clusters.numbers(live.regions()) => {
                 let _s = hpm_obs::span!(RETRAIN_DISCOVER_SPAN);
                 let mut regions = live.regions().clone();
@@ -151,9 +157,10 @@ impl TrainerState {
             (slot, _) => {
                 let _s = hpm_obs::span!(RETRAIN_DISCOVER_SPAN);
                 let (trainer, regions) = Self::seed(hist, discovery, mining);
-                (slot.insert(trainer), regions)
+                (slot.insert(trainer.into()), regions)
             }
         };
+        let trainer: &mut TrainerState = trainer.borrow_mut();
         let patterns = {
             let _s = hpm_obs::span!(RETRAIN_MINE_SPAN);
             trainer.counts.derive()
@@ -495,10 +502,9 @@ mod tests {
         retrain(&mut slot, Some(&live), &commuter_days(9));
     }
 
-    /// Every object of a store carries a trainer slot inline, trained
-    /// or not, so the state itself stays within the 168 bytes each
-    /// object pays for it; and its three parts are all of it, so
-    /// `mem_shares` sums to `mem_bytes`.
+    /// A held trainer's header stays within 168 bytes (the heap block
+    /// its slot's box points to), and its three parts are all of it,
+    /// so `mem_shares` sums to `mem_bytes`.
     #[test]
     fn the_inline_trainer_is_its_three_parts_in_168_bytes() {
         use std::mem::size_of;

@@ -52,6 +52,14 @@ impl<T: MemUse> MemUse for Option<T> {
     }
 }
 
+impl<T: MemUse> MemUse for Box<T> {
+    /// The pointer plus the pointee's own accounting: its inline size
+    /// is a heap block the box owns.
+    fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + T::mem_bytes(self)
+    }
+}
+
 impl<T: MemUse> MemUse for Vec<T> {
     /// Header + buffer at capacity + each element's own heap.
     fn mem_bytes(&self) -> usize {
@@ -86,6 +94,22 @@ mod tests {
         let w = Some(W(Vec::with_capacity(10)));
         assert_eq!(w.mem_bytes(), inline + 10);
         assert_eq!(heap_bytes(&w), 10);
+    }
+
+    #[test]
+    fn boxed_value_is_a_pointer_and_a_heap_block() {
+        struct W(Vec<u8>);
+        impl MemUse for W {
+            fn mem_bytes(&self) -> usize {
+                std::mem::size_of::<Self>() + self.0.capacity()
+            }
+        }
+        let boxed = Some(Box::new(W(Vec::with_capacity(10))));
+        let (ptr, block) = (std::mem::size_of::<usize>(), std::mem::size_of::<W>() + 10);
+        assert_eq!(std::mem::size_of::<Option<Box<W>>>(), ptr);
+        assert_eq!(boxed.mem_bytes(), ptr + block);
+        assert_eq!(heap_bytes(&boxed), block);
+        assert_eq!(None::<Box<W>>.mem_bytes(), ptr);
     }
 
     #[test]

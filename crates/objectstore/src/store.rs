@@ -354,12 +354,16 @@ struct ObjectState {
     /// Position history: compressed chunks plus a raw window sized so
     /// every recent-window read is a plain slice borrow.
     history: ChunkedHistory,
-    predictor: Option<HybridPredictor>,
-    /// Incremental-training state carried between retrains. Derived
-    /// state: `None` until the first training pass seeds it, and
-    /// `None` again after `open` restores it or `force_retrain` —
-    /// `retrain` answers an absent trainer by re-seeding.
-    trainer: Option<TrainerState>,
+    /// The trained model, boxed like the trainer so an untrained
+    /// object pays a pointer for it.
+    predictor: Option<Box<HybridPredictor>>,
+    /// Incremental-training state carried between retrains, boxed so
+    /// an object without one pays a pointer. Derived state: `None`
+    /// until the first training pass seeds it, after a pass whose next
+    /// retrain would not fold (see [`MovingObjectStore::retrain`]), and
+    /// after `open` restores the object or `force_retrain` — `retrain`
+    /// answers an absent trainer by re-seeding.
+    trainer: Option<Box<TrainerState>>,
     trained_subs: usize,
     /// Set (under the state's write lock) when the object is removed
     /// from its shard map. A writer that raced `remove` and still
@@ -873,7 +877,7 @@ impl MovingObjectStore {
             current_time,
             query_time,
         };
-        let predictor = state.predictor.as_ref().unwrap_or(&self.empty_predictor);
+        let predictor = state.predictor.as_deref().unwrap_or(&self.empty_predictor);
         Ok(answer(predictor, &query))
     }
 
@@ -1224,7 +1228,7 @@ impl MovingObjectStore {
             .history
             .hot_window(self.config.recent_len)
             .expect("min_tail covers recent_len");
-        let predictor = state.predictor.as_ref().unwrap_or(&self.empty_predictor);
+        let predictor = state.predictor.as_deref().unwrap_or(&self.empty_predictor);
         let sigma = predictor.fallback_residual_sigma(recent);
         let (hx, hy) = Uncertainty::ellipse_half_axes(sigma, self.index.horizon);
         let mut bbox = predictor
@@ -1293,8 +1297,8 @@ impl MovingObjectStore {
             m.objects += 1;
             m.history_bytes += state.history.history_bytes();
             m.history_raw_bytes += state.history.raw_baseline_bytes();
-            m.predictor_bytes += state.predictor.as_ref().map_or(0, MemUse::mem_bytes);
-            m.trainer_bytes += state.trainer.as_ref().map_or(0, MemUse::mem_bytes);
+            m.predictor_bytes += state.predictor.as_deref().map_or(0, MemUse::mem_bytes);
+            m.trainer_bytes += state.trainer.as_deref().map_or(0, MemUse::mem_bytes);
             m.total_bytes += state.mem_bytes();
         });
         m.index_bytes = self.index.mem_bytes();
@@ -1541,7 +1545,8 @@ impl MovingObjectStore {
     /// at the object's next cadence crossing by deriving it again from
     /// the full history — by the workspace training contract
     /// bit-identical to what a never-restarted store folded up to the
-    /// same sample, at the cost of one first-training-sized pass.
+    /// same sample, at the cost of one first-training-sized pass — and
+    /// keeps it after that pass only where its own rule holds one.
     fn restore_objects(&mut self, objects: Vec<ObjectSnapshot>) -> Result<(), DecodeError> {
         for o in objects {
             // Chunks install verbatim and the samples after them are
@@ -1554,11 +1559,11 @@ impl MovingObjectStore {
             let predictor = match &o.model {
                 Some(blob) => {
                     let m = decode_model(blob)?;
-                    Some(HybridPredictor::from_parts(
+                    Some(Box::new(HybridPredictor::from_parts(
                         m.regions,
                         m.patterns,
                         self.config.hpm,
-                    ))
+                    )))
                 }
                 None => None,
             };
@@ -1641,6 +1646,15 @@ impl MovingObjectStore {
     /// [`HybridPredictor::build`]; a fold equals it by the `hpm-core`
     /// training contract, and that function is what the test suites
     /// compare the store against.
+    ///
+    /// The trainer is kept after the pass only while the next retrain,
+    /// `retrain_every_subs` periods on, falls within the `subs` periods
+    /// just trained on — `retrain_every_subs < subs` — so that it is a
+    /// fold worth paying for: a fold covers the k new periods, a seed
+    /// all n + k, so for k ≥ n a seed costs at most about twice a fold,
+    /// while a held trainer costs about 24 B per clustered sample the
+    /// whole time. Otherwise the slot is emptied and the next retrain
+    /// seeds, with the same answer. The rule reads the config alone.
     fn retrain(&self, state: &mut ObjectState, subs: usize) {
         let period = self.config.discovery.period as usize;
         let samples = Prefix::new(&state.history, subs * period);
@@ -1653,7 +1667,7 @@ impl MovingObjectStore {
             .set((state.history.len() / period).saturating_sub(state.trained_subs) as i64);
         let (predictor, pass) = TrainerState::retrain(
             &mut state.trainer,
-            state.predictor.as_ref(),
+            state.predictor.as_deref(),
             &samples,
             &self.config.discovery,
             &self.config.mining,
@@ -1667,8 +1681,14 @@ impl MovingObjectStore {
         if pass == TrainPass::Drifted {
             hpm_obs::counter!(crate::metrics::RETRAIN_DRIFT_FALLBACKS).add(1);
         }
-        state.predictor = Some(predictor);
+        match &mut state.predictor {
+            Some(live) => **live = predictor,
+            slot => *slot = Some(Box::new(predictor)),
+        }
         state.trained_subs = subs;
+        if self.config.retrain_every_subs >= subs {
+            state.trainer = None;
+        }
     }
 
     /// Chunk geometry every object history uses: `min_tail` is sized
@@ -1755,6 +1775,49 @@ mod tests {
         let pred = store.predict(id, 26).unwrap();
         assert_eq!(pred.source, PredictionSource::ForwardPatterns);
         assert!(pred.best().distance(&Point::new(100.0, 0.0)) < 2.0);
+    }
+
+    /// Holding or dropping a trainer never changes an answer, so only
+    /// the slot shows the rule: a trainer is held exactly when the next
+    /// retrain folds, `retrain_every_subs < trained_subs`.
+    #[test]
+    fn a_trainer_is_held_iff_the_next_retrain_folds() {
+        for every in [1, 5, 10] {
+            let store = MovingObjectStore::new(StoreConfig {
+                retrain_every_subs: every,
+                ..config()
+            });
+            let id = ObjectId(4);
+            let held = |after: &str| {
+                let state = store.lookup(id).unwrap();
+                let state = state.read().unwrap();
+                let subs = state.trained_subs;
+                assert_eq!(
+                    state.trainer.is_some(),
+                    every < subs,
+                    "cadence {every}, {after}, {subs} trained periods"
+                );
+                subs
+            };
+            feed_days(&store, id, 0..5);
+            assert_eq!(held("first training"), 5);
+            feed_days(&store, id, 5..15);
+            assert_eq!(held("a later crossing"), 15);
+            store.force_retrain(id).unwrap();
+            assert_eq!(held("force_retrain"), 15);
+            assert!(store.remove(id));
+            feed_days(&store, id, 0..5);
+            assert_eq!(held("remove and re-report"), 5);
+            store.force_retrain(id).unwrap();
+            assert_eq!(held("force_retrain"), 5);
+        }
+    }
+
+    /// Both model slots are boxed: an object without a predictor or a
+    /// trainer pays a pointer for each, not their inline sizes.
+    #[test]
+    fn an_object_state_stays_within_96_bytes() {
+        assert!(std::mem::size_of::<ObjectState>() <= 96);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! self-reported accounting against the allocator: `memory_use()` must
 //! agree that history compression is actually holding at steady state.
 //!
-//! A second case holds the *trained* share of that accounting —
+//! Two more cases hold the *trained* share of that accounting —
 //! `predictor_bytes + trainer_bytes`, what `mem_bytes_per_object` is
 //! made of on a trained fleet — to the bytes the allocator actually
-//! handed out while a small commuter fleet trained, so a drop in the
+//! handed out while a small commuter fleet trained, under a cadence
+//! that drops each trainer and one that keeps it, so a drop in the
 //! `MemUse` figure is a drop in real heap.
 
 mod common;
@@ -36,7 +37,7 @@ use common::{day, PERIOD};
 use hpm_check::alloc::CountingAllocator;
 use hpm_core::HpmConfig;
 use hpm_geo::Point;
-use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig};
+use hpm_objectstore::{MovingObjectStore, ObjectId, StoreConfig, StoreMemory};
 use hpm_patterns::{DiscoveryParams, MiningParams};
 use hpm_trajectory::Timestamp;
 
@@ -154,8 +155,26 @@ fn forked_commuter(id: u64, period: u32, periods: usize) -> Vec<Point> {
     .to_vec()
 }
 
+/// Under predict_point's cadence no fold is due, so the store drops
+/// each trainer after its pass and the predictor alone is held to the
+/// allocator.
 #[test]
 fn trained_state_accounting_matches_the_allocator() {
+    trained_state_accounting(1_000_000);
+}
+
+/// Under a cadence below the trained periods each object keeps its
+/// trainer for the next fold, so the trainer share is held too.
+#[test]
+fn held_trainer_accounting_matches_the_allocator() {
+    let after = trained_state_accounting(1);
+    assert!(after.trainer_bytes > 0, "no trainer was held");
+}
+
+/// Trains a commuter fleet at its last sample under `retrain_every_subs`
+/// and holds the trained share of `memory_use()` to what the allocator
+/// handed out meanwhile; returns the figures after training.
+fn trained_state_accounting(retrain_every_subs: usize) -> StoreMemory {
     const OBJECTS: u64 = 12;
     const TRAIN_PERIOD: u32 = 24;
     const TRAIN_DAYS: usize = 12;
@@ -175,7 +194,7 @@ fn trained_state_accounting_matches_the_allocator() {
             max_span: 8,
         },
         min_train_subs: TRAIN_DAYS,
-        retrain_every_subs: 1_000_000,
+        retrain_every_subs,
         ..config()
     });
     // Load every object up to its last pre-training sample, so the
@@ -222,4 +241,5 @@ fn trained_state_accounting_matches_the_allocator() {
         after.predictor_bytes,
         after.trainer_bytes
     );
+    after
 }

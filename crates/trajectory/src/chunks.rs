@@ -176,8 +176,8 @@ trait Word: Copy {
     /// Appends the first `bits` bits of `word` (most significant
     /// first): a whole word, or the zero-padded end of the stream.
     fn put(out: &mut Vec<Self>, word: u64, bits: u32);
-    /// The 64 stream bits from bit `pos` on, zero past the end.
-    fn load(words: &[Self], pos: u64) -> u64;
+    /// The stream's `i`-th 64-bit word, zero-padded past the end.
+    fn load(words: &[Self], i: usize) -> u64;
 }
 
 impl Word for u64 {
@@ -185,14 +185,9 @@ impl Word for u64 {
         out.push(word);
     }
 
-    fn load(words: &[u64], pos: u64) -> u64 {
-        let (i, off) = ((pos / 64) as usize, (pos % 64) as u32);
-        let next = || words.get(i + 1).map_or(0, |w| w >> (64 - off));
-        if off == 0 {
-            words[i]
-        } else {
-            words[i] << off | next()
-        }
+    #[inline]
+    fn load(words: &[u64], i: usize) -> u64 {
+        words.get(i).copied().unwrap_or(0)
     }
 }
 
@@ -201,23 +196,13 @@ impl Word for u8 {
         out.extend_from_slice(&word.to_be_bytes()[..bits.div_ceil(8) as usize]);
     }
 
-    fn load(words: &[u8], pos: u64) -> u64 {
-        let (i, off) = ((pos / 8) as usize, (pos % 8) as u32);
-        let mut window = [0u8; 9];
-        let window = match words.get(i..i + 9) {
-            Some(nine) => nine,
-            None => {
-                let have = words.len().saturating_sub(i);
-                window[..have].copy_from_slice(&words[i..]);
-                &window
-            }
-        };
-        let head = u64::from_be_bytes(window[..8].try_into().expect("eight bytes"));
-        if off == 0 {
-            head
-        } else {
-            head << off | u64::from(window[8]) >> (8 - off)
-        }
+    #[inline]
+    fn load(words: &[u8], i: usize) -> u64 {
+        let from = (i * 8).min(words.len());
+        let mut word = [0u8; 8];
+        let have = (words.len() - from).min(8);
+        word[..have].copy_from_slice(&words[from..from + have]);
+        u64::from_be_bytes(word)
     }
 }
 
@@ -302,11 +287,20 @@ impl<'a> BitWriter<'a, u64> {
 
 /// MSB-first bit source over words, bounded by a declared bit count
 /// so corruption surfaces as a typed error instead of a read past the
-/// stream.
+/// stream. Unread bits sit in a 128-bit buffer that fields are shifted
+/// out of; each word is loaded once, when fewer than 64 bits are left,
+/// so every field of up to 64 bits is a shift and a mask. Reads past
+/// the stream's words see zeros, and [`check`](Self::check) reports a
+/// decode that consumed more than the declared bits.
 #[derive(Debug, Clone)]
 struct BitReader<'a, W> {
     words: &'a [W],
-    pos: u64,
+    /// Unread bits, most significant first; `avail` of them are valid
+    /// and the bits below them are zero.
+    buf: u128,
+    avail: u32,
+    /// Index of the next 64-bit word to load.
+    next: usize,
     limit: u64,
 }
 
@@ -314,19 +308,54 @@ impl<'a, W: Word> BitReader<'a, W> {
     fn new(words: &'a [W], limit: u64) -> Self {
         BitReader {
             words,
-            pos: 0,
+            buf: 0,
+            avail: 0,
+            next: 0,
             limit,
         }
     }
 
-    fn read_bits(&mut self, n: u32) -> Result<u64, ChunkError> {
-        debug_assert!((1..=64).contains(&n));
-        if self.pos + u64::from(n) > self.limit {
-            return Err(ChunkError::Truncated);
+    /// The next 64 bits, not consumed.
+    #[inline]
+    fn peek(&mut self) -> u64 {
+        if self.avail < 64 {
+            let word = W::load(self.words, self.next);
+            self.next += 1;
+            self.buf |= u128::from(word) << (64 - self.avail);
+            self.avail += 64;
         }
-        let bits = W::load(self.words, self.pos) >> (64 - n);
-        self.pos += u64::from(n);
-        Ok(bits)
+        (self.buf >> 64) as u64
+    }
+
+    /// Consumes `n` bits, at most 64 and at most what the last
+    /// [`peek`](Self::peek) showed.
+    #[inline]
+    fn skip(&mut self, n: u32) {
+        self.buf <<= n;
+        self.avail -= n;
+    }
+
+    #[inline]
+    fn read_bits(&mut self, n: u32) -> u64 {
+        debug_assert!((1..=64).contains(&n));
+        let bits = self.peek() >> (64 - n);
+        self.skip(n);
+        bits
+    }
+
+    /// Bits consumed so far.
+    fn pos(&self) -> u64 {
+        self.next as u64 * 64 - u64::from(self.avail)
+    }
+
+    /// Refuses a decode that read past the declared bit count.
+    #[inline]
+    fn check(&self) -> Result<(), ChunkError> {
+        if self.pos() > self.limit {
+            Err(ChunkError::Truncated)
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -372,27 +401,39 @@ impl AxisState {
         self.window = Some((lead as u8, sig as u8));
     }
 
+    /// Decodes one axis value: its form is read off the next bits at
+    /// once, then the meaningful bits.
+    #[inline]
     fn decode<W: Word>(&mut self, r: &mut BitReader<'_, W>) -> Result<u64, ChunkError> {
-        if r.read_bits(1)? == 0 {
+        let head = r.peek();
+        if head >> 63 == 0 {
+            r.skip(1);
             return Ok(self.prev);
         }
-        let xor = if r.read_bits(1)? == 0 {
-            let (wlead, wsig) = self.window.ok_or(ChunkError::Truncated)?;
-            let (wlead, wsig) = (u32::from(wlead), u32::from(wsig));
-            let wtrail = 64 - wlead - wsig;
-            r.read_bits(wsig)? << wtrail
+        let (lead, sig, form) = if head >> 62 == 0b10 {
+            let (lead, sig) = self.window.ok_or(ChunkError::Truncated)?;
+            (u32::from(lead), u32::from(sig), 2)
         } else {
-            let lead = r.read_bits(6)? as u32;
-            let sig = r.read_bits(6)? as u32 + 1;
+            let lead = (head >> 56) as u32 & 63;
+            let sig = ((head >> 50) as u32 & 63) + 1;
             if lead + sig > 64 {
                 // An impossible window: the writer never produces one,
                 // and honoring it would shift out of range below.
                 return Err(ChunkError::Truncated);
             }
-            let trail = 64 - lead - sig;
             self.window = Some((lead as u8, sig as u8));
-            r.read_bits(sig)? << trail
+            (lead, sig, 14)
         };
+        // The meaningful bits, from the bits already peeked when they
+        // fit there.
+        let meaningful = if form + sig <= 64 {
+            r.skip(form + sig);
+            head << form >> (64 - sig)
+        } else {
+            r.skip(form);
+            r.read_bits(sig)
+        };
+        let xor = meaningful << (64 - lead - sig);
         self.prev ^= xor;
         Ok(self.prev)
     }
@@ -424,15 +465,17 @@ impl XorCoder {
         }
     }
 
+    #[inline]
     fn decode<W: Word>(&mut self, r: &mut BitReader<'_, W>) -> Result<Point, ChunkError> {
         let (xb, yb) = match &mut self.axes {
             Some((x, y)) => (x.decode(r)?, y.decode(r)?),
             None => {
-                let (xb, yb) = (r.read_bits(64)?, r.read_bits(64)?);
+                let (xb, yb) = (r.read_bits(64), r.read_bits(64));
                 self.axes = Some((AxisState::new(xb), AxisState::new(yb)));
                 (xb, yb)
             }
         };
+        r.check()?;
         Ok(Point::new(f64::from_bits(xb), f64::from_bits(yb)))
     }
 }
@@ -461,8 +504,8 @@ pub fn decode_xor_bytes(bytes: &[u8], n: usize, out: &mut Vec<Point>) -> Result<
     for _ in 0..n {
         out.push(coder.decode(&mut r)?);
     }
-    let used = r.pos.div_ceil(8) as usize;
-    let pad = (used as u64 * 8 - r.pos) as u32;
+    let used = r.pos().div_ceil(8) as usize;
+    let pad = (used as u64 * 8 - r.pos()) as u32;
     if pad > 0 && u64::from(bytes[used - 1]) & low_mask(pad) != 0 {
         return Err(ChunkError::DirtyPadding);
     }
@@ -599,9 +642,9 @@ impl SealedChunk {
         for _ in 0..samples {
             dec.next_point()?;
         }
-        if dec.reader.pos != bits {
+        if dec.reader.pos() != bits {
             return Err(ChunkError::TrailingBits {
-                consumed: dec.reader.pos,
+                consumed: dec.reader.pos(),
                 declared: bits,
             });
         }
@@ -643,6 +686,7 @@ impl<'a> ChunkDecoder<'a> {
     /// Decodes the next sample, or a typed error on a corrupt stream.
     /// Returns `Ok(None)` when the chunk is exhausted.
     #[allow(clippy::should_implement_trait)] // fallible next; Iterator wraps it
+    #[inline]
     pub fn next_point(&mut self) -> Result<Option<Point>, ChunkError> {
         if self.yielded == self.samples {
             return Ok(None);
@@ -660,6 +704,7 @@ impl Iterator for ChunkDecoder<'_> {
     /// never fail to decode; a chunk admitted through
     /// [`SealedChunk::from_raw_parts`] was fully validated, so the
     /// iterator treats a decode error as unreachable.
+    #[inline]
     fn next(&mut self) -> Option<Point> {
         self.next_point()
             .expect("validated chunk streams never fail to decode")
@@ -956,6 +1001,7 @@ pub struct DecodeCursor<'a> {
 impl Iterator for DecodeCursor<'_> {
     type Item = Point;
 
+    #[inline]
     fn next(&mut self) -> Option<Point> {
         while let Some(dec) = &mut self.decoder {
             if let Some(p) = dec.next() {

@@ -92,7 +92,7 @@ fn trained_models_match_the_parent_written_trailers() {
         // The store's path: a trainer seeded on all but the last
         // period, then one pass of the verb over the last — a fold, or a
         // re-seed where the fold drifts.
-        let mut slot = None;
+        let mut slot: Option<TrainerState> = None;
         let mut pass = |live, subs: usize| {
             let hist = Prefix::new(&history, subs * PERIOD as usize);
             TrainerState::retrain(
