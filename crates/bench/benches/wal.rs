@@ -208,10 +208,11 @@ fn measure(mode: &Mode, reports: usize, reps: usize) -> u64 {
     best.as_nanos() as u64 / reports as u64
 }
 
-/// Snapshot write cost: the format writes sealed chunks verbatim (no
-/// recompress on the snapshot path). Encode timed (encode + buffer
-/// build, no fsync — matching the `never` rows' durability model),
-/// best of `reps`. The retired raw-points v1 format's last figures on
+/// Snapshot write cost: the format writes each history's parts as the
+/// store holds them — sealed chunks and the open chunk verbatim, the
+/// raw window — with no recompress on the snapshot path. Encode timed
+/// (encode + buffer build, no fsync — matching the `never` rows'
+/// durability model), best of `reps`. The retired raw-points v1 format's last figures on
 /// this fleet are in `docs/BENCHMARKS.md`.
 struct SnapCost {
     objects: usize,
@@ -236,10 +237,7 @@ fn snapshot_cost(objects: usize, samples_per_object: usize, reps: usize) -> Snap
             ObjectSnapshot {
                 id,
                 start: 0,
-                history: HistorySnapshot {
-                    chunks: h.chunks().to_vec(),
-                    tail: h.unsealed(),
-                },
+                history: HistorySnapshot::of(&h),
                 trained_subs: 0,
                 model: None,
             }
@@ -345,8 +343,8 @@ fn run(bench: &Bench, reports: usize, reps: usize) {
         (
             "note",
             Json::String(
-                "sealed compressed chunks are written verbatim (no recompress); raw size is \
-                 16 B per sample"
+                "sealed chunks and the open chunk are written verbatim (no recompress), the \
+                 window raw; raw size is 16 B per sample"
                     .into(),
             ),
         ),

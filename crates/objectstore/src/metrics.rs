@@ -114,6 +114,9 @@ hpm_obs::catalog! {
     counter SNAPSHOT_ERRORS = "objectstore.snapshot.errors";
     /// WAL records replayed by the last `open` (gauge).
     gauge RECOVERY_REPLAYED = "objectstore.recovery.replayed";
+    /// Retrains run by `open`: one per object whose replayed WAL tail
+    /// crossed a retrain cadence, however many it crossed.
+    counter OPEN_RETRAINS = "objectstore.open.retrains";
     /// `remove` operations whose WAL record could not be written (the
     /// in-memory removal still happened; a crash before the next snapshot
     /// resurrects the object).

@@ -350,6 +350,26 @@ fn admit(timestamp: Timestamp, position: &Point, expected: Timestamp) -> Result<
     }
 }
 
+/// Reports a replayed run needs to be applied as it is; an object's
+/// later, shorter runs are gathered first (see
+/// [`MovingObjectStore::replay_segment`]), so replaying a fleet's
+/// interleaved reports looks up and locks an object about once per
+/// this many of them, not once per report.
+const REPLAY_GATHER: usize = 64;
+
+/// How [`MovingObjectStore::apply_run`] feeds a run to its object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Feed {
+    /// `report_batch`: the run stops at its first refused report.
+    Batch,
+    /// `report_many`: every report of the run is tried.
+    Many,
+    /// WAL replay inside `open`: every report is tried, and a cadence
+    /// crossing leaves its retrain pending (see
+    /// [`MovingObjectStore::maybe_retrain`]).
+    Replay,
+}
+
 struct ObjectState {
     /// Position history: compressed chunks plus a raw window sized so
     /// every recent-window read is a plain slice borrow.
@@ -365,6 +385,10 @@ struct ObjectState {
     /// answers an absent trainer by re-seeding.
     trainer: Option<Box<TrainerState>>,
     trained_subs: usize,
+    /// Set by WAL replay inside `open` when a cadence crossing moved
+    /// `trained_subs` past the periods `predictor` was trained on; the
+    /// open then retrains the object once, to that watermark.
+    retrain_pending: bool,
     /// Set (under the state's write lock) when the object is removed
     /// from its shard map. A writer that raced `remove` and still
     /// holds a stale `Arc` sees the flag and re-resolves the object,
@@ -469,9 +493,12 @@ impl MovingObjectStore {
     /// any shard count — is replayed up to its torn tail, and fresh
     /// WAL segments are started at a new epoch. The recovered store
     /// answers queries bit-identically to one that ingested the
-    /// surviving report stream without ever crashing. A snapshot or
-    /// segment in another format version (version 1 included) fails
-    /// the open with [`RecoverError::UnsupportedVersion`].
+    /// surviving report stream without ever crashing. Replay retrains
+    /// no object at its cadence crossings: after the last segment,
+    /// each object whose replayed reports crossed one is retrained
+    /// once, to its last crossing. A snapshot or segment in another
+    /// format version fails the open with
+    /// [`RecoverError::UnsupportedVersion`].
     ///
     /// # Panics
     /// Panics when `config` is inconsistent.
@@ -512,7 +539,7 @@ impl MovingObjectStore {
         // shard count wrote an epoch's segments, so an object's records
         // of that epoch live in exactly one of them: the segments of an
         // epoch are independent pool tasks.
-        let mut replayed = 0u64;
+        let (mut replayed, mut pending) = (0u64, Vec::new());
         for segments in listing.wal_segments.chunk_by(|a, b| a.0 == b.0) {
             let epoch = segments[0].0;
             if base_epoch.is_some_and(|b| epoch < b) {
@@ -523,10 +550,14 @@ impl MovingObjectStore {
                 .pool
                 .run(segments.len(), |i| store.replay_segment(&path(i)))
             {
-                replayed += records?;
+                let (records, ids) = records?;
+                replayed += records;
+                pending.extend(ids);
             }
         }
         hpm_obs::gauge!(crate::metrics::RECOVERY_REPLAYED).set(replayed as i64);
+        let retrained = store.run_pending_retrains(pending);
+        hpm_obs::counter!(crate::metrics::OPEN_RETRAINS).add(retrained as u64);
 
         // Rotate: never append after a torn tail.
         let epoch = listing.max_epoch().map_or(0, |e| e + 1);
@@ -619,7 +650,7 @@ impl MovingObjectStore {
         let mut result = Ok(());
         // Stop at the first failure: what follows it cannot be
         // contiguous.
-        self.apply_run(id, run, true, |r| result = r);
+        self.apply_run(id, run, Feed::Batch, |r| result = r);
         self.maybe_auto_snapshot();
         result
     }
@@ -665,7 +696,7 @@ impl MovingObjectStore {
                 for raw in order {
                     let mut slots = per_object[&raw].iter();
                     let run = slots.clone().map(|&i| (reports[i].1, reports[i].2));
-                    self.apply_run(ObjectId(raw), run, false, |r| {
+                    self.apply_run(ObjectId(raw), run, Feed::Many, |r| {
                         out.extend(slots.next().map(|&i| (i, r)));
                     });
                 }
@@ -688,7 +719,7 @@ impl MovingObjectStore {
     /// The one ingest path: applies `run` — one object's reports, in
     /// order — under a single hold of the object's write lock, handing
     /// each report's outcome to `each` in run order (up to the first
-    /// failure when `stop_at_error`). The reports the finiteness and
+    /// failure for [`Feed::Batch`]). The reports the finiteness and
     /// contiguity checks accept always form one contiguous timestamp
     /// run from the history's end: they are logged first, under a
     /// single hold of the shard's WAL lock, so the run lies contiguous
@@ -696,14 +727,16 @@ impl MovingObjectStore {
     /// at every cadence crossing inside the run exactly as the same
     /// reports sent one at a time would — batch size is never
     /// observable in training. Marks the object's envelope stale iff
-    /// something was accepted.
+    /// something was accepted. Returns whether the object's retrain is
+    /// pending when the run is done (only [`Feed::Replay`] leaves one).
     fn apply_run(
         &self,
         id: ObjectId,
         run: impl Iterator<Item = (Timestamp, Point)> + Clone,
-        stop_at_error: bool,
+        feed: Feed,
         mut each: impl FnMut(Result<(), IngestError>),
-    ) {
+    ) -> bool {
+        let stop_at_error = feed == Feed::Batch;
         let reject_all = if stop_at_error { 1 } else { usize::MAX };
         // Inadmissible reports never create the object: the first
         // admissible one resolves (and, for a new object, starts) its
@@ -711,14 +744,14 @@ impl MovingObjectStore {
         let Some((start, _)) = run.clone().find(|(t, p)| admissible(*t, p).is_ok()) else {
             run.take(reject_all)
                 .for_each(|(t, p)| each(admissible(t, &p)));
-            return;
+            return false;
         };
         loop {
             let state = self.state_of(id, start);
             let Ok(mut state) = state.write() else {
                 run.take(reject_all)
                     .for_each(|_| each(Err(IngestError::ObjectUnavailable(id))));
-                return;
+                return false;
             };
             if state.removed {
                 // Raced a concurrent `remove` on a stale cell;
@@ -745,7 +778,7 @@ impl MovingObjectStore {
                     accepted += 1;
                     // Due-ness only changes when a period fills.
                     if state.history.len() % period == 0 {
-                        self.maybe_retrain(&mut state);
+                        self.maybe_retrain(&mut state, feed);
                     }
                 }
                 each(result);
@@ -757,7 +790,7 @@ impl MovingObjectStore {
             if accepted > 0 {
                 self.index.mark_dirty(self.shard_index(id.0), id.0);
             }
-            return;
+            return state.retrain_pending;
         }
     }
 
@@ -1463,12 +1496,10 @@ impl MovingObjectStore {
             objects.push(ObjectSnapshot {
                 id: raw,
                 start: state.history.start(),
-                // Sealed chunks are written verbatim — a snapshot
-                // copies compressed words, it never recompresses.
-                history: HistorySnapshot {
-                    chunks: state.history.chunks().to_vec(),
-                    tail: state.history.unsealed(),
-                },
+                // The history's parts are copied as they are — a
+                // snapshot copies compressed words, it never
+                // recompresses.
+                history: HistorySnapshot::of(&state.history),
                 trained_subs: state.trained_subs as u64,
                 model: state
                     .predictor
@@ -1489,53 +1520,78 @@ impl MovingObjectStore {
 
     /// Re-applies one WAL segment through the normal ingest path
     /// (durability is not attached yet during recovery, so nothing is
-    /// re-logged) and returns how many records it held. Consecutive
-    /// reports of one object reach [`apply_run`](Self::apply_run) as
-    /// one run: the prefix a snapshot already holds fails the
-    /// contiguity check inside that one lock hold, and the rest
-    /// applies. A logged `Remove` resets the object exactly as it did
-    /// live. A segment of another format version is refused, not
-    /// skipped as an empty log.
-    fn replay_segment(&self, path: &Path) -> Result<u64, RecoverError> {
+    /// re-logged) and returns how many records it held and the objects
+    /// it left a retrain pending on. An object's first logged run in
+    /// the segment, and any run of [`REPLAY_GATHER`] reports or more,
+    /// reaches [`apply_run`](Self::apply_run) as it is; later short
+    /// runs — a group-commit batch of a fleet fed in interleaved frames
+    /// holds runs of one report — are gathered per object across frames
+    /// until they are that long or the segment ends, since objects are
+    /// independent and only each object's own order matters. The
+    /// prefix a snapshot already holds fails the contiguity check
+    /// inside one lock hold, and the rest applies. A logged `Remove`
+    /// resets the object exactly as it did live. A segment of another
+    /// format version is refused, not skipped as an empty log.
+    fn replay_segment(&self, path: &Path) -> Result<(u64, Vec<u64>), RecoverError> {
         let bytes = std::fs::read(path)?;
         let mut records = 0u64;
-        // The run being gathered: its object and first timestamp, and
-        // its positions in `points`.
-        let mut run: Option<(u64, Timestamp)> = None;
-        let mut points: Vec<Point> = Vec::new();
-        let apply = |run: Option<(u64, Timestamp)>, points: &mut Vec<Point>| {
-            if let Some((object, first)) = run {
-                let reports = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (first + i as Timestamp, *p));
-                self.apply_run(ObjectId(object), reports, false, |_| {});
+        // Per object seen in the segment, the short run gathered since
+        // its last apply: its first timestamp and its positions (none,
+        // and the timestamp the next run extends from, right after an
+        // apply).
+        let mut short: HashMap<u64, (Timestamp, Vec<Point>)> = HashMap::new();
+        let mut pending = Vec::new();
+        let mut apply = |object: u64, first: Timestamp, points: &[Point]| {
+            let reports = points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (first + i as Timestamp, *p));
+            if self.apply_run(ObjectId(object), reports, Feed::Replay, |_| {}) {
+                pending.push(object);
             }
-            points.clear();
         };
         let (_, stopped) = scan_wal_runs(&bytes, |next, _| {
             records += next.points.len().max(1) as u64;
-            let extends = run.is_some_and(|(object, first)| {
-                object == next.object
-                    && !next.points.is_empty()
-                    && first.checked_add(points.len() as Timestamp) == Some(next.first)
-            });
-            if !extends {
-                apply(run.take(), &mut points);
-            }
+            let seen = short.remove(&next.object);
+            let first_run = seen.is_none();
+            let mut gathered = match seen {
+                Some((first, points))
+                    if !next.points.is_empty()
+                        && first.checked_add(points.len() as Timestamp) == Some(next.first) =>
+                {
+                    points
+                }
+                Some((first, points)) => {
+                    apply(next.object, first, &points);
+                    Vec::new()
+                }
+                None => Vec::new(),
+            };
             if next.points.is_empty() {
                 self.remove(ObjectId(next.object));
-            } else {
-                run.get_or_insert((next.object, next.first));
-                points.extend_from_slice(next.points);
+                return;
             }
+            // The WAL decoder refuses a run that passes the last timestamp.
+            let end = next.first + next.points.len() as Timestamp;
+            if gathered.is_empty() && (first_run || next.points.len() >= REPLAY_GATHER) {
+                apply(next.object, next.first, next.points);
+            } else {
+                gathered.extend_from_slice(next.points);
+                if gathered.len() >= REPLAY_GATHER {
+                    apply(next.object, end - gathered.len() as Timestamp, &gathered);
+                    gathered.clear();
+                }
+            }
+            short.insert(next.object, (end - gathered.len() as Timestamp, gathered));
         });
         if let Some(DecodeError::UnsupportedVersion(version)) = stopped {
             let path = path.to_owned();
             return Err(RecoverError::UnsupportedVersion { path, version });
         }
-        apply(run, &mut points);
-        Ok(records)
+        for (object, (first, points)) in short {
+            apply(object, first, &points);
+        }
+        Ok((records, pending))
     }
 
     /// Installs snapshot state into an empty store: histories verbatim
@@ -1549,13 +1605,18 @@ impl MovingObjectStore {
     /// keeps it after that pass only where its own rule holds one.
     fn restore_objects(&mut self, objects: Vec<ObjectSnapshot>) -> Result<(), DecodeError> {
         for o in objects {
-            // Chunks install verbatim and the samples after them are
-            // pushed as they were reported, which rebuilds the history
-            // the writer held; `from_parts` only unseals trailing chunks
-            // if those samples are too few for this configuration's hot
-            // window.
-            let HistorySnapshot { chunks, tail } = o.history;
-            let history = ChunkedHistory::from_parts(o.start, self.chunk_params(), chunks, tail);
+            // The parts install as they are, which is the history the
+            // writer held; `from_parts` only decodes and re-pushes the
+            // samples after the sealed chunks when the writer used
+            // another chunk geometry.
+            let h = o.history;
+            let history = ChunkedHistory::from_parts(
+                o.start,
+                self.chunk_params(),
+                h.chunks,
+                h.open,
+                h.window,
+            );
             let predictor = match &o.model {
                 Some(blob) => {
                     let m = decode_model(blob)?;
@@ -1576,6 +1637,7 @@ impl MovingObjectStore {
                     predictor,
                     trainer: None,
                     trained_subs: o.trained_subs as usize,
+                    retrain_pending: false,
                     removed: false,
                 })),
             );
@@ -1611,6 +1673,7 @@ impl MovingObjectStore {
                 predictor: None,
                 trainer: None,
                 trained_subs: 0,
+                retrain_pending: false,
                 removed: false,
             }))
         }));
@@ -1621,22 +1684,59 @@ impl MovingObjectStore {
         state
     }
 
-    /// Retrains when a threshold was crossed.
-    fn maybe_retrain(&self, state: &mut ObjectState) {
+    /// Retrains when a threshold was crossed. Replaying, a crossing
+    /// only moves the watermark where that retrain would put it and
+    /// leaves the retrain pending: of the predictors a replayed tail
+    /// would train, only the last can ever answer a query.
+    fn maybe_retrain(&self, state: &mut ObjectState, feed: Feed) {
         let period = self.config.discovery.period as usize;
         let full = state.history.len() / period;
-        let due = if state.predictor.is_none() {
+        let due = if state.predictor.is_none() && !state.retrain_pending {
             full >= self.config.min_train_subs
         } else {
             full >= state.trained_subs + self.config.retrain_every_subs
         };
-        if due {
+        if !due {
+            return;
+        }
+        if feed == Feed::Replay {
+            state.trained_subs = full;
+            state.retrain_pending = true;
+        } else {
             self.retrain(state, full);
         }
     }
 
+    /// Runs the retrain WAL replay left pending on each of the objects
+    /// `ids` names (replay reports every object it left one on, some
+    /// more than once), to the watermark its last crossing set, on the
+    /// pool; returns how many ran. A pass over the whole delta equals
+    /// the passes the crossings would have run one by one (the
+    /// `hpm-core` training contract), so the store answers as if it had
+    /// never stopped.
+    fn run_pending_retrains(&self, mut ids: Vec<u64>) -> usize {
+        ids.sort_unstable();
+        ids.dedup();
+        let retrained = self.pool.run(ids.len(), |i| {
+            let Some(state) = self.lookup(ObjectId(ids[i])) else {
+                return false;
+            };
+            let Ok(mut state) = state.write() else {
+                return false;
+            };
+            let pending = std::mem::take(&mut state.retrain_pending);
+            if pending {
+                let subs = state.trained_subs;
+                self.retrain(&mut state, subs);
+            }
+            pending
+        });
+        retrained.into_iter().filter(|&ran| ran).count()
+    }
+
     /// Retrains `state` on its first `subs` full periods (a crossing
-    /// passes all it has, `force_retrain` the watermark it had) and
+    /// passes all it has, `force_retrain` the watermark it had, `open`
+    /// the watermark replay moved it to) and
     /// sets the watermark to `subs` — the one training path, through
     /// [`TrainerState::retrain`]: the trainer folds in the samples
     /// reported since the last pass, or is re-seeded from those periods

@@ -164,7 +164,7 @@ fn a_failed_rotation_spends_its_epoch_and_its_cadence() {
 #[test]
 fn corrupt_snapshot_refuses_to_open() {
     let _shared = obs_shared();
-    let mut bytes = include_bytes!("../../store/tests/fixtures/snapshot_v2.bin").to_vec();
+    let mut bytes = include_bytes!("../../store/tests/fixtures/snapshot_v3.bin").to_vec();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
     match refusal("snap-1.snap", &bytes) {
@@ -191,7 +191,8 @@ fn a_nested_model_claiming_more_regions_than_its_bytes_refuses_to_open() {
         start: 0,
         history: HistorySnapshot {
             chunks: Vec::new(),
-            tail: vec![Point::new(0.0, 0.0); PERIOD as usize],
+            open: Default::default(),
+            window: vec![Point::new(0.0, 0.0); PERIOD as usize],
         },
         trained_subs: 1,
         model: Some(model),
@@ -244,28 +245,32 @@ fn a_v1_wal_segment_refuses_to_open() {
     }
 }
 
-/// A version-1 snapshot is refused by version, not reported as bit rot
-/// and not misread. A version-1 segment *below* a readable snapshot's
-/// epoch is never read at all: the snapshot already holds its effects.
+/// A version-1 or version-2 snapshot is refused by version, not
+/// reported as bit rot and not misread. A version-1 segment *below* a
+/// readable snapshot's epoch is never read at all: the snapshot already
+/// holds its effects.
 #[test]
 fn a_v1_snapshot_refuses_to_open() {
     let _shared = obs_shared();
-    let fixture = include_bytes!("../../store/tests/fixtures/snapshot_v1.bin");
-    match refusal("snap-0.snap", fixture) {
-        RecoverError::UnsupportedVersion { path, version: 1 } => {
-            assert!(path.ends_with("snap-0.snap"), "{path:?}");
+    let v1: &[u8] = include_bytes!("../../store/tests/fixtures/snapshot_v1.bin");
+    let v2: &[u8] = include_bytes!("../../store/tests/fixtures/snapshot_v2.bin");
+    for (fixture, want) in [(v1, 1), (v2, 2)] {
+        match refusal("snap-0.snap", fixture) {
+            RecoverError::UnsupportedVersion { path, version } if version == want => {
+                assert!(path.ends_with("snap-0.snap"), "{path:?}");
+            }
+            e => panic!("expected UnsupportedVersion({want}), got {e:?}"),
         }
-        e => panic!("expected UnsupportedVersion(1), got {e:?}"),
     }
 
     let dir = tmp_dir("v1-below");
     std::fs::create_dir_all(&dir).unwrap();
     let v1_wal = include_bytes!("../../store/tests/fixtures/wal_v1.bin");
     std::fs::write(dir.join("wal-0-0.log"), v1_wal).unwrap();
-    let v2_snapshot = include_bytes!("../../store/tests/fixtures/snapshot_v2.bin");
-    std::fs::write(dir.join("snap-1.snap"), v2_snapshot).unwrap();
+    let snapshot = include_bytes!("../../store/tests/fixtures/snapshot_v3.bin");
+    std::fs::write(dir.join("snap-1.snap"), snapshot).unwrap();
     let store = MovingObjectStore::open(config(1), durable(&dir, 1)).unwrap();
-    assert_eq!(store.object_count(), 3);
+    assert_eq!(store.object_count(), 4);
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -355,12 +360,77 @@ fn open_installs_without_training() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The reports frozen into `store/tests/fixtures/snapshot_v2.bin`, in
+/// Replay trains once: an object whose replayed WAL tail crosses three
+/// retrain cadences is retrained by `open` exactly once, to the last
+/// crossing, and answers — and goes on training — like its
+/// never-dropped twin; so does one first trained inside the tail, at
+/// a cadence of two periods, and one whose tail crosses none is not
+/// trained at all.
+#[test]
+fn replay_retrains_each_crossed_object_once() {
+    let _alone = OBS.write().unwrap_or_else(PoisonError::into_inner);
+    hpm_obs::enable();
+    let count = |name| hpm_obs::registry().counter(name).value();
+    let cfg = StoreConfig {
+        retrain_every_subs: 2,
+        ..config(1)
+    };
+    let dir = tmp_dir("replay-once");
+    let twin = MovingObjectStore::new(cfg.clone());
+    let live = MovingObjectStore::open(cfg.clone(), durable(&dir, 1)).unwrap();
+    // (object, days before the snapshot, days after it, periods
+    // trained on at the end): 11 crosses periods 7, 9 and 11 in the
+    // tail, 12 trains first at 3 and then at 5, 13 crosses nothing.
+    let plan = [(11u64, 6, 6, 11), (12, 0, 6, 5), (13, 3, 1, 3)];
+    let feed = |store: &MovingObjectStore, id: u64, days: std::ops::Range<usize>| {
+        for d in days {
+            let start = (d * PERIOD as usize) as Timestamp;
+            store
+                .report_batch(ObjectId(id), start, &common::day(d))
+                .unwrap();
+        }
+    };
+    for (id, before, _, _) in plan {
+        feed(&live, id, 0..before);
+        feed(&twin, id, 0..before);
+    }
+    assert!(live.snapshot().unwrap());
+    for (id, before, after, _) in plan {
+        feed(&live, id, before..before + after);
+        feed(&twin, id, before..before + after);
+    }
+    drop(live);
+
+    let (retrains, opened) = (
+        count("objectstore.retrains"),
+        count("objectstore.open.retrains"),
+    );
+    let reopened = MovingObjectStore::open(cfg, durable(&dir, 1)).unwrap();
+    assert_eq!(count("objectstore.open.retrains") - opened, 2);
+    assert_eq!(count("objectstore.retrains") - retrains, 2);
+    for (id, before, after, trained) in plan {
+        let last = ((before + after) * PERIOD as usize) as Timestamp - 1;
+        let got = answers(&reopened, ObjectId(id), last);
+        assert_eq!(got, answers(&twin, ObjectId(id), last), "object {id}");
+        assert_eq!(got.0.trained_periods, trained, "object {id}");
+    }
+    // Two more days: the trainer the one retrain left folds on.
+    feed(&reopened, 11, 12..14);
+    feed(&twin, 11, 12..14);
+    let last = 14 * PERIOD as Timestamp - 1;
+    let id = ObjectId(11);
+    assert_eq!(answers(&reopened, id, last), answers(&twin, id, last));
+    hpm_obs::disable();
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The reports frozen into `store/tests/fixtures/snapshot_v3.bin`, in
 /// feed order: a trained commuter (id 1, five days), an untrained
-/// newcomer (id 2, three samples) and a long-lived commuter whose
-/// history has sealed a chunk (id 3, 300 samples from an unaligned
-/// start).
-fn v2_fixture_reports() -> Vec<(ObjectId, Timestamp, Point)> {
+/// newcomer (id 2, three samples), a long-lived commuter whose history
+/// has sealed a chunk (id 3, 300 samples from an unaligned start) and a
+/// drifter whose open chunk holds encoded samples (id 4, 60 samples).
+fn v3_fixture_reports() -> Vec<(ObjectId, Timestamp, Point)> {
     let commute = |i: u64, y: f64| {
         let j = (i * 37 % 100) as f64 / 100.0;
         Point::new((i % u64::from(PERIOD)) as f64 * 40.0 + j, y + j)
@@ -369,30 +439,27 @@ fn v2_fixture_reports() -> Vec<(ObjectId, Timestamp, Point)> {
     reports.extend((0..20).map(|i| (ObjectId(1), i, commute(i, 0.0))));
     reports.extend((0..3).map(|i| (ObjectId(2), 100 + i, Point::new(i as f64 * 1.5, -7.25))));
     reports.extend((6..306).map(|i| (ObjectId(3), i, commute(i, 50.0))));
+    reports.extend((0..60).map(|i| (ObjectId(4), 500 + i, Point::new(i as f64 * 6.5, 3.0))));
     reports
 }
 
-/// The committed v2 snapshot — cut from a store fed
-/// [`v2_fixture_reports`] by the last commit whose snapshots carried
-/// `trained_len` and whose `open` re-seeded trainers from it — restores
-/// into a store that answers, and keeps training, like one fed the same
-/// reports; and that store's own snapshot is the committed file with
-/// nothing but the reserved slots changed and each model's rows in the
-/// order a predictor stores them (the file's are in the order rules
-/// were derived in before rows were stored in key order).
+/// The committed v3 snapshot — cut from a store fed
+/// [`v3_fixture_reports`] — restores into a store that answers, and
+/// keeps training, like one fed the same reports; and that store's own
+/// snapshot is the committed file, byte for byte.
 #[test]
-fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
+fn committed_v3_snapshot_restores_like_a_store_fed_the_same_reports() {
     let _shared = obs_shared();
-    let golden: &[u8] = include_bytes!("../../store/tests/fixtures/snapshot_v2.bin");
-    let dir = tmp_dir("v2-fixture");
+    let golden: &[u8] = include_bytes!("../../store/tests/fixtures/snapshot_v3.bin");
+    let dir = tmp_dir("v3-fixture");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("snap-1.snap"), golden).unwrap();
     let restored = MovingObjectStore::open(config(1), durable(&dir, 1)).unwrap();
 
-    let fed_dir = tmp_dir("v2-fed");
+    let fed_dir = tmp_dir("v3-fed");
     let fed = MovingObjectStore::open(config(1), durable(&fed_dir, 1)).unwrap();
     let mut records = Vec::new();
-    for (id, timestamp, p) in v2_fixture_reports() {
+    for (id, timestamp, p) in v3_fixture_reports() {
         fed.report(id, timestamp, p).unwrap();
         records.push(WalRecord::Report {
             object: id.0,
@@ -401,20 +468,9 @@ fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
             y: p.y,
         });
     }
-    assert_equivalent(&restored, &fed, &records, "v2 fixture");
+    assert_equivalent(&restored, &fed, &records, "v3 fixture");
     assert!(fed.snapshot().unwrap());
-    let mut objects = hpm_store::decode_snapshot(golden).unwrap();
-    for blob in objects.iter_mut().filter_map(|o| o.model.as_mut()) {
-        let model = hpm_store::decode_model(blob).unwrap();
-        let config = hpm_core::HpmConfig::default();
-        let p = hpm_core::HybridPredictor::from_parts(model.regions, model.patterns, config);
-        *blob = hpm_store::encode_model(p.regions(), p.patterns());
-    }
-    let reencoded = hpm_store::encode_snapshot(&objects);
-    assert_eq!(
-        std::fs::read(fed_dir.join("snap-1.snap")).unwrap(),
-        reencoded
-    );
+    assert_eq!(std::fs::read(fed_dir.join("snap-1.snap")).unwrap(), golden);
 
     // One more day each: the trained objects retrain (the restored
     // ones by re-seeding), the newcomer does not.
@@ -431,7 +487,7 @@ fn committed_v2_snapshot_restores_like_a_store_fed_the_same_reports() {
             });
         }
     }
-    assert_equivalent(&restored, &fed, &records, "v2 fixture + one day");
+    assert_equivalent(&restored, &fed, &records, "v3 fixture + one day");
     drop((restored, fed));
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&fed_dir).unwrap();

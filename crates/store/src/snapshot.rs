@@ -1,23 +1,19 @@
 //! Store-snapshot codec: the full per-object state of a moving-objects
-//! store at a point in time, with compressed history chunks written
-//! verbatim. Version 2 is the only version read: a version-1 file (raw
-//! samples only) is refused as [`DecodeError::UnsupportedVersion`],
-//! never misread.
+//! store at a point in time, each history written as the store holds
+//! it. Version 3 is the only version read: a version-1 file (raw
+//! samples only) or version-2 file (everything after the sealed chunks
+//! raw) is refused as [`DecodeError::UnsupportedVersion`], never
+//! misread.
 //!
 //! ```text
 //! header   magic  b"HPMSNAP1"                8 bytes
-//!          version varint                    2
+//!          version varint                    3
 //! payload  object_count varint
 //!          objects: per object, ids strictly ascending —
 //!              id            varint
 //!              start         varint          (first sample timestamp)
 //!              history                       (see below)
 //!              trained_subs  varint          (0 = untrained)
-//!              reserved      varint          (written 0; read and
-//!                                             discarded — older files
-//!                                             hold trained_len here,
-//!                                             the samples their last
-//!                                             retrain covered)
 //!              model flag    u8 0|1
 //!              model         varint length + model-codec blob
 //!                                            (present when flag = 1)
@@ -29,23 +25,30 @@
 //!                                             written by a store and
 //!                                             is refused)
 //!          chunk_count   varint
-//!          per chunk —
-//!              samples    varint             (≥ 1)
-//!              bits       varint             (valid bits in stream)
-//!              word_count varint             (must equal ⌈bits/64⌉)
-//!              words      u64 LE × word_count (verbatim — never
+//!          per chunk     stream              (samples ≥ 1)
+//!          open chunk    stream              (samples ≥ 0; 0 is the
+//!                                             empty stream: 0 bits,
+//!                                             no words)
+//!          window_count  varint, then f64 x, f64 y each
+//!
+//! stream:
+//!          samples       varint
+//!          bits          varint              (valid bits in stream)
+//!          word_count    varint              (must equal ⌈bits/64⌉)
+//!          words         u64 LE × word_count (verbatim — never
 //!                                             recompressed)
-//!          tail_count    varint, then f64 x, f64 y each
 //! ```
 //!
-//! Chunk payloads are the sealed `hpm_trajectory::SealedChunk` bit
-//! streams written word-for-word: snapshotting a compressed store is a
-//! memcpy per chunk, not a decompress/recompress cycle. On decode each
-//! chunk is revalidated by [`SealedChunk::from_raw_parts`] — the full
-//! stream must decode to exactly the declared sample count with clean
-//! padding — so a corrupt chunk that somehow survived the whole-file
-//! checksum still refuses to open with a typed error instead of
-//! yielding garbage points.
+//! Chunk payloads are the `hpm_trajectory` bit streams written
+//! word-for-word — the sealed chunks and the open chunk being written
+//! after them — then the raw window: snapshotting a compressed store is
+//! a memcpy per history, not a decompress/recompress cycle, and
+//! restoring one installs the same parts. On decode every stream is
+//! revalidated by [`SealedChunk::from_raw_parts`] or
+//! [`OpenChunk::from_raw_parts`] — the full stream must decode to
+//! exactly the declared sample count with clean padding — so a corrupt
+//! stream that somehow survived the whole-file checksum still refuses
+//! to open with a typed error instead of yielding garbage points.
 //!
 //! The trained predictor rides along as a nested model-codec blob
 //! (`encode_model`'s format, checksum included), so model-level
@@ -67,26 +70,38 @@ use crate::wire::{
 };
 use crate::DecodeError;
 use hpm_geo::Point;
-use hpm_trajectory::SealedChunk;
+use hpm_trajectory::{ChunkError, ChunkedHistory, OpenChunk, SealedChunk};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPMSNAP1";
 
 /// The snapshot format version, the only one written or read.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// The history kind byte: sealed chunks plus a raw tail.
+/// The history kind byte: sealed chunks, the open chunk, the window.
 const HISTORY_CHUNKED: u8 = 1;
 
-/// An object's serialized position history: its sealed compressed
-/// chunks (oldest first) followed by every later sample, raw.
+/// An object's serialized position history: the parts of a
+/// [`ChunkedHistory`], oldest samples first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistorySnapshot {
-    /// Compressed runs, written/read verbatim.
+    /// Sealed compressed runs, written/read verbatim.
     pub chunks: Vec<SealedChunk>,
-    /// The samples after the last chunk, uncompressed
-    /// (`ChunkedHistory::unsealed`).
-    pub tail: Vec<Point>,
+    /// The chunk being written after them, written/read verbatim.
+    pub open: OpenChunk,
+    /// The newest samples, uncompressed.
+    pub window: Vec<Point>,
+}
+
+impl HistorySnapshot {
+    /// A copy of `history`'s parts.
+    pub fn of(history: &ChunkedHistory) -> Self {
+        HistorySnapshot {
+            chunks: history.chunks().to_vec(),
+            open: history.open_chunk().clone(),
+            window: history.window().to_vec(),
+        }
+    }
 }
 
 /// One object's durable state. `history` holds the samples in
@@ -98,7 +113,7 @@ pub struct ObjectSnapshot {
     pub id: u64,
     /// Timestamp of the first sample.
     pub start: u64,
-    /// Every sample, chunk-compressed then raw.
+    /// Every sample: the history's parts.
     pub history: HistorySnapshot,
     /// Full periods the predictor was trained on (0 = untrained).
     pub trained_subs: u64,
@@ -106,31 +121,36 @@ pub struct ObjectSnapshot {
     pub model: Option<Vec<u8>>,
 }
 
+fn put_stream(buf: &mut Vec<u8>, samples: usize, bits: u64, words: &[u64]) {
+    put_varint(buf, samples as u64);
+    put_varint(buf, bits);
+    put_varint(buf, words.len() as u64);
+    for &w in words {
+        put_u64(buf, w);
+    }
+}
+
 /// Encodes a snapshot of every given object, which the caller lists in
-/// ascending id order (the decoder refuses any other). Chunks are
-/// written verbatim — no recompression.
+/// ascending id order (the decoder refuses any other). Chunk streams
+/// are written verbatim — no recompression.
 pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
     let mut buf = begin_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 64 + objects.len() * 64);
     put_varint(&mut buf, objects.len() as u64);
     for o in objects {
         put_varint(&mut buf, o.id);
         put_varint(&mut buf, o.start);
+        let h = &o.history;
         buf.push(HISTORY_CHUNKED);
-        put_varint(&mut buf, o.history.chunks.len() as u64);
-        for c in &o.history.chunks {
-            put_varint(&mut buf, c.samples() as u64);
-            put_varint(&mut buf, c.bits());
-            put_varint(&mut buf, c.words().len() as u64);
-            for &w in c.words() {
-                put_u64(&mut buf, w);
-            }
+        put_varint(&mut buf, h.chunks.len() as u64);
+        for c in &h.chunks {
+            put_stream(&mut buf, c.samples(), c.bits(), c.words());
         }
-        put_varint(&mut buf, o.history.tail.len() as u64);
-        for p in &o.history.tail {
+        put_stream(&mut buf, h.open.samples(), h.open.bits(), h.open.words());
+        put_varint(&mut buf, h.window.len() as u64);
+        for p in &h.window {
             put_point(&mut buf, p);
         }
         put_varint(&mut buf, o.trained_subs);
-        put_varint(&mut buf, 0); // reserved (see the layout above)
         match &o.model {
             Some(blob) => {
                 buf.push(1);
@@ -144,6 +164,25 @@ pub fn encode_snapshot(objects: &[ObjectSnapshot]) -> Vec<u8> {
     buf
 }
 
+/// Reads one stream's parts and hands them to `parts`, the validating
+/// constructor of a sealed or an open chunk.
+fn get_stream<T>(
+    buf: &mut &[u8],
+    id: u64,
+    what: &str,
+    parts: fn(u32, u64, Vec<u64>) -> Result<T, ChunkError>,
+) -> Result<T, DecodeError> {
+    let samples = get_varint(buf)?;
+    let bits = get_varint(buf)?;
+    let words = get_seq(buf, 8, get_u64)?;
+    let samples = u32::try_from(samples).map_err(|_| DecodeError::CountOutOfRange {
+        got: samples,
+        limit: u64::from(u32::MAX),
+    })?;
+    parts(samples, bits, words)
+        .map_err(|e| DecodeError::Invalid(format!("object {id}: corrupt {what}: {e}")))
+}
+
 fn get_history(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeError> {
     let kind = get_u8(buf)?;
     if kind != HISTORY_CHUNKED {
@@ -154,34 +193,31 @@ fn get_history(buf: &mut &[u8], id: u64) -> Result<HistorySnapshot, DecodeError>
     // A chunk is at least 11 bytes: three one-byte varints and the one
     // packed word a non-empty stream needs; a word is 8, a point 16.
     let chunks = get_seq(buf, 11, |buf| {
-        let samples = get_varint(buf)?;
-        let bits = get_varint(buf)?;
-        let words = get_seq(buf, 8, get_u64)?;
-        let samples = u32::try_from(samples).map_err(|_| DecodeError::CountOutOfRange {
-            got: samples,
-            limit: u64::from(u32::MAX),
-        })?;
-        SealedChunk::from_raw_parts(samples, bits, words)
-            .map_err(|e| DecodeError::Invalid(format!("object {id}: corrupt chunk: {e}")))
+        get_stream(buf, id, "chunk", SealedChunk::from_raw_parts)
     })?;
-    let tail = get_seq(buf, 16, get_point)?;
-    Ok(HistorySnapshot { chunks, tail })
+    let open = get_stream(buf, id, "open chunk", OpenChunk::from_raw_parts)?;
+    let window = get_seq(buf, 16, get_point)?;
+    Ok(HistorySnapshot {
+        chunks,
+        open,
+        window,
+    })
 }
 
 /// Decodes a snapshot, validating the trailer checksum first and every
 /// structural bound after — including ascending object ids and a full
-/// decode validation of every compressed chunk. Nested model blobs are
-/// *not* decoded here — the caller hands them to `decode_model`, which
-/// re-validates them.
+/// decode validation of every compressed stream. Nested model blobs
+/// are *not* decoded here — the caller hands them to `decode_model`,
+/// which re-validates them.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError> {
     let (version, mut buf) = open_sealed(bytes, SNAPSHOT_MAGIC)?;
     let buf = &mut buf;
     if version != SNAPSHOT_VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    // An object is at least 8 bytes: six one-byte varints and two u8.
+    // An object is at least 10 bytes: eight one-byte varints and two u8.
     let mut prev: Option<u64> = None;
-    let objects = get_seq(buf, 8, |buf| {
+    let objects = get_seq(buf, 10, |buf| {
         let id = get_varint(buf)?;
         // The writer lists objects in id order; a repeated id would
         // silently replace the object restored before it.
@@ -193,15 +229,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
         prev = Some(id);
         let start = get_varint(buf)?;
         let history = get_history(buf, id)?;
-        let chunked: usize = history.chunks.iter().map(SealedChunk::samples).sum();
-        let samples = (chunked + history.tail.len()) as u64;
-        if start.checked_add(samples).is_none() {
+        let sealed: usize = history.chunks.iter().map(SealedChunk::samples).sum();
+        let samples = sealed + history.open.samples() + history.window.len();
+        if start.checked_add(samples as u64).is_none() {
             return Err(DecodeError::Invalid(format!(
                 "object {id}: history ends past the last timestamp"
             )));
         }
         let trained_subs = get_varint(buf)?;
-        get_varint(buf)?; // reserved (see the layout above)
         let model = match get_u8(buf)? {
             0 => None,
             1 => {
@@ -231,16 +266,22 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ObjectSnapshot>, DecodeError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpm_trajectory::ChunkParams;
 
-    fn chunk(n: usize, seed: f64) -> SealedChunk {
-        let points: Vec<Point> = (0..n)
-            .map(|i| Point::new(seed + i as f64 * 0.25, seed - i as f64 * 0.5))
-            .collect();
-        SealedChunk::seal(&points)
-    }
+    /// A small geometry, so every part shows in a short history: 16
+    /// samples a chunk, a window of 4 to 6.
+    const PARAMS: ChunkParams = ChunkParams {
+        seal_len: 16,
+        min_tail: 4,
+    };
 
-    fn history(chunks: Vec<SealedChunk>, tail: Vec<Point>) -> HistorySnapshot {
-        HistorySnapshot { chunks, tail }
+    /// The parts of a history of `n` samples of a walk from `seed`.
+    fn parts(n: usize, seed: f64) -> HistorySnapshot {
+        let mut h = ChunkedHistory::new(0, PARAMS);
+        for i in 0..n {
+            h.push(Point::new(seed + i as f64 * 0.25, seed - i as f64 * 0.5));
+        }
+        HistorySnapshot::of(&h)
     }
 
     /// Objects in ascending id order, as the store writes them.
@@ -249,31 +290,21 @@ mod tests {
             ObjectSnapshot {
                 id: 7,
                 start: 50,
-                history: history(
-                    vec![chunk(20, 1.0), chunk(8, -3.5)],
-                    vec![Point::new(9.0, 9.5), Point::new(10.0, 10.5)],
-                ),
+                history: parts(30, 1.0),
                 trained_subs: 2,
                 model: None,
             },
             ObjectSnapshot {
                 id: 42,
                 start: 1000,
-                history: history(
-                    Vec::new(),
-                    vec![
-                        Point::new(0.0, 0.5),
-                        Point::new(-1.25, 2.0),
-                        Point::new(3.0, -0.0),
-                    ],
-                ),
+                history: parts(3, -2.0),
                 trained_subs: 1,
                 model: Some(vec![1, 2, 3, 4]),
             },
             ObjectSnapshot {
                 id: u64::MAX,
                 start: 0,
-                history: history(Vec::new(), Vec::new()),
+                history: parts(0, 0.0),
                 trained_subs: 0,
                 model: None,
             },
@@ -283,23 +314,44 @@ mod tests {
     #[test]
     fn roundtrips() {
         let objects = sample();
+        let h = &objects[0].history;
+        assert_eq!(
+            (h.chunks.len(), h.open.samples(), h.window.len()),
+            (1, 8, 6)
+        );
         let blob = encode_snapshot(&objects);
         assert_eq!(decode_snapshot(&blob).unwrap(), objects);
         assert_eq!(decode_snapshot(&encode_snapshot(&[])).unwrap(), Vec::new());
     }
 
+    /// The parts come back as they were — snapshotting is a copy, never
+    /// a recompress — and install as the history they came from, which
+    /// goes on to encode what that history does.
     #[test]
-    fn chunks_round_trip_verbatim() {
-        // The encoded words must come back identical — snapshotting is
-        // a copy, never a recompress.
-        let objects = sample();
-        let decoded = decode_snapshot(&encode_snapshot(&objects)).unwrap();
-        let (d, o) = (&decoded[0].history.chunks, &objects[0].history.chunks);
-        assert_eq!(d.len(), o.len());
-        for (dc, oc) in d.iter().zip(o) {
-            assert_eq!(dc.bits(), oc.bits());
-            assert_eq!(dc.words(), oc.words());
+    fn parts_round_trip_verbatim() {
+        let mut live = ChunkedHistory::new(50, PARAMS);
+        let walk = |i: usize| Point::new(i as f64 * 0.75, -(i as f64) * 0.125);
+        (0..30).for_each(|i| live.push(walk(i)));
+        let object = ObjectSnapshot {
+            id: 7,
+            start: 50,
+            history: HistorySnapshot::of(&live),
+            trained_subs: 0,
+            model: None,
+        };
+        let decoded = decode_snapshot(&encode_snapshot(&[object])).unwrap();
+        let h = &decoded[0].history;
+        assert_eq!(h.chunks, live.chunks());
+        assert_eq!(&h.open, live.open_chunk());
+        assert_eq!(h.window, live.window());
+        let (chunks, open, window) = (h.chunks.clone(), h.open.clone(), h.window.clone());
+        let mut restored = ChunkedHistory::from_parts(50, PARAMS, chunks, open, window);
+        assert_eq!(restored, live);
+        for i in 30..60 {
+            restored.push(walk(i));
+            live.push(walk(i));
         }
+        assert_eq!(restored, live);
     }
 
     #[test]
@@ -319,24 +371,23 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_chunk_refused_with_typed_error() {
+    fn corrupt_streams_refused_with_typed_error() {
         // Re-seal the checksum after flipping a packed word so only the
-        // chunk-level validation can catch it.
+        // stream-level validation can catch it.
         let objects = vec![ObjectSnapshot {
             id: 3,
             start: 0,
-            history: history(vec![chunk(30, 2.0)], vec![Point::new(1.0, 1.0)]),
+            history: parts(30, 2.0),
             trained_subs: 0,
             model: None,
         }];
         let blob = encode_snapshot(&objects);
         // Flip every bit past the 14-byte header in turn (re-sealing the
         // checksum each time so only structural validation can object)
-        // and require at least one flip — landing in the packed words,
-        // which dominate this blob — to surface the typed corrupt-chunk
-        // Invalid.
+        // and require flips landing in the sealed and in the open
+        // chunk's words to surface their typed Invalid.
         let payload_len = blob.len() - 8;
-        let mut saw_chunk_invalid = false;
+        let (mut sealed, mut open) = (false, false);
         hpm_check::mutate::every_bit_flip(&blob[..payload_len], |i, flipped| {
             if i < 14 {
                 return;
@@ -345,56 +396,51 @@ mod tests {
             seal(&mut bad, 0);
             match decode_snapshot(&bad) {
                 Ok(decoded) => {
-                    // A flip in the raw tail or trained fields can
+                    // A flip in the window or trained fields can
                     // legitimately decode; structure must survive.
                     assert_eq!(decoded.len(), 1, "flip at {i} changed object count");
                 }
-                Err(DecodeError::Invalid(msg)) if msg.contains("corrupt chunk") => {
-                    saw_chunk_invalid = true;
-                }
+                Err(DecodeError::Invalid(msg)) if msg.contains("corrupt chunk") => sealed = true,
+                Err(DecodeError::Invalid(msg)) if msg.contains("corrupt open chunk") => open = true,
                 Err(_) => {}
             }
         });
         assert!(
-            saw_chunk_invalid,
-            "no flip produced a typed corrupt-chunk error"
+            sealed && open,
+            "typed refusals: sealed {sealed}, open {open}"
         );
     }
 
+    /// The bytes of one object are its fields in the order the grammar
+    /// above lists them.
     #[test]
-    fn reserved_slot_is_written_zero_and_read_blind() {
-        // An older file's slot holds a sample count; it may be any
-        // varint, of any width, and decodes to the same object.
-        let points = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
+    fn layout_follows_the_grammar() {
         let o = ObjectSnapshot {
             id: 9,
             start: 5,
-            history: history(Vec::new(), points.clone()),
+            history: parts(9, 1.0),
             trained_subs: 1,
-            model: None,
+            model: Some(vec![0xAB]),
         };
-        let with_slot = |slot: u64| {
-            let mut buf = begin_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0);
-            put_varint(&mut buf, 1);
-            put_varint(&mut buf, o.id);
-            put_varint(&mut buf, o.start);
-            buf.push(HISTORY_CHUNKED);
-            put_varint(&mut buf, 0);
-            put_varint(&mut buf, points.len() as u64);
-            points.iter().for_each(|p| put_point(&mut buf, p));
-            put_varint(&mut buf, o.trained_subs);
-            put_varint(&mut buf, slot);
-            buf.push(0);
-            seal(&mut buf, 0);
-            buf
-        };
-        for slot in [0, 2, 300, u64::MAX] {
-            assert_eq!(
-                decode_snapshot(&with_slot(slot)).unwrap(),
-                std::slice::from_ref(&o)
-            );
+        let h = &o.history;
+        assert_eq!(
+            (h.chunks.len(), h.open.samples(), h.window.len()),
+            (0, 4, 5)
+        );
+        let mut want = begin_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0);
+        for v in [1, 9, 5] {
+            put_varint(&mut want, v);
         }
-        assert_eq!(encode_snapshot(std::slice::from_ref(&o)), with_slot(0));
+        want.extend([HISTORY_CHUNKED, 0]);
+        put_varint(&mut want, 4);
+        put_varint(&mut want, h.open.bits());
+        put_varint(&mut want, h.open.words().len() as u64);
+        h.open.words().iter().for_each(|&w| put_u64(&mut want, w));
+        put_varint(&mut want, 5);
+        h.window.iter().for_each(|p| put_point(&mut want, p));
+        want.extend([1, 1, 1, 0xAB]); // trained_subs, flag, length, blob
+        seal(&mut want, 0);
+        assert_eq!(encode_snapshot(&[o]), want);
     }
 
     #[test]
@@ -402,7 +448,7 @@ mod tests {
         let o = ObjectSnapshot {
             id: 3,
             start: 0,
-            history: history(Vec::new(), vec![Point::new(1.0, 2.0)]),
+            history: parts(1, 1.0),
             trained_subs: 0,
             model: None,
         };
@@ -423,7 +469,7 @@ mod tests {
 
     #[test]
     fn other_versions_rejected() {
-        for version in [1, 3] {
+        for version in [1, 2, 4] {
             let mut blob = begin_sealed(SNAPSHOT_MAGIC, version, 0);
             put_varint(&mut blob, 0);
             seal(&mut blob, 0);

@@ -13,12 +13,12 @@ use hpm_patterns::{FrequentRegion, PatternTable, RegionId, RegionSet, Trajectory
 // *past* the whole-file checksum.
 use hpm_store::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use hpm_store::wal::{scan_wal, FsyncPolicy, WalOptions, WalRecord, WalWriter};
-use hpm_store::wire::{fnv1a, get_varint, put_f64, put_varint};
+use hpm_store::wire::{fnv1a, put_f64, put_varint};
 use hpm_store::{
     decode_model, decode_snapshot, encode_model, encode_snapshot, DecodeError, HistorySnapshot,
     ObjectSnapshot,
 };
-use hpm_trajectory::SealedChunk;
+use hpm_trajectory::{ChunkParams, ChunkedHistory, SealedChunk};
 
 /// A small real model (three offsets, two chained patterns).
 fn model() -> (RegionSet, PatternTable) {
@@ -63,8 +63,24 @@ fn walk_chunk(n: usize, seed: f64) -> SealedChunk {
     SealedChunk::seal(&points)
 }
 
-fn history(chunks: Vec<SealedChunk>, tail: Vec<Point>) -> HistorySnapshot {
-    HistorySnapshot { chunks, tail }
+/// Sealed chunks, an empty open chunk, then `window`.
+fn history(chunks: Vec<SealedChunk>, window: Vec<Point>) -> HistorySnapshot {
+    HistorySnapshot {
+        chunks,
+        open: Default::default(),
+        window,
+    }
+}
+
+/// The parts of a history of `n` walk samples, 24 to a chunk.
+fn walk_history(n: usize, seed: f64) -> HistorySnapshot {
+    let params = ChunkParams {
+        seal_len: 24,
+        min_tail: 2,
+    };
+    let mut h = ChunkedHistory::new(0, params);
+    walk_chunk(n, seed).decoder().for_each(|p| h.push(p));
+    HistorySnapshot::of(&h)
 }
 
 fn snapshot_objects() -> Vec<ObjectSnapshot> {
@@ -83,10 +99,7 @@ fn snapshot_objects() -> Vec<ObjectSnapshot> {
         ObjectSnapshot {
             id: 17,
             start: 30,
-            history: history(
-                vec![walk_chunk(24, 4.0), walk_chunk(24, -2.5)],
-                vec![Point::new(100.0, 100.5), Point::new(101.0, 100.0)],
-            ),
+            history: walk_history(60, 4.0),
             trained_subs: 1,
             model: None,
         },
@@ -128,59 +141,48 @@ fn committed_v1_fixture_is_refused() {
     );
 }
 
-/// The committed v2 snapshot — cut from a live store (a trained
-/// commuter, a three-sample newcomer, a 300-sample history with a
-/// sealed chunk) by the last commit that still wrote `trained_len` —
-/// decodes, and re-encoding what it decodes to gives the file back
-/// byte for byte except for each object's reserved slot: same length
-/// before it, `trained_len` (of whatever width) then and 0 now, same
-/// bytes after it.
+/// The committed version-2 snapshot (everything after the sealed
+/// chunks raw) is refused by version too.
 #[test]
-fn committed_v2_fixture_reencodes_identically_but_for_the_reserved_slot() {
-    let golden: &[u8] = include_bytes!("fixtures/snapshot_v2.bin");
-    let objects = decode_snapshot(golden).expect("committed v2 fixture must decode");
+fn committed_v2_fixture_is_refused() {
+    let blob: &[u8] = include_bytes!("fixtures/snapshot_v2.bin");
+    assert_eq!(
+        decode_snapshot(blob),
+        Err(DecodeError::UnsupportedVersion(2))
+    );
+}
+
+/// The committed v3 snapshot — cut from a live store (a trained
+/// commuter, a three-sample newcomer, a 300-sample history with a
+/// sealed chunk, a 60-sample history with an open chunk) — decodes,
+/// and re-encoding what it decodes to gives the file back byte for
+/// byte.
+#[test]
+fn committed_v3_fixture_reencodes_identically() {
+    let golden: &[u8] = include_bytes!("fixtures/snapshot_v3.bin");
+    let objects = decode_snapshot(golden).expect("committed v3 fixture must decode");
     let shape: Vec<_> = objects
         .iter()
         .map(|o| {
-            let sealed: usize = o.history.chunks.iter().map(SealedChunk::samples).sum();
-            (o.id, o.start, sealed + o.history.tail.len(), o.trained_subs)
+            let h = &o.history;
+            let parts = (h.chunks.len(), h.open.samples(), h.window.len());
+            (o.id, o.start, parts, o.trained_subs)
         })
         .collect();
-    assert_eq!(shape, [(1, 0, 20, 5), (2, 100, 3, 0), (3, 6, 300, 75)]);
-    let sealed = &objects[2].history;
-    assert_eq!((sealed.chunks.len(), sealed.tail.len()), (1, 44));
+    assert_eq!(
+        shape,
+        [
+            (1, 0, (0, 0, 20), 5),
+            (2, 100, (0, 0, 3), 0),
+            (3, 6, (1, 0, 44), 75),
+            (4, 500, (0, 32, 28), 15)
+        ]
+    );
     for o in &objects {
         let model = o.model.as_ref().map(|blob| decode_model(blob).unwrap());
         assert_eq!(model.is_some(), o.trained_subs > 0, "object {}", o.id);
     }
-
-    let ours = encode_snapshot(&objects);
-    let (old, new) = (&golden[..golden.len() - 8], &ours[..ours.len() - 8]);
-    let (mut at_old, mut at_new) = (0, 0);
-    let mut old_slots = Vec::new();
-    for (i, o) in objects.iter().enumerate() {
-        // What follows the slot: the model flag, then length + blob.
-        let mut after = vec![u8::from(o.model.is_some())];
-        if let Some(blob) = &o.model {
-            put_varint(&mut after, blob.len() as u64);
-            after.extend_from_slice(blob);
-        }
-        let slot = encode_snapshot(&objects[..=i]).len() - 8 - after.len() - 1;
-        let run = slot - at_new;
-        assert_eq!(
-            old[at_old..at_old + run],
-            new[at_new..slot],
-            "object {}",
-            o.id
-        );
-        assert_eq!(new[slot], 0, "object {}: reserved slot", o.id);
-        let mut rest = &old[at_old + run..];
-        old_slots.push(get_varint(&mut rest).unwrap());
-        at_old = old.len() - rest.len();
-        at_new = slot + 1;
-    }
-    assert_eq!(old[at_old..], new[at_new..]);
-    assert_eq!(old_slots, [20, 0, 300]);
+    assert_eq!(encode_snapshot(&objects), golden);
 }
 
 /// `payload` under a fresh whole-file checksum: corruption the trailer
@@ -191,13 +193,13 @@ fn resealed(payload: &[u8]) -> Vec<u8> {
     blob
 }
 
-/// A flipped bit inside a v2 chunk's packed words that is re-sealed
+/// A flipped bit inside a chunk's packed words that is re-sealed
 /// with a fresh whole-file checksum (simulating corruption the trailer
 /// cannot catch) must refuse to open with the typed corrupt-chunk
 /// error — and no flip anywhere in the payload may panic or change the
 /// object count.
 #[test]
-fn corrupt_v2_chunk_refuses_to_open() {
+fn corrupt_chunk_refuses_to_open() {
     let objects = vec![ObjectSnapshot {
         id: 5,
         start: 10,
@@ -227,7 +229,7 @@ fn corrupt_v2_chunk_refuses_to_open() {
 }
 
 /// History kind 0 (every sample raw) was never written by a store: a
-/// well-sealed v2 blob holding one is refused, not decoded.
+/// well-sealed blob holding one is refused, not decoded.
 #[test]
 fn raw_history_kind_is_refused() {
     let mut payload = SNAPSHOT_MAGIC.to_vec();
@@ -240,7 +242,6 @@ fn raw_history_kind_is_refused() {
     put_f64(&mut payload, 1.5);
     put_f64(&mut payload, -2.0);
     put_varint(&mut payload, 0); // trained_subs
-    put_varint(&mut payload, 0); // reserved
     payload.push(0); // no model
     assert!(matches!(
         decode_snapshot(&resealed(&payload)),
@@ -333,14 +334,19 @@ fn counts_are_bounded_by_the_bytes_behind_them() {
         let fields = [&[SNAPSHOT_VERSION.into()], fields].concat();
         decode_snapshot(&counted(SNAPSHOT_MAGIC, &fields, zeros)).unwrap_err()
     };
-    // Objects: 8 bytes each.
-    assert_eq!(snapshot(&[3], 16), out_of_range(3, 2));
+    // Objects: 10 bytes each.
+    assert_eq!(snapshot(&[3], 20), out_of_range(3, 2));
     // Chunks: 11 bytes each.
     assert_eq!(snapshot(&[1, 0, 0, 1, 3], 22), out_of_range(3, 2));
     // One chunk of one sample in 64 bits, then its words: 8 bytes each.
     assert_eq!(snapshot(&[1, 0, 0, 1, 1, 1, 64, 3], 16), out_of_range(3, 2));
-    // No chunks, then tail points: 16 bytes each.
-    assert_eq!(snapshot(&[1, 0, 0, 1, 0, 3], 32), out_of_range(3, 2));
+    // No chunks, an open chunk of one sample, then its words.
+    assert_eq!(snapshot(&[1, 0, 0, 1, 0, 1, 64, 3], 16), out_of_range(3, 2));
+    // No chunks, an empty open chunk, then window points: 16 bytes each.
+    assert_eq!(
+        snapshot(&[1, 0, 0, 1, 0, 0, 0, 0, 3], 32),
+        out_of_range(3, 2)
+    );
 }
 
 /// A varint wider than its `u32` field is refused, not truncated: a
@@ -374,7 +380,49 @@ fn varints_wider_than_their_field_are_refused() {
     assert!(matches!(with_support(wide), Err(DecodeError::Invalid(_))));
 }
 
-/// decode is total on re-sealed tampered v2 payloads: any single-bit
+/// A well-sealed snapshot whose open chunk's stream is damaged is
+/// refused with the typed corrupt-open-chunk error, never a panic: set
+/// padding, `bits` past the words it comes with, or a sample count the
+/// stream does not hold (one more runs it dry, one fewer leaves bits
+/// over).
+#[test]
+fn corrupt_open_chunk_streams_are_refused() {
+    let open = walk_history(60, 4.0).open;
+    let (samples, bits, words) = (open.samples() as u64, open.bits(), open.words().to_vec());
+    let pad = words.len() as u64 * 64 - bits;
+    assert!(samples > 0 && pad > 0, "the stream ends mid-word");
+    let blob = |samples: u64, bits: u64, words: &[u64]| {
+        let mut payload = SNAPSHOT_MAGIC.to_vec();
+        for v in [SNAPSHOT_VERSION.into(), 1, 5, 0] {
+            put_varint(&mut payload, v); // version, objects, id, start
+        }
+        payload.extend([1, 0]); // chunked history, no sealed chunks
+        for v in [samples, bits, words.len() as u64] {
+            put_varint(&mut payload, v);
+        }
+        words
+            .iter()
+            .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+        payload.extend([0, 0, 0]); // no window, untrained, no model
+        decode_snapshot(&resealed(&payload))
+    };
+    assert!(blob(samples, bits, &words).is_ok());
+    let mut dirty = words.clone();
+    *dirty.last_mut().unwrap() |= 1 << (pad - 1);
+    for (what, got) in [
+        ("dirty padding", blob(samples, bits, &dirty)),
+        ("bits past the words", blob(samples, bits + pad + 1, &words)),
+        ("a sample more", blob(samples + 1, bits, &words)),
+        ("a sample fewer", blob(samples - 1, bits, &words)),
+    ] {
+        assert!(
+            matches!(&got, Err(DecodeError::Invalid(msg)) if msg.contains("corrupt open chunk")),
+            "{what}: {got:?}"
+        );
+    }
+}
+
+/// decode is total on re-sealed tampered payloads: any single-bit
 /// corruption past the checksum errs or decodes — it never panics and
 /// never invents objects.
 #[test]

@@ -54,13 +54,23 @@
 //! reach `seal_len + min_tail`, the push encodes the rest of the open
 //! chunk's `seal_len` samples and seals it. Chunk boundaries therefore
 //! depend on the sample count alone, every chunk is the
-//! [`SealedChunk::seal`] of its run, and the samples after the last
-//! seal ([`ChunkedHistory::unsealed`], what a snapshot stores raw) are
-//! the same whatever part of them is encoded. The window never drops
-//! below `min_tail` samples once anything is encoded, so recent-window
-//! reads (the whole `predict` hot path) are plain slice borrows that
-//! never touch compressed data. A push that moves nothing allocates
-//! nothing; one that moves samples grows the open chunk's words once.
+//! [`SealedChunk::seal`] of its run, and how the samples after the last
+//! seal split between the open chunk and the window depends on their
+//! count alone too. The window never drops below `min_tail` samples
+//! once anything is encoded, so recent-window reads (the whole
+//! `predict` hot path) are plain slice borrows that never touch
+//! compressed data. A push that moves nothing allocates nothing; one
+//! that moves samples grows the open chunk's words once.
+//!
+//! # Restore
+//!
+//! A snapshot copies a history's parts as they are: the sealed chunks
+//! and the [`OpenChunk`]'s stream word for word, the window raw.
+//! [`OpenChunk::from_raw_parts`] validates a stream as
+//! [`SealedChunk::from_raw_parts`] does, and the decode that validates
+//! it leaves the coder state the next sample continues from, so
+//! [`ChunkedHistory::from_parts`] installs the parts as they were and
+//! the restored history equals the live one, nothing re-encoded.
 
 use crate::traj::Timestamp;
 use crate::History;
@@ -113,6 +123,27 @@ impl ChunkParams {
     #[inline]
     pub fn move_len(&self) -> usize {
         (self.seal_len / 8).max(1)
+    }
+
+    /// The open chunk's samples once `unsealed` samples follow the last
+    /// seal — what [`ChunkedHistory::push`] leaves encoded of them, the
+    /// rest being the window — or `None` when that many would have
+    /// sealed.
+    fn open_len(&self, unsealed: usize) -> Option<usize> {
+        if unsealed >= self.seal_len + self.min_tail {
+            return None;
+        }
+        let bound = self.min_tail + self.move_len();
+        let (mut open, mut window) = (0, 0);
+        for _ in 0..unsealed {
+            if window == bound {
+                let moved = self.move_len().min(self.seal_len - open);
+                open += moved;
+                window -= moved;
+            }
+            window += 1;
+        }
+        Some(open)
     }
 }
 
@@ -514,9 +545,10 @@ pub fn decode_xor_bytes(bytes: &[u8], n: usize, out: &mut Vec<Point>) -> Result<
 
 /// The chunk being written: its stream so far (zero-padded, so it
 /// decodes like a sealed chunk), the coder state after its last sample,
-/// and its sample count.
+/// and its sample count. A snapshot writes its stream verbatim;
+/// [`from_raw_parts`](Self::from_raw_parts) reads it back.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct OpenChunk {
+pub struct OpenChunk {
     words: Vec<u64>,
     bits: u64,
     coder: XorCoder,
@@ -524,6 +556,64 @@ struct OpenChunk {
 }
 
 impl OpenChunk {
+    /// Rebuilds an open chunk from serialized parts, validating them as
+    /// [`SealedChunk::from_raw_parts`] does (here zero samples, in zero
+    /// bits, is the empty chunk). The coder state the next sample
+    /// continues from is the one the validating decode ends in.
+    pub fn from_raw_parts(samples: u32, bits: u64, words: Vec<u64>) -> Result<Self, ChunkError> {
+        let needed = bits.div_ceil(64);
+        if needed != words.len() as u64 || (samples == 0) != (bits == 0 && words.is_empty()) {
+            return Err(ChunkError::WordCountMismatch {
+                bits,
+                words: words.len(),
+            });
+        }
+        let pad = needed * 64 - bits;
+        if pad > 0 {
+            let last = words[words.len() - 1];
+            if last & low_mask(pad as u32) != 0 {
+                return Err(ChunkError::DirtyPadding);
+            }
+        }
+        // Full decode validation: every sample must materialize and the
+        // stream must end exactly at the declared bit count.
+        let mut dec = ChunkDecoder::new(&words, bits, samples);
+        for _ in 0..samples {
+            dec.next_point()?;
+        }
+        if dec.reader.pos() != bits {
+            return Err(ChunkError::TrailingBits {
+                consumed: dec.reader.pos(),
+                declared: bits,
+            });
+        }
+        let coder = dec.coder;
+        Ok(OpenChunk {
+            words,
+            bits,
+            coder,
+            samples,
+        })
+    }
+
+    /// Samples encoded so far.
+    #[inline]
+    pub fn samples(&self) -> usize {
+        self.samples as usize
+    }
+
+    /// Valid bits in the stream.
+    #[inline]
+    pub fn bits(&self) -> u64 {
+        self.bits
+    }
+
+    /// The stream's words, the last zero-padded.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Encodes `points` after the samples already written, growing the
     /// words once, by exactly what the points take: they are encoded
     /// into a per-thread scratch, which continues the stream's partial
@@ -547,7 +637,8 @@ impl OpenChunk {
         self.samples += points.len() as u32;
     }
 
-    fn decoder(&self) -> ChunkDecoder<'_> {
+    /// Streaming decoder positioned at the first sample.
+    pub fn decoder(&self) -> ChunkDecoder<'_> {
         ChunkDecoder::new(&self.words, self.bits, self.samples)
     }
 
@@ -610,45 +701,16 @@ impl SealedChunk {
     }
 
     /// Rebuilds a chunk from serialized parts, validating that the
-    /// stream decodes to exactly `samples` samples consuming exactly
-    /// `bits` bits with clean zero padding — a corrupt chunk refuses
-    /// with a typed [`ChunkError`] instead of yielding garbage points.
+    /// stream decodes to exactly `samples` samples (at least one)
+    /// consuming exactly `bits` bits with clean zero padding — a
+    /// corrupt chunk refuses with a typed [`ChunkError`] instead of
+    /// yielding garbage points.
     pub fn from_raw_parts(samples: u32, bits: u64, words: Vec<u64>) -> Result<Self, ChunkError> {
-        let needed = bits.div_ceil(64);
-        if needed != words.len() as u64 || (samples == 0) != (bits == 0 && words.is_empty()) {
-            return Err(ChunkError::WordCountMismatch {
-                bits,
-                words: words.len(),
-            });
-        }
+        let chunk = OpenChunk::from_raw_parts(samples, bits, words)?;
         if samples == 0 {
             return Err(ChunkError::Truncated);
         }
-        let pad = (needed * 64).saturating_sub(bits);
-        if pad > 0 {
-            let last = words[words.len() - 1];
-            if last & low_mask(pad as u32) != 0 {
-                return Err(ChunkError::DirtyPadding);
-            }
-        }
-        let chunk = SealedChunk {
-            samples,
-            bits,
-            words: words.into_boxed_slice(),
-        };
-        // Full decode validation: every sample must materialize and the
-        // stream must end exactly at the declared bit count.
-        let mut dec = chunk.decoder();
-        for _ in 0..samples {
-            dec.next_point()?;
-        }
-        if dec.reader.pos() != bits {
-            return Err(ChunkError::TrailingBits {
-                consumed: dec.reader.pos(),
-                declared: bits,
-            });
-        }
-        Ok(chunk)
+        Ok(chunk.seal())
     }
 
     /// Streaming decoder positioned at the first sample.
@@ -702,7 +764,8 @@ impl Iterator for ChunkDecoder<'_> {
 
     /// Iterates the chunk's samples. Chunks written by this module
     /// never fail to decode; a chunk admitted through
-    /// [`SealedChunk::from_raw_parts`] was fully validated, so the
+    /// [`SealedChunk::from_raw_parts`] or [`OpenChunk::from_raw_parts`]
+    /// was fully validated, so the
     /// iterator treats a decode error as unreachable.
     #[inline]
     fn next(&mut self) -> Option<Point> {
@@ -765,36 +828,49 @@ impl ChunkedHistory {
         }
     }
 
-    /// Rebuilds a history from recovered parts: chunks are installed
-    /// verbatim (no re-encode) and the `unsealed` samples after them are
-    /// pushed as they once were, so the parts of a history rebuild one
-    /// equal to it. If `unsealed` is shorter than `params.min_tail`,
-    /// trailing chunks are first decoded back in front of it until the
-    /// hot-window invariant can hold (chunk geometry may differ from
-    /// `params` when the writing process used another configuration —
-    /// readers never assume uniform chunk lengths).
+    /// Rebuilds a history from the parts [`chunks`](Self::chunks),
+    /// [`open_chunk`](Self::open_chunk) and [`window`](Self::window)
+    /// gave. When the open chunk and the window split the samples after
+    /// the last seal as `params` would, every part is installed as it
+    /// is and the result equals the history the parts came from, with
+    /// nothing re-encoded. Otherwise — the parts were written under
+    /// another chunk geometry — the chunks are installed verbatim and
+    /// the samples after them are decoded and pushed, after trailing
+    /// chunks are decoded back in front of them until the hot-window
+    /// invariant can hold (readers never assume uniform chunk lengths).
     pub fn from_parts(
         start: Timestamp,
         params: ChunkParams,
         mut chunks: Vec<SealedChunk>,
-        mut unsealed: Vec<Point>,
+        open: OpenChunk,
+        window: Vec<Point>,
     ) -> Self {
         let mut h = ChunkedHistory::new(start, params);
-        while unsealed.len() < params.min_tail {
-            let Some(chunk) = chunks.pop() else { break };
-            let mut run: Vec<Point> = chunk.decoder().collect();
-            run.extend_from_slice(&unsealed);
-            unsealed = run;
-        }
-        if !chunks.is_empty() {
+        let unsealed = open.samples() + window.len();
+        let installs = params.open_len(unsealed) == Some(open.samples())
+            && (chunks.is_empty() || unsealed >= params.min_tail);
+        let (open, window, pushed) = if installs {
+            (open, window, Vec::new())
+        } else {
+            let mut pushed: Vec<Point> = open.decoder().chain(window).collect();
+            while pushed.len() < params.min_tail {
+                let Some(chunk) = chunks.pop() else { break };
+                let mut run: Vec<Point> = chunk.decoder().collect();
+                run.extend_from_slice(&pushed);
+                pushed = run;
+            }
+            (OpenChunk::default(), Vec::new(), pushed)
+        };
+        if !chunks.is_empty() || open.samples > 0 {
             let sealed_samples = chunks.iter().map(SealedChunk::samples).sum();
             h.encoded = Some(Box::new(Encoded {
                 chunks,
                 sealed_samples,
-                open: OpenChunk::default(),
+                open,
             }));
         }
-        unsealed.into_iter().for_each(|p| h.push(p));
+        h.window = window;
+        pushed.into_iter().for_each(|p| h.push(p));
         h
     }
 
@@ -802,6 +878,18 @@ impl ChunkedHistory {
     #[inline]
     pub fn chunks(&self) -> &[SealedChunk] {
         self.encoded.as_ref().map_or(&[], |e| &e.chunks)
+    }
+
+    /// The open chunk: the samples encoded since the last seal.
+    #[inline]
+    pub fn open_chunk(&self) -> &OpenChunk {
+        static EMPTY: OpenChunk = OpenChunk {
+            words: Vec::new(),
+            bits: 0,
+            coder: XorCoder { axes: None },
+            samples: 0,
+        };
+        self.encoded.as_ref().map_or(&EMPTY, |e| &e.open)
     }
 
     /// The raw window (the newest samples).
@@ -819,11 +907,11 @@ impl ChunkedHistory {
     /// Samples encoded into the open chunk.
     #[inline]
     fn open_samples(&self) -> usize {
-        self.encoded.as_ref().map_or(0, |e| e.open.samples as usize)
+        self.open_chunk().samples()
     }
 
-    /// Every sample after the sealed chunks — the open chunk decoded,
-    /// then the window; what a snapshot stores raw beside the chunks.
+    /// Every sample after the sealed chunks: the open chunk decoded,
+    /// then the window.
     pub fn unsealed(&self) -> Vec<Point> {
         self.iter_from(self.sealed_samples()).collect()
     }
@@ -1168,11 +1256,58 @@ mod tests {
                 min_tail: 100, // larger floor than the writer used
             },
             h.chunks().to_vec(),
-            h.unsealed(),
+            h.open_chunk().clone(),
+            h.window().to_vec(),
         );
         assert!(restored.window().len() >= 100);
         assert!(bits_eq(&restored.iter().collect::<Vec<_>>(), &points));
         assert!(restored.hot_window(100).is_some());
+    }
+
+    /// `open_len` is the split `push` leaves at every length, so the
+    /// parts of a history always install as they are.
+    #[test]
+    fn open_len_is_the_split_push_leaves() {
+        for (seal_len, min_tail) in [(256, 16), (21, 5), (8, 1), (1, 3), (15, 40)] {
+            let params = ChunkParams { seal_len, min_tail };
+            let mut h = ChunkedHistory::new(0, params);
+            for p in pts(3 * seal_len + min_tail) {
+                h.push(p);
+                let unsealed = h.len() - h.sealed_samples();
+                assert_eq!(
+                    params.open_len(unsealed),
+                    Some(h.open_chunk().samples()),
+                    "{params:?} at {}",
+                    h.len()
+                );
+            }
+            assert_eq!(params.open_len(seal_len + min_tail), None);
+        }
+    }
+
+    /// An open chunk's stream reads back with the coder state its next
+    /// sample continues from: appending to the copy writes what
+    /// appending to the original does.
+    #[test]
+    fn open_chunk_reads_back_ready_to_append() {
+        let points = pts(40);
+        let mut live = OpenChunk::default();
+        live.append(&points[..25]);
+        let mut back =
+            OpenChunk::from_raw_parts(live.samples, live.bits(), live.words().to_vec()).unwrap();
+        assert_eq!(back, live);
+        live.append(&points[25..]);
+        back.append(&points[25..]);
+        assert_eq!(back, live);
+        assert_eq!(back.seal(), SealedChunk::seal(&points));
+        assert_eq!(
+            OpenChunk::from_raw_parts(0, 0, Vec::new()),
+            Ok(OpenChunk::default())
+        );
+        assert_eq!(
+            SealedChunk::from_raw_parts(0, 0, Vec::new()),
+            Err(ChunkError::Truncated)
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod traj;
 
 pub use chunks::{
     decode_xor_bytes, encode_xor_bytes, ChunkError, ChunkParams, ChunkedHistory, DecodeCursor,
-    SealedChunk, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
+    OpenChunk, SealedChunk, DEFAULT_MIN_TAIL, DEFAULT_SEAL_LEN,
 };
 pub use decompose::Placement;
 pub use history::{History, Prefix};

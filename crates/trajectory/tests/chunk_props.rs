@@ -6,7 +6,7 @@
 
 use hpm_check::prelude::*;
 use hpm_geo::Point;
-use hpm_trajectory::{ChunkError, ChunkParams, ChunkedHistory, History, SealedChunk};
+use hpm_trajectory::{ChunkError, ChunkParams, ChunkedHistory, History, OpenChunk, SealedChunk};
 
 /// Chunk geometries from degenerate (seal every sample) to generous.
 fn arb_params() -> Gen<ChunkParams> {
@@ -209,7 +209,8 @@ props! {
         read in arb_params(),
     ) {
         let h = pushed(9, write, &points);
-        let r = ChunkedHistory::from_parts(9, read, h.chunks().to_vec(), h.unsealed());
+        let (open, window) = (h.open_chunk().clone(), h.window().to_vec());
+        let r = ChunkedHistory::from_parts(9, read, h.chunks().to_vec(), open, window);
         require!(bits_eq(&r.iter().collect::<Vec<_>>(), &points));
         // Once anything is encoded the raw window holds `min_tail`.
         require!(r.window().len() == r.len() || r.window().len() >= read.min_tail);
@@ -233,8 +234,7 @@ props! {
     /// At every length, `unsealed()` is the raw tail a history kept
     /// when it compressed nothing before a seal: the tail that drops its
     /// oldest `seal_len` samples whenever it reaches `seal_len +
-    /// min_tail`. Snapshots store it, so their bytes do not depend on
-    /// how much of it is encoded. The raw window stays within
+    /// min_tail`. The raw window stays within
     /// `min_tail + move_len` and, once anything is encoded, at or above
     /// `min_tail`.
     fn unsealed_is_the_old_tail((params, points) in arb_run(true)) {
@@ -254,15 +254,25 @@ props! {
     }
 
     /// At every length, the parts a snapshot takes rebuild an equal
-    /// history: the encoded state depends only on the chunks and the
-    /// samples since the last seal.
+    /// history, open chunk and coder state included, whether the open
+    /// chunk is copied or read back from its stream; and the restored
+    /// history goes on to encode what the live one does.
     fn from_parts_of_its_own_parts_is_equal((params, points) in arb_run(false)) {
         let mut h = ChunkedHistory::new(4, params);
         for &p in &points {
             h.push(p);
-            let r = ChunkedHistory::from_parts(4, params, h.chunks().to_vec(), h.unsealed());
+            let open = h.open_chunk();
+            let read = OpenChunk::from_raw_parts(open.samples() as u32, open.bits(), open.words().to_vec());
+            require_eq!(read.as_ref(), Ok(open));
+            let r = ChunkedHistory::from_parts(4, params, h.chunks().to_vec(), read.unwrap(), h.window().to_vec());
             require!(r == h);
         }
+        let mut r = ChunkedHistory::from_parts(4, params, h.chunks().to_vec(), h.open_chunk().clone(), h.window().to_vec());
+        for &p in &points {
+            r.push(p);
+            h.push(p);
+        }
+        require!(r == h);
     }
 
     /// Byte accounting is conservative: the compressed payload of a

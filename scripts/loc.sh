@@ -21,9 +21,9 @@ cd "$(dirname "$0")/.."
 # left. A change that needs the room raises them in the same diff and
 # says why in CHANGES.md. A test deleted by scripts/mutants.sh's kill
 # matrix stays deleted: test code may not grow back unnoticed either.
-BUDGET_FILE_LINES=27464
-BUDGET_CODE_ONLY=12799
-BUDGET_TEST_LINES=9967
+BUDGET_FILE_LINES=27748
+BUDGET_CODE_ONLY=12940
+BUDGET_TEST_LINES=10081
 
 # Prints "<file lines> <code-only lines>" for the given files.
 count() {
