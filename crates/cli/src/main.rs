@@ -116,7 +116,9 @@ SUBCOMMANDS
 fn cmd_generate(args: &Args) -> Result<(), String> {
     args.expect_only(&["dataset", "output", "subs", "seed", "gps-noise"])?;
     let output = args.required("output")?;
-    let subs: usize = args.get_or("subs", 80)?;
+    let subs = args.get_valid("subs", Some(80), &format!("at most {MAX_SUBS}"), |&s| {
+        s <= MAX_SUBS
+    })?;
     let seed: u64 = args.get_or("seed", 42)?;
     let generator = match args.required("dataset")? {
         "bike" => paper_dataset(PaperDataset::Bike, seed),
@@ -165,6 +167,27 @@ fn load_input(args: &Args) -> Result<Trajectory, String> {
         traj = fixed;
     }
     Ok(traj)
+}
+
+/// The most sub-trajectories `generate` writes. It holds the whole
+/// trajectory before writing it, 300 samples of 16 B per sub-trajectory:
+/// 480 MB at the cap, where a value a few digits longer asks the
+/// allocator for hundreds of GB and aborts.
+const MAX_SUBS: usize = 100_000;
+
+/// Refuses a query time unless it is after `current_time` by at most
+/// `u32::MAX` steps: a prediction's length is a `u32`, the bound the
+/// store's `QueryError::HorizonOutOfRange` states too.
+fn askable(what: &str, t: u64, current_time: u64) -> Result<(), String> {
+    let last = format!("the trajectory's last timestamp {current_time}");
+    match t.checked_sub(current_time) {
+        Some(0) | None => Err(format!("{what} {t} is not after {last}")),
+        Some(d) if d > u64::from(u32::MAX) => Err(format!(
+            "{what} {t} is more than {} steps after {last}",
+            u32::MAX
+        )),
+        Some(_) => Ok(()),
+    }
 }
 
 /// The ranges the libraries assert on, for [`Args::get_valid`].
@@ -392,10 +415,8 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
             return Err("--at and --batch are mutually exclusive".into());
         }
         let times = read_batch_times(batch)?;
-        if let Some(&bad) = times.iter().find(|&&t| t <= current_time) {
-            return Err(format!(
-                "batch query time {bad} is not after the trajectory's last timestamp {current_time}"
-            ));
+        for &t in &times {
+            askable(&format!("--batch {batch}: query time"), t, current_time)?;
         }
         let pool = hpm_objectstore::WorkerPool::sized(args.get_or("threads", 0)?);
         let preds = pool.run(times.len(), |i| {
@@ -429,11 +450,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
         }
     } else {
         let query_time: u64 = args.get("at")?;
-        if query_time <= current_time {
-            return Err(format!(
-                "--at {query_time} is not after the trajectory's last timestamp {current_time}"
-            ));
-        }
+        askable("--at", query_time, current_time)?;
         let pred = predictor.predict(&PredictiveQuery {
             recent,
             current_time,

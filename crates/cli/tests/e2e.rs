@@ -177,8 +177,14 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
     let train = ["train", "--input", &csv, "--output", &path("never.hpm")];
     let store = path("store");
     let ingest = ["ingest", "--input", &csv, "--data-dir", &store];
+    // 99999999999 is more than u32::MAX steps past the input's last
+    // timestamp, 5999.
+    let far = path("far.txt");
+    std::fs::write(&far, "6100\n99999999999\n").unwrap();
+    let (batch, never) = (format!("--batch {far}"), path("never.csv"));
+    let subs = format!("--output {never} --subs 100000000");
     // Each case gets one value wrong, in its last flag.
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 17] = [
         (&predict, "--recent 0"),
         (&predict, "--k 0"),
         (&predict, "--margin -1"),
@@ -193,6 +199,9 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
         (&ingest, "--period 0"),
         (&train, "--period 2000000"),
         (&ingest, "--period 2000000"),
+        (&predict[..5], "--at 99999999999"),
+        (&predict[..5], &batch),
+        (&generate[..5], &subs),
     ];
     for (command, flags) in cases {
         let flags: Vec<&str> = flags.split(' ').collect();
@@ -207,7 +216,8 @@ fn out_of_range_flags_exit_1_naming_the_flag() {
             "{args:?}: {err}"
         );
     }
-    assert!(!dir.join("never.hpm").exists() && !dir.join("store").exists());
+    let made = ["never.hpm", "store", "never.csv"].map(|name| dir.join(name).exists());
+    assert_eq!(made, [false; 3]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

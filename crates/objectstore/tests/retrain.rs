@@ -1,9 +1,9 @@
 //! Store-level guarantees of the incremental training pipeline that
-//! need threads or extreme inputs: concurrent-read safety, and no
-//! panic on coordinates at the edge of `f64`. Equivalence with the
-//! batch pipeline — at every cadence crossing, however reports are
-//! batched, live or reopened — is the op-trace model's job
-//! (`tests/model.rs` at the workspace root).
+//! need extreme inputs: no panic on coordinates at the edge of `f64`.
+//! Equivalence with the batch pipeline — at every cadence crossing,
+//! however reports are batched, live, reopened or under concurrent
+//! readers — is the op-trace model's job (`tests/model.rs` at the
+//! workspace root).
 
 mod common;
 
@@ -18,65 +18,6 @@ fn config(retrain_every_subs: usize) -> StoreConfig {
         shards: 4,
         ..common::config()
     }
-}
-
-/// One commuter day; `wild` days relocate to a remote hotspot (drives
-/// cluster formation/promotion -> structure drift -> full fallback).
-fn day(d: usize, wild: bool) -> Vec<Point> {
-    if wild {
-        let j = (d % 3) as f64 * 0.2;
-        return (0..PERIOD)
-            .map(|t| Point::new(400.0 + t as f64 * 0.3 + j, 400.0))
-            .collect();
-    }
-    common::day(d)
-}
-
-/// A 30-day stream with a burst of wild days in the middle: quiet
-/// stretches retrain incrementally, the burst forces drift fallbacks.
-fn stream() -> Vec<Vec<Point>> {
-    (0..30).map(|d| day(d, (12..16).contains(&d))).collect()
-}
-
-/// Readers racing a retraining writer must never observe a torn
-/// predictor: every prediction is answerable and finite, and the
-/// retrain settles to the trained watermark.
-#[test]
-fn concurrent_predict_during_retrain_never_torn() {
-    let store = MovingObjectStore::new(config(1));
-    let id = ObjectId(3);
-    let days = stream();
-    // Warm up past min_train_subs so readers always have a predictor.
-    for (d, pts) in days.iter().take(4).enumerate() {
-        store
-            .report_batch(id, (d * PERIOD as usize) as Timestamp, pts)
-            .unwrap();
-    }
-    std::thread::scope(|s| {
-        let writer = &store;
-        s.spawn(move || {
-            for (d, pts) in days.iter().enumerate().skip(4) {
-                writer
-                    .report_batch(id, (d * PERIOD as usize) as Timestamp, pts)
-                    .unwrap();
-            }
-        });
-        for _ in 0..2 {
-            let reader = &store;
-            s.spawn(move || {
-                for i in 0..500u64 {
-                    // Far enough ahead to stay in every concurrent
-                    // trajectory's future.
-                    let pred = reader.predict(id, 10_000 + i % 7).unwrap();
-                    assert!(pred.best().is_finite(), "torn prediction");
-                }
-            });
-        }
-    });
-    let s = store.stats(id).unwrap();
-    assert_eq!(s.trained_periods, 30);
-    assert_eq!(s.full_periods, 30);
-    assert!(s.patterns > 0);
 }
 
 /// The store admits any finite position, including ones so far out

@@ -15,6 +15,7 @@ use hpm_server::{Client, RequestBody as Q, Response, ResponseBody as R, Server, 
 use hpm_store::wal::{scan_wal_runs, WAL_MAGIC};
 use hpm_trajectory::{Timestamp, Trajectory};
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -142,6 +143,7 @@ type Predicted = Result<Prediction, QueryError>;
 /// becomes `HybridPredictor::build` over the whole history; a fleet query
 /// predicts every object in id order under the four rules of
 /// `store.rs::score`. The operators mirror `MovingObjectStore`'s.
+#[derive(Clone)]
 pub struct RefStore {
     config: StoreConfig,
     objects: BTreeMap<u64, RefObject>,
@@ -149,6 +151,7 @@ pub struct RefStore {
     untrained: HybridPredictor,
 }
 
+#[derive(Clone, Default)]
 struct RefObject {
     start: Timestamp,
     points: Vec<Point>,
@@ -174,15 +177,25 @@ impl RefStore {
         Some(o.start + o.points.len() as Timestamp)
     }
 
-    /// `id`'s last reported position.
-    pub fn last(&self, id: u64) -> Option<Point> {
-        self.objects.get(&id)?.points.last().copied()
+    /// Tracks `id` from `t` with no samples yet, unless it is tracked:
+    /// what a real store shows while a first report's run lands.
+    pub fn open(&mut self, id: u64, start: Timestamp) {
+        let fresh = RefObject {
+            start,
+            ..Default::default()
+        };
+        self.objects.entry(id).or_insert(fresh);
     }
 
-    /// The latest current time in the fleet (0 when it is empty).
-    pub fn clock(&self) -> Timestamp {
-        let ends = self.objects.keys().filter_map(|&id| self.end(id));
-        ends.max().map_or(0, |end| end - 1)
+    /// The state as words: per object its id, start, trained periods and
+    /// points (the model is a function of them).
+    pub fn key(&self) -> Vec<u64> {
+        let mut key = Vec::new();
+        for (&id, o) in &self.objects {
+            key.extend([id, o.start, o.trained_subs as u64, o.points.len() as u64]);
+            key.extend(o.points.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]));
+        }
+        key
     }
 
     pub fn serve(&mut self, reqs: &[Req]) -> Vec<Answer> {
@@ -223,13 +236,8 @@ impl RefStore {
         if t != expected {
             return Err(IngestError::NonContiguous { expected, got: t });
         }
-        let c = &self.config;
-        let o = self.objects.entry(id.0).or_insert_with(|| RefObject {
-            start: t,
-            points: Vec::new(),
-            trained_subs: 0,
-            model: None,
-        });
+        self.open(id.0, t);
+        let (c, o) = (&self.config, self.objects.get_mut(&id.0).expect("open"));
         o.points.push(p);
         let (period, trained) = (c.discovery.period as usize, o.trained_subs);
         let full = o.points.len() / period;
@@ -329,6 +337,9 @@ impl RefStore {
     fn predict(&self, id: ObjectId, query_time: Timestamp) -> Predicted {
         let o = self.objects.get(&id.0);
         let o = o.ok_or(QueryError::UnknownObject(id))?;
+        if o.points.is_empty() {
+            return Err(QueryError::NoHistory(id));
+        }
         let current_time = o.start + o.points.len() as Timestamp - 1;
         let (current, requested) = (current_time, query_time);
         if query_time <= current_time {
@@ -368,7 +379,7 @@ impl RefStore {
 // ----------------------------------------------------------- the targets
 
 /// A real store's answer, read through the index.
-fn execute(store: &MovingObjectStore, req: &Req, pool: &WorkerPool) -> Answer {
+pub fn execute(store: &MovingObjectStore, req: &Req, pool: &WorkerPool) -> Answer {
     serve!(store, req, pool)
 }
 
@@ -533,6 +544,7 @@ impl Drop for Durable {
 /// Target (c): a memory store behind `hpm-server` on loopback.
 pub struct Wire {
     store: Arc<MovingObjectStore>,
+    addr: SocketAddr,
     client: Client,
     server: (ServerHandle, Option<JoinHandle<std::io::Result<()>>>),
 }
@@ -547,6 +559,7 @@ impl Wire {
         let client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
         Ok(Wire {
             store,
+            addr,
             client,
             server: (handle, Some(serving)),
         })
@@ -559,19 +572,28 @@ impl Wire {
     pub fn serve(&mut self, reqs: &[Req]) -> Result<Vec<Answer>, String> {
         let (mut answers, mut in_flight) = (Vec::with_capacity(reqs.len()), Vec::new());
         for req in reqs {
-            let body = match req {
-                Req::Wire(body) => body.clone(),
-                Req::Report(id, t, p) => Q::ReportMany(vec![(*id, *t, *p)]),
-                Req::ReportBatch(..) | Req::Remove(_) | Req::ObjectCount => {
-                    self.drain(&mut in_flight, &mut answers)?;
-                    answers.push(execute(&self.store, req, self.store.pool()));
-                    continue;
-                }
+            let Some(body) = verb(req) else {
+                self.drain(&mut in_flight, &mut answers)?;
+                answers.push(execute(&self.store, req, self.store.pool()));
+                continue;
             };
             in_flight.push(self.client.send(body).map_err(|e| format!("send: {e}"))?);
         }
         self.drain(&mut in_flight, &mut answers)?;
         Ok(answers)
+    }
+
+    /// A client of its own, for one thread of a concurrent history: it
+    /// sends a request as [`serve`](Self::serve) does, one at a time.
+    pub fn connect(&self) -> Result<impl FnMut(&Req) -> Result<Answer, String> + '_, String> {
+        let mut client = Client::connect(self.addr).map_err(|e| format!("connect: {e}"))?;
+        Ok(move |req: &Req| match verb(req) {
+            Some(body) => client
+                .call(body)
+                .map(Answer::of)
+                .map_err(|e| format!("{e}")),
+            None => Ok(execute(&self.store, req, self.store.pool())),
+        })
     }
 
     /// Reads the replies to the requests in flight, which come back in
@@ -585,6 +607,16 @@ impl Wire {
             answers.push(Answer::of(reply.body));
         }
         Ok(())
+    }
+}
+
+/// The wire verb a request goes as: a single report as a one-report
+/// `ReportMany`; `None` for the calls the wire has no verb for.
+fn verb(req: &Req) -> Option<Q> {
+    match req {
+        Req::Wire(body) => Some(body.clone()),
+        Req::Report(id, t, p) => Some(Q::ReportMany(vec![(*id, *t, *p)])),
+        Req::ReportBatch(..) | Req::Remove(_) | Req::ObjectCount => None,
     }
 }
 
