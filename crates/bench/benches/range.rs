@@ -205,10 +205,11 @@ const METHODOLOGY: &str = "Fleet on a 50-unit grid (constant density; the plane 
     rollout each); steady-state numbers exclude it, matching the ingest-many/query-many \
     regime. Every indexed answer was asserted equal to the scan. Caveats: run in a \
     shared container (no isolated cores, frequency scaling uncontrolled); single \
-    thread; times include per-query result allocation; kNN candidate selection still \
-    enumerates all buckets per query (O(buckets) with a small constant), so its \
-    speedup is predict-pruning only, while range selection is cell-probed (sublinear \
-    for small queries).";
+    thread (the store's pool has one worker, so the first flush runs inline); times \
+    include per-query result allocation. Both selections probe cells by key: range \
+    the cells each velocity class can reach into the box, kNN square rings of cells \
+    around the focus per class until the ring bound passes the k-th best, so both are \
+    sublinear in the fleet for small queries.";
 
 /// Renders (and, measuring, writes) the report over `rows`.
 fn report(bench: &Bench, rows: &[RangeRow]) {

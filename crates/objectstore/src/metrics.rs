@@ -81,12 +81,17 @@ hpm_obs::catalog! {
     /// fit + horizon rollout for one dirty object, at query-time flush).
     span INDEX_UPDATE_SPAN = "objectstore.index.update";
     /// Latency span around the candidate-selection phase of one indexed
-    /// fleet-wide query (bucket pruning / ring construction; the
-    /// surviving candidates' predictions are *not* included).
+    /// fleet-wide query (cell probing and envelope tests; the
+    /// surviving candidates' predictions are *not* included, nor is a
+    /// kNN's ring sweep, which runs between its predictions).
     span INDEX_PRUNE_SPAN = "objectstore.index.prune";
-    /// Envelope buckets pruned whole per indexed fleet-wide query (for
-    /// kNN: ring buckets never visited because the sweep terminated).
+    /// Index cells pruned per indexed fleet-wide query: for a range,
+    /// cells none of whose objects is a candidate; for kNN, cells the
+    /// ring sweep never reached.
     histogram[Count] INDEX_PARTITIONS_PRUNED = "objectstore.index.partitions_pruned";
+    /// Index cells one kNN query probed by key or enumerated in its
+    /// ring sweep.
+    histogram[Count] INDEX_CELLS_PROBED_KNN = "objectstore.index.buckets_per_query.knn";
     /// Candidate objects actually predicted per indexed fleet-wide query
     /// — the survivors; `candidates / objects` is the pruning ratio.
     histogram[Count] INDEX_CANDIDATES = "objectstore.index.candidates";

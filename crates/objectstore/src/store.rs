@@ -60,7 +60,7 @@ pub struct StoreConfig {
     /// Worker threads for the batch APIs; `0` = auto (available
     /// parallelism).
     pub threads: usize,
-    /// Predictive-index tuning (horizon and bucket cell size; the
+    /// Predictive-index tuning (horizon and cell size; the
     /// defaults auto-derive both from the discovery parameters).
     pub index: IndexConfig,
 }
@@ -453,8 +453,8 @@ pub struct MovingObjectStore {
     durability: Option<DurabilityState>,
     /// The cross-object predictive index behind `predict_range` /
     /// `predict_nearest` (see [`crate::index`]): per-shard envelope
-    /// buckets, kept fresh lazily through a dirty set every mutation
-    /// feeds.
+    /// slots in velocity-partitioned cells, kept fresh lazily through a
+    /// dirty set every mutation feeds.
     index: PredictiveIndex,
 }
 
@@ -956,9 +956,9 @@ impl MovingObjectStore {
     /// invalid (no history, or `query_time` not in their future) are
     /// skipped. Results are ordered by object id.
     ///
-    /// Answered through the predictive index: envelope buckets whose
-    /// union box cannot intersect `region` are pruned wholesale and
-    /// only surviving candidates are predicted — bit-identical to
+    /// Answered through the predictive index: only the cells each
+    /// velocity class can reach into `region` are probed, and only
+    /// objects whose envelope meets it are predicted — bit-identical to
     /// [`predict_range_scan`](Self::predict_range_scan), sublinear in
     /// fleet size when predictions are spatially spread.
     pub fn predict_range(
@@ -1035,10 +1035,10 @@ impl MovingObjectStore {
     /// id breaks ties deterministically).
     ///
     /// Answered through the predictive index as an expanding-ring
-    /// sweep: envelope buckets are visited in ascending
-    /// distance-to-`focus` order and the sweep stops once the next
-    /// ring provably cannot beat the current `k`-th best distance —
-    /// bit-identical to
+    /// sweep: square rings of cells around `focus`, per velocity
+    /// class, hand out objects in ascending envelope distance, and a
+    /// class stops once its next ring provably cannot beat the current
+    /// `k`-th best distance — bit-identical to
     /// [`predict_nearest_scan`](Self::predict_nearest_scan).
     pub fn predict_nearest(
         &self,
@@ -1100,11 +1100,10 @@ impl MovingObjectStore {
     ///
     /// Candidates come in two kinds. *Unconditional* ones are always
     /// predicted: the beyond-horizon ids, plus for a [`Select::Box`]
-    /// the members of envelope buckets the box can touch. A
-    /// [`Select::Ring`] additionally sweeps the buckets in ascending
-    /// distance-to-focus order — an expanding ring — skipping members,
-    /// then stopping, once their lower bound cannot beat the current
-    /// `k`-th best score.
+    /// the objects whose envelope the box touches. A [`Select::Ring`]
+    /// additionally takes objects from the index's ring sweep in
+    /// ascending envelope distance, until no object left can beat the
+    /// current `k`-th best score.
     fn fleet_query(&self, select: Select<'_>, refine: Refine, at: Timestamp) -> Vec<Hit> {
         let mut hits: Vec<Hit> = Vec::new();
         if matches!(select, Select::Ring { k: 0, .. }) {
@@ -1112,8 +1111,8 @@ impl MovingObjectStore {
         }
         self.flush_index();
         let mut unconditional: Vec<u64> = Vec::new();
-        let mut ring: Vec<(f64, usize, (i64, i64, u8))> = Vec::new();
         let mut pruned = 0u64;
+        let mut sweep = None;
         {
             let _span = hpm_obs::span!(crate::metrics::INDEX_PRUNE_SPAN);
             for shard in 0..self.shards.len() {
@@ -1124,45 +1123,31 @@ impl MovingObjectStore {
                             .range_candidates(shard, region, at, &mut unconditional)
                             .0;
                     }
-                    Select::Ring { focus, .. } => {
-                        self.index.expired_ids(shard, at, &mut unconditional);
-                        self.index.bucket_ring(shard, focus, &mut ring);
-                    }
+                    Select::Ring { .. } => self.index.expired_ids(shard, at, &mut unconditional),
                 }
             }
-            ring.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            if let Select::Ring { focus, .. } = select {
+                sweep = Some(self.index.ring_sweep(focus, at));
+            }
         }
         let mut examined = unconditional.len() as u64;
         for raw in unconditional {
             self.consider(ObjectId(raw), select, refine, at, &mut hits);
         }
-        if let Select::Ring { focus, k } = select {
+        if let (Select::Ring { k, .. }, Some(mut sweep)) = (select, sweep) {
             // `hits` is the running top k, best first: once full, its
-            // last score is the bound a candidate must not exceed.
-            // Strict `>` throughout: a bucket or member tied with the
-            // bound can still hold an id that wins the tie-break.
-            let mut members: Vec<(u64, f64)> = Vec::new();
-            let mut visited = 0u64;
-            for &(bucket_dist, shard, key) in &ring {
-                if hits.len() == k && bucket_dist > hits[k - 1].2 {
-                    break;
-                }
-                visited += 1;
-                members.clear();
-                self.index
-                    .bucket_members(shard, key, at, focus, &mut members);
-                for &(raw, envelope_dist) in &members {
-                    // The envelope's near distance lower-bounds the
-                    // member's distance and the far distance of every
-                    // answer region inside it, hence both scores.
-                    if hits.len() == k && envelope_dist > hits[k - 1].2 {
-                        continue;
-                    }
-                    examined += 1;
-                    self.consider(ObjectId(raw), select, refine, at, &mut hits);
-                }
+            // last score is the bound a candidate must not exceed. An
+            // envelope's near distance lower-bounds the member's
+            // distance and the far distance of every answer region
+            // inside it, hence both scores.
+            loop {
+                let kth = hits.get(k - 1).map_or(f64::INFINITY, |hit| hit.2);
+                let Some(raw) = sweep.next(kth) else { break };
+                examined += 1;
+                self.consider(ObjectId(raw), select, refine, at, &mut hits);
             }
-            pruned = ring.len() as u64 - visited;
+            pruned = sweep.cells.saturating_sub(sweep.visited);
+            hpm_obs::histogram!(crate::metrics::INDEX_CELLS_PROBED_KNN).record(sweep.probed);
         } else {
             hits.sort_unstable_by_key(|hit| hit.0);
         }
@@ -1194,7 +1179,7 @@ impl MovingObjectStore {
     /// by `(score, id)` for a ring. An id the top k already holds is
     /// not inserted again — a query thread that flushes a fresh
     /// envelope mid-sweep can surface one object both as beyond-horizon
-    /// and as a bucket member.
+    /// and from the ring sweep.
     fn consider(
         &self,
         id: ObjectId,
@@ -1229,14 +1214,16 @@ impl MovingObjectStore {
     /// reported so far (queries call this before pruning; mutations
     /// themselves only mark objects dirty — see [`crate::index`]).
     fn flush_index(&self) {
-        let mut changed = false;
-        for shard in 0..self.shards.len() {
-            changed |= self.index.flush_shard(shard, |raw| {
+        let flush = |shard: usize| {
+            self.index.flush_shard(shard, |raw| {
                 let _span = hpm_obs::span!(crate::metrics::INDEX_UPDATE_SPAN);
                 self.compute_envelope(shard, raw)
-            });
-        }
-        if changed {
+            })
+        };
+        let inline = WorkerPool::new(1);
+        let parallel = self.index.dirty_count() >= crate::index::PARALLEL_FLUSH_FLOOR;
+        let pool = if parallel { &self.pool } else { &inline };
+        if pool.run(self.shards.len(), flush).contains(&true) {
             hpm_obs::gauge!(crate::metrics::INDEX_SIZE).set(self.index.entry_count() as i64);
         }
     }
@@ -1270,11 +1257,7 @@ impl MovingObjectStore {
         if let Some(regions) = predictor.region_envelope() {
             bbox = bbox.union(&regions);
         }
-        Some(Envelope {
-            tc,
-            until: tc.saturating_add(u64::from(self.index.horizon)),
-            bbox,
-        })
+        Some(Envelope { tc, bbox })
     }
 
     /// Current stats of an object.
@@ -1604,49 +1587,61 @@ impl MovingObjectStore {
     /// same sample, at the cost of one first-training-sized pass — and
     /// keeps it after that pass only where its own rule holds one.
     fn restore_objects(&mut self, objects: Vec<ObjectSnapshot>) -> Result<(), DecodeError> {
-        for o in objects {
-            // The parts install as they are, which is the history the
-            // writer held; `from_parts` only decodes and re-pushes the
-            // samples after the sealed chunks when the writer used
-            // another chunk geometry.
-            let h = o.history;
-            let history = ChunkedHistory::from_parts(
-                o.start,
-                self.chunk_params(),
-                h.chunks,
-                h.open,
-                h.window,
-            );
-            let predictor = match &o.model {
-                Some(blob) => {
-                    let m = decode_model(blob)?;
-                    Some(Box::new(HybridPredictor::from_parts(
-                        m.regions,
-                        m.patterns,
-                        self.config.hpm,
-                    )))
-                }
-                None => None,
-            };
-            let shard_idx = self.shard_index(o.id);
+        // Decoding and installing the parts is independent per object,
+        // so the states are built on the pool; they go into the shard
+        // maps afterwards, in object order, and the first decode error
+        // in that order fails the open.
+        let objects: Vec<Mutex<Option<ObjectSnapshot>>> =
+            objects.into_iter().map(|o| Mutex::new(Some(o))).collect();
+        let built = self.pool.run(objects.len(), |i| {
+            let o = objects[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            self.restored_state(o.expect("each object is built once"))
+        });
+        for state in built {
+            let (id, state) = state?;
+            let shard_idx = self.shard_index(id);
             let mut map = self.shards[shard_idx].write_map();
-            map.insert(
-                o.id,
-                Arc::new(RwLock::new(ObjectState {
-                    history,
-                    predictor,
-                    trainer: None,
-                    trained_subs: o.trained_subs as usize,
-                    retrain_pending: false,
-                    removed: false,
-                })),
-            );
+            map.insert(id, Arc::new(RwLock::new(state)));
             crate::metrics::shard_objects_gauge(shard_idx).set(map.len() as i64);
             hpm_obs::gauge!(crate::metrics::OBJECTS).add(1);
             drop(map);
-            self.index.mark_dirty(shard_idx, o.id);
+            self.index.mark_dirty(shard_idx, id);
         }
         Ok(())
+    }
+
+    /// One snapshot object's state: its history from the parts as they
+    /// are, which is the history the writer held (`from_parts` only
+    /// decodes and re-pushes the samples after the sealed chunks when
+    /// the writer used another chunk geometry), and its predictor
+    /// decoded from the model blob.
+    fn restored_state(&self, o: ObjectSnapshot) -> Result<(u64, ObjectState), DecodeError> {
+        let h = o.history;
+        let history =
+            ChunkedHistory::from_parts(o.start, self.chunk_params(), h.chunks, h.open, h.window);
+        let predictor = match &o.model {
+            Some(blob) => {
+                let m = decode_model(blob)?;
+                Some(Box::new(HybridPredictor::from_parts(
+                    m.regions,
+                    m.patterns,
+                    self.config.hpm,
+                )))
+            }
+            None => None,
+        };
+        let state = ObjectState {
+            history,
+            predictor,
+            trainer: None,
+            trained_subs: o.trained_subs as usize,
+            retrain_pending: false,
+            removed: false,
+        };
+        Ok((o.id, state))
     }
 
     /// The shard WAL of `id`, locked. Taken with the object's lock held
@@ -2096,7 +2091,7 @@ mod tests {
     }
 
     /// What a flush racing the ring sweep does to one query: an object
-    /// surfaces as beyond-horizon and again as a bucket member.
+    /// surfaces as beyond-horizon and again from the ring sweep.
     #[test]
     fn ring_collector_holds_an_id_once() {
         let store = range_store();

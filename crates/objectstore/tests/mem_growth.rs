@@ -243,3 +243,47 @@ fn trained_state_accounting(retrain_every_subs: usize) -> StoreMemory {
     );
     after
 }
+
+/// The index share of `memory_use()` — its slots, cells and expiry
+/// groups, less the dirty sets a flush takes — held to what the
+/// allocator handed out while a query's flush built the index over a
+/// fleet reported since the last flush.
+#[test]
+fn index_accounting_matches_the_allocator() {
+    const OBJECTS: u64 = 4_000;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    let store = MovingObjectStore::new(config());
+    let walk = |id: u64| {
+        let (x, y) = ((id % 64) as f64 * 50.0, (id / 64) as f64 * 50.0);
+        [
+            Point::new(x, y),
+            Point::new(x + 1.0, y),
+            Point::new(x + 2.0, y + 1.0),
+        ]
+    };
+    let far = hpm_geo::BoundingBox {
+        min: Point::new(-1e6, -1e6),
+        max: Point::new(-1e6 + 1.0, -1e6 + 1.0),
+    };
+    // One object and one query first, so whatever a query sets up once
+    // is resident before the window opens.
+    store.report_batch(ObjectId(0), 0, &walk(0)).unwrap();
+    assert!(store.predict_range(&far, 3).is_empty());
+    for id in 1..OBJECTS {
+        store.report_batch(ObjectId(id), 0, &walk(id)).unwrap();
+    }
+    let before = store.memory_use();
+    let live_before = ALLOC.live_bytes();
+    assert!(store.predict_range(&far, 3).is_empty());
+    let allocated = ALLOC.live_bytes() as f64 - live_before as f64;
+    let accounted = store.memory_use().index_bytes as f64 - before.index_bytes as f64;
+    assert!(
+        allocated > 50.0 * OBJECTS as f64,
+        "the flush allocated only {allocated} B for {OBJECTS} objects"
+    );
+    assert!(
+        (accounted / allocated - 1.0).abs() < 0.20,
+        "MemUse says the index grew {accounted} B, the allocator handed out {allocated} B"
+    );
+}

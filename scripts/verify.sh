@@ -210,10 +210,10 @@ if [ -e crates/bench/experiments_output ]; then
     exit 1
 fi
 
-echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync, the level-wise miner, the per-record WAL encoder, the v1 WAL and snapshot readers, the batch dbscan / decompose twins, the per-operator client helpers, the hand-picked decoder caps, failure-seed persistence, span capture, the mutex job queue, the per-metric evaluation passes, the unseeded trainer, the stored offset groups and decomposition cursor, the public training stages, the fleet query's scan mode, the probabilistic-kNN scan twin, the mirrored wire encoders / decoders and their tag constants, the second-order Markov baseline, the uncalled durability probe, the TPT image's copy of every confidence, the sampler re-export shim, the stay-point / RDP toolbox with its CLI verbs, its example and the uncalled helpers, BQP's all-ones TPT search key with the bitmap and key helpers only it used, the TPT fanout setting, the image's leaf key words, the bitmap's inline storage, the Algorithm 1 key operations (Contain, Difference, and_count), the BruteForce index, the allocating key encoders and the search twins of the cursor, the cursor's second read of its matches, the image's leaf id arena and its fixture, the leaf words a predictor built its image from, the support counts' index table, the trainer's copy of each region (its cluster views and per-offset region starts), the raw hot tail of a compressed history with its 272-sample capacity clamp, and the FxHash-style hasher"
+echo "==> deleted for good: the pointer TPT, threaded mining, QR, the second directory sync, the level-wise miner, the per-record WAL encoder, the v1 WAL and snapshot readers, the batch dbscan / decompose twins, the per-operator client helpers, the hand-picked decoder caps, failure-seed persistence, span capture, the mutex job queue, the per-metric evaluation passes, the unseeded trainer, the stored offset groups and decomposition cursor, the public training stages, the fleet query's scan mode, the probabilistic-kNN scan twin, the mirrored wire encoders / decoders and their tag constants, the second-order Markov baseline, the uncalled durability probe, the TPT image's copy of every confidence, the sampler re-export shim, the stay-point / RDP toolbox with its CLI verbs, its example and the uncalled helpers, BQP's all-ones TPT search key with the bitmap and key helpers only it used, the TPT fanout setting, the image's leaf key words, the bitmap's inline storage, the Algorithm 1 key operations (Contain, Difference, and_count), the BruteForce index, the allocating key encoders and the search twins of the cursor, the cursor's second read of its matches, the image's leaf id arena and its fixture, the leaf words a predictor built its image from, the support counts' index table, the trainer's copy of each region (its cluster views and per-offset region starts), the raw hot tail of a compressed history with its 272-sample capacity clamp, the FxHash-style hasher, and the predictive index's per-object bucket entries, per-bucket member lists and sorted bucket ring"
 # Each of these was a second way to do a job (ROADMAP "Quality of
 # design"); a match means one has been reintroduced.
-GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir|fn frequent_itemsets|fn count_level|fn generate_rules|discover_from_groups|type Transaction|MINE_LEVEL_ITEMSETS|fn encode_wal_record|MAX_WAL_PAYLOAD|decode_v1|V1_PAYLOAD_CAP|SNAPSHOT_VERSION_V1|HistorySnapshot::Raw|fn dbscan_naive|pub fn dbscan\(|pub fn decompose\(|struct SubTrajectory|Result<Vec<\(ObjectId, Point(, f64)?\)>, ClientError>|Result<Result<\(\), QueryError>, ClientError>|MAX_REGIONS|MAX_PATTERNS|MAX_PREMISE|MAX_SNAPSHOT_OBJECTS|MAX_SNAPSHOT_SAMPLES|MAX_SNAPSHOT_MODEL_BYTES|MAX_WORDS_PER_SAMPLE|HPM_CHECK_PERSIST|fn read_regression_seeds|fn persist_seed|pub fn capture|struct SpanNode|struct Injector|pub fn avg_error|pub fn error_stats\(|pub fn source_breakdown\(|pub fn pattern_hit_rate\(|pub fn hit_rate_at_k\(|fn calibration\(predictor|TrainerState::new|pub struct OffsetGroups|pub struct DeltaSample|pub struct DecomposeCursor|pub struct NewVisit|pub enum UpdateTier|pub fn stage_decompose|pub fn stage_cluster|pub fn stage_mine|fn cluster_delta|enum Source\b|predict_nearest_prob_scan|const REQ_|const RESP_|fn put_ingest_result|fn get_query_error|fn put_hits|fn get_prediction|SecondOrderMarkov|fn is_durable|fn patch_confidences|UpdateTier::Confidences|packed_image_v1|mod rand_ext|fn stay_points|struct StayPoint|simplify_rdp|point_segment_distance|cmd_staypoints|cmd_simplify|pub fn centroid|fn or_assign|fn from_last_two|fn row_mut|trajectory_analytics|fn bqp_query|fn extend_consequence_key|fn set_all|pub fn ones|pub fn clear\(&mut self\)|tpt_fanout:|packed_image_v2|FromIterator<\(PatternKey, u32\)>|input_pattern|search_packed\(&|INLINE_WORDS|enum WordStore|BruteForce|fn and_count|fn difference|fn contains\(&self, other: &(Bitmap|PatternKey)\)|impl Hash for Bitmap|impl MemUse for (Bitmap|PatternKey)|fn premise_key\(&self|fn consequence_key\(&self|pub fn consequence_key_into|fn fqp_query\(&self|fn search_with_stats|fn search_into|fn matches\(&self\)|packed_image_v3|fn build_image|fn search_impl|fn rehash|MIN_SLOTS|fn probe\(&self, parent|struct ClusterView|fn cluster_views|first_ids|fn tail\(&self\)|cap_target|FxBuildHasher|struct FxHasher'
+GONE='struct Tpt\b|TptConfig|fn compact|choose_subtree|trait PatternIndex|mine_with_threads|build_with_threads|lstsq_qr|fn fsync_dir|fn frequent_itemsets|fn count_level|fn generate_rules|discover_from_groups|type Transaction|MINE_LEVEL_ITEMSETS|fn encode_wal_record|MAX_WAL_PAYLOAD|decode_v1|V1_PAYLOAD_CAP|SNAPSHOT_VERSION_V1|HistorySnapshot::Raw|fn dbscan_naive|pub fn dbscan\(|pub fn decompose\(|struct SubTrajectory|Result<Vec<\(ObjectId, Point(, f64)?\)>, ClientError>|Result<Result<\(\), QueryError>, ClientError>|MAX_REGIONS|MAX_PATTERNS|MAX_PREMISE|MAX_SNAPSHOT_OBJECTS|MAX_SNAPSHOT_SAMPLES|MAX_SNAPSHOT_MODEL_BYTES|MAX_WORDS_PER_SAMPLE|HPM_CHECK_PERSIST|fn read_regression_seeds|fn persist_seed|pub fn capture|struct SpanNode|struct Injector|pub fn avg_error|pub fn error_stats\(|pub fn source_breakdown\(|pub fn pattern_hit_rate\(|pub fn hit_rate_at_k\(|fn calibration\(predictor|TrainerState::new|pub struct OffsetGroups|pub struct DeltaSample|pub struct DecomposeCursor|pub struct NewVisit|pub enum UpdateTier|pub fn stage_decompose|pub fn stage_cluster|pub fn stage_mine|fn cluster_delta|enum Source\b|predict_nearest_prob_scan|const REQ_|const RESP_|fn put_ingest_result|fn get_query_error|fn put_hits|fn get_prediction|SecondOrderMarkov|fn is_durable|fn patch_confidences|UpdateTier::Confidences|packed_image_v1|mod rand_ext|fn stay_points|struct StayPoint|simplify_rdp|point_segment_distance|cmd_staypoints|cmd_simplify|pub fn centroid|fn or_assign|fn from_last_two|fn row_mut|trajectory_analytics|fn bqp_query|fn extend_consequence_key|fn set_all|pub fn ones|pub fn clear\(&mut self\)|tpt_fanout:|packed_image_v2|FromIterator<\(PatternKey, u32\)>|input_pattern|search_packed\(&|INLINE_WORDS|enum WordStore|BruteForce|fn and_count|fn difference|fn contains\(&self, other: &(Bitmap|PatternKey)\)|impl Hash for Bitmap|impl MemUse for (Bitmap|PatternKey)|fn premise_key\(&self|fn consequence_key\(&self|pub fn consequence_key_into|fn fqp_query\(&self|fn search_with_stats|fn search_into|fn matches\(&self\)|packed_image_v3|fn build_image|fn search_impl|fn rehash|MIN_SLOTS|fn probe\(&self, parent|struct ClusterView|fn cluster_views|first_ids|fn tail\(&self\)|cap_target|FxBuildHasher|struct FxHasher|fn bucket_ring|fn bucket_members|struct Entry\b|struct Bucket\b|type BucketKey|fn bucket_key'
 if grep -rnE "$GONE" crates/ src/ examples/ tests/; then
     echo "ERROR: a deleted item is back (see the deletion ledgers in CHANGES.md)" >&2
     exit 1
